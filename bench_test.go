@@ -1,9 +1,9 @@
 // Package benches holds the repository-root benchmark harness: one
-// benchmark per table and measured claim of the ICDE'93 paper (the
-// experiment index lives in DESIGN.md §3; the recorded paper-vs-measured
-// comparison in EXPERIMENTS.md). Each experiment benchmark prints the
-// paper-style table once, then times the regeneration; the Benchmark*
-// functions further down micro-benchmark the substrates.
+// benchmark per table and measured claim of the ICDE'93 paper (package
+// internal/bench holds the experiments; `tcbench -h` lists them). Each
+// experiment benchmark prints the paper-style table, paper numbers
+// beside measured ones, once, then times the regeneration; the
+// Benchmark* functions further down micro-benchmark the substrates.
 //
 // Run with:
 //
@@ -11,6 +11,7 @@
 package benches
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -496,6 +497,15 @@ func BenchmarkBuildStore(b *testing.B) {
 	}
 }
 
+// benchRunPair plans and runs one Dijkstra-engine pair on benchStore.
+func benchRunPair(src, dst graph.NodeID, parallel bool) (*dsa.Result, error) {
+	plan, err := benchStore.NewPlan(src, dst)
+	if err != nil {
+		return nil, err
+	}
+	return benchStore.RunPlanCtx(context.Background(), plan, dsa.EngineDijkstra, parallel)
+}
+
 // BenchmarkDSAQuerySequential times sequential disconnection-set
 // queries.
 func BenchmarkDSAQuerySequential(b *testing.B) {
@@ -504,7 +514,7 @@ func BenchmarkDSAQuerySequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		src := nodes[i%len(nodes)]
 		dst := nodes[(i*37+13)%len(nodes)]
-		if _, err := benchStore.Query(src, dst, dsa.EngineDijkstra); err != nil {
+		if _, err := benchRunPair(src, dst, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -518,7 +528,7 @@ func BenchmarkDSAQueryParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		src := nodes[i%len(nodes)]
 		dst := nodes[(i*37+13)%len(nodes)]
-		if _, err := benchStore.QueryParallel(src, dst, dsa.EngineDijkstra); err != nil {
+		if _, err := benchRunPair(src, dst, true); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,5 +1,6 @@
 // Command tcbench regenerates every table and measured claim of the
-// ICDE'93 paper (see DESIGN.md §3 for the experiment index).
+// ICDE'93 paper (-h lists the experiments; package internal/bench
+// documents each).
 //
 // Usage:
 //

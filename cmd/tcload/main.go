@@ -1,10 +1,11 @@
 // Command tcload is the parallel load generator for tcserver: N
-// workers firing random or file-driven source/target queries, with
-// replay passes that double as a cache-correctness oracle. It reports
-// QPS, p50/p95/p99 latency and the server-side leg-cache hit rate, and
-// exits non-zero on any transport error, non-2xx response, answer that
-// changed between passes, unreachable answer under -expect-reachable,
-// or hit rate below -min-hit-rate — the CI smoke gate.
+// workers firing random or file-driven source/target queries at POST
+// /v1/query, with replay passes that double as a cache-correctness
+// oracle. It reports QPS, p50/p95/p99 latency and the server-side
+// leg-cache hit rate, and exits non-zero on any transport error,
+// non-2xx response, answer that changed between passes, unreachable
+// answer under -expect-reachable, or hit rate below -min-hit-rate — the
+// CI smoke gate.
 //
 // It is also the CI latency-SLO gate: -duration sustains the load for
 // a wall-clock window, -slo-file (or the -slo-* flags) holds the run
@@ -17,7 +18,6 @@
 //	tcload -addr http://127.0.0.1:8642 -n 200 -parallel 8
 //	tcload -addr http://127.0.0.1:8642 -n 200 -parallel 8 -repeat 2 -expect-reachable -min-hit-rate 0.05
 //	tcload -addr http://127.0.0.1:8642 -pairs queries.txt -mode connected -engine bitset
-//	tcload -addr http://127.0.0.1:8642 -n 200 -parallel 8 -api v1
 //	tcload -addr http://127.0.0.1:8642 -n 200 -parallel 8 -write-rate 0.1 -expect-reachable
 //	tcload -addr http://127.0.0.1:8642 -n 200 -parallel 8 -write-rate 0.15 \
 //	    -duration 30s -slo-file SLO.json -json slo-report.json
@@ -43,7 +43,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/server"
+	"repro/internal/loadgen"
 )
 
 func main() {
@@ -55,8 +55,7 @@ func main() {
 		nodes      = flag.Int("nodes", 0, "random src/dst drawn from [0, nodes); 0 = ask the server's /stats")
 		pairsFile  = flag.String("pairs", "", "file with explicit 'src dst' lines (overrides -n/-nodes)")
 		mode       = flag.String("mode", "query", "query (shortest path) or connected (reachability)")
-		api        = flag.String("api", "legacy", "wire surface: legacy (GET /query) or v1 (POST /v1/query)")
-		engine     = flag.String("engine", "", "per-request engine (empty = server default)")
+		engine     = flag.String("engine", "", "per-request engine (empty = the server's planner chooses)")
 		seed       = flag.Int64("seed", 1, "random workload seed")
 		repeat     = flag.Int("repeat", 1, "passes over the same workload (>1 exercises the leg cache)")
 		duration   = flag.Duration("duration", 0, "keep replaying passes until this much wall-clock time elapsed (0 = exactly -repeat passes)")
@@ -72,7 +71,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := server.LoadConfig{
+	cfg := loadgen.LoadConfig{
 		BaseURL:         strings.TrimRight(*addr, "/"),
 		BaseURLs:        parseAddrs(*addrs),
 		Requests:        *n,
@@ -80,7 +79,6 @@ func main() {
 		Nodes:           *nodes,
 		Engine:          *engine,
 		Mode:            *mode,
-		API:             *api,
 		Seed:            *seed,
 		Repeat:          *repeat,
 		Duration:        *duration,
@@ -99,7 +97,7 @@ func main() {
 		if len(cfg.BaseURLs) > 0 {
 			statsURL = cfg.BaseURLs[0]
 		}
-		st, err := server.FetchStats(statsURL)
+		st, err := loadgen.FetchStats(statsURL)
 		if err != nil {
 			fatal(fmt.Errorf("discovering node count from /stats: %v", err))
 		}
@@ -111,13 +109,13 @@ func main() {
 		fatal(err)
 	}
 
-	rep, err := server.RunLoad(cfg)
+	rep, err := loadgen.RunLoad(cfg)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Print(rep.Format())
 
-	var slo *server.SLOReport
+	var slo *loadgen.SLOReport
 	if !budget.Empty() {
 		slo = rep.SLO(budget)
 		fmt.Printf("SLO: read p99 %.3fms  write p99 %.3fms  error rate %.5f  -> %s\n",
@@ -168,11 +166,11 @@ func parseAddrs(s string) []string {
 }
 
 // loadBudget combines the -slo-file budget with the flag overrides.
-func loadBudget(path string, readP99, writeP99 time.Duration, errRate float64) (server.SLOBudget, error) {
-	var b server.SLOBudget
+func loadBudget(path string, readP99, writeP99 time.Duration, errRate float64) (loadgen.SLOBudget, error) {
+	var b loadgen.SLOBudget
 	if path != "" {
 		var err error
-		b, err = server.LoadSLOBudget(path)
+		b, err = loadgen.LoadSLOBudget(path)
 		if err != nil {
 			return b, err
 		}
@@ -193,12 +191,12 @@ func loadBudget(path string, readP99, writeP99 time.Duration, errRate float64) (
 
 // report is the -json envelope: the load report plus the SLO verdict.
 type report struct {
-	*server.LoadReport
-	SLO *server.SLOReport `json:"slo,omitempty"`
+	*loadgen.LoadReport
+	SLO *loadgen.SLOReport `json:"slo,omitempty"`
 }
 
 // writeReport renders the machine-readable report to path or stdout.
-func writeReport(path string, rep *server.LoadReport, slo *server.SLOReport) error {
+func writeReport(path string, rep *loadgen.LoadReport, slo *loadgen.SLOReport) error {
 	out, err := json.MarshalIndent(report{LoadReport: rep, SLO: slo}, "", "  ")
 	if err != nil {
 		return err

@@ -8,7 +8,7 @@
 //
 //	tcserver -graph graph.txt -frag frags.txt -listen :8642
 //	tcserver -grid 64x64 -fragments 8 -listen 127.0.0.1:8642
-//	tcserver -grid 32x32 -fragments 4 -engine dense -cache 4096
+//	tcserver -grid 32x32 -fragments 4 -cache 4096
 //	tcserver -grid 64x64 -fragments 8 -pprof   # /debug/pprof/ exposed
 //	tcserver -grid 64x64 -fragments 8 -node-id a \
 //	        -peers a=http://h1:8642,b=http://h2:8642,c=http://h3:8642
@@ -21,13 +21,12 @@
 //
 // Endpoints: POST /v1/query, POST /v1/batch and POST /v1/update (the
 // versioned facade API: source/target sets, modes, auto-planned
-// engines, transactional op batches, typed error codes), plus the
-// legacy shims /query, /connected, and /update, /stats, /healthz (see
-// the README's serving section for schemas), and GET /metrics, the
-// Prometheus text exposition — per-engine latency histograms,
-// leg-cache and epoch-churn counters (see the README's observability
-// section for the catalog). Updates are copy-on-write and never block
-// in-flight queries.
+// engines, transactional op batches, typed error codes), plus GET
+// /stats, /healthz and /readyz (see the README's serving section for
+// schemas), and GET /metrics, the Prometheus text exposition —
+// per-engine latency histograms, leg-cache and epoch-churn counters
+// (see the README's observability section for the catalog). Updates
+// are copy-on-write and never block in-flight queries.
 package main
 
 import (
@@ -61,7 +60,6 @@ func main() {
 		diag      = flag.Float64("diag", 0.1, "diagonal shortcut probability for the generated grid")
 		seed      = flag.Int64("seed", 1, "seed for the generated grid")
 		listen    = flag.String("listen", ":8642", "listen address")
-		engine    = flag.String("engine", "auto", "default engine for legacy requests: auto (planner decides), dijkstra, seminaive, bitset or dense")
 		problem   = flag.String("problem", "shortestpath", "precomputed problem: shortestpath or reachability")
 		cacheCap  = flag.Int("cache", 1024, "leg-result cache capacity in entries (0 disables)")
 		workers   = flag.Int("site-workers", 1, "worker goroutines per site")
@@ -83,10 +81,6 @@ func main() {
 	)
 	flag.Parse()
 
-	eng, err := tcq.ParseEngine(*engine)
-	if err != nil {
-		fatal(err)
-	}
 	prob, err := tcq.ParseProblem(*problem)
 	if err != nil {
 		fatal(err)
@@ -157,7 +151,6 @@ func main() {
 	}
 
 	srv, err := server.NewDataset(ds, server.Config{
-		DefaultEngine: eng,
 		CacheCapacity: *cacheCap,
 		SiteWorkers:   *workers,
 		Cluster:       coord,
@@ -186,8 +179,8 @@ func main() {
 	httpSrv := &http.Server{Addr: *listen, Handler: handler}
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "tcserver: serving on %s (engine %s, cache %d, %d workers/site)\n",
-		*listen, eng, *cacheCap, *workers)
+	fmt.Fprintf(os.Stderr, "tcserver: serving on %s (cache %d, %d workers/site)\n",
+		*listen, *cacheCap, *workers)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -55,11 +55,19 @@ var boundaryRules = []boundaryRule{
 	{
 		target: "repro/internal/server",
 		allowed: []string{
-			"repro/cmd/tcserver",   // the serving daemon
-			"repro/cmd/tcload",     // the load driver over the server's wire types
-			"repro/internal/bench", // serving/cluster benchmarks boot real servers
+			"repro/cmd/tcserver",     // the serving daemon
+			"repro/internal/loadgen", // the load driver speaks the server's /v1 wire types
+			"repro/internal/bench",   // serving/cluster benchmarks boot real servers
 		},
 		why: "the serving layer is the top of the stack; lower layers importing it would invert the architecture",
+	},
+	{
+		target: "repro/internal/loadgen",
+		allowed: []string{
+			"repro/cmd/tcload",     // the load driver's CLI
+			"repro/internal/bench", // serving/updates/cluster experiments drive load in-process
+		},
+		why: "the load driver is an HTTP client of a running server; nothing a server is built from may depend on it",
 	},
 	{
 		target: "repro/internal/cluster",

@@ -21,8 +21,7 @@ import (
 //     underlying cause, so errors.Is/As keep working stack-wide.
 //
 // Validation-only helpers that provably never reach the wire carry
-// suppressions with reasons (or, for whole client-side files like
-// the load driver, a //tcvet:ignore-file).
+// suppressions with reasons.
 
 // typederrScopedPkgs are the wire-boundary packages.
 var typederrScopedPkgs = map[string]bool{

@@ -8,10 +8,12 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"text/tabwriter"
 
+	"repro/internal/dsa"
 	"repro/internal/fragment"
 	"repro/internal/fragment/bea"
 	"repro/internal/fragment/center"
@@ -19,6 +21,16 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
+
+// runPair plans one pair and runs its legs site after site — the
+// single-processor evaluation the experiments measure against.
+func runPair(st *dsa.Store, src, dst graph.NodeID, engine dsa.Engine) (*dsa.Result, error) {
+	plan, err := st.NewPlan(src, dst)
+	if err != nil {
+		return nil, err
+	}
+	return st.RunPlanCtx(context.Background(), plan, engine, false)
+}
 
 // Row is one line of a characteristics table.
 type Row struct {

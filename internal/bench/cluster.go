@@ -12,6 +12,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fragment/linear"
 	"repro/internal/gen"
+	"repro/internal/loadgen"
 	"repro/internal/server"
 	"repro/pkg/tcq"
 )
@@ -91,7 +92,7 @@ func Cluster(queries int, seed int64) (*ClusterResult, error) {
 			return nil, err
 		}
 		for _, pass := range []string{"cold", "warm"} {
-			rep, err := server.RunLoad(server.LoadConfig{
+			rep, err := loadgen.RunLoad(loadgen.LoadConfig{
 				BaseURLs:        urls,
 				Requests:        queries,
 				Parallel:        parallel,

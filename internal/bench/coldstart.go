@@ -144,11 +144,11 @@ func Coldstart(targetEdges, verifyQueries int, seed int64) (*ColdstartResult, er
 	for i := 0; i < verifyQueries; i++ {
 		src := graph.NodeID(rng.Intn(res.Nodes))
 		tgt := graph.NodeID(rng.Intn(res.Nodes))
-		want, err := builtSt.Query(src, tgt, dsa.EngineDijkstra)
+		want, err := runPair(builtSt, src, tgt, dsa.EngineDijkstra)
 		if err != nil {
 			return nil, err
 		}
-		got, err := coldSt.Query(src, tgt, dsa.EngineDijkstra)
+		got, err := runPair(coldSt, src, tgt, dsa.EngineDijkstra)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -231,7 +232,7 @@ func Iterations(clusters, perCluster, queries int, seed int64) (*IterationsResul
 		counted := 0
 		for q := 0; q < queries; q++ {
 			src, dst := queriesSrc[q], queriesDst[q]
-			r, err := store.Query(src, dst, dsa.EngineSemiNaive)
+			r, err := runPair(store, src, dst, dsa.EngineSemiNaive)
 			if err != nil {
 				return nil, err
 			}
@@ -276,7 +277,7 @@ func globalIterations(g *graph.Graph, src graph.NodeID) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	lr, err := st.ExecuteLeg(dsa.Leg{SiteID: 0, Entry: []graph.NodeID{src}, Exit: g.Nodes()}, dsa.EngineSemiNaive)
+	lr, err := st.ExecuteLegCtx(context.Background(), dsa.Leg{SiteID: 0, Entry: []graph.NodeID{src}, Exit: g.Nodes()}, dsa.EngineSemiNaive)
 	if err != nil {
 		return 0, err
 	}
@@ -425,7 +426,7 @@ func PHE(queries int, seed int64) (*PHEResult, error) {
 		for q := 0; q < queries; q++ {
 			src := nodes[rng.Intn(len(nodes))]
 			dst := nodes[rng.Intn(len(nodes))]
-			fullRes, err := full.Query(src, dst, dsa.EngineDijkstra)
+			fullRes, err := runPair(full, src, dst, dsa.EngineDijkstra)
 			if err != nil {
 				return nil, err
 			}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dsa"
 	"repro/internal/fragment/linear"
 	"repro/internal/gen"
+	"repro/internal/loadgen"
 	"repro/internal/server"
 )
 
@@ -94,7 +95,7 @@ func Serving(queries int, seed int64) (*ServingResult, error) {
 		}
 		ts := httptest.NewServer(srv.Handler())
 		for _, pass := range []string{"cold", "warm"} {
-			rep, err := server.RunLoad(server.LoadConfig{
+			rep, err := loadgen.RunLoad(loadgen.LoadConfig{
 				BaseURL:         ts.URL,
 				Requests:        queries,
 				Parallel:        parallel,

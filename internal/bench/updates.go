@@ -13,6 +13,7 @@ import (
 	"repro/internal/fragment/linear"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/loadgen"
 	"repro/internal/server"
 )
 
@@ -151,7 +152,7 @@ func Updates(queries int, seed int64) (*UpdatesResult, error) {
 
 	// A warm-up pass fills the leg cache so both measured passes see
 	// comparable cache behaviour.
-	if _, err := server.RunLoad(server.LoadConfig{
+	if _, err := loadgen.RunLoad(loadgen.LoadConfig{
 		BaseURL: ts.URL, Requests: queries, Parallel: parallel,
 		Nodes: w * h, Seed: seed, ExpectReachable: true,
 	}); err != nil {
@@ -180,7 +181,7 @@ func Updates(queries int, seed int64) (*UpdatesResult, error) {
 		{"mixed fragment-local", writeRate, localEdges},
 		{"mixed cross-fragment", writeRate, nil},
 	} {
-		rep, err := server.RunLoad(server.LoadConfig{
+		rep, err := loadgen.RunLoad(loadgen.LoadConfig{
 			BaseURL:         ts.URL,
 			Requests:        queries,
 			Parallel:        parallel,

@@ -96,7 +96,7 @@ func TestApplyEmptyAndUnknownOps(t *testing.T) {
 // the new store the new ones.
 func TestApplyCopyOnWrite(t *testing.T) {
 	st, _ := pathStore(t)
-	before, err := st.Query(0, 8, EngineDijkstra)
+	before, err := runPair(st, 0, 8, EngineDijkstra, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,19 +115,85 @@ func TestApplyCopyOnWrite(t *testing.T) {
 	if next.Epoch() != 1 || st.Epoch() != 0 {
 		t.Fatalf("epochs: next %d (want 1), old %d (want 0)", next.Epoch(), st.Epoch())
 	}
-	oldAgain, err := st.Query(0, 8, EngineDijkstra)
+	oldAgain, err := runPair(st, 0, 8, EngineDijkstra, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if oldAgain.Cost != 8 {
 		t.Errorf("old snapshot cost = %v after Apply, want 8 (copy-on-write violated)", oldAgain.Cost)
 	}
-	newRes, err := next.Query(0, 8, EngineDijkstra)
+	newRes, err := runPair(next, 0, 8, EngineDijkstra, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if newRes.Cost != 3 { // 0→1 (1) + 1→7 (1) + 7→8 (1)
 		t.Errorf("new snapshot cost = %v, want 3", newRes.Cost)
+	}
+	if want := next.Fragmentation().Base().Distance(0, 8); math.Abs(newRes.Cost-want) > 1e-9 {
+		t.Errorf("store %v vs global %v", newRes.Cost, want)
+	}
+}
+
+// TestApplySingleOpErrors: each refusal kind, sent as a one-op batch,
+// comes back as a one-entry BatchError at index 0 wrapping its typed
+// sentinel.
+func TestApplySingleOpErrors(t *testing.T) {
+	st, _ := pathStore(t)
+	unit := func(from, to graph.NodeID, w float64) graph.Edge { return graph.Edge{From: from, To: to, Weight: w} }
+	for _, tc := range []struct {
+		name string
+		op   EdgeOp
+		want error
+	}{
+		{"insert bad fragment", EdgeOp{Kind: OpInsert, Frag: 99, Edge: unit(0, 1, 1)}, ErrUnknownSite},
+		{"insert unknown endpoint", EdgeOp{Kind: OpInsert, Frag: 0, Edge: unit(0, 999, 1)}, ErrUnknownNode},
+		{"insert negative weight", EdgeOp{Kind: OpInsert, Frag: 0, Edge: unit(0, 1, -2)}, ErrNegativeWeight},
+		{"delete bad fragment", EdgeOp{Kind: OpDelete, Frag: 99, Edge: unit(0, 1, 1)}, ErrUnknownSite},
+		{"delete edge of another fragment", EdgeOp{Kind: OpDelete, Frag: 1, Edge: unit(0, 1, 1)}, ErrEdgeNotFound},
+	} {
+		next, _, err := st.Apply(context.Background(), []EdgeOp{tc.op})
+		var be *BatchError
+		if next != nil || !errors.As(err, &be) || len(be.Ops) != 1 || be.Ops[0].Index != 0 {
+			t.Errorf("%s: got store %v, err %v; want a one-op BatchError", tc.name, next != nil, err)
+			continue
+		}
+		if !errors.Is(be.Ops[0].Err, tc.want) {
+			t.Errorf("%s: op error %v, want errors.Is %v", tc.name, be.Ops[0].Err, tc.want)
+		}
+	}
+}
+
+// TestApplyDeleteLengthensPaths: deleting the forward edge 4→5 of the
+// middle fragment cuts 0 off from 8 (the reverse edge 5→4 points the
+// wrong way) and leaves the reverse direction alone.
+func TestApplyDeleteLengthensPaths(t *testing.T) {
+	st, _ := pathStore(t)
+	next, stats, err := st.Apply(context.Background(), []EdgeOp{
+		{Kind: OpDelete, Frag: 1, Edge: graph.Edge{From: 4, To: 5, Weight: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// pathStore's disconnection sets are single nodes, so the
+	// complementary tables are vacuous and the incremental write path
+	// proves no global search is needed — the answers below are the
+	// real oracle.
+	if stats.DijkstraRuns != 0 {
+		t.Errorf("delete ran %d global searches on vacuous complementary tables, want 0", stats.DijkstraRuns)
+	}
+	res, err := runPair(next, 0, 8, EngineDijkstra, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reachable {
+		t.Errorf("0→8 should be unreachable after deleting 4→5, got cost %v", res.Cost)
+	}
+	rev, err := runPair(next, 8, 0, EngineDijkstra, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rev.Reachable || rev.Cost != 8 {
+		t.Errorf("8→0 = %+v, want cost 8", rev)
 	}
 }
 
@@ -266,8 +332,8 @@ func TestPropertyApplyEqualsFreshBuild(t *testing.T) {
 					src := nodes[rng.Intn(len(nodes))]
 					dst := nodes[rng.Intn(len(nodes))]
 					if problem == ProblemReachability {
-						a, errA := next.Connected(src, dst, EngineBitset)
-						b, errB := fresh.Connected(src, dst, EngineBitset)
+						a, errA := reachable(next, src, dst, EngineBitset, false)
+						b, errB := reachable(fresh, src, dst, EngineBitset, false)
 						if (errA == nil) != (errB == nil) {
 							t.Logf("seed %d: connected(%d,%d): %v vs %v", seed, src, dst, errA, errB)
 							return false
@@ -281,8 +347,8 @@ func TestPropertyApplyEqualsFreshBuild(t *testing.T) {
 						}
 						continue
 					}
-					a, errA := next.Query(src, dst, EngineDijkstra)
-					b, errB := fresh.Query(src, dst, EngineDijkstra)
+					a, errA := runPair(next, src, dst, EngineDijkstra, false)
+					b, errB := runPair(fresh, src, dst, EngineDijkstra, false)
 					if (errA == nil) != (errB == nil) {
 						t.Logf("seed %d: query(%d,%d): %v vs %v", seed, src, dst, errA, errB)
 						return false
@@ -312,6 +378,67 @@ func TestPropertyApplyEqualsFreshBuild(t *testing.T) {
 				t.Error(err)
 			}
 		})
+	}
+}
+
+// TestPropertyUpdateSeriesPreservesExactness: after a random series of
+// single-op inserts and deletes, each applied to the store the previous
+// one produced, the store still answers exactly like global Dijkstra on
+// its (current) base graph.
+func TestPropertyUpdateSeriesPreservesExactness(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		st, _, err := buildLinearStore(seed, 2, 8, 2)
+		if err != nil {
+			return false
+		}
+		for step := 0; step < 3; step++ {
+			nodes := st.Fragmentation().Base().Nodes()
+			frag := rng.Intn(st.Fragmentation().NumFragments())
+			var op EdgeOp
+			if rng.Intn(2) == 0 {
+				u := nodes[rng.Intn(len(nodes))]
+				v := nodes[rng.Intn(len(nodes))]
+				if u == v {
+					continue
+				}
+				op = EdgeOp{Kind: OpInsert, Frag: frag, Edge: graph.Edge{From: u, To: v, Weight: 1 + rng.Float64()*5}}
+			} else {
+				// Skip a delete that would empty the fragment.
+				edges := st.Fragmentation().Fragment(frag).Edges
+				if len(edges) < 2 {
+					continue
+				}
+				op = EdgeOp{Kind: OpDelete, Frag: frag, Edge: edges[rng.Intn(len(edges))]}
+			}
+			if st, _, err = st.Apply(context.Background(), []EdgeOp{op}); err != nil {
+				return false
+			}
+			// Spot-check exactness (only when still loosely connected;
+			// inserts can create cycles in G').
+			if !st.LooselyConnected() {
+				continue
+			}
+			base := st.Fragmentation().Base()
+			nodes = base.Nodes()
+			src := nodes[rng.Intn(len(nodes))]
+			dst := nodes[rng.Intn(len(nodes))]
+			res, err := runPair(st, src, dst, EngineDijkstra, false)
+			if err != nil {
+				return false
+			}
+			want := base.Distance(src, dst)
+			if res.Reachable != !math.IsInf(want, 1) {
+				return false
+			}
+			if res.Reachable && math.Abs(res.Cost-want) > 1e-9 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -355,8 +482,8 @@ func FuzzApply(f *testing.F) {
 		src := nodes[rng.Intn(len(nodes))]
 		dst := nodes[rng.Intn(len(nodes))]
 		if problem == ProblemReachability {
-			a, errA := next.Connected(src, dst, EngineBitset)
-			b, errB := fresh.Connected(src, dst, EngineBitset)
+			a, errA := reachable(next, src, dst, EngineBitset, false)
+			b, errB := reachable(fresh, src, dst, EngineBitset, false)
 			if (errA == nil) != (errB == nil) {
 				t.Fatalf("connected(%d,%d): %v vs %v", src, dst, errA, errB)
 			}
@@ -365,8 +492,8 @@ func FuzzApply(f *testing.F) {
 			}
 			return
 		}
-		a, errA := next.Query(src, dst, EngineDijkstra)
-		b, errB := fresh.Query(src, dst, EngineDijkstra)
+		a, errA := runPair(next, src, dst, EngineDijkstra, false)
+		b, errB := runPair(fresh, src, dst, EngineDijkstra, false)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("query(%d,%d): %v vs %v", src, dst, errA, errB)
 		}

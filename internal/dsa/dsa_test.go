@@ -1,6 +1,7 @@
 package dsa
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,6 +12,26 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
+
+// runPair is the whole pipeline for one pair — plan, run every leg,
+// assemble — as every caller above this package drives it. parallel
+// gives each involved site its own goroutine.
+func runPair(st *Store, src, dst graph.NodeID, engine Engine, parallel bool) (*Result, error) {
+	plan, err := st.NewPlan(src, dst)
+	if err != nil {
+		return nil, err
+	}
+	return st.RunPlanCtx(context.Background(), plan, engine, parallel)
+}
+
+// reachable is runPair reduced to the paper's "Is A connected to B?".
+func reachable(st *Store, src, dst graph.NodeID, engine Engine, parallel bool) (bool, error) {
+	res, err := runPair(st, src, dst, engine, parallel)
+	if err != nil {
+		return false, err
+	}
+	return res.Reachable, nil
+}
 
 // pathStore builds a 3-fragment chain over the path 0-1-…-8 (symmetric
 // unit edges): fragments {0..3}, {3..6}, {6..8}.
@@ -171,7 +192,7 @@ func TestPlanErrors(t *testing.T) {
 func TestQueryChainCost(t *testing.T) {
 	st, g := pathStore(t)
 	for _, engine := range []Engine{EngineDijkstra, EngineSemiNaive} {
-		res, err := st.Query(0, 8, engine)
+		res, err := runPair(st, 0, 8, engine, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +216,7 @@ func TestQueryChainCost(t *testing.T) {
 
 func TestQuerySameFragmentUsesOneSite(t *testing.T) {
 	st, _ := pathStore(t)
-	res, err := st.Query(0, 2, EngineDijkstra)
+	res, err := runPair(st, 0, 2, EngineDijkstra, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +230,7 @@ func TestQuerySameFragmentUsesOneSite(t *testing.T) {
 
 func TestQuerySourceEqualsTarget(t *testing.T) {
 	st, _ := pathStore(t)
-	res, err := st.Query(4, 4, EngineDijkstra)
+	res, err := runPair(st, 4, 4, EngineDijkstra, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,14 +254,14 @@ func TestQueryUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.Query(0, 11, EngineDijkstra)
+	res, err := runPair(st, 0, 11, EngineDijkstra, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Reachable || !math.IsInf(res.Cost, 1) {
 		t.Errorf("res = %+v, want unreachable", res)
 	}
-	ok, err := st.Connected(0, 11, EngineDijkstra)
+	ok, err := reachable(st, 0, 11, EngineDijkstra, false)
 	if err != nil || ok {
 		t.Errorf("Connected = %v, %v", ok, err)
 	}
@@ -261,14 +282,14 @@ func TestQueryDirectedUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.Query(2, 0, EngineDijkstra)
+	res, err := runPair(st, 2, 0, EngineDijkstra, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Reachable {
 		t.Error("directed reverse query should be unreachable")
 	}
-	fwd, err := st.Query(0, 2, EngineDijkstra)
+	fwd, err := runPair(st, 0, 2, EngineDijkstra, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,18 +300,18 @@ func TestQueryDirectedUnreachable(t *testing.T) {
 
 func TestQueryUnknownEngine(t *testing.T) {
 	st, _ := pathStore(t)
-	if _, err := st.Query(0, 8, Engine(42)); err == nil {
+	if _, err := runPair(st, 0, 8, Engine(42), false); err == nil {
 		t.Error("unknown engine accepted")
 	}
 }
 
 func TestQueryParallelMatchesSequential(t *testing.T) {
 	st, _ := pathStore(t)
-	seq, err := st.Query(0, 8, EngineDijkstra)
+	seq, err := runPair(st, 0, 8, EngineDijkstra, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := st.QueryParallel(0, 8, EngineDijkstra)
+	par, err := runPair(st, 0, 8, EngineDijkstra, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +349,7 @@ func TestShortcutCapturesOutsidePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.Query(0, 1, EngineDijkstra)
+	res, err := runPair(st, 0, 1, EngineDijkstra, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +366,7 @@ func TestZeroCostBorderTraversal(t *testing.T) {
 	// the middle fragment at the same node must cost 0, not break the
 	// chain.
 	st, _ := pathStore(t)
-	res, err := st.Query(3, 6, EngineDijkstra)
+	res, err := runPair(st, 3, 6, EngineDijkstra, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +400,7 @@ func TestMaxChainsTruncation(t *testing.T) {
 	if !p.Truncated {
 		t.Error("plan should report truncation")
 	}
-	res, err := st.Query(0, 2, EngineDijkstra)
+	res, err := runPair(st, 0, 2, EngineDijkstra, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +451,7 @@ func TestPropertyDSAMatchesGlobalDijkstra(t *testing.T) {
 			dst := nodes[rng.Intn(len(nodes))]
 			want := g.Distance(src, dst)
 			for _, engine := range []Engine{EngineDijkstra, EngineSemiNaive} {
-				res, err := st.Query(src, dst, engine)
+				res, err := runPair(st, src, dst, engine, false)
 				if err != nil {
 					return false
 				}
@@ -441,7 +462,7 @@ func TestPropertyDSAMatchesGlobalDijkstra(t *testing.T) {
 					return false
 				}
 			}
-			par, err := st.QueryParallel(src, dst, EngineDijkstra)
+			par, err := runPair(st, src, dst, EngineDijkstra, true)
 			if err != nil {
 				return false
 			}
@@ -486,7 +507,7 @@ func TestPropertyDSANeverUndershoots(t *testing.T) {
 		for q := 0; q < 3; q++ {
 			src := nodes[rng.Intn(len(nodes))]
 			dst := nodes[rng.Intn(len(nodes))]
-			res, err := st.Query(src, dst, EngineDijkstra)
+			res, err := runPair(st, src, dst, EngineDijkstra, false)
 			if err != nil {
 				return false
 			}
@@ -522,7 +543,7 @@ func TestPropertySameFragmentSingleSite(t *testing.T) {
 			}
 			src := nodes[rng.Intn(len(nodes))]
 			dst := nodes[rng.Intn(len(nodes))]
-			res, err := st.Query(src, dst, EngineDijkstra)
+			res, err := runPair(st, src, dst, EngineDijkstra, false)
 			if err != nil {
 				return false
 			}

@@ -1,6 +1,7 @@
 package dsa
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -28,23 +29,18 @@ func TestEngineNames(t *testing.T) {
 	}
 }
 
-// TestBitsetEngineRefusesCostQueries: the bitset engine carries
-// presence markers, not costs, so the cost-query entry points must
-// refuse it while Connected accepts it.
-func TestBitsetEngineRefusesCostQueries(t *testing.T) {
+// TestBitsetEngineAnswersConnectivity: the bitset engine carries
+// presence markers, not costs — the executor runs it for connectivity
+// on a shortest-path store (refusing it for cost requests is
+// tcq.Plan's rule, pinned in pkg/tcq).
+func TestBitsetEngineAnswersConnectivity(t *testing.T) {
 	st, _ := pathStore(t)
-	if _, err := st.Query(0, 8, EngineBitset); err == nil {
-		t.Error("Query accepted the connectivity-only bitset engine")
-	}
-	if _, err := st.QueryParallel(0, 8, EngineBitset); err == nil {
-		t.Error("QueryParallel accepted the connectivity-only bitset engine")
-	}
-	ok, err := st.Connected(0, 8, EngineBitset)
+	ok, err := reachable(st, 0, 8, EngineBitset, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok {
-		t.Error("Connected(0, 8) = false on the 0-…-8 path store")
+		t.Error("reachable(0, 8) = false on the 0-…-8 path store")
 	}
 }
 
@@ -67,14 +63,14 @@ func TestPropertyEnginesAgreeOnConnectivity(t *testing.T) {
 				want = true // Connected's same-node fast path
 			}
 			for _, engine := range []Engine{EngineDijkstra, EngineSemiNaive, EngineBitset, EngineDense} {
-				got, err := st.Connected(src, dst, engine)
+				got, err := reachable(st, src, dst, engine, false)
 				if err != nil {
 					return false
 				}
 				if got != want {
 					return false
 				}
-				gotP, err := st.ConnectedParallel(src, dst, engine)
+				gotP, err := reachable(st, src, dst, engine, true)
 				if err != nil {
 					return false
 				}
@@ -91,16 +87,16 @@ func TestPropertyEnginesAgreeOnConnectivity(t *testing.T) {
 }
 
 // TestDenseEngineAnswersCostQueries: the dense engine is cost-capable —
-// Query/QueryParallel accept it and agree with the Dijkstra engine on
+// sequential and parallel runs agree with the Dijkstra engine on
 // both the multi-fragment chain and the same-fragment fast path.
 func TestDenseEngineAnswersCostQueries(t *testing.T) {
 	st, _ := pathStore(t)
 	for _, q := range [][2]graph.NodeID{{0, 8}, {1, 2}, {8, 0}, {3, 6}} {
-		want, err := st.Query(q[0], q[1], EngineDijkstra)
+		want, err := runPair(st, q[0], q[1], EngineDijkstra, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := st.Query(q[0], q[1], EngineDense)
+		got, err := runPair(st, q[0], q[1], EngineDense, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +104,7 @@ func TestDenseEngineAnswersCostQueries(t *testing.T) {
 			t.Errorf("query %v: dense (%v, %v), dijkstra (%v, %v)",
 				q, got.Reachable, got.Cost, want.Reachable, want.Cost)
 		}
-		gotP, err := st.QueryParallel(q[0], q[1], EngineDense)
+		gotP, err := runPair(st, q[0], q[1], EngineDense, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,11 +129,11 @@ func TestPropertyDenseEngineMatchesDijkstraCosts(t *testing.T) {
 		for q := 0; q < 4; q++ {
 			src := nodes[rng.Intn(len(nodes))]
 			dst := nodes[rng.Intn(len(nodes))]
-			want, err := st.Query(src, dst, EngineDijkstra)
+			want, err := runPair(st, src, dst, EngineDijkstra, false)
 			if err != nil {
 				return false
 			}
-			got, err := st.Query(src, dst, EngineDense)
+			got, err := runPair(st, src, dst, EngineDense, false)
 			if err != nil {
 				return false
 			}
@@ -147,7 +143,7 @@ func TestPropertyDenseEngineMatchesDijkstraCosts(t *testing.T) {
 			if want.Reachable && math.Abs(got.Cost-want.Cost) > 1e-9 {
 				return false
 			}
-			pip, err := st.QueryPipelinedEngine(src, dst, EngineDense)
+			pip, err := st.QueryPipelinedEngineCtx(context.Background(), src, dst, EngineDense)
 			if err != nil {
 				return false
 			}
@@ -170,11 +166,11 @@ func TestPropertyDenseEngineMatchesDijkstraCosts(t *testing.T) {
 func TestQueryPipelinedEngineRefusals(t *testing.T) {
 	st, _ := pathStore(t)
 	for _, e := range []Engine{EngineSemiNaive, EngineBitset} {
-		if _, err := st.QueryPipelinedEngine(0, 8, e); err == nil {
+		if _, err := st.QueryPipelinedEngineCtx(context.Background(), 0, 8, e); err == nil {
 			t.Errorf("pipelined accepted non-vector-seeded engine %v", e)
 		}
 	}
-	res, err := st.QueryPipelinedEngine(0, 8, EngineDense)
+	res, err := st.QueryPipelinedEngineCtx(context.Background(), 0, 8, EngineDense)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,18 +202,18 @@ func TestDenseEngineNegativeWeightsErrorNotPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Query(0, 2, EngineDense); err == nil {
+	if _, err := runPair(st, 0, 2, EngineDense, false); err == nil {
 		t.Error("dense query over negative weights returned no error")
 	}
-	if _, err := st.QueryPipelinedEngine(0, 2, EngineDense); err == nil {
+	if _, err := st.QueryPipelinedEngineCtx(context.Background(), 0, 2, EngineDense); err == nil {
 		t.Error("pipelined dense query over negative weights returned no error")
 	}
-	if _, _, err := st.ExecuteLegFull(0, []graph.NodeID{0}, EngineDense); err == nil {
-		t.Error("ExecuteLegFull dense over negative weights returned no error")
+	if _, _, err := st.ExecuteLegFullCtx(context.Background(), 0, []graph.NodeID{0}, EngineDense); err == nil {
+		t.Error("ExecuteLegFullCtx dense over negative weights returned no error")
 	}
 	// The semi-naive engine refuses the same input; dijkstra remains
 	// callable (it silently assumes non-negative weights).
-	if _, err := st.Query(0, 2, EngineSemiNaive); err == nil {
+	if _, err := runPair(st, 0, 2, EngineSemiNaive, false); err == nil {
 		t.Error("seminaive query over negative weights returned no error")
 	}
 }

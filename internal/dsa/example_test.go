@@ -1,6 +1,7 @@
 package dsa_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/dsa"
@@ -37,7 +38,11 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := store.QueryParallel(0, 6, dsa.EngineDijkstra)
+	plan, err := store.NewPlan(0, 6)
+	if err != nil {
+		panic(err)
+	}
+	res, err := store.RunPlanCtx(context.Background(), plan, dsa.EngineDijkstra, true)
 	if err != nil {
 		panic(err)
 	}
@@ -52,7 +57,7 @@ func ExampleStore_QueryPath() {
 	if err != nil {
 		panic(err)
 	}
-	_, route, err := store.QueryPath(1, 5)
+	_, route, err := store.QueryPath(context.Background(), 1, 5)
 	if err != nil {
 		panic(err)
 	}
@@ -60,18 +65,23 @@ func ExampleStore_QueryPath() {
 	// Output: [1 2 3 4 5]
 }
 
-// ExampleStore_Connected answers the paper's "Is A connected to B?"
-// query.
-func ExampleStore_Connected() {
+// ExampleStore_RunPlanCtx answers the paper's "Is A connected to B?"
+// query with the relational engine: connectivity is the Reachable bit
+// of the same pipeline.
+func ExampleStore_RunPlanCtx() {
 	store, err := buildExampleStore()
 	if err != nil {
 		panic(err)
 	}
-	ok, err := store.Connected(0, 6, dsa.EngineSemiNaive)
+	plan, err := store.NewPlan(0, 6)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(ok)
+	res, err := store.RunPlanCtx(context.Background(), plan, dsa.EngineSemiNaive, false)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(res.Reachable)
 	// Output: true
 }
 

@@ -30,8 +30,8 @@ const (
 	// reachability kernel (tc.BitsetReachableFrom) over the augmented
 	// fragment. It is connectivity-only: leg facts carry the presence
 	// marker 1 instead of a path cost (the convention of
-	// ProblemReachability complementary tables), so Connected works on
-	// every store but cost queries refuse it.
+	// ProblemReachability complementary tables), so it answers
+	// connectivity on every store but its Cost is meaningless.
 	EngineBitset
 	// EngineDense runs the entry-set-restricted dense cost kernel
 	// (tc.DenseGraph.CostFrom) over a CSR snapshot of the augmented
@@ -173,72 +173,11 @@ type Result struct {
 	TuplesShipped int
 }
 
-// Query answers a shortest-path query sequentially: plan, run every
-// leg one after another, assemble. Stores built for ProblemReachability
-// refuse cost queries — their complementary information carries only
-// connectivity.
-func (st *Store) Query(source, target graph.NodeID, engine Engine) (*Result, error) {
-	if st.problem != ProblemShortestPath {
-		return nil, fmt.Errorf("dsa: %w: store precomputed for reachability cannot answer cost queries", ErrProblemMismatch)
-	}
-	if engine == EngineBitset {
-		return nil, fmt.Errorf("dsa: %w: engine bitset computes connectivity only; use Connected", ErrEngineMismatch)
-	}
-	return st.run(source, target, engine, false)
-}
-
-// QueryParallel answers a shortest-path query with one goroutine per
-// site, the goroutine-per-processor realisation of the paper's
-// "neither communication nor synchronization is required during the
-// first phase of the computation".
-func (st *Store) QueryParallel(source, target graph.NodeID, engine Engine) (*Result, error) {
-	if st.problem != ProblemShortestPath {
-		return nil, fmt.Errorf("dsa: %w: store precomputed for reachability cannot answer cost queries", ErrProblemMismatch)
-	}
-	if engine == EngineBitset {
-		return nil, fmt.Errorf("dsa: %w: engine bitset computes connectivity only; use Connected", ErrEngineMismatch)
-	}
-	return st.run(source, target, engine, true)
-}
-
-// Connected reports whether target is reachable from source; it is the
-// paper's "Is A connected to B?" query, sharing the whole pipeline. It
-// works on both problem types (a shortest-path store's complementary
-// information subsumes connectivity).
-func (st *Store) Connected(source, target graph.NodeID, engine Engine) (bool, error) {
-	res, err := st.run(source, target, engine, false)
-	if err != nil {
-		return false, err
-	}
-	return res.Reachable, nil
-}
-
-// ConnectedParallel answers the connectivity query with one goroutine
-// per site, the parallel counterpart of Connected. Like Connected it
-// works on both problem types and accepts every engine, including the
-// connectivity-only EngineBitset.
-func (st *Store) ConnectedParallel(source, target graph.NodeID, engine Engine) (bool, error) {
-	res, err := st.run(source, target, engine, true)
-	if err != nil {
-		return false, err
-	}
-	return res.Reachable, nil
-}
-
-// run executes the full pipeline.
-func (st *Store) run(source, target graph.NodeID, engine Engine, parallel bool) (*Result, error) {
-	plan, err := st.NewPlan(source, target)
-	if err != nil {
-		return nil, err
-	}
-	return st.RunPlan(plan, engine, parallel)
-}
-
 // PlanResult initialises the Result scaffolding every executor shares
-// (RunPlan, QueryPipelined, the serving layer's pooled executor): the
-// echoed query fields plus the source==target and no-chain fast paths.
-// done reports that the result is already complete and phase 1 can be
-// skipped; Elapsed is left to the caller.
+// (RunPlanCtx, QueryPipelinedEngineCtx, the serving layer's pooled
+// executor): the echoed query fields plus the source==target and
+// no-chain fast paths. done reports that the result is already complete
+// and phase 1 can be skipped; Elapsed is left to the caller.
 func (st *Store) PlanResult(plan *Plan) (res *Result, done bool) {
 	res = &Result{
 		Source:           plan.Source,
@@ -296,17 +235,21 @@ func (st *Store) FinishPlan(plan *Plan, results []*LegResult, res *Result) error
 	return nil
 }
 
-// RunPlan executes a prepared plan: phase 1 per-site legs (concurrent
-// when parallel is set), then assembly. External planners (package phe)
-// pair it with PlanChains.
-func (st *Store) RunPlan(plan *Plan, engine Engine, parallel bool) (*Result, error) {
-	return st.RunPlanCtx(context.Background(), plan, engine, parallel)
-}
-
-// RunPlanCtx is RunPlan with cancellation: sites observe ctx between
-// legs and the kernels observe it between fixpoint rounds / levels, so
-// a canceled query returns ErrCanceled promptly instead of finishing
-// the remaining work.
+// RunPlanCtx executes a prepared plan: phase 1 per-site legs, then
+// assembly. With parallel set each involved site runs on its own
+// goroutine, the goroutine-per-processor realisation of the paper's
+// "neither communication nor synchronization is required during the
+// first phase of the computation"; otherwise sites run one after
+// another. NewPlan supplies the plan for ordinary queries, PlanChains
+// for external planners (package phe). Sites observe ctx between legs
+// and the kernels observe it between fixpoint rounds / levels, so a
+// canceled query returns ErrCanceled promptly instead of finishing the
+// remaining work.
+//
+// The executor is mode-agnostic: whether a result's Cost is meaningful
+// (it is not for EngineBitset or a ProblemReachability store, whose
+// facts carry the presence marker 1) is the caller's rule — tcq.Plan
+// refuses such cost requests before they reach a store.
 func (st *Store) RunPlanCtx(ctx context.Context, plan *Plan, engine Engine, parallel bool) (*Result, error) {
 	if !ValidEngine(engine) {
 		return nil, fmt.Errorf("dsa: %w %d", ErrUnknownEngine, engine)
@@ -371,16 +314,11 @@ func (st *Store) RunPlanCtx(ctx context.Context, plan *Plan, engine Engine, para
 	return res, nil
 }
 
-// ExecuteLeg executes one leg on its site with the chosen engine. It is
-// the unit of work a (real or simulated) processor performs; package
-// sim schedules these across simulated sites.
-func (st *Store) ExecuteLeg(leg Leg, engine Engine) (*LegResult, error) {
-	return st.ExecuteLegCtx(context.Background(), leg, engine)
-}
-
-// ExecuteLegCtx is ExecuteLeg with cancellation threaded into the
-// engine kernels (between Dijkstra sources, fixpoint rounds and
-// propagation levels).
+// ExecuteLegCtx executes one leg on its site with the chosen engine,
+// with cancellation threaded into the engine kernels (between Dijkstra
+// sources, fixpoint rounds and propagation levels). It is the unit of
+// work a (real or simulated) processor performs; package sim schedules
+// these across simulated sites.
 func (st *Store) ExecuteLegCtx(ctx context.Context, leg Leg, engine Engine) (*LegResult, error) {
 	t0 := time.Now()
 	full, stats, err := st.ExecuteLegFullCtx(ctx, leg.SiteID, leg.Entry, engine)
@@ -395,7 +333,7 @@ func (st *Store) ExecuteLegCtx(ctx context.Context, leg Leg, engine Engine) (*Le
 	return &LegResult{Leg: leg, Rel: out, Stats: stats, Took: time.Since(t0)}, nil
 }
 
-// ExecuteLegFull runs a leg engine from an entry set WITHOUT the
+// ExecuteLegFullCtx runs a leg engine from an entry set WITHOUT the
 // exit-set selection: every (src, dst, cost) fact derivable from the
 // entry nodes on the site's augmented fragment. This is the memoizable
 // unit of leg execution — the expensive part of a leg depends only on
@@ -403,16 +341,12 @@ func (st *Store) ExecuteLegCtx(ctx context.Context, leg Leg, engine Engine) (*Le
 // so a serving layer can cache the full relation under that key and
 // specialise it per query with FilterLegFacts. For EngineBitset the
 // cost column carries the presence marker 1 (the relation is a
-// connectivity table, matching ExecuteLeg's convention).
-func (st *Store) ExecuteLegFull(siteID int, entry []graph.NodeID, engine Engine) (*relation.Relation, tc.Stats, error) {
-	return st.ExecuteLegFullCtx(context.Background(), siteID, entry, engine)
-}
-
-// ExecuteLegFullCtx is ExecuteLegFull with cancellation threaded into
-// the engine kernels: the per-entry Dijkstra loop checks ctx between
-// sources, and the relational, bitset and dense kernels observe it
-// between fixpoint rounds / propagation levels. A canceled leg returns
-// ErrCanceled.
+// connectivity table, matching ExecuteLegCtx's convention).
+//
+// Cancellation is threaded into the engine kernels: the per-entry
+// Dijkstra loop checks ctx between sources, and the relational, bitset
+// and dense kernels observe it between fixpoint rounds / propagation
+// levels. A canceled leg returns ErrCanceled.
 func (st *Store) ExecuteLegFullCtx(ctx context.Context, siteID int, entry []graph.NodeID, engine Engine) (*relation.Relation, tc.Stats, error) {
 	if siteID < 0 || siteID >= len(st.sites) {
 		return nil, tc.Stats{}, fmt.Errorf("dsa: %w: leg site %d out of range", ErrUnknownSite, siteID)
@@ -474,10 +408,10 @@ func (st *Store) ExecuteLegFullCtx(ctx context.Context, siteID int, entry []grap
 	return full, stats, nil
 }
 
-// FilterLegFacts specialises ExecuteLegFull output to one leg: the
+// FilterLegFacts specialises ExecuteLegFullCtx output to one leg: the
 // exit-set selection plus the zero-cost facts for entry nodes that are
-// themselves exit nodes. ExecuteLegFull followed by FilterLegFacts
-// produces exactly the relation ExecuteLeg computes directly (tuple
+// themselves exit nodes. ExecuteLegFullCtx followed by FilterLegFacts
+// produces exactly the relation ExecuteLegCtx computes directly (tuple
 // order aside), so cached full relations and freshly executed legs
 // assemble to identical answers.
 func FilterLegFacts(full *relation.Relation, leg Leg) (*relation.Relation, error) {

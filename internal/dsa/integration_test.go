@@ -67,7 +67,7 @@ func TestPropertyAllAlgorithmsEndToEnd(t *testing.T) {
 			for q := 0; q < 3; q++ {
 				src := nodes[rng.Intn(len(nodes))]
 				dst := nodes[rng.Intn(len(nodes))]
-				res, err := st.QueryParallel(src, dst, EngineDijkstra)
+				res, err := runPair(st, src, dst, EngineDijkstra, true)
 				if err != nil {
 					return false
 				}
@@ -120,11 +120,11 @@ func TestPipelineDeterminism(t *testing.T) {
 	for q := 0; q < 5; q++ {
 		src := nodes[(q*13)%len(nodes)]
 		dst := nodes[(q*29+7)%len(nodes)]
-		r1, err := st1.Query(src, dst, EngineDijkstra)
+		r1, err := runPair(st1, src, dst, EngineDijkstra, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := st2.Query(src, dst, EngineDijkstra)
+		r2, err := runPair(st2, src, dst, EngineDijkstra, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestStressManyFragments(t *testing.T) {
 	if got := st.Fragmentation().NumFragments(); got != 16 {
 		t.Fatalf("fragments = %d", got)
 	}
-	res, err := st.QueryParallel(0, n, EngineDijkstra)
+	res, err := runPair(st, 0, n, EngineDijkstra, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestConcurrentQueriesAreSafe(t *testing.T) {
 	for i := range queries {
 		src := nodes[(i*7)%len(nodes)]
 		dst := nodes[(i*13+3)%len(nodes)]
-		res, err := st.Query(src, dst, EngineDijkstra)
+		res, err := runPair(st, src, dst, EngineDijkstra, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func TestConcurrentQueriesAreSafe(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				qq := queries[(worker*8+i)%len(queries)]
-				res, err := st.QueryParallel(qq.src, qq.dst, EngineDijkstra)
+				res, err := runPair(st, qq.src, qq.dst, EngineDijkstra, true)
 				if err != nil {
 					errs <- err
 					return

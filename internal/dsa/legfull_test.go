@@ -1,6 +1,7 @@
 package dsa
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"strings"
@@ -22,8 +23,8 @@ func tupleKeys(r *relation.Relation) string {
 }
 
 // TestExecuteLegFullMatchesExecuteLeg is the contract the serving
-// layer's leg-result cache rests on: ExecuteLegFull + FilterLegFacts
-// must produce exactly the facts ExecuteLeg computes directly, for
+// layer's leg-result cache rests on: ExecuteLegFullCtx + FilterLegFacts
+// must produce exactly the facts ExecuteLegCtx computes directly, for
 // every engine and every leg of real plans.
 func TestExecuteLegFullMatchesExecuteLeg(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23} {
@@ -42,11 +43,11 @@ func TestExecuteLegFullMatchesExecuteLeg(t *testing.T) {
 			}
 			for _, leg := range plan.Legs {
 				for _, engine := range []Engine{EngineDijkstra, EngineSemiNaive, EngineBitset} {
-					direct, err := st.ExecuteLeg(leg, engine)
+					direct, err := st.ExecuteLegCtx(context.Background(), leg, engine)
 					if err != nil {
 						t.Fatalf("ExecuteLeg(%v, %v): %v", leg, engine, err)
 					}
-					full, _, err := st.ExecuteLegFull(leg.SiteID, leg.Entry, engine)
+					full, _, err := st.ExecuteLegFullCtx(context.Background(), leg.SiteID, leg.Entry, engine)
 					if err != nil {
 						t.Fatalf("ExecuteLegFull(%d, %v, %v): %v", leg.SiteID, leg.Entry, engine, err)
 					}
@@ -66,13 +67,13 @@ func TestExecuteLegFullMatchesExecuteLeg(t *testing.T) {
 
 func TestExecuteLegFullValidation(t *testing.T) {
 	st, _ := pathStore(t)
-	if _, _, err := st.ExecuteLegFull(-1, nil, EngineDijkstra); err == nil {
+	if _, _, err := st.ExecuteLegFullCtx(context.Background(), -1, nil, EngineDijkstra); err == nil {
 		t.Error("negative site accepted")
 	}
-	if _, _, err := st.ExecuteLegFull(99, nil, EngineDijkstra); err == nil {
+	if _, _, err := st.ExecuteLegFullCtx(context.Background(), 99, nil, EngineDijkstra); err == nil {
 		t.Error("out-of-range site accepted")
 	}
-	if _, _, err := st.ExecuteLegFull(0, nil, Engine(42)); err == nil {
+	if _, _, err := st.ExecuteLegFullCtx(context.Background(), 0, nil, Engine(42)); err == nil {
 		t.Error("unknown engine accepted")
 	}
 }
@@ -85,23 +86,26 @@ func TestEpochAdvancesOnUpdate(t *testing.T) {
 		t.Fatalf("fresh store epoch = %d, want 0", st.Epoch())
 	}
 	e := graph.Edge{From: 0, To: 2, Weight: 1}
-	if _, err := st.InsertEdge(0, e); err != nil {
+	ctx := context.Background()
+	st1, _, err := st.Apply(ctx, []EdgeOp{{Kind: OpInsert, Frag: 0, Edge: e}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Epoch() != 1 {
-		t.Fatalf("epoch after insert = %d, want 1", st.Epoch())
+	if st1.Epoch() != 1 {
+		t.Fatalf("epoch after insert = %d, want 1", st1.Epoch())
 	}
-	if _, err := st.DeleteEdge(0, e); err != nil {
+	st2, _, err := st1.Apply(ctx, []EdgeOp{{Kind: OpDelete, Frag: 0, Edge: e}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Epoch() != 2 {
-		t.Fatalf("epoch after delete = %d, want 2", st.Epoch())
+	if st2.Epoch() != 2 {
+		t.Fatalf("epoch after delete = %d, want 2", st2.Epoch())
 	}
-	// A refused update must not advance the epoch.
-	if _, err := st.DeleteEdge(0, e); err == nil {
+	// A refused update yields no store, so no epoch advances.
+	if next, _, err := st2.Apply(ctx, []EdgeOp{{Kind: OpDelete, Frag: 0, Edge: e}}); err == nil || next != nil {
 		t.Fatal("double delete accepted")
 	}
-	if st.Epoch() != 2 {
-		t.Fatalf("epoch after refused update = %d, want 2", st.Epoch())
+	if st.Epoch() != 0 || st1.Epoch() != 1 || st2.Epoch() != 2 {
+		t.Fatalf("epochs drifted: %d %d %d, want 0 1 2", st.Epoch(), st1.Epoch(), st2.Epoch())
 	}
 }

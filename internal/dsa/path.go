@@ -1,6 +1,7 @@
 package dsa
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -30,11 +31,15 @@ type Route struct {
 // Reconstruction never undercuts the paper's communication structure:
 // the extra information per leg is one (entry, exit, path) list, still
 // a small relation.
-func (st *Store) QueryPath(source, target graph.NodeID) (*Result, *Route, error) {
+func (st *Store) QueryPath(ctx context.Context, source, target graph.NodeID) (*Result, *Route, error) {
 	if st.problem != ProblemShortestPath {
 		return nil, nil, fmt.Errorf("dsa: %w: store precomputed for reachability cannot reconstruct routes", ErrProblemMismatch)
 	}
-	res, err := st.Query(source, target, EngineDijkstra)
+	plan, err := st.NewPlan(source, target)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := st.RunPlanCtx(ctx, plan, EngineDijkstra, false)
 	if err != nil {
 		return nil, nil, err
 	}

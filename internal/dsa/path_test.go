@@ -1,6 +1,7 @@
 package dsa
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -13,7 +14,7 @@ import (
 
 func TestQueryPathChain(t *testing.T) {
 	st, g := pathStore(t)
-	res, route, err := st.QueryPath(0, 8)
+	res, route, err := st.QueryPath(context.Background(), 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestQueryPathChain(t *testing.T) {
 
 func TestQueryPathSelfAndUnreachable(t *testing.T) {
 	st, _ := pathStore(t)
-	res, route, err := st.QueryPath(4, 4)
+	res, route, err := st.QueryPath(context.Background(), 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestQueryPathSelfAndUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, route2, err := st2.QueryPath(0, 6)
+	res2, route2, err := st2.QueryPath(context.Background(), 0, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestQueryPathThroughShortcut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, route, err := st.QueryPath(0, 1)
+	_, route, err := st.QueryPath(context.Background(), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestPropertyRoutesAreValidShortestPaths(t *testing.T) {
 		for q := 0; q < 4; q++ {
 			src := nodes[rng.Intn(len(nodes))]
 			dst := nodes[rng.Intn(len(nodes))]
-			res, route, err := st.QueryPath(src, dst)
+			res, route, err := st.QueryPath(context.Background(), src, dst)
 			if err != nil {
 				return false
 			}

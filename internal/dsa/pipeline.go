@@ -8,37 +8,26 @@ import (
 	"repro/internal/graph"
 )
 
-// QueryPipelined answers a shortest-path query with pipelined chain
-// evaluation — the §2.1 remark "pipelining may be used for their
+// QueryPipelinedEngineCtx answers a shortest-path query with pipelined
+// chain evaluation — the §2.1 remark "pipelining may be used for their
 // computation" made concrete. Instead of every site computing all
 // entry→exit pairs independently (which phase-1 parallelism requires),
 // the legs of each chain run in sequence and each leg's search is
 // seeded with the running cost vector of the previous legs: one
-// multi-source Dijkstra per leg, regardless of disconnection-set size.
+// multi-source search per leg, regardless of disconnection-set size.
 //
-// The trade-off against QueryParallel is the paper's own: pipelining
+// The trade-off against RunPlanCtx is the paper's own: pipelining
 // removes the redundant per-entry work (better on one processor or when
 // "the issue of fragment size [balance] becomes less relevant"), but
 // serialises the chain, so it cannot exploit one-processor-per-fragment
 // parallelism within a single query.
-func (st *Store) QueryPipelined(source, target graph.NodeID) (*Result, error) {
-	return st.QueryPipelinedEngine(source, target, EngineDijkstra)
-}
-
-// QueryPipelinedEngine is QueryPipelined with an explicit per-leg
-// search engine. Pipelined legs are seeded with the running cost
-// vector, so only the engines with a vector-seeded multi-source
-// primitive qualify: EngineDijkstra (graph.ShortestPathsMulti) and
-// EngineDense (the CSR kernel's CostVector). The relational and bitset
-// engines are refused.
-func (st *Store) QueryPipelinedEngine(source, target graph.NodeID, engine Engine) (*Result, error) {
-	return st.QueryPipelinedEngineCtx(context.Background(), source, target, engine)
-}
-
-// QueryPipelinedEngineCtx is QueryPipelinedEngine with cancellation:
-// the chain walk observes ctx between legs and the dense kernel
-// between frontier rounds, so a canceled query returns ErrCanceled
-// promptly.
+//
+// Pipelined legs are seeded with the running cost vector, so only the
+// engines with a vector-seeded multi-source primitive qualify:
+// EngineDijkstra (graph.ShortestPathsMulti) and EngineDense (the CSR
+// kernel's CostVector). The relational and bitset engines are refused.
+// The chain walk observes ctx between legs and the dense kernel between
+// frontier rounds, so a canceled query returns ErrCanceled promptly.
 func (st *Store) QueryPipelinedEngineCtx(ctx context.Context, source, target graph.NodeID, engine Engine) (*Result, error) {
 	if st.problem != ProblemShortestPath {
 		return nil, fmt.Errorf("dsa: %w: store precomputed for reachability cannot answer cost queries", ErrProblemMismatch)

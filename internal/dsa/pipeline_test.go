@@ -1,6 +1,7 @@
 package dsa
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,7 +10,7 @@ import (
 
 func TestQueryPipelinedChain(t *testing.T) {
 	st, g := pathStore(t)
-	res, err := st.QueryPipelined(0, 8)
+	res, err := st.QueryPipelinedEngineCtx(context.Background(), 0, 8, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestQueryPipelinedChain(t *testing.T) {
 
 func TestQueryPipelinedSelfAndUnreachable(t *testing.T) {
 	st, _ := pathStore(t)
-	self, err := st.QueryPipelined(4, 4)
+	self, err := st.QueryPipelinedEngineCtx(context.Background(), 4, 4, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestQueryPipelinedSelfAndUnreachable(t *testing.T) {
 	}
 	// Directed one-way chain store: reverse query unreachable.
 	rs, _ := reachStore(t)
-	if _, err := rs.QueryPipelined(0, 8); err == nil {
+	if _, err := rs.QueryPipelinedEngineCtx(context.Background(), 0, 8, EngineDijkstra); err == nil {
 		t.Error("reachability store accepted a pipelined cost query")
 	}
 }
@@ -56,11 +57,11 @@ func TestQueryPipelinedDoesLessWorkOnWideDS(t *testing.T) {
 	last := st.Fragmentation().Fragment(st.Fragmentation().NumFragments() - 1)
 	dst := last.Nodes()[len(last.Nodes())-1]
 	_ = nodes
-	pip, err := st.QueryPipelined(src, dst)
+	pip, err := st.QueryPipelinedEngineCtx(context.Background(), src, dst, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := st.Query(src, dst, EngineDijkstra)
+	par, err := runPair(st, src, dst, EngineDijkstra, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestPropertyPipelinedMatchesQuery(t *testing.T) {
 		for q := 0; q < 4; q++ {
 			src := nodes[rng.Intn(len(nodes))]
 			dst := nodes[rng.Intn(len(nodes))]
-			pip, err := st.QueryPipelined(src, dst)
+			pip, err := st.QueryPipelinedEngineCtx(context.Background(), src, dst, EngineDijkstra)
 			if err != nil {
 				return false
 			}

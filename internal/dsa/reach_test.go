@@ -1,6 +1,8 @@
 package dsa
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -28,7 +30,7 @@ func TestReachabilityStoreConnected(t *testing.T) {
 	if rs.Problem() != ProblemReachability {
 		t.Fatalf("problem = %v", rs.Problem())
 	}
-	ok, err := rs.Connected(0, 8, EngineDijkstra)
+	ok, err := reachable(rs, 0, 8, EngineDijkstra, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,16 +39,14 @@ func TestReachabilityStoreConnected(t *testing.T) {
 	}
 }
 
-func TestReachabilityStoreRefusesCostQueries(t *testing.T) {
+// TestReachabilityStoreRefusesRouteQueries: the entry points that
+// promise a cost refuse a reachability store (QueryPath here, the
+// pipelined walk in pipeline_test.go); the mode-agnostic executor does
+// not — tcq.Plan refuses cost requests before they reach it.
+func TestReachabilityStoreRefusesRouteQueries(t *testing.T) {
 	rs, _ := reachStore(t)
-	if _, err := rs.Query(0, 8, EngineDijkstra); err == nil {
-		t.Error("cost query accepted on reachability store")
-	}
-	if _, err := rs.QueryParallel(0, 8, EngineDijkstra); err == nil {
-		t.Error("parallel cost query accepted on reachability store")
-	}
-	if _, _, err := rs.QueryPath(0, 8); err == nil {
-		t.Error("route query accepted on reachability store")
+	if _, _, err := rs.QueryPath(context.Background(), 0, 8); !errors.Is(err, ErrProblemMismatch) {
+		t.Errorf("route query on reachability store: got %v, want ErrProblemMismatch", err)
 	}
 }
 
@@ -68,11 +68,11 @@ func TestReachabilityPreprocessingIsBFS(t *testing.T) {
 	nodes := g.Nodes()
 	for _, src := range nodes[:3] {
 		for _, dst := range nodes[len(nodes)-3:] {
-			a, err := st.Connected(src, dst, EngineDijkstra)
+			a, err := reachable(st, src, dst, EngineDijkstra, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := rs.Connected(src, dst, EngineDijkstra)
+			b, err := reachable(rs, src, dst, EngineDijkstra, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,11 +106,11 @@ func TestReachabilityDirectedAsymmetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fwd, err := rs.Connected(0, 2, EngineDijkstra)
+	fwd, err := reachable(rs, 0, 2, EngineDijkstra, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := rs.Connected(2, 0, EngineDijkstra)
+	back, err := reachable(rs, 2, 0, EngineDijkstra, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestPropertyReachabilityMatchesGlobal(t *testing.T) {
 			dst := nodes[rng.Intn(len(nodes))]
 			_, want := g.Reachable(src)[dst]
 			for _, engine := range []Engine{EngineDijkstra, EngineSemiNaive, EngineBitset} {
-				got, err := rs.Connected(src, dst, engine)
+				got, err := reachable(rs, src, dst, engine, false)
 				if err != nil {
 					return false
 				}

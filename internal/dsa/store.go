@@ -154,11 +154,12 @@ type Problem int
 
 const (
 	// ProblemShortestPath precomputes global minimum costs between
-	// disconnection-set nodes; stores answer both Connected and Query.
+	// disconnection-set nodes; such stores answer connectivity and cost.
 	ProblemShortestPath Problem = iota
 	// ProblemReachability precomputes only connectivity between
 	// disconnection-set nodes, with cheap BFS preprocessing. Such a
-	// store answers Connected; cost queries are refused (the
+	// store answers connectivity only: the cost entry points
+	// (QueryPath, QueryPipelinedEngineCtx, tcq.Plan) refuse it (the
 	// complementary information cannot support them).
 	ProblemReachability
 )
@@ -196,9 +197,7 @@ func ParseProblem(name string) (Problem, error) {
 // any number of goroutines may query one Store concurrently without
 // locking. Updates go through Apply, which returns a NEW store sharing
 // every untouched site with its predecessor — serving layers swap a
-// store pointer atomically instead of locking readers out. The legacy
-// InsertEdge/DeleteEdge wrappers overwrite the receiver in place and
-// therefore still require external serialisation against readers.
+// store pointer atomically instead of locking readers out.
 type Store struct {
 	fr      *fragment.Fragmentation
 	fg      *fragment.FragGraph
@@ -209,10 +208,10 @@ type Store struct {
 	// graphs; 0 means unlimited.
 	maxChains int
 	// epoch counts the update batches applied since Build. Every
-	// successful Apply (and the per-op legacy wrappers over it)
-	// increments it, so any state derived from the store (memoized leg
-	// results, prepared plans) can be tagged with the epoch it was
-	// computed under and discarded when the store has moved on.
+	// successful Apply increments it, so any state derived from the
+	// store (memoized leg results, prepared plans) can be tagged with
+	// the epoch it was computed under and discarded when the store has
+	// moved on.
 	epoch uint64
 }
 
@@ -429,10 +428,8 @@ func (st *Store) LooselyConnected() bool { return st.fg.IsLooselyConnected() }
 // Problem returns the path problem the store was precomputed for.
 func (st *Store) Problem() Problem { return st.problem }
 
-// Epoch returns the store's update generation: 0 at Build, incremented
-// by every successful update batch (Apply, or the per-op legacy
-// wrappers). Derived state (caches, prepared plans) tagged with an
-// older epoch is stale. On an immutable store obtained from Apply the
-// epoch never changes; only the legacy in-place InsertEdge/DeleteEdge
-// mutate it, and those require external serialisation against readers.
+// Epoch returns the store's update generation: 0 at Build, one more on
+// each store Apply returns. Derived state (caches, prepared plans)
+// tagged with an older epoch is stale; a given store's epoch never
+// changes.
 func (st *Store) Epoch() uint64 { return st.epoch }

@@ -292,9 +292,9 @@ func Fragment(g *graph.Graph, opt Options) (*fragment.Fragmentation, error) {
 	// fragments during initialisation, and growth never started. The
 	// pseudo-code of Fig. 4 does not treat this; we restore the
 	// requested fragment count by moving one edge at a time from the
-	// largest fragment (a deviation documented in DESIGN.md — the
-	// alternative, dropping the fragment, would silently reduce the
-	// parallelism degree).
+	// largest fragment (a deviation from the paper — the alternative,
+	// dropping the fragment, would silently reduce the parallelism
+	// degree).
 	for {
 		empty := -1
 		for i, fr := range frags {

@@ -1,4 +1,8 @@
-package server
+// Package loadgen is the load driver for a running tcserver: an HTTP
+// client of the /v1 surface (it shares only the server's wire types),
+// with a replay oracle, latency percentiles and SLO budget evaluation.
+// cmd/tcload is its CLI; internal/bench drives it in-process.
+package loadgen
 
 import (
 	"bytes"
@@ -9,7 +13,6 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -17,9 +20,8 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/server"
 )
-
-//tcvet:ignore-file typederr client-side load driver: its errors surface in run reports, never in wire envelopes or errors.Is dispatch
 
 // LoadConfig parameterises one load-generation run against a running
 // tcserver — the repository's counterpart of a parallel benchmark
@@ -48,13 +50,11 @@ type LoadConfig struct {
 	// Pairs is an explicit (src, dst) workload; overrides Nodes and
 	// Requests.
 	Pairs [][2]int
-	// Engine selects the per-request engine ("" = server default).
+	// Engine forces the per-request engine ("" = the server's planner
+	// chooses).
 	Engine string
 	// Mode is "query" (shortest path) or "connected" (reachability).
 	Mode string
-	// API selects the wire surface: "legacy" (default; GET /query and
-	// /connected) or "v1" (POST /v1/query with a facade request body).
-	API string
 	// Seed drives the random workload.
 	Seed int64
 	// Repeat is the number of passes over the same workload (≥ 1).
@@ -225,7 +225,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	bases := cfg.BaseURLs
 	if len(bases) == 0 {
 		if cfg.BaseURL == "" {
-			return nil, fmt.Errorf("server: load: BaseURL required")
+			return nil, fmt.Errorf("loadgen: BaseURL required")
 		}
 		bases = []string{cfg.BaseURL}
 	}
@@ -241,27 +241,21 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		cfg.Mode = "query"
 	}
 	if cfg.Mode != "query" && cfg.Mode != "connected" {
-		return nil, fmt.Errorf("server: load: unknown mode %q (want query or connected)", cfg.Mode)
-	}
-	if cfg.API == "" {
-		cfg.API = "legacy"
-	}
-	if cfg.API != "legacy" && cfg.API != "v1" {
-		return nil, fmt.Errorf("server: load: unknown api %q (want legacy or v1)", cfg.API)
+		return nil, fmt.Errorf("loadgen: unknown mode %q (want query or connected)", cfg.Mode)
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
 	}
 	if cfg.WriteRate < 0 || cfg.WriteRate >= 1 {
-		return nil, fmt.Errorf("server: load: WriteRate %v out of [0, 1)", cfg.WriteRate)
+		return nil, fmt.Errorf("loadgen: WriteRate %v out of [0, 1)", cfg.WriteRate)
 	}
 	pairs := cfg.Pairs
 	if len(pairs) == 0 {
 		if cfg.Nodes <= 0 {
-			return nil, fmt.Errorf("server: load: need Nodes > 0 or explicit Pairs")
+			return nil, fmt.Errorf("loadgen: need Nodes > 0 or explicit Pairs")
 		}
 		if cfg.Requests <= 0 {
-			return nil, fmt.Errorf("server: load: need Requests > 0")
+			return nil, fmt.Errorf("loadgen: need Requests > 0")
 		}
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		pairs = make([][2]int, cfg.Requests)
@@ -283,7 +277,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	client := &http.Client{Timeout: cfg.Timeout}
 	statsBefore, err := fetchStats(client, primary)
 	if err != nil {
-		return nil, fmt.Errorf("server: load: /stats before run: %v", err)
+		return nil, fmt.Errorf("loadgen: /stats before run: %v", err)
 	}
 
 	rep := &LoadReport{}
@@ -409,7 +403,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 
 	statsAfter, err := fetchStats(client, primary)
 	if err != nil {
-		return nil, fmt.Errorf("server: load: /stats after run: %v", err)
+		return nil, fmt.Errorf("loadgen: /stats after run: %v", err)
 	}
 	rep.CacheHits = statsAfter.Cache.Hits - statsBefore.Cache.Hits
 	rep.CacheMisses = statsAfter.Cache.Misses - statsBefore.Cache.Misses
@@ -422,7 +416,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	// assertion that the exposition format stays parseable.
 	m, err := fetchMetrics(client, primary)
 	if err != nil {
-		return nil, fmt.Errorf("server: load: /metrics after run: %v", err)
+		return nil, fmt.Errorf("loadgen: /metrics after run: %v", err)
 	}
 	rep.Metrics = m
 	return rep, nil
@@ -433,7 +427,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 // delete it again in the same atomic batch.
 func fireUpdate(client *http.Client, baseURL string, frag, src, dst int) error {
 	const heavy = 1e9
-	body, err := json.Marshal(V1UpdateRequest{Ops: []V1UpdateOp{
+	body, err := json.Marshal(server.V1UpdateRequest{Ops: []server.V1UpdateOp{
 		{Op: "insert", Fragment: frag, From: src, To: dst, Weight: heavy},
 		{Op: "delete", Fragment: frag, From: src, To: dst, Weight: heavy},
 	}})
@@ -452,7 +446,7 @@ func fireUpdate(client *http.Client, baseURL string, frag, src, dst int) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(raw)))
 	}
-	var ur V1UpdateResponse
+	var ur server.V1UpdateResponse
 	if err := json.Unmarshal(raw, &ur); err != nil {
 		return fmt.Errorf("bad /v1/update body: %v", err)
 	}
@@ -462,60 +456,14 @@ func fireUpdate(client *http.Client, baseURL string, frag, src, dst int) error {
 	return nil
 }
 
-// fire sends one query over the configured API surface and extracts
-// the comparable answer.
+// fire sends one query as a facade request over POST /v1/query and
+// extracts the comparable answer.
 func fire(client *http.Client, cfg LoadConfig, baseURL string, src, dst int) (answer, error) {
-	if cfg.API == "v1" {
-		return fireV1(client, cfg, baseURL, src, dst)
-	}
-	q := url.Values{}
-	q.Set("src", fmt.Sprint(src))
-	q.Set("dst", fmt.Sprint(dst))
-	if cfg.Engine != "" {
-		q.Set("engine", cfg.Engine)
-	}
-	endpoint := "/query"
-	if cfg.Mode == "connected" {
-		endpoint = "/connected"
-	}
-	resp, err := client.Get(baseURL + endpoint + "?" + q.Encode())
-	if err != nil {
-		return answer{}, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return answer{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return answer{}, &statusError{code: resp.StatusCode, body: strings.TrimSpace(string(body))}
-	}
-	if cfg.Mode == "connected" {
-		var cr ConnectedResponse
-		if err := json.Unmarshal(body, &cr); err != nil {
-			return answer{}, fmt.Errorf("bad /connected body: %v", err)
-		}
-		return answer{reachable: cr.Connected}, nil
-	}
-	var qr QueryResponse
-	if err := json.Unmarshal(body, &qr); err != nil {
-		return answer{}, fmt.Errorf("bad /query body: %v", err)
-	}
-	a := answer{reachable: qr.Reachable}
-	if qr.Cost != nil {
-		a.cost = *qr.Cost
-		a.hasCost = true
-	}
-	return a, nil
-}
-
-// fireV1 sends one query as a facade request over POST /v1/query.
-func fireV1(client *http.Client, cfg LoadConfig, baseURL string, src, dst int) (answer, error) {
 	mode := "cost"
 	if cfg.Mode == "connected" {
 		mode = "connectivity"
 	}
-	body, err := json.Marshal(V1Request{
+	body, err := json.Marshal(server.V1Request{
 		Sources: []int{src},
 		Targets: []int{dst},
 		Mode:    mode,
@@ -536,7 +484,7 @@ func fireV1(client *http.Client, cfg LoadConfig, baseURL string, src, dst int) (
 	if resp.StatusCode != http.StatusOK {
 		return answer{}, &statusError{code: resp.StatusCode, body: strings.TrimSpace(string(raw))}
 	}
-	var vr V1QueryResponse
+	var vr server.V1QueryResponse
 	if err := json.Unmarshal(raw, &vr); err != nil {
 		return answer{}, fmt.Errorf("bad /v1/query body: %v", err)
 	}
@@ -554,14 +502,8 @@ func fireV1(client *http.Client, cfg LoadConfig, baseURL string, src, dst int) (
 // FetchStats pulls and decodes a running server's /stats — load
 // drivers use it to discover the node count and to difference cache
 // counters around a run.
-func FetchStats(baseURL string) (*Stats, error) {
+func FetchStats(baseURL string) (*server.Stats, error) {
 	return fetchStats(&http.Client{Timeout: 30 * time.Second}, baseURL)
-}
-
-// FetchMetrics scrapes and parses a running server's GET /metrics
-// exposition text into a flat name{labels} -> value map.
-func FetchMetrics(baseURL string) (map[string]float64, error) {
-	return fetchMetrics(&http.Client{Timeout: 30 * time.Second}, baseURL)
 }
 
 // fetchMetrics scrapes GET /metrics.
@@ -578,7 +520,7 @@ func fetchMetrics(client *http.Client, baseURL string) (map[string]float64, erro
 }
 
 // fetchStats pulls and decodes /stats.
-func fetchStats(client *http.Client, baseURL string) (*Stats, error) {
+func fetchStats(client *http.Client, baseURL string) (*server.Stats, error) {
 	resp, err := client.Get(baseURL + "/stats")
 	if err != nil {
 		return nil, err
@@ -587,7 +529,7 @@ func fetchStats(client *http.Client, baseURL string) (*Stats, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("status %d", resp.StatusCode)
 	}
-	var st Stats
+	var st server.Stats
 	err = json.NewDecoder(resp.Body).Decode(&st)
 	// Drain what the decoder left so the connection stays reusable
 	// (the PR 8 keep-alive lesson, now enforced by tcvet draincloser).

@@ -1,4 +1,4 @@
-package server
+package loadgen
 
 import (
 	"encoding/json"
@@ -39,7 +39,7 @@ func LoadSLOBudget(path string) (SLOBudget, error) {
 	dec.DisallowUnknownFields()
 	var b SLOBudget
 	if err := dec.Decode(&b); err != nil {
-		return SLOBudget{}, fmt.Errorf("server: slo: %s: %w", path, err)
+		return SLOBudget{}, fmt.Errorf("loadgen: slo: %s: %w", path, err)
 	}
 	return b, nil
 }

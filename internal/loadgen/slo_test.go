@@ -1,7 +1,6 @@
-package server
+package loadgen
 
 import (
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -84,12 +83,8 @@ func TestLoadSLOBudget(t *testing.T) {
 // and the report carries the scraped /metrics (so the exposition
 // format parsed).
 func TestRunLoadDuration(t *testing.T) {
-	srv, _ := newGridServer(t, 8, 8, 4, Config{CacheCapacity: 256})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
 	rep, err := RunLoad(LoadConfig{
-		BaseURL:  ts.URL,
+		BaseURL:  gridServerURL(t, 8, 8, 4, 256),
 		Requests: 5,
 		Parallel: 2,
 		Nodes:    64,

@@ -17,6 +17,7 @@
 package phe
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/dsa"
@@ -129,7 +130,7 @@ func (h *Hierarchy) Query(source, target graph.NodeID, engine dsa.Engine) (*dsa.
 		if err != nil {
 			return nil, err
 		}
-		res, err := h.store.RunPlan(plan, engine, false)
+		res, err := h.store.RunPlanCtx(context.TODO(), plan, engine, false)
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +194,7 @@ func (h *Hierarchy) runChains(source, target graph.NodeID, chains [][]int, engin
 	if err != nil {
 		return nil, err
 	}
-	return h.store.RunPlan(plan, engine, true)
+	return h.store.RunPlanCtx(context.TODO(), plan, engine, true)
 }
 
 // inf returns +Inf without importing math in two places.

@@ -65,7 +65,7 @@ func (s CacheStats) HitRate() float64 {
 }
 
 // cacheEntry is one memoized leg: the full (unfiltered) fact relation
-// of ExecuteLegFull and its stats, tagged with the site it was
+// of ExecuteLegFullCtx and its stats, tagged with the site it was
 // computed on and the store epoch it was computed under. The relation
 // is shared read-only across queries; FilterLegFacts builds a fresh
 // tuple list (sharing immutable tuple storage), never mutates the

@@ -115,14 +115,14 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 	for q := 0; q < 12; q++ {
 		src := graph.NodeID(rng.Intn(64))
 		dst := graph.NodeID(rng.Intn(64))
-		want, _, err := ref.Query(src, dst, dsa.EngineDijkstra)
+		want, _, err := runPair(ref, src, dst, dsa.EngineDijkstra, tcq.ModeCost)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for ni, srv := range tcl.servers {
 			// Twice: the replay answers from caches (local and remote).
 			for pass := 0; pass < 2; pass++ {
-				got, _, err := srv.Query(src, dst, dsa.EngineDijkstra)
+				got, _, err := runPair(srv, src, dst, dsa.EngineDijkstra, tcq.ModeCost)
 				if err != nil {
 					t.Fatalf("node %s query %d->%d pass %d: %v", tcl.ids[ni], src, dst, pass, err)
 				}
@@ -248,7 +248,7 @@ func TestClusterUpdateFanOut(t *testing.T) {
 	// Reference applies the identical transaction; answers must match
 	// from every coordinator — including pairs crossing the remotely
 	// rebuilt fragment.
-	if _, err := ref.InsertEdge(frag, graph.Edge{From: graph.NodeID(from), To: graph.NodeID(to), Weight: 0.25}); err != nil {
+	if err := applyOne(ref, tcq.Insert(frag, from, to, 0.25)); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(13))
@@ -257,12 +257,12 @@ func TestClusterUpdateFanOut(t *testing.T) {
 		pairs = append(pairs, [2]graph.NodeID{graph.NodeID(rng.Intn(64)), graph.NodeID(rng.Intn(64))})
 	}
 	for _, p := range pairs {
-		want, _, err := ref.Query(p[0], p[1], dsa.EngineDijkstra)
+		want, _, err := runPair(ref, p[0], p[1], dsa.EngineDijkstra, tcq.ModeCost)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for ni, srv := range tcl.servers {
-			got, _, err := srv.Query(p[0], p[1], dsa.EngineDijkstra)
+			got, _, err := runPair(srv, p[0], p[1], dsa.EngineDijkstra, tcq.ModeCost)
 			if err != nil {
 				t.Fatalf("node %s query %d->%d post-update: %v", tcl.ids[ni], p[0], p[1], err)
 			}
@@ -403,7 +403,7 @@ func TestClusterFailureTaxonomy(t *testing.T) {
 			srv := tcl.servers[0]
 			// Corner to corner crosses every fragment, so some leg lands
 			// on the faulty peer whatever the ring dealt.
-			_, _, err := srv.Query(0, 63, dsa.EngineDijkstra)
+			_, _, err := runPair(srv, 0, 63, dsa.EngineDijkstra, tcq.ModeCost)
 			if !errors.Is(err, tt.sentinel) {
 				t.Fatalf("library error %v, want %v", err, tt.sentinel)
 			}
@@ -443,11 +443,11 @@ func TestClusterDegradedFallback(t *testing.T) {
 
 			// Corner to corner crosses every fragment; legs owned by the
 			// dead peer must fall back and the answer must stay exact.
-			want, _, err := ref.Query(0, 63, dsa.EngineDijkstra)
+			want, _, err := runPair(ref, 0, 63, dsa.EngineDijkstra, tcq.ModeCost)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, qs, err := srv.Query(0, 63, dsa.EngineDijkstra)
+			got, qs, err := runPair(srv, 0, 63, dsa.EngineDijkstra, tcq.ModeCost)
 			if err != nil {
 				t.Fatalf("degraded query failed instead of falling back: %v", err)
 			}
@@ -574,7 +574,7 @@ func TestClusterConcurrentQueriesAndFanOut(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				src := graph.NodeID(rng.Intn(36))
 				dst := graph.NodeID(rng.Intn(36))
-				_, _, err := tcl.servers[ni].Query(src, dst, dsa.EngineDijkstra)
+				_, _, err := runPair(tcl.servers[ni], src, dst, dsa.EngineDijkstra, tcq.ModeCost)
 				switch {
 				case err == nil:
 					ok.Add(1)

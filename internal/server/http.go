@@ -2,83 +2,16 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"strconv"
-	"time"
-
-	"repro/internal/cluster"
-	"repro/internal/graph"
-	"repro/pkg/tcq"
 )
 
-// QueryResponse is the JSON answer of /query.
-type QueryResponse struct {
-	Source    int  `json:"source"`
-	Target    int  `json:"target"`
-	Reachable bool `json:"reachable"`
-	// Cost is the shortest-path cost; absent when unreachable (the
-	// library's +Inf does not survive JSON).
-	Cost             *float64 `json:"cost,omitempty"`
-	BestChain        []int    `json:"best_chain,omitempty"`
-	ChainsConsidered int      `json:"chains_considered"`
-	SameFragment     bool     `json:"same_fragment"`
-	Truncated        bool     `json:"truncated"`
-	Engine           string   `json:"engine"`
-	Mode             string   `json:"mode"`
-	ElapsedUS        int64    `json:"elapsed_us"`
-	CacheHits        int      `json:"cache_hits"`
-	CacheMisses      int      `json:"cache_misses"`
-	TuplesShipped    int      `json:"tuples_shipped"`
-}
-
-// ConnectedResponse is the JSON answer of /connected.
-type ConnectedResponse struct {
-	Source      int    `json:"source"`
-	Target      int    `json:"target"`
-	Connected   bool   `json:"connected"`
-	Engine      string `json:"engine"`
-	ElapsedUS   int64  `json:"elapsed_us"`
-	CacheHits   int    `json:"cache_hits"`
-	CacheMisses int    `json:"cache_misses"`
-}
-
-// UpdateRequest is the JSON body of /update. Weight defaults to 1 on
-// insert; on delete the (from, to, weight) triple must match a stored
-// fragment edge exactly.
-type UpdateRequest struct {
-	// Op is "insert" or "delete".
-	Op string `json:"op"`
-	// Fragment is the fragment whose edge set changes.
-	Fragment int     `json:"fragment"`
-	From     int     `json:"from"`
-	To       int     `json:"to"`
-	Weight   float64 `json:"weight"`
-}
-
-// UpdateResponse is the JSON answer of /update.
-type UpdateResponse struct {
-	Op             string `json:"op"`
-	Epoch          uint64 `json:"epoch"`
-	RecomputedSets int    `json:"recomputed_sets"`
-	DijkstraRuns   int    `json:"dijkstra_runs"`
-	LocalOnly      bool   `json:"local_only"`
-	ElapsedUS      int64  `json:"elapsed_us"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-// Handler returns the HTTP API. The versioned surface is the facade
-// on the wire: POST /v1/query and POST /v1/batch (JSON bodies with
-// source/target sets, modes, auto-planned engines and typed error
-// codes — see package tcq), and POST /v1/update (transactional op
-// batches with per-op typed error codes). The unversioned GET
-// endpoints /query and /connected remain as thin shims over the same
-// facade for existing clients, alongside /update (a single-op shim
-// over the batch path), /stats and /healthz. GET /metrics serves the
-// deployment's Prometheus registry in exposition text format.
+// Handler returns the HTTP API: the facade on the wire as POST
+// /v1/query and POST /v1/batch (JSON bodies with source/target sets,
+// modes, auto-planned engines and typed error codes — see package tcq),
+// POST /v1/update (transactional op batches with per-op typed error
+// codes), the peer-to-peer POST /v1/leg, and the operational GETs
+// /stats, /healthz, /readyz and /metrics (the deployment's Prometheus
+// registry in exposition text format).
 //
 // Every route is instrumented: tc_http_requests_total and
 // tc_http_errors_total count per endpoint pattern, and
@@ -93,9 +26,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/batch", m.instrument("/v1/batch", s.handleV1Batch))
 	mux.HandleFunc("POST /v1/update", m.instrument("/v1/update", s.handleV1Update))
 	mux.HandleFunc("POST /v1/leg", m.instrument("/v1/leg", s.handleV1Leg))
-	mux.HandleFunc("GET /query", m.instrument("/query", s.handleQuery))
-	mux.HandleFunc("GET /connected", m.instrument("/connected", s.handleConnected))
-	mux.HandleFunc("POST /update", m.instrument("/update", s.handleUpdate))
 	mux.HandleFunc("GET /stats", m.instrument("/stats", s.handleStats))
 	mux.HandleFunc("GET /metrics", m.instrument("/metrics", metricsHandler.ServeHTTP))
 	return mux
@@ -105,33 +35,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorResponse{Error: err.Error()})
-}
-
-// parsePair extracts the src and dst query parameters.
-func parsePair(r *http.Request) (graph.NodeID, graph.NodeID, error) {
-	src, err := strconv.Atoi(r.URL.Query().Get("src"))
-	if err != nil {
-		return 0, 0, fmt.Errorf("%w: bad or missing src: %v", tcq.ErrInvalidRequest, err)
-	}
-	dst, err := strconv.Atoi(r.URL.Query().Get("dst"))
-	if err != nil {
-		return 0, 0, fmt.Errorf("%w: bad or missing dst: %v", tcq.ErrInvalidRequest, err)
-	}
-	return graph.NodeID(src), graph.NodeID(dst), nil
-}
-
-// parseEngine resolves the optional engine parameter against the
-// server default (tcq.EngineAuto delegates to the planner).
-func (s *Server) parseEngine(r *http.Request) (tcq.Engine, error) {
-	name := r.URL.Query().Get("engine")
-	if name == "" {
-		return s.cfg.DefaultEngine, nil
-	}
-	return tcq.ParseEngine(name)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -160,155 +63,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleQuery is the legacy unversioned shim: it translates the GET
-// parameters into a facade request and answers in the historical
-// response shape. New clients should POST /v1/query.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	src, dst, err := parsePair(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	engine, err := s.parseEngine(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	mode := r.URL.Query().Get("mode")
-	if mode == "" {
-		mode = "pooled"
-	}
-	var tmode tcq.Mode
-	switch mode {
-	case "pooled":
-		tmode = tcq.ModeCost
-	case "pipelined":
-		tmode = tcq.ModePipelined
-		// Historical behaviour: with no explicit engine selection, a
-		// configured default that cannot pipeline falls back to
-		// dijkstra (auto qualifies — the planner only picks
-		// vector-seeded engines for pipelined mode).
-		if r.URL.Query().Get("engine") == "" &&
-			engine != tcq.EngineAuto && engine != tcq.EngineDijkstra && engine != tcq.EngineDense {
-			engine = tcq.EngineDijkstra
-		}
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: unknown mode %q (want pooled or pipelined)", tcq.ErrInvalidRequest, mode))
-		return
-	}
-	res, err := s.facade.Query(r.Context(), tcq.Request{
-		Sources: []int{int(src)},
-		Targets: []int{int(dst)},
-		Mode:    tmode,
-		Engine:  engine,
-	})
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	ans := res.Answers[0]
-	resp := QueryResponse{
-		Source:           ans.Source,
-		Target:           ans.Target,
-		Reachable:        ans.Reachable,
-		BestChain:        ans.BestChain,
-		ChainsConsidered: ans.ChainsConsidered,
-		SameFragment:     ans.SameFragment,
-		Truncated:        ans.Truncated,
-		Engine:           res.Explain.Engine.String(),
-		Mode:             mode,
-		ElapsedUS:        ans.Elapsed.Microseconds(),
-		CacheHits:        res.CacheHits,
-		CacheMisses:      res.CacheMisses,
-		TuplesShipped:    ans.TuplesShipped,
-	}
-	if ans.Reachable {
-		cost := ans.Cost
-		resp.Cost = &cost
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleConnected is the legacy unversioned shim for the reachability
-// query; new clients should POST /v1/query with mode connectivity.
-func (s *Server) handleConnected(w http.ResponseWriter, r *http.Request) {
-	src, dst, err := parsePair(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	engine, err := s.parseEngine(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	start := time.Now()
-	res, err := s.facade.Query(r.Context(), tcq.Request{
-		Sources: []int{int(src)},
-		Targets: []int{int(dst)},
-		Mode:    tcq.ModeConnectivity,
-		Engine:  engine,
-	})
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ConnectedResponse{
-		Source:      int(src),
-		Target:      int(dst),
-		Connected:   res.Answers[0].Reachable,
-		Engine:      res.Explain.Engine.String(),
-		ElapsedUS:   time.Since(start).Microseconds(),
-		CacheHits:   res.CacheHits,
-		CacheMisses: res.CacheMisses,
-	})
-}
-
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	var req UpdateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: bad update body: %v", tcq.ErrInvalidRequest, err))
-		return
-	}
-	e := graph.Edge{From: graph.NodeID(req.From), To: graph.NodeID(req.To), Weight: req.Weight}
-	start := time.Now()
-	var (
-		stats tcq.UpdateStats
-		err   error
-	)
-	switch req.Op {
-	case "insert":
-		if e.Weight == 0 {
-			e.Weight = 1
-		}
-		stats, err = s.InsertEdge(req.Fragment, e)
-	case "delete":
-		stats, err = s.DeleteEdge(req.Fragment, e)
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: unknown op %q (want insert or delete)", tcq.ErrInvalidRequest, req.Op))
-		return
-	}
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	epoch := s.ds.Epoch()
-	// The legacy shim keeps clusters coherent too: fan the single-op
-	// transaction out to every peer (unless this IS a peer's fan-out).
-	if _, ferr := s.fanOutUpdate(r, []cluster.UpdateOp{{Op: req.Op, Fragment: req.Fragment, From: req.From, To: req.To, Weight: e.Weight}}, epoch); ferr != nil {
-		writeV1Error(w, ferr)
-		return
-	}
-	writeJSON(w, http.StatusOK, UpdateResponse{
-		Op:             req.Op,
-		Epoch:          epoch,
-		RecomputedSets: stats.RecomputedSets,
-		DijkstraRuns:   stats.DijkstraRuns,
-		LocalOnly:      stats.LocalOnly,
-		ElapsedUS:      time.Since(start).Microseconds(),
-	})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

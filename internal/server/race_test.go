@@ -33,7 +33,7 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				src := graph.NodeID(rng.Intn(nodes))
 				dst := graph.NodeID(rng.Intn(nodes))
-				if _, _, err := srv.Query(src, dst, engine); err != nil {
+				if _, _, err := runPair(srv, src, dst, engine, tcq.ModeCost); err != nil {
 					t.Errorf("query worker %d: %v", w, err)
 					return
 				}
@@ -49,13 +49,13 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 		for i := 0; i < iters; i++ {
 			src := graph.NodeID(rng.Intn(nodes))
 			dst := graph.NodeID(rng.Intn(nodes))
-			got, _, err := srv.Connected(src, dst, dsa.EngineBitset)
+			got, _, err := runPair(srv, src, dst, dsa.EngineBitset, tcq.ModeConnectivity)
 			if err != nil {
 				t.Errorf("connected worker: %v", err)
 				return
 			}
 			// The grid stays connected through every update below.
-			if !got {
+			if !got.Reachable {
 				t.Errorf("connected(%d, %d) = false on a connected grid", src, dst)
 				return
 			}
@@ -74,7 +74,7 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 			if i%2 == 1 {
 				engine = dsa.EngineDense
 			}
-			if _, err := srv.QueryPipelined(src, dst, engine); err != nil {
+			if _, _, err := runPair(srv, src, dst, engine, tcq.ModePipelined); err != nil {
 				t.Errorf("pipelined worker: %v", err)
 				return
 			}
@@ -86,13 +86,12 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		e := graph.Edge{From: 0, To: 14, Weight: 0.5}
 		for i := 0; i < 4; i++ {
-			if _, err := srv.InsertEdge(0, e); err != nil {
+			if err := applyOne(srv, tcq.Insert(0, 0, 14, 0.5)); err != nil {
 				t.Errorf("insert %d: %v", i, err)
 				return
 			}
-			if _, err := srv.DeleteEdge(0, e); err != nil {
+			if err := applyOne(srv, tcq.Delete(0, 0, 14, 0.5)); err != nil {
 				t.Errorf("delete %d: %v", i, err)
 				return
 			}
@@ -100,8 +99,8 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	}()
 
 	// A transactional writer applying multi-op batches through the
-	// dataset — the /v1/update path — concurrently with the per-op
-	// legacy updater above (writers serialise on the dataset's gate).
+	// dataset — the /v1/update path — concurrently with the single-op
+	// updater above (writers serialise on the dataset's gate).
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -118,7 +117,7 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	wg.Wait()
 
 	// The server must still answer correctly after the storm.
-	res, _, err := srv.Query(0, graph.NodeID(nodes-1), dsa.EngineDijkstra)
+	res, _, err := runPair(srv, 0, graph.NodeID(nodes-1), dsa.EngineDijkstra, tcq.ModeCost)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,10 +37,6 @@ import (
 
 // Config tunes a Server.
 type Config struct {
-	// DefaultEngine answers legacy requests that do not select an
-	// engine. tcq.EngineAuto (the zero value) delegates per-request
-	// engine choice to the facade's planner — the recommended setting.
-	DefaultEngine tcq.Engine
 	// CacheCapacity bounds the leg-result cache in entries; 0 disables
 	// memoization.
 	CacheCapacity int
@@ -60,7 +56,6 @@ type Server struct {
 	ds          *tcq.Dataset
 	cache       *legCache
 	pools       *sitePools
-	cfg         Config
 	facade      *tcq.Client
 	unsubscribe func()
 	start       time.Time
@@ -98,9 +93,6 @@ func NewDataset(ds *tcq.Dataset, cfg Config) (*Server, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("server: nil dataset") //tcvet:ignore typederr constructor misuse guard; fails startup, never crosses the wire
 	}
-	if !cfg.DefaultEngine.Valid() {
-		return nil, fmt.Errorf("server: %w %d", dsa.ErrUnknownEngine, int(cfg.DefaultEngine))
-	}
 	if cfg.SiteWorkers < 1 {
 		cfg.SiteWorkers = 1
 	}
@@ -109,7 +101,6 @@ func NewDataset(ds *tcq.Dataset, cfg Config) (*Server, error) {
 		ds:         ds,
 		cache:      newLegCache(cfg.CacheCapacity),
 		pools:      newSitePools(n, cfg.SiteWorkers),
-		cfg:        cfg,
 		start:      time.Now(),
 		siteLegs:   make([]atomic.Uint64, n),
 		siteBusyNS: make([]atomic.Int64, n),
@@ -153,31 +144,37 @@ func (s *Server) Dataset() *tcq.Dataset { return s.ds }
 
 // RunPair implements tcq.Runner: it is how the facade executes one
 // planned (source, target) pair on this server, against the snapshot
-// the request pinned. The engine is already concrete (the facade's
-// planner resolved auto), so the pair maps directly onto the pooled
-// executor — or the store's pipelined walk for ModePipelined, which is
-// vector-seeded and therefore uncacheable.
+// the request pinned. The engine is already concrete and compatible
+// with the mode (tcq.Plan resolved auto and refused cost queries on
+// reachability stores or the bitset engine), so the pair maps directly
+// onto the pooled executor — or the store's pipelined walk for
+// ModePipelined, which is vector-seeded and therefore uncacheable.
 func (s *Server) RunPair(ctx context.Context, snap *tcq.Snapshot, source, target graph.NodeID, engine dsa.Engine, mode tcq.Mode) (*dsa.Result, tcq.RunStats, error) {
 	start := time.Now()
+	var (
+		res *dsa.Result
+		rs  tcq.RunStats
+		err error
+	)
 	if mode == tcq.ModePipelined {
-		res, err := s.queryPipelinedOn(ctx, snap, source, target, engine)
-		if err == nil {
-			s.metrics.observeQuery(engine.String(), mode, time.Since(start))
-		}
-		return res, tcq.RunStats{}, err
+		res, err = snap.Store().QueryPipelinedEngineCtx(ctx, source, target, engine)
+	} else {
+		res, rs, err = s.runCtx(ctx, snap, source, target, engine)
 	}
-	res, qs, err := s.runCtx(ctx, snap, source, target, engine, mode == tcq.ModeCost)
 	if err != nil {
 		s.errors.Add(1)
 		return nil, tcq.RunStats{}, err
 	}
-	if mode == tcq.ModeCost {
+	switch mode {
+	case tcq.ModePipelined:
+		s.pipelined.Add(1)
+	case tcq.ModeCost:
 		s.queries.Add(1)
-	} else {
+	default:
 		s.connected.Add(1)
 	}
 	s.metrics.observeQuery(engine.String(), mode, time.Since(start))
-	return res, tcq.RunStats{CacheHits: qs.CacheHits, CacheMisses: qs.CacheMisses, FallbackSites: qs.FallbackSites}, nil
+	return res, rs, nil
 }
 
 // Close stops the worker pools and detaches the server from its
@@ -189,102 +186,26 @@ func (s *Server) Close() {
 	s.pools.close()
 }
 
-// DefaultEngine returns the engine used when a legacy request names
-// none (tcq.EngineAuto = the planner decides).
-func (s *Server) DefaultEngine() tcq.Engine { return s.cfg.DefaultEngine }
-
-// QueryStats reports the cache behaviour of one query.
-type QueryStats struct {
-	// CacheHits and CacheMisses count this query's leg lookups.
-	CacheHits, CacheMisses int
-	// FallbackSites lists remote-owned sites whose legs this node
-	// executed locally in degraded mode (owner unreachable). Empty on
-	// healthy clusters and single-node deployments.
-	FallbackSites []int
-}
-
-// Query answers a shortest-path query through the pools and the cache.
-// It mirrors dsa.Store.Query's refusals: reachability stores and the
-// connectivity-only bitset engine cannot answer cost queries.
-func (s *Server) Query(source, target graph.NodeID, engine dsa.Engine) (*dsa.Result, QueryStats, error) {
-	res, qs, err := s.runCtx(context.Background(), s.ds.Snapshot(), source, target, engine, true)
-	if err != nil {
-		s.errors.Add(1)
-		return nil, qs, err
-	}
-	s.queries.Add(1)
-	return res, qs, nil
-}
-
-// Connected answers the reachability query through the pools and the
-// cache; it accepts every engine on every store, like dsa.Connected.
-func (s *Server) Connected(source, target graph.NodeID, engine dsa.Engine) (bool, QueryStats, error) {
-	res, qs, err := s.runCtx(context.Background(), s.ds.Snapshot(), source, target, engine, false)
-	if err != nil {
-		s.errors.Add(1)
-		return false, qs, err
-	}
-	s.connected.Add(1)
-	return res.Reachable, qs, nil
-}
-
-// QueryPipelined passes a pipelined-evaluation query through the
-// serving layer (no leg cache: pipelined legs are seeded with the
-// running cost vector, so they are query-specific). The engine must
-// support vector-seeded evaluation: dsa.EngineDijkstra or
-// dsa.EngineDense.
-func (s *Server) QueryPipelined(source, target graph.NodeID, engine dsa.Engine) (*dsa.Result, error) {
-	return s.QueryPipelinedCtx(context.Background(), source, target, engine)
-}
-
-// QueryPipelinedCtx is QueryPipelined with cancellation threaded into
-// the chain walk.
-func (s *Server) QueryPipelinedCtx(ctx context.Context, source, target graph.NodeID, engine dsa.Engine) (*dsa.Result, error) {
-	return s.queryPipelinedOn(ctx, s.ds.Snapshot(), source, target, engine)
-}
-
-// queryPipelinedOn runs the pipelined chain walk on one pinned
-// snapshot.
-func (s *Server) queryPipelinedOn(ctx context.Context, snap *tcq.Snapshot, source, target graph.NodeID, engine dsa.Engine) (*dsa.Result, error) {
-	res, err := snap.Store().QueryPipelinedEngineCtx(ctx, source, target, engine)
-	if err != nil {
-		s.errors.Add(1)
-		return nil, err
-	}
-	s.pipelined.Add(1)
-	return res, nil
-}
-
 // runCtx is the pooled, cache-aware, cancellation-aware executor
 // behind every non-pipelined query, running entirely on the snapshot
 // the request pinned — concurrent batch applies swap the dataset
-// underneath without disturbing it. costQuery marks shortest-path
-// queries, which reachability stores and the connectivity-only bitset
-// engine refuse (mirroring dsa.Query, with the same typed errors).
-// Leg tasks observe ctx both before executing (a canceled query's
-// queued legs become no-ops) and inside the kernels.
-func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target graph.NodeID, engine dsa.Engine, costQuery bool) (*dsa.Result, QueryStats, error) {
+// underneath without disturbing it. Leg tasks observe ctx both before
+// executing (a canceled query's queued legs become no-ops) and inside
+// the kernels.
+func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target graph.NodeID, engine dsa.Engine) (*dsa.Result, tcq.RunStats, error) {
 	if !dsa.ValidEngine(engine) {
-		return nil, QueryStats{}, fmt.Errorf("server: %w %d", dsa.ErrUnknownEngine, int(engine))
+		return nil, tcq.RunStats{}, fmt.Errorf("server: %w %d", dsa.ErrUnknownEngine, int(engine))
 	}
 	st := snap.Store()
-	if costQuery {
-		if st.Problem() != dsa.ProblemShortestPath {
-			return nil, QueryStats{}, fmt.Errorf("server: %w: store precomputed for reachability cannot answer cost queries", dsa.ErrProblemMismatch)
-		}
-		if engine == dsa.EngineBitset {
-			return nil, QueryStats{}, fmt.Errorf("server: %w: engine bitset computes connectivity only; use Connected", dsa.ErrEngineMismatch)
-		}
-	}
 	start := time.Now()
 	plan, err := st.NewPlan(source, target)
 	if err != nil {
-		return nil, QueryStats{}, err
+		return nil, tcq.RunStats{}, err
 	}
 	res, done := st.PlanResult(plan)
 	if done {
 		res.Elapsed = time.Since(start)
-		return res, QueryStats{}, nil
+		return res, tcq.RunStats{}, nil
 	}
 
 	// Phase 1: every locally owned leg becomes one task on its site's
@@ -382,20 +303,19 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 		})
 	}
 	wg.Wait()
-	qs := QueryStats{CacheHits: int(hits.Load()), CacheMisses: int(misses.Load()), FallbackSites: fallbackSites}
 	for _, err := range errs {
 		if err != nil {
-			return nil, qs, err
+			return nil, tcq.RunStats{}, err
 		}
 	}
 
 	// Phase 2: accounting + assembly, the same epilogue as the library
 	// path.
 	if err := st.FinishPlan(plan, results, res); err != nil {
-		return nil, qs, err
+		return nil, tcq.RunStats{}, err
 	}
 	res.Elapsed = time.Since(start)
-	return res, qs, nil
+	return res, tcq.RunStats{CacheHits: int(hits.Load()), CacheMisses: int(misses.Load()), FallbackSites: fallbackSites}, nil
 }
 
 // executeLegLocal runs the memoizable half of one leg on this node:
@@ -430,34 +350,6 @@ func (s *Server) ApplyBatch(ctx context.Context, b *tcq.Batch) (tcq.ApplyResult,
 	return res, nil
 }
 
-// InsertEdge applies an edge insertion as a single-op batch — the
-// legacy per-op entry point, kept for the unversioned /update shim.
-func (s *Server) InsertEdge(fragID int, e graph.Edge) (dsa.UpdateStats, error) {
-	return s.applyOne(tcq.Insert(fragID, int(e.From), int(e.To), e.Weight))
-}
-
-// DeleteEdge applies an edge deletion as a single-op batch — the
-// legacy per-op entry point, kept for the unversioned /update shim.
-func (s *Server) DeleteEdge(fragID int, e graph.Edge) (dsa.UpdateStats, error) {
-	return s.applyOne(tcq.Delete(fragID, int(e.From), int(e.To), e.Weight))
-}
-
-// applyOne routes one op through the facade's single-op path (which
-// unwraps the batch envelope to the op's own typed error).
-func (s *Server) applyOne(op tcq.Op) (dsa.UpdateStats, error) {
-	var stats tcq.UpdateStats
-	var err error
-	if op.Kind == tcq.OpInsert {
-		stats, err = s.facade.InsertEdge(op.Fragment, op.From, op.To, op.Weight)
-	} else {
-		stats, err = s.facade.DeleteEdge(op.Fragment, op.From, op.To, op.Weight)
-	}
-	if err != nil {
-		s.errors.Add(1)
-	}
-	return stats, err
-}
-
 // SiteStats is one site's serving-time work.
 type SiteStats struct {
 	// Legs is the number of leg tasks the site's workers executed.
@@ -474,7 +366,6 @@ type Stats struct {
 	Sites            int     `json:"sites"`
 	LooselyConnected bool    `json:"loosely_connected"`
 	Problem          string  `json:"problem"`
-	DefaultEngine    string  `json:"default_engine"`
 
 	Queries          uint64 `json:"queries"`
 	ConnectedQueries uint64 `json:"connected_queries"`
@@ -507,7 +398,6 @@ func (s *Server) Stats() Stats {
 		Sites:            ss.Sites,
 		LooselyConnected: ss.LooselyConnected,
 		Problem:          ss.Problem.String(),
-		DefaultEngine:    s.cfg.DefaultEngine.String(),
 	}
 	st.Queries = s.queries.Load()
 	st.ConnectedQueries = s.connected.Load()

@@ -1,12 +1,14 @@
 package server
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/dsa"
@@ -40,6 +42,28 @@ func newGridServer(t *testing.T, w, h, frags int, cfg Config) (*Server, *dsa.Sto
 	return srv, st
 }
 
+// runPair enters the pooled executor where the facade does, on the
+// current snapshot, with the engine forced.
+func runPair(srv *Server, src, dst graph.NodeID, engine dsa.Engine, mode tcq.Mode) (*dsa.Result, tcq.RunStats, error) {
+	return srv.RunPair(context.Background(), srv.Dataset().Snapshot(), src, dst, engine, mode)
+}
+
+// libraryPair answers one pair through the uncached, unpooled library
+// path — the oracle the serving layer is compared against.
+func libraryPair(st *dsa.Store, src, dst graph.NodeID, engine dsa.Engine) (*dsa.Result, error) {
+	plan, err := st.NewPlan(src, dst)
+	if err != nil {
+		return nil, err
+	}
+	return st.RunPlanCtx(context.Background(), plan, engine, false)
+}
+
+// applyOne applies a single-op batch through the server.
+func applyOne(srv *Server, op tcq.Op) error {
+	_, err := srv.ApplyBatch(context.Background(), new(tcq.Batch).Add(op))
+	return err
+}
+
 // oracle is an independent store over the same fragmentation, used to
 // answer queries through the uncached library path.
 func newOracle(t *testing.T, st *dsa.Store) *dsa.Store {
@@ -63,13 +87,13 @@ func TestServerMatchesLibrary(t *testing.T) {
 		for q := 0; q < 15; q++ {
 			src := graph.NodeID(rng.Intn(64))
 			dst := graph.NodeID(rng.Intn(64))
-			want, err := oracle.Query(src, dst, engine)
+			want, err := libraryPair(oracle, src, dst, engine)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Twice: the second answer comes from the leg cache.
 			for pass := 0; pass < 2; pass++ {
-				got, _, err := srv.Query(src, dst, engine)
+				got, _, err := runPair(srv, src, dst, engine, tcq.ModeCost)
 				if err != nil {
 					t.Fatalf("server query %d->%d pass %d: %v", src, dst, pass, err)
 				}
@@ -105,12 +129,12 @@ func TestServerConnectedAllEngines(t *testing.T) {
 			if src == dst {
 				want = true
 			}
-			got, _, err := srv.Connected(src, dst, engine)
+			got, _, err := runPair(srv, src, dst, engine, tcq.ModeConnectivity)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != want {
-				t.Errorf("%v connected(%d, %d) = %v, want %v", engine, src, dst, got, want)
+			if got.Reachable != want {
+				t.Errorf("%v connected(%d, %d) = %v, want %v", engine, src, dst, got.Reachable, want)
 			}
 		}
 	}
@@ -122,19 +146,19 @@ func TestServerConnectedAllEngines(t *testing.T) {
 func TestServerUpdateInvalidatesCache(t *testing.T) {
 	srv, _ := newGridServer(t, 8, 8, 4, Config{CacheCapacity: 256})
 	src, dst := graph.NodeID(0), graph.NodeID(63)
-	before, _, err := srv.Query(src, dst, dsa.EngineDijkstra)
+	before, _, err := runPair(srv, src, dst, dsa.EngineDijkstra, tcq.ModeCost)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Warm the cache with a second identical query.
-	if _, qs, err := srv.Query(src, dst, dsa.EngineDijkstra); err != nil || qs.CacheHits == 0 {
+	if _, qs, err := runPair(srv, src, dst, dsa.EngineDijkstra, tcq.ModeCost); err != nil || qs.CacheHits == 0 {
 		t.Fatalf("warm query: hits=%d err=%v", qs.CacheHits, err)
 	}
 	// A directed 0→63 shortcut far cheaper than any grid path.
-	if _, err := srv.InsertEdge(0, graph.Edge{From: src, To: dst, Weight: 0.25}); err != nil {
+	if err := applyOne(srv, tcq.Insert(0, int(src), int(dst), 0.25)); err != nil {
 		t.Fatal(err)
 	}
-	after, _, err := srv.Query(src, dst, dsa.EngineDijkstra)
+	after, _, err := runPair(srv, src, dst, dsa.EngineDijkstra, tcq.ModeCost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,10 +166,10 @@ func TestServerUpdateInvalidatesCache(t *testing.T) {
 		t.Errorf("cost after shortcut insert = %v, want 0.25 (before: %v)", after.Cost, before.Cost)
 	}
 	// And deleting restores the original answer.
-	if _, err := srv.DeleteEdge(0, graph.Edge{From: src, To: dst, Weight: 0.25}); err != nil {
+	if err := applyOne(srv, tcq.Delete(0, int(src), int(dst), 0.25)); err != nil {
 		t.Fatal(err)
 	}
-	restored, _, err := srv.Query(src, dst, dsa.EngineDijkstra)
+	restored, _, err := runPair(srv, src, dst, dsa.EngineDijkstra, tcq.ModeCost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,20 +190,24 @@ func TestServerUpdateInvalidatesCache(t *testing.T) {
 
 func TestServerRefusals(t *testing.T) {
 	srv, _ := newGridServer(t, 4, 4, 2, Config{CacheCapacity: 16})
-	if _, _, err := srv.Query(0, 15, dsa.EngineBitset); err == nil {
-		t.Error("bitset cost query accepted")
+	// Mode/engine compatibility is the planner's rule: it refuses
+	// before RunPair is reached.
+	_, err := srv.Facade().Query(context.Background(), tcq.Request{
+		Sources: []int{0}, Targets: []int{15}, Mode: tcq.ModeCost, Engine: tcq.EngineBitset})
+	if !errors.Is(err, tcq.ErrEngineMismatch) {
+		t.Errorf("bitset cost query: got %v, want ErrEngineMismatch", err)
 	}
-	if _, _, err := srv.Query(0, 15, dsa.Engine(9)); err == nil {
-		t.Error("unknown engine accepted")
+	if _, _, err := runPair(srv, 0, 15, dsa.Engine(9), tcq.ModeCost); !errors.Is(err, tcq.ErrUnknownEngine) {
+		t.Errorf("unknown engine: got %v, want ErrUnknownEngine", err)
 	}
-	if _, _, err := srv.Query(0, 4096, dsa.EngineDijkstra); err == nil {
-		t.Error("unknown node accepted")
+	if _, _, err := runPair(srv, 0, 4096, dsa.EngineDijkstra, tcq.ModeCost); !errors.Is(err, tcq.ErrUnknownNode) {
+		t.Errorf("unknown node: got %v, want ErrUnknownNode", err)
+	}
+	if got := srv.Stats().Errors; got != 2 {
+		t.Errorf("stats.errors = %d, want 2 (one per failed RunPair)", got)
 	}
 	if _, err := New(nil, Config{}); err == nil {
 		t.Error("nil store accepted")
-	}
-	if _, err := New(newOracle(t, mustStore(t)), Config{DefaultEngine: tcq.Engine(7)}); err == nil {
-		t.Error("unknown default engine accepted")
 	}
 }
 
@@ -200,8 +228,8 @@ func mustStore(t *testing.T) *dsa.Store {
 	return st
 }
 
-// TestReachabilityStoreRefusesCostQueries mirrors the library contract
-// through the serving layer.
+// TestReachabilityStoreRefusesCostQueries: the planner's refusal holds
+// through the server-backed facade, and connectivity still answers.
 func TestReachabilityStoreRefusesCostQueries(t *testing.T) {
 	g, err := gen.Grid(gen.GridConfig{Width: 4, Height: 4})
 	if err != nil {
@@ -220,185 +248,135 @@ func TestReachabilityStoreRefusesCostQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if _, _, err := srv.Query(0, 15, dsa.EngineDijkstra); err == nil {
-		t.Error("reachability store answered a cost query")
+	_, err = srv.Facade().Query(context.Background(), tcq.Request{
+		Sources: []int{0}, Targets: []int{15}, Mode: tcq.ModeCost, Engine: tcq.EngineDijkstra})
+	if !errors.Is(err, tcq.ErrProblemMismatch) {
+		t.Errorf("cost query on reachability store: got %v, want ErrProblemMismatch", err)
 	}
-	got, _, err := srv.Connected(0, 15, dsa.EngineBitset)
+	got, _, err := runPair(srv, 0, 15, dsa.EngineBitset, tcq.ModeConnectivity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got {
+	if !got.Reachable {
 		t.Error("grid corners not connected")
 	}
 }
 
-// TestHTTPEndpoints drives the JSON API end to end over httptest.
+// TestHTTPEndpoints drives the JSON API end to end over httptest:
+// liveness, the three query modes against the library oracle, and the
+// /stats counters they advance. Error envelopes and /v1/update have
+// their own tables in v1_test.go.
 func TestHTTPEndpoints(t *testing.T) {
 	srv, st := newGridServer(t, 6, 6, 3, Config{CacheCapacity: 256})
-	oracle := newOracle(t, st)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-
-	get := func(path string, wantStatus int, into any) {
-		t.Helper()
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != wantStatus {
-			t.Fatalf("GET %s: status %d, want %d", path, resp.StatusCode, wantStatus)
-		}
-		if into != nil {
-			if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
-				t.Fatalf("GET %s: decode: %v", path, err)
-			}
-		}
-	}
-
-	get("/healthz", http.StatusOK, nil)
-
-	var qr QueryResponse
-	get("/query?src=0&dst=35", http.StatusOK, &qr)
-	want, err := oracle.Query(0, 35, dsa.EngineDijkstra)
+	want, err := libraryPair(newOracle(t, st), 0, 35, dsa.EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !qr.Reachable || qr.Cost == nil || math.Abs(*qr.Cost-want.Cost) > 1e-9 {
-		t.Errorf("HTTP query 0->35 = %+v, oracle cost %v", qr, want.Cost)
+
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /healthz: status %d", resp.StatusCode)
 	}
 
-	var cr ConnectedResponse
-	get("/connected?src=0&dst=35&engine=bitset", http.StatusOK, &cr)
-	if !cr.Connected {
-		t.Error("corners not connected over HTTP")
-	}
-
-	var sr Stats
-	get("/stats", http.StatusOK, &sr)
-	if sr.Nodes != 36 || sr.Sites != 3 {
-		t.Errorf("stats nodes=%d sites=%d, want 36 and 3", sr.Nodes, sr.Sites)
-	}
-	if sr.Queries == 0 || sr.ConnectedQueries == 0 {
-		t.Errorf("stats did not count queries: %+v", sr)
-	}
-
-	// Client errors.
-	get("/query?src=zero&dst=1", http.StatusBadRequest, nil)
-	get("/query?src=0&dst=1&engine=warp", http.StatusBadRequest, nil)
-	get("/query?src=0&dst=1&engine=bitset", http.StatusBadRequest, nil)
-	get("/query?src=0&dst=1&mode=sideways", http.StatusBadRequest, nil)
-	get("/query?src=0&dst=999", http.StatusBadRequest, nil)
-
-	// Pipelined mode over HTTP: defaults to multi-source dijkstra,
-	// accepts the vector-seeded dense kernel, and refuses engines
-	// without a seeded primitive rather than silently ignoring them.
-	var pr QueryResponse
-	get("/query?src=0&dst=35&mode=pipelined", http.StatusOK, &pr)
-	if !pr.Reachable || pr.Cost == nil || math.Abs(*pr.Cost-want.Cost) > 1e-9 {
-		t.Errorf("pipelined HTTP query = %+v, oracle cost %v", pr, want.Cost)
-	}
-	if pr.Engine != "dijkstra" {
-		t.Errorf("pipelined engine = %q, want dijkstra", pr.Engine)
-	}
-	var pd QueryResponse
-	get("/query?src=0&dst=35&mode=pipelined&engine=dense", http.StatusOK, &pd)
-	if !pd.Reachable || pd.Cost == nil || math.Abs(*pd.Cost-want.Cost) > 1e-9 {
-		t.Errorf("pipelined dense HTTP query = %+v, oracle cost %v", pd, want.Cost)
-	}
-	if pd.Engine != "dense" {
-		t.Errorf("pipelined dense engine = %q, want dense", pd.Engine)
-	}
-	// A pooled dense cost query shares the leg cache like any engine.
-	var dq QueryResponse
-	get("/query?src=0&dst=35&engine=dense", http.StatusOK, &dq)
-	if !dq.Reachable || dq.Cost == nil || math.Abs(*dq.Cost-want.Cost) > 1e-9 {
-		t.Errorf("dense HTTP query = %+v, oracle cost %v", dq, want.Cost)
-	}
-	get("/query?src=0&dst=35&mode=pipelined&engine=seminaive", http.StatusBadRequest, nil)
-	get("/query?src=0&dst=35&mode=pipelined&engine=bitset", http.StatusBadRequest, nil)
-
-	// Update round trip: insert then delete a shortcut.
-	post := func(body string, wantStatus int, into any) {
-		t.Helper()
-		resp, err := http.Post(ts.URL+"/update", "application/json", bytes.NewBufferString(body))
-		if err != nil {
-			t.Fatal(err)
+	// Pooled cost (planner's choice and forced dense, which shares the
+	// leg cache like any engine); pipelined defaults to multi-source
+	// dijkstra on fragments this small and accepts the vector-seeded
+	// dense kernel.
+	for _, tc := range []struct {
+		mode, engine, wantEngine string
+	}{
+		{"cost", "", "dijkstra"},
+		{"cost", "dense", "dense"},
+		{"pipelined", "", "dijkstra"},
+		{"pipelined", "dense", "dense"},
+	} {
+		var vr V1QueryResponse
+		req := V1Request{Sources: []int{0}, Targets: []int{35}, Mode: tc.mode, Engine: tc.engine}
+		if status := postV1(t, ts.URL+"/v1/query", req, &vr); status != http.StatusOK {
+			t.Fatalf("%s/%s: status %d", tc.mode, tc.engine, status)
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != wantStatus {
-			t.Fatalf("POST /update %s: status %d, want %d", body, resp.StatusCode, wantStatus)
+		a := vr.Answers[0]
+		if !a.Reachable || a.Cost == nil || math.Abs(*a.Cost-want.Cost) > 1e-9 {
+			t.Errorf("%s/%s 0->35 = %+v, oracle cost %v", tc.mode, tc.engine, a, want.Cost)
 		}
-		if into != nil {
-			if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
-				t.Fatal(err)
-			}
+		if vr.Explain.Engine != tc.wantEngine {
+			t.Errorf("%s/%s ran engine %q, want %q", tc.mode, tc.engine, vr.Explain.Engine, tc.wantEngine)
 		}
 	}
-	var ur UpdateResponse
-	post(`{"op":"insert","fragment":0,"from":0,"to":35,"weight":0.5}`, http.StatusOK, &ur)
-	if ur.Epoch != 1 {
-		t.Errorf("epoch after insert = %d, want 1", ur.Epoch)
+	var cr V1QueryResponse
+	postV1(t, ts.URL+"/v1/query", V1Request{Sources: []int{0}, Targets: []int{35}, Engine: "bitset"}, &cr)
+	if len(cr.Answers) != 1 || !cr.Answers[0].Reachable {
+		t.Errorf("corners not connected over HTTP: %+v", cr)
 	}
-	get("/query?src=0&dst=35", http.StatusOK, &qr)
-	if qr.Cost == nil || math.Abs(*qr.Cost-0.5) > 1e-9 {
-		t.Errorf("cost after HTTP insert = %v, want 0.5", qr.Cost)
-	}
-	post(`{"op":"delete","fragment":0,"from":0,"to":35,"weight":0.5}`, http.StatusOK, &ur)
-	post(`{"op":"teleport","fragment":0,"from":0,"to":1}`, http.StatusBadRequest, nil)
-	post(`not json`, http.StatusBadRequest, nil)
-}
 
-// TestHTTPPipelinedHonorsDenseDefault: with a dense default engine,
-// mode=pipelined with no engine param runs dense (matching pooled
-// mode) instead of silently reverting to dijkstra.
-func TestHTTPPipelinedHonorsDenseDefault(t *testing.T) {
-	srv, _ := newGridServer(t, 6, 6, 3, Config{DefaultEngine: tcq.EngineDense, CacheCapacity: 64})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/query?src=0&dst=35&mode=pipelined")
+	resp, err = http.Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var qr QueryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+	var sr Stats
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}
-	if qr.Engine != "dense" || !qr.Reachable {
-		t.Errorf("pipelined with dense default = engine %q, reachable %v; want dense, true", qr.Engine, qr.Reachable)
+	if sr.Nodes != 36 || sr.Sites != 3 {
+		t.Errorf("stats nodes=%d sites=%d, want 36 and 3", sr.Nodes, sr.Sites)
+	}
+	if sr.Queries != 2 || sr.PipelinedQueries != 2 || sr.ConnectedQueries != 1 || sr.Errors != 0 {
+		t.Errorf("stats miscounted the five queries: %+v", sr)
 	}
 }
 
-// TestRunLoadAgainstServer exercises the load driver end to end: a
-// repeated random workload must produce zero errors and mismatches and
-// a warm second pass.
-func TestRunLoadAgainstServer(t *testing.T) {
-	srv, _ := newGridServer(t, 6, 6, 3, Config{CacheCapacity: 512})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	rep, err := RunLoad(LoadConfig{
-		BaseURL:         ts.URL,
-		Requests:        40,
-		Parallel:        4,
-		Nodes:           36,
-		Seed:            11,
-		Repeat:          2,
-		ExpectReachable: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestRouteTable pins the wire surface: exactly the /v1 API plus the
+// operational GETs are served, and the unversioned routes removed in
+// PR 14 answer 404.
+func TestRouteTable(t *testing.T) {
+	srv, _ := newGridServer(t, 4, 4, 2, Config{})
+	h := srv.Handler()
+	status := func(method, path string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader("{}")))
+		return rec.Code
 	}
-	if rep.Errors != 0 || rep.Mismatches != 0 {
-		t.Fatalf("load run: %+v", rep)
+	served := map[string]string{
+		"/v1/query": http.MethodPost, "/v1/batch": http.MethodPost,
+		"/v1/update": http.MethodPost, "/v1/leg": http.MethodPost,
+		"/stats": http.MethodGet, "/metrics": http.MethodGet,
+		"/healthz": http.MethodGet, "/readyz": http.MethodGet,
 	}
-	if rep.Requests != 80 {
-		t.Errorf("requests = %d, want 80", rep.Requests)
+	for path, method := range served {
+		if code := status(method, path); code == http.StatusNotFound || code == http.StatusMethodNotAllowed {
+			t.Errorf("%s %s: status %d, want the route served", method, path, code)
+		}
 	}
-	if rep.HitRate == 0 {
-		t.Error("repeated workload produced no cache hits")
+	for _, gone := range [][2]string{
+		{http.MethodGet, "/query?src=0&dst=1"},
+		{http.MethodGet, "/connected?src=0&dst=1"},
+		{http.MethodPost, "/update"},
+		{http.MethodGet, "/"},
+	} {
+		if code := status(gone[0], gone[1]); code != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", gone[0], gone[1], code)
+		}
 	}
-	if rep.P50 == 0 || rep.Max < rep.P50 {
-		t.Errorf("implausible percentiles: %+v", rep)
+	// Every route registers its endpoint label when the handler is
+	// built, so the label set IS the served set: nothing beyond the
+	// eight above.
+	for name := range srv.Stats().Metrics {
+		if rest, ok := strings.CutPrefix(name, `tc_http_requests_total{endpoint="`); ok {
+			path := strings.TrimSuffix(rest, `"}`)
+			if _, ok := served[path]; !ok {
+				t.Errorf("route %q is served but not in the pinned table", path)
+			}
+			delete(served, path)
+		}
+	}
+	if len(served) != 0 {
+		t.Errorf("pinned routes missing from the handler: %v", served)
 	}
 }

@@ -12,10 +12,9 @@ import (
 )
 
 // This file is the versioned HTTP surface of the facade: POST
-// /v1/query and POST /v1/batch, JSON in both directions, speaking
-// pkg/tcq's vocabulary (source/target sets, modes, auto-planned
-// engines, typed error codes). The unversioned GET endpoints remain as
-// thin shims over the same facade (http.go).
+// /v1/query, POST /v1/batch and POST /v1/update, JSON in both
+// directions, speaking pkg/tcq's vocabulary (source/target sets, modes,
+// auto-planned engines, op batches, typed error codes).
 
 // maxBatchRequests bounds one /v1/batch body — a backstop against a
 // single request monopolising the worker pools.

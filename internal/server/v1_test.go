@@ -8,16 +8,16 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/pkg/tcq"
 )
 
-// v1Server boots an 8x8 grid deployment with an auto-planning default
-// behind an httptest server.
+// v1Server boots an 8x8 grid deployment behind an httptest server.
 func v1Server(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv, _ := newGridServer(t, 8, 8, 2, Config{DefaultEngine: tcq.EngineAuto, CacheCapacity: 256})
+	srv, _ := newGridServer(t, 8, 8, 2, Config{CacheCapacity: 256})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts
@@ -43,7 +43,9 @@ func postV1(t *testing.T, url string, body any, out any) int {
 }
 
 func TestV1QueryCost(t *testing.T) {
-	ts := v1Server(t)
+	srv, st := newGridServer(t, 8, 8, 2, Config{CacheCapacity: 256})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
 	var vr V1QueryResponse
 	status := postV1(t, ts.URL+"/v1/query", V1Request{
 		Sources: []int{0}, Targets: []int{63}, Mode: "cost",
@@ -54,29 +56,14 @@ func TestV1QueryCost(t *testing.T) {
 	if len(vr.Answers) != 1 || !vr.Answers[0].Reachable || vr.Answers[0].Cost == nil {
 		t.Fatalf("bad answer: %+v", vr.Answers)
 	}
+	if want := st.Fragmentation().Base().Distance(0, 63); math.Abs(*vr.Answers[0].Cost-want) > 1e-9 {
+		t.Fatalf("v1 cost %v, global Dijkstra %v", *vr.Answers[0].Cost, want)
+	}
 	if vr.Explain.Engine == "" || vr.Explain.Engine == "auto" {
 		t.Fatalf("explain engine must be concrete, got %q", vr.Explain.Engine)
 	}
 	if vr.Explain.Canonical != "cost/"+vr.Explain.Engine {
 		t.Fatalf("canonical %q", vr.Explain.Canonical)
-	}
-
-	// The legacy shim must agree with /v1 on the same pair — the
-	// compatibility oracle for the rewiring.
-	legacy, err := http.Get(ts.URL + "/query?src=0&dst=63")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Body.Close()
-	var qr QueryResponse
-	if err := json.NewDecoder(legacy.Body).Decode(&qr); err != nil {
-		t.Fatal(err)
-	}
-	if !qr.Reachable || qr.Cost == nil {
-		t.Fatalf("legacy shim: %+v", qr)
-	}
-	if math.Abs(*qr.Cost-*vr.Answers[0].Cost) > 1e-9 {
-		t.Fatalf("legacy cost %v != v1 cost %v", *qr.Cost, *vr.Answers[0].Cost)
 	}
 }
 
@@ -114,16 +101,29 @@ func TestV1TypedErrorCodes(t *testing.T) {
 		{"bad mode", V1Request{Sources: []int{0}, Targets: []int{1}, Mode: "teleport"}, http.StatusBadRequest, "unknown_mode"},
 		{"bad engine", V1Request{Sources: []int{0}, Targets: []int{1}, Engine: "warp"}, http.StatusBadRequest, "unknown_engine"},
 		{"bitset cost", V1Request{Sources: []int{0}, Targets: []int{1}, Mode: "cost", Engine: "bitset"}, http.StatusBadRequest, "engine_mismatch"},
+		{"seminaive pipelined", V1Request{Sources: []int{0}, Targets: []int{63}, Mode: "pipelined", Engine: "seminaive"}, http.StatusBadRequest, "engine_mismatch"},
+		{"bitset pipelined", V1Request{Sources: []int{0}, Targets: []int{63}, Mode: "pipelined", Engine: "bitset"}, http.StatusBadRequest, "engine_mismatch"},
 		{"unknown node", V1Request{Sources: []int{0}, Targets: []int{9999}, Mode: "cost"}, http.StatusNotFound, "unknown_node"},
+		// Without the MaxBytesReader guard this body would decode and
+		// fail later as unknown_engine.
+		{"oversized body", V1Request{Sources: []int{0}, Targets: []int{1}, Engine: strings.Repeat("x", maxBodyBytes)}, http.StatusBadRequest, "invalid_request"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var ve V1Error
 			status := postV1(t, ts.URL+"/v1/query", tc.req, &ve)
 			if status != tc.wantStatus || ve.Code != tc.wantCode {
-				t.Fatalf("got status %d code %q (%s), want %d %q", status, ve.Code, ve.Error, tc.wantStatus, tc.wantCode)
+				t.Fatalf("got status %d code %q (%.200s), want %d %q", status, ve.Code, ve.Error, tc.wantStatus, tc.wantCode)
 			}
 		})
+	}
+	// The batch and update decoders carry the same bound.
+	huge := map[string]string{"pad": strings.Repeat("x", maxBodyBytes)}
+	for _, path := range []string{"/v1/batch", "/v1/update"} {
+		var ve V1Error
+		if status := postV1(t, ts.URL+path, huge, &ve); status != http.StatusBadRequest || !strings.Contains(ve.Error, "too large") {
+			t.Errorf("oversized %s body: status %d (%.200s), want 400 request body too large", path, status, ve.Error)
+		}
 	}
 }
 
@@ -166,10 +166,10 @@ func TestV1Batch(t *testing.T) {
 	}
 }
 
-// TestV1CacheSharedWithLegacy asserts the leg cache serves both
-// surfaces: a /v1 query warms the cache for the legacy shim and vice
-// versa, because both key off the planner's canonical plan.
-func TestV1CacheSharedWithLegacy(t *testing.T) {
+// TestV1LegCacheSharedAcrossTargets: the leg cache is keyed on (site,
+// entry set, engine), so a second query from the same source to a
+// different target reuses the first one's legs.
+func TestV1LegCacheSharedAcrossTargets(t *testing.T) {
 	ts := v1Server(t)
 	var first V1QueryResponse
 	postV1(t, ts.URL+"/v1/query", V1Request{Sources: []int{0}, Targets: []int{63}, Mode: "cost"}, &first)
@@ -181,50 +181,13 @@ func TestV1CacheSharedWithLegacy(t *testing.T) {
 	if second.CacheHits == 0 {
 		t.Fatalf("same-entry different-target query must hit the leg cache, got %+v", second)
 	}
-	resp, err := http.Get(ts.URL + "/query?src=0&dst=61")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var qr QueryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-		t.Fatal(err)
-	}
-	if qr.CacheHits == 0 {
-		t.Fatalf("legacy shim must share the v1-warmed cache, got %+v", qr)
-	}
-}
-
-// TestV1LoadDriver runs the in-process load generator over the v1
-// surface — the same driver CI uses, exercising replay equality.
-func TestV1LoadDriver(t *testing.T) {
-	ts := v1Server(t)
-	rep, err := RunLoad(LoadConfig{
-		BaseURL:         ts.URL,
-		Requests:        40,
-		Parallel:        4,
-		Nodes:           64,
-		Seed:            3,
-		Repeat:          2,
-		API:             "v1",
-		ExpectReachable: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 0 || rep.Mismatches != 0 {
-		t.Fatalf("v1 load: %d errors, %d mismatches (first issue: %s)", rep.Errors, rep.Mismatches, rep.FirstIssue)
-	}
-	if rep.HitRate == 0 {
-		t.Fatal("replayed v1 load must hit the leg cache")
-	}
 }
 
 // TestFacadeCancellationThroughPools: a canceled context must surface
 // as tcq.ErrCanceled through the server-backed facade (queued legs
 // become no-ops, kernels abort between rounds).
 func TestFacadeCancellationThroughPools(t *testing.T) {
-	srv, _ := newGridServer(t, 8, 8, 2, Config{DefaultEngine: tcq.EngineAuto, CacheCapacity: 64})
+	srv, _ := newGridServer(t, 8, 8, 2, Config{CacheCapacity: 64})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := srv.Facade().Query(ctx, tcq.Request{Sources: []int{0}, Targets: []int{63}, Mode: tcq.ModeCost})
@@ -318,12 +281,13 @@ func TestV1Update(t *testing.T) {
 // invalidation and update counters fire for facade-applied batches,
 // and QueryPath reads a pinned immutable snapshot safely.
 func TestFacadeMutationsShareServerDataset(t *testing.T) {
-	srv, _ := newGridServer(t, 6, 6, 2, Config{DefaultEngine: tcq.EngineAuto, CacheCapacity: 64})
-	if _, err := srv.Facade().InsertEdge(0, 0, 1, 0.25); err != nil {
-		t.Fatalf("InsertEdge through facade: %v", err)
+	srv, _ := newGridServer(t, 6, 6, 2, Config{CacheCapacity: 64})
+	ctx := context.Background()
+	if _, err := srv.Facade().Apply(ctx, new(tcq.Batch).Insert(0, 0, 1, 0.25)); err != nil {
+		t.Fatalf("insert through facade: %v", err)
 	}
-	if _, err := srv.Facade().DeleteEdge(0, 0, 1, 0.25); err != nil {
-		t.Fatalf("DeleteEdge through facade: %v", err)
+	if _, err := srv.Facade().Apply(ctx, new(tcq.Batch).Delete(0, 0, 1, 0.25)); err != nil {
+		t.Fatalf("delete through facade: %v", err)
 	}
 	st := srv.Stats()
 	if st.Updates != 2 || st.Epoch != 2 {
@@ -332,7 +296,7 @@ func TestFacadeMutationsShareServerDataset(t *testing.T) {
 	if st.Cache.Sweeps != 2 {
 		t.Fatalf("cache sweeps = %d, want 2 (facade batches must invalidate eagerly)", st.Cache.Sweeps)
 	}
-	if _, route, err := srv.Facade().QueryPath(context.Background(), 0, 35); err != nil || len(route.Nodes) == 0 {
+	if _, route, err := srv.Facade().QueryPath(ctx, 0, 35); err != nil || len(route.Nodes) == 0 {
 		t.Fatalf("QueryPath on server-backed facade: route %v, err %v", route, err)
 	}
 }

@@ -20,6 +20,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -200,7 +201,7 @@ func (c *Cluster) Run(source, target graph.NodeID, engine dsa.Engine) (*Report, 
 		go func(id int, tasks <-chan taskMsg) {
 			defer wg.Done()
 			for t := range tasks {
-				lr, err := c.store.ExecuteLeg(t.leg, engine)
+				lr, err := c.store.ExecuteLegCtx(context.TODO(), t.leg, engine)
 				n := 0
 				if lr != nil {
 					n = lr.Rel.Len()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -65,7 +66,11 @@ func TestRunMatchesStoreAnswer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := st.Query(src, dst, dsa.EngineDijkstra)
+	plan, err := st.NewPlan(src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := st.RunPlanCtx(context.Background(), plan, dsa.EngineDijkstra, false)
 	if err != nil {
 		t.Fatal(err)
 	}

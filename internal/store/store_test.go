@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"os"
@@ -37,6 +38,15 @@ func roadStore(t *testing.T, opt dsa.Options, seed int64) (*dsa.Store, *graph.Gr
 	return st, g
 }
 
+// runPair plans and runs one pair sequentially on a store.
+func runPair(st *dsa.Store, src, tgt graph.NodeID, eng dsa.Engine) (*dsa.Result, error) {
+	plan, err := st.NewPlan(src, tgt)
+	if err != nil {
+		return nil, err
+	}
+	return st.RunPlanCtx(context.Background(), plan, eng, false)
+}
+
 // assertSameAnswers is the round-trip oracle: for sampled node pairs,
 // the loaded store must answer exactly like the freshly built one —
 // connectivity under every engine, and cost where the problem supports
@@ -53,11 +63,11 @@ func assertSameAnswers(t *testing.T, built, loaded *dsa.Store, g *graph.Graph, p
 		src := graph.NodeID(rng.Intn(n))
 		tgt := graph.NodeID(rng.Intn(n))
 		for _, eng := range costEngines {
-			want, err := built.Query(src, tgt, eng)
+			want, err := runPair(built, src, tgt, eng)
 			if err != nil {
 				t.Fatalf("built query %d→%d (%v): %v", src, tgt, eng, err)
 			}
-			got, err := loaded.Query(src, tgt, eng)
+			got, err := runPair(loaded, src, tgt, eng)
 			if err != nil {
 				t.Fatalf("loaded query %d→%d (%v): %v", src, tgt, eng, err)
 			}
@@ -66,16 +76,16 @@ func assertSameAnswers(t *testing.T, built, loaded *dsa.Store, g *graph.Graph, p
 					src, tgt, eng, want.Reachable, want.Cost, got.Reachable, got.Cost)
 			}
 		}
-		wantConn, err := built.Connected(src, tgt, dsa.EngineBitset)
+		wantConn, err := runPair(built, src, tgt, dsa.EngineBitset)
 		if err != nil {
 			t.Fatalf("built connected %d→%d: %v", src, tgt, err)
 		}
-		gotConn, err := loaded.Connected(src, tgt, dsa.EngineBitset)
+		gotConn, err := runPair(loaded, src, tgt, dsa.EngineBitset)
 		if err != nil {
 			t.Fatalf("loaded connected %d→%d: %v", src, tgt, err)
 		}
-		if wantConn != gotConn {
-			t.Fatalf("connected %d→%d: built %v, loaded %v", src, tgt, wantConn, gotConn)
+		if wantConn.Reachable != gotConn.Reachable {
+			t.Fatalf("connected %d→%d: built %v, loaded %v", src, tgt, wantConn.Reachable, gotConn.Reachable)
 		}
 	}
 }
@@ -91,16 +101,16 @@ func assertSameReachability(t *testing.T, built, loaded *dsa.Store, g *graph.Gra
 		src := graph.NodeID(rng.Intn(n))
 		tgt := graph.NodeID(rng.Intn(n))
 		for _, eng := range engines {
-			want, err := built.Connected(src, tgt, eng)
+			want, err := runPair(built, src, tgt, eng)
 			if err != nil {
 				t.Fatalf("built connected %d→%d (%v): %v", src, tgt, eng, err)
 			}
-			got, err := loaded.Connected(src, tgt, eng)
+			got, err := runPair(loaded, src, tgt, eng)
 			if err != nil {
 				t.Fatalf("loaded connected %d→%d (%v): %v", src, tgt, eng, err)
 			}
-			if want != got {
-				t.Fatalf("connected %d→%d (%v): built %v, loaded %v", src, tgt, eng, want, got)
+			if want.Reachable != got.Reachable {
+				t.Fatalf("connected %d→%d (%v): built %v, loaded %v", src, tgt, eng, want.Reachable, got.Reachable)
 			}
 		}
 	}
@@ -317,7 +327,7 @@ func TestRoundTripInfinityWeightsStayFinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := loaded.Query(0, graph.NodeID(g.NumNodes()-1), dsa.EngineDijkstra)
+	res, err := runPair(loaded, 0, graph.NodeID(g.NumNodes()-1), dsa.EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}

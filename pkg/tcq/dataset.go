@@ -89,9 +89,7 @@ func NewDataset(fr *fragment.Fragmentation, opt BuildOptions) (*Dataset, error) 
 }
 
 // OpenDataset wraps an already built store in a dataset. The dataset
-// takes ownership: mutate the graph through Apply only (the legacy
-// in-place dsa update methods would change the store underneath
-// pinned snapshots).
+// takes ownership: mutate the graph through Apply only.
 func OpenDataset(st *dsa.Store) (*Dataset, error) {
 	if st == nil {
 		return nil, errors.New("tcq: OpenDataset: nil store")
@@ -180,16 +178,6 @@ func (d *Dataset) OnApply(fn func(ApplyResult)) (unsubscribe func()) {
 			}
 		}
 	}
-}
-
-// refreshStats recollects the planner stats of the current generation
-// — the escape hatch for stores mutated out-of-band through the legacy
-// in-place dsa update methods.
-func (d *Dataset) refreshStats() {
-	d.applyMu.Lock()
-	defer d.applyMu.Unlock()
-	old := d.cur.Load()
-	d.cur.Store(&Snapshot{st: old.st, stats: CollectStats(old.st)})
 }
 
 // Open wraps the dataset in a facade client: queries go through the

@@ -37,7 +37,6 @@ package tcq
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/dsa"
@@ -67,8 +66,6 @@ func ParseProblem(name string) (Problem, error) { return dsa.ParseProblem(name) 
 // Aliases for the per-query bookkeeping types the facade surfaces, so
 // callers can name them without importing internal packages.
 type (
-	// UpdateStats reports the cost of one applied update.
-	UpdateStats = dsa.UpdateStats
 	// PreprocessStats reports the complementary-information build cost.
 	PreprocessStats = dsa.PreprocessStats
 	// SiteWork summarises one site's contribution to an answer.
@@ -196,14 +193,6 @@ func (c *Client) StoreStats() StoreStats {
 	return c.ds.Snapshot().stats
 }
 
-// Refresh recollects the planner stats from the current store — the
-// escape hatch for stores mutated out-of-band through the legacy
-// in-place dsa update methods (batches applied through the facade
-// refresh automatically).
-func (c *Client) Refresh() {
-	c.ds.refreshStats()
-}
-
 // Plan resolves the engine the planner would choose for a request
 // against the client's current stats, without running anything.
 func (c *Client) Plan(req Request) (Explain, error) {
@@ -237,40 +226,6 @@ func (c *Client) Epoch() uint64 {
 // Dataset.Apply for error semantics.
 func (c *Client) Apply(ctx context.Context, b *Batch) (ApplyResult, error) {
 	return c.ds.Apply(ctx, b)
-}
-
-// InsertEdge adds a directed edge with the given weight to the
-// fragment — the single-op convenience over Apply, with the same
-// non-blocking swap semantics. Errors wrap ErrUnknownSite,
-// ErrUnknownNode or ErrNegativeWeight.
-func (c *Client) InsertEdge(fragID, from, to int, weight float64) (UpdateStats, error) {
-	return c.applyOne(Insert(fragID, from, to, weight))
-}
-
-// DeleteEdge removes one occurrence of the exact (from, to, weight)
-// edge from the fragment — the inverse of InsertEdge. Errors
-// additionally wrap ErrEdgeNotFound and ErrEmptyFragment.
-func (c *Client) DeleteEdge(fragID, from, to int, weight float64) (UpdateStats, error) {
-	return c.applyOne(Delete(fragID, from, to, weight))
-}
-
-// applyOne applies a single-op batch, unwrapping the batch envelope to
-// the op's own typed error so the historical error shapes survive.
-func (c *Client) applyOne(op Op) (UpdateStats, error) {
-	var b Batch
-	res, err := c.ds.Apply(context.Background(), b.Add(op))
-	if err != nil {
-		var be *BatchError
-		if errors.As(err, &be) && len(be.Ops) == 1 {
-			return UpdateStats{}, be.Ops[0].Err
-		}
-		return UpdateStats{}, err
-	}
-	return UpdateStats{
-		RecomputedSets: res.Stats.RecomputedSets,
-		DijkstraRuns:   res.Stats.DijkstraRuns,
-		LocalOnly:      res.Stats.LocalOnly,
-	}, nil
 }
 
 // Connected reports whether target is reachable from source — the
@@ -308,7 +263,7 @@ func (c *Client) QueryPath(ctx context.Context, source, target int) (Answer, *Ro
 		return Answer{}, nil, canceledErr(ctx)
 	}
 	snap := c.ds.Snapshot()
-	res, route, err := snap.st.QueryPath(graph.NodeID(source), graph.NodeID(target))
+	res, route, err := snap.st.QueryPath(ctx, graph.NodeID(source), graph.NodeID(target))
 	if err != nil {
 		return Answer{}, nil, err
 	}

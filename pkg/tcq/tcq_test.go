@@ -201,10 +201,10 @@ func TestTypedErrors(t *testing.T) {
 	if _, err := c.Cost(ctx, 0, 1); err != nil {
 		t.Fatalf("Cost on connected pair: %v", err)
 	}
-	if _, err := c.InsertEdge(0, 0, 1, -2); !errors.Is(err, ErrNegativeWeight) {
+	if _, err := c.Apply(ctx, new(Batch).Insert(0, 0, 1, -2)); !errors.Is(err, ErrNegativeWeight) {
 		t.Fatalf("negative insert: got %v, want ErrNegativeWeight", err)
 	}
-	if _, err := c.InsertEdge(99, 0, 1, 1); !errors.Is(err, ErrUnknownSite) {
+	if _, err := c.Apply(ctx, new(Batch).Insert(99, 0, 1, 1)); !errors.Is(err, ErrUnknownSite) {
 		t.Fatalf("bad fragment: got %v, want ErrUnknownSite", err)
 	}
 
@@ -287,7 +287,7 @@ func TestUpdatesThroughClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	epoch := c.Epoch()
-	if _, err := c.InsertEdge(0, 0, 5, 0.01); err != nil {
+	if _, err := c.Apply(ctx, new(Batch).Insert(0, 0, 5, 0.01)); err != nil {
 		t.Fatal(err)
 	}
 	if c.Epoch() != epoch+1 {
