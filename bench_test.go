@@ -497,6 +497,70 @@ func BenchmarkBuildStore(b *testing.B) {
 	}
 }
 
+// BenchmarkApply times the write path on the two serving-benchmark
+// deployments: one transaction that inserts a heavy edge inside one
+// fragment and deletes it again (a new epoch, one rebuilt site, no
+// changed answer), each applied to the store the previous one produced,
+// as a serving node does. The touched site's dense kernel is primed, so
+// the write pays the pre-warm it pays behind a dense-engine server. Run
+// with -benchmem: B/op is what a write allocates.
+func BenchmarkApply(b *testing.B) {
+	deployments := []struct {
+		name  string
+		build func() (*fragment.Fragmentation, error)
+	}{
+		{"road", func() (*fragment.Fragmentation, error) {
+			g, sets, err := gen.RoadNetwork(gen.RoadConfigForEdges(200_000, 1))
+			if err != nil {
+				return nil, err
+			}
+			return fragment.New(g, sets)
+		}},
+		{"grid", func() (*fragment.Fragmentation, error) {
+			g, err := gen.Grid(gen.GridConfig{Width: 64, Height: 64, DiagonalProb: 0.1, Seed: 1})
+			if err != nil {
+				return nil, err
+			}
+			res, err := linear.Fragment(g, linear.Options{NumFragments: 8})
+			if err != nil {
+				return nil, err
+			}
+			return res.Fragmentation, nil
+		}},
+	}
+	for _, d := range deployments {
+		b.Run(d.name, func(b *testing.B) {
+			fr, err := d.build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			st, err := dsa.Build(fr, dsa.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			const frag = 1
+			if _, err := st.Site(frag).DenseKernel(); err != nil {
+				b.Fatal(err)
+			}
+			nodes := fr.Fragment(frag).Nodes()
+			e := graph.Edge{From: nodes[0], To: nodes[len(nodes)/2], Weight: 1e9}
+			ops := []dsa.EdgeOp{{Kind: dsa.OpInsert, Frag: frag, Edge: e}, {Kind: dsa.OpDelete, Frag: frag, Edge: e}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				next, stats, err := st.Apply(context.Background(), ops)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(stats.SitesRebuilt) != 1 {
+					b.Fatalf("SitesRebuilt = %v, want the one touched site", stats.SitesRebuilt)
+				}
+				st = next
+			}
+		})
+	}
+}
+
 // benchRunPair plans and runs one Dijkstra-engine pair on benchStore.
 func benchRunPair(src, dst graph.NodeID, parallel bool) (*dsa.Result, error) {
 	plan, err := benchStore.NewPlan(src, dst)

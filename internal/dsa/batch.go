@@ -143,7 +143,9 @@ type BatchStats struct {
 // applies them atomically, returning a NEW store at epoch+1. The
 // receiver is never modified: readers holding it keep a consistent
 // pre-batch view (copy-on-write snapshot semantics), and the two
-// stores structurally share every site the batch did not disturb.
+// stores structurally share everything the batch did not disturb —
+// sites, fragments, base adjacency lists, the membership table and the
+// disconnection-set table.
 //
 // Ops are validated in order against the progressively updated edge
 // sets, so a batch may delete an edge an earlier op of the same batch
@@ -151,16 +153,21 @@ type BatchStats struct {
 // every offending op with a typed per-op error, and nothing is
 // applied.
 //
-// Cost: one global preprocessing pass per batch (the complementary
-// tables must be recomputed — an edge change anywhere can move a
-// global shortest path between disconnection-set nodes — unless
-// compUnaffected proves otherwise), then a per-site rebuild ONLY for
-// fragments whose edge set or complementary tables changed. Every
-// batch still pays one O(V+E) base-graph rebuild and partition
-// re-validation; that term is memcpy-cheap next to the searches and
-// site preprocessing it replaces, and keeps fragment.New the single
-// authority on partition validity. ctx is observed between the global
-// searches; a canceled apply returns ErrCanceled with nothing applied.
+// Cost: what a batch pays is O(V) pointer copies (the new base graph's
+// node maps, graph.CloneShared), plus the touched fragments (a private
+// sorted copy of each one's edge set and node set, fragment.Patch),
+// plus the touched sites (subgraph, augmented graph and dense pre-warm
+// of every fragment whose edge set or complementary tables changed).
+// Nothing is proportional to E: untouched edge sets are never copied
+// and the partition is not re-validated, because each op edits the
+// base graph and exactly one edge set identically. On top of that come
+// the global searches when the complementary tables must be recomputed
+// — an edge change anywhere can move a global shortest path between
+// disconnection-set nodes — unless compUnaffected proves otherwise,
+// and one derivation of the disconnection sets when an op gave a node
+// its first edge in a fragment or took its last. ctx is observed
+// between the global searches; a canceled apply returns ErrCanceled
+// with nothing applied.
 func (st *Store) Apply(ctx context.Context, ops []EdgeOp) (*Store, BatchStats, error) {
 	stats := BatchStats{Ops: len(ops)}
 	if len(ops) == 0 {
@@ -172,11 +179,7 @@ func (st *Store) Apply(ctx context.Context, ops []EdgeOp) (*Store, BatchStats, e
 	// Phase 1: validate every op against the working edge sets,
 	// collecting all refusals rather than stopping at the first — the
 	// caller (e.g. the HTTP batch endpoint) reports them per op.
-	sets := make([][]graph.Edge, n)
-	for i, f := range st.fr.Fragments() {
-		sets[i] = append([]graph.Edge(nil), f.Edges...)
-	}
-	changed := make([]bool, n)
+	patch := st.fr.NewPatch()
 	var opErrs []*OpError
 	refuse := func(i int, op EdgeOp, err error) {
 		opErrs = append(opErrs, &OpError{Index: i, Op: op, Err: err})
@@ -196,26 +199,17 @@ func (st *Store) Apply(ctx context.Context, ops []EdgeOp) (*Store, BatchStats, e
 				refuse(i, op, fmt.Errorf("dsa: %w %v", ErrNegativeWeight, op.Edge.Weight))
 				continue
 			}
-			sets[op.Frag] = append(sets[op.Frag], op.Edge)
-			changed[op.Frag] = true
+			patch.Insert(op.Frag, op.Edge)
 		case OpDelete:
-			found := -1
-			for j, fe := range sets[op.Frag] {
-				if fe == op.Edge {
-					found = j
-					break
-				}
-			}
-			if found < 0 {
+			if !patch.Contains(op.Frag, op.Edge) {
 				refuse(i, op, fmt.Errorf("dsa: %w: edge %v not in fragment %d", ErrEdgeNotFound, op.Edge, op.Frag))
 				continue
 			}
-			if len(sets[op.Frag]) == 1 {
+			if patch.Size(op.Frag) == 1 {
 				refuse(i, op, fmt.Errorf("dsa: %w: deleting %v would empty fragment %d", ErrEmptyFragment, op.Edge, op.Frag))
 				continue
 			}
-			sets[op.Frag] = append(sets[op.Frag][:found], sets[op.Frag][found+1:]...)
-			changed[op.Frag] = true
+			patch.Delete(op.Frag, op.Edge)
 		default:
 			refuse(i, op, fmt.Errorf("dsa: unknown op kind %d (want OpInsert or OpDelete)", int(op.Kind)))
 		}
@@ -224,22 +218,14 @@ func (st *Store) Apply(ctx context.Context, ops []EdgeOp) (*Store, BatchStats, e
 		return nil, stats, &BatchError{Ops: opErrs}
 	}
 
-	// Phase 2: rebuild the base graph (the node set is invariant —
-	// inserts require existing endpoints, deletes never drop nodes) and
-	// re-validate the partition.
-	newBase := graph.New()
-	for _, id := range base.Nodes() {
-		newBase.AddNode(id, base.Coord(id))
-	}
-	for _, s := range sets {
-		for _, fe := range s {
-			newBase.AddEdge(fe)
-		}
-	}
-	fr, err := fragment.New(newBase, sets)
+	// Phase 2: patch the fragmentation and its base graph (the node set
+	// is invariant — inserts require existing endpoints, deletes never
+	// drop nodes).
+	fr, err := patch.Apply()
 	if err != nil {
 		return nil, stats, err
 	}
+	newBase := fr.Base()
 
 	// Phase 3: refresh the complementary information. The general case
 	// recomputes it globally — any edge change can move a global
@@ -249,39 +235,35 @@ func (st *Store) Apply(ctx context.Context, ops []EdgeOp) (*Store, BatchStats, e
 	// update's cost scale with the touched fragments instead of the
 	// graph.
 	dss := fr.DisconnectionSets()
+	next := &Store{
+		fr:        fr,
+		problem:   st.problem,
+		maxChains: st.maxChains,
+		epoch:     st.epoch + 1,
+	}
 	var comp map[fragment.Pair]*CompInfo
-	var runs int
-	if st.compUnaffected(ops, dss) {
-		comp = st.currentComp()
+	if st.compUnaffected(ops, fr) {
+		comp = st.CompTables()
+		next.compMaxCost, next.compAllPairs = st.compMaxCost, st.compAllPairs
 	} else {
-		comp, runs, err = computeComp(ctx, newBase, dss, st.problem)
+		comp, stats.DijkstraRuns, err = computeComp(ctx, newBase, dss, st.problem)
 		if err != nil {
 			return nil, stats, err
 		}
+		next.compMaxCost, next.compAllPairs = compBounds(comp)
 		stats.RecomputedSets = len(dss)
 	}
-	stats.DijkstraRuns = runs
 	stats.LocalOnly = len(dss) == 0
+	next.prep = PreprocessStats{DijkstraRuns: stats.DijkstraRuns, DisconnectionSets: len(dss)}
 
 	// Phase 4: assemble the next store, sharing every site whose edge
 	// set AND complementary tables are unchanged — for those, the
 	// augmented graph, the relational snapshot and the (possibly
 	// already built) dense CSR kernel carry over by pointer.
-	next := &Store{
-		fr:        fr,
-		fg:        fr.FragmentationGraph(),
-		problem:   st.problem,
-		maxChains: st.maxChains,
-		epoch:     st.epoch + 1,
-		prep: PreprocessStats{
-			DijkstraRuns:      runs,
-			DisconnectionSets: len(dss),
-		},
-	}
 	shared := fr.SharedNodes()
 	for _, f := range fr.Fragments() {
 		var site *Site
-		if !changed[f.ID] && siteCompUnchanged(st.sites[f.ID], f.ID, comp) {
+		if !patch.Touched(f.ID) && siteCompUnchanged(st.sites[f.ID], f.ID, comp) {
 			site = st.sites[f.ID]
 			stats.SitesShared++
 		} else {
@@ -325,66 +307,49 @@ func (st *Store) Apply(ctx context.Context, ops []EdgeOp) (*Store, BatchStats, e
 //
 // Any failed obligation falls back to the full recomputation; the
 // fast path is an optimisation, never a semantic change (the
-// incremental-vs-fresh-build property tests cover both routes).
-func (st *Store) compUnaffected(ops []EdgeOp, newDss map[fragment.Pair][]graph.NodeID) bool {
-	oldDss := st.fr.DisconnectionSets()
-	if len(newDss) != len(oldDss) {
+// incremental-vs-fresh-build property tests cover both routes). The
+// two facts about the current tables the obligations need — the
+// largest stored cost and whether every ordered pair has one — are the
+// store's compMaxCost and compAllPairs, computed with the tables.
+func (st *Store) compUnaffected(ops []EdgeOp, next *fragment.Fragmentation) bool {
+	if !next.SameDisconnectionSets(st.fr) {
 		return false
-	}
-	for p, nodes := range newDss {
-		old, ok := oldDss[p]
-		if !ok || len(old) != len(nodes) {
-			return false
-		}
-		for i, n := range nodes {
-			if old[i] != n {
-				return false
-			}
-		}
-	}
-	maxCost := 0.0
-	allPairsPresent := true
-	for _, site := range st.sites {
-		for _, ci := range site.Comp {
-			n := len(ci.Nodes)
-			if len(ci.Cost) != n*(n-1) {
-				allPairsPresent = false
-			}
-			for _, c := range ci.Cost {
-				if c > maxCost {
-					maxCost = c
-				}
-			}
-		}
 	}
 	for _, op := range ops {
 		switch {
 		case op.Kind == OpInsert:
-			if !allPairsPresent {
+			if !st.compAllPairs {
 				return false
 			}
-			if st.problem == ProblemShortestPath && op.Edge.Weight <= maxCost {
+			if st.problem == ProblemShortestPath && op.Edge.Weight <= st.compMaxCost {
 				return false
 			}
 		case st.problem != ProblemShortestPath:
 			return false // reachability delete: no safe bound
-		case op.Edge.Weight <= maxCost:
+		case op.Edge.Weight <= st.compMaxCost:
 			return false
 		}
 	}
 	return true
 }
 
-// currentComp collects the store's complementary tables (each stored
-// at two sites; the pointers coincide, so the map is small).
-func (st *Store) currentComp() map[fragment.Pair]*CompInfo {
-	comp := make(map[fragment.Pair]*CompInfo)
-	for _, site := range st.sites {
-		for p, ci := range site.Comp {
-			comp[p] = ci
+// compBounds returns the largest cost any complementary table stores
+// and whether every table stores a cost for every ordered pair of its
+// disconnection set.
+func compBounds(comp map[fragment.Pair]*CompInfo) (maxCost float64, allPairs bool) {
+	allPairs = true
+	for _, ci := range comp {
+		n := len(ci.Nodes)
+		if len(ci.Cost) != n*(n-1) {
+			allPairs = false
+		}
+		for _, c := range ci.Cost {
+			if c > maxCost {
+				maxCost = c
+			}
 		}
 	}
-	return comp
+	return maxCost, allPairs
 }
 
 // siteCompUnchanged reports whether the complementary tables a
@@ -409,8 +374,13 @@ func siteCompUnchanged(old *Site, fragID int, comp map[fragment.Pair]*CompInfo) 
 }
 
 // compEqual reports whether two complementary tables carry identical
-// node sets and cost maps.
+// node sets and cost maps. A batch that left the tables alone hands
+// back the very tables the old sites hold, so the usual answer is the
+// pointer comparison.
 func compEqual(a, b *CompInfo) bool {
+	if a == b {
+		return true
+	}
 	if len(a.Nodes) != len(b.Nodes) || len(a.Cost) != len(b.Cost) {
 		return false
 	}

@@ -2,6 +2,7 @@ package dsa
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -172,6 +173,22 @@ func TestPlanBorderNodeQuery(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("chains %v missing [1 2]", p.Chains)
+	}
+}
+
+// TestPlanKeysRendering pins the two key renderings planning relies on:
+// chains sort and deduplicate by exactly what fmt.Sprint prints (the
+// order plans list chains in breaks BestChain ties), and leg keys keep
+// their "site|entry,|exit," form.
+func TestPlanKeysRendering(t *testing.T) {
+	for _, chain := range [][]int{{0}, {3, 12, 7}, {10, 9}, {}} {
+		if got, want := chainKey(chain), fmt.Sprint(chain); got != want {
+			t.Errorf("chainKey(%v) = %q, want %q", chain, got, want)
+		}
+	}
+	leg := Leg{SiteID: 12, Entry: []graph.NodeID{3, 40}, Exit: []graph.NodeID{-5}}
+	if got, want := leg.key(), "12|3,40,|-5,"; got != want {
+		t.Errorf("leg key = %q, want %q", got, want)
 	}
 }
 

@@ -58,7 +58,6 @@ func Restore(fr *fragment.Fragmentation, comp map[fragment.Pair]*CompInfo, opt O
 	}
 	st := &Store{
 		fr:        fr,
-		fg:        fr.FragmentationGraph(),
 		maxChains: opt.MaxChains,
 		problem:   opt.Problem,
 		epoch:     epoch,
@@ -88,6 +87,7 @@ func Restore(fr *fragment.Fragmentation, comp map[fragment.Pair]*CompInfo, opt O
 		}()
 	}
 	wg.Wait()
+	st.compMaxCost, st.compAllPairs = compBounds(st.CompTables())
 	return st, nil
 }
 

@@ -3,7 +3,7 @@ package dsa
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/graph"
 )
@@ -24,16 +24,32 @@ type Leg struct {
 
 // key returns a deduplication key for the leg.
 func (l Leg) key() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d|", l.SiteID)
-	for _, n := range l.Entry {
-		fmt.Fprintf(&sb, "%d,", n)
+	b := make([]byte, 0, 16+8*(len(l.Entry)+len(l.Exit)))
+	b = append(strconv.AppendInt(b, int64(l.SiteID), 10), '|')
+	b = append(appendNodeList(b, l.Entry), '|')
+	return string(appendNodeList(b, l.Exit))
+}
+
+// appendNodeList appends each ID in decimal followed by a comma.
+func appendNodeList(b []byte, ids []graph.NodeID) []byte {
+	for _, n := range ids {
+		b = append(strconv.AppendInt(b, int64(n), 10), ',')
 	}
-	sb.WriteByte('|')
-	for _, n := range l.Exit {
-		fmt.Fprintf(&sb, "%d,", n)
+	return b
+}
+
+// chainKey renders a chain exactly as fmt.Sprint does ("[0 3 7]"): the
+// dedup key of chain enumeration and, compared as strings, the order
+// plans list chains in — which is what breaks BestChain ties.
+func chainKey(chain []int) string {
+	b := append(make([]byte, 0, 2+4*len(chain)), '[')
+	for i, f := range chain {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(f), 10)
 	}
-	return sb.String()
+	return string(append(b, ']'))
 }
 
 // Plan is the fragment-level strategy for one source/target query: the
@@ -91,10 +107,12 @@ func (st *Store) NewPlan(source, target graph.NodeID) (*Plan, error) {
 			p.Chains = append(p.Chains, []int{f})
 		}
 	} else {
-		seen := make(map[string]struct{})
+		fg := st.fr.FragmentationGraph()
+		byKey := make(map[string][]int)
+		var keys []string
 		for _, fs := range srcFrags {
 			for _, ft := range dstFrags {
-				chains, err := st.fg.Chains(fs, ft, st.maxChains)
+				chains, err := fg.Chains(fs, ft, st.maxChains)
 				if err != nil {
 					return nil, err
 				}
@@ -102,18 +120,19 @@ func (st *Store) NewPlan(source, target graph.NodeID) (*Plan, error) {
 					p.Truncated = true
 				}
 				for _, c := range chains {
-					k := fmt.Sprint(c)
-					if _, dup := seen[k]; dup {
+					k := chainKey(c)
+					if _, dup := byKey[k]; dup {
 						continue
 					}
-					seen[k] = struct{}{}
-					p.Chains = append(p.Chains, c)
+					byKey[k] = c
+					keys = append(keys, k)
 				}
 			}
 		}
-		sort.Slice(p.Chains, func(i, j int) bool {
-			return fmt.Sprint(p.Chains[i]) < fmt.Sprint(p.Chains[j])
-		})
+		sort.Strings(keys)
+		for _, k := range keys {
+			p.Chains = append(p.Chains, byKey[k])
+		}
 	}
 	if len(p.Chains) == 0 {
 		// No chain connects the fragments: the nodes are in different

@@ -100,12 +100,6 @@ type Site struct {
 	densePrimed atomic.Bool
 }
 
-// denseKernel returns the site's CSR snapshot, building it on first
-// use. Construction fails on input the kernel cannot serve — notably
-// negative edge weights, which graph files may carry — and the error
-// is memoized and surfaced per query, exactly like the semi-naive
-// engine's refusal (a worker-goroutine panic would kill the serving
-// daemon).
 // rel returns the augmented subgraph as an edge relation, building it
 // on first use. Safe for concurrent callers (sync.Once).
 func (s *Site) rel() *relation.Relation {
@@ -115,6 +109,12 @@ func (s *Site) rel() *relation.Relation {
 	return s.localRel
 }
 
+// denseKernel returns the site's CSR snapshot, building it on first
+// use. Construction fails on input the kernel cannot serve — notably
+// negative edge weights, which graph files may carry — and the error
+// is memoized and surfaced per query, exactly like the semi-naive
+// engine's refusal (a worker-goroutine panic would kill the serving
+// daemon).
 func (s *Site) denseKernel() (*tc.DenseGraph, error) {
 	s.denseOnce.Do(func() {
 		defer s.densePrimed.Store(true)
@@ -200,10 +200,16 @@ func ParseProblem(name string) (Problem, error) {
 // store pointer atomically instead of locking readers out.
 type Store struct {
 	fr      *fragment.Fragmentation
-	fg      *fragment.FragGraph
 	sites   []*Site
 	prep    PreprocessStats
 	problem Problem
+	// compMaxCost is the largest cost any complementary table stores and
+	// compAllPairs whether every table has a cost for every ordered pair
+	// of its disconnection set — what Apply's fast route (compUnaffected)
+	// needs to know about the tables, computed where they are
+	// (compBounds) instead of rescanned on every batch.
+	compMaxCost  float64
+	compAllPairs bool
 	// maxChains bounds chain enumeration for cyclic fragmentation
 	// graphs; 0 means unlimited.
 	maxChains int
@@ -241,7 +247,7 @@ func Build(fr *fragment.Fragmentation, opt Options) (*Store, error) {
 	if opt.Problem != ProblemShortestPath && opt.Problem != ProblemReachability {
 		return nil, fmt.Errorf("dsa: %w %d", ErrUnknownProblem, opt.Problem)
 	}
-	st := &Store{fr: fr, fg: fr.FragmentationGraph(), maxChains: opt.MaxChains, problem: opt.Problem}
+	st := &Store{fr: fr, maxChains: opt.MaxChains, problem: opt.Problem}
 	base := fr.Base()
 
 	dss := fr.DisconnectionSets()
@@ -252,6 +258,7 @@ func Build(fr *fragment.Fragmentation, opt Options) (*Store, error) {
 		return nil, err
 	}
 	st.prep.DijkstraRuns = runs
+	st.compMaxCost, st.compAllPairs = compBounds(comp)
 
 	shared := fr.SharedNodes()
 	for _, f := range fr.Fragments() {
@@ -423,7 +430,7 @@ func (st *Store) Preprocessing() PreprocessStats { return st.prep }
 // LooselyConnected reports whether the deployed fragmentation graph is
 // acyclic, the precondition for single-chain planning and exact
 // answers.
-func (st *Store) LooselyConnected() bool { return st.fg.IsLooselyConnected() }
+func (st *Store) LooselyConnected() bool { return st.fr.FragmentationGraph().IsLooselyConnected() }
 
 // Problem returns the path problem the store was precomputed for.
 func (st *Store) Problem() Problem { return st.problem }

@@ -2,7 +2,6 @@ package fragment
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -14,18 +13,9 @@ type FragGraph struct {
 	adj map[int][]int
 }
 
-// FragmentationGraph builds G' from the fragmentation.
-func (fr *Fragmentation) FragmentationGraph() *FragGraph {
-	fg := &FragGraph{n: len(fr.frags), adj: make(map[int][]int)}
-	for p := range fr.DisconnectionSets() {
-		fg.adj[p.I] = append(fg.adj[p.I], p.J)
-		fg.adj[p.J] = append(fg.adj[p.J], p.I)
-	}
-	for i := range fg.adj {
-		sort.Ints(fg.adj[i])
-	}
-	return fg
-}
+// FragmentationGraph returns G' of the fragmentation. A FragGraph is
+// immutable; the fragmentation and those patched from it share it.
+func (fr *Fragmentation) FragmentationGraph() *FragGraph { return fr.meet.fg }
 
 // NumFragments returns the number of fragmentation-graph nodes.
 func (fg *FragGraph) NumFragments() int { return fg.n }

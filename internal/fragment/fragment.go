@@ -12,7 +12,9 @@
 package fragment
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -23,29 +25,42 @@ import (
 type Fragment struct {
 	// ID is the fragment's index within its fragmentation.
 	ID int
-	// Edges are the fragment's edges in deterministic order.
+	// Edges are the fragment's edges in deterministic (From, To,
+	// Weight) order. Fragments are immutable once built: an update
+	// replaces a touched fragment (Patch) and shares the rest.
 	Edges []graph.Edge
-	// nodes is the induced node set.
-	nodes map[graph.NodeID]struct{}
+	// nodes is the induced node set, each node mapped to the number of
+	// edge endpoints the fragment has at it (a self-loop counts twice).
+	// The count is what lets a Patch tell that an edit took a node's
+	// last edge here, or gave it its first, without rescanning Edges.
+	nodes map[graph.NodeID]int32
+}
+
+// edgeCmp is the deterministic (From, To, Weight) edge order.
+func edgeCmp(a, b graph.Edge) int {
+	if c := cmp.Compare(a.From, b.From); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.To, b.To); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Weight, b.Weight)
 }
 
 // newFragment builds a fragment from its edge set.
 func newFragment(id int, edges []graph.Edge) *Fragment {
-	f := &Fragment{ID: id, Edges: append([]graph.Edge(nil), edges...)}
-	sort.Slice(f.Edges, func(i, j int) bool {
-		a, b := f.Edges[i], f.Edges[j]
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		if a.To != b.To {
-			return a.To < b.To
-		}
-		return a.Weight < b.Weight
-	})
-	f.nodes = make(map[graph.NodeID]struct{})
-	for _, e := range f.Edges {
-		f.nodes[e.From] = struct{}{}
-		f.nodes[e.To] = struct{}{}
+	sorted := slices.Clone(edges)
+	slices.SortFunc(sorted, edgeCmp)
+	return adoptFragment(id, sorted)
+}
+
+// adoptFragment builds a fragment around edges already in deterministic
+// order, without copying them.
+func adoptFragment(id int, edges []graph.Edge) *Fragment {
+	f := &Fragment{ID: id, Edges: edges, nodes: make(map[graph.NodeID]int32)}
+	for _, e := range edges {
+		f.nodes[e.From]++
+		f.nodes[e.To]++
 	}
 	return f
 }
@@ -88,7 +103,9 @@ func (f *Fragment) Subgraph(base *graph.Graph) *graph.Graph {
 	return base.Subgraph(f.Edges)
 }
 
-// Fragmentation is a validated partition of a graph's edges.
+// Fragmentation is a validated partition of a graph's edges. It is
+// immutable: an update produces a new Fragmentation (Patch) that shares
+// every part the update did not reach with the one it came from.
 type Fragmentation struct {
 	base  *graph.Graph
 	frags []*Fragment
@@ -96,6 +113,64 @@ type Fragmentation struct {
 	// induced node set contains it; nodes in ≥ 2 fragments are exactly
 	// the disconnection-set nodes.
 	byNode map[graph.NodeID][]int
+	// meet is everything byNode implies about how the fragments meet,
+	// built once per membership (see newMeeting).
+	meet *meeting
+}
+
+// meeting is how the fragments of a fragmentation meet each other: the
+// disconnection sets, their union, and the fragmentation graph. All
+// three are functions of byNode alone, so a fragmentation derives them
+// once and a Patch that changes no node's fragment membership carries
+// the pointer over.
+type meeting struct {
+	ds     map[Pair][]graph.NodeID
+	shared map[graph.NodeID]bool
+	fg     *FragGraph
+}
+
+// newMeeting derives the disconnection sets, the shared-node set and
+// the fragmentation graph of n fragments from the membership table.
+func newMeeting(n int, byNode map[graph.NodeID][]int) *meeting {
+	m := &meeting{
+		ds:     make(map[Pair][]graph.NodeID),
+		shared: make(map[graph.NodeID]bool),
+		fg:     &FragGraph{n: n, adj: make(map[int][]int)},
+	}
+	for id, fs := range byNode {
+		if len(fs) < 2 {
+			continue
+		}
+		m.shared[id] = true
+		for a := 0; a < len(fs); a++ {
+			for b := a + 1; b < len(fs); b++ {
+				p := Pair{I: fs[a], J: fs[b]}
+				m.ds[p] = append(m.ds[p], id)
+			}
+		}
+	}
+	for p, nodes := range m.ds {
+		graph.SortNodeIDs(nodes)
+		m.fg.adj[p.I] = append(m.fg.adj[p.I], p.J)
+		m.fg.adj[p.J] = append(m.fg.adj[p.J], p.I)
+	}
+	for i := range m.fg.adj {
+		sort.Ints(m.fg.adj[i])
+	}
+	return m
+}
+
+// assemble builds the Fragmentation over fragments whose edge sets are
+// known to partition g's edges.
+func assemble(g *graph.Graph, frags []*Fragment) *Fragmentation {
+	fr := &Fragmentation{base: g, frags: frags, byNode: make(map[graph.NodeID][]int)}
+	for _, f := range frags {
+		for id := range f.nodes {
+			fr.byNode[id] = append(fr.byNode[id], f.ID)
+		}
+	}
+	fr.meet = newMeeting(len(frags), fr.byNode)
+	return fr
 }
 
 // New validates that the edge sets form an exact partition of g's edges
@@ -114,7 +189,7 @@ func New(g *graph.Graph, edgeSets [][]graph.Edge) (*Fragmentation, error) {
 	for _, e := range g.Edges() {
 		remaining[e]++
 	}
-	fr := &Fragmentation{base: g, byNode: make(map[graph.NodeID][]int)}
+	frags := make([]*Fragment, 0, len(edgeSets))
 	for i, edges := range edgeSets {
 		if len(edges) == 0 {
 			return nil, fmt.Errorf("fragment: fragment %d is empty", i)
@@ -125,22 +200,14 @@ func New(g *graph.Graph, edgeSets [][]graph.Edge) (*Fragmentation, error) {
 			}
 			remaining[e]--
 		}
-		fr.frags = append(fr.frags, newFragment(i, edges))
+		frags = append(frags, newFragment(i, edges))
 	}
 	for e, n := range remaining {
 		if n > 0 {
 			return nil, fmt.Errorf("fragment: edge %v not assigned to any fragment", e)
 		}
 	}
-	for _, f := range fr.frags {
-		for id := range f.nodes {
-			fr.byNode[id] = append(fr.byNode[id], f.ID)
-		}
-	}
-	for id := range fr.byNode {
-		sort.Ints(fr.byNode[id])
-	}
-	return fr, nil
+	return assemble(g, frags), nil
 }
 
 // Restore builds a Fragmentation from edge sets already known to
@@ -158,27 +225,14 @@ func Restore(g *graph.Graph, edgeSets [][]graph.Edge) (*Fragmentation, error) {
 	if len(edgeSets) == 0 {
 		return nil, fmt.Errorf("fragment: no fragments")
 	}
-	fr := &Fragmentation{base: g, byNode: make(map[graph.NodeID][]int)}
+	frags := make([]*Fragment, 0, len(edgeSets))
 	for i, edges := range edgeSets {
 		if len(edges) == 0 {
 			return nil, fmt.Errorf("fragment: fragment %d is empty", i)
 		}
-		f := &Fragment{ID: i, Edges: edges, nodes: make(map[graph.NodeID]struct{})}
-		for _, e := range edges {
-			f.nodes[e.From] = struct{}{}
-			f.nodes[e.To] = struct{}{}
-		}
-		fr.frags = append(fr.frags, f)
+		frags = append(frags, adoptFragment(i, edges))
 	}
-	for _, f := range fr.frags {
-		for id := range f.nodes {
-			fr.byNode[id] = append(fr.byNode[id], f.ID)
-		}
-	}
-	for id := range fr.byNode {
-		sort.Ints(fr.byNode[id])
-	}
-	return fr, nil
+	return assemble(g, frags), nil
 }
 
 // Base returns the fragmented graph.
@@ -202,16 +256,10 @@ func (fr *Fragmentation) FragmentsOf(id graph.NodeID) []int { return fr.byNode[i
 // fragments — the union of every disconnection set. A node outside the
 // set has all of its base-graph edges inside its single fragment,
 // which is what lets the site builder share the base adjacency lists
-// for such nodes instead of re-deriving them.
-func (fr *Fragmentation) SharedNodes() map[graph.NodeID]bool {
-	shared := make(map[graph.NodeID]bool)
-	for id, fs := range fr.byNode {
-		if len(fs) > 1 {
-			shared[id] = true
-		}
-	}
-	return shared
-}
+// for such nodes instead of re-deriving them. The set is the
+// fragmentation's own, shared with every caller and with the
+// fragmentations patched from this one: read-only.
+func (fr *Fragmentation) SharedNodes() map[graph.NodeID]bool { return fr.meet.shared }
 
 // Pair identifies an unordered fragment pair with I < J.
 type Pair struct{ I, J int }
@@ -227,26 +275,31 @@ func MakePair(a, b int) Pair {
 // DisconnectionSets returns every non-empty DS_ij = V_i ∩ V_j as a
 // sorted node list, keyed by the normalised pair. Complementary
 // information in the disconnection set approach is precomputed exactly
-// for these node sets.
-func (fr *Fragmentation) DisconnectionSets() map[Pair][]graph.NodeID {
-	ds := make(map[Pair][]graph.NodeID)
-	for id, fs := range fr.byNode {
-		for a := 0; a < len(fs); a++ {
-			for b := a + 1; b < len(fs); b++ {
-				p := Pair{I: fs[a], J: fs[b]}
-				ds[p] = append(ds[p], id)
-			}
-		}
-	}
-	for p := range ds {
-		graph.SortNodeIDs(ds[p])
-	}
-	return ds
+// for these node sets. The table is the fragmentation's own, shared
+// with every caller and with the fragmentations patched from this one:
+// neither the map nor its node lists may be modified.
+func (fr *Fragmentation) DisconnectionSets() map[Pair][]graph.NodeID { return fr.meet.ds }
+
+// DisconnectionSet returns DS_ij (sorted, read-only), or nil if empty.
+func (fr *Fragmentation) DisconnectionSet(a, b int) []graph.NodeID {
+	return fr.meet.ds[MakePair(a, b)]
 }
 
-// DisconnectionSet returns DS_ij (sorted), or nil if empty.
-func (fr *Fragmentation) DisconnectionSet(a, b int) []graph.NodeID {
-	return fr.DisconnectionSets()[MakePair(a, b)]
+// SameDisconnectionSets reports whether fr and o have the same
+// disconnection sets — the same pairs with the same node lists.
+func (fr *Fragmentation) SameDisconnectionSets(o *Fragmentation) bool {
+	if fr.meet == o.meet {
+		return true
+	}
+	if len(fr.meet.ds) != len(o.meet.ds) {
+		return false
+	}
+	for p, nodes := range fr.meet.ds {
+		if !slices.Equal(nodes, o.meet.ds[p]) {
+			return false
+		}
+	}
+	return true
 }
 
 // BorderNodes returns the nodes of fragment i shared with any other

@@ -118,6 +118,62 @@ func TestFragmentsOfAndBorderNodes(t *testing.T) {
 	}
 }
 
+// TestPatch walks the patch API on the two-triangle graph: edits are
+// visible to the patch as they are made, the patched fragmentation has
+// them in edge order and in its base graph, the fragmentation it came
+// from has none of them, and a patch that empties a fragment is
+// refused. (Equality with a from-scratch New over random edit series is
+// internal/dsa's structural oracle.)
+func TestPatch(t *testing.T) {
+	g, sets := twoCluster()
+	fr, err := New(g, sets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add := graph.Edge{From: 0, To: 4, Weight: 2} // pulls 4 into fragment 0
+	gone := graph.Edge{From: 3, To: 4, Weight: 1}
+	p := fr.NewPatch()
+	if p.Touched(0) || p.Size(0) != 3 || p.Contains(0, add) || !p.Contains(1, gone) {
+		t.Fatal("a fresh patch must mirror the fragmentation")
+	}
+	p.Insert(0, add)
+	if !p.Touched(0) || p.Touched(1) || p.Size(0) != 4 || !p.Contains(0, add) {
+		t.Error("insert not visible to the patch")
+	}
+	if p.Delete(0, gone) {
+		t.Error("deleted an edge of another fragment")
+	}
+	if !p.Delete(1, gone) || p.Contains(1, gone) || p.Size(1) != 2 {
+		t.Error("delete not visible to the patch")
+	}
+	next, err := p.Apply()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantEdges := []graph.Edge{{From: 0, To: 1, Weight: 1}, add, {From: 1, To: 2, Weight: 1}, {From: 2, To: 0, Weight: 1}}
+	if !reflect.DeepEqual(next.Fragment(0).Edges, wantEdges) {
+		t.Errorf("patched fragment 0 = %v, want %v", next.Fragment(0).Edges, wantEdges)
+	}
+	if got := next.DisconnectionSet(0, 1); !reflect.DeepEqual(got, []graph.NodeID{2, 4}) {
+		t.Errorf("patched DS01 = %v, want [2 4]", got)
+	}
+	if !next.Base().HasEdge(0, 4) || next.Base().HasEdge(3, 4) || next.Base().NumEdges() != 6 {
+		t.Errorf("patched base = %v", next.Base().Edges())
+	}
+	if fr.Fragment(0).Size() != 3 || fr.Base().HasEdge(0, 4) || !fr.Base().HasEdge(3, 4) ||
+		!reflect.DeepEqual(fr.DisconnectionSet(0, 1), []graph.NodeID{2}) {
+		t.Error("patching changed the fragmentation it started from")
+	}
+
+	q := fr.NewPatch()
+	for _, e := range sets[1] {
+		q.Delete(1, e)
+	}
+	if _, err := q.Apply(); err == nil {
+		t.Error("a patch that empties fragment 1 was accepted")
+	}
+}
+
 func TestMakePair(t *testing.T) {
 	if MakePair(3, 1) != (Pair{I: 1, J: 3}) {
 		t.Error("MakePair should normalise")

@@ -14,6 +14,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -110,6 +111,35 @@ func (g *Graph) AddEdge(e Edge) {
 	g.out[e.From] = append(g.out[e.From], e)
 	g.in[e.To] = append(g.in[e.To], e)
 	g.edges++
+}
+
+// RemoveEdge deletes one occurrence of an exactly matching edge and
+// reports whether there was one. The two adjacency lists it shortens
+// are replaced by fresh copies, never edited in place, so on a
+// CloneShared clone the graph it was cloned from keeps every list it
+// had — with AddEdge (whose append reallocates a clamped list) this is
+// the copy-on-write edge edit the incremental write path is built on:
+// a clone plus k edits costs the clone plus the touched endpoints'
+// lists, and shares everything else.
+func (g *Graph) RemoveEdge(e Edge) bool {
+	out, ok := withoutEdge(g.out[e.From], e)
+	if !ok {
+		return false
+	}
+	g.out[e.From] = out
+	g.in[e.To], _ = withoutEdge(g.in[e.To], e)
+	g.edges--
+	return true
+}
+
+// withoutEdge returns a copy of es lacking the first occurrence of e,
+// and whether e occurred.
+func withoutEdge(es []Edge, e Edge) ([]Edge, bool) {
+	i := slices.Index(es, e)
+	if i < 0 {
+		return es, false
+	}
+	return slices.Concat(es[:i], es[i+1:]), true
 }
 
 // InstallNode adds node id with coordinates c and its complete

@@ -274,6 +274,39 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestSharedCloneEditsAreCopyOnWrite: AddEdge and RemoveEdge on a
+// CloneShared clone never reach the graph it was cloned from, even
+// where the original's lists have spare capacity, and leave the lists
+// of other nodes shared.
+func TestSharedCloneEditsAreCopyOnWrite(t *testing.T) {
+	g := line(4)
+	dup := Edge{From: 1, To: 2, Weight: 1}
+	g.AddEdge(dup) // a parallel edge; its list now has spare capacity
+	wantOut1 := append([]Edge(nil), g.Out(1)...)
+	wantIn2 := append([]Edge(nil), g.In(2)...)
+
+	c := g.CloneShared()
+	if !c.RemoveEdge(dup) {
+		t.Fatal("RemoveEdge did not find an existing edge")
+	}
+	c.AddEdge(Edge{From: 1, To: 3, Weight: 7})
+	if c.RemoveEdge(Edge{From: 1, To: 2, Weight: 9}) || c.RemoveEdge(Edge{From: 9, To: 2, Weight: 1}) {
+		t.Error("RemoveEdge reported an edge that is not there")
+	}
+	if c.NumEdges() != g.NumEdges() {
+		t.Errorf("clone has %d edges after one removal and one insert, want %d", c.NumEdges(), g.NumEdges())
+	}
+	if !c.HasEdge(1, 2) || !c.HasEdge(1, 3) || len(c.Out(1)) != 2 || len(c.In(2)) != 1 {
+		t.Errorf("clone: Out(1) = %v, In(2) = %v; want one 1→2 left and the new 1→3", c.Out(1), c.In(2))
+	}
+	if !reflect.DeepEqual(g.Out(1), wantOut1) || !reflect.DeepEqual(g.In(2), wantIn2) || g.HasEdge(1, 3) {
+		t.Errorf("original changed: Out(1) = %v, In(2) = %v", g.Out(1), g.In(2))
+	}
+	if &c.Out(0)[0] != &g.Out(0)[0] {
+		t.Error("the list of an unedited node was copied, not shared")
+	}
+}
+
 func TestSubgraph(t *testing.T) {
 	g := line(5)
 	g.AddNode(0, Coord{X: -1, Y: 7})

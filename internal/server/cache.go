@@ -2,8 +2,7 @@ package server
 
 import (
 	"container/list"
-	"fmt"
-	"strings"
+	"strconv"
 	"sync"
 
 	"repro/internal/dsa"
@@ -24,12 +23,13 @@ import (
 // likewise absent because a leg's full fact relation depends only on
 // the engine, letting cost and connectivity traffic share entries.
 func legKey(siteID int, entry []graph.NodeID, engine dsa.Engine) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s|%d|", engine, siteID)
+	b := make([]byte, 0, 24+8*len(entry))
+	b = append(append(b, engine.String()...), '|')
+	b = append(strconv.AppendInt(b, int64(siteID), 10), '|')
 	for _, n := range entry {
-		fmt.Fprintf(&sb, "%d,", n)
+		b = append(strconv.AppendInt(b, int64(n), 10), ',')
 	}
-	return sb.String()
+	return string(b)
 }
 
 // CacheStats is a point-in-time snapshot of the leg-result cache.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dsa"
 	"repro/internal/graph"
 	"repro/internal/relation"
 	"repro/internal/tc"
@@ -160,6 +161,11 @@ func TestLegKeyIgnoresExit(t *testing.T) {
 	// The separator must keep (12) and (1,2) apart.
 	if legKey(3, []graph.NodeID{12}, 0) == legKey(3, []graph.NodeID{1, 2}, 0) {
 		t.Error("ambiguous entry-set rendering")
+	}
+	// The rendering itself is pinned: cluster members and cached entries
+	// of an older build key the same leg the same way.
+	if got, want := legKey(3, []graph.NodeID{1, -22}, dsa.EngineDense), "dense|3|1,-22,"; got != want {
+		t.Errorf("legKey = %q, want %q", got, want)
 	}
 }
 

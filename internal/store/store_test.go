@@ -222,6 +222,81 @@ func TestRoundTripSurvivesApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameAnswers(t, next1, next2, g, 40, 3)
+
+	// The write path patches the fragmentation instead of rebuilding
+	// it; whatever it shares or edits, the snapshot of the patched store
+	// must be byte-identical to that of a store built from scratch over
+	// the same edge sets. Two more batches cover the routes the first
+	// (a cost-changing insert) does not: a heavy edge inserted and
+	// deleted again, which leaves the complementary tables alone, and a
+	// delete with an insert that pulls a node into another fragment.
+	far := next1.Fragmentation().Fragment(3).Nodes()[0]
+	for _, batch := range [][]dsa.EdgeOp{
+		ops[:0],
+		{
+			{Kind: dsa.OpInsert, Frag: 1, Edge: graph.Edge{From: 21, To: 25, Weight: 1e9}},
+			{Kind: dsa.OpDelete, Frag: 1, Edge: graph.Edge{From: 21, To: 25, Weight: 1e9}},
+		},
+		{
+			{Kind: dsa.OpDelete, Frag: 0, Edge: graph.Edge{From: 7, To: 0, Weight: 0.25}},
+			{Kind: dsa.OpInsert, Frag: 0, Edge: graph.Edge{From: 3, To: far, Weight: 0.5}},
+		},
+	} {
+		if len(batch) > 0 {
+			var stats dsa.BatchStats
+			if next1, stats, err = next1.Apply(t.Context(), batch); err != nil {
+				t.Fatal(err)
+			}
+			if heavy := batch[0].Edge.Weight == 1e9; heavy != (stats.DijkstraRuns == 0) {
+				t.Fatalf("epoch %d: %d global searches; only the heavy batch should skip them", next1.Epoch(), stats.DijkstraRuns)
+			}
+		}
+		patched, err := Encode(next1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch, err := Encode(rebuilt(t, next1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(patched, scratch) {
+			t.Fatalf("epoch %d: snapshot of the patched store differs from the from-scratch build's (%d vs %d bytes)", next1.Epoch(), len(patched), len(scratch))
+		}
+	}
+}
+
+// rebuilt builds st's deployment again from nothing but its edge sets —
+// a new base graph, fragment.New's validated partition, dsa.Build's
+// preprocessing — and stamps it with st's epoch and preprocessing
+// report, the two header fields an update history shows in.
+func rebuilt(t *testing.T, st *dsa.Store) *dsa.Store {
+	t.Helper()
+	old := st.Fragmentation()
+	nb := graph.New()
+	for _, id := range old.Base().Nodes() {
+		nb.AddNode(id, old.Base().Coord(id))
+	}
+	sets := make([][]graph.Edge, old.NumFragments())
+	for i, f := range old.Fragments() {
+		sets[i] = f.Edges
+		for _, e := range f.Edges {
+			nb.AddEdge(e)
+		}
+	}
+	fr, err := fragment.New(nb, sets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := dsa.Options{MaxChains: st.MaxChains(), Problem: st.Problem()}
+	fresh, err := dsa.Build(fr, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamped, err := dsa.Restore(fr, fresh.CompTables(), opt, st.Epoch(), st.Preprocessing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stamped
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {
