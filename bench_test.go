@@ -355,24 +355,10 @@ func BenchmarkGridReachableFromBitset(b *testing.B) {
 	}
 }
 
-// BenchmarkEngines regenerates the engine shoot-out table once and
-// times the sweep.
-func BenchmarkEngines(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := bench.Engines(2, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("engines", r.Format())
-	}
-}
-
 // BenchmarkCost times the two cost-capable per-leg engines on the
 // identical entry-set-restricted shortest-path cost subquery over the
 // 64×64 grid: the semi-naive relational min-cost fixpoint versus the
-// dense CSR + level-synchronous Bellman-Ford kernel. CI turns the two
-// ns/op lines into BENCH_cost.json and gates the dense/seminaive ratio
-// against the committed baseline (a >20% ns/op regression fails).
+// dense CSR + level-synchronous Bellman-Ford kernel.
 func BenchmarkCost(b *testing.B) {
 	rel := relation.FromGraph(benchGrid)
 	srcs := []graph.NodeID{0, 2080}
@@ -390,41 +376,6 @@ func BenchmarkCost(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkServing runs the concurrent query-serving experiment: an
-// in-process tcserver driven by the parallel load generator, cold leg
-// cache versus a warm replay. The warm/cold QPS ratio and the warm hit
-// rate are the serving-layer health metrics the CI perf artifact
-// (BENCH_serving.json) tracks across PRs.
-func BenchmarkServing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := bench.Serving(30, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("serving", r.Format())
-		var coldQPS, warmQPS, warmHit float64
-		for _, p := range r.Points {
-			if p.Errors > 0 || p.Mismatches > 0 {
-				b.Fatalf("serving pass %s/%s had %d errors, %d mismatches",
-					p.Engine, p.Pass, p.Errors, p.Mismatches)
-			}
-			if p.Engine != "dijkstra" {
-				continue
-			}
-			switch p.Pass {
-			case "cold":
-				coldQPS = p.QPS
-			case "warm":
-				warmQPS = p.QPS
-				warmHit = p.HitRate
-			}
-		}
-		b.ReportMetric(coldQPS, "coldQPS")
-		b.ReportMetric(warmQPS, "warmQPS")
-		b.ReportMetric(100*warmHit, "warmHit%")
-	}
 }
 
 // BenchmarkDijkstra times one single-source search.

@@ -1,6 +1,7 @@
 // Command tcbench regenerates every table and measured claim of the
-// ICDE'93 paper (-h lists the experiments; package internal/bench
-// documents each).
+// ICDE'93 paper (-h lists the tables and experiments; package
+// internal/bench documents each). Serving numbers are not measured
+// here: benchmarks/ is the ledger for those.
 //
 // Usage:
 //
@@ -8,35 +9,129 @@
 //	tcbench -table 2             # one table
 //	tcbench -experiment speedup  # one performance experiment
 //	tcbench -trials 20 -seed 7   # bigger batches
-//	tcbench -experiment cost -cpuprofile cpu.out -memprofile mem.out
+//	tcbench -experiment impact -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"repro/internal/bench"
 )
 
+// params are the knobs the arms share.
+type params struct {
+	trials, queries int
+	seed            int64
+}
+
+// arm is one named thing tcbench can regenerate: a paper table or a §4
+// experiment. run returns the text to print.
+type arm struct {
+	name string
+	run  func(params) (string, error)
+}
+
+// formatted renders a table or experiment result unless it failed.
+func formatted[R interface{ Format() string }](r R, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return r.Format(), nil
+}
+
+// tables and experiments are the whole of what tcbench runs, in print
+// order; the -table/-experiment help text and the unknown-name error
+// are rendered from them.
+var (
+	tables = []arm{
+		{"1", func(p params) (string, error) { return formatted(bench.Table1(p.trials, p.seed)) }},
+		{"2", func(p params) (string, error) { return formatted(bench.Table2(p.trials, p.seed)) }},
+		{"3", func(p params) (string, error) { return formatted(bench.Table3(p.trials, p.seed)) }},
+	}
+	experiments = []arm{
+		{"speedup", func(p params) (string, error) { return formatted(bench.Speedup(60, p.queries, p.seed)) }},
+		{"iterations", func(p params) (string, error) { return formatted(bench.Iterations(4, 25, p.queries, p.seed)) }},
+		{"fig8", func(p params) (string, error) { return formatted(bench.Fig8(p.trials, p.seed)) }},
+		{"phe", func(p params) (string, error) { return formatted(bench.PHE(p.queries, p.seed)) }},
+		{"impact", func(p params) (string, error) { return formatted(bench.Impact(5, p.queries, p.seed)) }},
+		{"amortize", func(p params) (string, error) { return formatted(bench.Amortize(p.queries, p.seed)) }},
+		{"kconn", func(p params) (string, error) { return formatted(bench.KConnCost(p.seed)) }},
+		{"ablation", func(p params) (string, error) {
+			var s string
+			for _, f := range []func(int, int64) (*bench.Ablation, error){
+				bench.AblationBEAThreshold,
+				bench.AblationBEAMode,
+				bench.AblationCenterVariant,
+				bench.AblationCenterPool,
+				bench.AblationLinearStartCount,
+			} {
+				a, err := f(p.trials, p.seed)
+				if err != nil {
+					return "", err
+				}
+				s += a.Format() + "\n"
+			}
+			return s, nil
+		}},
+	}
+)
+
+func names(arms []arm) string {
+	ns := make([]string, len(arms))
+	for i, a := range arms {
+		ns[i] = a.name
+	}
+	return strings.Join(ns, ", ")
+}
+
+// pick returns the arms name selects: all of them for "", the one it
+// names otherwise. An unknown name is an error listing the valid ones.
+func pick(kind string, arms []arm, name string) ([]arm, error) {
+	if name == "" {
+		return arms, nil
+	}
+	for _, a := range arms {
+		if a.name == name {
+			return []arm{a}, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown -%s %q (valid: %s)", kind, name, names(arms))
+}
+
 func main() {
 	var (
-		table      = flag.String("table", "", "table to reproduce: 1, 2, 3 (empty = all)")
-		experiment = flag.String("experiment", "", "experiment: speedup, iterations, fig8, phe, impact, amortize, kconn, ablation, engines, cost, serving, updates, cluster, coldstart (empty = all)")
-		jsonPath   = flag.String("json", "", "write the experiment result as JSON to this file (updates, cluster and coldstart experiments)")
-		edges      = flag.Int("edges", 1_200_000, "directed-edge target for the coldstart experiment")
+		table      = flag.String("table", "", "table to reproduce: "+names(tables)+" (empty = all)")
+		experiment = flag.String("experiment", "", "experiment: "+names(experiments)+" (empty = all)")
 		trials     = flag.Int("trials", 10, "random graphs per table")
 		queries    = flag.Int("queries", 20, "queries per performance point")
-		sources    = flag.Int("sources", 2, "entry-set size for the engines and cost experiments")
 		seed       = flag.Int64("seed", 42, "base random seed")
 		tablesOnly = flag.Bool("tables-only", false, "skip the performance experiments")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+
+	// Resolve both names before running anything, so a typo fails fast
+	// rather than after minutes of tables.
+	runTables, err := pick("table", tables, *table)
+	if err != nil {
+		fatal(err)
+	}
+	runExps, err := pick("experiment", experiments, *experiment)
+	if err != nil {
+		fatal(err)
+	}
+	if *experiment != "" {
+		runTables = nil
+	}
+	if *table != "" || *tablesOnly {
+		runExps = nil
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -52,156 +147,16 @@ func main() {
 	memProfilePath = *memProfile
 	defer flushProfiles()
 
-	runTables := *experiment == ""
-	runExps := *table == "" && !*tablesOnly
-
-	if runTables {
-		type tableFn func(int, int64) (*bench.Table, error)
-		all := []struct {
-			id string
-			fn tableFn
-		}{
-			{"1", bench.Table1},
-			{"2", bench.Table2},
-			{"3", bench.Table3},
-		}
-		for _, t := range all {
-			if *table != "" && *table != t.id {
-				continue
-			}
-			tbl, err := t.fn(*trials, *seed)
+	p := params{trials: *trials, queries: *queries, seed: *seed}
+	for _, arms := range [][]arm{runTables, runExps} {
+		for _, a := range arms {
+			out, err := a.run(p)
 			if err != nil {
-				fatal(err)
-			}
-			fmt.Println(tbl.Format())
-		}
-	}
-
-	if runExps {
-		run := func(name string, f func() (fmt.Stringer, error)) {
-			if *experiment != "" && *experiment != name {
-				return
-			}
-			out, err := f()
-			if err != nil {
-				fatal(fmt.Errorf("%s: %v", name, err))
+				fatal(fmt.Errorf("%s: %v", a.name, err))
 			}
 			fmt.Println(out)
 		}
-		run("speedup", func() (fmt.Stringer, error) {
-			r, err := bench.Speedup(60, *queries, *seed)
-			return formatter{r.Format}, err
-		})
-		run("iterations", func() (fmt.Stringer, error) {
-			r, err := bench.Iterations(4, 25, *queries, *seed)
-			return formatter{r.Format}, err
-		})
-		run("fig8", func() (fmt.Stringer, error) {
-			r, err := bench.Fig8(*trials, *seed)
-			return formatter{r.Format}, err
-		})
-		run("phe", func() (fmt.Stringer, error) {
-			r, err := bench.PHE(*queries, *seed)
-			return formatter{r.Format}, err
-		})
-		run("impact", func() (fmt.Stringer, error) {
-			r, err := bench.Impact(5, *queries, *seed)
-			return formatter{r.Format}, err
-		})
-		run("amortize", func() (fmt.Stringer, error) {
-			r, err := bench.Amortize(*queries, *seed)
-			return formatter{r.Format}, err
-		})
-		run("kconn", func() (fmt.Stringer, error) {
-			r, err := bench.KConnCost(*seed)
-			return formatter{r.Format}, err
-		})
-		run("engines", func() (fmt.Stringer, error) {
-			r, err := bench.Engines(*sources, *seed)
-			return formatter{r.Format}, err
-		})
-		run("cost", func() (fmt.Stringer, error) {
-			r, err := bench.Cost(*sources, *seed)
-			return formatter{r.Format}, err
-		})
-		run("serving", func() (fmt.Stringer, error) {
-			r, err := bench.Serving(*queries, *seed)
-			return formatter{r.Format}, err
-		})
-		run("updates", func() (fmt.Stringer, error) {
-			r, err := bench.Updates(*queries, *seed)
-			if err != nil {
-				return nil, err
-			}
-			if *jsonPath != "" {
-				if err := writeResultJSON(*jsonPath, r); err != nil {
-					return nil, err
-				}
-			}
-			return formatter{r.Format}, nil
-		})
-		run("cluster", func() (fmt.Stringer, error) {
-			r, err := bench.Cluster(*queries, *seed)
-			if err != nil {
-				return nil, err
-			}
-			if *jsonPath != "" {
-				if err := writeResultJSON(*jsonPath, r); err != nil {
-					return nil, err
-				}
-			}
-			return formatter{r.Format}, nil
-		})
-		// coldstart generates a million-edge road network and is only
-		// run when asked for by name, never as part of "all".
-		if *experiment == "coldstart" {
-			r, err := bench.Coldstart(*edges, *queries, *seed)
-			if err != nil {
-				fatal(fmt.Errorf("coldstart: %v", err))
-			}
-			if *jsonPath != "" {
-				if err := writeResultJSON(*jsonPath, r); err != nil {
-					fatal(fmt.Errorf("coldstart: %v", err))
-				}
-			}
-			fmt.Println(r.Format())
-		}
-		run("ablation", func() (fmt.Stringer, error) {
-			var s string
-			for _, f := range []func(int, int64) (*bench.Ablation, error){
-				bench.AblationBEAThreshold,
-				bench.AblationBEAMode,
-				bench.AblationCenterVariant,
-				bench.AblationCenterPool,
-				bench.AblationLinearStartCount,
-			} {
-				a, err := f(*trials, *seed)
-				if err != nil {
-					return nil, err
-				}
-				s += a.Format() + "\n"
-			}
-			return formatter{func() string { return s }}, nil
-		})
 	}
-}
-
-// formatter adapts a Format method to fmt.Stringer.
-type formatter struct{ f func() string }
-
-func (f formatter) String() string { return f.f() }
-
-// writeResultJSON persists an experiment result as a JSON artifact
-// (the CI perf-trajectory files, e.g. BENCH_updates.json).
-func writeResultJSON(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
 }
 
 // cpuProfileFile and memProfilePath hold the -cpuprofile/-memprofile

@@ -11,6 +11,7 @@ func TestImportBoundaryFixtures(t *testing.T) {
 	cases := []struct{ fixture, asPath string }{
 		{"importboundary_badcmd", "repro/cmd/badtool"},
 		{"importboundary_badcluster", "repro/internal/cluster"},
+		{"importboundary_badbench", "repro/internal/bench"},
 		{"importboundary_badmetrics", "repro/internal/metrics"},
 		{"importboundary_good", "repro/cmd/goodtool"},
 	}

@@ -38,7 +38,7 @@ var boundaryRules = []boundaryRule{
 			"repro/pkg/tcq",          // the public facade over the planner
 			"repro/internal/server",  // the serving executor behind the facade
 			"repro/internal/cluster", // maps dsa sentinels across the wire
-			"repro/internal/bench",   // benchmarks measure the planner directly
+			"repro/internal/bench",   // the paper's §4 experiments measure the planner directly
 			"repro/internal/phe",     // paper-era harness predating the facade
 			"repro/internal/sim",     // paper-era harness predating the facade
 			"repro/internal/store",   // (de)serializes built stores CSR-natively
@@ -57,15 +57,13 @@ var boundaryRules = []boundaryRule{
 		allowed: []string{
 			"repro/cmd/tcserver",     // the serving daemon
 			"repro/internal/loadgen", // the load driver speaks the server's /v1 wire types
-			"repro/internal/bench",   // serving/cluster benchmarks boot real servers
 		},
 		why: "the serving layer is the top of the stack; lower layers importing it would invert the architecture",
 	},
 	{
 		target: "repro/internal/loadgen",
 		allowed: []string{
-			"repro/cmd/tcload",     // the load driver's CLI
-			"repro/internal/bench", // serving/updates/cluster experiments drive load in-process
+			"repro/cmd/tcload", // the load driver's CLI
 		},
 		why: "the load driver is an HTTP client of a running server; nothing a server is built from may depend on it",
 	},
@@ -74,7 +72,6 @@ var boundaryRules = []boundaryRule{
 		allowed: []string{
 			"repro/internal/server", // owns the scatter half of scatter-gather
 			"repro/pkg/tcq",         // re-exports the typed peer-error taxonomy
-			"repro/internal/bench",  // cluster benchmarks build coordinators
 			"repro/cmd/tcserver",    // parses -peers / -fault-script flags
 		},
 		why: "cluster sits under the serving layer; new importers are a deliberate layering decision",

@@ -326,29 +326,3 @@ func TestAlgorithmConstructors(t *testing.T) {
 		}
 	}
 }
-
-func TestServingShape(t *testing.T) {
-	r, err := Serving(12, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Points) != 4 {
-		t.Fatalf("points = %d, want 4 (2 engines x cold/warm)", len(r.Points))
-	}
-	for _, p := range r.Points {
-		if p.Errors != 0 || p.Mismatches != 0 {
-			t.Errorf("%s/%s: %d errors, %d mismatches", p.Engine, p.Pass, p.Errors, p.Mismatches)
-		}
-		if p.Pass == "cold" && p.HitRate != 0 {
-			// A cold cache can still hit within a pass (duplicate legs
-			// across concurrent queries), so only assert the warm side.
-			continue
-		}
-		if p.Pass == "warm" && p.HitRate == 0 {
-			t.Errorf("%s warm pass: hit rate 0", p.Engine)
-		}
-	}
-	if !strings.Contains(r.Format(), "hit rate") {
-		t.Error("Format missing hit-rate column")
-	}
-}

@@ -72,18 +72,6 @@ type Server struct {
 	siteBusyNS []atomic.Int64
 }
 
-// New deploys a server over a built store, wrapping it in a dataset.
-func New(st *dsa.Store, cfg Config) (*Server, error) {
-	if st == nil {
-		return nil, fmt.Errorf("server: nil store") //tcvet:ignore typederr constructor misuse guard; fails startup, never crosses the wire
-	}
-	ds, err := tcq.OpenDataset(st)
-	if err != nil {
-		return nil, err
-	}
-	return NewDataset(ds, cfg)
-}
-
 // NewDataset deploys a server over a dataset — the write-capable
 // facade handle. The server registers an OnApply subscriber for eager
 // per-fragment cache invalidation, so batches applied through ANY

@@ -34,12 +34,22 @@ func newGridServer(t *testing.T, w, h, frags int, cfg Config) (*Server, *dsa.Sto
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(st, cfg)
+	return newServer(t, st, cfg), st
+}
+
+// newServer deploys a server over a built store, closed with the test.
+func newServer(t *testing.T, st *dsa.Store, cfg Config) *Server {
+	t.Helper()
+	ds, err := tcq.OpenDataset(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewDataset(ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	return srv, st
+	return srv
 }
 
 // runPair enters the pooled executor where the facade does, on the
@@ -206,8 +216,8 @@ func TestServerRefusals(t *testing.T) {
 	if got := srv.Stats().Errors; got != 2 {
 		t.Errorf("stats.errors = %d, want 2 (one per failed RunPair)", got)
 	}
-	if _, err := New(nil, Config{}); err == nil {
-		t.Error("nil store accepted")
+	if _, err := NewDataset(nil, Config{}); err == nil {
+		t.Error("nil dataset accepted")
 	}
 }
 
@@ -243,11 +253,7 @@ func TestReachabilityStoreRefusesCostQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(st, Config{CacheCapacity: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := newServer(t, st, Config{CacheCapacity: 16})
 	_, err = srv.Facade().Query(context.Background(), tcq.Request{
 		Sources: []int{0}, Targets: []int{15}, Mode: tcq.ModeCost, Engine: tcq.EngineDijkstra})
 	if !errors.Is(err, tcq.ErrProblemMismatch) {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/fragment/linear"
 	"repro/internal/gen"
+	"repro/internal/relation"
 )
 
 // cancelClient builds (once, shared across the cancellation tests —
@@ -44,18 +45,39 @@ func cancelClient(t *testing.T) *Client {
 	return cancelShared.c
 }
 
-// TestCancelPromptness cancels queries mid-fixpoint and asserts the
-// facade returns ErrCanceled within 100ms of the cancellation, for
-// every engine family (per-entry dijkstra, relational fixpoint, bitset
-// levels, dense rounds, pipelined walk). Under the race detector the
-// bound scales by 10x: instrumented joins stretch the longest
-// non-interruptible unit (one fixpoint round) past the real-time
-// bound.
-func TestCancelPromptness(t *testing.T) {
-	bound := 100 * time.Millisecond
-	if raceEnabled {
-		bound *= 10
+// uninterruptibleUnit times, on this machine and under its present
+// load, the longest stretch any engine runs between context checks:
+// the relational engines' whole-relation aggregation of a site's edges
+// ahead of their first round (tc.normalizeEdges), which a query runs on
+// both sites at once. Two goroutines each box the grid into a relation
+// and aggregate it — the same work in the same shape, so the race
+// detector and a busy box stretch this and a cancellation equally.
+func uninterruptibleUnit(t *testing.T, c *Client) time.Duration {
+	t.Helper()
+	g := c.Store().Fragmentation().Base()
+	start := time.Now()
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := relation.FromGraph(g).MinBy("cost", "src", "dst"); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
+	wg.Wait()
+	return time.Since(start)
+}
+
+// TestCancelPromptness cancels queries mid-fixpoint and asserts the
+// facade returns ErrCanceled promptly, for every engine family
+// (per-entry dijkstra, relational fixpoint, bitset levels, dense
+// rounds, pipelined walk). Promptly means within a few non-interruptible
+// units as measured right before each case, not within a wall-clock
+// constant: a cancellation costs about one unit, with or without the
+// race detector and whatever else the machine is running.
+func TestCancelPromptness(t *testing.T) {
 	c := cancelClient(t)
 	corner := 128*128 - 1
 	cases := []struct {
@@ -71,6 +93,7 @@ func TestCancelPromptness(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			bound := 4 * uninterruptibleUnit(t, c)
 			ctx, cancel := context.WithCancel(context.Background())
 			done := make(chan error, 1)
 			go func() {
