@@ -349,7 +349,7 @@ func BenchmarkGridReachableFromBitset(b *testing.B) {
 	srcs := []graph.NodeID{0, 2080}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := tc.BitsetReachableFrom(rel, srcs); err != nil {
+		if _, _, err := tc.BitsetReachableFromCtx(context.Background(), rel, srcs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -364,7 +364,7 @@ func BenchmarkCost(b *testing.B) {
 	srcs := []graph.NodeID{0, 2080}
 	b.Run("seminaive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := tc.ShortestFrom(rel, srcs); err != nil {
+			if _, _, err := tc.ShortestFromCtx(context.Background(), rel, srcs); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -560,7 +560,7 @@ func BenchmarkSimulatedQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		src := nodes[i%len(nodes)]
 		dst := nodes[(i*37+13)%len(nodes)]
-		if _, err := cl.Run(src, dst, dsa.EngineDijkstra); err != nil {
+		if _, err := cl.Run(context.Background(), src, dst, dsa.EngineDijkstra); err != nil {
 			b.Fatal(err)
 		}
 	}

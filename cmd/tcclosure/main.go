@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -51,7 +52,7 @@ func main() {
 	)
 	switch {
 	case *costs && *src >= 0:
-		out, stats, err = tc.ShortestFrom(rel, []graph.NodeID{graph.NodeID(*src)})
+		out, stats, err = tc.ShortestFromCtx(context.Background(), rel, []graph.NodeID{graph.NodeID(*src)})
 	case *costs:
 		out, stats, err = tc.ShortestClosure(rel)
 	case *src >= 0:

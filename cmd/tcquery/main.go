@@ -137,13 +137,13 @@ func main() {
 		}
 		s, t := graph.NodeID(sources[0]), graph.NodeID(targets[0])
 		if qmode == tcq.ModeConnectivity {
-			connected, err := h.ConnectedNamed(s, t, ex.Engine.String())
+			connected, err := h.ConnectedNamed(ctx, s, t, ex.Engine.String())
 			if err != nil {
 				fatal(err)
 			}
 			printConnected(sources[0], targets[0], connected)
 		} else {
-			res, err := h.QueryNamed(s, t, ex.Engine.String())
+			res, err := h.QueryNamed(ctx, s, t, ex.Engine.String())
 			if err != nil {
 				fatal(err)
 			}

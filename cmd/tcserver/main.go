@@ -62,7 +62,6 @@ func main() {
 		listen    = flag.String("listen", ":8642", "listen address")
 		problem   = flag.String("problem", "shortestpath", "precomputed problem: shortestpath or reachability")
 		cacheCap  = flag.Int("cache", 1024, "leg-result cache capacity in entries (0 disables)")
-		workers   = flag.Int("site-workers", 1, "worker goroutines per site")
 		maxChains = flag.Int("max-chains", 0, "bound chain enumeration (0 = unlimited)")
 		storeDir  = flag.String("store", "", "durable store directory: applies are journaled and checkpointed; recovered on boot when it already holds state")
 		tcsFile   = flag.String("tcs", "", "cold-start from this TCSF snapshot file (alternative to text input or generation)")
@@ -152,7 +151,6 @@ func main() {
 
 	srv, err := server.NewDataset(ds, server.Config{
 		CacheCapacity: *cacheCap,
-		SiteWorkers:   *workers,
 		Cluster:       coord,
 	})
 	if err != nil {
@@ -179,8 +177,7 @@ func main() {
 	httpSrv := &http.Server{Addr: *listen, Handler: handler}
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "tcserver: serving on %s (cache %d, %d workers/site)\n",
-		*listen, *cacheCap, *workers)
+	fmt.Fprintf(os.Stderr, "tcserver: serving on %s (cache %d)\n", *listen, *cacheCap)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

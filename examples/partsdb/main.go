@@ -106,7 +106,7 @@ func main() {
 
 	// "What is the cheapest integration path from truck to chip?" —
 	// the weighted closure.
-	costs, _, err := tc.ShortestFrom(rel, []graph.NodeID{Truck})
+	costs, _, err := tc.ShortestFromCtx(context.Background(), rel, []graph.NodeID{Truck})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -63,6 +64,7 @@ func (r *AmortizeResult) Format() string {
 // fragmented parallel evaluation, on chain transportation graphs of
 // growing size.
 func Amortize(queries int, seed int64) (*AmortizeResult, error) {
+	ctx := context.Background()
 	res := &AmortizeResult{Queries: queries}
 	for _, per := range []int{25, 50, 75} {
 		const clusters = 4
@@ -103,14 +105,14 @@ func Amortize(queries int, seed int64) (*AmortizeResult, error) {
 		for q := 0; q < queries; q++ {
 			src := first[rng.Intn(len(first))]
 			dst := last[rng.Intn(len(last))]
-			rep, err := cluster.Run(src, dst, dsa.EngineSemiNaive)
+			rep, err := cluster.Run(ctx, src, dst, dsa.EngineSemiNaive)
 			if err != nil {
 				return nil, err
 			}
 			if !rep.Reachable {
 				continue
 			}
-			central, err := cluster.CentralizedElapsed(src, dsa.EngineSemiNaive)
+			central, err := cluster.CentralizedElapsed(ctx, src, dsa.EngineSemiNaive)
 			if err != nil {
 				return nil, err
 			}

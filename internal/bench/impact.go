@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -65,6 +66,7 @@ func (r *ImpactResult) Format() string {
 // batch on the simulated cluster, performance side by side with the
 // characteristics that are supposed to predict it.
 func Impact(graphs, queries int, seed int64) (*ImpactResult, error) {
+	ctx := context.Background()
 	res := &ImpactResult{Queries: queries, Graphs: graphs}
 	algs := []Algorithm{
 		DistributedCenters(4),
@@ -108,7 +110,7 @@ func Impact(graphs, queries int, seed int64) (*ImpactResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			rep, err := cluster.RunBatch(batch, dsa.EngineSemiNaive)
+			rep, err := cluster.RunBatch(ctx, batch, dsa.EngineSemiNaive)
 			if err != nil {
 				return nil, err
 			}

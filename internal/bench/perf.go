@@ -71,6 +71,7 @@ func (r *SpeedupResult) Format() string {
 // assumes fragments large enough that local computation dominates the
 // (millisecond-scale) messages, so use ≥ 50 nodes per cluster.
 func Speedup(perCluster, queries int, seed int64) (*SpeedupResult, error) {
+	ctx := context.Background()
 	res := &SpeedupResult{Queries: queries}
 	for _, frags := range []int{2, 4, 6, 8} {
 		// Path-linked clusters, one fragment each.
@@ -106,14 +107,14 @@ func Speedup(perCluster, queries int, seed int64) (*SpeedupResult, error) {
 		for q := 0; q < queries; q++ {
 			src := first[rng.Intn(len(first))]
 			dst := last[rng.Intn(len(last))]
-			rep, err := cluster.Run(src, dst, dsa.EngineSemiNaive)
+			rep, err := cluster.Run(ctx, src, dst, dsa.EngineSemiNaive)
 			if err != nil {
 				return nil, err
 			}
 			if !rep.Reachable || rep.ParallelElapsed == 0 || rep.SequentialElapsed == 0 {
 				continue
 			}
-			central, err := cluster.CentralizedElapsed(src, dsa.EngineSemiNaive)
+			central, err := cluster.CentralizedElapsed(ctx, src, dsa.EngineSemiNaive)
 			if err != nil {
 				return nil, err
 			}
@@ -377,6 +378,7 @@ func (r *PHEResult) Format() string {
 // It reports the chains each strategy considered and the answer-quality
 // ratio.
 func PHE(queries int, seed int64) (*PHEResult, error) {
+	ctx := context.Background()
 	res := &PHEResult{Queries: queries}
 	for _, clusters := range []int{3, 4, 5} {
 		per := 10
@@ -430,7 +432,7 @@ func PHE(queries int, seed int64) (*PHEResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			h, err := hier.Query(src, dst, dsa.EngineDijkstra)
+			h, err := hier.Query(ctx, src, dst, dsa.EngineDijkstra)
 			if err != nil {
 				return nil, err
 			}

@@ -447,12 +447,45 @@ func buildLinearStore(seed int64, clusters, perCluster, frags int) (*Store, *gra
 	return st, g, nil
 }
 
+// buildCyclicStore partitions a random general graph round-robin —
+// typically a cyclic fragmentation graph G'.
+func buildCyclicStore(seed int64, rng *rand.Rand) (*Store, *graph.Graph, error) {
+	g, err := gen.General(gen.Defaults(12+rng.Intn(10), seed))
+	if err != nil || g.NumEdges() < 4 {
+		return nil, nil, err
+	}
+	k := 2 + rng.Intn(3)
+	sets := make([][]graph.Edge, k)
+	for i, e := range g.Edges() {
+		sets[i%k] = append(sets[i%k], e)
+	}
+	fr, err := fragment.New(g, sets)
+	if err != nil {
+		return nil, nil, err
+	}
+	st, err := Build(fr, Options{MaxChains: 50})
+	if err != nil {
+		return nil, nil, err
+	}
+	return st, g, nil
+}
+
 // TestPropertyDSAMatchesGlobalDijkstra is the central correctness
 // property of the reproduction: for loosely connected fragmentations,
 // the disconnection set approach returns exactly the global
 // shortest-path cost, for random graphs, random queries, both engines
-// and both executors.
+// and both executors. On the same stores, on cyclic ones and for the
+// bitset engine's marker-1 facts, the assembly fold must agree exactly
+// with the relational reference it replaced.
 func TestPropertyDSAMatchesGlobalDijkstra(t *testing.T) {
+	foldOK := func(st *Store, src, dst graph.NodeID) bool {
+		for _, engine := range []Engine{EngineDijkstra, EngineSemiNaive, EngineBitset} {
+			if ok, err := foldMatchesReference(st, src, dst, engine); err != nil || !ok {
+				return false
+			}
+		}
+		return true
+	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		st, g, err := buildLinearStore(seed, 2+rng.Intn(2), 8+rng.Intn(6), 2+rng.Intn(3))
@@ -486,6 +519,19 @@ func TestPropertyDSAMatchesGlobalDijkstra(t *testing.T) {
 			if par.Reachable && math.Abs(par.Cost-want) > 1e-9 {
 				return false
 			}
+			if !foldOK(st, src, dst) {
+				return false
+			}
+		}
+		cyc, cg, err := buildCyclicStore(seed, rng)
+		if err != nil || cyc == nil {
+			return err == nil
+		}
+		nodes = cg.Nodes()
+		for q := 0; q < 3; q++ {
+			if !foldOK(cyc, nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]) {
+				return false
+			}
 		}
 		return true
 	}
@@ -501,24 +547,9 @@ func TestPropertyDSAMatchesGlobalDijkstra(t *testing.T) {
 func TestPropertyDSANeverUndershoots(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g, err := gen.General(gen.Defaults(12+rng.Intn(10), seed))
-		if err != nil || g.NumEdges() < 4 {
+		st, g, err := buildCyclicStore(seed, rng)
+		if err != nil || st == nil {
 			return err == nil
-		}
-		// Arbitrary round-robin partition — typically cyclic G'.
-		edges := g.Edges()
-		k := 2 + rng.Intn(3)
-		sets := make([][]graph.Edge, k)
-		for i, e := range edges {
-			sets[i%k] = append(sets[i%k], e)
-		}
-		fr, err := fragment.New(g, sets)
-		if err != nil {
-			return false
-		}
-		st, err := Build(fr, Options{MaxChains: 50})
-		if err != nil {
-			return false
 		}
 		nodes := g.Nodes()
 		for q := 0; q < 3; q++ {

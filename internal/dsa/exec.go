@@ -27,14 +27,14 @@ const (
 	// iteration counts the paper's workload analysis is phrased in.
 	EngineSemiNaive
 	// EngineBitset runs the entry-set-restricted bitset-parallel
-	// reachability kernel (tc.BitsetReachableFrom) over the augmented
+	// reachability kernel (tc.BitsetReachableFromCtx) over the augmented
 	// fragment. It is connectivity-only: leg facts carry the presence
 	// marker 1 instead of a path cost (the convention of
 	// ProblemReachability complementary tables), so it answers
 	// connectivity on every store but its Cost is meaningless.
 	EngineBitset
 	// EngineDense runs the entry-set-restricted dense cost kernel
-	// (tc.DenseGraph.CostFrom) over a CSR snapshot of the augmented
+	// (tc.DenseGraph.CostFromCtx) over a CSR snapshot of the augmented
 	// fragment that the site builds once and reuses across legs. Unlike
 	// the bitset engine it carries real path costs, so it answers both
 	// cost and connectivity queries — the kernel-class engine for the
@@ -120,18 +120,6 @@ type AssemblyStats struct {
 	MaxOperand int
 }
 
-// Outcome is the assembled answer of a query over one plan.
-type Outcome struct {
-	// Reachable reports whether any chain yielded a path.
-	Reachable bool
-	// Cost is the cheapest cost found; +Inf when unreachable.
-	Cost float64
-	// BestChain is the chain realising Cost; nil when unreachable.
-	BestChain []int
-	// Stats reports the assembly joins.
-	Stats AssemblyStats
-}
-
 // Result is the answer to a disconnection-set query.
 type Result struct {
 	// Source and Target echo the query.
@@ -173,11 +161,11 @@ type Result struct {
 	TuplesShipped int
 }
 
-// PlanResult initialises the Result scaffolding every executor shares
-// (RunPlanCtx, QueryPipelinedEngineCtx, the serving layer's pooled
-// executor): the echoed query fields plus the source==target and
-// no-chain fast paths. done reports that the result is already complete
-// and phase 1 can be skipped; Elapsed is left to the caller.
+// PlanResult initialises the Result scaffolding RunLegs and
+// QueryPipelinedEngineCtx share: the echoed query fields plus the
+// source==target and no-chain fast paths. done reports that the result
+// is already complete and phase 1 can be skipped; Elapsed is left to
+// the caller.
 func (st *Store) PlanResult(plan *Plan) (res *Result, done bool) {
 	res = &Result{
 		Source:           plan.Source,
@@ -204,9 +192,13 @@ func (st *Store) PlanResult(plan *Plan) (res *Result, done bool) {
 
 // FinishPlan folds executed leg results into a PlanResult-initialised
 // res: per-site work accounting, the critical path, and the assembly
-// phase. results must be indexed like plan.Legs; Elapsed is left to
-// the caller.
+// phase — each chain's legs folded into a source-to-target cost, the
+// cheapest chain winning (the first listed on ties). results must be
+// indexed like plan.Legs; Elapsed is left to the caller.
 func (st *Store) FinishPlan(plan *Plan, results []*LegResult, res *Result) error {
+	if len(results) != len(plan.Legs) {
+		return fmt.Errorf("dsa: finish: %d results for %d legs", len(results), len(plan.Legs))
+	}
 	for i, lr := range results {
 		if lr == nil {
 			return fmt.Errorf("dsa: finish: missing result for leg %d", i)
@@ -224,27 +216,142 @@ func (st *Store) FinishPlan(plan *Plan, results []*LegResult, res *Result) error
 			res.CriticalPath = w.Elapsed
 		}
 	}
-	out, err := st.Assemble(plan, results)
-	if err != nil {
-		return err
+	for ci, chain := range plan.Chains {
+		cost, ok, err := assembleChain(plan, results, ci, &res.Assembly)
+		if err != nil {
+			return err
+		}
+		if ok && cost < res.Cost {
+			res.Cost = cost
+			res.BestChain = chain
+			res.Reachable = true
+		}
 	}
-	res.Reachable = out.Reachable
-	res.Cost = out.Cost
-	res.BestChain = out.BestChain
-	res.Assembly = out.Stats
 	return nil
 }
 
-// RunPlanCtx executes a prepared plan: phase 1 per-site legs, then
-// assembly. With parallel set each involved site runs on its own
-// goroutine, the goroutine-per-processor realisation of the paper's
-// "neither communication nor synchronization is required during the
-// first phase of the computation"; otherwise sites run one after
-// another. NewPlan supplies the plan for ordinary queries, PlanChains
-// for external planners (package phe). Sites observe ctx between legs
-// and the kernels observe it between fixpoint rounds / levels, so a
-// canceled query returns ErrCanceled promptly instead of finishing the
-// remaining work.
+// assembleChain folds the leg results of chain ci into the cost from
+// source to target along that chain: a min-plus product of the running
+// (node → cost) vector with each leg's (src, dst, cost) facts in turn —
+// the paper's "sequence of binary joins between a number of very small
+// relations" (§2.1), one join per leg.
+func assembleChain(plan *Plan, results []*LegResult, ci int, stats *AssemblyStats) (float64, bool, error) {
+	vec := map[int64]float64{int64(plan.Source): 0}
+	for _, li := range plan.chainLegs[ci] {
+		rel := results[li].Rel
+		stats.MaxOperand = max(stats.MaxOperand, rel.Len(), len(vec))
+		stats.Joins++
+		next := make(map[int64]float64)
+		for _, t := range rel.Tuples() {
+			src, dst, step, ok := legFact(t)
+			if !ok {
+				return 0, false, fmt.Errorf("dsa: assemble: leg %d fact %v is not (src int64, dst int64, cost float64)", li, t)
+			}
+			base, reached := vec[src]
+			if !reached {
+				continue
+			}
+			cost := base + step
+			if cur, seen := next[dst]; !seen || cost < cur {
+				next[dst] = cost
+			}
+		}
+		if len(next) == 0 {
+			return 0, false, nil // chain broken: no path through this DS
+		}
+		vec = next
+	}
+	cost, ok := vec[int64(plan.Target)]
+	return cost, ok, nil
+}
+
+// legFact unpacks one (src, dst, cost) leg fact, reporting false for a
+// tuple of any other shape.
+func legFact(t relation.Tuple) (src, dst int64, cost float64, ok bool) {
+	if len(t) != 3 {
+		return 0, 0, 0, false
+	}
+	src, ok1 := t[0].(int64)
+	dst, ok2 := t[1].(int64)
+	cost, ok3 := t[2].(float64)
+	return src, dst, cost, ok1 && ok2 && ok3
+}
+
+// LegFunc obtains one leg's exit-filtered facts — the only thing that
+// differs between the library, the serving layer and the simulator.
+type LegFunc func(ctx context.Context, leg Leg) (*LegResult, error)
+
+// RunLegs is the one executor of a prepared plan: phase 1 per-site
+// legs obtained through run, then FinishPlan. With parallel set each
+// involved site runs on its own goroutine, the goroutine-per-processor
+// realisation of the paper's "neither communication nor synchronization
+// is required during the first phase of the computation"; otherwise
+// sites run one after another in SitesInvolved order. Either way a site
+// runs its legs serially in plan order and observes ctx before each, so
+// a canceled query returns ErrCanceled instead of starting the
+// remaining legs. The first failing site (in SitesInvolved order)
+// supplies the error, and no Result is returned with one. Elapsed
+// spans the call.
+func (st *Store) RunLegs(ctx context.Context, plan *Plan, parallel bool, run LegFunc) (*Result, error) {
+	start := time.Now()
+	res, done := st.PlanResult(plan)
+	if done {
+		res.Elapsed = time.Since(start)
+		return res, nil
+	}
+	results := make([]*LegResult, len(plan.Legs))
+	runSite := func(siteID int) error {
+		for i, leg := range plan.Legs {
+			if leg.SiteID != siteID {
+				continue
+			}
+			if ctx.Err() != nil {
+				return canceledErr(ctx)
+			}
+			lr, err := run(ctx, leg)
+			if err != nil {
+				return err
+			}
+			results[i] = lr
+		}
+		return nil
+	}
+	sites := plan.SitesInvolved()
+	errs := make([]error, len(sites))
+	if parallel {
+		var wg sync.WaitGroup
+		for k, siteID := range sites {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[k] = runSite(siteID)
+			}()
+		}
+		wg.Wait()
+	} else {
+		for k, siteID := range sites {
+			if errs[k] = runSite(siteID); errs[k] != nil {
+				break
+			}
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	if err := st.FinishPlan(plan, results, res); err != nil {
+		return nil, err
+	}
+	res.Elapsed = time.Since(start)
+	return res, nil
+}
+
+// RunPlanCtx executes a prepared plan in this process: RunLegs over
+// ExecuteLegCtx with the chosen engine. NewPlan supplies the plan for
+// ordinary queries, PlanChains for external planners (package phe).
+// Sites observe ctx between legs and the kernels observe it between
+// fixpoint rounds / levels.
 //
 // The executor is mode-agnostic: whether a result's Cost is meaningful
 // (it is not for EngineBitset or a ProblemReachability store, whose
@@ -254,64 +361,9 @@ func (st *Store) RunPlanCtx(ctx context.Context, plan *Plan, engine Engine, para
 	if !ValidEngine(engine) {
 		return nil, fmt.Errorf("dsa: %w %d", ErrUnknownEngine, engine)
 	}
-	start := time.Now()
-	res, done := st.PlanResult(plan)
-	if done {
-		res.Elapsed = time.Since(start)
-		return res, nil
-	}
-
-	// Phase 1: execute legs, grouped per site (a site runs its legs
-	// serially; distinct sites run concurrently when parallel).
-	bySite := make(map[int][]int)
-	for i, l := range plan.Legs {
-		bySite[l.SiteID] = append(bySite[l.SiteID], i)
-	}
-	results := make([]*LegResult, len(plan.Legs))
-	runSite := func(siteID int, legIdxs []int) error {
-		for _, i := range legIdxs {
-			if ctx.Err() != nil {
-				return canceledErr(ctx)
-			}
-			lr, err := st.ExecuteLegCtx(ctx, plan.Legs[i], engine)
-			if err != nil {
-				return err
-			}
-			results[i] = lr
-		}
-		return nil
-	}
-	if parallel {
-		var wg sync.WaitGroup
-		errs := make(chan error, len(bySite))
-		for siteID, idxs := range bySite {
-			wg.Add(1)
-			go func(id int, ix []int) {
-				defer wg.Done()
-				if err := runSite(id, ix); err != nil {
-					errs <- err
-				}
-			}(siteID, idxs)
-		}
-		wg.Wait()
-		close(errs)
-		if err := <-errs; err != nil {
-			return nil, err
-		}
-	} else {
-		for _, siteID := range plan.SitesInvolved() {
-			if err := runSite(siteID, bySite[siteID]); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Phase 2: accounting + assembly.
-	if err := st.FinishPlan(plan, results, res); err != nil {
-		return nil, err
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return st.RunLegs(ctx, plan, parallel, func(ctx context.Context, leg Leg) (*LegResult, error) {
+		return st.ExecuteLegCtx(ctx, leg, engine)
+	})
 }
 
 // ExecuteLegCtx executes one leg on its site with the chosen engine,
@@ -369,7 +421,7 @@ func (st *Store) ExecuteLegFullCtx(ctx context.Context, siteID int, entry []grap
 			stats.DerivedTuples += len(dist)
 		}
 	case EngineSemiNaive:
-		// ShortestFrom already returns a freshly owned (src, dst, cost)
+		// ShortestFromCtx already returns a freshly owned (src, dst, cost)
 		// relation; adopt it instead of copying.
 		rel, s, err := tc.ShortestFromCtx(ctx, site.rel(), entry)
 		if err != nil {
@@ -428,79 +480,3 @@ func FilterLegFacts(full *relation.Relation, leg Leg) (*relation.Relation, error
 	}
 	return out, nil
 }
-
-// Assemble folds executed leg results into the final answer: for each
-// chain of the plan, a running (node, cost) vector is joined with each
-// leg relation in turn and min-aggregated; the cheapest chain wins.
-// results must be indexed like plan.Legs.
-func (st *Store) Assemble(plan *Plan, results []*LegResult) (*Outcome, error) {
-	if len(results) != len(plan.Legs) {
-		return nil, fmt.Errorf("dsa: assemble: %d results for %d legs", len(results), len(plan.Legs))
-	}
-	out := &Outcome{Cost: math.Inf(1)}
-	for ci, chain := range plan.Chains {
-		cost, ok, err := st.assembleChain(plan, results, ci, &out.Stats)
-		if err != nil {
-			return nil, err
-		}
-		if ok && cost < out.Cost {
-			out.Cost = cost
-			out.BestChain = chain
-			out.Reachable = true
-		}
-	}
-	return out, nil
-}
-
-// assembleChain folds the leg results of chain ci into the cost from
-// source to target along that chain.
-func (st *Store) assembleChain(plan *Plan, results []*LegResult, ci int, stats *AssemblyStats) (float64, bool, error) {
-	vec := relation.New("node", "cost")
-	vec.MustInsert(relation.Tuple{int64(plan.Source), 0.0})
-	for _, li := range plan.chainLegs[ci] {
-		lr := results[li]
-		if lr == nil {
-			return 0, false, fmt.Errorf("dsa: assemble: missing result for leg %d", li)
-		}
-		if lr.Rel.Len() > stats.MaxOperand {
-			stats.MaxOperand = lr.Rel.Len()
-		}
-		if vec.Len() > stats.MaxOperand {
-			stats.MaxOperand = vec.Len()
-		}
-		legRel, err := lr.Rel.Rename("node", "next", "step")
-		if err != nil {
-			return 0, false, err
-		}
-		joined, err := vec.Join(legRel, []string{"node"}, []string{"node"})
-		if err != nil {
-			return 0, false, err
-		}
-		stats.Joins++
-		next := relation.New("node", "cost")
-		for _, t := range joined.Tuples() {
-			next.MustInsert(relation.Tuple{t[2], t[1].(float64) + t[3].(float64)})
-		}
-		vec, err = next.MinBy("cost", "node")
-		if err != nil {
-			return 0, false, err
-		}
-		if vec.Len() == 0 {
-			return 0, false, nil // chain broken: no path through this DS
-		}
-	}
-	at, err := vec.SelectEq("node", int64(plan.Target))
-	if err != nil {
-		return 0, false, err
-	}
-	cost, ok, err := at.MinValue("cost")
-	if err != nil {
-		return 0, false, err
-	}
-	return cost, ok, nil
-}
-
-// ChainLegs exposes, for each chain of the plan, the indices into
-// plan.Legs along it (read-only view for external schedulers and
-// tests).
-func (p *Plan) ChainLegs() [][]int { return p.chainLegs }

@@ -25,9 +25,10 @@ import (
 // Pipelined legs are seeded with the running cost vector, so only the
 // engines with a vector-seeded multi-source primitive qualify:
 // EngineDijkstra (graph.ShortestPathsMulti) and EngineDense (the CSR
-// kernel's CostVector). The relational and bitset engines are refused.
-// The chain walk observes ctx between legs and the dense kernel between
-// frontier rounds, so a canceled query returns ErrCanceled promptly.
+// kernel's CostVectorCtx). The relational and bitset engines are
+// refused. The chain walk observes ctx between legs and the dense
+// kernel between frontier rounds, so a canceled query returns
+// ErrCanceled promptly.
 func (st *Store) QueryPipelinedEngineCtx(ctx context.Context, source, target graph.NodeID, engine Engine) (*Result, error) {
 	if st.problem != ProblemShortestPath {
 		return nil, fmt.Errorf("dsa: %w: store precomputed for reachability cannot answer cost queries", ErrProblemMismatch)

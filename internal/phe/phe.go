@@ -116,7 +116,7 @@ func (h *Hierarchy) Chains(source, target graph.NodeID) ([][]int, error) {
 
 // Query answers a shortest-path query with hierarchical routing,
 // executing per-site legs in parallel.
-func (h *Hierarchy) Query(source, target graph.NodeID, engine dsa.Engine) (*dsa.Result, error) {
+func (h *Hierarchy) Query(ctx context.Context, source, target graph.NodeID, engine dsa.Engine) (*dsa.Result, error) {
 	if engine == dsa.EngineBitset {
 		return nil, fmt.Errorf("phe: %w: engine bitset computes connectivity only; use Connected", dsa.ErrEngineMismatch)
 	}
@@ -125,23 +125,12 @@ func (h *Hierarchy) Query(source, target graph.NodeID, engine dsa.Engine) (*dsa.
 		return nil, err
 	}
 	if len(chains) == 0 {
-		// No hierarchical route: report unreachable-under-PHE.
-		plan, err := h.store.NewPlan(source, source) // trivial valid plan
-		if err != nil {
-			return nil, err
-		}
-		res, err := h.store.RunPlanCtx(context.TODO(), plan, engine, false)
-		if err != nil {
-			return nil, err
-		}
-		res.Target = target
-		res.Reachable = false
-		res.Cost = inf()
-		res.BestChain = nil
-		res.ChainsConsidered = 0
+		// No hierarchical route: the chainless plan is exactly the
+		// unreachable-under-PHE result.
+		res, _ := h.store.PlanResult(&dsa.Plan{Source: source, Target: target})
 		return res, nil
 	}
-	return h.runChains(source, target, chains, engine)
+	return h.runChains(ctx, source, target, chains, engine)
 }
 
 // Connected reports whether target is reachable from source along the
@@ -149,7 +138,7 @@ func (h *Hierarchy) Query(source, target graph.NodeID, engine dsa.Engine) (*dsa.
 // connectivity-only dsa.EngineBitset, whose per-leg facts carry
 // presence markers instead of costs. Like Query, the answer is exact
 // when the highway is the only inter-cluster glue.
-func (h *Hierarchy) Connected(source, target graph.NodeID, engine dsa.Engine) (bool, error) {
+func (h *Hierarchy) Connected(ctx context.Context, source, target graph.NodeID, engine dsa.Engine) (bool, error) {
 	chains, err := h.Chains(source, target)
 	if err != nil {
 		return false, err
@@ -157,7 +146,7 @@ func (h *Hierarchy) Connected(source, target graph.NodeID, engine dsa.Engine) (b
 	if len(chains) == 0 {
 		return false, nil
 	}
-	res, err := h.runChains(source, target, chains, engine)
+	res, err := h.runChains(ctx, source, target, chains, engine)
 	if err != nil {
 		return false, err
 	}
@@ -168,37 +157,34 @@ func (h *Hierarchy) Connected(source, target graph.NodeID, engine dsa.Engine) (b
 // dsa.ParseEngine accepts) — the bridge for callers that stay free of
 // internal/dsa imports, like the tcquery CLI handing over a
 // planner-resolved engine.
-func (h *Hierarchy) QueryNamed(source, target graph.NodeID, engine string) (*dsa.Result, error) {
+func (h *Hierarchy) QueryNamed(ctx context.Context, source, target graph.NodeID, engine string) (*dsa.Result, error) {
 	eng, err := dsa.ParseEngine(engine)
 	if err != nil {
 		return nil, err
 	}
-	return h.Query(source, target, eng)
+	return h.Query(ctx, source, target, eng)
 }
 
 // ConnectedNamed is Connected with the engine given by name — see
 // QueryNamed.
-func (h *Hierarchy) ConnectedNamed(source, target graph.NodeID, engine string) (bool, error) {
+func (h *Hierarchy) ConnectedNamed(ctx context.Context, source, target graph.NodeID, engine string) (bool, error) {
 	eng, err := dsa.ParseEngine(engine)
 	if err != nil {
 		return false, err
 	}
-	return h.Connected(source, target, eng)
+	return h.Connected(ctx, source, target, eng)
 }
 
 // runChains plans the given hierarchical chains and executes them with
 // per-site legs in parallel — the shared back half of Query and
 // Connected.
-func (h *Hierarchy) runChains(source, target graph.NodeID, chains [][]int, engine dsa.Engine) (*dsa.Result, error) {
+func (h *Hierarchy) runChains(ctx context.Context, source, target graph.NodeID, chains [][]int, engine dsa.Engine) (*dsa.Result, error) {
 	plan, err := h.store.PlanChains(source, target, chains)
 	if err != nil {
 		return nil, err
 	}
-	return h.store.RunPlanCtx(context.TODO(), plan, engine, true)
+	return h.store.RunPlanCtx(ctx, plan, engine, true)
 }
-
-// inf returns +Inf without importing math in two places.
-func inf() float64 { return graph.Inf }
 
 // SplitByCluster builds the canonical hierarchical fragmentation of a
 // transportation graph: intra-cluster edges form one fragment per

@@ -1,6 +1,7 @@
 package phe
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -149,7 +150,7 @@ func TestQueryMatchesGlobal(t *testing.T) {
 	for q := 0; q < 10; q++ {
 		src := nodes[rng.Intn(len(nodes))]
 		dst := nodes[rng.Intn(len(nodes))]
-		res, err := h.Query(src, dst, dsa.EngineDijkstra)
+		res, err := h.Query(context.Background(), src, dst, dsa.EngineDijkstra)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +169,7 @@ func TestQueryBoundedChains(t *testing.T) {
 	// chains — the whole point versus exhaustive enumeration.
 	h, g := starStore(t, 21, 5, 8)
 	nodes := g.Nodes()
-	res, err := h.Query(nodes[0], nodes[len(nodes)-1], dsa.EngineDijkstra)
+	res, err := h.Query(context.Background(), nodes[0], nodes[len(nodes)-1], dsa.EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestPropertyPHEMatchesGlobalOnStar(t *testing.T) {
 		for q := 0; q < 3; q++ {
 			src := nodes[rng.Intn(len(nodes))]
 			dst := nodes[rng.Intn(len(nodes))]
-			res, err := h.Query(src, dst, dsa.EngineDijkstra)
+			res, err := h.Query(context.Background(), src, dst, dsa.EngineDijkstra)
 			if err != nil {
 				return false
 			}
@@ -258,7 +259,7 @@ func TestQueryNoHierarchicalRoute(t *testing.T) {
 		t.Fatalf("coverage = %d/%d, want 1/3", conn, total)
 	}
 	// Node 1 is in F0/F1, node 4 in F3: no hierarchical route.
-	res, err := h.Query(1, 4, dsa.EngineDijkstra)
+	res, err := h.Query(context.Background(), 1, 4, dsa.EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func TestQueryNoHierarchicalRoute(t *testing.T) {
 	// Direct adjacency still routes: node 1 (F0/F1) to node 3 (F2/F3)
 	// via the F1-F2 adjacency... F1={1,2}, F3 edge {3,4}: node 3 is in
 	// F2 and F3; F1 and F2 are adjacent.
-	res2, err := h.Query(1, 3, dsa.EngineDijkstra)
+	res2, err := h.Query(context.Background(), 1, 3, dsa.EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func TestQueryHighwayEndpointChains(t *testing.T) {
 		t.Skip("no interior node")
 	}
 	src := highwayNodes[0]
-	res, err := h.Query(src, interior, dsa.EngineDijkstra)
+	res, err := h.Query(context.Background(), src, interior, dsa.EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +324,7 @@ func TestConnectedMatchesGlobal(t *testing.T) {
 			want = true
 		}
 		for _, engine := range []dsa.Engine{dsa.EngineDijkstra, dsa.EngineSemiNaive, dsa.EngineBitset} {
-			got, err := h.Connected(src, dst, engine)
+			got, err := h.Connected(context.Background(), src, dst, engine)
 			if err != nil {
 				t.Fatalf("Connected(%d, %d, %v): %v", src, dst, engine, err)
 			}
@@ -339,7 +340,7 @@ func TestConnectedMatchesGlobal(t *testing.T) {
 func TestQueryRefusesBitsetEngine(t *testing.T) {
 	h, g := starStore(t, 13, 3, 8)
 	nodes := g.Nodes()
-	if _, err := h.Query(nodes[0], nodes[len(nodes)-1], dsa.EngineBitset); err == nil {
+	if _, err := h.Query(context.Background(), nodes[0], nodes[len(nodes)-1], dsa.EngineBitset); err == nil {
 		t.Error("Query accepted the connectivity-only bitset engine")
 	}
 }

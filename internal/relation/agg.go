@@ -76,23 +76,6 @@ func (r *Relation) MinValue(attr string) (float64, bool, error) {
 	return min, found, nil
 }
 
-// SumAttr returns the sum of the named numeric attribute.
-func (r *Relation) SumAttr(attr string) (float64, error) {
-	i := r.schema.IndexOf(attr)
-	if i < 0 {
-		return 0, fmt.Errorf("relation: sum: unknown attribute %q", attr)
-	}
-	total := 0.0
-	for _, t := range r.tuples {
-		v, err := numeric(t[i])
-		if err != nil {
-			return 0, err
-		}
-		total += v
-	}
-	return total, nil
-}
-
 // numeric converts an int64 or float64 value to float64.
 func numeric(v Value) (float64, error) {
 	switch x := v.(type) {

@@ -1,10 +1,6 @@
 package relation
 
-import (
-	"fmt"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // EdgeSchema is the canonical schema of an edge relation: source node,
 // destination node, and traversal cost. It is the shape of the paper's
@@ -23,35 +19,6 @@ func FromEdges(edges []graph.Edge) *Relation {
 
 // FromGraph builds the edge relation of an entire graph.
 func FromGraph(g *graph.Graph) *Relation { return FromEdges(g.Edges()) }
-
-// ToEdges converts an edge relation (schema src, dst, cost — names may
-// differ, positions matter) back into a slice of graph edges.
-func ToEdges(r *Relation) ([]graph.Edge, error) {
-	if r.Arity() != 3 {
-		return nil, fmt.Errorf("relation: ToEdges: want arity 3, got %d", r.Arity())
-	}
-	edges := make([]graph.Edge, 0, r.Len())
-	for i, t := range r.Tuples() {
-		src, ok1 := t[0].(int64)
-		dst, ok2 := t[1].(int64)
-		cost, ok3 := t[2].(float64)
-		if !ok1 || !ok2 || !ok3 {
-			return nil, fmt.Errorf("relation: ToEdges: tuple %d has types (%T, %T, %T), want (int64, int64, float64)", i, t[0], t[1], t[2])
-		}
-		edges = append(edges, graph.Edge{From: graph.NodeID(src), To: graph.NodeID(dst), Weight: cost})
-	}
-	return edges, nil
-}
-
-// NodeSet turns a list of node IDs into the value set accepted by
-// SelectIn.
-func NodeSet(ids []graph.NodeID) map[Value]struct{} {
-	set := make(map[Value]struct{}, len(ids))
-	for _, id := range ids {
-		set[int64(id)] = struct{}{}
-	}
-	return set
-}
 
 // NodeKeySet interns a list of node IDs into the prebuilt probe set
 // accepted by SelectInKeys — one encoding pass at construction instead

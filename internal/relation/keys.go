@@ -1,8 +1,8 @@
 package relation
 
 // This file is the interned-key layer of the algebra: every operator
-// that hashes tuples (distinct, union, difference, join builds and
-// probes, group-by) encodes them through the append-style functions
+// that hashes tuples (distinct, union, join builds and probes,
+// group-by) encodes them through the append-style functions
 // below into a caller-owned scratch []byte, and probes maps with
 // string(buf) — a conversion the Go compiler elides for map lookups.
 // A key string is only materialised when it must be *stored* in a map
@@ -66,8 +66,7 @@ func appendKeyAt(b []byte, t Tuple, pos []int) []byte {
 // other membership-pushing operators: the values are encoded once at
 // construction, so a set reused across many selections (the
 // disconnection-set entry and exit sets of query legs) never re-encodes
-// its members per call — the fix for SelectIn rebuilding its key set on
-// every invocation.
+// its members per call.
 type KeySet struct {
 	keys map[string]struct{}
 }
@@ -81,17 +80,6 @@ func NewKeySet(vals ...Value) *KeySet {
 		if _, ok := s.keys[string(buf)]; !ok {
 			s.keys[string(buf)] = struct{}{}
 		}
-	}
-	return s
-}
-
-// NewKeySetFromMap interns the members of a SelectIn-style value set.
-func NewKeySetFromMap(set map[Value]struct{}) *KeySet {
-	s := &KeySet{keys: make(map[string]struct{}, len(set))}
-	var buf []byte
-	for v := range set {
-		buf = appendValue(buf[:0], v)
-		s.keys[string(buf)] = struct{}{}
 	}
 	return s
 }
@@ -116,8 +104,7 @@ func (s *KeySet) has(buf []byte, v Value) ([]byte, bool) {
 
 // Dedup is a reusable tuple-identity set for delta iterations: the
 // semi-naive fixpoints keep one Dedup of every known tuple alive across
-// rounds instead of re-encoding the whole known relation per round
-// (which is what Distinct/Difference/Union chains did).
+// rounds instead of re-encoding the whole known relation per round.
 type Dedup struct {
 	seen map[string]struct{}
 	buf  []byte
@@ -138,19 +125,12 @@ func (d *Dedup) Add(t Tuple) bool {
 	return true
 }
 
-// Has reports whether t was already added.
-func (d *Dedup) Has(t Tuple) bool {
-	d.buf = t.AppendKey(d.buf[:0])
-	_, ok := d.seen[string(d.buf)]
-	return ok
-}
-
 // Len returns the number of distinct tuples recorded.
 func (d *Dedup) Len() int { return len(d.seen) }
 
 // Filter returns the tuples of r not yet recorded, in first-occurrence
-// order, recording them as a side effect. It is Distinct + Difference
-// against the accumulated set in one pass; the result shares tuple
+// order, recording them as a side effect — distinct and set difference
+// against the accumulated set in one pass. The result shares tuple
 // storage with r (tuples are immutable once inserted).
 func (d *Dedup) Filter(r *Relation) *Relation {
 	out := &Relation{schema: r.Schema()}

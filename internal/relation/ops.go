@@ -42,19 +42,11 @@ func (r *Relation) SelectEq(attr string, v Value) (*Relation, error) {
 	}), nil
 }
 
-// SelectIn selects tuples whose named attribute is a member of set; it
-// models the "disconnection sets act as some sort of keyhole" selection
-// of §2.2, where only paths through the DS nodes are examined.
-//
-// The probe set is interned on every call; callers that reuse one set
-// across selections should build a KeySet once and use SelectInKeys.
-func (r *Relation) SelectIn(attr string, set map[Value]struct{}) (*Relation, error) {
-	return r.SelectInKeys(attr, NewKeySetFromMap(set))
-}
-
 // SelectInKeys selects tuples whose named attribute is a member of the
-// prebuilt interned set — the repeated-selection form of SelectIn: the
-// set is encoded once at construction, each call only probes.
+// prebuilt interned set — the "disconnection sets act as some sort of
+// keyhole" selection of §2.2, where only paths through the DS nodes are
+// examined. The set is encoded once at construction, each call only
+// probes.
 func (r *Relation) SelectInKeys(attr string, set *KeySet) (*Relation, error) {
 	i := r.schema.IndexOf(attr)
 	if i < 0 {
@@ -149,36 +141,6 @@ func (r *Relation) Union(s *Relation) (*Relation, error) {
 	return out, nil
 }
 
-// Difference returns r \ s with set semantics; it is the delta step of
-// semi-naive evaluation (new tuples = derived \ known).
-func (r *Relation) Difference(s *Relation) (*Relation, error) {
-	if !r.schema.Equal(s.schema) {
-		return nil, fmt.Errorf("relation: difference: schema mismatch %v vs %v", r.schema, s.schema)
-	}
-	drop := make(map[string]struct{}, len(s.tuples))
-	var buf []byte
-	for _, t := range s.tuples {
-		buf = t.AppendKey(buf[:0])
-		if _, ok := drop[string(buf)]; !ok {
-			drop[string(buf)] = struct{}{}
-		}
-	}
-	out := &Relation{schema: r.Schema()}
-	seen := make(map[string]struct{})
-	for _, t := range r.tuples {
-		buf = t.AppendKey(buf[:0])
-		if _, isDup := seen[string(buf)]; isDup {
-			continue
-		}
-		if _, gone := drop[string(buf)]; gone {
-			continue
-		}
-		seen[string(buf)] = struct{}{}
-		out.tuples = append(out.tuples, t)
-	}
-	return out, nil
-}
-
 // Join computes the equi-join of r and s on the named attribute pairs
 // (leftAttrs[i] = rightAttrs[i]) with a hash join: the smaller operand
 // is built into a hash table and the larger probed, which is also how
@@ -266,46 +228,4 @@ func combine(rt, st Tuple, rkeep []int) Tuple {
 		nt = append(nt, st[p])
 	}
 	return nt
-}
-
-// SemiJoin returns the tuples of r that join with at least one tuple of
-// s on the given attributes. Semi-joins are the classic distributed
-// query processing primitive for shipping small operands, which is what
-// the disconnection set approach does with DS node lists.
-func (r *Relation) SemiJoin(s *Relation, leftAttrs, rightAttrs []string) (*Relation, error) {
-	if len(leftAttrs) != len(rightAttrs) || len(leftAttrs) == 0 {
-		return nil, fmt.Errorf("relation: semijoin: need equal non-empty attribute lists")
-	}
-	lpos := make([]int, len(leftAttrs))
-	for i, a := range leftAttrs {
-		p := r.schema.IndexOf(a)
-		if p < 0 {
-			return nil, fmt.Errorf("relation: semijoin: unknown left attribute %q", a)
-		}
-		lpos[i] = p
-	}
-	rpos := make([]int, len(rightAttrs))
-	for i, a := range rightAttrs {
-		p := s.schema.IndexOf(a)
-		if p < 0 {
-			return nil, fmt.Errorf("relation: semijoin: unknown right attribute %q", a)
-		}
-		rpos[i] = p
-	}
-	keys := make(map[string]struct{}, len(s.tuples))
-	var buf []byte
-	for _, t := range s.tuples {
-		buf = appendKeyAt(buf[:0], t, rpos)
-		if _, ok := keys[string(buf)]; !ok {
-			keys[string(buf)] = struct{}{}
-		}
-	}
-	out := &Relation{schema: r.Schema()}
-	for _, t := range r.tuples {
-		buf = appendKeyAt(buf[:0], t, lpos)
-		if _, ok := keys[string(buf)]; ok {
-			out.tuples = append(out.tuples, t)
-		}
-	}
-	return out, nil
 }

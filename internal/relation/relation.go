@@ -6,9 +6,8 @@
 // final assembly phase of the disconnection set approach "is effectively
 // a sequence of binary joins between a number of very small relations"
 // (§2.1). This package supplies that substrate: relations with named
-// attributes, selection, projection, hash join, union, difference,
-// distinct and group-by aggregation, all deterministic for a fixed
-// input order.
+// attributes, selection, projection, hash join, union, distinct and
+// group-by aggregation, all deterministic for a fixed input order.
 //
 // Values are restricted to int64, float64, string and bool; attribute
 // names are case-sensitive strings. Relations are bags unless Distinct

@@ -7,19 +7,20 @@ import "sync"
 // tasks from a per-site queue. Concurrent queries interleave their legs
 // on the owning site's workers — a site is busy the way the paper's
 // fragment processors are busy — while distinct sites always run in
-// parallel. With one worker per site (the default) each site serialises
-// its legs exactly like a single-processor site would.
+// parallel.
 type sitePools struct {
 	queues []chan func()
 	wg     sync.WaitGroup
 }
 
-// newSitePools starts workers-per-site goroutines for each of numSites
+// siteWorkers is the number of worker goroutines per site: one, the
+// paper's one processor per fragment, so each site serialises its legs
+// exactly like a single-processor site would.
+const siteWorkers = 1
+
+// newSitePools starts siteWorkers goroutines for each of numSites
 // queues.
-func newSitePools(numSites, workersPerSite int) *sitePools {
-	if workersPerSite < 1 {
-		workersPerSite = 1
-	}
+func newSitePools(numSites int) *sitePools {
 	p := &sitePools{queues: make([]chan func(), numSites)}
 	for i := range p.queues {
 		// A small buffer decouples query fan-out from worker pace; a
@@ -27,7 +28,7 @@ func newSitePools(numSites, workersPerSite int) *sitePools {
 		// unboundedly.
 		q := make(chan func(), 64)
 		p.queues[i] = q
-		for w := 0; w < workersPerSite; w++ {
+		for w := 0; w < siteWorkers; w++ {
 			p.wg.Add(1)
 			go func(q chan func()) {
 				defer p.wg.Done()
@@ -40,14 +41,18 @@ func newSitePools(numSites, workersPerSite int) *sitePools {
 	return p
 }
 
-// submit enqueues one leg task on the site's queue, blocking when the
-// queue is full. The task signals its own completion (the callers use a
-// WaitGroup); submit only guarantees eventual execution.
-func (p *sitePools) submit(site int, task func()) {
-	p.queues[site] <- task
+// run executes one leg task on the site's worker and returns when it
+// has finished, blocking first while the site's queue is full.
+func (p *sitePools) run(site int, task func()) {
+	done := make(chan struct{})
+	p.queues[site] <- func() {
+		task()
+		close(done)
+	}
+	<-done
 }
 
-// close drains and stops all workers. Callers must not submit after
+// close drains and stops all workers. Callers must not run tasks after
 // close.
 func (p *sitePools) close() {
 	for _, q := range p.queues {

@@ -19,7 +19,7 @@ import (
 // around the copy-on-write store swap — run with -race (CI always
 // does).
 func TestConcurrentQueriesAndUpdates(t *testing.T) {
-	srv, st := newGridServer(t, 6, 6, 3, Config{CacheCapacity: 128, SiteWorkers: 2})
+	srv, st := newGridServer(t, 6, 6, 3, Config{CacheCapacity: 128})
 	nodes := st.Fragmentation().Base().NumNodes()
 	const iters = 25
 	var wg sync.WaitGroup

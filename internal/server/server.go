@@ -40,9 +40,6 @@ type Config struct {
 	// CacheCapacity bounds the leg-result cache in entries; 0 disables
 	// memoization.
 	CacheCapacity int
-	// SiteWorkers is the number of worker goroutines per site (default
-	// 1: each site serialises its legs like a single-processor site).
-	SiteWorkers int
 	// Cluster enables multi-node scatter-gather: legs of sites the
 	// coordinator assigns to peers execute remotely over its transport,
 	// and /v1/update transactions fan out to every peer with a coherent
@@ -81,14 +78,11 @@ func NewDataset(ds *tcq.Dataset, cfg Config) (*Server, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("server: nil dataset") //tcvet:ignore typederr constructor misuse guard; fails startup, never crosses the wire
 	}
-	if cfg.SiteWorkers < 1 {
-		cfg.SiteWorkers = 1
-	}
 	n := ds.Snapshot().Stats().Sites
 	s := &Server{
 		ds:         ds,
 		cache:      newLegCache(cfg.CacheCapacity),
-		pools:      newSitePools(n, cfg.SiteWorkers),
+		pools:      newSitePools(n),
 		start:      time.Now(),
 		siteLegs:   make([]atomic.Uint64, n),
 		siteBusyNS: make([]atomic.Int64, n),
@@ -177,7 +171,14 @@ func (s *Server) Close() {
 // runCtx is the pooled, cache-aware, cancellation-aware executor
 // behind every non-pipelined query, running entirely on the snapshot
 // the request pinned — concurrent batch applies swap the dataset
-// underneath without disturbing it. Leg tasks observe ctx both before
+// underneath without disturbing it. It is dsa.RunLegs with the serving
+// layer's way of obtaining a leg: a locally owned leg is one task on
+// its site's persistent worker queue, where the cache intercepts the
+// (site, entry, engine) computation and the exit selection specialises
+// it per leg; in cluster deployments a leg of a remotely owned site is
+// shipped to its owner instead (scatter) — an I/O-bound wait, the owner
+// serialises the actual work on ITS site pool. Assembly (gather) is
+// oblivious to where a leg ran. Leg tasks observe ctx both before
 // executing (a canceled query's queued legs become no-ops) and inside
 // the kernels.
 func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target graph.NodeID, engine dsa.Engine) (*dsa.Result, tcq.RunStats, error) {
@@ -190,116 +191,76 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 	if err != nil {
 		return nil, tcq.RunStats{}, err
 	}
-	res, done := st.PlanResult(plan)
-	if done {
-		res.Elapsed = time.Since(start)
-		return res, tcq.RunStats{}, nil
-	}
-
-	// Phase 1: every locally owned leg becomes one task on its site's
-	// persistent worker queue; the cache intercepts the (site, entry,
-	// engine) computation and the exit selection specialises it per
-	// leg. In cluster deployments, legs of remotely owned sites are
-	// shipped to their owners instead (scatter), each on its own
-	// goroutine — they are I/O-bound waits, and the owner serialises
-	// the actual work on ITS site pool. Both kinds land in the same
-	// results slice, so the assembly phase (gather) is oblivious to
-	// where a leg ran.
-	epoch := snap.Epoch()
-	results := make([]*dsa.LegResult, len(plan.Legs))
-	errs := make([]error, len(plan.Legs))
 	var hits, misses atomic.Int64
 	var fallbackMu sync.Mutex
 	var fallbackSites []int
-	var wg sync.WaitGroup
-	finishLeg := func(i int, leg dsa.Leg, t0 time.Time, full *relation.Relation, stats tc.Stats, hit bool) {
+	finishLeg := func(leg dsa.Leg, t0 time.Time, full *relation.Relation, stats tc.Stats, hit bool) (*dsa.LegResult, error) {
 		if hit {
 			hits.Add(1)
 		} else {
 			misses.Add(1)
 		}
-		filtered, filterErr := dsa.FilterLegFacts(full, leg)
-		if filterErr != nil {
-			errs[i] = filterErr
-			return
+		filtered, err := dsa.FilterLegFacts(full, leg)
+		if err != nil {
+			return nil, err
 		}
 		stats.ResultTuples = filtered.Len()
 		took := time.Since(t0)
-		results[i] = &dsa.LegResult{Leg: leg, Rel: filtered, Stats: stats, Took: took}
 		s.siteLegs[leg.SiteID].Add(1)
 		s.siteBusyNS[leg.SiteID].Add(int64(took))
+		return &dsa.LegResult{Leg: leg, Rel: filtered, Stats: stats, Took: took}, nil
 	}
-	for i := range plan.Legs {
-		leg := plan.Legs[i]
-		wg.Add(1)
+	res, err := st.RunLegs(ctx, plan, true, func(ctx context.Context, leg dsa.Leg) (*dsa.LegResult, error) {
 		if s.cluster != nil && !s.cluster.IsLocal(leg.SiteID) {
-			go func() {
-				defer wg.Done()
-				if err := ctx.Err(); err != nil {
-					errs[i] = fmt.Errorf("server: %w (%w)", dsa.ErrCanceled, context.Cause(ctx))
-					return
+			t0 := time.Now()
+			full, stats, hit, err := s.cluster.ExecuteLeg(ctx, leg.SiteID, leg.Entry, engine.String(), snap.Epoch())
+			if err != nil {
+				// Degraded mode: the owner is unreachable (down, timed
+				// out, or its breaker is open), but every node builds the
+				// identical store — so run the leg here, against the same
+				// pinned snapshot, and answer correctly instead of failing
+				// the query. Protocol errors (epoch skew, bad response)
+				// are NOT eligible: falling back would mask incoherence.
+				if !cluster.FallbackEligible(err) {
+					return nil, err
 				}
-				t0 := time.Now()
-				full, stats, hit, err := s.cluster.ExecuteLeg(ctx, leg.SiteID, leg.Entry, engine.String(), epoch)
+				full, stats, hit, err = s.executeLegLocal(ctx, snap, leg.SiteID, leg.Entry, engine)
 				if err != nil {
-					// Degraded mode: the owner is unreachable (down,
-					// timed out, or its breaker is open), but every node
-					// builds the identical store — so run the leg here,
-					// against the same pinned snapshot, and answer
-					// correctly instead of failing the query. Protocol
-					// errors (epoch skew, bad response) are NOT eligible:
-					// falling back would mask incoherence.
-					if !cluster.FallbackEligible(err) {
-						errs[i] = err
-						return
-					}
-					full, stats, hit, err = s.executeLegLocal(ctx, snap, leg.SiteID, leg.Entry, engine)
-					if err != nil {
-						errs[i] = err
-						return
-					}
-					s.cluster.FallbackLeg(leg.SiteID)
-					fallbackMu.Lock()
-					fallbackSites = append(fallbackSites, leg.SiteID)
-					fallbackMu.Unlock()
+					return nil, err
 				}
-				// hit reports the OWNER's cache verdict — remote hits
-				// count as hits here so the hit rate reflects work
-				// actually saved cluster-wide.
-				finishLeg(i, leg, t0, full, stats, hit)
-			}()
-			continue
+				s.cluster.FallbackLeg(leg.SiteID)
+				fallbackMu.Lock()
+				fallbackSites = append(fallbackSites, leg.SiteID)
+				fallbackMu.Unlock()
+			}
+			// hit reports the OWNER's cache verdict — remote hits count
+			// as hits here so the hit rate reflects work actually saved
+			// cluster-wide.
+			return finishLeg(leg, t0, full, stats, hit)
 		}
-		s.pools.submit(leg.SiteID, func() {
-			defer wg.Done()
+		var lr *dsa.LegResult
+		var err error
+		s.pools.run(leg.SiteID, func() {
 			// A canceled query's queued legs become no-ops instead of
-			// occupying the site's workers.
-			if err := ctx.Err(); err != nil {
-				errs[i] = fmt.Errorf("server: %w (%w)", dsa.ErrCanceled, context.Cause(ctx))
+			// occupying the site's worker.
+			if ctx.Err() != nil {
+				err = fmt.Errorf("server: %w (%w)", dsa.ErrCanceled, context.Cause(ctx))
 				return
 			}
 			t0 := time.Now()
 			full, stats, hit, execErr := s.executeLegLocal(ctx, snap, leg.SiteID, leg.Entry, engine)
 			if execErr != nil {
-				errs[i] = execErr
+				err = execErr
 				return
 			}
 			if s.cluster != nil {
 				s.cluster.LocalLeg()
 			}
-			finishLeg(i, leg, t0, full, stats, hit)
+			lr, err = finishLeg(leg, t0, full, stats, hit)
 		})
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, tcq.RunStats{}, err
-		}
-	}
-
-	// Phase 2: accounting + assembly, the same epilogue as the library
-	// path.
-	if err := st.FinishPlan(plan, results, res); err != nil {
+		return lr, err
+	})
+	if err != nil {
 		return nil, tcq.RunStats{}, err
 	}
 	res.Elapsed = time.Since(start)

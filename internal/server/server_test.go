@@ -115,6 +115,19 @@ func TestServerMatchesLibrary(t *testing.T) {
 					t.Errorf("%v %d->%d pass %d: cost %v, oracle %v",
 						engine, src, dst, pass, got.Cost, want.Cost)
 				}
+				// Both run dsa.RunLegs: the paper's cost accounting
+				// cannot depend on who obtained the legs.
+				if got.ChainsConsidered != want.ChainsConsidered || got.MessagesSent != want.MessagesSent ||
+					got.TuplesShipped != want.TuplesShipped || got.Assembly != want.Assembly ||
+					len(got.PerSite) != len(want.PerSite) {
+					t.Errorf("%v %d->%d pass %d: accounting %+v, oracle %+v", engine, src, dst, pass, got, want)
+				}
+				for id, w := range want.PerSite {
+					if got.PerSite[id].Legs != w.Legs {
+						t.Errorf("%v %d->%d pass %d: site %d ran %d legs, oracle %d",
+							engine, src, dst, pass, id, got.PerSite[id].Legs, w.Legs)
+					}
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -48,7 +49,7 @@ func (b *BatchReport) Format() string {
 }
 
 // RunBatch executes a batch of queries and aggregates the reports.
-func (c *Cluster) RunBatch(queries []QueryPair, engine dsa.Engine) (*BatchReport, error) {
+func (c *Cluster) RunBatch(ctx context.Context, queries []QueryPair, engine dsa.Engine) (*BatchReport, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("sim: empty batch")
 	}
@@ -56,7 +57,7 @@ func (c *Cluster) RunBatch(queries []QueryPair, engine dsa.Engine) (*BatchReport
 	var utilSum float64
 	utilCount := 0
 	for _, q := range queries {
-		rep, err := c.Run(q.Source, q.Target, engine)
+		rep, err := c.Run(ctx, q.Source, q.Target, engine)
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,7 @@
 // Package sim simulates the shared-nothing multiprocessor database
 // machine the paper targets (PRISMA/DB, references [4, 14, 20]): one
-// site process per fragment, a coordinator, and Go channels as the
-// interconnect.
+// site process (goroutine) per fragment, a coordinator, and a recorded
+// message trace as the interconnect.
 //
 // The simulator executes disconnection-set queries with real
 // goroutine-per-site concurrency while making the communication pattern
@@ -28,6 +28,8 @@ import (
 
 	"repro/internal/dsa"
 	"repro/internal/graph"
+	"repro/internal/relation"
+	"repro/internal/tc"
 )
 
 // CoordinatorID is the pseudo-site ID of the coordinator in message
@@ -142,96 +144,42 @@ func (c *Cluster) legWork(lr *dsa.LegResult) time.Duration {
 	return time.Duration(sec * float64(time.Second))
 }
 
-// Run executes one shortest-path query on the simulated cluster.
-func (c *Cluster) Run(source, target graph.NodeID, engine dsa.Engine) (*Report, error) {
+// Run executes one shortest-path query on the simulated cluster: the
+// store's own executor with one goroutine per site process, each leg
+// bracketed by its coordinator→site task message and site→coordinator
+// result shipment. No message ever joins two sites — phase 1 is
+// communication-free by construction.
+func (c *Cluster) Run(ctx context.Context, source, target graph.NodeID, engine dsa.Engine) (*Report, error) {
 	plan, err := c.store.NewPlan(source, target)
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{Cost: math.Inf(1), SiteBusy: make(map[int]time.Duration)}
-	if source == target {
-		rep.Reachable = true
-		rep.Cost = 0
-		rep.Speedup = 1
-		return rep, nil
-	}
-	if len(plan.Chains) == 0 {
-		rep.Speedup = 1
-		return rep, nil
-	}
-
-	// Group legs per site.
-	bySite := make(map[int][]int)
-	for i, l := range plan.Legs {
-		bySite[l.SiteID] = append(bySite[l.SiteID], i)
-	}
-	rep.SitesUsed = len(bySite)
-
-	type taskMsg struct {
-		legIdx int
-		leg    dsa.Leg
-	}
-	type resultMsg struct {
-		legIdx int
-		siteID int
-		lr     *dsa.LegResult
-		err    error
-	}
-	resultCh := make(chan resultMsg, len(plan.Legs))
-
-	var mu sync.Mutex // guards rep.Messages
-	record := func(m Message) {
+	rep := &Report{SiteBusy: make(map[int]time.Duration)}
+	var mu sync.Mutex // guards rep.Messages and rep.SiteBusy
+	res, err := c.store.RunLegs(ctx, plan, true, func(ctx context.Context, leg dsa.Leg) (*dsa.LegResult, error) {
+		lr, err := c.store.ExecuteLegCtx(ctx, leg, engine)
+		if err != nil {
+			return nil, err
+		}
 		mu.Lock()
-		rep.Messages = append(rep.Messages, m)
+		rep.Messages = append(rep.Messages,
+			Message{From: CoordinatorID, To: leg.SiteID},
+			Message{From: leg.SiteID, To: CoordinatorID, Tuples: lr.Rel.Len()})
+		rep.SiteBusy[leg.SiteID] += c.legWork(lr)
 		mu.Unlock()
-	}
-
-	// Site processes: receive tasks, execute, ship results. There is no
-	// channel between two sites — phase 1 is communication-free by
-	// construction.
-	var wg sync.WaitGroup
-	for siteID, legIdxs := range bySite {
-		taskCh := make(chan taskMsg, len(legIdxs))
-		for _, i := range legIdxs {
-			record(Message{From: CoordinatorID, To: siteID})
-			taskCh <- taskMsg{legIdx: i, leg: plan.Legs[i]}
-		}
-		close(taskCh)
-		wg.Add(1)
-		go func(id int, tasks <-chan taskMsg) {
-			defer wg.Done()
-			for t := range tasks {
-				lr, err := c.store.ExecuteLegCtx(context.TODO(), t.leg, engine)
-				n := 0
-				if lr != nil {
-					n = lr.Rel.Len()
-				}
-				record(Message{From: id, To: CoordinatorID, Tuples: n})
-				resultCh <- resultMsg{legIdx: t.legIdx, siteID: id, lr: lr, err: err}
-			}
-		}(siteID, taskCh)
-	}
-	wg.Wait()
-	close(resultCh)
-
-	results := make([]*dsa.LegResult, len(plan.Legs))
-	for m := range resultCh {
-		if m.err != nil {
-			return nil, m.err
-		}
-		results[m.legIdx] = m.lr
-		rep.SiteBusy[m.siteID] += c.legWork(m.lr)
-		rep.TuplesShipped += m.lr.Rel.Len()
-	}
-
-	// Assemble at the coordinator.
-	out, err := c.store.Assemble(plan, results)
+		return lr, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	rep.Cost = out.Cost
-	rep.Reachable = out.Reachable
-	rep.BestChain = out.BestChain
+	rep.Cost, rep.Reachable, rep.BestChain = res.Cost, res.Reachable, res.BestChain
+	rep.SitesUsed = len(res.PerSite)
+	rep.TuplesShipped = res.TuplesShipped
+	if rep.SitesUsed == 0 {
+		// Answered from the plan alone: nothing ran, nothing to charge.
+		rep.Speedup = 1
+		return rep, nil
+	}
 	if engine == dsa.EngineBitset {
 		// Presence-marker sums are not path costs; never report one.
 		rep.Cost = math.Inf(1)
@@ -269,13 +217,11 @@ func (c *Cluster) Run(source, target graph.NodeID, engine dsa.Engine) (*Report, 
 // would need for the same query: one processor computing the
 // source-restricted shortest-path fixpoint over the whole unfragmented
 // graph, charged under the same cost model.
-func (c *Cluster) CentralizedElapsed(source graph.NodeID, engine dsa.Engine) (time.Duration, error) {
+func (c *Cluster) CentralizedElapsed(ctx context.Context, source graph.NodeID, engine dsa.Engine) (time.Duration, error) {
 	base := c.store.Fragmentation().Base()
 	switch engine {
 	case dsa.EngineDijkstra:
-		t0 := time.Now()
 		dist, _ := base.ShortestPaths(source)
-		_ = time.Since(t0)
 		sec := float64(len(dist)+base.NumEdges()) / c.cost.TupleRate
 		return time.Duration(sec * float64(time.Second)), nil
 	case dsa.EngineSemiNaive, dsa.EngineBitset, dsa.EngineDense:
@@ -283,14 +229,18 @@ func (c *Cluster) CentralizedElapsed(source graph.NodeID, engine dsa.Engine) (ti
 		// tuples for the semi-naive fixpoint, derived component bits
 		// for the bitset kernel, successful relaxations for the dense
 		// cost kernel.
-		kernel := shortestFrom
+		rel := relation.FromGraph(base)
+		sources := []graph.NodeID{source}
+		var stats tc.Stats
+		var err error
 		switch engine {
 		case dsa.EngineBitset:
-			kernel = reachableFromBitset
+			_, stats, err = tc.BitsetReachableFromCtx(ctx, rel, sources)
 		case dsa.EngineDense:
-			kernel = denseCostFrom
+			_, stats, err = tc.DenseCostFrom(rel, sources)
+		default:
+			_, stats, err = tc.ShortestFromCtx(ctx, rel, sources)
 		}
-		_, stats, err := kernel(relationFromBase(base), source)
 		if err != nil {
 			return 0, err
 		}

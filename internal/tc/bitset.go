@@ -393,19 +393,14 @@ func BitsetClosure(r *relation.Relation) (*relation.Relation, Stats, error) {
 	return out, st, nil
 }
 
-// BitsetReachableFrom computes the (src, dst) pairs with src in sources
-// with the bitset kernel, restricting propagation to the components
-// reachable from the sources — the kernel's analogue of the pushed
-// selection in ReachableFrom, and the variant fragment legs run: the
-// entry set is the incoming disconnection set, so only its "magic cone"
-// of the condensation is ever touched.
-func BitsetReachableFrom(r *relation.Relation, sources []graph.NodeID) (*relation.Relation, Stats, error) {
-	return BitsetReachableFromCtx(context.Background(), r, sources)
-}
-
-// BitsetReachableFromCtx is BitsetReachableFrom with cancellation: the
-// worker pool observes ctx between dependency levels and a canceled
-// run returns ErrCanceled instead of a partial relation.
+// BitsetReachableFromCtx computes the (src, dst) pairs with src in
+// sources with the bitset kernel, restricting propagation to the
+// components reachable from the sources — the kernel's analogue of the
+// pushed selection in ReachableFrom, and the variant fragment legs run:
+// the entry set is the incoming disconnection set, so only its "magic
+// cone" of the condensation is ever touched. The worker pool observes
+// ctx between dependency levels and a canceled run returns ErrCanceled
+// instead of a partial relation.
 func BitsetReachableFromCtx(ctx context.Context, r *relation.Relation, sources []graph.NodeID) (*relation.Relation, Stats, error) {
 	var st Stats
 	pairs, err := checkEdgeRelation(r)

@@ -1,6 +1,7 @@
 package tc
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -121,7 +122,7 @@ func TestBitsetReachableFromEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, _, err := BitsetReachableFrom(r, srcs)
+				got, _, err := BitsetReachableFromCtx(context.Background(), r, srcs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -141,7 +142,7 @@ func TestBitsetReachableFromDuplicateSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := BitsetReachableFrom(r, srcs)
+	got, _, err := BitsetReachableFromCtx(context.Background(), r, srcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestBitsetClosureEmpty(t *testing.T) {
 	if _, _, err := BitsetClosure(relation.New("a", "b")); err == nil {
 		t.Error("arity-2 relation accepted")
 	}
-	gotR, _, err := BitsetReachableFrom(empty, []graph.NodeID{1, 2})
+	gotR, _, err := BitsetReachableFromCtx(context.Background(), empty, []graph.NodeID{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestBitsetClosureNonIntegerFallback(t *testing.T) {
 	if got.Len() != 3 {
 		t.Errorf("string-node closure = %d tuples, want 3", got.Len())
 	}
-	restricted, _, err := BitsetReachableFrom(r, nil)
+	restricted, _, err := BitsetReachableFromCtx(context.Background(), r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func FuzzBitsetClosure(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotR, _, err := BitsetReachableFrom(r, []graph.NodeID{src})
+			gotR, _, err := BitsetReachableFromCtx(context.Background(), r, []graph.NodeID{src})
 			if err != nil {
 				t.Fatal(err)
 			}

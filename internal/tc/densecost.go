@@ -139,7 +139,7 @@ func (r *costRow) reset(visited []int32) {
 }
 
 // relaxFrom seeds the row with the out-edges of src (paths of at least
-// one edge, matching ShortestFrom's semantics) and runs the frontier
+// one edge, matching ShortestFromCtx's semantics) and runs the frontier
 // iteration. It returns the visited nodes (ascending insertion order is
 // NOT guaranteed), the number of rounds and the number of successful
 // relaxations.
@@ -202,22 +202,17 @@ type costFact struct {
 	cost float64
 }
 
-// CostFrom computes the minimum path cost (over paths of at least one
-// edge) from every distinct present source to every node it reaches,
-// as a (src, dst, cost) relation — the same answer ShortestFrom gives,
-// in kernel time. Sources absent from the snapshot contribute nothing
-// (they have no out-edges); duplicates count once. Stats are in the
-// kernel's units: Iterations is the maximum frontier-round count over
-// all source rows (the critical-path analogue of fixpoint rounds),
-// DerivedTuples the total number of successful relaxations.
-func (d *DenseGraph) CostFrom(sources []graph.NodeID) (*relation.Relation, Stats) {
-	out, st, _ := d.CostFromCtx(context.Background(), sources)
-	return out, st
-}
-
-// CostFromCtx is CostFrom with cancellation: worker rows observe ctx
-// between sources and between frontier rounds, and a canceled run
-// returns ErrCanceled instead of a partial relation.
+// CostFromCtx computes the minimum path cost (over paths of at least
+// one edge) from every distinct present source to every node it
+// reaches, as a (src, dst, cost) relation — the same answer
+// ShortestFromCtx gives, in kernel time. Sources absent from the
+// snapshot contribute nothing (they have no out-edges); duplicates
+// count once. Stats are in the kernel's units: Iterations is the
+// maximum frontier-round count over all source rows (the critical-path
+// analogue of fixpoint rounds), DerivedTuples the total number of
+// successful relaxations. Worker rows observe ctx between sources and
+// between frontier rounds, and a canceled run returns ErrCanceled
+// instead of a partial relation.
 func (d *DenseGraph) CostFromCtx(ctx context.Context, sources []graph.NodeID) (*relation.Relation, Stats, error) {
 	var st Stats
 	n := len(d.ids)
@@ -282,7 +277,7 @@ func (d *DenseGraph) CostFromCtx(ctx context.Context, sources []graph.NodeID) (*
 	return out, st, nil
 }
 
-// CostVector runs one propagation seeded with the given (node, cost)
+// CostVectorCtx runs one propagation seeded with the given (node, cost)
 // vector, allowing zero-edge paths: the result contains every node
 // reachable from a seed, including the seeds themselves at (at most)
 // their seed cost. Negative seed costs are ignored, mirroring
@@ -292,15 +287,9 @@ func (d *DenseGraph) CostFromCtx(ctx context.Context, sources []graph.NodeID) (*
 // keep (a chain may enter and leave a fragment at the same border
 // node). This is the pipelined chain evaluation primitive, where the
 // running cost vector of the previous fragments seeds the next
-// fragment's search.
-func (d *DenseGraph) CostVector(seed map[graph.NodeID]float64) map[graph.NodeID]float64 {
-	out, _ := d.CostVectorCtx(context.Background(), seed)
-	return out
-}
-
-// CostVectorCtx is CostVector with cancellation: the propagation
-// observes ctx between frontier rounds, and a canceled run returns
-// ErrCanceled instead of a partial vector.
+// fragment's search. The propagation observes ctx between frontier
+// rounds, and a canceled run returns ErrCanceled instead of a partial
+// vector.
 func (d *DenseGraph) CostVectorCtx(ctx context.Context, seed map[graph.NodeID]float64) (map[graph.NodeID]float64, error) {
 	row := newCostRow(len(d.ids))
 	out := make(map[graph.NodeID]float64, len(seed))
@@ -335,7 +324,7 @@ func (d *DenseGraph) CostVectorCtx(ctx context.Context, seed map[graph.NodeID]fl
 
 // DenseCostFrom computes the entry-set-restricted shortest-path costs
 // of the edge relation with the dense kernel: the same (src, dst, cost)
-// relation as ShortestFrom, at CSR+Bellman-Ford speed. Non-int64 node
+// relation as ShortestFromCtx, at CSR+Bellman-Ford speed. Non-int64 node
 // values fall back to the relational fixpoint.
 func DenseCostFrom(r *relation.Relation, sources []graph.NodeID) (*relation.Relation, Stats, error) {
 	var st Stats
@@ -354,8 +343,7 @@ func DenseCostFrom(r *relation.Relation, sources []graph.NodeID) (*relation.Rela
 	if err != nil {
 		return nil, st, err
 	}
-	out, st := d.CostFrom(sources)
-	return out, st, nil
+	return d.CostFromCtx(context.Background(), sources)
 }
 
 // DenseCostClosure computes the full min-cost closure (every connected
@@ -375,6 +363,5 @@ func DenseCostClosure(r *relation.Relation) (*relation.Relation, Stats, error) {
 	for i, id := range d.ids {
 		sources[i] = graph.NodeID(id)
 	}
-	out, st := d.CostFrom(sources)
-	return out, st, nil
+	return d.CostFromCtx(context.Background(), sources)
 }

@@ -1,6 +1,7 @@
 package tc
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -64,7 +65,7 @@ func TestDenseCostFromEquivalence(t *testing.T) {
 				}
 				srcs = append(srcs, srcs[0])                       // duplicate
 				srcs = append(srcs, graph.NodeID(1_000_000+trial)) // absent
-				want, _, err := ShortestFrom(r, srcs)
+				want, _, err := ShortestFromCtx(context.Background(), r, srcs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -139,7 +140,7 @@ func TestDenseCostSelfLoopsAndZeroWeights(t *testing.T) {
 	r.MustInsert(relation.Tuple{int64(1), int64(2), 0.0}) // zero weight
 	r.MustInsert(relation.Tuple{int64(2), int64(3), 0.0})
 	r.MustInsert(relation.Tuple{int64(3), int64(2), 0.0}) // zero-weight cycle
-	want, _, err := ShortestFrom(r, []graph.NodeID{1, 2})
+	want, _, err := ShortestFromCtx(context.Background(), r, []graph.NodeID{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,10 @@ func TestDenseCostVectorMatchesShortestPathsMulti(t *testing.T) {
 					graph.NodeID(2_000_000):     -1, // ignored: negative
 				}
 				want, _ := g.ShortestPathsMulti(seed)
-				got := d.CostVector(seed)
+				got, err := d.CostVectorCtx(context.Background(), seed)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if len(got) != len(want) {
 					t.Fatalf("trial %d: %d nodes, want %d", trial, len(got), len(want))
 				}
@@ -262,7 +266,10 @@ func TestDenseGraphCounts(t *testing.T) {
 		t.Errorf("Nodes/Edges = %d/%d, want 3/3", d.Nodes(), d.Edges())
 	}
 	// Parallel edges collapse to the cheaper cost in results.
-	got, _ := d.CostFrom([]graph.NodeID{1})
+	got, _, err := d.CostFromCtx(context.Background(), []graph.NodeID{1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	costs := indexCosts(got)
 	if c := costs[relation.Tuple{int64(1), int64(2)}.Key()]; c != 1.0 {
 		t.Errorf("parallel edge min cost = %v, want 1", c)
@@ -297,7 +304,7 @@ func TestPropertyDenseRandomCostRelations(t *testing.T) {
 		n := 2 + rng.Intn(10)
 		r := randomCostRelation(rng, n, rng.Intn(4*n))
 		srcs := []graph.NodeID{graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))}
-		want, _, err := ShortestFrom(r, srcs)
+		want, _, err := ShortestFromCtx(context.Background(), r, srcs)
 		if err != nil {
 			return false
 		}
@@ -345,7 +352,7 @@ func FuzzDenseCost(f *testing.F) {
 		if len(data) > 1 {
 			srcs = append(srcs, graph.NodeID(data[1]%16))
 		}
-		want, _, err := ShortestFrom(r, srcs)
+		want, _, err := ShortestFromCtx(context.Background(), r, srcs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package tc
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestShortestFromSelfLoop(t *testing.T) {
 	r.MustInsert(relation.Tuple{int64(1), int64(1), 5.0})
 	r.MustInsert(relation.Tuple{int64(1), int64(2), 1.0})
 	r.MustInsert(relation.Tuple{int64(2), int64(1), 1.0})
-	got, _, err := ShortestFrom(r, []graph.NodeID{1})
+	got, _, err := ShortestFromCtx(context.Background(), r, []graph.NodeID{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestShortestFromZeroWeightEdges(t *testing.T) {
 	r.MustInsert(relation.Tuple{int64(1), int64(2), 0.0})
 	r.MustInsert(relation.Tuple{int64(2), int64(1), 0.0})
 	r.MustInsert(relation.Tuple{int64(2), int64(3), 4.0})
-	got, _, err := ShortestFrom(r, []graph.NodeID{1})
+	got, _, err := ShortestFromCtx(context.Background(), r, []graph.NodeID{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestShortestFromZeroWeightEdges(t *testing.T) {
 func TestShortestFromUnreachableEntrySet(t *testing.T) {
 	r := relation.New("src", "dst", "cost")
 	r.MustInsert(relation.Tuple{int64(1), int64(2), 1.0})
-	got, st, err := ShortestFrom(r, []graph.NodeID{2, 42})
+	got, st, err := ShortestFromCtx(context.Background(), r, []graph.NodeID{2, 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestShortestFromParallelEdgesKeepMin(t *testing.T) {
 	r := relation.New("src", "dst", "cost")
 	r.MustInsert(relation.Tuple{int64(1), int64(2), 9.0})
 	r.MustInsert(relation.Tuple{int64(1), int64(2), 2.0})
-	got, _, err := ShortestFrom(r, []graph.NodeID{1})
+	got, _, err := ShortestFromCtx(context.Background(), r, []graph.NodeID{1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package tc_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/graph"
@@ -24,12 +25,12 @@ func Example() {
 
 // ExampleShortestFrom pushes the source selection into the cost
 // fixpoint — the keyhole behaviour disconnection sets rely on.
-func ExampleShortestFrom() {
+func ExampleShortestFromCtx() {
 	r := relation.New("src", "dst", "cost")
 	r.MustInsert(relation.Tuple{int64(1), int64(2), 3.0})
 	r.MustInsert(relation.Tuple{int64(2), int64(3), 4.0})
 	r.MustInsert(relation.Tuple{int64(1), int64(3), 9.0})
-	costs, _, err := tc.ShortestFrom(r, []graph.NodeID{1})
+	costs, _, err := tc.ShortestFromCtx(context.Background(), r, []graph.NodeID{1})
 	if err != nil {
 		panic(err)
 	}

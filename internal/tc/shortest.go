@@ -54,16 +54,11 @@ func ShortestClosure(r *relation.Relation) (*relation.Relation, Stats, error) {
 	return shortestFixpoint(context.Background(), edges, edges, &st)
 }
 
-// ShortestFrom computes the cheapest path costs from the given source
-// nodes only, seeding the fixpoint with their out-edges (selection
-// pushing, as in ReachableFrom).
-func ShortestFrom(r *relation.Relation, sources []graph.NodeID) (*relation.Relation, Stats, error) {
-	return ShortestFromCtx(context.Background(), r, sources)
-}
-
-// ShortestFromCtx is ShortestFrom with cancellation: the fixpoint
-// observes ctx between rounds, and a canceled run returns ErrCanceled
-// instead of a partial relation.
+// ShortestFromCtx computes the cheapest path costs from the given
+// source nodes only, seeding the fixpoint with their out-edges
+// (selection pushing, as in ReachableFrom). The fixpoint observes ctx
+// between rounds, and a canceled run returns ErrCanceled instead of a
+// partial relation.
 func ShortestFromCtx(ctx context.Context, r *relation.Relation, sources []graph.NodeID) (*relation.Relation, Stats, error) {
 	var st Stats
 	edges, err := normalizeEdges(r)

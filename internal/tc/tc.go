@@ -136,9 +136,9 @@ func SemiNaiveClosure(r *relation.Relation) (*relation.Relation, Stats, error) {
 //
 // The known set is maintained as one relation.Dedup that lives across
 // rounds: each round's step output is filtered against it in a single
-// pass (Dedup.Filter is Distinct + Difference combined) and the new
-// tuples are appended in place, instead of re-encoding the whole known
-// relation per round through Distinct/Difference/Union chains.
+// pass (Dedup.Filter is distinct and set difference combined) and the
+// new tuples are appended in place, instead of re-encoding the whole
+// known relation per round.
 func semiNaivePairs(seed, edges *relation.Relation, st *Stats) (*relation.Relation, Stats, error) {
 	dedup := relation.NewDedup()
 	known := dedup.Filter(seed)

@@ -1,6 +1,7 @@
 package tc
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -222,7 +223,7 @@ func TestShortestClosureParallelEdges(t *testing.T) {
 
 func TestShortestFrom(t *testing.T) {
 	r := rel([3]float64{1, 2, 2}, [3]float64{2, 3, 2}, [3]float64{9, 1, 1})
-	got, _, err := ShortestFrom(r, []graph.NodeID{1})
+	got, _, err := ShortestFromCtx(context.Background(), r, []graph.NodeID{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +521,7 @@ func TestNormalizeEdgesErrors(t *testing.T) {
 	if _, _, err := ShortestClosure(bad); err == nil {
 		t.Error("non-numeric cost accepted")
 	}
-	if _, _, err := ShortestFrom(relation.New("a", "b"), []graph.NodeID{1}); err == nil {
+	if _, _, err := ShortestFromCtx(context.Background(), relation.New("a", "b"), []graph.NodeID{1}); err == nil {
 		t.Error("arity-2 relation accepted by ShortestFrom")
 	}
 	if _, _, err := ReachableFrom(relation.New("a", "b"), []graph.NodeID{1}); err == nil {
@@ -530,7 +531,7 @@ func TestNormalizeEdgesErrors(t *testing.T) {
 
 func TestShortestFromUnknownSource(t *testing.T) {
 	r := rel([3]float64{1, 2, 1})
-	got, _, err := ShortestFrom(r, []graph.NodeID{99})
+	got, _, err := ShortestFromCtx(context.Background(), r, []graph.NodeID{99})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,9 +87,10 @@ type BuildOptions struct {
 
 // BuildStore precomputes a disconnection-set deployment from a
 // fragmentation: one site per fragment, complementary information per
-// disconnection set. The returned store is the handle Open (and the
-// serving layer's server.New) accept; callers that only query can use
-// Build and never touch the store.
+// disconnection set. The returned store is the handle Open and
+// OpenDataset accept (the serving layer deploys over the resulting
+// Dataset); callers that only query can use Build and never touch the
+// store.
 func BuildStore(fr *fragment.Fragmentation, opt BuildOptions) (*dsa.Store, error) {
 	return dsa.Build(fr, dsa.Options{MaxChains: opt.MaxChains, Problem: opt.Problem})
 }

@@ -9,6 +9,8 @@
 #   tcvet       the project-invariant analyzer suite (cmd/tcvet):
 #               layering, injected clocks, drained response bodies,
 #               typed wire errors, the metric catalog
+#   ctx         no context.TODO() outside tests and benchmarks/ —
+#               every entry point takes its caller's context
 #
 # Usage: scripts/lint.sh
 set -euo pipefail
@@ -37,5 +39,11 @@ fi
 
 echo "== tcvet"
 go run ./cmd/tcvet
+
+echo "== ctx"
+if grep -rn 'context\.TODO()' --include='*.go' . | grep -v -e '_test\.go:' -e '^\./benchmarks/'; then
+    echo "FAIL: thread the caller's context instead of context.TODO()"
+    exit 1
+fi
 
 echo "lint: all checks passed"
