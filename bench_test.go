@@ -13,6 +13,7 @@ package benches
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -448,6 +449,32 @@ func BenchmarkBuildStore(b *testing.B) {
 	}
 }
 
+// servingDeployments are the two serving-benchmark deployments the
+// write-path and footprint benchmarks run on.
+var servingDeployments = []struct {
+	name  string
+	build func() (*fragment.Fragmentation, error)
+}{
+	{"road", func() (*fragment.Fragmentation, error) {
+		g, sets, err := gen.RoadNetwork(gen.RoadConfigForEdges(200_000, 1))
+		if err != nil {
+			return nil, err
+		}
+		return fragment.New(g, sets)
+	}},
+	{"grid", func() (*fragment.Fragmentation, error) {
+		g, err := gen.Grid(gen.GridConfig{Width: 64, Height: 64, DiagonalProb: 0.1, Seed: 1})
+		if err != nil {
+			return nil, err
+		}
+		res, err := linear.Fragment(g, linear.Options{NumFragments: 8})
+		if err != nil {
+			return nil, err
+		}
+		return res.Fragmentation, nil
+	}},
+}
+
 // BenchmarkApply times the write path on the two serving-benchmark
 // deployments: one transaction that inserts a heavy edge inside one
 // fragment and deletes it again (a new epoch, one rebuilt site, no
@@ -456,30 +483,7 @@ func BenchmarkBuildStore(b *testing.B) {
 // the write pays the pre-warm it pays behind a dense-engine server. Run
 // with -benchmem: B/op is what a write allocates.
 func BenchmarkApply(b *testing.B) {
-	deployments := []struct {
-		name  string
-		build func() (*fragment.Fragmentation, error)
-	}{
-		{"road", func() (*fragment.Fragmentation, error) {
-			g, sets, err := gen.RoadNetwork(gen.RoadConfigForEdges(200_000, 1))
-			if err != nil {
-				return nil, err
-			}
-			return fragment.New(g, sets)
-		}},
-		{"grid", func() (*fragment.Fragmentation, error) {
-			g, err := gen.Grid(gen.GridConfig{Width: 64, Height: 64, DiagonalProb: 0.1, Seed: 1})
-			if err != nil {
-				return nil, err
-			}
-			res, err := linear.Fragment(g, linear.Options{NumFragments: 8})
-			if err != nil {
-				return nil, err
-			}
-			return res.Fragmentation, nil
-		}},
-	}
-	for _, d := range deployments {
+	for _, d := range servingDeployments {
 		b.Run(d.name, func(b *testing.B) {
 			fr, err := d.build()
 			if err != nil {
@@ -508,6 +512,43 @@ func BenchmarkApply(b *testing.B) {
 				}
 				st = next
 			}
+		})
+	}
+}
+
+// BenchmarkStoreFootprint reports what a deployed store keeps alive —
+// base graph, fragmentation, every site's search graph and primed dense
+// kernel — as the live heap it adds once the garbage of building it is
+// collected (retained-MB; the time per op is the build and is not the
+// point).
+func BenchmarkStoreFootprint(b *testing.B) {
+	for _, d := range servingDeployments {
+		b.Run(d.name, func(b *testing.B) {
+			var retained float64
+			for i := 0; i < b.N; i++ {
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				fr, err := d.build()
+				if err != nil {
+					b.Fatal(err)
+				}
+				st, err := dsa.Build(fr, dsa.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, site := range st.Sites() {
+					if _, err := site.DenseKernel(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				runtime.GC()
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				runtime.KeepAlive(st)
+				retained = (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / (1 << 20)
+			}
+			b.ReportMetric(retained, "retained-MB")
 		})
 	}
 }

@@ -8,8 +8,8 @@
 // CI smoke gate.
 //
 // It is also the CI latency-SLO gate: -duration sustains the load for
-// a wall-clock window, -slo-file (or the -slo-* flags) holds the run
-// to committed p99/error budgets, and -json emits the machine-readable
+// a wall-clock window, -slo-file holds the run to the committed
+// p99/error budgets, and -json emits the machine-readable
 // report — client latency percentiles, the SLO verdict, and a full
 // scrape of the server's /metrics — that CI uploads as an artifact.
 //
@@ -41,7 +41,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/loadgen"
 )
@@ -63,9 +62,6 @@ func main() {
 		minHitRate = flag.Float64("min-hit-rate", -1, "fail if the leg-cache hit rate over the run is below this (-1 = no check)")
 		writeRate  = flag.Float64("write-rate", 0, "fraction of slots that fire /v1/update write transactions instead of queries (answer-invariant heavy-edge insert+delete)")
 		sloFile    = flag.String("slo-file", "", "JSON budget file (SLO.json): run fails if the measured p99s or error rate exceed it")
-		sloP99     = flag.Duration("slo-p99", 0, "read p99 budget (overrides the file's read_p99_ms; 0 = unset)")
-		sloWriteP  = flag.Duration("slo-write-p99", 0, "write p99 budget (overrides the file's write_p99_ms; 0 = unset)")
-		sloErrRate = flag.Float64("slo-error-rate", -1, "error-rate budget, errors/requests (overrides the file's error_rate; -1 = unset)")
 		jsonOut    = flag.String("json", "", "write the machine-readable run report (latencies, SLO verdict, /metrics scrape) to this path ('-' = stdout)")
 		retryTrans = flag.Int("retry-transient", 0, "re-fire a read query up to N extra times after a transient 502/504 gateway blip (writes are never retried); retry counts land in the -json report")
 	)
@@ -104,9 +100,12 @@ func main() {
 		cfg.Nodes = st.Nodes
 	}
 
-	budget, err := loadBudget(*sloFile, *sloP99, *sloWriteP, *sloErrRate)
-	if err != nil {
-		fatal(err)
+	var budget loadgen.SLOBudget
+	if *sloFile != "" {
+		var err error
+		if budget, err = loadgen.LoadSLOBudget(*sloFile); err != nil {
+			fatal(err)
+		}
 	}
 
 	rep, err := loadgen.RunLoad(cfg)
@@ -163,30 +162,6 @@ func parseAddrs(s string) []string {
 		}
 	}
 	return out
-}
-
-// loadBudget combines the -slo-file budget with the flag overrides.
-func loadBudget(path string, readP99, writeP99 time.Duration, errRate float64) (loadgen.SLOBudget, error) {
-	var b loadgen.SLOBudget
-	if path != "" {
-		var err error
-		b, err = loadgen.LoadSLOBudget(path)
-		if err != nil {
-			return b, err
-		}
-	}
-	if readP99 > 0 {
-		ms := float64(readP99) / float64(time.Millisecond)
-		b.ReadP99Ms = &ms
-	}
-	if writeP99 > 0 {
-		ms := float64(writeP99) / float64(time.Millisecond)
-		b.WriteP99Ms = &ms
-	}
-	if errRate >= 0 {
-		b.ErrorRate = &errRate
-	}
-	return b, nil
 }
 
 // report is the -json envelope: the load report plus the SLO verdict.

@@ -130,8 +130,8 @@ type BatchStats struct {
 	// their edge set changed, or a complementary table they hold did.
 	SitesRebuilt []int
 	// SitesShared is the number of sites structurally shared with the
-	// previous epoch: their subgraph, augmented search graph, relational
-	// snapshot and dense CSR kernel all carry over untouched.
+	// previous epoch: their search graph and whatever was derived from
+	// it (dense CSR kernel, edge relation) carry over untouched.
 	SitesShared int
 	// LocalOnly reports that the update stayed within sites (no
 	// disconnection sets exist, so no complementary information could
@@ -154,10 +154,10 @@ type BatchStats struct {
 // applied.
 //
 // Cost: what a batch pays is O(V) pointer copies (the new base graph's
-// node maps, graph.CloneShared), plus the touched fragments (a private
+// node table, graph.CloneShared), plus the touched fragments (a private
 // sorted copy of each one's edge set and node set, fragment.Patch),
-// plus the touched sites (subgraph, augmented graph and dense pre-warm
-// of every fragment whose edge set or complementary tables changed).
+// plus the touched sites (the search graph and the dense pre-warm of
+// every fragment whose edge set or complementary tables changed).
 // Nothing is proportional to E: untouched edge sets are never copied
 // and the partition is not re-validated, because each op edits the
 // base graph and exactly one edge set identically. On top of that come
@@ -257,9 +257,9 @@ func (st *Store) Apply(ctx context.Context, ops []EdgeOp) (*Store, BatchStats, e
 	next.prep = PreprocessStats{DijkstraRuns: stats.DijkstraRuns, DisconnectionSets: len(dss)}
 
 	// Phase 4: assemble the next store, sharing every site whose edge
-	// set AND complementary tables are unchanged — for those, the
-	// augmented graph, the relational snapshot and the (possibly
-	// already built) dense CSR kernel carry over by pointer.
+	// set AND complementary tables are unchanged — for those, the search
+	// graph and the (possibly already built) dense CSR kernel and edge
+	// relation carry over by pointer.
 	shared := fr.SharedNodes()
 	for _, f := range fr.Fragments() {
 		var site *Site
@@ -273,7 +273,7 @@ func (st *Store) Apply(ctx context.Context, ops []EdgeOp) (*Store, BatchStats, e
 			// superseded site had one: readers on the new epoch then
 			// never pay the kernel rebuild inline.
 			if st.sites[f.ID].densePrimed.Load() {
-				_, _ = site.denseKernel()
+				_, _ = site.DenseKernel()
 			}
 		}
 		for _, ci := range site.Comp {

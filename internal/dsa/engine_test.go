@@ -8,6 +8,8 @@ import (
 	"testing/quick"
 
 	"repro/internal/fragment"
+	"repro/internal/fragment/linear"
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -215,5 +217,52 @@ func TestDenseEngineNegativeWeightsErrorNotPanic(t *testing.T) {
 	// callable (it silently assumes non-negative weights).
 	if _, err := runPair(st, 0, 2, EngineSemiNaive, false); err == nil {
 		t.Error("seminaive query over negative weights returned no error")
+	}
+}
+
+// TestCostTrafficBuildsNoRelation: the dense, Dijkstra and pipelined
+// engines search the site's graph and its CSR, so after cost queries
+// that reach every site no site holds the boxed relational form; one
+// semi-naive leg builds exactly its own site's.
+func TestCostTrafficBuildsNoRelation(t *testing.T) {
+	g, err := gen.Grid(gen.GridConfig{Width: 8, Height: 6, DiagonalProb: 0.2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := linear.Fragment(g, linear.Options{NumFragments: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Build(res.Fragmentation, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	nodes := g.Nodes()
+	src, dst := nodes[0], nodes[len(nodes)-1] // opposite corners: the chain crosses every fragment
+	for _, engine := range []Engine{EngineDense, EngineDijkstra} {
+		r, err := runPair(st, src, dst, engine, true)
+		if err != nil || !r.Reachable {
+			t.Fatalf("%v query: %+v, %v", engine, r, err)
+		}
+		if len(r.PerSite) != len(st.Sites()) {
+			t.Fatalf("%v query touched %d sites, want all %d", engine, len(r.PerSite), len(st.Sites()))
+		}
+		if _, err := st.QueryPipelinedEngineCtx(ctx, src, dst, engine); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range st.Sites() {
+		if s.localRel != nil {
+			t.Errorf("site %d built its edge relation under cost-engine traffic", s.ID)
+		}
+	}
+	if _, _, err := st.ExecuteLegFullCtx(ctx, 1, []graph.NodeID{st.Site(1).Augmented().Nodes()[0]}, EngineSemiNaive); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range st.Sites() {
+		if built := s.localRel != nil; built != (s.ID == 1) {
+			t.Errorf("site %d: edge relation built = %v after one semi-naive leg on site 1", s.ID, built)
+		}
 	}
 }

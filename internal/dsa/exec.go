@@ -442,7 +442,7 @@ func (st *Store) ExecuteLegFullCtx(ctx context.Context, siteID int, entry []grap
 			full.MustInsert(relation.Tuple{t[0], t[1], 1.0})
 		}
 	case EngineDense:
-		kernel, err := site.denseKernel()
+		kernel, err := site.DenseKernel()
 		if err != nil {
 			return nil, tc.Stats{}, err
 		}

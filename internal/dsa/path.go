@@ -149,14 +149,13 @@ func (st *Store) reconstruct(source, target graph.NodeID, chain []int, totalCost
 		if h.from == h.to {
 			continue
 		}
-		site := st.sites[h.site]
 		dist := legDist[i][h.from]
 		pred := legPred[i][h.from]
 		local := graph.PathTo(h.from, h.to, dist, pred)
 		if local == nil {
 			return nil, fmt.Errorf("dsa: no local path %d→%d at site %d", h.from, h.to, h.site)
 		}
-		expanded, err := st.expandShortcuts(site, local, dist)
+		expanded, err := st.expandShortcuts(local, dist)
 		if err != nil {
 			return nil, err
 		}
@@ -167,21 +166,22 @@ func (st *Store) reconstruct(source, target graph.NodeID, chain []int, totalCost
 
 // expandShortcuts replaces hops of a site-local path that correspond to
 // complementary shortcut edges with the underlying global path
-// segment. A hop (u, v) costing more than any real base edge u→v must
-// have used a shortcut; the global segment is recovered with a
+// segment. A base edge u→v of exactly the hop's cost explains the hop
+// whichever fragment owns it: if the search took a shortcut of that
+// cost, the edge is a global segment just as cheap. Any other hop must
+// have used a shortcut, and the global segment is recovered with a
 // base-graph search restricted by the known cost (the preprocessing
 // could store the segments instead; recomputing keeps CompInfo small
 // and the reconstruction exact either way).
-func (st *Store) expandShortcuts(site *Site, local []graph.NodeID, dist map[graph.NodeID]float64) ([]graph.NodeID, error) {
+func (st *Store) expandShortcuts(local []graph.NodeID, dist map[graph.NodeID]float64) ([]graph.NodeID, error) {
 	const eps = 1e-9
 	base := st.fr.Base()
 	out := []graph.NodeID{local[0]}
 	for i := 0; i+1 < len(local); i++ {
 		u, v := local[i], local[i+1]
 		hopCost := dist[v] - dist[u]
-		// A real fragment edge of that exact weight explains the hop.
 		real := false
-		for _, e := range site.Local.Out(u) {
+		for _, e := range base.Out(u) {
 			if e.To == v && math.Abs(e.Weight-hopCost) <= eps*math.Max(1, e.Weight) {
 				real = true
 				break

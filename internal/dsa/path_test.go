@@ -105,6 +105,44 @@ func TestQueryPathThroughShortcut(t *testing.T) {
 	}
 }
 
+// TestQueryPathHopOwnedByNeighbour: the winning route 0→1→2→3 crosses
+// the disconnection set {1, 2} on a shortcut whose cost is exactly the
+// real edge 1→2 — an edge of the OTHER fragment. The hop is a base edge
+// and must come back as one.
+func TestQueryPathHopOwnedByNeighbour(t *testing.T) {
+	g := graph.New()
+	sets := [][]graph.Edge{
+		{{From: 0, To: 1, Weight: 1}, {From: 2, To: 3, Weight: 1}},
+		{{From: 1, To: 2, Weight: 2}},
+	}
+	for _, s := range sets {
+		for _, e := range s {
+			g.AddEdge(e)
+		}
+	}
+	fr, err := fragment.New(g, sets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Build(fr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, route, err := st.QueryPath(context.Background(), 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if route == nil || res.Cost != 4 {
+		t.Fatalf("route = %+v, result = %+v; want a route of cost 4", route, res)
+	}
+	if want := []graph.NodeID{0, 1, 2, 3}; !reflect.DeepEqual(route.Nodes, want) {
+		t.Errorf("route = %v, want %v", route.Nodes, want)
+	}
+	if err := route.Validate(g); err != nil {
+		t.Errorf("Validate: %v", err)
+	}
+}
+
 func TestRouteValidateRejectsBadRoutes(t *testing.T) {
 	g := graph.New()
 	g.AddEdge(graph.Edge{From: 0, To: 1, Weight: 2})

@@ -91,17 +91,10 @@ func Restore(fr *fragment.Fragmentation, comp map[fragment.Pair]*CompInfo, opt O
 	return st, nil
 }
 
-// DenseKernel returns the site's dense CSR kernel, building it on
-// first use — the exported face of denseKernel for the snapshot
-// writer, which persists the kernel so restored deployments skip the
-// interning work. The memoized per-site build error (e.g. negative
-// edge weights) is surfaced unchanged.
-func (s *Site) DenseKernel() (*tc.DenseGraph, error) { return s.denseKernel() }
-
 // PrimeDense injects a prebuilt dense CSR kernel into the site, so a
 // restored deployment answers dense-engine queries without re-interning
-// the augmented relation. A no-op if the kernel was already built (or
-// primed); nil kernels are ignored.
+// the augmented graph's edges. A no-op if the kernel was already built
+// (or primed); nil kernels are ignored.
 func (s *Site) PrimeDense(d *tc.DenseGraph) {
 	if d == nil {
 		return

@@ -73,7 +73,7 @@ func (st *Store) pipelineChain(ctx context.Context, source, target graph.NodeID,
 		t0 := time.Now()
 		var dist map[graph.NodeID]float64
 		if engine == EngineDense {
-			kernel, err := site.denseKernel()
+			kernel, err := site.DenseKernel()
 			if err != nil {
 				return 0, false, err
 			}

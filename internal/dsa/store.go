@@ -17,6 +17,7 @@ package dsa
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -66,32 +67,35 @@ func (ci *CompInfo) ShortcutEdges() []graph.Edge {
 	return edges
 }
 
-// Site is one processor of the deployment: a fragment, its subgraph,
-// and the complementary information of all its disconnection sets.
+// Site is one processor of the deployment. It stores what the paper's
+// site stores — "the fragment and the complementary information" of its
+// disconnection sets (§2.1) — and the search structures derived from
+// those two: one graph, built with the site, and the CSR and relational
+// forms of it, each built when an engine first asks.
 type Site struct {
 	// ID is the fragment ID this site stores.
 	ID int
 	// Frag is the fragment.
 	Frag *fragment.Fragment
-	// Local is G_i — the subgraph induced by the fragment's edges.
-	Local *graph.Graph
 	// Comp holds the complementary information of every disconnection
 	// set involving this fragment, keyed by the normalised pair.
 	Comp map[fragment.Pair]*CompInfo
-	// augmented is Local plus every shortcut edge of Comp; all local
-	// searches run on it.
+	// augmented is the site's one graph: G_i, the subgraph induced by
+	// the fragment's edges, plus every shortcut edge of Comp. The
+	// Dijkstra engine, the pipelined evaluation and route reconstruction
+	// search it directly.
 	augmented *graph.Graph
-	// localRel is the augmented subgraph as an edge relation, for the
-	// semi-naive and bitset local engines. It is built lazily on first
-	// use (relOnce): boxing every edge into relational tuples is pure
-	// overhead for sites only ever queried through the graph-backed
-	// Dijkstra engine or a restored dense kernel, and skipping it keeps
-	// both Build and the snapshot-restore path off the hot boot path.
+	// localRel is augmented as an edge relation. Only the semi-naive and
+	// bitset engines read it, so it exists only on a site one of them
+	// has been asked to run on (relOnce): cost traffic through the
+	// graph-backed Dijkstra engine or the dense kernel never boxes an
+	// edge into a relational tuple.
 	relOnce  sync.Once
 	localRel *relation.Relation
-	// dense is the CSR snapshot of localRel the dense cost engine runs
-	// on, built lazily once per deployment (updates rebuild the sites,
-	// so a snapshot can never go stale within a site's lifetime).
+	// dense is the CSR snapshot of augmented's edges the dense cost
+	// engine runs on, built lazily once per deployment (updates rebuild
+	// the sites, so a snapshot can never go stale within a site's
+	// lifetime) or injected by a snapshot load (PrimeDense).
 	// densePrimed records that the build ran — the write path reads it
 	// to pre-warm rebuilt sites off the query path.
 	denseOnce   sync.Once
@@ -109,16 +113,17 @@ func (s *Site) rel() *relation.Relation {
 	return s.localRel
 }
 
-// denseKernel returns the site's CSR snapshot, building it on first
-// use. Construction fails on input the kernel cannot serve — notably
-// negative edge weights, which graph files may carry — and the error
-// is memoized and surfaced per query, exactly like the semi-naive
-// engine's refusal (a worker-goroutine panic would kill the serving
-// daemon).
-func (s *Site) denseKernel() (*tc.DenseGraph, error) {
+// DenseKernel returns the site's CSR snapshot, building it on first
+// use (the snapshot writer persists it so restored deployments skip the
+// interning work). Construction fails on input the kernel cannot serve
+// — notably negative edge weights, which graph files may carry — and
+// the error is memoized and surfaced per query, exactly like the
+// semi-naive engine's refusal (a worker-goroutine panic would kill the
+// serving daemon).
+func (s *Site) DenseKernel() (*tc.DenseGraph, error) {
 	s.denseOnce.Do(func() {
 		defer s.densePrimed.Store(true)
-		d, err := tc.NewDenseGraph(s.rel())
+		d, err := tc.NewDenseGraph(s.augmented.Edges())
 		if err != nil {
 			s.denseErr = fmt.Errorf("dsa: site %d dense snapshot: %v", s.ID, err)
 			return
@@ -350,19 +355,18 @@ func computeComp(ctx context.Context, base *graph.Graph, dss map[fragment.Pair][
 	return comp, runs, nil
 }
 
-// buildSite constructs one deployed site: the fragment's induced
-// subgraph, the complementary tables involving it, and the augmented
-// search graph (local edges plus complementary shortcuts). shared is
-// the fragmentation's disconnection-set node set (fr.SharedNodes),
-// computed once by the caller and reused across all sites.
+// buildSite constructs one deployed site: the complementary tables
+// involving the fragment and the augmented search graph (the fragment's
+// induced subgraph plus the complementary shortcuts). shared is the
+// fragmentation's disconnection-set node set (fr.SharedNodes), computed
+// once by the caller and reused across all sites.
 func buildSite(f *fragment.Fragment, base *graph.Graph, shared map[graph.NodeID]bool, comp map[fragment.Pair]*CompInfo) *Site {
 	site := &Site{
-		ID:    f.ID,
-		Frag:  f,
-		Local: localGraph(f, base, shared),
-		Comp:  make(map[fragment.Pair]*CompInfo),
+		ID:        f.ID,
+		Frag:      f,
+		Comp:      make(map[fragment.Pair]*CompInfo),
+		augmented: localGraph(f, base, shared),
 	}
-	site.augmented = site.Local.CloneShared()
 	for p, ci := range comp {
 		if p.I != f.ID && p.J != f.ID {
 			continue
@@ -383,8 +387,8 @@ func buildSite(f *fragment.Fragment, base *graph.Graph, shared map[graph.NodeID]
 // whose base adjacency spans fragments, get filtered lists rebuilt
 // from the fragment's edges. Sharing is safe because adjacency lists
 // are immutable once installed (see graph.InstallNode); the length
-// clamps keep a stray append from ever spilling into a shared backing
-// array.
+// clamps make buildSite's shortcut AddEdge reallocate instead of
+// spilling into a shared backing array.
 func localGraph(f *fragment.Fragment, base *graph.Graph, shared map[graph.NodeID]bool) *graph.Graph {
 	var bOut, bIn map[graph.NodeID][]graph.Edge
 	for _, e := range f.Edges {
@@ -404,16 +408,13 @@ func localGraph(f *fragment.Fragment, base *graph.Graph, shared map[graph.NodeID
 	local := graph.NewWithCapacity(f.NumNodes())
 	f.EachNode(func(id graph.NodeID) {
 		if shared[id] {
-			local.InstallNode(id, base.Coord(id), clampEdges(bOut[id]), clampEdges(bIn[id]))
+			local.InstallNode(id, base.Coord(id), slices.Clip(bOut[id]), slices.Clip(bIn[id]))
 		} else {
-			local.InstallNode(id, base.Coord(id), clampEdges(base.Out(id)), clampEdges(base.In(id)))
+			local.InstallNode(id, base.Coord(id), slices.Clip(base.Out(id)), slices.Clip(base.In(id)))
 		}
 	})
 	return local
 }
-
-// clampEdges caps a slice's capacity at its length.
-func clampEdges(es []graph.Edge) []graph.Edge { return es[:len(es):len(es)] }
 
 // Fragmentation returns the deployed fragmentation.
 func (st *Store) Fragmentation() *fragment.Fragmentation { return st.fr }

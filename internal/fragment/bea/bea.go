@@ -86,13 +86,6 @@ func (o Options) withDefaults(g *graph.Graph) (Options, error) {
 	return o, nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Matrix is the adjacency matrix view the algorithm works on: Cols[i]
 // is the node of column i, M[i][j] is 1 (true) iff nodes Cols[i] and
 // Cols[j] are directly connected (in either direction) or i == j (the

@@ -49,67 +49,57 @@ func (e Edge) Reverse() Edge { return Edge{From: e.To, To: e.From, Weight: e.Wei
 // The disconnection set approach never mutates a graph after
 // construction, so per-site goroutines share fragment graphs freely.
 type Graph struct {
-	coords map[NodeID]Coord
-	out    map[NodeID][]Edge
-	in     map[NodeID][]Edge
-	edges  int
+	nodes map[NodeID]node
+	edges int
+}
+
+// node is everything the graph keeps per node: its position and the
+// edges leaving and entering it.
+type node struct {
+	coord   Coord
+	out, in []Edge
 }
 
 // New returns an empty graph.
-func New() *Graph {
-	return &Graph{
-		coords: make(map[NodeID]Coord),
-		out:    make(map[NodeID][]Edge),
-		in:     make(map[NodeID][]Edge),
-	}
-}
+func New() *Graph { return NewWithCapacity(0) }
 
-// NewWithCapacity returns an empty graph with the node maps pre-sized
+// NewWithCapacity returns an empty graph with the node table pre-sized
 // for the given node count, so bulk loaders (the binary snapshot
 // store) avoid the incremental map growth of a node-at-a-time build.
 // The hint is only a hint; the graph grows past it normally.
 func NewWithCapacity(nodes int) *Graph {
-	if nodes < 0 {
-		nodes = 0
-	}
-	return &Graph{
-		coords: make(map[NodeID]Coord, nodes),
-		out:    make(map[NodeID][]Edge, nodes),
-		in:     make(map[NodeID][]Edge, nodes),
-	}
+	return &Graph{nodes: make(map[NodeID]node, max(nodes, 0))}
 }
 
 // AddNode inserts (or repositions) a node with the given coordinates.
 func (g *Graph) AddNode(id NodeID, c Coord) {
-	if _, ok := g.coords[id]; !ok {
-		g.out[id] = nil
-		g.in[id] = nil
-	}
-	g.coords[id] = c
+	n := g.nodes[id]
+	n.coord = c
+	g.nodes[id] = n
 }
 
 // HasNode reports whether id is a node of g.
 func (g *Graph) HasNode(id NodeID) bool {
-	_, ok := g.coords[id]
+	_, ok := g.nodes[id]
 	return ok
 }
 
 // Coord returns the coordinates of id. Nodes added implicitly by AddEdge
 // have the zero coordinate until repositioned.
-func (g *Graph) Coord(id NodeID) Coord { return g.coords[id] }
+func (g *Graph) Coord(id NodeID) Coord { return g.nodes[id].coord }
 
 // AddEdge inserts a directed edge. Unknown endpoints are added with zero
 // coordinates. Parallel edges are permitted (the relational model allows
 // duplicate connections with different weights); most callers avoid them.
 func (g *Graph) AddEdge(e Edge) {
-	if !g.HasNode(e.From) {
-		g.AddNode(e.From, Coord{})
-	}
-	if !g.HasNode(e.To) {
-		g.AddNode(e.To, Coord{})
-	}
-	g.out[e.From] = append(g.out[e.From], e)
-	g.in[e.To] = append(g.in[e.To], e)
+	from := g.nodes[e.From]
+	from.out = append(from.out, e)
+	g.nodes[e.From] = from
+	// Read the head only after the tail is stored: a self-loop edits one
+	// entry twice.
+	to := g.nodes[e.To]
+	to.in = append(to.in, e)
+	g.nodes[e.To] = to
 	g.edges++
 }
 
@@ -122,12 +112,16 @@ func (g *Graph) AddEdge(e Edge) {
 // a clone plus k edits costs the clone plus the touched endpoints'
 // lists, and shares everything else.
 func (g *Graph) RemoveEdge(e Edge) bool {
-	out, ok := withoutEdge(g.out[e.From], e)
+	from := g.nodes[e.From]
+	out, ok := withoutEdge(from.out, e)
 	if !ok {
 		return false
 	}
-	g.out[e.From] = out
-	g.in[e.To], _ = withoutEdge(g.in[e.To], e)
+	from.out = out
+	g.nodes[e.From] = from
+	to := g.nodes[e.To]
+	to.in, _ = withoutEdge(to.in, e)
+	g.nodes[e.To] = to
 	g.edges--
 	return true
 }
@@ -146,22 +140,16 @@ func withoutEdge(es []Edge, e Edge) ([]Edge, bool) {
 // adjacency in one shot: out holds every edge leaving id, in every
 // edge entering it. This is the bulk path for loaders and site
 // builders that bucket an edge volume into contiguous per-node runs —
-// a fixed handful of map writes per node instead of two map appends
-// per edge. The caller guarantees id is not already a node, that both
-// endpoints of every edge are (or will be) installed, and that the
-// global out/in multisets agree. The slices are adopted, not copied;
+// one map write per node instead of two map appends per edge. The
+// caller guarantees id is not already a node, that both endpoints of
+// every edge are (or will be) installed, and that the global out/in
+// multisets agree. The slices are adopted, not copied;
 // they may share backing arrays with other graphs, which is safe
 // because nothing in this package mutates an installed adjacency list
 // in place (updates rebuild copy-on-write) — callers clamp shared
 // slices (s[:len:len]) so a later append reallocates.
 func (g *Graph) InstallNode(id NodeID, c Coord, out, in []Edge) {
-	g.coords[id] = c
-	if len(out) > 0 {
-		g.out[id] = out
-	}
-	if len(in) > 0 {
-		g.in[id] = in
-	}
+	g.nodes[id] = node{coord: c, out: out, in: in}
 	g.edges += len(out)
 }
 
@@ -175,7 +163,7 @@ func (g *Graph) AddBoth(e Edge) {
 
 // HasEdge reports whether at least one edge from 'from' to 'to' exists.
 func (g *Graph) HasEdge(from, to NodeID) bool {
-	for _, e := range g.out[from] {
+	for _, e := range g.nodes[from].out {
 		if e.To == to {
 			return true
 		}
@@ -184,7 +172,7 @@ func (g *Graph) HasEdge(from, to NodeID) bool {
 }
 
 // NumNodes returns the number of nodes.
-func (g *Graph) NumNodes() int { return len(g.coords) }
+func (g *Graph) NumNodes() int { return len(g.nodes) }
 
 // NumEdges returns the number of directed edges.
 func (g *Graph) NumEdges() int { return g.edges }
@@ -192,8 +180,8 @@ func (g *Graph) NumEdges() int { return g.edges }
 // Nodes returns all node IDs in ascending order. The deterministic order
 // keeps every downstream algorithm reproducible for a fixed seed.
 func (g *Graph) Nodes() []NodeID {
-	ids := make([]NodeID, 0, len(g.coords))
-	for id := range g.coords {
+	ids := make([]NodeID, 0, len(g.nodes))
+	for id := range g.nodes {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -204,7 +192,7 @@ func (g *Graph) Nodes() []NodeID {
 func (g *Graph) Edges() []Edge {
 	es := make([]Edge, 0, g.edges)
 	for _, id := range g.Nodes() {
-		es = append(es, g.out[id]...)
+		es = append(es, g.nodes[id].out...)
 	}
 	sort.Slice(es, func(i, j int) bool {
 		a, b := es[i], es[j]
@@ -221,17 +209,11 @@ func (g *Graph) Edges() []Edge {
 
 // Out returns the outgoing edges of id. The returned slice is owned by
 // the graph and must not be modified.
-func (g *Graph) Out(id NodeID) []Edge { return g.out[id] }
+func (g *Graph) Out(id NodeID) []Edge { return g.nodes[id].out }
 
 // In returns the incoming edges of id. The returned slice is owned by
 // the graph and must not be modified.
-func (g *Graph) In(id NodeID) []Edge { return g.in[id] }
-
-// OutDegree returns the number of outgoing edges of id.
-func (g *Graph) OutDegree(id NodeID) int { return len(g.out[id]) }
-
-// InDegree returns the number of incoming edges of id.
-func (g *Graph) InDegree(id NodeID) int { return len(g.in[id]) }
+func (g *Graph) In(id NodeID) []Edge { return g.nodes[id].in }
 
 // Grade returns the grade of a node in the paper's sense (§3.1): the
 // number of edges adjacent to it. For the symmetric graphs the paper
@@ -245,13 +227,14 @@ func (g *Graph) Grade(id NodeID) int {
 // in either direction, excluding id itself (self-loops contribute no
 // neighbour).
 func (g *Graph) undirectedNeighbors(id NodeID) map[NodeID]struct{} {
+	n := g.nodes[id]
 	nbs := make(map[NodeID]struct{})
-	for _, e := range g.out[id] {
+	for _, e := range n.out {
 		if e.To != id {
 			nbs[e.To] = struct{}{}
 		}
 	}
-	for _, e := range g.in[id] {
+	for _, e := range n.in {
 		if e.From != id {
 			nbs[e.From] = struct{}{}
 		}
@@ -271,42 +254,18 @@ func (g *Graph) Neighbors(id NodeID) []NodeID {
 	return ids
 }
 
-// Clone returns a deep copy of g. Adjacency lists are copied
-// wholesale (one allocation per node, not one map operation per edge),
-// so cloning is cheap enough for the hot construction paths — the
-// per-site augmented graphs and the snapshot restore.
-func (g *Graph) Clone() *Graph {
-	c := NewWithCapacity(len(g.coords))
-	for id, co := range g.coords {
-		c.coords[id] = co
-	}
-	for id, es := range g.out {
-		c.out[id] = append([]Edge(nil), es...)
-	}
-	for id, es := range g.in {
-		c.in[id] = append([]Edge(nil), es...)
-	}
-	c.edges = g.edges
-	return c
-}
-
 // CloneShared returns a graph equal to g whose adjacency lists share
 // g's backing arrays, each clamped to its length so a later AddEdge on
-// the clone reallocates instead of writing into the shared array. This
-// is the cheap base for overlay graphs (the per-site augmented search
-// graphs) that add a few edges on top of a large shared body; like
-// every graph, the clone's installed lists must never be edited in
-// place.
+// the clone reallocates instead of writing into the shared array. It is
+// the one way to copy a graph: the incremental write path clones the
+// base graph and replays a batch's edits on the clone, which then owns
+// the touched endpoints' lists and shares the rest; like every graph,
+// the clone's installed lists must never be edited in place.
 func (g *Graph) CloneShared() *Graph {
-	c := NewWithCapacity(len(g.coords))
-	for id, co := range g.coords {
-		c.coords[id] = co
-	}
-	for id, es := range g.out {
-		c.out[id] = es[:len(es):len(es)]
-	}
-	for id, es := range g.in {
-		c.in[id] = es[:len(es):len(es)]
+	c := NewWithCapacity(len(g.nodes))
+	for id, n := range g.nodes {
+		n.out, n.in = slices.Clip(n.out), slices.Clip(n.in)
+		c.nodes[id] = n
 	}
 	c.edges = g.edges
 	return c
@@ -317,17 +276,16 @@ func (g *Graph) CloneShared() *Graph {
 // g). This is how a fragment R_i induces the subgraph G_i of the paper.
 func (g *Graph) Subgraph(edges []Edge) *Graph {
 	// Pre-size for the sparse-graph common case (average degree ≥ 2)
-	// to skip most incremental map growth, and write the maps directly
-	// — endpoint re-validation per edge would double the map traffic
-	// on a path that runs once per fragment per (re)build.
+	// to skip most incremental map growth on a path that runs once per
+	// fragment per (re)build.
 	s := NewWithCapacity(len(edges) / 2)
 	for _, e := range edges {
-		s.coords[e.From] = g.coords[e.From]
-		s.coords[e.To] = g.coords[e.To]
-		s.out[e.From] = append(s.out[e.From], e)
-		s.in[e.To] = append(s.in[e.To], e)
+		s.AddEdge(e)
 	}
-	s.edges = len(edges)
+	for id, n := range s.nodes {
+		n.coord = g.nodes[id].coord
+		s.nodes[id] = n
+	}
 	return s
 }
 

@@ -243,16 +243,6 @@ func TestDiameterLineAndRing(t *testing.T) {
 	}
 }
 
-func TestEccentricity(t *testing.T) {
-	g := line(5)
-	if e := g.Eccentricity(0); e != 4 {
-		t.Errorf("ecc(0) = %d, want 4", e)
-	}
-	if e := g.Eccentricity(4); e != 0 {
-		t.Errorf("ecc(sink) = %d, want 0", e)
-	}
-}
-
 func TestEuclideanDistance(t *testing.T) {
 	g := New()
 	g.AddNode(1, Coord{X: 0, Y: 0})
@@ -262,22 +252,11 @@ func TestEuclideanDistance(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	g := line(3)
-	c := g.Clone()
-	c.AddEdge(Edge{From: 2, To: 0, Weight: 1})
-	if g.HasEdge(2, 0) {
-		t.Error("mutating clone affected original")
-	}
-	if c.NumEdges() != g.NumEdges()+1 {
-		t.Errorf("clone edges = %d, original = %d", c.NumEdges(), g.NumEdges())
-	}
-}
-
-// TestSharedCloneEditsAreCopyOnWrite: AddEdge and RemoveEdge on a
-// CloneShared clone never reach the graph it was cloned from, even
-// where the original's lists have spare capacity, and leave the lists
-// of other nodes shared.
+// TestSharedCloneEditsAreCopyOnWrite: no edit of a CloneShared clone —
+// AddEdge (between known nodes or to a brand-new one), RemoveEdge,
+// AddNode repositioning an existing id, InstallNode — reaches the graph
+// it was cloned from, even where the original's lists have spare
+// capacity, and the lists of unedited nodes stay shared.
 func TestSharedCloneEditsAreCopyOnWrite(t *testing.T) {
 	g := line(4)
 	dup := Edge{From: 1, To: 2, Weight: 1}
@@ -304,6 +283,27 @@ func TestSharedCloneEditsAreCopyOnWrite(t *testing.T) {
 	}
 	if &c.Out(0)[0] != &g.Out(0)[0] {
 		t.Error("the list of an unedited node was copied, not shared")
+	}
+
+	g.AddNode(2, Coord{X: 2, Y: 2})
+	wantIn3 := append([]Edge(nil), g.In(3)...)
+	nodes, edges := g.NumNodes(), g.NumEdges()
+	c = g.CloneShared()
+	c.AddNode(2, Coord{X: -5, Y: 5})            // reposition
+	c.AddEdge(Edge{From: 3, To: 40, Weight: 2}) // brand-new endpoint
+	c.InstallNode(41, Coord{X: 1}, []Edge{{From: 41, To: 3, Weight: 1}}, nil)
+	if got := c.Coord(2); got != (Coord{X: -5, Y: 5}) || len(c.Out(2)) != 1 || len(c.In(2)) != 2 {
+		t.Errorf("clone: repositioned node 2 = %+v with Out %v, In %v; want the new position and its edges kept", got, c.Out(2), c.In(2))
+	}
+	if !c.HasNode(40) || c.Coord(40) != (Coord{}) || len(c.In(40)) != 1 || !c.HasEdge(41, 3) {
+		t.Errorf("clone: In(40) = %v, Out(41) = %v; want the new endpoint at the zero coordinate and the installed node", c.In(40), c.Out(41))
+	}
+	if c.NumNodes() != nodes+2 || c.NumEdges() != edges+2 {
+		t.Errorf("clone = %v, want %d nodes and %d edges", c, nodes+2, edges+2)
+	}
+	if g.Coord(2) != (Coord{X: 2, Y: 2}) || len(g.Out(3)) != 0 || !reflect.DeepEqual(g.In(3), wantIn3) ||
+		g.HasNode(40) || g.HasNode(41) || g.NumNodes() != nodes || g.NumEdges() != edges {
+		t.Errorf("original changed: %v, Coord(2) = %+v, Out(3) = %v, In(3) = %v", g, g.Coord(2), g.Out(3), g.In(3))
 	}
 }
 

@@ -27,7 +27,7 @@ func (g *Graph) BFSLevels(sources ...NodeID) map[NodeID]int {
 	for depth := 1; len(frontier) > 0; depth++ {
 		var next []NodeID
 		for _, u := range frontier {
-			for _, e := range g.out[u] {
+			for _, e := range g.nodes[u].out {
 				if _, seen := levels[e.To]; !seen {
 					levels[e.To] = depth
 					next = append(next, e.To)
@@ -150,7 +150,7 @@ func (g *Graph) ShortestPaths(source NodeID) (dist map[NodeID]float64, pred map[
 			continue
 		}
 		done[it.node] = struct{}{}
-		for _, e := range g.out[it.node] {
+		for _, e := range g.nodes[it.node].out {
 			nd := it.dist + e.Weight
 			if old, ok := dist[e.To]; !ok || nd < old {
 				dist[e.To] = nd
@@ -192,7 +192,7 @@ func (g *Graph) ShortestPathsMulti(seeds map[NodeID]float64) (dist map[NodeID]fl
 			continue
 		}
 		done[it.node] = struct{}{}
-		for _, e := range g.out[it.node] {
+		for _, e := range g.nodes[it.node].out {
 			nd := it.dist + e.Weight
 			if old, ok := dist[e.To]; !ok || nd < old {
 				dist[e.To] = nd
@@ -258,23 +258,11 @@ func (g *Graph) Diameter() int {
 	return maxHops
 }
 
-// Eccentricity returns the maximum hop distance from id to any node
-// reachable from it.
-func (g *Graph) Eccentricity(id NodeID) int {
-	max := 0
-	for _, lvl := range g.BFSLevels(id) {
-		if lvl > max {
-			max = lvl
-		}
-	}
-	return max
-}
-
 // EuclideanDistance returns the planar distance between the coordinates
 // of two nodes; it is the d(p, q) of the generator's probability
 // function P(p,q) = (c1/n²)·e^(−c2·d(p,q)) (§4.1).
 func (g *Graph) EuclideanDistance(p, q NodeID) float64 {
-	cp, cq := g.coords[p], g.coords[q]
+	cp, cq := g.nodes[p].coord, g.nodes[q].coord
 	dx, dy := cp.X-cq.X, cp.Y-cq.Y
 	return math.Sqrt(dx*dx + dy*dy)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/dsa"
@@ -97,6 +98,7 @@ func (s *Server) handleV1Leg(w http.ResponseWriter, r *http.Request) {
 			tcq.ErrEpochSkew, req.Epoch, s.ds.Epoch()))
 		return
 	}
+	t0 := time.Now()
 	full, stats, hit, err := s.executeLegLocal(r.Context(), snap, req.Site, req.EntryNodes(), engine)
 	if err != nil {
 		writeV1Error(w, err)
@@ -106,6 +108,7 @@ func (s *Server) handleV1Leg(w http.ResponseWriter, r *http.Request) {
 		s.cluster.LocalLeg()
 	}
 	s.siteLegs[req.Site].Add(1)
+	s.siteBusyNS[req.Site].Add(int64(time.Since(t0)))
 	writeJSON(w, http.StatusOK, cluster.NewLegResponse(req.Epoch, hit, full, stats))
 }
 

@@ -320,6 +320,9 @@ func TestV1LegEndpoint(t *testing.T) {
 	if len(leg.Src) != len(leg.Dst) || len(leg.Src) != len(leg.Cost) {
 		t.Errorf("/v1/leg columns of unequal length: %d/%d/%d", len(leg.Src), len(leg.Dst), len(leg.Cost))
 	}
+	if work := tcl.servers[0].Stats().Site[0]; work.Legs != 1 || work.BusyNS <= 0 {
+		t.Errorf("owner accounted the peer-served leg as %+v, want 1 leg with busy time", work)
+	}
 
 	var ve V1Error
 	status = postV1(t, url, cluster.NewLegRequest(0, []graph.NodeID{0}, "dijkstra", 99), &ve)

@@ -176,11 +176,13 @@ func (s *Server) Close() {
 // its site's persistent worker queue, where the cache intercepts the
 // (site, entry, engine) computation and the exit selection specialises
 // it per leg; in cluster deployments a leg of a remotely owned site is
-// shipped to its owner instead (scatter) — an I/O-bound wait, the owner
-// serialises the actual work on ITS site pool. Assembly (gather) is
-// oblivious to where a leg ran. Leg tasks observe ctx both before
-// executing (a canceled query's queued legs become no-ops) and inside
-// the kernels.
+// shipped to its owner instead (scatter) — an I/O-bound wait here while
+// the owner's /v1/leg handler runs executeLegLocal on its own request
+// goroutine, against the owner's cache but on no site pool; the
+// degraded-mode fallback likewise runs the leg on the calling
+// goroutine. Assembly (gather) is oblivious to where a leg ran. Pooled
+// leg tasks observe ctx both before executing (a canceled query's
+// queued legs become no-ops) and inside the kernels.
 func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target graph.NodeID, engine dsa.Engine) (*dsa.Result, tcq.RunStats, error) {
 	if !dsa.ValidEngine(engine) {
 		return nil, tcq.RunStats{}, fmt.Errorf("server: %w %d", dsa.ErrUnknownEngine, int(engine))

@@ -474,9 +474,3 @@ func emitRow(out *relation.Relation, bg *bitGraph, comps [][]int32, row []uint64
 		}
 	}
 }
-
-// BitsetGraphClosure is a convenience wrapper computing the bitset
-// closure of a graph (mirror of GraphClosure).
-func BitsetGraphClosure(g *graph.Graph) (*relation.Relation, Stats, error) {
-	return BitsetClosure(relation.FromGraph(g))
-}

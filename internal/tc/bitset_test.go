@@ -196,20 +196,6 @@ func TestBitsetClosureNonIntegerFallback(t *testing.T) {
 	}
 }
 
-// TestBitsetGraphClosure exercises the graph convenience wrapper.
-func TestBitsetGraphClosure(t *testing.T) {
-	g := graph.New()
-	g.AddEdge(graph.Edge{From: 1, To: 2, Weight: 1})
-	g.AddEdge(graph.Edge{From: 2, To: 3, Weight: 1})
-	got, _, err := BitsetGraphClosure(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 3 {
-		t.Errorf("closure = %d tuples, want 3", got.Len())
-	}
-}
-
 // assertSamePairs fails the test when two pair relations differ,
 // reporting a few missing pairs from each side.
 func assertSamePairs(t *testing.T, label string, got, want *relation.Relation) {

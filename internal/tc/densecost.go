@@ -35,9 +35,9 @@ import (
 // fall back to the generic relational fixpoint instead of surfacing it.
 var ErrNodesNotInt64 = errors.New("tc: dense kernel requires int64 node values")
 
-// DenseGraph is a CSR snapshot of an edge relation over int64 nodes
-// with non-negative float64 costs. Build once, query many times — the
-// disconnection set approach's sites keep one per augmented fragment.
+// DenseGraph is a CSR snapshot of an edge set with non-negative float64
+// costs. Build once, query many times — the disconnection set
+// approach's sites keep one per augmented fragment.
 type DenseGraph struct {
 	ids      []int64         // dense index → original node id
 	idx      map[int64]int32 // original node id → dense index
@@ -46,17 +46,12 @@ type DenseGraph struct {
 	weight   []float64       // edge costs, parallel to colIdx
 }
 
-// NewDenseGraph interns the (src, dst, cost) relation into CSR form.
-// It validates like normalizeEdges (arity 3, float64 non-negative
-// costs) and returns ErrNodesNotInt64 when some node value is not an
-// int64 (callers fall back to the relational fixpoint, as the bitset
-// kernel does).
-func NewDenseGraph(r *relation.Relation) (*DenseGraph, error) {
-	if r.Arity() != 3 {
-		return nil, errors.New("tc: edge relation must have arity 3 (src, dst, cost)")
-	}
-	tuples := r.Tuples()
-	d := &DenseGraph{idx: make(map[int64]int32, len(tuples))}
+// NewDenseGraph interns the edges into CSR form, numbering the nodes in
+// order of first appearance (From before To, edge by edge). Negative
+// weights, which graph files may carry, are refused with
+// ErrNegativeWeight.
+func NewDenseGraph(in []graph.Edge) (*DenseGraph, error) {
+	d := &DenseGraph{idx: make(map[int64]int32)}
 	intern := func(id int64) int32 {
 		if i, seen := d.idx[id]; seen {
 			return i
@@ -70,21 +65,12 @@ func NewDenseGraph(r *relation.Relation) (*DenseGraph, error) {
 		from, to int32
 		w        float64
 	}
-	edges := make([]edge, 0, len(tuples))
-	for _, t := range tuples {
-		from, ok1 := t[0].(int64)
-		to, ok2 := t[1].(int64)
-		if !ok1 || !ok2 {
-			return nil, ErrNodesNotInt64
+	edges := make([]edge, 0, len(in))
+	for _, e := range in {
+		if e.Weight < 0 {
+			return nil, fmt.Errorf("tc: %w: cost %v not supported", ErrNegativeWeight, e.Weight)
 		}
-		c, ok := t[2].(float64)
-		if !ok {
-			return nil, errors.New("tc: edge cost is not float64")
-		}
-		if c < 0 {
-			return nil, fmt.Errorf("tc: %w: cost %v not supported", ErrNegativeWeight, c)
-		}
-		edges = append(edges, edge{from: intern(from), to: intern(to), w: c})
+		edges = append(edges, edge{from: intern(int64(e.From)), to: intern(int64(e.To)), w: e.Weight})
 	}
 	// Counting sort into CSR rows.
 	n := len(d.ids)
@@ -322,13 +308,36 @@ func (d *DenseGraph) CostVectorCtx(ctx context.Context, seed map[graph.NodeID]fl
 	return out, nil
 }
 
+// denseOf unboxes a (src, dst, cost) relation into graph edges, in tuple
+// order, and interns them; ErrNodesNotInt64 tells the callers to fall
+// back to the relational fixpoint, as the bitset kernel does.
+func denseOf(r *relation.Relation) (*DenseGraph, error) {
+	if r.Arity() != 3 {
+		return nil, errors.New("tc: edge relation must have arity 3 (src, dst, cost)")
+	}
+	edges := make([]graph.Edge, 0, r.Len())
+	for _, t := range r.Tuples() {
+		from, ok1 := t[0].(int64)
+		to, ok2 := t[1].(int64)
+		if !ok1 || !ok2 {
+			return nil, ErrNodesNotInt64
+		}
+		c, ok := t[2].(float64)
+		if !ok {
+			return nil, errors.New("tc: edge cost is not float64")
+		}
+		edges = append(edges, graph.Edge{From: graph.NodeID(from), To: graph.NodeID(to), Weight: c})
+	}
+	return NewDenseGraph(edges)
+}
+
 // DenseCostFrom computes the entry-set-restricted shortest-path costs
 // of the edge relation with the dense kernel: the same (src, dst, cost)
 // relation as ShortestFromCtx, at CSR+Bellman-Ford speed. Non-int64 node
 // values fall back to the relational fixpoint.
 func DenseCostFrom(r *relation.Relation, sources []graph.NodeID) (*relation.Relation, Stats, error) {
 	var st Stats
-	d, err := NewDenseGraph(r)
+	d, err := denseOf(r)
 	if errors.Is(err, ErrNodesNotInt64) {
 		edges, err := normalizeEdges(r)
 		if err != nil {
@@ -352,7 +361,7 @@ func DenseCostFrom(r *relation.Relation, sources []graph.NodeID) (*relation.Rela
 // fixpoint.
 func DenseCostClosure(r *relation.Relation) (*relation.Relation, Stats, error) {
 	var st Stats
-	d, err := NewDenseGraph(r)
+	d, err := denseOf(r)
 	if errors.Is(err, ErrNodesNotInt64) {
 		return ShortestClosure(r)
 	}

@@ -198,8 +198,8 @@ func TestDenseCostValidation(t *testing.T) {
 	strNodes := relation.New("src", "dst", "cost")
 	strNodes.MustInsert(relation.Tuple{"a", "b", 1.0})
 	strNodes.MustInsert(relation.Tuple{"b", "c", 2.0})
-	if _, err := NewDenseGraph(strNodes); err != ErrNodesNotInt64 {
-		t.Fatalf("NewDenseGraph on string nodes: %v, want ErrNodesNotInt64", err)
+	if _, err := denseOf(strNodes); err != ErrNodesNotInt64 {
+		t.Fatalf("denseOf on string nodes: %v, want ErrNodesNotInt64", err)
 	}
 	// The wrapper silently falls back; string sources cannot be
 	// expressed as NodeIDs, so seed with none and check the closure
@@ -222,7 +222,7 @@ func TestDenseCostValidation(t *testing.T) {
 func TestDenseCostVectorMatchesShortestPathsMulti(t *testing.T) {
 	for name, g := range corpusGraphs(t) {
 		t.Run(name, func(t *testing.T) {
-			d, err := NewDenseGraph(relation.FromGraph(g))
+			d, err := NewDenseGraph(g.Edges())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,11 +254,11 @@ func TestDenseCostVectorMatchesShortestPathsMulti(t *testing.T) {
 
 // TestDenseGraphCounts: Nodes/Edges reflect the interned snapshot.
 func TestDenseGraphCounts(t *testing.T) {
-	r := relation.New("src", "dst", "cost")
-	r.MustInsert(relation.Tuple{int64(1), int64(2), 1.0})
-	r.MustInsert(relation.Tuple{int64(1), int64(2), 2.0}) // parallel edge kept
-	r.MustInsert(relation.Tuple{int64(2), int64(3), 1.0})
-	d, err := NewDenseGraph(r)
+	d, err := NewDenseGraph([]graph.Edge{
+		{From: 1, To: 2, Weight: 1},
+		{From: 1, To: 2, Weight: 2}, // parallel edge kept
+		{From: 2, To: 3, Weight: 1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -303,9 +303,3 @@ func ReachableFrom(r *relation.Relation, sources []graph.NodeID) (*relation.Rela
 	}
 	return semiNaivePairs(seed, edges, &st)
 }
-
-// GraphClosure is a convenience wrapper computing the semi-naive
-// reachability closure of a graph.
-func GraphClosure(g *graph.Graph) (*relation.Relation, Stats, error) {
-	return SemiNaiveClosure(relation.FromGraph(g))
-}

@@ -396,18 +396,6 @@ func TestPropertyReachableFromIsClosureSlice(t *testing.T) {
 	}
 }
 
-func TestGraphClosureWrapper(t *testing.T) {
-	g := graph.New()
-	g.AddEdge(graph.Edge{From: 1, To: 2, Weight: 1})
-	got, _, err := GraphClosure(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 1 {
-		t.Errorf("closure size = %d, want 1", got.Len())
-	}
-}
-
 func TestCondensedClosureCycle(t *testing.T) {
 	// 1 -> 2 -> 3 -> 1 plus tail 3 -> 4: cycle members reach everything
 	// including themselves; 4 reaches nothing.
