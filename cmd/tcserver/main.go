@@ -1,7 +1,7 @@
 // Command tcserver is the long-lived query-serving daemon: it deploys
 // a disconnection-set store once (graph + fragmentation + complementary
 // information) and then answers shortest-path and reachability queries
-// over HTTP/JSON, with persistent per-site workers and a bounded LRU
+// over HTTP/JSON, one leg at a time per site and a bounded LRU
 // leg-result cache that memoizes per-site searches across queries.
 //
 // Usage:

@@ -123,18 +123,23 @@ func (r *LegResponse) Facts() (*relation.Relation, tc.Stats, error) {
 	return rel, stats, nil
 }
 
-// UpdateOp is one typed mutation of a fanned-out update batch. The
-// field shape (and JSON tags) matches the /v1/update wire op exactly,
-// so forwarding is a re-serialisation of the same transaction.
+// UpdateOp is one typed mutation of an update transaction. It IS the
+// /v1/update wire op (server.V1UpdateOp aliases it), so forwarding is a
+// re-serialisation of the same transaction.
 type UpdateOp struct {
-	Op       string  `json:"op"`
-	Fragment int     `json:"fragment"`
-	From     int     `json:"from"`
-	To       int     `json:"to"`
-	Weight   float64 `json:"weight"`
+	// Op is "insert" or "delete".
+	Op string `json:"op"`
+	// Fragment is the fragment whose edge set changes.
+	Fragment int `json:"fragment"`
+	// From and To are the edge endpoints (existing node IDs).
+	From int `json:"from"`
+	To   int `json:"to"`
+	// Weight is the edge weight; on delete the (from, to, weight)
+	// triple must match a stored fragment edge exactly.
+	Weight float64 `json:"weight"`
 }
 
-// UpdateRequest is the fanned-out transaction body.
+// UpdateRequest is the transaction body, from a client and fanned out.
 type UpdateRequest struct {
 	Ops []UpdateOp `json:"ops"`
 }

@@ -3,6 +3,7 @@ package dsa
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/fragment"
@@ -241,20 +242,20 @@ func (st *Store) Apply(ctx context.Context, ops []EdgeOp) (*Store, BatchStats, e
 		maxChains: st.maxChains,
 		epoch:     st.epoch + 1,
 	}
-	var comp map[fragment.Pair]*CompInfo
+	next.prep = PreprocessStats{DisconnectionSets: len(dss)}
 	if st.compUnaffected(ops, fr) {
-		comp = st.CompTables()
-		next.compMaxCost, next.compAllPairs = st.compMaxCost, st.compAllPairs
+		next.comp = st.comp
+		next.compMaxCost, next.compAllPairs, next.prep.PairsStored = st.compMaxCost, st.compAllPairs, st.prep.PairsStored
 	} else {
-		comp, stats.DijkstraRuns, err = computeComp(ctx, newBase, dss, st.problem)
+		next.comp, stats.DijkstraRuns, err = computeComp(ctx, newBase, dss, st.problem)
 		if err != nil {
 			return nil, stats, err
 		}
-		next.compMaxCost, next.compAllPairs = compBounds(comp)
+		next.compMaxCost, next.compAllPairs, next.prep.PairsStored = compBounds(dss, next.comp)
+		next.prep.DijkstraRuns = stats.DijkstraRuns
 		stats.RecomputedSets = len(dss)
 	}
 	stats.LocalOnly = len(dss) == 0
-	next.prep = PreprocessStats{DijkstraRuns: stats.DijkstraRuns, DisconnectionSets: len(dss)}
 
 	// Phase 4: assemble the next store, sharing every site whose edge
 	// set AND complementary tables are unchanged — for those, the search
@@ -263,11 +264,11 @@ func (st *Store) Apply(ctx context.Context, ops []EdgeOp) (*Store, BatchStats, e
 	shared := fr.SharedNodes()
 	for _, f := range fr.Fragments() {
 		var site *Site
-		if !patch.Touched(f.ID) && siteCompUnchanged(st.sites[f.ID], f.ID, comp) {
+		if !patch.Touched(f.ID) && siteCompUnchanged(st.sites[f.ID], f.ID, next.comp) {
 			site = st.sites[f.ID]
 			stats.SitesShared++
 		} else {
-			site = buildSite(f, newBase, shared, comp)
+			site = buildSite(f, newBase, shared, next.comp)
 			stats.SitesRebuilt = append(stats.SitesRebuilt, f.ID)
 			// Pre-warm the dense CSR snapshot on the write path when the
 			// superseded site had one: readers on the new epoch then
@@ -275,9 +276,6 @@ func (st *Store) Apply(ctx context.Context, ops []EdgeOp) (*Store, BatchStats, e
 			if st.sites[f.ID].densePrimed.Load() {
 				_, _ = site.DenseKernel()
 			}
-		}
-		for _, ci := range site.Comp {
-			next.prep.PairsStored += len(ci.Cost)
 		}
 		next.sites = append(next.sites, site)
 	}
@@ -333,23 +331,23 @@ func (st *Store) compUnaffected(ops []EdgeOp, next *fragment.Fragmentation) bool
 	return true
 }
 
-// compBounds returns the largest cost any complementary table stores
-// and whether every table stores a cost for every ordered pair of its
-// disconnection set.
-func compBounds(comp map[fragment.Pair]*CompInfo) (maxCost float64, allPairs bool) {
+// compBounds returns what a store records about its complementary
+// tables: the largest cost any of them stores, whether every table has
+// a cost for every ordered pair of its disconnection set, and the
+// PairsStored total (each table is deployed at both member sites).
+func compBounds(dss map[fragment.Pair][]graph.NodeID, comp map[fragment.Pair]*CompInfo) (maxCost float64, allPairs bool, pairsStored int) {
 	allPairs = true
-	for _, ci := range comp {
-		n := len(ci.Nodes)
+	for p, ci := range comp {
+		n := len(dss[p])
 		if len(ci.Cost) != n*(n-1) {
 			allPairs = false
 		}
-		for _, c := range ci.Cost {
-			if c > maxCost {
-				maxCost = c
-			}
+		for _, e := range ci.Cost {
+			maxCost = max(maxCost, e.Weight)
 		}
+		pairsStored += 2 * len(ci.Cost)
 	}
-	return maxCost, allPairs
+	return maxCost, allPairs, pairsStored
 }
 
 // siteCompUnchanged reports whether the complementary tables a
@@ -374,25 +372,8 @@ func siteCompUnchanged(old *Site, fragID int, comp map[fragment.Pair]*CompInfo) 
 }
 
 // compEqual reports whether two complementary tables carry identical
-// node sets and cost maps. A batch that left the tables alone hands
-// back the very tables the old sites hold, so the usual answer is the
-// pointer comparison.
+// costs. A batch that left the tables alone hands back the very tables
+// the old sites hold, so the usual answer is the pointer comparison.
 func compEqual(a, b *CompInfo) bool {
-	if a == b {
-		return true
-	}
-	if len(a.Nodes) != len(b.Nodes) || len(a.Cost) != len(b.Cost) {
-		return false
-	}
-	for i, n := range a.Nodes {
-		if b.Nodes[i] != n {
-			return false
-		}
-	}
-	for k, v := range a.Cost {
-		if bv, ok := b.Cost[k]; !ok || bv != v {
-			return false
-		}
-	}
-	return true
+	return a == b || slices.Equal(a.Cost, b.Cost)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -101,20 +102,49 @@ func TestStoreShape(t *testing.T) {
 	}
 }
 
+// TestCompInfoShortcutEdges: every complementary table is held once, by
+// the store, as shortcut edges in strict (From, To) order between
+// distinct nodes of its disconnection set, each carrying the global
+// shortest-path cost; a site's Comp entries are those very tables.
 func TestCompInfoShortcutEdges(t *testing.T) {
-	ci := &CompInfo{
-		Pair:  fragment.Pair{I: 0, J: 1},
-		Nodes: []graph.NodeID{1, 2},
-		Cost: map[[2]graph.NodeID]float64{
-			{1, 2}: 5, {2, 1}: 7,
-		},
+	g, err := gen.Grid(gen.GridConfig{Width: 6, Height: 6, DiagonalProb: 0.2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	edges := ci.ShortcutEdges()
-	if len(edges) != 2 {
-		t.Fatalf("shortcuts = %v", edges)
+	lres, err := linear.Fragment(g, linear.Options{NumFragments: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if edges[0].From != 1 || edges[0].Weight != 5 {
-		t.Errorf("first shortcut = %v", edges[0])
+	st, err := Build(lres.Fragmentation, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for p, ci := range st.CompTables() {
+		ds := st.Fragmentation().DisconnectionSet(p.I, p.J)
+		for k, e := range ci.Cost {
+			if k > 0 {
+				if prev := ci.Cost[k-1]; prev.From > e.From || prev.From == e.From && prev.To >= e.To {
+					t.Fatalf("table %v not in strict (From, To) order at row %d: %v then %v", p, k, prev, e)
+				}
+			}
+			if e.From == e.To || !slices.Contains(ds, e.From) || !slices.Contains(ds, e.To) {
+				t.Errorf("table %v row %v does not join two distinct nodes of %v", p, e, ds)
+			}
+			if want := g.Distance(e.From, e.To); e.Weight != want {
+				t.Errorf("table %v row %v: global distance is %v", p, e, want)
+			}
+		}
+		rows += len(ci.Cost)
+		if st.Site(p.I).Comp[p] != ci || st.Site(p.J).Comp[p] != ci {
+			t.Errorf("sites %d and %d do not share the store's table %v", p.I, p.J, p)
+		}
+	}
+	if rows < 4 {
+		t.Fatalf("fixture too small: %d complementary rows", rows)
+	}
+	if got := st.Preprocessing().PairsStored; got != 2*rows {
+		t.Errorf("PairsStored = %d, want %d (each table deployed at two sites)", got, 2*rows)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -22,11 +23,19 @@ type Route struct {
 }
 
 // QueryPath answers a shortest-path query and reconstructs the actual
-// route. It runs the standard (sequential, Dijkstra-engine) pipeline
-// and then expands the winning chain: for each leg the per-site
-// predecessor tree yields the fragment-local node sequence, and hops
-// that used a complementary shortcut are expanded into the precomputed
-// global path segment.
+// route. It is the pipelined walk (QueryPipelinedEngineCtx's, on the
+// graph engine: one vector-seeded search per leg of each chain) with
+// the winning chain's search trees kept, followed by a backtrack from
+// the target: each leg's predecessor tree yields the site-local node
+// sequence back to the border node the optimum entered through, which
+// is where the previous leg's backtrack starts; hops that used a
+// complementary shortcut are expanded into the global path segment.
+//
+// The Result therefore carries the walk's bookkeeping, as a
+// ModePipelined answer does — Assembly is zero and TuplesShipped counts
+// the running vector per walked leg — while Cost, Reachable, BestChain,
+// SameFragment, Truncated and ChainsConsidered are what the plan
+// executor reports for the same pair.
 //
 // Reconstruction never undercuts the paper's communication structure:
 // the extra information per leg is one (entry, exit, path) list, still
@@ -35,133 +44,35 @@ func (st *Store) QueryPath(ctx context.Context, source, target graph.NodeID) (*R
 	if st.problem != ProblemShortestPath {
 		return nil, nil, fmt.Errorf("dsa: %w: store precomputed for reachability cannot reconstruct routes", ErrProblemMismatch)
 	}
-	plan, err := st.NewPlan(source, target)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := st.RunPlanCtx(ctx, plan, EngineDijkstra, false)
+	res, trees, err := st.walkChains(ctx, source, target, EngineDijkstra)
 	if err != nil {
 		return nil, nil, err
 	}
 	if !res.Reachable {
 		return res, nil, nil
 	}
-	if source == target {
-		return res, &Route{Nodes: []graph.NodeID{source}, Cost: 0}, nil
-	}
-	route, err := st.reconstruct(source, target, res.BestChain, res.Cost)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, route, nil
-}
-
-// reconstruct rebuilds the node sequence along the winning fragment
-// chain with a backward dynamic program: cost-to-go vectors per chain
-// position identify the border nodes the optimum passed through, then
-// each leg's local path is expanded.
-func (st *Store) reconstruct(source, target graph.NodeID, chain []int, totalCost float64) (*Route, error) {
-	const eps = 1e-9
-	type hop struct {
-		site     int
-		from, to graph.NodeID
-		legCost  float64
-	}
-
-	// Forward vectors: costs[i] maps border nodes after leg i to their
-	// best cost from the source. legDist[i] holds the site-local
-	// distance maps per entry node for leg i.
-	n := len(chain)
-	costs := make([]map[graph.NodeID]float64, n+1)
-	costs[0] = map[graph.NodeID]float64{source: 0}
-	legDist := make([]map[graph.NodeID]map[graph.NodeID]float64, n)
-	legPred := make([]map[graph.NodeID]map[graph.NodeID]graph.NodeID, n)
-	for i, fragID := range chain {
-		site := st.sites[fragID]
-		var exits []graph.NodeID
-		if i+1 < n {
-			exits = st.fr.DisconnectionSet(fragID, chain[i+1])
-		} else {
-			exits = []graph.NodeID{target}
-		}
-		legDist[i] = make(map[graph.NodeID]map[graph.NodeID]float64)
-		legPred[i] = make(map[graph.NodeID]map[graph.NodeID]graph.NodeID)
-		next := make(map[graph.NodeID]float64)
-		for entry, c0 := range costs[i] {
-			dist, pred := site.augmented.ShortestPaths(entry)
-			legDist[i][entry] = dist
-			predTo := make(map[graph.NodeID]graph.NodeID, len(pred))
-			for k, v := range pred {
-				predTo[k] = v
-			}
-			legPred[i][entry] = predTo
-			for _, x := range exits {
-				d, ok := dist[x]
-				if !ok && entry != x {
-					continue
-				}
-				if entry == x {
-					d = 0
-				}
-				if old, seen := next[x]; !seen || c0+d < old {
-					next[x] = c0 + d
-				}
-			}
-		}
-		costs[i+1] = next
-	}
-	got, ok := costs[n][target]
-	if !ok || math.Abs(got-totalCost) > eps*math.Max(1, math.Abs(totalCost)) {
-		return nil, fmt.Errorf("dsa: path reconstruction cost %v disagrees with query cost %v", got, totalCost)
-	}
-
-	// Backward pass: pick, per leg, the entry node consistent with the
-	// optimal total.
-	hops := make([]hop, n)
+	// Backward over the legs (none when source == target): follow pred
+	// from the leg's exit until a node without one, the seed the optimum
+	// entered through. An exit that is itself that seed contributes no
+	// hop.
+	segments := make([][]graph.NodeID, len(trees))
 	cur := target
-	for i := n - 1; i >= 0; i-- {
-		found := false
-		for entry, c0 := range costs[i] {
-			var d float64
-			if entry == cur {
-				d = 0
-			} else if dd, ok := legDist[i][entry][cur]; ok {
-				d = dd
-			} else {
-				continue
-			}
-			if math.Abs(c0+d-costs[i+1][cur]) <= eps*math.Max(1, math.Abs(costs[i+1][cur])) {
-				hops[i] = hop{site: chain[i], from: entry, to: cur, legCost: d}
-				cur = entry
-				found = true
-				break
-			}
+	for i := len(trees) - 1; i >= 0; i-- {
+		local := []graph.NodeID{cur}
+		for p, ok := trees[i].pred[cur]; ok; p, ok = trees[i].pred[p] {
+			local = append(local, p)
 		}
-		if !found {
-			return nil, fmt.Errorf("dsa: path reconstruction lost the chain at leg %d", i)
+		slices.Reverse(local)
+		if segments[i], err = st.expandShortcuts(local, trees[i].dist); err != nil {
+			return nil, nil, err
 		}
+		cur = local[0]
 	}
-
-	// Expand each hop into base-graph nodes.
-	var nodes []graph.NodeID
-	nodes = append(nodes, source)
-	for i, h := range hops {
-		if h.from == h.to {
-			continue
-		}
-		dist := legDist[i][h.from]
-		pred := legPred[i][h.from]
-		local := graph.PathTo(h.from, h.to, dist, pred)
-		if local == nil {
-			return nil, fmt.Errorf("dsa: no local path %d→%d at site %d", h.from, h.to, h.site)
-		}
-		expanded, err := st.expandShortcuts(local, dist)
-		if err != nil {
-			return nil, err
-		}
-		nodes = append(nodes, expanded[1:]...)
+	nodes := []graph.NodeID{source}
+	for _, seg := range segments {
+		nodes = append(nodes, seg[1:]...)
 	}
-	return &Route{Nodes: nodes, Cost: totalCost}, nil
+	return res, &Route{Nodes: nodes, Cost: res.Cost}, nil
 }
 
 // expandShortcuts replaces hops of a site-local path that correspond to

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -202,5 +203,91 @@ func TestPropertyRoutesAreValidShortestPaths(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestQueryPathIsTheWalk: QueryPath is the pipelined walk with its
+// search trees kept — one search per leg of each chain, where the
+// per-entry reconstruction it replaces ran one per entry node — and it
+// reports what the executor reports for the pair, with a route the base
+// graph accepts. All pairs of a loosely connected grid and of a cyclic,
+// two-chain center fragmentation, so border nodes that are entry and
+// exit of one leg, border sources and targets and source == target are
+// all walked.
+func TestQueryPathIsTheWalk(t *testing.T) {
+	ctx := context.Background()
+	for _, topo := range applyTopologies {
+		if topo.name != "grid-linear" && topo.name != "transport-center" {
+			continue
+		}
+		t.Run(topo.name, func(t *testing.T) {
+			fr, err := topo.build(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := Build(fr, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := fr.Base()
+			multiChain, entryIsExit := 0, 0
+			for _, src := range g.Nodes() {
+				for _, dst := range g.Nodes() {
+					plan, err := st.NewPlan(src, dst)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := st.RunPlanCtx(ctx, plan, EngineDijkstra, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, route, err := st.QueryPath(ctx, src, dst)
+					if err != nil {
+						t.Fatalf("QueryPath(%d, %d): %v", src, dst, err)
+					}
+					if res.Reachable != want.Reachable || !reflect.DeepEqual(res.BestChain, want.BestChain) ||
+						res.SameFragment != want.SameFragment || res.Truncated != want.Truncated ||
+						res.ChainsConsidered != want.ChainsConsidered ||
+						res.Reachable && math.Abs(res.Cost-want.Cost) > 1e-9*math.Max(1, want.Cost) {
+						t.Fatalf("QueryPath(%d, %d) = %+v, the executor says %+v", src, dst, res, want)
+					}
+					// Both fixtures are symmetric and connected: no chain
+					// breaks, so every leg of every chain is walked.
+					legs, searches := 0, 0
+					if src != dst {
+						for _, chain := range plan.Chains {
+							legs += len(chain)
+							if len(chain) > 1 && slices.Contains(fr.DisconnectionSet(chain[0], chain[1]), src) {
+								entryIsExit++
+							}
+						}
+					}
+					for _, w := range res.PerSite {
+						searches += w.Legs
+					}
+					if searches != legs || res.MessagesSent != legs {
+						t.Fatalf("QueryPath(%d, %d) ran %d searches (%d messages) for %d chain legs", src, dst, searches, res.MessagesSent, legs)
+					}
+					if len(plan.Chains) > 1 {
+						multiChain++
+					}
+					if route == nil || route.Nodes[0] != src || route.Nodes[len(route.Nodes)-1] != dst || route.Cost != res.Cost {
+						t.Fatalf("QueryPath(%d, %d) route = %+v for %+v", src, dst, route, res)
+					}
+					if err := route.Validate(g); err != nil {
+						t.Fatalf("QueryPath(%d, %d) route %v: %v", src, dst, route.Nodes, err)
+					}
+				}
+			}
+			if entryIsExit == 0 {
+				t.Error("no query entered a leg on one of its own exit nodes")
+			}
+			if multiChain == 0 {
+				t.Error("no query had more than one chain to choose from")
+			}
+			if cyclic := topo.name == "transport-center"; cyclic == st.LooselyConnected() {
+				t.Errorf("fixture %s: LooselyConnected = %v", topo.name, !cyclic)
+			}
+		})
 	}
 }

@@ -23,18 +23,11 @@ import (
 func (st *Store) MaxChains() int { return st.maxChains }
 
 // CompTables returns the complementary tables of every non-empty
-// disconnection set, keyed by the normalised pair. The tables are
-// shared with the sites (each DS is deployed at both member sites);
-// treat them as read-only.
-func (st *Store) CompTables() map[fragment.Pair]*CompInfo {
-	out := make(map[fragment.Pair]*CompInfo)
-	for _, s := range st.sites {
-		for p, ci := range s.Comp {
-			out[p] = ci
-		}
-	}
-	return out
-}
+// disconnection set, keyed by the normalised pair. The map and its
+// tables are the store's own, shared with the sites (each DS is
+// deployed at both member sites) and with the stores applied from this
+// one; treat them as read-only.
+func (st *Store) CompTables() map[fragment.Pair]*CompInfo { return st.comp }
 
 // Restore rebuilds a deployed Store from previously computed parts: a
 // fragmentation, the complementary tables, the build options, and the
@@ -43,9 +36,10 @@ func (st *Store) CompTables() map[fragment.Pair]*CompInfo {
 // given tables, fanned out over GOMAXPROCS goroutines — so restoring
 // is O(per-site subgraph construction), not O(preprocessing).
 //
-// The caller vouches that comp matches the fragmentation (snapshot
-// loaders verify a checksum before calling); tables for pairs that
-// name no fragment are ignored, exactly as buildSite filters.
+// The caller vouches that comp matches the fragmentation — one table
+// per disconnection set, sorted by (From, To) — and keeps its hands off
+// it afterwards (the snapshot loader checks both against the
+// fragmentation it decoded).
 func Restore(fr *fragment.Fragmentation, comp map[fragment.Pair]*CompInfo, opt Options, epoch uint64, prep PreprocessStats) (*Store, error) {
 	if fr == nil {
 		return nil, fmt.Errorf("dsa: nil fragmentation")
@@ -62,6 +56,7 @@ func Restore(fr *fragment.Fragmentation, comp map[fragment.Pair]*CompInfo, opt O
 		problem:   opt.Problem,
 		epoch:     epoch,
 		prep:      prep,
+		comp:      comp,
 	}
 	base := fr.Base()
 	frags := fr.Fragments()
@@ -87,7 +82,7 @@ func Restore(fr *fragment.Fragmentation, comp map[fragment.Pair]*CompInfo, opt O
 		}()
 	}
 	wg.Wait()
-	st.compMaxCost, st.compAllPairs = compBounds(st.CompTables())
+	st.compMaxCost, st.compAllPairs, _ = compBounds(fr.DisconnectionSets(), comp)
 	return st, nil
 }
 

@@ -36,54 +36,83 @@ func (st *Store) QueryPipelinedEngineCtx(ctx context.Context, source, target gra
 	if engine != EngineDijkstra && engine != EngineDense {
 		return nil, fmt.Errorf("dsa: %w: pipelined evaluation needs a vector-seeded engine (dijkstra or dense), not %v", ErrEngineMismatch, engine)
 	}
+	res, _, err := st.walkChains(ctx, source, target, engine)
+	return res, err
+}
+
+// legTree is what one walked leg's search leaves behind: the cost of
+// every node it reached and, on the graph engine, its predecessor on
+// the way there. Seeds have no predecessor unless another seed reaches
+// them more cheaply. The dense kernel reports costs only.
+type legTree struct {
+	dist map[graph.NodeID]float64
+	pred map[graph.NodeID]graph.NodeID
+}
+
+// walkChains is the pipelined evaluator: it plans the query, walks each
+// chain with pipelineChain and keeps the cheapest (the first listed on
+// ties), returning that chain's per-leg search trees beside the result
+// — nil when no search ran (source == target, or no chain reaches the
+// target). QueryPipelinedEngineCtx wants the result, QueryPath the
+// trees as well.
+func (st *Store) walkChains(ctx context.Context, source, target graph.NodeID, engine Engine) (*Result, []legTree, error) {
 	start := time.Now()
 	plan, err := st.NewPlan(source, target)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res, done := st.PlanResult(plan)
 	if done {
 		res.Elapsed = time.Since(start)
-		return res, nil
+		return res, nil, nil
 	}
+	var best []legTree
 	for _, chain := range plan.Chains {
-		cost, ok, err := st.pipelineChain(ctx, source, target, chain, engine, res)
+		trees, err := st.pipelineChain(ctx, source, target, chain, engine, res)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if ok && cost < res.Cost {
+		if trees == nil {
+			continue
+		}
+		if cost := trees[len(trees)-1].dist[target]; cost < res.Cost {
 			res.Cost = cost
 			res.BestChain = chain
 			res.Reachable = true
+			best = trees
 		}
 	}
 	res.Elapsed = time.Since(start)
-	return res, nil
+	return res, best, nil
 }
 
 // pipelineChain folds one chain with vector-seeded multi-source
-// searches and returns the cost at the target.
-func (st *Store) pipelineChain(ctx context.Context, source, target graph.NodeID, chain []int, engine Engine, res *Result) (float64, bool, error) {
+// searches, one per leg, and returns the legs' search trees; the last
+// one holds the cost at the target. A chain that does not reach the
+// target returns nil.
+func (st *Store) pipelineChain(ctx context.Context, source, target graph.NodeID, chain []int, engine Engine, res *Result) ([]legTree, error) {
+	trees := make([]legTree, 0, len(chain))
 	vector := map[graph.NodeID]float64{source: 0}
 	for i, fragID := range chain {
 		if ctx.Err() != nil {
-			return 0, false, canceledErr(ctx)
+			return nil, canceledErr(ctx)
 		}
 		site := st.sites[fragID]
 		t0 := time.Now()
-		var dist map[graph.NodeID]float64
+		var tree legTree
 		if engine == EngineDense {
 			kernel, err := site.DenseKernel()
 			if err != nil {
-				return 0, false, err
+				return nil, err
 			}
-			dist, err = kernel.CostVectorCtx(ctx, vector)
+			tree.dist, err = kernel.CostVectorCtx(ctx, vector)
 			if err != nil {
-				return 0, false, err
+				return nil, err
 			}
 		} else {
-			dist, _ = site.augmented.ShortestPathsMulti(vector)
+			tree.dist, tree.pred = site.augmented.ShortestPathsMulti(vector)
 		}
+		trees = append(trees, tree)
 
 		var exits []graph.NodeID
 		if i+1 < len(chain) {
@@ -93,13 +122,13 @@ func (st *Store) pipelineChain(ctx context.Context, source, target graph.NodeID,
 		}
 		next := make(map[graph.NodeID]float64, len(exits))
 		for _, x := range exits {
-			if d, ok := dist[x]; ok {
+			if d, ok := tree.dist[x]; ok {
 				next[x] = d
 			}
 		}
 		w := res.PerSite[fragID]
 		w.Legs++
-		w.Stats.DerivedTuples += len(dist)
+		w.Stats.DerivedTuples += len(tree.dist)
 		w.Stats.ResultTuples += len(next)
 		w.Elapsed += time.Since(t0)
 		res.PerSite[fragID] = w
@@ -107,10 +136,9 @@ func (st *Store) pipelineChain(ctx context.Context, source, target graph.NodeID,
 		res.TuplesShipped += len(next)
 
 		if len(next) == 0 {
-			return 0, false, nil
+			return nil, nil
 		}
 		vector = next
 	}
-	cost, ok := vector[target]
-	return cost, ok, nil
+	return trees, nil
 }

@@ -18,7 +18,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -35,36 +34,21 @@ import (
 // the cost of the global shortest path between every ordered pair of
 // its nodes (pairs with no connecting path are absent). For the
 // reachability problem the same table serves as the connectivity
-// relation (present = connected).
+// relation (present = connected). The node set itself is the
+// fragmentation's (fr.DisconnectionSet(Pair.I, Pair.J)).
 type CompInfo struct {
 	// Pair identifies the disconnection set DS_ij.
 	Pair fragment.Pair
-	// Nodes is the sorted disconnection set.
-	Nodes []graph.NodeID
-	// Cost maps ordered node pairs (a, b), a ≠ b, to the global
-	// shortest-path cost from a to b.
-	Cost map[[2]graph.NodeID]float64
-}
-
-// ShortcutEdges renders the complementary information as extra edges:
-// adding them to a fragment's subgraph lets a purely local search
-// account for path segments that leave the fragment and return through
-// the same disconnection set (the footnote of §2.1: "the shortest path
-// might include nodes outside the chain, however, their contribution is
-// precomputed in the complementary information").
-func (ci *CompInfo) ShortcutEdges() []graph.Edge {
-	edges := make([]graph.Edge, 0, len(ci.Cost))
-	for p, c := range ci.Cost {
-		edges = append(edges, graph.Edge{From: p[0], To: p[1], Weight: c})
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		a, b := edges[i], edges[j]
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		return a.To < b.To
-	})
-	return edges
+	// Cost holds one edge (a, b, cost) per ordered node pair a ≠ b with a
+	// connecting path, sorted by (From, To) — the form every consumer
+	// wants. As extra edges of a fragment's subgraph they let a purely
+	// local search account for path segments that leave the fragment and
+	// return through the same disconnection set (the footnote of §2.1:
+	// "the shortest path might include nodes outside the chain, however,
+	// their contribution is precomputed in the complementary
+	// information"); the snapshot writer stores them in this order.
+	// Read-only once built: sites and successive stores share it.
+	Cost []graph.Edge
 }
 
 // Site is one processor of the deployment. It stores what the paper's
@@ -78,7 +62,8 @@ type Site struct {
 	// Frag is the fragment.
 	Frag *fragment.Fragment
 	// Comp holds the complementary information of every disconnection
-	// set involving this fragment, keyed by the normalised pair.
+	// set involving this fragment, keyed by the normalised pair — the
+	// store's own tables, by pointer ("stored at both sites", §2.1).
 	Comp map[fragment.Pair]*CompInfo
 	// augmented is the site's one graph: G_i, the subgraph induced by
 	// the fragment's edges, plus every shortcut edge of Comp. The
@@ -208,6 +193,9 @@ type Store struct {
 	sites   []*Site
 	prep    PreprocessStats
 	problem Problem
+	// comp holds the complementary table of every disconnection set,
+	// keyed by the normalised pair; each site's Comp points into it.
+	comp map[fragment.Pair]*CompInfo
 	// compMaxCost is the largest cost any complementary table stores and
 	// compAllPairs whether every table has a cost for every ordered pair
 	// of its disconnection set — what Apply's fast route (compUnaffected)
@@ -263,15 +251,12 @@ func Build(fr *fragment.Fragmentation, opt Options) (*Store, error) {
 		return nil, err
 	}
 	st.prep.DijkstraRuns = runs
-	st.compMaxCost, st.compAllPairs = compBounds(comp)
+	st.comp = comp
+	st.compMaxCost, st.compAllPairs, st.prep.PairsStored = compBounds(dss, comp)
 
 	shared := fr.SharedNodes()
 	for _, f := range fr.Fragments() {
-		site := buildSite(f, base, shared, comp)
-		for _, ci := range site.Comp {
-			st.prep.PairsStored += len(ci.Cost)
-		}
-		st.sites = append(st.sites, site)
+		st.sites = append(st.sites, buildSite(f, base, shared, comp))
 	}
 	return st, nil
 }
@@ -285,20 +270,29 @@ func Build(fr *fragment.Fragmentation, opt Options) (*Store, error) {
 // The searches are independent, so they fan out over GOMAXPROCS
 // goroutines — this is what keeps a batched update's preprocessing
 // window short (the write path re-runs computeComp on every batch).
+// A search keeps only its node's rows of the tables it belongs to; the
+// graph-sized distance map is garbage as soon as the search finishes.
 // ctx is observed between searches, so a canceled batched update
 // abandons its preprocessing promptly.
 func computeComp(ctx context.Context, base *graph.Graph, dss map[fragment.Pair][]graph.NodeID, problem Problem) (map[fragment.Pair]*CompInfo, int, error) {
-	distinct := make(map[graph.NodeID]struct{})
-	for _, nodes := range dss {
-		for _, id := range nodes {
-			distinct[id] = struct{}{}
+	// member lists, per disconnection-set node, its row in every table
+	// it belongs to; rows[p][k] is filled by the search from dss[p][k].
+	type slot struct {
+		pair fragment.Pair
+		row  int
+	}
+	member := make(map[graph.NodeID][]slot)
+	rows := make(map[fragment.Pair][][]graph.Edge, len(dss))
+	for p, nodes := range dss {
+		rows[p] = make([][]graph.Edge, len(nodes))
+		for k, id := range nodes {
+			member[id] = append(member[id], slot{p, k})
 		}
 	}
-	ids := make([]graph.NodeID, 0, len(distinct))
-	for id := range distinct {
+	ids := make([]graph.NodeID, 0, len(member))
+	for id := range member {
 		ids = append(ids, id)
 	}
-	dists := make([]map[graph.NodeID]float64, len(ids))
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(ids) {
 		workers = len(ids)
@@ -314,15 +308,25 @@ func computeComp(ctx context.Context, base *graph.Graph, dss map[fragment.Pair][
 				if i >= len(ids) || ctx.Err() != nil {
 					return
 				}
+				a := ids[i]
+				var dist map[graph.NodeID]float64
 				switch problem {
 				case ProblemShortestPath:
-					dists[i], _ = base.ShortestPaths(ids[i])
+					dist, _ = base.ShortestPaths(a)
 				case ProblemReachability:
-					dist := make(map[graph.NodeID]float64)
-					for n := range base.Reachable(ids[i]) {
+					dist = make(map[graph.NodeID]float64)
+					for n := range base.Reachable(a) {
 						dist[n] = 1 // presence marker; magnitude is meaningless
 					}
-					dists[i] = dist
+				}
+				for _, m := range member[a] {
+					var row []graph.Edge
+					for _, b := range dss[m.pair] {
+						if d, ok := dist[b]; ok && a != b {
+							row = append(row, graph.Edge{From: a, To: b, Weight: d})
+						}
+					}
+					rows[m.pair][m.row] = row
 				}
 			}
 		}()
@@ -331,28 +335,13 @@ func computeComp(ctx context.Context, base *graph.Graph, dss map[fragment.Pair][
 	if ctx.Err() != nil {
 		return nil, 0, canceledErr(ctx)
 	}
-	runs := len(ids)
-	global := make(map[graph.NodeID]map[graph.NodeID]float64, len(ids))
-	for i, id := range ids {
-		global[id] = dists[i]
-	}
 
+	// Disconnection sets are sorted, so row after row is (From, To) order.
 	comp := make(map[fragment.Pair]*CompInfo, len(dss))
-	for p, nodes := range dss {
-		ci := &CompInfo{Pair: p, Nodes: nodes, Cost: make(map[[2]graph.NodeID]float64)}
-		for _, a := range nodes {
-			for _, b := range nodes {
-				if a == b {
-					continue
-				}
-				if d, ok := global[a][b]; ok {
-					ci.Cost[[2]graph.NodeID{a, b}] = d
-				}
-			}
-		}
-		comp[p] = ci
+	for p := range dss {
+		comp[p] = &CompInfo{Pair: p, Cost: slices.Concat(rows[p]...)}
 	}
-	return comp, runs, nil
+	return comp, len(ids), nil
 }
 
 // buildSite constructs one deployed site: the complementary tables
@@ -372,7 +361,7 @@ func buildSite(f *fragment.Fragment, base *graph.Graph, shared map[graph.NodeID]
 			continue
 		}
 		site.Comp[p] = ci
-		for _, e := range ci.ShortcutEdges() {
+		for _, e := range ci.Cost {
 			site.augmented.AddEdge(e)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/dsa"
@@ -98,8 +97,8 @@ func (s *Server) handleV1Leg(w http.ResponseWriter, r *http.Request) {
 			tcq.ErrEpochSkew, req.Epoch, s.ds.Epoch()))
 		return
 	}
-	t0 := time.Now()
-	full, stats, hit, err := s.executeLegLocal(r.Context(), snap, req.Site, req.EntryNodes(), engine)
+	// No exit set: the peer gets the whole table and selects its own.
+	lr, hit, err := s.executeLegLocal(r.Context(), snap, dsa.Leg{SiteID: req.Site, Entry: req.EntryNodes()}, engine)
 	if err != nil {
 		writeV1Error(w, err)
 		return
@@ -107,9 +106,7 @@ func (s *Server) handleV1Leg(w http.ResponseWriter, r *http.Request) {
 	if s.cluster != nil {
 		s.cluster.LocalLeg()
 	}
-	s.siteLegs[req.Site].Add(1)
-	s.siteBusyNS[req.Site].Add(int64(time.Since(t0)))
-	writeJSON(w, http.StatusOK, cluster.NewLegResponse(req.Epoch, hit, full, stats))
+	writeJSON(w, http.StatusOK, cluster.NewLegResponse(req.Epoch, hit, lr.Rel, lr.Stats))
 }
 
 // fanOutUpdate forwards one just-applied transaction to every peer and

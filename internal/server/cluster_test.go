@@ -335,9 +335,11 @@ func TestV1LegEndpoint(t *testing.T) {
 		t.Errorf("/v1/leg bad engine: status %d code %q, want 400 unknown_engine", status, ve.Code)
 	}
 
-	status = postV1(t, url, cluster.NewLegRequest(77, []graph.NodeID{0}, "dijkstra", 0), &ve)
-	if status != http.StatusNotFound || ve.Code != "unknown_site" {
-		t.Errorf("/v1/leg bad site: status %d code %q, want 404 unknown_site", status, ve.Code)
+	for _, site := range []int{77, -1} {
+		status = postV1(t, url, cluster.NewLegRequest(site, []graph.NodeID{0}, "dijkstra", 0), &ve)
+		if status != http.StatusNotFound || ve.Code != "unknown_site" {
+			t.Errorf("/v1/leg site %d: status %d code %q, want 404 unknown_site", site, status, ve.Code)
+		}
 	}
 
 	resp, err := http.Post(url, "application/json", bytes.NewReader([]byte("{not json")))
@@ -347,6 +349,105 @@ func TestV1LegEndpoint(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("/v1/leg malformed body: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestLegAccountingOneRule: however a leg comes to run on this node —
+// a query's leg on a site it owns, the degraded-mode fallback for a
+// site whose owner a FaultTransport script keeps down, a peer's /v1/leg
+// — the site is charged one leg and the time its gate was held, and
+// nothing else is; tc_legs_local_total counts owned and peer-served
+// legs, tc_cluster_leg_fallback_total the fallbacks.
+func TestLegAccountingOneRule(t *testing.T) {
+	tcl := newTestCluster(t, 24, 4, 8, 2, func(i int, cfg *cluster.Config) {
+		cfg.Retry.Attempts = 1
+		cfg.NewTransport = func(n cluster.Node) cluster.Transport {
+			return cluster.NewFaultTransport(cluster.NewHTTPTransport(n, time.Second), n.ID,
+				cluster.FaultScript{"b": {{Action: cluster.FaultDown, Count: -1}}})
+		}
+	})
+	a := tcl.servers[0]
+	fr := a.Dataset().Snapshot().Store().Fragmentation()
+	// interior returns two nodes only the site's fragment holds: a query
+	// between them is planned as one leg on that site.
+	interior := func(site int) (graph.NodeID, graph.NodeID) {
+		var in []graph.NodeID
+		for _, n := range fr.Fragment(site).Nodes() {
+			if len(fr.FragmentsOf(n)) == 1 {
+				in = append(in, n)
+			}
+		}
+		if len(in) < 2 {
+			t.Fatalf("site %d has %d interior nodes, need 2", site, len(in))
+		}
+		return in[0], in[len(in)-1]
+	}
+	owned, remote := -1, -1
+	for site := 0; site < fr.NumFragments(); site++ {
+		if a.cluster.IsLocal(site) {
+			owned = site
+		} else {
+			remote = site
+		}
+	}
+	if owned < 0 || remote < 0 {
+		t.Fatalf("ring dealt node a owned site %d, remote site %d; need both", owned, remote)
+	}
+	query := func(site int) func(*testing.T) time.Duration {
+		return func(t *testing.T) time.Duration {
+			src, dst := interior(site)
+			res, _, err := runPair(a, src, dst, dsa.EngineDijkstra, tcq.ModeCost)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.PerSite) != 1 || res.PerSite[site].Legs != 1 {
+				t.Fatalf("pair %d→%d ran %+v, want one leg on site %d", src, dst, res.PerSite, site)
+			}
+			return res.PerSite[site].Elapsed
+		}
+	}
+	cases := []struct {
+		name                string
+		site                int
+		run                 func(*testing.T) time.Duration // the leg's Took, 0 when the caller cannot see it
+		wantLocal, wantFall float64
+	}{
+		{"query leg on an owned site", owned, query(owned), 1, 0},
+		{"fallback leg for a down owner", remote, query(remote), 0, 1},
+		{"peer-served /v1/leg", owned, func(t *testing.T) time.Duration {
+			src, _ := interior(owned)
+			var leg cluster.LegResponse
+			if status := postV1(t, tcl.https[0].URL+"/v1/leg", cluster.NewLegRequest(owned, []graph.NodeID{src}, "dense", 0), &leg); status != http.StatusOK {
+				t.Fatalf("/v1/leg: status %d", status)
+			}
+			return 0
+		}, 1, 0},
+	}
+	const localSeries, fallSeries = "tc_legs_local_total", `tc_cluster_leg_fallback_total{peer="b"}`
+	for _, tt := range cases {
+		t.Run(tt.name, func(t *testing.T) {
+			before := a.Stats()
+			took := tt.run(t)
+			after := a.Stats()
+			for site := range after.Site {
+				legs := after.Site[site].Legs - before.Site[site].Legs
+				busy := after.Site[site].BusyNS - before.Site[site].BusyNS
+				switch {
+				case site != tt.site:
+					if legs != 0 || busy != 0 {
+						t.Errorf("bystander site %d charged %d legs, %d ns", site, legs, busy)
+					}
+				case legs != 1 || busy <= 0 || took > 0 && busy != int64(took):
+					t.Errorf("site %d charged %d legs and %d ns for one leg that took %d ns", site, legs, busy, took)
+				}
+			}
+			if got := after.Metrics[localSeries] - before.Metrics[localSeries]; got != tt.wantLocal {
+				t.Errorf("%s advanced by %v, want %v", localSeries, got, tt.wantLocal)
+			}
+			if got := after.Metrics[fallSeries] - before.Metrics[fallSeries]; got != tt.wantFall {
+				t.Errorf("%s advanced by %v, want %v", fallSeries, got, tt.wantFall)
+			}
+		})
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // TestConcurrentQueriesAndUpdates is the race-detector stress test for
-// the serving layer: pooled cost queries, connectivity queries on every
+// the serving layer: gated cost queries, connectivity queries on every
 // engine, pipelined queries and edge inserts/deletes all interleave on
 // one server. It guards the epoch-tagged cache, the eager per-fragment
 // invalidation sweep and the lock-free snapshot-pinning read path
@@ -24,7 +24,7 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	const iters = 25
 	var wg sync.WaitGroup
 
-	// Two pooled cost-query workers (dijkstra and seminaive).
+	// Two gated cost-query workers (dijkstra and seminaive).
 	for w, engine := range []dsa.Engine{dsa.EngineDijkstra, dsa.EngineSemiNaive} {
 		wg.Add(1)
 		go func(w int, engine dsa.Engine) {

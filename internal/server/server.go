@@ -1,11 +1,12 @@
 // Package server is the long-lived query-serving layer over a tcq
-// dataset: persistent per-site worker pools (the paper's processors,
-// kept alive across queries), a bounded LRU leg-result cache that
-// memoizes the expensive half of leg execution across queries, and an
-// HTTP/JSON API. It turns the one-shot library pipeline into the
-// serving system the ROADMAP's "heavy traffic" north star asks for:
-// many concurrent queries interleave their per-site legs exactly the
-// way the paper's sites would interleave independent subqueries.
+// dataset: one gate per site (the paper's one processor per fragment:
+// a site runs one leg at a time, whoever asks), a bounded LRU
+// leg-result cache that memoizes the expensive half of leg execution
+// across queries, and an HTTP/JSON API. It turns the one-shot library
+// pipeline into the serving system the ROADMAP's "heavy traffic" north
+// star asks for: many concurrent queries interleave their per-site legs
+// exactly the way the paper's sites would interleave independent
+// subqueries.
 //
 // Concurrency model: reads are lock-free — every query pins the
 // immutable store generation current when it starts (one atomic
@@ -47,12 +48,17 @@ type Config struct {
 	Cluster *cluster.Coordinator
 }
 
-// Server is a live deployment: a dataset, its worker pools and the
+// Server is a live deployment: a dataset, its site gates and the
 // leg-result cache.
 type Server struct {
-	ds          *tcq.Dataset
-	cache       *legCache
-	pools       *sitePools
+	ds    *tcq.Dataset
+	cache *legCache
+	// gates holds one capacity-1 semaphore per site: the goroutine that
+	// runs a leg on this node holds its site's gate for the duration, so
+	// a site is busy with one leg at a time while distinct sites run in
+	// parallel. A channel rather than a mutex because waiting for a turn
+	// must end when the query's context does.
+	gates       []chan struct{}
 	facade      *tcq.Client
 	unsubscribe func()
 	start       time.Time
@@ -82,12 +88,15 @@ func NewDataset(ds *tcq.Dataset, cfg Config) (*Server, error) {
 	s := &Server{
 		ds:         ds,
 		cache:      newLegCache(cfg.CacheCapacity),
-		pools:      newSitePools(n),
+		gates:      make([]chan struct{}, n),
 		start:      time.Now(),
 		siteLegs:   make([]atomic.Uint64, n),
 		siteBusyNS: make([]atomic.Int64, n),
 		cluster:    cfg.Cluster,
 		history:    newSnapHistory(epochHistoryDepth),
+	}
+	for i := range s.gates {
+		s.gates[i] = make(chan struct{}, 1)
 	}
 	s.history.add(ds.Snapshot())
 	s.metrics = newServerMetrics(s)
@@ -96,7 +105,7 @@ func NewDataset(ds *tcq.Dataset, cfg Config) (*Server, error) {
 	}
 	// The server is the facade's runner: every tcq query — the /v1 API,
 	// or a library caller holding Facade() — executes through the
-	// pooled, leg-cached path below.
+	// gated, leg-cached path below.
 	facade, err := ds.Open(tcq.WithRunner(s))
 	if err != nil {
 		return nil, err
@@ -118,7 +127,7 @@ func NewDataset(ds *tcq.Dataset, cfg Config) (*Server, error) {
 }
 
 // Facade returns the server-backed tcq client: the public facade whose
-// queries run through the server's worker pools and leg cache.
+// queries run through the server's site gates and leg cache.
 func (s *Server) Facade() *tcq.Client { return s.facade }
 
 // Dataset returns the deployment's write handle (Apply, Snapshot).
@@ -129,7 +138,7 @@ func (s *Server) Dataset() *tcq.Dataset { return s.ds }
 // the request pinned. The engine is already concrete and compatible
 // with the mode (tcq.Plan resolved auto and refused cost queries on
 // reachability stores or the bitset engine), so the pair maps directly
-// onto the pooled executor — or the store's pipelined walk for
+// onto the gated executor — or the store's pipelined walk for
 // ModePipelined, which is vector-seeded and therefore uncacheable.
 func (s *Server) RunPair(ctx context.Context, snap *tcq.Snapshot, source, target graph.NodeID, engine dsa.Engine, mode tcq.Mode) (*dsa.Result, tcq.RunStats, error) {
 	start := time.Now()
@@ -159,30 +168,26 @@ func (s *Server) RunPair(ctx context.Context, snap *tcq.Snapshot, source, target
 	return res, rs, nil
 }
 
-// Close stops the worker pools and detaches the server from its
-// dataset (the OnApply subscription would otherwise keep the server
-// and its cache alive and swept for the dataset's lifetime). The
-// server must not be used afterwards; the dataset remains usable.
-func (s *Server) Close() {
-	s.unsubscribe()
-	s.pools.close()
-}
+// Close detaches the server from its dataset (the OnApply subscription
+// would otherwise keep the server and its cache alive and swept for the
+// dataset's lifetime). The server owns no goroutine, so there is
+// nothing else to stop: requests in flight finish on the snapshots they
+// pinned, and their leg results simply stop being invalidated. The
+// dataset remains usable.
+func (s *Server) Close() { s.unsubscribe() }
 
-// runCtx is the pooled, cache-aware, cancellation-aware executor
-// behind every non-pipelined query, running entirely on the snapshot
-// the request pinned — concurrent batch applies swap the dataset
-// underneath without disturbing it. It is dsa.RunLegs with the serving
-// layer's way of obtaining a leg: a locally owned leg is one task on
-// its site's persistent worker queue, where the cache intercepts the
-// (site, entry, engine) computation and the exit selection specialises
-// it per leg; in cluster deployments a leg of a remotely owned site is
-// shipped to its owner instead (scatter) — an I/O-bound wait here while
-// the owner's /v1/leg handler runs executeLegLocal on its own request
-// goroutine, against the owner's cache but on no site pool; the
-// degraded-mode fallback likewise runs the leg on the calling
-// goroutine. Assembly (gather) is oblivious to where a leg ran. Pooled
-// leg tasks observe ctx both before executing (a canceled query's
-// queued legs become no-ops) and inside the kernels.
+// runCtx is the cache-aware, cancellation-aware executor behind every
+// non-pipelined query, running entirely on the snapshot the request
+// pinned — concurrent batch applies swap the dataset underneath without
+// disturbing it. It is dsa.RunLegs with the serving layer's way of
+// obtaining a leg, and starts no goroutine of its own: on the goroutine
+// RunLegs already runs for the leg's site, a locally owned leg is one
+// executeLegLocal call; in cluster deployments a leg of a remotely
+// owned site is shipped to its owner instead (scatter) — an I/O-bound
+// wait here while the owner's /v1/leg handler makes the same
+// executeLegLocal call — and when the owner is unreachable the
+// degraded-mode fallback makes it here after all. Assembly (gather) is
+// oblivious to where a leg ran.
 func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target graph.NodeID, engine dsa.Engine) (*dsa.Result, tcq.RunStats, error) {
 	if !dsa.ValidEngine(engine) {
 		return nil, tcq.RunStats{}, fmt.Errorf("server: %w %d", dsa.ErrUnknownEngine, int(engine))
@@ -196,71 +201,49 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 	var hits, misses atomic.Int64
 	var fallbackMu sync.Mutex
 	var fallbackSites []int
-	finishLeg := func(leg dsa.Leg, t0 time.Time, full *relation.Relation, stats tc.Stats, hit bool) (*dsa.LegResult, error) {
-		if hit {
-			hits.Add(1)
-		} else {
-			misses.Add(1)
-		}
-		filtered, err := dsa.FilterLegFacts(full, leg)
-		if err != nil {
-			return nil, err
-		}
-		stats.ResultTuples = filtered.Len()
-		took := time.Since(t0)
-		s.siteLegs[leg.SiteID].Add(1)
-		s.siteBusyNS[leg.SiteID].Add(int64(took))
-		return &dsa.LegResult{Leg: leg, Rel: filtered, Stats: stats, Took: took}, nil
-	}
 	res, err := st.RunLegs(ctx, plan, true, func(ctx context.Context, leg dsa.Leg) (*dsa.LegResult, error) {
-		if s.cluster != nil && !s.cluster.IsLocal(leg.SiteID) {
+		var lr *dsa.LegResult
+		var hit bool
+		var err error
+		if s.cluster == nil || s.cluster.IsLocal(leg.SiteID) {
+			if lr, hit, err = s.executeLegLocal(ctx, snap, leg, engine); err == nil && s.cluster != nil {
+				s.cluster.LocalLeg()
+			}
+		} else {
+			// hit reports the OWNER's cache verdict — remote hits count
+			// as hits here so the hit rate reflects work actually saved
+			// cluster-wide.
 			t0 := time.Now()
-			full, stats, hit, err := s.cluster.ExecuteLeg(ctx, leg.SiteID, leg.Entry, engine.String(), snap.Epoch())
-			if err != nil {
+			var full *relation.Relation
+			var stats tc.Stats
+			full, stats, hit, err = s.cluster.ExecuteLeg(ctx, leg.SiteID, leg.Entry, engine.String(), snap.Epoch())
+			switch {
+			case err == nil:
+				lr, err = legResult(leg, full, stats, t0)
+			case cluster.FallbackEligible(err):
 				// Degraded mode: the owner is unreachable (down, timed
 				// out, or its breaker is open), but every node builds the
 				// identical store — so run the leg here, against the same
 				// pinned snapshot, and answer correctly instead of failing
 				// the query. Protocol errors (epoch skew, bad response)
 				// are NOT eligible: falling back would mask incoherence.
-				if !cluster.FallbackEligible(err) {
-					return nil, err
+				if lr, hit, err = s.executeLegLocal(ctx, snap, leg, engine); err == nil {
+					s.cluster.FallbackLeg(leg.SiteID)
+					fallbackMu.Lock()
+					fallbackSites = append(fallbackSites, leg.SiteID)
+					fallbackMu.Unlock()
 				}
-				full, stats, hit, err = s.executeLegLocal(ctx, snap, leg.SiteID, leg.Entry, engine)
-				if err != nil {
-					return nil, err
-				}
-				s.cluster.FallbackLeg(leg.SiteID)
-				fallbackMu.Lock()
-				fallbackSites = append(fallbackSites, leg.SiteID)
-				fallbackMu.Unlock()
 			}
-			// hit reports the OWNER's cache verdict — remote hits count
-			// as hits here so the hit rate reflects work actually saved
-			// cluster-wide.
-			return finishLeg(leg, t0, full, stats, hit)
 		}
-		var lr *dsa.LegResult
-		var err error
-		s.pools.run(leg.SiteID, func() {
-			// A canceled query's queued legs become no-ops instead of
-			// occupying the site's worker.
-			if ctx.Err() != nil {
-				err = fmt.Errorf("server: %w (%w)", dsa.ErrCanceled, context.Cause(ctx))
-				return
-			}
-			t0 := time.Now()
-			full, stats, hit, execErr := s.executeLegLocal(ctx, snap, leg.SiteID, leg.Entry, engine)
-			if execErr != nil {
-				err = execErr
-				return
-			}
-			if s.cluster != nil {
-				s.cluster.LocalLeg()
-			}
-			lr, err = finishLeg(leg, t0, full, stats, hit)
-		})
-		return lr, err
+		if err != nil {
+			return nil, err
+		}
+		if hit {
+			hits.Add(1)
+		} else {
+			misses.Add(1)
+		}
+		return lr, nil
 	})
 	if err != nil {
 		return nil, tcq.RunStats{}, err
@@ -269,23 +252,66 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 	return res, tcq.RunStats{CacheHits: int(hits.Load()), CacheMisses: int(misses.Load()), FallbackSites: fallbackSites}, nil
 }
 
-// executeLegLocal runs the memoizable half of one leg on this node:
-// cache lookup keyed (site, entry, engine) at the snapshot's epoch,
-// kernel execution on miss. It is shared by the pooled executor and
-// the /v1/leg peer endpoint, so remote and local traffic for a site
-// fill and hit the same cache entries.
-func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, siteID int, entry []graph.NodeID, engine dsa.Engine) (*relation.Relation, tc.Stats, bool, error) {
+// executeLegLocal is the one way a leg runs on this node, whoever asks:
+// a query's locally owned leg, a degraded-mode fallback for an
+// unreachable owner, or a peer's /v1/leg request. It waits for the
+// site's gate — giving up with ErrCanceled when ctx ends first, so a
+// canceled query stops queueing for its turn — and, holding it, looks
+// the (site, entry, engine) table up in the leg cache at the snapshot's
+// epoch, runs the kernel on a miss, selects the leg's exits and charges
+// the site one leg and the time the gate was held. Remote and local
+// traffic for a site therefore fill and hit the same cache entries and
+// obey the same one-leg-at-a-time rule. A leg with a nil Exit (a peer
+// asks for the whole table and selects its own exits) skips the
+// selection. The site index may come off the wire, so it is checked
+// before it indexes anything.
+func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg dsa.Leg, engine dsa.Engine) (*dsa.LegResult, bool, error) {
+	if leg.SiteID < 0 || leg.SiteID >= len(s.gates) {
+		return nil, false, fmt.Errorf("server: %w: leg site %d out of range", dsa.ErrUnknownSite, leg.SiteID)
+	}
+	gate := s.gates[leg.SiteID]
+	select {
+	case gate <- struct{}{}:
+		defer func() { <-gate }()
+	case <-ctx.Done():
+	}
+	// Also covers a gate won by a query that was canceled while it
+	// waited: its leg becomes a no-op instead of occupying the site.
+	if ctx.Err() != nil {
+		return nil, false, fmt.Errorf("server: %w (%w)", dsa.ErrCanceled, context.Cause(ctx))
+	}
+	t0 := time.Now()
 	epoch := snap.Epoch()
-	key := legKey(siteID, entry, engine)
-	if full, stats, ok := s.cache.get(key, epoch); ok {
-		return full, stats, true, nil
+	key := legKey(leg.SiteID, leg.Entry, engine)
+	full, stats, hit := s.cache.get(key, epoch)
+	if !hit {
+		var err error
+		if full, stats, err = snap.Store().ExecuteLegFullCtx(ctx, leg.SiteID, leg.Entry, engine); err != nil {
+			return nil, false, err
+		}
+		s.cache.put(key, leg.SiteID, epoch, full, stats)
 	}
-	full, stats, err := snap.Store().ExecuteLegFullCtx(ctx, siteID, entry, engine)
+	lr, err := legResult(leg, full, stats, t0)
 	if err != nil {
-		return nil, tc.Stats{}, false, err
+		return nil, false, err
 	}
-	s.cache.put(key, siteID, epoch, full, stats)
-	return full, stats, false, nil
+	s.siteLegs[leg.SiteID].Add(1)
+	s.siteBusyNS[leg.SiteID].Add(int64(lr.Took))
+	return lr, hit, nil
+}
+
+// legResult specialises a full (site, entry, engine) fact table to one
+// leg — the exit selection, skipped for a leg without exits — and
+// stamps the time since t0.
+func legResult(leg dsa.Leg, full *relation.Relation, stats tc.Stats, t0 time.Time) (*dsa.LegResult, error) {
+	if leg.Exit != nil {
+		var err error
+		if full, err = dsa.FilterLegFacts(full, leg); err != nil {
+			return nil, err
+		}
+		stats.ResultTuples = full.Len()
+	}
+	return &dsa.LegResult{Leg: leg, Rel: full, Stats: stats, Took: time.Since(t0)}, nil
 }
 
 // ApplyBatch applies a transactional batch of edge operations through
@@ -303,9 +329,11 @@ func (s *Server) ApplyBatch(ctx context.Context, b *tcq.Batch) (tcq.ApplyResult,
 
 // SiteStats is one site's serving-time work.
 type SiteStats struct {
-	// Legs is the number of leg tasks the site's workers executed.
+	// Legs is the number of legs this node executed on the site, for
+	// its own queries (fallbacks included) and for peers.
 	Legs uint64 `json:"legs"`
-	// BusyNS is the cumulative wall-clock nanoseconds those tasks took.
+	// BusyNS is the cumulative wall-clock nanoseconds those legs held
+	// the site's gate.
 	BusyNS int64 `json:"busy_ns"`
 }
 

@@ -8,8 +8,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dsa"
 	"repro/internal/fragment/linear"
@@ -52,13 +54,13 @@ func newServer(t *testing.T, st *dsa.Store, cfg Config) *Server {
 	return srv
 }
 
-// runPair enters the pooled executor where the facade does, on the
+// runPair enters the gated executor where the facade does, on the
 // current snapshot, with the engine forced.
 func runPair(srv *Server, src, dst graph.NodeID, engine dsa.Engine, mode tcq.Mode) (*dsa.Result, tcq.RunStats, error) {
 	return srv.RunPair(context.Background(), srv.Dataset().Snapshot(), src, dst, engine, mode)
 }
 
-// libraryPair answers one pair through the uncached, unpooled library
+// libraryPair answers one pair through the uncached, ungated library
 // path — the oracle the serving layer is compared against.
 func libraryPair(st *dsa.Store, src, dst graph.NodeID, engine dsa.Engine) (*dsa.Result, error) {
 	plan, err := st.NewPlan(src, dst)
@@ -86,7 +88,7 @@ func newOracle(t *testing.T, st *dsa.Store) *dsa.Store {
 }
 
 // TestServerMatchesLibrary is the serving-layer correctness property:
-// pooled, cached execution answers exactly what the one-shot library
+// gated, cached execution answers exactly what the one-shot library
 // pipeline answers, for repeated (cache-hitting) random queries and
 // both cost engines.
 func TestServerMatchesLibrary(t *testing.T) {
@@ -134,6 +136,39 @@ func TestServerMatchesLibrary(t *testing.T) {
 	cs := srv.Stats().Cache
 	if cs.Hits == 0 {
 		t.Error("no cache hits over repeated identical queries")
+	}
+}
+
+// TestGateWaitObservesContext: a site runs one leg at a time, and a
+// query whose deadline passes while it waits for its turn gives up —
+// typed, with the gate still held by whoever had it, the site charged
+// nothing and none of the query's goroutines left behind.
+func TestGateWaitObservesContext(t *testing.T) {
+	srv, _ := newGridServer(t, 8, 8, 2, Config{CacheCapacity: 64})
+	srv.gates[0] <- struct{}{} // site 0 is busy with someone else's leg
+	goroutines := runtime.NumGoroutine()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	_, _, err := srv.RunPair(ctx, srv.Dataset().Snapshot(), 0, 63, dsa.EngineDijkstra, tcq.ModeCost)
+	if !errors.Is(err, tcq.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("RunPair behind a held gate: %v, want ErrCanceled wrapping DeadlineExceeded", err)
+	}
+	if len(srv.gates[0]) != 1 {
+		t.Fatal("the waiting query released a gate it never held")
+	}
+	if work := srv.Stats().Site[0]; work.Legs != 0 || work.BusyNS != 0 {
+		t.Errorf("held site charged %+v for a leg that never ran", work)
+	}
+	// RunLegs has waited for its per-site goroutines; give the runtime a
+	// moment to retire them before counting.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive the query (%d before it)", runtime.NumGoroutine(), goroutines)
+		}
+	}
+	<-srv.gates[0]
+	if _, _, err := runPair(srv, 0, 63, dsa.EngineDijkstra, tcq.ModeCost); err != nil {
+		t.Fatalf("query after the gate was released: %v", err)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // auto-planned engines, op batches, typed error codes).
 
 // maxBatchRequests bounds one /v1/batch body — a backstop against a
-// single request monopolising the worker pools.
+// single request monopolising the sites.
 const maxBatchRequests = 256
 
 // maxUpdateOps bounds one /v1/update body — a backstop against a
@@ -87,14 +87,9 @@ type V1Explain struct {
 }
 
 // V1SitePlacement is one site→node ownership entry of a clustered
-// explain.
-type V1SitePlacement struct {
-	Site int    `json:"site"`
-	Node string `json:"node"`
-	// Fallback marks degraded-mode execution: the owner was unreachable
-	// and the coordinator ran this site's legs locally.
-	Fallback bool `json:"fallback,omitempty"`
-}
+// explain: the facade's own record, which already carries the wire
+// tags.
+type V1SitePlacement = tcq.SitePlacement
 
 // V1Answer is one (source, target) pair answer on the wire.
 type V1Answer struct {
@@ -150,27 +145,15 @@ type V1BatchResponse struct {
 	Results []V1BatchItem `json:"results"`
 }
 
-// V1UpdateOp is one typed mutation of a /v1/update transaction.
-type V1UpdateOp struct {
-	// Op is "insert" or "delete".
-	Op string `json:"op"`
-	// Fragment is the fragment whose edge set changes.
-	Fragment int `json:"fragment"`
-	// From and To are the edge endpoints (existing node IDs).
-	From int `json:"from"`
-	To   int `json:"to"`
-	// Weight is the edge weight; on delete the (from, to, weight)
-	// triple must match a stored fragment edge exactly.
-	Weight float64 `json:"weight"`
-}
+// V1UpdateOp is one typed mutation of a /v1/update transaction — the
+// very op the update fan-out forwards to peers.
+type V1UpdateOp = cluster.UpdateOp
 
 // V1UpdateRequest is the JSON body of POST /v1/update: an ordered op
 // batch applied as one transaction — either every op lands in one new
 // epoch, or nothing is applied and the response lists a typed error
 // per offending op.
-type V1UpdateRequest struct {
-	Ops []V1UpdateOp `json:"ops"`
-}
+type V1UpdateRequest = cluster.UpdateRequest
 
 // V1UpdateResponse is the JSON answer of a successful POST /v1/update.
 type V1UpdateResponse struct {
@@ -276,15 +259,13 @@ func v1ResponseFrom(res *tcq.Result) *V1QueryResponse {
 			Reason:    res.Explain.Reason,
 			EntrySize: res.Explain.EntrySize,
 			Pairs:     res.Explain.Pairs,
+			Placement: res.Explain.Placement,
 		},
 		Answers:     make([]V1Answer, 0, len(res.Answers)),
 		LimitHit:    res.LimitHit,
 		CacheHits:   res.CacheHits,
 		CacheMisses: res.CacheMisses,
 		ElapsedUS:   res.Elapsed.Microseconds(),
-	}
-	for _, p := range res.Explain.Placement {
-		out.Explain.Placement = append(out.Explain.Placement, V1SitePlacement{Site: p.Site, Node: p.Node, Fallback: p.Fallback})
 	}
 	costMode := res.Explain.Mode != tcq.ModeConnectivity
 	for _, a := range res.Answers {
@@ -375,11 +356,7 @@ func (s *Server) handleV1Update(w http.ResponseWriter, r *http.Request) {
 	// verify the coherent epoch swap before acking the client; a peer
 	// failure or diverging epoch surfaces as a typed error (the local
 	// apply stands — retrying the transaction converges the cluster).
-	ops := make([]cluster.UpdateOp, len(body.Ops))
-	for i, op := range body.Ops {
-		ops[i] = cluster.UpdateOp{Op: op.Op, Fragment: op.Fragment, From: op.From, To: op.To, Weight: op.Weight}
-	}
-	acks, err := s.fanOutUpdate(r, ops, res.Epoch)
+	acks, err := s.fanOutUpdate(r, body.Ops, res.Epoch)
 	if err != nil {
 		writeV1Error(w, err)
 		return

@@ -184,8 +184,8 @@ func TestV1LegCacheSharedAcrossTargets(t *testing.T) {
 }
 
 // TestFacadeCancellationThroughPools: a canceled context must surface
-// as tcq.ErrCanceled through the server-backed facade (queued legs
-// become no-ops, kernels abort between rounds).
+// as tcq.ErrCanceled through the server-backed facade (its legs never
+// start, kernels abort between rounds).
 func TestFacadeCancellationThroughPools(t *testing.T) {
 	srv, _ := newGridServer(t, 8, 8, 2, Config{CacheCapacity: 64})
 	ctx, cancel := context.WithCancel(context.Background())

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"unsafe"
 
 	"repro/internal/dsa"
@@ -290,6 +291,7 @@ func Decode(data []byte) (*dsa.Store, error) {
 	// Complementary tables.
 	pairCount := d.count(40)
 	comp := make(map[fragment.Pair]*dsa.CompInfo, pairCount)
+	compNodes := make(map[fragment.Pair][]int64, pairCount)
 	for pi := 0; pi < pairCount; pi++ {
 		i := d.intFrom(d.u64(), "pair fragment")
 		j := d.intFrom(d.u64(), "pair fragment")
@@ -302,18 +304,16 @@ func Decode(data []byte) (*dsa.Store, error) {
 		if d.err != nil {
 			return nil, d.err
 		}
-		ci := &dsa.CompInfo{
-			Pair:  fragment.Pair{I: i, J: j},
-			Nodes: make([]graph.NodeID, nNodes),
-			Cost:  make(map[[2]graph.NodeID]float64, nCost),
-		}
-		for k, id := range nodeIDs {
-			ci.Nodes[k] = graph.NodeID(id)
-		}
-		for k := 0; k < nCost; k++ {
-			ci.Cost[[2]graph.NodeID{graph.NodeID(ca[k]), graph.NodeID(cb[k])}] = cw[k]
+		ci := &dsa.CompInfo{Pair: fragment.Pair{I: i, J: j}, Cost: make([]graph.Edge, nCost)}
+		for k := range ci.Cost {
+			ci.Cost[k] = graph.Edge{From: graph.NodeID(ca[k]), To: graph.NodeID(cb[k]), Weight: cw[k]}
+			if k > 0 && (ca[k-1] > ca[k] || ca[k-1] == ca[k] && cb[k-1] >= cb[k]) {
+				d.fail("complementary table %d-%d is not sorted by (from, to) at row %d", i, j, k)
+				return nil, d.err
+			}
 		}
 		comp[ci.Pair] = ci
+		compNodes[ci.Pair] = nodeIDs
 	}
 
 	// Dense CSR sections, read fully before reconstruction starts.
@@ -358,6 +358,27 @@ func Decode(data []byte) (*dsa.Store, error) {
 	fr, err := fragment.Restore(base, edgeSets)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	}
+	// A table's node list is not kept — the disconnection set is the
+	// fragmentation's — so it must BE that set, under its normalised
+	// pair, and every set must have its table.
+	dss := fr.DisconnectionSets()
+	if len(compNodes) != len(dss) {
+		return nil, fmt.Errorf("%w: %d complementary tables for %d disconnection sets", ErrBadSnapshot, len(compNodes), len(dss))
+	}
+	sameNode := func(stored int64, id graph.NodeID) bool { return graph.NodeID(stored) == id }
+	for p, stored := range compNodes {
+		ds, ok := dss[p]
+		if !ok || !slices.EqualFunc(stored, ds, sameNode) {
+			return nil, fmt.Errorf("%w: complementary table %d-%d does not list the fragmentation's disconnection set", ErrBadSnapshot, p.I, p.J)
+		}
+		for _, e := range comp[p].Cost {
+			_, from := slices.BinarySearch(ds, e.From)
+			_, to := slices.BinarySearch(ds, e.To)
+			if !from || !to {
+				return nil, fmt.Errorf("%w: complementary table %d-%d prices %d→%d, not a pair of its disconnection set", ErrBadSnapshot, p.I, p.J, e.From, e.To)
+			}
+		}
 	}
 
 	st, rerr := dsa.Restore(fr, comp, dsa.Options{MaxChains: maxChains, Problem: problem}, epoch, prep)

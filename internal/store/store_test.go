@@ -3,10 +3,15 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/dsa"
@@ -327,6 +332,81 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	for name, b := range cases {
 		if _, err := Decode(b); err == nil {
 			t.Errorf("%s: corruption accepted", name)
+		}
+	}
+}
+
+// TestDecodeChecksComplementaryTables: a well-formed, correctly
+// checksummed image whose complementary section disagrees with its own
+// fragmentation — a node list that is not the disconnection set, a
+// table for a pair that has none, a missing table, rows out of order or
+// between foreign nodes — is refused, not deployed.
+func TestDecodeChecksComplementaryTables(t *testing.T) {
+	st, _ := roadStore(t, dsa.Options{}, 31)
+	fr := st.Fragmentation()
+	var pair fragment.Pair
+	for p, ci := range st.CompTables() {
+		if len(ci.Cost) >= 2 {
+			pair = p
+		}
+	}
+	with := func(edit func(map[fragment.Pair]*dsa.CompInfo)) []byte {
+		comp := maps.Clone(st.CompTables())
+		edit(comp)
+		tampered, err := dsa.Restore(fr, comp, dsa.Options{}, st.Epoch(), st.Preprocessing())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Encode(tampered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	valid := with(func(map[fragment.Pair]*dsa.CompInfo) {})
+	if _, err := Decode(valid); err != nil {
+		t.Fatalf("untampered image refused: %v", err)
+	}
+
+	// The stored node list of one table, found by its encoding (pair,
+	// count, then the ids) and bent by one id under a fresh checksum.
+	nodes := fr.DisconnectionSet(pair.I, pair.J)
+	var needle []byte
+	for _, v := range []int{pair.I, pair.J, len(nodes)} {
+		needle = binary.LittleEndian.AppendUint64(needle, uint64(v))
+	}
+	for _, id := range nodes {
+		needle = binary.LittleEndian.AppendUint64(needle, uint64(id))
+	}
+	at := bytes.Index(valid, needle)
+	if at < 0 || bytes.Count(valid, needle) != 1 {
+		t.Fatal("node list of the table not found exactly once in the image")
+	}
+	bent := bytes.Clone(valid)
+	bent[at+len(needle)-8]++
+	binary.LittleEndian.PutUint32(bent[8:12], crc32.ChecksumIEEE(bent[16:]))
+
+	cases := map[string][]byte{
+		"node list is not the disconnection set": bent,
+		"missing table":                          with(func(c map[fragment.Pair]*dsa.CompInfo) { delete(c, pair) }),
+		"table under a pair with no disconnection set": with(func(c map[fragment.Pair]*dsa.CompInfo) {
+			c[fragment.Pair{I: pair.J, J: pair.I}] = c[pair]
+			delete(c, pair)
+		}),
+		"row between nodes outside the set": with(func(c map[fragment.Pair]*dsa.CompInfo) {
+			rows := slices.Clone(c[pair].Cost)
+			rows[len(rows)-1].To = 1 << 40
+			c[pair] = &dsa.CompInfo{Pair: pair, Cost: rows}
+		}),
+		"rows out of order": with(func(c map[fragment.Pair]*dsa.CompInfo) {
+			rows := slices.Clone(c[pair].Cost)
+			rows[0], rows[1] = rows[1], rows[0]
+			c[pair] = &dsa.CompInfo{Pair: pair, Cost: rows}
+		}),
+	}
+	for name, b := range cases {
+		if _, err := Decode(b); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: Decode = %v, want ErrBadSnapshot", name, err)
 		}
 	}
 }

@@ -179,9 +179,10 @@ func Encode(st *dsa.Store) ([]byte, error) {
 		ci := comp[p]
 		e.u64(uint64(p.I))
 		e.u64(uint64(p.J))
-		e.u64(uint64(len(ci.Nodes)))
-		e.nodeIDs(ci.Nodes)
-		costs := ci.ShortcutEdges() // deterministic (a, b, cost) order
+		nodes := fr.DisconnectionSet(p.I, p.J)
+		e.u64(uint64(len(nodes)))
+		e.nodeIDs(nodes)
+		costs := ci.Cost // sorted by (a, b)
 		e.u64(uint64(len(costs)))
 		for _, c := range costs {
 			e.u64(uint64(c.From))

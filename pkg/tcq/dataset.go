@@ -202,7 +202,7 @@ func (s *Snapshot) Epoch() uint64 { return s.st.Epoch() }
 func (s *Snapshot) Stats() StoreStats { return s.stats }
 
 // Store exposes the generation's immutable store for the internal
-// layers that extend the facade (the serving layer's pooled executor,
+// layers that extend the facade (the serving layer's gated executor,
 // the phe hierarchical planner). Treat it as read-only.
 func (s *Snapshot) Store() *dsa.Store { return s.st }
 

@@ -112,8 +112,10 @@ type RunStats struct {
 // Runner executes one planned (source, target) pair query against a
 // pinned snapshot. The default runner executes directly on the
 // snapshot's store with per-site goroutines; the serving layer
-// (internal/server) plugs in its pooled, leg-cached executor through
-// WithRunner so HTTP traffic and library callers share one facade.
+// (internal/server) plugs in its executor — the same per-site
+// goroutines, each leg behind its site's gate and the leg cache —
+// through WithRunner so HTTP traffic and library callers share one
+// facade.
 // The engine is always concrete (the planner has resolved EngineAuto
 // before any RunPair call), and the snapshot is the generation the
 // whole request pinned — runners must execute on it, not on whatever
@@ -131,8 +133,8 @@ type options struct {
 }
 
 // WithRunner replaces the default direct-on-store executor; the
-// serving layer uses it to route facade queries through its worker
-// pools and leg cache.
+// serving layer uses it to route facade queries through its site
+// gates and leg cache.
 func WithRunner(r Runner) Option {
 	return func(o *options) { o.runner = r }
 }
@@ -170,9 +172,9 @@ func Build(fr *fragment.Fragmentation, bopt BuildOptions, opts ...Option) (*Clie
 	return Open(st, opts...)
 }
 
-// Close releases the client. The current implementation holds no
-// resources beyond the dataset, but callers should treat a closed
-// client as unusable — future versions may own worker pools.
+// Close releases the client. A client holds no resources beyond the
+// dataset and owns no goroutine, so there is nothing to release today;
+// callers should still treat a closed client as unusable.
 func (c *Client) Close() error { return nil }
 
 // Dataset returns the mutable deployment handle behind the client —
