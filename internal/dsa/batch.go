@@ -226,7 +226,6 @@ func (st *Store) Apply(ctx context.Context, ops []EdgeOp) (*Store, BatchStats, e
 	if err != nil {
 		return nil, stats, err
 	}
-	newBase := fr.Base()
 
 	// Phase 3: refresh the complementary information. The general case
 	// recomputes it globally — any edge change can move a global
@@ -247,7 +246,7 @@ func (st *Store) Apply(ctx context.Context, ops []EdgeOp) (*Store, BatchStats, e
 		next.comp = st.comp
 		next.compMaxCost, next.compAllPairs, next.prep.PairsStored = st.compMaxCost, st.compAllPairs, st.prep.PairsStored
 	} else {
-		next.comp, stats.DijkstraRuns, err = computeComp(ctx, newBase, dss, st.problem)
+		next.comp, stats.DijkstraRuns, err = computeComp(ctx, fr.Base(), dss, st.problem)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -258,27 +257,16 @@ func (st *Store) Apply(ctx context.Context, ops []EdgeOp) (*Store, BatchStats, e
 	stats.LocalOnly = len(dss) == 0
 
 	// Phase 4: assemble the next store, sharing every site whose edge
-	// set AND complementary tables are unchanged — for those, the search
-	// graph and the (possibly already built) dense CSR kernel and edge
-	// relation carry over by pointer.
-	shared := fr.SharedNodes()
-	for _, f := range fr.Fragments() {
-		var site *Site
-		if !patch.Touched(f.ID) && siteCompUnchanged(st.sites[f.ID], f.ID, next.comp) {
-			site = st.sites[f.ID]
-			stats.SitesShared++
-		} else {
-			site = buildSite(f, newBase, shared, next.comp)
-			stats.SitesRebuilt = append(stats.SitesRebuilt, f.ID)
-			// Pre-warm the dense CSR snapshot on the write path when the
-			// superseded site had one: readers on the new epoch then
-			// never pay the kernel rebuild inline.
-			if st.sites[f.ID].densePrimed.Load() {
-				_, _ = site.DenseKernel()
-			}
-		}
-		next.sites = append(next.sites, site)
+	// set AND complementary tables are unchanged (deploySites).
+	if next.sites, err = deploySites(ctx, fr, next.comp, st.sites, patch.Touched); err != nil {
+		return nil, stats, err
 	}
+	for id, site := range next.sites {
+		if site != st.sites[id] {
+			stats.SitesRebuilt = append(stats.SitesRebuilt, id)
+		}
+	}
+	stats.SitesShared = len(next.sites) - len(stats.SitesRebuilt)
 	return next, stats, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"time"
 
@@ -12,79 +11,6 @@ import (
 	"repro/internal/relation"
 	"repro/internal/tc"
 )
-
-// Engine selects the algorithm a site uses for its local recursive
-// subquery — "for evaluating the recursive subquery on a fragment any
-// suitable single-processor algorithm may be chosen" (§2.1).
-type Engine int
-
-const (
-	// EngineDijkstra runs one Dijkstra per entry node on the augmented
-	// fragment — the fast practical engine.
-	EngineDijkstra Engine = iota
-	// EngineSemiNaive runs the relational semi-naive min-cost fixpoint
-	// with the entry set pushed as a selection; it reports the
-	// iteration counts the paper's workload analysis is phrased in.
-	EngineSemiNaive
-	// EngineBitset runs the entry-set-restricted bitset-parallel
-	// reachability kernel (tc.BitsetReachableFromCtx) over the augmented
-	// fragment. It is connectivity-only: leg facts carry the presence
-	// marker 1 instead of a path cost (the convention of
-	// ProblemReachability complementary tables), so it answers
-	// connectivity on every store but its Cost is meaningless.
-	EngineBitset
-	// EngineDense runs the entry-set-restricted dense cost kernel
-	// (tc.DenseGraph.CostFromCtx) over a CSR snapshot of the augmented
-	// fragment that the site builds once and reuses across legs. Unlike
-	// the bitset engine it carries real path costs, so it answers both
-	// cost and connectivity queries — the kernel-class engine for the
-	// paper's headline workload.
-	EngineDense
-)
-
-// String names the engine the way the CLI flags spell it.
-func (e Engine) String() string {
-	switch e {
-	case EngineDijkstra:
-		return "dijkstra"
-	case EngineSemiNaive:
-		return "seminaive"
-	case EngineBitset:
-		return "bitset"
-	case EngineDense:
-		return "dense"
-	}
-	return fmt.Sprintf("engine(%d)", int(e))
-}
-
-// ParseEngine resolves an engine name, case-insensitively. Unknown
-// names return an error wrapping ErrUnknownEngine — call sites must
-// branch with errors.Is, never by matching engine-name strings
-// themselves.
-func ParseEngine(name string) (Engine, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "dijkstra":
-		return EngineDijkstra, nil
-	case "seminaive":
-		return EngineSemiNaive, nil
-	case "bitset":
-		return EngineBitset, nil
-	case "dense":
-		return EngineDense, nil
-	}
-	return 0, fmt.Errorf("dsa: %w %q (want dijkstra, seminaive, bitset or dense)", ErrUnknownEngine, name)
-}
-
-// ValidEngine reports whether e is a known engine — the single source
-// of truth layers above (the serving layer, CLIs) check against, so an
-// engine added here is automatically accepted everywhere.
-func ValidEngine(e Engine) bool {
-	switch e {
-	case EngineDijkstra, EngineSemiNaive, EngineBitset, EngineDense:
-		return true
-	}
-	return false
-}
 
 // LegResult is one executed leg: the (entry, exit, cost) facts it
 // produced, as a small relation to be joined in the assembly phase.
@@ -265,18 +191,6 @@ func assembleChain(plan *Plan, results []*LegResult, ci int, stats *AssemblyStat
 	return cost, ok, nil
 }
 
-// legFact unpacks one (src, dst, cost) leg fact, reporting false for a
-// tuple of any other shape.
-func legFact(t relation.Tuple) (src, dst int64, cost float64, ok bool) {
-	if len(t) != 3 {
-		return 0, 0, 0, false
-	}
-	src, ok1 := t[0].(int64)
-	dst, ok2 := t[1].(int64)
-	cost, ok3 := t[2].(float64)
-	return src, dst, cost, ok1 && ok2 && ok3
-}
-
 // LegFunc obtains one leg's exit-filtered facts — the only thing that
 // differs between the library, the serving layer and the simulator.
 type LegFunc func(ctx context.Context, leg Leg) (*LegResult, error)
@@ -389,11 +303,12 @@ func (st *Store) ExecuteLegCtx(ctx context.Context, leg Leg, engine Engine) (*Le
 // exit-set selection: every (src, dst, cost) fact derivable from the
 // entry nodes on the site's augmented fragment. This is the memoizable
 // unit of leg execution — the expensive part of a leg depends only on
-// (site, entry set, engine), while the exit set is a cheap selection —
-// so a serving layer can cache the full relation under that key and
-// specialise it per query with FilterLegFacts. For EngineBitset the
-// cost column carries the presence marker 1 (the relation is a
-// connectivity table, matching ExecuteLegCtx's convention).
+// (site, entry set, engine), while the exit set is a cheap selection
+// (FilterLegFacts: one typed pass, an int64 set probe per row) — so a
+// serving layer can cache the full relation under that key and
+// specialise it per query. For EngineBitset the cost column carries
+// the presence marker 1 (the relation is a connectivity table, matching
+// ExecuteLegCtx's convention).
 //
 // Cancellation is threaded into the engine kernels: the per-entry
 // Dijkstra loop checks ctx between sources, and the relational, bitset
@@ -404,10 +319,12 @@ func (st *Store) ExecuteLegFullCtx(ctx context.Context, siteID int, entry []grap
 		return nil, tc.Stats{}, fmt.Errorf("dsa: %w: leg site %d out of range", ErrUnknownSite, siteID)
 	}
 	site := st.sites[siteID]
-	full := relation.New("src", "dst", "cost")
+	var full *relation.Relation
 	var stats tc.Stats
+	var err error
 	switch engine {
 	case EngineDijkstra:
+		full = newLegFacts()
 		for _, a := range entry {
 			if ctx.Err() != nil {
 				return nil, stats, canceledErr(ctx)
@@ -415,68 +332,32 @@ func (st *Store) ExecuteLegFullCtx(ctx context.Context, siteID int, entry []grap
 			dist, _ := site.augmented.ShortestPaths(a)
 			for x, d := range dist {
 				if a != x {
-					full.MustInsert(relation.Tuple{int64(a), int64(x), d})
+					full.MustInsert(newLegFact(a, x, d))
 				}
 			}
 			stats.DerivedTuples += len(dist)
 		}
 	case EngineSemiNaive:
-		// ShortestFromCtx already returns a freshly owned (src, dst, cost)
-		// relation; adopt it instead of copying.
-		rel, s, err := tc.ShortestFromCtx(ctx, site.rel(), entry)
-		if err != nil {
-			return nil, tc.Stats{}, fmt.Errorf("dsa: site %d leg: %w", site.ID, err)
-		}
-		stats = s
-		full = rel
+		// The kernels return freshly owned (src, dst, cost) relations;
+		// adopt them instead of copying.
+		full, stats, err = tc.ShortestFromCtx(ctx, site.rel(), entry)
 	case EngineBitset:
-		pairs, s, err := tc.BitsetReachableFromCtx(ctx, site.rel(), entry)
-		if err != nil {
-			return nil, tc.Stats{}, fmt.Errorf("dsa: site %d leg: %w", site.ID, err)
-		}
-		stats = s
-		for _, t := range pairs.Tuples() {
-			// Presence marker, not a path cost — assembly sums stay
-			// finite and Reachable is exact; Cost is meaningless and
-			// cost queries refuse this engine.
-			full.MustInsert(relation.Tuple{t[0], t[1], 1.0})
+		var pairs *relation.Relation
+		if pairs, stats, err = tc.BitsetReachableFromCtx(ctx, site.rel(), entry); err == nil {
+			full = presenceFacts(pairs)
 		}
 	case EngineDense:
-		kernel, err := site.DenseKernel()
-		if err != nil {
-			return nil, tc.Stats{}, err
+		kernel, kerr := site.DenseKernel()
+		if kerr != nil {
+			return nil, tc.Stats{}, kerr
 		}
-		// The site's CSR snapshot already owns its result relation.
-		rel, s, err := kernel.CostFromCtx(ctx, entry)
-		if err != nil {
-			return nil, tc.Stats{}, fmt.Errorf("dsa: site %d leg: %w", site.ID, err)
-		}
-		stats = s
-		full = rel
+		full, stats, err = kernel.CostFromCtx(ctx, entry)
 	default:
 		return nil, tc.Stats{}, fmt.Errorf("dsa: %w %d", ErrUnknownEngine, engine)
 	}
+	if err != nil {
+		return nil, tc.Stats{}, fmt.Errorf("dsa: site %d leg: %w", site.ID, err)
+	}
 	stats.ResultTuples = full.Len()
 	return full, stats, nil
-}
-
-// FilterLegFacts specialises ExecuteLegFullCtx output to one leg: the
-// exit-set selection plus the zero-cost facts for entry nodes that are
-// themselves exit nodes. ExecuteLegFullCtx followed by FilterLegFacts
-// produces exactly the relation ExecuteLegCtx computes directly (tuple
-// order aside), so cached full relations and freshly executed legs
-// assemble to identical answers.
-func FilterLegFacts(full *relation.Relation, leg Leg) (*relation.Relation, error) {
-	out, err := full.SelectInKeys("dst", relation.NodeKeySet(leg.Exit))
-	if err != nil {
-		return nil, err
-	}
-	for _, a := range leg.Entry {
-		for _, x := range leg.Exit {
-			if a == x {
-				out.MustInsert(relation.Tuple{int64(a), int64(x), 0.0})
-			}
-		}
-	}
-	return out, nil
 }

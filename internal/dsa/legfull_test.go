@@ -3,6 +3,7 @@ package dsa
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -62,6 +63,129 @@ func TestExecuteLegFullMatchesExecuteLeg(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// filterRef is FilterLegFacts written the slow, obvious way — for each
+// row, for each exit; for each entry, for each exit — as a sorted
+// multiset of tuple keys.
+func filterRef(full *relation.Relation, leg Leg) string {
+	var keys []string
+	for _, t := range full.Tuples() {
+		for _, x := range leg.Exit {
+			if t[1] == relation.Value(int64(x)) {
+				keys = append(keys, t.Key())
+			}
+		}
+	}
+	for _, a := range leg.Entry {
+		for _, x := range leg.Exit {
+			if a == x {
+				keys = append(keys, relation.Tuple{int64(a), int64(x), 0.0}.Key())
+			}
+		}
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, "\n")
+}
+
+// TestPropertyFilterLegFactsMatchesNestedLoop: on random legs of every
+// engine's full table — entry and exit sets that overlap, an empty
+// non-nil exit set, a single target that is also an entry node, rows
+// repeated in the table — the one-pass selection keeps the multiset the
+// nested loops keep, and the kept rows are the table's own tuples.
+func TestPropertyFilterLegFactsMatchesNestedLoop(t *testing.T) {
+	ctx := context.Background()
+	for _, seed := range []int64{2, 11, 29} {
+		rng := rand.New(rand.NewSource(seed))
+		st, _, err := buildLinearStore(seed, 3, 10, 3)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, site := range st.Sites() {
+			nodes := site.Augmented().Nodes()
+			pick := func(n int) []graph.NodeID {
+				perm := rng.Perm(len(nodes))[:min(n, len(nodes))]
+				sort.Ints(perm)
+				out := make([]graph.NodeID, len(perm))
+				for i, k := range perm {
+					out[i] = nodes[k]
+				}
+				return out
+			}
+			entry := pick(1 + rng.Intn(4))
+			for name, exit := range map[string][]graph.NodeID{
+				"random":          pick(1 + rng.Intn(5)),
+				"overlaps entry":  slices.Compact(slices.Sorted(slices.Values(append(pick(2), entry[0])))),
+				"target is entry": {entry[len(entry)-1]},
+				"empty":           {},
+			} {
+				leg := Leg{SiteID: site.ID, Entry: entry, Exit: exit}
+				for _, engine := range Engines() {
+					table, _, err := st.ExecuteLegFullCtx(ctx, site.ID, entry, engine)
+					if err != nil {
+						t.Fatalf("seed %d site %d %v: %v", seed, site.ID, engine, err)
+					}
+					// The table plus a random third of its rows again.
+					full := table.Select(func(relation.Tuple) bool { return true })
+					for _, row := range table.Tuples() {
+						if rng.Intn(3) == 0 {
+							full.MustInsert(row)
+						}
+					}
+					got, err := FilterLegFacts(full, leg)
+					if err != nil {
+						t.Fatalf("seed %d site %d %v %s: %v", seed, site.ID, engine, name, err)
+					}
+					if g, w := tupleKeys(got), filterRef(full, leg); g != w {
+						t.Errorf("seed %d site %d %v, %s exit %v, entry %v:\none pass:\n%s\nnested loops:\n%s",
+							seed, site.ID, engine, name, exit, entry, g, w)
+					}
+					if rows := got.Tuples(); len(rows) > 0 && rows[0][2] != relation.Value(0.0) {
+						shared := false
+						for _, row := range full.Tuples() {
+							shared = shared || &row[0] == &rows[0][0]
+						}
+						if !shared {
+							t.Errorf("seed %d site %d %v %s: kept row %v is a copy, not the table's tuple", seed, site.ID, engine, name, rows[0])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFilterLegFactsMalformedFact: a table row that is not (int64,
+// int64, float64) makes the selection fail — it is neither dropped
+// silently nor a panic. The sibling of TestFinishPlanMalformedFact.
+func TestFilterLegFactsMalformedFact(t *testing.T) {
+	leg := Leg{SiteID: 1, Entry: []graph.NodeID{0}, Exit: []graph.NodeID{3}}
+	table := func(schema []string, rows ...relation.Tuple) *relation.Relation {
+		r := relation.New(schema...)
+		for _, row := range rows {
+			r.MustInsert(row)
+		}
+		return r
+	}
+	edge := []string{"src", "dst", "cost"}
+	good := relation.Tuple{int64(0), int64(3), 1.0}
+	for name, bad := range map[string]*relation.Relation{
+		"string dst":       table(edge, good, relation.Tuple{int64(0), "3", 1.0}),
+		"string src":       table(edge, relation.Tuple{"0", int64(3), 1.0}, good),
+		"float dst":        table(edge, good, relation.Tuple{int64(0), 3.0, 1.0}),
+		"int64 cost":       table(edge, good, relation.Tuple{int64(0), int64(3), int64(1)}),
+		"arity 2":          table(edge[:2], relation.Tuple{int64(0), int64(3)}),
+		"arity 4":          table(append(edge, "via"), relation.Tuple{int64(0), int64(3), 1.0, int64(2)}),
+		"bad row off exit": table(edge, good, relation.Tuple{int64(0), "9", 1.0}),
+	} {
+		if out, err := FilterLegFacts(bad, leg); err == nil {
+			t.Errorf("%s: rows %v selected to %v without error", name, bad.Tuples(), out.Tuples())
+		}
+	}
+	out, err := FilterLegFacts(table(edge, good, good), leg)
+	if err != nil || out.Len() != 2 {
+		t.Errorf("well-formed table: %v rows, err %v; want 2, nil", out, err)
 	}
 }
 

@@ -1,10 +1,7 @@
 package dsa
 
 import (
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"context"
 
 	"repro/internal/fragment"
 	"repro/internal/tc"
@@ -33,22 +30,16 @@ func (st *Store) CompTables() map[fragment.Pair]*CompInfo { return st.comp }
 // fragmentation, the complementary tables, the build options, and the
 // epoch and preprocessing report the snapshot carried. It runs no
 // global searches — sites are reconstructed from the fragments and the
-// given tables, fanned out over GOMAXPROCS goroutines — so restoring
-// is O(per-site subgraph construction), not O(preprocessing).
+// given tables (deploySites) — so restoring is O(per-site subgraph
+// construction), not O(preprocessing).
 //
 // The caller vouches that comp matches the fragmentation — one table
 // per disconnection set, sorted by (From, To) — and keeps its hands off
 // it afterwards (the snapshot loader checks both against the
 // fragmentation it decoded).
 func Restore(fr *fragment.Fragmentation, comp map[fragment.Pair]*CompInfo, opt Options, epoch uint64, prep PreprocessStats) (*Store, error) {
-	if fr == nil {
-		return nil, fmt.Errorf("dsa: nil fragmentation")
-	}
-	if opt.MaxChains < 0 {
-		return nil, fmt.Errorf("dsa: MaxChains must be non-negative, got %d", opt.MaxChains)
-	}
-	if opt.Problem != ProblemShortestPath && opt.Problem != ProblemReachability {
-		return nil, fmt.Errorf("dsa: %w %d", ErrUnknownProblem, opt.Problem)
+	if err := checkOptions(fr, opt); err != nil {
+		return nil, err
 	}
 	st := &Store{
 		fr:        fr,
@@ -58,30 +49,10 @@ func Restore(fr *fragment.Fragmentation, comp map[fragment.Pair]*CompInfo, opt O
 		prep:      prep,
 		comp:      comp,
 	}
-	base := fr.Base()
-	frags := fr.Fragments()
-	shared := fr.SharedNodes()
-	st.sites = make([]*Site, len(frags))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(frags) {
-		workers = len(frags)
+	var err error
+	if st.sites, err = deploySites(context.Background(), fr, comp, nil, nil); err != nil {
+		return nil, err
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(frags) {
-					return
-				}
-				st.sites[i] = buildSite(frags[i], base, shared, comp)
-			}
-		}()
-	}
-	wg.Wait()
 	st.compMaxCost, st.compAllPairs, _ = compBounds(fr.DisconnectionSets(), comp)
 	return st, nil
 }

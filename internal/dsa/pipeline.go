@@ -23,18 +23,18 @@ import (
 // parallelism within a single query.
 //
 // Pipelined legs are seeded with the running cost vector, so only the
-// engines with a vector-seeded multi-source primitive qualify:
-// EngineDijkstra (graph.ShortestPathsMulti) and EngineDense (the CSR
-// kernel's CostVectorCtx). The relational and bitset engines are
-// refused. The chain walk observes ctx between legs and the dense
-// kernel between frontier rounds, so a canceled query returns
-// ErrCanceled promptly.
+// engines with a vector-seeded multi-source primitive qualify
+// (Engine.VectorSeeded): EngineDijkstra (graph.ShortestPathsMulti) and
+// EngineDense (the CSR kernel's CostVectorCtx). The relational and
+// bitset engines are refused. The chain walk observes ctx between legs
+// and the dense kernel between frontier rounds, so a canceled query
+// returns ErrCanceled promptly.
 func (st *Store) QueryPipelinedEngineCtx(ctx context.Context, source, target graph.NodeID, engine Engine) (*Result, error) {
 	if st.problem != ProblemShortestPath {
 		return nil, fmt.Errorf("dsa: %w: store precomputed for reachability cannot answer cost queries", ErrProblemMismatch)
 	}
-	if engine != EngineDijkstra && engine != EngineDense {
-		return nil, fmt.Errorf("dsa: %w: pipelined evaluation needs a vector-seeded engine (dijkstra or dense), not %v", ErrEngineMismatch, engine)
+	if !engine.VectorSeeded() {
+		return nil, fmt.Errorf("dsa: %w: pipelined evaluation needs a vector-seeded engine (%s), not %v", ErrEngineMismatch, EngineNames(Engine.VectorSeeded), engine)
 	}
 	res, _, err := st.walkChains(ctx, source, target, engine)
 	return res, err

@@ -17,11 +17,10 @@ package dsa
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
-
-	"runtime"
 	"sync/atomic"
 
 	"repro/internal/fragment"
@@ -231,34 +230,90 @@ type Options struct {
 // preprocessing is the only phase that reads the whole graph; queries
 // touch only per-site data.
 func Build(fr *fragment.Fragmentation, opt Options) (*Store, error) {
-	if fr == nil {
-		return nil, fmt.Errorf("dsa: nil fragmentation")
-	}
-	if opt.MaxChains < 0 {
-		return nil, fmt.Errorf("dsa: MaxChains must be non-negative, got %d", opt.MaxChains)
-	}
-	if opt.Problem != ProblemShortestPath && opt.Problem != ProblemReachability {
-		return nil, fmt.Errorf("dsa: %w %d", ErrUnknownProblem, opt.Problem)
+	if err := checkOptions(fr, opt); err != nil {
+		return nil, err
 	}
 	st := &Store{fr: fr, maxChains: opt.MaxChains, problem: opt.Problem}
-	base := fr.Base()
-
 	dss := fr.DisconnectionSets()
 	st.prep.DisconnectionSets = len(dss)
 
-	comp, runs, err := computeComp(context.Background(), base, dss, opt.Problem)
+	comp, runs, err := computeComp(context.Background(), fr.Base(), dss, opt.Problem)
 	if err != nil {
 		return nil, err
 	}
 	st.prep.DijkstraRuns = runs
 	st.comp = comp
 	st.compMaxCost, st.compAllPairs, st.prep.PairsStored = compBounds(dss, comp)
-
-	shared := fr.SharedNodes()
-	for _, f := range fr.Fragments() {
-		st.sites = append(st.sites, buildSite(f, base, shared, comp))
+	if st.sites, err = deploySites(context.Background(), fr, comp, nil, nil); err != nil {
+		return nil, err
 	}
 	return st, nil
+}
+
+// checkOptions is the validation Build and Restore share.
+func checkOptions(fr *fragment.Fragmentation, opt Options) error {
+	if fr == nil {
+		return fmt.Errorf("dsa: nil fragmentation")
+	}
+	if opt.MaxChains < 0 {
+		return fmt.Errorf("dsa: MaxChains must be non-negative, got %d", opt.MaxChains)
+	}
+	if opt.Problem != ProblemShortestPath && opt.Problem != ProblemReachability {
+		return fmt.Errorf("dsa: %w %d", ErrUnknownProblem, opt.Problem)
+	}
+	return nil
+}
+
+// parallelFor calls fn(i) for every i in [0, n) from up to GOMAXPROCS
+// goroutines taking indices off one counter — the package's one worker
+// pool, under the global searches and the site builds. ctx is observed
+// before each index; a canceled run returns ErrCanceled.
+func parallelFor(ctx context.Context, n int, fn func(i int)) error {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n || ctx.Err() != nil {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	if ctx.Err() != nil {
+		return canceledErr(ctx)
+	}
+	return nil
+}
+
+// deploySites is the one way a store gets its sites (Build, Restore,
+// Apply). Per fragment of fr, in ID order, it shares prev's site when
+// the fragment is untouched and the complementary tables it holds are
+// unchanged under comp — the search graph and whatever was derived from
+// it carry over by pointer — and otherwise builds the site, pre-warming
+// the dense CSR kernel when the superseded site had one so readers on
+// the new epoch never pay that build inline. prev is nil (touched
+// unused) when there is no predecessor.
+func deploySites(ctx context.Context, fr *fragment.Fragmentation, comp map[fragment.Pair]*CompInfo, prev []*Site, touched func(fragID int) bool) ([]*Site, error) {
+	base, shared, frags := fr.Base(), fr.SharedNodes(), fr.Fragments()
+	sites := make([]*Site, len(frags))
+	err := parallelFor(ctx, len(frags), func(i int) {
+		f := frags[i]
+		if prev != nil && !touched(f.ID) && siteCompUnchanged(prev[f.ID], f.ID, comp) {
+			sites[i] = prev[f.ID]
+			return
+		}
+		sites[i] = buildSite(f, base, shared, comp)
+		if prev != nil && prev[f.ID].densePrimed.Load() {
+			_, _ = sites[i].DenseKernel()
+		}
+	})
+	return sites, err
 }
 
 // computeComp runs one global single-source search per distinct
@@ -267,7 +322,7 @@ func Build(fr *fragment.Fragmentation, opt Options) (*Store, error) {
 // shortest-path problem needs Dijkstra; reachability gets away with BFS
 // — cheaper preprocessing for a weaker complementary table.
 //
-// The searches are independent, so they fan out over GOMAXPROCS
+// The searches are independent, so they fan out over parallelFor's
 // goroutines — this is what keeps a batched update's preprocessing
 // window short (the write path re-runs computeComp on every batch).
 // A search keeps only its node's rows of the tables it belongs to; the
@@ -293,47 +348,30 @@ func computeComp(ctx context.Context, base *graph.Graph, dss map[fragment.Pair][
 	for id := range member {
 		ids = append(ids, id)
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ids) || ctx.Err() != nil {
-					return
-				}
-				a := ids[i]
-				var dist map[graph.NodeID]float64
-				switch problem {
-				case ProblemShortestPath:
-					dist, _ = base.ShortestPaths(a)
-				case ProblemReachability:
-					dist = make(map[graph.NodeID]float64)
-					for n := range base.Reachable(a) {
-						dist[n] = 1 // presence marker; magnitude is meaningless
-					}
-				}
-				for _, m := range member[a] {
-					var row []graph.Edge
-					for _, b := range dss[m.pair] {
-						if d, ok := dist[b]; ok && a != b {
-							row = append(row, graph.Edge{From: a, To: b, Weight: d})
-						}
-					}
-					rows[m.pair][m.row] = row
+	err := parallelFor(ctx, len(ids), func(i int) {
+		a := ids[i]
+		var dist map[graph.NodeID]float64
+		switch problem {
+		case ProblemShortestPath:
+			dist, _ = base.ShortestPaths(a)
+		case ProblemReachability:
+			dist = make(map[graph.NodeID]float64)
+			for n := range base.Reachable(a) {
+				dist[n] = 1 // presence marker; magnitude is meaningless
+			}
+		}
+		for _, m := range member[a] {
+			var row []graph.Edge
+			for _, b := range dss[m.pair] {
+				if d, ok := dist[b]; ok && a != b {
+					row = append(row, graph.Edge{From: a, To: b, Weight: d})
 				}
 			}
-		}()
-	}
-	wg.Wait()
-	if ctx.Err() != nil {
-		return nil, 0, canceledErr(ctx)
+			rows[m.pair][m.row] = row
+		}
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 
 	// Disconnection sets are sorted, so row after row is (From, To) order.

@@ -117,8 +117,8 @@ func (h *Hierarchy) Chains(source, target graph.NodeID) ([][]int, error) {
 // Query answers a shortest-path query with hierarchical routing,
 // executing per-site legs in parallel.
 func (h *Hierarchy) Query(ctx context.Context, source, target graph.NodeID, engine dsa.Engine) (*dsa.Result, error) {
-	if engine == dsa.EngineBitset {
-		return nil, fmt.Errorf("phe: %w: engine bitset computes connectivity only; use Connected", dsa.ErrEngineMismatch)
+	if dsa.ValidEngine(engine) && !engine.CostCapable() {
+		return nil, fmt.Errorf("phe: %w: engine %v computes connectivity only; use Connected", dsa.ErrEngineMismatch, engine)
 	}
 	chains, err := h.Chains(source, target)
 	if err != nil {

@@ -19,14 +19,3 @@ func FromEdges(edges []graph.Edge) *Relation {
 
 // FromGraph builds the edge relation of an entire graph.
 func FromGraph(g *graph.Graph) *Relation { return FromEdges(g.Edges()) }
-
-// NodeKeySet interns a list of node IDs into the prebuilt probe set
-// accepted by SelectInKeys — one encoding pass at construction instead
-// of one per selection call.
-func NodeKeySet(ids []graph.NodeID) *KeySet {
-	vals := make([]Value, len(ids))
-	for i, id := range ids {
-		vals[i] = int64(id)
-	}
-	return NewKeySet(vals...)
-}

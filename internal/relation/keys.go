@@ -62,46 +62,6 @@ func appendKeyAt(b []byte, t Tuple, pos []int) []byte {
 	return b
 }
 
-// KeySet is a prebuilt interned probe set for SelectInKeys and the
-// other membership-pushing operators: the values are encoded once at
-// construction, so a set reused across many selections (the
-// disconnection-set entry and exit sets of query legs) never re-encodes
-// its members per call.
-type KeySet struct {
-	keys map[string]struct{}
-}
-
-// NewKeySet interns the given values into a probe set.
-func NewKeySet(vals ...Value) *KeySet {
-	s := &KeySet{keys: make(map[string]struct{}, len(vals))}
-	var buf []byte
-	for _, v := range vals {
-		buf = appendValue(buf[:0], v)
-		if _, ok := s.keys[string(buf)]; !ok {
-			s.keys[string(buf)] = struct{}{}
-		}
-	}
-	return s
-}
-
-// Len returns the number of distinct values in the set.
-func (s *KeySet) Len() int { return len(s.keys) }
-
-// Contains reports whether v is a member of the set.
-func (s *KeySet) Contains(v Value) bool {
-	var buf [24]byte
-	b := appendValue(buf[:0], v)
-	_, ok := s.keys[string(b)]
-	return ok
-}
-
-// has probes with a caller-owned scratch buffer (no allocation).
-func (s *KeySet) has(buf []byte, v Value) ([]byte, bool) {
-	buf = appendValue(buf[:0], v)
-	_, ok := s.keys[string(buf)]
-	return buf, ok
-}
-
 // Dedup is a reusable tuple-identity set for delta iterations: the
 // semi-naive fixpoints keep one Dedup of every known tuple alive across
 // rounds instead of re-encoding the whole known relation per round.

@@ -1,9 +1,6 @@
 package relation
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // TestAppendKeyMatchesKey: the append encoder and Key produce
 // byte-identical encodings for every supported type.
@@ -22,42 +19,6 @@ func TestAppendKeyMatchesKey(t *testing.T) {
 	}
 	if (Tuple{"1", int64(1)}).Key() == (Tuple{int64(1), "1"}).Key() {
 		t.Error("type prefixes failed to separate string and int encodings")
-	}
-}
-
-// TestKeySetSelect: SelectInKeys keeps exactly the member tuples in
-// input order, and the prebuilt set answers membership without
-// re-encoding its members.
-func TestKeySetSelect(t *testing.T) {
-	r := New("src", "dst")
-	for i := int64(0); i < 10; i++ {
-		r.MustInsert(Tuple{i, i + 1})
-	}
-	ks := NewKeySet(int64(2), int64(5), int64(9))
-	if ks.Len() != 3 {
-		t.Errorf("Len = %d, want 3", ks.Len())
-	}
-	got, err := r.SelectInKeys("src", ks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Tuple{{int64(2), int64(3)}, {int64(5), int64(6)}, {int64(9), int64(10)}}
-	if !reflect.DeepEqual(got.Tuples(), want) {
-		t.Errorf("SelectInKeys = %v, want %v", got.Tuples(), want)
-	}
-	if !ks.Contains(int64(2)) || ks.Contains(int64(3)) {
-		t.Error("Contains misreports membership")
-	}
-	if _, err := r.SelectInKeys("nope", ks); err == nil {
-		t.Error("unknown attribute accepted")
-	}
-}
-
-// TestNewKeySetDedups: duplicate values intern once.
-func TestNewKeySetDedups(t *testing.T) {
-	ks := NewKeySet(int64(1), int64(1), "a", "a")
-	if ks.Len() != 2 {
-		t.Errorf("Len = %d, want 2", ks.Len())
 	}
 }
 
@@ -107,28 +68,6 @@ func TestDedupAdd(t *testing.T) {
 	}
 	if d.Len() != 1 {
 		t.Errorf("Len = %d, want 1", d.Len())
-	}
-}
-
-// TestSelectInKeysProbeAllocs: the per-tuple probe of a prebuilt set
-// must not allocate — the point of interning the set once. The bound
-// leaves room only for the result relation's slice growth.
-func TestSelectInKeysProbeAllocs(t *testing.T) {
-	r := New("src", "dst")
-	for i := int64(0); i < 512; i++ {
-		r.MustInsert(Tuple{i % 16, i})
-	}
-	ks := NewKeySet(int64(3))
-	avg := testing.AllocsPerRun(20, func() {
-		if _, err := r.SelectInKeys("src", ks); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// 512 probed tuples; only the output relation (schema copy + tuple
-	// slice growth) may allocate. 16 is generous headroom; the old
-	// SelectIn re-interned the probe set every call and sat far above.
-	if avg > 16 {
-		t.Errorf("SelectInKeys allocates %.1f/op; probe loop is supposed to be allocation-free", avg)
 	}
 }
 

@@ -42,28 +42,6 @@ func (r *Relation) SelectEq(attr string, v Value) (*Relation, error) {
 	}), nil
 }
 
-// SelectInKeys selects tuples whose named attribute is a member of the
-// prebuilt interned set — the "disconnection sets act as some sort of
-// keyhole" selection of §2.2, where only paths through the DS nodes are
-// examined. The set is encoded once at construction, each call only
-// probes.
-func (r *Relation) SelectInKeys(attr string, set *KeySet) (*Relation, error) {
-	i := r.schema.IndexOf(attr)
-	if i < 0 {
-		return nil, fmt.Errorf("relation: select: unknown attribute %q", attr)
-	}
-	out := &Relation{schema: r.Schema()}
-	var buf []byte
-	var ok bool
-	for _, t := range r.tuples {
-		buf, ok = set.has(buf, t[i])
-		if ok {
-			out.tuples = append(out.tuples, t)
-		}
-	}
-	return out, nil
-}
-
 // valueEqual compares two values, treating int64/float64 as distinct
 // types (the engine does no implicit coercion).
 func valueEqual(a, b Value) bool {

@@ -9,6 +9,10 @@
 // attributes, selection, projection, hash join, union, distinct and
 // group-by aggregation, all deterministic for a fixed input order.
 //
+// The algebra runs only under the reference engines of package tc; on
+// the query path (packages dsa, server, cluster) a Relation is a row
+// container, and package dsa owns the shape of the leg facts it holds.
+//
 // Values are restricted to int64, float64, string and bool; attribute
 // names are case-sensitive strings. Relations are bags unless Distinct
 // is applied; the transitive-closure operators in package tc maintain

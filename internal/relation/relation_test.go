@@ -99,17 +99,6 @@ func TestSelectEqNoCoercion(t *testing.T) {
 	}
 }
 
-func TestSelectIn(t *testing.T) {
-	r := edgeRel([3]int64{1, 2, 1}, [3]int64{3, 4, 1}, [3]int64{5, 6, 1})
-	got, err := r.SelectInKeys("src", NewKeySet(int64(1), int64(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 2 {
-		t.Errorf("SelectInKeys kept %d, want 2", got.Len())
-	}
-}
-
 func TestProject(t *testing.T) {
 	r := edgeRel([3]int64{1, 2, 7}, [3]int64{1, 3, 8})
 	p, err := r.Project("dst", "src")
@@ -320,16 +309,6 @@ func TestGraphConversionRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(r.Tuples()[i], want) {
 			t.Errorf("tuple %d = %v, want %v", i, r.Tuples()[i], want)
 		}
-	}
-}
-
-func TestNodeSet(t *testing.T) {
-	set := NodeKeySet([]graph.NodeID{1, 2, 2})
-	if set.Len() != 2 {
-		t.Fatalf("NodeKeySet size = %d", set.Len())
-	}
-	if !set.Contains(int64(1)) || set.Contains(1.0) {
-		t.Error("NodeKeySet should contain exactly the int64 values")
 	}
 }
 

@@ -180,7 +180,7 @@ func (c *Cluster) Run(ctx context.Context, source, target graph.NodeID, engine d
 		rep.Speedup = 1
 		return rep, nil
 	}
-	if engine == dsa.EngineBitset {
+	if !engine.CostCapable() {
 		// Presence-marker sums are not path costs; never report one.
 		rep.Cost = math.Inf(1)
 	}

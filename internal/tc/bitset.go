@@ -409,11 +409,7 @@ func BitsetReachableFromCtx(ctx context.Context, r *relation.Relation, sources [
 	}
 	bg, ok := newBitGraph(pairs)
 	if !ok {
-		seed, err := pairs.SelectInKeys("src", relation.NodeKeySet(sources))
-		if err != nil {
-			return nil, st, err
-		}
-		return semiNaivePairs(seed, pairs, &st)
+		return semiNaivePairs(seedEdges(pairs, sources), pairs, &st)
 	}
 	comps, compOf, cyclic := bg.condense()
 	succs := succsOf(bg, comps, compOf)

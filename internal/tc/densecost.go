@@ -343,11 +343,7 @@ func DenseCostFrom(r *relation.Relation, sources []graph.NodeID) (*relation.Rela
 		if err != nil {
 			return nil, st, err
 		}
-		seed, err := edges.SelectInKeys("src", relation.NodeKeySet(sources))
-		if err != nil {
-			return nil, st, err
-		}
-		return shortestFixpoint(context.Background(), seed, edges, &st)
+		return shortestFixpoint(context.Background(), seedEdges(edges, sources), edges, &st)
 	}
 	if err != nil {
 		return nil, st, err

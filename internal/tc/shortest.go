@@ -65,11 +65,7 @@ func ShortestFromCtx(ctx context.Context, r *relation.Relation, sources []graph.
 	if err != nil {
 		return nil, st, err
 	}
-	seed, err := edges.SelectInKeys("src", relation.NodeKeySet(sources))
-	if err != nil {
-		return nil, st, err
-	}
-	return shortestFixpoint(ctx, seed, edges, &st)
+	return shortestFixpoint(ctx, seedEdges(edges, sources), edges, &st)
 }
 
 // shortestFixpoint runs the min-cost delta iteration from seed over

@@ -76,6 +76,21 @@ func checkEdgeRelation(r *relation.Relation) (*relation.Relation, error) {
 	return pairs.Distinct(), nil
 }
 
+// seedEdges selects the edges leaving the given sources — the pushed
+// selection that seeds every source-restricted fixpoint. edges has src
+// first; a node of any type but int64 matches no source.
+func seedEdges(edges *relation.Relation, sources []graph.NodeID) *relation.Relation {
+	from := make(map[int64]struct{}, len(sources))
+	for _, s := range sources {
+		from[int64(s)] = struct{}{}
+	}
+	return edges.Select(func(t relation.Tuple) bool {
+		src, ok := t[0].(int64)
+		_, seeded := from[src]
+		return ok && seeded
+	})
+}
+
 // NaiveClosure computes the reachability closure of the edge relation r
 // with the naive fixpoint: T_{k+1} = E ∪ π(T_k ⋈ E), re-deriving every
 // known tuple each round. It exists as the textbook baseline the
@@ -297,9 +312,5 @@ func ReachableFrom(r *relation.Relation, sources []graph.NodeID) (*relation.Rela
 	if err != nil {
 		return nil, st, err
 	}
-	seed, err := edges.SelectInKeys("src", relation.NodeKeySet(sources))
-	if err != nil {
-		return nil, st, err
-	}
-	return semiNaivePairs(seed, edges, &st)
+	return semiNaivePairs(seedEdges(edges, sources), edges, &st)
 }

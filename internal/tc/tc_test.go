@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -157,6 +158,60 @@ func TestReachableFrom(t *testing.T) {
 	set := pairSet(got)
 	if len(set) != 2 || !set[[2]int64{1, 2}] || !set[[2]int64{1, 3}] {
 		t.Errorf("ReachableFrom(1) = %v", set)
+	}
+}
+
+// TestSeedEdges pins the pushed selection every source-restricted
+// fixpoint starts from: exactly the edges whose src is one of the
+// sources, in relation order, each once however often its source is
+// listed; an absent source selects nothing; and a string-valued
+// relation seeds nothing, because a node ID is an int64 and never equals
+// a value of another type — which is what sends the non-int64 fallbacks
+// of ReachableFrom, ShortestFromCtx, BitsetReachableFromCtx and
+// DenseCostFrom to an empty fixpoint rather than an error.
+func TestSeedEdges(t *testing.T) {
+	ints := rel([3]float64{1, 2, 1}, [3]float64{2, 3, 1}, [3]float64{1, 3, 5}, [3]float64{3, 1, 1})
+	strs := relation.New("src", "dst", "cost")
+	strs.MustInsert(relation.Tuple{"1", "2", 1.0})
+	strs.MustInsert(relation.Tuple{"2", "3", 1.0})
+	for _, tc := range []struct {
+		name    string
+		edges   *relation.Relation
+		sources []graph.NodeID
+		want    []relation.Tuple
+	}{
+		{"one source", ints, []graph.NodeID{1}, []relation.Tuple{{int64(1), int64(2), 1.0}, {int64(1), int64(3), 5.0}}},
+		{"relation order, not source order", ints, []graph.NodeID{3, 2}, []relation.Tuple{{int64(2), int64(3), 1.0}, {int64(3), int64(1), 1.0}}},
+		{"duplicate sources select once", ints, []graph.NodeID{2, 2, 2}, []relation.Tuple{{int64(2), int64(3), 1.0}}},
+		{"absent source", ints, []graph.NodeID{99}, nil},
+		{"absent beside present", ints, []graph.NodeID{99, 3}, []relation.Tuple{{int64(3), int64(1), 1.0}}},
+		{"no sources", ints, nil, nil},
+		{"string nodes never match", strs, []graph.NodeID{1, 2}, nil},
+	} {
+		got := seedEdges(tc.edges, tc.sources)
+		if !got.Schema().Equal(tc.edges.Schema()) {
+			t.Errorf("%s: schema %v, want %v", tc.name, got.Schema(), tc.edges.Schema())
+		}
+		if !reflect.DeepEqual(got.Tuples(), tc.want) {
+			t.Errorf("%s: seed = %v, want %v", tc.name, got.Tuples(), tc.want)
+		}
+	}
+
+	// The four callers on a string-valued relation: no seed, so an
+	// empty result from the relational fallback, never an error.
+	ctx := context.Background()
+	for name, fn := range map[string]func() (*relation.Relation, Stats, error){
+		"ReachableFrom":          func() (*relation.Relation, Stats, error) { return ReachableFrom(strs, []graph.NodeID{1}) },
+		"ShortestFromCtx":        func() (*relation.Relation, Stats, error) { return ShortestFromCtx(ctx, strs, []graph.NodeID{1}) },
+		"BitsetReachableFromCtx": func() (*relation.Relation, Stats, error) { return BitsetReachableFromCtx(ctx, strs, []graph.NodeID{1}) },
+		"DenseCostFrom":          func() (*relation.Relation, Stats, error) { return DenseCostFrom(strs, []graph.NodeID{1}) },
+	} {
+		got, _, err := fn()
+		if err != nil {
+			t.Errorf("%s on string nodes: %v", name, err)
+		} else if got.Len() != 0 {
+			t.Errorf("%s on string nodes derived %d tuples, want 0", name, got.Len())
+		}
 	}
 }
 

@@ -164,12 +164,13 @@ func Plan(req Request, stats StoreStats) (Explain, error) {
 		ex.Engine = canon.Engine
 		ex.Forced = true
 		ex.Reason = "engine forced by request"
-		if canon.Mode == ModePipelined && canon.Engine != EngineDijkstra && canon.Engine != EngineDense {
-			return ex, fmt.Errorf("tcq: %w: pipelined evaluation needs a vector-seeded engine (dijkstra or dense), not %s",
-				ErrEngineMismatch, canon.Engine)
+		forced, _ := canon.Engine.dsa() // concrete: canonical validated it, and it is not auto
+		if canon.Mode == ModePipelined && !forced.VectorSeeded() {
+			return ex, fmt.Errorf("tcq: %w: pipelined evaluation needs a vector-seeded engine (%s), not %s",
+				ErrEngineMismatch, dsa.EngineNames(dsa.Engine.VectorSeeded), forced)
 		}
-		if canon.Mode == ModeCost && canon.Engine == EngineBitset {
-			return ex, fmt.Errorf("tcq: %w: engine bitset computes connectivity only", ErrEngineMismatch)
+		if canon.Mode == ModeCost && !forced.CostCapable() {
+			return ex, fmt.Errorf("tcq: %w: engine %s computes connectivity only", ErrEngineMismatch, forced)
 		}
 		return ex, nil
 	}

@@ -99,21 +99,16 @@ func (e Engine) String() string {
 
 // Valid reports whether e is a known engine (including EngineAuto).
 func (e Engine) Valid() bool {
-	return e >= EngineAuto && e <= EngineDense
+	return e == EngineAuto || dsa.ValidEngine(dsa.Engine(e-1))
 }
 
-// dsa maps a concrete engine to its internal value. EngineAuto has no
-// mapping — resolve it with Plan first.
+// dsa maps a concrete engine to its internal value: the concrete
+// constants above are dsa's engine table shifted by one to make room
+// for EngineAuto. EngineAuto has no mapping — resolve it with Plan
+// first.
 func (e Engine) dsa() (dsa.Engine, error) {
-	switch e {
-	case EngineDijkstra:
-		return dsa.EngineDijkstra, nil
-	case EngineSemiNaive:
-		return dsa.EngineSemiNaive, nil
-	case EngineBitset:
-		return dsa.EngineBitset, nil
-	case EngineDense:
-		return dsa.EngineDense, nil
+	if d := dsa.Engine(e - 1); dsa.ValidEngine(d) {
+		return d, nil
 	}
 	return 0, fmt.Errorf("tcq: %w %d (not a concrete engine)", ErrUnknownEngine, int(e))
 }
@@ -123,24 +118,14 @@ func (e Engine) dsa() (dsa.Engine, error) {
 // dsa.ParseEngine accepts. Unknown names return an error wrapping
 // ErrUnknownEngine.
 func ParseEngine(name string) (Engine, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "", "auto":
+	if n := strings.ToLower(strings.TrimSpace(name)); n == "" || n == EngineAuto.String() {
 		return EngineAuto, nil
 	}
 	d, err := dsa.ParseEngine(name)
 	if err != nil {
-		return 0, fmt.Errorf("tcq: %w %q (want auto, dijkstra, seminaive, bitset or dense)", ErrUnknownEngine, name)
+		return 0, fmt.Errorf("tcq: %w %q (want auto, %s)", ErrUnknownEngine, name, dsa.EngineNames(nil))
 	}
-	switch d {
-	case dsa.EngineDijkstra:
-		return EngineDijkstra, nil
-	case dsa.EngineSemiNaive:
-		return EngineSemiNaive, nil
-	case dsa.EngineBitset:
-		return EngineBitset, nil
-	default:
-		return EngineDense, nil
-	}
+	return Engine(d + 1), nil
 }
 
 // Request is one facade query: compute Mode for every (source, target)
