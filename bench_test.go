@@ -379,6 +379,48 @@ func BenchmarkCost(b *testing.B) {
 	})
 }
 
+// BenchmarkFilterLegFacts times the exit selection on the two leg shapes
+// the serving benchmark spends it on: a grid-point middle leg (60 entry
+// nodes × 512 site nodes, a 60-node disconnection set as exits — about
+// one row in nine kept) and a road-point last leg (5 gateways × 4 300
+// city nodes, the query's single target as exit — 5 rows kept).
+func BenchmarkFilterLegFacts(b *testing.B) {
+	for _, c := range []struct {
+		name                  string
+		entries, nodes, exits int
+	}{
+		{"grid-ds-leg", 60, 512, 60},
+		{"road-single-target", 5, 4300, 1},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			leg := dsa.Leg{SiteID: 1}
+			rows := make([]relation.Tuple, 0, c.entries*c.nodes)
+			for dst := 0; dst < c.nodes; dst++ {
+				for src := 0; src < c.entries; src++ {
+					rows = append(rows, relation.Tuple{int64(src), int64(dst), float64(src + dst)})
+				}
+			}
+			for i := 0; i < c.entries; i++ {
+				leg.Entry = append(leg.Entry, graph.NodeID(i))
+			}
+			for i := 0; i < c.exits; i++ {
+				leg.Exit = append(leg.Exit, graph.NodeID(c.nodes-c.exits+i))
+			}
+			table, err := dsa.NewLegTable(rows)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if out, err := dsa.FilterLegFacts(table, leg); err != nil || out.Len() != c.entries*c.exits {
+					b.Fatalf("%v rows, err %v", out.Len(), err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkDijkstra times one single-source search.
 func BenchmarkDijkstra(b *testing.B) {
 	nodes := benchGraph.Nodes()

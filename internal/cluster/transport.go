@@ -108,16 +108,25 @@ func NewLegResponse(epoch uint64, hit bool, rel *relation.Relation, stats tc.Sta
 	return resp
 }
 
-// Facts rebuilds the leg fact relation. Column-length mismatches are a
-// protocol violation and return ErrBadPeerResponse.
+// Facts rebuilds the leg table. NewLegResponse flattens the owner's
+// table in its own order — sorted by dst — so dsa.NewLegTable only
+// verifies that here; a peer that sends another order is sorted, not
+// refused. The rows share one backing array. Column-length mismatches
+// are a protocol violation and return ErrBadPeerResponse.
 func (r *LegResponse) Facts() (*relation.Relation, tc.Stats, error) {
 	if len(r.Src) != len(r.Dst) || len(r.Src) != len(r.Cost) {
 		return nil, tc.Stats{}, fmt.Errorf("cluster: %w: fact columns of unequal length (%d src, %d dst, %d cost)",
 			ErrBadPeerResponse, len(r.Src), len(r.Dst), len(r.Cost))
 	}
-	rel := relation.New("src", "dst", "cost")
-	for i := range r.Src {
-		rel.MustInsert(relation.Tuple{r.Src[i], r.Dst[i], r.Cost[i]})
+	rows := make([]relation.Tuple, len(r.Src))
+	cells := make([]relation.Value, 3*len(rows))
+	for i := range rows {
+		rows[i] = cells[3*i : 3*i+3 : 3*i+3]
+		rows[i][0], rows[i][1], rows[i][2] = r.Src[i], r.Dst[i], r.Cost[i]
+	}
+	rel, err := dsa.NewLegTable(rows)
+	if err != nil {
+		return nil, tc.Stats{}, fmt.Errorf("cluster: %w: %v", ErrBadPeerResponse, err)
 	}
 	stats := tc.Stats{Iterations: r.Iterations, DerivedTuples: r.DerivedTuples, ResultTuples: r.ResultTuples}
 	return rel, stats, nil

@@ -65,6 +65,58 @@ func TestLegResponseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLegResponseKeepsLegTable: a remote leg must arrive ready for the
+// exit selection. The owner's table crosses the wire in its own order,
+// so Facts only verifies it — the rebuilt table is marked sorted by dst
+// and selects exactly what the owner's would — and a peer that sends
+// another order is sorted, not refused.
+func TestLegResponseKeepsLegTable(t *testing.T) {
+	rows := []relation.Tuple{
+		{int64(1), int64(2), 3.5}, {int64(9), int64(2), 0.5}, {int64(1), int64(4), 1.0},
+		{int64(9), int64(4), 2.0}, {int64(1), int64(8), 7.0},
+	}
+	owner, err := dsa.NewLegTable(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(NewLegResponse(3, false, owner, tc.Stats{ResultTuples: 5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire LegResponse
+	if err := json.Unmarshal(body, &wire); err != nil {
+		t.Fatal(err)
+	}
+	leg := dsa.Leg{Entry: []graph.NodeID{1, 9}, Exit: []graph.NodeID{4, 9}}
+	want, err := dsa.FilterLegFacts(owner, leg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, resp *LegResponse) {
+		t.Helper()
+		rel, _, err := resp.Facts()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if rel.SortedBy() != 1 {
+			t.Fatalf("%s: rebuilt table is not marked sorted by dst", label)
+		}
+		got, err := dsa.FilterLegFacts(rel, leg)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s: selected\n%v, the owner's table selects\n%v", label, got, want)
+		}
+	}
+	check("owner's order", &wire)
+	check("source-major from the peer", &LegResponse{
+		Src:  []int64{1, 1, 1, 9, 9},
+		Dst:  []int64{2, 4, 8, 2, 4},
+		Cost: []float64{3.5, 1.0, 7.0, 0.5, 2.0},
+	})
+}
+
 func TestLegResponseBadColumns(t *testing.T) {
 	resp := &LegResponse{Src: []int64{1, 2}, Dst: []int64{3}, Cost: []float64{1, 2}}
 	if _, _, err := resp.Facts(); !errors.Is(err, ErrBadPeerResponse) {

@@ -304,10 +304,12 @@ func (st *Store) ExecuteLegCtx(ctx context.Context, leg Leg, engine Engine) (*Le
 // entry nodes on the site's augmented fragment. This is the memoizable
 // unit of leg execution — the expensive part of a leg depends only on
 // (site, entry set, engine), while the exit set is a cheap selection
-// (FilterLegFacts: one typed pass, an int64 set probe per row) — so a
-// serving layer can cache the full relation under that key and
-// specialise it per query. For EngineBitset the cost column carries
-// the presence marker 1 (the relation is a connectivity table, matching
+// (FilterLegFacts: the table is born sorted by dst, whichever engine
+// made it, so an exit is two binary searches and one contiguous copy of
+// row headers, and the rows it discards are never read) — so a serving
+// layer can cache the full relation under that key and specialise it
+// per query. For EngineBitset the cost column carries the presence
+// marker 1 (the relation is a connectivity table, matching
 // ExecuteLegCtx's convention).
 //
 // Cancellation is threaded into the engine kernels: the per-entry
@@ -324,27 +326,32 @@ func (st *Store) ExecuteLegFullCtx(ctx context.Context, siteID int, entry []grap
 	var err error
 	switch engine {
 	case EngineDijkstra:
-		full = newLegFacts()
+		var rows []relation.Tuple
 		for _, a := range entry {
 			if ctx.Err() != nil {
 				return nil, stats, canceledErr(ctx)
 			}
 			dist, _ := site.augmented.ShortestPaths(a)
+			src := relation.Value(int64(a)) // boxed once per source
 			for x, d := range dist {
 				if a != x {
-					full.MustInsert(newLegFact(a, x, d))
+					rows = append(rows, relation.Tuple{src, int64(x), d})
 				}
 			}
 			stats.DerivedTuples += len(dist)
 		}
+		// The search's map order is arbitrary: sorted here.
+		full, err = NewLegTable(rows)
 	case EngineSemiNaive:
-		// The kernels return freshly owned (src, dst, cost) relations;
-		// adopt them instead of copying.
-		full, stats, err = tc.ShortestFromCtx(ctx, site.rel(), entry)
+		// The kernel returns a freshly owned (src, dst, cost) relation in
+		// first-derivation order; adopt its rows instead of copying.
+		if full, stats, err = tc.ShortestFromCtx(ctx, site.rel(), entry); err == nil {
+			full, err = NewLegTable(full.Tuples())
+		}
 	case EngineBitset:
 		var pairs *relation.Relation
 		if pairs, stats, err = tc.BitsetReachableFromCtx(ctx, site.rel(), entry); err == nil {
-			full = presenceFacts(pairs)
+			full, err = presenceFacts(pairs)
 		}
 	case EngineDense:
 		kernel, kerr := site.DenseKernel()

@@ -1,27 +1,25 @@
 package dsa
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
-	"repro/internal/graph"
 	"repro/internal/relation"
 )
 
-// This file is the one place that knows what a leg fact looks like: a
-// (src int64, dst int64, cost float64) row under the schema (src, dst,
-// cost). The engine arms of ExecuteLegFullCtx that build rows themselves
-// (per-entry Dijkstra, bitset) build them here, and FilterLegFacts and
-// the assembly fold read rows through legFact — so swapping the row
-// container for a columnar one changes this file and the kernels,
-// nothing else.
+// This file is the one place that knows what a leg table looks like:
+// (src int64, dst int64, cost float64) rows under the schema (src, dst,
+// cost), sorted by dst — stable, so the sources of one destination stay
+// in the producer's order — and marked so by relation.NewSortedBy.
+// Every producer hands its rows over through NewLegTable (the dense
+// kernel, which package tc owns, emits the layout itself), and
+// FilterLegFacts and the assembly fold read rows through legFact — so
+// swapping the row container for a columnar one changes this file and
+// the kernels, nothing else.
 
-// newLegFacts returns an empty leg-fact relation.
-func newLegFacts() *relation.Relation { return relation.New("src", "dst", "cost") }
-
-// newLegFact builds one leg fact.
-func newLegFact(src, dst graph.NodeID, cost float64) relation.Tuple {
-	return relation.Tuple{int64(src), int64(dst), cost}
-}
+// legSchema is the schema of every leg table.
+var legSchema = relation.Schema{"src", "dst", "cost"}
 
 // legFact unpacks one (src, dst, cost) leg fact, reporting false for a
 // tuple of any other shape.
@@ -35,16 +33,42 @@ func legFact(t relation.Tuple) (src, dst int64, cost float64, ok bool) {
 	return src, dst, cost, ok1 && ok2 && ok3
 }
 
+// NewLegTable adopts rows — the slice is the table's from here on, and
+// may be reordered — as a leg table. Every row is checked to be a leg
+// fact; rows already in dst order (a kernel that emits them so, a table
+// that crossed the wire in its owner's order) cost that one pass, any
+// other order is stable-sorted first.
+func NewLegTable(rows []relation.Tuple) (*relation.Relation, error) {
+	inOrder := true
+	var prev int64
+	for i, t := range rows {
+		_, dst, _, ok := legFact(t)
+		if !ok {
+			return nil, fmt.Errorf("dsa: leg table: fact %v is not (src int64, dst int64, cost float64)", t)
+		}
+		inOrder = inOrder && (i == 0 || prev <= dst)
+		prev = dst
+	}
+	if !inOrder {
+		slices.SortStableFunc(rows, func(a, b relation.Tuple) int { return cmp.Compare(a[1].(int64), b[1].(int64)) })
+	}
+	return relation.NewSortedBy(rows, 1, legSchema...)
+}
+
 // presenceFacts turns the bitset kernel's (src, dst) reachability pairs
 // into leg facts whose cost column is the presence marker 1 — not a
 // path cost: assembly sums stay finite and Reachable is exact, Cost is
-// meaningless and cost queries refuse the engine.
-func presenceFacts(pairs *relation.Relation) *relation.Relation {
-	full := newLegFacts()
-	for _, t := range pairs.Tuples() {
-		full.MustInsert(relation.Tuple{t[0], t[1], 1.0})
+// meaningless and cost queries refuse the engine. The rows are windows
+// of one backing array and reuse the pairs' boxed node values.
+func presenceFacts(pairs *relation.Relation) (*relation.Relation, error) {
+	in := pairs.Tuples()
+	rows := make([]relation.Tuple, len(in))
+	cells := make([]relation.Value, 3*len(in))
+	for i, t := range in {
+		rows[i] = cells[3*i : 3*i+3 : 3*i+3]
+		rows[i][0], rows[i][1], rows[i][2] = t[0], t[1], 1.0
 	}
-	return full
+	return NewLegTable(rows)
 }
 
 // FilterLegFacts specialises ExecuteLegFullCtx output to one leg: the
@@ -56,31 +80,52 @@ func presenceFacts(pairs *relation.Relation) *relation.Relation {
 // directly, so cached full relations and freshly executed legs assemble
 // to identical answers.
 //
-// It is one typed pass: each row's dst is probed in an int64 exit set,
-// kept rows share tuple storage with full (full's order, then the
-// zero-cost facts in Entry order), and a row that is not a leg fact is
-// an error, as it is for the assembly fold.
+// The selection reads only what it keeps: full is a leg table, sorted
+// by dst, so each distinct exit is two binary searches and its rows are
+// one contiguous copy of tuple headers — kept rows share tuple storage
+// with full. The result is itself a leg table: exits in ascending
+// order, an exit's rows in full's order, then its zero-cost fact once
+// per matching Entry node. A relation that is not marked as a leg table
+// (one built by hand with Insert) is first made one — every row checked
+// with legFact, headers copied, stable-sorted — so a row that is not a
+// leg fact is an error, as it is for the assembly fold.
 func FilterLegFacts(full *relation.Relation, leg Leg) (*relation.Relation, error) {
-	exits := make(map[int64]struct{}, len(leg.Exit))
-	for _, x := range leg.Exit {
-		exits[int64(x)] = struct{}{}
-	}
-	var malformed relation.Tuple
-	out := full.Select(func(t relation.Tuple) bool {
-		_, dst, _, ok := legFact(t)
-		if !ok {
-			malformed = t
+	if full.Arity() != 3 || full.SortedBy() != 1 {
+		var err error
+		if full, err = NewLegTable(slices.Clone(full.Tuples())); err != nil {
+			return nil, fmt.Errorf("dsa: filter: site %d: %w", leg.SiteID, err)
 		}
-		_, keep := exits[dst]
-		return ok && keep
-	})
-	if malformed != nil {
-		return nil, fmt.Errorf("dsa: filter: site %d fact %v is not (src int64, dst int64, cost float64)", leg.SiteID, malformed)
+	}
+	type exitSpan struct {
+		exit         int64
+		lo, hi, zero int // full's rows [lo, hi), then zero zero-cost facts
+	}
+	spans := make([]exitSpan, len(leg.Exit))
+	for i, x := range leg.Exit {
+		spans[i].exit = int64(x)
+	}
+	byExit := func(s exitSpan, x int64) int { return cmp.Compare(s.exit, x) }
+	slices.SortFunc(spans, func(a, b exitSpan) int { return byExit(a, b.exit) })
+	spans = slices.CompactFunc(spans, func(a, b exitSpan) bool { return a.exit == b.exit })
+	n := 0
+	for i := range spans {
+		s := &spans[i]
+		s.lo, s.hi = full.Range(s.exit)
+		n += s.hi - s.lo
 	}
 	for _, a := range leg.Entry {
-		if _, both := exits[int64(a)]; both {
-			out.MustInsert(newLegFact(a, a, 0))
+		if i, both := slices.BinarySearchFunc(spans, int64(a), byExit); both {
+			spans[i].zero++
+			n++
 		}
 	}
-	return out, nil
+	rows := full.Tuples()
+	kept := make([]relation.Tuple, 0, n)
+	for _, s := range spans {
+		kept = append(kept, rows[s.lo:s.hi]...)
+		for ; s.zero > 0; s.zero-- {
+			kept = append(kept, relation.Tuple{s.exit, s.exit, 0.0})
+		}
+	}
+	return relation.NewSortedBy(kept, 1, legSchema...)
 }

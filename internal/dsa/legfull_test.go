@@ -2,10 +2,12 @@ package dsa
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -89,14 +91,47 @@ func filterRef(full *relation.Relation, leg Leg) string {
 	return strings.Join(keys, "\n")
 }
 
-// TestPropertyFilterLegFactsMatchesNestedLoop: on random legs of every
-// engine's full table — entry and exit sets that overlap, an empty
-// non-nil exit set, a single target that is also an entry node, rows
-// repeated in the table — the one-pass selection keeps the multiset the
-// nested loops keep, and the kept rows are the table's own tuples.
+// checkSelection holds FilterLegFacts on full against the nested loops,
+// and checks that the result is a leg table whose kept rows are full's
+// own tuples, not copies.
+func checkSelection(t *testing.T, label string, full *relation.Relation, leg Leg) {
+	t.Helper()
+	got, err := FilterLegFacts(full, leg)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if g, w := tupleKeys(got), filterRef(full, leg); g != w {
+		t.Errorf("%s, exit %v, entry %v:\nselection:\n%s\nnested loops:\n%s", label, leg.Exit, leg.Entry, g, w)
+	}
+	if got.SortedBy() != 1 {
+		t.Errorf("%s: the selection is not marked sorted by dst", label)
+	}
+	for _, kept := range got.Tuples() {
+		if kept[2] == relation.Value(0.0) {
+			continue // possibly a zero-cost fact of the selection's own
+		}
+		shared := false
+		for _, row := range full.Tuples() {
+			shared = shared || &row[0] == &kept[0]
+		}
+		if !shared {
+			t.Errorf("%s: kept row %v is a copy, not the table's tuple", label, kept)
+		}
+		break
+	}
+}
+
+// TestPropertyFilterLegFactsMatchesNestedLoop: one invariant, every
+// producer. On random legs of every engine's full table — entry and
+// exit sets that overlap, an empty non-nil exit set, a single target
+// that is also an entry node — the table arrives marked sorted by dst
+// and the selection on it as produced keeps the multiset the nested
+// loops keep; so does the selection on a hand-built copy with rows
+// repeated (unmarked: made a leg table first), and on a marked table
+// that an Insert has since unmarked.
 func TestPropertyFilterLegFactsMatchesNestedLoop(t *testing.T) {
 	ctx := context.Background()
-	for _, seed := range []int64{2, 11, 29} {
+	for _, seed := range []int64{1, 7, 23} {
 		rng := rand.New(rand.NewSource(seed))
 		st, _, err := buildLinearStore(seed, 3, 10, 3)
 		if err != nil {
@@ -122,10 +157,15 @@ func TestPropertyFilterLegFactsMatchesNestedLoop(t *testing.T) {
 			} {
 				leg := Leg{SiteID: site.ID, Entry: entry, Exit: exit}
 				for _, engine := range Engines() {
+					label := fmt.Sprintf("seed %d site %d %v, %s", seed, site.ID, engine, name)
 					table, _, err := st.ExecuteLegFullCtx(ctx, site.ID, entry, engine)
 					if err != nil {
-						t.Fatalf("seed %d site %d %v: %v", seed, site.ID, engine, err)
+						t.Fatalf("%s: %v", label, err)
 					}
+					if table.SortedBy() != 1 {
+						t.Fatalf("%s: the engine's table is not marked sorted by dst", label)
+					}
+					checkSelection(t, label+" as produced", table, leg)
 					// The table plus a random third of its rows again.
 					full := table.Select(func(relation.Tuple) bool { return true })
 					for _, row := range table.Tuples() {
@@ -133,25 +173,120 @@ func TestPropertyFilterLegFactsMatchesNestedLoop(t *testing.T) {
 							full.MustInsert(row)
 						}
 					}
-					got, err := FilterLegFacts(full, leg)
-					if err != nil {
-						t.Fatalf("seed %d site %d %v %s: %v", seed, site.ID, engine, name, err)
-					}
-					if g, w := tupleKeys(got), filterRef(full, leg); g != w {
-						t.Errorf("seed %d site %d %v, %s exit %v, entry %v:\none pass:\n%s\nnested loops:\n%s",
-							seed, site.ID, engine, name, exit, entry, g, w)
-					}
-					if rows := got.Tuples(); len(rows) > 0 && rows[0][2] != relation.Value(0.0) {
-						shared := false
-						for _, row := range full.Tuples() {
-							shared = shared || &row[0] == &rows[0][0]
+					checkSelection(t, label+" hand-built", full, leg)
+					// A row that belongs at the front, inserted at the back.
+					if table.Len() > 0 {
+						table.MustInsert(table.Tuples()[0])
+						if table.SortedBy() != -1 {
+							t.Fatalf("%s: Insert left the table marked", label)
 						}
-						if !shared {
-							t.Errorf("seed %d site %d %v %s: kept row %v is a copy, not the table's tuple", seed, site.ID, engine, name, rows[0])
-						}
+						checkSelection(t, label+" after Insert", table, leg)
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestFilterLegFactsSharedTable is for -race: the serving layer's cache
+// hands one table to every query that enters a site through the same
+// disconnection set, so concurrent selections of different exit sets
+// must read it and write nothing.
+func TestFilterLegFactsSharedTable(t *testing.T) {
+	st, _, err := buildLinearStore(7, 3, 10, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	site := st.Sites()[1]
+	nodes := site.Augmented().Nodes()
+	entry := nodes[:3]
+	table, _, err := st.ExecuteLegFullCtx(context.Background(), site.ID, entry, EngineDense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var exit []graph.NodeID
+			for i := g; i < len(nodes); i += 8 {
+				exit = append(exit, nodes[i])
+			}
+			for round := 0; round < 20; round++ {
+				checkSelection(t, fmt.Sprintf("goroutine %d", g), table, Leg{SiteID: site.ID, Entry: entry, Exit: exit})
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestFilterLegFactsAllocs: on a marked table the selection allocates
+// its spans, the kept row headers and the relation around them — a
+// grid-point middle leg, 60 entry nodes × 512 site nodes, 60 exits.
+func TestFilterLegFactsAllocs(t *testing.T) {
+	table, leg := gridLeg(t)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := FilterLegFacts(table, leg); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 4 {
+		t.Errorf("FilterLegFacts on a marked %d-row table: %.0f allocations per call, want at most 4", table.Len(), allocs)
+	}
+}
+
+// gridLeg synthesises the table of a grid-point middle leg — 60 entry
+// nodes, each reaching all 512 nodes of the site — and the leg that
+// selects 60 other nodes of it as exits.
+func gridLeg(tb testing.TB) (*relation.Relation, Leg) {
+	tb.Helper()
+	const entries, nodes = 60, 512
+	leg := Leg{SiteID: 1}
+	rows := make([]relation.Tuple, 0, entries*nodes)
+	for dst := 0; dst < nodes; dst++ {
+		for src := 0; src < entries; src++ {
+			rows = append(rows, relation.Tuple{int64(src), int64(dst), float64(src + dst)})
+		}
+	}
+	for i := 0; i < entries; i++ {
+		leg.Entry = append(leg.Entry, graph.NodeID(i))
+		leg.Exit = append(leg.Exit, graph.NodeID(nodes-entries+i))
+	}
+	table, err := NewLegTable(rows)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return table, leg
+}
+
+// TestNewLegTable: rows in dst order are adopted as they are, any other
+// order is stable-sorted, and a row that is not a leg fact is refused
+// wherever it stands.
+func TestNewLegTable(t *testing.T) {
+	row := func(src, dst int64) relation.Tuple { return relation.Tuple{src, dst, 1.0} }
+	sorted := []relation.Tuple{row(5, 1), row(4, 1), row(9, 2)}
+	table, err := NewLegTable(sorted)
+	if err != nil || table.SortedBy() != 1 || &table.Tuples()[0] != &sorted[0] {
+		t.Fatalf("sorted rows: %v, %v", table, err)
+	}
+	table, err = NewLegTable([]relation.Tuple{row(9, 2), row(5, 1), row(8, 2), row(4, 1)})
+	if err != nil || table.SortedBy() != 1 {
+		t.Fatalf("unsorted rows: %v, %v", table, err)
+	}
+	var order []int64
+	for _, r := range table.Tuples() {
+		order = append(order, r[0].(int64))
+	}
+	if !slices.Equal(order, []int64{5, 4, 9, 8}) {
+		t.Errorf("sources after the stable sort: %v, want [5 4 9 8]", order)
+	}
+	for name, bad := range map[string]relation.Tuple{
+		"string dst": {int64(0), "3", 1.0},
+		"int cost":   {int64(0), int64(3), int64(1)},
+		"arity 2":    {int64(0), int64(3)},
+	} {
+		if table, err := NewLegTable([]relation.Tuple{row(9, 2), row(5, 1), bad}); err == nil {
+			t.Errorf("%s accepted: %v", name, table)
 		}
 	}
 }

@@ -111,5 +111,6 @@ func (r *Relation) Extend(s *Relation) error {
 		return fmt.Errorf("relation: extend: schema mismatch %v vs %v", r.schema, s.schema)
 	}
 	r.tuples = append(r.tuples, s.tuples...)
+	r.sorted = 0
 	return nil
 }

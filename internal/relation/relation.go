@@ -12,6 +12,11 @@
 // The algebra runs only under the reference engines of package tc; on
 // the query path (packages dsa, server, cluster) a Relation is a row
 // container, and package dsa owns the shape of the leg facts it holds.
+// The one feature that path uses is the sorted layout of sorted.go: a
+// relation adopted by NewSortedBy is marked as ordered on one int64
+// column, and Range finds that column's rows for a value by binary
+// search — how dsa.FilterLegFacts selects a leg's exits without reading
+// the rows it discards.
 //
 // Values are restricted to int64, float64, string and bool; attribute
 // names are case-sensitive strings. Relations are bags unless Distinct
@@ -66,23 +71,30 @@ func (s Schema) Equal(o Schema) bool {
 type Relation struct {
 	schema Schema
 	tuples []Tuple
+	// sorted is 1 + the column NewSortedBy verified the tuples to be
+	// ordered on, 0 for a relation in insertion order. Everything that
+	// appends to or reorders tuples in place resets it.
+	sorted int
 }
 
 // New returns an empty relation with the given schema. It panics on an
 // empty or duplicate attribute list — schema construction is a
 // programming error, not a runtime condition.
 func New(schema ...string) *Relation {
+	checkSchema(schema)
+	return &Relation{schema: append(Schema(nil), schema...)}
+}
+
+// checkSchema panics on an empty or duplicate attribute list.
+func checkSchema(schema Schema) {
 	if len(schema) == 0 {
 		panic("relation: empty schema")
 	}
-	seen := make(map[string]struct{}, len(schema))
-	for _, a := range schema {
-		if _, dup := seen[a]; dup {
+	for i, a := range schema {
+		if schema[:i].IndexOf(a) >= 0 {
 			panic(fmt.Sprintf("relation: duplicate attribute %q", a))
 		}
-		seen[a] = struct{}{}
 	}
-	return &Relation{schema: append(Schema(nil), schema...)}
 }
 
 // Schema returns a copy of the relation's schema.
@@ -106,6 +118,7 @@ func (r *Relation) Insert(t Tuple) error {
 		}
 	}
 	r.tuples = append(r.tuples, append(Tuple(nil), t...))
+	r.sorted = 0
 	return nil
 }
 
@@ -122,7 +135,7 @@ func (r *Relation) Tuples() []Tuple { return r.tuples }
 
 // Clone returns a deep copy.
 func (r *Relation) Clone() *Relation {
-	c := &Relation{schema: r.Schema(), tuples: make([]Tuple, len(r.tuples))}
+	c := &Relation{schema: r.Schema(), tuples: make([]Tuple, len(r.tuples)), sorted: r.sorted}
 	for i, t := range r.tuples {
 		c.tuples[i] = append(Tuple(nil), t...)
 	}
@@ -170,6 +183,7 @@ func (r *Relation) Sort() *Relation {
 		keys[i] = string(buf)
 	}
 	sort.Sort(&byKey{tuples: r.tuples, keys: keys})
+	r.sorted = 0
 	return r
 }
 

@@ -17,8 +17,10 @@ import (
 // entry is keyed by what actually ran, stable across engine
 // renumbering), the site, and the entry set (sorted by the planner, so
 // the rendering is canonical). The exit set is deliberately absent —
-// it is a cheap selection applied after lookup (dsa.FilterLegFacts),
-// so queries with different targets share cache entries whenever they
+// it is a cheap selection applied after lookup (dsa.FilterLegFacts:
+// the cached table is sorted by dst, so an exit costs two binary
+// searches and the rows it keeps, whatever the table's size), so
+// queries with different targets share cache entries whenever they
 // enter a fragment through the same disconnection set; the mode is
 // likewise absent because a leg's full fact relation depends only on
 // the engine, letting cost and connectivity traffic share entries.
@@ -67,9 +69,11 @@ func (s CacheStats) HitRate() float64 {
 // cacheEntry is one memoized leg: the full (unfiltered) fact relation
 // of ExecuteLegFullCtx and its stats, tagged with the site it was
 // computed on and the store epoch it was computed under. The relation
-// is shared read-only across queries; FilterLegFacts builds a fresh
-// tuple list (sharing immutable tuple storage), never mutates the
-// cached relation.
+// is a leg table (dsa.NewLegTable: sorted by dst and marked so, which
+// is all the index the selection needs — the entry holds no side
+// structure) shared read-only across queries; FilterLegFacts binary-
+// searches it and builds a fresh tuple list (sharing immutable tuple
+// storage), never mutates the cached relation.
 type cacheEntry struct {
 	key    string
 	siteID int
@@ -136,9 +140,12 @@ func (c *legCache) put(key string, siteID int, epoch uint64, rel *relation.Relat
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
-		// Concurrent queries can race to fill the same key; keep the
-		// newest epoch and refresh recency.
-		el.Value = &cacheEntry{key: key, siteID: siteID, epoch: epoch, rel: rel, stats: stats}
+		// Concurrent queries can race to fill the same key, and one still
+		// running on an older pinned snapshot can finish last: keep the
+		// newest epoch's table and refresh recency either way.
+		if epoch >= el.Value.(*cacheEntry).epoch {
+			el.Value = &cacheEntry{key: key, siteID: siteID, epoch: epoch, rel: rel, stats: stats}
+		}
 		c.ll.MoveToFront(el)
 		return
 	}

@@ -70,6 +70,29 @@ func TestLegCacheEpochMismatch(t *testing.T) {
 // entries of structurally shared sites are retagged to the new epoch
 // and keep serving — no stale entries lingering until LRU pressure,
 // no warm entries lost to a blanket purge.
+// TestLegCachePutKeepsNewestEpoch: a query that finishes late on an old
+// pinned snapshot must not swap a current-epoch table for its stale one
+// — the next reader at the current epoch would drop it as expired and
+// recompute the leg.
+func TestLegCachePutKeepsNewestEpoch(t *testing.T) {
+	c := newLegCache(4)
+	current := rel(5)
+	c.put("k", 0, 5, current, tc.Stats{})
+	c.put("k", 0, 4, rel(4), tc.Stats{})
+	if got, _, ok := c.get("k", 5); !ok || got != current {
+		t.Errorf("get at epoch 5 after a lagging put at epoch 4: hit %v, table %v; want the epoch-5 table", ok, got)
+	}
+	if s := c.snapshot(); s.Expired != 0 || s.Entries != 1 {
+		t.Errorf("expired %d, entries %d; want 0, 1", s.Expired, s.Entries)
+	}
+	// A newer epoch still replaces.
+	newer := rel(6)
+	c.put("k", 0, 6, newer, tc.Stats{})
+	if got, _, ok := c.get("k", 6); !ok || got != newer {
+		t.Error("put at a newer epoch did not replace the entry")
+	}
+}
+
 func TestLegCacheInvalidateSweep(t *testing.T) {
 	c := newLegCache(8)
 	c.put("a", 0, 0, rel(1), tc.Stats{}) // site 0: rebuilt below

@@ -302,7 +302,8 @@ func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg ds
 
 // legResult specialises a full (site, entry, engine) fact table to one
 // leg — the exit selection, skipped for a leg without exits — and
-// stamps the time since t0.
+// stamps the time since t0. Local, cached and remote tables all arrive
+// as leg tables (sorted by dst), so the selection never re-sorts one.
 func legResult(leg dsa.Leg, full *relation.Relation, stats tc.Stats, t0 time.Time) (*dsa.LegResult, error) {
 	if leg.Exit != nil {
 		var err error

@@ -1,10 +1,13 @@
 package tc
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -44,6 +47,13 @@ type DenseGraph struct {
 	rowStart []int32         // CSR row offsets, len(ids)+1
 	colIdx   []int32         // edge targets, grouped by source row
 	weight   []float64       // edge costs, parallel to colIdx
+
+	// What CostFromCtx needs to hand its rows over sorted by destination
+	// with one allocation each; derived from ids on first use, never
+	// persisted (csr.go writes the four arrays above and nothing else).
+	emitOnce sync.Once
+	byID     []int32          // dense indices in ascending node-id order
+	boxed    []relation.Value // boxed[i] is ids[i] as a Value, boxed once
 }
 
 // NewDenseGraph interns the edges into CSR form, numbering the nodes in
@@ -100,7 +110,9 @@ func (d *DenseGraph) Nodes() int { return len(d.ids) }
 // takes the minimum naturally).
 func (d *DenseGraph) Edges() int { return len(d.colIdx) }
 
-// costRow is the per-source scratch state of one propagation row.
+// costRow is the scratch state of one propagation: the distance row it
+// writes and the frontier bookkeeping, which a worker reuses from one
+// source to the next.
 type costRow struct {
 	dist     []float64
 	inNext   []bool
@@ -109,50 +121,46 @@ type costRow struct {
 }
 
 func newCostRow(n int) *costRow {
-	r := &costRow{dist: make([]float64, n), inNext: make([]bool, n)}
-	for i := range r.dist {
-		r.dist[i] = math.Inf(1)
-	}
-	return r
+	return &costRow{inNext: make([]bool, n), frontier: make([]int32, 0, n), next: make([]int32, 0, n)}
 }
 
-// reset clears the finite distances of the previous run (touching only
-// the visited nodes, not the whole row).
-func (r *costRow) reset(visited []int32) {
-	for _, v := range visited {
-		r.dist[v] = math.Inf(1)
+// on points the row at a distance slice of its own and clears it.
+func (r *costRow) on(dist []float64) *costRow {
+	for i := range dist {
+		dist[i] = math.Inf(1)
 	}
+	r.dist = dist
+	return r
 }
 
 // relaxFrom seeds the row with the out-edges of src (paths of at least
 // one edge, matching ShortestFromCtx's semantics) and runs the frontier
-// iteration. It returns the visited nodes (ascending insertion order is
-// NOT guaranteed), the number of rounds and the number of successful
-// relaxations.
-func (d *DenseGraph) relaxFrom(ctx context.Context, r *costRow, src int32) (visited []int32, rounds, relaxed int) {
+// iteration. It returns the number of nodes reached, the number of
+// rounds and the number of successful relaxations.
+func (d *DenseGraph) relaxFrom(ctx context.Context, r *costRow, src int32) (reached, rounds, relaxed int) {
 	r.frontier = r.frontier[:0]
 	for k := d.rowStart[src]; k < d.rowStart[src+1]; k++ {
 		v, w := d.colIdx[k], d.weight[k]
 		if w < r.dist[v] {
 			if math.IsInf(r.dist[v], 1) {
 				r.frontier = append(r.frontier, v)
-				visited = append(visited, v)
+				reached++
 			}
 			r.dist[v] = w
 			relaxed++
 		}
 	}
-	visited, rounds, relaxed2 := d.propagate(ctx, r, visited)
-	return visited, rounds, relaxed + relaxed2
+	more, rounds, relaxed2 := d.propagate(ctx, r)
+	return reached + more, rounds, relaxed + relaxed2
 }
 
 // propagate drains the frontier: each round relaxes the out-edges of
 // every frontier node; strictly improved nodes form the next frontier.
-// A canceled ctx stops the iteration between rounds with a partial row;
-// callers that care (CostFromCtx) surface ErrCanceled and discard the
-// result.
-func (d *DenseGraph) propagate(ctx context.Context, r *costRow, visited []int32) ([]int32, int, int) {
-	rounds, relaxed := 0, 0
+// It returns the number of nodes reached for the first time, of rounds
+// and of successful relaxations. A canceled ctx stops the iteration
+// between rounds with a partial row; the callers surface ErrCanceled
+// and discard the result.
+func (d *DenseGraph) propagate(ctx context.Context, r *costRow) (reached, rounds, relaxed int) {
 	for len(r.frontier) > 0 && ctx.Err() == nil {
 		rounds++
 		r.next = r.next[:0]
@@ -163,7 +171,7 @@ func (d *DenseGraph) propagate(ctx context.Context, r *costRow, visited []int32)
 				nd := du + d.weight[k]
 				if nd < r.dist[v] {
 					if math.IsInf(r.dist[v], 1) {
-						visited = append(visited, v)
+						reached++
 					}
 					r.dist[v] = nd
 					relaxed++
@@ -179,13 +187,22 @@ func (d *DenseGraph) propagate(ctx context.Context, r *costRow, visited []int32)
 		}
 		r.frontier, r.next = r.next, r.frontier
 	}
-	return visited, rounds, relaxed
+	return reached, rounds, relaxed
 }
 
-// costFact is one (dst, cost) result of a source row, in dense space.
-type costFact struct {
-	dst  int32
-	cost float64
+// emitOrder derives, once per kernel, the destination order CostFromCtx
+// emits in and the boxed node ids its rows share.
+func (d *DenseGraph) emitOrder() ([]int32, []relation.Value) {
+	d.emitOnce.Do(func() {
+		d.byID = make([]int32, len(d.ids))
+		d.boxed = make([]relation.Value, len(d.ids))
+		for i, id := range d.ids {
+			d.byID[i] = int32(i)
+			d.boxed[i] = id
+		}
+		slices.SortFunc(d.byID, func(a, b int32) int { return cmp.Compare(d.ids[a], d.ids[b]) })
+	})
+	return d.byID, d.boxed
 }
 
 // CostFromCtx computes the minimum path cost (over paths of at least
@@ -193,12 +210,17 @@ type costFact struct {
 // reaches, as a (src, dst, cost) relation — the same answer
 // ShortestFromCtx gives, in kernel time. Sources absent from the
 // snapshot contribute nothing (they have no out-edges); duplicates
-// count once. Stats are in the kernel's units: Iterations is the
-// maximum frontier-round count over all source rows (the critical-path
-// analogue of fixpoint rounds), DerivedTuples the total number of
-// successful relaxations. Worker rows observe ctx between sources and
-// between frontier rounds, and a canceled run returns ErrCanceled
-// instead of a partial relation.
+// count once. The relation is born in the layout every leg table has:
+// sorted by dst in ascending node id (relation.NewSortedBy's mark), the
+// sources of one destination in the order given. Each row is a window
+// of one backing array whose node columns are the kernel's shared boxed
+// ids, so a row allocates its cost and nothing else; the price is one
+// float64 per (source, node) cell while the call runs. Stats are in the
+// kernel's units: Iterations is the maximum frontier-round count over
+// all source rows (the critical-path analogue of fixpoint rounds),
+// DerivedTuples the total number of successful relaxations. Worker rows
+// observe ctx between sources and between frontier rounds, and a
+// canceled run returns ErrCanceled instead of a partial relation.
 func (d *DenseGraph) CostFromCtx(ctx context.Context, sources []graph.NodeID) (*relation.Relation, Stats, error) {
 	var st Stats
 	n := len(d.ids)
@@ -215,49 +237,48 @@ func (d *DenseGraph) CostFromCtx(ctx context.Context, sources []graph.NodeID) (*
 		seen[i] = struct{}{}
 		srcIdx = append(srcIdx, i)
 	}
-	results := make([][]costFact, len(srcIdx))
+	dist := make([]float64, len(srcIdx)*n)
 	rounds := make([]int, len(srcIdx))
-	var relaxed atomic.Int64
+	var rows, relaxed atomic.Int64
 	// One distance row per source; rows are independent, so chunks of
 	// sources fan out over the worker pool, each chunk reusing one
-	// scratch row.
+	// frontier scratch.
 	bitsetPool(len(srcIdx), func(lo, hi int) {
 		row := newCostRow(n)
-		sum := 0
+		reachedSum, relaxedSum := 0, 0
 		for si := lo; si < hi; si++ {
 			if ctx.Err() != nil {
 				return
 			}
-			visited, r, rel := d.relaxFrom(ctx, row, srcIdx[si])
+			reached, r, rel := d.relaxFrom(ctx, row.on(dist[si*n:(si+1)*n]), srcIdx[si])
 			rounds[si] = r
-			sum += rel
-			facts := make([]costFact, 0, len(visited))
-			// Emit in ascending dense-id order for determinism.
-			for v := int32(0); v < int32(n); v++ {
-				if !math.IsInf(row.dist[v], 1) {
-					facts = append(facts, costFact{dst: v, cost: row.dist[v]})
-				}
-			}
-			results[si] = facts
-			row.reset(visited)
+			reachedSum += reached
+			relaxedSum += rel
 		}
-		relaxed.Add(int64(sum))
+		rows.Add(int64(reachedSum))
+		relaxed.Add(int64(relaxedSum))
 	})
 	if ctx.Err() != nil {
 		return nil, st, canceled(ctx)
 	}
 	st.DerivedTuples = int(relaxed.Load())
 	for _, r := range rounds {
-		if r > st.Iterations {
-			st.Iterations = r
+		st.Iterations = max(st.Iterations, r)
+	}
+	byID, boxed := d.emitOrder()
+	tuples := make([]relation.Tuple, 0, rows.Load())
+	cells := make([]relation.Value, 0, 3*rows.Load())
+	for _, v := range byID {
+		for si, s := range srcIdx {
+			if c := dist[si*n+int(v)]; !math.IsInf(c, 1) {
+				cells = append(cells, boxed[s], boxed[v], c)
+				tuples = append(tuples, cells[len(cells)-3:len(cells):len(cells)])
+			}
 		}
 	}
-	out := relation.New(costSchema...)
-	for si, facts := range results {
-		src := d.ids[srcIdx[si]]
-		for _, f := range facts {
-			out.MustInsert(relation.Tuple{src, d.ids[f.dst], f.cost})
-		}
+	out, err := relation.NewSortedBy(tuples, 1, costSchema...)
+	if err != nil {
+		return nil, st, err
 	}
 	st.ResultTuples = out.Len()
 	return out, st, nil
@@ -277,10 +298,8 @@ func (d *DenseGraph) CostFromCtx(ctx context.Context, sources []graph.NodeID) (*
 // rounds, and a canceled run returns ErrCanceled instead of a partial
 // vector.
 func (d *DenseGraph) CostVectorCtx(ctx context.Context, seed map[graph.NodeID]float64) (map[graph.NodeID]float64, error) {
-	row := newCostRow(len(d.ids))
+	row := newCostRow(len(d.ids)).on(make([]float64, len(d.ids)))
 	out := make(map[graph.NodeID]float64, len(seed))
-	var visited []int32
-	row.frontier = row.frontier[:0]
 	for s, c := range seed {
 		if c < 0 {
 			continue
@@ -293,17 +312,18 @@ func (d *DenseGraph) CostVectorCtx(ctx context.Context, seed map[graph.NodeID]fl
 		if c < row.dist[i] {
 			if math.IsInf(row.dist[i], 1) {
 				row.frontier = append(row.frontier, i)
-				visited = append(visited, i)
 			}
 			row.dist[i] = c
 		}
 	}
-	visited, _, _ = d.propagate(ctx, row, visited)
+	d.propagate(ctx, row)
 	if ctx.Err() != nil {
 		return nil, canceled(ctx)
 	}
-	for _, v := range visited {
-		out[graph.NodeID(d.ids[v])] = row.dist[v]
+	for v, c := range row.dist {
+		if !math.IsInf(c, 1) {
+			out[graph.NodeID(d.ids[v])] = c
+		}
 	}
 	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -372,4 +373,94 @@ func FuzzDenseCost(f *testing.F) {
 		}
 		assertSameCosts(t, "dense closure vs seminaive", gotC, wantC)
 	})
+}
+
+// gridFragment is a rows×cols lattice with symmetric unit-ish edges,
+// node ids descending along the edge list so that the kernel's dense
+// numbering (first appearance) is not the node-id order it emits in.
+func gridFragment(tb testing.TB, rows, cols int) *DenseGraph {
+	tb.Helper()
+	id := func(r, c int) graph.NodeID { return graph.NodeID(1000 - (r*cols + c)) }
+	var edges []graph.Edge
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if c+1 < cols {
+				edges = append(edges, graph.Edge{From: id(r, c), To: id(r, c+1), Weight: 1}, graph.Edge{From: id(r, c+1), To: id(r, c), Weight: 1})
+			}
+			if r+1 < rows {
+				edges = append(edges, graph.Edge{From: id(r, c), To: id(r+1, c), Weight: 1.5}, graph.Edge{From: id(r+1, c), To: id(r, c), Weight: 1.5})
+			}
+		}
+	}
+	d, err := NewDenseGraph(edges)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d
+}
+
+// TestDenseCostBornSorted: the kernel's relation is marked sorted by
+// dst, destinations ascend by node id whatever the dense numbering, and
+// the sources of one destination come in the order they were given.
+func TestDenseCostBornSorted(t *testing.T) {
+	d := gridFragment(t, 4, 5)
+	sources := []graph.NodeID{990, 1000, 985, 990, 7} // a duplicate and an absent node
+	got, st, err := d.CostFromCtx(context.Background(), sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.SortedBy() != 1 {
+		t.Fatalf("SortedBy = %d, want 1", got.SortedBy())
+	}
+	if got.Len() != 3*20 || st.ResultTuples != got.Len() {
+		t.Fatalf("%d rows (stats %d), want 60: 3 distinct present sources × 20 nodes", got.Len(), st.ResultTuples)
+	}
+	for i, row := range got.Tuples() {
+		wantDst, wantSrc := int64(981+i/3), []int64{990, 1000, 985}[i%3]
+		if row[0] != relation.Value(wantSrc) || row[1] != relation.Value(wantDst) {
+			t.Fatalf("row %d is %v, want (%d, %d, _)", i, row, wantSrc, wantDst)
+		}
+	}
+}
+
+// TestDenseCostConcurrentFirstUse is for -race: the emission order is
+// derived on a kernel's first CostFromCtx, and a site's first legs can
+// arrive together.
+func TestDenseCostConcurrentFirstUse(t *testing.T) {
+	d := gridFragment(t, 8, 8)
+	want, _, err := gridFragment(t, 8, 8).CostFromCtx(context.Background(), []graph.NodeID{1000, 950})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, _, err := d.CostFromCtx(context.Background(), []graph.NodeID{1000, 950})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			assertSameCosts(t, "concurrent first use", got, want)
+		}()
+	}
+	wg.Wait()
+}
+
+// TestDenseCostAllocs: a row costs its boxed cost and nothing else —
+// the node columns are the kernel's shared boxes and the tuples windows
+// of one backing array — so a call allocates its rows plus a fixed
+// number of scratch and result slices.
+func TestDenseCostAllocs(t *testing.T) {
+	d := gridFragment(t, 16, 32)
+	sources := []graph.NodeID{1000, 900, 800, 700, 600}
+	rows := len(sources) * d.Nodes()
+	if allocs := testing.AllocsPerRun(10, func() {
+		if got, _, err := d.CostFromCtx(context.Background(), sources); err != nil || got.Len() != rows {
+			t.Fatalf("%v rows, err %v; want %d", got.Len(), err, rows)
+		}
+	}); allocs > float64(rows+64) {
+		t.Errorf("CostFromCtx: %.0f allocations for %d rows, want at most rows+64", allocs, rows)
+	}
 }

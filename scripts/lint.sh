@@ -11,6 +11,10 @@
 #               typed wire errors, the metric catalog
 #   ctx         no context.TODO() outside tests and benchmarks/ —
 #               every entry point takes its caller's context
+#   rows        no Relation.MustInsert on the query path (internal/dsa,
+#               internal/cluster, the dense kernel): it validates and
+#               copies one row at a time — leg tables are built in bulk
+#               and adopted by dsa.NewLegTable / relation.NewSortedBy
 #
 # Usage: scripts/lint.sh
 set -euo pipefail
@@ -43,6 +47,13 @@ go run ./cmd/tcvet
 echo "== ctx"
 if grep -rn 'context\.TODO()' --include='*.go' . | grep -v -e '_test\.go:' -e '^\./benchmarks/'; then
     echo "FAIL: thread the caller's context instead of context.TODO()"
+    exit 1
+fi
+
+echo "== rows"
+if grep -Hn 'MustInsert(' internal/tc/densecost.go ||
+    grep -rn 'MustInsert(' --include='*.go' internal/dsa internal/cluster | grep -v '_test\.go:'; then
+    echo "FAIL: build leg rows in bulk and hand them to dsa.NewLegTable instead of MustInsert"
     exit 1
 fi
 
