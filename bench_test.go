@@ -343,17 +343,49 @@ func BenchmarkGridReachableFromSemiNaive(b *testing.B) {
 	}
 }
 
-// BenchmarkGridReachableFromBitset times the bitset-parallel engine on
-// the identical subquery.
+// BenchmarkGridReachableFromBitset times the bitset-parallel engine:
+// "relation" on the subquery BenchmarkGridReachableFromSemiNaive runs,
+// through the relation-fronted wrapper (one interning per call);
+// "site" as serving runs it — a middle leg of the 64×64 grid in 8
+// linear fragments, a whole disconnection set as entry, through
+// ExecuteLegFullCtx on the site's CSR.
 func BenchmarkGridReachableFromBitset(b *testing.B) {
-	rel := relation.FromGraph(benchGrid)
-	srcs := []graph.NodeID{0, 2080}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := tc.BitsetReachableFromCtx(context.Background(), rel, srcs); err != nil {
+	b.Run("relation", func(b *testing.B) {
+		rel := relation.FromGraph(benchGrid)
+		srcs := []graph.NodeID{0, 2080}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := tc.BitsetReachableFromCtx(context.Background(), rel, srcs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("site", func(b *testing.B) {
+		fr, err := servingDeployments[1].build() // grid
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		st, err := dsa.Build(fr, dsa.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes := fr.Base().Nodes()
+		plan, err := st.NewPlan(nodes[0], nodes[len(nodes)-1]) // opposite corners
+		if err != nil || len(plan.Legs) < 3 {
+			b.Fatalf("plan %+v, err %v; want a chain with a middle leg", plan, err)
+		}
+		leg := plan.Legs[len(plan.Legs)/2]
+		if _, err := st.Site(leg.SiteID).DenseKernel(); err != nil { // as deploySites pre-warms it
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := st.ExecuteLegFullCtx(context.Background(), leg.SiteID, leg.Entry, dsa.EngineBitset); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkCost times the two cost-capable per-leg engines on the

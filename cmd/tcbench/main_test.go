@@ -1,6 +1,9 @@
 package main
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -48,5 +51,51 @@ func TestTableArmRuns(t *testing.T) {
 	}
 	if !strings.Contains(out, "Table 1") {
 		t.Errorf("table 1 output lacks its title:\n%s", out)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run")
+
+// goldenParams is the scale the golden files were captured at:
+// `tcbench -seed 42 -trials 2 -queries 5`.
+var goldenParams = params{trials: 2, queries: 5, seed: 42}
+
+// TestGolden pins the paper's arms — tables 1–3 and the §4 experiments
+// — to the committed captures under testdata/: a refactor that shifts a
+// speedup figure, an iteration count or a table cell fails here. Every
+// arm's output is a pure function of its params except kconn's, whose
+// cells are wall-clock times (it keeps TestArmTable's coverage only).
+// After an intended change, `go test ./cmd/tcbench -update` rewrites
+// the files.
+func TestGolden(t *testing.T) {
+	for _, c := range []struct {
+		kind string
+		arms []arm
+	}{{"table", tables}, {"experiment", experiments}} {
+		for _, a := range c.arms {
+			if a.name == "kconn" {
+				continue
+			}
+			t.Run(c.kind+"-"+a.name, func(t *testing.T) {
+				got, err := a.run(goldenParams)
+				if err != nil {
+					t.Fatal(err)
+				}
+				path := filepath.Join("testdata", c.kind+"-"+a.name+".golden")
+				if *update {
+					if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+						t.Fatal(err)
+					}
+					return
+				}
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != string(want) {
+					t.Errorf("output differs from %s (rerun with -update if intended)\n--- got\n%s\n--- want\n%s", path, got, want)
+				}
+			})
+		}
 	}
 }

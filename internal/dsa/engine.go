@@ -19,8 +19,10 @@ const (
 	// iteration counts the paper's workload analysis is phrased in.
 	EngineSemiNaive
 	// EngineBitset runs the entry-set-restricted bitset-parallel
-	// reachability kernel (tc.BitsetReachableFromCtx) over the augmented
-	// fragment. It is connectivity-only: leg facts carry the presence
+	// reachability kernel (tc.DenseGraph.ReachFromCtx) on the CSR
+	// snapshot the dense engine uses — one interned form per site,
+	// persisted and pre-warmed with it, and refused like it on negative
+	// weights. It is connectivity-only: leg facts carry the presence
 	// marker 1 instead of a path cost (the convention of
 	// ProblemReachability complementary tables), so it answers
 	// connectivity on every store but its Cost is meaningless.

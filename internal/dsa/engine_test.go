@@ -2,6 +2,7 @@ package dsa
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -183,10 +184,10 @@ func TestQueryPipelinedEngineRefusals(t *testing.T) {
 
 // TestDenseEngineNegativeWeightsErrorNotPanic: graph files may carry
 // negative weights (graph.Read does not validate signs), and Dijkstra
-// silently tolerates them — but the dense kernel cannot. It must
-// surface an error like the semi-naive engine, not panic: the serving
-// layer runs legs on worker goroutines, where a panic kills the
-// daemon.
+// silently tolerates them — but the CSR kernels (dense, bitset)
+// cannot. They must surface an error like the semi-naive engine, not
+// panic: the serving layer runs legs on worker goroutines, where a
+// panic kills the daemon.
 func TestDenseEngineNegativeWeightsErrorNotPanic(t *testing.T) {
 	g := graph.New()
 	for i := 0; i < 3; i++ {
@@ -204,26 +205,30 @@ func TestDenseEngineNegativeWeightsErrorNotPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runPair(st, 0, 2, EngineDense, false); err == nil {
-		t.Error("dense query over negative weights returned no error")
+	// Both CSR engines refuse with the typed sentinel: they share the
+	// site's one snapshot, which cannot be built.
+	for _, engine := range []Engine{EngineDense, EngineBitset} {
+		if _, err := runPair(st, 0, 2, engine, false); !errors.Is(err, ErrNegativeWeight) {
+			t.Errorf("%v query over negative weights: %v, want ErrNegativeWeight", engine, err)
+		}
+		if _, _, err := st.ExecuteLegFullCtx(context.Background(), 0, []graph.NodeID{0}, engine); !errors.Is(err, ErrNegativeWeight) {
+			t.Errorf("ExecuteLegFullCtx %v over negative weights: %v, want ErrNegativeWeight", engine, err)
+		}
 	}
 	if _, err := st.QueryPipelinedEngineCtx(context.Background(), 0, 2, EngineDense); err == nil {
 		t.Error("pipelined dense query over negative weights returned no error")
 	}
-	if _, _, err := st.ExecuteLegFullCtx(context.Background(), 0, []graph.NodeID{0}, EngineDense); err == nil {
-		t.Error("ExecuteLegFullCtx dense over negative weights returned no error")
-	}
 	// The semi-naive engine refuses the same input; dijkstra remains
 	// callable (it silently assumes non-negative weights).
-	if _, err := runPair(st, 0, 2, EngineSemiNaive, false); err == nil {
-		t.Error("seminaive query over negative weights returned no error")
+	if _, err := runPair(st, 0, 2, EngineSemiNaive, false); !errors.Is(err, ErrNegativeWeight) {
+		t.Errorf("seminaive query over negative weights: %v, want ErrNegativeWeight", err)
 	}
 }
 
-// TestCostTrafficBuildsNoRelation: the dense, Dijkstra and pipelined
-// engines search the site's graph and its CSR, so after cost queries
-// that reach every site no site holds the boxed relational form; one
-// semi-naive leg builds exactly its own site's.
+// TestCostTrafficBuildsNoRelation: the dense, Dijkstra, pipelined and
+// bitset engines search the site's graph and its CSR, so after cost and
+// connectivity queries that reach every site no site holds the boxed
+// relational form; one semi-naive leg builds exactly its own site's.
 func TestCostTrafficBuildsNoRelation(t *testing.T) {
 	g, err := gen.Grid(gen.GridConfig{Width: 8, Height: 6, DiagonalProb: 0.2, Seed: 1})
 	if err != nil {
@@ -240,7 +245,7 @@ func TestCostTrafficBuildsNoRelation(t *testing.T) {
 	ctx := context.Background()
 	nodes := g.Nodes()
 	src, dst := nodes[0], nodes[len(nodes)-1] // opposite corners: the chain crosses every fragment
-	for _, engine := range []Engine{EngineDense, EngineDijkstra} {
+	for _, engine := range []Engine{EngineDense, EngineDijkstra, EngineBitset} {
 		r, err := runPair(st, src, dst, engine, true)
 		if err != nil || !r.Reachable {
 			t.Fatalf("%v query: %+v, %v", engine, r, err)
@@ -248,13 +253,16 @@ func TestCostTrafficBuildsNoRelation(t *testing.T) {
 		if len(r.PerSite) != len(st.Sites()) {
 			t.Fatalf("%v query touched %d sites, want all %d", engine, len(r.PerSite), len(st.Sites()))
 		}
+		if !engine.VectorSeeded() {
+			continue
+		}
 		if _, err := st.QueryPipelinedEngineCtx(ctx, src, dst, engine); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, s := range st.Sites() {
 		if s.localRel != nil {
-			t.Errorf("site %d built its edge relation under cost-engine traffic", s.ID)
+			t.Errorf("site %d built its edge relation under dense, Dijkstra and bitset traffic", s.ID)
 		}
 	}
 	if _, _, err := st.ExecuteLegFullCtx(ctx, 1, []graph.NodeID{st.Site(1).Augmented().Nodes()[0]}, EngineSemiNaive); err != nil {

@@ -348,17 +348,18 @@ func (st *Store) ExecuteLegFullCtx(ctx context.Context, siteID int, entry []grap
 		if full, stats, err = tc.ShortestFromCtx(ctx, site.rel(), entry); err == nil {
 			full, err = NewLegTable(full.Tuples())
 		}
-	case EngineBitset:
-		var pairs *relation.Relation
-		if pairs, stats, err = tc.BitsetReachableFromCtx(ctx, site.rel(), entry); err == nil {
-			full, err = presenceFacts(pairs)
-		}
-	case EngineDense:
+	case EngineBitset, EngineDense:
+		// Both kernels run on the site's one CSR and emit the leg-table
+		// layout themselves.
 		kernel, kerr := site.DenseKernel()
 		if kerr != nil {
 			return nil, tc.Stats{}, kerr
 		}
-		full, stats, err = kernel.CostFromCtx(ctx, entry)
+		run := kernel.CostFromCtx
+		if engine == EngineBitset {
+			run = kernel.ReachFromCtx
+		}
+		full, stats, err = run(ctx, entry)
 	default:
 		return nil, tc.Stats{}, fmt.Errorf("dsa: %w %d", ErrUnknownEngine, engine)
 	}

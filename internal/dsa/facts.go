@@ -12,8 +12,9 @@ import (
 // (src int64, dst int64, cost float64) rows under the schema (src, dst,
 // cost), sorted by dst — stable, so the sources of one destination stay
 // in the producer's order — and marked so by relation.NewSortedBy.
-// Every producer hands its rows over through NewLegTable (the dense
-// kernel, which package tc owns, emits the layout itself), and
+// Every producer hands its rows over through NewLegTable (the CSR
+// kernels, which package tc owns, emit the layout themselves — the
+// bitset one with the presence marker 1 in the cost column), and
 // FilterLegFacts and the assembly fold read rows through legFact — so
 // swapping the row container for a columnar one changes this file and
 // the kernels, nothing else.
@@ -53,22 +54,6 @@ func NewLegTable(rows []relation.Tuple) (*relation.Relation, error) {
 		slices.SortStableFunc(rows, func(a, b relation.Tuple) int { return cmp.Compare(a[1].(int64), b[1].(int64)) })
 	}
 	return relation.NewSortedBy(rows, 1, legSchema...)
-}
-
-// presenceFacts turns the bitset kernel's (src, dst) reachability pairs
-// into leg facts whose cost column is the presence marker 1 — not a
-// path cost: assembly sums stay finite and Reachable is exact, Cost is
-// meaningless and cost queries refuse the engine. The rows are windows
-// of one backing array and reuse the pairs' boxed node values.
-func presenceFacts(pairs *relation.Relation) (*relation.Relation, error) {
-	in := pairs.Tuples()
-	rows := make([]relation.Tuple, len(in))
-	cells := make([]relation.Value, 3*len(in))
-	for i, t := range in {
-		rows[i] = cells[3*i : 3*i+3 : 3*i+3]
-		rows[i][0], rows[i][1], rows[i][2] = t[0], t[1], 1.0
-	}
-	return NewLegTable(rows)
 }
 
 // FilterLegFacts specialises ExecuteLegFullCtx output to one leg: the

@@ -69,17 +69,17 @@ type Site struct {
 	// Dijkstra engine, the pipelined evaluation and route reconstruction
 	// search it directly.
 	augmented *graph.Graph
-	// localRel is augmented as an edge relation. Only the semi-naive and
-	// bitset engines read it, so it exists only on a site one of them
-	// has been asked to run on (relOnce): cost traffic through the
-	// graph-backed Dijkstra engine or the dense kernel never boxes an
+	// localRel is augmented as an edge relation. Only the semi-naive
+	// engine reads it, so it exists only on a site that engine has been
+	// asked to run on (relOnce): traffic through the graph-backed
+	// Dijkstra engine or the CSR kernels (dense, bitset) never boxes an
 	// edge into a relational tuple.
 	relOnce  sync.Once
 	localRel *relation.Relation
-	// dense is the CSR snapshot of augmented's edges the dense cost
-	// engine runs on, built lazily once per deployment (updates rebuild
-	// the sites, so a snapshot can never go stale within a site's
-	// lifetime) or injected by a snapshot load (PrimeDense).
+	// dense is the CSR snapshot of augmented's edges the dense cost and
+	// bitset engines run on, built lazily once per deployment (updates
+	// rebuild the sites, so a snapshot can never go stale within a
+	// site's lifetime) or injected by a snapshot load (PrimeDense).
 	// densePrimed records that the build ran — the write path reads it
 	// to pre-warm rebuilt sites off the query path.
 	denseOnce   sync.Once
@@ -89,7 +89,8 @@ type Site struct {
 }
 
 // rel returns the augmented subgraph as an edge relation, building it
-// on first use. Safe for concurrent callers (sync.Once).
+// on first use. Safe for concurrent callers (sync.Once). Its one caller
+// is the EngineSemiNaive arm of ExecuteLegFullCtx.
 func (s *Site) rel() *relation.Relation {
 	s.relOnce.Do(func() {
 		s.localRel = relation.FromGraph(s.augmented)
@@ -97,19 +98,21 @@ func (s *Site) rel() *relation.Relation {
 	return s.localRel
 }
 
-// DenseKernel returns the site's CSR snapshot, building it on first
-// use (the snapshot writer persists it so restored deployments skip the
-// interning work). Construction fails on input the kernel cannot serve
-// — notably negative edge weights, which graph files may carry — and
-// the error is memoized and surfaced per query, exactly like the
-// semi-naive engine's refusal (a worker-goroutine panic would kill the
-// serving daemon).
+// DenseKernel returns the site's CSR snapshot — the one interned form
+// of the fragment, which both the dense cost engine and the bitset
+// connectivity engine run on — building it on first use (the snapshot
+// writer persists it so restored deployments skip the interning work).
+// Construction fails on input the kernels cannot serve — notably
+// negative edge weights, which graph files may carry — and the error,
+// wrapping ErrNegativeWeight, is memoized and surfaced per query,
+// exactly like the semi-naive engine's refusal (a worker-goroutine
+// panic would kill the serving daemon).
 func (s *Site) DenseKernel() (*tc.DenseGraph, error) {
 	s.denseOnce.Do(func() {
 		defer s.densePrimed.Store(true)
 		d, err := tc.NewDenseGraph(s.augmented.Edges())
 		if err != nil {
-			s.denseErr = fmt.Errorf("dsa: site %d dense snapshot: %v", s.ID, err)
+			s.denseErr = fmt.Errorf("dsa: site %d dense snapshot: %w", s.ID, err)
 			return
 		}
 		s.dense = d

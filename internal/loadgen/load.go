@@ -1,7 +1,8 @@
 // Package loadgen is the load driver for a running tcserver: an HTTP
 // client of the /v1 surface (it shares only the server's wire types),
 // with a replay oracle, latency percentiles and SLO budget evaluation.
-// cmd/tcload is its CLI; internal/bench drives it in-process.
+// cmd/tcload is its CLI and only caller (the serving ledger under
+// benchmarks/ has its own closed-loop driver).
 package loadgen
 
 import (
@@ -80,17 +81,11 @@ type LoadConfig struct {
 	// transaction: a net no-op on the data that still forces a full
 	// epoch swap, fragment rebuild and cache invalidation. Mixing
 	// writes this way keeps the replay oracle exact while measuring
-	// read latency under sustained update pressure.
+	// read latency under sustained update pressure. The edge joins the
+	// slot's random node pair on fragment 0, which usually drags
+	// foreign nodes into the fragment and forces a full complementary
+	// recomputation — the write path's worst case.
 	WriteRate float64
-	// WriteEdges optionally pins the write transactions to explicit
-	// (fragment, from, to) triples — write slot i uses entry i modulo
-	// the list. With endpoints already inside the named fragment, a
-	// write stays a single-fragment update (the incremental write
-	// path's fast case); left empty, writes use the slot's random node
-	// pair on fragment 0, which usually drags foreign nodes into the
-	// fragment and forces a full complementary recomputation — the
-	// worst case.
-	WriteEdges [][3]int
 	// Timeout bounds each request (default 30s).
 	Timeout time.Duration
 	// RetryTransient, when positive, re-fires a read query up to this
@@ -320,18 +315,13 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 				for i := range idx {
 					p := pairs[i]
 					if writeSlot[i] {
-						frag, from, to := 0, p[0], p[1]
-						if len(cfg.WriteEdges) > 0 {
-							we := cfg.WriteEdges[i%len(cfg.WriteEdges)]
-							frag, from, to = we[0], we[1], we[2]
-						}
 						t0 := time.Now()
-						err := fireUpdate(client, primary, frag, from, to)
+						err := fireUpdate(client, primary, p[0], p[1])
 						localWrites = append(localWrites, time.Since(t0))
 						writesN.Add(1)
 						if err != nil {
 							errorsN.Add(1)
-							issue("update fragment %d edge %d->%d: %v", frag, from, to, err)
+							issue("update fragment 0 edge %d->%d: %v", p[0], p[1], err)
 						}
 						continue
 					}
@@ -423,13 +413,13 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 }
 
 // fireUpdate sends one write transaction over POST /v1/update: insert
-// a heavy (answer-invariant) shortcut edge into the fragment and
-// delete it again in the same atomic batch.
-func fireUpdate(client *http.Client, baseURL string, frag, src, dst int) error {
+// a heavy (answer-invariant) shortcut edge into fragment 0 and delete
+// it again in the same atomic batch.
+func fireUpdate(client *http.Client, baseURL string, src, dst int) error {
 	const heavy = 1e9
 	body, err := json.Marshal(server.V1UpdateRequest{Ops: []server.V1UpdateOp{
-		{Op: "insert", Fragment: frag, From: src, To: dst, Weight: heavy},
-		{Op: "delete", Fragment: frag, From: src, To: dst, Weight: heavy},
+		{Op: "insert", Fragment: 0, From: src, To: dst, Weight: heavy},
+		{Op: "delete", Fragment: 0, From: src, To: dst, Weight: heavy},
 	}})
 	if err != nil {
 		return err

@@ -229,17 +229,20 @@ func (c *Cluster) CentralizedElapsed(ctx context.Context, source graph.NodeID, e
 		// tuples for the semi-naive fixpoint, derived component bits
 		// for the bitset kernel, successful relaxations for the dense
 		// cost kernel.
-		rel := relation.FromGraph(base)
 		sources := []graph.NodeID{source}
 		var stats tc.Stats
 		var err error
-		switch engine {
-		case dsa.EngineBitset:
-			_, stats, err = tc.BitsetReachableFromCtx(ctx, rel, sources)
-		case dsa.EngineDense:
-			_, stats, err = tc.DenseCostFrom(rel, sources)
-		default:
-			_, stats, err = tc.ShortestFromCtx(ctx, rel, sources)
+		if engine == dsa.EngineSemiNaive {
+			_, stats, err = tc.ShortestFromCtx(ctx, relation.FromGraph(base), sources)
+		} else {
+			var kernel *tc.DenseGraph
+			if kernel, err = tc.NewDenseGraph(base.Edges()); err == nil {
+				run := kernel.CostFromCtx
+				if engine == dsa.EngineBitset {
+					run = kernel.ReachFromCtx
+				}
+				_, stats, err = run(ctx, sources)
+			}
 		}
 		if err != nil {
 			return 0, err

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -15,6 +16,8 @@ import (
 	"repro/internal/fragment/linear"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/relation"
+	"repro/internal/tc"
 )
 
 // chainStore builds a loosely connected store over a transportation
@@ -239,6 +242,33 @@ func TestCentralizedElapsed(t *testing.T) {
 	}
 	if _, err := cl.CentralizedElapsed(context.Background(), nodes[0], dsa.Engine(9)); err == nil {
 		t.Error("unknown engine accepted")
+	}
+
+	// The CSR baselines run on tc.NewDenseGraph(base.Edges()) under the
+	// caller's ctx; they charge exactly what the relation-fronted
+	// kernels report on relation.FromGraph(base).
+	rel, sources := relation.FromGraph(g), []graph.NodeID{nodes[0]}
+	_, bitset, err := tc.BitsetReachableFromCtx(context.Background(), rel, sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, dense, err := tc.DenseCostFrom(rel, sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e, stats := range map[dsa.Engine]tc.Stats{dsa.EngineBitset: bitset, dsa.EngineDense: dense} {
+		sec := float64(stats.DerivedTuples+stats.ResultTuples) / cl.cost.TupleRate
+		got, err := cl.CentralizedElapsed(context.Background(), nodes[0], e)
+		if want := time.Duration(sec * float64(time.Second)); err != nil || got != want {
+			t.Errorf("%v: centralized elapsed = %v, %v; want %v", e, got, err, want)
+		}
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, e := range []dsa.Engine{dsa.EngineSemiNaive, dsa.EngineBitset, dsa.EngineDense} {
+		if _, err := cl.CentralizedElapsed(canceled, nodes[0], e); !errors.Is(err, dsa.ErrCanceled) {
+			t.Errorf("%v on a canceled ctx: %v, want ErrCanceled", e, err)
+		}
 	}
 }
 

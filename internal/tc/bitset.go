@@ -2,8 +2,10 @@ package tc
 
 import (
 	"context"
+	"errors"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -19,7 +21,8 @@ import (
 // condensation, and this kernel spends it on a bounded worker pool.
 //
 // The algorithm is the reverse-topological SCC propagation behind
-// Warren-style dense closure: intern the nodes into dense indices,
+// Warren-style dense closure, over the dense indices and CSR rows of a
+// DenseGraph (densecost.go — the kernel interns nothing of its own):
 // condense the strongly connected components with an iterative Tarjan,
 // and represent the reachable-component set of each component as a
 // []uint64 bit row over component space. Tarjan emits the components in
@@ -80,42 +83,6 @@ func bitsetPool(n int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// bitGraph is a dense renumbering of an edge relation over int64 nodes.
-type bitGraph struct {
-	ids []int64       // dense index -> original node id
-	idx map[int64]int // original node id -> dense index
-	adj [][]int32     // out-neighbours in dense index space
-}
-
-// newBitGraph interns the (src, dst) pairs of the arity-2 relation. ok
-// is false when some node is not an int64, in which case the caller
-// falls back to the generic relational fixpoint (as CondensedClosure
-// does).
-func newBitGraph(pairs *relation.Relation) (bg *bitGraph, ok bool) {
-	bg = &bitGraph{idx: make(map[int64]int, pairs.Len())}
-	intern := func(id int64) int32 {
-		if i, seen := bg.idx[id]; seen {
-			return int32(i)
-		}
-		i := len(bg.ids)
-		bg.idx[id] = i
-		bg.ids = append(bg.ids, id)
-		bg.adj = append(bg.adj, nil)
-		return int32(i)
-	}
-	for _, t := range pairs.Tuples() {
-		from, ok1 := t[0].(int64)
-		to, ok2 := t[1].(int64)
-		if !ok1 || !ok2 {
-			return nil, false
-		}
-		u := intern(from)
-		v := intern(to)
-		bg.adj[u] = append(bg.adj[u], v)
-	}
-	return bg, true
-}
-
 // condense runs iterative Tarjan over the dense graph. comps lists the
 // strongly connected components in reverse topological order of the
 // condensation (every condensation edge points from a later component
@@ -124,13 +91,13 @@ func newBitGraph(pairs *relation.Relation) (bg *bitGraph, ok bool) {
 // self loop).
 //
 // This deliberately mirrors graph.StronglyConnectedComponents
-// (internal/graph/scc.go) over dense int32 indices instead of the
-// map-backed graph representation — the kernel never materialises a
-// graph.Graph, and the array-indexed state keeps the SCC pass
-// allocation-light. A low-link fix in one implementation applies to
-// the other.
-func (bg *bitGraph) condense() (comps [][]int32, compOf []int32, cyclic []bool) {
-	n := len(bg.ids)
+// (internal/graph/scc.go) over the CSR rows instead of the map-backed
+// graph representation — the kernel never materialises a graph.Graph,
+// and the array-indexed state keeps the SCC pass allocation-light. A
+// low-link fix in one implementation applies to the other. Parallel
+// edges are harmless: the second visit of a neighbour changes nothing.
+func (d *DenseGraph) condense() (comps [][]int32, compOf []int32, cyclic []bool) {
+	n := len(d.ids)
 	const unvisited = -1
 	index := make([]int32, n)
 	low := make([]int32, n)
@@ -160,7 +127,7 @@ func (bg *bitGraph) condense() (comps [][]int32, compOf []int32, cyclic []bool) 
 
 		for len(callStack) > 0 {
 			f := &callStack[len(callStack)-1]
-			out := bg.adj[f.node]
+			out := d.colIdx[d.rowStart[f.node]:d.rowStart[f.node+1]]
 			advanced := false
 			for f.ei < len(out) {
 				w := out[f.ei]
@@ -214,7 +181,7 @@ func (bg *bitGraph) condense() (comps [][]int32, compOf []int32, cyclic []bool) 
 			continue
 		}
 		u := comp[0]
-		for _, v := range bg.adj[u] {
+		for _, v := range d.colIdx[d.rowStart[u]:d.rowStart[u+1]] {
 			if v == u {
 				cyclic[ci] = true
 				break
@@ -227,7 +194,7 @@ func (bg *bitGraph) condense() (comps [][]int32, compOf []int32, cyclic []bool) 
 // succsOf builds the distinct successor lists of the condensation DAG.
 // Because comps is in reverse topological order, every successor of a
 // component has a smaller component index.
-func succsOf(bg *bitGraph, comps [][]int32, compOf []int32) [][]int32 {
+func (d *DenseGraph) succsOf(comps [][]int32, compOf []int32) [][]int32 {
 	succs := make([][]int32, len(comps))
 	mark := make([]int32, len(comps))
 	for i := range mark {
@@ -235,7 +202,7 @@ func succsOf(bg *bitGraph, comps [][]int32, compOf []int32) [][]int32 {
 	}
 	for ci, comp := range comps {
 		for _, u := range comp {
-			for _, v := range bg.adj[u] {
+			for _, v := range d.colIdx[d.rowStart[u]:d.rowStart[u+1]] {
 				cv := compOf[v]
 				if int(cv) == ci || mark[cv] == int32(ci) {
 					continue
@@ -363,6 +330,101 @@ func markNeeded(succs [][]int32, starts []int32) []bool {
 	return needed
 }
 
+// presence is the cost cell every row of ReachFromCtx shares: the
+// marker 1 — not a path cost — that connectivity leg tables and
+// reachability complementary tables carry, so assembly sums stay finite
+// and Reachable is exact while Cost is meaningless (cost queries refuse
+// the engine).
+var presence = []relation.Value{1.0}
+
+// ReachFromCtx computes the nodes every distinct present source reaches
+// over paths of at least one edge, as a (src, dst, cost) relation whose
+// cost column is the presence marker 1 — the bitset kernel on the CSR
+// the cost kernel runs on, so a site interns its fragment once for
+// both. Propagation is restricted to the components reachable from the
+// sources, the kernel's analogue of the pushed selection in
+// ReachableFrom: a leg's entry set is the incoming disconnection set,
+// so only its "magic cone" of the condensation is touched. Absent
+// sources contribute nothing and duplicates count once, as in
+// CostFromCtx, and the relation is born in CostFromCtx's layout —
+// sorted by dst, a destination's sources in the order given, rows
+// windows of one backing array over the shared boxed ids — with no
+// allocation per row. The kernel observes ctx between dependency levels
+// and between destinations while it emits — a wide entry set's table is
+// the longer half of a leg; a canceled run returns ErrCanceled, never a
+// partial relation.
+func (d *DenseGraph) ReachFromCtx(ctx context.Context, sources []graph.NodeID) (*relation.Relation, Stats, error) {
+	return d.reachFrom(ctx, sources, presence, costSchema)
+}
+
+// reachFrom is the kernel behind ReachFromCtx and the relation-fronted
+// wrappers: its rows are (src, dst) followed by the cells of tail, under
+// schema.
+func (d *DenseGraph) reachFrom(ctx context.Context, sources []graph.NodeID, tail []relation.Value, schema relation.Schema) (*relation.Relation, Stats, error) {
+	var st Stats
+	comps, compOf, cyclic := d.condense()
+	succs := d.succsOf(comps, compOf)
+
+	entries := d.sourceIndices(sources)
+	starts := make([]int32, len(entries)) // their distinct components
+	for i, u := range entries {
+		starts[i] = compOf[u]
+	}
+	slices.Sort(starts)
+	starts = slices.Compact(starts)
+	bitRows, err := bitsetPropagate(ctx, succs, cyclic, markNeeded(succs, starts), &st)
+	if err != nil {
+		return nil, st, err
+	}
+
+	// A source reaches every member of every component whose bit is set
+	// in its component's row; a cyclic component's own bit is set, so
+	// within-component pairs (including u→u on cycles and self loops)
+	// need no special case. reached[ci] is that member count.
+	reached := make([]int, len(comps))
+	for _, ci := range starts {
+		for w, word := range bitRows[ci] {
+			for ; word != 0; word &= word - 1 {
+				reached[ci] += len(comps[w*64+bits.TrailingZeros64(word)])
+			}
+		}
+	}
+	for _, u := range entries {
+		st.ResultTuples += reached[compOf[u]]
+	}
+	byID, boxed := d.emitOrder()
+	width := 2 + len(tail)
+	tuples := make([]relation.Tuple, 0, st.ResultTuples)
+	cells := make([]relation.Value, 0, width*st.ResultTuples)
+	for _, v := range byID {
+		if ctx.Err() != nil {
+			return nil, st, canceled(ctx)
+		}
+		cv := compOf[v]
+		for _, u := range entries {
+			if bitRows[compOf[u]][cv>>6]&(1<<(uint(cv)&63)) != 0 {
+				cells = append(append(cells, boxed[u], boxed[v]), tail...)
+				tuples = append(tuples, cells[len(cells)-width:len(cells):len(cells)])
+			}
+		}
+	}
+	out, err := relation.NewSortedBy(tuples, 1, schema...)
+	return out, st, err
+}
+
+// bitsetGraph interns the (src, dst) columns of the edge relation r in
+// tuple order — the cost column is not read — for the relation-fronted
+// wrappers. When some node is not an int64 it returns no graph but the
+// (src, dst) projection the generic relational fixpoint runs on (as
+// CondensedClosure falls back).
+func bitsetGraph(r *relation.Relation) (d *DenseGraph, pairs *relation.Relation, err error) {
+	d, err = denseOf(r, false)
+	if errors.Is(err, ErrNodesNotInt64) {
+		pairs, err = checkEdgeRelation(r)
+	}
+	return d, pairs, err
+}
+
 // BitsetClosure computes the reachability closure of the edge relation
 // r with the bitset-parallel kernel. The result is identical to
 // SemiNaiveClosure / CondensedClosure: the set of (src, dst) pairs
@@ -370,103 +432,27 @@ func markNeeded(succs [][]int32, starts []int32) []bool {
 // back to the generic relational fixpoint.
 func BitsetClosure(r *relation.Relation) (*relation.Relation, Stats, error) {
 	var st Stats
-	pairs, err := checkEdgeRelation(r)
-	if err != nil {
+	d, pairs, err := bitsetGraph(r)
+	switch {
+	case err != nil:
 		return nil, st, err
-	}
-	bg, ok := newBitGraph(pairs)
-	if !ok {
+	case d == nil:
 		return semiNaivePairs(pairs, pairs, &st)
 	}
-	comps, compOf, cyclic := bg.condense()
-	succs := succsOf(bg, comps, compOf)
-	rows, err := bitsetPropagate(context.Background(), succs, cyclic, nil, &st)
-	if err != nil {
-		return nil, st, err
-	}
-
-	out := relation.New(pairSchema...)
-	for ci, comp := range comps {
-		emitRow(out, bg, comps, rows[ci], comp)
-	}
-	st.ResultTuples = out.Len()
-	return out, st, nil
+	return d.reachFrom(context.Background(), d.nodeIDs(), nil, pairSchema)
 }
 
 // BitsetReachableFromCtx computes the (src, dst) pairs with src in
-// sources with the bitset kernel, restricting propagation to the
-// components reachable from the sources — the kernel's analogue of the
-// pushed selection in ReachableFrom, and the variant fragment legs run:
-// the entry set is the incoming disconnection set, so only its "magic
-// cone" of the condensation is ever touched. The worker pool observes
-// ctx between dependency levels and a canceled run returns ErrCanceled
-// instead of a partial relation.
+// sources: ReachFromCtx for callers that hold an edge relation and no
+// DenseGraph, with the same fallback as BitsetClosure.
 func BitsetReachableFromCtx(ctx context.Context, r *relation.Relation, sources []graph.NodeID) (*relation.Relation, Stats, error) {
 	var st Stats
-	pairs, err := checkEdgeRelation(r)
-	if err != nil {
+	d, pairs, err := bitsetGraph(r)
+	switch {
+	case err != nil:
 		return nil, st, err
-	}
-	bg, ok := newBitGraph(pairs)
-	if !ok {
+	case d == nil:
 		return semiNaivePairs(seedEdges(pairs, sources), pairs, &st)
 	}
-	comps, compOf, cyclic := bg.condense()
-	succs := succsOf(bg, comps, compOf)
-
-	// Sources outside the relation's node universe contribute nothing
-	// (they have no out-edges), and duplicate sources count once —
-	// matching ReachableFrom's set semantics.
-	var entries []int32 // dense node indices of the distinct present sources
-	var starts []int32  // their components
-	seenNode := make([]bool, len(bg.ids))
-	seenComp := make([]bool, len(comps))
-	for _, s := range sources {
-		i, present := bg.idx[int64(s)]
-		if !present || seenNode[i] {
-			continue
-		}
-		seenNode[i] = true
-		entries = append(entries, int32(i))
-		ci := compOf[i]
-		if !seenComp[ci] {
-			seenComp[ci] = true
-			starts = append(starts, ci)
-		}
-	}
-	needed := markNeeded(succs, starts)
-	rows, err := bitsetPropagate(ctx, succs, cyclic, needed, &st)
-	if err != nil {
-		return nil, st, err
-	}
-
-	out := relation.New(pairSchema...)
-	for _, u := range entries {
-		emitRow(out, bg, comps, rows[compOf[u]], []int32{u})
-	}
-	st.ResultTuples = out.Len()
-	return out, st, nil
-}
-
-// emitRow expands one reachable-component bit row into (src, dst)
-// tuples: every listed source node reaches every member of every set
-// component. A cyclic component's own bit is set in its row, so
-// within-component pairs (including u→u on cycles and self loops) need
-// no special case.
-func emitRow(out *relation.Relation, bg *bitGraph, comps [][]int32, row []uint64, srcs []int32) {
-	if row == nil {
-		return
-	}
-	for w, word := range row {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			for _, u := range srcs {
-				src := bg.ids[u]
-				for _, v := range comps[w*64+b] {
-					out.MustInsert(relation.Tuple{src, bg.ids[v]})
-				}
-			}
-		}
-	}
+	return d.reachFrom(ctx, sources, nil, pairSchema)
 }

@@ -2,6 +2,7 @@ package tc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -150,6 +151,140 @@ func TestBitsetReachableFromDuplicateSources(t *testing.T) {
 		t.Errorf("lens = %d (bitset), %d (seminaive), want 2", got.Len(), want.Len())
 	}
 	assertSamePairs(t, "duplicate sources", got, want)
+}
+
+// TestReachFromMatchesWrapper: the kernel method on a DenseGraph built
+// from edges, the same method on its DenseFromCSR restoration, and the
+// relation-fronted BitsetReachableFromCtx over the boxed form of the
+// same edges give one pair set — ReachableFrom's — and one Stats, on
+// parallel edges, self loops, duplicate and absent sources and a dense
+// numbering that is not the node-id order. The method's relation is a
+// leg table: sorted by dst, a destination's sources in the order given,
+// the presence marker 1 in the cost column.
+func TestReachFromMatchesWrapper(t *testing.T) {
+	e := func(from, to graph.NodeID, w float64) graph.Edge { return graph.Edge{From: from, To: to, Weight: w} }
+	type subquery struct {
+		edges   []graph.Edge
+		sources []graph.NodeID
+	}
+	cases := map[string]subquery{
+		"parallel-edges-self-loops": {
+			edges:   []graph.Edge{e(1, 2, 1), e(1, 2, 3), e(2, 2, 1), e(2, 3, 1), e(3, 1, 1), e(3, 1, 1), e(3, 4, 2), e(5, 5, 1), e(4, 6, 1)},
+			sources: []graph.NodeID{5, 3, 4, 3, 99, 5},
+		},
+		"descending-ids": { // first appearance numbers 90 before 80 before 70 …
+			edges:   []graph.Edge{e(90, 80, 1), e(80, 70, 1), e(70, 90, 1), e(70, 60, 1), e(60, 50, 1), e(50, 60, 1), e(40, 90, 1)},
+			sources: []graph.NodeID{60, 40, 90, 7},
+		},
+		"no-present-source": {
+			edges:   []graph.Edge{e(1, 2, 1)},
+			sources: []graph.NodeID{2, 9},
+		},
+	}
+	for name, g := range corpusGraphs(t) {
+		nodes := g.Nodes()
+		cases[name] = subquery{g.Edges(), []graph.NodeID{nodes[len(nodes)-1], nodes[0], nodes[len(nodes)/2], nodes[0], 1_000_000}}
+	}
+	ctx := context.Background()
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			r := relation.FromEdges(c.edges)
+			oracle, _, err := ReachableFrom(r, c.sources)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantStats, err := BitsetReachableFromCtx(ctx, r, c.sources)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSamePairs(t, "wrapper vs seminaive", want, oracle)
+			if want.Len() != oracle.Len() || want.Arity() != 2 {
+				t.Errorf("wrapper: %d rows of arity %d, want %d distinct pairs", want.Len(), want.Arity(), oracle.Len())
+			}
+			built, err := NewDenseGraph(c.edges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored, err := DenseFromCSR(built.CSR())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for label, d := range map[string]*DenseGraph{"built": built, "restored": restored} {
+				got, st, err := d.ReachFromCtx(ctx, c.sources)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSamePairs(t, label+" vs wrapper", got, want)
+				if st != wantStats || got.Len() != want.Len() {
+					t.Errorf("%s: stats %+v over %d rows, wrapper %+v over %d", label, st, got.Len(), wantStats, want.Len())
+				}
+				if got.SortedBy() != 1 || got.Arity() != 3 {
+					t.Fatalf("%s: SortedBy %d, arity %d; want a leg table", label, got.SortedBy(), got.Arity())
+				}
+				rank := make(map[int64]int) // position of a source's first mention
+				for i, s := range c.sources {
+					if _, seen := rank[int64(s)]; !seen {
+						rank[int64(s)] = i
+					}
+				}
+				rows := got.Tuples()
+				for i, row := range rows {
+					if row[2] != relation.Value(1.0) {
+						t.Fatalf("%s: row %v lacks the presence marker", label, row)
+					}
+					if i > 0 && rows[i-1][1] == row[1] && rank[rows[i-1][0].(int64)] >= rank[row[0].(int64)] {
+						t.Fatalf("%s: rows %v, %v: sources of one destination out of the order given", label, rows[i-1], row)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestReachFromAllocs: a connectivity leg allocates per component of
+// the condensation and per result slice, never per row — node cells are
+// the snapshot's shared boxes, the marker is boxed once for the package
+// and the tuples are windows of one backing array.
+func TestReachFromAllocs(t *testing.T) {
+	d := gridFragment(t, 16, 32) // one strongly connected component
+	sources := []graph.NodeID{1000, 900, 800, 700, 600}
+	rows := len(sources) * d.Nodes()
+	if allocs := testing.AllocsPerRun(10, func() {
+		if got, _, err := d.ReachFromCtx(context.Background(), sources); err != nil || got.Len() != rows {
+			t.Fatalf("%v rows, err %v; want %d", got.Len(), err, rows)
+		}
+	}); allocs > 80 {
+		t.Errorf("ReachFromCtx: %.0f allocations for %d rows, want at most 80", allocs, rows)
+	}
+}
+
+// lateCancel is a context that reports cancellation from its n-th Err
+// call on: a cancellation that lands mid-kernel, deterministically.
+type lateCancel struct {
+	context.Context
+	n int
+}
+
+func (c *lateCancel) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestReachFromCanceledWhileEmitting: on one strongly connected
+// component propagation is a single level, so a wide entry set spends
+// its time emitting rows; a cancellation that lands there must surface
+// as ErrCanceled, not as a completed table long after.
+func TestReachFromCanceledWhileEmitting(t *testing.T) {
+	d := gridFragment(t, 8, 8)
+	for n, wantCanceled := range map[int]bool{0: true, 1: true, 10: true, 1 + d.Nodes(): false} {
+		got, _, err := d.ReachFromCtx(&lateCancel{context.Background(), n}, []graph.NodeID{1000, 990})
+		canceled := errors.Is(err, ErrCanceled) && errors.Is(err, context.Canceled)
+		if canceled != wantCanceled || (got == nil) != wantCanceled {
+			t.Errorf("cancellation at check %d: relation %v, err %v; want canceled = %v", n, got, err, wantCanceled)
+		}
+	}
 }
 
 // TestBitsetClosureEmpty checks the degenerate inputs.

@@ -39,8 +39,11 @@ import (
 var ErrNodesNotInt64 = errors.New("tc: dense kernel requires int64 node values")
 
 // DenseGraph is a CSR snapshot of an edge set with non-negative float64
-// costs. Build once, query many times — the disconnection set
-// approach's sites keep one per augmented fragment.
+// costs, and the one interned form a kernel reads: the cost kernel
+// (CostFromCtx, CostVectorCtx) and the bitset reachability kernel
+// (ReachFromCtx, bitset.go) run on the same arrays. Build once, query
+// many times — the disconnection set approach's sites keep one per
+// augmented fragment.
 type DenseGraph struct {
 	ids      []int64         // dense index → original node id
 	idx      map[int64]int32 // original node id → dense index
@@ -48,9 +51,10 @@ type DenseGraph struct {
 	colIdx   []int32         // edge targets, grouped by source row
 	weight   []float64       // edge costs, parallel to colIdx
 
-	// What CostFromCtx needs to hand its rows over sorted by destination
-	// with one allocation each; derived from ids on first use, never
-	// persisted (csr.go writes the four arrays above and nothing else).
+	// What CostFromCtx and ReachFromCtx need to hand their rows over
+	// sorted by destination without boxing a node per row; derived from
+	// ids on first use, never persisted (csr.go writes the four arrays
+	// above and nothing else).
 	emitOnce sync.Once
 	byID     []int32          // dense indices in ascending node-id order
 	boxed    []relation.Value // boxed[i] is ids[i] as a Value, boxed once
@@ -190,8 +194,25 @@ func (d *DenseGraph) propagate(ctx context.Context, r *costRow) (reached, rounds
 	return reached, rounds, relaxed
 }
 
-// emitOrder derives, once per kernel, the destination order CostFromCtx
-// emits in and the boxed node ids its rows share.
+// sourceIndices resolves an entry set to dense indices, in the order
+// given: sources absent from the snapshot contribute nothing (they have
+// no out-edges) and duplicates count once.
+func (d *DenseGraph) sourceIndices(sources []graph.NodeID) []int32 {
+	var out []int32
+	seen := make(map[int32]struct{}, len(sources))
+	for _, s := range sources {
+		i, present := d.idx[int64(s)]
+		if _, dup := seen[i]; !present || dup {
+			continue
+		}
+		seen[i] = struct{}{}
+		out = append(out, i)
+	}
+	return out
+}
+
+// emitOrder derives, once per snapshot, the destination order both
+// kernels emit in and the boxed node ids their rows share.
 func (d *DenseGraph) emitOrder() ([]int32, []relation.Value) {
 	d.emitOnce.Do(func() {
 		d.byID = make([]int32, len(d.ids))
@@ -224,19 +245,7 @@ func (d *DenseGraph) emitOrder() ([]int32, []relation.Value) {
 func (d *DenseGraph) CostFromCtx(ctx context.Context, sources []graph.NodeID) (*relation.Relation, Stats, error) {
 	var st Stats
 	n := len(d.ids)
-	var srcIdx []int32
-	seen := make(map[int32]struct{}, len(sources))
-	for _, s := range sources {
-		i, present := d.idx[int64(s)]
-		if !present {
-			continue
-		}
-		if _, dup := seen[i]; dup {
-			continue
-		}
-		seen[i] = struct{}{}
-		srcIdx = append(srcIdx, i)
-	}
+	srcIdx := d.sourceIndices(sources)
 	dist := make([]float64, len(srcIdx)*n)
 	rounds := make([]int, len(srcIdx))
 	var rows, relaxed atomic.Int64
@@ -328,12 +337,13 @@ func (d *DenseGraph) CostVectorCtx(ctx context.Context, seed map[graph.NodeID]fl
 	return out, nil
 }
 
-// denseOf unboxes a (src, dst, cost) relation into graph edges, in tuple
-// order, and interns them; ErrNodesNotInt64 tells the callers to fall
-// back to the relational fixpoint, as the bitset kernel does.
-func denseOf(r *relation.Relation) (*DenseGraph, error) {
+// denseOf unboxes an arity-3 edge relation into graph edges, in tuple
+// order, and interns them; without withCost the cost column is not read
+// and every weight is 0. ErrNodesNotInt64 tells the callers to fall back
+// to the relational fixpoint.
+func denseOf(r *relation.Relation, withCost bool) (*DenseGraph, error) {
 	if r.Arity() != 3 {
-		return nil, errors.New("tc: edge relation must have arity 3 (src, dst, cost)")
+		return nil, fmt.Errorf("tc: edge relation must have arity 3 (src, dst, cost), got %d", r.Arity())
 	}
 	edges := make([]graph.Edge, 0, r.Len())
 	for _, t := range r.Tuples() {
@@ -342,13 +352,26 @@ func denseOf(r *relation.Relation) (*DenseGraph, error) {
 		if !ok1 || !ok2 {
 			return nil, ErrNodesNotInt64
 		}
-		c, ok := t[2].(float64)
-		if !ok {
-			return nil, errors.New("tc: edge cost is not float64")
+		var c float64
+		if withCost {
+			var ok bool
+			if c, ok = t[2].(float64); !ok {
+				return nil, errors.New("tc: edge cost is not float64")
+			}
 		}
 		edges = append(edges, graph.Edge{From: graph.NodeID(from), To: graph.NodeID(to), Weight: c})
 	}
 	return NewDenseGraph(edges)
+}
+
+// nodeIDs lists the snapshot's nodes in dense-index order: the source
+// set of a full closure.
+func (d *DenseGraph) nodeIDs() []graph.NodeID {
+	out := make([]graph.NodeID, len(d.ids))
+	for i, id := range d.ids {
+		out[i] = graph.NodeID(id)
+	}
+	return out
 }
 
 // DenseCostFrom computes the entry-set-restricted shortest-path costs
@@ -357,7 +380,7 @@ func denseOf(r *relation.Relation) (*DenseGraph, error) {
 // values fall back to the relational fixpoint.
 func DenseCostFrom(r *relation.Relation, sources []graph.NodeID) (*relation.Relation, Stats, error) {
 	var st Stats
-	d, err := denseOf(r)
+	d, err := denseOf(r, true)
 	if errors.Is(err, ErrNodesNotInt64) {
 		edges, err := normalizeEdges(r)
 		if err != nil {
@@ -377,16 +400,12 @@ func DenseCostFrom(r *relation.Relation, sources []graph.NodeID) (*relation.Rela
 // fixpoint.
 func DenseCostClosure(r *relation.Relation) (*relation.Relation, Stats, error) {
 	var st Stats
-	d, err := denseOf(r)
+	d, err := denseOf(r, true)
 	if errors.Is(err, ErrNodesNotInt64) {
 		return ShortestClosure(r)
 	}
 	if err != nil {
 		return nil, st, err
 	}
-	sources := make([]graph.NodeID, len(d.ids))
-	for i, id := range d.ids {
-		sources[i] = graph.NodeID(id)
-	}
-	return d.CostFromCtx(context.Background(), sources)
+	return d.CostFromCtx(context.Background(), d.nodeIDs())
 }

@@ -199,7 +199,7 @@ func TestDenseCostValidation(t *testing.T) {
 	strNodes := relation.New("src", "dst", "cost")
 	strNodes.MustInsert(relation.Tuple{"a", "b", 1.0})
 	strNodes.MustInsert(relation.Tuple{"b", "c", 2.0})
-	if _, err := denseOf(strNodes); err != ErrNodesNotInt64 {
+	if _, err := denseOf(strNodes, true); err != ErrNodesNotInt64 {
 		t.Fatalf("denseOf on string nodes: %v, want ErrNodesNotInt64", err)
 	}
 	// The wrapper silently falls back; string sources cannot be
@@ -424,11 +424,13 @@ func TestDenseCostBornSorted(t *testing.T) {
 }
 
 // TestDenseCostConcurrentFirstUse is for -race: the emission order is
-// derived on a kernel's first CostFromCtx, and a site's first legs can
+// derived on a snapshot's first CostFromCtx or ReachFromCtx, whichever
+// comes first, and a site's first legs — cost and connectivity — can
 // arrive together.
 func TestDenseCostConcurrentFirstUse(t *testing.T) {
 	d := gridFragment(t, 8, 8)
-	want, _, err := gridFragment(t, 8, 8).CostFromCtx(context.Background(), []graph.NodeID{1000, 950})
+	sources := []graph.NodeID{1000, 950}
+	want, _, err := gridFragment(t, 8, 8).CostFromCtx(context.Background(), sources)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,9 +439,17 @@ func TestDenseCostConcurrentFirstUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, _, err := d.CostFromCtx(context.Background(), []graph.NodeID{1000, 950})
+			run := d.CostFromCtx
+			if g%2 == 1 {
+				run = d.ReachFromCtx
+			}
+			got, _, err := run(context.Background(), sources)
 			if err != nil {
 				t.Error(err)
+				return
+			}
+			if g%2 == 1 {
+				assertSamePairs(t, "concurrent first use", got, want)
 				return
 			}
 			assertSameCosts(t, "concurrent first use", got, want)

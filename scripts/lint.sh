@@ -12,7 +12,7 @@
 #   ctx         no context.TODO() outside tests and benchmarks/ —
 #               every entry point takes its caller's context
 #   rows        no Relation.MustInsert on the query path (internal/dsa,
-#               internal/cluster, the dense kernel): it validates and
+#               internal/cluster, the two CSR kernels): it validates and
 #               copies one row at a time — leg tables are built in bulk
 #               and adopted by dsa.NewLegTable / relation.NewSortedBy
 #
@@ -51,7 +51,7 @@ if grep -rn 'context\.TODO()' --include='*.go' . | grep -v -e '_test\.go:' -e '^
 fi
 
 echo "== rows"
-if grep -Hn 'MustInsert(' internal/tc/densecost.go ||
+if grep -Hn 'MustInsert(' internal/tc/densecost.go internal/tc/bitset.go ||
     grep -rn 'MustInsert(' --include='*.go' internal/dsa internal/cluster | grep -v '_test\.go:'; then
     echo "FAIL: build leg rows in bulk and hand them to dsa.NewLegTable instead of MustInsert"
     exit 1
