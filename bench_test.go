@@ -514,12 +514,28 @@ var benchStore = func() *dsa.Store {
 }()
 
 // BenchmarkBuildStore times complementary-information preprocessing —
-// the paper's acknowledged overhead.
+// the paper's acknowledged overhead — on the paper-scale store and on
+// the two serving-benchmark deployments: the go test twin of the
+// ledger's dsa.build_s (road: 55 global searches over 52k nodes; grid:
+// 417 over 4k).
 func BenchmarkBuildStore(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := dsa.Build(benchStore.Fragmentation(), dsa.Options{}); err != nil {
+	build := func(fr *fragment.Fragmentation) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := dsa.Build(fr, dsa.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.Run("paper", build(benchStore.Fragmentation()))
+	for _, d := range servingDeployments {
+		fr, err := d.build()
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.Run(d.name, build(fr))
 	}
 }
 

@@ -154,21 +154,22 @@ type BatchStats struct {
 // every offending op with a typed per-op error, and nothing is
 // applied.
 //
-// Cost: what a batch pays is O(V) pointer copies (the new base graph's
-// node table, graph.CloneShared), plus the touched fragments (a private
-// sorted copy of each one's edge set and node set, fragment.Patch),
-// plus the touched sites (the search graph and the dense pre-warm of
-// every fragment whose edge set or complementary tables changed).
-// Nothing is proportional to E: untouched edge sets are never copied
-// and the partition is not re-validated, because each op edits the
-// base graph and exactly one edge set identically. On top of that come
-// the global searches when the complementary tables must be recomputed
-// — an edge change anywhere can move a global shortest path between
-// disconnection-set nodes — unless compUnaffected proves otherwise,
-// and one derivation of the disconnection sets when an op gave a node
-// its first edge in a fragment or took its last. ctx is observed
-// between the global searches; a canceled apply returns ErrCanceled
-// with nothing applied.
+// Cost: what a batch pays is one slice copy of the base graph's V node
+// records (graph.CloneShared; no node is hashed, the id → index map is
+// shared with the old epoch's graph), plus the touched fragments (a
+// private sorted copy of each one's edge set and node set,
+// fragment.Patch), plus the touched sites (the search graph and the
+// dense pre-warm of every fragment whose edge set or complementary
+// tables changed). Nothing is proportional to E: untouched edge sets
+// are never copied and the partition is not re-validated, because each
+// op edits the base graph and exactly one edge set identically. On top
+// of that come the global searches when the complementary tables must
+// be recomputed — an edge change anywhere can move a global shortest
+// path between disconnection-set nodes — unless compUnaffected proves
+// otherwise, and one derivation of the disconnection sets when an op
+// gave a node its first edge in a fragment or took its last. ctx is
+// observed between the global searches; a canceled apply returns
+// ErrCanceled with nothing applied.
 func (st *Store) Apply(ctx context.Context, ops []EdgeOp) (*Store, BatchStats, error) {
 	stats := BatchStats{Ops: len(ops)}
 	if len(ops) == 0 {

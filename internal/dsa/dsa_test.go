@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -637,5 +638,46 @@ func TestPropertySameFragmentSingleSite(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestComputeCompAllocs: the preprocessing allocates per global search
+// the table rows the search keeps and a small constant — nothing that
+// grows with the graph (the parent filled three graph-sized maps per
+// search and boxed every heap push: thousands per search here). What is
+// graph-sized is allocated once per computeComp (the adjacency
+// snapshot) or once per worker (its rows).
+func TestComputeCompAllocs(t *testing.T) {
+	g, err := gen.Grid(gen.GridConfig{Width: 32, Height: 32, DiagonalProb: 0.1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := linear.Fragment(g, linear.Options{NumFragments: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr := res.Fragmentation
+	dss := fr.DisconnectionSets()
+	rows := 0
+	for _, nodes := range dss {
+		rows += len(nodes)
+	}
+	for _, problem := range []Problem{ProblemShortestPath, ProblemReachability} {
+		searches := 0
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, searches, err = computeComp(context.Background(), fr.Base(), dss, problem); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if searches < 60 {
+			t.Fatalf("%v: only %d global searches; the budget needs a wide disconnection set", problem, searches)
+		}
+		fixed := 64 + 32*runtime.GOMAXPROCS(0) + 8*len(dss)
+		if budget := float64(fixed + rows + searches); allocs > budget {
+			t.Errorf("%v: %.0f allocations for %d searches keeping %d rows (%.1f per search), want at most %.0f",
+				problem, allocs, searches, rows, allocs/float64(searches), budget)
+		} else {
+			t.Logf("%v: %.0f allocations, %d searches, %d rows", problem, allocs, searches, rows)
+		}
 	}
 }

@@ -326,21 +326,30 @@ func (st *Store) ExecuteLegFullCtx(ctx context.Context, siteID int, entry []grap
 	var err error
 	switch engine {
 	case EngineDijkstra:
-		var rows []relation.Tuple
-		for _, a := range entry {
+		// One search per entry node, each on rows of its own, read off
+		// dst-major: leg-table order, which NewLegTable only verifies.
+		searches := site.augmented.Searches(len(entry))
+		var nodes []graph.NodeID
+		dists := make([][]float64, len(entry))
+		srcs := make([]relation.Value, len(entry)) // boxed once per source
+		for i, a := range entry {
 			if ctx.Err() != nil {
 				return nil, stats, canceledErr(ctx)
 			}
-			dist, _ := site.augmented.ShortestPaths(a)
-			src := relation.Value(int64(a)) // boxed once per source
-			for x, d := range dist {
-				if a != x {
-					rows = append(rows, relation.Tuple{src, int64(x), d})
+			nodes, dists[i], _ = searches[i](a, false)
+			srcs[i] = int64(a)
+		}
+		var rows []relation.Tuple
+		for k, x := range nodes {
+			for i, a := range entry {
+				if d := dists[i][k]; d < graph.Inf {
+					stats.DerivedTuples++
+					if a != x {
+						rows = append(rows, relation.Tuple{srcs[i], int64(x), d})
+					}
 				}
 			}
-			stats.DerivedTuples += len(dist)
 		}
-		// The search's map order is arbitrary: sorted here.
 		full, err = NewLegTable(rows)
 	case EngineSemiNaive:
 		// The kernel returns a freshly owned (src, dst, cost) relation in

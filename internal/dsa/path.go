@@ -102,16 +102,22 @@ func (st *Store) expandShortcuts(local []graph.NodeID, dist map[graph.NodeID]flo
 			out = append(out, v)
 			continue
 		}
-		// Shortcut: recover the global segment.
-		gdist, gpred := base.ShortestPaths(u)
-		seg := graph.PathTo(u, v, gdist, gpred)
-		if seg == nil {
+		// Shortcut: recover the global segment, backward along the search
+		// tree from v to its root u, which out already ends with.
+		nodes, gdist, gpred := base.Searches(1)[0](u, false)
+		k, ok := slices.BinarySearch(nodes, v)
+		if !ok || gdist[k] == graph.Inf {
 			return nil, fmt.Errorf("dsa: cannot expand shortcut %d→%d", u, v)
 		}
-		if math.Abs(gdist[v]-hopCost) > eps*math.Max(1, hopCost) {
-			return nil, fmt.Errorf("dsa: shortcut %d→%d cost drifted: %v vs %v", u, v, gdist[v], hopCost)
+		if math.Abs(gdist[k]-hopCost) > eps*math.Max(1, hopCost) {
+			return nil, fmt.Errorf("dsa: shortcut %d→%d cost drifted: %v vs %v", u, v, gdist[k], hopCost)
 		}
-		out = append(out, seg[1:]...)
+		var seg []graph.NodeID
+		for ; gpred[k] >= 0; k = int(gpred[k]) {
+			seg = append(seg, nodes[k])
+		}
+		slices.Reverse(seg)
+		out = append(out, seg...)
 	}
 	return out, nil
 }

@@ -267,14 +267,18 @@ func checkOptions(fr *fragment.Fragmentation, opt Options) error {
 	return nil
 }
 
-// parallelFor calls fn(i) for every i in [0, n) from up to GOMAXPROCS
-// goroutines taking indices off one counter — the package's one worker
-// pool, under the global searches and the site builds. ctx is observed
-// before each index; a canceled run returns ErrCanceled.
-func parallelFor(ctx context.Context, n int, fn func(i int)) error {
+// parallelWorkers is how many goroutines parallelFor runs n calls on.
+func parallelWorkers(n int) int { return min(runtime.GOMAXPROCS(0), n) }
+
+// parallelFor calls fn(w, i) for every i in [0, n) from
+// parallelWorkers(n) goroutines taking indices off one counter — the
+// package's one worker pool, under the global searches and the site
+// builds. w numbers the calling goroutine, for per-worker scratch. ctx
+// is observed before each index; a canceled run returns ErrCanceled.
+func parallelFor(ctx context.Context, n int, fn func(w, i int)) error {
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+	for w := range parallelWorkers(n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -283,7 +287,7 @@ func parallelFor(ctx context.Context, n int, fn func(i int)) error {
 				if i >= n || ctx.Err() != nil {
 					return
 				}
-				fn(i)
+				fn(w, i)
 			}
 		}()
 	}
@@ -305,7 +309,7 @@ func parallelFor(ctx context.Context, n int, fn func(i int)) error {
 func deploySites(ctx context.Context, fr *fragment.Fragmentation, comp map[fragment.Pair]*CompInfo, prev []*Site, touched func(fragID int) bool) ([]*Site, error) {
 	base, shared, frags := fr.Base(), fr.SharedNodes(), fr.Fragments()
 	sites := make([]*Site, len(frags))
-	err := parallelFor(ctx, len(frags), func(i int) {
+	err := parallelFor(ctx, len(frags), func(_, i int) {
 		f := frags[i]
 		if prev != nil && !touched(f.ID) && siteCompUnchanged(prev[f.ID], f.ID, comp) {
 			sites[i] = prev[f.ID]
@@ -328,10 +332,12 @@ func deploySites(ctx context.Context, fr *fragment.Fragmentation, comp map[fragm
 // The searches are independent, so they fan out over parallelFor's
 // goroutines — this is what keeps a batched update's preprocessing
 // window short (the write path re-runs computeComp on every batch).
-// A search keeps only its node's rows of the tables it belongs to; the
-// graph-sized distance map is garbage as soon as the search finishes.
-// ctx is observed between searches, so a canceled batched update
-// abandons its preprocessing promptly.
+// They run on graph.Searches: one index-form snapshot of the base
+// graph's adjacency read by every worker, one set of graph-sized rows
+// per worker; a search reads its node's disconnection-set peers' costs
+// from its row and allocates only the table rows it keeps. ctx is
+// observed between searches, so a canceled batched update abandons its
+// preprocessing promptly.
 func computeComp(ctx context.Context, base *graph.Graph, dss map[fragment.Pair][]graph.NodeID, problem Problem) (map[fragment.Pair]*CompInfo, int, error) {
 	// member lists, per disconnection-set node, its row in every table
 	// it belongs to; rows[p][k] is filled by the search from dss[p][k].
@@ -351,22 +357,20 @@ func computeComp(ctx context.Context, base *graph.Graph, dss map[fragment.Pair][
 	for id := range member {
 		ids = append(ids, id)
 	}
-	err := parallelFor(ctx, len(ids), func(i int) {
+	searches := base.Searches(parallelWorkers(len(ids)))
+	err := parallelFor(ctx, len(ids), func(w, i int) {
 		a := ids[i]
-		var dist map[graph.NodeID]float64
-		switch problem {
-		case ProblemShortestPath:
-			dist, _ = base.ShortestPaths(a)
-		case ProblemReachability:
-			dist = make(map[graph.NodeID]float64)
-			for n := range base.Reachable(a) {
-				dist[n] = 1 // presence marker; magnitude is meaningless
-			}
-		}
+		// Of a reachability search only presence is kept, as the marker 1.
+		nodes, dist, _ := searches[w](a, problem == ProblemReachability)
 		for _, m := range member[a] {
-			var row []graph.Edge
-			for _, b := range dss[m.pair] {
-				if d, ok := dist[b]; ok && a != b {
+			peers := dss[m.pair]
+			row := make([]graph.Edge, 0, len(peers)-1)
+			for _, b := range peers {
+				if k, ok := slices.BinarySearch(nodes, b); ok && a != b && dist[k] < graph.Inf {
+					d := dist[k]
+					if problem == ProblemReachability {
+						d = 1
+					}
 					row = append(row, graph.Edge{From: a, To: b, Weight: d})
 				}
 			}

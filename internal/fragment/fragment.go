@@ -184,28 +184,36 @@ func New(g *graph.Graph, edgeSets [][]graph.Edge) (*Fragmentation, error) {
 	if len(edgeSets) == 0 {
 		return nil, fmt.Errorf("fragment: no fragments")
 	}
-	// Multiset of the base edges.
-	remaining := make(map[graph.Edge]int, g.NumEdges())
-	for _, e := range g.Edges() {
-		remaining[e]++
-	}
+	// Both sides sort alike (g.Edges, newFragment): a fragment claims its
+	// edges, each occurrence once (taken), walking forward over base.
+	base := g.Edges()
+	taken := make([]bool, len(base))
 	frags := make([]*Fragment, 0, len(edgeSets))
 	for i, edges := range edgeSets {
 		if len(edges) == 0 {
 			return nil, fmt.Errorf("fragment: fragment %d is empty", i)
 		}
-		for _, e := range edges {
-			if remaining[e] == 0 {
+		f := newFragment(i, edges)
+		j := 0
+		for _, e := range f.Edges {
+			// Mostly a run of the base list: try the next edge first.
+			if j == len(base) || base[j] != e {
+				at, _ := slices.BinarySearchFunc(base[j:], e, edgeCmp)
+				j += at
+			}
+			for j < len(base) && base[j] == e && taken[j] {
+				j++
+			}
+			if j == len(base) || base[j] != e {
 				return nil, fmt.Errorf("fragment: edge %v not in base graph or already assigned", e)
 			}
-			remaining[e]--
+			taken[j] = true
+			j++
 		}
-		frags = append(frags, newFragment(i, edges))
+		frags = append(frags, f)
 	}
-	for e, n := range remaining {
-		if n > 0 {
-			return nil, fmt.Errorf("fragment: edge %v not assigned to any fragment", e)
-		}
+	if j := slices.Index(taken, false); j >= 0 {
+		return nil, fmt.Errorf("fragment: edge %v not assigned to any fragment", base[j])
 	}
 	return assemble(g, frags), nil
 }

@@ -13,9 +13,11 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
+	"sync/atomic"
 )
 
 // NodeID identifies a node of a graph. IDs are opaque to the algorithms;
@@ -43,19 +45,27 @@ type Edge struct {
 func (e Edge) Reverse() Edge { return Edge{From: e.To, To: e.From, Weight: e.Weight} }
 
 // Graph is a directed weighted graph with node coordinates. The zero
-// value is not usable; use New.
+// value is not usable; use New. Its node records live in one slice,
+// addressed by a dense index (the order nodes were added in) that one
+// id → index map resolves; the package has no other numbering.
 //
-// Graph is not safe for concurrent mutation; concurrent reads are safe.
-// The disconnection set approach never mutates a graph after
-// construction, so per-site goroutines share fragment graphs freely.
+// Graph is not safe for concurrent mutation; concurrent reads are safe,
+// and CloneShared counts as a read. The disconnection set approach
+// never mutates a graph after construction, so per-site goroutines
+// share fragment graphs freely.
 type Graph struct {
-	nodes map[NodeID]node
-	edges int
+	nodes []node
+	// A graph and its CloneShared clones read one index map until one
+	// of them adds a node; indexShared tells that one to copy it first.
+	index       map[NodeID]int32
+	indexShared atomic.Bool
+	edges       int
 }
 
-// node is everything the graph keeps per node: its position and the
-// edges leaving and entering it.
+// node is everything the graph keeps per node: its id, its position
+// and the edges leaving and entering it.
 type node struct {
+	id      NodeID
 	coord   Coord
 	out, in []Edge
 }
@@ -65,41 +75,59 @@ func New() *Graph { return NewWithCapacity(0) }
 
 // NewWithCapacity returns an empty graph with the node table pre-sized
 // for the given node count, so bulk loaders (the binary snapshot
-// store) avoid the incremental map growth of a node-at-a-time build.
+// store) avoid the incremental growth of a node-at-a-time build.
 // The hint is only a hint; the graph grows past it normally.
 func NewWithCapacity(nodes int) *Graph {
-	return &Graph{nodes: make(map[NodeID]node, max(nodes, 0))}
+	return &Graph{nodes: make([]node, 0, max(nodes, 0)), index: make(map[NodeID]int32, max(nodes, 0))}
+}
+
+// at returns the record of id, good until a node is added; for an id
+// that is not a node, an empty record of nobody's.
+func (g *Graph) at(id NodeID) *node {
+	if i, ok := g.index[id]; ok {
+		return &g.nodes[i]
+	}
+	return &node{}
+}
+
+// findOrAdd returns the record of id for writing, appending it when the
+// node is new — after copying an index map that is still shared.
+func (g *Graph) findOrAdd(id NodeID) *node {
+	if i, ok := g.index[id]; ok {
+		return &g.nodes[i]
+	}
+	if g.indexShared.Load() {
+		g.index = maps.Clone(g.index)
+		g.indexShared.Store(false)
+	}
+	g.index[id] = int32(len(g.nodes))
+	g.nodes = append(g.nodes, node{id: id})
+	return &g.nodes[len(g.nodes)-1]
 }
 
 // AddNode inserts (or repositions) a node with the given coordinates.
-func (g *Graph) AddNode(id NodeID, c Coord) {
-	n := g.nodes[id]
-	n.coord = c
-	g.nodes[id] = n
-}
+func (g *Graph) AddNode(id NodeID, c Coord) { g.findOrAdd(id).coord = c }
 
 // HasNode reports whether id is a node of g.
 func (g *Graph) HasNode(id NodeID) bool {
-	_, ok := g.nodes[id]
+	_, ok := g.index[id]
 	return ok
 }
 
 // Coord returns the coordinates of id. Nodes added implicitly by AddEdge
 // have the zero coordinate until repositioned.
-func (g *Graph) Coord(id NodeID) Coord { return g.nodes[id].coord }
+func (g *Graph) Coord(id NodeID) Coord { return g.at(id).coord }
 
 // AddEdge inserts a directed edge. Unknown endpoints are added with zero
 // coordinates. Parallel edges are permitted (the relational model allows
 // duplicate connections with different weights); most callers avoid them.
 func (g *Graph) AddEdge(e Edge) {
-	from := g.nodes[e.From]
+	from := g.findOrAdd(e.From)
 	from.out = append(from.out, e)
-	g.nodes[e.From] = from
-	// Read the head only after the tail is stored: a self-loop edits one
-	// entry twice.
-	to := g.nodes[e.To]
+	// Look the head up only after the tail is stored: adding it can move
+	// the records, and a self-loop edits one record twice.
+	to := g.findOrAdd(e.To)
 	to.in = append(to.in, e)
-	g.nodes[e.To] = to
 	g.edges++
 }
 
@@ -112,16 +140,14 @@ func (g *Graph) AddEdge(e Edge) {
 // a clone plus k edits costs the clone plus the touched endpoints'
 // lists, and shares everything else.
 func (g *Graph) RemoveEdge(e Edge) bool {
-	from := g.nodes[e.From]
+	from := g.at(e.From)
 	out, ok := withoutEdge(from.out, e)
 	if !ok {
 		return false
 	}
 	from.out = out
-	g.nodes[e.From] = from
-	to := g.nodes[e.To]
+	to := g.at(e.To)
 	to.in, _ = withoutEdge(to.in, e)
-	g.nodes[e.To] = to
 	g.edges--
 	return true
 }
@@ -140,16 +166,17 @@ func withoutEdge(es []Edge, e Edge) ([]Edge, bool) {
 // adjacency in one shot: out holds every edge leaving id, in every
 // edge entering it. This is the bulk path for loaders and site
 // builders that bucket an edge volume into contiguous per-node runs —
-// one map write per node instead of two map appends per edge. The
-// caller guarantees id is not already a node, that both endpoints of
-// every edge are (or will be) installed, and that the global out/in
+// one record appended per node instead of two list appends per edge.
+// The caller guarantees id is not already a node, that both endpoints
+// of every edge are (or will be) installed, and that the global out/in
 // multisets agree. The slices are adopted, not copied;
 // they may share backing arrays with other graphs, which is safe
 // because nothing in this package mutates an installed adjacency list
 // in place (updates rebuild copy-on-write) — callers clamp shared
 // slices (s[:len:len]) so a later append reallocates.
 func (g *Graph) InstallNode(id NodeID, c Coord, out, in []Edge) {
-	g.nodes[id] = node{coord: c, out: out, in: in}
+	n := g.findOrAdd(id)
+	n.coord, n.out, n.in = c, out, in
 	g.edges += len(out)
 }
 
@@ -163,7 +190,7 @@ func (g *Graph) AddBoth(e Edge) {
 
 // HasEdge reports whether at least one edge from 'from' to 'to' exists.
 func (g *Graph) HasEdge(from, to NodeID) bool {
-	for _, e := range g.nodes[from].out {
+	for _, e := range g.Out(from) {
 		if e.To == to {
 			return true
 		}
@@ -177,43 +204,49 @@ func (g *Graph) NumNodes() int { return len(g.nodes) }
 // NumEdges returns the number of directed edges.
 func (g *Graph) NumEdges() int { return g.edges }
 
+// order returns the dense indices in ascending id order (the order
+// generators and loaders add nodes in: the sort sees that).
+func (g *Graph) order() []int32 {
+	ord := make([]int32, len(g.nodes))
+	for i := range ord {
+		ord[i] = int32(i)
+	}
+	slices.SortFunc(ord, func(a, b int32) int { return cmp.Compare(g.nodes[a].id, g.nodes[b].id) })
+	return ord
+}
+
 // Nodes returns all node IDs in ascending order. The deterministic order
 // keeps every downstream algorithm reproducible for a fixed seed.
 func (g *Graph) Nodes() []NodeID {
-	ids := make([]NodeID, 0, len(g.nodes))
-	for id := range g.nodes {
-		ids = append(ids, id)
+	ids := make([]NodeID, len(g.nodes))
+	for i := range g.nodes {
+		ids[i] = g.nodes[i].id
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
 // Edges returns a copy of all edges, ordered by (From, To, Weight).
 func (g *Graph) Edges() []Edge {
 	es := make([]Edge, 0, g.edges)
-	for _, id := range g.Nodes() {
-		es = append(es, g.nodes[id].out...)
+	// Nodes ascending: only each node's own short list is left to sort.
+	for _, i := range g.order() {
+		own := len(es)
+		es = append(es, g.nodes[i].out...)
+		slices.SortFunc(es[own:], func(a, b Edge) int {
+			return cmp.Or(cmp.Compare(a.To, b.To), cmp.Compare(a.Weight, b.Weight))
+		})
 	}
-	sort.Slice(es, func(i, j int) bool {
-		a, b := es[i], es[j]
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		if a.To != b.To {
-			return a.To < b.To
-		}
-		return a.Weight < b.Weight
-	})
 	return es
 }
 
 // Out returns the outgoing edges of id. The returned slice is owned by
 // the graph and must not be modified.
-func (g *Graph) Out(id NodeID) []Edge { return g.nodes[id].out }
+func (g *Graph) Out(id NodeID) []Edge { return g.at(id).out }
 
 // In returns the incoming edges of id. The returned slice is owned by
 // the graph and must not be modified.
-func (g *Graph) In(id NodeID) []Edge { return g.nodes[id].in }
+func (g *Graph) In(id NodeID) []Edge { return g.at(id).in }
 
 // Grade returns the grade of a node in the paper's sense (§3.1): the
 // number of edges adjacent to it. For the symmetric graphs the paper
@@ -227,7 +260,7 @@ func (g *Graph) Grade(id NodeID) int {
 // in either direction, excluding id itself (self-loops contribute no
 // neighbour).
 func (g *Graph) undirectedNeighbors(id NodeID) map[NodeID]struct{} {
-	n := g.nodes[id]
+	n := g.at(id)
 	nbs := make(map[NodeID]struct{})
 	for _, e := range n.out {
 		if e.To != id {
@@ -250,7 +283,7 @@ func (g *Graph) Neighbors(id NodeID) []NodeID {
 	for n := range set {
 		ids = append(ids, n)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -261,13 +294,22 @@ func (g *Graph) Neighbors(id NodeID) []NodeID {
 // base graph and replays a batch's edits on the clone, which then owns
 // the touched endpoints' lists and shares the rest; like every graph,
 // the clone's installed lists must never be edited in place.
+//
+// The clone is one copy of the record slice and hashes no node: it
+// reads g's id → index map, which whichever of the two first adds a
+// node copies before writing (the write path's edge edits never do).
+// All it stores in g is the atomic "map is shared" mark, so a graph
+// being searched can be cloned.
 func (g *Graph) CloneShared() *Graph {
-	c := NewWithCapacity(len(g.nodes))
-	for id, n := range g.nodes {
+	c := &Graph{nodes: make([]node, len(g.nodes)), index: g.index, edges: g.edges}
+	for i, n := range g.nodes {
 		n.out, n.in = slices.Clip(n.out), slices.Clip(n.in)
-		c.nodes[id] = n
+		c.nodes[i] = n
 	}
-	c.edges = g.edges
+	if !g.indexShared.Load() {
+		g.indexShared.Store(true)
+	}
+	c.indexShared.Store(true)
 	return c
 }
 
@@ -276,15 +318,14 @@ func (g *Graph) CloneShared() *Graph {
 // g). This is how a fragment R_i induces the subgraph G_i of the paper.
 func (g *Graph) Subgraph(edges []Edge) *Graph {
 	// Pre-size for the sparse-graph common case (average degree ≥ 2)
-	// to skip most incremental map growth on a path that runs once per
+	// to skip most incremental growth on a path that runs once per
 	// fragment per (re)build.
 	s := NewWithCapacity(len(edges) / 2)
 	for _, e := range edges {
 		s.AddEdge(e)
 	}
-	for id, n := range s.nodes {
-		n.coord = g.nodes[id].coord
-		s.nodes[id] = n
+	for i := range s.nodes {
+		s.nodes[i].coord = g.Coord(s.nodes[i].id)
 	}
 	return s
 }

@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -103,6 +103,6 @@ func Read(r io.Reader) (*Graph, error) {
 // SortNodeIDs sorts a slice of node IDs in place and returns it, for
 // deterministic printing by callers.
 func SortNodeIDs(ids []NodeID) []NodeID {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }

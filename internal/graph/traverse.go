@@ -1,42 +1,185 @@
 package graph
 
 import (
-	"container/heap"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Inf is the distance reported for unreachable nodes.
 var Inf = math.Inf(1)
 
+// adjacency is a snapshot of a graph's edges in index form: row k is
+// node ids[k] (ascending, as Nodes()), its neighbours to[off[k]:off[k+1]]
+// with weights w, every id already resolved to its row. Read-only once
+// built, so goroutines share it; stale once the graph is edited.
+type adjacency struct {
+	ids []NodeID
+	off []int32
+	to  []int32
+	w   []float64
+}
+
+// adjacency snapshots g's out-edges (undirected: its in-edges too,
+// reversed): one id → index lookup per edge here, none in the searches.
+func (g *Graph) adjacency(undirected bool) *adjacency {
+	ord := g.order()
+	a := &adjacency{
+		ids: make([]NodeID, len(ord)),
+		off: make([]int32, len(ord)+1),
+		to:  make([]int32, 0, g.edges),
+		w:   make([]float64, 0, g.edges),
+	}
+	row := make([]int32, len(ord)) // dense index → row
+	for k, i := range ord {
+		row[i], a.ids[k] = int32(k), g.nodes[i].id
+	}
+	add := func(id NodeID, w float64) {
+		if j, ok := g.index[id]; ok {
+			a.to, a.w = append(a.to, row[j]), append(a.w, w)
+		}
+	}
+	for k, i := range ord {
+		for _, e := range g.nodes[i].out {
+			add(e.To, e.Weight)
+		}
+		if undirected {
+			for _, e := range g.nodes[i].in {
+				add(e.From, e.Weight)
+			}
+		}
+		a.off[k+1] = int32(len(a.to))
+	}
+	return a
+}
+
+// searcher runs searches over one snapshot on rows it reuses: dist[k]
+// is the cost (or level) of ids[k], Inf when the last search did not
+// reach it; pred[k] the row it was reached from, -1 for a seed.
+type searcher struct {
+	adj     *adjacency
+	dist    []float64
+	pred    []int32
+	done    []bool
+	heap    []heapItem
+	reached int
+}
+
+type heapItem struct {
+	dist float64
+	row  int32
+}
+
+func newSearcher(adj *adjacency) *searcher {
+	n := len(adj.ids)
+	return &searcher{adj: adj, dist: make([]float64, n), pred: make([]int32, n), done: make([]bool, n)}
+}
+
+// search forgets the previous search and runs one from the seeds: by
+// cost (Dijkstra), or by level over unit weights when hops is set.
+// Seeds that are not nodes or have a negative cost are ignored.
+func (s *searcher) search(hops bool, seeds map[NodeID]float64) {
+	for k := range s.dist {
+		s.dist[k], s.pred[k] = Inf, -1
+	}
+	clear(s.done)
+	s.heap, s.reached = s.heap[:0], 0
+	for id, cost := range seeds {
+		if k, ok := slices.BinarySearch(s.adj.ids, id); ok && cost >= 0 && cost < Inf {
+			s.dist[k] = cost
+			s.push(heapItem{cost, int32(k)})
+		}
+	}
+	// Unit weights reach rows in level order: there the queue is the
+	// slice read front to back; otherwise a heap, which pop shrinks.
+	adj := s.adj
+	for head := 0; head < len(s.heap); {
+		var it heapItem
+		if hops {
+			it, head = s.heap[head], head+1
+		} else {
+			it = s.pop()
+		}
+		u := it.row
+		if s.done[u] || it.dist > s.dist[u] {
+			continue
+		}
+		s.done[u] = true
+		s.reached++
+		for j := adj.off[u]; j < adj.off[u+1]; j++ {
+			v, nd := adj.to[j], it.dist+1
+			if !hops {
+				nd = it.dist + adj.w[j]
+			}
+			if nd < s.dist[v] {
+				s.dist[v], s.pred[v] = nd, u
+				if hops {
+					s.heap = append(s.heap, heapItem{nd, v})
+				} else {
+					s.push(heapItem{nd, v})
+				}
+			}
+		}
+	}
+}
+
+// push and pop are container/heap's binary min-heap on dist, typed: the
+// same sifts, so equal-cost entries leave in the order they always did
+// and predecessor trees — hence reconstructed routes — do not move.
+func (s *searcher) push(it heapItem) {
+	s.heap = append(s.heap, it)
+	j := len(s.heap) - 1
+	for i := (j - 1) / 2; j > 0 && it.dist < s.heap[i].dist; i = (j - 1) / 2 {
+		s.heap[j], j = s.heap[i], i
+	}
+	s.heap[j] = it
+}
+
+func (s *searcher) pop() heapItem {
+	h, n := s.heap, len(s.heap)-1
+	top, it := h[0], h[n]
+	i := 0
+	for j := 1; j < n; j = 2*i + 1 {
+		if j+1 < n && h[j+1].dist < h[j].dist {
+			j++
+		}
+		if !(h[j].dist < it.dist) {
+			break
+		}
+		h[i], i = h[j], j
+	}
+	h[i] = it
+	s.heap = h[:n]
+	return top
+}
+
+// Searches returns n single-source search functions over g as it is
+// now, one for each goroutine that wants to search: they share one
+// index-form snapshot of g's adjacency, taken here, and each owns the
+// rows it returns. A search runs from src — Dijkstra over the edge
+// weights, or breadth-first over hop counts when hops is set — and
+// returns nodes, g's node set in ascending order; dist[k], the cost
+// (hop count) from src to nodes[k], Inf when there is no path; and
+// pred[k], the row nodes[k] was reached from, -1 for src and unreached
+// nodes. The rows are read-only and good until that function's next
+// call: no search allocates, where ShortestPaths builds two maps.
+func (g *Graph) Searches(n int) []func(src NodeID, hops bool) (nodes []NodeID, dist []float64, pred []int32) {
+	adj := g.adjacency(false)
+	searches := make([]func(NodeID, bool) ([]NodeID, []float64, []int32), n)
+	for i := range searches {
+		s := newSearcher(adj)
+		searches[i] = func(src NodeID, hops bool) ([]NodeID, []float64, []int32) {
+			s.search(hops, map[NodeID]float64{src: 0})
+			return adj.ids, s.dist, s.pred
+		}
+	}
+	return searches
+}
+
 // BFSLevels returns, for every node reachable from the sources by
 // directed edges, its hop distance (level) from the nearest source.
 // Sources themselves are at level 0.
 func (g *Graph) BFSLevels(sources ...NodeID) map[NodeID]int {
-	levels := make(map[NodeID]int)
-	frontier := make([]NodeID, 0, len(sources))
-	for _, s := range sources {
-		if !g.HasNode(s) {
-			continue
-		}
-		if _, seen := levels[s]; !seen {
-			levels[s] = 0
-			frontier = append(frontier, s)
-		}
-	}
-	for depth := 1; len(frontier) > 0; depth++ {
-		var next []NodeID
-		for _, u := range frontier {
-			for _, e := range g.nodes[u].out {
-				if _, seen := levels[e.To]; !seen {
-					levels[e.To] = depth
-					next = append(next, e.To)
-				}
-			}
-		}
-		frontier = next
-	}
-	return levels
+	return g.bfsLevels(false, sources)
 }
 
 // UndirectedBFSLevels is BFSLevels over the underlying undirected graph
@@ -44,28 +187,21 @@ func (g *Graph) BFSLevels(sources ...NodeID) map[NodeID]int {
 // status score and the generator's cluster checks use undirected
 // distances, matching the symmetric transportation networks of the paper.
 func (g *Graph) UndirectedBFSLevels(sources ...NodeID) map[NodeID]int {
-	levels := make(map[NodeID]int)
-	frontier := make([]NodeID, 0, len(sources))
-	for _, s := range sources {
-		if !g.HasNode(s) {
-			continue
-		}
-		if _, seen := levels[s]; !seen {
-			levels[s] = 0
-			frontier = append(frontier, s)
-		}
+	return g.bfsLevels(true, sources)
+}
+
+func (g *Graph) bfsLevels(undirected bool, sources []NodeID) map[NodeID]int {
+	seeds := make(map[NodeID]float64, len(sources))
+	for _, id := range sources {
+		seeds[id] = 0
 	}
-	for depth := 1; len(frontier) > 0; depth++ {
-		var next []NodeID
-		for _, u := range frontier {
-			for n := range g.undirectedNeighbors(u) {
-				if _, seen := levels[n]; !seen {
-					levels[n] = depth
-					next = append(next, n)
-				}
-			}
+	s := newSearcher(g.adjacency(undirected))
+	s.search(true, seeds)
+	levels := make(map[NodeID]int, s.reached)
+	for k, d := range s.dist {
+		if d < Inf {
+			levels[s.adj.ids[k]] = int(d)
 		}
-		frontier = next
 	}
 	return levels
 }
@@ -73,8 +209,9 @@ func (g *Graph) UndirectedBFSLevels(sources ...NodeID) map[NodeID]int {
 // Reachable returns the set of nodes reachable from the sources by
 // directed edges, including the sources.
 func (g *Graph) Reachable(sources ...NodeID) map[NodeID]struct{} {
-	set := make(map[NodeID]struct{})
-	for id := range g.BFSLevels(sources...) {
+	levels := g.BFSLevels(sources...)
+	set := make(map[NodeID]struct{}, len(levels))
+	for id := range levels {
 		set[id] = struct{}{}
 	}
 	return set
@@ -104,31 +241,10 @@ func (g *Graph) ConnectedComponents() [][]NodeID {
 				}
 			}
 		}
-		sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
+		slices.Sort(comp)
 		comps = append(comps, comp)
 	}
 	return comps
-}
-
-// pqItem is an entry of the Dijkstra priority queue.
-type pqItem struct {
-	node NodeID
-	dist float64
-}
-
-// pq is a binary min-heap of pqItem ordered by dist.
-type pq []pqItem
-
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
 }
 
 // ShortestPaths runs Dijkstra from source over the directed edges and
@@ -136,30 +252,7 @@ func (q *pq) Pop() interface{} {
 // distance map are unreachable. Negative weights are not supported (the
 // paper's path problems are cost networks with non-negative costs).
 func (g *Graph) ShortestPaths(source NodeID) (dist map[NodeID]float64, pred map[NodeID]NodeID) {
-	dist = make(map[NodeID]float64)
-	pred = make(map[NodeID]NodeID)
-	if !g.HasNode(source) {
-		return dist, pred
-	}
-	dist[source] = 0
-	q := &pq{{node: source, dist: 0}}
-	done := make(map[NodeID]struct{})
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
-		if _, ok := done[it.node]; ok {
-			continue
-		}
-		done[it.node] = struct{}{}
-		for _, e := range g.nodes[it.node].out {
-			nd := it.dist + e.Weight
-			if old, ok := dist[e.To]; !ok || nd < old {
-				dist[e.To] = nd
-				pred[e.To] = it.node
-				heap.Push(q, pqItem{node: e.To, dist: nd})
-			}
-		}
-	}
-	return dist, pred
+	return g.ShortestPathsMulti(map[NodeID]float64{source: 0})
 }
 
 // ShortestPathsMulti runs Dijkstra from a set of sources with given
@@ -168,36 +261,14 @@ func (g *Graph) ShortestPaths(source NodeID) (dist map[NodeID]float64, pred map[
 // running cost vector of the previous fragments seeds the next
 // fragment's search.
 func (g *Graph) ShortestPathsMulti(seeds map[NodeID]float64) (dist map[NodeID]float64, pred map[NodeID]NodeID) {
-	dist = make(map[NodeID]float64)
-	pred = make(map[NodeID]NodeID)
-	q := &pq{}
-	for s, c := range seeds {
-		if !g.HasNode(s) || c < 0 {
-			continue
-		}
-		if old, ok := dist[s]; !ok || c < old {
-			dist[s] = c
-		}
-	}
-	for s, c := range dist {
-		heap.Push(q, pqItem{node: s, dist: c})
-	}
-	done := make(map[NodeID]struct{})
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
-		if _, ok := done[it.node]; ok {
-			continue
-		}
-		if it.dist > dist[it.node] {
-			continue
-		}
-		done[it.node] = struct{}{}
-		for _, e := range g.nodes[it.node].out {
-			nd := it.dist + e.Weight
-			if old, ok := dist[e.To]; !ok || nd < old {
-				dist[e.To] = nd
-				pred[e.To] = it.node
-				heap.Push(q, pqItem{node: e.To, dist: nd})
+	s := newSearcher(g.adjacency(false))
+	s.search(false, seeds)
+	dist, pred = make(map[NodeID]float64, s.reached), make(map[NodeID]NodeID, s.reached)
+	for k, d := range s.dist {
+		if d < Inf {
+			dist[s.adj.ids[k]] = d
+			if p := s.pred[k]; p >= 0 {
+				pred[s.adj.ids[k]] = s.adj.ids[p]
 			}
 		}
 	}
@@ -207,9 +278,9 @@ func (g *Graph) ShortestPathsMulti(seeds map[NodeID]float64) (dist map[NodeID]fl
 // Distance returns the shortest-path cost from 'from' to 'to', or Inf if
 // unreachable.
 func (g *Graph) Distance(from, to NodeID) float64 {
-	dist, _ := g.ShortestPaths(from)
-	if d, ok := dist[to]; ok {
-		return d
+	nodes, dist, _ := g.Searches(1)[0](from, false)
+	if k, ok := slices.BinarySearch(nodes, to); ok {
+		return dist[k]
 	}
 	return Inf
 }
@@ -248,10 +319,12 @@ func PathTo(source, to NodeID, dist map[NodeID]float64, pred map[NodeID]NodeID) 
 // drives the workload estimate of the center-based algorithm.
 func (g *Graph) Diameter() int {
 	maxHops := 0
-	for _, s := range g.Nodes() {
-		for _, lvl := range g.BFSLevels(s) {
-			if lvl > maxHops {
-				maxHops = lvl
+	search := g.Searches(1)
+	for _, src := range g.Nodes() {
+		_, levels, _ := search[0](src, true)
+		for _, lvl := range levels {
+			if lvl < Inf && int(lvl) > maxHops {
+				maxHops = int(lvl)
 			}
 		}
 	}
@@ -262,7 +335,7 @@ func (g *Graph) Diameter() int {
 // of two nodes; it is the d(p, q) of the generator's probability
 // function P(p,q) = (c1/n²)·e^(−c2·d(p,q)) (§4.1).
 func (g *Graph) EuclideanDistance(p, q NodeID) float64 {
-	cp, cq := g.nodes[p].coord, g.nodes[q].coord
+	cp, cq := g.Coord(p), g.Coord(q)
 	dx, dy := cp.X-cq.X, cp.Y-cq.Y
 	return math.Sqrt(dx*dx + dy*dy)
 }

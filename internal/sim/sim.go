@@ -221,8 +221,14 @@ func (c *Cluster) CentralizedElapsed(ctx context.Context, source graph.NodeID, e
 	base := c.store.Fragmentation().Base()
 	switch engine {
 	case dsa.EngineDijkstra:
-		dist, _ := base.ShortestPaths(source)
-		sec := float64(len(dist)+base.NumEdges()) / c.cost.TupleRate
+		reached := 0
+		_, levels, _ := base.Searches(1)[0](source, true)
+		for _, l := range levels {
+			if l < graph.Inf {
+				reached++
+			}
+		}
+		sec := float64(reached+base.NumEdges()) / c.cost.TupleRate
 		return time.Duration(sec * float64(time.Second)), nil
 	case dsa.EngineSemiNaive, dsa.EngineBitset, dsa.EngineDense:
 		// Charge the engine's own work units on the full graph: derived

@@ -217,3 +217,57 @@ func TestReadersNeverBlockOnWriters(t *testing.T) {
 		t.Fatal("writer never applied a batch")
 	}
 }
+
+// TestApplyBesideQueryPath is for -race: route reconstruction searches
+// the pinned snapshot's base graph while every Apply clones that very
+// graph (graph.CloneShared) for the next generation. The clone may not
+// write anything a search reads, and every route stays a valid path of
+// the optimal cost.
+func TestApplyBesideQueryPath(t *testing.T) {
+	c, g := gridClient(t, 8, 8, 2, BuildOptions{})
+	ds := c.Dataset()
+	ctx := context.Background()
+	want := g.Distance(0, 63)
+
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var b Batch
+			b.Insert(0, 0, 63, 1e9).Delete(0, 0, 63, 1e9)
+			if _, err := ds.Apply(ctx, &b); err != nil {
+				t.Errorf("writer: %v", err)
+				return
+			}
+		}
+	}()
+
+	var readers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; i < 20; i++ {
+				ans, route, err := c.QueryPath(ctx, 0, 63)
+				if err != nil {
+					t.Errorf("reader: %v", err)
+					return
+				}
+				if err := route.Validate(g); err != nil || math.Abs(ans.Cost-want) > 1e-9 {
+					t.Errorf("reader: cost %v (want %v), route %v: %v", ans.Cost, want, route.Nodes, err)
+					return
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	writer.Wait()
+}

@@ -15,6 +15,11 @@
 #               internal/cluster, the two CSR kernels): it validates and
 #               copies one row at a time — leg tables are built in bulk
 #               and adopted by dsa.NewLegTable / relation.NewSortedBy
+#   graph       no container/heap and no sort.Slice in internal/graph
+#               (its searches run on a typed heap over index-addressed
+#               rows, its listings on slices.Sort), and no map-returning
+#               base.ShortestPaths in the preprocessing (internal/dsa/
+#               store.go): computeComp reads rows from graph.Searches
 #
 # Usage: scripts/lint.sh
 set -euo pipefail
@@ -54,6 +59,13 @@ echo "== rows"
 if grep -Hn 'MustInsert(' internal/tc/densecost.go internal/tc/bitset.go ||
     grep -rn 'MustInsert(' --include='*.go' internal/dsa internal/cluster | grep -v '_test\.go:'; then
     echo "FAIL: build leg rows in bulk and hand them to dsa.NewLegTable instead of MustInsert"
+    exit 1
+fi
+
+echo "== graph"
+if grep -n -e '"container/heap"' -e 'sort\.Slice(' $(ls internal/graph/*.go | grep -v '_test\.go$') ||
+    grep -Hn 'base\.ShortestPaths(' internal/dsa/store.go; then
+    echo "FAIL: search on graph.Searches rows (typed heap, slices.Sort), not container/heap, sort.Slice or per-search maps"
     exit 1
 fi
 
