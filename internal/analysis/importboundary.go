@@ -29,8 +29,10 @@ type boundaryRule struct {
 }
 
 // boundaryRules is the project's layering contract. Test files are
-// exempt wholesale (the loader never parses them): oracles and
-// fixtures legitimately reach across layers.
+// exempt wholesale (the loader never parses them), and internal/oracle is
+// the reason: its non-test half imports pkg/tcq only, while its tests
+// stand one generation up through every layer at once — facade, store
+// directory, server, cluster — to hold them to each other.
 var boundaryRules = []boundaryRule{
 	{
 		target: "repro/internal/dsa",

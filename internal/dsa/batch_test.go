@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -207,9 +206,6 @@ func TestApplyCopyOnWrite(t *testing.T) {
 	}
 	if newRes.Cost != 3 { // 0→1 (1) + 1→7 (1) + 7→8 (1)
 		t.Errorf("new snapshot cost = %v, want 3", newRes.Cost)
-	}
-	if want := next.Fragmentation().Base().Distance(0, 8); math.Abs(newRes.Cost-want) > 1e-9 {
-		t.Errorf("store %v vs global %v", newRes.Cost, want)
 	}
 }
 
@@ -620,9 +616,9 @@ var applyTopologies = []struct {
 // checkApplySeries is the body shared by the property test and the
 // fuzz target: apply a series of random batches, each to the store the
 // previous one produced, and after every batch hold the patched store
-// against a store built from scratch over the mutated edge sets — first
-// structurally (storeDiff), then by sampled answers. It returns the
-// first disagreement.
+// against a store built from scratch over the mutated edge sets,
+// structurally (storeDiff; that equal stores answer alike, and like
+// Dijkstra, is internal/oracle's). It returns the first difference.
 func checkApplySeries(rng *rand.Rand, fr *fragment.Fragmentation, problem Problem, batches, maxOps int, cases *opCases) error {
 	st, err := Build(fr, Options{Problem: problem})
 	if err != nil {
@@ -632,10 +628,6 @@ func checkApplySeries(rng *rand.Rand, fr *fragment.Fragmentation, problem Proble
 	sets := make([][]graph.Edge, fr.NumFragments())
 	for i, f := range fr.Fragments() {
 		sets[i] = append([]graph.Edge(nil), f.Edges...)
-	}
-	engine := EngineDijkstra
-	if problem == ProblemReachability {
-		engine = EngineBitset
 	}
 	for b := 0; b < batches; b++ {
 		ops := randomOps(rng, nodes, sets, 1+rng.Intn(maxOps), cases)
@@ -651,20 +643,6 @@ func checkApplySeries(rng *rand.Rand, fr *fragment.Fragmentation, problem Proble
 			return fmt.Errorf("batch %d %v: %v", b, ops, err)
 		}
 		countCases(cases, st.Fragmentation(), next.Fragmentation(), stats)
-		for q := 0; q < 8; q++ {
-			src, dst := nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]
-			a, errA := runPair(next, src, dst, engine, false)
-			w, errW := runPair(fresh, src, dst, engine, false)
-			if (errA == nil) != (errW == nil) || errors.Is(errA, ErrUnknownNode) != errors.Is(errW, ErrUnknownNode) {
-				return fmt.Errorf("batch %d %v: query(%d,%d): %v, fresh build %v", b, ops, src, dst, errA, errW)
-			}
-			if errA != nil {
-				continue // both refuse a node the deletes left in no fragment
-			}
-			if a.Reachable != w.Reachable || (problem == ProblemShortestPath && a.Reachable && math.Abs(a.Cost-w.Cost) > 1e-9) {
-				return fmt.Errorf("batch %d %v: query(%d,%d): %v/%v, fresh build %v/%v", b, ops, src, dst, a.Reachable, a.Cost, w.Reachable, w.Cost)
-			}
-		}
 		st = next
 	}
 	return nil
@@ -697,11 +675,11 @@ func countCases(cases *opCases, old, next *fragment.Fragmentation, stats BatchSt
 }
 
 // TestPropertyApplyEqualsFreshBuild: after every batch of a random
-// series, the patched store is structurally equal to, and answers
-// exactly like, a store built from scratch over the mutated graph — for
-// both problems, on loosely connected and cyclic fragmentations. This
-// is the correctness contract that lets the write path patch instead of
-// rebuild: no fragment.New, no whole-store preprocessing.
+// series, the patched store is structurally equal to a store built from
+// scratch over the mutated graph — for both problems, on loosely
+// connected and cyclic fragmentations. This is the correctness contract
+// that lets the write path patch instead of rebuild: no fragment.New, no
+// whole-store preprocessing.
 func TestPropertyApplyEqualsFreshBuild(t *testing.T) {
 	var cases opCases
 	for _, problem := range []Problem{ProblemShortestPath, ProblemReachability} {
@@ -733,70 +711,9 @@ func TestPropertyApplyEqualsFreshBuild(t *testing.T) {
 	}
 }
 
-// TestPropertyUpdateSeriesPreservesExactness: after a random series of
-// single-op inserts and deletes, each applied to the store the previous
-// one produced, the store still answers exactly like global Dijkstra on
-// its (current) base graph.
-func TestPropertyUpdateSeriesPreservesExactness(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		st, _, err := buildLinearStore(seed, 2, 8, 2)
-		if err != nil {
-			return false
-		}
-		for step := 0; step < 3; step++ {
-			nodes := st.Fragmentation().Base().Nodes()
-			frag := rng.Intn(st.Fragmentation().NumFragments())
-			var op EdgeOp
-			if rng.Intn(2) == 0 {
-				u := nodes[rng.Intn(len(nodes))]
-				v := nodes[rng.Intn(len(nodes))]
-				if u == v {
-					continue
-				}
-				op = EdgeOp{Kind: OpInsert, Frag: frag, Edge: graph.Edge{From: u, To: v, Weight: 1 + rng.Float64()*5}}
-			} else {
-				// Skip a delete that would empty the fragment.
-				edges := st.Fragmentation().Fragment(frag).Edges
-				if len(edges) < 2 {
-					continue
-				}
-				op = EdgeOp{Kind: OpDelete, Frag: frag, Edge: edges[rng.Intn(len(edges))]}
-			}
-			if st, _, err = st.Apply(context.Background(), []EdgeOp{op}); err != nil {
-				return false
-			}
-			// Spot-check exactness (only when still loosely connected;
-			// inserts can create cycles in G').
-			if !st.LooselyConnected() {
-				continue
-			}
-			base := st.Fragmentation().Base()
-			nodes = base.Nodes()
-			src := nodes[rng.Intn(len(nodes))]
-			dst := nodes[rng.Intn(len(nodes))]
-			res, err := runPair(st, src, dst, EngineDijkstra, false)
-			if err != nil {
-				return false
-			}
-			want := base.Distance(src, dst)
-			if res.Reachable != !math.IsInf(want, 1) {
-				return false
-			}
-			if res.Reachable && math.Abs(res.Cost-want) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Error(err)
-	}
-}
-
 // FuzzApply drives random batch series from fuzzed inputs through the
 // patching write path and holds every resulting store against the
-// from-scratch build, structurally and by sampled answers.
+// from-scratch build, structurally.
 func FuzzApply(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(0))
 	f.Add(int64(7), uint8(5), uint8(1))

@@ -231,14 +231,23 @@ func TestPlanErrors(t *testing.T) {
 	if _, err := st.NewPlan(0, 99); err == nil {
 		t.Error("unknown target accepted")
 	}
+	// A node of the graph that no fragment holds is not unknown: it is
+	// unreachable, except from itself.
 	g.AddNode(50, graph.Coord{})
-	if _, err := st.NewPlan(50, 0); err == nil {
-		t.Error("isolated source accepted")
+	for _, q := range [][2]graph.NodeID{{50, 0}, {0, 50}, {50, 50}} {
+		p, err := st.NewPlan(q[0], q[1])
+		if err != nil || len(p.Chains) != 0 || len(p.Legs) != 0 {
+			t.Fatalf("NewPlan(%d, %d) = %+v, %v; want a chain-less plan", q[0], q[1], p, err)
+		}
+		res, err := st.RunPlanCtx(context.Background(), p, EngineDijkstra, false)
+		if err != nil || res.Reachable != (q[0] == q[1]) {
+			t.Errorf("isolated %d→%d: %+v, %v; want Reachable=%v", q[0], q[1], res, err, q[0] == q[1])
+		}
 	}
 }
 
 func TestQueryChainCost(t *testing.T) {
-	st, g := pathStore(t)
+	st, _ := pathStore(t)
 	for _, engine := range []Engine{EngineDijkstra, EngineSemiNaive} {
 		res, err := runPair(st, 0, 8, engine, false)
 		if err != nil {
@@ -246,9 +255,6 @@ func TestQueryChainCost(t *testing.T) {
 		}
 		if !res.Reachable || res.Cost != 8 {
 			t.Errorf("engine %d: cost = %v, want 8", engine, res.Cost)
-		}
-		if want := g.Distance(0, 8); res.Cost != want {
-			t.Errorf("engine %d: cost = %v, global = %v", engine, res.Cost, want)
 		}
 		if len(res.BestChain) != 3 {
 			t.Errorf("best chain = %v", res.BestChain)
@@ -478,41 +484,20 @@ func buildLinearStore(seed int64, clusters, perCluster, frags int) (*Store, *gra
 	return st, g, nil
 }
 
-// buildCyclicStore partitions a random general graph round-robin —
-// typically a cyclic fragmentation graph G'.
-func buildCyclicStore(seed int64, rng *rand.Rand) (*Store, *graph.Graph, error) {
-	g, err := gen.General(gen.Defaults(12+rng.Intn(10), seed))
-	if err != nil || g.NumEdges() < 4 {
-		return nil, nil, err
-	}
-	k := 2 + rng.Intn(3)
-	sets := make([][]graph.Edge, k)
-	for i, e := range g.Edges() {
-		sets[i%k] = append(sets[i%k], e)
-	}
-	fr, err := fragment.New(g, sets)
-	if err != nil {
-		return nil, nil, err
-	}
-	st, err := Build(fr, Options{MaxChains: 50})
-	if err != nil {
-		return nil, nil, err
-	}
-	return st, g, nil
-}
-
-// TestPropertyDSAMatchesGlobalDijkstra is the central correctness
-// property of the reproduction: for loosely connected fragmentations,
-// the disconnection set approach returns exactly the global
-// shortest-path cost, for random graphs, random queries, both engines
-// and both executors. On the same stores, on cyclic ones and for the
-// bitset engine's marker-1 facts, the assembly fold must agree exactly
-// with the relational reference it replaced.
+// TestPropertyDSAMatchesGlobalDijkstra: on loosely connected stores, on
+// cyclic ones and for the bitset engine's marker-1 facts, the assembly
+// fold agrees exactly with the relational reference it replaced. (That
+// the folded answers are Dijkstra's is internal/oracle's rule 2, for
+// every engine and every deployment.)
 func TestPropertyDSAMatchesGlobalDijkstra(t *testing.T) {
-	foldOK := func(st *Store, src, dst graph.NodeID) bool {
-		for _, engine := range []Engine{EngineDijkstra, EngineSemiNaive, EngineBitset} {
-			if ok, err := foldMatchesReference(st, src, dst, engine); err != nil || !ok {
-				return false
+	foldOK := func(st *Store, g *graph.Graph, rng *rand.Rand, queries int) bool {
+		nodes := g.Nodes()
+		for q := 0; q < queries; q++ {
+			src, dst := nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]
+			for _, engine := range []Engine{EngineDijkstra, EngineSemiNaive, EngineBitset} {
+				if ok, err := foldMatchesReference(st, src, dst, engine); err != nil || !ok {
+					return false
+				}
 			}
 		}
 		return true
@@ -520,85 +505,18 @@ func TestPropertyDSAMatchesGlobalDijkstra(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		st, g, err := buildLinearStore(seed, 2+rng.Intn(2), 8+rng.Intn(6), 2+rng.Intn(3))
+		if err != nil || !st.LooselyConnected() { // linear guarantees this
+			return false
+		}
+		if !foldOK(st, g, rng, 4) {
+			return false
+		}
+		fr, err := applyTopologies[2].build(seed) // center-based: several chains a pair
 		if err != nil {
 			return false
 		}
-		if !st.LooselyConnected() {
-			return false // linear guarantees this
-		}
-		nodes := g.Nodes()
-		for q := 0; q < 4; q++ {
-			src := nodes[rng.Intn(len(nodes))]
-			dst := nodes[rng.Intn(len(nodes))]
-			want := g.Distance(src, dst)
-			for _, engine := range []Engine{EngineDijkstra, EngineSemiNaive} {
-				res, err := runPair(st, src, dst, engine, false)
-				if err != nil {
-					return false
-				}
-				if res.Reachable != !math.IsInf(want, 1) {
-					return false
-				}
-				if res.Reachable && math.Abs(res.Cost-want) > 1e-9 {
-					return false
-				}
-			}
-			par, err := runPair(st, src, dst, EngineDijkstra, true)
-			if err != nil {
-				return false
-			}
-			if par.Reachable && math.Abs(par.Cost-want) > 1e-9 {
-				return false
-			}
-			if !foldOK(st, src, dst) {
-				return false
-			}
-		}
-		cyc, cg, err := buildCyclicStore(seed, rng)
-		if err != nil || cyc == nil {
-			return err == nil
-		}
-		nodes = cg.Nodes()
-		for q := 0; q < 3; q++ {
-			if !foldOK(cyc, nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestPropertyDSANeverUndershoots: even on cyclic fragmentation graphs
-// (where only chain-restricted paths are considered) the reported cost
-// is the cost of a real path, hence ≥ the global optimum; and
-// reachability is never over-reported.
-func TestPropertyDSANeverUndershoots(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		st, g, err := buildCyclicStore(seed, rng)
-		if err != nil || st == nil {
-			return err == nil
-		}
-		nodes := g.Nodes()
-		for q := 0; q < 3; q++ {
-			src := nodes[rng.Intn(len(nodes))]
-			dst := nodes[rng.Intn(len(nodes))]
-			res, err := runPair(st, src, dst, EngineDijkstra, false)
-			if err != nil {
-				return false
-			}
-			want := g.Distance(src, dst)
-			if res.Reachable && math.IsInf(want, 1) {
-				return false // over-reported reachability
-			}
-			if res.Reachable && res.Cost < want-1e-9 {
-				return false // cheaper than the global optimum: impossible
-			}
-		}
-		return true
+		cyc, err := Build(fr, Options{MaxChains: 50})
+		return err == nil && foldOK(cyc, fr.Base(), rng, 3)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)

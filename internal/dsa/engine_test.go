@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/fragment"
 	"repro/internal/fragment/linear"
@@ -47,48 +45,6 @@ func TestBitsetEngineAnswersConnectivity(t *testing.T) {
 	}
 }
 
-// TestPropertyEnginesAgreeOnConnectivity: on shortest-path stores over
-// random loosely connected fragmentations, all three engines give the
-// same Connected answer, which matches global reachability.
-func TestPropertyEnginesAgreeOnConnectivity(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		st, g, err := buildLinearStore(seed, 2+rng.Intn(2), 8+rng.Intn(6), 2+rng.Intn(3))
-		if err != nil {
-			return false
-		}
-		nodes := g.Nodes()
-		for q := 0; q < 4; q++ {
-			src := nodes[rng.Intn(len(nodes))]
-			dst := nodes[rng.Intn(len(nodes))]
-			_, want := g.Reachable(src)[dst]
-			if src == dst {
-				want = true // Connected's same-node fast path
-			}
-			for _, engine := range []Engine{EngineDijkstra, EngineSemiNaive, EngineBitset, EngineDense} {
-				got, err := reachable(st, src, dst, engine, false)
-				if err != nil {
-					return false
-				}
-				if got != want {
-					return false
-				}
-				gotP, err := reachable(st, src, dst, engine, true)
-				if err != nil {
-					return false
-				}
-				if gotP != want {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestDenseEngineAnswersCostQueries: the dense engine is cost-capable —
 // sequential and parallel runs agree with the Dijkstra engine on
 // both the multi-fragment chain and the same-fragment fast path.
@@ -114,53 +70,6 @@ func TestDenseEngineAnswersCostQueries(t *testing.T) {
 		if math.Abs(gotP.Cost-want.Cost) > 1e-9 {
 			t.Errorf("parallel query %v: dense cost %v, want %v", q, gotP.Cost, want.Cost)
 		}
-	}
-}
-
-// TestPropertyDenseEngineMatchesDijkstraCosts: on random loosely
-// connected fragmentations, the dense engine's query cost equals the
-// Dijkstra engine's for random node pairs (and the pipelined dense
-// mode agrees too).
-func TestPropertyDenseEngineMatchesDijkstraCosts(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		st, g, err := buildLinearStore(seed, 2+rng.Intn(2), 8+rng.Intn(6), 2+rng.Intn(3))
-		if err != nil {
-			return false
-		}
-		nodes := g.Nodes()
-		for q := 0; q < 4; q++ {
-			src := nodes[rng.Intn(len(nodes))]
-			dst := nodes[rng.Intn(len(nodes))]
-			want, err := runPair(st, src, dst, EngineDijkstra, false)
-			if err != nil {
-				return false
-			}
-			got, err := runPair(st, src, dst, EngineDense, false)
-			if err != nil {
-				return false
-			}
-			if got.Reachable != want.Reachable {
-				return false
-			}
-			if want.Reachable && math.Abs(got.Cost-want.Cost) > 1e-9 {
-				return false
-			}
-			pip, err := st.QueryPipelinedEngineCtx(context.Background(), src, dst, EngineDense)
-			if err != nil {
-				return false
-			}
-			if pip.Reachable != want.Reachable {
-				return false
-			}
-			if want.Reachable && math.Abs(pip.Cost-want.Cost) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -23,7 +23,8 @@ var (
 	// known set (shortestpath, reachability).
 	ErrUnknownProblem = errors.New("unknown problem")
 	// ErrUnknownNode reports a query endpoint that is not a node of the
-	// deployed graph (or is isolated, belonging to no fragment).
+	// deployed graph. A node of the graph that no fragment holds is known:
+	// it is unreachable, except from itself.
 	ErrUnknownNode = errors.New("unknown node")
 	// ErrUnknownSite reports a site/fragment ID outside the deployment.
 	ErrUnknownSite = errors.New("unknown site")

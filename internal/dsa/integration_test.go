@@ -3,98 +3,14 @@ package dsa
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/fragment"
-	"repro/internal/fragment/bea"
-	"repro/internal/fragment/center"
 	"repro/internal/fragment/linear"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
-
-// fragmenters runs every §3 algorithm against a graph, returning named
-// fragmentations for the full-pipeline integration tests.
-func fragmenters(g *graph.Graph, seed int64) (map[string]*fragment.Fragmentation, error) {
-	out := make(map[string]*fragment.Fragmentation)
-	if fr, err := center.Fragment(g, center.Options{NumFragments: 3, Distributed: true}); err == nil {
-		out["center"] = fr
-	} else {
-		return nil, err
-	}
-	if fr, err := bea.Fragment(g, bea.Options{Threshold: 3}); err == nil {
-		out["bea"] = fr
-	} else {
-		return nil, err
-	}
-	if res, err := linear.Fragment(g, linear.Options{NumFragments: 3}); err == nil {
-		out["linear"] = res.Fragmentation
-	} else {
-		return nil, err
-	}
-	return out, nil
-}
-
-// TestPropertyAllAlgorithmsEndToEnd is the full-pipeline integration
-// property: generate → fragment (each §3 algorithm) → build → query,
-// asserting exactness whenever the resulting fragmentation is loosely
-// connected, and soundness (no undershoot, no phantom reachability)
-// otherwise.
-func TestPropertyAllAlgorithmsEndToEnd(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g, err := gen.Transportation(gen.TransportConfig{
-			Clusters: 2 + rng.Intn(2),
-			Cluster:  gen.Defaults(8+rng.Intn(5), seed),
-		})
-		if err != nil {
-			return false
-		}
-		frs, err := fragmenters(g, seed)
-		if err != nil {
-			return false
-		}
-		nodes := g.Nodes()
-		for _, fr := range frs {
-			st, err := Build(fr, Options{MaxChains: 64})
-			if err != nil {
-				return false
-			}
-			loose := st.LooselyConnected()
-			for q := 0; q < 3; q++ {
-				src := nodes[rng.Intn(len(nodes))]
-				dst := nodes[rng.Intn(len(nodes))]
-				res, err := runPair(st, src, dst, EngineDijkstra, true)
-				if err != nil {
-					return false
-				}
-				want := g.Distance(src, dst)
-				if res.Reachable && math.IsInf(want, 1) {
-					return false // phantom reachability is never allowed
-				}
-				if res.Reachable && res.Cost < want-1e-9 {
-					return false // undershoot is never allowed
-				}
-				if loose {
-					// Exactness on loosely connected fragmentations.
-					if res.Reachable != !math.IsInf(want, 1) {
-						return false
-					}
-					if res.Reachable && math.Abs(res.Cost-want) > 1e-9 {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Error(err)
-	}
-}
 
 // TestPipelineDeterminism: the same seed yields byte-identical plans
 // and costs across runs — required for reproducible experiments.

@@ -89,14 +89,11 @@ func (st *Store) NewPlan(source, target graph.NodeID) (*Plan, error) {
 	if !st.fr.Base().HasNode(target) {
 		return nil, fmt.Errorf("dsa: %w: target node %d not in graph", ErrUnknownNode, target)
 	}
+	// A node the updates left in no fragment has no fragment to chain
+	// from or to: the loops below find nothing and the plan stays
+	// chain-less — unreachable, except from itself (PlanResult).
 	srcFrags := st.fr.FragmentsOf(source)
 	dstFrags := st.fr.FragmentsOf(target)
-	if len(srcFrags) == 0 {
-		return nil, fmt.Errorf("dsa: %w: source node %d is isolated (no fragment)", ErrUnknownNode, source)
-	}
-	if len(dstFrags) == 0 {
-		return nil, fmt.Errorf("dsa: %w: target node %d is isolated (no fragment)", ErrUnknownNode, target)
-	}
 	p := &Plan{Source: source, Target: target}
 
 	// Same-fragment short-circuit.

@@ -3,13 +3,9 @@ package dsa
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/fragment"
-	"repro/internal/fragment/linear"
-	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -116,48 +112,5 @@ func TestReachabilityDirectedAsymmetry(t *testing.T) {
 	}
 	if !fwd || back {
 		t.Errorf("fwd = %v, back = %v; want true, false", fwd, back)
-	}
-}
-
-// TestPropertyReachabilityMatchesGlobal: on loosely connected stores,
-// the reachability-problem store answers Connected exactly like a
-// global reachability check, both engines.
-func TestPropertyReachabilityMatchesGlobal(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g, err := gen.Transportation(gen.TransportConfig{
-			Clusters: 2 + rng.Intn(2),
-			Cluster:  gen.Defaults(8, seed),
-		})
-		if err != nil {
-			return false
-		}
-		res, err := linear.Fragment(g, linear.Options{NumFragments: 3})
-		if err != nil {
-			return false
-		}
-		rs, err := Build(res.Fragmentation, Options{Problem: ProblemReachability})
-		if err != nil {
-			return false
-		}
-		nodes := g.Nodes()
-		for q := 0; q < 4; q++ {
-			src := nodes[rng.Intn(len(nodes))]
-			dst := nodes[rng.Intn(len(nodes))]
-			_, want := g.Reachable(src)[dst]
-			for _, engine := range []Engine{EngineDijkstra, EngineSemiNaive, EngineBitset} {
-				got, err := reachable(rs, src, dst, engine, false)
-				if err != nil {
-					return false
-				}
-				if got != want {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
-		t.Error(err)
 	}
 }

@@ -18,30 +18,11 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dsa"
-	"repro/internal/fragment/linear"
-	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/relation"
 	"repro/internal/tc"
 	"repro/pkg/tcq"
 )
-
-// swapHandler is an http.Handler whose delegate is installed after the
-// listener starts — the knot-tying a test cluster needs: peer URLs
-// must exist before the coordinators (and so the servers) that answer
-// on them can be built.
-type swapHandler struct {
-	h atomic.Pointer[http.Handler]
-}
-
-func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	h := s.h.Load()
-	if h == nil {
-		http.Error(w, "not ready", http.StatusServiceUnavailable)
-		return
-	}
-	(*h).ServeHTTP(w, r)
-}
 
 // testCluster is an in-process multi-node deployment wired over real
 // HTTP: every node an identical store, the ring sharding leg work.
@@ -59,30 +40,17 @@ func newTestCluster(t *testing.T, w, h, frags, n int, mutate func(i int, cfg *cl
 	t.Helper()
 	tc := &testCluster{}
 	var peers []cluster.Node
-	var swaps []*swapHandler
 	for i := 0; i < n; i++ {
-		id := string(rune('a' + i))
-		sw := &swapHandler{}
-		hs := httptest.NewServer(sw)
+		// Unstarted: the listener's address exists now, its handler
+		// once the server behind it does — peer URLs must be known
+		// before the coordinators that answer on them can be built.
+		hs := httptest.NewUnstartedServer(nil)
 		t.Cleanup(hs.Close)
-		tc.ids = append(tc.ids, id)
-		swaps = append(swaps, sw)
+		tc.ids = append(tc.ids, string(rune('a'+i)))
 		tc.https = append(tc.https, hs)
-		peers = append(peers, cluster.Node{ID: id, URL: hs.URL})
+		peers = append(peers, cluster.Node{ID: tc.ids[i], URL: "http://" + hs.Listener.Addr().String()})
 	}
 	for i := 0; i < n; i++ {
-		g, err := gen.Grid(gen.GridConfig{Width: w, Height: h, DiagonalProb: 0.15, Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := linear.Fragment(g, linear.Options{NumFragments: frags})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds, err := tcq.NewDataset(res.Fragmentation, tcq.BuildOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg := cluster.Config{NodeID: tc.ids[i], Peers: peers, Timeout: 10 * time.Second}
 		if mutate != nil {
 			mutate(i, &cfg)
@@ -91,52 +59,12 @@ func newTestCluster(t *testing.T, w, h, frags, n int, mutate func(i int, cfg *cl
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := NewDataset(ds, Config{CacheCapacity: 256, Cluster: coord})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(srv.Close)
-		handler := srv.Handler()
-		swaps[i].h.Store(&handler)
+		srv, _ := newGridServer(t, w, h, frags, Config{CacheCapacity: 256, Cluster: coord})
+		tc.https[i].Config.Handler = srv.Handler()
+		tc.https[i].Start()
 		tc.servers = append(tc.servers, srv)
 	}
 	return tc
-}
-
-// TestClusterMatchesSingleNode is the tentpole's correctness property:
-// a 3-node cluster sharding leg execution over real HTTP answers
-// exactly what a single-node deployment answers, from every
-// coordinator, including on cache-hitting replays.
-func TestClusterMatchesSingleNode(t *testing.T) {
-	tcl := newTestCluster(t, 8, 8, 8, 3, nil)
-	ref, _ := newGridServer(t, 8, 8, 8, Config{CacheCapacity: 256})
-
-	rng := rand.New(rand.NewSource(11))
-	for q := 0; q < 12; q++ {
-		src := graph.NodeID(rng.Intn(64))
-		dst := graph.NodeID(rng.Intn(64))
-		want, _, err := runPair(ref, src, dst, dsa.EngineDijkstra, tcq.ModeCost)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for ni, srv := range tcl.servers {
-			// Twice: the replay answers from caches (local and remote).
-			for pass := 0; pass < 2; pass++ {
-				got, _, err := runPair(srv, src, dst, dsa.EngineDijkstra, tcq.ModeCost)
-				if err != nil {
-					t.Fatalf("node %s query %d->%d pass %d: %v", tcl.ids[ni], src, dst, pass, err)
-				}
-				if got.Reachable != want.Reachable {
-					t.Errorf("node %s %d->%d pass %d: reachable %v, single-node %v",
-						tcl.ids[ni], src, dst, pass, got.Reachable, want.Reachable)
-				}
-				if want.Reachable && math.Abs(got.Cost-want.Cost) > 1e-9 {
-					t.Errorf("node %s %d->%d pass %d: cost %v, single-node %v",
-						tcl.ids[ni], src, dst, pass, got.Cost, want.Cost)
-				}
-			}
-		}
-	}
 }
 
 // TestClusterPlacementExplain: a clustered /v1/query annotates its
@@ -198,12 +126,11 @@ func TestClusterStats(t *testing.T) {
 }
 
 // TestClusterUpdateFanOut: a /v1/update against one node fans out to
-// every peer with a coherent epoch swap, a remote owner rebuilds its
-// fragment, and post-update answers stay equivalent to a single node
-// that applied the same transaction.
+// every peer with a coherent epoch swap, and a remote owner rebuilds its
+// fragment. (What every member answers afterwards is internal/oracle's
+// cluster views, whose histories arrive through the same fan-out.)
 func TestClusterUpdateFanOut(t *testing.T) {
 	tcl := newTestCluster(t, 8, 8, 8, 3, nil)
-	ref, _ := newGridServer(t, 8, 8, 8, Config{CacheCapacity: 256})
 
 	// Pick a fragment the coordinator does NOT own: the update must
 	// rebuild on a remote owner and still be visible everywhere.
@@ -242,34 +169,6 @@ func TestClusterUpdateFanOut(t *testing.T) {
 	for ni, srv := range tcl.servers {
 		if got := srv.Dataset().Epoch(); got != 1 {
 			t.Errorf("node %s at epoch %d after fan-out, want 1", tcl.ids[ni], got)
-		}
-	}
-
-	// Reference applies the identical transaction; answers must match
-	// from every coordinator — including pairs crossing the remotely
-	// rebuilt fragment.
-	if err := applyOne(ref, tcq.Insert(frag, from, to, 0.25)); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(13))
-	pairs := [][2]graph.NodeID{{graph.NodeID(from), graph.NodeID(to)}, {0, 63}}
-	for q := 0; q < 8; q++ {
-		pairs = append(pairs, [2]graph.NodeID{graph.NodeID(rng.Intn(64)), graph.NodeID(rng.Intn(64))})
-	}
-	for _, p := range pairs {
-		want, _, err := runPair(ref, p[0], p[1], dsa.EngineDijkstra, tcq.ModeCost)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for ni, srv := range tcl.servers {
-			got, _, err := runPair(srv, p[0], p[1], dsa.EngineDijkstra, tcq.ModeCost)
-			if err != nil {
-				t.Fatalf("node %s query %d->%d post-update: %v", tcl.ids[ni], p[0], p[1], err)
-			}
-			if got.Reachable != want.Reachable || (want.Reachable && math.Abs(got.Cost-want.Cost) > 1e-9) {
-				t.Errorf("node %s %d->%d post-update: (%v, %v), single-node (%v, %v)",
-					tcl.ids[ni], p[0], p[1], got.Reachable, got.Cost, want.Reachable, want.Cost)
-			}
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -17,6 +16,7 @@ import (
 	"repro/internal/fragment/linear"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/oracle"
 	"repro/pkg/tcq"
 )
 
@@ -60,83 +60,10 @@ func runPair(srv *Server, src, dst graph.NodeID, engine dsa.Engine, mode tcq.Mod
 	return srv.RunPair(context.Background(), srv.Dataset().Snapshot(), src, dst, engine, mode)
 }
 
-// libraryPair answers one pair through the uncached, ungated library
-// path — the oracle the serving layer is compared against.
-func libraryPair(st *dsa.Store, src, dst graph.NodeID, engine dsa.Engine) (*dsa.Result, error) {
-	plan, err := st.NewPlan(src, dst)
-	if err != nil {
-		return nil, err
-	}
-	return st.RunPlanCtx(context.Background(), plan, engine, false)
-}
-
 // applyOne applies a single-op batch through the server.
 func applyOne(srv *Server, op tcq.Op) error {
 	_, err := srv.ApplyBatch(context.Background(), new(tcq.Batch).Add(op))
 	return err
-}
-
-// oracle is an independent store over the same fragmentation, used to
-// answer queries through the uncached library path.
-func newOracle(t *testing.T, st *dsa.Store) *dsa.Store {
-	t.Helper()
-	o, err := dsa.Build(st.Fragmentation(), dsa.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return o
-}
-
-// TestServerMatchesLibrary is the serving-layer correctness property:
-// gated, cached execution answers exactly what the one-shot library
-// pipeline answers, for repeated (cache-hitting) random queries and
-// both cost engines.
-func TestServerMatchesLibrary(t *testing.T) {
-	srv, st := newGridServer(t, 8, 8, 4, Config{CacheCapacity: 256})
-	oracle := newOracle(t, st)
-	rng := rand.New(rand.NewSource(3))
-	for _, engine := range []dsa.Engine{dsa.EngineDijkstra, dsa.EngineSemiNaive, dsa.EngineDense} {
-		for q := 0; q < 15; q++ {
-			src := graph.NodeID(rng.Intn(64))
-			dst := graph.NodeID(rng.Intn(64))
-			want, err := libraryPair(oracle, src, dst, engine)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Twice: the second answer comes from the leg cache.
-			for pass := 0; pass < 2; pass++ {
-				got, _, err := runPair(srv, src, dst, engine, tcq.ModeCost)
-				if err != nil {
-					t.Fatalf("server query %d->%d pass %d: %v", src, dst, pass, err)
-				}
-				if got.Reachable != want.Reachable {
-					t.Errorf("%v %d->%d pass %d: reachable %v, oracle %v",
-						engine, src, dst, pass, got.Reachable, want.Reachable)
-				}
-				if want.Reachable && math.Abs(got.Cost-want.Cost) > 1e-9 {
-					t.Errorf("%v %d->%d pass %d: cost %v, oracle %v",
-						engine, src, dst, pass, got.Cost, want.Cost)
-				}
-				// Both run dsa.RunLegs: the paper's cost accounting
-				// cannot depend on who obtained the legs.
-				if got.ChainsConsidered != want.ChainsConsidered || got.MessagesSent != want.MessagesSent ||
-					got.TuplesShipped != want.TuplesShipped || got.Assembly != want.Assembly ||
-					len(got.PerSite) != len(want.PerSite) {
-					t.Errorf("%v %d->%d pass %d: accounting %+v, oracle %+v", engine, src, dst, pass, got, want)
-				}
-				for id, w := range want.PerSite {
-					if got.PerSite[id].Legs != w.Legs {
-						t.Errorf("%v %d->%d pass %d: site %d ran %d legs, oracle %d",
-							engine, src, dst, pass, id, got.PerSite[id].Legs, w.Legs)
-					}
-				}
-			}
-		}
-	}
-	cs := srv.Stats().Cache
-	if cs.Hits == 0 {
-		t.Error("no cache hits over repeated identical queries")
-	}
 }
 
 // TestGateWaitObservesContext: a site runs one leg at a time, and a
@@ -172,29 +99,20 @@ func TestGateWaitObservesContext(t *testing.T) {
 	}
 }
 
-// TestServerConnectedAllEngines checks the reachability path, including
-// the connectivity-only bitset engine, against the graph's own
-// reachability.
+// TestServerConnectedAllEngines: the served facade is one more view to
+// the oracle — every (mode, engine) the planner accepts, the bitset
+// engine's connectivity among them, twice so that the second pass is
+// answered from the leg cache.
 func TestServerConnectedAllEngines(t *testing.T) {
 	srv, st := newGridServer(t, 6, 6, 3, Config{CacheCapacity: 256})
-	base := st.Fragmentation().Base()
-	rng := rand.New(rand.NewSource(5))
-	for _, engine := range []dsa.Engine{dsa.EngineDijkstra, dsa.EngineSemiNaive, dsa.EngineBitset, dsa.EngineDense} {
-		for q := 0; q < 10; q++ {
-			src := graph.NodeID(rng.Intn(36))
-			dst := graph.NodeID(rng.Intn(36))
-			_, want := base.Reachable(src)[dst]
-			if src == dst {
-				want = true
-			}
-			got, _, err := runPair(srv, src, dst, engine, tcq.ModeConnectivity)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Reachable != want {
-				t.Errorf("%v connected(%d, %d) = %v, want %v", engine, src, dst, got.Reachable, want)
-			}
-		}
+	g := &oracle.Generation{Name: "6x6 grid", Fragmenter: "linear", Final: st.Fragmentation(),
+		Sources: []int{0, 7, 20, 35}, Targets: []int{0, 5, 18, 33}}
+	views := []oracle.View{{Name: "served", Q: srv.Facade()}, {Name: "served+cache", Q: srv.Facade()}}
+	if err := new(oracle.Tally).Check(context.Background(), g, views); err != nil {
+		t.Error(err)
+	}
+	if srv.Stats().Cache.Hits == 0 {
+		t.Error("no cache hits over repeated identical requests")
 	}
 }
 
@@ -269,23 +187,6 @@ func TestServerRefusals(t *testing.T) {
 	}
 }
 
-func mustStore(t *testing.T) *dsa.Store {
-	t.Helper()
-	g, err := gen.Grid(gen.GridConfig{Width: 3, Height: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := linear.Fragment(g, linear.Options{NumFragments: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := dsa.Build(res.Fragmentation, dsa.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
-}
-
 // TestReachabilityStoreRefusesCostQueries: the planner's refusal holds
 // through the server-backed facade, and connectivity still answers.
 func TestReachabilityStoreRefusesCostQueries(t *testing.T) {
@@ -317,14 +218,18 @@ func TestReachabilityStoreRefusesCostQueries(t *testing.T) {
 }
 
 // TestHTTPEndpoints drives the JSON API end to end over httptest:
-// liveness, the three query modes against the library oracle, and the
+// liveness, the three query modes against the library's answer, and the
 // /stats counters they advance. Error envelopes and /v1/update have
 // their own tables in v1_test.go.
 func TestHTTPEndpoints(t *testing.T) {
 	srv, st := newGridServer(t, 6, 6, 3, Config{CacheCapacity: 256})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	want, err := libraryPair(newOracle(t, st), 0, 35, dsa.EngineDijkstra)
+	lib, err := tcq.Open(st) // the same store without server, gates or cache
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := lib.Cost(context.Background(), 0, 35)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,8 +261,8 @@ func TestHTTPEndpoints(t *testing.T) {
 			t.Fatalf("%s/%s: status %d", tc.mode, tc.engine, status)
 		}
 		a := vr.Answers[0]
-		if !a.Reachable || a.Cost == nil || math.Abs(*a.Cost-want.Cost) > 1e-9 {
-			t.Errorf("%s/%s 0->35 = %+v, oracle cost %v", tc.mode, tc.engine, a, want.Cost)
+		if !a.Reachable || a.Cost == nil || math.Abs(*a.Cost-want) > 1e-9 {
+			t.Errorf("%s/%s 0->35 = %+v, the library answers %v", tc.mode, tc.engine, a, want)
 		}
 		if vr.Explain.Engine != tc.wantEngine {
 			t.Errorf("%s/%s ran engine %q, want %q", tc.mode, tc.engine, vr.Explain.Engine, tc.wantEngine)

@@ -11,6 +11,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dsa"
+	"repro/internal/fragment"
+	"repro/internal/graph"
 	"repro/pkg/tcq"
 )
 
@@ -43,7 +46,7 @@ func postV1(t *testing.T, url string, body any, out any) int {
 }
 
 func TestV1QueryCost(t *testing.T) {
-	srv, st := newGridServer(t, 8, 8, 2, Config{CacheCapacity: 256})
+	srv, _ := newGridServer(t, 8, 8, 2, Config{CacheCapacity: 256})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	var vr V1QueryResponse
@@ -56,8 +59,8 @@ func TestV1QueryCost(t *testing.T) {
 	if len(vr.Answers) != 1 || !vr.Answers[0].Reachable || vr.Answers[0].Cost == nil {
 		t.Fatalf("bad answer: %+v", vr.Answers)
 	}
-	if want := st.Fragmentation().Base().Distance(0, 63); math.Abs(*vr.Answers[0].Cost-want) > 1e-9 {
-		t.Fatalf("v1 cost %v, global Dijkstra %v", *vr.Answers[0].Cost, want)
+	if want, err := srv.Facade().Cost(context.Background(), 0, 63); err != nil || *vr.Answers[0].Cost != want {
+		t.Fatalf("v1 cost %v, the facade it fronts answers %v, %v", *vr.Answers[0].Cost, want, err)
 	}
 	if vr.Explain.Engine == "" || vr.Explain.Engine == "auto" {
 		t.Fatalf("explain engine must be concrete, got %q", vr.Explain.Engine)
@@ -124,6 +127,51 @@ func TestV1TypedErrorCodes(t *testing.T) {
 		if status := postV1(t, ts.URL+path, huge, &ve); status != http.StatusBadRequest || !strings.Contains(ve.Error, "too large") {
 			t.Errorf("oversized %s body: status %d (%.200s), want 400 request body too large", path, status, ve.Error)
 		}
+	}
+}
+
+// TestV1IsolatedNodeIsNotUnknown: a node the updates left in no fragment
+// is still a node of the graph. Asking about it answers 200 with
+// reachable:false (true from itself), not 404 unknown_node, and the
+// answerable pairs of the same request keep their answers.
+func TestV1IsolatedNodeIsNotUnknown(t *testing.T) {
+	g := graph.New()
+	var path []graph.Edge
+	for i := 0; i < 4; i++ { // 0→1→2→3→4, two edges a fragment
+		path = append(path, graph.Edge{From: graph.NodeID(i), To: graph.NodeID(i + 1), Weight: 1})
+		g.AddEdge(path[i])
+	}
+	fr, err := fragment.New(g, [][]graph.Edge{path[:2], path[2:]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := dsa.Build(fr, dsa.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(t, st, Config{CacheCapacity: 16})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if err := applyOne(srv, tcq.Delete(1, 3, 4, 1)); err != nil {
+		t.Fatal(err)
+	}
+	var vr V1QueryResponse
+	req := V1Request{Sources: []int{0, 4}, Targets: []int{3, 4}, Mode: "cost"}
+	if status := postV1(t, ts.URL+"/v1/query", req, &vr); status != http.StatusOK || len(vr.Answers) != 4 {
+		t.Fatalf("status %d, answers %+v; want 200 and four answers", status, vr.Answers)
+	}
+	for i, want := range []struct {
+		reachable bool
+		cost      float64
+	}{{true, 3}, {false, 0}, {false, 0}, {true, 0}} { // 0→3, 0→4, 4→3, 4→4
+		a := vr.Answers[i]
+		if a.Reachable != want.reachable || want.reachable && (a.Cost == nil || *a.Cost != want.cost) {
+			t.Errorf("%d→%d = %+v, want reachable=%v cost %v", a.Source, a.Target, a, want.reachable, want.cost)
+		}
+	}
+	var ve V1Error
+	if status := postV1(t, ts.URL+"/v1/query", V1Request{Sources: []int{0}, Targets: []int{5}}, &ve); status != http.StatusNotFound || ve.Code != "unknown_node" {
+		t.Errorf("a node absent from the graph: status %d code %q, want 404 unknown_node", status, ve.Code)
 	}
 }
 

@@ -9,8 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/dsa"
-	"repro/internal/fragment"
-	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -20,23 +18,10 @@ func writeFileForTest(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// testStore builds a tiny store plus a stream of legal batches for it.
+// testStore builds a small store plus a stream of legal batches for it.
 func testStore(t *testing.T) (*dsa.Store, func(epoch uint64) []dsa.EdgeOp) {
 	t.Helper()
-	g, sets, err := gen.RoadNetwork(gen.RoadConfig{
-		Clusters: 2, ClusterWidth: 4, ClusterHeight: 3, Gateways: 1, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr, err := fragment.New(g, sets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := dsa.Build(fr, dsa.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, _ := roadStore(t, dsa.Options{}, 3)
 	// Each batch inserts a fresh symmetric shortcut inside fragment 0;
 	// weights vary by epoch so replay divergence would change answers.
 	batch := func(epoch uint64) []dsa.EdgeOp {
@@ -204,44 +189,6 @@ func TestDBInitOpenRoundTrip(t *testing.T) {
 	if rec.Epoch() != cur.Epoch() {
 		t.Fatalf("recovered epoch %d, want %d", rec.Epoch(), cur.Epoch())
 	}
-}
-
-func TestDBRecoveryAnswersMatch(t *testing.T) {
-	// The acceptance-criteria property at test scale: after a sequence
-	// of journaled applies and a simulated crash (no Close, no
-	// checkpoint), recovery must answer exactly like the live store.
-	st, batch := testStore(t)
-	dir := filepath.Join(t.TempDir(), "db")
-	if err := Init(dir, st); err != nil {
-		t.Fatal(err)
-	}
-	db, cur, _, err := Open(dir, Options{CheckpointEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		ops := batch(cur.Epoch() + 1)
-		next, _, err := cur.Apply(context.Background(), ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Append(next, ops); err != nil {
-			t.Fatal(err)
-		}
-		cur = next
-	}
-	// Crash: drop the handle without Close or Checkpoint.
-	_ = db
-
-	_, rec, info, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.ReplayedRecords != 5 || rec.Epoch() != cur.Epoch() {
-		t.Fatalf("recovery: %+v, want 5 replayed at epoch %d", info, cur.Epoch())
-	}
-	g := rec.Fragmentation().Base()
-	assertSameAnswers(t, cur, rec, g, 40, 9)
 }
 
 func TestDBCrashRecovery(t *testing.T) {

@@ -52,22 +52,22 @@ func runPair(st *dsa.Store, src, tgt graph.NodeID, eng dsa.Engine) (*dsa.Result,
 	return st.RunPlanCtx(context.Background(), plan, eng, false)
 }
 
-// assertSameAnswers is the round-trip oracle: for sampled node pairs,
-// the loaded store must answer exactly like the freshly built one —
-// connectivity under every engine, and cost where the problem supports
-// it.
+// assertSameAnswers holds a decoded store to the one it was encoded
+// from: for sampled node pairs, the same epoch and, under every engine,
+// the same connectivity — and bit-identical costs where the problem and
+// the engine have them. (That either answers like Dijkstra is
+// internal/oracle's "loaded" and "recovered" views.)
 func assertSameAnswers(t *testing.T, built, loaded *dsa.Store, g *graph.Graph, pairs int, seed int64) {
 	t.Helper()
 	if built.Epoch() != loaded.Epoch() {
 		t.Fatalf("epoch drifted: built %d, loaded %d", built.Epoch(), loaded.Epoch())
 	}
-	costEngines := []dsa.Engine{dsa.EngineDijkstra, dsa.EngineSemiNaive, dsa.EngineDense}
 	rng := rand.New(rand.NewSource(seed))
 	n := g.NumNodes()
 	for i := 0; i < pairs; i++ {
 		src := graph.NodeID(rng.Intn(n))
 		tgt := graph.NodeID(rng.Intn(n))
-		for _, eng := range costEngines {
+		for _, eng := range dsa.Engines() {
 			want, err := runPair(built, src, tgt, eng)
 			if err != nil {
 				t.Fatalf("built query %d→%d (%v): %v", src, tgt, eng, err)
@@ -76,46 +76,10 @@ func assertSameAnswers(t *testing.T, built, loaded *dsa.Store, g *graph.Graph, p
 			if err != nil {
 				t.Fatalf("loaded query %d→%d (%v): %v", src, tgt, eng, err)
 			}
-			if want.Reachable != got.Reachable || want.Cost != got.Cost {
+			costed := eng.CostCapable() && built.Problem() == dsa.ProblemShortestPath
+			if want.Reachable != got.Reachable || costed && want.Cost != got.Cost {
 				t.Fatalf("query %d→%d (%v): built (%v, %g), loaded (%v, %g)",
 					src, tgt, eng, want.Reachable, want.Cost, got.Reachable, got.Cost)
-			}
-		}
-		wantConn, err := runPair(built, src, tgt, dsa.EngineBitset)
-		if err != nil {
-			t.Fatalf("built connected %d→%d: %v", src, tgt, err)
-		}
-		gotConn, err := runPair(loaded, src, tgt, dsa.EngineBitset)
-		if err != nil {
-			t.Fatalf("loaded connected %d→%d: %v", src, tgt, err)
-		}
-		if wantConn.Reachable != gotConn.Reachable {
-			t.Fatalf("connected %d→%d: built %v, loaded %v", src, tgt, wantConn.Reachable, gotConn.Reachable)
-		}
-	}
-}
-
-// assertSameReachability is the oracle for reachability-only stores,
-// where cost queries are refused by contract.
-func assertSameReachability(t *testing.T, built, loaded *dsa.Store, g *graph.Graph, pairs int, seed int64) {
-	t.Helper()
-	engines := []dsa.Engine{dsa.EngineDijkstra, dsa.EngineSemiNaive, dsa.EngineBitset, dsa.EngineDense}
-	rng := rand.New(rand.NewSource(seed))
-	n := g.NumNodes()
-	for i := 0; i < pairs; i++ {
-		src := graph.NodeID(rng.Intn(n))
-		tgt := graph.NodeID(rng.Intn(n))
-		for _, eng := range engines {
-			want, err := runPair(built, src, tgt, eng)
-			if err != nil {
-				t.Fatalf("built connected %d→%d (%v): %v", src, tgt, eng, err)
-			}
-			got, err := runPair(loaded, src, tgt, eng)
-			if err != nil {
-				t.Fatalf("loaded connected %d→%d (%v): %v", src, tgt, eng, err)
-			}
-			if want.Reachable != got.Reachable {
-				t.Fatalf("connected %d→%d (%v): built %v, loaded %v", src, tgt, eng, want.Reachable, got.Reachable)
 			}
 		}
 	}
@@ -147,43 +111,7 @@ func TestEncodeDecodeRoundTripReachability(t *testing.T) {
 	if loaded.Problem() != dsa.ProblemReachability {
 		t.Fatalf("problem not preserved: %v", loaded.Problem())
 	}
-	assertSameReachability(t, st, loaded, g, 60, 2)
-}
-
-func TestRoundTripRandomGraphs(t *testing.T) {
-	// Property check over the generator family: several seeds and
-	// shapes, each saved and loaded through a real file (mmap path on
-	// unix), answers compared against the fresh build.
-	for seed := int64(0); seed < 3; seed++ {
-		g, sets, err := gen.RoadNetwork(gen.RoadConfig{
-			Clusters:     int(2 + seed),
-			ClusterWidth: 4, ClusterHeight: 3 + int(seed),
-			Gateways: 1 + int(seed), DiagonalProb: 0.2 * float64(seed), Seed: seed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fr, err := fragment.New(g, sets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := dsa.Build(fr, dsa.Options{MaxChains: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "snap.tcs")
-		if _, err := SaveFile(path, st); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := Load(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if loaded.MaxChains() != 2 {
-			t.Fatalf("MaxChains not preserved: %d", loaded.MaxChains())
-		}
-		assertSameAnswers(t, st, loaded, g, 40, seed)
-	}
+	assertSameAnswers(t, st, loaded, g, 60, 2)
 }
 
 func TestRoundTripPreservesStats(t *testing.T) {
@@ -201,19 +129,17 @@ func TestRoundTripPreservesStats(t *testing.T) {
 	}
 }
 
-func TestRoundTripSurvivesApply(t *testing.T) {
-	// A loaded store must be a full citizen: applying a batch on top of
-	// it must work and agree with applying the same batch to the
-	// original.
-	st, g := roadStore(t, dsa.Options{}, 19)
-	b, err := Encode(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Decode(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestPatchedStoreEncodesLikeFreshBuild: the write path patches the
+// fragmentation instead of rebuilding it; whatever it shares or edits,
+// the snapshot of the patched store must be byte-identical to that of a
+// store built from scratch over the same edge sets. Two more batches
+// cover the routes the first (a cost-changing insert) does not: a heavy
+// edge inserted and deleted again, which leaves the complementary
+// tables alone, and a delete with an insert that pulls a node into
+// another fragment. (That a loaded image takes batches and answers like
+// the original is internal/oracle's "loaded" view.)
+func TestPatchedStoreEncodesLikeFreshBuild(t *testing.T) {
+	st, _ := roadStore(t, dsa.Options{}, 19)
 	ops := []dsa.EdgeOp{
 		{Kind: dsa.OpInsert, Frag: 0, Edge: graph.Edge{From: 0, To: 7, Weight: 0.25}},
 		{Kind: dsa.OpInsert, Frag: 0, Edge: graph.Edge{From: 7, To: 0, Weight: 0.25}},
@@ -222,19 +148,6 @@ func TestRoundTripSurvivesApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next2, _, err := loaded.Apply(t.Context(), ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameAnswers(t, next1, next2, g, 40, 3)
-
-	// The write path patches the fragmentation instead of rebuilding
-	// it; whatever it shares or edits, the snapshot of the patched store
-	// must be byte-identical to that of a store built from scratch over
-	// the same edge sets. Two more batches cover the routes the first
-	// (a cost-changing insert) does not: a heavy edge inserted and
-	// deleted again, which leaves the complementary tables alone, and a
-	// delete with an insert that pulls a node into another fragment.
 	far := next1.Fragmentation().Fragment(3).Nodes()[0]
 	for _, batch := range [][]dsa.EdgeOp{
 		ops[:0],

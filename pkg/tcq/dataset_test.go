@@ -165,10 +165,13 @@ func TestOnApplyUnsubscribe(t *testing.T) {
 // heavy, so the optimum is invariant across every epoch). Run with
 // -race in CI.
 func TestReadersNeverBlockOnWriters(t *testing.T) {
-	c, g := gridClient(t, 8, 8, 2, BuildOptions{})
+	c, _ := gridClient(t, 8, 8, 2, BuildOptions{})
 	ds := c.Dataset()
 	ctx := context.Background()
-	want := g.Distance(0, 63)
+	want, err := c.Cost(ctx, 0, 63) // before any writer: the batches below never move it
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var wrote atomic.Int64
 	stop := make(chan struct{})
@@ -227,7 +230,10 @@ func TestApplyBesideQueryPath(t *testing.T) {
 	c, g := gridClient(t, 8, 8, 2, BuildOptions{})
 	ds := c.Dataset()
 	ctx := context.Background()
-	want := g.Distance(0, 63)
+	want, err := c.Cost(ctx, 0, 63) // before any writer: the batches below never move it
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	stop := make(chan struct{})
 	var writer sync.WaitGroup

@@ -1,10 +1,7 @@
 package tcq
 
 import (
-	"context"
 	"errors"
-	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -88,85 +85,6 @@ func TestPlannerTable(t *testing.T) {
 			}
 			if ex.Canonical() != ex.Mode.String()+"/"+ex.Engine.String() {
 				t.Fatalf("Canonical() = %q", ex.Canonical())
-			}
-		})
-	}
-}
-
-// TestPlannerEquivalence is the property test of the acceptance
-// criteria: on random requests, the planner-chosen result must match
-// the result of every manually-forced compatible engine, for every
-// mode, at small and large entry-set sizes.
-func TestPlannerEquivalence(t *testing.T) {
-	// Two deployments on either side of the node floor: a 6x6 grid
-	// (small sites → dijkstra) and a 24x24 grid whose two ~288-node
-	// fragments cross KernelNodeFloor (kernel engines).
-	deployments := []struct {
-		name       string
-		w, h, frag int
-	}{
-		{"small-sites", 6, 6, 3},
-		{"large-sites", 24, 24, 2},
-	}
-	modeEngines := map[Mode][]Engine{
-		ModeConnectivity: {EngineDijkstra, EngineSemiNaive, EngineBitset, EngineDense},
-		ModeCost:         {EngineDijkstra, EngineSemiNaive, EngineDense},
-		ModePipelined:    {EngineDijkstra, EngineDense},
-	}
-	ctx := context.Background()
-	for _, d := range deployments {
-		t.Run(d.name, func(t *testing.T) {
-			c, _ := gridClient(t, d.w, d.h, d.frag, BuildOptions{})
-			nodes := d.w * d.h
-			rng := rand.New(rand.NewSource(7))
-			for trial := 0; trial < 4; trial++ {
-				// Alternate small and large entry sets so both planner
-				// branches are exercised.
-				nsrc := 1
-				if trial%2 == 1 {
-					nsrc = KernelEntryFloor + 1
-				}
-				srcs := make([]int, nsrc)
-				for i := range srcs {
-					srcs[i] = rng.Intn(nodes)
-				}
-				dsts := []int{rng.Intn(nodes), rng.Intn(nodes)}
-				for mode, engines := range modeEngines {
-					req := Request{Sources: srcs, Targets: dsts, Mode: mode}
-					auto, err := c.Query(ctx, req)
-					if err != nil {
-						t.Fatalf("%v auto: %v", mode, err)
-					}
-					if auto.Explain.Forced || auto.Explain.Engine == EngineAuto {
-						t.Fatalf("%v: bad explain %+v", mode, auto.Explain)
-					}
-					for _, eng := range engines {
-						req.Engine = eng
-						forced, err := c.Query(ctx, req)
-						if err != nil {
-							t.Fatalf("%v %v: %v", mode, eng, err)
-						}
-						if len(forced.Answers) != len(auto.Answers) {
-							t.Fatalf("%v %v: %d answers vs auto %d", mode, eng, len(forced.Answers), len(auto.Answers))
-						}
-						for i, fa := range forced.Answers {
-							aa := auto.Answers[i]
-							if fa.Source != aa.Source || fa.Target != aa.Target {
-								t.Fatalf("%v %v: answer %d pair (%d,%d) vs (%d,%d)",
-									mode, eng, i, fa.Source, fa.Target, aa.Source, aa.Target)
-							}
-							if fa.Reachable != aa.Reachable {
-								t.Fatalf("%v %v: pair (%d,%d) reachable %v vs auto(%v) %v",
-									mode, eng, fa.Source, fa.Target, fa.Reachable, auto.Explain.Engine, aa.Reachable)
-							}
-							if mode != ModeConnectivity && fa.Reachable &&
-								math.Abs(fa.Cost-aa.Cost) > 1e-9 {
-								t.Fatalf("%v %v: pair (%d,%d) cost %v vs auto(%v) %v",
-									mode, eng, fa.Source, fa.Target, fa.Cost, auto.Explain.Engine, aa.Cost)
-							}
-						}
-					}
-				}
 			}
 		})
 	}

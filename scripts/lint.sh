@@ -20,6 +20,12 @@
 #               rows, its listings on slices.Sort), and no map-returning
 #               base.ShortestPaths in the preprocessing (internal/dsa/
 #               store.go): computeComp reads rows from graph.Searches
+#   oracle      no test outside internal/oracle computes its own ground
+#               truth (graph.Distance / ShortestPaths / Reachable) for
+#               answers of the system: the "answers like Dijkstra"
+#               property lives in internal/oracle, other tests call its
+#               checker on a one-view generation or compare with a
+#               literal (the allowlist gives one reason per line)
 #
 # Usage: scripts/lint.sh
 set -euo pipefail
@@ -66,6 +72,25 @@ echo "== graph"
 if grep -n -e '"container/heap"' -e 'sort\.Slice(' $(ls internal/graph/*.go | grep -v '_test\.go$') ||
     grep -Hn 'base\.ShortestPaths(' internal/dsa/store.go; then
     echo "FAIL: search on graph.Searches rows (typed heap, slices.Sort), not container/heap, sort.Slice or per-search maps"
+    exit 1
+fi
+
+echo "== oracle"
+own_truth=(
+    -e '^\./internal/oracle/'            # the oracle itself
+    -e '^\./internal/graph/'             # the searches' own tests
+    -e '^\./internal/tc/'                # kernel-level differentials against the reference closures
+    -e '^\./internal/fragment/'          # fragmenter properties, no answers of the system
+    -e '^\./internal/phe/'               # an evaluator of its own, not served
+    -e '^\./internal/sim/'               # an evaluator of its own, not served
+    -e '^\./internal/gen/'               # generator properties
+    -e '^\./examples/'                   # runnable documentation
+    -e '^\./bench_test\.go:'             # timing baselines, nothing asserted
+    -e '^\./benchmarks/'                 # the ledger's own replay oracle, a module of its own
+    -e '^\./internal/dsa/dsa_test\.go:'  # complementary-table rows (structural) and TestPropertySameFragmentSingleSite: package-internal, cannot import the oracle
+)
+if grep -rn -e '\.Distance(' -e '\.ShortestPaths(' -e '\.Reachable(' --include='*_test.go' . | grep -v "${own_truth[@]}"; then
+    echo "FAIL: hold answers to Dijkstra in internal/oracle (one more view or generation), not with a per-package ground truth"
     exit 1
 fi
 
