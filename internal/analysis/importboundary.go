@@ -43,7 +43,7 @@ var boundaryRules = []boundaryRule{
 			"repro/internal/bench",   // the paper's §4 experiments measure the planner directly
 			"repro/internal/phe",     // paper-era harness predating the facade
 			"repro/internal/sim",     // paper-era harness predating the facade
-			"repro/internal/store",   // (de)serializes built stores CSR-natively
+			"repro/internal/store",   // (de)serializes built stores: fragments and complementary tables
 		},
 		why: "the planner is internal; binaries and examples go through pkg/tcq (PR 4 removed every other import)",
 	},

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/fragment"
-	"repro/internal/tc"
 )
 
 // This file is the persistence seam of the planner: the accessors and
@@ -55,18 +54,4 @@ func Restore(fr *fragment.Fragmentation, comp map[fragment.Pair]*CompInfo, opt O
 	}
 	st.compMaxCost, st.compAllPairs, _ = compBounds(fr.DisconnectionSets(), comp)
 	return st, nil
-}
-
-// PrimeDense injects a prebuilt dense CSR kernel into the site, so a
-// restored deployment answers dense-engine queries without re-interning
-// the augmented graph's edges. A no-op if the kernel was already built
-// (or primed); nil kernels are ignored.
-func (s *Site) PrimeDense(d *tc.DenseGraph) {
-	if d == nil {
-		return
-	}
-	s.denseOnce.Do(func() {
-		s.dense = d
-		s.densePrimed.Store(true)
-	})
 }

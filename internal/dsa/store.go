@@ -79,9 +79,9 @@ type Site struct {
 	// dense is the CSR snapshot of augmented's edges the dense cost and
 	// bitset engines run on, built lazily once per deployment (updates
 	// rebuild the sites, so a snapshot can never go stale within a
-	// site's lifetime) or injected by a snapshot load (PrimeDense).
-	// densePrimed records that the build ran — the write path reads it
-	// to pre-warm rebuilt sites off the query path.
+	// site's lifetime) — on a restored store too, since TCSF does not
+	// keep it. densePrimed records that the build ran — the write path
+	// reads it to pre-warm rebuilt sites off the query path.
 	denseOnce   sync.Once
 	dense       *tc.DenseGraph
 	denseErr    error
@@ -100,13 +100,12 @@ func (s *Site) rel() *relation.Relation {
 
 // DenseKernel returns the site's CSR snapshot — the one interned form
 // of the fragment, which both the dense cost engine and the bitset
-// connectivity engine run on — building it on first use (the snapshot
-// writer persists it so restored deployments skip the interning work).
-// Construction fails on input the kernels cannot serve — notably
-// negative edge weights, which graph files may carry — and the error,
-// wrapping ErrNegativeWeight, is memoized and surfaced per query,
-// exactly like the semi-naive engine's refusal (a worker-goroutine
-// panic would kill the serving daemon).
+// connectivity engine run on — building it on first use. Construction
+// fails on input the kernels cannot serve — notably negative edge
+// weights, which graph files may carry — and the error, wrapping
+// ErrNegativeWeight, is memoized and surfaced per query, exactly like
+// the semi-naive engine's refusal (a worker-goroutine panic would kill
+// the serving daemon).
 func (s *Site) DenseKernel() (*tc.DenseGraph, error) {
 	s.denseOnce.Do(func() {
 		defer s.densePrimed.Store(true)

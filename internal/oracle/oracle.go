@@ -6,7 +6,7 @@
 //
 // The checker knows the system only through the door every deployment
 // has, Query(ctx, tcq.Request): a fresh tcq.Client, a dataset after its
-// batches, an mmap-loaded image, a journal-recovered store, a server's
+// batches, a loaded TCSF image, a journal-recovered store, a server's
 // facade with a warm leg cache and a cluster member are all just
 // Queriers. It asks every (mode, engine) combination and lets the
 // planner say which are legal, so an engine added to the facade joins

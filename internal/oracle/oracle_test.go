@@ -63,8 +63,9 @@ func apply(t testing.TB, g *Generation, batches []*tcq.Batch, do func(context.Co
 //
 //	fresh      tcq.Build from scratch over the surviving edge sets
 //	applied    the epoch-0 dataset with the history applied
-//	loaded     half the history, SaveSnapshot, LoadSnapshot (mmap), the
-//	           other half — asked through a pinned *tcq.Snapshot
+//	loaded     half the history, SaveSnapshot, LoadSnapshot (kernels
+//	           rebuilt lazily), the other half — asked through a pinned
+//	           *tcq.Snapshot
 //	recovered  InitStore at epoch 0, the history journaled, the process
 //	           killed (no Close, no checkpoint), OpenStore's replay
 func localViews(t testing.TB, g *Generation) []View {

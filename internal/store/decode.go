@@ -6,28 +6,18 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"os"
 	"slices"
-	"unsafe"
 
 	"repro/internal/dsa"
 	"repro/internal/fragment"
 	"repro/internal/graph"
-	"repro/internal/tc"
 )
 
 // ErrBadSnapshot reports a TCSF image the decoder refuses: wrong
 // magic, failed checksum, or a structurally inconsistent body. Wrapped
 // by every decode failure so callers branch with errors.Is.
 var ErrBadSnapshot = errors.New("store: bad snapshot")
-
-// nativeLE reports whether this machine is little-endian — the
-// precondition for aliasing the file's arrays in place. On big-endian
-// targets every array helper falls back to a byte-swapping copy, so
-// the format stays portable while the common case stays zero-copy.
-var nativeLE = func() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
 
 // dec walks the image with a sticky error: the first failure poisons
 // every later read, so section parsers read straight-line and check
@@ -97,54 +87,21 @@ func (d *dec) pad8() {
 	}
 }
 
-// i64s returns n int64s, aliased from the image when the platform
-// allows (little-endian, 8-aligned — mmap bases are page-aligned and
-// the format keeps 8-byte arrays 8-aligned, so this is the norm).
-func (d *dec) i64s(n int) []int64 {
-	p := d.take(n * 8)
-	if d.err != nil || n == 0 {
-		return nil
+// column consumes one stored column of n elements of width bytes (4
+// or 8), plus the pad8 that follows a 4-byte column, and returns its
+// bytes. Callers decode each element (i32At, i64At, f64At) straight
+// into the structure it feeds, so nothing of the image outlives Decode.
+func (d *dec) column(n, width int) []byte {
+	p := d.take(n * width)
+	if width == 4 {
+		d.pad8()
 	}
-	if nativeLE && uintptr(unsafe.Pointer(&p[0]))%8 == 0 {
-		return unsafe.Slice((*int64)(unsafe.Pointer(&p[0])), n)
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(p[i*8:]))
-	}
-	return out
+	return p
 }
 
-func (d *dec) f64s(n int) []float64 {
-	p := d.take(n * 8)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if nativeLE && uintptr(unsafe.Pointer(&p[0]))%8 == 0 {
-		return unsafe.Slice((*float64)(unsafe.Pointer(&p[0])), n)
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[i*8:]))
-	}
-	return out
-}
-
-func (d *dec) i32s(n int) []int32 {
-	p := d.take(n * 4)
-	d.pad8()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if nativeLE && uintptr(unsafe.Pointer(&p[0]))%4 == 0 {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&p[0])), n)
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(p[i*4:]))
-	}
-	return out
-}
+func i32At(p []byte, k int) int32   { return int32(binary.LittleEndian.Uint32(p[4*k:])) }
+func i64At(p []byte, k int) int64   { return int64(binary.LittleEndian.Uint64(p[8*k:])) }
+func f64At(p []byte, k int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(p[8*k:])) }
 
 // intFrom narrows a stored u64 to a non-negative int, refusing values
 // a corrupt header could use to overflow downstream arithmetic.
@@ -156,24 +113,12 @@ func (d *dec) intFrom(v uint64, what string) int {
 	return int(v)
 }
 
-// denseRaw holds one site's CSR arrays as read from the image, before
-// kernel validation.
-type denseRaw struct {
-	ids      []int64
-	rowStart []int32
-	colIdx   []int32
-	weight   []float64
-}
-
 // Decode reconstructs a deployed store from a TCSF image. The image is
 // checksum-verified first; afterwards the structure is still treated
-// as untrusted (every count capped, every kernel shape validated), so
-// a corrupt-but-checksummed file fails with ErrBadSnapshot instead of
-// panicking or over-allocating.
-//
-// The returned store aliases data's dense CSR arrays — callers keep
-// the backing buffer (or mapping) alive for the store's lifetime and
-// never mutate it.
+// as untrusted (every count capped, every table checked against the
+// fragmentation), so a corrupt-but-checksummed file fails with
+// ErrBadSnapshot instead of panicking or over-allocating. The returned
+// store keeps no reference to data.
 func Decode(data []byte) (*dsa.Store, error) {
 	if len(data) < headerSize+len(fileTrailer) {
 		return nil, fmt.Errorf("%w: file too small (%d bytes)", ErrBadSnapshot, len(data))
@@ -207,50 +152,46 @@ func Decode(data []byte) (*dsa.Store, error) {
 	// and guarantees the uniqueness the bulk node install below relies
 	// on. The base graph itself is built after the edge sections, once
 	// each node's complete adjacency run is known.
-	ids := d.i64s(nodeCount)
-	xs := d.f64s(nodeCount)
-	ys := d.f64s(nodeCount)
+	idCol, xCol, yCol := d.column(nodeCount, 8), d.column(nodeCount, 8), d.column(nodeCount, 8)
 	if d.err != nil {
 		return nil, d.err
 	}
-	for i := 1; i < nodeCount; i++ {
-		if ids[i] <= ids[i-1] {
+	ids := make([]graph.NodeID, nodeCount)
+	for i := range ids {
+		ids[i] = graph.NodeID(i64At(idCol, i))
+		if i > 0 && ids[i] <= ids[i-1] {
 			d.fail("node table not strictly increasing at entry %d", i)
 			return nil, d.err
 		}
 	}
 
-	// Per-fragment edge columns, materialized as edge slices (the one
-	// unavoidable copy: the graph layer works in Edge structs).
-	// Endpoints are node-table indices: the bounds check below is the
-	// complete endpoint validation — an in-range index is a declared
-	// node by construction, so the adjacency fill needs no node-map
-	// lookups. The same pass accumulates per-node degrees for the
-	// bucketed fill below.
+	// Per-fragment edge columns, decoded into edge slices. Endpoints are
+	// node-table indices: the bounds check below is the complete
+	// endpoint validation — an in-range index is a declared node by
+	// construction, so the adjacency fill needs no node-map lookups. The
+	// same pass accumulates per-node degrees for the bucketed fill below.
 	edgeSets := make([][]graph.Edge, fragCount)
-	froms := make([][]int32, fragCount)
-	tos := make([][]int32, fragCount)
+	froms := make([][]byte, fragCount)
+	tos := make([][]byte, fragCount)
 	outDeg := make([]int32, nodeCount+1)
 	inDeg := make([]int32, nodeCount+1)
 	totalEdges := 0
 	for fi := range edgeSets {
 		n := d.count(16)
-		from := d.i32s(n)
-		to := d.i32s(n)
-		w := d.f64s(n)
+		from, to, w := d.column(n, 4), d.column(n, 4), d.column(n, 8)
 		if d.err != nil {
 			return nil, d.err
 		}
 		es := make([]graph.Edge, n)
 		for k := range es {
-			fi32, ti32 := from[k], to[k]
-			if fi32 < 0 || int(fi32) >= nodeCount || ti32 < 0 || int(ti32) >= nodeCount {
+			f, t := i32At(from, k), i32At(to, k)
+			if f < 0 || int(f) >= nodeCount || t < 0 || int(t) >= nodeCount {
 				d.fail("fragment %d edge %d: endpoint index out of range", fi, k)
 				return nil, d.err
 			}
-			es[k] = graph.Edge{From: graph.NodeID(ids[fi32]), To: graph.NodeID(ids[ti32]), Weight: w[k]}
-			outDeg[fi32+1]++
-			inDeg[ti32+1]++
+			es[k] = graph.Edge{From: ids[f], To: ids[t], Weight: f64At(w, k)}
+			outDeg[f+1]++
+			inDeg[t+1]++
 		}
 		edgeSets[fi], froms[fi], tos[fi] = es, from, to
 		totalEdges += n
@@ -273,7 +214,7 @@ func Decode(data []byte) (*dsa.Store, error) {
 	for fi, es := range edgeSets {
 		from, to := froms[fi], tos[fi]
 		for k := range es {
-			f, t := from[k], to[k]
+			f, t := i32At(from, k), i32At(to, k)
 			outBuf[outCur[f]] = es[k]
 			outCur[f]++
 			inBuf[inCur[t]] = es[k]
@@ -282,76 +223,45 @@ func Decode(data []byte) (*dsa.Store, error) {
 	}
 	base := graph.NewWithCapacity(nodeCount)
 	for i := 0; i < nodeCount; i++ {
-		os, oe := outDeg[i], outDeg[i+1]
-		is, ie := inDeg[i], inDeg[i+1]
-		base.InstallNode(graph.NodeID(ids[i]), graph.Coord{X: xs[i], Y: ys[i]},
-			outBuf[os:oe:oe], inBuf[is:ie:ie])
+		ob, oe := outDeg[i], outDeg[i+1]
+		ib, ie := inDeg[i], inDeg[i+1]
+		base.InstallNode(ids[i], graph.Coord{X: f64At(xCol, i), Y: f64At(yCol, i)},
+			outBuf[ob:oe:oe], inBuf[ib:ie:ie])
 	}
 
 	// Complementary tables.
 	pairCount := d.count(40)
 	comp := make(map[fragment.Pair]*dsa.CompInfo, pairCount)
-	compNodes := make(map[fragment.Pair][]int64, pairCount)
+	compNodes := make(map[fragment.Pair][]graph.NodeID, pairCount)
 	for pi := 0; pi < pairCount; pi++ {
 		i := d.intFrom(d.u64(), "pair fragment")
 		j := d.intFrom(d.u64(), "pair fragment")
-		nNodes := d.count(8)
-		nodeIDs := d.i64s(nNodes)
+		nodeCol := d.column(d.count(8), 8)
 		nCost := d.count(24)
-		ca := d.i64s(nCost)
-		cb := d.i64s(nCost)
-		cw := d.f64s(nCost)
+		ca, cb, cw := d.column(nCost, 8), d.column(nCost, 8), d.column(nCost, 8)
 		if d.err != nil {
 			return nil, d.err
+		}
+		nodes := make([]graph.NodeID, len(nodeCol)/8)
+		for k := range nodes {
+			nodes[k] = graph.NodeID(i64At(nodeCol, k))
 		}
 		ci := &dsa.CompInfo{Pair: fragment.Pair{I: i, J: j}, Cost: make([]graph.Edge, nCost)}
 		for k := range ci.Cost {
-			ci.Cost[k] = graph.Edge{From: graph.NodeID(ca[k]), To: graph.NodeID(cb[k]), Weight: cw[k]}
-			if k > 0 && (ca[k-1] > ca[k] || ca[k-1] == ca[k] && cb[k-1] >= cb[k]) {
+			c := graph.Edge{From: graph.NodeID(i64At(ca, k)), To: graph.NodeID(i64At(cb, k)), Weight: f64At(cw, k)}
+			if k > 0 && (ci.Cost[k-1].From > c.From || ci.Cost[k-1].From == c.From && ci.Cost[k-1].To >= c.To) {
 				d.fail("complementary table %d-%d is not sorted by (from, to) at row %d", i, j, k)
 				return nil, d.err
 			}
+			ci.Cost[k] = c
 		}
 		comp[ci.Pair] = ci
-		compNodes[ci.Pair] = nodeIDs
+		compNodes[ci.Pair] = nodes
 	}
-
-	// Dense CSR sections, read fully before reconstruction starts.
-	denseCount := d.count(8)
-	if d.err == nil && denseCount != 0 && denseCount != fragCount {
-		d.fail("dense section count %d does not match %d fragments", denseCount, fragCount)
-	}
-	raws := make([]*denseRaw, denseCount)
-	for si := range raws {
-		present := d.u64()
-		if d.err != nil {
-			return nil, d.err
-		}
-		if present == 0 {
-			continue
-		}
-		if present != 1 {
-			d.fail("dense presence flag %d", present)
-			return nil, d.err
-		}
-		n := d.count(8)
-		e := d.count(12)
-		raw := &denseRaw{
-			ids:      d.i64s(n),
-			rowStart: d.i32s(n + 1),
-			colIdx:   d.i32s(e),
-			weight:   d.f64s(e),
-		}
-		if d.err != nil {
-			return nil, d.err
-		}
-		raws[si] = raw
+	if d.err == nil && d.remaining() != 0 {
+		d.fail("%d trailing bytes after last section", d.remaining())
 	}
 	if d.err != nil {
-		return nil, d.err
-	}
-	if d.remaining() != 0 {
-		d.fail("%d trailing bytes after last section", d.remaining())
 		return nil, d.err
 	}
 
@@ -366,10 +276,9 @@ func Decode(data []byte) (*dsa.Store, error) {
 	if len(compNodes) != len(dss) {
 		return nil, fmt.Errorf("%w: %d complementary tables for %d disconnection sets", ErrBadSnapshot, len(compNodes), len(dss))
 	}
-	sameNode := func(stored int64, id graph.NodeID) bool { return graph.NodeID(stored) == id }
 	for p, stored := range compNodes {
 		ds, ok := dss[p]
-		if !ok || !slices.EqualFunc(stored, ds, sameNode) {
+		if !ok || !slices.Equal(stored, ds) {
 			return nil, fmt.Errorf("%w: complementary table %d-%d does not list the fragmentation's disconnection set", ErrBadSnapshot, p.I, p.J)
 		}
 		for _, e := range comp[p].Cost {
@@ -381,42 +290,21 @@ func Decode(data []byte) (*dsa.Store, error) {
 		}
 	}
 
-	st, rerr := dsa.Restore(fr, comp, dsa.Options{MaxChains: maxChains, Problem: problem}, epoch, prep)
-	if rerr != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, rerr)
-	}
-
-	// Prime the dense kernels from the stored CSR arrays (validated,
-	// zero-copy). A snapshot written without kernels restores with
-	// lazy builds, exactly like a live deployment.
-	for si, raw := range raws {
-		if raw == nil {
-			continue
-		}
-		dg, err := tc.DenseFromCSR(raw.ids, raw.rowStart, raw.colIdx, raw.weight)
-		if err != nil {
-			return nil, fmt.Errorf("%w: site %d kernel: %v", ErrBadSnapshot, si, err)
-		}
-		st.Site(si).PrimeDense(dg)
+	st, err := dsa.Restore(fr, comp, dsa.Options{MaxChains: maxChains, Problem: problem}, epoch, prep)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	return st, nil
 }
 
-// Load reads the TCSF image at path and reconstructs the store. On
-// unix the file is mmap'd and the store's dense kernels alias the
-// mapping zero-copy; the mapping therefore stays alive for the life of
-// the process (one snapshot per boot — there is nothing to reclaim).
-// Elsewhere the file is read into memory (see mmap_other.go).
+// Load reads the TCSF image at path and reconstructs the store.
 func Load(path string) (*dsa.Store, error) {
-	data, mapped, err := mapFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	st, err := Decode(data)
 	if err != nil {
-		if mapped {
-			unmapFile(data)
-		}
 		return nil, fmt.Errorf("store: %s: %w", path, err)
 	}
 	return st, nil

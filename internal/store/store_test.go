@@ -241,11 +241,68 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		"flipped trailer": flip(len(valid) - 2),
 		"truncated":       valid[:len(valid)-1],
 		"trailing bytes":  append(bytes.Clone(valid), 0),
+		// A previous version's magic under a fresh checksum: there is no
+		// migration path, so it is refused like any foreign file.
+		"v01 image": func() []byte {
+			b := bytes.Clone(valid)
+			copy(b, "TCSFv01\n")
+			binary.LittleEndian.PutUint32(b[8:12], crc32.ChecksumIEEE(b[16:]))
+			return b
+		}(),
 	}
 	for name, b := range cases {
-		if _, err := Decode(b); err == nil {
-			t.Errorf("%s: corruption accepted", name)
+		if _, err := Decode(b); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: Decode = %v, want ErrBadSnapshot", name, err)
 		}
+	}
+}
+
+// TestRoundTripKeepsNegativeWeightRefusal: a fragment may carry a
+// negative weight (graph files do not validate signs). The snapshot
+// keeps no kernel, so the restored site builds its CSR on first use
+// exactly as the built one did: the dense and bitset legs refuse with
+// ErrNegativeWeight and Dijkstra still answers, with the built store's
+// answer.
+func TestRoundTripKeepsNegativeWeightRefusal(t *testing.T) {
+	g := graph.New()
+	for i := 0; i < 3; i++ {
+		g.AddNode(graph.NodeID(i), graph.Coord{X: float64(i)})
+	}
+	e1 := graph.Edge{From: 0, To: 1, Weight: -2}
+	e2 := graph.Edge{From: 1, To: 2, Weight: 1}
+	g.AddEdge(e1)
+	g.AddEdge(e2)
+	fr, err := fragment.New(g, [][]graph.Edge{{e1, e2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := dsa.Build(fr, dsa.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Encode(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []dsa.Engine{dsa.EngineDense, dsa.EngineBitset} {
+		if _, err := runPair(loaded, 0, 2, eng); !errors.Is(err, dsa.ErrNegativeWeight) {
+			t.Errorf("restored %v query over a negative weight: %v, want ErrNegativeWeight", eng, err)
+		}
+	}
+	want, err := runPair(st, 0, 2, dsa.EngineDijkstra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := runPair(loaded, 0, 2, dsa.EngineDijkstra)
+	if err != nil {
+		t.Fatalf("restored dijkstra query: %v", err)
+	}
+	if !got.Reachable || got.Reachable != want.Reachable || got.Cost != want.Cost {
+		t.Fatalf("restored dijkstra: (%v, %g), built (%v, %g)", got.Reachable, got.Cost, want.Reachable, want.Cost)
 	}
 }
 

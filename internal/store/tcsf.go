@@ -1,9 +1,11 @@
 // Package store is the persistence subsystem of the deployment: a
-// versioned, checksummed binary snapshot format ("TCSF") that
-// serializes a built dsa.Store CSR-natively, an mmap-based zero-copy
-// loader that reconstructs it without re-running the preprocessing
-// searches, and an append-only apply journal with periodic TCSF
-// checkpoints so a restarted node recovers its exact epoch.
+// versioned, checksummed binary snapshot format ("TCSF") holding what
+// a built dsa.Store's sites store — the fragments and the complementary
+// information (§2.1) — a loader that reconstructs the store from it
+// without re-running the preprocessing searches, and an append-only
+// apply journal with periodic TCSF checkpoints so a restarted node
+// recovers its exact epoch. A restored site builds its kernels on first
+// use, as a live one does.
 //
 // The package sits beside internal/dsa, below the tcq facade: it
 // imports the model layers (graph, fragment, relation-free) and dsa,
@@ -27,14 +29,13 @@ import (
 	"repro/internal/graph"
 )
 
-// Format framing. All integers are little-endian; every array of
-// 8-byte elements starts 8-byte aligned (4-byte arrays are padded up
-// to 8 afterwards) so the loader can alias them straight out of an
-// mmap'd file.
+// Format framing. All integers are little-endian; 4-byte arrays are
+// zero-padded up to the next multiple of 8, so every array of 8-byte
+// elements starts 8-byte aligned.
 const (
 	// fileMagic opens every TCSF file; the version is part of the
 	// magic, so a reader for one version refuses others outright.
-	fileMagic = "TCSFv01\n"
+	fileMagic = "TCSFv02\n"
 	// fileTrailer closes the file; a truncated file fails the checksum
 	// anyway, but the trailer makes the refusal cheap and explicit.
 	fileTrailer = "TCSFEND\n"
@@ -64,23 +65,11 @@ func (e *enc) pad8() {
 	}
 }
 
-func (e *enc) i64s(vs []int64) {
-	for _, v := range vs {
-		e.u64(uint64(v))
-	}
-}
-
 func (e *enc) i32s(vs []int32) {
 	for _, v := range vs {
 		e.u32(uint32(v))
 	}
 	e.pad8()
-}
-
-func (e *enc) f64s(vs []float64) {
-	for _, v := range vs {
-		e.f64(v)
-	}
 }
 
 func (e *enc) nodeIDs(vs []graph.NodeID) {
@@ -91,11 +80,8 @@ func (e *enc) nodeIDs(vs []graph.NodeID) {
 
 // Encode serializes a built store to the TCSF image. The snapshot
 // captures everything Build computed — fragmentation, complementary
-// tables, preprocessing report, epoch — plus the per-site dense CSR
-// kernels, force-built here so a restored deployment answers
-// dense-engine queries with zero interning work. Sites whose kernel
-// cannot be built (e.g. negative edge weights) are stored without one;
-// the restored site re-derives the same per-query refusal lazily.
+// tables, preprocessing report, epoch — and nothing a site derives from
+// them: its kernels are built again after a load, on first use.
 func Encode(st *dsa.Store) ([]byte, error) {
 	if st == nil {
 		return nil, fmt.Errorf("store: encode: nil store")
@@ -105,7 +91,7 @@ func Encode(st *dsa.Store) ([]byte, error) {
 	nodes := base.Nodes()
 	frags := fr.Fragments()
 
-	e := &enc{b: make([]byte, 0, encodeSizeHint(base, st))}
+	e := &enc{b: make([]byte, 0, encodeSizeHint(base))}
 	e.raw([]byte(fileMagic))
 	e.u32(0) // crc32, backpatched below
 	e.u32(0) // flags, reserved
@@ -195,25 +181,6 @@ func Encode(st *dsa.Store) ([]byte, error) {
 		}
 	}
 
-	// Per-site dense CSR kernels.
-	sites := st.Sites()
-	e.u64(uint64(len(sites)))
-	for _, s := range sites {
-		d, err := s.DenseKernel()
-		if err != nil {
-			e.u64(0) // kernel absent
-			continue
-		}
-		ids, rowStart, colIdx, weight := d.CSR()
-		e.u64(1) // kernel present
-		e.u64(uint64(len(ids)))
-		e.u64(uint64(len(colIdx)))
-		e.i64s(ids)
-		e.i32s(rowStart)
-		e.i32s(colIdx)
-		e.f64s(weight)
-	}
-
 	e.raw([]byte(fileTrailer))
 
 	// Checksum everything after the magic+crc+flags prelude.
@@ -222,11 +189,10 @@ func Encode(st *dsa.Store) ([]byte, error) {
 }
 
 // encodeSizeHint estimates the image size so the encoder allocates
-// once: header + 24 bytes per node, ~30 per edge (index+weight edge
-// columns plus the dense CSR), plus slack for comp tables and section
-// counts.
-func encodeSizeHint(base *graph.Graph, st *dsa.Store) int {
-	return headerSize + 24*base.NumNodes() + 32*base.NumEdges() + 1<<16
+// once: header + 24 bytes per node, 16 per edge (two index columns and
+// the weight), plus slack for comp tables and section counts.
+func encodeSizeHint(base *graph.Graph) int {
+	return headerSize + 24*base.NumNodes() + 16*base.NumEdges() + 1<<16
 }
 
 // SaveFile encodes st and writes it atomically: a temp file in the

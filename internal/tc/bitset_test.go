@@ -154,11 +154,10 @@ func TestBitsetReachableFromDuplicateSources(t *testing.T) {
 }
 
 // TestReachFromMatchesWrapper: the kernel method on a DenseGraph built
-// from edges, the same method on its DenseFromCSR restoration, and the
-// relation-fronted BitsetReachableFromCtx over the boxed form of the
-// same edges give one pair set — ReachableFrom's — and one Stats, on
-// parallel edges, self loops, duplicate and absent sources and a dense
-// numbering that is not the node-id order. The method's relation is a
+// from edges and the relation-fronted BitsetReachableFromCtx over the
+// boxed form of the same edges give one pair set — ReachableFrom's —
+// and one Stats, on parallel edges, self loops, duplicate and absent
+// sources and a dense numbering that is not the node-id order. The method's relation is a
 // leg table: sorted by dst, a destination's sources in the order given,
 // the presence marker 1 in the cost column.
 func TestReachFromMatchesWrapper(t *testing.T) {
@@ -201,40 +200,34 @@ func TestReachFromMatchesWrapper(t *testing.T) {
 			if want.Len() != oracle.Len() || want.Arity() != 2 {
 				t.Errorf("wrapper: %d rows of arity %d, want %d distinct pairs", want.Len(), want.Arity(), oracle.Len())
 			}
-			built, err := NewDenseGraph(c.edges)
+			d, err := NewDenseGraph(c.edges)
 			if err != nil {
 				t.Fatal(err)
 			}
-			restored, err := DenseFromCSR(built.CSR())
+			got, st, err := d.ReachFromCtx(ctx, c.sources)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for label, d := range map[string]*DenseGraph{"built": built, "restored": restored} {
-				got, st, err := d.ReachFromCtx(ctx, c.sources)
-				if err != nil {
-					t.Fatal(err)
+			assertSamePairs(t, "kernel vs wrapper", got, want)
+			if st != wantStats || got.Len() != want.Len() {
+				t.Errorf("kernel: stats %+v over %d rows, wrapper %+v over %d", st, got.Len(), wantStats, want.Len())
+			}
+			if got.SortedBy() != 1 || got.Arity() != 3 {
+				t.Fatalf("kernel: SortedBy %d, arity %d; want a leg table", got.SortedBy(), got.Arity())
+			}
+			rank := make(map[int64]int) // position of a source's first mention
+			for i, s := range c.sources {
+				if _, seen := rank[int64(s)]; !seen {
+					rank[int64(s)] = i
 				}
-				assertSamePairs(t, label+" vs wrapper", got, want)
-				if st != wantStats || got.Len() != want.Len() {
-					t.Errorf("%s: stats %+v over %d rows, wrapper %+v over %d", label, st, got.Len(), wantStats, want.Len())
+			}
+			rows := got.Tuples()
+			for i, row := range rows {
+				if row[2] != relation.Value(1.0) {
+					t.Fatalf("kernel: row %v lacks the presence marker", row)
 				}
-				if got.SortedBy() != 1 || got.Arity() != 3 {
-					t.Fatalf("%s: SortedBy %d, arity %d; want a leg table", label, got.SortedBy(), got.Arity())
-				}
-				rank := make(map[int64]int) // position of a source's first mention
-				for i, s := range c.sources {
-					if _, seen := rank[int64(s)]; !seen {
-						rank[int64(s)] = i
-					}
-				}
-				rows := got.Tuples()
-				for i, row := range rows {
-					if row[2] != relation.Value(1.0) {
-						t.Fatalf("%s: row %v lacks the presence marker", label, row)
-					}
-					if i > 0 && rows[i-1][1] == row[1] && rank[rows[i-1][0].(int64)] >= rank[row[0].(int64)] {
-						t.Fatalf("%s: rows %v, %v: sources of one destination out of the order given", label, rows[i-1], row)
-					}
+				if i > 0 && rows[i-1][1] == row[1] && rank[rows[i-1][0].(int64)] >= rank[row[0].(int64)] {
+					t.Fatalf("kernel: rows %v, %v: sources of one destination out of the order given", rows[i-1], row)
 				}
 			}
 		})

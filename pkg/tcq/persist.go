@@ -81,7 +81,7 @@ func SaveSnapshot(path string, snap *Snapshot) (int64, error) {
 }
 
 // LoadSnapshot cold-starts a dataset from a TCSF image: the file is
-// memory-mapped and the store reconstructed without re-parsing text or
+// read and the store reconstructed without re-parsing text or
 // re-running the preprocessing searches. The dataset is NOT durable —
 // applies are in-memory only; use OpenStore for journaled durability.
 func LoadSnapshot(path string) (*Dataset, error) {

@@ -30,6 +30,10 @@
 #               or bin/tcload or calls curl: behavioural gates live in
 #               scripts/smoke.sh, where a developer can run them (the
 #               allowlist gives one reason per line)
+#   doccheck    every back-ticked pkg.Ident, Go name and repo path in
+#               README.md and docs/*.md resolves in the tree
+#               (scripts/doccheck.sh; its allowlist gives one reason per
+#               historical mention)
 #
 # Usage: scripts/lint.sh
 set -euo pipefail
@@ -108,5 +112,8 @@ if awk -v ok=" ${inline_ok[*]} " '/^  [a-z0-9-]+:$/ { job = substr($1, 1, length
     echo "FAIL: boot daemons and assert on them in scripts/smoke.sh, not inline in ci.yml"
     exit 1
 fi
+
+echo "== doccheck"
+scripts/doccheck.sh
 
 echo "lint: all checks passed"

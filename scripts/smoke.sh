@@ -222,7 +222,7 @@ chaos() {
 coldstart() {
     local text=http://127.0.0.1:8681 tcs=http://127.0.0.1:8682 ref=http://127.0.0.1:8683 dur=http://127.0.0.1:8684
     # One seeded road network as text and as a TCSF snapshot: a server
-    # that parses and builds and one that mmap-loads must serve the
+    # that parses and builds and one that loads the image must serve the
     # same dataset and answer a replayed load alike.
     tcgen -type road -clusters 4 -nodes 256 -seed 7 -o road.txt -frag-o road.frag
     tcgen -type road -clusters 4 -nodes 256 -seed 7 -o road.tcs
