@@ -63,7 +63,6 @@ func main() {
 	flag.Parse()
 
 	cfg := loadgen.LoadConfig{
-		BaseURL:         strings.TrimRight(*addr, "/"),
 		BaseURLs:        parseAddrs(*addrs),
 		Requests:        *n,
 		Parallel:        *parallel,
@@ -77,12 +76,11 @@ func main() {
 		WriteRate:       *writeRate,
 		RetryTransient:  *retryTrans,
 	}
+	if len(cfg.BaseURLs) == 0 {
+		cfg.BaseURLs = parseAddrs(*addr)
+	}
 	if cfg.Nodes <= 0 {
-		statsURL := cfg.BaseURL
-		if len(cfg.BaseURLs) > 0 {
-			statsURL = cfg.BaseURLs[0]
-		}
-		st, err := loadgen.FetchStats(statsURL)
+		st, err := loadgen.FetchStats(cfg.BaseURLs[0])
 		if err != nil {
 			fatal(fmt.Errorf("discovering node count from /stats: %v", err))
 		}

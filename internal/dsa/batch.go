@@ -18,8 +18,8 @@ import (
 // long as updates are not too frequent, the pre-processing costs may
 // be amortized over many queries" — by making one batch pay one
 // preprocessing pass, and by re-preprocessing (augmented graph,
-// shortcut edges, dense CSR snapshot) only the fragments whose edge
-// sets or complementary tables actually changed. Everything else is
+// shortcut edges, site CSR) only the fragments whose edge sets or
+// complementary tables actually changed. Everything else is
 // structurally shared with the previous epoch, so a serving layer can
 // keep cached per-site results for the shared fragments alive across
 // the swap.
@@ -132,7 +132,7 @@ type BatchStats struct {
 	SitesRebuilt []int
 	// SitesShared is the number of sites structurally shared with the
 	// previous epoch: their search graph and whatever was derived from
-	// it (dense CSR kernel, edge relation) carry over untouched.
+	// it (site CSR, edge relation) carry over untouched.
 	SitesShared int
 	// LocalOnly reports that the update stayed within sites (no
 	// disconnection sets exist, so no complementary information could

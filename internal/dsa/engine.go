@@ -11,28 +11,28 @@ import (
 type Engine int
 
 const (
-	// EngineDijkstra runs one Dijkstra per entry node on the augmented
-	// fragment — the fast practical engine.
+	// EngineDijkstra runs one Dijkstra per entry node on the site's CSR
+	// of the augmented fragment — the fast practical engine.
 	EngineDijkstra Engine = iota
 	// EngineSemiNaive runs the relational semi-naive min-cost fixpoint
 	// with the entry set pushed as a selection; it reports the
 	// iteration counts the paper's workload analysis is phrased in.
 	EngineSemiNaive
 	// EngineBitset runs the entry-set-restricted bitset-parallel
-	// reachability kernel (tc.DenseGraph.ReachFromCtx) on the CSR
-	// snapshot the dense engine uses — one interned form per site,
-	// persisted and pre-warmed with it, and refused like it on negative
-	// weights. It is connectivity-only: leg facts carry the presence
-	// marker 1 instead of a path cost (the convention of
-	// ProblemReachability complementary tables), so it answers
-	// connectivity on every store but its Cost is meaningless.
+	// reachability kernel (tc.DenseGraph.ReachFromCtx) on the site's one
+	// CSR, as every engine but the semi-naive one does, and is refused
+	// like the dense engine on negative weights. It is
+	// connectivity-only: leg facts carry the presence marker 1 instead
+	// of a path cost (the convention of ProblemReachability
+	// complementary tables), so it answers connectivity on every store
+	// but its Cost is meaningless.
 	EngineBitset
 	// EngineDense runs the entry-set-restricted dense cost kernel
-	// (tc.DenseGraph.CostFromCtx) over a CSR snapshot of the augmented
-	// fragment that the site builds once and reuses across legs. Unlike
-	// the bitset engine it carries real path costs, so it answers both
-	// cost and connectivity queries — the kernel-class engine for the
-	// paper's headline workload.
+	// (tc.DenseGraph.CostFromCtx) over the CSR of the augmented fragment
+	// that the site builds once and reuses across legs. Unlike the
+	// bitset engine it carries real path costs, so it answers both cost
+	// and connectivity queries — the kernel-class engine for the paper's
+	// headline workload.
 	EngineDense
 )
 

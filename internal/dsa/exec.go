@@ -328,7 +328,7 @@ func (st *Store) ExecuteLegFullCtx(ctx context.Context, siteID int, entry []grap
 	case EngineDijkstra:
 		// One search per entry node, each on rows of its own, read off
 		// dst-major: leg-table order, which NewLegTable only verifies.
-		searches := site.augmented.Searches(len(entry))
+		searches := site.csr().Searches(len(entry))
 		var nodes []graph.NodeID
 		dists := make([][]float64, len(entry))
 		srcs := make([]relation.Value, len(entry)) // boxed once per source

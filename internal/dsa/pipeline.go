@@ -24,8 +24,8 @@ import (
 //
 // Pipelined legs are seeded with the running cost vector, so only the
 // engines with a vector-seeded multi-source primitive qualify
-// (Engine.VectorSeeded): EngineDijkstra (graph.ShortestPathsMulti) and
-// EngineDense (the CSR kernel's CostVectorCtx). The relational and
+// (Engine.VectorSeeded): EngineDijkstra (graph.CSR.ShortestPathsMulti)
+// and EngineDense (the CSR kernel's CostVectorCtx). The relational and
 // bitset engines are refused. The chain walk observes ctx between legs
 // and the dense kernel between frontier rounds, so a canceled query
 // returns ErrCanceled promptly.
@@ -110,7 +110,7 @@ func (st *Store) pipelineChain(ctx context.Context, source, target graph.NodeID,
 				return nil, err
 			}
 		} else {
-			tree.dist, tree.pred = site.augmented.ShortestPathsMulti(vector)
+			tree.dist, tree.pred = site.csr().ShortestPathsMulti(vector)
 		}
 		trees = append(trees, tree)
 

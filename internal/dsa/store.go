@@ -65,23 +65,26 @@ type Site struct {
 	// store's own tables, by pointer ("stored at both sites", §2.1).
 	Comp map[fragment.Pair]*CompInfo
 	// augmented is the site's one graph: G_i, the subgraph induced by
-	// the fragment's edges, plus every shortcut edge of Comp. The
-	// Dijkstra engine, the pipelined evaluation and route reconstruction
-	// search it directly.
+	// the fragment's edges, plus every shortcut edge of Comp.
 	augmented *graph.Graph
 	// localRel is augmented as an edge relation. Only the semi-naive
 	// engine reads it, so it exists only on a site that engine has been
-	// asked to run on (relOnce): traffic through the graph-backed
-	// Dijkstra engine or the CSR kernels (dense, bitset) never boxes an
-	// edge into a relational tuple.
+	// asked to run on (relOnce): traffic through the Dijkstra engine or
+	// the CSR kernels (dense, bitset) never boxes an edge into a
+	// relational tuple.
 	relOnce  sync.Once
 	localRel *relation.Relation
-	// dense is the CSR snapshot of augmented's edges the dense cost and
-	// bitset engines run on, built lazily once per deployment (updates
-	// rebuild the sites, so a snapshot can never go stale within a
-	// site's lifetime) — on a restored store too, since TCSF does not
-	// keep it. densePrimed records that the build ran — the write path
-	// reads it to pre-warm rebuilt sites off the query path.
+	// snapshot is augmented's CSR, the one every other engine reads: the
+	// Dijkstra engine, the pipelined walk and route reconstruction search
+	// it, and dense wraps it for the dense cost and bitset kernels (or
+	// denseErr says why it cannot). Both are built lazily once per
+	// deployment (updates rebuild the sites, so a snapshot can never go
+	// stale within a site's lifetime) — on a restored store too, since
+	// TCSF does not keep them. densePrimed records that a kernel was
+	// asked for — the write path reads it to pre-warm rebuilt sites off
+	// the query path.
+	csrOnce     sync.Once
+	snapshot    *graph.CSR
 	denseOnce   sync.Once
 	dense       *tc.DenseGraph
 	denseErr    error
@@ -98,23 +101,27 @@ func (s *Site) rel() *relation.Relation {
 	return s.localRel
 }
 
-// DenseKernel returns the site's CSR snapshot — the one interned form
-// of the fragment, which both the dense cost engine and the bitset
-// connectivity engine run on — building it on first use. Construction
-// fails on input the kernels cannot serve — notably negative edge
-// weights, which graph files may carry — and the error, wrapping
-// ErrNegativeWeight, is memoized and surfaced per query, exactly like
-// the semi-naive engine's refusal (a worker-goroutine panic would kill
-// the serving daemon).
+// csr returns the site's CSR, building it on first use. Safe for
+// concurrent callers (sync.Once).
+func (s *Site) csr() *graph.CSR {
+	s.csrOnce.Do(func() { s.snapshot = s.augmented.CSR() })
+	return s.snapshot
+}
+
+// DenseKernel returns the site's CSR as the kernels read it — the one
+// index form of the fragment, which the dense cost engine and the
+// bitset connectivity engine run on as the Dijkstra engine does —
+// building it on first use. It fails on input the kernels cannot serve
+// — notably negative edge weights, which graph files may carry — and
+// the error, wrapping ErrNegativeWeight, is memoized and surfaced per
+// query, exactly like the semi-naive engine's refusal (a
+// worker-goroutine panic would kill the serving daemon).
 func (s *Site) DenseKernel() (*tc.DenseGraph, error) {
 	s.denseOnce.Do(func() {
 		defer s.densePrimed.Store(true)
-		d, err := tc.NewDenseGraph(s.augmented.Edges())
-		if err != nil {
-			s.denseErr = fmt.Errorf("dsa: site %d dense snapshot: %w", s.ID, err)
-			return
+		if s.dense, s.denseErr = tc.NewDenseGraph(s.csr()); s.denseErr != nil {
+			s.denseErr = fmt.Errorf("dsa: site %d dense snapshot: %w", s.ID, s.denseErr)
 		}
-		s.dense = d
 	})
 	return s.dense, s.denseErr
 }
@@ -183,12 +190,13 @@ func ParseProblem(name string) (Problem, error) {
 // Store is a fragmentation deployed for disconnection-set query
 // processing.
 //
-// A Store is immutable after Build: queries only read it (the one lazy
-// per-site structure, the dense CSR snapshot, is sync.Once-guarded), so
-// any number of goroutines may query one Store concurrently without
-// locking. Updates go through Apply, which returns a NEW store sharing
-// every untouched site with its predecessor — serving layers swap a
-// store pointer atomically instead of locking readers out.
+// A Store is immutable after Build: queries only read it (the lazy
+// per-site structures — the CSR, its kernel wrapper and the edge
+// relation — are sync.Once-guarded), so any number of goroutines may
+// query one Store concurrently without locking. Updates go through
+// Apply, which returns a NEW store sharing every untouched site with its
+// predecessor — serving layers swap a store pointer atomically instead
+// of locking readers out.
 type Store struct {
 	fr      *fragment.Fragmentation
 	sites   []*Site
@@ -302,8 +310,8 @@ func parallelFor(ctx context.Context, n int, fn func(w, i int)) error {
 // the fragment is untouched and the complementary tables it holds are
 // unchanged under comp — the search graph and whatever was derived from
 // it carry over by pointer — and otherwise builds the site, pre-warming
-// the dense CSR kernel when the superseded site had one so readers on
-// the new epoch never pay that build inline. prev is nil (touched
+// the kernel (and its CSR) when the superseded site had one so readers
+// on the new epoch never pay that build inline. prev is nil (touched
 // unused) when there is no predecessor.
 func deploySites(ctx context.Context, fr *fragment.Fragmentation, comp map[fragment.Pair]*CompInfo, prev []*Site, touched func(fragID int) bool) ([]*Site, error) {
 	base, shared, frags := fr.Base(), fr.SharedNodes(), fr.Fragments()

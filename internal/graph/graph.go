@@ -47,7 +47,8 @@ func (e Edge) Reverse() Edge { return Edge{From: e.To, To: e.From, Weight: e.Wei
 // Graph is a directed weighted graph with node coordinates. The zero
 // value is not usable; use New. Its node records live in one slice,
 // addressed by a dense index (the order nodes were added in) that one
-// id → index map resolves; the package has no other numbering.
+// id → index map resolves; the only other numbering in the module is
+// the rows of a CSR snapshot, ascending by id.
 //
 // Graph is not safe for concurrent mutation; concurrent reads are safe,
 // and CloneShared counts as a read. The disconnection set approach

@@ -3,88 +3,107 @@ package graph
 // StronglyConnectedComponents returns the strongly connected components
 // of the directed graph in reverse topological order of the condensation
 // (every edge of the condensation points from a later component to an
-// earlier one in the returned slice). Each component is sorted
-// ascending. The algorithm is Tarjan's, iterative to survive deep
-// recursion on path graphs.
+// earlier one in the returned slice), each sorted ascending: CSR().SCC()
+// with rows mapped back to ids.
 //
 // SCC condensation is the classic preprocessing step for transitive
 // closure on cyclic graphs — all members of a component reach exactly
 // the same nodes — and package tc builds its condensation closure on
-// it. The bitset kernel (internal/tc/bitset.go) carries a dense-index
-// mirror of this algorithm; a low-link fix here applies there too.
+// it, and its bitset kernel on CSR.SCC.
 func (g *Graph) StronglyConnectedComponents() [][]NodeID {
-	nodes := g.Nodes()
-	index := make(map[NodeID]int, len(nodes))
-	low := make(map[NodeID]int, len(nodes))
-	onStack := make(map[NodeID]bool, len(nodes))
-	var stack []NodeID
-	var comps [][]NodeID
-	next := 0
+	c := g.CSR()
+	rows, _ := c.SCC()
+	comps := make([][]NodeID, len(rows))
+	for i, comp := range rows {
+		ids := make([]NodeID, len(comp))
+		for j, k := range comp {
+			ids[j] = c.IDs[k]
+		}
+		comps[i] = SortNodeIDs(ids)
+	}
+	return comps
+}
+
+// SCC runs Tarjan's algorithm over the snapshot's rows, iterative to
+// survive deep recursion on path graphs, taking roots and out-edges in
+// row order. comps lists the strongly connected components in reverse
+// topological order of the condensation (every condensation edge points
+// from a later component to an earlier one), each component's rows in
+// the order they left Tarjan's stack and all of them windows of one
+// array; compOf[k] is the component of row k. Parallel edges are
+// harmless: the second visit of a neighbour changes nothing.
+func (c *CSR) SCC() (comps [][]int32, compOf []int32) {
+	n := len(c.IDs)
+	const unvisited = -1
+	index := make([]int32, n)
+	low := make([]int32, n)
+	onStack := make([]bool, n)
+	compOf = make([]int32, n)
+	members := make([]int32, 0, n)
+	for k := range index {
+		index[k] = unvisited
+	}
+	var stack []int32
+	var next int32
 
 	type frame struct {
-		node NodeID
-		ei   int // next out-edge index to explore
+		row int32
+		ei  int32 // next out-edge to explore
 	}
-	for _, root := range nodes {
-		if _, seen := index[root]; seen {
+	var callStack []frame
+	visit := func(k int32) {
+		index[k], low[k] = next, next
+		next++
+		stack = append(stack, k)
+		onStack[k] = true
+		callStack = append(callStack, frame{row: k, ei: c.Off[k]})
+	}
+	for root := range int32(n) {
+		if index[root] != unvisited {
 			continue
 		}
-		callStack := []frame{{node: root}}
-		index[root] = next
-		low[root] = next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-
+		visit(root)
 		for len(callStack) > 0 {
 			f := &callStack[len(callStack)-1]
-			out := g.Out(f.node)
-			advanced := false
-			for f.ei < len(out) {
-				w := out[f.ei].To
+			u, advanced := f.row, false
+			for f.ei < c.Off[u+1] {
+				w := c.To[f.ei]
 				f.ei++
-				if _, seen := index[w]; !seen {
-					index[w] = next
-					low[w] = next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					callStack = append(callStack, frame{node: w})
+				if index[w] == unvisited {
+					visit(w)
 					advanced = true
 					break
 				}
-				if onStack[w] && index[w] < low[f.node] {
-					low[f.node] = index[w]
+				if onStack[w] && index[w] < low[u] {
+					low[u] = index[w]
 				}
 			}
 			if advanced {
 				continue
 			}
-			// f.node is finished.
-			v := f.node
+			// u is finished.
 			callStack = callStack[:len(callStack)-1]
 			if len(callStack) > 0 {
-				parent := callStack[len(callStack)-1].node
-				if low[v] < low[parent] {
-					low[parent] = low[v]
-				}
+				parent := callStack[len(callStack)-1].row
+				low[parent] = min(low[parent], low[u])
 			}
-			if low[v] == index[v] {
-				var comp []NodeID
+			if low[u] == index[u] {
+				ci, start := int32(len(comps)), len(members)
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					onStack[w] = false
-					comp = append(comp, w)
-					if w == v {
+					compOf[w] = ci
+					members = append(members, w)
+					if w == u {
 						break
 					}
 				}
-				comps = append(comps, SortNodeIDs(comp))
+				comps = append(comps, members[start:len(members):len(members)])
 			}
 		}
 	}
-	return comps
+	return comps, compOf
 }
 
 // Condensation returns the DAG of strongly connected components: a new

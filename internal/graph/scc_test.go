@@ -72,7 +72,10 @@ func TestCondensation(t *testing.T) {
 }
 
 // TestPropertySCCPartition: components partition the node set, members
-// of one component reach each other, and the condensation is acyclic.
+// of one component reach each other, the condensation is acyclic, and
+// the components come in reverse topological order — every
+// condensation edge runs from a later component to an earlier one, the
+// order the bitset kernel's level and row propagation rely on.
 func TestPropertySCCPartition(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -88,15 +91,15 @@ func TestPropertySCCPartition(t *testing.T) {
 			}
 		}
 		comps := g.StronglyConnectedComponents()
-		seen := make(map[NodeID]bool)
+		compOf := make(map[NodeID]int)
 		total := 0
-		for _, comp := range comps {
+		for ci, comp := range comps {
 			total += len(comp)
 			for _, id := range comp {
-				if seen[id] {
+				if _, seen := compOf[id]; seen {
 					return false
 				}
-				seen[id] = true
+				compOf[id] = ci
 			}
 			// Mutual reachability within the component.
 			if len(comp) > 1 {
@@ -114,6 +117,11 @@ func TestPropertySCCPartition(t *testing.T) {
 		}
 		if total != g.NumNodes() {
 			return false
+		}
+		for _, e := range g.Edges() {
+			if compOf[e.From] < compOf[e.To] {
+				return false
+			}
 		}
 		// The condensation has no cycle: every SCC of it is a singleton.
 		dag, _, _ := g.Condensation()

@@ -8,34 +8,41 @@ import (
 // Inf is the distance reported for unreachable nodes.
 var Inf = math.Inf(1)
 
-// adjacency is a snapshot of a graph's edges in index form: row k is
-// node ids[k] (ascending, as Nodes()), its neighbours to[off[k]:off[k+1]]
-// with weights w, every id already resolved to its row. Read-only once
-// built, so goroutines share it; stale once the graph is edited.
-type adjacency struct {
-	ids []NodeID
-	off []int32
-	to  []int32
-	w   []float64
+// CSR is a snapshot of a graph's edges in index form, the module's one
+// compressed-sparse-row adjacency: row k is node IDs[k] (ascending, as
+// Nodes()), its out-edges To[Off[k]:Off[k+1]] with weights W, in the
+// order Out lists them, every head already resolved to its row. The
+// searches, the SCC pass and the kernels of package tc all read it.
+// Read-only once built, so goroutines share it; stale once the graph is
+// edited.
+type CSR struct {
+	IDs []NodeID
+	Off []int32
+	To  []int32
+	W   []float64
 }
 
-// adjacency snapshots g's out-edges (undirected: its in-edges too,
-// reversed): one id → index lookup per edge here, none in the searches.
-func (g *Graph) adjacency(undirected bool) *adjacency {
+// CSR snapshots g's out-edges: one id → index lookup per edge here,
+// none in what reads the snapshot.
+func (g *Graph) CSR() *CSR { return g.csr(false) }
+
+// csr is CSR, with each node's in-edges (reversed) in its row too when
+// undirected is set.
+func (g *Graph) csr(undirected bool) *CSR {
 	ord := g.order()
-	a := &adjacency{
-		ids: make([]NodeID, len(ord)),
-		off: make([]int32, len(ord)+1),
-		to:  make([]int32, 0, g.edges),
-		w:   make([]float64, 0, g.edges),
+	c := &CSR{
+		IDs: make([]NodeID, len(ord)),
+		Off: make([]int32, len(ord)+1),
+		To:  make([]int32, 0, g.edges),
+		W:   make([]float64, 0, g.edges),
 	}
 	row := make([]int32, len(ord)) // dense index → row
 	for k, i := range ord {
-		row[i], a.ids[k] = int32(k), g.nodes[i].id
+		row[i], c.IDs[k] = int32(k), g.nodes[i].id
 	}
 	add := func(id NodeID, w float64) {
 		if j, ok := g.index[id]; ok {
-			a.to, a.w = append(a.to, row[j]), append(a.w, w)
+			c.To, c.W = append(c.To, row[j]), append(c.W, w)
 		}
 	}
 	for k, i := range ord {
@@ -47,16 +54,22 @@ func (g *Graph) adjacency(undirected bool) *adjacency {
 				add(e.From, e.Weight)
 			}
 		}
-		a.off[k+1] = int32(len(a.to))
+		c.Off[k+1] = int32(len(c.To))
 	}
-	return a
+	return c
+}
+
+// Row returns the row of id, and whether id is a node of the snapshot.
+func (c *CSR) Row(id NodeID) (int32, bool) {
+	k, ok := slices.BinarySearch(c.IDs, id)
+	return int32(k), ok
 }
 
 // searcher runs searches over one snapshot on rows it reuses: dist[k]
 // is the cost (or level) of ids[k], Inf when the last search did not
 // reach it; pred[k] the row it was reached from, -1 for a seed.
 type searcher struct {
-	adj     *adjacency
+	csr     *CSR
 	dist    []float64
 	pred    []int32
 	done    []bool
@@ -69,9 +82,9 @@ type heapItem struct {
 	row  int32
 }
 
-func newSearcher(adj *adjacency) *searcher {
-	n := len(adj.ids)
-	return &searcher{adj: adj, dist: make([]float64, n), pred: make([]int32, n), done: make([]bool, n)}
+func newSearcher(c *CSR) *searcher {
+	n := len(c.IDs)
+	return &searcher{csr: c, dist: make([]float64, n), pred: make([]int32, n), done: make([]bool, n)}
 }
 
 // search forgets the previous search and runs one from the seeds: by
@@ -84,14 +97,14 @@ func (s *searcher) search(hops bool, seeds map[NodeID]float64) {
 	clear(s.done)
 	s.heap, s.reached = s.heap[:0], 0
 	for id, cost := range seeds {
-		if k, ok := slices.BinarySearch(s.adj.ids, id); ok && cost >= 0 && cost < Inf {
+		if k, ok := s.csr.Row(id); ok && cost >= 0 && cost < Inf {
 			s.dist[k] = cost
-			s.push(heapItem{cost, int32(k)})
+			s.push(heapItem{cost, k})
 		}
 	}
 	// Unit weights reach rows in level order: there the queue is the
 	// slice read front to back; otherwise a heap, which pop shrinks.
-	adj := s.adj
+	c := s.csr
 	for head := 0; head < len(s.heap); {
 		var it heapItem
 		if hops {
@@ -105,10 +118,10 @@ func (s *searcher) search(hops bool, seeds map[NodeID]float64) {
 		}
 		s.done[u] = true
 		s.reached++
-		for j := adj.off[u]; j < adj.off[u+1]; j++ {
-			v, nd := adj.to[j], it.dist+1
+		for j := c.Off[u]; j < c.Off[u+1]; j++ {
+			v, nd := c.To[j], it.dist+1
 			if !hops {
-				nd = it.dist + adj.w[j]
+				nd = it.dist + c.W[j]
 			}
 			if nd < s.dist[v] {
 				s.dist[v], s.pred[v] = nd, u
@@ -153,23 +166,27 @@ func (s *searcher) pop() heapItem {
 }
 
 // Searches returns n single-source search functions over g as it is
-// now, one for each goroutine that wants to search: they share one
-// index-form snapshot of g's adjacency, taken here, and each owns the
-// rows it returns. A search runs from src — Dijkstra over the edge
-// weights, or breadth-first over hop counts when hops is set — and
-// returns nodes, g's node set in ascending order; dist[k], the cost
-// (hop count) from src to nodes[k], Inf when there is no path; and
-// pred[k], the row nodes[k] was reached from, -1 for src and unreached
-// nodes. The rows are read-only and good until that function's next
-// call: no search allocates, where ShortestPaths builds two maps.
+// now: CSR().Searches(n).
 func (g *Graph) Searches(n int) []func(src NodeID, hops bool) (nodes []NodeID, dist []float64, pred []int32) {
-	adj := g.adjacency(false)
+	return g.CSR().Searches(n)
+}
+
+// Searches returns n single-source search functions over the snapshot,
+// one for each goroutine that wants to search: each owns the rows it
+// returns. A search runs from src — Dijkstra over the edge weights, or
+// breadth-first over hop counts when hops is set — and returns nodes,
+// the snapshot's IDs; dist[k], the cost (hop count) from src to
+// nodes[k], Inf when there is no path; and pred[k], the row nodes[k]
+// was reached from, -1 for src and unreached nodes. The rows are
+// read-only and good until that function's next call: no search
+// allocates, where ShortestPaths builds two maps.
+func (c *CSR) Searches(n int) []func(src NodeID, hops bool) (nodes []NodeID, dist []float64, pred []int32) {
 	searches := make([]func(NodeID, bool) ([]NodeID, []float64, []int32), n)
 	for i := range searches {
-		s := newSearcher(adj)
+		s := newSearcher(c)
 		searches[i] = func(src NodeID, hops bool) ([]NodeID, []float64, []int32) {
 			s.search(hops, map[NodeID]float64{src: 0})
-			return adj.ids, s.dist, s.pred
+			return c.IDs, s.dist, s.pred
 		}
 	}
 	return searches
@@ -195,12 +212,12 @@ func (g *Graph) bfsLevels(undirected bool, sources []NodeID) map[NodeID]int {
 	for _, id := range sources {
 		seeds[id] = 0
 	}
-	s := newSearcher(g.adjacency(undirected))
+	s := newSearcher(g.csr(undirected))
 	s.search(true, seeds)
 	levels := make(map[NodeID]int, s.reached)
 	for k, d := range s.dist {
 		if d < Inf {
-			levels[s.adj.ids[k]] = int(d)
+			levels[s.csr.IDs[k]] = int(d)
 		}
 	}
 	return levels
@@ -255,20 +272,26 @@ func (g *Graph) ShortestPaths(source NodeID) (dist map[NodeID]float64, pred map[
 	return g.ShortestPathsMulti(map[NodeID]float64{source: 0})
 }
 
+// ShortestPathsMulti is CSR().ShortestPathsMulti(seeds).
+func (g *Graph) ShortestPathsMulti(seeds map[NodeID]float64) (dist map[NodeID]float64, pred map[NodeID]NodeID) {
+	return g.CSR().ShortestPathsMulti(seeds)
+}
+
 // ShortestPathsMulti runs Dijkstra from a set of sources with given
 // initial costs: dist[v] = min over sources s of (seed[s] + d(s, v)).
-// It is the primitive behind pipelined chain evaluation, where the
-// running cost vector of the previous fragments seeds the next
-// fragment's search.
-func (g *Graph) ShortestPathsMulti(seeds map[NodeID]float64) (dist map[NodeID]float64, pred map[NodeID]NodeID) {
-	s := newSearcher(g.adjacency(false))
+// Seeds that are not nodes or have a negative cost are ignored. It is
+// the primitive behind pipelined chain evaluation, where the running
+// cost vector of the previous fragments seeds the next fragment's
+// search.
+func (c *CSR) ShortestPathsMulti(seeds map[NodeID]float64) (dist map[NodeID]float64, pred map[NodeID]NodeID) {
+	s := newSearcher(c)
 	s.search(false, seeds)
 	dist, pred = make(map[NodeID]float64, s.reached), make(map[NodeID]NodeID, s.reached)
 	for k, d := range s.dist {
 		if d < Inf {
-			dist[s.adj.ids[k]] = d
+			dist[c.IDs[k]] = d
 			if p := s.pred[k]; p >= 0 {
-				pred[s.adj.ids[k]] = s.adj.ids[p]
+				pred[c.IDs[k]] = c.IDs[p]
 			}
 		}
 	}

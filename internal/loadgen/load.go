@@ -29,16 +29,14 @@ import (
 // query driver: N workers firing random source/target queries, with
 // optional replay passes to exercise the leg cache.
 type LoadConfig struct {
-	// BaseURL locates the server, e.g. "http://127.0.0.1:8642".
-	BaseURL string
-	// BaseURLs, when set, targets a multi-node cluster: read queries
-	// round-robin across the addresses by request index (every node is
-	// a full coordinator, so any of them answers any query), while
-	// writes, /stats differencing and the /metrics scrape pin to the
-	// first address — writes because the fan-out keeps peers coherent
-	// from one entry point, stats because cache deltas are per-node
-	// counters that only difference cleanly against one node.
-	// Overrides BaseURL.
+	// BaseURLs locates the server, e.g. "http://127.0.0.1:8642", or the
+	// nodes of a multi-node cluster: read queries round-robin across the
+	// addresses by request index (every node is a full coordinator, so
+	// any of them answers any query), while writes, /stats differencing
+	// and the /metrics scrape pin to the first address — writes because
+	// the fan-out keeps peers coherent from one entry point, stats
+	// because cache deltas are per-node counters that only difference
+	// cleanly against one node. Required.
 	BaseURLs []string
 	// Requests is the number of queries per pass.
 	Requests int
@@ -82,8 +80,6 @@ type LoadConfig struct {
 	// foreign nodes into the fragment and forces a full complementary
 	// recomputation — the write path's worst case.
 	WriteRate float64
-	// Timeout bounds each request (default 30s).
-	Timeout time.Duration
 	// RetryTransient, when positive, re-fires a read query up to this
 	// many extra times after a transient gateway failure (HTTP 502 or
 	// 504 — the statuses a cluster node answers with while a peer is
@@ -94,6 +90,9 @@ type LoadConfig struct {
 	// from "saw nothing".
 	RetryTransient int
 }
+
+// requestTimeout bounds each request the driver sends.
+const requestTimeout = 30 * time.Second
 
 // statusError is a non-2xx response, preserving the code so the load
 // loop can tell transient gateway blips (502/504) from hard failures.
@@ -215,10 +214,7 @@ type answer struct {
 func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	bases := cfg.BaseURLs
 	if len(bases) == 0 {
-		if cfg.BaseURL == "" {
-			return nil, fmt.Errorf("loadgen: BaseURL required")
-		}
-		bases = []string{cfg.BaseURL}
+		return nil, fmt.Errorf("loadgen: BaseURLs required")
 	}
 	// primary is the pinned node: writes, stats differencing, metrics.
 	primary := bases[0]
@@ -233,9 +229,6 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	}
 	if cfg.Mode != "query" && cfg.Mode != "connected" {
 		return nil, fmt.Errorf("loadgen: unknown mode %q (want query or connected)", cfg.Mode)
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 30 * time.Second
 	}
 	if cfg.WriteRate < 0 || cfg.WriteRate >= 1 {
 		return nil, fmt.Errorf("loadgen: WriteRate %v out of [0, 1)", cfg.WriteRate)
@@ -262,7 +255,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		}
 	}
 
-	client := &http.Client{Timeout: cfg.Timeout}
+	client := &http.Client{Timeout: requestTimeout}
 	statsBefore, err := fetchStats(client, primary)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: /stats before run: %v", err)
@@ -486,7 +479,7 @@ func fire(client *http.Client, cfg LoadConfig, baseURL string, src, dst int) (an
 // drivers use it to discover the node count and to difference cache
 // counters around a run.
 func FetchStats(baseURL string) (*server.Stats, error) {
-	return fetchStats(&http.Client{Timeout: 30 * time.Second}, baseURL)
+	return fetchStats(&http.Client{Timeout: requestTimeout}, baseURL)
 }
 
 // fetchMetrics scrapes GET /metrics.

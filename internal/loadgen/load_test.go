@@ -41,7 +41,7 @@ func gridServerURL(t *testing.T, w, h, frags, cacheCap int) string {
 // a warm second pass.
 func TestRunLoadAgainstServer(t *testing.T) {
 	rep, err := RunLoad(LoadConfig{
-		BaseURL:         gridServerURL(t, 6, 6, 3, 512),
+		BaseURLs:        []string{gridServerURL(t, 6, 6, 3, 512)},
 		Requests:        40,
 		Parallel:        4,
 		Nodes:           36,

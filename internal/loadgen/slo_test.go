@@ -84,7 +84,7 @@ func TestLoadSLOBudget(t *testing.T) {
 // format parsed).
 func TestRunLoadDuration(t *testing.T) {
 	rep, err := RunLoad(LoadConfig{
-		BaseURL:  gridServerURL(t, 8, 8, 4, 256),
+		BaseURLs: []string{gridServerURL(t, 8, 8, 4, 256)},
 		Requests: 5,
 		Parallel: 2,
 		Nodes:    64,

@@ -44,7 +44,7 @@ type CacheStats struct {
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
 	// Evictions counts entries dropped by the LRU bound, Expired those
-	// dropped because their epoch no longer matched the store's.
+	// dropped because a reader at a newer epoch found them.
 	Evictions uint64 `json:"evictions"`
 	Expired   uint64 `json:"expired"`
 	// Invalidated counts entries dropped eagerly on an update swap
@@ -97,7 +97,9 @@ func newLegCache(capacity int) *legCache {
 
 // get returns the memoized relation for key if present and computed
 // under the given epoch. Entries from older epochs are dropped on
-// sight — the store has been updated since they were computed.
+// sight — the store has been updated since they were computed. An
+// entry from a newer epoch is a miss that stays: the reader is still
+// pinned to an older snapshot, and the entry is the current table.
 func (c *legCache) get(key string, epoch uint64) (*relation.Relation, tc.Stats, bool) {
 	if c == nil || c.cap == 0 {
 		return nil, tc.Stats{}, false
@@ -111,9 +113,11 @@ func (c *legCache) get(key string, epoch uint64) (*relation.Relation, tc.Stats, 
 	}
 	ent := el.Value.(*cacheEntry)
 	if ent.epoch != epoch {
-		c.ll.Remove(el)
-		delete(c.byKey, key)
-		c.stats.Expired++
+		if ent.epoch < epoch {
+			c.ll.Remove(el)
+			delete(c.byKey, key)
+			c.stats.Expired++
+		}
 		c.stats.Misses++
 		return nil, tc.Stats{}, false
 	}

@@ -65,11 +65,25 @@ func TestLegCacheEpochMismatch(t *testing.T) {
 	}
 }
 
-// TestLegCacheInvalidateSweep pins the eager per-fragment sweep: on an
-// update swap, entries of rebuilt sites are dropped immediately while
-// entries of structurally shared sites are retagged to the new epoch
-// and keep serving — no stale entries lingering until LRU pressure,
-// no warm entries lost to a blanket purge.
+// TestLegCacheGetKeepsNewerEpoch: a reader still pinned to an older
+// snapshot (a query that began before a swap, or a peer's /v1/leg at
+// its pinned epoch) misses on a newer entry and leaves it in place, so
+// the current readers keep hitting it.
+func TestLegCacheGetKeepsNewerEpoch(t *testing.T) {
+	c := newLegCache(4)
+	current := rel(5)
+	c.put("k", 0, 5, current, tc.Stats{})
+	if _, _, ok := c.get("k", 4); ok {
+		t.Fatal("get at epoch 4 served the epoch-5 table")
+	}
+	if got, _, ok := c.get("k", 5); !ok || got != current {
+		t.Errorf("get at epoch 5 after an epoch-4 lookup: hit %v, table %v; want the epoch-5 table", ok, got)
+	}
+	if s := c.snapshot(); s.Expired != 0 || s.Entries != 1 || s.Misses != 1 || s.Hits != 1 {
+		t.Errorf("expired %d, entries %d, misses %d, hits %d; want 0, 1, 1, 1", s.Expired, s.Entries, s.Misses, s.Hits)
+	}
+}
+
 // TestLegCachePutKeepsNewestEpoch: a query that finishes late on an old
 // pinned snapshot must not swap a current-epoch table for its stale one
 // — the next reader at the current epoch would drop it as expired and
@@ -93,6 +107,11 @@ func TestLegCachePutKeepsNewestEpoch(t *testing.T) {
 	}
 }
 
+// TestLegCacheInvalidateSweep pins the eager per-fragment sweep: on an
+// update swap, entries of rebuilt sites are dropped immediately while
+// entries of structurally shared sites are retagged to the new epoch
+// and keep serving — no stale entries lingering until LRU pressure,
+// no warm entries lost to a blanket purge.
 func TestLegCacheInvalidateSweep(t *testing.T) {
 	c := newLegCache(8)
 	c.put("a", 0, 0, rel(1), tc.Stats{}) // site 0: rebuilt below

@@ -199,7 +199,3 @@ func (m *serverMetrics) instrument(endpoint string, h http.HandlerFunc) http.Han
 		}
 	}
 }
-
-// Metrics exposes the deployment's registry — tcserver mounts
-// reg.Handler() and tests scrape it directly.
-func (s *Server) Metrics() *metrics.Registry { return s.metrics.reg }

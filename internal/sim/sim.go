@@ -242,7 +242,7 @@ func (c *Cluster) CentralizedElapsed(ctx context.Context, source graph.NodeID, e
 			_, stats, err = tc.ShortestFromCtx(ctx, relation.FromGraph(base), sources)
 		} else {
 			var kernel *tc.DenseGraph
-			if kernel, err = tc.NewDenseGraph(base.Edges()); err == nil {
+			if kernel, err = tc.NewDenseGraph(base.CSR()); err == nil {
 				run := kernel.CostFromCtx
 				if engine == dsa.EngineBitset {
 					run = kernel.ReachFromCtx

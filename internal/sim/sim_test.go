@@ -244,7 +244,7 @@ func TestCentralizedElapsed(t *testing.T) {
 		t.Error("unknown engine accepted")
 	}
 
-	// The CSR baselines run on tc.NewDenseGraph(base.Edges()) under the
+	// The CSR baselines run on tc.NewDenseGraph(base.CSR()) under the
 	// caller's ctx; they charge exactly what the relation-fronted
 	// kernels report on relation.FromGraph(base).
 	rel, sources := relation.FromGraph(g), []graph.NodeID{nodes[0]}

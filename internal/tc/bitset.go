@@ -21,15 +21,16 @@ import (
 // condensation, and this kernel spends it on a bounded worker pool.
 //
 // The algorithm is the reverse-topological SCC propagation behind
-// Warren-style dense closure, over the dense indices and CSR rows of a
-// DenseGraph (densecost.go — the kernel interns nothing of its own):
-// condense the strongly connected components with an iterative Tarjan,
-// and represent the reachable-component set of each component as a
-// []uint64 bit row over component space. Tarjan emits the components in
-// reverse topological order, so every successor of a component is
-// finished before the component itself; the row of a component is the
-// word-wise OR of its successors' rows plus the successors' own bits
-// (plus its own bit when the component is cyclic). Components are
+// Warren-style dense closure, over the rows of a DenseGraph's CSR
+// (densecost.go — the kernel numbers nothing of its own): condense the
+// strongly connected components with graph.CSR.SCC, the module's one
+// Tarjan, and represent the reachable-component set of each component
+// as a []uint64 bit row over component space. Tarjan emits the
+// components in reverse topological order, so every successor of a
+// component is finished before the component itself; the row of a
+// component is the word-wise OR of its successors' rows plus the
+// successors' own bits (plus its own bit when the component is
+// cyclic). Components are
 // grouped into dependency levels (longest path to a sink in the
 // condensation DAG) and each level is fanned out over a
 // runtime.GOMAXPROCS-sized worker pool in chunked row ranges — rows of
@@ -83,128 +84,29 @@ func bitsetPool(n int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// condense runs iterative Tarjan over the dense graph. comps lists the
-// strongly connected components in reverse topological order of the
-// condensation (every condensation edge points from a later component
-// to an earlier one); compOf maps dense node index to component index;
-// cyclic marks components whose members reach themselves (size > 1 or a
-// self loop).
-//
-// This deliberately mirrors graph.StronglyConnectedComponents
-// (internal/graph/scc.go) over the CSR rows instead of the map-backed
-// graph representation — the kernel never materialises a graph.Graph,
-// and the array-indexed state keeps the SCC pass allocation-light. A
-// low-link fix in one implementation applies to the other. Parallel
-// edges are harmless: the second visit of a neighbour changes nothing.
-func (d *DenseGraph) condense() (comps [][]int32, compOf []int32, cyclic []bool) {
-	n := len(d.ids)
-	const unvisited = -1
-	index := make([]int32, n)
-	low := make([]int32, n)
-	onStack := make([]bool, n)
-	compOf = make([]int32, n)
-	for i := range index {
-		index[i] = unvisited
-	}
-	var stack []int32
-	var next int32
-
-	type frame struct {
-		node int32
-		ei   int
-	}
-	var callStack []frame
-	for root := 0; root < n; root++ {
-		if index[root] != unvisited {
-			continue
-		}
-		callStack = append(callStack[:0], frame{node: int32(root)})
-		index[root] = next
-		low[root] = next
-		next++
-		stack = append(stack, int32(root))
-		onStack[root] = true
-
-		for len(callStack) > 0 {
-			f := &callStack[len(callStack)-1]
-			out := d.colIdx[d.rowStart[f.node]:d.rowStart[f.node+1]]
-			advanced := false
-			for f.ei < len(out) {
-				w := out[f.ei]
-				f.ei++
-				if index[w] == unvisited {
-					index[w] = next
-					low[w] = next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					callStack = append(callStack, frame{node: w})
-					advanced = true
-					break
-				}
-				if onStack[w] && index[w] < low[f.node] {
-					low[f.node] = index[w]
-				}
-			}
-			if advanced {
-				continue
-			}
-			v := f.node
-			callStack = callStack[:len(callStack)-1]
-			if len(callStack) > 0 {
-				parent := callStack[len(callStack)-1].node
-				if low[v] < low[parent] {
-					low[parent] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				ci := int32(len(comps))
-				var comp []int32
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					compOf[w] = ci
-					comp = append(comp, w)
-					if w == v {
-						break
-					}
-				}
-				comps = append(comps, comp)
-			}
-		}
-	}
+// condensation builds the distinct successor lists of the condensation
+// DAG of the components SCC returned, and marks the cyclic ones: those
+// whose members reach themselves (more than one member, or a self
+// loop). Because comps is in reverse topological order, every successor
+// of a component has a smaller component index.
+func (d *DenseGraph) condensation(comps [][]int32, compOf []int32) (succs [][]int32, cyclic []bool) {
+	c := d.csr
+	succs = make([][]int32, len(comps))
 	cyclic = make([]bool, len(comps))
-	for ci, comp := range comps {
-		if len(comp) > 1 {
-			cyclic[ci] = true
-			continue
-		}
-		u := comp[0]
-		for _, v := range d.colIdx[d.rowStart[u]:d.rowStart[u+1]] {
-			if v == u {
-				cyclic[ci] = true
-				break
-			}
-		}
-	}
-	return comps, compOf, cyclic
-}
-
-// succsOf builds the distinct successor lists of the condensation DAG.
-// Because comps is in reverse topological order, every successor of a
-// component has a smaller component index.
-func (d *DenseGraph) succsOf(comps [][]int32, compOf []int32) [][]int32 {
-	succs := make([][]int32, len(comps))
 	mark := make([]int32, len(comps))
 	for i := range mark {
 		mark[i] = -1
 	}
 	for ci, comp := range comps {
+		cyclic[ci] = len(comp) > 1
 		for _, u := range comp {
-			for _, v := range d.colIdx[d.rowStart[u]:d.rowStart[u+1]] {
+			for _, v := range c.To[c.Off[u]:c.Off[u+1]] {
 				cv := compOf[v]
-				if int(cv) == ci || mark[cv] == int32(ci) {
+				if int(cv) == ci {
+					cyclic[ci] = true
+					continue
+				}
+				if mark[cv] == int32(ci) {
 					continue
 				}
 				mark[cv] = int32(ci)
@@ -212,7 +114,7 @@ func (d *DenseGraph) succsOf(comps [][]int32, compOf []int32) [][]int32 {
 			}
 		}
 	}
-	return succs
+	return succs, cyclic
 }
 
 // levelsOf groups component indices by dependency level: sinks are
@@ -340,8 +242,8 @@ var presence = []relation.Value{1.0}
 // ReachFromCtx computes the nodes every distinct present source reaches
 // over paths of at least one edge, as a (src, dst, cost) relation whose
 // cost column is the presence marker 1 — the bitset kernel on the CSR
-// the cost kernel runs on, so a site interns its fragment once for
-// both. Propagation is restricted to the components reachable from the
+// the cost kernel runs on, so a site keeps one CSR for both.
+// Propagation is restricted to the components reachable from the
 // sources, the kernel's analogue of the pushed selection in
 // ReachableFrom: a leg's entry set is the incoming disconnection set,
 // so only its "magic cone" of the condensation is touched. Absent
@@ -362,8 +264,8 @@ func (d *DenseGraph) ReachFromCtx(ctx context.Context, sources []graph.NodeID) (
 // schema.
 func (d *DenseGraph) reachFrom(ctx context.Context, sources []graph.NodeID, tail []relation.Value, schema relation.Schema) (*relation.Relation, Stats, error) {
 	var st Stats
-	comps, compOf, cyclic := d.condense()
-	succs := d.succsOf(comps, compOf)
+	comps, compOf := d.csr.SCC()
+	succs, cyclic := d.condensation(comps, compOf)
 
 	entries := d.sourceIndices(sources)
 	starts := make([]int32, len(entries)) // their distinct components
@@ -392,11 +294,11 @@ func (d *DenseGraph) reachFrom(ctx context.Context, sources []graph.NodeID, tail
 	for _, u := range entries {
 		st.ResultTuples += reached[compOf[u]]
 	}
-	byID, boxed := d.emitOrder()
+	boxed := d.boxedIDs()
 	width := 2 + len(tail)
 	tuples := make([]relation.Tuple, 0, st.ResultTuples)
 	cells := make([]relation.Value, 0, width*st.ResultTuples)
-	for _, v := range byID {
+	for v := range d.csr.IDs { // rows ascend by node id: leg-table order
 		if ctx.Err() != nil {
 			return nil, st, canceled(ctx)
 		}
@@ -412,8 +314,8 @@ func (d *DenseGraph) reachFrom(ctx context.Context, sources []graph.NodeID, tail
 	return out, st, err
 }
 
-// bitsetGraph interns the (src, dst) columns of the edge relation r in
-// tuple order — the cost column is not read — for the relation-fronted
+// bitsetGraph numbers the (src, dst) columns of the edge relation r in
+// a graph — the cost column is not read — for the relation-fronted
 // wrappers. When some node is not an int64 it returns no graph but the
 // (src, dst) projection the generic relational fixpoint runs on (as
 // CondensedClosure falls back).
@@ -439,7 +341,7 @@ func BitsetClosure(r *relation.Relation) (*relation.Relation, Stats, error) {
 	case d == nil:
 		return semiNaivePairs(pairs, pairs, &st)
 	}
-	return d.reachFrom(context.Background(), d.nodeIDs(), nil, pairSchema)
+	return d.reachFrom(context.Background(), d.csr.IDs, nil, pairSchema)
 }
 
 // BitsetReachableFromCtx computes the (src, dst) pairs with src in

@@ -69,7 +69,29 @@ func corpusGraphs(t *testing.T) map[string]*graph.Graph {
 	loops.AddEdge(graph.Edge{From: 3, To: 2, Weight: 1})
 	corpus["selfloop-cycle"] = loops
 
+	// An isolated node (9) and a sink (3): a graph's CSR has a row for
+	// each, which a CSR interned from the edge list had not for 9.
+	island := graph.New()
+	island.AddEdge(graph.Edge{From: 1, To: 2, Weight: 1})
+	island.AddEdge(graph.Edge{From: 2, To: 3, Weight: 2})
+	island.AddNode(9, graph.Coord{})
+	corpus["isolated-node"] = island
+
 	return corpus
+}
+
+// denseFrom wraps the CSR of the graph the edges make.
+func denseFrom(tb testing.TB, edges []graph.Edge) *DenseGraph {
+	tb.Helper()
+	g := graph.New()
+	for _, e := range edges {
+		g.AddEdge(e)
+	}
+	d, err := NewDenseGraph(g.CSR())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d
 }
 
 // TestBitsetClosureEquivalence is the engine-equivalence property:
@@ -157,9 +179,9 @@ func TestBitsetReachableFromDuplicateSources(t *testing.T) {
 // from edges and the relation-fronted BitsetReachableFromCtx over the
 // boxed form of the same edges give one pair set — ReachableFrom's —
 // and one Stats, on parallel edges, self loops, duplicate and absent
-// sources and a dense numbering that is not the node-id order. The method's relation is a
-// leg table: sorted by dst, a destination's sources in the order given,
-// the presence marker 1 in the cost column.
+// sources and edges listed in descending node id. The method's relation
+// is a leg table: sorted by dst, a destination's sources in the order
+// given, the presence marker 1 in the cost column.
 func TestReachFromMatchesWrapper(t *testing.T) {
 	e := func(from, to graph.NodeID, w float64) graph.Edge { return graph.Edge{From: from, To: to, Weight: w} }
 	type subquery struct {
@@ -171,7 +193,7 @@ func TestReachFromMatchesWrapper(t *testing.T) {
 			edges:   []graph.Edge{e(1, 2, 1), e(1, 2, 3), e(2, 2, 1), e(2, 3, 1), e(3, 1, 1), e(3, 1, 1), e(3, 4, 2), e(5, 5, 1), e(4, 6, 1)},
 			sources: []graph.NodeID{5, 3, 4, 3, 99, 5},
 		},
-		"descending-ids": { // first appearance numbers 90 before 80 before 70 …
+		"descending-ids": { // edges list 90 before 80 before 70 …
 			edges:   []graph.Edge{e(90, 80, 1), e(80, 70, 1), e(70, 90, 1), e(70, 60, 1), e(60, 50, 1), e(50, 60, 1), e(40, 90, 1)},
 			sources: []graph.NodeID{60, 40, 90, 7},
 		},
@@ -200,11 +222,7 @@ func TestReachFromMatchesWrapper(t *testing.T) {
 			if want.Len() != oracle.Len() || want.Arity() != 2 {
 				t.Errorf("wrapper: %d rows of arity %d, want %d distinct pairs", want.Len(), want.Arity(), oracle.Len())
 			}
-			d, err := NewDenseGraph(c.edges)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, st, err := d.ReachFromCtx(ctx, c.sources)
+			got, st, err := denseFrom(t, c.edges).ReachFromCtx(ctx, c.sources)
 			if err != nil {
 				t.Fatal(err)
 			}

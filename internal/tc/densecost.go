@@ -1,12 +1,10 @@
 package tc
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -17,15 +15,15 @@ import (
 // This file implements the dense cost-query kernel: the cost-capable
 // counterpart of the bitset reachability kernel. Where the relational
 // min-cost fixpoint hashes interface{} tuples per derived path per
-// round, this kernel renumbers the nodes to dense int32 ids once,
-// stores the edges in a CSR (compressed sparse row) adjacency with a
-// parallel float64 weight array, and answers entry-set-restricted
-// shortest-path cost queries with level-synchronous Bellman-Ford: each
-// round relaxes the out-edges of the improved frontier, and only
-// strictly improved nodes enter the next frontier. With non-negative
-// weights the frontier drains after at most diameter-many rounds (the
-// paper's own fixpoint bound, §2.1), so a fragment leg costs
-// O(rounds × frontier edges) array work instead of hash joins.
+// round, this kernel reads a graph's CSR (graph.CSR: dense int32 rows
+// in ascending node id, a parallel float64 weight array) and answers
+// entry-set-restricted shortest-path cost queries with
+// level-synchronous Bellman-Ford: each round relaxes the out-edges of
+// the improved frontier, and only strictly improved nodes enter the
+// next frontier. With non-negative weights the frontier drains after at
+// most diameter-many rounds (the paper's own fixpoint bound, §2.1), so
+// a fragment leg costs O(rounds × frontier edges) array work instead of
+// hash joins.
 //
 // One propagation pass serves a whole entry set: every distinct source
 // gets its own distance row, and the rows — mutually independent — are
@@ -34,85 +32,42 @@ import (
 // between per-source searches.
 
 // ErrNodesNotInt64 reports that an edge relation holds non-integer node
-// values, which the dense kernel cannot renumber. The exported wrappers
+// values, which the dense kernel cannot number. The exported wrappers
 // fall back to the generic relational fixpoint instead of surfacing it.
 var ErrNodesNotInt64 = errors.New("tc: dense kernel requires int64 node values")
 
-// DenseGraph is a CSR snapshot of an edge set with non-negative float64
-// costs, and the one interned form a kernel reads: the cost kernel
-// (CostFromCtx, CostVectorCtx) and the bitset reachability kernel
-// (ReachFromCtx, bitset.go) run on the same arrays. Build once, query
-// many times — the disconnection set approach's sites keep one per
-// augmented fragment.
+// DenseGraph is a graph's CSR with non-negative costs, as the kernels
+// read it: the cost kernel (CostFromCtx, CostVectorCtx) and the bitset
+// reachability kernel (ReachFromCtx, bitset.go) run on the same arrays,
+// whose rows ascend by node id — the order leg tables list their
+// destinations in. Build once, query many times — the disconnection set
+// approach's sites keep one per augmented fragment.
 type DenseGraph struct {
-	ids      []int64         // dense index → original node id
-	idx      map[int64]int32 // original node id → dense index
-	rowStart []int32         // CSR row offsets, len(ids)+1
-	colIdx   []int32         // edge targets, grouped by source row
-	weight   []float64       // edge costs, parallel to colIdx
+	csr *graph.CSR
 
-	// What CostFromCtx and ReachFromCtx need to hand their rows over
-	// sorted by destination without boxing a node per row; derived from
-	// ids on first use, never persisted (csr.go writes the four arrays
-	// above and nothing else).
-	emitOnce sync.Once
-	byID     []int32          // dense indices in ascending node-id order
-	boxed    []relation.Value // boxed[i] is ids[i] as a Value, boxed once
+	// boxed[k] is row k's node id as a relation.Value, boxed on first
+	// use and shared by the rows every kernel emits.
+	boxOnce sync.Once
+	boxed   []relation.Value
 }
 
-// NewDenseGraph interns the edges into CSR form, numbering the nodes in
-// order of first appearance (From before To, edge by edge). Negative
-// weights, which graph files may carry, are refused with
-// ErrNegativeWeight.
-func NewDenseGraph(in []graph.Edge) (*DenseGraph, error) {
-	d := &DenseGraph{idx: make(map[int64]int32)}
-	intern := func(id int64) int32 {
-		if i, seen := d.idx[id]; seen {
-			return i
+// NewDenseGraph wraps a graph's CSR for the kernels. Negative weights,
+// which graph files may carry, are refused with ErrNegativeWeight.
+func NewDenseGraph(c *graph.CSR) (*DenseGraph, error) {
+	for _, w := range c.W {
+		if w < 0 {
+			return nil, fmt.Errorf("tc: %w: cost %v not supported", ErrNegativeWeight, w)
 		}
-		i := int32(len(d.ids))
-		d.idx[id] = i
-		d.ids = append(d.ids, id)
-		return i
 	}
-	type edge struct {
-		from, to int32
-		w        float64
-	}
-	edges := make([]edge, 0, len(in))
-	for _, e := range in {
-		if e.Weight < 0 {
-			return nil, fmt.Errorf("tc: %w: cost %v not supported", ErrNegativeWeight, e.Weight)
-		}
-		edges = append(edges, edge{from: intern(int64(e.From)), to: intern(int64(e.To)), w: e.Weight})
-	}
-	// Counting sort into CSR rows.
-	n := len(d.ids)
-	d.rowStart = make([]int32, n+1)
-	for _, e := range edges {
-		d.rowStart[e.from+1]++
-	}
-	for i := 0; i < n; i++ {
-		d.rowStart[i+1] += d.rowStart[i]
-	}
-	d.colIdx = make([]int32, len(edges))
-	d.weight = make([]float64, len(edges))
-	fill := make([]int32, n)
-	for _, e := range edges {
-		p := d.rowStart[e.from] + fill[e.from]
-		fill[e.from]++
-		d.colIdx[p] = e.to
-		d.weight[p] = e.w
-	}
-	return d, nil
+	return &DenseGraph{csr: c}, nil
 }
 
-// Nodes returns the number of distinct nodes in the snapshot.
-func (d *DenseGraph) Nodes() int { return len(d.ids) }
+// Nodes returns the number of nodes in the snapshot.
+func (d *DenseGraph) Nodes() int { return len(d.csr.IDs) }
 
 // Edges returns the number of edges (parallel edges kept — relaxation
 // takes the minimum naturally).
-func (d *DenseGraph) Edges() int { return len(d.colIdx) }
+func (d *DenseGraph) Edges() int { return len(d.csr.To) }
 
 // costRow is the scratch state of one propagation: the distance row it
 // writes and the frontier bookkeeping, which a worker reuses from one
@@ -143,8 +98,9 @@ func (r *costRow) on(dist []float64) *costRow {
 // rounds and the number of successful relaxations.
 func (d *DenseGraph) relaxFrom(ctx context.Context, r *costRow, src int32) (reached, rounds, relaxed int) {
 	r.frontier = r.frontier[:0]
-	for k := d.rowStart[src]; k < d.rowStart[src+1]; k++ {
-		v, w := d.colIdx[k], d.weight[k]
+	c := d.csr
+	for k := c.Off[src]; k < c.Off[src+1]; k++ {
+		v, w := c.To[k], c.W[k]
 		if w < r.dist[v] {
 			if math.IsInf(r.dist[v], 1) {
 				r.frontier = append(r.frontier, v)
@@ -165,14 +121,15 @@ func (d *DenseGraph) relaxFrom(ctx context.Context, r *costRow, src int32) (reac
 // between rounds with a partial row; the callers surface ErrCanceled
 // and discard the result.
 func (d *DenseGraph) propagate(ctx context.Context, r *costRow) (reached, rounds, relaxed int) {
+	c := d.csr
 	for len(r.frontier) > 0 && ctx.Err() == nil {
 		rounds++
 		r.next = r.next[:0]
 		for _, u := range r.frontier {
 			du := r.dist[u]
-			for k := d.rowStart[u]; k < d.rowStart[u+1]; k++ {
-				v := d.colIdx[k]
-				nd := du + d.weight[k]
+			for k := c.Off[u]; k < c.Off[u+1]; k++ {
+				v := c.To[k]
+				nd := du + c.W[k]
 				if nd < r.dist[v] {
 					if math.IsInf(r.dist[v], 1) {
 						reached++
@@ -194,45 +151,42 @@ func (d *DenseGraph) propagate(ctx context.Context, r *costRow) (reached, rounds
 	return reached, rounds, relaxed
 }
 
-// sourceIndices resolves an entry set to dense indices, in the order
-// given: sources absent from the snapshot contribute nothing (they have
-// no out-edges) and duplicates count once.
+// sourceIndices resolves an entry set to rows, in the order given:
+// sources that are not nodes of the snapshot contribute nothing and
+// duplicates count once.
 func (d *DenseGraph) sourceIndices(sources []graph.NodeID) []int32 {
 	var out []int32
 	seen := make(map[int32]struct{}, len(sources))
 	for _, s := range sources {
-		i, present := d.idx[int64(s)]
-		if _, dup := seen[i]; !present || dup {
+		k, present := d.csr.Row(s)
+		if _, dup := seen[k]; !present || dup {
 			continue
 		}
-		seen[i] = struct{}{}
-		out = append(out, i)
+		seen[k] = struct{}{}
+		out = append(out, k)
 	}
 	return out
 }
 
-// emitOrder derives, once per snapshot, the destination order both
-// kernels emit in and the boxed node ids their rows share.
-func (d *DenseGraph) emitOrder() ([]int32, []relation.Value) {
-	d.emitOnce.Do(func() {
-		d.byID = make([]int32, len(d.ids))
-		d.boxed = make([]relation.Value, len(d.ids))
-		for i, id := range d.ids {
-			d.byID[i] = int32(i)
-			d.boxed[i] = id
+// boxedIDs returns the node ids as the relation.Values both kernels'
+// rows share, boxing them on first use.
+func (d *DenseGraph) boxedIDs() []relation.Value {
+	d.boxOnce.Do(func() {
+		d.boxed = make([]relation.Value, len(d.csr.IDs))
+		for k, id := range d.csr.IDs {
+			d.boxed[k] = int64(id)
 		}
-		slices.SortFunc(d.byID, func(a, b int32) int { return cmp.Compare(d.ids[a], d.ids[b]) })
 	})
-	return d.byID, d.boxed
+	return d.boxed
 }
 
 // CostFromCtx computes the minimum path cost (over paths of at least
 // one edge) from every distinct present source to every node it
 // reaches, as a (src, dst, cost) relation — the same answer
-// ShortestFromCtx gives, in kernel time. Sources absent from the
-// snapshot contribute nothing (they have no out-edges); duplicates
-// count once. The relation is born in the layout every leg table has:
-// sorted by dst in ascending node id (relation.NewSortedBy's mark), the
+// ShortestFromCtx gives, in kernel time. Sources that are not nodes of
+// the snapshot contribute nothing; duplicates count once. The relation
+// is born in the layout every leg table has: sorted by dst in
+// ascending node id (relation.NewSortedBy's mark), the
 // sources of one destination in the order given. Each row is a window
 // of one backing array whose node columns are the kernel's shared boxed
 // ids, so a row allocates its cost and nothing else; the price is one
@@ -244,7 +198,7 @@ func (d *DenseGraph) emitOrder() ([]int32, []relation.Value) {
 // canceled run returns ErrCanceled instead of a partial relation.
 func (d *DenseGraph) CostFromCtx(ctx context.Context, sources []graph.NodeID) (*relation.Relation, Stats, error) {
 	var st Stats
-	n := len(d.ids)
+	n := len(d.csr.IDs)
 	srcIdx := d.sourceIndices(sources)
 	dist := make([]float64, len(srcIdx)*n)
 	rounds := make([]int, len(srcIdx))
@@ -274,12 +228,12 @@ func (d *DenseGraph) CostFromCtx(ctx context.Context, sources []graph.NodeID) (*
 	for _, r := range rounds {
 		st.Iterations = max(st.Iterations, r)
 	}
-	byID, boxed := d.emitOrder()
+	boxed := d.boxedIDs()
 	tuples := make([]relation.Tuple, 0, rows.Load())
 	cells := make([]relation.Value, 0, 3*rows.Load())
-	for _, v := range byID {
+	for v := range n { // rows ascend by node id: leg-table order
 		for si, s := range srcIdx {
-			if c := dist[si*n+int(v)]; !math.IsInf(c, 1) {
+			if c := dist[si*n+v]; !math.IsInf(c, 1) {
 				cells = append(cells, boxed[s], boxed[v], c)
 				tuples = append(tuples, cells[len(cells)-3:len(cells):len(cells)])
 			}
@@ -296,56 +250,49 @@ func (d *DenseGraph) CostFromCtx(ctx context.Context, sources []graph.NodeID) (*
 // CostVectorCtx runs one propagation seeded with the given (node, cost)
 // vector, allowing zero-edge paths: the result contains every node
 // reachable from a seed, including the seeds themselves at (at most)
-// their seed cost. Negative seed costs are ignored, mirroring
-// graph.ShortestPathsMulti. Seeds absent from the snapshot are carried
-// through at their seed cost — the CSR only knows edge endpoints, so an
-// absent seed is an isolated node, which the graph-backed search would
-// keep (a chain may enter and leave a fragment at the same border
-// node). This is the pipelined chain evaluation primitive, where the
-// running cost vector of the previous fragments seeds the next
-// fragment's search. The propagation observes ctx between frontier
-// rounds, and a canceled run returns ErrCanceled instead of a partial
-// vector.
+// their seed cost. Seeds that are not nodes or have a negative cost are
+// ignored, as graph.CSR.ShortestPathsMulti ignores them. This is the
+// pipelined chain evaluation primitive, where the running cost vector
+// of the previous fragments seeds the next fragment's search. The
+// propagation observes ctx between frontier rounds, and a canceled run
+// returns ErrCanceled instead of a partial vector.
 func (d *DenseGraph) CostVectorCtx(ctx context.Context, seed map[graph.NodeID]float64) (map[graph.NodeID]float64, error) {
-	row := newCostRow(len(d.ids)).on(make([]float64, len(d.ids)))
-	out := make(map[graph.NodeID]float64, len(seed))
+	ids := d.csr.IDs
+	row := newCostRow(len(ids)).on(make([]float64, len(ids)))
 	for s, c := range seed {
-		if c < 0 {
+		k, present := d.csr.Row(s)
+		if !present || c < 0 {
 			continue
 		}
-		i, present := d.idx[int64(s)]
-		if !present {
-			out[s] = c
-			continue
-		}
-		if c < row.dist[i] {
-			if math.IsInf(row.dist[i], 1) {
-				row.frontier = append(row.frontier, i)
+		if c < row.dist[k] {
+			if math.IsInf(row.dist[k], 1) {
+				row.frontier = append(row.frontier, k)
 			}
-			row.dist[i] = c
+			row.dist[k] = c
 		}
 	}
 	d.propagate(ctx, row)
 	if ctx.Err() != nil {
 		return nil, canceled(ctx)
 	}
-	for v, c := range row.dist {
+	out := make(map[graph.NodeID]float64, len(seed))
+	for k, c := range row.dist {
 		if !math.IsInf(c, 1) {
-			out[graph.NodeID(d.ids[v])] = c
+			out[ids[k]] = c
 		}
 	}
 	return out, nil
 }
 
-// denseOf unboxes an arity-3 edge relation into graph edges, in tuple
-// order, and interns them; without withCost the cost column is not read
-// and every weight is 0. ErrNodesNotInt64 tells the callers to fall back
-// to the relational fixpoint.
+// denseOf unboxes an arity-3 edge relation into a graph, in tuple
+// order, and wraps its CSR; without withCost the cost column is not
+// read and every weight is 0. ErrNodesNotInt64 tells the callers to fall
+// back to the relational fixpoint.
 func denseOf(r *relation.Relation, withCost bool) (*DenseGraph, error) {
 	if r.Arity() != 3 {
 		return nil, fmt.Errorf("tc: edge relation must have arity 3 (src, dst, cost), got %d", r.Arity())
 	}
-	edges := make([]graph.Edge, 0, r.Len())
+	g := graph.New()
 	for _, t := range r.Tuples() {
 		from, ok1 := t[0].(int64)
 		to, ok2 := t[1].(int64)
@@ -359,19 +306,9 @@ func denseOf(r *relation.Relation, withCost bool) (*DenseGraph, error) {
 				return nil, errors.New("tc: edge cost is not float64")
 			}
 		}
-		edges = append(edges, graph.Edge{From: graph.NodeID(from), To: graph.NodeID(to), Weight: c})
+		g.AddEdge(graph.Edge{From: graph.NodeID(from), To: graph.NodeID(to), Weight: c})
 	}
-	return NewDenseGraph(edges)
-}
-
-// nodeIDs lists the snapshot's nodes in dense-index order: the source
-// set of a full closure.
-func (d *DenseGraph) nodeIDs() []graph.NodeID {
-	out := make([]graph.NodeID, len(d.ids))
-	for i, id := range d.ids {
-		out[i] = graph.NodeID(id)
-	}
-	return out
+	return NewDenseGraph(g.CSR())
 }
 
 // DenseCostFrom computes the entry-set-restricted shortest-path costs
@@ -407,5 +344,5 @@ func DenseCostClosure(r *relation.Relation) (*relation.Relation, Stats, error) {
 	if err != nil {
 		return nil, st, err
 	}
-	return d.CostFromCtx(context.Background(), d.nodeIDs())
+	return d.CostFromCtx(context.Background(), d.csr.IDs)
 }

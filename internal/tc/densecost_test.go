@@ -2,8 +2,10 @@ package tc
 
 import (
 	"context"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -219,21 +221,40 @@ func TestDenseCostValidation(t *testing.T) {
 // TestDenseCostVectorMatchesShortestPathsMulti: the vector-seeded
 // single-row propagation (the pipelined primitive) matches the
 // graph-backed multi-source Dijkstra, including seed nodes kept at
-// their seed cost and ignored negative seeds.
+// their seed cost, ignored negative and absent seeds, and a last trial
+// seeded with every node that has no out-edge (an isolated node among
+// them on the isolated-node graph) — from which, as sources, the cost
+// kernel derives no path.
 func TestDenseCostVectorMatchesShortestPathsMulti(t *testing.T) {
 	for name, g := range corpusGraphs(t) {
 		t.Run(name, func(t *testing.T) {
-			d, err := NewDenseGraph(g.Edges())
+			d, err := NewDenseGraph(g.CSR())
 			if err != nil {
 				t.Fatal(err)
 			}
 			nodes := g.Nodes()
+			sinks := map[graph.NodeID]float64{graph.NodeID(3_000_000): 0} // absent: ignored
+			for _, v := range nodes {
+				if len(g.Out(v)) == 0 {
+					sinks[v] = 1.5
+				}
+			}
 			rng := rand.New(rand.NewSource(11))
-			for trial := 0; trial < 4; trial++ {
+			for trial := 0; trial < 5; trial++ {
 				seed := map[graph.NodeID]float64{
 					nodes[rng.Intn(len(nodes))]: float64(rng.Intn(5)),
 					nodes[rng.Intn(len(nodes))]: 0,
 					graph.NodeID(2_000_000):     -1, // ignored: negative
+				}
+				if trial == 4 {
+					seed = sinks
+					rows, _, err := d.CostFromCtx(context.Background(), slices.Collect(maps.Keys(sinks)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rows.Len() != 0 {
+						t.Errorf("sources without out-edges derived %v", rows.Tuples())
+					}
 				}
 				want, _ := g.ShortestPathsMulti(seed)
 				got, err := d.CostVectorCtx(context.Background(), seed)
@@ -253,16 +274,13 @@ func TestDenseCostVectorMatchesShortestPathsMulti(t *testing.T) {
 	}
 }
 
-// TestDenseGraphCounts: Nodes/Edges reflect the interned snapshot.
+// TestDenseGraphCounts: Nodes/Edges reflect the wrapped snapshot.
 func TestDenseGraphCounts(t *testing.T) {
-	d, err := NewDenseGraph([]graph.Edge{
+	d := denseFrom(t, []graph.Edge{
 		{From: 1, To: 2, Weight: 1},
 		{From: 1, To: 2, Weight: 2}, // parallel edge kept
 		{From: 2, To: 3, Weight: 1},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if d.Nodes() != 3 || d.Edges() != 3 {
 		t.Errorf("Nodes/Edges = %d/%d, want 3/3", d.Nodes(), d.Edges())
 	}
@@ -376,8 +394,7 @@ func FuzzDenseCost(f *testing.F) {
 }
 
 // gridFragment is a rows×cols lattice with symmetric unit-ish edges,
-// node ids descending along the edge list so that the kernel's dense
-// numbering (first appearance) is not the node-id order it emits in.
+// node ids descending along the edge list.
 func gridFragment(tb testing.TB, rows, cols int) *DenseGraph {
 	tb.Helper()
 	id := func(r, c int) graph.NodeID { return graph.NodeID(1000 - (r*cols + c)) }
@@ -392,15 +409,11 @@ func gridFragment(tb testing.TB, rows, cols int) *DenseGraph {
 			}
 		}
 	}
-	d, err := NewDenseGraph(edges)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return d
+	return denseFrom(tb, edges)
 }
 
 // TestDenseCostBornSorted: the kernel's relation is marked sorted by
-// dst, destinations ascend by node id whatever the dense numbering, and
+// dst, destinations ascend by node id whatever the edge order, and
 // the sources of one destination come in the order they were given.
 func TestDenseCostBornSorted(t *testing.T) {
 	d := gridFragment(t, 4, 5)
@@ -423,8 +436,8 @@ func TestDenseCostBornSorted(t *testing.T) {
 	}
 }
 
-// TestDenseCostConcurrentFirstUse is for -race: the emission order is
-// derived on a snapshot's first CostFromCtx or ReachFromCtx, whichever
+// TestDenseCostConcurrentFirstUse is for -race: the boxed node ids are
+// built on a snapshot's first CostFromCtx or ReachFromCtx, whichever
 // comes first, and a site's first legs — cost and connectivity — can
 // arrive together.
 func TestDenseCostConcurrentFirstUse(t *testing.T) {

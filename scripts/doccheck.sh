@@ -12,6 +12,15 @@
 #                 `repro/pkg/tcq`, `scripts/*.sh`, `decode.go:46`): its
 #                 first component is a top-level entry, or it is a bare
 #                 source file name that exists somewhere
+#   -flag         a command-line flag (`-store`, `-checkpoint-every N`):
+#                 some cmd/*/main.go defines it; after a command
+#                 (`tcload -addrs`, `bin/tcserver -pprof`) every -flag is
+#                 one that command's main.go defines
+#   tc_name       a metric (`tc_epoch`, `tc_http_requests_total{endpoint}`,
+#                 `tc_fragments_{rebuilt,shared}_total`, `tc_store_*`): a
+#                 family some Go code registers, or its _bucket, _sum or
+#                 _count series; a trailing * or _ matches any family
+#                 with that prefix
 #
 # must resolve. An identifier resolves when it occurs in Go code outside
 # comments. Fenced code blocks are not checked. A historical mention is
@@ -41,6 +50,12 @@ allow=(
     'internal/server/pool.go'       # site worker pools, deleted in PR 19
     'ShortcutEdges()'               # CompInfo accessor, deleted in PR 19
     'loadgen.LoadConfig.WriteEdges' # load driver knob, deleted in PR 22
+    'tcserver -site-workers'        # server flag, deleted with the per-site worker pools
+    'tcserver -engine'              # server flag, deleted with the legacy routes
+    'tcload -api'                   # load driver flag, deleted with the legacy routes
+    # Flags of the go tool, not of a command of this module.
+    '-race'                         # go test / go build race detector
+    '-benchmem'                     # go test benchmark allocation report
 )
 
 tmp=$(mktemp -d)
@@ -83,7 +98,18 @@ grep '\.go$' "$tmp/files" | xargs awk -v q="'" '
         }
     }' | sort -u >"$tmp/idents"
 
-awk -v files="$tmp/files" -v idents="$tmp/idents" -v allowf="$tmp/allow" '
+# Flag index: "command flag" for every flag a cmd/*/main.go defines.
+for main in cmd/*/main.go; do
+    grep -oE '\.(String|Int|Int64|Uint|Uint64|Bool|Float64|Duration|Func|BoolFunc|TextVar|Var|StringVar|IntVar|Int64Var|UintVar|Uint64Var|BoolVar|Float64Var|DurationVar)\((&?[A-Za-z_.]+, )?"[a-z0-9-]+"' "$main" |
+        sed -E "s|.*\"([a-z0-9-]+)\"|$(basename "$(dirname "$main")") \1|"
+done | sort -u >"$tmp/flags"
+
+# Metric index: every family a registration names in non-test Go code.
+grep '\.go$' "$tmp/files" | grep -v -e '_test\.go$' -e '/testdata/' | xargs grep -ohE \
+    '\.(Counter|CounterVec|CounterFunc|Gauge|GaugeVec|GaugeFunc|Histogram|HistogramVec)\(\s*"tc_[a-z0-9_]+"' |
+    sed -E 's/.*"(tc_[a-z0-9_]+)"/\1/' | sort -u >"$tmp/families"
+
+awk -v files="$tmp/files" -v idents="$tmp/idents" -v allowf="$tmp/allow" -v flagf="$tmp/flags" -v famf="$tmp/families" '
     BEGIN {
         while ((getline f < files) > 0) {
             tracked[f] = 1
@@ -97,6 +123,8 @@ awk -v files="$tmp/files" -v idents="$tmp/idents" -v allowf="$tmp/allow" '
             else { inpkg[kv[1] " " kv[2]] = 1; word[kv[2]] = 1 }
         }
         while ((getline a < allowf) > 0) allowed[a] = 1
+        while ((getline l < flagf) > 0) { split(l, kv, " "); cmds[kv[1]] = 1; cmdflag[l] = 1; anyflag[kv[2]] = 1 }
+        while ((getline l < famf) > 0) family[l] = 1
         ident = "[A-Z][A-Za-z0-9_]*"
     }
     function bad(span, why) {
@@ -137,7 +165,48 @@ awk -v files="$tmp/files" -v idents="$tmp/idents" -v allowf="$tmp/allow" '
         }
         bad(span, "no such path")
     }
+    # Flags: a span that starts with one, or every one after a command.
+    function flags(span,    s, n, t, c, i, f) {
+        s = span; sub(/^go run /, "", s)
+        n = split(s, t, " ")
+        c = t[1]; sub(/^(\.\/)?(bin|cmd)\//, "", c)
+        if (c in cmds) {
+            for (i = 2; i <= n; i++) if (t[i] ~ /^-[a-z]/) {
+                f = substr(t[i], 2); sub(/=.*/, "", f)
+                if (!((c " " f) in cmdflag)) { bad(span, "-" f " is not a flag of cmd/" c "/main.go"); return }
+            }
+        } else if (t[1] ~ /^-[a-z]/) {
+            f = substr(t[1], 2); sub(/=.*/, "", f)
+            if (!(f in anyflag)) bad(span, "-" f " is not a flag of any cmd/*/main.go")
+        }
+    }
+    # A metric name, after its {labels} are cut and a {a,b} alternation
+    # expanded: a family, a series of one, or a prefix of one.
+    function metric(span, m,    pre, alt, post, n, a, i, p, f, ok) {
+        if (match(m, /[^_]\{[^}]*\}$/)) m = substr(m, 1, RSTART)
+        if (match(m, /_\{[^}]*\}/)) {
+            pre = substr(m, 1, RSTART); alt = substr(m, RSTART + 2, RLENGTH - 3); post = substr(m, RSTART + RLENGTH)
+            n = split(alt, a, ",")
+            for (i = 1; i <= n; i++) metric(span, pre a[i] post)
+            return
+        }
+        if (m ~ /[_*]$/) {
+            p = m; sub(/\*$/, "", p)
+            for (f in family) if (index(f, p) == 1) return
+            bad(span, m " matches no registered metric family"); return
+        }
+        ok = m in family
+        if (!ok && match(m, /_(bucket|sum|count)$/)) ok = substr(m, 1, RSTART - 1) in family
+        if (!ok) bad(span, m " is not a registered metric family")
+    }
     function check(span,    s, q) {
+        flags(span)
+        s = span
+        while (match(s, /(^|[^A-Za-z0-9_])tc_[A-Za-z0-9_{},*]*/)) {
+            q = substr(s, RSTART, RLENGTH); s = substr(s, RSTART + RLENGTH)
+            sub(/^[^t]/, "", q)
+            metric(span, q)
+        }
         if (span ~ /^[^ ]+$/ && span ~ /^(\.\/)?[A-Za-z0-9_.*-]+(\/[A-Za-z0-9_.*-]*)*(:[0-9,]+)?$/ && span !~ /^[A-Za-z0-9_]+\.[A-Z]/) path(span, span)
         s = span
         while (match(s, "(^|[^A-Za-z0-9_.])[a-z][a-z0-9]*\\." ident "(\\." ident ")*")) {

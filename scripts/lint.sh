@@ -30,10 +30,10 @@
 #               or bin/tcload or calls curl: behavioural gates live in
 #               scripts/smoke.sh, where a developer can run them (the
 #               allowlist gives one reason per line)
-#   doccheck    every back-ticked pkg.Ident, Go name and repo path in
-#               README.md and docs/*.md resolves in the tree
-#               (scripts/doccheck.sh; its allowlist gives one reason per
-#               historical mention)
+#   doccheck    every back-ticked pkg.Ident, Go name, repo path, -flag
+#               and tc_* metric name in README.md and docs/*.md resolves
+#               in the tree (scripts/doccheck.sh; its allowlist gives one
+#               reason per historical mention)
 #
 # Usage: scripts/lint.sh
 set -euo pipefail
