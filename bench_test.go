@@ -391,7 +391,8 @@ func BenchmarkGridReachableFromBitset(b *testing.B) {
 // BenchmarkCost times the two cost-capable per-leg engines on the
 // identical entry-set-restricted shortest-path cost subquery over the
 // 64×64 grid: the semi-naive relational min-cost fixpoint versus the
-// dense CSR + level-synchronous Bellman-Ford kernel.
+// dense CSR + level-synchronous Bellman-Ford kernel, whose CSR is built
+// once, as a site keeps it.
 func BenchmarkCost(b *testing.B) {
 	rel := relation.FromGraph(benchGrid)
 	srcs := []graph.NodeID{0, 2080}
@@ -403,8 +404,13 @@ func BenchmarkCost(b *testing.B) {
 		}
 	})
 	b.Run("dense", func(b *testing.B) {
+		d, err := tc.NewDenseGraph(benchGrid.CSR())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := tc.DenseCostFrom(rel, srcs); err != nil {
+			if _, _, err := d.CostFromCtx(context.Background(), srcs); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,14 +1,19 @@
 // Command tcclosure computes the transitive closure of a graph file
 // with a chosen algorithm and reports the fixpoint statistics — the
 // single-processor building block the disconnection set approach
-// parallelises. With -src the computation is source-restricted
-// (selection pushing); with -costs the weighted closure is computed
-// instead of reachability.
+// parallelises. -alg picks the reachability closure: the naive,
+// semi-naive or smart (squaring) fixpoint, Warshall's matrix algorithm,
+// or the condensation closure (SCC condensation, then a bitset DAG
+// closure). With -src the computation is source-restricted (selection
+// pushing); with -costs the cheapest-path closure is computed instead
+// of reachability. Both run the semi-naive fixpoint, so they refuse any
+// other -alg.
 //
 // Usage:
 //
 //	tcclosure -in graph.txt -alg seminaive
-//	tcclosure -in graph.txt -alg smart -src 3
+//	tcclosure -in graph.txt -alg condensed -dump
+//	tcclosure -in graph.txt -src 3
 //	tcclosure -in graph.txt -costs -src 3
 package main
 
@@ -23,16 +28,31 @@ import (
 	"repro/internal/tc"
 )
 
+// closures are the -alg values, each a full reachability closure.
+var closures = map[string]func(*relation.Relation) (*relation.Relation, tc.Stats, error){
+	"naive":     tc.NaiveClosure,
+	"seminaive": tc.SemiNaiveClosure,
+	"smart":     tc.SmartClosure,
+	"warshall":  tc.WarshallClosure,
+	"condensed": tc.BitsetClosure,
+}
+
 func main() {
 	var (
 		in    = flag.String("in", "", "input graph file (required)")
 		alg   = flag.String("alg", "seminaive", "naive, seminaive, smart, warshall or condensed")
-		src   = flag.Int("src", -1, "restrict to paths from this source node")
-		costs = flag.Bool("costs", false, "compute cheapest-path costs instead of reachability")
+		src   = flag.Int("src", -1, "restrict to paths from this source node (semi-naive only)")
+		costs = flag.Bool("costs", false, "compute cheapest-path costs instead of reachability (semi-naive only)")
 		dump  = flag.Bool("dump", false, "print the closure tuples")
 	)
 	flag.Parse()
-	if *in == "" {
+	closure, ok := closures[*alg]
+	switch {
+	case !ok:
+		fatal(fmt.Errorf("unknown -alg %q (want naive, seminaive, smart, warshall or condensed)", *alg))
+	case *alg != "seminaive" && (*src >= 0 || *costs):
+		fatal(fmt.Errorf("-alg %s cannot be combined with -src or -costs, which run the semi-naive fixpoint", *alg))
+	case *in == "":
 		fatal(fmt.Errorf("-in is required"))
 	}
 	f, err := os.Open(*in)
@@ -58,20 +78,7 @@ func main() {
 	case *src >= 0:
 		out, stats, err = tc.ReachableFrom(rel, []graph.NodeID{graph.NodeID(*src)})
 	default:
-		switch *alg {
-		case "naive":
-			out, stats, err = tc.NaiveClosure(rel)
-		case "seminaive":
-			out, stats, err = tc.SemiNaiveClosure(rel)
-		case "smart":
-			out, stats, err = tc.SmartClosure(rel)
-		case "warshall":
-			out, stats, err = tc.WarshallClosure(rel)
-		case "condensed":
-			out, stats, err = tc.CondensedClosure(rel)
-		default:
-			err = fmt.Errorf("unknown -alg %q (want naive, seminaive, smart, warshall or condensed)", *alg)
-		}
+		out, stats, err = closure(rel)
 	}
 	if err != nil {
 		fatal(err)

@@ -1,29 +1,5 @@
 package graph
 
-// StronglyConnectedComponents returns the strongly connected components
-// of the directed graph in reverse topological order of the condensation
-// (every edge of the condensation points from a later component to an
-// earlier one in the returned slice), each sorted ascending: CSR().SCC()
-// with rows mapped back to ids.
-//
-// SCC condensation is the classic preprocessing step for transitive
-// closure on cyclic graphs — all members of a component reach exactly
-// the same nodes — and package tc builds its condensation closure on
-// it, and its bitset kernel on CSR.SCC.
-func (g *Graph) StronglyConnectedComponents() [][]NodeID {
-	c := g.CSR()
-	rows, _ := c.SCC()
-	comps := make([][]NodeID, len(rows))
-	for i, comp := range rows {
-		ids := make([]NodeID, len(comp))
-		for j, k := range comp {
-			ids[j] = c.IDs[k]
-		}
-		comps[i] = SortNodeIDs(ids)
-	}
-	return comps
-}
-
 // SCC runs Tarjan's algorithm over the snapshot's rows, iterative to
 // survive deep recursion on path graphs, taking roots and out-edges in
 // row order. comps lists the strongly connected components in reverse
@@ -32,6 +8,10 @@ func (g *Graph) StronglyConnectedComponents() [][]NodeID {
 // the order they left Tarjan's stack and all of them windows of one
 // array; compOf[k] is the component of row k. Parallel edges are
 // harmless: the second visit of a neighbour changes nothing.
+//
+// SCC condensation is the classic preprocessing step for transitive
+// closure on cyclic graphs — all members of a component reach exactly
+// the same nodes — and package tc's bitset kernel is built on it.
 func (c *CSR) SCC() (comps [][]int32, compOf []int32) {
 	n := len(c.IDs)
 	const unvisited = -1
@@ -104,38 +84,4 @@ func (c *CSR) SCC() (comps [][]int32, compOf []int32) {
 		}
 	}
 	return comps, compOf
-}
-
-// Condensation returns the DAG of strongly connected components: a new
-// graph with one node per component (IDs are component indices into the
-// returned components slice) and an edge c1→c2 whenever some original
-// edge crosses from component c1 to component c2. Edge weights are the
-// minimum crossing weight.
-func (g *Graph) Condensation() (dag *Graph, comps [][]NodeID, compOf map[NodeID]int) {
-	comps = g.StronglyConnectedComponents()
-	compOf = make(map[NodeID]int, g.NumNodes())
-	for ci, comp := range comps {
-		for _, id := range comp {
-			compOf[id] = ci
-		}
-	}
-	dag = New()
-	for ci := range comps {
-		dag.AddNode(NodeID(ci), Coord{})
-	}
-	best := make(map[[2]int]float64)
-	for _, e := range g.Edges() {
-		cf, ct := compOf[e.From], compOf[e.To]
-		if cf == ct {
-			continue
-		}
-		key := [2]int{cf, ct}
-		if w, ok := best[key]; !ok || e.Weight < w {
-			best[key] = e.Weight
-		}
-	}
-	for key, w := range best {
-		dag.AddEdge(Edge{From: NodeID(key[0]), To: NodeID(key[1]), Weight: w})
-	}
-	return dag, comps, compOf
 }

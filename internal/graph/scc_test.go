@@ -7,13 +7,28 @@ import (
 	"testing/quick"
 )
 
+// sccIDs runs CSR.SCC on g and maps each component's rows back to node
+// ids, sorted ascending.
+func sccIDs(g *Graph) [][]NodeID {
+	c := g.CSR()
+	rows, _ := c.SCC()
+	comps := make([][]NodeID, len(rows))
+	for i, comp := range rows {
+		for _, k := range comp {
+			comps[i] = append(comps[i], c.IDs[k])
+		}
+		SortNodeIDs(comps[i])
+	}
+	return comps
+}
+
 func TestSCCSimpleCycle(t *testing.T) {
 	g := New()
 	g.AddEdge(Edge{From: 0, To: 1, Weight: 1})
 	g.AddEdge(Edge{From: 1, To: 2, Weight: 1})
 	g.AddEdge(Edge{From: 2, To: 0, Weight: 1})
 	g.AddEdge(Edge{From: 2, To: 3, Weight: 1})
-	comps := g.StronglyConnectedComponents()
+	comps := sccIDs(g)
 	if len(comps) != 2 {
 		t.Fatalf("components = %v", comps)
 	}
@@ -30,7 +45,7 @@ func TestSCCDAGIsSingletons(t *testing.T) {
 	g := New()
 	g.AddEdge(Edge{From: 0, To: 1, Weight: 1})
 	g.AddEdge(Edge{From: 1, To: 2, Weight: 1})
-	comps := g.StronglyConnectedComponents()
+	comps := sccIDs(g)
 	if len(comps) != 3 {
 		t.Errorf("DAG should give singleton components: %v", comps)
 	}
@@ -43,39 +58,45 @@ func TestSCCDeepPathNoOverflow(t *testing.T) {
 	for i := 0; i+1 < n; i++ {
 		g.AddEdge(Edge{From: NodeID(i), To: NodeID(i + 1), Weight: 1})
 	}
-	comps := g.StronglyConnectedComponents()
+	comps := sccIDs(g)
 	if len(comps) != n {
 		t.Errorf("components = %d, want %d", len(comps), n)
 	}
 }
 
+// TestCondensation: two 2-cycles joined by one edge condense to two
+// components, each row mapped to the component that lists it, and the
+// crossing edge runs from the later component to the earlier one.
 func TestCondensation(t *testing.T) {
 	g := New()
-	// Two 2-cycles joined by one edge.
 	g.AddBoth(Edge{From: 0, To: 1, Weight: 1})
 	g.AddBoth(Edge{From: 10, To: 11, Weight: 1})
 	g.AddEdge(Edge{From: 1, To: 10, Weight: 7})
-	dag, comps, compOf := g.Condensation()
+	c := g.CSR()
+	comps, compOf := c.SCC()
 	if len(comps) != 2 {
 		t.Fatalf("components = %v", comps)
 	}
-	if dag.NumNodes() != 2 || dag.NumEdges() != 1 {
-		t.Fatalf("condensation = %v", dag)
+	row := func(id NodeID) int32 { k, _ := c.Row(id); return k }
+	if compOf[row(0)] != compOf[row(1)] || compOf[row(10)] != compOf[row(11)] || compOf[row(1)] <= compOf[row(10)] {
+		t.Errorf("compOf = %v over rows %v", compOf, c.IDs)
 	}
-	e := dag.Edges()[0]
-	if e.Weight != 7 {
-		t.Errorf("crossing weight = %v, want 7", e.Weight)
-	}
-	if compOf[0] != compOf[1] || compOf[10] != compOf[11] || compOf[0] == compOf[10] {
-		t.Errorf("compOf = %v", compOf)
+	for ci, comp := range comps {
+		for _, k := range comp {
+			if compOf[k] != int32(ci) {
+				t.Errorf("row %d listed in component %d, mapped to %d", k, ci, compOf[k])
+			}
+		}
 	}
 }
 
 // TestPropertySCCPartition: components partition the node set, members
-// of one component reach each other, the condensation is acyclic, and
-// the components come in reverse topological order — every
-// condensation edge runs from a later component to an earlier one, the
-// order the bitset kernel's level and row propagation rely on.
+// of one component reach each other, and the components come in
+// reverse topological order — every condensation edge runs from a
+// later component to an earlier one, the order the bitset kernel's
+// level and row propagation rely on. That order also makes the
+// condensation acyclic: a cycle would need an edge to a later
+// component.
 func TestPropertySCCPartition(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -90,7 +111,7 @@ func TestPropertySCCPartition(t *testing.T) {
 				g.AddEdge(Edge{From: NodeID(i), To: NodeID(j), Weight: 1})
 			}
 		}
-		comps := g.StronglyConnectedComponents()
+		comps := sccIDs(g)
 		compOf := make(map[NodeID]int)
 		total := 0
 		for ci, comp := range comps {
@@ -120,13 +141,6 @@ func TestPropertySCCPartition(t *testing.T) {
 		}
 		for _, e := range g.Edges() {
 			if compOf[e.From] < compOf[e.To] {
-				return false
-			}
-		}
-		// The condensation has no cycle: every SCC of it is a singleton.
-		dag, _, _ := g.Condensation()
-		for _, c := range dag.StronglyConnectedComponents() {
-			if len(c) != 1 {
 				return false
 			}
 		}

@@ -37,21 +37,15 @@ func (g *Graph) StatusScore(i NodeID, a float64, depth int) float64 {
 	return score
 }
 
-// StatusScores returns the status score of every node.
-func (g *Graph) StatusScores(a float64, depth int) map[NodeID]float64 {
-	scores := make(map[NodeID]float64, g.NumNodes())
-	for _, id := range g.Nodes() {
-		scores[id] = g.StatusScore(id, a, depth)
-	}
-	return scores
-}
-
 // TopByStatus returns the n nodes with the highest status scores, best
 // first. Ties break by ascending node ID so the selection is
 // deterministic.
 func (g *Graph) TopByStatus(n int, a float64, depth int) []NodeID {
-	scores := g.StatusScores(a, depth)
 	ids := g.Nodes()
+	scores := make(map[NodeID]float64, len(ids))
+	for _, id := range ids {
+		scores[id] = g.StatusScore(id, a, depth)
+	}
 	sort.SliceStable(ids, func(i, j int) bool {
 		si, sj := scores[ids[i]], scores[ids[j]]
 		if si != sj {

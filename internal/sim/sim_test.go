@@ -16,7 +16,6 @@ import (
 	"repro/internal/fragment/linear"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/relation"
 	"repro/internal/tc"
 )
 
@@ -244,15 +243,18 @@ func TestCentralizedElapsed(t *testing.T) {
 		t.Error("unknown engine accepted")
 	}
 
-	// The CSR baselines run on tc.NewDenseGraph(base.CSR()) under the
-	// caller's ctx; they charge exactly what the relation-fronted
-	// kernels report on relation.FromGraph(base).
-	rel, sources := relation.FromGraph(g), []graph.NodeID{nodes[0]}
-	_, bitset, err := tc.BitsetReachableFromCtx(context.Background(), rel, sources)
+	// The CSR baselines charge exactly what the kernels report on the
+	// graph's CSR.
+	kernel, err := tc.NewDenseGraph(g.CSR())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dense, err := tc.DenseCostFrom(rel, sources)
+	sources := []graph.NodeID{nodes[0]}
+	_, bitset, err := kernel.ReachFromCtx(context.Background(), sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, dense, err := kernel.CostFromCtx(context.Background(), sources)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@ package tc
 
 import (
 	"context"
-	"errors"
+	"fmt"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -314,47 +314,45 @@ func (d *DenseGraph) reachFrom(ctx context.Context, sources []graph.NodeID, tail
 	return out, st, err
 }
 
-// bitsetGraph numbers the (src, dst) columns of the edge relation r in
-// a graph — the cost column is not read — for the relation-fronted
-// wrappers. When some node is not an int64 it returns no graph but the
-// (src, dst) projection the generic relational fixpoint runs on (as
-// CondensedClosure falls back).
-func bitsetGraph(r *relation.Relation) (d *DenseGraph, pairs *relation.Relation, err error) {
-	d, err = denseOf(r, false)
-	if errors.Is(err, ErrNodesNotInt64) {
-		pairs, err = checkEdgeRelation(r)
+// denseOf numbers the (src, dst) columns of the edge relation r in a
+// graph — the cost column is not read — for the relation-fronted
+// wrappers. Its nodes must be int64, as relation.FromGraph and
+// FromEdges make them.
+func denseOf(r *relation.Relation) (*DenseGraph, error) {
+	if r.Arity() != 3 {
+		return nil, fmt.Errorf("tc: edge relation must have arity 3 (src, dst, cost), got %d", r.Arity())
 	}
-	return d, pairs, err
+	g := graph.New()
+	for _, t := range r.Tuples() {
+		from, ok1 := t[0].(int64)
+		to, ok2 := t[1].(int64)
+		if !ok1 || !ok2 {
+			return nil, fmt.Errorf("tc: edge %v → %v: bitset kernel nodes must be int64", t[0], t[1])
+		}
+		g.AddEdge(graph.Edge{From: graph.NodeID(from), To: graph.NodeID(to)})
+	}
+	return &DenseGraph{csr: g.CSR()}, nil
 }
 
 // BitsetClosure computes the reachability closure of the edge relation
-// r with the bitset-parallel kernel. The result is identical to
-// SemiNaiveClosure / CondensedClosure: the set of (src, dst) pairs
-// connected by a path of at least one edge. Non-int64 node values fall
-// back to the generic relational fixpoint.
+// r with the bitset-parallel kernel: the set of (src, dst) pairs
+// connected by a path of at least one edge, as SemiNaiveClosure
+// derives it.
 func BitsetClosure(r *relation.Relation) (*relation.Relation, Stats, error) {
-	var st Stats
-	d, pairs, err := bitsetGraph(r)
-	switch {
-	case err != nil:
-		return nil, st, err
-	case d == nil:
-		return semiNaivePairs(pairs, pairs, &st)
+	d, err := denseOf(r)
+	if err != nil {
+		return nil, Stats{}, err
 	}
 	return d.reachFrom(context.Background(), d.csr.IDs, nil, pairSchema)
 }
 
 // BitsetReachableFromCtx computes the (src, dst) pairs with src in
 // sources: ReachFromCtx for callers that hold an edge relation and no
-// DenseGraph, with the same fallback as BitsetClosure.
+// DenseGraph.
 func BitsetReachableFromCtx(ctx context.Context, r *relation.Relation, sources []graph.NodeID) (*relation.Relation, Stats, error) {
-	var st Stats
-	d, pairs, err := bitsetGraph(r)
-	switch {
-	case err != nil:
-		return nil, st, err
-	case d == nil:
-		return semiNaivePairs(seedEdges(pairs, sources), pairs, &st)
+	d, err := denseOf(r)
+	if err != nil {
+		return nil, Stats{}, err
 	}
 	return d.reachFrom(ctx, sources, nil, pairSchema)
 }

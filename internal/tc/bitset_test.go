@@ -77,6 +77,11 @@ func corpusGraphs(t *testing.T) map[string]*graph.Graph {
 	island.AddNode(9, graph.Coord{})
 	corpus["isolated-node"] = island
 
+	// One node and no edge: a one-city fragment with no local road.
+	single := graph.New()
+	single.AddNode(7, graph.Coord{})
+	corpus["single-node"] = single
+
 	return corpus
 }
 
@@ -95,17 +100,14 @@ func denseFrom(tb testing.TB, edges []graph.Edge) *DenseGraph {
 }
 
 // TestBitsetClosureEquivalence is the engine-equivalence property:
-// BitsetClosure, SemiNaiveClosure and CondensedClosure produce the same
-// pair set on every corpus graph.
+// BitsetClosure over the edge relation, the kernel over the graph's CSR
+// from every node (isolated ones included) and SemiNaiveClosure produce
+// the same pair set on every corpus graph.
 func TestBitsetClosureEquivalence(t *testing.T) {
 	for name, g := range corpusGraphs(t) {
 		t.Run(name, func(t *testing.T) {
 			r := relation.FromGraph(g)
-			want, _, err := CondensedClosure(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sn, _, err := SemiNaiveClosure(r)
+			want, _, err := SemiNaiveClosure(r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,8 +115,16 @@ func TestBitsetClosureEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSamePairs(t, "bitset vs condensed", got, want)
-			assertSamePairs(t, "bitset vs seminaive", got, sn)
+			assertSamePairs(t, "bitset vs seminaive", got, want)
+			d, err := NewDenseGraph(g.CSR())
+			if err != nil {
+				t.Fatal(err)
+			}
+			kernel, _, err := d.ReachFromCtx(context.Background(), g.Nodes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSamePairs(t, "kernel vs seminaive", kernel, want)
 			if st.ResultTuples != got.Len() {
 				t.Errorf("ResultTuples = %d, want %d", st.ResultTuples, got.Len())
 			}
@@ -179,7 +189,8 @@ func TestBitsetReachableFromDuplicateSources(t *testing.T) {
 // from edges and the relation-fronted BitsetReachableFromCtx over the
 // boxed form of the same edges give one pair set — ReachableFrom's —
 // and one Stats, on parallel edges, self loops, duplicate and absent
-// sources and edges listed in descending node id. The method's relation
+// sources, edges listed in descending node id, a self loop as the only
+// cycle and a zero-weight cycle. The method's relation
 // is a leg table: sorted by dst, a destination's sources in the order
 // given, the presence marker 1 in the cost column.
 func TestReachFromMatchesWrapper(t *testing.T) {
@@ -200,6 +211,14 @@ func TestReachFromMatchesWrapper(t *testing.T) {
 		"no-present-source": {
 			edges:   []graph.Edge{e(1, 2, 1)},
 			sources: []graph.NodeID{2, 9},
+		},
+		"self-loop-only": { // 1 reaches itself, its loop-free successor 2 not
+			edges:   []graph.Edge{e(1, 1, 1), e(1, 2, 1)},
+			sources: []graph.NodeID{1, 2},
+		},
+		"zero-weight-cycle": { // reachability ignores the weights
+			edges:   []graph.Edge{e(1, 2, 0), e(2, 1, 0), e(2, 2, 0), e(2, 3, 0)},
+			sources: []graph.NodeID{3, 2, 1},
 		},
 	}
 	for name, g := range corpusGraphs(t) {
@@ -298,7 +317,8 @@ func TestReachFromCanceledWhileEmitting(t *testing.T) {
 	}
 }
 
-// TestBitsetClosureEmpty checks the degenerate inputs.
+// TestBitsetClosureEmpty checks the degenerate inputs: an empty relation
+// closes to nothing, and an arity-2 relation is refused.
 func TestBitsetClosureEmpty(t *testing.T) {
 	empty := relation.New("src", "dst", "cost")
 	got, st, err := BitsetClosure(empty)
@@ -308,9 +328,6 @@ func TestBitsetClosureEmpty(t *testing.T) {
 	if got.Len() != 0 || st.ResultTuples != 0 {
 		t.Errorf("empty closure = %d tuples, stats %+v", got.Len(), st)
 	}
-	if _, _, err := BitsetClosure(relation.New("a", "b")); err == nil {
-		t.Error("arity-2 relation accepted")
-	}
 	gotR, _, err := BitsetReachableFromCtx(context.Background(), empty, []graph.NodeID{1, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -318,27 +335,27 @@ func TestBitsetClosureEmpty(t *testing.T) {
 	if gotR.Len() != 0 {
 		t.Errorf("empty restricted closure = %d tuples", gotR.Len())
 	}
+	bad := relation.New("a", "b")
+	if _, _, err := BitsetClosure(bad); err == nil {
+		t.Error("BitsetClosure accepted an arity-2 relation")
+	}
+	if _, _, err := BitsetReachableFromCtx(context.Background(), bad, nil); err == nil {
+		t.Error("BitsetReachableFromCtx accepted an arity-2 relation")
+	}
 }
 
-// TestBitsetClosureNonIntegerFallback checks the generic-fixpoint
-// fallback for non-int64 node values.
+// TestBitsetClosureNonIntegerFallback: there is no fallback for node
+// values that are not int64 — both relation-fronted entry points refuse
+// such a relation, as they refuse a bad arity.
 func TestBitsetClosureNonIntegerFallback(t *testing.T) {
 	r := relation.New("from", "to", "w")
 	r.MustInsert(relation.Tuple{"a", "b", 1.0})
 	r.MustInsert(relation.Tuple{"b", "c", 1.0})
-	got, _, err := BitsetClosure(r)
-	if err != nil {
-		t.Fatal(err)
+	if _, _, err := BitsetClosure(r); err == nil {
+		t.Error("BitsetClosure accepted string nodes")
 	}
-	if got.Len() != 3 {
-		t.Errorf("string-node closure = %d tuples, want 3", got.Len())
-	}
-	restricted, _, err := BitsetReachableFromCtx(context.Background(), r, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restricted.Len() != 0 {
-		t.Errorf("restricted fallback with no sources = %d tuples, want 0", restricted.Len())
+	if _, _, err := BitsetReachableFromCtx(context.Background(), r, nil); err == nil {
+		t.Error("BitsetReachableFromCtx accepted string nodes")
 	}
 }
 

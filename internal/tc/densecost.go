@@ -2,7 +2,6 @@ package tc
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -30,11 +29,6 @@ import (
 // fanned out over the GOMAXPROCS worker pool of bitset.go, the dense
 // analogue of "neither communication nor synchronization is required"
 // between per-source searches.
-
-// ErrNodesNotInt64 reports that an edge relation holds non-integer node
-// values, which the dense kernel cannot number. The exported wrappers
-// fall back to the generic relational fixpoint instead of surfacing it.
-var ErrNodesNotInt64 = errors.New("tc: dense kernel requires int64 node values")
 
 // DenseGraph is a graph's CSR with non-negative costs, as the kernels
 // read it: the cost kernel (CostFromCtx, CostVectorCtx) and the bitset
@@ -282,67 +276,4 @@ func (d *DenseGraph) CostVectorCtx(ctx context.Context, seed map[graph.NodeID]fl
 		}
 	}
 	return out, nil
-}
-
-// denseOf unboxes an arity-3 edge relation into a graph, in tuple
-// order, and wraps its CSR; without withCost the cost column is not
-// read and every weight is 0. ErrNodesNotInt64 tells the callers to fall
-// back to the relational fixpoint.
-func denseOf(r *relation.Relation, withCost bool) (*DenseGraph, error) {
-	if r.Arity() != 3 {
-		return nil, fmt.Errorf("tc: edge relation must have arity 3 (src, dst, cost), got %d", r.Arity())
-	}
-	g := graph.New()
-	for _, t := range r.Tuples() {
-		from, ok1 := t[0].(int64)
-		to, ok2 := t[1].(int64)
-		if !ok1 || !ok2 {
-			return nil, ErrNodesNotInt64
-		}
-		var c float64
-		if withCost {
-			var ok bool
-			if c, ok = t[2].(float64); !ok {
-				return nil, errors.New("tc: edge cost is not float64")
-			}
-		}
-		g.AddEdge(graph.Edge{From: graph.NodeID(from), To: graph.NodeID(to), Weight: c})
-	}
-	return NewDenseGraph(g.CSR())
-}
-
-// DenseCostFrom computes the entry-set-restricted shortest-path costs
-// of the edge relation with the dense kernel: the same (src, dst, cost)
-// relation as ShortestFromCtx, at CSR+Bellman-Ford speed. Non-int64 node
-// values fall back to the relational fixpoint.
-func DenseCostFrom(r *relation.Relation, sources []graph.NodeID) (*relation.Relation, Stats, error) {
-	var st Stats
-	d, err := denseOf(r, true)
-	if errors.Is(err, ErrNodesNotInt64) {
-		edges, err := normalizeEdges(r)
-		if err != nil {
-			return nil, st, err
-		}
-		return shortestFixpoint(context.Background(), seedEdges(edges, sources), edges, &st)
-	}
-	if err != nil {
-		return nil, st, err
-	}
-	return d.CostFromCtx(context.Background(), sources)
-}
-
-// DenseCostClosure computes the full min-cost closure (every connected
-// ordered pair) with the dense kernel, the counterpart of
-// ShortestClosure. Non-int64 node values fall back to the relational
-// fixpoint.
-func DenseCostClosure(r *relation.Relation) (*relation.Relation, Stats, error) {
-	var st Stats
-	d, err := denseOf(r, true)
-	if errors.Is(err, ErrNodesNotInt64) {
-		return ShortestClosure(r)
-	}
-	if err != nil {
-		return nil, st, err
-	}
-	return d.CostFromCtx(context.Background(), d.csr.IDs)
 }

@@ -2,6 +2,7 @@ package tc
 
 import (
 	"context"
+	"errors"
 	"maps"
 	"math"
 	"math/rand"
@@ -39,25 +40,28 @@ func assertSameCosts(t *testing.T, label string, got, want *relation.Relation) {
 	}
 }
 
-// randomCostRelation builds a random weighted edge relation including
+// randomCostEdges builds a random weighted edge list including
 // self-loops, parallel edges and zero-weight edges.
-func randomCostRelation(rng *rand.Rand, n, m int) *relation.Relation {
-	r := relation.New("src", "dst", "cost")
-	for k := 0; k < m; k++ {
-		r.MustInsert(relation.Tuple{
-			int64(rng.Intn(n)), int64(rng.Intn(n)), float64(rng.Intn(6)),
-		})
+func randomCostEdges(rng *rand.Rand, n, m int) []graph.Edge {
+	edges := make([]graph.Edge, m)
+	for k := range edges {
+		edges[k] = graph.Edge{From: graph.NodeID(rng.Intn(n)), To: graph.NodeID(rng.Intn(n)), Weight: float64(rng.Intn(6))}
 	}
-	return r
+	return edges
 }
 
 // TestDenseCostFromEquivalence is the engine-equivalence property for
-// the cost kernel: on every corpus graph and random entry set
-// (including absent sources), DenseCostFrom matches ShortestFrom.
+// the cost kernel over each corpus graph's CSR: on random entry sets
+// (including duplicate and absent sources) it matches ShortestFromCtx.
 func TestDenseCostFromEquivalence(t *testing.T) {
+	ctx := context.Background()
 	for name, g := range corpusGraphs(t) {
 		t.Run(name, func(t *testing.T) {
 			r := relation.FromGraph(g)
+			d, err := NewDenseGraph(g.CSR())
+			if err != nil {
+				t.Fatal(err)
+			}
 			nodes := g.Nodes()
 			rng := rand.New(rand.NewSource(7))
 			for trial := 0; trial < 4; trial++ {
@@ -68,11 +72,11 @@ func TestDenseCostFromEquivalence(t *testing.T) {
 				}
 				srcs = append(srcs, srcs[0])                       // duplicate
 				srcs = append(srcs, graph.NodeID(1_000_000+trial)) // absent
-				want, _, err := ShortestFromCtx(context.Background(), r, srcs)
+				want, _, err := ShortestFromCtx(ctx, r, srcs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, st, err := DenseCostFrom(r, srcs)
+				got, st, err := d.CostFromCtx(ctx, srcs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,17 +89,22 @@ func TestDenseCostFromEquivalence(t *testing.T) {
 	}
 }
 
-// TestDenseCostClosureEquivalence: the full dense closure matches the
-// relational min-cost fixpoint and the Floyd-Warshall oracle.
+// TestDenseCostClosureEquivalence: the cost kernel run from every node
+// of a corpus graph's CSR matches the relational min-cost closure.
 func TestDenseCostClosureEquivalence(t *testing.T) {
+	ctx := context.Background()
 	for name, g := range corpusGraphs(t) {
 		t.Run(name, func(t *testing.T) {
 			r := relation.FromGraph(g)
+			d, err := NewDenseGraph(g.CSR())
+			if err != nil {
+				t.Fatal(err)
+			}
 			want, _, err := ShortestClosure(r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := DenseCostClosure(r)
+			got, _, err := d.CostFromCtx(ctx, g.Nodes())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,9 +120,13 @@ func TestPropertyDenseCostMatchesDijkstra(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(12)
-		r, g := randomEdgeRelation(rng, n, rng.Intn(3*n))
+		_, g := randomEdgeRelation(rng, n, rng.Intn(3*n))
 		src := graph.NodeID(rng.Intn(n))
-		got, _, err := DenseCostFrom(r, []graph.NodeID{src})
+		d, err := NewDenseGraph(g.CSR())
+		if err != nil {
+			return false
+		}
+		got, _, err := d.CostFromCtx(context.Background(), []graph.NodeID{src})
 		if err != nil {
 			return false
 		}
@@ -138,16 +151,17 @@ func TestPropertyDenseCostMatchesDijkstra(t *testing.T) {
 // TestDenseCostSelfLoopsAndZeroWeights: self-loops appear as src→src
 // facts at their loop cost, zero-weight edges propagate and terminate.
 func TestDenseCostSelfLoopsAndZeroWeights(t *testing.T) {
-	r := relation.New("src", "dst", "cost")
-	r.MustInsert(relation.Tuple{int64(1), int64(1), 3.0}) // self loop
-	r.MustInsert(relation.Tuple{int64(1), int64(2), 0.0}) // zero weight
-	r.MustInsert(relation.Tuple{int64(2), int64(3), 0.0})
-	r.MustInsert(relation.Tuple{int64(3), int64(2), 0.0}) // zero-weight cycle
-	want, _, err := ShortestFromCtx(context.Background(), r, []graph.NodeID{1, 2})
+	edges := []graph.Edge{
+		{From: 1, To: 1, Weight: 3}, // self loop
+		{From: 1, To: 2, Weight: 0}, // zero weight
+		{From: 2, To: 3, Weight: 0},
+		{From: 3, To: 2, Weight: 0}, // zero-weight cycle
+	}
+	want, _, err := ShortestFromCtx(context.Background(), relation.FromEdges(edges), []graph.NodeID{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := DenseCostFrom(r, []graph.NodeID{1, 2})
+	got, _, err := denseFrom(t, edges).CostFromCtx(context.Background(), []graph.NodeID{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,9 +178,8 @@ func TestDenseCostSelfLoopsAndZeroWeights(t *testing.T) {
 // TestDenseCostUnreachableEntrySet: sources absent from the relation,
 // or present only as destinations, derive nothing.
 func TestDenseCostUnreachableEntrySet(t *testing.T) {
-	r := relation.New("src", "dst", "cost")
-	r.MustInsert(relation.Tuple{int64(1), int64(2), 1.0})
-	got, st, err := DenseCostFrom(r, []graph.NodeID{2, 99})
+	d := denseFrom(t, []graph.Edge{{From: 1, To: 2, Weight: 1}})
+	got, st, err := d.CostFromCtx(context.Background(), []graph.NodeID{2, 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,44 +191,22 @@ func TestDenseCostUnreachableEntrySet(t *testing.T) {
 	}
 }
 
-// TestDenseCostValidation: the kernel rejects what normalizeEdges
-// rejects, and falls back to the relational fixpoint on non-int64
-// nodes.
+// TestDenseCostValidation: the kernel refuses a negative weight, which
+// graph files may carry, with the sentinel the relational fixpoint
+// refuses it with. (The fixpoint's own checks of a relation's shape —
+// arity, cost type — are TestNormalizeEdgesErrors'.)
 func TestDenseCostValidation(t *testing.T) {
-	bad := relation.New("a", "b")
-	bad.MustInsert(relation.Tuple{int64(1), int64(2)})
-	if _, _, err := DenseCostFrom(bad, nil); err == nil {
-		t.Error("arity-2 relation accepted")
+	edges := []graph.Edge{{From: 1, To: 2, Weight: 1}, {From: 2, To: 3, Weight: -1}}
+	g := graph.New()
+	for _, e := range edges {
+		g.AddEdge(e)
 	}
-	neg := relation.New("src", "dst", "cost")
-	neg.MustInsert(relation.Tuple{int64(1), int64(2), -1.0})
-	if _, _, err := DenseCostFrom(neg, []graph.NodeID{1}); err == nil {
-		t.Error("negative cost accepted")
+	if _, err := NewDenseGraph(g.CSR()); !errors.Is(err, ErrNegativeWeight) {
+		t.Errorf("NewDenseGraph on a negative weight: %v, want ErrNegativeWeight", err)
 	}
-	badCost := relation.New("src", "dst", "cost")
-	badCost.MustInsert(relation.Tuple{int64(1), int64(2), int64(1)})
-	if _, _, err := DenseCostFrom(badCost, []graph.NodeID{1}); err == nil {
-		t.Error("non-float cost accepted")
+	if _, _, err := ShortestFromCtx(context.Background(), relation.FromEdges(edges), []graph.NodeID{1}); !errors.Is(err, ErrNegativeWeight) {
+		t.Errorf("ShortestFromCtx on a negative weight: %v, want ErrNegativeWeight", err)
 	}
-
-	strNodes := relation.New("src", "dst", "cost")
-	strNodes.MustInsert(relation.Tuple{"a", "b", 1.0})
-	strNodes.MustInsert(relation.Tuple{"b", "c", 2.0})
-	if _, err := denseOf(strNodes, true); err != ErrNodesNotInt64 {
-		t.Fatalf("denseOf on string nodes: %v, want ErrNodesNotInt64", err)
-	}
-	// The wrapper silently falls back; string sources cannot be
-	// expressed as NodeIDs, so seed with none and check the closure
-	// variant instead.
-	got, _, err := DenseCostClosure(strNodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := ShortestClosure(strNodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameCosts(t, "string-node fallback", got, want)
 }
 
 // TestDenseCostVectorMatchesShortestPathsMulti: the vector-seeded
@@ -296,16 +287,14 @@ func TestDenseGraphCounts(t *testing.T) {
 }
 
 // TestDenseCostSingleNodeFragment: a single-node universe (one self
-// loop) and an empty relation are handled without special cases.
+// loop) and an empty graph are handled without special cases.
 func TestDenseCostSingleNodeFragment(t *testing.T) {
-	empty := relation.New("src", "dst", "cost")
-	got, st, err := DenseCostFrom(empty, []graph.NodeID{1})
+	ctx := context.Background()
+	got, st, err := denseFrom(t, nil).CostFromCtx(ctx, []graph.NodeID{1})
 	if err != nil || got.Len() != 0 || st.ResultTuples != 0 {
-		t.Errorf("empty relation: got %d facts, err %v", got.Len(), err)
+		t.Errorf("empty graph: got %d facts, err %v", got.Len(), err)
 	}
-	single := relation.New("src", "dst", "cost")
-	single.MustInsert(relation.Tuple{int64(7), int64(7), 2.5})
-	got, _, err = DenseCostFrom(single, []graph.NodeID{7})
+	got, _, err = denseFrom(t, []graph.Edge{{From: 7, To: 7, Weight: 2.5}}).CostFromCtx(ctx, []graph.NodeID{7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,18 +305,18 @@ func TestDenseCostSingleNodeFragment(t *testing.T) {
 }
 
 // TestPropertyDenseRandomCostRelations hammers the kernel with random
-// relations that include self-loops, duplicates and zero weights.
+// edge lists that include self-loops, duplicates and zero weights.
 func TestPropertyDenseRandomCostRelations(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(10)
-		r := randomCostRelation(rng, n, rng.Intn(4*n))
+		edges := randomCostEdges(rng, n, rng.Intn(4*n))
 		srcs := []graph.NodeID{graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))}
-		want, _, err := ShortestFromCtx(context.Background(), r, srcs)
+		want, _, err := ShortestFromCtx(context.Background(), relation.FromEdges(edges), srcs)
 		if err != nil {
 			return false
 		}
-		got, _, err := DenseCostFrom(r, srcs)
+		got, _, err := denseFrom(t, edges).CostFromCtx(context.Background(), srcs)
 		if err != nil {
 			return false
 		}
@@ -358,12 +347,13 @@ func FuzzDenseCost(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 1, 0, 0, 2, 3, 7})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := relation.New("src", "dst", "cost")
+		var edges []graph.Edge
 		for i := 0; i+2 < len(data); i += 3 {
-			r.MustInsert(relation.Tuple{
-				int64(data[i] % 16), int64(data[i+1] % 16), float64(data[i+2] % 8),
+			edges = append(edges, graph.Edge{
+				From: graph.NodeID(data[i] % 16), To: graph.NodeID(data[i+1] % 16), Weight: float64(data[i+2] % 8),
 			})
 		}
+		r, d := relation.FromEdges(edges), denseFrom(t, edges)
 		var srcs []graph.NodeID
 		if len(data) > 0 {
 			srcs = append(srcs, graph.NodeID(data[0]%16))
@@ -375,7 +365,7 @@ func FuzzDenseCost(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := DenseCostFrom(r, srcs)
+		got, _, err := d.CostFromCtx(context.Background(), srcs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,7 +375,7 @@ func FuzzDenseCost(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotC, _, err := DenseCostClosure(r)
+		gotC, _, err := d.CostFromCtx(context.Background(), d.csr.IDs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,11 +10,11 @@ import (
 )
 
 // This file pins down the degenerate shapes of the cost fixpoint
-// (shortest.go) and the condensation closure (condensed.go): self
-// loops, zero-weight edges, unreachable entry sets and single-node
-// fragments — the cases a fragmented deployment actually produces
-// (a one-city fragment, a border node with no local edges, an entry
-// set on the far side of a directed cut).
+// (shortest.go): self loops, zero-weight edges, unreachable entry sets
+// and single-node fragments — the cases a fragmented deployment
+// actually produces (a one-city fragment, a border node with no local
+// edges, an entry set on the far side of a directed cut). The bitset
+// kernel's share of them is in bitset_test.go's tables.
 
 // TestShortestFromSelfLoop: a self loop is a path of length one, so it
 // appears as a src→src fact with the loop cost; a cheaper cycle
@@ -106,12 +106,13 @@ func TestShortestFromParallelEdgesKeepMin(t *testing.T) {
 }
 
 // TestCondensedClosureSelfLoopOnly: a graph whose only cycle is a self
-// loop — the node must reach itself, its loop-free sibling must not.
+// loop — in the condensation closure (BitsetClosure) the node must
+// reach itself, its loop-free sibling must not.
 func TestCondensedClosureSelfLoopOnly(t *testing.T) {
 	r := relation.New("src", "dst", "cost")
 	r.MustInsert(relation.Tuple{int64(1), int64(1), 1.0})
 	r.MustInsert(relation.Tuple{int64(1), int64(2), 1.0})
-	got, _, err := CondensedClosure(r)
+	got, _, err := BitsetClosure(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,41 +122,6 @@ func TestCondensedClosureSelfLoopOnly(t *testing.T) {
 	if got.Contains(relation.Tuple{int64(2), int64(2)}) {
 		t.Error("loop-free sink reaches itself")
 	}
-}
-
-// TestCondensedClosureSingleNodeFragment: one node, no edges — an
-// empty relation is rejected upstream, so model it as an isolated pair
-// and check the isolated side contributes nothing.
-func TestCondensedClosureSingleNodeFragment(t *testing.T) {
-	r := relation.New("src", "dst", "cost")
-	r.MustInsert(relation.Tuple{int64(7), int64(8), 1.0})
-	got, _, err := CondensedClosure(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 1 || !got.Contains(relation.Tuple{int64(7), int64(8)}) {
-		t.Errorf("closure = %v, want exactly 7→8", got)
-	}
-}
-
-// TestCondensedClosureZeroWeightCycleAgrees: condensation and the
-// plain fixpoint agree on a graph that mixes a two-node cycle, a self
-// loop and a tail (reachability ignores the weights, including zeros).
-func TestCondensedClosureZeroWeightCycleAgrees(t *testing.T) {
-	r := relation.New("src", "dst", "cost")
-	r.MustInsert(relation.Tuple{int64(1), int64(2), 0.0})
-	r.MustInsert(relation.Tuple{int64(2), int64(1), 0.0})
-	r.MustInsert(relation.Tuple{int64(2), int64(2), 0.0})
-	r.MustInsert(relation.Tuple{int64(2), int64(3), 0.0})
-	want, _, err := SemiNaiveClosure(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := CondensedClosure(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSamePairs(t, "condensed vs seminaive", got, want)
 }
 
 // TestFloydWarshallSelfAndZero: the dense oracle reports 0 for every

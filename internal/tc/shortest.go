@@ -182,9 +182,8 @@ func indexCosts(r *relation.Relation) map[string]float64 {
 }
 
 // FloydWarshallCosts computes all-pairs shortest path costs over a
-// graph with the classic O(n³) dynamic program. It is the dense oracle
-// the relational fixpoints are validated against, and the tool the
-// disconnection-set preprocessor uses on small border sets.
+// graph with the classic O(n³) dynamic program. It is a test oracle:
+// the dense reference the relational fixpoints are validated against.
 func FloydWarshallCosts(g *graph.Graph) map[graph.NodeID]map[graph.NodeID]float64 {
 	nodes := g.Nodes()
 	dist := make(map[graph.NodeID]map[graph.NodeID]float64, len(nodes))

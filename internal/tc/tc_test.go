@@ -38,6 +38,7 @@ var closureAlgorithms = []struct {
 	{"seminaive", SemiNaiveClosure},
 	{"smart", SmartClosure},
 	{"warshall", WarshallClosure},
+	{"bitset", BitsetClosure},
 }
 
 func TestClosureLine(t *testing.T) {
@@ -63,19 +64,24 @@ func TestClosureLine(t *testing.T) {
 }
 
 func TestClosureCycle(t *testing.T) {
-	// 1 -> 2 -> 3 -> 1: every ordered pair (including self) is reachable.
-	r := rel([3]float64{1, 2, 1}, [3]float64{2, 3, 1}, [3]float64{3, 1, 1})
+	// 1 -> 2 -> 3 -> 1 plus tail 3 -> 4: cycle members reach every node
+	// including themselves; the acyclic sink 4 reaches nothing.
+	r := rel([3]float64{1, 2, 1}, [3]float64{2, 3, 1}, [3]float64{3, 1, 1}, [3]float64{3, 4, 1})
 	for _, alg := range closureAlgorithms {
 		t.Run(alg.name, func(t *testing.T) {
-			got, _, err := alg.fn(r)
+			got, st, err := alg.fn(r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Len() != 9 {
-				t.Errorf("cycle closure size = %d, want 9", got.Len())
+			if got.Len() != 12 || st.ResultTuples != 12 {
+				t.Errorf("cycle closure size = %d (stats %d), want 12", got.Len(), st.ResultTuples)
 			}
-			if !pairSet(got)[[2]int64{1, 1}] {
-				t.Error("cycle should derive 1->1")
+			set := pairSet(got)
+			if !set[[2]int64{1, 1}] || !set[[2]int64{1, 4}] {
+				t.Error("cycle should derive 1->1 and 1->4")
+			}
+			if set[[2]int64{4, 4}] {
+				t.Error("acyclic sink should not reach itself")
 			}
 		})
 	}
@@ -166,9 +172,9 @@ func TestReachableFrom(t *testing.T) {
 // sources, in relation order, each once however often its source is
 // listed; an absent source selects nothing; and a string-valued
 // relation seeds nothing, because a node ID is an int64 and never equals
-// a value of another type — which is what sends the non-int64 fallbacks
-// of ReachableFrom, ShortestFromCtx, BitsetReachableFromCtx and
-// DenseCostFrom to an empty fixpoint rather than an error.
+// a value of another type — which is what sends ReachableFrom and
+// ShortestFromCtx on such a relation to an empty fixpoint rather than
+// an error.
 func TestSeedEdges(t *testing.T) {
 	ints := rel([3]float64{1, 2, 1}, [3]float64{2, 3, 1}, [3]float64{1, 3, 5}, [3]float64{3, 1, 1})
 	strs := relation.New("src", "dst", "cost")
@@ -197,14 +203,12 @@ func TestSeedEdges(t *testing.T) {
 		}
 	}
 
-	// The four callers on a string-valued relation: no seed, so an
-	// empty result from the relational fallback, never an error.
+	// The two callers on a string-valued relation: no seed, so an empty
+	// result, never an error.
 	ctx := context.Background()
 	for name, fn := range map[string]func() (*relation.Relation, Stats, error){
-		"ReachableFrom":          func() (*relation.Relation, Stats, error) { return ReachableFrom(strs, []graph.NodeID{1}) },
-		"ShortestFromCtx":        func() (*relation.Relation, Stats, error) { return ShortestFromCtx(ctx, strs, []graph.NodeID{1}) },
-		"BitsetReachableFromCtx": func() (*relation.Relation, Stats, error) { return BitsetReachableFromCtx(ctx, strs, []graph.NodeID{1}) },
-		"DenseCostFrom":          func() (*relation.Relation, Stats, error) { return DenseCostFrom(strs, []graph.NodeID{1}) },
+		"ReachableFrom":   func() (*relation.Relation, Stats, error) { return ReachableFrom(strs, []graph.NodeID{1}) },
+		"ShortestFromCtx": func() (*relation.Relation, Stats, error) { return ShortestFromCtx(ctx, strs, []graph.NodeID{1}) },
 	} {
 		got, _, err := fn()
 		if err != nil {
@@ -340,8 +344,8 @@ func randomEdgeRelation(rng *rand.Rand, n, m int) (*relation.Relation, *graph.Gr
 	return relation.FromGraph(g), g
 }
 
-// TestPropertyClosureAlgorithmsAgree: all four reachability algorithms
-// must produce identical pair sets on random graphs.
+// TestPropertyClosureAlgorithmsAgree: every reachability algorithm must
+// produce Warshall's pair set on random graphs.
 func TestPropertyClosureAlgorithmsAgree(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -352,7 +356,7 @@ func TestPropertyClosureAlgorithmsAgree(t *testing.T) {
 			return false
 		}
 		want := pairSet(ref)
-		for _, alg := range closureAlgorithms[:3] {
+		for _, alg := range closureAlgorithms {
 			got, _, err := alg.fn(r)
 			if err != nil {
 				return false
@@ -451,66 +455,15 @@ func TestPropertyReachableFromIsClosureSlice(t *testing.T) {
 	}
 }
 
-func TestCondensedClosureCycle(t *testing.T) {
-	// 1 -> 2 -> 3 -> 1 plus tail 3 -> 4: cycle members reach everything
-	// including themselves; 4 reaches nothing.
-	r := rel([3]float64{1, 2, 1}, [3]float64{2, 3, 1}, [3]float64{3, 1, 1}, [3]float64{3, 4, 1})
-	got, st, err := CondensedClosure(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := SemiNaiveClosure(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != want.Len() {
-		t.Fatalf("condensed = %d tuples, semi-naive = %d", got.Len(), want.Len())
-	}
-	set := pairSet(got)
-	if !set[[2]int64{1, 1}] || !set[[2]int64{1, 4}] {
-		t.Errorf("missing expected pairs in %v", set)
-	}
-	if set[[2]int64{4, 4}] {
-		t.Error("acyclic sink should not reach itself")
-	}
-	if st.ResultTuples != got.Len() {
-		t.Errorf("stats.ResultTuples = %d", st.ResultTuples)
-	}
-}
-
-func TestCondensedClosureSelfLoop(t *testing.T) {
-	r := rel([3]float64{1, 1, 1}, [3]float64{1, 2, 1})
-	got, _, err := CondensedClosure(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := pairSet(got)
-	if !set[[2]int64{1, 1}] {
-		t.Error("self loop should derive 1->1")
-	}
-	if set[[2]int64{2, 2}] {
-		t.Error("2 has no self loop")
-	}
-}
-
-func TestCondensedClosureErrors(t *testing.T) {
-	if _, _, err := CondensedClosure(relation.New("a", "b")); err == nil {
-		t.Error("arity-2 relation accepted")
-	}
-	empty, _, err := CondensedClosure(relation.New("src", "dst", "cost"))
-	if err != nil || empty.Len() != 0 {
-		t.Errorf("empty = %v, %v", empty, err)
-	}
-}
-
-// TestPropertyCondensedMatchesSemiNaive: SCC condensation must produce
-// exactly the semi-naive closure on random cyclic graphs.
+// TestPropertyCondensedMatchesSemiNaive: the condensation closure (SCC
+// condensation, then the bitset DAG closure) must produce exactly the
+// semi-naive closure on random, denser cyclic graphs.
 func TestPropertyCondensedMatchesSemiNaive(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(12)
 		r, _ := randomEdgeRelation(rng, n, rng.Intn(4*n))
-		a, _, err := CondensedClosure(r)
+		a, _, err := BitsetClosure(r)
 		if err != nil {
 			return false
 		}
@@ -534,17 +487,35 @@ func TestPropertyCondensedMatchesSemiNaive(t *testing.T) {
 	}
 }
 
-func TestCondensedClosureDoesLessWorkOnCycles(t *testing.T) {
+// TestCondensedClosureSelfLoop: in the condensation closure
+// (BitsetClosure) a self loop derives src→src; its successor, which has
+// no loop, does not reach itself.
+func TestCondensedClosureSelfLoop(t *testing.T) {
+	r := rel([3]float64{1, 1, 1}, [3]float64{1, 2, 1})
+	got, _, err := BitsetClosure(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := pairSet(got)
+	if !set[[2]int64{1, 1}] {
+		t.Error("self loop should derive 1->1")
+	}
+	if set[[2]int64{2, 2}] {
+		t.Error("2 has no self loop")
+	}
+}
+
+func TestBitsetClosureDoesLessWorkOnCycles(t *testing.T) {
 	// A single big cycle: the condensation collapses it to one node, so
-	// the DAG fixpoint does almost nothing, while semi-naive derives
-	// O(n²) tuples over O(n) rounds.
+	// the DAG closure sets one bit, while semi-naive derives O(n²)
+	// tuples over O(n) rounds.
 	var edges [][3]float64
 	const n = 12
 	for i := 0; i < n; i++ {
 		edges = append(edges, [3]float64{float64(i), float64((i + 1) % n), 1})
 	}
 	r := rel(edges...)
-	_, condensed, err := CondensedClosure(r)
+	_, condensed, err := BitsetClosure(r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,6 +50,13 @@ allow=(
     'internal/server/pool.go'       # site worker pools, deleted in PR 19
     'ShortcutEdges()'               # CompInfo accessor, deleted in PR 19
     'loadgen.LoadConfig.WriteEdges' # load driver knob, deleted in PR 22
+    'tc.CondensedClosure'           # second condensation closure, deleted (README history)
+    'tc.DenseCostFrom'              # relation-fronted cost kernel, deleted (README history)
+    'tc.DenseCostClosure'           # relation-fronted cost kernel, deleted (README history)
+    'tc.ErrNodesNotInt64'           # non-int64 fallback sentinel, deleted (README history)
+    'Graph.StronglyConnectedComponents' # id-form SCC wrapper, deleted (README history)
+    'Graph.Condensation'            # condensation DAG, deleted (README history)
+    'Graph.StatusScores'            # folded into TopByStatus (README history)
     'tcserver -site-workers'        # server flag, deleted with the per-site worker pools
     'tcserver -engine'              # server flag, deleted with the legacy routes
     'tcload -api'                   # load driver flag, deleted with the legacy routes
