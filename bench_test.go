@@ -13,6 +13,7 @@ package benches
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -456,6 +457,51 @@ func BenchmarkFilterLegFacts(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkFinishPlan times the assembly phase of a grid-point query
+// with every leg warm: the grid serving deployment (64x64, 8 linear
+// fragments, disconnection sets of about 60 nodes), a corner-to-corner
+// pair, each leg's dense-engine table executed once up front and handed
+// to FinishPlan as a cache hit would be — so the loop is the exit
+// selection plus the min-plus fold. The answer is checked against
+// Dijkstra on the unfragmented graph.
+func BenchmarkFinishPlan(b *testing.B) {
+	fr, err := servingDeployments[1].build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := dsa.Build(fr, dsa.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	nodes := fr.Base().Nodes()
+	src, dst := nodes[0], nodes[len(nodes)-1]
+	plan, err := st.NewPlan(src, dst)
+	if err != nil {
+		b.Fatal(err)
+	}
+	results := make([]*dsa.LegResult, len(plan.Legs))
+	for i, leg := range plan.Legs {
+		full, stats, err := st.ExecuteLegFullCtx(context.Background(), leg.SiteID, leg.Entry, dsa.EngineDense)
+		if err != nil {
+			b.Fatal(err)
+		}
+		results[i] = &dsa.LegResult{Leg: leg, Rel: full, Stats: stats}
+	}
+	dist, _ := fr.Base().ShortestPaths(src)
+	want := dist[dst]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, _ := st.PlanResult(plan)
+		if err := st.FinishPlan(plan, results, res); err != nil {
+			b.Fatal(err)
+		}
+		if !res.Reachable || math.Abs(res.Cost-want) > 1e-9*(1+want) {
+			b.Fatalf("%d -> %d: cost %v (reachable %v), Dijkstra %v", src, dst, res.Cost, res.Reachable, want)
+		}
 	}
 }
 

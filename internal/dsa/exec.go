@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -12,14 +13,18 @@ import (
 	"repro/internal/tc"
 )
 
-// LegResult is one executed leg: the (entry, exit, cost) facts it
-// produced, as a small relation to be joined in the assembly phase.
+// LegResult is one executed leg: the site's leg table for the leg's
+// entry set, of which the assembly phase joins only the exits' rows.
 type LegResult struct {
 	// Leg echoes the executed leg.
 	Leg Leg
-	// Rel holds the produced facts, schema (src, dst, cost).
+	// Rel is the (site, entry) leg table ExecuteLegFullCtx returns,
+	// schema (src, dst, cost), sorted by dst; FinishPlan reads only the
+	// rows of Leg.Exit, so a cached or remote table is passed as is.
 	Rel *relation.Relation
-	// Stats reports the local fixpoint work.
+	// Stats reports the local fixpoint work. FinishPlan charges the leg
+	// the facts it selects as ResultTuples, whatever the producer
+	// reported.
 	Stats tc.Stats
 	// Took is the site-local execution time.
 	Took time.Duration
@@ -118,24 +123,39 @@ func (st *Store) PlanResult(plan *Plan) (res *Result, done bool) {
 
 // FinishPlan folds executed leg results into a PlanResult-initialised
 // res: per-site work accounting, the critical path, and the assembly
-// phase — each chain's legs folded into a source-to-target cost, the
-// cheapest chain winning (the first listed on ties). results must be
-// indexed like plan.Legs; Elapsed is left to the caller.
+// phase — each leg's exits selected from its table, then each chain's
+// legs folded over those rows into a source-to-target cost, the
+// cheapest chain winning (the first listed on ties). A leg ships what
+// is selected — its exits' rows plus a zero-cost fact per exit that is
+// also an entry — and that is what TuplesShipped, MaxOperand and the
+// site's ResultTuples count. results must be indexed like plan.Legs;
+// Elapsed is left to the caller.
+//
+// Relations FilterLegFacts already selected still fold to exact costs,
+// but their zero-cost facts are then selected twice, as a row and for
+// the entry, so those three counts may over-count by them.
 func (st *Store) FinishPlan(plan *Plan, results []*LegResult, res *Result) error {
 	if len(results) != len(plan.Legs) {
 		return fmt.Errorf("dsa: finish: %d results for %d legs", len(results), len(plan.Legs))
 	}
+	sel := make([]legSelection, len(results))
 	for i, lr := range results {
 		if lr == nil {
 			return fmt.Errorf("dsa: finish: missing result for leg %d", i)
 		}
+		var err error
+		if sel[i], err = selectExits(lr.Rel, lr.Leg); err != nil {
+			return fmt.Errorf("dsa: assemble: leg %d: %w", i, err)
+		}
 		w := res.PerSite[lr.Leg.SiteID]
 		w.Legs++
-		w.Stats.Add(lr.Stats)
+		stats := lr.Stats
+		stats.ResultTuples = sel[i].n
+		w.Stats.Add(stats)
 		w.Elapsed += lr.Took
 		res.PerSite[lr.Leg.SiteID] = w
 		res.MessagesSent++
-		res.TuplesShipped += lr.Rel.Len()
+		res.TuplesShipped += sel[i].n
 	}
 	for _, w := range res.PerSite {
 		if w.Elapsed > res.CriticalPath {
@@ -143,7 +163,7 @@ func (st *Store) FinishPlan(plan *Plan, results []*LegResult, res *Result) error
 		}
 	}
 	for ci, chain := range plan.Chains {
-		cost, ok, err := assembleChain(plan, results, ci, &res.Assembly)
+		cost, ok, err := assembleChain(plan, sel, ci, &res.Assembly)
 		if err != nil {
 			return err
 		}
@@ -156,43 +176,68 @@ func (st *Store) FinishPlan(plan *Plan, results []*LegResult, res *Result) error
 	return nil
 }
 
-// assembleChain folds the leg results of chain ci into the cost from
-// source to target along that chain: a min-plus product of the running
-// (node → cost) vector with each leg's (src, dst, cost) facts in turn —
-// the paper's "sequence of binary joins between a number of very small
-// relations" (§2.1), one join per leg.
-func assembleChain(plan *Plan, results []*LegResult, ci int, stats *AssemblyStats) (float64, bool, error) {
-	vec := map[int64]float64{int64(plan.Source): 0}
+// assembleChain folds the selected leg facts of chain ci into the cost
+// from source to target along that chain: a min-plus product of the
+// running (node → cost) vector with each leg's (src, dst, cost) facts
+// in turn — the paper's "sequence of binary joins between a number of
+// very small relations" (§2.1), one join per leg. The vector is sorted
+// ids beside their costs; the exits come in ascending order, so each
+// next vector is born sorted.
+func assembleChain(plan *Plan, sel []legSelection, ci int, stats *AssemblyStats) (float64, bool, error) {
+	ids, costs := []int64{int64(plan.Source)}, []float64{0}
+	var nextIDs []int64
+	var nextCosts []float64
 	for _, li := range plan.chainLegs[ci] {
-		rel := results[li].Rel
-		stats.MaxOperand = max(stats.MaxOperand, rel.Len(), len(vec))
+		leg := sel[li]
+		stats.MaxOperand = max(stats.MaxOperand, leg.n, len(ids))
 		stats.Joins++
-		next := make(map[int64]float64)
-		for _, t := range rel.Tuples() {
-			src, dst, step, ok := legFact(t)
-			if !ok {
-				return 0, false, fmt.Errorf("dsa: assemble: leg %d fact %v is not (src int64, dst int64, cost float64)", li, t)
+		nextIDs, nextCosts = nextIDs[:0], nextCosts[:0]
+		for _, s := range leg.spans {
+			best, reached := 0.0, false
+			next := 0 // where the previous source was found, plus one
+			for _, t := range leg.rows[s.lo:s.hi] {
+				src, ok1 := t[0].(int64)
+				step, ok2 := t[2].(float64)
+				if !ok1 || !ok2 {
+					return 0, false, fmt.Errorf("dsa: assemble: leg %d fact %v is not (src int64, dst int64, cost float64)", li, t)
+				}
+				// Most producers list an exit's sources in ascending
+				// order: try the slot after the last hit first.
+				k, found := next, next < len(ids) && ids[next] == src
+				if !found {
+					k, found = slices.BinarySearch(ids, src)
+				}
+				if found {
+					next = k + 1
+					if cost := costs[k] + step; !reached || cost < best {
+						best, reached = cost, true
+					}
+				}
 			}
-			base, reached := vec[src]
-			if !reached {
-				continue
+			if s.zero > 0 { // the empty path, summed as an (x, x, 0) row would be
+				if k, found := slices.BinarySearch(ids, s.exit); found && (!reached || costs[k]+0 < best) {
+					best, reached = costs[k]+0, true
+				}
 			}
-			cost := base + step
-			if cur, seen := next[dst]; !seen || cost < cur {
-				next[dst] = cost
+			if reached {
+				nextIDs = append(nextIDs, s.exit)
+				nextCosts = append(nextCosts, best)
 			}
 		}
-		if len(next) == 0 {
+		if len(nextIDs) == 0 {
 			return 0, false, nil // chain broken: no path through this DS
 		}
-		vec = next
+		ids, nextIDs = nextIDs, ids
+		costs, nextCosts = nextCosts, costs
 	}
-	cost, ok := vec[int64(plan.Target)]
-	return cost, ok, nil
+	if k, found := slices.BinarySearch(ids, int64(plan.Target)); found {
+		return costs[k], true, nil
+	}
+	return 0, false, nil
 }
 
-// LegFunc obtains one leg's exit-filtered facts — the only thing that
-// differs between the library, the serving layer and the simulator.
+// LegFunc obtains one leg's table — the only thing that differs
+// between the library, the serving layer and the simulator.
 type LegFunc func(ctx context.Context, leg Leg) (*LegResult, error)
 
 // RunLegs is the one executor of a prepared plan: phase 1 per-site
@@ -284,19 +329,21 @@ func (st *Store) RunPlanCtx(ctx context.Context, plan *Plan, engine Engine, para
 // with cancellation threaded into the engine kernels (between Dijkstra
 // sources, fixpoint rounds and propagation levels). It is the unit of
 // work a (real or simulated) processor performs; package sim schedules
-// these across simulated sites.
+// these across simulated sites. Rel is ExecuteLegFullCtx's table, and
+// Stats.ResultTuples counts the facts the assembly will select from it
+// — what the site ships to the coordinator.
 func (st *Store) ExecuteLegCtx(ctx context.Context, leg Leg, engine Engine) (*LegResult, error) {
 	t0 := time.Now()
 	full, stats, err := st.ExecuteLegFullCtx(ctx, leg.SiteID, leg.Entry, engine)
 	if err != nil {
 		return nil, err
 	}
-	out, err := FilterLegFacts(full, leg)
+	sel, err := selectExits(full, leg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dsa: %w", err)
 	}
-	stats.ResultTuples = out.Len()
-	return &LegResult{Leg: leg, Rel: out, Stats: stats, Took: time.Since(t0)}, nil
+	stats.ResultTuples = sel.n
+	return &LegResult{Leg: leg, Rel: full, Stats: stats, Took: time.Since(t0)}, nil
 }
 
 // ExecuteLegFullCtx runs a leg engine from an entry set WITHOUT the
@@ -304,13 +351,12 @@ func (st *Store) ExecuteLegCtx(ctx context.Context, leg Leg, engine Engine) (*Le
 // entry nodes on the site's augmented fragment. This is the memoizable
 // unit of leg execution — the expensive part of a leg depends only on
 // (site, entry set, engine), while the exit set is a cheap selection
-// (FilterLegFacts: the table is born sorted by dst, whichever engine
-// made it, so an exit is two binary searches and one contiguous copy of
-// row headers, and the rows it discards are never read) — so a serving
-// layer can cache the full relation under that key and specialise it
-// per query. For EngineBitset the cost column carries the presence
-// marker 1 (the relation is a connectivity table, matching
-// ExecuteLegCtx's convention).
+// the assembly makes in place (the table is born sorted by dst,
+// whichever engine made it, so an exit is two binary searches, and the
+// rows it discards are never read) — so a serving layer can cache the
+// full relation under that key and hand it to every query as is. For
+// EngineBitset the cost column carries the presence marker 1 (the
+// relation is a connectivity table).
 //
 // Cancellation is threaded into the engine kernels: the per-entry
 // Dijkstra loop checks ctx between sources, and the relational, bitset

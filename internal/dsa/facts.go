@@ -15,9 +15,12 @@ import (
 // Every producer hands its rows over through NewLegTable (the CSR
 // kernels, which package tc owns, emit the layout themselves — the
 // bitset one with the presence marker 1 in the cost column), and
-// FilterLegFacts and the assembly fold read rows through legFact — so
-// swapping the row container for a columnar one changes this file and
-// the kernels, nothing else.
+// selectExits finds a leg's exits in one for the assembly fold to read
+// in place. FilterLegFacts, the same selection copied out into a
+// relation of its own, is the reference the fold is tested against,
+// kept exported for the benchmark harness — so swapping the row
+// container for a columnar one changes this file, the fold and the
+// kernels, nothing else.
 
 // legSchema is the schema of every leg table.
 var legSchema = relation.Schema{"src", "dst", "cost"}
@@ -56,58 +59,75 @@ func NewLegTable(rows []relation.Tuple) (*relation.Relation, error) {
 	return relation.NewSortedBy(rows, 1, legSchema...)
 }
 
-// FilterLegFacts specialises ExecuteLegFullCtx output to one leg: the
-// exit-set selection — disconnection sets "act as intermediate nodes
-// that must be mandatorily traversed" (§2.1), a keyhole on the
-// per-fragment subquery — plus the zero-cost facts for entry nodes that
-// are themselves exit nodes. ExecuteLegFullCtx followed by
-// FilterLegFacts produces exactly the relation ExecuteLegCtx computes
-// directly, so cached full relations and freshly executed legs assemble
-// to identical answers.
-//
-// The selection reads only what it keeps: full is a leg table, sorted
-// by dst, so each distinct exit is two binary searches and its rows are
-// one contiguous copy of tuple headers — kept rows share tuple storage
-// with full. The result is itself a leg table: exits in ascending
-// order, an exit's rows in full's order, then its zero-cost fact once
-// per matching Entry node. A relation that is not marked as a leg table
-// (one built by hand with Insert) is first made one — every row checked
-// with legFact, headers copied, stable-sorted — so a row that is not a
-// leg fact is an error, as it is for the assembly fold.
-func FilterLegFacts(full *relation.Relation, leg Leg) (*relation.Relation, error) {
+// exitSpan is one distinct exit of a leg: its rows [lo, hi) of the leg
+// table, then zero zero-cost facts — one per Entry node that is the
+// exit itself, whose path to the exit is empty.
+type exitSpan struct {
+	exit         int64
+	lo, hi, zero int
+}
+
+// legSelection is a leg's exits in its table: the table's rows, one
+// span per distinct exit in ascending order, and n, the facts they
+// select.
+type legSelection struct {
+	rows  []relation.Tuple
+	spans []exitSpan
+	n     int
+}
+
+// selectExits is the exit-set selection — disconnection sets "act as
+// intermediate nodes that must be mandatorily traversed" (§2.1), a
+// keyhole on the per-fragment subquery — over a leg table, without
+// copying a row: the exits sorted and deduplicated, one Range each, so
+// the rows it discards are never read. A relation that is not marked as
+// a leg table (one built by hand with Insert) is first made one — every
+// row checked, headers copied, stable-sorted — so a row that is not a
+// leg fact is an error.
+func selectExits(full *relation.Relation, leg Leg) (legSelection, error) {
 	if full.Arity() != 3 || full.SortedBy() != 1 {
 		var err error
 		if full, err = NewLegTable(slices.Clone(full.Tuples())); err != nil {
-			return nil, fmt.Errorf("dsa: filter: site %d: %w", leg.SiteID, err)
+			return legSelection{}, fmt.Errorf("site %d: %w", leg.SiteID, err)
 		}
 	}
-	type exitSpan struct {
-		exit         int64
-		lo, hi, zero int // full's rows [lo, hi), then zero zero-cost facts
-	}
-	spans := make([]exitSpan, len(leg.Exit))
+	sel := legSelection{rows: full.Tuples(), spans: make([]exitSpan, len(leg.Exit))}
 	for i, x := range leg.Exit {
-		spans[i].exit = int64(x)
+		sel.spans[i].exit = int64(x)
 	}
 	byExit := func(s exitSpan, x int64) int { return cmp.Compare(s.exit, x) }
-	slices.SortFunc(spans, func(a, b exitSpan) int { return byExit(a, b.exit) })
-	spans = slices.CompactFunc(spans, func(a, b exitSpan) bool { return a.exit == b.exit })
-	n := 0
-	for i := range spans {
-		s := &spans[i]
+	slices.SortFunc(sel.spans, func(a, b exitSpan) int { return byExit(a, b.exit) })
+	sel.spans = slices.CompactFunc(sel.spans, func(a, b exitSpan) bool { return a.exit == b.exit })
+	for i := range sel.spans {
+		s := &sel.spans[i]
 		s.lo, s.hi = full.Range(s.exit)
-		n += s.hi - s.lo
+		sel.n += s.hi - s.lo
 	}
 	for _, a := range leg.Entry {
-		if i, both := slices.BinarySearchFunc(spans, int64(a), byExit); both {
-			spans[i].zero++
-			n++
+		if i, both := slices.BinarySearchFunc(sel.spans, int64(a), byExit); both {
+			sel.spans[i].zero++
+			sel.n++
 		}
 	}
-	rows := full.Tuples()
-	kept := make([]relation.Tuple, 0, n)
-	for _, s := range spans {
-		kept = append(kept, rows[s.lo:s.hi]...)
+	return sel, nil
+}
+
+// FilterLegFacts is the reference selection: the facts selectExits
+// picks out of a leg table, copied into a leg table of their own —
+// exits in ascending order, an exit's rows in full's order, then its
+// zero-cost fact once per matching Entry node. Kept rows share tuple
+// storage with full. No query path calls it — the assembly fold reads
+// the spans in place — but the tests hold the fold to the relational
+// reference assembly over its output, and the benchmark harness times
+// it as its own layer.
+func FilterLegFacts(full *relation.Relation, leg Leg) (*relation.Relation, error) {
+	sel, err := selectExits(full, leg)
+	if err != nil {
+		return nil, fmt.Errorf("dsa: filter: %w", err)
+	}
+	kept := make([]relation.Tuple, 0, sel.n)
+	for _, s := range sel.spans {
+		kept = append(kept, sel.rows[s.lo:s.hi]...)
 		for ; s.zero > 0; s.zero-- {
 			kept = append(kept, relation.Tuple{s.exit, s.exit, 0.0})
 		}

@@ -75,8 +75,8 @@ type Plan struct {
 	// (only possible for cyclic fragmentation graphs); the answer is
 	// then an upper bound rather than exact.
 	Truncated bool
-	// legIndex maps leg keys to positions in Legs, and chainLegs maps
-	// each chain to the leg indices along it.
+	// chainLegs maps each chain to the indices in Legs of the legs
+	// along it.
 	chainLegs [][]int
 }
 

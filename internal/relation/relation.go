@@ -15,7 +15,7 @@
 // The one feature that path uses is the sorted layout of sorted.go: a
 // relation adopted by NewSortedBy is marked as ordered on one int64
 // column, and Range finds that column's rows for a value by binary
-// search — how dsa.FilterLegFacts selects a leg's exits without reading
+// search — how the dsa assembly selects a leg's exits without reading
 // the rows it discards.
 //
 // Values are restricted to int64, float64, string and bool; attribute

@@ -40,9 +40,10 @@ func NewSortedBy(rows []Tuple, col int, schema ...string) (*Relation, error) {
 func (r *Relation) SortedBy() int { return r.sorted - 1 }
 
 // Range returns the half-open span of Tuples() whose sort column equals
-// v — empty when no row does — in two binary searches. It panics on a
-// relation that is not marked sorted: a caller that cannot know checks
-// SortedBy first.
+// v — empty when no row does — in a binary search for its start and a
+// galloping one for its end, which stays near the start: a span is
+// usually a small part of the table. It panics on a relation that is
+// not marked sorted: a caller that cannot know checks SortedBy first.
 func (r *Relation) Range(v int64) (lo, hi int) {
 	col := r.sorted - 1
 	if col < 0 {
@@ -50,6 +51,12 @@ func (r *Relation) Range(v int64) (lo, hi int) {
 	}
 	lo = sort.Search(len(r.tuples), func(i int) bool { return r.tuples[i][col].(int64) >= v })
 	rest := r.tuples[lo:]
-	hi = lo + sort.Search(len(rest), func(i int) bool { return rest[i][col].(int64) > v })
+	past := func(i int) bool { return rest[i][col].(int64) > v }
+	end := 1 // rest[:end/2] are all v; the span ends within rest[end/2:end]
+	for end < len(rest) && !past(end) {
+		end *= 2
+	}
+	end = min(end, len(rest))
+	hi = lo + end/2 + sort.Search(end-end/2, func(i int) bool { return past(end/2 + i) })
 	return lo, hi
 }

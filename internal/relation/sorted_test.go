@@ -88,14 +88,20 @@ func TestSortedMarkClearedByMutation(t *testing.T) {
 }
 
 // TestRangeMatchesScan: on random sorted columns with runs of equal
-// values, Range is the span a linear scan finds.
+// values — short runs, and on odd trials runs of up to a few hundred
+// rows that the galloping end search has to cross — Range is the span
+// a linear scan finds.
 func TestRangeMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 50; trial++ {
 		var rows []Tuple
 		v := int64(rng.Intn(5) - 10)
-		for n := rng.Intn(40); len(rows) < n; {
-			if rng.Intn(3) == 0 {
+		size, step := 40, 3
+		if trial%2 == 1 {
+			size, step = 600, 60
+		}
+		for n := rng.Intn(size); len(rows) < n; {
+			if rng.Intn(step) == 0 {
 				v += int64(rng.Intn(4))
 			}
 			rows = append(rows, Tuple{v})

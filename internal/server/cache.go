@@ -17,10 +17,10 @@ import (
 // entry is keyed by what actually ran, stable across engine
 // renumbering), the site, and the entry set (sorted by the planner, so
 // the rendering is canonical). The exit set is deliberately absent —
-// it is a cheap selection applied after lookup (dsa.FilterLegFacts:
-// the cached table is sorted by dst, so an exit costs two binary
-// searches and the rows it keeps, whatever the table's size), so
-// queries with different targets share cache entries whenever they
+// the assembly fold selects a leg's exits in place (dsa.FinishPlan: the
+// cached table is sorted by dst, so an exit costs two binary searches
+// and the rows it reads, whatever the table's size), so queries with
+// different targets share cache entries whenever they
 // enter a fragment through the same disconnection set; the mode is
 // likewise absent because a leg's full fact relation depends only on
 // the engine, letting cost and connectivity traffic share entries.
@@ -57,14 +57,13 @@ type CacheStats struct {
 	Sweeps uint64 `json:"sweeps"`
 }
 
-// cacheEntry is one memoized leg: the full (unfiltered) fact relation
-// of ExecuteLegFullCtx and its stats, tagged with the site it was
-// computed on and the store epoch it was computed under. The relation
-// is a leg table (dsa.NewLegTable: sorted by dst and marked so, which
-// is all the index the selection needs — the entry holds no side
-// structure) shared read-only across queries; FilterLegFacts binary-
-// searches it and builds a fresh tuple list (sharing immutable tuple
-// storage), never mutates the cached relation.
+// cacheEntry is one memoized leg: the leg table of ExecuteLegFullCtx
+// and its stats, tagged with the site it was computed on and the store
+// epoch it was computed under. The table (dsa.NewLegTable: sorted by
+// dst and marked so, which is all the index the selection needs — the
+// entry holds no side structure) is handed to every query that enters
+// the site through the same entry set, as is; the assembly fold
+// binary-searches it and reads its exits' rows, never writing to it.
 type cacheEntry struct {
 	key    string
 	siteID int

@@ -219,7 +219,7 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 			full, stats, hit, err = s.cluster.ExecuteLeg(ctx, leg.SiteID, leg.Entry, engine.String(), snap.Epoch())
 			switch {
 			case err == nil:
-				lr, err = legResult(leg, full, stats, t0)
+				lr = &dsa.LegResult{Leg: leg, Rel: full, Stats: stats, Took: time.Since(t0)}
 			case cluster.FallbackEligible(err):
 				// Degraded mode: the owner is unreachable (down, timed
 				// out, or its breaker is open), but every node builds the
@@ -258,13 +258,12 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 // site's gate — giving up with ErrCanceled when ctx ends first, so a
 // canceled query stops queueing for its turn — and, holding it, looks
 // the (site, entry, engine) table up in the leg cache at the snapshot's
-// epoch, runs the kernel on a miss, selects the leg's exits and charges
-// the site one leg and the time the gate was held. Remote and local
-// traffic for a site therefore fill and hit the same cache entries and
-// obey the same one-leg-at-a-time rule. A leg with a nil Exit (a peer
-// asks for the whole table and selects its own exits) skips the
-// selection. The site index may come off the wire, so it is checked
-// before it indexes anything.
+// epoch, runs the kernel on a miss, and charges the site one leg and
+// the time the gate was held. The table goes out as is — the assembly
+// selects the leg's exits in place, on whichever node gathers the legs
+// — so remote and local traffic for a site fill and hit the same cache
+// entries and obey the same one-leg-at-a-time rule. The site index may
+// come off the wire, so it is checked before it indexes anything.
 func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg dsa.Leg, engine dsa.Engine) (*dsa.LegResult, bool, error) {
 	if leg.SiteID < 0 || leg.SiteID >= len(s.gates) {
 		return nil, false, fmt.Errorf("server: %w: leg site %d out of range", dsa.ErrUnknownSite, leg.SiteID)
@@ -291,28 +290,10 @@ func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg ds
 		}
 		s.cache.put(key, leg.SiteID, epoch, full, stats)
 	}
-	lr, err := legResult(leg, full, stats, t0)
-	if err != nil {
-		return nil, false, err
-	}
+	lr := &dsa.LegResult{Leg: leg, Rel: full, Stats: stats, Took: time.Since(t0)}
 	s.siteLegs[leg.SiteID].Add(1)
 	s.siteBusyNS[leg.SiteID].Add(int64(lr.Took))
 	return lr, hit, nil
-}
-
-// legResult specialises a full (site, entry, engine) fact table to one
-// leg — the exit selection, skipped for a leg without exits — and
-// stamps the time since t0. Local, cached and remote tables all arrive
-// as leg tables (sorted by dst), so the selection never re-sorts one.
-func legResult(leg dsa.Leg, full *relation.Relation, stats tc.Stats, t0 time.Time) (*dsa.LegResult, error) {
-	if leg.Exit != nil {
-		var err error
-		if full, err = dsa.FilterLegFacts(full, leg); err != nil {
-			return nil, err
-		}
-		stats.ResultTuples = full.Len()
-	}
-	return &dsa.LegResult{Leg: leg, Rel: full, Stats: stats, Took: time.Since(t0)}, nil
 }
 
 // ApplyBatch applies a transactional batch of edge operations through

@@ -164,7 +164,7 @@ func (c *Cluster) Run(ctx context.Context, source, target graph.NodeID, engine d
 		mu.Lock()
 		rep.Messages = append(rep.Messages,
 			Message{From: CoordinatorID, To: leg.SiteID},
-			Message{From: leg.SiteID, To: CoordinatorID, Tuples: lr.Rel.Len()})
+			Message{From: leg.SiteID, To: CoordinatorID, Tuples: lr.Stats.ResultTuples})
 		rep.SiteBusy[leg.SiteID] += c.legWork(lr)
 		mu.Unlock()
 		return lr, nil

@@ -115,6 +115,15 @@ func TestNoInterSiteMessages(t *testing.T) {
 	if len(plan.Legs) == 0 || len(rep.Messages) != 2*len(plan.Legs) {
 		t.Errorf("%d messages for %d legs, want two per leg", len(rep.Messages), len(plan.Legs))
 	}
+	// The result shipments carry what the assembly reads of each leg's
+	// table — its exits' facts — not the table.
+	shipped := 0
+	for _, m := range rep.Messages {
+		shipped += m.Tuples
+	}
+	if shipped != rep.TuplesShipped {
+		t.Errorf("result messages carry %d tuples, the assembly counts %d shipped", shipped, rep.TuplesShipped)
+	}
 }
 
 func TestSelfQueryAndUnreachable(t *testing.T) {
