@@ -195,9 +195,9 @@ func (b *breaker) trip() {
 	b.transition(BreakerOpen)
 }
 
-// State returns the breaker's current state, surfacing an elapsed open
-// interval as half-open-eligible open (the transition itself only
-// happens on the next Allow, keeping state changes single-sourced).
+// State returns the breaker's current state. An elapsed open interval
+// still reads as open: the transition to half-open only happens on the
+// next Allow, keeping state changes single-sourced.
 func (b *breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -61,7 +61,7 @@ func retryable(err error) bool {
 	return classifyOutcome(err) == outcomeFailure
 }
 
-// jitterFunc applies full jitter: a uniform draw from [0, d]. Full
+// fullJitter applies full jitter: a uniform draw from [0, d]. Full
 // jitter (vs equal or decorrelated) maximally de-synchronizes the
 // retry herd when many queries hit the same dead owner at once.
 func fullJitter(d time.Duration) time.Duration {

@@ -343,8 +343,8 @@ func TestExecuteLegFullValidation(t *testing.T) {
 	}
 }
 
-// TestEpochAdvancesOnUpdate pins the invalidation signal the serving
-// layer's cache keys on.
+// TestEpochAdvancesOnUpdate pins the generation number readers and
+// peers name a snapshot by.
 func TestEpochAdvancesOnUpdate(t *testing.T) {
 	st, _ := pathStore(t)
 	if st.Epoch() != 0 {

