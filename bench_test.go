@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -445,7 +446,7 @@ func BenchmarkFilterLegFacts(b *testing.B) {
 			for i := 0; i < c.exits; i++ {
 				leg.Exit = append(leg.Exit, graph.NodeID(c.nodes-c.exits+i))
 			}
-			table, err := dsa.NewLegTable(rows)
+			table, err := relation.Adopt(rows, "src", "dst", "cost")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -484,11 +485,11 @@ func BenchmarkFinishPlan(b *testing.B) {
 	}
 	results := make([]*dsa.LegResult, len(plan.Legs))
 	for i, leg := range plan.Legs {
-		full, stats, err := st.ExecuteLegFullCtx(context.Background(), leg.SiteID, leg.Entry, dsa.EngineDense)
+		table, stats, err := st.ExecuteLegTableCtx(context.Background(), leg.SiteID, leg.Entry, dsa.EngineDense)
 		if err != nil {
 			b.Fatal(err)
 		}
-		results[i] = &dsa.LegResult{Leg: leg, Rel: full, Stats: stats}
+		results[i] = &dsa.LegResult{Leg: leg, Table: table, Stats: stats}
 	}
 	dist, _ := fr.Base().ShortestPaths(src)
 	want := dist[dst]
@@ -501,6 +502,65 @@ func BenchmarkFinishPlan(b *testing.B) {
 		}
 		if !res.Reachable || math.Abs(res.Cost-want) > 1e-9*(1+want) {
 			b.Fatalf("%d -> %d: cost %v (reachable %v), Dijkstra %v", src, dst, res.Cost, res.Reachable, want)
+		}
+	}
+}
+
+// BenchmarkLegTable times one leg's table on the dense engine, as the
+// serving executor makes it on a cache miss: on road's largest site
+// from one interior source (road-point's one miss per query), and the
+// second leg of each deployment's first-to-last-node plan, the first
+// entered through a whole disconnection set (road's 5 gateways, grid's
+// 42 border nodes). The site's kernel is primed, as deploySites primes it.
+// Run with -benchmem: B/op and allocs/op are what a miss allocates.
+func BenchmarkLegTable(b *testing.B) {
+	for _, d := range servingDeployments {
+		fr, err := d.build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		st, err := dsa.Build(fr, dsa.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes := fr.Base().Nodes()
+		plan, err := st.NewPlan(nodes[0], nodes[len(nodes)-1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		type namedLeg struct {
+			name string
+			leg  dsa.Leg
+		}
+		var legs []namedLeg
+		if d.name == "road" {
+			largest := slices.MaxFunc(st.Sites(), func(x, y *dsa.Site) int { return x.Augmented().NumNodes() - y.Augmented().NumNodes() })
+			for _, n := range fr.Fragment(largest.ID).Nodes() {
+				if len(fr.FragmentsOf(n)) == 1 {
+					legs = append(legs, namedLeg{"single-source", dsa.Leg{SiteID: largest.ID, Entry: []graph.NodeID{n}}})
+					break
+				}
+			}
+		}
+		if len(plan.Legs) < 2 {
+			b.Fatalf("plan %+v: want a leg entered through a disconnection set", plan)
+		}
+		legs = append(legs, namedLeg{"ds-leg", plan.Legs[1]})
+		for _, nl := range legs {
+			leg := nl.leg
+			b.Run(d.name+"/"+nl.name, func(b *testing.B) {
+				if _, err := st.Site(leg.SiteID).DenseKernel(); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := st.ExecuteLegTableCtx(context.Background(), leg.SiteID, leg.Entry, dsa.EngineDense); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(len(leg.Entry)), "entry")
+			})
 		}
 	}
 }

@@ -13,6 +13,7 @@ func TestImportBoundaryFixtures(t *testing.T) {
 		{"importboundary_badcluster", "repro/internal/cluster"},
 		{"importboundary_badbench", "repro/internal/bench"},
 		{"importboundary_badmetrics", "repro/internal/metrics"},
+		{"importboundary_badrelation", "repro/internal/server"},
 		{"importboundary_good", "repro/cmd/goodtool"},
 	}
 	for _, c := range cases {

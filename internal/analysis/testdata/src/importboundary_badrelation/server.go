@@ -1,0 +1,7 @@
+// Fixture: the serving layer importing the relational algebra, which
+// leg tables no longer travel in. Analyzed as repro/internal/server.
+package server
+
+import (
+	_ "repro/internal/relation" // want "must not import repro/internal/relation"
+)

@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/graph"
 	"repro/internal/metrics"
-	"repro/internal/relation"
 	"repro/internal/tc"
 )
 
@@ -148,7 +148,7 @@ func (c *Coordinator) FallbackLeg(site int) {
 }
 
 // ExecuteLeg ships one leg to the site's remote owner at the pinned
-// epoch and rebuilds the returned fact relation. The site must not be
+// epoch and rebuilds the returned leg table. The site must not be
 // local (the caller routes local sites through its own executor). A
 // peer answering from a different generation than it was asked for is
 // an ErrEpochSkew — the response echo is the coherence check.
@@ -160,7 +160,7 @@ func (c *Coordinator) FallbackLeg(site int) {
 // breaker refuses immediately with an error that matches both
 // ErrBreakerOpen and ErrPeerDown, letting the serving layer fall back
 // to local execution without a new error path.
-func (c *Coordinator) ExecuteLeg(ctx context.Context, site int, entry []graph.NodeID, engine string, epoch uint64) (*relation.Relation, tc.Stats, bool, error) {
+func (c *Coordinator) ExecuteLeg(ctx context.Context, site int, entry []graph.NodeID, engine string, epoch uint64) (*tc.CostMatrix, tc.Stats, bool, error) {
 	owner := c.Owner(site)
 	t := c.transports[owner.ID]
 	if t == nil {
@@ -199,16 +199,32 @@ func (c *Coordinator) ExecuteLeg(ctx context.Context, site int, entry []graph.No
 			return nil, tc.Stats{}, false, fmt.Errorf("cluster: %w: peer %s answered leg for site %d at epoch %d, want %d",
 				ErrEpochSkew, owner.ID, site, resp.Epoch, epoch)
 		}
-		rel, stats, err := resp.Facts()
+		if err := checkSources(resp, entry); err != nil {
+			return nil, tc.Stats{}, false, err
+		}
+		table, stats, err := resp.Table()
 		if err != nil {
 			return nil, tc.Stats{}, false, err
 		}
 		if c.m != nil {
 			c.m.legFanout.With(owner.ID).Inc()
 		}
-		return rel, stats, resp.CacheHit, nil
+		return table, stats, resp.CacheHit, nil
 	}
 	return nil, tc.Stats{}, false, lastErr
+}
+
+// checkSources refuses a fact whose source is not an entry node of the
+// leg the peer was asked for: the rebuilt table has a row per source,
+// so such facts would widen it beyond the leg.
+func checkSources(resp *LegResponse, entry []graph.NodeID) error {
+	sorted := slices.Sorted(slices.Values(entry))
+	for _, s := range resp.Src {
+		if _, ok := slices.BinarySearch(sorted, graph.NodeID(s)); !ok {
+			return fmt.Errorf("cluster: %w: fact from source %d, which is not an entry node of the leg", ErrBadPeerResponse, s)
+		}
+	}
+	return nil
 }
 
 // PeerAck is one peer's acknowledgement of a fanned-out update.

@@ -67,10 +67,10 @@ func NewLegRequest(site int, entry []graph.NodeID, engine string, epoch uint64) 
 	return &LegRequest{Site: site, Entry: wire, Engine: engine, Epoch: epoch}
 }
 
-// LegResponse is the wire form of an executed leg: the full
-// (src, dst, cost) fact relation in columnar layout — the paper's
-// complementary-cost table, the only payload that crosses the wire —
-// plus the peer's cache verdict and fixpoint stats.
+// LegResponse is the wire form of an executed leg: the leg table's
+// (src, dst, cost) facts as three columns in leg-table order — by
+// destination, the sources of one destination in row order — plus the
+// peer's cache verdict and fixpoint stats.
 type LegResponse struct {
 	// Epoch echoes the generation the facts were computed on.
 	Epoch uint64 `json:"epoch"`
@@ -87,7 +87,30 @@ type LegResponse struct {
 	ResultTuples  int `json:"result_tuples"`
 }
 
-// NewLegResponse flattens an executed leg relation onto the wire.
+// NewLegTableResponse flattens an executed leg's table onto the wire.
+func NewLegTableResponse(epoch uint64, hit bool, table *tc.CostMatrix, stats tc.Stats) *LegResponse {
+	n := table.Len()
+	resp := &LegResponse{
+		Epoch:         epoch,
+		CacheHit:      hit,
+		Src:           make([]int64, 0, n),
+		Dst:           make([]int64, 0, n),
+		Cost:          make([]float64, 0, n),
+		Iterations:    stats.Iterations,
+		DerivedTuples: stats.DerivedTuples,
+		ResultTuples:  stats.ResultTuples,
+	}
+	table.Each(func(src, dst graph.NodeID, cost float64) {
+		resp.Src = append(resp.Src, int64(src))
+		resp.Dst = append(resp.Dst, int64(dst))
+		resp.Cost = append(resp.Cost, cost)
+	})
+	return resp
+}
+
+// NewLegResponse flattens a (src, dst, cost) leg relation onto the
+// wire in its own row order: the benchmark harness's form of
+// NewLegTableResponse.
 func NewLegResponse(epoch uint64, hit bool, rel *relation.Relation, stats tc.Stats) *LegResponse {
 	tuples := rel.Tuples()
 	resp := &LegResponse{
@@ -108,28 +131,29 @@ func NewLegResponse(epoch uint64, hit bool, rel *relation.Relation, stats tc.Sta
 	return resp
 }
 
-// Facts rebuilds the leg table. NewLegResponse flattens the owner's
-// table in its own order — sorted by dst — so dsa.NewLegTable only
-// verifies that here; a peer that sends another order is sorted, not
-// refused. The rows share one backing array. Column-length mismatches
+// Table rebuilds the leg table: rows in the order their sources first
+// occur, the distinct destinations as columns. Column-length mismatches
 // are a protocol violation and return ErrBadPeerResponse.
-func (r *LegResponse) Facts() (*relation.Relation, tc.Stats, error) {
+func (r *LegResponse) Table() (*tc.CostMatrix, tc.Stats, error) {
 	if len(r.Src) != len(r.Dst) || len(r.Src) != len(r.Cost) {
 		return nil, tc.Stats{}, fmt.Errorf("cluster: %w: fact columns of unequal length (%d src, %d dst, %d cost)",
 			ErrBadPeerResponse, len(r.Src), len(r.Dst), len(r.Cost))
 	}
-	rows := make([]relation.Tuple, len(r.Src))
-	cells := make([]relation.Value, 3*len(rows))
-	for i := range rows {
-		rows[i] = cells[3*i : 3*i+3 : 3*i+3]
-		rows[i][0], rows[i][1], rows[i][2] = r.Src[i], r.Dst[i], r.Cost[i]
-	}
-	rel, err := dsa.NewLegTable(rows)
-	if err != nil {
-		return nil, tc.Stats{}, fmt.Errorf("cluster: %w: %v", ErrBadPeerResponse, err)
-	}
+	table := tc.FactMatrix(len(r.Src), func(i int) (graph.NodeID, graph.NodeID, float64) {
+		return graph.NodeID(r.Src[i]), graph.NodeID(r.Dst[i]), r.Cost[i]
+	})
 	stats := tc.Stats{Iterations: r.Iterations, DerivedTuples: r.DerivedTuples, ResultTuples: r.ResultTuples}
-	return rel, stats, nil
+	return table, stats, nil
+}
+
+// Facts is Table as a (src, dst, cost) relation in leg-table order,
+// for the benchmark harness.
+func (r *LegResponse) Facts() (*relation.Relation, tc.Stats, error) {
+	table, stats, err := r.Table()
+	if err != nil {
+		return nil, tc.Stats{}, err
+	}
+	return table.Relation(), stats, nil
 }
 
 // UpdateOp is one typed mutation of an update transaction. It IS the

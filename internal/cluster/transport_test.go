@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
+	"slices"
 	"testing"
 	"time"
 
@@ -66,20 +68,17 @@ func TestLegResponseRoundTrip(t *testing.T) {
 }
 
 // TestLegResponseKeepsLegTable: a remote leg must arrive ready for the
-// exit selection. The owner's table crosses the wire in its own order,
-// so Facts only verifies it — the rebuilt table is marked sorted by dst
-// and selects exactly what the owner's would — and a peer that sends
-// another order is sorted, not refused.
+// exit selection. The owner's table crosses the wire in leg-table
+// order, and the table Table rebuilds holds the owner's facts, so it
+// selects exactly what the owner's would; a peer that sends another
+// order gets the same facts, not a refusal.
 func TestLegResponseKeepsLegTable(t *testing.T) {
-	rows := []relation.Tuple{
-		{int64(1), int64(2), 3.5}, {int64(9), int64(2), 0.5}, {int64(1), int64(4), 1.0},
-		{int64(9), int64(4), 2.0}, {int64(1), int64(8), 7.0},
+	owner := &tc.CostMatrix{
+		Rows: []graph.NodeID{1, 9},
+		Cols: []graph.NodeID{2, 4, 8},
+		Cost: []float64{3.5, 1.0, 7.0, 0.5, 2.0, math.Inf(1)},
 	}
-	owner, err := dsa.NewLegTable(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := json.Marshal(NewLegResponse(3, false, owner, tc.Stats{ResultTuples: 5}))
+	body, err := json.Marshal(NewLegTableResponse(3, false, owner, tc.Stats{ResultTuples: 5}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,21 +86,21 @@ func TestLegResponseKeepsLegTable(t *testing.T) {
 	if err := json.Unmarshal(body, &wire); err != nil {
 		t.Fatal(err)
 	}
+	if !slices.Equal(wire.Dst, []int64{2, 2, 4, 4, 8}) || !slices.Equal(wire.Src, []int64{1, 9, 1, 9, 1}) {
+		t.Errorf("wire columns src %v, dst %v: not in leg-table order", wire.Src, wire.Dst)
+	}
 	leg := dsa.Leg{Entry: []graph.NodeID{1, 9}, Exit: []graph.NodeID{4, 9}}
-	want, err := dsa.FilterLegFacts(owner, leg)
+	want, err := dsa.FilterLegFacts(owner.Relation(), leg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	check := func(label string, resp *LegResponse) {
 		t.Helper()
-		rel, _, err := resp.Facts()
+		table, _, err := resp.Table()
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		if rel.SortedBy() != 1 {
-			t.Fatalf("%s: rebuilt table is not marked sorted by dst", label)
-		}
-		got, err := dsa.FilterLegFacts(rel, leg)
+		got, err := dsa.FilterLegFacts(table.Relation(), leg)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -141,15 +140,15 @@ func TestExecuteLegRoundTrip(t *testing.T) {
 	defer srv.Close()
 	c, site := newPair(t, srv.URL, time.Second)
 
-	rel, gotStats, hit, err := c.ExecuteLeg(context.Background(), site, []graph.NodeID{10, 11}, "dijkstra", 42)
+	table, gotStats, hit, err := c.ExecuteLeg(context.Background(), site, []graph.NodeID{1, 2}, "dijkstra", 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit || gotStats != stats || len(rel.Tuples()) != 2 {
-		t.Errorf("got hit=%v stats=%+v tuples=%d", hit, gotStats, len(rel.Tuples()))
+	if !hit || gotStats != stats || table.Len() != 2 {
+		t.Errorf("got hit=%v stats=%+v facts=%d", hit, gotStats, table.Len())
 	}
 	if gotReq.Site != site || gotReq.Engine != "dijkstra" || gotReq.Epoch != 42 ||
-		len(gotReq.Entry) != 2 || gotReq.Entry[0] != 10 || gotReq.Entry[1] != 11 {
+		len(gotReq.Entry) != 2 || gotReq.Entry[0] != 1 || gotReq.Entry[1] != 2 {
 		t.Errorf("peer saw request %+v", gotReq)
 	}
 }
@@ -270,6 +269,11 @@ func TestMalformedPeerResponses(t *testing.T) {
 			var req LegRequest
 			json.NewDecoder(r.Body).Decode(&req)
 			json.NewEncoder(w).Encode(&LegResponse{Epoch: req.Epoch, Src: []int64{1}, Dst: []int64{}, Cost: []float64{2}})
+		},
+		"fact from outside the entry set": func(w http.ResponseWriter, r *http.Request) {
+			var req LegRequest
+			json.NewDecoder(r.Body).Decode(&req)
+			json.NewEncoder(w).Encode(&LegResponse{Epoch: req.Epoch, Src: []int64{99}, Dst: []int64{3}, Cost: []float64{2}})
 		},
 		"error without envelope": func(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "boom", http.StatusInternalServerError)

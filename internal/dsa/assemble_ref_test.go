@@ -88,8 +88,8 @@ func referenceAssembleChain(plan *Plan, results []*LegResult, ci int, stats *Ass
 }
 
 // foldMismatch runs FinishPlan over results — each leg's table as its
-// producer returned it — and referenceAssemble over the same legs passed
-// through FilterLegFacts, and describes the first difference: cost
+// producer returned it — and referenceAssemble over the same legs as
+// relations passed through FilterLegFacts, and describes the first difference: cost
 // bits, reachability, winning chain, join and operand counts, tuples
 // shipped or a site's ResultTuples. It returns "" when they agree.
 func foldMismatch(st *Store, plan *Plan, results []*LegResult) (string, error) {
@@ -102,7 +102,11 @@ func foldMismatch(st *Store, plan *Plan, results []*LegResult) (string, error) {
 	}
 	filtered := make([]*LegResult, len(results))
 	for i, lr := range results {
-		rel, err := FilterLegFacts(lr.Rel, lr.Leg)
+		full := lr.Rel
+		if lr.Table != nil {
+			full = lr.Table.Relation()
+		}
+		rel, err := FilterLegFacts(full, lr.Leg)
 		if err != nil {
 			return "", err
 		}
@@ -255,34 +259,32 @@ func TestPropertyFoldOverTablesMatchesReference(t *testing.T) {
 			}
 			for _, engine := range Engines() {
 				// Each leg as a cache hands it over: the table and the
-				// stats ExecuteLegFullCtx returned, for no exit set.
+				// stats ExecuteLegTableCtx returned, for no exit set.
 				results := make([]*LegResult, len(plan.Legs))
 				for i, leg := range plan.Legs {
-					table, stats, err := st.ExecuteLegFullCtx(ctx, leg.SiteID, leg.Entry, engine)
+					table, stats, err := st.ExecuteLegTableCtx(ctx, leg.SiteID, leg.Entry, engine)
 					if err != nil {
 						t.Fatalf("%s %v: leg %+v: %v", name, engine, leg, err)
 					}
-					results[i] = &LegResult{Leg: leg, Rel: table, Stats: stats}
-					sel, err := selectExits(results[i].Rel, leg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, s := range sel.spans {
-						entryIsExit += min(s.zero, 1)
-						if s.zero > 0 && middle[i] {
-							consecutiveDS++
+					results[i] = &LegResult{Leg: leg, Table: table, Stats: stats}
+					for _, s := range selectExits(table, leg).spans {
+						if s.zero {
+							entryIsExit++
+							if middle[i] {
+								consecutiveDS++
+							}
 						}
-						if s.lo == s.hi {
+						if s.facts == 0 {
 							emptyExits++
 						}
 					}
-					for _, row := range results[i].Rel.Tuples() {
-						if row[0] == row[1] {
+					for r, src := range table.Rows {
+						if c, ok := table.Col(src); ok && !math.IsInf(table.Cost[r*len(table.Cols)+c], 1) {
 							selfRows++
 							break
 						}
 					}
-					if engine == EngineBitset && results[i].Rel.Len() > 0 {
+					if engine == EngineBitset && table.Len() > 0 {
 						markerTables++
 					}
 				}

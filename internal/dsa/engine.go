@@ -43,7 +43,7 @@ const (
 // primitive seeded with a cost vector, which pipelined evaluation
 // needs). Everything that names, parses, validates or admits an engine
 // (here, tcq.Engine, tcq.Plan, phe, sim) reads it, so an engine added
-// later is one row plus its kernel dispatch in ExecuteLegFullCtx.
+// later is one row plus its kernel dispatch in ExecuteLegTableCtx.
 var engines = [...]struct {
 	name                      string
 	costCapable, vectorSeeded bool

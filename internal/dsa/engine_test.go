@@ -73,6 +73,39 @@ func TestDenseEngineAnswersCostQueries(t *testing.T) {
 	}
 }
 
+// TestEnginesAgreeOnDuplicateEntry: a leg's entry set can come off the
+// wire unvalidated, so it may repeat a node or name one the site does
+// not have. Every engine counts a repeated entry node once and ignores
+// an absent one: the table of {a, a, absent} has exactly the facts of
+// the table of {a}, and a leg with either entry set ships as many
+// facts.
+func TestEnginesAgreeOnDuplicateEntry(t *testing.T) {
+	st := ringStore(t)
+	site := st.Site(0)
+	a := site.Augmented().Nodes()[0]
+	exits := site.Augmented().Nodes()
+	ctx := context.Background()
+	for _, engine := range Engines() {
+		var facts, shipped []int
+		for _, entry := range [][]graph.NodeID{{a}, {a, a, 99}} {
+			table, _, err := st.ExecuteLegFullCtx(ctx, site.ID, entry, engine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lr, err := st.ExecuteLegCtx(ctx, Leg{SiteID: site.ID, Entry: entry, Exit: exits}, engine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			facts = append(facts, table.Len())
+			shipped = append(shipped, lr.Stats.ResultTuples)
+		}
+		if facts[0] == 0 || facts[0] != facts[1] || shipped[0] != shipped[1] {
+			t.Errorf("%v: entry {%d} gives %d facts (%d shipped), {%d, %d, 99} gives %d (%d shipped)",
+				engine, a, facts[0], shipped[0], a, a, facts[1], shipped[1])
+		}
+	}
+}
+
 // TestQueryPipelinedEngineRefusals: pipelined evaluation needs a
 // vector-seeded engine; the relational and bitset engines are refused.
 func TestQueryPipelinedEngineRefusals(t *testing.T) {

@@ -18,9 +18,13 @@ import (
 type LegResult struct {
 	// Leg echoes the executed leg.
 	Leg Leg
-	// Rel is the (site, entry) leg table ExecuteLegFullCtx returns,
-	// schema (src, dst, cost), sorted by dst; FinishPlan reads only the
-	// rows of Leg.Exit, so a cached or remote table is passed as is.
+	// Table is the (site, entry) leg table ExecuteLegTableCtx returns;
+	// FinishPlan reads only the columns of Leg.Exit, so a cached or
+	// remote table is passed as is.
+	Table *tc.CostMatrix
+	// Rel is the benchmark harness's seam until it reads spans: a
+	// (src, dst, cost) relation FinishPlan converts to a table when
+	// Table is nil. No query path sets it.
 	Rel *relation.Relation
 	// Stats reports the local fixpoint work. FinishPlan charges the leg
 	// the facts it selects as ResultTuples, whatever the producer
@@ -124,29 +128,34 @@ func (st *Store) PlanResult(plan *Plan) (res *Result, done bool) {
 // FinishPlan folds executed leg results into a PlanResult-initialised
 // res: per-site work accounting, the critical path, and the assembly
 // phase — each leg's exits selected from its table, then each chain's
-// legs folded over those rows into a source-to-target cost, the
+// legs folded over those columns into a source-to-target cost, the
 // cheapest chain winning (the first listed on ties). A leg ships what
-// is selected — its exits' rows plus a zero-cost fact per exit that is
+// is selected — its exits' facts plus a zero-cost fact per exit that is
 // also an entry — and that is what TuplesShipped, MaxOperand and the
 // site's ResultTuples count. results must be indexed like plan.Legs;
 // Elapsed is left to the caller.
 //
-// Relations FilterLegFacts already selected still fold to exact costs,
-// but their zero-cost facts are then selected twice, as a row and for
-// the entry, so those three counts may over-count by them.
+// A result without a Table has its Rel converted, once. Relations
+// FilterLegFacts already selected still fold to exact costs, but their
+// zero-cost facts are then selected twice, as a fact and for the entry,
+// so those three counts may over-count by them.
 func (st *Store) FinishPlan(plan *Plan, results []*LegResult, res *Result) error {
 	if len(results) != len(plan.Legs) {
 		return fmt.Errorf("dsa: finish: %d results for %d legs", len(results), len(plan.Legs))
 	}
 	sel := make([]legSelection, len(results))
 	for i, lr := range results {
-		if lr == nil {
+		if lr == nil || (lr.Table == nil && lr.Rel == nil) {
 			return fmt.Errorf("dsa: finish: missing result for leg %d", i)
 		}
-		var err error
-		if sel[i], err = selectExits(lr.Rel, lr.Leg); err != nil {
-			return fmt.Errorf("dsa: assemble: leg %d: %w", i, err)
+		table := lr.Table
+		if table == nil {
+			var err error
+			if table, err = legTableOf(lr.Rel); err != nil {
+				return fmt.Errorf("dsa: assemble: leg %d: site %d: %w", i, lr.Leg.SiteID, err)
+			}
 		}
+		sel[i] = selectExits(table, lr.Leg)
 		w := res.PerSite[lr.Leg.SiteID]
 		w.Legs++
 		stats := lr.Stats
@@ -163,11 +172,7 @@ func (st *Store) FinishPlan(plan *Plan, results []*LegResult, res *Result) error
 		}
 	}
 	for ci, chain := range plan.Chains {
-		cost, ok, err := assembleChain(plan, sel, ci, &res.Assembly)
-		if err != nil {
-			return err
-		}
-		if ok && cost < res.Cost {
+		if cost, ok := assembleChain(plan, sel, ci, &res.Assembly); ok && cost < res.Cost {
 			res.Cost = cost
 			res.BestChain = chain
 			res.Reachable = true
@@ -178,62 +183,62 @@ func (st *Store) FinishPlan(plan *Plan, results []*LegResult, res *Result) error
 
 // assembleChain folds the selected leg facts of chain ci into the cost
 // from source to target along that chain: a min-plus product of the
-// running (node → cost) vector with each leg's (src, dst, cost) facts
-// in turn — the paper's "sequence of binary joins between a number of
-// very small relations" (§2.1), one join per leg. The vector is sorted
-// ids beside their costs; the exits come in ascending order, so each
-// next vector is born sorted.
-func assembleChain(plan *Plan, sel []legSelection, ci int, stats *AssemblyStats) (float64, bool, error) {
-	ids, costs := []int64{int64(plan.Source)}, []float64{0}
-	var nextIDs []int64
-	var nextCosts []float64
+// running (node → cost) vector with each leg's table in turn — the
+// paper's "sequence of binary joins between a number of very small
+// relations" (§2.1), one join per leg. The vector is sorted ids beside
+// their costs. Each table row finds its source's slot in the vector
+// once per leg, so the inner loop is a float min over the row's exit
+// columns; the exits come in ascending order, so each next vector is
+// born sorted.
+func assembleChain(plan *Plan, sel []legSelection, ci int, stats *AssemblyStats) (float64, bool) {
+	ids, costs := []graph.NodeID{plan.Source}, []float64{0}
+	var nextIDs []graph.NodeID
+	var nextCosts, best []float64
 	for _, li := range plan.chainLegs[ci] {
 		leg := sel[li]
 		stats.MaxOperand = max(stats.MaxOperand, leg.n, len(ids))
 		stats.Joins++
-		nextIDs, nextCosts = nextIDs[:0], nextCosts[:0]
+		best = best[:0]
 		for _, s := range leg.spans {
-			best, reached := 0.0, false
-			next := 0 // where the previous source was found, plus one
-			for _, t := range leg.rows[s.lo:s.hi] {
-				src, ok1 := t[0].(int64)
-				step, ok2 := t[2].(float64)
-				if !ok1 || !ok2 {
-					return 0, false, fmt.Errorf("dsa: assemble: leg %d fact %v is not (src int64, dst int64, cost float64)", li, t)
-				}
-				// Most producers list an exit's sources in ascending
-				// order: try the slot after the last hit first.
-				k, found := next, next < len(ids) && ids[next] == src
-				if !found {
-					k, found = slices.BinarySearch(ids, src)
-				}
-				if found {
-					next = k + 1
-					if cost := costs[k] + step; !reached || cost < best {
-						best, reached = cost, true
-					}
+			b := math.Inf(1)
+			if s.zero { // the empty path, summed as an (x, x, 0) fact would be
+				if k, found := slices.BinarySearch(ids, s.exit); found {
+					b = costs[k] + 0
 				}
 			}
-			if s.zero > 0 { // the empty path, summed as an (x, x, 0) row would be
-				if k, found := slices.BinarySearch(ids, s.exit); found && (!reached || costs[k]+0 < best) {
-					best, reached = costs[k]+0, true
+			best = append(best, b)
+		}
+		t := leg.table
+		width := len(t.Cols)
+		for r, src := range t.Rows {
+			k, found := slices.BinarySearch(ids, src)
+			if !found {
+				continue
+			}
+			row, cost := t.Cost[r*width:(r+1)*width], costs[k]
+			for j, s := range leg.spans {
+				if s.col >= 0 {
+					best[j] = min(best[j], cost+row[s.col])
 				}
 			}
-			if reached {
+		}
+		nextIDs, nextCosts = nextIDs[:0], nextCosts[:0]
+		for j, s := range leg.spans {
+			if !math.IsInf(best[j], 1) {
 				nextIDs = append(nextIDs, s.exit)
-				nextCosts = append(nextCosts, best)
+				nextCosts = append(nextCosts, best[j])
 			}
 		}
 		if len(nextIDs) == 0 {
-			return 0, false, nil // chain broken: no path through this DS
+			return 0, false // chain broken: no path through this DS
 		}
 		ids, nextIDs = nextIDs, ids
 		costs, nextCosts = nextCosts, costs
 	}
-	if k, found := slices.BinarySearch(ids, int64(plan.Target)); found {
-		return costs[k], true, nil
+	if k, found := slices.BinarySearch(ids, plan.Target); found {
+		return costs[k], true
 	}
-	return 0, false, nil
+	return 0, false
 }
 
 // LegFunc obtains one leg's table — the only thing that differs
@@ -329,83 +334,79 @@ func (st *Store) RunPlanCtx(ctx context.Context, plan *Plan, engine Engine, para
 // with cancellation threaded into the engine kernels (between Dijkstra
 // sources, fixpoint rounds and propagation levels). It is the unit of
 // work a (real or simulated) processor performs; package sim schedules
-// these across simulated sites. Rel is ExecuteLegFullCtx's table, and
-// Stats.ResultTuples counts the facts the assembly will select from it
-// — what the site ships to the coordinator.
+// these across simulated sites. Table is ExecuteLegTableCtx's table,
+// and Stats.ResultTuples counts the facts the assembly will select from
+// it — what the site ships to the coordinator.
 func (st *Store) ExecuteLegCtx(ctx context.Context, leg Leg, engine Engine) (*LegResult, error) {
 	t0 := time.Now()
-	full, stats, err := st.ExecuteLegFullCtx(ctx, leg.SiteID, leg.Entry, engine)
+	table, stats, err := st.ExecuteLegTableCtx(ctx, leg.SiteID, leg.Entry, engine)
 	if err != nil {
 		return nil, err
 	}
-	sel, err := selectExits(full, leg)
-	if err != nil {
-		return nil, fmt.Errorf("dsa: %w", err)
-	}
-	stats.ResultTuples = sel.n
-	return &LegResult{Leg: leg, Rel: full, Stats: stats, Took: time.Since(t0)}, nil
+	stats.ResultTuples = selectExits(table, leg).n
+	return &LegResult{Leg: leg, Table: table, Stats: stats, Took: time.Since(t0)}, nil
 }
 
-// ExecuteLegFullCtx runs a leg engine from an entry set WITHOUT the
+// ExecuteLegTableCtx runs a leg engine from an entry set WITHOUT the
 // exit-set selection: every (src, dst, cost) fact derivable from the
-// entry nodes on the site's augmented fragment. This is the memoizable
-// unit of leg execution — the expensive part of a leg depends only on
-// (site, entry set, engine), while the exit set is a cheap selection
-// the assembly makes in place (the table is born sorted by dst,
-// whichever engine made it, so an exit is two binary searches, and the
-// rows it discards are never read) — so a serving layer can cache the
-// full relation under that key and hand it to every query as is. For
-// EngineBitset the cost column carries the presence marker 1 (the
-// relation is a connectivity table).
+// entry nodes on the site's augmented fragment, as a leg table whose
+// rows are distinct entry nodes — for the CSR engines and Dijkstra each
+// one present on the site, in entry order. This is the
+// memoizable unit of leg execution — the expensive part of a leg
+// depends only on (site, entry set, engine), while the exit set is a
+// cheap selection the assembly makes in place (an exit is one binary
+// search for its column, and the columns it discards are never read) —
+// so a serving layer can cache the table under that key and hand it to
+// every query as is. For EngineBitset a fact carries the presence
+// marker 1 (the table is a connectivity table). Whatever the engine, a
+// cell holds a fact iff the engine derives one: the dense kernel keeps
+// a source's cycle back to itself, and the Dijkstra arm, whose search
+// starts at cost 0, has no (a, a) fact.
 //
 // Cancellation is threaded into the engine kernels: the per-entry
 // Dijkstra loop checks ctx between sources, and the relational, bitset
 // and dense kernels observe it between fixpoint rounds / propagation
 // levels. A canceled leg returns ErrCanceled.
-func (st *Store) ExecuteLegFullCtx(ctx context.Context, siteID int, entry []graph.NodeID, engine Engine) (*relation.Relation, tc.Stats, error) {
+func (st *Store) ExecuteLegTableCtx(ctx context.Context, siteID int, entry []graph.NodeID, engine Engine) (*tc.CostMatrix, tc.Stats, error) {
 	if siteID < 0 || siteID >= len(st.sites) {
 		return nil, tc.Stats{}, fmt.Errorf("dsa: %w: leg site %d out of range", ErrUnknownSite, siteID)
 	}
 	site := st.sites[siteID]
-	var full *relation.Relation
+	var table *tc.CostMatrix
 	var stats tc.Stats
 	var err error
 	switch engine {
 	case EngineDijkstra:
-		// One search per entry node, each on rows of its own, read off
-		// dst-major: leg-table order, which NewLegTable only verifies.
-		searches := site.csr().Searches(len(entry))
-		var nodes []graph.NodeID
-		dists := make([][]float64, len(entry))
-		srcs := make([]relation.Value, len(entry)) // boxed once per source
-		for i, a := range entry {
+		// One search per row, its distances copied in.
+		c := site.csr()
+		var rows []int32
+		table, rows = tc.NewCostMatrix(c, entry)
+		search := c.Searches(1)[0]
+		width := len(table.Cols)
+		for r, a := range table.Rows {
 			if ctx.Err() != nil {
-				return nil, stats, canceledErr(ctx)
+				return nil, tc.Stats{}, canceledErr(ctx)
 			}
-			nodes, dists[i], _ = searches[i](a, false)
-			srcs[i] = int64(a)
-		}
-		var rows []relation.Tuple
-		for k, x := range nodes {
-			for i, a := range entry {
-				if d := dists[i][k]; d < graph.Inf {
-					stats.DerivedTuples++
-					if a != x {
-						rows = append(rows, relation.Tuple{srcs[i], int64(x), d})
-					}
+			_, dist, _ := search(a, false)
+			row := table.Cost[r*width : (r+1)*width]
+			copy(row, dist)
+			row[rows[r]] = graph.Inf // the search's start, at cost 0
+			for _, d := range row {
+				if d < graph.Inf {
+					stats.ResultTuples++
 				}
 			}
 		}
-		full, err = NewLegTable(rows)
+		stats.DerivedTuples = stats.ResultTuples + len(rows)
 	case EngineSemiNaive:
-		// The kernel returns a freshly owned (src, dst, cost) relation in
-		// first-derivation order; adopt its rows instead of copying.
-		if full, stats, err = tc.ShortestFromCtx(ctx, site.rel(), entry); err == nil {
-			full, err = NewLegTable(full.Tuples())
+		// The kernel's relation, converted once.
+		var rel *relation.Relation
+		if rel, stats, err = tc.ShortestFromCtx(ctx, site.rel(), entry); err == nil {
+			table, err = legTableOf(rel)
 		}
 	case EngineBitset, EngineDense:
-		// Both kernels run on the site's one CSR and emit the leg-table
-		// layout themselves.
+		// Both kernels run on the site's one CSR and write the table
+		// themselves.
 		kernel, kerr := site.DenseKernel()
 		if kerr != nil {
 			return nil, tc.Stats{}, kerr
@@ -414,13 +415,24 @@ func (st *Store) ExecuteLegFullCtx(ctx context.Context, siteID int, entry []grap
 		if engine == EngineBitset {
 			run = kernel.ReachFromCtx
 		}
-		full, stats, err = run(ctx, entry)
+		table, stats, err = run(ctx, entry)
 	default:
 		return nil, tc.Stats{}, fmt.Errorf("dsa: %w %d", ErrUnknownEngine, engine)
 	}
 	if err != nil {
 		return nil, tc.Stats{}, fmt.Errorf("dsa: site %d leg: %w", site.ID, err)
 	}
-	stats.ResultTuples = full.Len()
-	return full, stats, nil
+	return table, stats, nil
+}
+
+// ExecuteLegFullCtx is ExecuteLegTableCtx with the table as a
+// (src, dst, cost) relation in leg-table order — by destination, the
+// sources of one destination in entry order — for the benchmark
+// harness, whose walker times it as the leg's layer.
+func (st *Store) ExecuteLegFullCtx(ctx context.Context, siteID int, entry []graph.NodeID, engine Engine) (*relation.Relation, tc.Stats, error) {
+	table, stats, err := st.ExecuteLegTableCtx(ctx, siteID, entry, engine)
+	if err != nil {
+		return nil, tc.Stats{}, err
+	}
+	return table.Relation(), stats, nil
 }

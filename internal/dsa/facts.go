@@ -3,26 +3,28 @@ package dsa
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
+	"repro/internal/graph"
 	"repro/internal/relation"
+	"repro/internal/tc"
 )
 
-// This file is the one place that knows what a leg table looks like:
-// (src int64, dst int64, cost float64) rows under the schema (src, dst,
-// cost), sorted by dst — stable, so the sources of one destination stay
-// in the producer's order — and marked so by relation.NewSortedBy.
-// Every producer hands its rows over through NewLegTable (the CSR
-// kernels, which package tc owns, emit the layout themselves — the
-// bitset one with the presence marker 1 in the cost column), and
-// selectExits finds a leg's exits in one for the assembly fold to read
-// in place. FilterLegFacts, the same selection copied out into a
-// relation of its own, is the reference the fold is tested against,
-// kept exported for the benchmark harness — so swapping the row
-// container for a columnar one changes this file, the fold and the
-// kernels, nothing else.
+// This file is the one place that knows how the assembly reads a leg
+// table: a tc.CostMatrix with the leg's distinct entry nodes present on
+// the site as rows, destinations as ascending columns and +Inf where
+// there is no fact — the bitset kernel's facts carry the presence
+// marker 1. The CSR kernels and the Dijkstra arm write the matrix in
+// place (ExecuteLegTableCtx); the semi-naive arm's relation and a
+// relation handed to FinishPlan are converted once (legTableOf); and
+// selectExits finds a leg's exits in it for the assembly fold to read in
+// place. FilterLegFacts is the same selection over a (src, dst, cost)
+// relation, copied out into a relation of its own: the relational
+// reference the fold is tested against, kept exported for the
+// benchmark harness.
 
-// legSchema is the schema of every leg table.
+// legSchema is the schema of every leg relation.
 var legSchema = relation.Schema{"src", "dst", "cost"}
 
 // legFact unpacks one (src, dst, cost) leg fact, reporting false for a
@@ -37,41 +39,45 @@ func legFact(t relation.Tuple) (src, dst int64, cost float64, ok bool) {
 	return src, dst, cost, ok1 && ok2 && ok3
 }
 
-// NewLegTable adopts rows — the slice is the table's from here on, and
-// may be reordered — as a leg table. Every row is checked to be a leg
-// fact; rows already in dst order (a kernel that emits them so, a table
-// that crossed the wire in its owner's order) cost that one pass, any
-// other order is stable-sorted first.
-func NewLegTable(rows []relation.Tuple) (*relation.Relation, error) {
-	inOrder := true
-	var prev int64
-	for i, t := range rows {
-		_, dst, _, ok := legFact(t)
-		if !ok {
-			return nil, fmt.Errorf("dsa: leg table: fact %v is not (src int64, dst int64, cost float64)", t)
+// checkLegFacts reports the first row of rel that is not a leg fact.
+func checkLegFacts(rel *relation.Relation) error {
+	for _, t := range rel.Tuples() {
+		if _, _, _, ok := legFact(t); !ok {
+			return fmt.Errorf("leg table: fact %v is not (src int64, dst int64, cost float64)", t)
 		}
-		inOrder = inOrder && (i == 0 || prev <= dst)
-		prev = dst
 	}
-	if !inOrder {
-		slices.SortStableFunc(rows, func(a, b relation.Tuple) int { return cmp.Compare(a[1].(int64), b[1].(int64)) })
-	}
-	return relation.NewSortedBy(rows, 1, legSchema...)
+	return nil
 }
 
-// exitSpan is one distinct exit of a leg: its rows [lo, hi) of the leg
-// table, then zero zero-cost facts — one per Entry node that is the
-// exit itself, whose path to the exit is empty.
+// legTableOf converts a (src, dst, cost) relation to a leg table once:
+// every row checked to be a leg fact, a repeated (src, dst) pair kept at
+// its least cost.
+func legTableOf(rel *relation.Relation) (*tc.CostMatrix, error) {
+	if err := checkLegFacts(rel); err != nil {
+		return nil, err
+	}
+	rows := rel.Tuples()
+	return tc.FactMatrix(len(rows), func(i int) (graph.NodeID, graph.NodeID, float64) {
+		src, dst, cost, _ := legFact(rows[i])
+		return graph.NodeID(src), graph.NodeID(dst), cost
+	}), nil
+}
+
+// exitSpan is one distinct exit of a leg: its column of the leg table
+// (-1 when the table has none), the facts in that column, and whether
+// the exit is an entry node too — then it also has the zero-cost fact
+// of the empty path.
 type exitSpan struct {
-	exit         int64
-	lo, hi, zero int
+	exit  graph.NodeID
+	col   int
+	facts int
+	zero  bool
 }
 
-// legSelection is a leg's exits in its table: the table's rows, one
-// span per distinct exit in ascending order, and n, the facts they
-// select.
+// legSelection is a leg's exits in its table: one span per distinct
+// exit in ascending order, and n, the facts they select.
 type legSelection struct {
-	rows  []relation.Tuple
+	table *tc.CostMatrix
 	spans []exitSpan
 	n     int
 }
@@ -79,58 +85,81 @@ type legSelection struct {
 // selectExits is the exit-set selection — disconnection sets "act as
 // intermediate nodes that must be mandatorily traversed" (§2.1), a
 // keyhole on the per-fragment subquery — over a leg table, without
-// copying a row: the exits sorted and deduplicated, one Range each, so
-// the rows it discards are never read. A relation that is not marked as
-// a leg table (one built by hand with Insert) is first made one — every
-// row checked, headers copied, stable-sorted — so a row that is not a
-// leg fact is an error.
-func selectExits(full *relation.Relation, leg Leg) (legSelection, error) {
-	if full.Arity() != 3 || full.SortedBy() != 1 {
-		var err error
-		if full, err = NewLegTable(slices.Clone(full.Tuples())); err != nil {
-			return legSelection{}, fmt.Errorf("site %d: %w", leg.SiteID, err)
-		}
-	}
-	sel := legSelection{rows: full.Tuples(), spans: make([]exitSpan, len(leg.Exit))}
+// copying a cell: the exits sorted and deduplicated, one binary search
+// each for its column, so the columns it discards are never read.
+func selectExits(table *tc.CostMatrix, leg Leg) legSelection {
+	sel := legSelection{table: table, spans: make([]exitSpan, len(leg.Exit))}
 	for i, x := range leg.Exit {
-		sel.spans[i].exit = int64(x)
+		sel.spans[i].exit = x
 	}
-	byExit := func(s exitSpan, x int64) int { return cmp.Compare(s.exit, x) }
+	byExit := func(s exitSpan, x graph.NodeID) int { return cmp.Compare(s.exit, x) }
 	slices.SortFunc(sel.spans, func(a, b exitSpan) int { return byExit(a, b.exit) })
 	sel.spans = slices.CompactFunc(sel.spans, func(a, b exitSpan) bool { return a.exit == b.exit })
+	width := len(table.Cols)
 	for i := range sel.spans {
 		s := &sel.spans[i]
-		s.lo, s.hi = full.Range(s.exit)
-		sel.n += s.hi - s.lo
+		c, ok := table.Col(s.exit)
+		if !ok {
+			s.col = -1
+			continue
+		}
+		s.col = c
+		for k := c; k < len(table.Cost); k += width {
+			if !math.IsInf(table.Cost[k], 1) {
+				s.facts++
+			}
+		}
+		sel.n += s.facts
 	}
 	for _, a := range leg.Entry {
-		if i, both := slices.BinarySearchFunc(sel.spans, int64(a), byExit); both {
-			sel.spans[i].zero++
+		if i, both := slices.BinarySearchFunc(sel.spans, a, byExit); both && !sel.spans[i].zero {
+			sel.spans[i].zero = true
 			sel.n++
 		}
 	}
-	return sel, nil
+	return sel
 }
 
-// FilterLegFacts is the reference selection: the facts selectExits
-// picks out of a leg table, copied into a leg table of their own —
-// exits in ascending order, an exit's rows in full's order, then its
-// zero-cost fact once per matching Entry node. Kept rows share tuple
-// storage with full. No query path calls it — the assembly fold reads
-// the spans in place — but the tests hold the fold to the relational
+// FilterLegFacts is the reference selection over a (src, dst, cost)
+// relation: the facts selectExits picks out of a leg table, copied into
+// a relation of their own — exits in ascending order, an exit's rows in
+// full's order, then its zero-cost fact if it is an entry node. Kept
+// rows share tuple storage with full, and a row that is not a leg fact
+// is an error. No query path calls it — the assembly fold reads the
+// table in place — but the tests hold the fold to the relational
 // reference assembly over its output, and the benchmark harness times
 // it as its own layer.
 func FilterLegFacts(full *relation.Relation, leg Leg) (*relation.Relation, error) {
-	sel, err := selectExits(full, leg)
-	if err != nil {
-		return nil, fmt.Errorf("dsa: filter: %w", err)
+	if err := checkLegFacts(full); err != nil {
+		return nil, fmt.Errorf("dsa: filter: site %d: %w", leg.SiteID, err)
 	}
-	kept := make([]relation.Tuple, 0, sel.n)
-	for _, s := range sel.spans {
-		kept = append(kept, sel.rows[s.lo:s.hi]...)
-		for ; s.zero > 0; s.zero-- {
-			kept = append(kept, relation.Tuple{s.exit, s.exit, 0.0})
+	dst := func(t relation.Tuple) int64 { return t[1].(int64) }
+	byDst := func(a, b relation.Tuple) int { return cmp.Compare(dst(a), dst(b)) }
+	rows := full.Tuples()
+	if !slices.IsSortedFunc(rows, byDst) {
+		rows = slices.Clone(rows)
+		slices.SortStableFunc(rows, byDst)
+	}
+	exits := slices.Clone(leg.Exit)
+	slices.Sort(exits)
+	exits = slices.Compact(exits)
+	spans := make([][2]int, len(exits)) // each exit's rows [lo, hi)
+	n := 0
+	for i, x := range exits {
+		lo, _ := slices.BinarySearchFunc(rows, int64(x), func(t relation.Tuple, x int64) int { return cmp.Compare(dst(t), x) })
+		hi := lo
+		for hi < len(rows) && dst(rows[hi]) == int64(x) {
+			hi++
+		}
+		spans[i] = [2]int{lo, hi}
+		n += hi - lo + 1
+	}
+	kept := make([]relation.Tuple, 0, n)
+	for i, x := range exits {
+		kept = append(kept, rows[spans[i][0]:spans[i][1]]...)
+		if slices.Contains(leg.Entry, x) {
+			kept = append(kept, relation.Tuple{int64(x), int64(x), 0.0})
 		}
 	}
-	return relation.NewSortedBy(kept, 1, legSchema...)
+	return relation.Adopt(kept, legSchema...)
 }

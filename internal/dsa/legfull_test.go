@@ -1,6 +1,7 @@
 package dsa
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
@@ -27,10 +28,11 @@ func tupleKeys(r *relation.Relation) string {
 
 // TestExecuteLegFullMatchesExecuteLeg is the contract the serving
 // layer's leg-result cache rests on: ExecuteLegCtx hands the assembly
-// exactly the table ExecuteLegFullCtx computes — the one a cache stores
-// and passes on as is — and counts the facts the fold will select from
-// it, FilterLegFacts' selection, as its ResultTuples, for every engine
-// and every leg of real plans.
+// exactly the table ExecuteLegTableCtx computes — the one a cache
+// stores and passes on as is, and ExecuteLegFullCtx renders as a
+// relation — and counts the facts the fold will select from it,
+// FilterLegFacts' selection, as its ResultTuples, for every engine and
+// every leg of real plans.
 func TestExecuteLegFullMatchesExecuteLeg(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23} {
 		rng := rand.New(rand.NewSource(seed))
@@ -56,9 +58,9 @@ func TestExecuteLegFullMatchesExecuteLeg(t *testing.T) {
 					if err != nil {
 						t.Fatalf("ExecuteLegFull(%d, %v, %v): %v", leg.SiteID, leg.Entry, engine, err)
 					}
-					if !slices.EqualFunc(direct.Rel.Tuples(), full.Tuples(), func(a, b relation.Tuple) bool { return a.Key() == b.Key() }) {
+					if !slices.EqualFunc(direct.Table.Relation().Tuples(), full.Tuples(), func(a, b relation.Tuple) bool { return a.Key() == b.Key() }) {
 						t.Errorf("seed %d engine %v leg %+v:\nExecuteLegCtx:\n%s\nExecuteLegFullCtx:\n%s",
-							seed, engine, leg, direct.Rel, full)
+							seed, engine, leg, direct.Table.Relation(), full)
 					}
 					filtered, err := FilterLegFacts(full, leg)
 					if err != nil {
@@ -98,8 +100,8 @@ func filterRef(full *relation.Relation, leg Leg) string {
 }
 
 // checkSelection holds FilterLegFacts on full against the nested loops,
-// and checks that the result is a leg table whose kept rows are full's
-// own tuples, not copies.
+// and checks that the result ascends by dst and its kept rows are
+// full's own tuples, not copies.
 func checkSelection(t *testing.T, label string, full *relation.Relation, leg Leg) {
 	t.Helper()
 	got, err := FilterLegFacts(full, leg)
@@ -109,8 +111,8 @@ func checkSelection(t *testing.T, label string, full *relation.Relation, leg Leg
 	if g, w := tupleKeys(got), filterRef(full, leg); g != w {
 		t.Errorf("%s, exit %v, entry %v:\nselection:\n%s\nnested loops:\n%s", label, leg.Exit, leg.Entry, g, w)
 	}
-	if got.SortedBy() != 1 {
-		t.Errorf("%s: the selection is not marked sorted by dst", label)
+	if !slices.IsSortedFunc(got.Tuples(), func(a, b relation.Tuple) int { return cmp.Compare(a[1].(int64), b[1].(int64)) }) {
+		t.Errorf("%s: the selection does not ascend by dst", label)
 	}
 	for _, kept := range got.Tuples() {
 		if kept[2] == relation.Value(0.0) {
@@ -130,11 +132,10 @@ func checkSelection(t *testing.T, label string, full *relation.Relation, leg Leg
 // TestPropertyFilterLegFactsMatchesNestedLoop: one invariant, every
 // producer. On random legs of every engine's full table — entry and
 // exit sets that overlap, an empty non-nil exit set, a single target
-// that is also an entry node — the table arrives marked sorted by dst
-// and the selection on it as produced keeps the multiset the nested
-// loops keep; so does the selection on a hand-built copy with rows
-// repeated (unmarked: made a leg table first), and on a marked table
-// that an Insert has since unmarked.
+// that is also an entry node — the selection on the table as produced
+// keeps the multiset the nested loops keep; so does the selection on a
+// hand-built copy with rows repeated, and on the table after an Insert
+// put a row out of dst order.
 func TestPropertyFilterLegFactsMatchesNestedLoop(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{1, 7, 23} {
@@ -168,9 +169,6 @@ func TestPropertyFilterLegFactsMatchesNestedLoop(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					if table.SortedBy() != 1 {
-						t.Fatalf("%s: the engine's table is not marked sorted by dst", label)
-					}
 					checkSelection(t, label+" as produced", table, leg)
 					// The table plus a random third of its rows again.
 					full := table.Select(func(relation.Tuple) bool { return true })
@@ -183,9 +181,6 @@ func TestPropertyFilterLegFactsMatchesNestedLoop(t *testing.T) {
 					// A row that belongs at the front, inserted at the back.
 					if table.Len() > 0 {
 						table.MustInsert(table.Tuples()[0])
-						if table.SortedBy() != -1 {
-							t.Fatalf("%s: Insert left the table marked", label)
-						}
 						checkSelection(t, label+" after Insert", table, leg)
 					}
 				}
@@ -227,9 +222,10 @@ func TestFilterLegFactsSharedTable(t *testing.T) {
 	wg.Wait()
 }
 
-// TestFilterLegFactsAllocs: on a marked table the selection allocates
-// its spans, the kept row headers and the relation around them — a
-// grid-point middle leg, 60 entry nodes × 512 site nodes, 60 exits.
+// TestFilterLegFactsAllocs: on a table in dst order the selection
+// allocates its exits, their spans, the kept row headers and the
+// relation around them — a grid-point middle leg, 60 entry nodes × 512
+// site nodes, 60 exits.
 func TestFilterLegFactsAllocs(t *testing.T) {
 	table, leg := gridLeg(t)
 	if allocs := testing.AllocsPerRun(20, func() {
@@ -237,7 +233,7 @@ func TestFilterLegFactsAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); allocs > 4 {
-		t.Errorf("FilterLegFacts on a marked %d-row table: %.0f allocations per call, want at most 4", table.Len(), allocs)
+		t.Errorf("FilterLegFacts on a %d-row table in dst order: %.0f allocations per call, want at most 4", table.Len(), allocs)
 	}
 }
 
@@ -258,41 +254,44 @@ func gridLeg(tb testing.TB) (*relation.Relation, Leg) {
 		leg.Entry = append(leg.Entry, graph.NodeID(i))
 		leg.Exit = append(leg.Exit, graph.NodeID(nodes-entries+i))
 	}
-	table, err := NewLegTable(rows)
+	table, err := relation.Adopt(rows, "src", "dst", "cost")
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return table, leg
 }
 
-// TestNewLegTable: rows in dst order are adopted as they are, any other
-// order is stable-sorted, and a row that is not a leg fact is refused
-// wherever it stands.
-func TestNewLegTable(t *testing.T) {
-	row := func(src, dst int64) relation.Tuple { return relation.Tuple{src, dst, 1.0} }
-	sorted := []relation.Tuple{row(5, 1), row(4, 1), row(9, 2)}
-	table, err := NewLegTable(sorted)
-	if err != nil || table.SortedBy() != 1 || &table.Tuples()[0] != &sorted[0] {
-		t.Fatalf("sorted rows: %v, %v", table, err)
+// TestLegTableOf: a relation becomes a leg table once — rows in the
+// order their sources first occur, a repeated (src, dst) pair at its
+// least cost, the facts otherwise the relation's — and a row that is
+// not a leg fact is refused wherever it stands.
+func TestLegTableOf(t *testing.T) {
+	row := func(src, dst int64, cost float64) relation.Tuple { return relation.Tuple{src, dst, cost} }
+	rel, err := relation.Adopt([]relation.Tuple{row(9, 2, 1), row(5, 1, 4), row(9, 2, 0.5), row(4, 1, 2)}, "src", "dst", "cost")
+	if err != nil {
+		t.Fatal(err)
 	}
-	table, err = NewLegTable([]relation.Tuple{row(9, 2), row(5, 1), row(8, 2), row(4, 1)})
-	if err != nil || table.SortedBy() != 1 {
-		t.Fatalf("unsorted rows: %v, %v", table, err)
+	table, err := legTableOf(rel)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var order []int64
-	for _, r := range table.Tuples() {
-		order = append(order, r[0].(int64))
+	if !slices.Equal(table.Rows, []graph.NodeID{9, 5, 4}) || !slices.Equal(table.Cols, []graph.NodeID{1, 2}) {
+		t.Fatalf("rows %v, columns %v; want [9 5 4], [1 2]", table.Rows, table.Cols)
 	}
-	if !slices.Equal(order, []int64{5, 4, 9, 8}) {
-		t.Errorf("sources after the stable sort: %v, want [5 4 9 8]", order)
+	if got, want := table.Relation().String(), "src, dst, cost (3 tuples)\n  (5, 1, 4)\n  (4, 1, 2)\n  (9, 2, 0.5)\n"; got != want {
+		t.Errorf("facts\n%s, want\n%s", got, want)
 	}
-	for name, bad := range map[string]relation.Tuple{
-		"string dst": {int64(0), "3", 1.0},
-		"int cost":   {int64(0), int64(3), int64(1)},
-		"arity 2":    {int64(0), int64(3)},
+	for name, bad := range map[string][]relation.Tuple{
+		"string dst": {row(9, 2, 1), {int64(0), "3", 1.0}},
+		"int cost":   {row(9, 2, 1), {int64(0), int64(3), int64(1)}},
+		"arity 2":    {{int64(0), int64(3)}},
 	} {
-		if table, err := NewLegTable([]relation.Tuple{row(9, 2), row(5, 1), bad}); err == nil {
-			t.Errorf("%s accepted: %v", name, table)
+		rel, err := relation.Adopt(bad, []string{"src", "dst", "cost"}[:len(bad[len(bad)-1])]...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if table, err := legTableOf(rel); err == nil {
+			t.Errorf("%s accepted: %+v", name, table)
 		}
 	}
 }

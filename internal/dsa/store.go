@@ -93,7 +93,7 @@ type Site struct {
 
 // rel returns the augmented subgraph as an edge relation, building it
 // on first use. Safe for concurrent callers (sync.Once). Its one caller
-// is the EngineSemiNaive arm of ExecuteLegFullCtx.
+// is the EngineSemiNaive arm of ExecuteLegTableCtx.
 func (s *Site) rel() *relation.Relation {
 	s.relOnce.Do(func() {
 		s.localRel = relation.FromGraph(s.augmented)

@@ -9,14 +9,10 @@
 // attributes, selection, projection, hash join, union, distinct and
 // group-by aggregation, all deterministic for a fixed input order.
 //
-// The algebra runs only under the reference engines of package tc; on
-// the query path (packages dsa, server, cluster) a Relation is a row
-// container, and package dsa owns the shape of the leg facts it holds.
-// The one feature that path uses is the sorted layout of sorted.go: a
-// relation adopted by NewSortedBy is marked as ordered on one int64
-// column, and Range finds that column's rows for a value by binary
-// search — how the dsa assembly selects a leg's exits without reading
-// the rows it discards.
+// The algebra runs only under the reference engines of package tc; the
+// query path (packages dsa, server, cluster) carries leg tables as
+// tc.CostMatrix, and meets a Relation only at the semi-naive engine and
+// at the seams kept for the benchmark harness.
 //
 // Values are restricted to int64, float64, string and bool; attribute
 // names are case-sensitive strings. Relations are bags unless Distinct
@@ -71,10 +67,6 @@ func (s Schema) Equal(o Schema) bool {
 type Relation struct {
 	schema Schema
 	tuples []Tuple
-	// sorted is 1 + the column NewSortedBy verified the tuples to be
-	// ordered on, 0 for a relation in insertion order. Everything that
-	// appends to or reorders tuples in place resets it.
-	sorted int
 }
 
 // New returns an empty relation with the given schema. It panics on an
@@ -118,7 +110,6 @@ func (r *Relation) Insert(t Tuple) error {
 		}
 	}
 	r.tuples = append(r.tuples, append(Tuple(nil), t...))
-	r.sorted = 0
 	return nil
 }
 
@@ -135,7 +126,7 @@ func (r *Relation) Tuples() []Tuple { return r.tuples }
 
 // Clone returns a deep copy.
 func (r *Relation) Clone() *Relation {
-	c := &Relation{schema: r.Schema(), tuples: make([]Tuple, len(r.tuples)), sorted: r.sorted}
+	c := &Relation{schema: r.Schema(), tuples: make([]Tuple, len(r.tuples))}
 	for i, t := range r.tuples {
 		c.tuples[i] = append(Tuple(nil), t...)
 	}
@@ -183,7 +174,6 @@ func (r *Relation) Sort() *Relation {
 		keys[i] = string(buf)
 	}
 	sort.Sort(&byKey{tuples: r.tuples, keys: keys})
-	r.sorted = 0
 	return r
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dsa"
 	"repro/internal/graph"
-	"repro/internal/relation"
 	"repro/internal/tc"
 )
 
@@ -25,13 +24,12 @@ import (
 // while an entry names it.
 //
 // The exit set is deliberately absent — the assembly fold selects a
-// leg's exits in place (dsa.FinishPlan: the cached table is sorted by
-// dst, so an exit costs two binary searches and the rows it reads,
+// leg's exits in place (dsa.FinishPlan: an exit costs one binary search
+// for its column of the cached table and a read of that column,
 // whatever the table's size), so queries with different targets share
 // entries whenever they enter a fragment through the same disconnection
-// set; the mode is likewise absent because a leg's full fact relation
-// depends only on the engine, letting cost and connectivity traffic
-// share entries.
+// set; the mode is likewise absent because a leg's table depends only
+// on the engine, letting cost and connectivity traffic share entries.
 type legKey struct {
 	site   *dsa.Site
 	engine dsa.Engine
@@ -50,8 +48,13 @@ func newLegKey(site *dsa.Site, entry []graph.NodeID, engine dsa.Engine) legKey {
 type CacheStats struct {
 	// Capacity is the configured entry bound (0 = caching disabled).
 	Capacity int `json:"capacity"`
-	// Entries is the current number of cached leg relations.
+	// Entries is the current number of cached leg tables.
 	Entries int `json:"entries"`
+	// Bytes is what the cached entries hold: each table's cells and
+	// row ids at 8 B apiece, its header, its key's entry rendering and a
+	// fixed entry overhead. The tables' columns are their sites' and
+	// are not counted.
+	Bytes int64 `json:"bytes"`
 	// Hits and Misses count lookups since the server started.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
@@ -66,16 +69,25 @@ type CacheStats struct {
 	Sweeps uint64 `json:"sweeps"`
 }
 
-// cacheEntry is one memoized leg: the leg table of ExecuteLegFullCtx
-// and its stats. The table (dsa.NewLegTable: sorted by dst and marked
-// so, which is all the index the selection needs — the entry holds no
-// side structure) is handed to every query that enters the site through
-// the same entry set, as is; the assembly fold binary-searches it and
-// reads its exits' rows, never writing to it.
+// cacheEntry is one memoized leg: the leg table of ExecuteLegTableCtx
+// and its stats. The table (its columns ascend, which is all the index
+// the selection needs — the entry holds no side structure) is handed to
+// every query that enters the site through the same entry set, as is;
+// the assembly fold binary-searches its columns and reads its exits',
+// never writing to it.
 type cacheEntry struct {
 	key   legKey
-	rel   *relation.Relation
+	table *tc.CostMatrix
 	stats tc.Stats
+}
+
+// entryOverhead is what an entry costs besides its table and its key's
+// rendering: the entry itself, its list element and its map slot.
+const entryOverhead = 160
+
+// bytes is the entry's share of CacheStats.Bytes.
+func (e *cacheEntry) bytes() int64 {
+	return int64(e.table.Bytes() + len(e.key.entry) + entryOverhead)
 }
 
 // legCache is a bounded LRU over leg computations. It is safe for
@@ -100,8 +112,8 @@ func newLegCache(capacity int) *legCache {
 	}
 }
 
-// get returns the memoized relation for key if present.
-func (c *legCache) get(key legKey) (*relation.Relation, tc.Stats, bool) {
+// get returns the memoized table for key if present.
+func (c *legCache) get(key legKey) (*tc.CostMatrix, tc.Stats, bool) {
 	if c == nil || c.cap == 0 {
 		return nil, tc.Stats{}, false
 	}
@@ -115,32 +127,40 @@ func (c *legCache) get(key legKey) (*relation.Relation, tc.Stats, bool) {
 	c.ll.MoveToFront(el)
 	c.stats.Hits++
 	ent := el.Value.(*cacheEntry)
-	return ent.rel, ent.stats, true
+	return ent.table, ent.stats, true
 }
 
 // put memoizes a leg computation, evicting the least recently used
 // entry when the bound is exceeded. Concurrent queries can race to fill
 // the same key; the same key means the same table, so the last put
 // simply replaces the entry.
-func (c *legCache) put(key legKey, rel *relation.Relation, stats tc.Stats) {
+func (c *legCache) put(key legKey, table *tc.CostMatrix, stats tc.Stats) {
 	if c == nil || c.cap == 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ent := &cacheEntry{key: key, rel: rel, stats: stats}
+	ent := &cacheEntry{key: key, table: table, stats: stats}
+	c.stats.Bytes += ent.bytes()
 	if el, ok := c.byKey[key]; ok {
+		c.stats.Bytes -= el.Value.(*cacheEntry).bytes()
 		el.Value = ent
 		c.ll.MoveToFront(el)
 		return
 	}
 	c.byKey[key] = c.ll.PushFront(ent)
 	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*cacheEntry).key)
+		c.remove(c.ll.Back())
 		c.stats.Evictions++
 	}
+}
+
+// remove drops one entry. The caller holds mu.
+func (c *legCache) remove(el *list.Element) {
+	ent := el.Value.(*cacheEntry)
+	c.ll.Remove(el)
+	delete(c.byKey, ent.key)
+	c.stats.Bytes -= ent.bytes()
 }
 
 // sweep drops every entry whose site is not sites[site.ID] — a site an
@@ -164,8 +184,7 @@ func (c *legCache) sweep(sites []*dsa.Site) {
 			c.stats.Retained++
 			continue
 		}
-		c.ll.Remove(el)
-		delete(c.byKey, el.Value.(*cacheEntry).key)
+		c.remove(el)
 		c.stats.Invalidated++
 	}
 }

@@ -7,14 +7,24 @@ import (
 
 	"repro/internal/dsa"
 	"repro/internal/graph"
-	"repro/internal/relation"
 	"repro/internal/tc"
 )
 
-func rel(n int) *relation.Relation {
-	r := relation.New("src", "dst", "cost")
-	r.MustInsert(relation.Tuple{int64(n), int64(n + 1), 1.0})
-	return r
+// legTable is a leg table with n+1 rows into one column: tables of
+// different n differ in size.
+func legTable(n int) *tc.CostMatrix {
+	m := &tc.CostMatrix{Cols: []graph.NodeID{graph.NodeID(n + 1)}}
+	for i := 0; i <= n; i++ {
+		m.Rows = append(m.Rows, graph.NodeID(i))
+		m.Cost = append(m.Cost, 1)
+	}
+	return m
+}
+
+// entryBytes is what an entry for k holding table adds to
+// CacheStats.Bytes.
+func entryBytes(k legKey, table *tc.CostMatrix) int64 {
+	return (&cacheEntry{key: k, table: table}).bytes()
 }
 
 // generation returns n fresh sites with IDs 0..n-1, standing in for a
@@ -41,16 +51,29 @@ func key(site *dsa.Site, n graph.NodeID) legKey {
 	return newLegKey(site, []graph.NodeID{n}, dsa.EngineDijkstra)
 }
 
+// TestLegCacheLRUEviction: the least recently used entry goes first,
+// and CacheStats.Bytes rises by each put's entry and falls by the
+// evicted one's.
 func TestLegCacheLRUEviction(t *testing.T) {
 	s := generation(1)[0]
 	c := newLegCache(2)
-	c.put(key(s, 1), rel(1), tc.Stats{})
-	c.put(key(s, 2), rel(2), tc.Stats{})
+	var want int64
+	for n := 1; n <= 2; n++ {
+		c.put(key(s, graph.NodeID(n)), legTable(n), tc.Stats{})
+		want += entryBytes(key(s, graph.NodeID(n)), legTable(n))
+		if got := c.snapshot().Bytes; got != want {
+			t.Fatalf("after put %d: %d bytes, want %d", n, got, want)
+		}
+	}
 	// Touch 1 so 2 is the least recently used.
 	if _, _, ok := c.get(key(s, 1)); !ok {
 		t.Fatal("1 missing")
 	}
-	c.put(key(s, 3), rel(3), tc.Stats{})
+	c.put(key(s, 3), legTable(3), tc.Stats{})
+	want += entryBytes(key(s, 3), legTable(3)) - entryBytes(key(s, 2), legTable(2))
+	if got := c.snapshot().Bytes; got != want {
+		t.Errorf("after the eviction: %d bytes, want %d", got, want)
+	}
 	if _, _, ok := c.get(key(s, 2)); ok {
 		t.Error("2 should have been evicted (LRU)")
 	}
@@ -76,11 +99,11 @@ func TestLegCacheRebuiltSiteMisses(t *testing.T) {
 	gen0 := generation(4)
 	gen1 := successor(gen0, 2)
 	c := newLegCache(4)
-	c.put(key(gen0[2], 7), rel(1), tc.Stats{})
+	c.put(key(gen0[2], 7), legTable(1), tc.Stats{})
 	if _, _, ok := c.get(key(gen1[2], 7)); ok {
 		t.Fatal("the rebuilt site of ID 2 hit its predecessor's table")
 	}
-	fresh := rel(2)
+	fresh := legTable(2)
 	c.put(key(gen1[2], 7), fresh, tc.Stats{})
 	if got, _, ok := c.get(key(gen1[2], 7)); !ok || got != fresh {
 		t.Errorf("rebuilt site's own table: hit %v, table %v", ok, got)
@@ -99,7 +122,7 @@ func TestLegCacheGetKeepsNewerEpoch(t *testing.T) {
 	gen0 := generation(2)
 	gen1 := successor(gen0, 1)
 	c := newLegCache(4)
-	shared, rebuilt := rel(0), rel(1)
+	shared, rebuilt := legTable(0), legTable(1)
 	c.put(key(gen1[0], 5), shared, tc.Stats{})
 	c.put(key(gen1[1], 5), rebuilt, tc.Stats{})
 	if got, _, ok := c.get(key(gen0[0], 5)); !ok || got != shared {
@@ -123,20 +146,20 @@ func TestLegCachePutKeepsNewestEpoch(t *testing.T) {
 	gen0 := generation(1)
 	gen1 := successor(gen0, 0)
 	c := newLegCache(4)
-	current := rel(5)
+	current := legTable(5)
 	c.put(key(gen1[0], 3), current, tc.Stats{})
-	c.put(key(gen0[0], 3), rel(4), tc.Stats{})
+	c.put(key(gen0[0], 3), legTable(4), tc.Stats{})
 	if got, _, ok := c.get(key(gen1[0], 3)); !ok || got != current {
 		t.Errorf("current reader after a lagging put: hit %v, table %v; want the current table", ok, got)
 	}
 	// The same key means the same table: a second put replaces it.
-	again := rel(5)
+	again := legTable(5)
 	c.put(key(gen1[0], 3), again, tc.Stats{})
 	if got, _, ok := c.get(key(gen1[0], 3)); !ok || got != again {
 		t.Error("a put for an existing key did not replace the entry")
 	}
-	if st := c.snapshot(); st.Entries != 2 {
-		t.Errorf("entries %d, want 2", st.Entries)
+	if st := c.snapshot(); st.Entries != 2 || st.Bytes != entryBytes(key(gen1[0], 3), again)+entryBytes(key(gen0[0], 3), legTable(4)) {
+		t.Errorf("entries %d, bytes %d; want 2 entries, the replaced one counted once", st.Entries, st.Bytes)
 	}
 }
 
@@ -150,9 +173,13 @@ func TestLegCacheInvalidateSweep(t *testing.T) {
 	gen1 := successor(gen0, 0)
 	c := newLegCache(8)
 	for _, s := range gen0 {
-		c.put(key(s, 1), rel(s.ID), tc.Stats{})
+		c.put(key(s, 1), legTable(s.ID), tc.Stats{})
 	}
+	before := c.snapshot().Bytes
 	c.sweep(gen1)
+	if got, want := c.snapshot().Bytes, before-entryBytes(key(gen0[0], 1), legTable(0)); got != want {
+		t.Errorf("after the sweep: %d bytes, want %d", got, want)
+	}
 	if _, _, ok := c.get(key(gen0[0], 1)); ok {
 		t.Error("rebuilt-site entry survived the sweep")
 	}
@@ -180,8 +207,8 @@ func TestLegCacheInvalidateDropsLaggingPuts(t *testing.T) {
 	c := newLegCache(8)
 	c.sweep(gen1)
 	// A query pinned at generation 0 finishes late and puts its site-3 leg.
-	c.put(key(gen0[3], 1), rel(1), tc.Stats{})
-	c.put(key(gen1[5], 1), rel(2), tc.Stats{})
+	c.put(key(gen0[3], 1), legTable(1), tc.Stats{})
+	c.put(key(gen1[5], 1), legTable(2), tc.Stats{})
 	// Generation 2 rebuilds only site 4: site 3 is shared in this
 	// transition, but the lagging entry names generation 0's site 3.
 	gen2 := successor(gen1, 4)
@@ -200,7 +227,7 @@ func TestLegCacheInvalidateDropsLaggingPuts(t *testing.T) {
 func TestLegCacheDisabled(t *testing.T) {
 	s := generation(1)[0]
 	c := newLegCache(0)
-	c.put(key(s, 1), rel(1), tc.Stats{})
+	c.put(key(s, 1), legTable(1), tc.Stats{})
 	if _, _, ok := c.get(key(s, 1)); ok {
 		t.Error("capacity-0 cache stored an entry")
 	}
@@ -261,7 +288,7 @@ func TestLegCacheSnapshotRace(t *testing.T) {
 				gen := gens[i%len(gens)]
 				k := key(gen[(w+i)%len(gen)], graph.NodeID((w*7+i)%4))
 				if _, _, ok := c.get(k); !ok {
-					c.put(k, rel(i), tc.Stats{})
+					c.put(k, legTable(i), tc.Stats{})
 				}
 				if i%50 == 0 {
 					c.sweep(gen)

@@ -80,8 +80,7 @@ func (s *Server) snapshotAt(epoch uint64) *tcq.Snapshot {
 // handleV1Leg serves POST /v1/leg — the internal peer endpoint of the
 // cluster transport. The request names a (site, entry set, engine)
 // computation and the epoch the remote coordinator pinned; the answer
-// is the full leg fact relation (the paper's complementary-cost
-// table) straight from this node's cache or kernels. An epoch this
+// is the whole leg table straight from this node's cache or kernels. An epoch this
 // node cannot serve — older than the history window, or not yet
 // applied here — answers 409 epoch_skew rather than facts from a
 // different generation.
@@ -111,7 +110,7 @@ func (s *Server) handleV1Leg(w http.ResponseWriter, r *http.Request) {
 	if s.cluster != nil {
 		s.cluster.LocalLeg()
 	}
-	writeJSON(w, http.StatusOK, cluster.NewLegResponse(req.Epoch, hit, lr.Rel, lr.Stats))
+	writeJSON(w, http.StatusOK, cluster.NewLegTableResponse(req.Epoch, hit, lr.Table, lr.Stats))
 }
 
 // fanOutUpdate forwards one just-applied transaction to every peer and

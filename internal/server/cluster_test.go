@@ -19,7 +19,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dsa"
 	"repro/internal/graph"
-	"repro/internal/relation"
 	"repro/internal/tc"
 	"repro/pkg/tcq"
 )
@@ -201,6 +200,51 @@ func TestClusterForwardedLoopGuard(t *testing.T) {
 	}
 }
 
+// TestV1LegWireMatchesRelation: /v1/leg builds its body from the leg
+// table the cache holds, and for every engine the body is byte for
+// byte the one the relation of ExecuteLegFullCtx flattens to — the wire
+// stays what it was when leg tables were relations.
+func TestV1LegWireMatchesRelation(t *testing.T) {
+	tcl := newTestCluster(t, 6, 6, 4, 2, nil)
+	st := tcl.servers[0].Dataset().Snapshot().Store()
+	nodes := st.Fragmentation().Base().Nodes()
+	plan, err := st.NewPlan(nodes[0], nodes[len(nodes)-1])
+	if err != nil || len(plan.Legs) < 2 {
+		t.Fatalf("plan %+v, err %v; want a leg entered through a disconnection set", plan, err)
+	}
+	leg := plan.Legs[1]
+	for _, engine := range dsa.Engines() {
+		raw, err := json.Marshal(cluster.NewLegRequest(leg.SiteID, leg.Entry, engine.String(), 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(tcl.https[0].URL+"/v1/leg", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body bytes.Buffer
+		_, err = body.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%v: status %d, err %v", engine, resp.StatusCode, err)
+		}
+		rel, stats, err := st.ExecuteLegFullCtx(context.Background(), leg.SiteID, leg.Entry, engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(cluster.NewLegResponse(0, false, rel, stats))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bytes.TrimSpace(body.Bytes()); !bytes.Equal(got, want) {
+			t.Errorf("%v: /v1/leg body (%d bytes) differs from the relation's (%d bytes)", engine, len(got), len(want))
+		}
+		if rel.Len() == 0 {
+			t.Errorf("%v: the leg has no facts to compare", engine)
+		}
+	}
+}
+
 // TestV1LegEndpoint covers the peer endpoint's contract directly: a
 // servable epoch answers facts, an unservable one answers 409
 // epoch_skew, and malformed requests get typed 4xx refusals.
@@ -372,7 +416,7 @@ func (f *faultTransport) ForwardUpdate(ctx context.Context, req *cluster.UpdateR
 
 // emptyLeg is a syntactically valid scripted leg response.
 func emptyLeg(epoch uint64) *cluster.LegResponse {
-	return cluster.NewLegResponse(epoch, false, relation.New("src", "dst", "cost"), tc.Stats{})
+	return cluster.NewLegTableResponse(epoch, false, &tc.CostMatrix{}, tc.Stats{})
 }
 
 // TestClusterFailureTaxonomy: protocol-level peer failures — the kinds

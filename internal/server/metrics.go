@@ -80,8 +80,11 @@ func newServerMetrics(s *Server) *serverMetrics {
 	// cadence.
 	cache := s.cache
 	reg.GaugeFunc("tc_legcache_entries",
-		"Cached leg relations currently held.",
+		"Cached leg tables currently held.",
 		func() float64 { return float64(cache.snapshot().Entries) })
+	reg.GaugeFunc("tc_legcache_bytes",
+		"Bytes the cached leg tables hold (8 B per cell plus fixed headers).",
+		func() float64 { return float64(cache.snapshot().Bytes) })
 	reg.CounterFunc("tc_legcache_hits_total",
 		"Leg-cache lookups answered from cache.",
 		func() float64 { return float64(cache.snapshot().Hits) })

@@ -53,6 +53,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, name := range []string{
 		"tc_inflight_requests",
 		"tc_legcache_entries",
+		"tc_legcache_bytes",
 		"tc_legcache_hits_total",
 		"tc_legcache_misses_total",
 		"tc_legcache_evictions_total",

@@ -31,7 +31,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dsa"
 	"repro/internal/graph"
-	"repro/internal/relation"
 	"repro/internal/tc"
 	"repro/pkg/tcq"
 )
@@ -213,12 +212,12 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 			// as hits here so the hit rate reflects work actually saved
 			// cluster-wide.
 			t0 := time.Now()
-			var full *relation.Relation
+			var table *tc.CostMatrix
 			var stats tc.Stats
-			full, stats, hit, err = s.cluster.ExecuteLeg(ctx, leg.SiteID, leg.Entry, engine.String(), snap.Epoch())
+			table, stats, hit, err = s.cluster.ExecuteLeg(ctx, leg.SiteID, leg.Entry, engine.String(), snap.Epoch())
 			switch {
 			case err == nil:
-				lr = &dsa.LegResult{Leg: leg, Rel: full, Stats: stats, Took: time.Since(t0)}
+				lr = &dsa.LegResult{Leg: leg, Table: table, Stats: stats, Took: time.Since(t0)}
 			case cluster.FallbackEligible(err):
 				// Degraded mode: the owner is unreachable (down, timed
 				// out, or its breaker is open), but every node builds the
@@ -280,15 +279,15 @@ func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg ds
 	}
 	t0 := time.Now()
 	key := newLegKey(snap.Store().Site(leg.SiteID), leg.Entry, engine)
-	full, stats, hit := s.cache.get(key)
+	table, stats, hit := s.cache.get(key)
 	if !hit {
 		var err error
-		if full, stats, err = snap.Store().ExecuteLegFullCtx(ctx, leg.SiteID, leg.Entry, engine); err != nil {
+		if table, stats, err = snap.Store().ExecuteLegTableCtx(ctx, leg.SiteID, leg.Entry, engine); err != nil {
 			return nil, false, err
 		}
-		s.cache.put(key, full, stats)
+		s.cache.put(key, table, stats)
 	}
-	lr := &dsa.LegResult{Leg: leg, Rel: full, Stats: stats, Took: time.Since(t0)}
+	lr := &dsa.LegResult{Leg: leg, Table: table, Stats: stats, Took: time.Since(t0)}
 	s.siteLegs[leg.SiteID].Add(1)
 	s.siteBusyNS[leg.SiteID].Add(int64(lr.Took))
 	return lr, hit, nil

@@ -191,7 +191,7 @@ func TestPinnedReaderHitsSharedSite(t *testing.T) {
 		t.Fatalf("first leg at epoch %d: hit %v, err %v; want a miss", cur.Epoch(), hit, err)
 	}
 	got, hit, err := srv.executeLegLocal(ctx, old, leg, dsa.EngineDijkstra)
-	if err != nil || !hit || got.Rel != put.Rel {
+	if err != nil || !hit || got.Table != put.Table {
 		t.Errorf("leg pinned at epoch %d on shared site %d: hit %v, err %v; want the epoch-%d table", old.Epoch(), shared, hit, err, cur.Epoch())
 	}
 }

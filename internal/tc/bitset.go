@@ -232,42 +232,34 @@ func markNeeded(succs [][]int32, starts []int32) []bool {
 	return needed
 }
 
-// presence is the cost cell every row of ReachFromCtx shares: the
-// marker 1 — not a path cost — that connectivity leg tables and
-// reachability complementary tables carry, so assembly sums stay finite
-// and Reachable is exact while Cost is meaningless (cost queries refuse
-// the engine).
-var presence = []relation.Value{1.0}
-
-// ReachFromCtx computes the nodes every distinct present source reaches
-// over paths of at least one edge, as a (src, dst, cost) relation whose
-// cost column is the presence marker 1 — the bitset kernel on the CSR
-// the cost kernel runs on, so a site keeps one CSR for both.
-// Propagation is restricted to the components reachable from the
-// sources, the kernel's analogue of the pushed selection in
-// ReachableFrom: a leg's entry set is the incoming disconnection set,
-// so only its "magic cone" of the condensation is touched. Absent
-// sources contribute nothing and duplicates count once, as in
-// CostFromCtx, and the relation is born in CostFromCtx's layout —
-// sorted by dst, a destination's sources in the order given, rows
-// windows of one backing array over the shared boxed ids — with no
-// allocation per row. The kernel observes ctx between dependency levels
-// and between destinations while it emits — a wide entry set's table is
-// the longer half of a leg; a canceled run returns ErrCanceled, never a
-// partial relation.
-func (d *DenseGraph) ReachFromCtx(ctx context.Context, sources []graph.NodeID) (*relation.Relation, Stats, error) {
-	return d.reachFrom(ctx, sources, presence, costSchema)
+// reachRows is one reachability propagation from a set of CSR rows:
+// the condensation's components, each row's component, and the
+// reachable-component bit row of every component a source lies in. A
+// source reaches every member of every component whose bit is set in
+// its component's row; a cyclic component's own bit is set, so
+// within-component pairs (including u→u on cycles and self loops) need
+// no special case.
+type reachRows struct {
+	comps  [][]int32
+	compOf []int32
+	bits   [][]uint64
 }
 
-// reachFrom is the kernel behind ReachFromCtx and the relation-fronted
-// wrappers: its rows are (src, dst) followed by the cells of tail, under
-// schema.
-func (d *DenseGraph) reachFrom(ctx context.Context, sources []graph.NodeID, tail []relation.Value, schema relation.Schema) (*relation.Relation, Stats, error) {
+// reaches reports whether CSR row u reaches CSR row v.
+func (rr *reachRows) reaches(u, v int32) bool {
+	cv := rr.compOf[v]
+	return rr.bits[rr.compOf[u]][cv>>6]&(1<<(uint(cv)&63)) != 0
+}
+
+// reach propagates from the given CSR rows, restricted to the
+// components reachable from them — the kernel's analogue of the pushed
+// selection in ReachableFrom: a leg's entry set is the incoming
+// disconnection set, so only its "magic cone" of the condensation is
+// touched. Stats.ResultTuples counts the (source, node) pairs reached.
+func (d *DenseGraph) reach(ctx context.Context, entries []int32) (*reachRows, Stats, error) {
 	var st Stats
 	comps, compOf := d.csr.SCC()
 	succs, cyclic := d.condensation(comps, compOf)
-
-	entries := d.sourceIndices(sources)
 	starts := make([]int32, len(entries)) // their distinct components
 	for i, u := range entries {
 		starts[i] = compOf[u]
@@ -278,12 +270,7 @@ func (d *DenseGraph) reachFrom(ctx context.Context, sources []graph.NodeID, tail
 	if err != nil {
 		return nil, st, err
 	}
-
-	// A source reaches every member of every component whose bit is set
-	// in its component's row; a cyclic component's own bit is set, so
-	// within-component pairs (including u→u on cycles and self loops)
-	// need no special case. reached[ci] is that member count.
-	reached := make([]int, len(comps))
+	reached := make([]int, len(comps)) // member count of a start's reach
 	for _, ci := range starts {
 		for w, word := range bitRows[ci] {
 			for ; word != 0; word &= word - 1 {
@@ -294,23 +281,72 @@ func (d *DenseGraph) reachFrom(ctx context.Context, sources []graph.NodeID, tail
 	for _, u := range entries {
 		st.ResultTuples += reached[compOf[u]]
 	}
-	boxed := d.boxedIDs()
-	width := 2 + len(tail)
-	tuples := make([]relation.Tuple, 0, st.ResultTuples)
-	cells := make([]relation.Value, 0, width*st.ResultTuples)
-	for v := range d.csr.IDs { // rows ascend by node id: leg-table order
+	return &reachRows{comps: comps, compOf: compOf, bits: bitRows}, st, nil
+}
+
+// ReachFromCtx computes the nodes every distinct present source reaches
+// over paths of at least one edge — the bitset kernel on the CSR the
+// cost kernel runs on, so a site keeps one CSR for both — as a matrix
+// in CostFromCtx's shape whose facts carry the presence marker 1, not a
+// path cost: connectivity leg tables and reachability complementary
+// tables carry it so assembly sums stay finite and Reachable is exact
+// while Cost is meaningless (cost queries refuse the engine). Absent
+// sources contribute nothing and duplicates count once, as in
+// CostFromCtx. The kernel observes ctx between dependency levels and
+// between destinations while it writes the bit rows out — a wide entry
+// set's table is the longer half of a leg; a canceled run returns
+// ErrCanceled, never a partial matrix.
+func (d *DenseGraph) ReachFromCtx(ctx context.Context, sources []graph.NodeID) (*CostMatrix, Stats, error) {
+	m, entries := NewCostMatrix(d.csr, sources)
+	rr, st, err := d.reach(ctx, entries)
+	if err != nil {
+		return nil, st, err
+	}
+	n := len(m.Cols)
+	for v := range int32(n) {
 		if ctx.Err() != nil {
 			return nil, st, canceled(ctx)
 		}
-		cv := compOf[v]
-		for _, u := range entries {
-			if bitRows[compOf[u]][cv>>6]&(1<<(uint(cv)&63)) != 0 {
-				cells = append(append(cells, boxed[u], boxed[v]), tail...)
-				tuples = append(tuples, cells[len(cells)-width:len(cells):len(cells)])
+		for i, u := range entries {
+			if rr.reaches(u, v) {
+				m.Cost[i*n+int(v)] = 1
 			}
 		}
 	}
-	out, err := relation.NewSortedBy(tuples, 1, schema...)
+	return m, st, nil
+}
+
+// reachPairs is the kernel behind the relation-fronted wrappers: the
+// (src, dst) pairs of ReachFromCtx's facts in leg-table order, by
+// destination and a destination's sources in the order given, each
+// node id boxed once.
+func (d *DenseGraph) reachPairs(ctx context.Context, sources []graph.NodeID) (*relation.Relation, Stats, error) {
+	entries := sourceIndices(d.csr, sources)
+	rr, st, err := d.reach(ctx, entries)
+	if err != nil {
+		return nil, st, err
+	}
+	boxed := make([]relation.Value, len(d.csr.IDs))
+	box := func(k int32) relation.Value {
+		if boxed[k] == nil {
+			boxed[k] = int64(d.csr.IDs[k])
+		}
+		return boxed[k]
+	}
+	tuples := make([]relation.Tuple, 0, st.ResultTuples)
+	cells := make([]relation.Value, 0, 2*st.ResultTuples)
+	for v := range int32(len(d.csr.IDs)) {
+		if ctx.Err() != nil {
+			return nil, st, canceled(ctx)
+		}
+		for _, u := range entries {
+			if rr.reaches(u, v) {
+				cells = append(cells, box(u), box(v))
+				tuples = append(tuples, cells[len(cells)-2:len(cells):len(cells)])
+			}
+		}
+	}
+	out, err := relation.Adopt(tuples, pairSchema...)
 	return out, st, err
 }
 
@@ -343,7 +379,7 @@ func BitsetClosure(r *relation.Relation) (*relation.Relation, Stats, error) {
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return d.reachFrom(context.Background(), d.csr.IDs, nil, pairSchema)
+	return d.reachPairs(context.Background(), d.csr.IDs)
 }
 
 // BitsetReachableFromCtx computes the (src, dst) pairs with src in
@@ -354,5 +390,5 @@ func BitsetReachableFromCtx(ctx context.Context, r *relation.Relation, sources [
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return d.reachFrom(ctx, sources, nil, pairSchema)
+	return d.reachPairs(ctx, sources)
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -124,7 +126,7 @@ func TestBitsetClosureEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSamePairs(t, "kernel vs seminaive", kernel, want)
+			assertSamePairs(t, "kernel vs seminaive", kernel.Relation(), want)
 			if st.ResultTuples != got.Len() {
 				t.Errorf("ResultTuples = %d, want %d", st.ResultTuples, got.Len())
 			}
@@ -190,9 +192,9 @@ func TestBitsetReachableFromDuplicateSources(t *testing.T) {
 // boxed form of the same edges give one pair set — ReachableFrom's —
 // and one Stats, on parallel edges, self loops, duplicate and absent
 // sources, edges listed in descending node id, a self loop as the only
-// cycle and a zero-weight cycle. The method's relation
-// is a leg table: sorted by dst, a destination's sources in the order
-// given, the presence marker 1 in the cost column.
+// cycle and a zero-weight cycle. The method's matrix has the distinct
+// present sources as rows in the order given, ascending columns, and
+// the presence marker 1 in every cell that is a fact.
 func TestReachFromMatchesWrapper(t *testing.T) {
 	e := func(from, to graph.NodeID, w float64) graph.Edge { return graph.Edge{From: from, To: to, Weight: w} }
 	type subquery struct {
@@ -245,26 +247,22 @@ func TestReachFromMatchesWrapper(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSamePairs(t, "kernel vs wrapper", got, want)
+			assertSamePairs(t, "kernel vs wrapper", got.Relation(), want)
 			if st != wantStats || got.Len() != want.Len() {
 				t.Errorf("kernel: stats %+v over %d rows, wrapper %+v over %d", st, got.Len(), wantStats, want.Len())
 			}
-			if got.SortedBy() != 1 || got.Arity() != 3 {
-				t.Fatalf("kernel: SortedBy %d, arity %d; want a leg table", got.SortedBy(), got.Arity())
-			}
-			rank := make(map[int64]int) // position of a source's first mention
-			for i, s := range c.sources {
-				if _, seen := rank[int64(s)]; !seen {
-					rank[int64(s)] = i
+			var present []graph.NodeID // the distinct present sources, in the order given
+			for _, s := range c.sources {
+				if slices.Contains(got.Cols, s) && !slices.Contains(present, s) {
+					present = append(present, s)
 				}
 			}
-			rows := got.Tuples()
-			for i, row := range rows {
-				if row[2] != relation.Value(1.0) {
-					t.Fatalf("kernel: row %v lacks the presence marker", row)
-				}
-				if i > 0 && rows[i-1][1] == row[1] && rank[rows[i-1][0].(int64)] >= rank[row[0].(int64)] {
-					t.Fatalf("kernel: rows %v, %v: sources of one destination out of the order given", rows[i-1], row)
+			if !slices.Equal(got.Rows, present) || !slices.IsSorted(got.Cols) {
+				t.Fatalf("kernel: rows %v, columns %v; want rows %v and ascending columns", got.Rows, got.Cols, present)
+			}
+			for _, c := range got.Cost {
+				if c != 1 && !math.IsInf(c, 1) {
+					t.Fatalf("kernel: cell %v is neither the presence marker nor +Inf", c)
 				}
 			}
 		})
@@ -272,9 +270,7 @@ func TestReachFromMatchesWrapper(t *testing.T) {
 }
 
 // TestReachFromAllocs: a connectivity leg allocates per component of
-// the condensation and per result slice, never per row — node cells are
-// the snapshot's shared boxes, the marker is boxed once for the package
-// and the tuples are windows of one backing array.
+// the condensation and per result slice, never per row.
 func TestReachFromAllocs(t *testing.T) {
 	d := gridFragment(t, 16, 32) // one strongly connected component
 	sources := []graph.NodeID{1000, 900, 800, 700, 600}

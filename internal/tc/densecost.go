@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
-	"repro/internal/relation"
 )
 
 // This file implements the dense cost-query kernel: the cost-capable
@@ -33,16 +31,11 @@ import (
 // DenseGraph is a graph's CSR with non-negative costs, as the kernels
 // read it: the cost kernel (CostFromCtx, CostVectorCtx) and the bitset
 // reachability kernel (ReachFromCtx, bitset.go) run on the same arrays,
-// whose rows ascend by node id — the order leg tables list their
-// destinations in. Build once, query many times — the disconnection set
+// whose rows ascend by node id — the columns of every CostMatrix the
+// kernels return. Build once, query many times — the disconnection set
 // approach's sites keep one per augmented fragment.
 type DenseGraph struct {
 	csr *graph.CSR
-
-	// boxed[k] is row k's node id as a relation.Value, boxed on first
-	// use and shared by the rows every kernel emits.
-	boxOnce sync.Once
-	boxed   []relation.Value
 }
 
 // NewDenseGraph wraps a graph's CSR for the kernels. Negative weights,
@@ -77,11 +70,8 @@ func newCostRow(n int) *costRow {
 	return &costRow{inNext: make([]bool, n), frontier: make([]int32, 0, n), next: make([]int32, 0, n)}
 }
 
-// on points the row at a distance slice of its own and clears it.
+// on points the row at a distance slice of its own, every cell +Inf.
 func (r *costRow) on(dist []float64) *costRow {
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
 	r.dist = dist
 	return r
 }
@@ -145,58 +135,25 @@ func (d *DenseGraph) propagate(ctx context.Context, r *costRow) (reached, rounds
 	return reached, rounds, relaxed
 }
 
-// sourceIndices resolves an entry set to rows, in the order given:
-// sources that are not nodes of the snapshot contribute nothing and
-// duplicates count once.
-func (d *DenseGraph) sourceIndices(sources []graph.NodeID) []int32 {
-	var out []int32
-	seen := make(map[int32]struct{}, len(sources))
-	for _, s := range sources {
-		k, present := d.csr.Row(s)
-		if _, dup := seen[k]; !present || dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, k)
-	}
-	return out
-}
-
-// boxedIDs returns the node ids as the relation.Values both kernels'
-// rows share, boxing them on first use.
-func (d *DenseGraph) boxedIDs() []relation.Value {
-	d.boxOnce.Do(func() {
-		d.boxed = make([]relation.Value, len(d.csr.IDs))
-		for k, id := range d.csr.IDs {
-			d.boxed[k] = int64(id)
-		}
-	})
-	return d.boxed
-}
-
 // CostFromCtx computes the minimum path cost (over paths of at least
 // one edge) from every distinct present source to every node it
-// reaches, as a (src, dst, cost) relation — the same answer
-// ShortestFromCtx gives, in kernel time. Sources that are not nodes of
-// the snapshot contribute nothing; duplicates count once. The relation
-// is born in the layout every leg table has: sorted by dst in
-// ascending node id (relation.NewSortedBy's mark), the
-// sources of one destination in the order given. Each row is a window
-// of one backing array whose node columns are the kernel's shared boxed
-// ids, so a row allocates its cost and nothing else; the price is one
-// float64 per (source, node) cell while the call runs. Stats are in the
-// kernel's units: Iterations is the maximum frontier-round count over
-// all source rows (the critical-path analogue of fixpoint rounds),
-// DerivedTuples the total number of successful relaxations. Worker rows
+// reaches — the same facts ShortestFromCtx derives, in kernel time — as
+// the matrix of the distance rows the propagation writes: one row per
+// distinct present source in the order given, the CSR's IDs as columns.
+// Sources that are not nodes of the snapshot contribute nothing;
+// duplicates count once. Nothing is boxed: the call allocates the
+// matrix and its scratch. Stats are in the kernel's units: Iterations
+// is the maximum frontier-round count over all source rows (the
+// critical-path analogue of fixpoint rounds), DerivedTuples the total
+// number of successful relaxations, ResultTuples the facts. Worker rows
 // observe ctx between sources and between frontier rounds, and a
-// canceled run returns ErrCanceled instead of a partial relation.
-func (d *DenseGraph) CostFromCtx(ctx context.Context, sources []graph.NodeID) (*relation.Relation, Stats, error) {
+// canceled run returns ErrCanceled instead of a partial matrix.
+func (d *DenseGraph) CostFromCtx(ctx context.Context, sources []graph.NodeID) (*CostMatrix, Stats, error) {
 	var st Stats
-	n := len(d.csr.IDs)
-	srcIdx := d.sourceIndices(sources)
-	dist := make([]float64, len(srcIdx)*n)
+	m, srcIdx := NewCostMatrix(d.csr, sources)
+	n := len(m.Cols)
 	rounds := make([]int, len(srcIdx))
-	var rows, relaxed atomic.Int64
+	var facts, relaxed atomic.Int64
 	// One distance row per source; rows are independent, so chunks of
 	// sources fan out over the worker pool, each chunk reusing one
 	// frontier scratch.
@@ -207,38 +164,23 @@ func (d *DenseGraph) CostFromCtx(ctx context.Context, sources []graph.NodeID) (*
 			if ctx.Err() != nil {
 				return
 			}
-			reached, r, rel := d.relaxFrom(ctx, row.on(dist[si*n:(si+1)*n]), srcIdx[si])
+			reached, r, rel := d.relaxFrom(ctx, row.on(m.Cost[si*n:(si+1)*n]), srcIdx[si])
 			rounds[si] = r
 			reachedSum += reached
 			relaxedSum += rel
 		}
-		rows.Add(int64(reachedSum))
+		facts.Add(int64(reachedSum))
 		relaxed.Add(int64(relaxedSum))
 	})
 	if ctx.Err() != nil {
 		return nil, st, canceled(ctx)
 	}
 	st.DerivedTuples = int(relaxed.Load())
+	st.ResultTuples = int(facts.Load())
 	for _, r := range rounds {
 		st.Iterations = max(st.Iterations, r)
 	}
-	boxed := d.boxedIDs()
-	tuples := make([]relation.Tuple, 0, rows.Load())
-	cells := make([]relation.Value, 0, 3*rows.Load())
-	for v := range n { // rows ascend by node id: leg-table order
-		for si, s := range srcIdx {
-			if c := dist[si*n+v]; !math.IsInf(c, 1) {
-				cells = append(cells, boxed[s], boxed[v], c)
-				tuples = append(tuples, cells[len(cells)-3:len(cells):len(cells)])
-			}
-		}
-	}
-	out, err := relation.NewSortedBy(tuples, 1, costSchema...)
-	if err != nil {
-		return nil, st, err
-	}
-	st.ResultTuples = out.Len()
-	return out, st, nil
+	return m, st, nil
 }
 
 // CostVectorCtx runs one propagation seeded with the given (node, cost)
@@ -252,7 +194,7 @@ func (d *DenseGraph) CostFromCtx(ctx context.Context, sources []graph.NodeID) (*
 // returns ErrCanceled instead of a partial vector.
 func (d *DenseGraph) CostVectorCtx(ctx context.Context, seed map[graph.NodeID]float64) (map[graph.NodeID]float64, error) {
 	ids := d.csr.IDs
-	row := newCostRow(len(ids)).on(make([]float64, len(ids)))
+	row := newCostRow(len(ids)).on(infs(len(ids)))
 	for s, c := range seed {
 		k, present := d.csr.Row(s)
 		if !present || c < 0 {

@@ -80,7 +80,7 @@ func TestDenseCostFromEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertSameCosts(t, "dense vs seminaive", got, want)
+				assertSameCosts(t, "dense vs seminaive", got.Relation(), want)
 				if st.ResultTuples != got.Len() {
 					t.Errorf("ResultTuples = %d, want %d", st.ResultTuples, got.Len())
 				}
@@ -108,7 +108,7 @@ func TestDenseCostClosureEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameCosts(t, "dense closure vs seminaive", got, want)
+			assertSameCosts(t, "dense closure vs seminaive", got.Relation(), want)
 		})
 	}
 }
@@ -130,7 +130,7 @@ func TestPropertyDenseCostMatchesDijkstra(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		costs := indexCosts(got)
+		costs := indexCosts(got.Relation())
 		dist, _ := g.ShortestPaths(src)
 		for v, d := range dist {
 			if v == src {
@@ -165,8 +165,8 @@ func TestDenseCostSelfLoopsAndZeroWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameCosts(t, "self-loop/zero-weight", got, want)
-	costs := indexCosts(got)
+	assertSameCosts(t, "self-loop/zero-weight", got.Relation(), want)
+	costs := indexCosts(got.Relation())
 	if c := costs[relation.Tuple{int64(1), int64(1)}.Key()]; c != 3.0 {
 		t.Errorf("self-loop cost = %v, want 3", c)
 	}
@@ -244,7 +244,7 @@ func TestDenseCostVectorMatchesShortestPathsMulti(t *testing.T) {
 						t.Fatal(err)
 					}
 					if rows.Len() != 0 {
-						t.Errorf("sources without out-edges derived %v", rows.Tuples())
+						t.Errorf("sources without out-edges derived %v", rows.Relation())
 					}
 				}
 				want, _ := g.ShortestPathsMulti(seed)
@@ -280,7 +280,7 @@ func TestDenseGraphCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	costs := indexCosts(got)
+	costs := indexCosts(got.Relation())
 	if c := costs[relation.Tuple{int64(1), int64(2)}.Key()]; c != 1.0 {
 		t.Errorf("parallel edge min cost = %v, want 1", c)
 	}
@@ -298,7 +298,7 @@ func TestDenseCostSingleNodeFragment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	costs := indexCosts(got)
+	costs := indexCosts(got.Relation())
 	if len(costs) != 1 || costs[relation.Tuple{int64(7), int64(7)}.Key()] != 2.5 {
 		t.Errorf("single self-loop node: got %v", costs)
 	}
@@ -320,7 +320,7 @@ func TestPropertyDenseRandomCostRelations(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		wc, gc := indexCosts(want), indexCosts(got)
+		wc, gc := indexCosts(want), indexCosts(got.Relation())
 		if len(wc) != len(gc) {
 			return false
 		}
@@ -369,7 +369,7 @@ func FuzzDenseCost(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameCosts(t, "dense vs seminaive", got, want)
+		assertSameCosts(t, "dense vs seminaive", got.Relation(), want)
 
 		wantC, _, err := ShortestClosure(r)
 		if err != nil {
@@ -379,7 +379,7 @@ func FuzzDenseCost(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameCosts(t, "dense closure vs seminaive", gotC, wantC)
+		assertSameCosts(t, "dense closure vs seminaive", gotC.Relation(), wantC)
 	})
 }
 
@@ -402,9 +402,11 @@ func gridFragment(tb testing.TB, rows, cols int) *DenseGraph {
 	return denseFrom(tb, edges)
 }
 
-// TestDenseCostBornSorted: the kernel's relation is marked sorted by
-// dst, destinations ascend by node id whatever the edge order, and
-// the sources of one destination come in the order they were given.
+// TestDenseCostBornSorted: the kernel's matrix has the CSR's ascending
+// IDs as its columns, shared and not copied, whatever the edge order;
+// one row per distinct present source in the order given; and Each, the
+// relation adapter and the wire walk it in leg-table order — by
+// destination, the sources of one destination in row order.
 func TestDenseCostBornSorted(t *testing.T) {
 	d := gridFragment(t, 4, 5)
 	sources := []graph.NodeID{990, 1000, 985, 990, 7} // a duplicate and an absent node
@@ -412,24 +414,66 @@ func TestDenseCostBornSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.SortedBy() != 1 {
-		t.Fatalf("SortedBy = %d, want 1", got.SortedBy())
+	if &got.Cols[0] != &d.csr.IDs[0] || !slices.IsSorted(got.Cols) {
+		t.Fatalf("columns %v are not the CSR's ascending IDs", got.Cols)
 	}
-	if got.Len() != 3*20 || st.ResultTuples != got.Len() {
-		t.Fatalf("%d rows (stats %d), want 60: 3 distinct present sources × 20 nodes", got.Len(), st.ResultTuples)
+	if !slices.Equal(got.Rows, []graph.NodeID{990, 1000, 985}) {
+		t.Fatalf("rows %v, want the distinct present sources [990 1000 985]", got.Rows)
 	}
-	for i, row := range got.Tuples() {
-		wantDst, wantSrc := int64(981+i/3), []int64{990, 1000, 985}[i%3]
-		if row[0] != relation.Value(wantSrc) || row[1] != relation.Value(wantDst) {
-			t.Fatalf("row %d is %v, want (%d, %d, _)", i, row, wantSrc, wantDst)
+	if got.Len() != 3*20 || st.ResultTuples != got.Len() || len(got.Cost) != 3*20 {
+		t.Fatalf("%d facts (stats %d) in %d cells, want 60: 3 distinct present sources × 20 nodes", got.Len(), st.ResultTuples, len(got.Cost))
+	}
+	i := 0
+	got.Each(func(src, dst graph.NodeID, cost float64) {
+		wantDst, wantSrc := graph.NodeID(981+i/3), []graph.NodeID{990, 1000, 985}[i%3]
+		if src != wantSrc || dst != wantDst {
+			t.Fatalf("fact %d is (%d, %d, %v), want (%d, %d, _)", i, src, dst, cost, wantSrc, wantDst)
 		}
+		i++
+	})
+}
+
+// TestCostMatrixFacts: FactMatrix rebuilds a matrix from its facts in
+// any order — rows in the order their sources first occur, the distinct
+// destinations as columns, the least cost of a repeated pair — and the
+// rebuilt matrix holds the same facts; Col finds a node's column by
+// binary search and reports a node that has none.
+func TestCostMatrixFacts(t *testing.T) {
+	type fact struct {
+		src, dst graph.NodeID
+		cost     float64
+	}
+	facts := []fact{{9, 4, 2}, {1, 2, 3.5}, {9, 2, 0.5}, {1, 8, 7}, {9, 4, 1}}
+	m := FactMatrix(len(facts), func(i int) (graph.NodeID, graph.NodeID, float64) {
+		return facts[i].src, facts[i].dst, facts[i].cost
+	})
+	if !slices.Equal(m.Rows, []graph.NodeID{9, 1}) || !slices.Equal(m.Cols, []graph.NodeID{2, 4, 8}) {
+		t.Fatalf("rows %v, columns %v; want [9 1], [2 4 8]", m.Rows, m.Cols)
+	}
+	var got []fact
+	m.Each(func(src, dst graph.NodeID, cost float64) { got = append(got, fact{src, dst, cost}) })
+	want := []fact{{9, 2, 0.5}, {1, 2, 3.5}, {9, 4, 1}, {1, 8, 7}}
+	if !slices.Equal(got, want) || m.Len() != len(want) {
+		t.Errorf("facts %v (Len %d), want %v", got, m.Len(), want)
+	}
+	for id, want := range map[graph.NodeID]int{2: 0, 4: 1, 8: 2} {
+		if c, ok := m.Col(id); !ok || c != want {
+			t.Errorf("Col(%d) = %d, %v; want %d, true", id, c, ok, want)
+		}
+	}
+	for _, id := range []graph.NodeID{1, 3, 9} {
+		if _, ok := m.Col(id); ok {
+			t.Errorf("Col(%d) found a column", id)
+		}
+	}
+	if empty := FactMatrix(0, nil); empty.Len() != 0 || len(empty.Cols) != 0 || empty.Relation().Len() != 0 {
+		t.Errorf("no facts: %+v", empty)
 	}
 }
 
-// TestDenseCostConcurrentFirstUse is for -race: the boxed node ids are
-// built on a snapshot's first CostFromCtx or ReachFromCtx, whichever
-// comes first, and a site's first legs — cost and connectivity — can
-// arrive together.
+// TestDenseCostConcurrentFirstUse is for -race: a site's first legs —
+// cost and connectivity — can arrive together, and the kernels share
+// the snapshot's CSR and write only their own matrices.
 func TestDenseCostConcurrentFirstUse(t *testing.T) {
 	d := gridFragment(t, 8, 8)
 	sources := []graph.NodeID{1000, 950}
@@ -452,19 +496,17 @@ func TestDenseCostConcurrentFirstUse(t *testing.T) {
 				return
 			}
 			if g%2 == 1 {
-				assertSamePairs(t, "concurrent first use", got, want)
+				assertSamePairs(t, "concurrent first use", got.Relation(), want.Relation())
 				return
 			}
-			assertSameCosts(t, "concurrent first use", got, want)
+			assertSameCosts(t, "concurrent first use", got.Relation(), want.Relation())
 		}()
 	}
 	wg.Wait()
 }
 
-// TestDenseCostAllocs: a row costs its boxed cost and nothing else —
-// the node columns are the kernel's shared boxes and the tuples windows
-// of one backing array — so a call allocates its rows plus a fixed
-// number of scratch and result slices.
+// TestDenseCostAllocs: nothing is allocated per fact — a call
+// allocates its matrix and a fixed number of scratch slices.
 func TestDenseCostAllocs(t *testing.T) {
 	d := gridFragment(t, 16, 32)
 	sources := []graph.NodeID{1000, 900, 800, 700, 600}
@@ -473,7 +515,7 @@ func TestDenseCostAllocs(t *testing.T) {
 		if got, _, err := d.CostFromCtx(context.Background(), sources); err != nil || got.Len() != rows {
 			t.Fatalf("%v rows, err %v; want %d", got.Len(), err, rows)
 		}
-	}); allocs > float64(rows+64) {
-		t.Errorf("CostFromCtx: %.0f allocations for %d rows, want at most rows+64", allocs, rows)
+	}); allocs > 24 {
+		t.Errorf("CostFromCtx: %.0f allocations for %d facts, want at most 24", allocs, rows)
 	}
 }

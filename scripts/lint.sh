@@ -12,9 +12,11 @@
 #   ctx         no context.TODO() outside tests and benchmarks/ —
 #               every entry point takes its caller's context
 #   rows        no Relation.MustInsert on the query path (internal/dsa,
-#               internal/cluster, the two CSR kernels): it validates and
-#               copies one row at a time — leg tables are built in bulk
-#               and adopted by dsa.NewLegTable / relation.NewSortedBy
+#               internal/cluster, the two CSR kernels and tc.CostMatrix):
+#               it validates and copies one row at a time — leg tables
+#               are tc.CostMatrix cells written in place, and the relations
+#               the harness seams still take are built in bulk and adopted
+#               by relation.Adopt
 #   graph       no container/heap and no sort.Slice in internal/graph
 #               (its searches run on a typed heap over index-addressed
 #               rows, its listings on slices.Sort), and no map-returning
@@ -70,9 +72,9 @@ if grep -rn 'context\.TODO()' --include='*.go' . | grep -v -e '_test\.go:' -e '^
 fi
 
 echo "== rows"
-if grep -Hn 'MustInsert(' internal/tc/densecost.go internal/tc/bitset.go ||
+if grep -Hn 'MustInsert(' internal/tc/densecost.go internal/tc/bitset.go internal/tc/costmatrix.go ||
     grep -rn 'MustInsert(' --include='*.go' internal/dsa internal/cluster | grep -v '_test\.go:'; then
-    echo "FAIL: build leg rows in bulk and hand them to dsa.NewLegTable instead of MustInsert"
+    echo "FAIL: write leg tables as tc.CostMatrix cells, or adopt rows built in bulk with relation.Adopt, instead of MustInsert"
     exit 1
 fi
 
