@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
@@ -377,7 +378,7 @@ func BenchmarkGridReachableFromBitset(b *testing.B) {
 			b.Fatalf("plan %+v, err %v; want a chain with a middle leg", plan, err)
 		}
 		leg := plan.Legs[len(plan.Legs)/2]
-		if _, err := st.Site(leg.SiteID).DenseKernel(); err != nil { // as deploySites pre-warms it
+		if _, err := st.Site(leg.SiteID).DenseKernel(); err != nil { // as the site's first leg builds it
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
@@ -511,7 +512,8 @@ func BenchmarkFinishPlan(b *testing.B) {
 // from one interior source (road-point's one miss per query), and the
 // second leg of each deployment's first-to-last-node plan, the first
 // entered through a whole disconnection set (road's 5 gateways, grid's
-// 42 border nodes). The site's kernel is primed, as deploySites primes it.
+// 42 border nodes). The site's kernel is built up front, as the first
+// leg on the site builds it.
 // Run with -benchmem: B/op and allocs/op are what a miss allocates.
 func BenchmarkLegTable(b *testing.B) {
 	for _, d := range servingDeployments {
@@ -560,6 +562,87 @@ func BenchmarkLegTable(b *testing.B) {
 					}
 				}
 				b.ReportMetric(float64(len(leg.Entry)), "entry")
+			})
+		}
+	}
+}
+
+// BenchmarkLegEngines times ExecuteLegTableCtx on each engine auto
+// could pick — per-entry dijkstra, the dense cost kernel, the bitset
+// connectivity kernel — one leg per op, cycling over the legs of 64
+// cross-fragment pairs on the paper, grid and road deployments in three
+// groups: every leg, the first legs (entered at the query's source) and
+// the legs entered through a disconnection set. Each site's kernel is
+// built up front, as its first leg builds it. The paper deployment also
+// times the pipelined walk of its pairs, one pair per op, on the two
+// vector-seeded engines. These are the measurements behind tcq.Plan's
+// rule: the kernels win at every site size here, so auto never picks
+// dijkstra.
+func BenchmarkLegEngines(b *testing.B) {
+	ctx := context.Background()
+	for _, d := range append([]deployment{paperDeployment}, servingDeployments...) {
+		fr, err := d.build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		st, err := dsa.Build(fr, dsa.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes := fr.Base().Nodes()
+		rng := rand.New(rand.NewSource(1))
+		var pairs [][2]graph.NodeID
+		groups := map[string][]dsa.Leg{}
+		for len(pairs) < 64 {
+			src, dst := nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]
+			plan, err := st.NewPlan(src, dst)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if plan.SameFragment || len(plan.Legs) == 0 {
+				continue
+			}
+			pairs = append(pairs, [2]graph.NodeID{src, dst})
+			for _, leg := range plan.Legs {
+				groups["all"] = append(groups["all"], leg)
+				if len(leg.Entry) == 1 && leg.Entry[0] == src {
+					groups["source"] = append(groups["source"], leg)
+				} else {
+					groups["ds"] = append(groups["ds"], leg)
+				}
+			}
+		}
+		for _, leg := range groups["all"] {
+			if _, err := st.Site(leg.SiteID).DenseKernel(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, group := range []string{"all", "source", "ds"} {
+			legs := groups[group]
+			for _, engine := range []dsa.Engine{dsa.EngineDijkstra, dsa.EngineDense, dsa.EngineBitset} {
+				b.Run(d.name+"/"+group+"/"+engine.String(), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						leg := legs[i%len(legs)]
+						if _, _, err := st.ExecuteLegTableCtx(ctx, leg.SiteID, leg.Entry, engine); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+		if d.name != paperDeployment.name {
+			continue
+		}
+		for _, engine := range []dsa.Engine{dsa.EngineDijkstra, dsa.EngineDense} {
+			b.Run(d.name+"/pipelined/"+engine.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					p := pairs[i%len(pairs)]
+					if _, err := st.QueryPipelinedEngineCtx(ctx, p[0], p[1], engine); err != nil {
+						b.Fatal(err)
+					}
+				}
 			})
 		}
 	}
@@ -651,12 +734,27 @@ func BenchmarkBuildStore(b *testing.B) {
 	}
 }
 
-// servingDeployments are the two serving-benchmark deployments the
-// write-path and footprint benchmarks run on.
-var servingDeployments = []struct {
+// deployment names a benchmark deployment and how to build it.
+type deployment struct {
 	name  string
 	build func() (*fragment.Fragmentation, error)
-}{
+}
+
+// paperDeployment is the paper's Table-2 scale as the ledger's
+// paper-point workload deploys it: 4 transportation clusters of 150
+// nodes at degree 5.25, center fragmentation into 4 (sites of about 151
+// nodes, disconnection sets of about 3).
+var paperDeployment = deployment{"paper", func() (*fragment.Fragmentation, error) {
+	g, err := gen.Transportation(gen.TransportConfig{Clusters: 4, Cluster: gen.DefaultsWithDegree(150, 5.25, 1)})
+	if err != nil {
+		return nil, err
+	}
+	return center.Fragment(g, center.Options{NumFragments: 4, Distributed: true})
+}}
+
+// servingDeployments are the two serving-benchmark deployments the
+// write-path and footprint benchmarks run on.
+var servingDeployments = []deployment{
 	{"road", func() (*fragment.Fragmentation, error) {
 		g, sets, err := gen.RoadNetwork(gen.RoadConfigForEdges(200_000, 1))
 		if err != nil {
@@ -681,9 +779,9 @@ var servingDeployments = []struct {
 // deployments: one transaction that inserts a heavy edge inside one
 // fragment and deletes it again (a new epoch, one rebuilt site, no
 // changed answer), each applied to the store the previous one produced,
-// as a serving node does. The touched site's dense kernel is primed, so
-// the write pays the pre-warm it pays behind a dense-engine server. Run
-// with -benchmem: B/op is what a write allocates.
+// as a serving node does. The rebuilt site's CSR is left to its first
+// reader, so the loop is the write alone. Run with -benchmem: B/op is
+// what a write allocates.
 func BenchmarkApply(b *testing.B) {
 	for _, d := range servingDeployments {
 		b.Run(d.name, func(b *testing.B) {
@@ -696,9 +794,6 @@ func BenchmarkApply(b *testing.B) {
 				b.Fatal(err)
 			}
 			const frag = 1
-			if _, err := st.Site(frag).DenseKernel(); err != nil {
-				b.Fatal(err)
-			}
 			nodes := fr.Fragment(frag).Nodes()
 			e := graph.Edge{From: nodes[0], To: nodes[len(nodes)/2], Weight: 1e9}
 			ops := []dsa.EdgeOp{{Kind: dsa.OpInsert, Frag: frag, Edge: e}, {Kind: dsa.OpDelete, Frag: frag, Edge: e}}

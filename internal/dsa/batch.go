@@ -158,18 +158,18 @@ type BatchStats struct {
 // records (graph.CloneShared; no node is hashed, the id → index map is
 // shared with the old epoch's graph), plus the touched fragments (a
 // private sorted copy of each one's edge set and node set,
-// fragment.Patch), plus the touched sites (the search graph and the
-// dense pre-warm of every fragment whose edge set or complementary
-// tables changed). Nothing is proportional to E: untouched edge sets
-// are never copied and the partition is not re-validated, because each
-// op edits the base graph and exactly one edge set identically. On top
-// of that come the global searches when the complementary tables must
-// be recomputed — an edge change anywhere can move a global shortest
-// path between disconnection-set nodes — unless compUnaffected proves
-// otherwise, and one derivation of the disconnection sets when an op
-// gave a node its first edge in a fragment or took its last. ctx is
-// observed between the global searches; a canceled apply returns
-// ErrCanceled with nothing applied.
+// fragment.Patch), plus the touched sites (the search graph of every
+// fragment whose edge set or complementary tables changed; its CSR is
+// built by the first reader that needs it). Nothing is proportional to
+// E: untouched edge sets are never copied and the partition is not
+// re-validated, because each op edits the base graph and exactly one
+// edge set identically. On top of that come the global searches when
+// the complementary tables must be recomputed — an edge change anywhere
+// can move a global shortest path between disconnection-set nodes —
+// unless compUnaffected proves otherwise, and one derivation of the
+// disconnection sets when an op gave a node its first edge in a
+// fragment or took its last. ctx is observed between the global
+// searches; a canceled apply returns ErrCanceled with nothing applied.
 func (st *Store) Apply(ctx context.Context, ops []EdgeOp) (*Store, BatchStats, error) {
 	stats := BatchStats{Ops: len(ops)}
 	if len(ops) == 0 {

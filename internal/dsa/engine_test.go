@@ -124,6 +124,70 @@ func TestQueryPipelinedEngineRefusals(t *testing.T) {
 	}
 }
 
+// cancelAfter is a context whose cancellation lands after its first n
+// Err calls, deterministically: every later call reports it.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// kernelsBuilt counts the sites whose dense kernel has been built.
+func kernelsBuilt(st *Store) (n int) {
+	for _, s := range st.sites {
+		if s.dense != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPipelinedDenseCanceledBetweenLegs: the pipelined dense walk
+// observes ctx before each leg, so a cancellation that lands after one
+// leg's kernel made its last check returns ErrCanceled before the next
+// leg builds its kernel — not a leg later, after that kernel's own
+// first check. Each walk runs on a fresh store, whose sites build their
+// kernels on the walk's first leg there.
+func TestPipelinedDenseCanceledBetweenLegs(t *testing.T) {
+	// How often the first leg's kernel checks ctx, on a store of its own.
+	probe, _ := pathStore(t)
+	kernel, err := probe.sites[0].DenseKernel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := &cancelAfter{context.Background(), math.MaxInt}
+	if _, err := kernel.CostVectorCtx(count, map[graph.NodeID]float64{0: 0}); err != nil {
+		t.Fatal(err)
+	}
+	legChecks := math.MaxInt - count.n
+	for _, c := range []struct {
+		checks, built int
+	}{
+		{0, 0},             // canceled before the walk: no leg starts
+		{1 + legChecks, 1}, // canceled after the first leg: the second never starts
+	} {
+		st, _ := pathStore(t)
+		res, err := st.QueryPipelinedEngineCtx(&cancelAfter{context.Background(), c.checks}, 0, 8, EngineDense)
+		if res != nil || !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+			t.Errorf("cancellation after %d checks: %v, %v; want ErrCanceled", c.checks, res, err)
+		}
+		if got := kernelsBuilt(st); got != c.built {
+			t.Errorf("cancellation after %d checks: %d kernels built, want %d", c.checks, got, c.built)
+		}
+	}
+	// Landing after every check, the walk answers.
+	st, _ := pathStore(t)
+	if res, err := st.QueryPipelinedEngineCtx(&cancelAfter{context.Background(), math.MaxInt}, 0, 8, EngineDense); err != nil || res.Cost != 8 {
+		t.Errorf("uncanceled walk: %v, %v; want cost 8", res, err)
+	}
+}
+
 // TestDenseEngineNegativeWeightsErrorNotPanic: graph files may carry
 // negative weights (graph.Read does not validate signs), and Dijkstra
 // silently tolerates them — but the CSR kernels (dense, bitset)

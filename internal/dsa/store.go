@@ -80,15 +80,13 @@ type Site struct {
 	// denseErr says why it cannot). Both are built lazily once per
 	// deployment (updates rebuild the sites, so a snapshot can never go
 	// stale within a site's lifetime) — on a restored store too, since
-	// TCSF does not keep them. densePrimed records that a kernel was
-	// asked for — the write path reads it to pre-warm rebuilt sites off
-	// the query path.
-	csrOnce     sync.Once
-	snapshot    *graph.CSR
-	denseOnce   sync.Once
-	dense       *tc.DenseGraph
-	denseErr    error
-	densePrimed atomic.Bool
+	// TCSF does not keep them, and after Apply, which leaves a rebuilt
+	// site's CSR to its first reader.
+	csrOnce   sync.Once
+	snapshot  *graph.CSR
+	denseOnce sync.Once
+	dense     *tc.DenseGraph
+	denseErr  error
 }
 
 // rel returns the augmented subgraph as an edge relation, building it
@@ -118,7 +116,6 @@ func (s *Site) csr() *graph.CSR {
 // worker-goroutine panic would kill the serving daemon).
 func (s *Site) DenseKernel() (*tc.DenseGraph, error) {
 	s.denseOnce.Do(func() {
-		defer s.densePrimed.Store(true)
 		if s.dense, s.denseErr = tc.NewDenseGraph(s.csr()); s.denseErr != nil {
 			s.denseErr = fmt.Errorf("dsa: site %d dense snapshot: %w", s.ID, s.denseErr)
 		}
@@ -309,10 +306,9 @@ func parallelFor(ctx context.Context, n int, fn func(w, i int)) error {
 // Apply). Per fragment of fr, in ID order, it shares prev's site when
 // the fragment is untouched and the complementary tables it holds are
 // unchanged under comp — the search graph and whatever was derived from
-// it carry over by pointer — and otherwise builds the site, pre-warming
-// the kernel (and its CSR) when the superseded site had one so readers
-// on the new epoch never pay that build inline. prev is nil (touched
-// unused) when there is no predecessor.
+// it carry over by pointer — and otherwise builds the site, whose CSR
+// the first reader that needs it builds, as after Build and Restore.
+// prev is nil (touched unused) when there is no predecessor.
 func deploySites(ctx context.Context, fr *fragment.Fragmentation, comp map[fragment.Pair]*CompInfo, prev []*Site, touched func(fragID int) bool) ([]*Site, error) {
 	base, shared, frags := fr.Base(), fr.SharedNodes(), fr.Fragments()
 	sites := make([]*Site, len(frags))
@@ -323,9 +319,6 @@ func deploySites(ctx context.Context, fr *fragment.Fragmentation, comp map[fragm
 			return
 		}
 		sites[i] = buildSite(f, base, shared, comp)
-		if prev != nil && prev[f.ID].densePrimed.Load() {
-			_, _ = sites[i].DenseKernel()
-		}
 	})
 	return sites, err
 }

@@ -125,11 +125,11 @@ func New(seed int64, shape uint16) (g *Generation, err error) {
 			g.Sources, g.Targets = append(g.Sources, orphan), append(g.Targets, orphan)
 		}
 	}
-	// Every fourth block is wide enough (tcq.KernelEntryFloor) for the
-	// planner to choose the kernels on its own.
+	// Every fourth block is wide: wide blocks exercise multi-row leg
+	// tables.
 	ns, nt := 3, 3
 	if rng.Intn(4) == 0 {
-		ns, nt = tcq.KernelEntryFloor+1, 1
+		ns, nt = 9, 1
 	}
 	for i := 0; i < ns; i++ {
 		g.Sources = append(g.Sources, int(nodes[rng.Intn(len(nodes))]))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -306,10 +307,13 @@ func TestOracle(t *testing.T) {
 			t.Errorf("oracle lost view %s: %v", view, tally.Views)
 		}
 	}
-	// 12 legal (mode, engine) pairs and the routes; the planner chose
-	// Dijkstra below its floors and each kernel above them; the servers'
-	// caches hit, kept and dropped entries, and legs crossed the wire.
-	if len(tally.Configs) < 13 || tally.Planned["cost/dijkstra"] == 0 || tally.Planned["cost/dense"] == 0 || tally.Planned["connectivity/bitset"] == 0 ||
+	// 12 legal (mode, engine) pairs, forced dijkstra among them, and the
+	// routes; the planner chose by mode alone, so auto resolved to exactly
+	// the kernels and never to dijkstra; the servers' caches hit, kept and
+	// dropped entries, and legs crossed the wire.
+	planned := slices.Sorted(maps.Keys(tally.Planned))
+	if len(tally.Configs) < 13 || tally.Configs["cost/dijkstra"] == 0 ||
+		!slices.Equal(planned, []string{"connectivity/bitset", "cost/dense", "pipelined/dense"}) ||
 		seen.hits == 0 || seen.retained == 0 || seen.invalidated == 0 || seen.remoteLegs == 0 {
 		t.Errorf("oracle lost a configuration: asked %v, planner chose %v, servers saw %+v", tally.Configs, tally.Planned, seen)
 	}

@@ -275,16 +275,15 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("GET /healthz: status %d", resp.StatusCode)
 	}
 
-	// Pooled cost (planner's choice and forced dense, which shares the
-	// leg cache like any engine); pipelined defaults to multi-source
-	// dijkstra on fragments this small and accepts the vector-seeded
-	// dense kernel.
+	// Pooled cost (planner's choice and forced dense, which share the
+	// leg cache like any engine); the planner picks the dense kernel for
+	// cost and pipelined alike, however small the fragments.
 	for _, tc := range []struct {
 		mode, engine, wantEngine string
 	}{
-		{"cost", "", "dijkstra"},
+		{"cost", "", "dense"},
 		{"cost", "dense", "dense"},
-		{"pipelined", "", "dijkstra"},
+		{"pipelined", "", "dense"},
 		{"pipelined", "dense", "dense"},
 	} {
 		var vr V1QueryResponse

@@ -130,6 +130,36 @@ func TestV1TypedErrorCodes(t *testing.T) {
 	}
 }
 
+// TestV1NegativeWeight: on a deployment read from graph files with a
+// negative weight, auto picks a kernel for every mode and so answers
+// 400 negative_weight; a forced dijkstra still answers.
+func TestV1NegativeWeight(t *testing.T) {
+	g, err := graph.Read(strings.NewReader("edge 0 1 3\nedge 1 2 -2\nedge 2 3 1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := fragment.Read(g, strings.NewReader("fragment 0 0 1 3\nfragment 0 1 2 -2\nfragment 1 2 3 1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := dsa.Build(fr, dsa.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newServer(t, st, Config{CacheCapacity: 16}).Handler())
+	defer ts.Close()
+	for _, mode := range []string{"connectivity", "cost", "pipelined"} {
+		var ve V1Error
+		if status := postV1(t, ts.URL+"/v1/query", V1Request{Sources: []int{0}, Targets: []int{3}, Mode: mode}, &ve); status != http.StatusBadRequest || ve.Code != "negative_weight" {
+			t.Errorf("auto %s: status %d code %q, want 400 negative_weight", mode, status, ve.Code)
+		}
+		var vr V1QueryResponse
+		if status := postV1(t, ts.URL+"/v1/query", V1Request{Sources: []int{0}, Targets: []int{3}, Mode: mode, Engine: "dijkstra"}, &vr); status != http.StatusOK || len(vr.Answers) != 1 || !vr.Answers[0].Reachable {
+			t.Errorf("dijkstra %s: status %d, answers %+v; want 200, reachable", mode, status, vr.Answers)
+		}
+	}
+}
+
 // TestV1IsolatedNodeIsNotUnknown: a node the updates left in no fragment
 // is still a node of the graph. Asking about it answers 200 with
 // reachable:false (true from itself), not 404 unknown_node, and the

@@ -519,3 +519,31 @@ func TestDenseCostAllocs(t *testing.T) {
 		t.Errorf("CostFromCtx: %.0f allocations for %d facts, want at most 24", allocs, rows)
 	}
 }
+
+// TestCostVectorCanceledMidPropagation: the pipelined walk's kernel
+// observes ctx before each frontier round and once after the last, so a
+// cancellation that lands at any of those checks surfaces as
+// ErrCanceled with no vector, never as a partial vector; one that lands
+// after the last check leaves the answer whole.
+func TestCostVectorCanceledMidPropagation(t *testing.T) {
+	d := gridFragment(t, 8, 8)
+	seed := map[graph.NodeID]float64{1000: 0, 990: 2}
+	count := &lateCancel{context.Background(), math.MaxInt}
+	want, err := d.CostVectorCtx(count, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checks := math.MaxInt - count.n
+	if checks < 3 {
+		t.Fatalf("%d ctx checks: want a propagation of several rounds", checks)
+	}
+	for n := 0; n <= checks; n++ {
+		got, err := d.CostVectorCtx(&lateCancel{context.Background(), n}, seed)
+		canceled := errors.Is(err, ErrCanceled) && errors.Is(err, context.Canceled)
+		if wantCanceled := n < checks; canceled != wantCanceled || (got == nil) != wantCanceled {
+			t.Errorf("cancellation at check %d of %d: %d costs, err %v; want canceled = %v", n, checks, len(got), err, wantCanceled)
+		} else if !canceled && !maps.Equal(got, want) {
+			t.Errorf("cancellation after the last check: %v, want %v", got, want)
+		}
+	}
+}

@@ -6,27 +6,6 @@ import (
 	"repro/internal/dsa"
 )
 
-// Planner thresholds. A query crossing either floor is routed to the
-// parallel kernels (bitset for connectivity, dense for costs); below
-// both, the per-entry Dijkstra engine wins on startup cost. The values
-// come from the repository's own benchmarks: on 64x64 grid fragments
-// (~512 augmented nodes) the kernels beat Dijkstra by an order of
-// magnitude, while on the paper's country-sized examples (tens of
-// nodes) they lose to their setup work.
-const (
-	// KernelNodeFloor is the augmented-fragment node count at which the
-	// planner switches from Dijkstra to the kernel engines.
-	KernelNodeFloor = 192
-	// KernelEntryFloor is the entry-set size at which the planner
-	// switches to the kernel engines even on small fragments: a request
-	// with n sources spans at least n per-pair evaluations, and the
-	// kernels amortise their per-site setup (CSR snapshot, dense
-	// renumbering/condensation — built once per site and reused) across
-	// that volume, while Dijkstra pays its search cost per pair with
-	// nothing to amortise.
-	KernelEntryFloor = 8
-)
-
 // StoreStats is the per-deployment summary the planner decides on. It
 // is collected once per store epoch (CollectStats) and is deliberately
 // cheap to snapshot — no per-query graph scans.
@@ -37,12 +16,6 @@ type StoreStats struct {
 	Sites int
 	// TotalNodes is the node count of the base graph.
 	TotalNodes int
-	// MaxSiteNodes and MaxSiteEdges bound the largest augmented
-	// fragment — the size of the worst per-site subquery, which is what
-	// engine choice cares about.
-	MaxSiteNodes int
-	// MaxSiteEdges — see MaxSiteNodes.
-	MaxSiteEdges int
 	// LooselyConnected reports an acyclic fragmentation graph
 	// (single-chain plans, exact answers).
 	LooselyConnected bool
@@ -52,22 +25,13 @@ type StoreStats struct {
 
 // CollectStats snapshots the planner inputs from a deployed store.
 func CollectStats(st *dsa.Store) StoreStats {
-	s := StoreStats{
+	return StoreStats{
 		Problem:          st.Problem(),
 		Sites:            len(st.Sites()),
 		TotalNodes:       st.Fragmentation().Base().NumNodes(),
 		LooselyConnected: st.LooselyConnected(),
 		Epoch:            st.Epoch(),
 	}
-	for _, site := range st.Sites() {
-		if n := site.Augmented().NumNodes(); n > s.MaxSiteNodes {
-			s.MaxSiteNodes = n
-		}
-		if e := site.Augmented().NumEdges(); e > s.MaxSiteEdges {
-			s.MaxSiteEdges = e
-		}
-	}
-	return s
 }
 
 // Explain is the planner's decision for one request: the concrete
@@ -127,20 +91,20 @@ func (e Explain) Canonical() string {
 }
 
 // Plan resolves the engine for a request against a deployment's stats:
-// the cost-based auto-planner of the facade. Forced engines are
-// validated for mode compatibility and passed through; EngineAuto is
-// resolved from the query mode, the entry-set size and the largest
-// augmented fragment:
+// the planner of the facade. Forced engines are validated for mode
+// compatibility and passed through; EngineAuto is resolved from the
+// query mode alone:
 //
-//	connectivity  → bitset when the deployment crosses KernelNodeFloor
-//	                or the entry set crosses KernelEntryFloor, else
-//	                dijkstra
-//	cost          → dense under the same floors, else dijkstra
-//	pipelined     → dense when the deployment crosses KernelNodeFloor,
-//	                else dijkstra (entry size is irrelevant — pipelined
-//	                legs are one vector-seeded pass regardless)
+//	connectivity  → bitset
+//	cost          → dense
+//	pipelined     → dense
 //
-// The semi-naive engine is never auto-chosen: it is the paper-faithful
+// Every leg of a plan runs on one site's CSR, which both kernels read
+// as the Dijkstra engine does, and the kernels beat per-entry Dijkstra
+// from the smallest sites measured up. The kernels refuse a negative
+// edge weight, which graph files may carry, with ErrNegativeWeight;
+// a forced EngineDijkstra still answers such a deployment, though
+// Dijkstra is unsound on negative weights. The semi-naive engine is never auto-chosen: it is the paper-faithful
 // reference implementation, available only as an explicit override.
 // Errors wrap ErrProblemMismatch (cost modes on a reachability store),
 // ErrEngineMismatch (incompatible forced engine) or the validation
@@ -175,39 +139,13 @@ func Plan(req Request, stats StoreStats) (Explain, error) {
 		return ex, nil
 	}
 
-	largeSite := stats.MaxSiteNodes >= KernelNodeFloor
-	largeEntry := ex.EntrySize >= KernelEntryFloor
 	switch canon.Mode {
 	case ModeConnectivity:
-		if largeSite || largeEntry {
-			ex.Engine = EngineBitset
-			ex.Reason = fmt.Sprintf("connectivity over large work (max site nodes %d, entry set %d spanning %d pairs): bitset kernel",
-				stats.MaxSiteNodes, ex.EntrySize, ex.Pairs)
-		} else {
-			ex.Engine = EngineDijkstra
-			ex.Reason = fmt.Sprintf("connectivity over small work (max site nodes %d < %d, entry set %d < %d): per-entry dijkstra",
-				stats.MaxSiteNodes, KernelNodeFloor, ex.EntrySize, KernelEntryFloor)
-		}
+		ex.Engine, ex.Reason = EngineBitset, "connectivity: bitset kernel over the site CSRs"
 	case ModeCost:
-		if largeSite || largeEntry {
-			ex.Engine = EngineDense
-			ex.Reason = fmt.Sprintf("cost query over large work (max site nodes %d, entry set %d spanning %d pairs): dense CSR kernel",
-				stats.MaxSiteNodes, ex.EntrySize, ex.Pairs)
-		} else {
-			ex.Engine = EngineDijkstra
-			ex.Reason = fmt.Sprintf("cost query over small work (max site nodes %d < %d, entry set %d < %d): per-entry dijkstra",
-				stats.MaxSiteNodes, KernelNodeFloor, ex.EntrySize, KernelEntryFloor)
-		}
+		ex.Engine, ex.Reason = EngineDense, "cost query: dense kernel over the site CSRs"
 	case ModePipelined:
-		if largeSite {
-			ex.Engine = EngineDense
-			ex.Reason = fmt.Sprintf("pipelined chain over large fragments (max site nodes %d ≥ %d): dense vector-seeded kernel",
-				stats.MaxSiteNodes, KernelNodeFloor)
-		} else {
-			ex.Engine = EngineDijkstra
-			ex.Reason = fmt.Sprintf("pipelined chain over small fragments (max site nodes %d < %d): multi-source dijkstra",
-				stats.MaxSiteNodes, KernelNodeFloor)
-		}
+		ex.Engine, ex.Reason = EngineDense, "pipelined chain: dense vector-seeded kernel over the site CSRs"
 	}
 	return ex, nil
 }

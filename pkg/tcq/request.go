@@ -69,11 +69,13 @@ func ParseMode(name string) (Mode, error) {
 type Engine int
 
 const (
-	// EngineAuto lets the planner pick the engine from the query mode,
-	// the entry-set size and the deployment's fragment statistics.
+	// EngineAuto lets the planner pick the engine from the query mode
+	// alone: bitset for connectivity, dense for cost and pipelined.
 	EngineAuto Engine = iota
-	// EngineDijkstra runs one Dijkstra per entry node — the fast
-	// practical engine for small fragments and small entry sets.
+	// EngineDijkstra runs one Dijkstra per entry node on the site's CSR
+	// — never auto-chosen; it is the engine route reconstruction
+	// (QueryPath) walks with, and the one that still answers a graph
+	// with negative weights.
 	EngineDijkstra
 	// EngineSemiNaive runs the relational semi-naive min-cost fixpoint —
 	// the paper's own formulation, kept as the reference engine.
@@ -82,7 +84,7 @@ const (
 	// connectivity only.
 	EngineBitset
 	// EngineDense runs the CSR + parallel Bellman-Ford cost kernel —
-	// the kernel-class engine for cost queries over large fragments.
+	// the planner's engine for cost and pipelined queries.
 	EngineDense
 )
 

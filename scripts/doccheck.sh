@@ -33,33 +33,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 allow=(
-    # README "Removed in PR 14": the list of what was deleted, and when.
-    'QueryParallel'                 # dsa.Store method, deleted in PR 14
-    'ConnectedParallel'             # dsa.Store method, deleted in PR 14
-    'RunPlan'                       # dsa.Store method, deleted in PR 14 (RunPlanCtx stays)
-    'InsertEdge'                    # single-edge mutator, deleted in PR 14
-    'DeleteEdge'                    # single-edge mutator, deleted in PR 14
-    'Client.Refresh'                # tcq.Client method, deleted in PR 14
-    'dsa.Store.Assemble'            # assembly, deleted in PR 17
-    'dsa.Outcome'                   # assembly result, deleted in PR 17
-    'Plan.ChainLegs'                # plan accessor, deleted in PR 17
-    'BitsetReachableFrom'           # non-ctx tc twin, deleted in PR 17
-    'DenseGraph.CostFrom'           # non-ctx tc twin, deleted in PR 17
-    'CostVector'                    # non-ctx tc twin, deleted in PR 17
-    'server.Config.SiteWorkers'     # worker-pool knob, deleted in PR 17
-    'internal/server/pool.go'       # site worker pools, deleted in PR 19
-    'ShortcutEdges()'               # CompInfo accessor, deleted in PR 19
-    'loadgen.LoadConfig.WriteEdges' # load driver knob, deleted in PR 22
-    'tc.CondensedClosure'           # second condensation closure, deleted (README history)
-    'tc.DenseCostFrom'              # relation-fronted cost kernel, deleted (README history)
-    'tc.DenseCostClosure'           # relation-fronted cost kernel, deleted (README history)
-    'tc.ErrNodesNotInt64'           # non-int64 fallback sentinel, deleted (README history)
-    'Graph.StronglyConnectedComponents' # id-form SCC wrapper, deleted (README history)
-    'Graph.Condensation'            # condensation DAG, deleted (README history)
-    'Graph.StatusScores'            # folded into TopByStatus (README history)
-    'tcserver -site-workers'        # server flag, deleted with the per-site worker pools
-    'tcserver -engine'              # server flag, deleted with the legacy routes
-    'tcload -api'                   # load driver flag, deleted with the legacy routes
     # Flags of the go tool, not of a command of this module.
     '-race'                         # go test / go build race detector
     '-benchmem'                     # go test benchmark allocation report
