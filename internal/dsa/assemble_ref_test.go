@@ -134,6 +134,55 @@ func foldMismatch(st *Store, plan *Plan, results []*LegResult) (string, error) {
 	return "", nil
 }
 
+// blockMemo is a serving cache's exit-block memo in miniature: the
+// block of each transit leg — one a chain enters and leaves through a
+// disconnection set — selected the first time a plan needs it and
+// handed to every later plan as is, keyed by the leg's site, entry set
+// and exit set. reused counts the legs a block memoized by an earlier
+// plan answered.
+type blockMemo struct {
+	blocks map[string]*ExitBlock
+	reused int
+}
+
+// results returns a copy of results in which every transit leg of plan
+// carries the memo's block for it instead of its own.
+func (m *blockMemo) results(plan *Plan, results []*LegResult) []*LegResult {
+	if m.blocks == nil {
+		m.blocks = make(map[string]*ExitBlock)
+	}
+	transit := transitLegs(plan)
+	out := make([]*LegResult, len(results))
+	for i, lr := range results {
+		memo := *lr
+		if transit[i] {
+			k := fmt.Sprint(lr.Leg.SiteID, lr.Leg.Entry, lr.Leg.Exit)
+			b, ok := m.blocks[k]
+			if ok {
+				m.reused++
+			} else {
+				b = SelectExits(lr.Table, lr.Leg)
+				m.blocks[k] = b
+			}
+			memo.Block = b
+		}
+		out[i] = &memo
+	}
+	return out
+}
+
+// transitLegs marks the legs of plan some chain enters and leaves
+// through a disconnection set.
+func transitLegs(plan *Plan) map[int]bool {
+	transit := make(map[int]bool)
+	for _, legs := range plan.chainLegs {
+		for k := 1; k+1 < len(legs); k++ {
+			transit[legs[k]] = true
+		}
+	}
+	return transit
+}
+
 // foldMatchesReference executes the legs of the src→dst plan with
 // engine and reports whether FinishPlan's fold over the legs' tables
 // and the relational reference over their FilterLegFacts selections
@@ -202,8 +251,10 @@ func threeWayStore(t *testing.T) *Store {
 // border nodes, a node in two consecutive disconnection sets), tables
 // with (x, x, c) rows (semi-naive on cyclic fragments), the bitset
 // engine's marker-1 tables, and exits without rows up to a broken
-// chain. Every pair of every store runs on every engine, and the test
-// fails unless each case occurred.
+// chain. Every pair of every store runs on every engine, and is folded
+// a second time with each transit leg's block the one an earlier plan
+// through that leg memoized (blockMemo), as a serving cache hands it
+// over; the test fails unless each case occurred.
 func TestPropertyFoldOverTablesMatchesReference(t *testing.T) {
 	stores := map[string]*Store{"three-way": threeWayStore(t)}
 	for _, seed := range []int64{3, 11} {
@@ -219,9 +270,10 @@ func TestPropertyFoldOverTablesMatchesReference(t *testing.T) {
 			stores[fmt.Sprintf("%s seed %d", topo.name, seed)] = st
 		}
 	}
-	var entryIsExit, consecutiveDS, selfRows, markerTables, emptyExits, broken int
+	var entryIsExit, consecutiveDS, selfRows, markerTables, emptyExits, broken, reused int
 	ctx := context.Background()
 	for name, st := range stores {
+		memos := make(map[Engine]*blockMemo)
 		nodes := st.fr.Base().Nodes()
 		var border []graph.NodeID
 		for _, n := range nodes {
@@ -251,12 +303,7 @@ func TestPropertyFoldOverTablesMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: plan %v: %v", name, p, err)
 			}
-			middle := make(map[int]bool) // legs entered and left through a DS
-			for _, legs := range plan.chainLegs {
-				for k := 1; k+1 < len(legs); k++ {
-					middle[legs[k]] = true
-				}
-			}
+			middle := transitLegs(plan)
 			for _, engine := range Engines() {
 				// Each leg as a cache hands it over: the table and the
 				// stats ExecuteLegTableCtx returned, for no exit set.
@@ -267,14 +314,21 @@ func TestPropertyFoldOverTablesMatchesReference(t *testing.T) {
 						t.Fatalf("%s %v: leg %+v: %v", name, engine, leg, err)
 					}
 					results[i] = &LegResult{Leg: leg, Table: table, Stats: stats}
-					for _, s := range selectExits(table, leg).spans {
-						if s.zero {
+					b := SelectExits(table, leg)
+					for j := range b.exits {
+						if b.zero[j] {
 							entryIsExit++
 							if middle[i] {
 								consecutiveDS++
 							}
 						}
-						if s.facts == 0 {
+						facts := 0
+						for r := range b.rows {
+							if !math.IsInf(b.cost[r*len(b.exits)+j], 1) {
+								facts++
+							}
+						}
+						if facts == 0 {
 							emptyExits++
 						}
 					}
@@ -295,20 +349,94 @@ func TestPropertyFoldOverTablesMatchesReference(t *testing.T) {
 				if diff != "" {
 					t.Errorf("%s %v %d→%d: %s", name, engine, p[0], p[1], diff)
 				}
+				// Again, with every transit leg's block the one an
+				// earlier plan through the same leg memoized.
+				if memos[engine] == nil {
+					memos[engine] = &blockMemo{}
+				}
+				before := memos[engine].reused
+				memoized := memos[engine].results(plan, results)
+				diff, err = foldMismatch(st, plan, memoized)
+				if err != nil {
+					t.Fatalf("%s %v %d→%d memoized: %v", name, engine, p[0], p[1], err)
+				}
+				if diff != "" {
+					t.Errorf("%s %v %d→%d over memoized blocks: %s", name, engine, p[0], p[1], diff)
+				}
+				reused += memos[engine].reused - before
 				if res, err := st.RunPlanCtx(ctx, plan, engine, false); err == nil && !res.Reachable && len(plan.Chains) > 0 {
 					broken++
 				}
 			}
 		}
 	}
-	t.Logf("entry-is-exit spans %d (consecutive DS %d), tables with (x, x, c) rows %d, marker-1 tables %d, exits without rows %d, unreachable planned pairs %d",
-		entryIsExit, consecutiveDS, selfRows, markerTables, emptyExits, broken)
+	t.Logf("entry-is-exit spans %d (consecutive DS %d), tables with (x, x, c) rows %d, marker-1 tables %d, exits without rows %d, unreachable planned pairs %d, memoized blocks reused %d",
+		entryIsExit, consecutiveDS, selfRows, markerTables, emptyExits, broken, reused)
 	for what, n := range map[string]int{
 		"an exit that is also an entry": entryIsExit, "a node in two consecutive disconnection sets": consecutiveDS,
 		"an (x, x, c) row": selfRows, "a marker-1 table": markerTables, "an exit without rows": emptyExits, "a broken chain": broken,
+		"a block an earlier plan memoized": reused,
 	} {
 		if n == 0 {
 			t.Errorf("no case with %s", what)
 		}
 	}
+}
+
+// FuzzFold holds FinishPlan to the relational reference (foldMismatch)
+// on random small stores — one of the write-path topologies at a fuzzed
+// seed — and random pairs, every engine, with each leg handed over
+// three ways: its table alone (FinishPlan selects the block), with the
+// block ExecuteLegCtx selected, and with every transit leg's block one
+// memoized by an earlier pair's plan.
+func FuzzFold(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(6))
+	f.Add(int64(7), uint8(1), uint8(9))
+	f.Add(int64(42), uint8(2), uint8(12))
+	f.Add(int64(3), uint8(3), uint8(4))
+	f.Fuzz(func(t *testing.T, seed int64, shape, nPairs uint8) {
+		fr, err := applyTopologies[int(shape)%len(applyTopologies)].build(seed)
+		if err != nil {
+			t.Skip()
+		}
+		st, err := Build(fr, Options{MaxChains: 50})
+		if err != nil {
+			t.Skip()
+		}
+		ctx := context.Background()
+		nodes := fr.Base().Nodes()
+		rng := rand.New(rand.NewSource(seed))
+		memos := make(map[Engine]*blockMemo)
+		for k := 0; k < 1+int(nPairs%16); k++ {
+			src, dst := nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]
+			plan, err := st.NewPlan(src, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, engine := range Engines() {
+				produced := make([]*LegResult, len(plan.Legs))
+				tables := make([]*LegResult, len(plan.Legs))
+				for i, leg := range plan.Legs {
+					if produced[i], err = st.ExecuteLegCtx(ctx, leg, engine); err != nil {
+						t.Fatal(err)
+					}
+					tables[i] = &LegResult{Leg: leg, Table: produced[i].Table, Stats: produced[i].Stats}
+				}
+				if memos[engine] == nil {
+					memos[engine] = &blockMemo{}
+				}
+				for how, results := range map[string][]*LegResult{
+					"tables": tables, "produced blocks": produced, "memoized blocks": memos[engine].results(plan, tables),
+				} {
+					diff, err := foldMismatch(st, plan, results)
+					if err != nil {
+						t.Fatalf("%v %d→%d over %s: %v", engine, src, dst, how, err)
+					}
+					if diff != "" {
+						t.Errorf("%v %d→%d over %s: %s", engine, src, dst, how, diff)
+					}
+				}
+			}
+		}
+	})
 }

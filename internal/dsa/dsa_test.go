@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -207,19 +208,33 @@ func TestPlanBorderNodeQuery(t *testing.T) {
 	}
 }
 
-// TestPlanKeysRendering pins the two key renderings planning relies on:
-// chains sort and deduplicate by exactly what fmt.Sprint prints (the
-// order plans list chains in breaks BestChain ties), and leg keys keep
-// their "site|entry,|exit," form.
+// TestPlanKeysRendering pins what planning dedups by: chains sort and
+// deduplicate by exactly what fmt.Sprint prints (the order plans list
+// chains in breaks BestChain ties), and legs are one when their site,
+// entry set and exit set are — here the legs of chain [1 2] from the
+// border node 3, entered at the source, are chain [0 1 2]'s, entered
+// through DS₀₁ = {3}.
 func TestPlanKeysRendering(t *testing.T) {
 	for _, chain := range [][]int{{0}, {3, 12, 7}, {10, 9}, {}} {
 		if got, want := chainKey(chain), fmt.Sprint(chain); got != want {
 			t.Errorf("chainKey(%v) = %q, want %q", chain, got, want)
 		}
 	}
-	leg := Leg{SiteID: 12, Entry: []graph.NodeID{3, 40}, Exit: []graph.NodeID{-5}}
-	if got, want := leg.key(), "12|3,40,|-5,"; got != want {
-		t.Errorf("leg key = %q, want %q", got, want)
+	st, _ := pathStore(t)
+	plan, err := st.PlanChains(3, 8, [][]int{{0, 1, 2}, {1, 2}, {0, 1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Leg{
+		{SiteID: 0, Entry: []graph.NodeID{3}, Exit: []graph.NodeID{3}},
+		{SiteID: 1, Entry: []graph.NodeID{3}, Exit: []graph.NodeID{6}},
+		{SiteID: 2, Entry: []graph.NodeID{6}, Exit: []graph.NodeID{8}},
+	}
+	if !reflect.DeepEqual(plan.Legs, want) {
+		t.Errorf("legs %+v, want %+v", plan.Legs, want)
+	}
+	if want := [][]int{{0, 1, 2}, {1, 2}, {0, 1, 2}}; !reflect.DeepEqual(plan.chainLegs, want) {
+		t.Errorf("chain legs %v, want %v", plan.chainLegs, want)
 	}
 }
 

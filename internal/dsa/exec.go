@@ -19,16 +19,20 @@ type LegResult struct {
 	// Leg echoes the executed leg.
 	Leg Leg
 	// Table is the (site, entry) leg table ExecuteLegTableCtx returns;
-	// FinishPlan reads only the columns of Leg.Exit, so a cached or
-	// remote table is passed as is.
+	// FinishPlan reads only the cells of Leg.Exit's columns, so a
+	// cached or remote table is passed as is.
 	Table *tc.CostMatrix
+	// Block, when set, is SelectExits(Table, Leg) — built by the
+	// producer, or memoized beside a cached table — and is what
+	// FinishPlan folds; without it FinishPlan selects the block itself.
+	Block *ExitBlock
 	// Rel is the benchmark harness's seam until it reads spans: a
 	// (src, dst, cost) relation FinishPlan converts to a table when
-	// Table is nil. No query path sets it.
+	// Table and Block are nil. No query path sets it.
 	Rel *relation.Relation
 	// Stats reports the local fixpoint work. FinishPlan charges the leg
-	// the facts it selects as ResultTuples, whatever the producer
-	// reported.
+	// the facts its block selects as ResultTuples, whatever the
+	// producer reported.
 	Stats tc.Stats
 	// Took is the site-local execution time.
 	Took time.Duration
@@ -127,15 +131,16 @@ func (st *Store) PlanResult(plan *Plan) (res *Result, done bool) {
 
 // FinishPlan folds executed leg results into a PlanResult-initialised
 // res: per-site work accounting, the critical path, and the assembly
-// phase — each leg's exits selected from its table, then each chain's
-// legs folded over those columns into a source-to-target cost, the
-// cheapest chain winning (the first listed on ties). A leg ships what
-// is selected — its exits' facts plus a zero-cost fact per exit that is
-// also an entry — and that is what TuplesShipped, MaxOperand and the
-// site's ResultTuples count. results must be indexed like plan.Legs;
-// Elapsed is left to the caller.
+// phase — each leg's exit block (its own, or selected here from its
+// table), then each chain's legs folded over those blocks into a
+// source-to-target cost, the cheapest chain winning (the first listed
+// on ties). A leg ships what its block selects — its exits' facts plus
+// a zero-cost fact per exit that is also an entry — and that is what
+// TuplesShipped, MaxOperand and the site's ResultTuples count. results
+// must be indexed like plan.Legs; Elapsed is left to the caller.
 //
-// A result without a Table has its Rel converted, once. Relations
+// The blocks selected here share one buffer per call. A result with
+// neither Block nor Table has its Rel converted, once. Relations
 // FilterLegFacts already selected still fold to exact costs, but their
 // zero-cost facts are then selected twice, as a fact and for the entry,
 // so those three counts may over-count by them.
@@ -143,10 +148,20 @@ func (st *Store) FinishPlan(plan *Plan, results []*LegResult, res *Result) error
 	if len(results) != len(plan.Legs) {
 		return fmt.Errorf("dsa: finish: %d results for %d legs", len(results), len(plan.Legs))
 	}
-	sel := make([]legSelection, len(results))
+	blocks := make([]ExitBlock, len(results))
+	var tables []*tc.CostMatrix // the tables of the legs without a block
+	cells, flags, widest := 0, 0, 0
 	for i, lr := range results {
-		if lr == nil || (lr.Table == nil && lr.Rel == nil) {
+		switch {
+		case lr == nil || (lr.Block == nil && lr.Table == nil && lr.Rel == nil):
 			return fmt.Errorf("dsa: finish: missing result for leg %d", i)
+		case lr.Block != nil:
+			blocks[i] = *lr.Block
+			widest = max(widest, len(blocks[i].exits))
+			continue
+		}
+		if tables == nil {
+			tables = make([]*tc.CostMatrix, len(results))
 		}
 		table := lr.Table
 		if table == nil {
@@ -155,24 +170,49 @@ func (st *Store) FinishPlan(plan *Plan, results []*LegResult, res *Result) error
 				return fmt.Errorf("dsa: assemble: leg %d: site %d: %w", i, lr.Leg.SiteID, err)
 			}
 		}
-		sel[i] = selectExits(table, lr.Leg)
+		tables[i] = table
+		blocks[i].exits = distinctExits(lr.Leg.Exit)
+		cells += len(table.Rows) * len(blocks[i].exits)
+		flags += len(blocks[i].exits)
+		widest = max(widest, len(blocks[i].exits))
+	}
+	if tables != nil {
+		buf := cellPool.Get().(*[]float64)
+		defer cellPool.Put(buf)
+		if cap(*buf) < cells {
+			*buf = make([]float64, cells)
+		}
+		cost, zero, cols := (*buf)[:cells], make([]bool, flags), make([]int, widest)
+		for i, table := range tables {
+			if table == nil {
+				continue
+			}
+			b := &blocks[i]
+			nc, nz := len(table.Rows)*len(b.exits), len(b.exits)
+			b.fill(table, results[i].Leg.Entry, b.exits, cost[:nc:nc], zero[:nz:nz], cols)
+			cost, zero = cost[nc:], zero[nz:]
+		}
+	}
+	for i, lr := range results {
+		n := blocks[i].n
 		w := res.PerSite[lr.Leg.SiteID]
 		w.Legs++
 		stats := lr.Stats
-		stats.ResultTuples = sel[i].n
+		stats.ResultTuples = n
 		w.Stats.Add(stats)
 		w.Elapsed += lr.Took
 		res.PerSite[lr.Leg.SiteID] = w
 		res.MessagesSent++
-		res.TuplesShipped += sel[i].n
+		res.TuplesShipped += n
 	}
 	for _, w := range res.PerSite {
 		if w.Elapsed > res.CriticalPath {
 			res.CriticalPath = w.Elapsed
 		}
 	}
+	f := newFold(widest)
 	for ci, chain := range plan.Chains {
-		if cost, ok := assembleChain(plan, sel, ci, &res.Assembly); ok && cost < res.Cost {
+		if cost, ok := f.chain(plan, blocks, ci, &res.Assembly); ok && cost < res.Cost {
 			res.Cost = cost
 			res.BestChain = chain
 			res.Reachable = true
@@ -181,64 +221,101 @@ func (st *Store) FinishPlan(plan *Plan, results []*LegResult, res *Result) error
 	return nil
 }
 
-// assembleChain folds the selected leg facts of chain ci into the cost
-// from source to target along that chain: a min-plus product of the
-// running (node → cost) vector with each leg's table in turn — the
-// paper's "sequence of binary joins between a number of very small
-// relations" (§2.1), one join per leg. The vector is sorted ids beside
-// their costs. Each table row finds its source's slot in the vector
-// once per leg, so the inner loop is a float min over the row's exit
-// columns; the exits come in ascending order, so each next vector is
-// born sorted.
-func assembleChain(plan *Plan, sel []legSelection, ci int, stats *AssemblyStats) (float64, bool) {
-	ids, costs := []graph.NodeID{plan.Source}, []float64{0}
-	var nextIDs []graph.NodeID
-	var nextCosts, best []float64
+// cellPool holds the cell buffers of the blocks FinishPlan selects
+// itself; they do not outlive the call, so each call borrows one.
+var cellPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// fold is the assembly's running (node → cost) vector — sorted ids
+// beside their costs — and its scratch, reused across a plan's chains.
+type fold struct {
+	ids, nextIDs     []graph.NodeID
+	costs, nextCosts []float64
+	best             []float64
+}
+
+// newFold returns a fold whose vectors hold up to widest exits (and
+// the source) without growing: two allocations per call.
+func newFold(widest int) fold {
+	n := widest + 1
+	ids, costs := make([]graph.NodeID, 2*n), make([]float64, 3*n)
+	return fold{
+		ids: ids[:0:n], nextIDs: ids[n : n : 2*n],
+		costs: costs[:0:n], nextCosts: costs[n : n : 2*n], best: costs[2*n : 2*n : 3*n],
+	}
+}
+
+// chain folds the exit blocks of chain ci into the cost from source to
+// target along that chain: a min-plus product of the running vector
+// with each leg's block in turn — the paper's "sequence of binary joins
+// between a number of very small relations" (§2.1), one join per leg.
+// Each block row finds its source's slot in the vector once per leg, so
+// the inner loop is a float min over contiguous exit cells, two rows at
+// a time (minPlus2); the exits ascend, so each next vector is born
+// sorted.
+func (f *fold) chain(plan *Plan, blocks []ExitBlock, ci int, stats *AssemblyStats) (float64, bool) {
+	f.ids, f.costs = append(f.ids[:0], plan.Source), append(f.costs[:0], 0)
 	for _, li := range plan.chainLegs[ci] {
-		leg := sel[li]
-		stats.MaxOperand = max(stats.MaxOperand, leg.n, len(ids))
+		b := &blocks[li]
+		stats.MaxOperand = max(stats.MaxOperand, b.n, len(f.ids))
 		stats.Joins++
-		best = best[:0]
-		for _, s := range leg.spans {
-			b := math.Inf(1)
-			if s.zero { // the empty path, summed as an (x, x, 0) fact would be
-				if k, found := slices.BinarySearch(ids, s.exit); found {
-					b = costs[k] + 0
+		best := f.best[:0]
+		for j, x := range b.exits {
+			v := math.Inf(1)
+			if b.zero[j] { // the empty path, summed as an (x, x, 0) fact would be
+				if k, found := slices.BinarySearch(f.ids, x); found {
+					v = f.costs[k] + 0
 				}
 			}
-			best = append(best, b)
+			best = append(best, v)
 		}
-		t := leg.table
-		width := len(t.Cols)
-		for r, src := range t.Rows {
-			k, found := slices.BinarySearch(ids, src)
+		f.best = best
+		width := len(best)
+		var held []float64 // a row waiting for a second to fold with
+		var heldCost float64
+		for r, src := range b.rows {
+			k, found := slices.BinarySearch(f.ids, src)
 			if !found {
 				continue
 			}
-			row, cost := t.Cost[r*width:(r+1)*width], costs[k]
-			for j, s := range leg.spans {
-				if s.col >= 0 {
-					best[j] = min(best[j], cost+row[s.col])
-				}
+			row, cost := b.cost[r*width:(r+1)*width], f.costs[k]
+			if held == nil {
+				held, heldCost = row, cost
+				continue
 			}
+			minPlus2(best, held, heldCost, row, cost)
+			held = nil
 		}
-		nextIDs, nextCosts = nextIDs[:0], nextCosts[:0]
-		for j, s := range leg.spans {
+		if held != nil {
+			minPlus2(best, held, heldCost, held, heldCost)
+		}
+		f.nextIDs, f.nextCosts = f.nextIDs[:0], f.nextCosts[:0]
+		for j, x := range b.exits {
 			if !math.IsInf(best[j], 1) {
-				nextIDs = append(nextIDs, s.exit)
-				nextCosts = append(nextCosts, best[j])
+				f.nextIDs = append(f.nextIDs, x)
+				f.nextCosts = append(f.nextCosts, best[j])
 			}
 		}
-		if len(nextIDs) == 0 {
+		if len(f.nextIDs) == 0 {
 			return 0, false // chain broken: no path through this DS
 		}
-		ids, nextIDs = nextIDs, ids
-		costs, nextCosts = nextCosts, costs
+		f.ids, f.nextIDs = f.nextIDs, f.ids
+		f.costs, f.nextCosts = f.nextCosts, f.costs
 	}
-	if k, found := slices.BinarySearch(ids, plan.Target); found {
-		return costs[k], true
+	if k, found := slices.BinarySearch(f.ids, plan.Target); found {
+		return f.costs[k], true
 	}
 	return 0, false
+}
+
+// minPlus2 folds two block rows, reached at costs ca and cb, into best:
+// best[j] = min(best[j], ca+a[j], cb+b[j]), reading and writing best
+// once for both. min is associative, so this is folding the rows one
+// after the other, bit for bit; a lone row is passed as both.
+func minPlus2(best, a []float64, ca float64, b []float64, cb float64) {
+	best, b = best[:len(a)], b[:len(a)]
+	for j, v := range a {
+		best[j] = min(best[j], ca+v, cb+b[j])
+	}
 }
 
 // LegFunc obtains one leg's table — the only thing that differs
@@ -334,17 +411,19 @@ func (st *Store) RunPlanCtx(ctx context.Context, plan *Plan, engine Engine, para
 // with cancellation threaded into the engine kernels (between Dijkstra
 // sources, fixpoint rounds and propagation levels). It is the unit of
 // work a (real or simulated) processor performs; package sim schedules
-// these across simulated sites. Table is ExecuteLegTableCtx's table,
-// and Stats.ResultTuples counts the facts the assembly will select from
-// it — what the site ships to the coordinator.
+// these across simulated sites. Table is ExecuteLegTableCtx's table
+// and Block the leg's exits selected from it, once, for the assembly to
+// fold; Stats.ResultTuples counts the facts the block selects — what
+// the site ships to the coordinator.
 func (st *Store) ExecuteLegCtx(ctx context.Context, leg Leg, engine Engine) (*LegResult, error) {
 	t0 := time.Now()
 	table, stats, err := st.ExecuteLegTableCtx(ctx, leg.SiteID, leg.Entry, engine)
 	if err != nil {
 		return nil, err
 	}
-	stats.ResultTuples = selectExits(table, leg).n
-	return &LegResult{Leg: leg, Table: table, Stats: stats, Took: time.Since(t0)}, nil
+	block := SelectExits(table, leg)
+	stats.ResultTuples = block.n
+	return &LegResult{Leg: leg, Table: table, Block: block, Stats: stats, Took: time.Since(t0)}, nil
 }
 
 // ExecuteLegTableCtx runs a leg engine from an entry set WITHOUT the
@@ -354,14 +433,14 @@ func (st *Store) ExecuteLegCtx(ctx context.Context, leg Leg, engine Engine) (*Le
 // one present on the site, in entry order. This is the
 // memoizable unit of leg execution — the expensive part of a leg
 // depends only on (site, entry set, engine), while the exit set is a
-// cheap selection the assembly makes in place (an exit is one binary
-// search for its column, and the columns it discards are never read) —
-// so a serving layer can cache the table under that key and hand it to
-// every query as is. For EngineBitset a fact carries the presence
-// marker 1 (the table is a connectivity table). Whatever the engine, a
-// cell holds a fact iff the engine derives one: the dense kernel keeps
-// a source's cycle back to itself, and the Dijkstra arm, whose search
-// starts at cost 0, has no (a, a) fact.
+// cheap selection (SelectExits gathers the exits' cells, and the
+// columns it discards are never read) — so a serving layer can cache
+// the table under that key and hand it to every query as is. For
+// EngineBitset a fact carries the presence marker 1 (the table is a
+// connectivity table). Whatever the engine, a cell holds a fact iff the
+// engine derives one: the dense kernel keeps a source's cycle back to
+// itself, and the Dijkstra arm, whose search starts at cost 0, has no
+// (a, a) fact.
 //
 // Cancellation is threaded into the engine kernels: the per-entry
 // Dijkstra loop checks ctx between sources, and the relational, bitset

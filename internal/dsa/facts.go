@@ -17,9 +17,13 @@ import (
 // there is no fact — the bitset kernel's facts carry the presence
 // marker 1. The CSR kernels and the Dijkstra arm write the matrix in
 // place (ExecuteLegTableCtx); the semi-naive arm's relation and a
-// relation handed to FinishPlan are converted once (legTableOf); and
-// selectExits finds a leg's exits in it for the assembly fold to read in
-// place. FilterLegFacts is the same selection over a (src, dst, cost)
+// relation handed to FinishPlan are converted once (legTableOf). A
+// leg's exits are gathered out of its table into an ExitBlock, its
+// exit-only result, which is all the assembly fold reads: one pass
+// that copies the exit columns' cells row by row into a contiguous
+// block and counts the facts they select. A serving layer keeps the
+// blocks of query-independent legs beside the tables it caches.
+// FilterLegFacts is the same selection over a (src, dst, cost)
 // relation, copied out into a relation of its own: the relational
 // reference the fold is tested against, kept exported for the
 // benchmark harness.
@@ -63,72 +67,120 @@ func legTableOf(rel *relation.Relation) (*tc.CostMatrix, error) {
 	}), nil
 }
 
-// exitSpan is one distinct exit of a leg: its column of the leg table
-// (-1 when the table has none), the facts in that column, and whether
-// the exit is an entry node too — then it also has the zero-cost fact
-// of the empty path.
-type exitSpan struct {
-	exit  graph.NodeID
-	col   int
-	facts int
-	zero  bool
+// ExitBlock is a leg's exit-only result: its table's rows by its
+// distinct exits in ascending order, the cells contiguous, beside each
+// exit's zero-cost flag and the number of facts the block selects. It
+// is all the assembly fold reads of a leg, and it depends on nothing
+// but the leg's table, entry set and exit set — never on the query's
+// source or target — so a leg entered and left through disconnection
+// sets has one block however many queries cross its site. A block is
+// not written once built; any number of folds may read it.
+type ExitBlock struct {
+	// rows are the table's rows, shared with it.
+	rows []graph.NodeID
+	// exits are the leg's distinct exits, ascending: the leg's own
+	// slice when it already is.
+	exits []graph.NodeID
+	// zero[j] reports that exits[j] is also an entry node, so the
+	// empty path selects it at cost 0.
+	zero []bool
+	// cost[r*len(exits)+j] is the table's cell (rows[r], exits[j]),
+	// +Inf where there is no fact or the table has no such column.
+	cost []float64
+	// n is the facts the block selects: its finite cells plus its
+	// zero-cost flags.
+	n int
 }
 
-// legSelection is a leg's exits in its table: one span per distinct
-// exit in ascending order, and n, the facts they select.
-type legSelection struct {
-	table *tc.CostMatrix
-	spans []exitSpan
-	n     int
-}
+// blockHeader is the size of an ExitBlock value: four slice headers
+// and a count.
+const blockHeader = 104
 
-// selectExits is the exit-set selection — disconnection sets "act as
+// SelectExits is the exit-set selection — disconnection sets "act as
 // intermediate nodes that must be mandatorily traversed" (§2.1), a
-// keyhole on the per-fragment subquery — over a leg table, without
-// copying a cell: the exits sorted and deduplicated, one binary search
-// each for its column, so the columns it discards are never read.
-func selectExits(table *tc.CostMatrix, leg Leg) legSelection {
-	sel := legSelection{table: table, spans: make([]exitSpan, len(leg.Exit))}
-	for i, x := range leg.Exit {
-		sel.spans[i].exit = x
-	}
-	byExit := func(s exitSpan, x graph.NodeID) int { return cmp.Compare(s.exit, x) }
-	slices.SortFunc(sel.spans, func(a, b exitSpan) int { return byExit(a, b.exit) })
-	sel.spans = slices.CompactFunc(sel.spans, func(a, b exitSpan) bool { return a.exit == b.exit })
-	width := len(table.Cols)
-	for i := range sel.spans {
-		s := &sel.spans[i]
-		c, ok := table.Col(s.exit)
-		if !ok {
-			s.col = -1
-			continue
+// keyhole on the per-fragment subquery — of leg from its table, into a
+// block of its own.
+func SelectExits(table *tc.CostMatrix, leg Leg) *ExitBlock {
+	exits := distinctExits(leg.Exit)
+	b := &ExitBlock{}
+	b.fill(table, leg.Entry, exits, make([]float64, len(table.Rows)*len(exits)), make([]bool, len(exits)), make([]int, len(exits)))
+	return b
+}
+
+// Exits returns the block's exits, distinct and ascending. They are
+// the leg's own Exit slice whenever that already is, so comparing them
+// with it tells whether the block was selected for those exits.
+func (b *ExitBlock) Exits() []graph.NodeID { return b.exits }
+
+// Bytes is what the block holds of its own: its cells at 8 B, its
+// zero-cost flags at 1 B and its header. Its rows are its table's and
+// its exits, when distinct and ascending as given, its leg's; neither
+// is counted.
+func (b *ExitBlock) Bytes() int { return 8*len(b.cost) + len(b.zero) + blockHeader }
+
+// distinctExits returns exit sorted and without repeats: exit itself
+// when it already is, a sorted copy otherwise.
+func distinctExits(exit []graph.NodeID) []graph.NodeID {
+	for i := 1; i < len(exit); i++ {
+		if exit[i-1] >= exit[i] {
+			exits := slices.Clone(exit)
+			slices.Sort(exits)
+			return slices.Compact(exits)
 		}
-		s.col = c
-		for k := c; k < len(table.Cost); k += width {
-			if !math.IsInf(table.Cost[k], 1) {
-				s.facts++
+	}
+	return exit
+}
+
+// fill selects exits, distinct and ascending, out of table into the
+// block, over the caller's buffers: cost (len(table.Rows)*len(exits)
+// cells), zero (len(exits), all false) and cols (len(exits), scratch).
+// The one gather pass copies
+// each row's exit cells, at ascending offsets of that row, and counts
+// the finite ones; an exit that is also an entry is flagged and
+// counted once, whatever the entry set repeats.
+func (b *ExitBlock) fill(table *tc.CostMatrix, entry, exits []graph.NodeID, cost []float64, zero []bool, cols []int) {
+	*b = ExitBlock{rows: table.Rows, exits: exits, zero: zero, cost: cost}
+	for j, x := range exits {
+		if c, ok := table.Col(x); ok {
+			cols[j] = c
+		} else {
+			cols[j] = -1
+		}
+	}
+	width, n := len(table.Cols), 0
+	inf := math.Inf(1)
+	for r := range table.Rows {
+		src := table.Cost[r*width : (r+1)*width]
+		dst := cost[r*len(exits) : (r+1)*len(exits)]
+		for j, c := range cols[:len(dst)] {
+			v := inf
+			if c >= 0 {
+				v = src[c]
+			}
+			dst[j] = v
+			if v != inf {
+				n++
 			}
 		}
-		sel.n += s.facts
 	}
-	for _, a := range leg.Entry {
-		if i, both := slices.BinarySearchFunc(sel.spans, a, byExit); both && !sel.spans[i].zero {
-			sel.spans[i].zero = true
-			sel.n++
+	for _, a := range entry {
+		if j, ok := slices.BinarySearch(exits, a); ok && !zero[j] {
+			zero[j] = true
+			n++
 		}
 	}
-	return sel
+	b.n = n
 }
 
 // FilterLegFacts is the reference selection over a (src, dst, cost)
-// relation: the facts selectExits picks out of a leg table, copied into
-// a relation of their own — exits in ascending order, an exit's rows in
-// full's order, then its zero-cost fact if it is an entry node. Kept
-// rows share tuple storage with full, and a row that is not a leg fact
-// is an error. No query path calls it — the assembly fold reads the
-// table in place — but the tests hold the fold to the relational
-// reference assembly over its output, and the benchmark harness times
-// it as its own layer.
+// relation: the facts SelectExits picks out of a leg table, copied
+// into a relation of their own — exits in ascending order, an exit's
+// rows in full's order, then its zero-cost fact if it is an entry node.
+// Kept rows share tuple storage with full, and a row that is not a leg
+// fact is an error. No query path calls it — the assembly fold reads
+// exit blocks — but the tests hold the fold to the relational reference
+// assembly over its output, and the benchmark harness times it as its
+// own layer.
 func FilterLegFacts(full *relation.Relation, leg Leg) (*relation.Relation, error) {
 	if err := checkLegFacts(full); err != nil {
 		return nil, fmt.Errorf("dsa: filter: site %d: %w", leg.SiteID, err)

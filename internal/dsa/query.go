@@ -2,6 +2,7 @@ package dsa
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -20,22 +21,6 @@ type Leg struct {
 	SiteID int
 	// Entry and Exit are the selection sets, sorted.
 	Entry, Exit []graph.NodeID
-}
-
-// key returns a deduplication key for the leg.
-func (l Leg) key() string {
-	b := make([]byte, 0, 16+8*(len(l.Entry)+len(l.Exit)))
-	b = append(strconv.AppendInt(b, int64(l.SiteID), 10), '|')
-	b = append(appendNodeList(b, l.Entry), '|')
-	return string(appendNodeList(b, l.Exit))
-}
-
-// appendNodeList appends each ID in decimal followed by a comma.
-func appendNodeList(b []byte, ids []graph.NodeID) []byte {
-	for _, n := range ids {
-		b = append(strconv.AppendInt(b, int64(n), 10), ',')
-	}
-	return b
 }
 
 // chainKey renders a chain exactly as fmt.Sprint does ("[0 3 7]"): the
@@ -187,38 +172,30 @@ func (st *Store) PlanChains(source, target graph.NodeID, chains [][]int) (*Plan,
 }
 
 // buildLegs fills p.Legs and p.chainLegs from p.Chains, deduplicating
-// identical legs across chains.
+// identical legs — the same site, entry set and exit set — across
+// chains.
 func (st *Store) buildLegs(p *Plan) {
-	legIndex := make(map[string]int)
+	source, target := []graph.NodeID{p.Source}, []graph.NodeID{p.Target}
 	addLeg := func(l Leg) int {
-		k := l.key()
-		if i, ok := legIndex[k]; ok {
-			return i
+		for i, o := range p.Legs {
+			if o.SiteID == l.SiteID && slices.Equal(o.Entry, l.Entry) && slices.Equal(o.Exit, l.Exit) {
+				return i
+			}
 		}
-		legIndex[k] = len(p.Legs)
 		p.Legs = append(p.Legs, l)
 		return len(p.Legs) - 1
 	}
 	for _, chain := range p.Chains {
-		var idxs []int
-		if len(chain) == 1 {
-			idxs = append(idxs, addLeg(Leg{
-				SiteID: chain[0],
-				Entry:  []graph.NodeID{p.Source},
-				Exit:   []graph.NodeID{p.Target},
-			}))
-		} else {
-			for i, f := range chain {
-				entry := []graph.NodeID{p.Source}
-				if i > 0 {
-					entry = st.fr.DisconnectionSet(chain[i-1], f)
-				}
-				exit := []graph.NodeID{p.Target}
-				if i+1 < len(chain) {
-					exit = st.fr.DisconnectionSet(f, chain[i+1])
-				}
-				idxs = append(idxs, addLeg(Leg{SiteID: f, Entry: entry, Exit: exit}))
+		idxs := make([]int, len(chain))
+		for i, f := range chain {
+			entry, exit := source, target
+			if i > 0 {
+				entry = st.fr.DisconnectionSet(chain[i-1], f)
 			}
+			if i+1 < len(chain) {
+				exit = st.fr.DisconnectionSet(f, chain[i+1])
+			}
+			idxs[i] = addLeg(Leg{SiteID: f, Entry: entry, Exit: exit})
 		}
 		p.chainLegs = append(p.chainLegs, idxs)
 	}

@@ -102,7 +102,7 @@ func (s *Server) handleV1Leg(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// No exit set: the peer gets the whole table and selects its own.
-	lr, hit, err := s.executeLegLocal(r.Context(), snap, dsa.Leg{SiteID: req.Site, Entry: req.EntryNodes()}, engine)
+	lr, hit, err := s.executeLegLocal(r.Context(), snap, dsa.Leg{SiteID: req.Site, Entry: req.EntryNodes()}, engine, false)
 	if err != nil {
 		writeV1Error(w, err)
 		return

@@ -83,7 +83,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Cached leg tables currently held.",
 		func() float64 { return float64(cache.snapshot().Entries) })
 	reg.GaugeFunc("tc_legcache_bytes",
-		"Bytes the cached leg tables hold (8 B per cell plus fixed headers).",
+		"Bytes the cached leg tables and their transit legs' exit blocks hold (8 B per cell plus fixed headers).",
 		func() float64 { return float64(cache.snapshot().Bytes) })
 	reg.CounterFunc("tc_legcache_hits_total",
 		"Leg-cache lookups answered from cache.",

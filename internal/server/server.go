@@ -205,8 +205,9 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 		var lr *dsa.LegResult
 		var hit bool
 		var err error
+		transit := transitLeg(leg, source, target)
 		if s.cluster == nil || s.cluster.IsLocal(leg.SiteID) {
-			if lr, hit, err = s.executeLegLocal(ctx, snap, leg, engine); err == nil && s.cluster != nil {
+			if lr, hit, err = s.executeLegLocal(ctx, snap, leg, engine, transit); err == nil && s.cluster != nil {
 				s.cluster.LocalLeg()
 			}
 		} else {
@@ -227,7 +228,7 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 				// pinned snapshot, and answer correctly instead of failing
 				// the query. Protocol errors (epoch skew, bad response)
 				// are NOT eligible: falling back would mask incoherence.
-				if lr, hit, err = s.executeLegLocal(ctx, snap, leg, engine); err == nil {
+				if lr, hit, err = s.executeLegLocal(ctx, snap, leg, engine, transit); err == nil {
 					s.cluster.FallbackLeg(leg.SiteID)
 					fallbackMu.Lock()
 					fallbackSites = append(fallbackSites, leg.SiteID)
@@ -260,13 +261,16 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 // the table of the snapshot's site, entry set and engine up in the leg
 // cache, on a miss takes the predecessor site's table over if dsa
 // proves it exact (legCache.carry), runs the kernel only when neither
-// answers, and charges the site one leg and
-// the time the gate was held. The table goes out as is — the assembly
-// selects the leg's exits in place, on whichever node gathers the legs
-// — so remote and local traffic for a site fill and hit the same cache
-// entries and obey the same one-leg-at-a-time rule. The site index may
-// come off the wire, so it is checked before it indexes anything.
-func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg dsa.Leg, engine dsa.Engine) (*dsa.LegResult, bool, error) {
+// answers, and charges the site one leg and the time the gate was held.
+// The table goes out as is — the assembly selects the leg's exits, on
+// whichever node gathers the legs — so remote and local traffic for a
+// site fill and hit the same cache entries and obey the same
+// one-leg-at-a-time rule. A transit leg (transitLeg) of a local query
+// also gets the exit block its cache entry memoizes (legCache.block),
+// so the fold reads it instead of selecting it again; a peer's request
+// names no exit set and gets none. The site index may come off the
+// wire, so it is checked before it indexes anything.
+func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg dsa.Leg, engine dsa.Engine, transit bool) (*dsa.LegResult, bool, error) {
 	if leg.SiteID < 0 || leg.SiteID >= len(s.gates) {
 		return nil, false, fmt.Errorf("server: %w: leg site %d out of range", dsa.ErrUnknownSite, leg.SiteID)
 	}
@@ -294,10 +298,23 @@ func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg ds
 		}
 		s.cache.put(key, table, stats)
 	}
-	lr := &dsa.LegResult{Leg: leg, Table: table, Stats: stats, Took: time.Since(t0)}
+	lr := &dsa.LegResult{Leg: leg, Table: table, Stats: stats}
+	if transit {
+		lr.Block = s.cache.block(key, table, leg)
+	}
+	lr.Took = time.Since(t0)
 	s.siteLegs[leg.SiteID].Add(1)
 	s.siteBusyNS[leg.SiteID].Add(int64(lr.Took))
 	return lr, hit, nil
+}
+
+// transitLeg reports whether a chain of the source-to-target query
+// enters and leaves leg through disconnection sets: its entry set is
+// not the source alone and its exit set not the target alone. Such a
+// leg's exit block depends on nothing the query chose, so its cache
+// entry keeps it (cacheEntry).
+func transitLeg(leg dsa.Leg, source, target graph.NodeID) bool {
+	return (len(leg.Entry) != 1 || leg.Entry[0] != source) && (len(leg.Exit) != 1 || leg.Exit[0] != target)
 }
 
 // ApplyBatch applies a transactional batch of edge operations through

@@ -249,7 +249,7 @@ func TestSupersededSiteCollectable(t *testing.T) {
 	unasked := dsa.Leg{SiteID: frag, Entry: nodes[len(nodes)-1:]}
 	ctx := context.Background()
 	for _, l := range []dsa.Leg{leg, unasked} {
-		if _, _, err := srv.executeLegLocal(ctx, srv.Dataset().Snapshot(), l, dsa.EngineDense); err != nil {
+		if _, _, err := srv.executeLegLocal(ctx, srv.Dataset().Snapshot(), l, dsa.EngineDense, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -260,7 +260,7 @@ func TestSupersededSiteCollectable(t *testing.T) {
 	if old.Value() == nil || srv.Dataset().Snapshot().Store().Site(frag).Prev() != old.Value() {
 		t.Fatal("the rebuilt site did not record its predecessor")
 	}
-	if _, hit, err := srv.executeLegLocal(ctx, srv.Dataset().Snapshot(), leg, dsa.EngineDense); err != nil || !hit {
+	if _, hit, err := srv.executeLegLocal(ctx, srv.Dataset().Snapshot(), leg, dsa.EngineDense, false); err != nil || !hit {
 		t.Fatalf("leg on the rebuilt site: hit %v, err %v; want the carried table", hit, err)
 	}
 	// Writes elsewhere push the old generation out of the history.
@@ -303,11 +303,11 @@ func TestPinnedReaderHitsSharedSite(t *testing.T) {
 	}
 	leg := dsa.Leg{SiteID: shared, Entry: cur.Store().Site(shared).Augmented().Nodes()[:1]}
 	ctx := context.Background()
-	put, hit, err := srv.executeLegLocal(ctx, cur, leg, dsa.EngineDijkstra)
+	put, hit, err := srv.executeLegLocal(ctx, cur, leg, dsa.EngineDijkstra, false)
 	if err != nil || hit {
 		t.Fatalf("first leg at epoch %d: hit %v, err %v; want a miss", cur.Epoch(), hit, err)
 	}
-	got, hit, err := srv.executeLegLocal(ctx, old, leg, dsa.EngineDijkstra)
+	got, hit, err := srv.executeLegLocal(ctx, old, leg, dsa.EngineDijkstra, false)
 	if err != nil || !hit || got.Table != put.Table {
 		t.Errorf("leg pinned at epoch %d on shared site %d: hit %v, err %v; want the epoch-%d table", old.Epoch(), shared, hit, err, cur.Epoch())
 	}
