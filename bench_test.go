@@ -522,13 +522,46 @@ func BenchmarkFinishPlan(b *testing.B) {
 }
 
 // BenchmarkLegTable times one leg's table on the dense engine, as the
-// serving executor makes it on a cache miss, over legTableLegs. The
-// site's kernel is built up front, as the first leg on the site builds
-// it.
+// serving executor makes it on a cache miss: on road's largest site
+// from one interior source (road-point's one miss per query), and the
+// second leg of each deployment's first-to-last-node plan, the first
+// entered through a whole disconnection set (road's 5 gateways, grid's
+// 42 border nodes). The site's kernel is built up front, as the first
+// leg on the site builds it.
 // Run with -benchmem: B/op and allocs/op are what a miss allocates.
 func BenchmarkLegTable(b *testing.B) {
 	for _, d := range servingDeployments {
-		st, legs := legTableLegs(b, d)
+		fr, err := d.build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		st, err := dsa.Build(fr, dsa.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes := fr.Base().Nodes()
+		plan, err := st.NewPlan(nodes[0], nodes[len(nodes)-1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		type namedLeg struct {
+			name string
+			leg  dsa.Leg
+		}
+		var legs []namedLeg
+		if d.name == "road" {
+			largest := slices.MaxFunc(st.Sites(), func(x, y *dsa.Site) int { return x.Augmented().NumNodes() - y.Augmented().NumNodes() })
+			for _, n := range fr.Fragment(largest.ID).Nodes() {
+				if len(fr.FragmentsOf(n)) == 1 {
+					legs = append(legs, namedLeg{"single-source", dsa.Leg{SiteID: largest.ID, Entry: []graph.NodeID{n}}})
+					break
+				}
+			}
+		}
+		if len(plan.Legs) < 2 {
+			b.Fatalf("plan %+v: want a leg entered through a disconnection set", plan)
+		}
+		legs = append(legs, namedLeg{"ds-leg", plan.Legs[1]})
 		for _, nl := range legs {
 			leg := nl.leg
 			b.Run(d.name+"/"+nl.name, func(b *testing.B) {
@@ -546,87 +579,6 @@ func BenchmarkLegTable(b *testing.B) {
 			})
 		}
 	}
-}
-
-// BenchmarkLegCarry times what a rebuilt site's cache miss costs when
-// the serving executor carries the predecessor's table over instead of
-// rerunning the kernel: dsa.Site.Carries on the very tables
-// BenchmarkLegTable computes, after a write that inserts a heavy edge
-// between two nodes of the leg's fragment (the proof holds, so every
-// row and op is checked). The two benchmarks side by side are the
-// saving per miss.
-func BenchmarkLegCarry(b *testing.B) {
-	ctx := context.Background()
-	for _, d := range servingDeployments {
-		st, legs := legTableLegs(b, d)
-		for _, nl := range legs {
-			leg := nl.leg
-			b.Run(d.name+"/"+nl.name, func(b *testing.B) {
-				table, _, err := st.ExecuteLegTableCtx(ctx, leg.SiteID, leg.Entry, dsa.EngineDense)
-				if err != nil {
-					b.Fatal(err)
-				}
-				nodes := st.Fragmentation().Fragment(leg.SiteID).Nodes()
-				e := graph.Edge{From: nodes[0], To: nodes[len(nodes)/2], Weight: 1e9}
-				next, _, err := st.Apply(ctx, []dsa.EdgeOp{{Kind: dsa.OpInsert, Frag: leg.SiteID, Edge: e}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				site, prev := next.Site(leg.SiteID), st.Site(leg.SiteID)
-				if site.Prev() != prev || !site.Carries(table, dsa.EngineDense) {
-					b.Fatal("a heavy insert refused the carry")
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					site.Carries(table, dsa.EngineDense)
-				}
-				runtime.KeepAlive(prev)
-				b.ReportMetric(float64(len(table.Rows)), "rows")
-			})
-		}
-	}
-}
-
-// namedLeg is one leg a benchmark times, under its sub-benchmark name.
-type namedLeg struct {
-	name string
-	leg  dsa.Leg
-}
-
-// legTableLegs builds d's store and the legs BenchmarkLegTable and
-// BenchmarkLegCarry time on it: on road's largest site one interior
-// source (road-point's one miss per query), and the second leg of the
-// first-to-last-node plan, entered through a whole disconnection set
-// (road's 5 gateways, grid's 42 border nodes).
-func legTableLegs(b *testing.B, d deployment) (*dsa.Store, []namedLeg) {
-	fr, err := d.build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	st, err := dsa.Build(fr, dsa.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	nodes := fr.Base().Nodes()
-	plan, err := st.NewPlan(nodes[0], nodes[len(nodes)-1])
-	if err != nil {
-		b.Fatal(err)
-	}
-	var legs []namedLeg
-	if d.name == "road" {
-		largest := slices.MaxFunc(st.Sites(), func(x, y *dsa.Site) int { return x.Augmented().NumNodes() - y.Augmented().NumNodes() })
-		for _, n := range fr.Fragment(largest.ID).Nodes() {
-			if len(fr.FragmentsOf(n)) == 1 {
-				legs = append(legs, namedLeg{"single-source", dsa.Leg{SiteID: largest.ID, Entry: []graph.NodeID{n}}})
-				break
-			}
-		}
-	}
-	if len(plan.Legs) < 2 {
-		b.Fatalf("plan %+v: want a leg entered through a disconnection set", plan)
-	}
-	return st, append(legs, namedLeg{"ds-leg", plan.Legs[1]})
 }
 
 // BenchmarkLegEngines times ExecuteLegTableCtx on each engine auto

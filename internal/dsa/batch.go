@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"weak"
 
 	"repro/internal/fragment"
 	"repro/internal/graph"
-	"repro/internal/tc"
 )
 
 // This file is the transactional write path of the disconnection set
@@ -27,10 +25,8 @@ import (
 // the swap. A fragment whose ops cancel out — its edge set ends the
 // batch as it began, as when an edge is inserted and deleted again — is
 // untouched too (fragment.Patch.Apply shares it), so its site and
-// every table cached on it survive the write. A rebuilt site never
-// serves its predecessor's results by key; it takes one over only
-// through a carry Carries proved: the batch's ops on the fragment
-// provably leave that table exact.
+// every table cached on it survive the write. A rebuilt site is new:
+// nothing computed on its predecessor is served from it.
 
 // OpKind selects what an EdgeOp does.
 type OpKind int
@@ -273,129 +269,12 @@ func (st *Store) Apply(ctx context.Context, ops []EdgeOp) (*Store, BatchStats, e
 		return nil, stats, err
 	}
 	for id, site := range next.sites {
-		old := st.sites[id]
-		if site == old {
-			continue
-		}
-		stats.SitesRebuilt = append(stats.SitesRebuilt, id)
-		if delta := fragOps(ops, id); sameNodes(old.Frag, site.Frag, delta) && siteCompUnchanged(old, id, next.comp) && !negativeWeight(old) {
-			site.prev, site.delta = weak.Make(old), delta
+		if site != st.sites[id] {
+			stats.SitesRebuilt = append(stats.SitesRebuilt, id)
 		}
 	}
 	stats.SitesShared = len(next.sites) - len(stats.SitesRebuilt)
 	return next, stats, nil
-}
-
-// fragOps returns the ops of a batch on fragment frag, in batch order.
-func fragOps(ops []EdgeOp, frag int) []EdgeOp {
-	var out []EdgeOp
-	for _, op := range ops {
-		if op.Frag == frag {
-			out = append(out, op)
-		}
-	}
-	return out
-}
-
-// sameNodes reports whether a patch that applied ops to old, giving
-// next, left the fragment's node set alone: only an op's endpoints can
-// join or leave it, so it suffices that each was a node before and is
-// one after.
-func sameNodes(old, next *fragment.Fragment, ops []EdgeOp) bool {
-	for _, op := range ops {
-		for _, id := range [2]graph.NodeID{op.Edge.From, op.Edge.To} {
-			if !old.HasNode(id) || !next.HasNode(id) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// negativeWeight reports whether a site's search graph holds a negative
-// weight: an edge of its fragment or a complementary cost.
-func negativeWeight(s *Site) bool {
-	neg := func(e graph.Edge) bool { return e.Weight < 0 }
-	if slices.ContainsFunc(s.Frag.Edges, neg) {
-		return true
-	}
-	for _, ci := range s.Comp {
-		if slices.ContainsFunc(ci.Cost, neg) {
-			return true
-		}
-	}
-	return false
-}
-
-// Carries reports whether a leg table computed with engine on this
-// site's predecessor (Prev) is, bit for bit, the table this site
-// computes from the same entry set, so a cache may serve it here
-// instead of rerunning the kernel. The site's search graph is prev's
-// with the batch's ops on the fragment applied, over the same nodes,
-// and Apply records a predecessor only when its search graph has no
-// negative weight: a Dijkstra search there depends on settle order,
-// which an accepted insert may change. The proof runs per row e of the
-// table and per op (u, v, w), with d the row's costs and d(e, u) read
-// as 0 when u == e (a path from e starts there at cost 0, whatever the
-// cell holds):
-//
-//   - an insert must not improve v: d(e,u)+w < d(e,v) must be false.
-//     Every path through the new edge then reaches v at no less than
-//     the row already holds there, so no cost moves.
-//   - a delete must not be tight: d(e,v) finite and equal to d(e,u)+w
-//     must be false. No least-cost path to v then ends with the edge,
-//     and none uses it further back either, since costs only grow
-//     along a path.
-//
-// Each op is checked against prev's costs, which the ops before it
-// provably left alone. Float addition is monotone, and on non-negative
-// weights every min-plus engine computes the least left-folded cost
-// over paths, so the rules
-// hold for the computed costs as they do for real ones. A node that is
-// not a column is unreached (+Inf): the CSR engines give every node a
-// column, the semi-naive one every destination it reached. Presence
-// tables (EngineBitset) are never carried.
-func (s *Site) Carries(table *tc.CostMatrix, engine Engine) bool {
-	if s.Prev() == nil || engine == EngineBitset {
-		return false
-	}
-	// Each op's two columns, resolved once per table; -1 is none.
-	cols := make([][2]int, len(s.delta))
-	for i, op := range s.delta {
-		for k, id := range [2]graph.NodeID{op.Edge.From, op.Edge.To} {
-			cols[i][k] = -1
-			if c, ok := table.Col(id); ok {
-				cols[i][k] = c
-			}
-		}
-	}
-	d := func(row []float64, c int) float64 {
-		if c < 0 {
-			return graph.Inf
-		}
-		return row[c]
-	}
-	width := len(table.Cols)
-	for r, e := range table.Rows {
-		row := table.Cost[r*width : (r+1)*width]
-		for i, op := range s.delta {
-			du, dv, w := d(row, cols[i][0]), d(row, cols[i][1]), op.Edge.Weight
-			if op.Edge.From == e {
-				du = 0
-			}
-			switch op.Kind {
-			case OpInsert:
-				if du+w < dv {
-					return false
-				}
-			case OpDelete:
-				if dv < graph.Inf && dv == du+w {
-					return false
-				}
-			}
-		}
-	}
-	return true
 }
 
 // compUnaffected reports whether the batch provably leaves every

@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
-	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -17,7 +15,6 @@ import (
 	"repro/internal/fragment/linear"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/tc"
 )
 
 // TestApplyAtomicPerOpErrors: a batch with admissible and refused ops
@@ -344,7 +341,10 @@ func TestApplySharesUntouchedSites(t *testing.T) {
 	if moved.Fragmentation().Fragment(1) != oldFr.Fragment(1) {
 		t.Error("untouched fragment 1 was rebuilt by a membership-changing batch")
 	}
-	// A multi-op batch advances the epoch once.
+	// A multi-op batch advances the epoch once. This one cancels out —
+	// the edge it inserts it deletes again — so it rebuilds no site and
+	// recomputes no table: every site, and whatever a cache holds on it,
+	// carries over by pointer.
 	next2, stats2, err := next.Apply(context.Background(), []EdgeOp{
 		{Kind: OpInsert, Frag: 1, Edge: graph.Edge{From: 3, To: 6, Weight: 50}},
 		{Kind: OpDelete, Frag: 1, Edge: graph.Edge{From: 3, To: 6, Weight: 50}},
@@ -357,6 +357,15 @@ func TestApplySharesUntouchedSites(t *testing.T) {
 	}
 	if stats2.Ops != 2 {
 		t.Errorf("stats2.Ops = %d, want 2", stats2.Ops)
+	}
+	if len(stats2.SitesRebuilt) != 0 || stats2.RecomputedSets != 0 || stats2.SitesShared != 3 {
+		t.Errorf("cancelled batch: SitesRebuilt %v, RecomputedSets %d, SitesShared %d; want none, 0, 3",
+			stats2.SitesRebuilt, stats2.RecomputedSets, stats2.SitesShared)
+	}
+	for id := range 3 {
+		if next2.Site(id) != next.Site(id) {
+			t.Errorf("cancelled batch rebuilt site %d", id)
+		}
 	}
 }
 
@@ -712,146 +721,6 @@ func TestPropertyApplyEqualsFreshBuild(t *testing.T) {
 		cases.undone == 0 || cases.dsChanged == 0 || cases.fastRoute == 0 {
 		t.Errorf("generator coverage: %+v, want every case reached", cases)
 	}
-}
-
-// TestPropertyCarriedLegTablesMatchFresh: whenever Carries proves a
-// leg table of a predecessor site exact on the site that replaced it,
-// the table is bit for bit what the new site computes — over randomOps'
-// histories on every topology and both problems, for every min-plus
-// engine, entered through sampled single nodes and through every
-// disconnection set of the site. Presence tables are never carried.
-// Both verdicts must occur, or the property proved nothing.
-func TestPropertyCarriedLegTablesMatchFresh(t *testing.T) {
-	ctx := context.Background()
-	var carried, refused int
-	for _, problem := range []Problem{ProblemShortestPath, ProblemReachability} {
-		for _, topo := range applyTopologies {
-			for seed := int64(1); seed <= 6; seed++ {
-				fr, err := topo.build(seed)
-				if err != nil {
-					t.Fatalf("%s seed %d: %v", topo.name, seed, err)
-				}
-				st, err := Build(fr, Options{Problem: problem})
-				if err != nil {
-					t.Fatal(err)
-				}
-				rng := rand.New(rand.NewSource(seed))
-				nodes := fr.Base().Nodes()
-				sets := make([][]graph.Edge, fr.NumFragments())
-				for i, f := range fr.Fragments() {
-					sets[i] = append([]graph.Edge(nil), f.Edges...)
-				}
-				for b := 0; b < 4; b++ {
-					ops := randomOps(rng, nodes, sets, 1+rng.Intn(4), &opCases{})
-					next, _, err := st.Apply(ctx, ops)
-					if err != nil {
-						t.Fatalf("%s seed %d batch %d: %v", topo.name, seed, b, err)
-					}
-					for id, site := range next.Sites() {
-						prev := site.Prev()
-						if prev == nil || site == st.Site(id) {
-							continue // no predecessor, or shared: checked when it was rebuilt
-						}
-						if prev != st.Site(id) {
-							t.Fatalf("%s seed %d batch %d: site %d names a predecessor that is not the previous store's", topo.name, seed, b, id)
-						}
-						fnodes := site.Frag.Nodes()
-						var entries [][]graph.NodeID
-						for range 3 {
-							entries = append(entries, []graph.NodeID{fnodes[rng.Intn(len(fnodes))]})
-						}
-						for p := range site.Comp {
-							entries = append(entries, next.Fragmentation().DisconnectionSet(p.I, p.J))
-						}
-						if reach, _, err := st.ExecuteLegTableCtx(ctx, id, entries[0], EngineBitset); err != nil || site.Carries(reach, EngineBitset) {
-							t.Errorf("site %d carried a presence table (err %v)", id, err)
-						}
-						for _, engine := range []Engine{EngineDijkstra, EngineSemiNaive, EngineDense} {
-							for _, entry := range entries {
-								old, _, err := st.ExecuteLegTableCtx(ctx, id, entry, engine)
-								if err != nil {
-									t.Fatal(err)
-								}
-								if !site.Carries(old, engine) {
-									refused++
-									continue
-								}
-								carried++
-								fresh, _, err := next.ExecuteLegTableCtx(ctx, id, entry, engine)
-								if err != nil {
-									t.Fatal(err)
-								}
-								if err := tableBitsDiff(old, fresh); err != nil {
-									t.Errorf("%s/%s seed %d batch %d %v: site %d %v from %v: carried table %v", problem, topo.name, seed, b, ops, id, engine, entry, err)
-								}
-							}
-						}
-					}
-					st = next
-				}
-			}
-		}
-	}
-	t.Logf("%d tables carried, %d refused", carried, refused)
-	if carried == 0 || refused == 0 {
-		t.Errorf("%d tables carried and %d refused: want both verdicts", carried, refused)
-	}
-}
-
-// TestNegativeWeightSiteCarriesNothing: on a site whose search graph
-// has a negative weight (a graph file may carry one; forced dijkstra
-// still answers there), Dijkstra's table depends on settle order, which
-// an insert the carry rules accept can change. Here e->u 1, e->y 5,
-// y->v -5, v->z 1 gives v 0 and z 1 from e; inserting u->v 1 does not
-// improve v (1+1 >= 0), yet can let a search settle v at 2 first. Apply
-// records no predecessor, so Carries refuses.
-func TestNegativeWeightSiteCarriesNothing(t *testing.T) {
-	ctx := context.Background()
-	const e, u, y, v, z = 0, 1, 2, 3, 4
-	g := graph.New()
-	edges := []graph.Edge{{From: e, To: u, Weight: 1}, {From: e, To: y, Weight: 5}, {From: y, To: v, Weight: -5}, {From: v, To: z, Weight: 1}}
-	for _, ed := range edges {
-		g.AddEdge(ed)
-	}
-	fr, err := fragment.New(g, [][]graph.Edge{edges})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := Build(fr, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, _, err := st.ExecuteLegTableCtx(ctx, 0, []graph.NodeID{e}, EngineDijkstra)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next, _, err := st.Apply(ctx, []EdgeOp{{Kind: OpInsert, Frag: 0, Edge: graph.Edge{From: u, To: v, Weight: 1}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if site := next.Site(0); site.Prev() != nil || site.Carries(old, EngineDijkstra) {
-		t.Error("a site whose predecessor has a negative weight carried a dijkstra table")
-	}
-	fresh, _, err := next.ExecuteLegTableCtx(ctx, 0, []graph.NodeID{e}, EngineDijkstra)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("old table vs fresh: %v", tableBitsDiff(old, fresh))
-}
-
-// tableBitsDiff returns nil when two leg tables have the same rows, the
-// same columns and the same cells, bit for bit.
-func tableBitsDiff(got, want *tc.CostMatrix) error {
-	if !slices.Equal(got.Rows, want.Rows) || !slices.Equal(got.Cols, want.Cols) {
-		return fmt.Errorf("rows %v cols %v, want rows %v cols %v", got.Rows, got.Cols, want.Rows, want.Cols)
-	}
-	for k := range want.Cost {
-		if math.Float64bits(got.Cost[k]) != math.Float64bits(want.Cost[k]) {
-			w := len(want.Cols)
-			return fmt.Errorf("cell (%d, %d) = %v, fresh %v", want.Rows[k/w], want.Cols[k%w], got.Cost[k], want.Cost[k])
-		}
-	}
-	return nil
 }
 
 // FuzzApply drives random batch series from fuzzed inputs through the

@@ -22,7 +22,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"weak"
 
 	"repro/internal/fragment"
 	"repro/internal/graph"
@@ -88,20 +87,7 @@ type Site struct {
 	denseOnce sync.Once
 	dense     *tc.DenseGraph
 	denseErr  error
-	// prev is the site this one replaced, recorded by Apply when the
-	// batch changed only the fragment's edges — node set and
-	// complementary tables are prev's, and no weight of prev's search
-	// graph is negative — and delta is that batch's ops
-	// on the fragment: what Carries needs to prove one of prev's leg
-	// tables exact here. Weak, so no chain of generations stays alive
-	// through it.
-	prev  weak.Pointer[Site]
-	delta []EdgeOp
 }
-
-// Prev returns the site this one replaced when Apply recorded it (see
-// Carries) and something still holds it; otherwise nil.
-func (s *Site) Prev() *Site { return s.prev.Value() }
 
 // rel returns the augmented subgraph as an edge relation, building it
 // on first use. Safe for concurrent callers (sync.Once). Its one caller

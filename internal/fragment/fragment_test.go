@@ -172,6 +172,35 @@ func TestPatch(t *testing.T) {
 	if _, err := q.Apply(); err == nil {
 		t.Error("a patch that empties fragment 1 was accepted")
 	}
+
+	// Edits that cancel out leave fragment 0's edge set as it was, so
+	// Apply shares the fragment by pointer and the base keeps the
+	// endpoints' adjacency lists; a lone parallel edge is a change.
+	same := func(a, b []graph.Edge) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
+	edge01, fresh02, heavy01 := graph.Edge{From: 0, To: 1, Weight: 1}, graph.Edge{From: 0, To: 2, Weight: 3}, graph.Edge{From: 0, To: 1, Weight: 5}
+	for _, c := range []struct {
+		name   string
+		edits  func(p *Patch)
+		shared bool
+		edge   graph.Edge
+	}{
+		{"insert then delete a new edge", func(p *Patch) { p.Insert(0, fresh02); p.Delete(0, fresh02) }, true, fresh02},
+		{"delete then re-insert an existing edge", func(p *Patch) { p.Delete(0, edge01); p.Insert(0, edge01) }, true, edge01},
+		{"insert a duplicate then delete one copy", func(p *Patch) { p.Insert(0, edge01); p.Delete(0, edge01) }, true, edge01},
+		{"a lone heavier parallel edge", func(p *Patch) { p.Insert(0, heavy01) }, false, heavy01},
+	} {
+		p := fr.NewPatch()
+		c.edits(p)
+		next, err := p.Apply()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		from, to := c.edge.From, c.edge.To
+		kept := same(next.Base().Out(from), fr.Base().Out(from)) && same(next.Base().In(to), fr.Base().In(to))
+		if got := next.Fragment(0) == fr.Fragment(0); got != c.shared || p.Touched(0) == c.shared || kept != c.shared {
+			t.Errorf("%s: fragment shared %v, Touched %v, adjacency kept %v; want shared %v", c.name, got, p.Touched(0), kept, c.shared)
+		}
+	}
 }
 
 func TestMakePair(t *testing.T) {

@@ -114,12 +114,11 @@ func localViews(t testing.TB, g *Generation) []View {
 
 // served is what the loop reads off the servers it stood up, for the
 // coverage floors no answer shows.
-type served struct{ hits, carried, retained, invalidated, remoteLegs uint64 }
+type served struct{ hits, retained, invalidated, remoteLegs uint64 }
 
 func (s *served) add(srv *server.Server) {
 	st := srv.Stats()
 	s.hits += st.Cache.Hits
-	s.carried += st.Cache.Carried
 	s.retained += st.Cache.Retained
 	s.invalidated += st.Cache.Invalidated
 	for name, v := range st.Metrics {
@@ -146,7 +145,7 @@ func atEpoch0(g *Generation) *Generation {
 // servedViews deploys the epoch-0 dataset behind a server, checks it
 // there — which fills the leg cache — and then applies the history, so
 // the views answer the final generation from a cache holding retained,
-// carried, invalidated and new entries.
+// invalidated and new entries.
 func servedViews(ctx context.Context, t testing.TB, tally *Tally, g *Generation, seen *served) []View {
 	t.Helper()
 	srv, err := server.NewDataset(deploy(t, g), server.Config{CacheCapacity: 256})
@@ -294,9 +293,9 @@ func TestOracle(t *testing.T) {
 	inexact, missed := sum(tally.Inexact), sum(tally.Missed)
 	t.Logf("oracle: %d configurations, %d checks over %d generations (%d loosely connected, %d cyclic, %d with an orphaned node) in %d views; "+
 		"on cyclic generations %d inexact costs and %d reachable pairs answered Reachable=false, Truncated=false (%d more sanctioned by Truncated); "+
-		"%d cache hits (%d carried; %d entries retained, %d invalidated), %d remote legs",
+		"%d cache hits (%d entries retained, %d invalidated), %d remote legs",
 		len(tally.Configs), tally.Checks, loose+cyclic, loose, cyclic, orphaned, len(tally.Views),
-		inexact, missed, tally.Truncated, seen.hits, seen.carried, seen.retained, seen.invalidated, seen.remoteLegs)
+		inexact, missed, tally.Truncated, seen.hits, seen.retained, seen.invalidated, seen.remoteLegs)
 
 	if loose < 40 || cyclic < 20 || tally.Checks < 30000 || orphaned == 0 || tally.Truncated == 0 ||
 		len(problems) < 2 || len(fragmenters) < len(Fragmenters) {
@@ -310,12 +309,12 @@ func TestOracle(t *testing.T) {
 	}
 	// 12 legal (mode, engine) pairs, forced dijkstra among them, and the
 	// routes; the planner chose by mode alone, so auto resolved to exactly
-	// the kernels and never to dijkstra; the servers' caches hit, carried,
-	// kept and dropped entries, and legs crossed the wire.
+	// the kernels and never to dijkstra; the servers' caches hit, kept and
+	// dropped entries, and legs crossed the wire.
 	planned := slices.Sorted(maps.Keys(tally.Planned))
 	if len(tally.Configs) < 13 || tally.Configs["cost/dijkstra"] == 0 ||
 		!slices.Equal(planned, []string{"connectivity/bitset", "cost/dense", "pipelined/dense"}) ||
-		seen.hits == 0 || seen.carried == 0 || seen.retained == 0 || seen.invalidated == 0 || seen.remoteLegs == 0 {
+		seen.hits == 0 || seen.retained == 0 || seen.invalidated == 0 || seen.remoteLegs == 0 {
 		t.Errorf("oracle lost a configuration: asked %v, planner chose %v, servers saw %+v", tally.Configs, tally.Planned, seen)
 	}
 	// Rule 5's ratchet: the corpus is fixed, so what it counts on cyclic

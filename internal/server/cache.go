@@ -20,10 +20,9 @@ import (
 // disconnection sets, and dsa.Store.Apply builds a new *dsa.Site
 // whenever either changes while carrying every other site over by
 // pointer. So a key names one table whatever generation the reader
-// pinned, and a rebuilt site never hits its predecessor's tables by
-// key; it takes one over only through a carry dsa proved (carry). The
-// key holds the site strongly, so its address cannot be reused while
-// an entry names it.
+// pinned, and a rebuilt site can never hit its predecessor's tables.
+// The key holds the site strongly, so its address cannot be reused
+// while an entry names it.
 //
 // The exit set is deliberately absent — the assembly folds a leg's
 // exit block (dsa.ExitBlock), which dsa.SelectExits gathers from the
@@ -61,19 +60,14 @@ type CacheStats struct {
 	// rows and exits their tables' and disconnection sets'; none of
 	// them is counted.
 	Bytes int64 `json:"bytes"`
-	// Hits and Misses count lookups since the server started. A lookup
-	// answered by a carry is a hit: it ran no kernel.
+	// Hits and Misses count lookups since the server started.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
-	// Carried counts the lookups a rebuilt site answered by taking over
-	// its predecessor's entry once dsa.Site.Carries proved it exact.
-	Carried uint64 `json:"carried"`
 	// Evictions counts entries dropped by the LRU bound.
 	Evictions uint64 `json:"evictions"`
-	// Invalidated counts entries dropped because their site is no longer
-	// the current one of its ID: by a sweep, or by a carry whose proof
-	// failed. Retained counts entries a sweep kept because their site
-	// still is current, or is the predecessor the swept batch replaced.
+	// Invalidated counts entries a sweep dropped because their site is
+	// no longer the current one of its ID; Retained counts entries a
+	// sweep kept because their site still is.
 	Invalidated uint64 `json:"invalidated"`
 	Retained    uint64 `json:"retained"`
 	// Sweeps counts sweep passes (one per applied batch).
@@ -88,10 +82,9 @@ type CacheStats struct {
 // query either, so its block (dsa.SelectExits) is selected once, by the
 // first query through it, and handed to the fold of every later one:
 // at most one per exit set, which is one of the site's disconnection
-// sets. A block lives and dies with its entry — through the LRU bound,
-// a sweep, and a carry, which re-keys the entry with its blocks, valid
-// because a carried table is bit-identical. A first or last leg's
-// block depends on the query's source or target, so it is never kept.
+// sets. A block lives and dies with its entry, through the LRU bound
+// or a sweep. A first or last leg's block depends on the query's
+// source or target, so it is never kept.
 type cacheEntry struct {
 	key    legKey
 	table  *tc.CostMatrix
@@ -125,9 +118,6 @@ type legCache struct {
 	ll    *list.List // front = most recently used
 	byKey map[legKey]*list.Element
 	stats CacheStats
-	// last is the sites the previous sweep was given, so a sweep can
-	// tell a predecessor it saw replaced from one an earlier sweep did.
-	last []*dsa.Site
 }
 
 func newLegCache(capacity int) *legCache {
@@ -160,41 +150,6 @@ func (c *legCache) get(key legKey) (*tc.CostMatrix, tc.Stats, bool) {
 	return ent.table, ent.stats, true
 }
 
-// carry answers a lookup get just missed on a rebuilt site from its
-// predecessor's entry for the same entry set and engine, if one is
-// cached: when dsa.Site.Carries proves that table exact on the new site
-// the entry is re-keyed under key and the lookup recounted as a hit;
-// otherwise the entry is dropped, since its site is no longer current
-// and the current one cannot use it. Either way the predecessor's key
-// stops naming a table, so each entry is proved at most once. The
-// caller holds the site's gate, so no put for key races the re-key.
-func (c *legCache) carry(key legKey) (*tc.CostMatrix, tc.Stats, bool) {
-	prev := key.site.Prev()
-	if c == nil || c.cap == 0 || prev == nil {
-		return nil, tc.Stats{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[legKey{site: prev, engine: key.engine, entry: key.entry}]
-	if !ok {
-		return nil, tc.Stats{}, false
-	}
-	ent := el.Value.(*cacheEntry)
-	if !key.site.Carries(ent.table, key.engine) {
-		c.remove(el)
-		c.stats.Invalidated++
-		return nil, tc.Stats{}, false
-	}
-	delete(c.byKey, ent.key)
-	ent.key = key
-	c.byKey[key] = el
-	c.ll.MoveToFront(el)
-	c.stats.Carried++
-	c.stats.Misses--
-	c.stats.Hits++
-	return ent.table, ent.stats, true
-}
-
 // put memoizes a leg computation, evicting the least recently used
 // entry when the bound is exceeded. Concurrent queries can race to fill
 // the same key; the same key means the same table, so the last put
@@ -220,8 +175,8 @@ func (c *legCache) put(key legKey, table *tc.CostMatrix, stats tc.Stats) {
 	}
 }
 
-// block returns the exit block of a transit leg whose table get, carry
-// or put just gave for key: the entry's memoized block for leg's exits,
+// block returns the exit block of a transit leg whose table get or put
+// just gave for key: the entry's memoized block for leg's exits,
 // or one selected now and memoized. It returns nil — FinishPlan then
 // selects the block itself — when caching is disabled or the entry no
 // longer holds table. A block is memoized only for exits given
@@ -264,14 +219,10 @@ func (c *legCache) remove(el *list.Element) {
 
 // sweep drops every entry whose site is not sites[site.ID] — a site an
 // applied batch rebuilt, so no current reader can name it — and keeps
-// the rest, except that the sweep of the batch that replaced a site
-// also keeps the entries of its recorded predecessor for a carry. The
-// next sweep drops what of those no miss carried, so an entry set never
-// asked again does not hold a superseded site. A stale table is reached
-// never by key, only through a carry dsa proved; the sweep only frees
-// the others (and the superseded sites their keys hold) without
-// waiting for LRU pressure, so skipping or reordering it cannot change
-// an answer.
+// the rest. Stale tables are unreachable by key alone; the sweep only
+// frees them (and the superseded sites the keys hold) without waiting
+// for LRU pressure, so skipping or reordering it cannot change an
+// answer.
 func (c *legCache) sweep(sites []*dsa.Site) {
 	if c == nil || c.cap == 0 {
 		return
@@ -283,15 +234,13 @@ func (c *legCache) sweep(sites []*dsa.Site) {
 	for el := c.ll.Front(); el != nil; el = next {
 		next = el.Next()
 		site := el.Value.(*cacheEntry).key.site
-		cur := sites[site.ID]
-		if cur == site || cur.Prev() == site && (c.last == nil || c.last[site.ID] == site) {
+		if sites[site.ID] == site {
 			c.stats.Retained++
 			continue
 		}
 		c.remove(el)
 		c.stats.Invalidated++
 	}
-	c.last = sites
 }
 
 // snapshot returns a value copy of the current counters taken under

@@ -91,17 +91,14 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.CounterFunc("tc_legcache_misses_total",
 		"Leg-cache lookups that executed the leg.",
 		func() float64 { return float64(cache.snapshot().Misses) })
-	reg.CounterFunc("tc_legcache_carried_total",
-		"Leg-cache lookups a rebuilt site answered with its predecessor's proved-exact table.",
-		func() float64 { return float64(cache.snapshot().Carried) })
 	reg.CounterFunc("tc_legcache_evictions_total",
 		"Entries dropped by the LRU bound.",
 		func() float64 { return float64(cache.snapshot().Evictions) })
 	reg.CounterFunc("tc_legcache_invalidated_total",
-		"Entries dropped because their site was rebuilt: by a sweep on an epoch swap, or by a carry whose proof failed.",
+		"Entries a sweep dropped on an epoch swap because their site was rebuilt.",
 		func() float64 { return float64(cache.snapshot().Invalidated) })
 	reg.CounterFunc("tc_legcache_retained_total",
-		"Entries a sweep kept on an epoch swap (site current, or predecessor of the current one).",
+		"Entries a sweep kept on an epoch swap because their site is still current.",
 		func() float64 { return float64(cache.snapshot().Retained) })
 	reg.CounterFunc("tc_legcache_sweeps_total",
 		"Sweep passes (one per applied batch).",

@@ -16,11 +16,9 @@
 // pointer, so writers never block readers and vice versa. The leg
 // cache is keyed by the site a table was computed on, and a swap
 // carries every untouched site over by pointer: readers of either
-// generation share the tables of shared sites, and a rebuilt site
-// never hits its predecessor's by key; it takes one over only through
-// a carry dsa proved (dsa.Site.Carries), on its first miss. Staleness
-// is impossible by key; the sweep each swap runs only frees the tables
-// no current site can reach.
+// generation share the tables of shared sites, and a rebuilt site can
+// never hit its predecessor's. Staleness is impossible by key; the
+// sweep each swap runs only frees the tables of replaced sites.
 package server
 
 import (
@@ -259,9 +257,8 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 // site's gate — giving up with ErrCanceled when ctx ends first, so a
 // canceled query stops queueing for its turn — and, holding it, looks
 // the table of the snapshot's site, entry set and engine up in the leg
-// cache, on a miss takes the predecessor site's table over if dsa
-// proves it exact (legCache.carry), runs the kernel only when neither
-// answers, and charges the site one leg and the time the gate was held.
+// cache, runs the kernel on a miss, and charges the site one leg and
+// the time the gate was held.
 // The table goes out as is — the assembly selects the leg's exits, on
 // whichever node gathers the legs — so remote and local traffic for a
 // site fill and hit the same cache entries and obey the same
@@ -288,9 +285,6 @@ func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg ds
 	t0 := time.Now()
 	key := newLegKey(snap.Store().Site(leg.SiteID), leg.Entry, engine)
 	table, stats, hit := s.cache.get(key)
-	if !hit {
-		table, stats, hit = s.cache.carry(key)
-	}
 	if !hit {
 		var err error
 		if table, stats, err = snap.Store().ExecuteLegTableCtx(ctx, leg.SiteID, leg.Entry, engine); err != nil {

@@ -14,6 +14,7 @@ import (
 	"weak"
 
 	"repro/internal/dsa"
+	"repro/internal/fragment"
 	"repro/internal/fragment/linear"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -165,56 +166,56 @@ func TestServerUpdateInvalidatesCache(t *testing.T) {
 	}
 }
 
-// TestRebuiltSiteCarriesProvedTables: a write that cannot change a
-// cached leg table leaves it to the rebuilt site, which answers from it
-// without a kernel run; a write that can change it makes the carry's
-// proof fail, so the entry is dropped and the leg recomputed. Either
-// way the served answers are the oracle's.
-func TestRebuiltSiteCarriesProvedTables(t *testing.T) {
-	srv, st := newGridServer(t, 8, 8, 4, Config{CacheCapacity: 256})
-	g := &oracle.Generation{Name: "8x8 grid", Fragmenter: "linear", Sources: []int{0}, Targets: []int{63}}
-	// step runs the pair on the dense engine and returns what that one
-	// query carried and invalidated, then holds every engine to the
-	// oracle.
-	step := func(name string, wantHits bool) (carried, invalidated uint64) {
-		t.Helper()
-		before := srv.Stats().Cache
-		_, qs, err := runPair(srv, 0, 63, dsa.EngineDense, tcq.ModeCost)
+// TestNegativeWeightWriteServesFreshAnswer: on a site whose search
+// graph has a negative weight (a graph file may carry one; forced
+// dijkstra still answers there), Dijkstra's table depends on settle
+// order, which an insert that improves no cost can still change. Here
+// e->u 1, e->y 5, y->v -5, v->z 1 gives z 1 from e; inserting u->v 1
+// lets the search settle v at 2 before y relaxes it, so a fresh build
+// answers z 3. A warm cache must serve what the fresh build does, not
+// the table it held before the write.
+func TestNegativeWeightWriteServesFreshAnswer(t *testing.T) {
+	const e, u, y, v, z = 0, 1, 2, 3, 4
+	edges := []graph.Edge{{From: e, To: u, Weight: 1}, {From: e, To: y, Weight: 5}, {From: y, To: v, Weight: -5}, {From: v, To: z, Weight: 1}}
+	build := func(edges []graph.Edge) *dsa.Store {
+		g := graph.New()
+		for _, ed := range edges {
+			g.AddEdge(ed)
+		}
+		fr, err := fragment.New(g, [][]graph.Edge{edges})
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
-		if hitAll := qs.CacheMisses == 0; hitAll != wantHits {
-			t.Errorf("%s: %d hits, %d misses; want every leg a hit: %v", name, qs.CacheHits, qs.CacheMisses, wantHits)
+		st, err := dsa.Build(fr, dsa.Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		after := srv.Stats().Cache
-		g.Final = srv.Dataset().Snapshot().Store().Fragmentation()
-		if err := new(oracle.Tally).Check(context.Background(), g, []oracle.View{{Name: name, Q: srv.Facade()}}); err != nil {
-			t.Error(err)
-		}
-		return after.Carried - before.Carried, after.Invalidated - before.Invalidated
+		return st
 	}
-	step("cold", false)
-	frag := st.Fragmentation().FragmentsOf(0)[0]
-	// A heavier parallel copy of the source's edge moves no cost.
-	if err := applyOne(srv, tcq.Insert(frag, 0, 1, 5)); err != nil {
+	srv := newServer(t, build(edges), Config{CacheCapacity: 16})
+	if _, _, err := runPair(srv, e, z, dsa.EngineDijkstra, tcq.ModeCost); err != nil {
 		t.Fatal(err)
 	}
-	if carried, invalidated := step("after a heavy insert", true); carried != 1 || invalidated != 0 {
-		t.Fatalf("after a heavy insert: carried %d, invalidated %d; want 1, 0", carried, invalidated)
-	}
-	// Deleting the source's own edge to its neighbour is tight.
-	if err := applyOne(srv, tcq.Delete(frag, 0, 1, 1)); err != nil {
+	if err := applyOne(srv, tcq.Insert(0, u, v, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if carried, invalidated := step("after a tight delete", false); carried != 0 || invalidated != 1 {
-		t.Errorf("after a tight delete: carried %d, invalidated %d; want 0, 1", carried, invalidated)
+	served, _, err := runPair(srv, e, z, dsa.EngineDijkstra, tcq.ModeCost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, _, err := runPair(newServer(t, build(append(edges, graph.Edge{From: u, To: v, Weight: 1})), Config{}), e, z, dsa.EngineDijkstra, tcq.ModeCost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served.Cost != fresh.Cost || fresh.Cost != 3 {
+		t.Errorf("e->z after the insert: served %v, fresh build %v; want both 3", served.Cost, fresh.Cost)
 	}
 }
 
 // TestCancelledWriteKeepsSiteTables: a batch that inserts an edge and
 // deletes it again, as the ledger's writes do, leaves the fragment's
 // edge set as it was, so the swap shares the site and every cached
-// table on it stays a hit: nothing is rebuilt, carried or invalidated.
+// table on it stays a hit: nothing is rebuilt or invalidated.
 func TestCancelledWriteKeepsSiteTables(t *testing.T) {
 	srv, st := newGridServer(t, 8, 8, 4, Config{CacheCapacity: 256})
 	if _, _, err := runPair(srv, 0, 63, dsa.EngineDense, tcq.ModeCost); err != nil {
@@ -232,15 +233,16 @@ func TestCancelledWriteKeepsSiteTables(t *testing.T) {
 	if _, qs, err := runPair(srv, 0, 63, dsa.EngineDense, tcq.ModeCost); err != nil || qs.CacheMisses != 0 {
 		t.Errorf("after a cancelled write: %d misses, err %v; want every leg a hit", qs.CacheMisses, err)
 	}
-	if after := srv.Stats().Cache; before.Invalidated != 0 || after.Carried != 0 {
-		t.Errorf("after a cancelled write: %d invalidated, %d carried; want none", before.Invalidated, after.Carried)
+	if before.Invalidated != 0 {
+		t.Errorf("after a cancelled write: %d invalidated; want none", before.Invalidated)
 	}
 }
 
-// TestSupersededSiteCollectable: a recorded predecessor keeps no site
-// alive. Once its one carried cache entry has moved over, the entry set
-// no miss asked for has been dropped by the next sweep, and the snapshot
-// history has let its generation go, the superseded site is garbage.
+// TestSupersededSiteCollectable: a rebuilt site answers its first leg
+// with a kernel run; the sweep of the write that replaced its
+// predecessor drops the predecessor's entry sets, asked again or not,
+// and once the snapshot history has let its generation go the
+// superseded site is garbage.
 func TestSupersededSiteCollectable(t *testing.T) {
 	srv, _ := newGridServer(t, 6, 6, 4, Config{CacheCapacity: 16})
 	frag := srv.Dataset().Snapshot().Store().Fragmentation().FragmentsOf(0)[0]
@@ -254,14 +256,15 @@ func TestSupersededSiteCollectable(t *testing.T) {
 		}
 	}
 	old := weak.Make(srv.Dataset().Snapshot().Store().Site(frag))
+	before := srv.Stats().Cache
 	if err := applyOne(srv, tcq.Insert(frag, 0, 1, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if old.Value() == nil || srv.Dataset().Snapshot().Store().Site(frag).Prev() != old.Value() {
-		t.Fatal("the rebuilt site did not record its predecessor")
+	if after := srv.Stats().Cache; after.Entries != 0 || after.Invalidated-before.Invalidated != 2 {
+		t.Fatalf("after the write: %d entries, %d invalidated; want the superseded site's 2 dropped", after.Entries, after.Invalidated-before.Invalidated)
 	}
-	if _, hit, err := srv.executeLegLocal(ctx, srv.Dataset().Snapshot(), leg, dsa.EngineDense, false); err != nil || !hit {
-		t.Fatalf("leg on the rebuilt site: hit %v, err %v; want the carried table", hit, err)
+	if _, hit, err := srv.executeLegLocal(ctx, srv.Dataset().Snapshot(), leg, dsa.EngineDense, false); err != nil || hit {
+		t.Fatalf("first leg on the rebuilt site: hit %v, err %v; want a miss", hit, err)
 	}
 	// Writes elsewhere push the old generation out of the history.
 	other := (frag + 1) % 4
@@ -277,7 +280,7 @@ func TestSupersededSiteCollectable(t *testing.T) {
 	}
 	runtime.GC()
 	if old.Value() != nil {
-		t.Error("the superseded site is still reachable after its entries were carried or swept and its generation evicted")
+		t.Error("the superseded site is still reachable after its entries were swept and its generation evicted")
 	}
 }
 

@@ -110,13 +110,12 @@ server() {
     curl -fsS $s/v1/query -d '{"sources":[0],"targets":[100],"mode":"cost"}' > /dev/null
     (($(metric $s tc_http_requests_total) > requests))
     # A write transaction sweeps the leg cache: every entry is dropped
-    # (its site was rebuilt), kept (its site is current, or the
-    # predecessor of the current one) or later carried over.
+    # (its site was rebuilt) or kept (its site is still current).
     local swept
-    swept=$(($(metric $s tc_legcache_invalidated_total) + $(metric $s tc_legcache_retained_total) + $(metric $s tc_legcache_carried_total)))
+    swept=$(($(metric $s tc_legcache_invalidated_total) + $(metric $s tc_legcache_retained_total)))
     tcload -addr $s -n 50 -parallel 8 -repeat 2 -expect-reachable
     curl -fsS $s/v1/update -d '{"ops":[{"op":"insert","fragment":1,"from":600,"to":601,"weight":0.75},{"op":"delete","fragment":1,"from":600,"to":601,"weight":0.75}]}' > /dev/null
-    (($(metric $s tc_legcache_invalidated_total) + $(metric $s tc_legcache_retained_total) + $(metric $s tc_legcache_carried_total) > swept))
+    (($(metric $s tc_legcache_invalidated_total) + $(metric $s tc_legcache_retained_total) > swept))
     curl -fsS $s/stats | jq -e '.metrics | has("tc_epoch") and has("tc_legcache_hits_total") and (length >= 10)' > /dev/null
     # Writes beside queries in a race-instrumented daemon: the
     # copy-on-write swap, pinned readers and the cache sweep all run
