@@ -469,8 +469,8 @@ func BenchmarkFilterLegFacts(b *testing.B) {
 // hands FinishPlan the tables alone, so the loop selects every leg's
 // exit block and folds them; memoized hands the transit legs — entered
 // and left through a disconnection set — the blocks a warm served query
-// gets from its cache entries, so the loop selects the first and last
-// legs' blocks only. The answer is checked against Dijkstra on the
+// gets from its sites' border tables, so the loop selects the first and
+// last legs' blocks only. The answer is checked against Dijkstra on the
 // unfragmented graph. Run with -benchmem.
 func BenchmarkFinishPlan(b *testing.B) {
 	fr, err := servingDeployments[1].build()
@@ -523,11 +523,14 @@ func BenchmarkFinishPlan(b *testing.B) {
 
 // BenchmarkLegTable times one leg's table on the dense engine, as the
 // serving executor makes it on a cache miss: on road's largest site
-// from one interior source (road-point's one miss per query), and the
-// second leg of each deployment's first-to-last-node plan, the first
+// from one interior source (the first leg of a road-point query), and
+// the second leg of each deployment's first-to-last-node plan, the first
 // entered through a whole disconnection set (road's 5 gateways, grid's
 // 42 border nodes). The site's kernel is built up front, as the first
-// leg on the site builds it.
+// leg on the site builds it. The road/single-source/table row is the
+// same first leg as the server answers it now: its exit block gathered
+// from the site's built border table (dsa.Store.BorderBlockCtx), a
+// column of it, since the site is symmetric.
 // Run with -benchmem: B/op and allocs/op are what a miss allocates.
 func BenchmarkLegTable(b *testing.B) {
 	for _, d := range servingDeployments {
@@ -549,11 +552,21 @@ func BenchmarkLegTable(b *testing.B) {
 			leg  dsa.Leg
 		}
 		var legs []namedLeg
+		var first dsa.Leg
 		if d.name == "road" {
 			largest := slices.MaxFunc(st.Sites(), func(x, y *dsa.Site) int { return x.Augmented().NumNodes() - y.Augmented().NumNodes() })
 			for _, n := range fr.Fragment(largest.ID).Nodes() {
 				if len(fr.FragmentsOf(n)) == 1 {
 					legs = append(legs, namedLeg{"single-source", dsa.Leg{SiteID: largest.ID, Entry: []graph.NodeID{n}}})
+					far := nodes[0]
+					if fr.FragmentsOf(far)[0] == largest.ID {
+						far = nodes[len(nodes)-1]
+					}
+					p, err := st.NewPlan(n, far)
+					if err != nil || p.SameFragment {
+						b.Fatalf("plan %d -> %d: %+v, %v; want a cross-fragment plan", n, far, p, err)
+					}
+					first = p.Legs[0]
 					break
 				}
 			}
@@ -578,6 +591,82 @@ func BenchmarkLegTable(b *testing.B) {
 				b.ReportMetric(float64(len(leg.Entry)), "entry")
 			})
 		}
+		if d.name != "road" {
+			continue
+		}
+		b.Run("road/single-source/table", func(b *testing.B) {
+			if block, _, err := st.BorderBlockCtx(context.Background(), first, dsa.EngineDense); err != nil || block == nil {
+				b.Fatalf("first leg %+v: block %v, err %v; want a column of a symmetric site's table", first, block, err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, built, err := st.BorderBlockCtx(context.Background(), first, dsa.EngineDense); err != nil || built {
+					b.Fatalf("built %v, err %v", built, err)
+				}
+			}
+			b.ReportMetric(float64(len(first.Exit)), "exits")
+		})
+	}
+}
+
+// BenchmarkSiteTable times the dense border tables of every site of the
+// paper, road and grid deployments, one build per site per op, as the
+// first cross-fragment leg on each site builds its table: its leg table
+// from all of its border nodes, indexed. Each op reads a leg entered
+// through one of the site's disconnection sets on a store restored
+// afresh (untimed), whose sites' CSRs and kernels are built up front.
+// MiB is what the tables hold (dsa.Site.TableBytes) over all sites.
+func BenchmarkSiteTable(b *testing.B) {
+	ctx := context.Background()
+	for _, d := range append([]deployment{paperDeployment}, servingDeployments...) {
+		fr, err := d.build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		st, err := dsa.Build(fr, dsa.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var legs []dsa.Leg
+		for p := range st.CompTables() {
+			for _, id := range []int{p.I, p.J} {
+				if !slices.ContainsFunc(legs, func(l dsa.Leg) bool { return l.SiteID == id }) {
+					ds := fr.DisconnectionSet(p.I, p.J)
+					legs = append(legs, dsa.Leg{SiteID: id, Entry: ds, Exit: ds})
+				}
+			}
+		}
+		b.Run(d.name, func(b *testing.B) {
+			var bytes int64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fresh, err := dsa.Restore(fr, st.CompTables(), dsa.Options{}, 0, st.Preprocessing())
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, s := range fresh.Sites() {
+					if _, err := s.DenseKernel(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				for _, leg := range legs {
+					if _, built, err := fresh.BorderBlockCtx(ctx, leg, dsa.EngineDense); err != nil || !built {
+						b.Fatalf("site %d: built %v, err %v", leg.SiteID, built, err)
+					}
+				}
+				b.StopTimer()
+				bytes = 0
+				for _, s := range fresh.Sites() {
+					bytes += s.TableBytes()
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(bytes)/(1<<20), "MiB")
+			b.ReportMetric(float64(len(legs)), "sites")
+		})
 	}
 }
 

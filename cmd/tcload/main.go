@@ -2,7 +2,7 @@
 // workers firing random source/target queries at POST
 // /v1/query, with replay passes that double as a cache-correctness
 // oracle. It reports QPS, p50/p95/p99 latency and the server-side
-// leg-cache hit rate, and exits non-zero on any transport error,
+// hit rate of its legs (leg cache and site border tables), and exits non-zero on any transport error,
 // non-2xx response, answer that changed between passes, unreachable
 // answer under -expect-reachable, or hit rate below -min-hit-rate — the
 // CI smoke gate.
@@ -54,7 +54,7 @@ func main() {
 		repeat     = flag.Int("repeat", 1, "passes over the same workload (>1 exercises the leg cache)")
 		duration   = flag.Duration("duration", 0, "keep replaying passes until this much wall-clock time elapsed (0 = exactly -repeat passes)")
 		expectUp   = flag.Bool("expect-reachable", false, "fail on any unreachable answer (oracle for connected graphs)")
-		minHitRate = flag.Float64("min-hit-rate", -1, "fail if the leg-cache hit rate over the run is below this (-1 = no check)")
+		minHitRate = flag.Float64("min-hit-rate", -1, "fail if the hit rate over the run (legs that saved work: leg-cache hits and reads of built site tables) is below this (-1 = no check)")
 		writeRate  = flag.Float64("write-rate", 0, "fraction of slots that fire /v1/update write transactions instead of queries (answer-invariant heavy-edge insert+delete)")
 		sloFile    = flag.String("slo-file", "", "JSON budget file (SLO.json): run fails if the measured p99s or error rate exceed it")
 		jsonOut    = flag.String("json", "", "write the machine-readable run report (latencies, SLO verdict, /metrics scrape) to this path ('-' = stdout)")

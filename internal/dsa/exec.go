@@ -23,8 +23,9 @@ type LegResult struct {
 	// cached or remote table is passed as is.
 	Table *tc.CostMatrix
 	// Block, when set, is SelectExits(Table, Leg) — built by the
-	// producer, or memoized beside a cached table — and is what
-	// FinishPlan folds; without it FinishPlan selects the block itself.
+	// producer, or gathered from the site's border table
+	// (BorderBlockCtx), Table then nil — and is what FinishPlan folds;
+	// without it FinishPlan selects the block itself.
 	Block *ExitBlock
 	// Rel is the benchmark harness's seam until it reads spans: a
 	// (src, dst, cost) relation FinishPlan converts to a table when
@@ -450,14 +451,19 @@ func (st *Store) ExecuteLegTableCtx(ctx context.Context, siteID int, entry []gra
 	if siteID < 0 || siteID >= len(st.sites) {
 		return nil, tc.Stats{}, fmt.Errorf("dsa: %w: leg site %d out of range", ErrUnknownSite, siteID)
 	}
-	site := st.sites[siteID]
+	return st.sites[siteID].legTable(ctx, entry, engine)
+}
+
+// legTable is ExecuteLegTableCtx on the site: the engine dispatch every
+// leg table and border table is computed by.
+func (s *Site) legTable(ctx context.Context, entry []graph.NodeID, engine Engine) (*tc.CostMatrix, tc.Stats, error) {
 	var table *tc.CostMatrix
 	var stats tc.Stats
 	var err error
 	switch engine {
 	case EngineDijkstra:
 		// One search per row, its distances copied in.
-		c := site.csr()
+		c := s.csr()
 		var rows []int32
 		table, rows = tc.NewCostMatrix(c, entry)
 		search := c.Searches(1)[0]
@@ -480,13 +486,13 @@ func (st *Store) ExecuteLegTableCtx(ctx context.Context, siteID int, entry []gra
 	case EngineSemiNaive:
 		// The kernel's relation, converted once.
 		var rel *relation.Relation
-		if rel, stats, err = tc.ShortestFromCtx(ctx, site.rel(), entry); err == nil {
+		if rel, stats, err = tc.ShortestFromCtx(ctx, s.rel(), entry); err == nil {
 			table, err = legTableOf(rel)
 		}
 	case EngineBitset, EngineDense:
 		// Both kernels run on the site's one CSR and write the table
 		// themselves.
-		kernel, kerr := site.DenseKernel()
+		kernel, kerr := s.DenseKernel()
 		if kerr != nil {
 			return nil, tc.Stats{}, kerr
 		}
@@ -499,7 +505,7 @@ func (st *Store) ExecuteLegTableCtx(ctx context.Context, siteID int, entry []gra
 		return nil, tc.Stats{}, fmt.Errorf("dsa: %w %d", ErrUnknownEngine, engine)
 	}
 	if err != nil {
-		return nil, tc.Stats{}, fmt.Errorf("dsa: site %d leg: %w", site.ID, err)
+		return nil, tc.Stats{}, fmt.Errorf("dsa: site %d leg: %w", s.ID, err)
 	}
 	return table, stats, nil
 }

@@ -21,8 +21,8 @@ import (
 // leg's exits are gathered out of its table into an ExitBlock, its
 // exit-only result, which is all the assembly fold reads: one pass
 // that copies the exit columns' cells row by row into a contiguous
-// block and counts the facts they select. A serving layer keeps the
-// blocks of query-independent legs beside the tables it caches.
+// block and counts the facts they select. A site gathers the same
+// blocks out of its border tables (border.go).
 // FilterLegFacts is the same selection over a (src, dst, cost)
 // relation, copied out into a relation of its own: the relational
 // reference the fold is tested against, kept exported for the
@@ -76,7 +76,8 @@ func legTableOf(rel *relation.Relation) (*tc.CostMatrix, error) {
 // sets has one block however many queries cross its site. A block is
 // not written once built; any number of folds may read it.
 type ExitBlock struct {
-	// rows are the table's rows, shared with it.
+	// rows are the table's rows: shared with it, or with the leg's
+	// entry set, or the block's own when gathered from a border table.
 	rows []graph.NodeID
 	// exits are the leg's distinct exits, ascending: the leg's own
 	// slice when it already is.
@@ -107,16 +108,11 @@ func SelectExits(table *tc.CostMatrix, leg Leg) *ExitBlock {
 	return b
 }
 
-// Exits returns the block's exits, distinct and ascending. They are
-// the leg's own Exit slice whenever that already is, so comparing them
-// with it tells whether the block was selected for those exits.
-func (b *ExitBlock) Exits() []graph.NodeID { return b.exits }
-
-// Bytes is what the block holds of its own: its cells at 8 B, its
-// zero-cost flags at 1 B and its header. Its rows are its table's and
-// its exits, when distinct and ascending as given, its leg's; neither
-// is counted.
-func (b *ExitBlock) Bytes() int { return 8*len(b.cost) + len(b.zero) + blockHeader }
+// bytes is what a memoized block holds of its own: its cells at 8 B,
+// its zero-cost flags at 1 B and its header. Its rows and exits are its
+// leg's disconnection sets (a semi-naive block's rows at most a subset
+// of one) and are not counted.
+func (b *ExitBlock) bytes() int { return 8*len(b.cost) + len(b.zero) + blockHeader }
 
 // distinctExits returns exit sorted and without repeats: exit itself
 // when it already is, a sorted copy otherwise.
@@ -163,13 +159,8 @@ func (b *ExitBlock) fill(table *tc.CostMatrix, entry, exits []graph.NodeID, cost
 			}
 		}
 	}
-	for _, a := range entry {
-		if j, ok := slices.BinarySearch(exits, a); ok && !zero[j] {
-			zero[j] = true
-			n++
-		}
-	}
 	b.n = n
+	b.flagZero(entry)
 }
 
 // FilterLegFacts is the reference selection over a (src, dst, cost)

@@ -54,7 +54,8 @@ type CompInfo struct {
 // site stores — "the fragment and the complementary information" of its
 // disconnection sets (§2.1) — and the search structures derived from
 // those two: one graph, built with the site, and the CSR and relational
-// forms of it, each built when an engine first asks.
+// forms of it, each built when an engine first asks, and its border
+// tables (border.go), each built when a cross-fragment leg first asks.
 type Site struct {
 	// ID is the fragment ID this site stores.
 	ID int
@@ -87,6 +88,19 @@ type Site struct {
 	denseOnce sync.Once
 	dense     *tc.DenseGraph
 	denseErr  error
+	// dss are the site's disconnection sets, by neighbouring fragment
+	// ascending, and border their union, ascending: the rows of its
+	// border tables (border.go). Both are fixed when the site is built.
+	dss    [][]graph.NodeID
+	border []graph.NodeID
+	// symmetric reports that every edge of augmented has a reverse edge
+	// of the same least weight and none is negative, so d(s, b) =
+	// d(b, s); proved once from the CSR, when a first leg asks.
+	symOnce   sync.Once
+	symmetric bool
+	// tables holds one border table per engine, each built by the first
+	// reader that needs it.
+	tables [len(engines)]tableSlot
 }
 
 // rel returns the augmented subgraph as an edge relation, building it
@@ -188,9 +202,10 @@ func ParseProblem(name string) (Problem, error) {
 // processing.
 //
 // A Store is immutable after Build: queries only read it (the lazy
-// per-site structures — the CSR, its kernel wrapper and the edge
-// relation — are sync.Once-guarded), so any number of goroutines may
-// query one Store concurrently without locking. Updates go through
+// per-site structures — the CSR, its kernel wrapper, the edge relation
+// and the symmetry proof — are sync.Once-guarded, and a border table
+// is built once under its slot's lock), so any number of goroutines
+// may query one Store concurrently without locking. Updates go through
 // Apply, which returns a NEW store sharing every untouched site with its
 // predecessor — serving layers swap a store pointer atomically instead
 // of locking readers out.
@@ -312,13 +327,14 @@ func parallelFor(ctx context.Context, n int, fn func(w, i int)) error {
 func deploySites(ctx context.Context, fr *fragment.Fragmentation, comp map[fragment.Pair]*CompInfo, prev []*Site, touched func(fragID int) bool) ([]*Site, error) {
 	base, shared, frags := fr.Base(), fr.SharedNodes(), fr.Fragments()
 	sites := make([]*Site, len(frags))
+	dss := fr.DisconnectionSets()
 	err := parallelFor(ctx, len(frags), func(_, i int) {
 		f := frags[i]
 		if prev != nil && !touched(f.ID) && siteCompUnchanged(prev[f.ID], f.ID, comp) {
 			sites[i] = prev[f.ID]
 			return
 		}
-		sites[i] = buildSite(f, base, shared, comp)
+		sites[i] = buildSite(f, base, shared, comp, dss)
 	})
 	return sites, err
 }
@@ -390,11 +406,13 @@ func computeComp(ctx context.Context, base *graph.Graph, dss map[fragment.Pair][
 }
 
 // buildSite constructs one deployed site: the complementary tables
-// involving the fragment and the augmented search graph (the fragment's
-// induced subgraph plus the complementary shortcuts). shared is the
-// fragmentation's disconnection-set node set (fr.SharedNodes), computed
-// once by the caller and reused across all sites.
-func buildSite(f *fragment.Fragment, base *graph.Graph, shared map[graph.NodeID]bool, comp map[fragment.Pair]*CompInfo) *Site {
+// involving the fragment, the augmented search graph (the fragment's
+// induced subgraph plus the complementary shortcuts) and the
+// fragment's disconnection sets. shared is the fragmentation's
+// disconnection-set node set (fr.SharedNodes) and dss its
+// disconnection sets (fr.DisconnectionSets), both computed once by the
+// caller and reused across all sites.
+func buildSite(f *fragment.Fragment, base *graph.Graph, shared map[graph.NodeID]bool, comp map[fragment.Pair]*CompInfo, dss map[fragment.Pair][]graph.NodeID) *Site {
 	site := &Site{
 		ID:        f.ID,
 		Frag:      f,
@@ -410,6 +428,19 @@ func buildSite(f *fragment.Fragment, base *graph.Graph, shared map[graph.NodeID]
 			site.augmented.AddEdge(e)
 		}
 	}
+	var pairs []fragment.Pair
+	for p := range dss {
+		if p.I == f.ID || p.J == f.ID {
+			pairs = append(pairs, p)
+		}
+	}
+	slices.SortFunc(pairs, func(a, b fragment.Pair) int { return (a.I + a.J) - (b.I + b.J) })
+	for _, p := range pairs {
+		site.dss = append(site.dss, dss[p])
+		site.border = append(site.border, dss[p]...)
+	}
+	slices.Sort(site.border)
+	site.border = slices.Clip(slices.Compact(site.border))
 	return site
 }
 

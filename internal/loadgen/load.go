@@ -144,8 +144,9 @@ type LoadReport struct {
 	Passes int `json:"passes"`
 	// PassQPS is the throughput of each pass — the cache warm-up curve.
 	PassQPS []float64 `json:"pass_qps"`
-	// CacheHits/CacheMisses are the server-side leg-cache deltas over
-	// the run, HitRate their ratio (0 when no lookups).
+	// CacheHits/CacheMisses are the server-side deltas over the run of
+	// the legs that saved work and those that did it (legLookups),
+	// HitRate their ratio (0 when no lookups).
 	CacheHits   uint64  `json:"cache_hits"`
 	CacheMisses uint64  `json:"cache_misses"`
 	HitRate     float64 `json:"hit_rate"`
@@ -185,7 +186,7 @@ func (r *LoadReport) Format() string {
 	fmt.Fprintf(&sb, "latency p50: %v  p95: %v  p99: %v  max: %v\n",
 		r.P50.Round(time.Microsecond), r.P95.Round(time.Microsecond),
 		r.P99.Round(time.Microsecond), r.Max.Round(time.Microsecond))
-	fmt.Fprintf(&sb, "leg cache: %d hits, %d misses, hit rate %.1f%%\n",
+	fmt.Fprintf(&sb, "legs: %d hits, %d misses (leg cache and site tables), hit rate %.1f%%\n",
 		r.CacheHits, r.CacheMisses, 100*r.HitRate)
 	if r.TransientRetries > 0 {
 		fmt.Fprintf(&sb, "transient retries: %d (502/504 blips ridden through)\n", r.TransientRetries)
@@ -381,8 +382,9 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: /stats after run: %v", err)
 	}
-	rep.CacheHits = statsAfter.Cache.Hits - statsBefore.Cache.Hits
-	rep.CacheMisses = statsAfter.Cache.Misses - statsBefore.Cache.Misses
+	hitsBefore, missesBefore := legLookups(statsBefore)
+	hitsAfter, missesAfter := legLookups(statsAfter)
+	rep.CacheHits, rep.CacheMisses = hitsAfter-hitsBefore, missesAfter-missesBefore
 	if total := rep.CacheHits + rep.CacheMisses; total > 0 {
 		rep.HitRate = float64(rep.CacheHits) / float64(total)
 	}
@@ -496,6 +498,14 @@ func fetchMetrics(client *http.Client, baseURL string) (map[string]float64, erro
 }
 
 // fetchStats pulls and decodes /stats.
+// legLookups is a server's legs that saved work (leg-cache hits and
+// reads of an already built site table) and those that did it (cache
+// misses and the reads that built a table), as tcq.RunStats counts
+// them per query.
+func legLookups(st *server.Stats) (hits, misses uint64) {
+	return st.Cache.Hits + st.SiteTables.Reads - st.SiteTables.Builds, st.Cache.Misses + st.SiteTables.Builds
+}
+
 func fetchStats(client *http.Client, baseURL string) (*server.Stats, error) {
 	resp, err := client.Get(baseURL + "/stats")
 	if err != nil {

@@ -114,13 +114,14 @@ func localViews(t testing.TB, g *Generation) []View {
 
 // served is what the loop reads off the servers it stood up, for the
 // coverage floors no answer shows.
-type served struct{ hits, retained, invalidated, remoteLegs uint64 }
+type served struct{ hits, retained, invalidated, remoteLegs, tableReads uint64 }
 
 func (s *served) add(srv *server.Server) {
 	st := srv.Stats()
 	s.hits += st.Cache.Hits
 	s.retained += st.Cache.Retained
 	s.invalidated += st.Cache.Invalidated
+	s.tableReads += st.SiteTables.Reads
 	for name, v := range st.Metrics {
 		if strings.HasPrefix(name, "tc_leg_fanout_total") {
 			s.remoteLegs += uint64(v)
@@ -293,9 +294,9 @@ func TestOracle(t *testing.T) {
 	inexact, missed := sum(tally.Inexact), sum(tally.Missed)
 	t.Logf("oracle: %d configurations, %d checks over %d generations (%d loosely connected, %d cyclic, %d with an orphaned node) in %d views; "+
 		"on cyclic generations %d inexact costs and %d reachable pairs answered Reachable=false, Truncated=false (%d more sanctioned by Truncated); "+
-		"%d cache hits (%d entries retained, %d invalidated), %d remote legs",
+		"%d cache hits (%d entries retained, %d invalidated), %d site-table reads, %d remote legs",
 		len(tally.Configs), tally.Checks, loose+cyclic, loose, cyclic, orphaned, len(tally.Views),
-		inexact, missed, tally.Truncated, seen.hits, seen.retained, seen.invalidated, seen.remoteLegs)
+		inexact, missed, tally.Truncated, seen.hits, seen.retained, seen.invalidated, seen.tableReads, seen.remoteLegs)
 
 	if loose < 40 || cyclic < 20 || tally.Checks < 30000 || orphaned == 0 || tally.Truncated == 0 ||
 		len(problems) < 2 || len(fragmenters) < len(Fragmenters) {
@@ -310,11 +311,12 @@ func TestOracle(t *testing.T) {
 	// 12 legal (mode, engine) pairs, forced dijkstra among them, and the
 	// routes; the planner chose by mode alone, so auto resolved to exactly
 	// the kernels and never to dijkstra; the servers' caches hit, kept and
-	// dropped entries, and legs crossed the wire.
+	// dropped entries, their sites' border tables were read, and legs
+	// crossed the wire.
 	planned := slices.Sorted(maps.Keys(tally.Planned))
 	if len(tally.Configs) < 13 || tally.Configs["cost/dijkstra"] == 0 ||
 		!slices.Equal(planned, []string{"connectivity/bitset", "cost/dense", "pipelined/dense"}) ||
-		seen.hits == 0 || seen.retained == 0 || seen.invalidated == 0 || seen.remoteLegs == 0 {
+		seen.hits == 0 || seen.retained == 0 || seen.invalidated == 0 || seen.tableReads == 0 || seen.remoteLegs == 0 {
 		t.Errorf("oracle lost a configuration: asked %v, planner chose %v, servers saw %+v", tally.Configs, tally.Planned, seen)
 	}
 	// Rule 5's ratchet: the corpus is fixed, so what it counts on cyclic

@@ -2,7 +2,6 @@ package server
 
 import (
 	"container/list"
-	"slices"
 	"strconv"
 	"sync"
 
@@ -24,14 +23,14 @@ import (
 // The key holds the site strongly, so its address cannot be reused
 // while an entry names it.
 //
-// The exit set is deliberately absent — the assembly folds a leg's
-// exit block (dsa.ExitBlock), which dsa.SelectExits gathers from the
-// table for any exit set — so queries with different targets share
-// entries whenever they enter a fragment through the same disconnection
-// set; the entry keeps the blocks of the exit sets that are themselves
-// disconnection sets beside the table. The mode is likewise absent
-// because a leg's table depends only on the engine, letting cost and
-// connectivity traffic share entries.
+// Only the legs a site's border tables cannot answer get here (see
+// executeLegLocal): the legs of same-fragment plans, first legs on
+// asymmetric sites, and peers' /v1/leg requests. The exit set is
+// deliberately absent — the assembly folds a leg's exit block, which
+// dsa.SelectExits gathers from the table for any exit set — so queries
+// from one source to different targets share entries. The mode is
+// likewise absent because a leg's table depends only on the engine,
+// letting cost and connectivity traffic share entries.
 type legKey struct {
 	site   *dsa.Site
 	engine dsa.Engine
@@ -53,12 +52,9 @@ type CacheStats struct {
 	// Entries is the current number of cached leg tables.
 	Entries int `json:"entries"`
 	// Bytes is what the cached entries hold: each table's cells and
-	// row ids at 8 B apiece, its header, its key's entry rendering, a
-	// fixed entry overhead, and each of its exit blocks' cells at 8 B,
-	// zero-cost flags at 1 B, header and slot (dsa.ExitBlock.Bytes plus
-	// a pointer). The tables' columns are their sites' and the blocks'
-	// rows and exits their tables' and disconnection sets'; none of
-	// them is counted.
+	// row ids at 8 B apiece, its header, its key's entry rendering and a
+	// fixed entry overhead. The tables' columns are their sites' and are
+	// not counted.
 	Bytes int64 `json:"bytes"`
 	// Hits and Misses count lookups since the server started.
 	Hits   uint64 `json:"hits"`
@@ -74,41 +70,23 @@ type CacheStats struct {
 	Sweeps uint64 `json:"sweeps"`
 }
 
-// cacheEntry is one memoized leg: the leg table of ExecuteLegTableCtx,
-// its stats, and the exit blocks of its transit legs. The table is
-// handed to every query that enters the site through the same entry
-// set, as is. A transit leg — one a chain enters and leaves through a
-// disconnection set — has an exit set that does not depend on the
-// query either, so its block (dsa.SelectExits) is selected once, by the
-// first query through it, and handed to the fold of every later one:
-// at most one per exit set, which is one of the site's disconnection
-// sets. A block lives and dies with its entry, through the LRU bound
-// or a sweep. A first or last leg's block depends on the query's
-// source or target, so it is never kept.
+// cacheEntry is one memoized leg: the leg table of ExecuteLegTableCtx
+// and its stats, handed to every query that enters the site through
+// the same entry set, as is.
 type cacheEntry struct {
-	key    legKey
-	table  *tc.CostMatrix
-	stats  tc.Stats
-	blocks []*dsa.ExitBlock
+	key   legKey
+	table *tc.CostMatrix
+	stats tc.Stats
 }
 
-// entryOverhead is what an entry costs besides its table, its key's
-// rendering and its blocks: the entry itself, its list element and its
-// map slot.
+// entryOverhead is what an entry costs besides its table and its key's
+// rendering: the entry itself, its list element and its map slot.
 const entryOverhead = 160
 
 // bytes is the entry's share of CacheStats.Bytes.
 func (e *cacheEntry) bytes() int64 {
-	n := e.table.Bytes() + len(e.key.entry) + entryOverhead
-	for _, b := range e.blocks {
-		n += blockBytes(b)
-	}
-	return int64(n)
+	return int64(e.table.Bytes() + len(e.key.entry) + entryOverhead)
 }
-
-// blockBytes is one memoized block's share of its entry's bytes: the
-// block and its pointer in the entry.
-func blockBytes(b *dsa.ExitBlock) int { return b.Bytes() + 8 }
 
 // legCache is a bounded LRU over leg computations. It is safe for
 // concurrent use.
@@ -175,41 +153,7 @@ func (c *legCache) put(key legKey, table *tc.CostMatrix, stats tc.Stats) {
 	}
 }
 
-// block returns the exit block of a transit leg whose table get or put
-// just gave for key: the entry's memoized block for leg's exits,
-// or one selected now and memoized. It returns nil — FinishPlan then
-// selects the block itself — when caching is disabled or the entry no
-// longer holds table. A block is memoized only for exits given
-// distinct and ascending, as disconnection sets are, so an entry holds
-// at most one block per exit set.
-func (c *legCache) block(key legKey, table *tc.CostMatrix, leg dsa.Leg) *dsa.ExitBlock {
-	if c == nil || c.cap == 0 {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		return nil
-	}
-	ent := el.Value.(*cacheEntry)
-	if ent.table != table {
-		return nil
-	}
-	for _, b := range ent.blocks {
-		if slices.Equal(b.Exits(), leg.Exit) {
-			return b
-		}
-	}
-	b := dsa.SelectExits(table, leg)
-	if slices.Equal(b.Exits(), leg.Exit) {
-		ent.blocks = append(ent.blocks, b)
-		c.stats.Bytes += int64(blockBytes(b))
-	}
-	return b
-}
-
-// remove drops one entry, and its blocks with it. The caller holds mu.
+// remove drops one entry. The caller holds mu.
 func (c *legCache) remove(el *list.Element) {
 	ent := el.Value.(*cacheEntry)
 	c.ll.Remove(el)

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/dsa"
 	"repro/internal/metrics"
 	"repro/pkg/tcq"
 )
@@ -55,6 +56,11 @@ type serverMetrics struct {
 	updateOpsApplied *metrics.Counter
 	recomputedSets   *metrics.Counter
 	globalSearchRuns *metrics.Counter
+
+	// tableBuilds (indexed by dsa.Engine) and tableReads are the site
+	// border-table traffic, counted by executeLegLocal.
+	tableBuilds []*metrics.Counter
+	tableReads  *metrics.Counter
 }
 
 // newServerMetrics builds the registry for one deployment. The cache
@@ -83,7 +89,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Cached leg tables currently held.",
 		func() float64 { return float64(cache.snapshot().Entries) })
 	reg.GaugeFunc("tc_legcache_bytes",
-		"Bytes the cached leg tables and their transit legs' exit blocks hold (8 B per cell plus fixed headers).",
+		"Bytes the cached leg tables hold (8 B per cell plus fixed headers).",
 		func() float64 { return float64(cache.snapshot().Bytes) })
 	reg.CounterFunc("tc_legcache_hits_total",
 		"Leg-cache lookups answered from cache.",
@@ -103,6 +109,20 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.CounterFunc("tc_legcache_sweeps_total",
 		"Sweep passes (one per applied batch).",
 		func() float64 { return float64(cache.snapshot().Sweeps) })
+
+	// Site border tables: the legs of cross-fragment plans read them
+	// instead of the leg cache. Every engine's builds child exists from
+	// the start, so a scrape shows the zeros.
+	builds := reg.CounterVec("tc_site_table_builds_total",
+		"Site border tables built by a cross-fragment leg's read, by engine.", "engine")
+	for _, engine := range dsa.Engines() {
+		m.tableBuilds = append(m.tableBuilds, builds.With(engine.String()))
+	}
+	m.tableReads = reg.Counter("tc_site_table_reads_total",
+		"Cross-fragment legs gathered from site border tables, the building reads included.")
+	reg.GaugeFunc("tc_site_table_bytes",
+		"Bytes the current snapshot's built site border tables and their memoized transit blocks hold.",
+		func() float64 { return float64(s.siteTables().Bytes) })
 
 	ds := s.ds
 	reg.GaugeFunc("tc_epoch",

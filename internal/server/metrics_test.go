@@ -42,8 +42,9 @@ func post(t *testing.T, h http.Handler, path, body string) int {
 // TestMetricsEndpoint drives queries, an error, and an update through
 // the HTTP surface and checks the exported series: the acceptance
 // criterion's ≥10 distinct series, the per-endpoint counters, the
-// engine/mode latency histograms, and the cache + epoch movement
-// across a write.
+// engine/mode latency histograms, the site-table reads and builds of
+// cross-fragment queries, and the table + epoch movement across a
+// write.
 func TestMetricsEndpoint(t *testing.T) {
 	srv, _ := newGridServer(t, 8, 8, 4, Config{CacheCapacity: 256})
 	h := srv.Handler()
@@ -60,6 +61,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		"tc_legcache_invalidated_total",
 		"tc_legcache_retained_total",
 		"tc_legcache_sweeps_total",
+		`tc_site_table_builds_total{engine="dijkstra"}`,
+		`tc_site_table_builds_total{engine="seminaive"}`,
+		`tc_site_table_builds_total{engine="bitset"}`,
+		`tc_site_table_builds_total{engine="dense"}`,
+		"tc_site_table_reads_total",
+		"tc_site_table_bytes",
 		"tc_epoch",
 		"tc_epoch_swaps_total",
 		"tc_fragments_rebuilt_total",
@@ -78,8 +85,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("only %d series exported, acceptance wants >= 10", len(before))
 	}
 
-	// Traffic: two cost queries (same pair — the second hits the leg
-	// cache), one connectivity query, one bad request.
+	// Traffic: two cost queries (same pair — the second reads the
+	// border tables the first built), one connectivity query, one bad
+	// request.
 	for i := 0; i < 2; i++ {
 		if code := post(t, h, "/v1/query", `{"sources":[0],"targets":[63],"mode":"cost"}`); code != http.StatusOK {
 			t.Fatalf("/v1/query: status %d", code)
@@ -115,17 +123,23 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("latency histogram labeled with unresolved engine: %s", k)
 		}
 	}
-	if after["tc_legcache_hits_total"] <= before["tc_legcache_hits_total"] {
-		t.Errorf("cache hits did not advance (repeat query should hit)")
+	// 0→63 crosses the 4 fragments: each query reads 4 legs, and the
+	// first cost query and the (bitset) connectivity query each build
+	// the 4 sites' tables for their engine; the repeat query hits.
+	reads := after["tc_site_table_reads_total"] - before["tc_site_table_reads_total"]
+	dense := after[`tc_site_table_builds_total{engine="dense"}`] - before[`tc_site_table_builds_total{engine="dense"}`]
+	bitset := after[`tc_site_table_builds_total{engine="bitset"}`] - before[`tc_site_table_builds_total{engine="bitset"}`]
+	if reads != 12 || dense != 4 || bitset != 4 {
+		t.Errorf("site tables: %v reads, %v dense and %v bitset builds; want 12, 4 and 4 (the repeat query hits)", reads, dense, bitset)
 	}
-	if after["tc_legcache_misses_total"] <= before["tc_legcache_misses_total"] {
-		t.Errorf("cache misses did not advance")
+	if after["tc_site_table_bytes"] <= 0 {
+		t.Errorf("site table bytes = %v after building tables", after["tc_site_table_bytes"])
 	}
 
 	// A write: epoch swap, apply histogram, fragment rebuild/share
 	// counters and the cache sweep all move; with 4 fragments and a
-	// fragment-0 edge, at least one site is rebuilt and the warm
-	// entries on other sites are retained or invalidated.
+	// fragment-0 edge, at least one site is rebuilt, its tables leave
+	// the snapshot's bytes and the other sites keep theirs.
 	if code := post(t, h, "/v1/update",
 		`{"ops":[{"op":"insert","fragment":0,"from":0,"to":1,"weight":9}]}`); code != http.StatusOK {
 		t.Fatalf("/v1/update: status %d", code)
@@ -146,12 +160,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	if final["tc_legcache_sweeps_total"] != after["tc_legcache_sweeps_total"]+1 {
 		t.Errorf("cache sweeps = %v, want +1", final["tc_legcache_sweeps_total"])
 	}
-	moved := final["tc_legcache_invalidated_total"] - after["tc_legcache_invalidated_total"] +
-		final["tc_legcache_retained_total"] - after["tc_legcache_retained_total"]
-	if moved <= 0 {
-		t.Errorf("neither invalidated nor retained advanced across the update (inv %v->%v, ret %v->%v)",
-			after["tc_legcache_invalidated_total"], final["tc_legcache_invalidated_total"],
-			after["tc_legcache_retained_total"], final["tc_legcache_retained_total"])
+	if final["tc_site_table_bytes"] <= 0 || final["tc_site_table_bytes"] >= after["tc_site_table_bytes"] {
+		t.Errorf("site table bytes %v -> %v across the update: want the rebuilt site's tables gone, the shared sites' kept",
+			after["tc_site_table_bytes"], final["tc_site_table_bytes"])
 	}
 	if final["tc_update_ops_applied_total"] != 1 {
 		t.Errorf("ops applied = %v, want 1", final["tc_update_ops_applied_total"])

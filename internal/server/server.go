@@ -1,24 +1,27 @@
 // Package server is the long-lived query-serving layer over a tcq
 // dataset: one gate per site (the paper's one processor per fragment:
-// a site runs one leg at a time, whoever asks), a bounded LRU
-// leg-result cache that memoizes the expensive half of leg execution
-// across queries, and an HTTP/JSON API. It turns the one-shot library
-// pipeline into the serving system the ROADMAP's "heavy traffic" north
-// star asks for: many concurrent queries interleave their per-site legs
-// exactly the way the paper's sites would interleave independent
-// subqueries.
+// a site runs one leg at a time, whoever asks), the sites' border
+// tables, from which every leg of a cross-fragment plan gathers its
+// cells (dsa.Store.BorderBlockCtx), a bounded LRU leg-result cache for
+// the legs those tables cannot answer — same-fragment plans, first legs
+// on asymmetric sites, peers' /v1/leg requests — and an HTTP/JSON API.
+// It turns the one-shot library pipeline into the serving system the
+// ROADMAP's "heavy traffic" north star asks for: many concurrent
+// queries interleave their per-site legs exactly the way the paper's
+// sites would interleave independent subqueries.
 //
 // Concurrency model: reads are lock-free — every query pins the
 // immutable store generation current when it starts (one atomic
 // pointer load through tcq.Dataset) and runs on it to completion.
 // Updates build the next generation copy-on-write off to the side
 // (only the touched fragments are re-preprocessed) and swap the
-// pointer, so writers never block readers and vice versa. The leg
-// cache is keyed by the site a table was computed on, and a swap
-// carries every untouched site over by pointer: readers of either
-// generation share the tables of shared sites, and a rebuilt site can
-// never hit its predecessor's. Staleness is impossible by key; the
-// sweep each swap runs only frees the tables of replaced sites.
+// pointer, so writers never block readers and vice versa. Border
+// tables live on their site and the leg cache is keyed by the site a
+// table was computed on, and a swap carries every untouched site over
+// by pointer: readers of either generation share the tables of shared
+// sites, and a rebuilt site starts with none of its predecessor's.
+// Staleness is impossible by construction; the sweep each swap runs
+// only frees the cached tables of replaced sites.
 package server
 
 import (
@@ -203,9 +206,8 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 		var lr *dsa.LegResult
 		var hit bool
 		var err error
-		transit := transitLeg(leg, source, target)
 		if s.cluster == nil || s.cluster.IsLocal(leg.SiteID) {
-			if lr, hit, err = s.executeLegLocal(ctx, snap, leg, engine, transit); err == nil && s.cluster != nil {
+			if lr, hit, err = s.executeLegLocal(ctx, snap, leg, engine, !plan.SameFragment); err == nil && s.cluster != nil {
 				s.cluster.LocalLeg()
 			}
 		} else {
@@ -226,7 +228,7 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 				// pinned snapshot, and answer correctly instead of failing
 				// the query. Protocol errors (epoch skew, bad response)
 				// are NOT eligible: falling back would mask incoherence.
-				if lr, hit, err = s.executeLegLocal(ctx, snap, leg, engine, transit); err == nil {
+				if lr, hit, err = s.executeLegLocal(ctx, snap, leg, engine, !plan.SameFragment); err == nil {
 					s.cluster.FallbackLeg(leg.SiteID)
 					fallbackMu.Lock()
 					fallbackSites = append(fallbackSites, leg.SiteID)
@@ -255,19 +257,19 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 // a query's locally owned leg, a degraded-mode fallback for an
 // unreachable owner, or a peer's /v1/leg request. It waits for the
 // site's gate — giving up with ErrCanceled when ctx ends first, so a
-// canceled query stops queueing for its turn — and, holding it, looks
-// the table of the snapshot's site, entry set and engine up in the leg
-// cache, runs the kernel on a miss, and charges the site one leg and
-// the time the gate was held.
-// The table goes out as is — the assembly selects the leg's exits, on
-// whichever node gathers the legs — so remote and local traffic for a
-// site fill and hit the same cache entries and obey the same
-// one-leg-at-a-time rule. A transit leg (transitLeg) of a local query
-// also gets the exit block its cache entry memoizes (legCache.block),
-// so the fold reads it instead of selecting it again; a peer's request
-// names no exit set and gets none. The site index may come off the
-// wire, so it is checked before it indexes anything.
-func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg dsa.Leg, engine dsa.Engine, transit bool) (*dsa.LegResult, bool, error) {
+// canceled query stops queueing for its turn — and, holding it,
+// obtains the leg and charges the site one leg and the time the gate
+// was held. A leg of a cross-fragment plan (fromTables) is gathered
+// from the snapshot site's border table (dsa.Store.BorderBlockCtx) —
+// a hit, unless this read built the table. Any other leg, and one the
+// tables cannot answer, looks the table of the snapshot's site, entry
+// set and engine up in the leg cache and runs the kernel on a miss;
+// that table goes out as is — the assembly selects the leg's exits, on
+// whichever node gathers the legs — so a peer's request, which names
+// no exit set, fills and hits the same entries as local traffic. The
+// site index may come off the wire, so it is checked before it indexes
+// anything.
+func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg dsa.Leg, engine dsa.Engine, fromTables bool) (*dsa.LegResult, bool, error) {
 	if leg.SiteID < 0 || leg.SiteID >= len(s.gates) {
 		return nil, false, fmt.Errorf("server: %w: leg site %d out of range", dsa.ErrUnknownSite, leg.SiteID)
 	}
@@ -283,32 +285,37 @@ func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg ds
 		return nil, false, fmt.Errorf("server: %w (%w)", dsa.ErrCanceled, context.Cause(ctx))
 	}
 	t0 := time.Now()
-	key := newLegKey(snap.Store().Site(leg.SiteID), leg.Entry, engine)
-	table, stats, hit := s.cache.get(key)
-	if !hit {
-		var err error
-		if table, stats, err = snap.Store().ExecuteLegTableCtx(ctx, leg.SiteID, leg.Entry, engine); err != nil {
+	var lr *dsa.LegResult
+	var hit bool
+	if fromTables {
+		block, built, err := snap.Store().BorderBlockCtx(ctx, leg, engine)
+		if err != nil {
 			return nil, false, err
 		}
-		s.cache.put(key, table, stats)
+		if block != nil {
+			s.metrics.tableReads.Inc()
+			if built {
+				s.metrics.tableBuilds[engine].Inc()
+			}
+			lr, hit = &dsa.LegResult{Leg: leg, Block: block}, !built
+		}
 	}
-	lr := &dsa.LegResult{Leg: leg, Table: table, Stats: stats}
-	if transit {
-		lr.Block = s.cache.block(key, table, leg)
+	if lr == nil {
+		key := newLegKey(snap.Store().Site(leg.SiteID), leg.Entry, engine)
+		table, stats, cached := s.cache.get(key)
+		if !cached {
+			var err error
+			if table, stats, err = snap.Store().ExecuteLegTableCtx(ctx, leg.SiteID, leg.Entry, engine); err != nil {
+				return nil, false, err
+			}
+			s.cache.put(key, table, stats)
+		}
+		lr, hit = &dsa.LegResult{Leg: leg, Table: table, Stats: stats}, cached
 	}
 	lr.Took = time.Since(t0)
 	s.siteLegs[leg.SiteID].Add(1)
 	s.siteBusyNS[leg.SiteID].Add(int64(lr.Took))
 	return lr, hit, nil
-}
-
-// transitLeg reports whether a chain of the source-to-target query
-// enters and leaves leg through disconnection sets: its entry set is
-// not the source alone and its exit set not the target alone. Such a
-// leg's exit block depends on nothing the query chose, so its cache
-// entry keeps it (cacheEntry).
-func transitLeg(leg dsa.Leg, source, target graph.NodeID) bool {
-	return (len(leg.Entry) != 1 || leg.Entry[0] != source) && (len(leg.Exit) != 1 || leg.Exit[0] != target)
 }
 
 // ApplyBatch applies a transactional batch of edge operations through
@@ -334,6 +341,28 @@ type SiteStats struct {
 	BusyNS int64 `json:"busy_ns"`
 }
 
+// SiteTableStats is a server's border-table traffic: the tables its
+// reads built (over every engine), the legs gathered from them (the
+// building reads included), and what the current snapshot's built
+// tables hold (dsa.Site.TableBytes).
+type SiteTableStats struct {
+	Builds uint64 `json:"builds"`
+	Reads  uint64 `json:"reads"`
+	Bytes  int64  `json:"bytes"`
+}
+
+// siteTables snapshots the border-table counters.
+func (s *Server) siteTables() SiteTableStats {
+	st := SiteTableStats{Reads: s.metrics.tableReads.Value()}
+	for _, c := range s.metrics.tableBuilds {
+		st.Builds += c.Value()
+	}
+	for _, site := range s.ds.Snapshot().Store().Sites() {
+		st.Bytes += site.TableBytes()
+	}
+	return st
+}
+
 // Stats is the server-wide counter snapshot served at /stats.
 type Stats struct {
 	UptimeSeconds    float64 `json:"uptime_seconds"`
@@ -349,8 +378,9 @@ type Stats struct {
 	Updates          uint64 `json:"updates"`
 	Errors           uint64 `json:"errors"`
 
-	Cache CacheStats  `json:"cache"`
-	Site  []SiteStats `json:"sites_work"`
+	Cache      CacheStats     `json:"cache"`
+	SiteTables SiteTableStats `json:"site_tables"`
+	Site       []SiteStats    `json:"sites_work"`
 
 	// Cluster describes this node's view of the multi-node deployment:
 	// its identity, the membership and the site→node routing table.
@@ -381,6 +411,7 @@ func (s *Server) Stats() Stats {
 	st.Updates = s.updates.Load()
 	st.Errors = s.errors.Load()
 	st.Cache = s.cache.snapshot()
+	st.SiteTables = s.siteTables()
 	st.Site = make([]SiteStats, len(s.siteLegs))
 	for i := range s.siteLegs {
 		st.Site[i] = SiteStats{Legs: s.siteLegs[i].Load(), BusyNS: s.siteBusyNS[i].Load()}

@@ -244,9 +244,10 @@ func TestV1Batch(t *testing.T) {
 	}
 }
 
-// TestV1LegCacheSharedAcrossTargets: the leg cache is keyed on (site,
-// entry set, engine), so a second query from the same source to a
-// different target reuses the first one's legs.
+// TestV1LegCacheSharedAcrossTargets: a leg's work depends on its site
+// and entry set, never on the target — a cross-fragment leg is read
+// from its site's border table, which the first query's legs built —
+// so a second query from the same source to a different target hits.
 func TestV1LegCacheSharedAcrossTargets(t *testing.T) {
 	ts := v1Server(t)
 	var first V1QueryResponse
@@ -257,7 +258,7 @@ func TestV1LegCacheSharedAcrossTargets(t *testing.T) {
 	var second V1QueryResponse
 	postV1(t, ts.URL+"/v1/query", V1Request{Sources: []int{0}, Targets: []int{62}, Mode: "cost"}, &second)
 	if second.CacheHits == 0 {
-		t.Fatalf("same-entry different-target query must hit the leg cache, got %+v", second)
+		t.Fatalf("same-entry different-target query must hit the tables the first built, got %+v", second)
 	}
 }
 

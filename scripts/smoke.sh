@@ -74,7 +74,8 @@ server() {
     local s=http://127.0.0.1:8642 r=http://127.0.0.1:8643
     boot tcserver 8642 -grid 64x64 -fragments 8
     # The grid is connected, so an unreachable answer is a wrong one; a
-    # replay must answer like the first pass and the leg cache must hit.
+    # replay must answer like the first pass and legs must hit (the leg
+    # cache or a built border table).
     tcload -addr $s -n 200 -parallel 8 -repeat 2 -expect-reachable -min-hit-rate 0.05
     tcload -addr $s -n 100 -parallel 8 -mode connected -engine bitset -expect-reachable
     # The planner names a concrete engine, a batch answers item by item,
@@ -111,9 +112,12 @@ server() {
     (($(metric $s tc_http_requests_total) > requests))
     # A write transaction sweeps the leg cache: every entry is dropped
     # (its site was rebuilt) or kept (its site is still current).
-    local swept
+    local swept reads
     swept=$(($(metric $s tc_legcache_invalidated_total) + $(metric $s tc_legcache_retained_total)))
+    reads=$(metric $s tc_site_table_reads_total)
     tcload -addr $s -n 50 -parallel 8 -repeat 2 -expect-reachable
+    # Cross-fragment legs read their sites' border tables.
+    (($(metric $s tc_site_table_reads_total) > reads))
     curl -fsS $s/v1/update -d '{"ops":[{"op":"insert","fragment":1,"from":600,"to":601,"weight":0.75},{"op":"delete","fragment":1,"from":600,"to":601,"weight":0.75}]}' > /dev/null
     (($(metric $s tc_legcache_invalidated_total) + $(metric $s tc_legcache_retained_total) > swept))
     curl -fsS $s/stats | jq -e '.metrics | has("tc_epoch") and has("tc_legcache_hits_total") and (length >= 10)' > /dev/null
