@@ -466,12 +466,14 @@ func BenchmarkFilterLegFacts(b *testing.B) {
 // with every leg warm: the grid serving deployment (64x64, 8 linear
 // fragments, disconnection sets of about 60 nodes), a corner-to-corner
 // pair, each leg's dense-engine table executed once up front. fresh
-// hands FinishPlan the tables alone, so the loop selects every leg's
-// exit block and folds them; memoized hands the transit legs — entered
-// and left through a disconnection set — the blocks a warm served query
-// gets from its sites' border tables, so the loop selects the first and
-// last legs' blocks only. The answer is checked against Dijkstra on the
-// unfragmented graph. Run with -benchmem.
+// selects every leg's exit block from its table (dsa.SelectExits)
+// inside the loop, as a plan whose every leg arrives as a whole table —
+// a cluster's remote legs — is selected, and folds them; memoized hands
+// the transit legs — entered and left through a disconnection set — the
+// blocks a warm served query gets from its sites' border tables, so the
+// loop selects the first and last legs' blocks only. The answer is
+// checked against Dijkstra on the unfragmented graph. Run with
+// -benchmem.
 func BenchmarkFinishPlan(b *testing.B) {
 	fr, err := servingDeployments[1].build()
 	if err != nil {
@@ -487,30 +489,34 @@ func BenchmarkFinishPlan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fresh := make([]*dsa.LegResult, len(plan.Legs))
+	tables := make([]*tc.CostMatrix, len(plan.Legs))
+	stats := make([]tc.Stats, len(plan.Legs))
 	memoized := make([]*dsa.LegResult, len(plan.Legs))
 	for i, leg := range plan.Legs {
-		table, stats, err := st.ExecuteLegTableCtx(context.Background(), leg.SiteID, leg.Entry, dsa.EngineDense)
-		if err != nil {
+		if tables[i], stats[i], err = st.ExecuteLegTableCtx(context.Background(), leg.SiteID, leg.Entry, dsa.EngineDense); err != nil {
 			b.Fatal(err)
 		}
-		fresh[i] = &dsa.LegResult{Leg: leg, Table: table, Stats: stats}
-		memoized[i] = &dsa.LegResult{Leg: leg, Table: table, Stats: stats}
 		if !slices.Equal(leg.Entry, []graph.NodeID{src}) && !slices.Equal(leg.Exit, []graph.NodeID{dst}) {
-			memoized[i].Block = dsa.SelectExits(table, leg)
+			memoized[i] = &dsa.LegResult{Leg: leg, Block: dsa.SelectExits(tables[i], leg), Stats: stats[i]}
 		}
 	}
 	dist, _ := fr.Base().ShortestPaths(src)
 	want := dist[dst]
 	for _, c := range []struct {
-		name    string
-		results []*dsa.LegResult
-	}{{"fresh", fresh}, {"memoized", memoized}} {
+		name string
+		memo []*dsa.LegResult
+	}{{"fresh", make([]*dsa.LegResult, len(plan.Legs))}, {"memoized", memoized}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
+			results := make([]*dsa.LegResult, len(plan.Legs))
 			for i := 0; i < b.N; i++ {
+				for li, leg := range plan.Legs {
+					if results[li] = c.memo[li]; results[li] == nil {
+						results[li] = &dsa.LegResult{Leg: leg, Block: dsa.SelectExits(tables[li], leg), Stats: stats[li]}
+					}
+				}
 				res, _ := st.PlanResult(plan)
-				if err := st.FinishPlan(plan, c.results, res); err != nil {
+				if err := st.FinishPlan(plan, results, res); err != nil {
 					b.Fatal(err)
 				}
 				if !res.Reachable || math.Abs(res.Cost-want) > 1e-9*(1+want) {

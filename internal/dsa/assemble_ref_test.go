@@ -87,12 +87,13 @@ func referenceAssembleChain(plan *Plan, results []*LegResult, ci int, stats *Ass
 	return cost, ok, nil
 }
 
-// foldMismatch runs FinishPlan over results — each leg's table as its
-// producer returned it — and referenceAssemble over the same legs as
-// relations passed through FilterLegFacts, and describes the first difference: cost
-// bits, reachability, winning chain, join and operand counts, tuples
-// shipped or a site's ResultTuples. It returns "" when they agree.
-func foldMismatch(st *Store, plan *Plan, results []*LegResult) (string, error) {
+// foldMismatch runs FinishPlan over results — each leg's block as its
+// producer returned it — and referenceAssemble over the same legs' full
+// relations (fulls, indexed like results) passed through
+// FilterLegFacts, and describes the first difference: cost bits,
+// reachability, winning chain, join and operand counts, tuples shipped
+// or a site's ResultTuples. It returns "" when they agree.
+func foldMismatch(st *Store, plan *Plan, results []*LegResult, fulls []*relation.Relation) (string, error) {
 	res, done := st.PlanResult(plan)
 	if done {
 		return "", nil
@@ -102,11 +103,7 @@ func foldMismatch(st *Store, plan *Plan, results []*LegResult) (string, error) {
 	}
 	filtered := make([]*LegResult, len(results))
 	for i, lr := range results {
-		full := lr.Rel
-		if lr.Table != nil {
-			full = lr.Table.Relation()
-		}
-		rel, err := FilterLegFacts(full, lr.Leg)
+		rel, err := FilterLegFacts(fulls[i], lr.Leg)
 		if err != nil {
 			return "", err
 		}
@@ -134,11 +131,11 @@ func foldMismatch(st *Store, plan *Plan, results []*LegResult) (string, error) {
 	return "", nil
 }
 
-// blockMemo is a serving cache's exit-block memo in miniature: the
-// block of each transit leg — one a chain enters and leaves through a
-// disconnection set — selected the first time a plan needs it and
-// handed to every later plan as is, keyed by the leg's site, entry set
-// and exit set. reused counts the legs a block memoized by an earlier
+// blockMemo is a site's transit-block memo in miniature: the block of
+// each transit leg — one a chain enters and leaves through a
+// disconnection set — the first plan through it produced, handed to
+// every later plan as is, keyed by the leg's site, entry set and exit
+// set. reused counts the legs a block memoized by an earlier
 // plan answered.
 type blockMemo struct {
 	blocks map[string]*ExitBlock
@@ -161,7 +158,7 @@ func (m *blockMemo) results(plan *Plan, results []*LegResult) []*LegResult {
 			if ok {
 				m.reused++
 			} else {
-				b = SelectExits(lr.Table, lr.Leg)
+				b = lr.Block
 				m.blocks[k] = b
 			}
 			memo.Block = b
@@ -184,21 +181,27 @@ func transitLegs(plan *Plan) map[int]bool {
 }
 
 // foldMatchesReference executes the legs of the src→dst plan with
-// engine and reports whether FinishPlan's fold over the legs' tables
-// and the relational reference over their FilterLegFacts selections
-// agree exactly (foldMismatch).
+// engine and reports whether FinishPlan's fold over the blocks
+// ExecuteLegCtx selects and the relational reference over the
+// FilterLegFacts selections of ExecuteLegFullCtx's relations agree
+// exactly (foldMismatch).
 func foldMatchesReference(st *Store, src, dst graph.NodeID, engine Engine) (bool, error) {
 	plan, err := st.NewPlan(src, dst)
 	if err != nil {
 		return false, err
 	}
+	ctx := context.Background()
 	results := make([]*LegResult, len(plan.Legs))
+	fulls := make([]*relation.Relation, len(plan.Legs))
 	for i, leg := range plan.Legs {
-		if results[i], err = st.ExecuteLegCtx(context.Background(), leg, engine); err != nil {
+		if results[i], err = st.ExecuteLegCtx(ctx, leg, engine); err != nil {
+			return false, err
+		}
+		if fulls[i], _, err = st.ExecuteLegFullCtx(ctx, leg.SiteID, leg.Entry, engine); err != nil {
 			return false, err
 		}
 	}
-	diff, err := foldMismatch(st, plan, results)
+	diff, err := foldMismatch(st, plan, results, fulls)
 	return diff == "", err
 }
 
@@ -244,8 +247,9 @@ func threeWayStore(t *testing.T) *Store {
 }
 
 // TestPropertyFoldOverTablesMatchesReference: FinishPlan folding the
-// legs' tables as a cache holds them agrees with the relational reference over
-// their FilterLegFacts selections (foldMismatch) on the cases the
+// blocks selected from the legs' tables as a cache holds them agrees
+// with the relational reference over the FilterLegFacts selections of
+// their full relations (foldMismatch) on the cases the
 // selection's zero-cost facts have to get right — legs whose entry is
 // also an exit (border-node sources and targets, same-fragment pairs of
 // border nodes, a node in two consecutive disconnection sets), tables
@@ -306,15 +310,20 @@ func TestPropertyFoldOverTablesMatchesReference(t *testing.T) {
 			middle := transitLegs(plan)
 			for _, engine := range Engines() {
 				// Each leg as a cache hands it over: the table and the
-				// stats ExecuteLegTableCtx returned, for no exit set.
+				// stats ExecuteLegTableCtx returned, for no exit set, the
+				// leg's exits selected from it.
 				results := make([]*LegResult, len(plan.Legs))
+				fulls := make([]*relation.Relation, len(plan.Legs))
 				for i, leg := range plan.Legs {
 					table, stats, err := st.ExecuteLegTableCtx(ctx, leg.SiteID, leg.Entry, engine)
+					if err == nil {
+						fulls[i], _, err = st.ExecuteLegFullCtx(ctx, leg.SiteID, leg.Entry, engine)
+					}
 					if err != nil {
 						t.Fatalf("%s %v: leg %+v: %v", name, engine, leg, err)
 					}
-					results[i] = &LegResult{Leg: leg, Table: table, Stats: stats}
 					b := SelectExits(table, leg)
+					results[i] = &LegResult{Leg: leg, Block: b, Stats: stats}
 					for j := range b.exits {
 						if b.zero[j] {
 							entryIsExit++
@@ -342,7 +351,7 @@ func TestPropertyFoldOverTablesMatchesReference(t *testing.T) {
 						markerTables++
 					}
 				}
-				diff, err := foldMismatch(st, plan, results)
+				diff, err := foldMismatch(st, plan, results, fulls)
 				if err != nil {
 					t.Fatalf("%s %v %d→%d: %v", name, engine, p[0], p[1], err)
 				}
@@ -356,7 +365,7 @@ func TestPropertyFoldOverTablesMatchesReference(t *testing.T) {
 				}
 				before := memos[engine].reused
 				memoized := memos[engine].results(plan, results)
-				diff, err = foldMismatch(st, plan, memoized)
+				diff, err = foldMismatch(st, plan, memoized, fulls)
 				if err != nil {
 					t.Fatalf("%s %v %d→%d memoized: %v", name, engine, p[0], p[1], err)
 				}
@@ -386,9 +395,10 @@ func TestPropertyFoldOverTablesMatchesReference(t *testing.T) {
 // FuzzFold holds FinishPlan to the relational reference (foldMismatch)
 // on random small stores — one of the write-path topologies at a fuzzed
 // seed — and random pairs, every engine, with each leg handed over
-// three ways: its table alone (FinishPlan selects the block), with the
-// block ExecuteLegCtx selected, and with every transit leg's block one
-// memoized by an earlier pair's plan.
+// three ways: its full relation from ExecuteLegFullCtx alone
+// (FinishPlan converts and selects it), the block ExecuteLegCtx
+// selected, and with every transit leg's block one memoized by an
+// earlier pair's plan.
 func FuzzFold(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(6))
 	f.Add(int64(7), uint8(1), uint8(9))
@@ -415,20 +425,24 @@ func FuzzFold(f *testing.F) {
 			}
 			for _, engine := range Engines() {
 				produced := make([]*LegResult, len(plan.Legs))
-				tables := make([]*LegResult, len(plan.Legs))
+				relations := make([]*LegResult, len(plan.Legs))
+				fulls := make([]*relation.Relation, len(plan.Legs))
 				for i, leg := range plan.Legs {
 					if produced[i], err = st.ExecuteLegCtx(ctx, leg, engine); err != nil {
 						t.Fatal(err)
 					}
-					tables[i] = &LegResult{Leg: leg, Table: produced[i].Table, Stats: produced[i].Stats}
+					if fulls[i], _, err = st.ExecuteLegFullCtx(ctx, leg.SiteID, leg.Entry, engine); err != nil {
+						t.Fatal(err)
+					}
+					relations[i] = &LegResult{Leg: leg, Rel: fulls[i], Stats: produced[i].Stats}
 				}
 				if memos[engine] == nil {
 					memos[engine] = &blockMemo{}
 				}
 				for how, results := range map[string][]*LegResult{
-					"tables": tables, "produced blocks": produced, "memoized blocks": memos[engine].results(plan, tables),
+					"relations": relations, "produced blocks": produced, "memoized blocks": memos[engine].results(plan, produced),
 				} {
-					diff, err := foldMismatch(st, plan, results)
+					diff, err := foldMismatch(st, plan, results, fulls)
 					if err != nil {
 						t.Fatalf("%v %d→%d over %s: %v", engine, src, dst, how, err)
 					}

@@ -12,13 +12,14 @@ import (
 	"repro/internal/tc"
 )
 
-// This file is the site's own answer to a cross-fragment leg. Every
-// distance such a leg needs depends on its site alone: a leg entered
-// through a disconnection set reads the rows d(b, ·) of its entry
-// nodes b, and a first leg on a site whose augmented graph is symmetric
-// reads d(s, b) = d(b, s) for its exits b. These are rows and columns
-// of one table per site and engine, from all of the site's border
-// nodes — the union of its disconnection sets, whose pairwise
+// This file is the site's own answer to a leg between its border
+// nodes and any node of it. Every distance such a leg needs depends on
+// its site alone: a leg entered through border nodes — a disconnection
+// set, or a source in two fragments — reads the rows d(b, ·) of its
+// entry nodes b, and a one-source leg on a site whose augmented graph
+// is symmetric reads d(s, b) = d(b, s) for its exits b. These are rows
+// and columns of one table per site and engine, from all of the site's
+// border nodes — the union of its disconnection sets, whose pairwise
 // distances §2.1 already materialises as complementary information,
 // and HEPV's per-fragment border table (Jing, Huang & Rundensteiner,
 // TKDE 1998). The first reader that needs a table builds it; every
@@ -220,25 +221,26 @@ func (s *Site) dsIndex(nodes []graph.NodeID) int {
 	return -1
 }
 
-// BorderBlockCtx is a cross-fragment leg answered from its site's
-// border table for engine: its exit block, gathered from the table's
-// cells instead of computed by a kernel. A leg whose entry nodes are
-// all border nodes — a leg entered through a disconnection set —
-// gathers its entry rows; a first leg on a symmetric site, whose exits
-// are border nodes, gathers its source's column. The block is
-// SelectExits(ExecuteLegTableCtx(…), leg) — rows, exits, zero-cost
-// flags and fact count equal; the cells of a row gather bit-equal, and
-// those of a column gather the same costs summed along the reversed
-// path. A leg entered and left through two of the site's disconnection
-// sets gets the one block its first reader memoized on the table.
+// BorderBlockCtx is a leg answered from its site's border table for
+// engine: its exit block, gathered from the table's cells instead of
+// computed by a kernel. A leg whose entry nodes are all border nodes —
+// a leg entered through a disconnection set, or from a source in two
+// fragments — gathers its entry rows; a one-source leg on a symmetric
+// site whose exits are all border nodes gathers its source's column.
+// The block is SelectExits(ExecuteLegTableCtx(…), leg) — rows, exits,
+// zero-cost flags and fact count equal; the cells of a row gather
+// bit-equal, and those of a column gather the same costs summed along
+// the reversed path. A leg entered and left through two of the site's
+// disconnection sets gets the one block its first reader memoized on
+// the table.
 //
 // Entry and exit sets are read as given, sorted and distinct; a leg the
-// tables cannot answer — any other shape, or a first leg on an
-// asymmetric site — returns a nil block and no error, and builds
-// nothing. built reports that this call built the site's table (the
-// work a read saves is the kernel's). The build observes ctx, and a
-// reader canceled while it waits for another's build returns
-// ErrCanceled.
+// tables cannot answer — any other shape, such as a one-source leg off
+// the border on an asymmetric site — returns a nil block and no error,
+// and builds nothing. built reports that this call built the site's
+// table (the work a read saves is the kernel's). The build observes
+// ctx, and a reader canceled while it waits for another's build
+// returns ErrCanceled.
 func (st *Store) BorderBlockCtx(ctx context.Context, leg Leg, engine Engine) (block *ExitBlock, built bool, err error) {
 	if !ValidEngine(engine) {
 		return nil, false, fmt.Errorf("dsa: %w %d", ErrUnknownEngine, engine)
@@ -304,7 +306,7 @@ func (t *borderTable) rowBlock(site *Site, leg Leg, at []int) *ExitBlock {
 		}
 	}
 	slices.Sort(rows)
-	b := &ExitBlock{rows: leg.Entry, exits: exits, zero: make([]bool, len(exits)), cost: make([]float64, len(rows)*len(exits))}
+	b := &ExitBlock{rows: leg.Entry, exits: exits, zero: make([]bool, len(exits))}
 	for i, r := range rows {
 		if i >= len(leg.Entry) || t.m.Rows[r] != leg.Entry[i] {
 			b.rows = make([]graph.NodeID, len(rows))
@@ -315,22 +317,7 @@ func (t *borderTable) rowBlock(site *Site, leg Leg, at []int) *ExitBlock {
 		}
 	}
 	b.rows = b.rows[:len(rows):len(rows)]
-	width, inf := len(t.m.Cols), math.Inf(1)
-	for i, r := range rows {
-		src := t.m.Cost[int(r)*width : (int(r)+1)*width]
-		dst := b.cost[i*len(exits) : (i+1)*len(exits)]
-		for j, col := range cols {
-			v := inf
-			if col >= 0 {
-				v = src[col]
-			}
-			dst[j] = v
-			if v != inf {
-				b.n++
-			}
-		}
-	}
-	b.flagZero(leg.Entry)
+	b.gather(t.m, rows, cols, leg.Entry)
 	return b
 }
 

@@ -13,23 +13,18 @@ import (
 	"repro/internal/tc"
 )
 
-// LegResult is one executed leg: the site's leg table for the leg's
-// entry set, of which the assembly phase joins only the exits' rows.
+// LegResult is one executed leg: its exit block, the one thing the
+// assembly phase folds.
 type LegResult struct {
 	// Leg echoes the executed leg.
 	Leg Leg
-	// Table is the (site, entry) leg table ExecuteLegTableCtx returns;
-	// FinishPlan reads only the cells of Leg.Exit's columns, so a
-	// cached or remote table is passed as is.
-	Table *tc.CostMatrix
-	// Block, when set, is SelectExits(Table, Leg) — built by the
-	// producer, or gathered from the site's border table
-	// (BorderBlockCtx), Table then nil — and is what FinishPlan folds;
-	// without it FinishPlan selects the block itself.
+	// Block is the leg's exits selected from its table
+	// (SelectExits), once, by the producer — or gathered from the
+	// site's border table (BorderBlockCtx).
 	Block *ExitBlock
 	// Rel is the benchmark harness's seam until it reads spans: a
-	// (src, dst, cost) relation FinishPlan converts to a table when
-	// Table and Block are nil. No query path sets it.
+	// (src, dst, cost) relation FinishPlan converts and selects once
+	// when Block is nil. No query path sets it.
 	Rel *relation.Relation
 	// Stats reports the local fixpoint work. FinishPlan charges the leg
 	// the facts its block selects as ResultTuples, whatever the
@@ -132,67 +127,37 @@ func (st *Store) PlanResult(plan *Plan) (res *Result, done bool) {
 
 // FinishPlan folds executed leg results into a PlanResult-initialised
 // res: per-site work accounting, the critical path, and the assembly
-// phase — each leg's exit block (its own, or selected here from its
-// table), then each chain's legs folded over those blocks into a
+// phase — each chain's legs folded over their exit blocks into a
 // source-to-target cost, the cheapest chain winning (the first listed
 // on ties). A leg ships what its block selects — its exits' facts plus
 // a zero-cost fact per exit that is also an entry — and that is what
 // TuplesShipped, MaxOperand and the site's ResultTuples count. results
 // must be indexed like plan.Legs; Elapsed is left to the caller.
 //
-// The blocks selected here share one buffer per call. A result with
-// neither Block nor Table has its Rel converted, once. Relations
-// FilterLegFacts already selected still fold to exact costs, but their
-// zero-cost facts are then selected twice, as a fact and for the entry,
-// so those three counts may over-count by them.
+// A result without a Block has its Rel converted and selected, once.
+// Relations FilterLegFacts already selected still fold to exact costs,
+// but their zero-cost facts are then selected twice, as a fact and for
+// the entry, so those three counts may over-count by them.
 func (st *Store) FinishPlan(plan *Plan, results []*LegResult, res *Result) error {
 	if len(results) != len(plan.Legs) {
 		return fmt.Errorf("dsa: finish: %d results for %d legs", len(results), len(plan.Legs))
 	}
 	blocks := make([]ExitBlock, len(results))
-	var tables []*tc.CostMatrix // the tables of the legs without a block
-	cells, flags, widest := 0, 0, 0
+	widest := 0
 	for i, lr := range results {
 		switch {
-		case lr == nil || (lr.Block == nil && lr.Table == nil && lr.Rel == nil):
+		case lr == nil || (lr.Block == nil && lr.Rel == nil):
 			return fmt.Errorf("dsa: finish: missing result for leg %d", i)
 		case lr.Block != nil:
 			blocks[i] = *lr.Block
-			widest = max(widest, len(blocks[i].exits))
-			continue
-		}
-		if tables == nil {
-			tables = make([]*tc.CostMatrix, len(results))
-		}
-		table := lr.Table
-		if table == nil {
-			var err error
-			if table, err = legTableOf(lr.Rel); err != nil {
+		default:
+			table, err := legTableOf(lr.Rel)
+			if err != nil {
 				return fmt.Errorf("dsa: assemble: leg %d: site %d: %w", i, lr.Leg.SiteID, err)
 			}
+			blocks[i] = *SelectExits(table, lr.Leg)
 		}
-		tables[i] = table
-		blocks[i].exits = distinctExits(lr.Leg.Exit)
-		cells += len(table.Rows) * len(blocks[i].exits)
-		flags += len(blocks[i].exits)
 		widest = max(widest, len(blocks[i].exits))
-	}
-	if tables != nil {
-		buf := cellPool.Get().(*[]float64)
-		defer cellPool.Put(buf)
-		if cap(*buf) < cells {
-			*buf = make([]float64, cells)
-		}
-		cost, zero, cols := (*buf)[:cells], make([]bool, flags), make([]int, widest)
-		for i, table := range tables {
-			if table == nil {
-				continue
-			}
-			b := &blocks[i]
-			nc, nz := len(table.Rows)*len(b.exits), len(b.exits)
-			b.fill(table, results[i].Leg.Entry, b.exits, cost[:nc:nc], zero[:nz:nz], cols)
-			cost, zero = cost[nc:], zero[nz:]
-		}
 	}
 	for i, lr := range results {
 		n := blocks[i].n
@@ -221,10 +186,6 @@ func (st *Store) FinishPlan(plan *Plan, results []*LegResult, res *Result) error
 	}
 	return nil
 }
-
-// cellPool holds the cell buffers of the blocks FinishPlan selects
-// itself; they do not outlive the call, so each call borrows one.
-var cellPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // fold is the assembly's running (node → cost) vector — sorted ids
 // beside their costs — and its scratch, reused across a plan's chains.
@@ -319,7 +280,7 @@ func minPlus2(best, a []float64, ca float64, b []float64, cb float64) {
 	}
 }
 
-// LegFunc obtains one leg's table — the only thing that differs
+// LegFunc obtains one leg's exit block — the only thing that differs
 // between the library, the serving layer and the simulator.
 type LegFunc func(ctx context.Context, leg Leg) (*LegResult, error)
 
@@ -412,10 +373,10 @@ func (st *Store) RunPlanCtx(ctx context.Context, plan *Plan, engine Engine, para
 // with cancellation threaded into the engine kernels (between Dijkstra
 // sources, fixpoint rounds and propagation levels). It is the unit of
 // work a (real or simulated) processor performs; package sim schedules
-// these across simulated sites. Table is ExecuteLegTableCtx's table
-// and Block the leg's exits selected from it, once, for the assembly to
-// fold; Stats.ResultTuples counts the facts the block selects — what
-// the site ships to the coordinator.
+// these across simulated sites. Block is the leg's exits selected
+// from ExecuteLegTableCtx's table, once, for the assembly to fold;
+// Stats.ResultTuples counts the facts the block selects — what the
+// site ships to the coordinator.
 func (st *Store) ExecuteLegCtx(ctx context.Context, leg Leg, engine Engine) (*LegResult, error) {
 	t0 := time.Now()
 	table, stats, err := st.ExecuteLegTableCtx(ctx, leg.SiteID, leg.Entry, engine)
@@ -424,7 +385,7 @@ func (st *Store) ExecuteLegCtx(ctx context.Context, leg Leg, engine Engine) (*Le
 	}
 	block := SelectExits(table, leg)
 	stats.ResultTuples = block.n
-	return &LegResult{Leg: leg, Table: table, Block: block, Stats: stats, Took: time.Since(t0)}, nil
+	return &LegResult{Leg: leg, Block: block, Stats: stats, Took: time.Since(t0)}, nil
 }
 
 // ExecuteLegTableCtx runs a leg engine from an entry set WITHOUT the
@@ -436,7 +397,7 @@ func (st *Store) ExecuteLegCtx(ctx context.Context, leg Leg, engine Engine) (*Le
 // depends only on (site, entry set, engine), while the exit set is a
 // cheap selection (SelectExits gathers the exits' cells, and the
 // columns it discards are never read) — so a serving layer can cache
-// the table under that key and hand it to every query as is. For
+// the table under that key and select every query's exits from it. For
 // EngineBitset a fact carries the presence marker 1 (the table is a
 // connectivity table). Whatever the engine, a cell holds a fact iff the
 // engine derives one: the dense kernel keeps a source's cycle back to

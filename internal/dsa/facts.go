@@ -100,12 +100,56 @@ const blockHeader = 104
 // SelectExits is the exit-set selection — disconnection sets "act as
 // intermediate nodes that must be mandatorily traversed" (§2.1), a
 // keyhole on the per-fragment subquery — of leg from its table, into a
-// block of its own.
+// block of its own: every row of the table by the leg's distinct exits,
+// ascending.
 func SelectExits(table *tc.CostMatrix, leg Leg) *ExitBlock {
 	exits := distinctExits(leg.Exit)
-	b := &ExitBlock{}
-	b.fill(table, leg.Entry, exits, make([]float64, len(table.Rows)*len(exits)), make([]bool, len(exits)), make([]int, len(exits)))
+	var buf [8]int32 // up to 8 exits need no heap for cols
+	cols := slices.Grow(buf[:0], len(exits))
+	for _, x := range exits {
+		c, ok := table.Col(x)
+		if !ok {
+			c = -1
+		}
+		cols = append(cols, int32(c))
+	}
+	b := &ExitBlock{rows: table.Rows, exits: exits, zero: make([]bool, len(exits))}
+	b.gather(table, nil, cols, leg.Entry)
 	return b
+}
+
+// gather is the one pass that fills a block whose exits and zero flags
+// are allocated: it copies the cells of m's rows at indices rows (nil:
+// every row, in order) in the columns cols (-1: none, read as +Inf),
+// at ascending offsets of each row, and counts the finite ones; then
+// each exit that is also an entry node is flagged and counted, once
+// whatever the entry set repeats.
+func (b *ExitBlock) gather(m *tc.CostMatrix, rows, cols []int32, entry []graph.NodeID) {
+	n := len(rows)
+	if rows == nil {
+		n = len(m.Rows)
+	}
+	b.cost = make([]float64, n*len(cols))
+	width, inf := len(m.Cols), math.Inf(1)
+	for i := range n {
+		r := i
+		if rows != nil {
+			r = int(rows[i])
+		}
+		src := m.Cost[r*width : (r+1)*width]
+		dst := b.cost[i*len(cols) : (i+1)*len(cols)]
+		for j, c := range cols[:len(dst)] {
+			v := inf
+			if c >= 0 {
+				v = src[c]
+			}
+			dst[j] = v
+			if v != inf {
+				b.n++
+			}
+		}
+	}
+	b.flagZero(entry)
 }
 
 // bytes is what a memoized block holds of its own: its cells at 8 B,
@@ -125,42 +169,6 @@ func distinctExits(exit []graph.NodeID) []graph.NodeID {
 		}
 	}
 	return exit
-}
-
-// fill selects exits, distinct and ascending, out of table into the
-// block, over the caller's buffers: cost (len(table.Rows)*len(exits)
-// cells), zero (len(exits), all false) and cols (len(exits), scratch).
-// The one gather pass copies
-// each row's exit cells, at ascending offsets of that row, and counts
-// the finite ones; an exit that is also an entry is flagged and
-// counted once, whatever the entry set repeats.
-func (b *ExitBlock) fill(table *tc.CostMatrix, entry, exits []graph.NodeID, cost []float64, zero []bool, cols []int) {
-	*b = ExitBlock{rows: table.Rows, exits: exits, zero: zero, cost: cost}
-	for j, x := range exits {
-		if c, ok := table.Col(x); ok {
-			cols[j] = c
-		} else {
-			cols[j] = -1
-		}
-	}
-	width, n := len(table.Cols), 0
-	inf := math.Inf(1)
-	for r := range table.Rows {
-		src := table.Cost[r*width : (r+1)*width]
-		dst := cost[r*len(exits) : (r+1)*len(exits)]
-		for j, c := range cols[:len(dst)] {
-			v := inf
-			if c >= 0 {
-				v = src[c]
-			}
-			dst[j] = v
-			if v != inf {
-				n++
-			}
-		}
-	}
-	b.n = n
-	b.flagZero(entry)
 }
 
 // FilterLegFacts is the reference selection over a (src, dst, cost)

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -26,13 +27,34 @@ func tupleKeys(r *relation.Relation) string {
 	return strings.Join(keys, "\n")
 }
 
+// blockKeys renders the facts a block selects — its finite cells, then
+// a zero-cost fact per flagged exit — as a sorted multiset of tuple
+// keys, comparable with tupleKeys of a FilterLegFacts selection.
+func blockKeys(b *ExitBlock) string {
+	var keys []string
+	for r, src := range b.rows {
+		for j, x := range b.exits {
+			if c := b.cost[r*len(b.exits)+j]; !math.IsInf(c, 1) {
+				keys = append(keys, relation.Tuple{int64(src), int64(x), c}.Key())
+			}
+		}
+	}
+	for j, x := range b.exits {
+		if b.zero[j] {
+			keys = append(keys, relation.Tuple{int64(x), int64(x), 0.0}.Key())
+		}
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, "\n")
+}
+
 // TestExecuteLegFullMatchesExecuteLeg is the contract the serving
 // layer's leg-result cache rests on: ExecuteLegCtx hands the assembly
-// exactly the table ExecuteLegTableCtx computes — the one a cache
-// stores and passes on as is, and ExecuteLegFullCtx renders as a
-// relation — and counts the facts the fold will select from it,
-// FilterLegFacts' selection, as its ResultTuples, for every engine and
-// every leg of real plans.
+// exactly the block SelectExits selects from the table
+// ExecuteLegTableCtx computes — the one a cache stores, selecting each
+// query's exits from it — whose facts are FilterLegFacts' selection
+// from the relation ExecuteLegFullCtx renders, and counts them as its
+// ResultTuples, for every engine and every leg of real plans.
 func TestExecuteLegFullMatchesExecuteLeg(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23} {
 		rng := rand.New(rand.NewSource(seed))
@@ -54,17 +76,22 @@ func TestExecuteLegFullMatchesExecuteLeg(t *testing.T) {
 					if err != nil {
 						t.Fatalf("ExecuteLeg(%v, %v): %v", leg, engine, err)
 					}
+					table, _, err := st.ExecuteLegTableCtx(context.Background(), leg.SiteID, leg.Entry, engine)
+					if err != nil {
+						t.Fatalf("ExecuteLegTable(%d, %v, %v): %v", leg.SiteID, leg.Entry, engine, err)
+					}
+					checkBlock(t, fmt.Sprintf("seed %d engine %v leg %+v", seed, engine, leg), direct.Block, SelectExits(table, leg), false)
 					full, _, err := st.ExecuteLegFullCtx(context.Background(), leg.SiteID, leg.Entry, engine)
 					if err != nil {
 						t.Fatalf("ExecuteLegFull(%d, %v, %v): %v", leg.SiteID, leg.Entry, engine, err)
 					}
-					if !slices.EqualFunc(direct.Table.Relation().Tuples(), full.Tuples(), func(a, b relation.Tuple) bool { return a.Key() == b.Key() }) {
-						t.Errorf("seed %d engine %v leg %+v:\nExecuteLegCtx:\n%s\nExecuteLegFullCtx:\n%s",
-							seed, engine, leg, direct.Table.Relation(), full)
-					}
 					filtered, err := FilterLegFacts(full, leg)
 					if err != nil {
 						t.Fatalf("FilterLegFacts: %v", err)
+					}
+					if got, want := blockKeys(direct.Block), tupleKeys(filtered); got != want {
+						t.Errorf("seed %d engine %v leg %+v:\nExecuteLegCtx's block:\n%s\nFilterLegFacts of ExecuteLegFullCtx:\n%s",
+							seed, engine, leg, got, want)
 					}
 					if direct.Stats.ResultTuples != filtered.Len() {
 						t.Errorf("seed %d engine %v leg %+v: ResultTuples %d, FilterLegFacts keeps %d",

@@ -55,7 +55,7 @@ type CompInfo struct {
 // disconnection sets (§2.1) — and the search structures derived from
 // those two: one graph, built with the site, and the CSR and relational
 // forms of it, each built when an engine first asks, and its border
-// tables (border.go), each built when a cross-fragment leg first asks.
+// tables (border.go), each built when a leg first asks.
 type Site struct {
 	// ID is the fragment ID this site stores.
 	ID int

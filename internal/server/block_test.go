@@ -79,10 +79,12 @@ func interior(st *dsa.Store, frag int) []graph.NodeID {
 // border table per site it crosses and reads every leg from them, the
 // leg cache untouched; a second query with other endpoints through the
 // same middle fragments builds nothing and folds the very transit
-// blocks the first memoized; a write that rebuilds a middle site drops
-// its table from the snapshot's bytes, and the next query builds the
-// rebuilt site's table alone and memoizes a fresh block on it. The warm
-// server then answers every pair asked as the oracle does.
+// blocks the first memoized; a same-fragment pair from a border node
+// reads its one leg from its site's table, the leg cache still
+// untouched; a write that rebuilds a middle site drops its table from
+// the snapshot's bytes, and the next query builds the rebuilt site's
+// table alone and memoizes a fresh block on it. The warm server then
+// answers every pair asked as the oracle does.
 func TestServedTransitBlocks(t *testing.T) {
 	srv, st := newGridServer(t, 8, 8, 4, Config{CacheCapacity: 256})
 	ask := func(when string, src, dst graph.NodeID) tcq.RunStats {
@@ -136,13 +138,32 @@ func TestServedTransitBlocks(t *testing.T) {
 	if warm := srv.Stats().SiteTables; warm.Builds != cold.SiteTables.Builds || warm.Bytes != cold.SiteTables.Bytes {
 		t.Errorf("second pair: site tables %+v, after the cold query %+v; want no build and no new block", warm, cold.SiteTables)
 	}
+	var border graph.NodeID = -1
+	for _, n := range st.Fragmentation().Base().Nodes() {
+		if len(st.Fragmentation().FragmentsOf(n)) > 1 {
+			border = n
+			break
+		}
+	}
+	inner := interior(st, st.Fragmentation().FragmentsOf(border)[0])
+	if same, err := st.NewPlan(border, inner[0]); err != nil || !same.SameFragment || len(same.Legs) != 1 {
+		t.Fatalf("%d→%d: plan %+v, err %v; want one same-fragment leg", border, inner[0], same, err)
+	}
+	warm := srv.Stats()
+	if rs := ask("same fragment", border, inner[0]); rs.CacheHits != 1 || rs.CacheMisses != 0 {
+		t.Errorf("same-fragment pair from border node %d: %+v; want its one leg a hit", border, rs)
+	}
+	if got := srv.Stats(); got.SiteTables.Reads != warm.SiteTables.Reads+1 || got.SiteTables.Builds != warm.SiteTables.Builds || got.Cache != warm.Cache {
+		t.Errorf("same-fragment pair from border node %d: site tables %+v, leg cache %+v; want one more read than %+v, no build, the cache as it was (%+v)",
+			border, got.SiteTables, got.Cache, warm.SiteTables, warm.Cache)
+	}
 
 	// An edge between two interior nodes of a middle fragment rebuilds
 	// its site, which starts without a table.
 	leg := first[0]
 	old := srv.Dataset().Snapshot().Store().Site(leg.SiteID)
 	before := srv.Stats().SiteTables
-	inner := interior(st, leg.SiteID)
+	inner = interior(st, leg.SiteID)
 	if err := applyOne(srv, tcq.Insert(leg.SiteID, int(inner[0]), int(inner[len(inner)-1]), 1e6)); err != nil {
 		t.Fatal(err)
 	}

@@ -24,13 +24,15 @@ import (
 // while an entry names it.
 //
 // Only the legs a site's border tables cannot answer get here (see
-// executeLegLocal): the legs of same-fragment plans, first legs on
-// asymmetric sites, and peers' /v1/leg requests. The exit set is
-// deliberately absent — the assembly folds a leg's exit block, which
-// dsa.SelectExits gathers from the table for any exit set — so queries
-// from one source to different targets share entries. The mode is
-// likewise absent because a leg's table depends only on the engine,
-// letting cost and connectivity traffic share entries.
+// executeLegLocal) — legs from a source off the border on an
+// asymmetric site or to a target off it too, one source row each — and
+// peers' /v1/leg requests, whose entry set may be a whole disconnection
+// set. The exit set is deliberately absent — the assembly folds a
+// leg's exit block, which dsa.SelectExits gathers from the table for
+// any exit set — so queries from one source to different targets share
+// entries. The mode is likewise absent because a leg's table depends
+// only on the engine, letting cost and connectivity traffic share
+// entries.
 type legKey struct {
 	site   *dsa.Site
 	engine dsa.Engine

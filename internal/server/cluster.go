@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dsa"
+	"repro/internal/tc"
 	"repro/pkg/tcq"
 )
 
@@ -102,7 +103,13 @@ func (s *Server) handleV1Leg(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// No exit set: the peer gets the whole table and selects its own.
-	lr, hit, err := s.executeLegLocal(r.Context(), snap, dsa.Leg{SiteID: req.Site, Entry: req.EntryNodes()}, engine, false)
+	var table *tc.CostMatrix
+	var stats tc.Stats
+	var hit bool
+	_, err = s.onSite(r.Context(), req.Site, func() (err error) {
+		table, stats, hit, err = s.cachedTable(r.Context(), snap, req.Site, req.EntryNodes(), engine)
+		return err
+	})
 	if err != nil {
 		writeV1Error(w, err)
 		return
@@ -110,7 +117,7 @@ func (s *Server) handleV1Leg(w http.ResponseWriter, r *http.Request) {
 	if s.cluster != nil {
 		s.cluster.LocalLeg()
 	}
-	writeJSON(w, http.StatusOK, cluster.NewLegTableResponse(req.Epoch, hit, lr.Table, lr.Stats))
+	writeJSON(w, http.StatusOK, cluster.NewLegTableResponse(req.Epoch, hit, table, stats))
 }
 
 // fanOutUpdate forwards one just-applied transaction to every peer and

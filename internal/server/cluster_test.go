@@ -203,7 +203,10 @@ func TestClusterForwardedLoopGuard(t *testing.T) {
 // TestV1LegWireMatchesRelation: /v1/leg builds its body from the leg
 // table the cache holds, and for every engine the body is byte for
 // byte the one the relation of ExecuteLegFullCtx flattens to — the wire
-// stays what it was when leg tables were relations.
+// stays what it was when leg tables were relations. The leg is entered
+// through a disconnection set and its site's border table is built,
+// yet the request, which names no exit set, reads nothing from it: it
+// gets the whole (entry × site) table.
 func TestV1LegWireMatchesRelation(t *testing.T) {
 	tcl := newTestCluster(t, 6, 6, 4, 2, nil)
 	st := tcl.servers[0].Dataset().Snapshot().Store()
@@ -213,6 +216,12 @@ func TestV1LegWireMatchesRelation(t *testing.T) {
 		t.Fatalf("plan %+v, err %v; want a leg entered through a disconnection set", plan, err)
 	}
 	leg := plan.Legs[1]
+	for _, engine := range dsa.Engines() {
+		if _, built, err := st.BorderBlockCtx(context.Background(), leg, engine); err != nil || !built {
+			t.Fatalf("%v: built %v, err %v; want this read to build the site's table", engine, built, err)
+		}
+	}
+	before := scrape(t, tcl.https[0].Config.Handler)["tc_site_table_reads_total"]
 	for _, engine := range dsa.Engines() {
 		raw, err := json.Marshal(cluster.NewLegRequest(leg.SiteID, leg.Entry, engine.String(), 0))
 		if err != nil {
@@ -242,6 +251,9 @@ func TestV1LegWireMatchesRelation(t *testing.T) {
 		if rel.Len() == 0 {
 			t.Errorf("%v: the leg has no facts to compare", engine)
 		}
+	}
+	if after := scrape(t, tcl.https[0].Config.Handler)["tc_site_table_reads_total"]; after != before {
+		t.Errorf("tc_site_table_reads_total went %v → %v; a peer's leg never reads the site tables", before, after)
 	}
 }
 

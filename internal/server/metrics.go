@@ -110,16 +110,16 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Sweep passes (one per applied batch).",
 		func() float64 { return float64(cache.snapshot().Sweeps) })
 
-	// Site border tables: the legs of cross-fragment plans read them
+	// Site border tables: every query leg they can answer reads them
 	// instead of the leg cache. Every engine's builds child exists from
 	// the start, so a scrape shows the zeros.
 	builds := reg.CounterVec("tc_site_table_builds_total",
-		"Site border tables built by a cross-fragment leg's read, by engine.", "engine")
+		"Site border tables built by a leg's read, by engine.", "engine")
 	for _, engine := range dsa.Engines() {
 		m.tableBuilds = append(m.tableBuilds, builds.With(engine.String()))
 	}
 	m.tableReads = reg.Counter("tc_site_table_reads_total",
-		"Cross-fragment legs gathered from site border tables, the building reads included.")
+		"Legs gathered from site border tables, the building reads included.")
 	reg.GaugeFunc("tc_site_table_bytes",
 		"Bytes the current snapshot's built site border tables and their memoized transit blocks hold.",
 		func() float64 { return float64(s.siteTables().Bytes) })

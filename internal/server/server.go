@@ -1,10 +1,11 @@
 // Package server is the long-lived query-serving layer over a tcq
 // dataset: one gate per site (the paper's one processor per fragment:
 // a site runs one leg at a time, whoever asks), the sites' border
-// tables, from which every leg of a cross-fragment plan gathers its
-// cells (dsa.Store.BorderBlockCtx), a bounded LRU leg-result cache for
-// the legs those tables cannot answer — same-fragment plans, first legs
-// on asymmetric sites, peers' /v1/leg requests — and an HTTP/JSON API.
+// tables, from which every query leg they can answer gathers its cells
+// (dsa.Store.BorderBlockCtx), a bounded LRU leg-result cache for the
+// rest — legs from a source off the border on an asymmetric site or to
+// a target off it too, and peers' /v1/leg requests — and an HTTP/JSON
+// API.
 // It turns the one-shot library pipeline into the serving system the
 // ROADMAP's "heavy traffic" north star asks for: many concurrent
 // queries interleave their per-site legs exactly the way the paper's
@@ -41,7 +42,10 @@ import (
 // Config tunes a Server.
 type Config struct {
 	// CacheCapacity bounds the leg-result cache in entries; 0 disables
-	// memoization.
+	// memoization. On a single node every entry is one source row, so
+	// the cache holds at most CacheCapacity × (largest site × 8 B +
+	// overhead); on a cluster member a peer's leg entered through a
+	// disconnection set holds one row per node of that set.
 	CacheCapacity int
 	// Cluster enables multi-node scatter-gather: legs of sites the
 	// coordinator assigns to peers execute remotely over its transport,
@@ -185,10 +189,11 @@ func (s *Server) Close() { s.unsubscribe() }
 // RunLegs already runs for the leg's site, a locally owned leg is one
 // executeLegLocal call; in cluster deployments a leg of a remotely
 // owned site is shipped to its owner instead (scatter) — an I/O-bound
-// wait here while the owner's /v1/leg handler makes the same
-// executeLegLocal call — and when the owner is unreachable the
-// degraded-mode fallback makes it here after all. Assembly (gather) is
-// oblivious to where a leg ran.
+// wait here while the owner's /v1/leg handler looks the whole table up
+// on the site, whose exits are then selected here — and when the owner
+// is unreachable the degraded-mode fallback makes the executeLegLocal
+// call here after all. Assembly (gather) is oblivious to where a leg
+// ran.
 func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target graph.NodeID, engine dsa.Engine) (*dsa.Result, tcq.RunStats, error) {
 	if !dsa.ValidEngine(engine) {
 		return nil, tcq.RunStats{}, fmt.Errorf("server: %w %d", dsa.ErrUnknownEngine, int(engine))
@@ -207,7 +212,7 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 		var hit bool
 		var err error
 		if s.cluster == nil || s.cluster.IsLocal(leg.SiteID) {
-			if lr, hit, err = s.executeLegLocal(ctx, snap, leg, engine, !plan.SameFragment); err == nil && s.cluster != nil {
+			if lr, hit, err = s.executeLegLocal(ctx, snap, leg, engine); err == nil && s.cluster != nil {
 				s.cluster.LocalLeg()
 			}
 		} else {
@@ -220,7 +225,7 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 			table, stats, hit, err = s.cluster.ExecuteLeg(ctx, leg.SiteID, leg.Entry, engine.String(), snap.Epoch())
 			switch {
 			case err == nil:
-				lr = &dsa.LegResult{Leg: leg, Table: table, Stats: stats, Took: time.Since(t0)}
+				lr = &dsa.LegResult{Leg: leg, Block: dsa.SelectExits(table, leg), Stats: stats, Took: time.Since(t0)}
 			case cluster.FallbackEligible(err):
 				// Degraded mode: the owner is unreachable (down, timed
 				// out, or its breaker is open), but every node builds the
@@ -228,7 +233,7 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 				// pinned snapshot, and answer correctly instead of failing
 				// the query. Protocol errors (epoch skew, bad response)
 				// are NOT eligible: falling back would mask incoherence.
-				if lr, hit, err = s.executeLegLocal(ctx, snap, leg, engine, !plan.SameFragment); err == nil {
+				if lr, hit, err = s.executeLegLocal(ctx, snap, leg, engine); err == nil {
 					s.cluster.FallbackLeg(leg.SiteID)
 					fallbackMu.Lock()
 					fallbackSites = append(fallbackSites, leg.SiteID)
@@ -253,27 +258,54 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 	return res, tcq.RunStats{CacheHits: int(hits.Load()), CacheMisses: int(misses.Load()), FallbackSites: fallbackSites}, nil
 }
 
-// executeLegLocal is the one way a leg runs on this node, whoever asks:
-// a query's locally owned leg, a degraded-mode fallback for an
-// unreachable owner, or a peer's /v1/leg request. It waits for the
-// site's gate — giving up with ErrCanceled when ctx ends first, so a
-// canceled query stops queueing for its turn — and, holding it,
-// obtains the leg and charges the site one leg and the time the gate
-// was held. A leg of a cross-fragment plan (fromTables) is gathered
-// from the snapshot site's border table (dsa.Store.BorderBlockCtx) —
-// a hit, unless this read built the table. Any other leg, and one the
-// tables cannot answer, looks the table of the snapshot's site, entry
-// set and engine up in the leg cache and runs the kernel on a miss;
-// that table goes out as is — the assembly selects the leg's exits, on
-// whichever node gathers the legs — so a peer's request, which names
-// no exit set, fills and hits the same entries as local traffic. The
-// site index may come off the wire, so it is checked before it indexes
-// anything.
-func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg dsa.Leg, engine dsa.Engine, fromTables bool) (*dsa.LegResult, bool, error) {
-	if leg.SiteID < 0 || leg.SiteID >= len(s.gates) {
-		return nil, false, fmt.Errorf("server: %w: leg site %d out of range", dsa.ErrUnknownSite, leg.SiteID)
+// executeLegLocal runs a query's leg on this node — a locally owned
+// leg, or a degraded-mode fallback for an unreachable owner — on its
+// site (onSite). The snapshot site's border table answers it when it
+// can (dsa.Store.BorderBlockCtx): a hit, unless this read built the
+// table. Any other leg selects its exits from the table cachedTable
+// returns, after the site's gate is released.
+func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg dsa.Leg, engine dsa.Engine) (*dsa.LegResult, bool, error) {
+	lr := &dsa.LegResult{Leg: leg}
+	var table *tc.CostMatrix
+	var hit bool
+	took, err := s.onSite(ctx, leg.SiteID, func() error {
+		block, built, err := snap.Store().BorderBlockCtx(ctx, leg, engine)
+		if err != nil {
+			return err
+		}
+		if block != nil {
+			s.metrics.tableReads.Inc()
+			if built {
+				s.metrics.tableBuilds[engine].Inc()
+			}
+			lr.Block, hit = block, !built
+			return nil
+		}
+		table, lr.Stats, hit, err = s.cachedTable(ctx, snap, leg.SiteID, leg.Entry, engine)
+		return err
+	})
+	if err != nil {
+		return nil, false, err
 	}
-	gate := s.gates[leg.SiteID]
+	if table != nil {
+		lr.Block = dsa.SelectExits(table, leg)
+	}
+	lr.Took = took
+	return lr, hit, nil
+}
+
+// onSite is the one way work runs on a site of this node, whoever asks:
+// a query's leg (executeLegLocal) or a peer's /v1/leg request. It waits
+// for the site's gate — giving up with ErrCanceled when ctx ends first,
+// so a canceled query stops queueing for its turn — and, holding it,
+// runs fn and charges the site one leg and the time the gate was held,
+// which it returns. The site index may come off the wire, so it is
+// checked before it indexes anything.
+func (s *Server) onSite(ctx context.Context, siteID int, fn func() error) (time.Duration, error) {
+	if siteID < 0 || siteID >= len(s.gates) {
+		return 0, fmt.Errorf("server: %w: leg site %d out of range", dsa.ErrUnknownSite, siteID)
+	}
+	gate := s.gates[siteID]
 	select {
 	case gate <- struct{}{}:
 		defer func() { <-gate }()
@@ -282,40 +314,33 @@ func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg ds
 	// Also covers a gate won by a query that was canceled while it
 	// waited: its leg becomes a no-op instead of occupying the site.
 	if ctx.Err() != nil {
-		return nil, false, fmt.Errorf("server: %w (%w)", dsa.ErrCanceled, context.Cause(ctx))
+		return 0, fmt.Errorf("server: %w (%w)", dsa.ErrCanceled, context.Cause(ctx))
 	}
 	t0 := time.Now()
-	var lr *dsa.LegResult
-	var hit bool
-	if fromTables {
-		block, built, err := snap.Store().BorderBlockCtx(ctx, leg, engine)
-		if err != nil {
-			return nil, false, err
-		}
-		if block != nil {
-			s.metrics.tableReads.Inc()
-			if built {
-				s.metrics.tableBuilds[engine].Inc()
-			}
-			lr, hit = &dsa.LegResult{Leg: leg, Block: block}, !built
-		}
+	if err := fn(); err != nil {
+		return 0, err
 	}
-	if lr == nil {
-		key := newLegKey(snap.Store().Site(leg.SiteID), leg.Entry, engine)
-		table, stats, cached := s.cache.get(key)
-		if !cached {
-			var err error
-			if table, stats, err = snap.Store().ExecuteLegTableCtx(ctx, leg.SiteID, leg.Entry, engine); err != nil {
-				return nil, false, err
-			}
-			s.cache.put(key, table, stats)
-		}
-		lr, hit = &dsa.LegResult{Leg: leg, Table: table, Stats: stats}, cached
+	took := time.Since(t0)
+	s.siteLegs[siteID].Add(1)
+	s.siteBusyNS[siteID].Add(int64(took))
+	return took, nil
+}
+
+// cachedTable is the leg table of the snapshot's site, entry set and
+// engine from the leg cache, the kernel's on a miss; hit reports a
+// cached one. The table names no exit set, so a peer's /v1/leg request
+// gets it whole and fills and hits the same entries as local traffic.
+func (s *Server) cachedTable(ctx context.Context, snap *tcq.Snapshot, siteID int, entry []graph.NodeID, engine dsa.Engine) (*tc.CostMatrix, tc.Stats, bool, error) {
+	key := newLegKey(snap.Store().Site(siteID), entry, engine)
+	if table, stats, hit := s.cache.get(key); hit {
+		return table, stats, true, nil
 	}
-	lr.Took = time.Since(t0)
-	s.siteLegs[leg.SiteID].Add(1)
-	s.siteBusyNS[leg.SiteID].Add(int64(lr.Took))
-	return lr, hit, nil
+	table, stats, err := snap.Store().ExecuteLegTableCtx(ctx, siteID, entry, engine)
+	if err != nil {
+		return nil, tc.Stats{}, false, err
+	}
+	s.cache.put(key, table, stats)
+	return table, stats, false, nil
 }
 
 // ApplyBatch applies a transactional batch of edge operations through

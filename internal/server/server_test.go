@@ -251,7 +251,7 @@ func TestSupersededSiteCollectable(t *testing.T) {
 	unasked := dsa.Leg{SiteID: frag, Entry: nodes[len(nodes)-1:]}
 	ctx := context.Background()
 	for _, l := range []dsa.Leg{leg, unasked} {
-		if _, _, err := srv.executeLegLocal(ctx, srv.Dataset().Snapshot(), l, dsa.EngineDense, false); err != nil {
+		if _, _, _, err := srv.cachedTable(ctx, srv.Dataset().Snapshot(), l.SiteID, l.Entry, dsa.EngineDense); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -263,7 +263,7 @@ func TestSupersededSiteCollectable(t *testing.T) {
 	if after := srv.Stats().Cache; after.Entries != 0 || after.Invalidated-before.Invalidated != 2 {
 		t.Fatalf("after the write: %d entries, %d invalidated; want the superseded site's 2 dropped", after.Entries, after.Invalidated-before.Invalidated)
 	}
-	if _, hit, err := srv.executeLegLocal(ctx, srv.Dataset().Snapshot(), leg, dsa.EngineDense, false); err != nil || hit {
+	if _, _, hit, err := srv.cachedTable(ctx, srv.Dataset().Snapshot(), leg.SiteID, leg.Entry, dsa.EngineDense); err != nil || hit {
 		t.Fatalf("first leg on the rebuilt site: hit %v, err %v; want a miss", hit, err)
 	}
 	// Writes elsewhere push the old generation out of the history.
@@ -306,12 +306,12 @@ func TestPinnedReaderHitsSharedSite(t *testing.T) {
 	}
 	leg := dsa.Leg{SiteID: shared, Entry: cur.Store().Site(shared).Augmented().Nodes()[:1]}
 	ctx := context.Background()
-	put, hit, err := srv.executeLegLocal(ctx, cur, leg, dsa.EngineDijkstra, false)
+	put, _, hit, err := srv.cachedTable(ctx, cur, leg.SiteID, leg.Entry, dsa.EngineDijkstra)
 	if err != nil || hit {
 		t.Fatalf("first leg at epoch %d: hit %v, err %v; want a miss", cur.Epoch(), hit, err)
 	}
-	got, hit, err := srv.executeLegLocal(ctx, old, leg, dsa.EngineDijkstra, false)
-	if err != nil || !hit || got.Table != put.Table {
+	got, _, hit, err := srv.cachedTable(ctx, old, leg.SiteID, leg.Entry, dsa.EngineDijkstra)
+	if err != nil || !hit || got != put {
 		t.Errorf("leg pinned at epoch %d on shared site %d: hit %v, err %v; want the epoch-%d table", old.Epoch(), shared, hit, err, cur.Epoch())
 	}
 }
