@@ -12,6 +12,7 @@ package benches
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -21,6 +22,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/cluster"
 	"repro/internal/dsa"
 	"repro/internal/fragment"
 	"repro/internal/fragment/bea"
@@ -523,6 +525,72 @@ func BenchmarkFinishPlan(b *testing.B) {
 					b.Fatalf("%d -> %d: cost %v (reachable %v), Dijkstra %v", src, dst, res.Cost, res.Reachable, want)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkLegWire reports what one /v1/leg answer costs on the wire
+// for a grid-point query's legs: the grid serving deployment (64x64, 8
+// linear fragments), a corner-to-corner pair, each leg's dense-engine
+// table executed once up front. whole ships every leg's whole table, as
+// a request without an exit set asks for it; exits ships the facts of
+// its exit block only, as a coordinator's request with the leg's exits
+// does. The loop is the codec alone, per plan: the owner flattening the
+// facts and encoding them as JSON, the coordinator decoding them,
+// rebuilding the table and selecting the leg's exits. B/req and us/req
+// are per leg. A report, not a gate: no declared workload runs a
+// cluster.
+func BenchmarkLegWire(b *testing.B) {
+	fr, err := servingDeployments[1].build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := dsa.Build(fr, dsa.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	nodes := fr.Base().Nodes()
+	plan, err := st.NewPlan(nodes[0], nodes[len(nodes)-1])
+	if err != nil {
+		b.Fatal(err)
+	}
+	whole := make([]*tc.CostMatrix, len(plan.Legs))
+	exits := make([]*tc.CostMatrix, len(plan.Legs))
+	for i, leg := range plan.Legs {
+		if whole[i], _, err = st.ExecuteLegTableCtx(context.Background(), leg.SiteID, leg.Entry, dsa.EngineDense); err != nil {
+			b.Fatal(err)
+		}
+		exits[i] = dsa.SelectExits(whole[i], leg).Matrix()
+	}
+	for _, c := range []struct {
+		name   string
+		tables []*tc.CostMatrix
+	}{{"whole", whole}, {"exits", exits}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var wire int
+			for i := 0; i < b.N; i++ {
+				wire = 0
+				for li, leg := range plan.Legs {
+					body, err := json.Marshal(cluster.NewLegTableResponse(0, true, c.tables[li], tc.Stats{}))
+					if err != nil {
+						b.Fatal(err)
+					}
+					wire += len(body)
+					var resp cluster.LegResponse
+					if err := json.Unmarshal(body, &resp); err != nil {
+						b.Fatal(err)
+					}
+					table, _, err := resp.Table()
+					if err != nil {
+						b.Fatal(err)
+					}
+					dsa.SelectExits(table, leg)
+				}
+			}
+			legs := float64(len(plan.Legs))
+			b.ReportMetric(float64(wire)/legs, "B/req")
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/legs, "us/req")
 		})
 	}
 }

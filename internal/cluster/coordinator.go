@@ -148,10 +148,12 @@ func (c *Coordinator) FallbackLeg(site int) {
 }
 
 // ExecuteLeg ships one leg to the site's remote owner at the pinned
-// epoch and rebuilds the returned leg table. The site must not be
-// local (the caller routes local sites through its own executor). A
-// peer answering from a different generation than it was asked for is
-// an ErrEpochSkew — the response echo is the coherence check.
+// epoch and rebuilds the table of the facts it returns: the leg's
+// exit-restricted result, or its whole table when exit is empty. The
+// site must not be local (the caller routes local sites through its
+// own executor). A peer answering from a different generation than it
+// was asked for is an ErrEpochSkew — the response echo is the
+// coherence check.
 //
 // Legs are pure epoch-pinned reads, so transport failures (peer
 // down/timeout) are retried up to the configured attempt budget with
@@ -160,7 +162,7 @@ func (c *Coordinator) FallbackLeg(site int) {
 // breaker refuses immediately with an error that matches both
 // ErrBreakerOpen and ErrPeerDown, letting the serving layer fall back
 // to local execution without a new error path.
-func (c *Coordinator) ExecuteLeg(ctx context.Context, site int, entry []graph.NodeID, engine string, epoch uint64) (*tc.CostMatrix, tc.Stats, bool, error) {
+func (c *Coordinator) ExecuteLeg(ctx context.Context, site int, entry, exit []graph.NodeID, engine string, epoch uint64) (*tc.CostMatrix, tc.Stats, bool, error) {
 	owner := c.Owner(site)
 	t := c.transports[owner.ID]
 	if t == nil {
@@ -168,6 +170,7 @@ func (c *Coordinator) ExecuteLeg(ctx context.Context, site int, entry []graph.No
 		return nil, tc.Stats{}, false, fmt.Errorf("cluster: site %d is owned locally by %s; remote execution is for remote owners", site, c.self.ID)
 	}
 	req := NewLegRequest(site, entry, engine, epoch)
+	req.Exit = ids[int64](exit)
 	var lastErr error
 	for attempt := 1; attempt <= c.retry.Attempts; attempt++ {
 		if attempt > 1 {

@@ -39,32 +39,37 @@ type Transport interface {
 	ForwardUpdate(ctx context.Context, req *UpdateRequest) (*UpdateAck, error)
 }
 
-// LegRequest is the wire form of one remote leg execution: the
-// memoizable (site, entry set, engine) triple plus the coordinator's
-// pinned epoch — the coherence token the peer must match.
+// LegRequest is the wire form of one remote leg execution: the leg —
+// its site, entry set and exit set — the engine, and the coordinator's
+// pinned epoch, the coherence token the peer must match. A request
+// without an exit set asks for the leg's whole table: every node of
+// the site is an exit.
 type LegRequest struct {
 	Site   int     `json:"site"`
 	Entry  []int64 `json:"entry"`
+	Exit   []int64 `json:"exit,omitempty"`
 	Engine string  `json:"engine"`
 	Epoch  uint64  `json:"epoch"`
 }
 
-// EntryNodes converts the wire entry set back to node IDs.
-func (r *LegRequest) EntryNodes() []graph.NodeID {
-	out := make([]graph.NodeID, len(r.Entry))
-	for i, n := range r.Entry {
-		out[i] = graph.NodeID(n)
-	}
-	return out
+// Leg converts the wire request back to the leg it names.
+func (r *LegRequest) Leg() dsa.Leg {
+	return dsa.Leg{SiteID: r.Site, Entry: ids[graph.NodeID](r.Entry), Exit: ids[graph.NodeID](r.Exit)}
 }
 
-// NewLegRequest builds the wire form from an executor's leg.
+// NewLegRequest builds the wire form of a leg with no exit set, asking
+// for its whole table.
 func NewLegRequest(site int, entry []graph.NodeID, engine string, epoch uint64) *LegRequest {
-	wire := make([]int64, len(entry))
-	for i, n := range entry {
-		wire[i] = int64(n)
+	return &LegRequest{Site: site, Entry: ids[int64](entry), Engine: engine, Epoch: epoch}
+}
+
+// ids converts a node set to the wire's int64 and back.
+func ids[U, T ~int | ~int64](in []T) []U {
+	out := make([]U, len(in))
+	for i, n := range in {
+		out[i] = U(n)
 	}
-	return &LegRequest{Site: site, Entry: wire, Engine: engine, Epoch: epoch}
+	return out
 }
 
 // LegResponse is the wire form of an executed leg: the leg table's

@@ -140,7 +140,7 @@ func TestExecuteLegRoundTrip(t *testing.T) {
 	defer srv.Close()
 	c, site := newPair(t, srv.URL, time.Second)
 
-	table, gotStats, hit, err := c.ExecuteLeg(context.Background(), site, []graph.NodeID{1, 2}, "dijkstra", 42)
+	table, gotStats, hit, err := c.ExecuteLeg(context.Background(), site, []graph.NodeID{1, 2}, nil, "dijkstra", 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestExecuteLegRefusesLocalSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := c.ExecuteLeg(context.Background(), 0, nil, "dijkstra", 1); err == nil {
+	if _, _, _, err := c.ExecuteLeg(context.Background(), 0, nil, nil, "dijkstra", 1); err == nil {
 		t.Error("ExecuteLeg accepted a locally-owned site")
 	}
 }
@@ -171,7 +171,7 @@ func TestPeerDown(t *testing.T) {
 	url := srv.URL
 	srv.Close() // nothing listens there anymore
 	c, site := newPair(t, url, time.Second)
-	_, _, _, err := c.ExecuteLeg(context.Background(), site, nil, "dijkstra", 1)
+	_, _, _, err := c.ExecuteLeg(context.Background(), site, nil, nil, "dijkstra", 1)
 	if !errors.Is(err, ErrPeerDown) {
 		t.Errorf("closed peer: got %v, want ErrPeerDown", err)
 	}
@@ -194,7 +194,7 @@ func TestPeerTimeout(t *testing.T) {
 	defer srv.Close()
 	defer close(block)
 	c, site := newPair(t, srv.URL, 50*time.Millisecond)
-	_, _, _, err := c.ExecuteLeg(context.Background(), site, nil, "dijkstra", 1)
+	_, _, _, err := c.ExecuteLeg(context.Background(), site, nil, nil, "dijkstra", 1)
 	if !errors.Is(err, ErrPeerTimeout) {
 		t.Errorf("slow peer: got %v, want ErrPeerTimeout", err)
 	}
@@ -219,7 +219,7 @@ func TestCallerCanceled(t *testing.T) {
 	c, site := newPair(t, srv.URL, time.Minute)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(20 * time.Millisecond); cancel() }()
-	_, _, _, err := c.ExecuteLeg(ctx, site, nil, "dijkstra", 1)
+	_, _, _, err := c.ExecuteLeg(ctx, site, nil, nil, "dijkstra", 1)
 	if !errors.Is(err, dsa.ErrCanceled) {
 		t.Errorf("canceled caller: got %v, want dsa.ErrCanceled", err)
 	}
@@ -238,7 +238,7 @@ func TestEpochSkewEnvelope(t *testing.T) {
 	}))
 	defer srv.Close()
 	c, site := newPair(t, srv.URL, time.Second)
-	_, _, _, err := c.ExecuteLeg(context.Background(), site, nil, "dijkstra", 3)
+	_, _, _, err := c.ExecuteLeg(context.Background(), site, nil, nil, "dijkstra", 3)
 	if !errors.Is(err, ErrEpochSkew) {
 		t.Errorf("409 epoch_skew: got %v, want ErrEpochSkew", err)
 	}
@@ -252,7 +252,7 @@ func TestEpochEchoMismatch(t *testing.T) {
 	}))
 	defer srv.Close()
 	c, site := newPair(t, srv.URL, time.Second)
-	_, _, _, err := c.ExecuteLeg(context.Background(), site, nil, "dijkstra", 3)
+	_, _, _, err := c.ExecuteLeg(context.Background(), site, nil, nil, "dijkstra", 3)
 	if !errors.Is(err, ErrEpochSkew) {
 		t.Errorf("wrong-epoch echo: got %v, want ErrEpochSkew", err)
 	}
@@ -288,7 +288,7 @@ func TestMalformedPeerResponses(t *testing.T) {
 			srv := httptest.NewServer(handler)
 			defer srv.Close()
 			c, site := newPair(t, srv.URL, time.Second)
-			_, _, _, err := c.ExecuteLeg(context.Background(), site, nil, "dijkstra", 5)
+			_, _, _, err := c.ExecuteLeg(context.Background(), site, nil, nil, "dijkstra", 5)
 			if !errors.Is(err, ErrBadPeerResponse) {
 				t.Errorf("got %v, want ErrBadPeerResponse", err)
 			}
@@ -305,7 +305,7 @@ func TestPeerErrorCodeMapping(t *testing.T) {
 	}))
 	defer srv.Close()
 	c, site := newPair(t, srv.URL, time.Second)
-	_, _, _, err := c.ExecuteLeg(context.Background(), site, nil, "dijkstra", 1)
+	_, _, _, err := c.ExecuteLeg(context.Background(), site, nil, nil, "dijkstra", 1)
 	if !errors.Is(err, dsa.ErrUnknownSite) {
 		t.Errorf("unknown_site over the wire: got %v, want dsa.ErrUnknownSite", err)
 	}

@@ -158,6 +158,14 @@ func (b *ExitBlock) gather(m *tc.CostMatrix, rows, cols []int32, entry []graph.N
 // of one) and are not counted.
 func (b *ExitBlock) bytes() int { return 8*len(b.cost) + len(b.zero) + blockHeader }
 
+// Matrix views the block's cells as a leg table of its rows by its
+// exits, sharing them: what a site ships for a leg. The zero-cost
+// flags are not in it; SelectExits flags them again from the entry
+// set.
+func (b *ExitBlock) Matrix() *tc.CostMatrix {
+	return &tc.CostMatrix{Rows: b.rows, Cols: b.exits, Cost: b.cost}
+}
+
 // distinctExits returns exit sorted and without repeats: exit itself
 // when it already is, a sorted copy otherwise.
 func distinctExits(exit []graph.NodeID) []graph.NodeID {

@@ -21,7 +21,7 @@ func recount(c *legCache) (bytes int64) {
 	defer c.mu.Unlock()
 	for el := c.ll.Front(); el != nil; el = el.Next() {
 		ent := el.Value.(*cacheEntry)
-		bytes += int64(ent.table.Bytes() + len(ent.key.entry) + entryOverhead)
+		bytes += int64(ent.table.Bytes() + entryOverhead)
 	}
 	return bytes
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"container/list"
-	"strconv"
 	"sync"
 
 	"repro/internal/dsa"
@@ -13,38 +12,28 @@ import (
 // legKey identifies one memoizable leg computation: the site it ran on,
 // the resolved concrete engine (tcq's planner resolves auto before
 // execution, so every entry is keyed by what actually ran) and the
-// rendered entry set (sorted by the planner, so the rendering is
-// canonical). A leg table is a function of these three alone: a site's
-// search graph is its fragment plus the complementary tables of its
-// disconnection sets, and dsa.Store.Apply builds a new *dsa.Site
+// leg's one source. A leg table is a function of these three alone: a
+// site's search graph is its fragment plus the complementary tables of
+// its disconnection sets, and dsa.Store.Apply builds a new *dsa.Site
 // whenever either changes while carrying every other site over by
 // pointer. So a key names one table whatever generation the reader
 // pinned, and a rebuilt site can never hit its predecessor's tables.
 // The key holds the site strongly, so its address cannot be reused
 // while an entry names it.
 //
-// Only the legs a site's border tables cannot answer get here (see
-// executeLegLocal) — legs from a source off the border on an
-// asymmetric site or to a target off it too, one source row each — and
-// peers' /v1/leg requests, whose entry set may be a whole disconnection
-// set. The exit set is deliberately absent — the assembly folds a
-// leg's exit block, which dsa.SelectExits gathers from the table for
-// any exit set — so queries from one source to different targets share
-// entries. The mode is likewise absent because a leg's table depends
-// only on the engine, letting cost and connectivity traffic share
-// entries.
+// Only the one-source legs a site's border tables cannot answer get
+// here (see executeLegLocal): legs from a source off the border on an
+// asymmetric site or to a target off it too, whoever asks, so every
+// entry is one source row. The exit set is deliberately absent — the
+// assembly folds a leg's exit block, which dsa.SelectExits gathers from
+// the table for any exit set — so queries from one source to different
+// targets share entries. The mode is likewise absent because a leg's
+// table depends only on the engine, letting cost and connectivity
+// traffic share entries.
 type legKey struct {
 	site   *dsa.Site
 	engine dsa.Engine
-	entry  string
-}
-
-func newLegKey(site *dsa.Site, entry []graph.NodeID, engine dsa.Engine) legKey {
-	b := make([]byte, 0, 8*len(entry))
-	for _, n := range entry {
-		b = append(strconv.AppendInt(b, int64(n), 10), ',')
-	}
-	return legKey{site: site, engine: engine, entry: string(b)}
+	source graph.NodeID
 }
 
 // CacheStats is a point-in-time snapshot of the leg-result cache.
@@ -54,9 +43,8 @@ type CacheStats struct {
 	// Entries is the current number of cached leg tables.
 	Entries int `json:"entries"`
 	// Bytes is what the cached entries hold: each table's cells and
-	// row ids at 8 B apiece, its header, its key's entry rendering and a
-	// fixed entry overhead. The tables' columns are their sites' and are
-	// not counted.
+	// row ids at 8 B apiece, its header and a fixed entry overhead. The
+	// tables' columns are their sites' and are not counted.
 	Bytes int64 `json:"bytes"`
 	// Hits and Misses count lookups since the server started.
 	Hits   uint64 `json:"hits"`
@@ -73,21 +61,21 @@ type CacheStats struct {
 }
 
 // cacheEntry is one memoized leg: the leg table of ExecuteLegTableCtx
-// and its stats, handed to every query that enters the site through
-// the same entry set, as is.
+// and its stats, handed to every leg from the same source on the site,
+// as is.
 type cacheEntry struct {
 	key   legKey
 	table *tc.CostMatrix
 	stats tc.Stats
 }
 
-// entryOverhead is what an entry costs besides its table and its key's
-// rendering: the entry itself, its list element and its map slot.
+// entryOverhead is what an entry costs besides its table: the entry
+// itself, its list element and its map slot.
 const entryOverhead = 160
 
 // bytes is the entry's share of CacheStats.Bytes.
 func (e *cacheEntry) bytes() int64 {
-	return int64(e.table.Bytes() + len(e.key.entry) + entryOverhead)
+	return int64(e.table.Bytes() + entryOverhead)
 }
 
 // legCache is a bounded LRU over leg computations. It is safe for

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/dsa"
 	"repro/internal/graph"
 	"repro/internal/tc"
@@ -48,7 +51,7 @@ func successor(prev []*dsa.Site, rebuilt ...int) []*dsa.Site {
 
 // key is the Dijkstra leg entering site through the one node n.
 func key(site *dsa.Site, n graph.NodeID) legKey {
-	return newLegKey(site, []graph.NodeID{n}, dsa.EngineDijkstra)
+	return legKey{site: site, engine: dsa.EngineDijkstra, source: n}
 }
 
 // TestLegCacheLRUEviction: the least recently used entry goes first,
@@ -238,26 +241,36 @@ func TestLegCacheDisabled(t *testing.T) {
 }
 
 // TestLegKeyIgnoresExit pins what the key must tell apart: the site (by
-// identity, not ID), the engine and the entry set — and nothing else,
-// since no exit set is part of it.
+// identity, not ID), the engine and the source — and nothing else,
+// since no exit set is part of it. A leg entered through several nodes
+// has no key: a peer's /v1/leg for one whose entry set is off the
+// border is answered by the kernel and cached nowhere.
 func TestLegKeyIgnoresExit(t *testing.T) {
 	gen0 := generation(2)
 	gen1 := successor(gen0, 0)
-	k := newLegKey(gen0[0], []graph.NodeID{1, 2}, dsa.EngineDijkstra)
-	if k != newLegKey(gen0[0], []graph.NodeID{1, 2}, dsa.EngineDijkstra) {
-		t.Error("same leg keys differ")
-	}
+	k := legKey{site: gen0[0], engine: dsa.EngineDijkstra, source: 1}
 	for name, other := range map[string]legKey{
-		"engines":          newLegKey(gen0[0], []graph.NodeID{1, 2}, dsa.EngineDense),
-		"sites":            newLegKey(gen0[1], []graph.NodeID{1, 2}, dsa.EngineDijkstra),
-		"rebuilt sites":    newLegKey(gen1[0], []graph.NodeID{1, 2}, dsa.EngineDijkstra),
-		"entry sets":       newLegKey(gen0[0], []graph.NodeID{1, 22}, dsa.EngineDijkstra),
-		"(12) and (1,2)":   newLegKey(gen0[0], []graph.NodeID{12}, dsa.EngineDijkstra),
-		"(1,-2) and (1,2)": newLegKey(gen0[0], []graph.NodeID{1, -2}, dsa.EngineDijkstra),
+		"engines":       {site: gen0[0], engine: dsa.EngineDense, source: 1},
+		"sites":         {site: gen0[1], engine: dsa.EngineDijkstra, source: 1},
+		"rebuilt sites": {site: gen1[0], engine: dsa.EngineDijkstra, source: 1},
+		"sources":       {site: gen0[0], engine: dsa.EngineDijkstra, source: 2},
 	} {
 		if k == other {
 			t.Errorf("%s share a key", name)
 		}
+	}
+
+	srv, st := newGridServer(t, 8, 8, 2, Config{CacheCapacity: 256})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	entry := interior(st, 0)[:2]
+	before := srv.Stats().Cache
+	var leg cluster.LegResponse
+	if status := postV1(t, ts.URL+"/v1/leg", cluster.NewLegRequest(0, entry, "dense", 0), &leg); status != http.StatusOK || len(leg.Src) == 0 {
+		t.Fatalf("/v1/leg from %v: status %d, %d facts", entry, status, len(leg.Src))
+	}
+	if after := srv.Stats().Cache; after.Entries != before.Entries {
+		t.Errorf("/v1/leg from %v took the cache from %d to %d entries; want it unchanged", entry, before.Entries, after.Entries)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dsa"
-	"repro/internal/tc"
 	"repro/pkg/tcq"
 )
 
@@ -79,12 +78,13 @@ func (s *Server) snapshotAt(epoch uint64) *tcq.Snapshot {
 }
 
 // handleV1Leg serves POST /v1/leg — the internal peer endpoint of the
-// cluster transport. The request names a (site, entry set, engine)
-// computation and the epoch the remote coordinator pinned; the answer
-// is the whole leg table straight from this node's cache or kernels. An epoch this
-// node cannot serve — older than the history window, or not yet
-// applied here — answers 409 epoch_skew rather than facts from a
-// different generation.
+// cluster transport. The request names a leg, its engine and the epoch
+// the remote coordinator pinned; the leg runs through executeLegLocal,
+// as this node's own legs do, and the answer is its block's facts: the
+// leg's exit-restricted result, or its whole table when the request
+// names no exit set. An epoch this node cannot serve — older than the
+// history window, or not yet applied here — answers 409 epoch_skew
+// rather than facts from a different generation.
 func (s *Server) handleV1Leg(w http.ResponseWriter, r *http.Request) {
 	var req cluster.LegRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
@@ -102,14 +102,7 @@ func (s *Server) handleV1Leg(w http.ResponseWriter, r *http.Request) {
 			tcq.ErrEpochSkew, req.Epoch, s.ds.Epoch()))
 		return
 	}
-	// No exit set: the peer gets the whole table and selects its own.
-	var table *tc.CostMatrix
-	var stats tc.Stats
-	var hit bool
-	_, err = s.onSite(r.Context(), req.Site, func() (err error) {
-		table, stats, hit, err = s.cachedTable(r.Context(), snap, req.Site, req.EntryNodes(), engine)
-		return err
-	})
+	lr, hit, err := s.executeLegLocal(r.Context(), snap, req.Leg(), engine)
 	if err != nil {
 		writeV1Error(w, err)
 		return
@@ -117,7 +110,7 @@ func (s *Server) handleV1Leg(w http.ResponseWriter, r *http.Request) {
 	if s.cluster != nil {
 		s.cluster.LocalLeg()
 	}
-	writeJSON(w, http.StatusOK, cluster.NewLegTableResponse(req.Epoch, hit, table, stats))
+	writeJSON(w, http.StatusOK, cluster.NewLegTableResponse(req.Epoch, hit, lr.Block.Matrix(), lr.Stats))
 }
 
 // fanOutUpdate forwards one just-applied transaction to every peer and

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -200,16 +201,20 @@ func TestClusterForwardedLoopGuard(t *testing.T) {
 	}
 }
 
-// TestV1LegWireMatchesRelation: /v1/leg builds its body from the leg
-// table the cache holds, and for every engine the body is byte for
-// byte the one the relation of ExecuteLegFullCtx flattens to — the wire
-// stays what it was when leg tables were relations. The leg is entered
-// through a disconnection set and its site's border table is built,
-// yet the request, which names no exit set, reads nothing from it: it
-// gets the whole (entry × site) table.
+// TestV1LegWireMatchesRelation: /v1/leg answers through the local leg
+// path. A request with no exit set gets the leg's whole table, and for
+// every engine its body is byte for byte the one the relation of
+// ExecuteLegFullCtx flattens to, but for the cache verdict and stats
+// the site-table read reports — the wire stays what it was when leg
+// tables were relations. The leg is entered through a disconnection
+// set and its site's border table is built, so every request reads it
+// and builds nothing. The same leg with its exits gets just their
+// facts, from which the coordinator selects the block the kernel's
+// table selects, cell for cell.
 func TestV1LegWireMatchesRelation(t *testing.T) {
 	tcl := newTestCluster(t, 6, 6, 4, 2, nil)
-	st := tcl.servers[0].Dataset().Snapshot().Store()
+	srv := tcl.servers[0]
+	st := srv.Dataset().Snapshot().Store()
 	nodes := st.Fragmentation().Base().Nodes()
 	plan, err := st.NewPlan(nodes[0], nodes[len(nodes)-1])
 	if err != nil || len(plan.Legs) < 2 {
@@ -221,9 +226,10 @@ func TestV1LegWireMatchesRelation(t *testing.T) {
 			t.Fatalf("%v: built %v, err %v; want this read to build the site's table", engine, built, err)
 		}
 	}
-	before := scrape(t, tcl.https[0].Config.Handler)["tc_site_table_reads_total"]
-	for _, engine := range dsa.Engines() {
-		raw, err := json.Marshal(cluster.NewLegRequest(leg.SiteID, leg.Entry, engine.String(), 0))
+	ctx := context.Background()
+	post := func(req *cluster.LegRequest) []byte {
+		t.Helper()
+		raw, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,25 +241,77 @@ func TestV1LegWireMatchesRelation(t *testing.T) {
 		_, err = body.ReadFrom(resp.Body)
 		resp.Body.Close()
 		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("%v: status %d, err %v", engine, resp.StatusCode, err)
+			t.Fatalf("%s: status %d, err %v", raw, resp.StatusCode, err)
 		}
-		rel, stats, err := st.ExecuteLegFullCtx(context.Background(), leg.SiteID, leg.Entry, engine)
+		return bytes.TrimSpace(body.Bytes())
+	}
+	before := srv.Stats().SiteTables
+	for _, engine := range dsa.Engines() {
+		body := post(cluster.NewLegRequest(leg.SiteID, leg.Entry, engine.String(), 0))
+		var got cluster.LegResponse
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		rel, _, err := st.ExecuteLegFullCtx(ctx, leg.SiteID, leg.Entry, engine)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := json.Marshal(cluster.NewLegResponse(0, false, rel, stats))
+		_, stats, err := got.Table()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := bytes.TrimSpace(body.Bytes()); !bytes.Equal(got, want) {
-			t.Errorf("%v: /v1/leg body (%d bytes) differs from the relation's (%d bytes)", engine, len(got), len(want))
+		want, err := json.Marshal(cluster.NewLegResponse(0, got.CacheHit, rel, stats))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if rel.Len() == 0 {
-			t.Errorf("%v: the leg has no facts to compare", engine)
+		if !bytes.Equal(body, want) {
+			t.Errorf("%v: /v1/leg body (%d bytes) differs from the relation's (%d bytes)", engine, len(body), len(want))
+		}
+		if rel.Len() == 0 || !got.CacheHit {
+			t.Errorf("%v: %d facts, cache hit %v; want the facts of a built table", engine, rel.Len(), got.CacheHit)
 		}
 	}
-	if after := scrape(t, tcl.https[0].Config.Handler)["tc_site_table_reads_total"]; after != before {
-		t.Errorf("tc_site_table_reads_total went %v → %v; a peer's leg never reads the site tables", before, after)
+	if after := srv.Stats().SiteTables; after.Reads != before.Reads+uint64(len(dsa.Engines())) || after.Builds != before.Builds {
+		t.Errorf("site tables went %+v → %+v; want one read per request and no build", before, after)
+	}
+	exit := make([]int64, len(leg.Exit))
+	for i, x := range leg.Exit {
+		exit[i] = int64(x)
+	}
+	for _, engine := range dsa.Engines() {
+		req := cluster.NewLegRequest(leg.SiteID, leg.Entry, engine.String(), 0)
+		req.Exit = exit
+		var resp cluster.LegResponse
+		if err := json.Unmarshal(post(req), &resp); err != nil {
+			t.Fatal(err)
+		}
+		shipped, _, err := resp.Table()
+		if err != nil {
+			t.Fatal(err)
+		}
+		table, _, err := st.ExecuteLegTableCtx(ctx, leg.SiteID, leg.Entry, engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := dsa.SelectExits(shipped, leg).Matrix(), dsa.SelectExits(table, leg).Matrix()
+		if len(resp.Src) != want.Len() || got.Len() != want.Len() || !slices.Equal(got.Cols, want.Cols) {
+			t.Fatalf("%v: %d facts shipped, block of %d facts by %v; want %d facts by %v", engine, len(resp.Src), got.Len(), got.Cols, want.Len(), want.Cols)
+		}
+		for r, src := range want.Rows {
+			g := slices.Index(got.Rows, src)
+			for c, x := range want.Cols {
+				w, v := want.Cost[r*len(want.Cols)+c], math.Inf(1)
+				if g >= 0 {
+					v = got.Cost[g*len(got.Cols)+c]
+				}
+				if math.Float64bits(v) != math.Float64bits(w) {
+					t.Errorf("%v: cell (%d, %d) is %v, the kernel's table has %v", engine, src, x, v, w)
+				}
+			}
+		}
+	}
+	if after := srv.Stats().SiteTables; after.Reads != before.Reads+2*uint64(len(dsa.Engines())) || after.Builds != before.Builds {
+		t.Errorf("site tables went %+v → %+v; want one read per request and no build", before, after)
 	}
 }
 

@@ -1,15 +1,12 @@
 // Package server is the long-lived query-serving layer over a tcq
 // dataset: one gate per site (the paper's one processor per fragment:
 // a site runs one leg at a time, whoever asks), the sites' border
-// tables, from which every query leg they can answer gathers its cells
+// tables, from which every leg they can answer gathers its cells
 // (dsa.Store.BorderBlockCtx), a bounded LRU leg-result cache for the
-// rest — legs from a source off the border on an asymmetric site or to
-// a target off it too, and peers' /v1/leg requests — and an HTTP/JSON
-// API.
-// It turns the one-shot library pipeline into the serving system the
-// ROADMAP's "heavy traffic" north star asks for: many concurrent
-// queries interleave their per-site legs exactly the way the paper's
-// sites would interleave independent subqueries.
+// rest of the one-source legs — from a source off the border on an
+// asymmetric site or to a target off it too — and an HTTP/JSON API.
+// Many concurrent queries interleave their per-site legs exactly the
+// way the paper's sites would interleave independent subqueries.
 //
 // Concurrency model: reads are lock-free — every query pins the
 // immutable store generation current when it starts (one atomic
@@ -42,10 +39,9 @@ import (
 // Config tunes a Server.
 type Config struct {
 	// CacheCapacity bounds the leg-result cache in entries; 0 disables
-	// memoization. On a single node every entry is one source row, so
-	// the cache holds at most CacheCapacity × (largest site × 8 B +
-	// overhead); on a cluster member a peer's leg entered through a
-	// disconnection set holds one row per node of that set.
+	// memoization. Every entry is one source row, so the cache holds at
+	// most CacheCapacity × (largest site × 8 B + overhead), on a single
+	// node and on a cluster member alike.
 	CacheCapacity int
 	// Cluster enables multi-node scatter-gather: legs of sites the
 	// coordinator assigns to peers execute remotely over its transport,
@@ -189,11 +185,11 @@ func (s *Server) Close() { s.unsubscribe() }
 // RunLegs already runs for the leg's site, a locally owned leg is one
 // executeLegLocal call; in cluster deployments a leg of a remotely
 // owned site is shipped to its owner instead (scatter) — an I/O-bound
-// wait here while the owner's /v1/leg handler looks the whole table up
-// on the site, whose exits are then selected here — and when the owner
-// is unreachable the degraded-mode fallback makes the executeLegLocal
-// call here after all. Assembly (gather) is oblivious to where a leg
-// ran.
+// wait here while the owner's /v1/leg handler makes that call and
+// ships the facts of the leg's exits, from which its block is selected
+// again here — and when the owner is unreachable the degraded-mode
+// fallback makes the executeLegLocal call here after all. Assembly
+// (gather) is oblivious to where a leg ran.
 func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target graph.NodeID, engine dsa.Engine) (*dsa.Result, tcq.RunStats, error) {
 	if !dsa.ValidEngine(engine) {
 		return nil, tcq.RunStats{}, fmt.Errorf("server: %w %d", dsa.ErrUnknownEngine, int(engine))
@@ -222,7 +218,7 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 			t0 := time.Now()
 			var table *tc.CostMatrix
 			var stats tc.Stats
-			table, stats, hit, err = s.cluster.ExecuteLeg(ctx, leg.SiteID, leg.Entry, engine.String(), snap.Epoch())
+			table, stats, hit, err = s.cluster.ExecuteLeg(ctx, leg.SiteID, leg.Entry, leg.Exit, engine.String(), snap.Epoch())
 			switch {
 			case err == nil:
 				lr = &dsa.LegResult{Leg: leg, Block: dsa.SelectExits(table, leg), Stats: stats, Took: time.Since(t0)}
@@ -258,18 +254,23 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 	return res, tcq.RunStats{CacheHits: int(hits.Load()), CacheMisses: int(misses.Load()), FallbackSites: fallbackSites}, nil
 }
 
-// executeLegLocal runs a query's leg on this node — a locally owned
-// leg, or a degraded-mode fallback for an unreachable owner — on its
-// site (onSite). The snapshot site's border table answers it when it
-// can (dsa.Store.BorderBlockCtx): a hit, unless this read built the
-// table. Any other leg selects its exits from the table cachedTable
-// returns, after the site's gate is released.
+// executeLegLocal runs a leg on this node on its site (onSite), whoever
+// asks: a locally owned leg, a degraded-mode fallback or a peer's
+// /v1/leg, whose leg without exits takes every node of its site as one.
+// The snapshot site's border table answers the leg when it can
+// (dsa.Store.BorderBlockCtx): a hit, unless this read built the table.
+// Any other leg's exits are selected, after the site's gate is
+// released, from the kernel's table: the leg cache's for one source.
 func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg dsa.Leg, engine dsa.Engine) (*dsa.LegResult, bool, error) {
-	lr := &dsa.LegResult{Leg: leg}
+	var lr dsa.LegResult
 	var table *tc.CostMatrix
 	var hit bool
 	took, err := s.onSite(ctx, leg.SiteID, func() error {
-		block, built, err := snap.Store().BorderBlockCtx(ctx, leg, engine)
+		st := snap.Store()
+		if len(leg.Exit) == 0 {
+			leg.Exit = st.Site(leg.SiteID).Augmented().Nodes()
+		}
+		block, built, err := st.BorderBlockCtx(ctx, leg, engine)
 		if err != nil {
 			return err
 		}
@@ -281,8 +282,20 @@ func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg ds
 			lr.Block, hit = block, !built
 			return nil
 		}
-		table, lr.Stats, hit, err = s.cachedTable(ctx, snap, leg.SiteID, leg.Entry, engine)
-		return err
+		key, one := legKey{site: st.Site(leg.SiteID), engine: engine}, len(leg.Entry) == 1
+		if one {
+			key.source = leg.Entry[0]
+			if table, lr.Stats, hit = s.cache.get(key); hit {
+				return nil
+			}
+		}
+		if table, lr.Stats, err = st.ExecuteLegTableCtx(ctx, leg.SiteID, leg.Entry, engine); err != nil {
+			return err
+		}
+		if one {
+			s.cache.put(key, table, lr.Stats)
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, false, err
@@ -290,15 +303,14 @@ func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg ds
 	if table != nil {
 		lr.Block = dsa.SelectExits(table, leg)
 	}
-	lr.Took = took
-	return lr, hit, nil
+	lr.Leg, lr.Took = leg, took
+	return &lr, hit, nil
 }
 
-// onSite is the one way work runs on a site of this node, whoever asks:
-// a query's leg (executeLegLocal) or a peer's /v1/leg request. It waits
-// for the site's gate — giving up with ErrCanceled when ctx ends first,
-// so a canceled query stops queueing for its turn — and, holding it,
-// runs fn and charges the site one leg and the time the gate was held,
+// onSite is how executeLegLocal runs a leg on its site: it waits for
+// the site's gate — giving up with ErrCanceled when ctx ends first, so
+// a canceled query stops queueing for its turn — and, holding it, runs
+// fn and charges the site one leg and the time the gate was held,
 // which it returns. The site index may come off the wire, so it is
 // checked before it indexes anything.
 func (s *Server) onSite(ctx context.Context, siteID int, fn func() error) (time.Duration, error) {
@@ -324,23 +336,6 @@ func (s *Server) onSite(ctx context.Context, siteID int, fn func() error) (time.
 	s.siteLegs[siteID].Add(1)
 	s.siteBusyNS[siteID].Add(int64(took))
 	return took, nil
-}
-
-// cachedTable is the leg table of the snapshot's site, entry set and
-// engine from the leg cache, the kernel's on a miss; hit reports a
-// cached one. The table names no exit set, so a peer's /v1/leg request
-// gets it whole and fills and hits the same entries as local traffic.
-func (s *Server) cachedTable(ctx context.Context, snap *tcq.Snapshot, siteID int, entry []graph.NodeID, engine dsa.Engine) (*tc.CostMatrix, tc.Stats, bool, error) {
-	key := newLegKey(snap.Store().Site(siteID), entry, engine)
-	if table, stats, hit := s.cache.get(key); hit {
-		return table, stats, true, nil
-	}
-	table, stats, err := snap.Store().ExecuteLegTableCtx(ctx, siteID, entry, engine)
-	if err != nil {
-		return nil, tc.Stats{}, false, err
-	}
-	s.cache.put(key, table, stats)
-	return table, stats, false, nil
 }
 
 // ApplyBatch applies a transactional batch of edge operations through

@@ -240,18 +240,18 @@ func TestCancelledWriteKeepsSiteTables(t *testing.T) {
 
 // TestSupersededSiteCollectable: a rebuilt site answers its first leg
 // with a kernel run; the sweep of the write that replaced its
-// predecessor drops the predecessor's entry sets, asked again or not,
+// predecessor drops the predecessor's source rows, asked again or not,
 // and once the snapshot history has let its generation go the
 // superseded site is garbage.
 func TestSupersededSiteCollectable(t *testing.T) {
-	srv, _ := newGridServer(t, 6, 6, 4, Config{CacheCapacity: 16})
-	frag := srv.Dataset().Snapshot().Store().Fragmentation().FragmentsOf(0)[0]
-	leg := dsa.Leg{SiteID: frag, Entry: []graph.NodeID{0}}
-	nodes := srv.Dataset().Snapshot().Store().Fragmentation().Fragment(frag).Nodes()
+	srv, st := newGridServer(t, 6, 6, 4, Config{CacheCapacity: 16})
+	frag := st.Fragmentation().FragmentsOf(0)[0]
+	nodes := interior(st, frag)
+	leg := dsa.Leg{SiteID: frag, Entry: nodes[:1]}
 	unasked := dsa.Leg{SiteID: frag, Entry: nodes[len(nodes)-1:]}
 	ctx := context.Background()
 	for _, l := range []dsa.Leg{leg, unasked} {
-		if _, _, _, err := srv.cachedTable(ctx, srv.Dataset().Snapshot(), l.SiteID, l.Entry, dsa.EngineDense); err != nil {
+		if _, _, err := srv.executeLegLocal(ctx, srv.Dataset().Snapshot(), l, dsa.EngineDense); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -263,7 +263,7 @@ func TestSupersededSiteCollectable(t *testing.T) {
 	if after := srv.Stats().Cache; after.Entries != 0 || after.Invalidated-before.Invalidated != 2 {
 		t.Fatalf("after the write: %d entries, %d invalidated; want the superseded site's 2 dropped", after.Entries, after.Invalidated-before.Invalidated)
 	}
-	if _, _, hit, err := srv.cachedTable(ctx, srv.Dataset().Snapshot(), leg.SiteID, leg.Entry, dsa.EngineDense); err != nil || hit {
+	if _, hit, err := srv.executeLegLocal(ctx, srv.Dataset().Snapshot(), leg, dsa.EngineDense); err != nil || hit {
 		t.Fatalf("first leg on the rebuilt site: hit %v, err %v; want a miss", hit, err)
 	}
 	// Writes elsewhere push the old generation out of the history.
@@ -304,15 +304,17 @@ func TestPinnedReaderHitsSharedSite(t *testing.T) {
 	if shared < 0 {
 		t.Fatal("the batch shared no site")
 	}
-	leg := dsa.Leg{SiteID: shared, Entry: cur.Store().Site(shared).Augmented().Nodes()[:1]}
+	leg := dsa.Leg{SiteID: shared, Entry: interior(cur.Store(), shared)[:1]}
 	ctx := context.Background()
-	put, _, hit, err := srv.cachedTable(ctx, cur, leg.SiteID, leg.Entry, dsa.EngineDijkstra)
-	if err != nil || hit {
+	if _, hit, err := srv.executeLegLocal(ctx, cur, leg, dsa.EngineDijkstra); err != nil || hit {
 		t.Fatalf("first leg at epoch %d: hit %v, err %v; want a miss", cur.Epoch(), hit, err)
 	}
-	got, _, hit, err := srv.cachedTable(ctx, old, leg.SiteID, leg.Entry, dsa.EngineDijkstra)
-	if err != nil || !hit || got != put {
+	before := srv.Stats().Cache
+	if _, hit, err := srv.executeLegLocal(ctx, old, leg, dsa.EngineDijkstra); err != nil || !hit {
 		t.Errorf("leg pinned at epoch %d on shared site %d: hit %v, err %v; want the epoch-%d table", old.Epoch(), shared, hit, err, cur.Epoch())
+	}
+	if after := srv.Stats().Cache; after.Hits != before.Hits+1 || after.Entries != before.Entries {
+		t.Errorf("the pinned leg moved the cache from %+v to %+v; want one hit on the entry already there", before, after)
 	}
 }
 

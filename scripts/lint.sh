@@ -28,6 +28,10 @@
 #               property lives in internal/oracle, other tests call its
 #               checker on a one-view generation or compare with a
 #               literal (the allowlist gives one reason per line)
+#   legs        ExecuteLegTableCtx has one call site in internal/server
+#               outside tests (executeLegLocal): every leg a node runs —
+#               a query's, a fallback's, a peer's /v1/leg — takes the one
+#               leg path, and a second one cannot come back unseen
 #   ci          no job of .github/workflows/ci.yml starts bin/tcserver
 #               or bin/tcload or calls curl: behavioural gates live in
 #               scripts/smoke.sh, where a developer can run them (the
@@ -102,6 +106,14 @@ own_truth=(
 )
 if grep -rn -e '\.Distance(' -e '\.ShortestPaths(' -e '\.Reachable(' --include='*_test.go' . | grep -v "${own_truth[@]}"; then
     echo "FAIL: hold answers to Dijkstra in internal/oracle (one more view or generation), not with a per-package ground truth"
+    exit 1
+fi
+
+echo "== legs"
+calls=$(grep -rn '\.ExecuteLegTableCtx(' --include='*.go' internal/server | grep -v '_test\.go:' || true)
+if [ "$(grep -c . <<<"$calls")" -ne 1 ]; then
+    echo "${calls:-no call site}"
+    echo "FAIL: run every leg on a node through executeLegLocal, the one ExecuteLegTableCtx call site in internal/server"
     exit 1
 fi
 
