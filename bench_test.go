@@ -11,9 +11,11 @@
 package benches
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"runtime"
@@ -536,8 +538,8 @@ func BenchmarkFinishPlan(b *testing.B) {
 // a request without an exit set asks for it; exits ships the facts of
 // its exit block only, as a coordinator's request with the leg's exits
 // does. The loop is the codec alone, per plan: the owner flattening the
-// facts and encoding them as JSON, the coordinator decoding them,
-// rebuilding the table and selecting the leg's exits. B/req and us/req
+// facts and encoding them as JSON, the coordinator decoding them and
+// building the leg's exit block from them. B/req and us/req
 // are per leg. A report, not a gate: no declared workload runs a
 // cluster.
 func BenchmarkLegWire(b *testing.B) {
@@ -581,11 +583,9 @@ func BenchmarkLegWire(b *testing.B) {
 					if err := json.Unmarshal(body, &resp); err != nil {
 						b.Fatal(err)
 					}
-					table, _, err := resp.Table()
-					if err != nil {
+					if _, _, err := resp.Block(leg); err != nil {
 						b.Fatal(err)
 					}
-					dsa.SelectExits(table, leg)
 				}
 			}
 			legs := float64(len(plan.Legs))
@@ -687,10 +687,11 @@ func BenchmarkLegTable(b *testing.B) {
 // BenchmarkSiteTable times the dense border tables of every site of the
 // paper, road and grid deployments, one build per site per op, as the
 // first cross-fragment leg on each site builds its table: its leg table
-// from all of its border nodes, indexed. Each op reads a leg entered
-// through one of the site's disconnection sets on a store restored
-// afresh (untimed), whose sites' CSRs and kernels are built up front.
-// MiB is what the tables hold (dsa.Site.TableBytes) over all sites.
+// from all of its border nodes. Each op reads a leg entered through one
+// of the site's disconnection sets — the first by fragment pair, so
+// every run reads the same legs — on a store restored afresh (untimed),
+// whose sites' CSRs and kernels are built up front. MiB is what the
+// tables hold (dsa.Site.TableBytes) over all sites.
 func BenchmarkSiteTable(b *testing.B) {
 	ctx := context.Background()
 	for _, d := range append([]deployment{paperDeployment}, servingDeployments...) {
@@ -703,7 +704,10 @@ func BenchmarkSiteTable(b *testing.B) {
 			b.Fatal(err)
 		}
 		var legs []dsa.Leg
-		for p := range st.CompTables() {
+		pairs := slices.SortedFunc(maps.Keys(st.CompTables()), func(x, y fragment.Pair) int {
+			return cmp.Or(cmp.Compare(x.I, y.I), cmp.Compare(x.J, y.J))
+		})
+		for _, p := range pairs {
 			for _, id := range []int{p.I, p.J} {
 				if !slices.ContainsFunc(legs, func(l dsa.Leg) bool { return l.SiteID == id }) {
 					ds := fr.DisconnectionSet(p.I, p.J)
@@ -1028,37 +1032,23 @@ func BenchmarkStoreFootprint(b *testing.B) {
 }
 
 // benchRunPair plans and runs one Dijkstra-engine pair on benchStore.
-func benchRunPair(src, dst graph.NodeID, parallel bool) (*dsa.Result, error) {
+func benchRunPair(src, dst graph.NodeID) (*dsa.Result, error) {
 	plan, err := benchStore.NewPlan(src, dst)
 	if err != nil {
 		return nil, err
 	}
-	return benchStore.RunPlanCtx(context.Background(), plan, dsa.EngineDijkstra, parallel)
-}
-
-// BenchmarkDSAQuerySequential times sequential disconnection-set
-// queries.
-func BenchmarkDSAQuerySequential(b *testing.B) {
-	nodes := benchGraph.Nodes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src := nodes[i%len(nodes)]
-		dst := nodes[(i*37+13)%len(nodes)]
-		if _, err := benchRunPair(src, dst, false); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return benchStore.RunPlanCtx(context.Background(), plan, dsa.EngineDijkstra)
 }
 
 // BenchmarkDSAQueryParallel times the goroutine-per-site executor on
-// the same workload.
+// disconnection-set queries.
 func BenchmarkDSAQueryParallel(b *testing.B) {
 	nodes := benchGraph.Nodes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src := nodes[i%len(nodes)]
 		dst := nodes[(i*37+13)%len(nodes)]
-		if _, err := benchRunPair(src, dst, true); err != nil {
+		if _, err := benchRunPair(src, dst); err != nil {
 			b.Fatal(err)
 		}
 	}

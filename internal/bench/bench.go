@@ -22,14 +22,14 @@ import (
 	"repro/internal/graph"
 )
 
-// runPair plans one pair and runs its legs site after site — the
-// single-processor evaluation the experiments measure against.
+// runPair plans one pair and runs it through the store's executor —
+// the evaluation the experiments measure against.
 func runPair(st *dsa.Store, src, dst graph.NodeID, engine dsa.Engine) (*dsa.Result, error) {
 	plan, err := st.NewPlan(src, dst)
 	if err != nil {
 		return nil, err
 	}
-	return st.RunPlanCtx(context.Background(), plan, engine, false)
+	return st.RunPlanCtx(context.Background(), plan, engine)
 }
 
 // Row is one line of a characteristics table.

@@ -4,11 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
-	"repro/internal/graph"
+	"repro/internal/dsa"
 	"repro/internal/metrics"
 	"repro/internal/tc"
 )
@@ -147,13 +146,15 @@ func (c *Coordinator) FallbackLeg(site int) {
 	}
 }
 
-// ExecuteLeg ships one leg to the site's remote owner at the pinned
-// epoch and rebuilds the table of the facts it returns: the leg's
-// exit-restricted result, or its whole table when exit is empty. The
-// site must not be local (the caller routes local sites through its
-// own executor). A peer answering from a different generation than it
-// was asked for is an ErrEpochSkew — the response echo is the
-// coherence check.
+// ExecuteLeg ships one leg to its site's remote owner at the pinned
+// epoch and returns the leg's exit block, built straight from the facts
+// of its exits the owner ships (LegResponse.Block); a leg with no exit
+// set gets the owner's whole table and a block with no exit. A fact
+// from a node that is not an entry node of the leg is an
+// ErrBadPeerResponse. The site must not be local (the caller routes
+// local sites through its own executor). A peer answering from a
+// different generation than it was asked for is an ErrEpochSkew — the
+// response echo is the coherence check.
 //
 // Legs are pure epoch-pinned reads, so transport failures (peer
 // down/timeout) are retried up to the configured attempt budget with
@@ -162,15 +163,16 @@ func (c *Coordinator) FallbackLeg(site int) {
 // breaker refuses immediately with an error that matches both
 // ErrBreakerOpen and ErrPeerDown, letting the serving layer fall back
 // to local execution without a new error path.
-func (c *Coordinator) ExecuteLeg(ctx context.Context, site int, entry, exit []graph.NodeID, engine string, epoch uint64) (*tc.CostMatrix, tc.Stats, bool, error) {
+func (c *Coordinator) ExecuteLeg(ctx context.Context, leg dsa.Leg, engine string, epoch uint64) (*dsa.ExitBlock, tc.Stats, bool, error) {
+	site := leg.SiteID
 	owner := c.Owner(site)
 	t := c.transports[owner.ID]
 	if t == nil {
 		//tcvet:ignore typederr API-misuse guard caught before any RPC; it never crosses the wire
 		return nil, tc.Stats{}, false, fmt.Errorf("cluster: site %d is owned locally by %s; remote execution is for remote owners", site, c.self.ID)
 	}
-	req := NewLegRequest(site, entry, engine, epoch)
-	req.Exit = ids[int64](exit)
+	req := NewLegRequest(site, leg.Entry, engine, epoch)
+	req.Exit = ids[int64](leg.Exit)
 	var lastErr error
 	for attempt := 1; attempt <= c.retry.Attempts; attempt++ {
 		if attempt > 1 {
@@ -202,32 +204,16 @@ func (c *Coordinator) ExecuteLeg(ctx context.Context, site int, entry, exit []gr
 			return nil, tc.Stats{}, false, fmt.Errorf("cluster: %w: peer %s answered leg for site %d at epoch %d, want %d",
 				ErrEpochSkew, owner.ID, site, resp.Epoch, epoch)
 		}
-		if err := checkSources(resp, entry); err != nil {
-			return nil, tc.Stats{}, false, err
-		}
-		table, stats, err := resp.Table()
+		block, stats, err := resp.Block(leg)
 		if err != nil {
 			return nil, tc.Stats{}, false, err
 		}
 		if c.m != nil {
 			c.m.legFanout.With(owner.ID).Inc()
 		}
-		return table, stats, resp.CacheHit, nil
+		return block, stats, resp.CacheHit, nil
 	}
 	return nil, tc.Stats{}, false, lastErr
-}
-
-// checkSources refuses a fact whose source is not an entry node of the
-// leg the peer was asked for: the rebuilt table has a row per source,
-// so such facts would widen it beyond the leg.
-func checkSources(resp *LegResponse, entry []graph.NodeID) error {
-	sorted := slices.Sorted(slices.Values(entry))
-	for _, s := range resp.Src {
-		if _, ok := slices.BinarySearch(sorted, graph.NodeID(s)); !ok {
-			return fmt.Errorf("cluster: %w: fact from source %d, which is not an entry node of the leg", ErrBadPeerResponse, s)
-		}
-	}
-	return nil
 }
 
 // PeerAck is one peer's acknowledgement of a fanned-out update.

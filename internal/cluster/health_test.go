@@ -278,7 +278,7 @@ func TestExecuteLegRetriesTransientFailure(t *testing.T) {
 	c.Register(reg)
 
 	// Two injected failures, third attempt (the default budget) lands.
-	_, _, _, err = c.ExecuteLeg(context.Background(), site, nil, nil, "dijkstra", 0)
+	_, _, _, err = c.ExecuteLeg(context.Background(), dsa.Leg{SiteID: site}, "dijkstra", 0)
 	if err != nil {
 		t.Fatalf("leg with 2 transient failures and 3 attempts: %v", err)
 	}
@@ -303,7 +303,7 @@ func TestExecuteLegExhaustsRetryBudget(t *testing.T) {
 	c, site, _ := newResilientPair(t, inner, script, func(cfg *Config) {
 		cfg.Breaker.FailureThreshold = 100 // keep the breaker out of this test
 	})
-	_, _, _, err := c.ExecuteLeg(context.Background(), site, nil, nil, "dijkstra", 0)
+	_, _, _, err := c.ExecuteLeg(context.Background(), dsa.Leg{SiteID: site}, "dijkstra", 0)
 	if !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("exhausted retries = %v, want ErrPeerDown", err)
 	}
@@ -323,7 +323,7 @@ func TestExecuteLegDoesNotRetryProtocolErrors(t *testing.T) {
 		},
 	}
 	c, site, _ := newResilientPair(t, inner, nil, nil)
-	_, _, _, err := c.ExecuteLeg(context.Background(), site, nil, nil, "dijkstra", 0)
+	_, _, _, err := c.ExecuteLeg(context.Background(), dsa.Leg{SiteID: site}, "dijkstra", 0)
 	if !errors.Is(err, ErrEpochSkew) {
 		t.Fatalf("wrong-epoch echo = %v, want ErrEpochSkew", err)
 	}
@@ -360,7 +360,7 @@ func TestBreakerTripsAndRecoversThroughCoordinator(t *testing.T) {
 
 	// First call burns its whole retry budget on injected failures and
 	// trips the breaker.
-	if _, _, _, err := c.ExecuteLeg(ctx, site, nil, nil, "dijkstra", 0); !errors.Is(err, ErrPeerDown) {
+	if _, _, _, err := c.ExecuteLeg(ctx, dsa.Leg{SiteID: site}, "dijkstra", 0); !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("first leg = %v, want ErrPeerDown", err)
 	}
 	if got := c.health.State("b"); got != BreakerOpen {
@@ -368,7 +368,7 @@ func TestBreakerTripsAndRecoversThroughCoordinator(t *testing.T) {
 	}
 
 	// While open: fail-fast refusal, typed both ways, transport untouched.
-	_, _, _, err := c.ExecuteLeg(ctx, site, nil, nil, "dijkstra", 0)
+	_, _, _, err := c.ExecuteLeg(ctx, dsa.Leg{SiteID: site}, "dijkstra", 0)
 	if !errors.Is(err, ErrBreakerOpen) || !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("open-breaker leg = %v, want ErrBreakerOpen wrapping ErrPeerDown", err)
 	}
@@ -379,7 +379,7 @@ func TestBreakerTripsAndRecoversThroughCoordinator(t *testing.T) {
 	// Open interval elapses: the next leg is the half-open probe, the
 	// script is healthy now, so it closes the breaker and serves.
 	clk.Advance(2 * time.Second)
-	if _, _, _, err := c.ExecuteLeg(ctx, site, nil, nil, "dijkstra", 0); err != nil {
+	if _, _, _, err := c.ExecuteLeg(ctx, dsa.Leg{SiteID: site}, "dijkstra", 0); err != nil {
 		t.Fatalf("post-recovery leg: %v", err)
 	}
 	if got := c.health.State("b"); got != BreakerClosed {

@@ -72,10 +72,12 @@ func ids[U, T ~int | ~int64](in []T) []U {
 	return out
 }
 
-// LegResponse is the wire form of an executed leg: the leg table's
-// (src, dst, cost) facts as three columns in leg-table order — by
-// destination, the sources of one destination in row order — plus the
-// peer's cache verdict and fixpoint stats.
+// LegResponse is the wire form of an executed leg: the (src, dst, cost)
+// facts of its exit block — or of its whole table, for a request with
+// no exit set — as three columns in leg-table order, by destination,
+// the sources of one destination in row order, plus the peer's cache
+// verdict and fixpoint stats. The coordinator builds the leg's block
+// straight from the columns (Block).
 type LegResponse struct {
 	// Epoch echoes the generation the facts were computed on.
 	Epoch uint64 `json:"epoch"`
@@ -136,29 +138,51 @@ func NewLegResponse(epoch uint64, hit bool, rel *relation.Relation, stats tc.Sta
 	return resp
 }
 
-// Table rebuilds the leg table: rows in the order their sources first
-// occur, the distinct destinations as columns. Column-length mismatches
-// are a protocol violation and return ErrBadPeerResponse.
-func (r *LegResponse) Table() (*tc.CostMatrix, tc.Stats, error) {
-	if len(r.Src) != len(r.Dst) || len(r.Src) != len(r.Cost) {
-		return nil, tc.Stats{}, fmt.Errorf("cluster: %w: fact columns of unequal length (%d src, %d dst, %d cost)",
-			ErrBadPeerResponse, len(r.Src), len(r.Dst), len(r.Cost))
-	}
-	table := tc.FactMatrix(len(r.Src), func(i int) (graph.NodeID, graph.NodeID, float64) {
-		return graph.NodeID(r.Src[i]), graph.NodeID(r.Dst[i]), r.Cost[i]
-	})
-	stats := tc.Stats{Iterations: r.Iterations, DerivedTuples: r.DerivedTuples, ResultTuples: r.ResultTuples}
-	return table, stats, nil
-}
-
-// Facts is Table as a (src, dst, cost) relation in leg-table order,
-// for the benchmark harness.
-func (r *LegResponse) Facts() (*relation.Relation, tc.Stats, error) {
-	table, stats, err := r.Table()
-	if err != nil {
+// Block builds leg's exit block straight from the fact columns
+// (dsa.FactBlock). Column-length mismatches and a fact from a node that
+// is not an entry node of leg are protocol violations and return
+// ErrBadPeerResponse.
+func (r *LegResponse) Block(leg dsa.Leg) (*dsa.ExitBlock, tc.Stats, error) {
+	if err := r.checkColumns(); err != nil {
 		return nil, tc.Stats{}, err
 	}
-	return table.Relation(), stats, nil
+	block, err := dsa.FactBlock(leg, len(r.Src), func(i int) (graph.NodeID, graph.NodeID, float64) {
+		return graph.NodeID(r.Src[i]), graph.NodeID(r.Dst[i]), r.Cost[i]
+	})
+	if err != nil {
+		return nil, tc.Stats{}, fmt.Errorf("cluster: %w: %v", ErrBadPeerResponse, err)
+	}
+	return block, r.stats(), nil
+}
+
+// Facts reads the fact columns straight into a (src, dst, cost)
+// relation in wire order, for the benchmark harness. Column-length
+// mismatches return ErrBadPeerResponse.
+func (r *LegResponse) Facts() (*relation.Relation, tc.Stats, error) {
+	if err := r.checkColumns(); err != nil {
+		return nil, tc.Stats{}, err
+	}
+	tuples, cells := make([]relation.Tuple, len(r.Src)), make([]relation.Value, 0, 3*len(r.Src))
+	for i := range tuples {
+		cells = append(cells, r.Src[i], r.Dst[i], r.Cost[i])
+		tuples[i] = cells[3*i : 3*i+3 : 3*i+3]
+	}
+	rel, err := relation.Adopt(tuples, "src", "dst", "cost")
+	return rel, r.stats(), err
+}
+
+// checkColumns refuses fact columns of unequal length.
+func (r *LegResponse) checkColumns() error {
+	if len(r.Src) != len(r.Dst) || len(r.Src) != len(r.Cost) {
+		return fmt.Errorf("cluster: %w: fact columns of unequal length (%d src, %d dst, %d cost)",
+			ErrBadPeerResponse, len(r.Src), len(r.Dst), len(r.Cost))
+	}
+	return nil
+}
+
+// stats is the peer's tc.Stats.
+func (r *LegResponse) stats() tc.Stats {
+	return tc.Stats{Iterations: r.Iterations, DerivedTuples: r.DerivedTuples, ResultTuples: r.ResultTuples}
 }
 
 // UpdateOp is one typed mutation of an update transaction. It IS the

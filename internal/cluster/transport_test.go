@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -67,11 +68,11 @@ func TestLegResponseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegResponseKeepsLegTable: a remote leg must arrive ready for the
-// exit selection. The owner's table crosses the wire in leg-table
-// order, and the table Table rebuilds holds the owner's facts, so it
-// selects exactly what the owner's would; a peer that sends another
-// order gets the same facts, not a refusal.
+// TestLegResponseKeepsLegTable: a remote leg arrives as its exit
+// block. The owner's table crosses the wire in leg-table order, and the
+// block Block builds from its facts is the one the owner's table
+// selects; a peer that sends another order gets the same block, not a
+// refusal.
 func TestLegResponseKeepsLegTable(t *testing.T) {
 	owner := &tc.CostMatrix{
 		Rows: []graph.NodeID{1, 9},
@@ -90,22 +91,15 @@ func TestLegResponseKeepsLegTable(t *testing.T) {
 		t.Errorf("wire columns src %v, dst %v: not in leg-table order", wire.Src, wire.Dst)
 	}
 	leg := dsa.Leg{Entry: []graph.NodeID{1, 9}, Exit: []graph.NodeID{4, 9}}
-	want, err := dsa.FilterLegFacts(owner.Relation(), leg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := dsa.SelectExits(owner, leg)
 	check := func(label string, resp *LegResponse) {
 		t.Helper()
-		table, _, err := resp.Table()
+		got, _, err := resp.Block(leg)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		got, err := dsa.FilterLegFacts(table.Relation(), leg)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if got.String() != want.String() {
-			t.Errorf("%s: selected\n%v, the owner's table selects\n%v", label, got, want)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: block %+v, the owner's table selects %+v", label, got.Matrix(), want.Matrix())
 		}
 	}
 	check("owner's order", &wire)
@@ -140,15 +134,16 @@ func TestExecuteLegRoundTrip(t *testing.T) {
 	defer srv.Close()
 	c, site := newPair(t, srv.URL, time.Second)
 
-	table, gotStats, hit, err := c.ExecuteLeg(context.Background(), site, []graph.NodeID{1, 2}, nil, "dijkstra", 42)
+	block, gotStats, hit, err := c.ExecuteLeg(context.Background(), dsa.Leg{SiteID: site, Entry: []graph.NodeID{1, 2}, Exit: []graph.NodeID{4}}, "dijkstra", 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit || gotStats != stats || table.Len() != 2 {
-		t.Errorf("got hit=%v stats=%+v facts=%d", hit, gotStats, table.Len())
+	if m := block.Matrix(); !hit || gotStats != stats || !slices.Equal(m.Rows, []graph.NodeID{1, 2}) || !slices.Equal(m.Cols, []graph.NodeID{4}) ||
+		!math.IsInf(m.Cost[0], 1) || m.Cost[1] != 1.0 {
+		t.Errorf("got hit=%v stats=%+v block %+v", hit, gotStats, m)
 	}
 	if gotReq.Site != site || gotReq.Engine != "dijkstra" || gotReq.Epoch != 42 ||
-		len(gotReq.Entry) != 2 || gotReq.Entry[0] != 1 || gotReq.Entry[1] != 2 {
+		!slices.Equal(gotReq.Entry, []int64{1, 2}) || !slices.Equal(gotReq.Exit, []int64{4}) {
 		t.Errorf("peer saw request %+v", gotReq)
 	}
 }
@@ -158,7 +153,7 @@ func TestExecuteLegRefusesLocalSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := c.ExecuteLeg(context.Background(), 0, nil, nil, "dijkstra", 1); err == nil {
+	if _, _, _, err := c.ExecuteLeg(context.Background(), dsa.Leg{}, "dijkstra", 1); err == nil {
 		t.Error("ExecuteLeg accepted a locally-owned site")
 	}
 }
@@ -171,7 +166,7 @@ func TestPeerDown(t *testing.T) {
 	url := srv.URL
 	srv.Close() // nothing listens there anymore
 	c, site := newPair(t, url, time.Second)
-	_, _, _, err := c.ExecuteLeg(context.Background(), site, nil, nil, "dijkstra", 1)
+	_, _, _, err := c.ExecuteLeg(context.Background(), dsa.Leg{SiteID: site}, "dijkstra", 1)
 	if !errors.Is(err, ErrPeerDown) {
 		t.Errorf("closed peer: got %v, want ErrPeerDown", err)
 	}
@@ -194,7 +189,7 @@ func TestPeerTimeout(t *testing.T) {
 	defer srv.Close()
 	defer close(block)
 	c, site := newPair(t, srv.URL, 50*time.Millisecond)
-	_, _, _, err := c.ExecuteLeg(context.Background(), site, nil, nil, "dijkstra", 1)
+	_, _, _, err := c.ExecuteLeg(context.Background(), dsa.Leg{SiteID: site}, "dijkstra", 1)
 	if !errors.Is(err, ErrPeerTimeout) {
 		t.Errorf("slow peer: got %v, want ErrPeerTimeout", err)
 	}
@@ -219,7 +214,7 @@ func TestCallerCanceled(t *testing.T) {
 	c, site := newPair(t, srv.URL, time.Minute)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(20 * time.Millisecond); cancel() }()
-	_, _, _, err := c.ExecuteLeg(ctx, site, nil, nil, "dijkstra", 1)
+	_, _, _, err := c.ExecuteLeg(ctx, dsa.Leg{SiteID: site}, "dijkstra", 1)
 	if !errors.Is(err, dsa.ErrCanceled) {
 		t.Errorf("canceled caller: got %v, want dsa.ErrCanceled", err)
 	}
@@ -238,7 +233,7 @@ func TestEpochSkewEnvelope(t *testing.T) {
 	}))
 	defer srv.Close()
 	c, site := newPair(t, srv.URL, time.Second)
-	_, _, _, err := c.ExecuteLeg(context.Background(), site, nil, nil, "dijkstra", 3)
+	_, _, _, err := c.ExecuteLeg(context.Background(), dsa.Leg{SiteID: site}, "dijkstra", 3)
 	if !errors.Is(err, ErrEpochSkew) {
 		t.Errorf("409 epoch_skew: got %v, want ErrEpochSkew", err)
 	}
@@ -252,7 +247,7 @@ func TestEpochEchoMismatch(t *testing.T) {
 	}))
 	defer srv.Close()
 	c, site := newPair(t, srv.URL, time.Second)
-	_, _, _, err := c.ExecuteLeg(context.Background(), site, nil, nil, "dijkstra", 3)
+	_, _, _, err := c.ExecuteLeg(context.Background(), dsa.Leg{SiteID: site}, "dijkstra", 3)
 	if !errors.Is(err, ErrEpochSkew) {
 		t.Errorf("wrong-epoch echo: got %v, want ErrEpochSkew", err)
 	}
@@ -288,7 +283,7 @@ func TestMalformedPeerResponses(t *testing.T) {
 			srv := httptest.NewServer(handler)
 			defer srv.Close()
 			c, site := newPair(t, srv.URL, time.Second)
-			_, _, _, err := c.ExecuteLeg(context.Background(), site, nil, nil, "dijkstra", 5)
+			_, _, _, err := c.ExecuteLeg(context.Background(), dsa.Leg{SiteID: site}, "dijkstra", 5)
 			if !errors.Is(err, ErrBadPeerResponse) {
 				t.Errorf("got %v, want ErrBadPeerResponse", err)
 			}
@@ -305,7 +300,7 @@ func TestPeerErrorCodeMapping(t *testing.T) {
 	}))
 	defer srv.Close()
 	c, site := newPair(t, srv.URL, time.Second)
-	_, _, _, err := c.ExecuteLeg(context.Background(), site, nil, nil, "dijkstra", 1)
+	_, _, _, err := c.ExecuteLeg(context.Background(), dsa.Leg{SiteID: site}, "dijkstra", 1)
 	if !errors.Is(err, dsa.ErrUnknownSite) {
 		t.Errorf("unknown_site over the wire: got %v, want dsa.ErrUnknownSite", err)
 	}

@@ -373,7 +373,7 @@ func TestPropertyFoldOverTablesMatchesReference(t *testing.T) {
 					t.Errorf("%s %v %d→%d over memoized blocks: %s", name, engine, p[0], p[1], diff)
 				}
 				reused += memos[engine].reused - before
-				if res, err := st.RunPlanCtx(ctx, plan, engine, false); err == nil && !res.Reachable && len(plan.Chains) > 0 {
+				if res, err := st.RunPlanCtx(ctx, plan, engine); err == nil && !res.Reachable && len(plan.Chains) > 0 {
 					broken++
 				}
 			}

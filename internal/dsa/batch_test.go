@@ -104,7 +104,7 @@ func TestApplyEmptyAndUnknownOps(t *testing.T) {
 // its base adjacency, fragments and tables are exactly what they were.
 func TestApplyCopyOnWrite(t *testing.T) {
 	st, _ := pathStore(t)
-	before, err := runPair(st, 0, 8, EngineDijkstra, false)
+	before, err := runPair(st, 0, 8, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestApplyCopyOnWrite(t *testing.T) {
 					return
 				default:
 				}
-				res, err := runPair(st, 0, 8, EngineDijkstra, false)
+				res, err := runPair(st, 0, 8, EngineDijkstra)
 				if err != nil || res.Cost != 8 {
 					t.Errorf("reader on the old snapshot: cost %v, err %v; want 8", res, err)
 					return
@@ -193,14 +193,14 @@ func TestApplyCopyOnWrite(t *testing.T) {
 			t.Errorf("old base adjacency of node %d changed: %v, want %v", id, got, want)
 		}
 	}
-	oldAgain, err := runPair(st, 0, 8, EngineDijkstra, false)
+	oldAgain, err := runPair(st, 0, 8, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if oldAgain.Cost != 8 {
 		t.Errorf("old snapshot cost = %v after Apply, want 8 (copy-on-write violated)", oldAgain.Cost)
 	}
-	newRes, err := runPair(next, 0, 8, EngineDijkstra, false)
+	newRes, err := runPair(next, 0, 8, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,14 +256,14 @@ func TestApplyDeleteLengthensPaths(t *testing.T) {
 	if stats.DijkstraRuns != 0 {
 		t.Errorf("delete ran %d global searches on vacuous complementary tables, want 0", stats.DijkstraRuns)
 	}
-	res, err := runPair(next, 0, 8, EngineDijkstra, false)
+	res, err := runPair(next, 0, 8, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Reachable {
 		t.Errorf("0→8 should be unreachable after deleting 4→5, got cost %v", res.Cost)
 	}
-	rev, err := runPair(next, 8, 0, EngineDijkstra, false)
+	rev, err := runPair(next, 8, 0, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}

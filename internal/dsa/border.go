@@ -38,26 +38,20 @@ type tableSlot struct {
 }
 
 // borderTable is one engine's leg table from all of a site's border
-// nodes (ExecuteLegTableCtx from Site.border), with the index arrays a
-// gather reads it through and the memoized blocks of its transit legs.
+// nodes (ExecuteLegTableCtx from Site.border), in every leg table's
+// shape — row p is border[p], column k is the CSR's node k — beside the
+// memoized blocks of its transit legs.
 type borderTable struct {
 	m *tc.CostMatrix
-	// row[p] is m's row of border[p]; -1 where m has none, as a
-	// semi-naive table lists only sources with facts.
-	row []int32
-	// col[k] is m's column of the CSR's node k; -1 where m has none, as
-	// a semi-naive table lists only destinations with facts.
-	col []int32
 	// transit[i*len(dss)+j] is the block of the leg entered through the
 	// site's dss[i] and left through dss[j], gathered by its first
 	// reader.
 	transit []atomic.Pointer[ExitBlock]
 }
 
-// bytes is what the table holds: its matrix, its index arrays at 4 B
-// per entry and its memoized blocks.
+// bytes is what the table holds: its matrix and its memoized blocks.
 func (t *borderTable) bytes() int64 {
-	n := int64(t.m.Bytes() + 4*len(t.row) + 4*len(t.col) + 8*len(t.transit))
+	n := int64(t.m.Bytes() + 8*len(t.transit))
 	for i := range t.transit {
 		if b := t.transit[i].Load(); b != nil {
 			n += int64(b.bytes())
@@ -67,7 +61,7 @@ func (t *borderTable) bytes() int64 {
 }
 
 // TableBytes is what the site's built border tables hold, over every
-// engine: matrices, index arrays and memoized transit blocks.
+// engine: matrices and memoized transit blocks.
 func (s *Site) TableBytes() int64 {
 	var n int64
 	for i := range s.tables {
@@ -122,37 +116,17 @@ func (s *Site) tableFor(ctx context.Context, engine Engine) (t *borderTable, bui
 	}
 }
 
-// buildBorderTable runs the engine from every border node and indexes
-// the table it returns.
+// buildBorderTable runs the engine from every border node. Each border
+// node is a node of the site, so the table has a row for each.
 func (s *Site) buildBorderTable(ctx context.Context, engine Engine) (*borderTable, error) {
 	m, _, err := s.legTable(ctx, s.border, engine)
 	if err != nil {
 		return nil, err
 	}
-	c := s.csr()
-	t := &borderTable{
-		m:       m,
-		row:     make([]int32, len(s.border)),
-		col:     make([]int32, len(c.IDs)),
-		transit: make([]atomic.Pointer[ExitBlock], len(s.dss)*len(s.dss)),
+	if len(m.Rows) != len(s.border) {
+		return nil, fmt.Errorf("dsa: site %d: border table has %d rows for %d border nodes", s.ID, len(m.Rows), len(s.border))
 	}
-	for i := range t.row {
-		t.row[i] = -1
-	}
-	for r, id := range m.Rows {
-		if p, ok := slices.BinarySearch(s.border, id); ok {
-			t.row[p] = int32(r)
-		}
-	}
-	for i := range t.col {
-		t.col[i] = -1
-	}
-	for j, id := range m.Cols {
-		if k, ok := c.Row(id); ok {
-			t.col[k] = int32(j)
-		}
-	}
-	return t, nil
+	return &borderTable{m: m, transit: make([]atomic.Pointer[ExitBlock], len(s.dss)*len(s.dss))}, nil
 }
 
 // isSymmetric reports, proving it on first use, that the site's
@@ -189,8 +163,8 @@ func symmetricCSR(c *graph.CSR) bool {
 // borderPositions returns the positions in border of nodes, which must
 // be strictly ascending (a disconnection set, or a single node), and
 // whether every one of them is a border node.
-func borderPositions(border, nodes []graph.NodeID) ([]int, bool) {
-	var at []int
+func borderPositions(border, nodes []graph.NodeID) ([]int32, bool) {
+	var at []int32
 	p := 0
 	for i, x := range nodes {
 		if i > 0 && nodes[i-1] >= x {
@@ -203,9 +177,9 @@ func borderPositions(border, nodes []graph.NodeID) ([]int, bool) {
 			return nil, false
 		}
 		if at == nil {
-			at = make([]int, 0, len(nodes))
+			at = make([]int32, 0, len(nodes))
 		}
-		at = append(at, p)
+		at = append(at, int32(p))
 	}
 	return at, true
 }
@@ -251,7 +225,7 @@ func (st *Store) BorderBlockCtx(ctx context.Context, leg Leg, engine Engine) (bl
 	site := st.sites[leg.SiteID]
 	i, j := site.dsIndex(leg.Entry), site.dsIndex(leg.Exit)
 	transit := i >= 0 && j >= 0
-	var at []int
+	var at []int32
 	column := false
 	if !transit {
 		var rows bool
@@ -269,7 +243,7 @@ func (st *Store) BorderBlockCtx(ctx context.Context, leg Leg, engine Engine) (bl
 	case err != nil:
 		return nil, false, err
 	case column:
-		return t.columnBlock(site, leg, at, engine), built, nil
+		return t.columnBlock(site, leg, at), built, nil
 	case !transit:
 		return t.rowBlock(site, leg, at), built, nil
 	}
@@ -286,59 +260,35 @@ func (st *Store) BorderBlockCtx(ctx context.Context, leg Leg, engine Engine) (bl
 }
 
 // rowBlock gathers the block of a leg whose entry nodes are the border
-// nodes at positions at: the table's rows of them, in the table's
-// order (a leg table's, since each row is computed alone), by the leg's
-// distinct exits.
-func (t *borderTable) rowBlock(site *Site, leg Leg, at []int) *ExitBlock {
+// nodes at positions at: the table's rows of them, which are the leg's
+// distinct entry nodes in order, by the leg's distinct exits.
+func (t *borderTable) rowBlock(site *Site, leg Leg, at []int32) *ExitBlock {
 	c := site.csr()
 	exits := distinctExits(leg.Exit)
 	cols := make([]int32, len(exits))
 	for j, x := range exits {
 		cols[j] = -1
 		if k, ok := c.Row(x); ok {
-			cols[j] = t.col[k]
+			cols[j] = k
 		}
 	}
-	rows := make([]int32, 0, len(at))
-	for _, p := range at {
-		if r := t.row[p]; r >= 0 {
-			rows = append(rows, r)
-		}
-	}
-	slices.Sort(rows)
 	b := &ExitBlock{rows: leg.Entry, exits: exits, zero: make([]bool, len(exits))}
-	for i, r := range rows {
-		if i >= len(leg.Entry) || t.m.Rows[r] != leg.Entry[i] {
-			b.rows = make([]graph.NodeID, len(rows))
-			for i, r := range rows {
-				b.rows[i] = t.m.Rows[r]
-			}
-			break
-		}
-	}
-	b.rows = b.rows[:len(rows):len(rows)]
-	b.gather(t.m, rows, cols, leg.Entry)
+	b.gather(t.m, at, cols, leg.Entry)
 	return b
 }
 
 // columnBlock gathers the block of a first leg on a symmetric site,
 // whose exits are the border nodes at positions at: its source's row
 // is the source's column of the table, d(s, b) read as d(b, s). The
-// leg's table has that row when the engine writes one for every
-// present source, and for the semi-naive engine when the source has an
-// out-edge; an exit without a row of its own reads +Inf.
-func (t *borderTable) columnBlock(site *Site, leg Leg, at []int, engine Engine) *ExitBlock {
-	c := site.csr()
+// leg's table has that row whenever the source is a node of the site.
+func (t *borderTable) columnBlock(site *Site, leg Leg, at []int32) *ExitBlock {
 	exits := leg.Exit
 	b := &ExitBlock{exits: exits, zero: make([]bool, len(exits))}
-	if k, ok := c.Row(leg.Entry[0]); ok && (engine != EngineSemiNaive || c.Off[k+1] > c.Off[k]) {
+	if k, ok := site.csr().Row(leg.Entry[0]); ok {
 		b.rows, b.cost = leg.Entry, make([]float64, len(exits))
-		width, inf, col := len(t.m.Cols), math.Inf(1), t.col[k]
+		width, inf := len(t.m.Cols), math.Inf(1)
 		for j, p := range at {
-			v := inf
-			if r := t.row[p]; r >= 0 && col >= 0 {
-				v = t.m.Cost[int(r)*width+int(col)]
-			}
+			v := t.m.Cost[int(p)*width+int(k)]
 			b.cost[j] = v
 			if v != inf {
 				b.n++

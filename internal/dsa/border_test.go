@@ -23,8 +23,7 @@ import (
 // differ in its last bits), a transportation
 // graph cut around centers, the paper's shape, whose sites are not (its
 // first legs are left to the kernel), and the directed three-way store,
-// whose semi-naive tables lack the rows of border nodes without
-// out-facts.
+// whose site 0 has a border node without out-edges.
 func borderStores(t *testing.T) map[string]*Store {
 	t.Helper()
 	build := func(fr *fragment.Fragmentation, err error) *Store {
@@ -166,12 +165,12 @@ func TestPropertyBorderBlockMatchesLegTable(t *testing.T) {
 	}
 }
 
-// TestSemiNaiveBorderRowWithoutFacts: a semi-naive border table lists
-// only the border nodes with out-facts. On the three-way store, site 0
-// (1→2, 2→0, 2→7) has border node 0 with no out-edge, so its table has
-// no row for 0: a leg entered at 0 gathers no row, as its own table
-// has none, and a column read through 0 — d(1, 0) read as d(0, 1) —
-// reads +Inf.
+// TestSemiNaiveBorderRowWithoutFacts: a semi-naive border table has
+// every leg table's shape, a row for each border node. On the
+// three-way store, site 0 (1→2, 2→0, 2→7) has border node 0 with no
+// out-edge: its row exists and reads +Inf, a leg entered at 0 gathers
+// the block its own table selects, and a column read through 0 —
+// d(1, 0) read as d(0, 1) — reads +Inf.
 func TestSemiNaiveBorderRowWithoutFacts(t *testing.T) {
 	st := threeWayStore(t)
 	site := st.sites[0]
@@ -184,15 +183,15 @@ func TestSemiNaiveBorderRowWithoutFacts(t *testing.T) {
 		t.Fatalf("block %v, built %v, err %v", got, built, err)
 	}
 	table := site.tables[EngineSemiNaive].table.Load()
-	if table.row[0] != -1 || len(table.m.Rows) != 0 {
-		t.Fatalf("semi-naive border table rows %v (row of 0: %d), want none", table.m.Rows, table.row[0])
+	if !slices.Equal(table.m.Rows, []graph.NodeID{0}) || table.m.Len() != 0 {
+		t.Fatalf("semi-naive border table rows %v with %d facts, want the row of 0 reading +Inf", table.m.Rows, table.m.Len())
 	}
 	own, _, err := st.ExecuteLegTableCtx(context.Background(), 0, leg.Entry, EngineSemiNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkBlock(t, "entered at 0", got, SelectExits(own, leg), false)
-	col := table.columnBlock(site, Leg{SiteID: 0, Entry: []graph.NodeID{1}, Exit: []graph.NodeID{0}}, []int{0}, EngineSemiNaive)
+	col := table.columnBlock(site, Leg{SiteID: 0, Entry: []graph.NodeID{1}, Exit: []graph.NodeID{0}}, []int32{0})
 	if !slices.Equal(col.rows, []graph.NodeID{1}) || len(col.cost) != 1 || !math.IsInf(col.cost[0], 1) || col.n != 0 {
 		t.Errorf("column through 0: rows %v cells %v n %d, want row [1] reading +Inf and no fact", col.rows, col.cost, col.n)
 	}

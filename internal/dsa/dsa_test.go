@@ -18,19 +18,18 @@ import (
 )
 
 // runPair is the whole pipeline for one pair — plan, run every leg,
-// assemble — as every caller above this package drives it. parallel
-// gives each involved site its own goroutine.
-func runPair(st *Store, src, dst graph.NodeID, engine Engine, parallel bool) (*Result, error) {
+// assemble — as every caller above this package drives it.
+func runPair(st *Store, src, dst graph.NodeID, engine Engine) (*Result, error) {
 	plan, err := st.NewPlan(src, dst)
 	if err != nil {
 		return nil, err
 	}
-	return st.RunPlanCtx(context.Background(), plan, engine, parallel)
+	return st.RunPlanCtx(context.Background(), plan, engine)
 }
 
 // reachable is runPair reduced to the paper's "Is A connected to B?".
-func reachable(st *Store, src, dst graph.NodeID, engine Engine, parallel bool) (bool, error) {
-	res, err := runPair(st, src, dst, engine, parallel)
+func reachable(st *Store, src, dst graph.NodeID, engine Engine) (bool, error) {
+	res, err := runPair(st, src, dst, engine)
 	if err != nil {
 		return false, err
 	}
@@ -254,7 +253,7 @@ func TestPlanErrors(t *testing.T) {
 		if err != nil || len(p.Chains) != 0 || len(p.Legs) != 0 {
 			t.Fatalf("NewPlan(%d, %d) = %+v, %v; want a chain-less plan", q[0], q[1], p, err)
 		}
-		res, err := st.RunPlanCtx(context.Background(), p, EngineDijkstra, false)
+		res, err := st.RunPlanCtx(context.Background(), p, EngineDijkstra)
 		if err != nil || res.Reachable != (q[0] == q[1]) {
 			t.Errorf("isolated %d→%d: %+v, %v; want Reachable=%v", q[0], q[1], res, err, q[0] == q[1])
 		}
@@ -264,7 +263,7 @@ func TestPlanErrors(t *testing.T) {
 func TestQueryChainCost(t *testing.T) {
 	st, _ := pathStore(t)
 	for _, engine := range []Engine{EngineDijkstra, EngineSemiNaive} {
-		res, err := runPair(st, 0, 8, engine, false)
+		res, err := runPair(st, 0, 8, engine)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +284,7 @@ func TestQueryChainCost(t *testing.T) {
 
 func TestQuerySameFragmentUsesOneSite(t *testing.T) {
 	st, _ := pathStore(t)
-	res, err := runPair(st, 0, 2, EngineDijkstra, false)
+	res, err := runPair(st, 0, 2, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +298,7 @@ func TestQuerySameFragmentUsesOneSite(t *testing.T) {
 
 func TestQuerySourceEqualsTarget(t *testing.T) {
 	st, _ := pathStore(t)
-	res, err := runPair(st, 4, 4, EngineDijkstra, false)
+	res, err := runPair(st, 4, 4, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,14 +322,14 @@ func TestQueryUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runPair(st, 0, 11, EngineDijkstra, false)
+	res, err := runPair(st, 0, 11, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Reachable || !math.IsInf(res.Cost, 1) {
 		t.Errorf("res = %+v, want unreachable", res)
 	}
-	ok, err := reachable(st, 0, 11, EngineDijkstra, false)
+	ok, err := reachable(st, 0, 11, EngineDijkstra)
 	if err != nil || ok {
 		t.Errorf("Connected = %v, %v", ok, err)
 	}
@@ -351,14 +350,14 @@ func TestQueryDirectedUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runPair(st, 2, 0, EngineDijkstra, false)
+	res, err := runPair(st, 2, 0, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Reachable {
 		t.Error("directed reverse query should be unreachable")
 	}
-	fwd, err := runPair(st, 0, 2, EngineDijkstra, false)
+	fwd, err := runPair(st, 0, 2, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,26 +368,27 @@ func TestQueryDirectedUnreachable(t *testing.T) {
 
 func TestQueryUnknownEngine(t *testing.T) {
 	st, _ := pathStore(t)
-	if _, err := runPair(st, 0, 8, Engine(42), false); err == nil {
+	if _, err := runPair(st, 0, 8, Engine(42)); err == nil {
 		t.Error("unknown engine accepted")
 	}
 }
 
+// TestQueryParallelMatchesSequential: the executor, which runs each
+// involved site on its own goroutine, answers as the legs run one after
+// another in plan order do.
 func TestQueryParallelMatchesSequential(t *testing.T) {
 	st, _ := pathStore(t)
-	seq, err := runPair(st, 0, 8, EngineDijkstra, false)
+	par, err := runPair(st, 0, 8, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := runPair(st, 0, 8, EngineDijkstra, true)
+	plan, err := st.NewPlan(0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq.Cost != par.Cost || seq.Reachable != par.Reachable {
-		t.Errorf("sequential %v vs parallel %v", seq.Cost, par.Cost)
-	}
-	if par.MessagesSent != seq.MessagesSent {
-		t.Errorf("messages: %d vs %d", par.MessagesSent, seq.MessagesSent)
+	seq := runSequential(t, st, plan, EngineDijkstra)
+	if !reflect.DeepEqual(withoutTimings(seq), withoutTimings(par)) {
+		t.Errorf("sequential %+v\nparallel   %+v", seq, par)
 	}
 }
 
@@ -418,7 +418,7 @@ func TestShortcutCapturesOutsidePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runPair(st, 0, 1, EngineDijkstra, false)
+	res, err := runPair(st, 0, 1, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func TestZeroCostBorderTraversal(t *testing.T) {
 	// the middle fragment at the same node must cost 0, not break the
 	// chain.
 	st, _ := pathStore(t)
-	res, err := runPair(st, 3, 6, EngineDijkstra, false)
+	res, err := runPair(st, 3, 6, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +469,7 @@ func TestMaxChainsTruncation(t *testing.T) {
 	if !p.Truncated {
 		t.Error("plan should report truncation")
 	}
-	res, err := runPair(st, 0, 2, EngineDijkstra, false)
+	res, err := runPair(st, 0, 2, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +555,7 @@ func TestPropertySameFragmentSingleSite(t *testing.T) {
 			}
 			src := nodes[rng.Intn(len(nodes))]
 			dst := nodes[rng.Intn(len(nodes))]
-			res, err := runPair(st, src, dst, EngineDijkstra, false)
+			res, err := runPair(st, src, dst, EngineDijkstra)
 			if err != nil {
 				return false
 			}

@@ -36,7 +36,7 @@ func TestEngineNames(t *testing.T) {
 // tcq.Plan's rule, pinned in pkg/tcq).
 func TestBitsetEngineAnswersConnectivity(t *testing.T) {
 	st, _ := pathStore(t)
-	ok, err := reachable(st, 0, 8, EngineBitset, false)
+	ok, err := reachable(st, 0, 8, EngineBitset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,29 +46,22 @@ func TestBitsetEngineAnswersConnectivity(t *testing.T) {
 }
 
 // TestDenseEngineAnswersCostQueries: the dense engine is cost-capable —
-// sequential and parallel runs agree with the Dijkstra engine on
-// both the multi-fragment chain and the same-fragment fast path.
+// it agrees with the Dijkstra engine on both the multi-fragment chain
+// and the same-fragment fast path.
 func TestDenseEngineAnswersCostQueries(t *testing.T) {
 	st, _ := pathStore(t)
 	for _, q := range [][2]graph.NodeID{{0, 8}, {1, 2}, {8, 0}, {3, 6}} {
-		want, err := runPair(st, q[0], q[1], EngineDijkstra, false)
+		want, err := runPair(st, q[0], q[1], EngineDijkstra)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := runPair(st, q[0], q[1], EngineDense, false)
+		got, err := runPair(st, q[0], q[1], EngineDense)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Reachable != want.Reachable || math.Abs(got.Cost-want.Cost) > 1e-9 {
 			t.Errorf("query %v: dense (%v, %v), dijkstra (%v, %v)",
 				q, got.Reachable, got.Cost, want.Reachable, want.Cost)
-		}
-		gotP, err := runPair(st, q[0], q[1], EngineDense, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(gotP.Cost-want.Cost) > 1e-9 {
-			t.Errorf("parallel query %v: dense cost %v, want %v", q, gotP.Cost, want.Cost)
 		}
 	}
 }
@@ -214,7 +207,7 @@ func TestDenseEngineNegativeWeightsErrorNotPanic(t *testing.T) {
 	// Both CSR engines refuse with the typed sentinel: they share the
 	// site's one snapshot, which cannot be built.
 	for _, engine := range []Engine{EngineDense, EngineBitset} {
-		if _, err := runPair(st, 0, 2, engine, false); !errors.Is(err, ErrNegativeWeight) {
+		if _, err := runPair(st, 0, 2, engine); !errors.Is(err, ErrNegativeWeight) {
 			t.Errorf("%v query over negative weights: %v, want ErrNegativeWeight", engine, err)
 		}
 		if _, _, err := st.ExecuteLegFullCtx(context.Background(), 0, []graph.NodeID{0}, engine); !errors.Is(err, ErrNegativeWeight) {
@@ -226,7 +219,7 @@ func TestDenseEngineNegativeWeightsErrorNotPanic(t *testing.T) {
 	}
 	// The semi-naive engine refuses the same input; dijkstra remains
 	// callable (it silently assumes non-negative weights).
-	if _, err := runPair(st, 0, 2, EngineSemiNaive, false); !errors.Is(err, ErrNegativeWeight) {
+	if _, err := runPair(st, 0, 2, EngineSemiNaive); !errors.Is(err, ErrNegativeWeight) {
 		t.Errorf("seminaive query over negative weights: %v, want ErrNegativeWeight", err)
 	}
 }
@@ -252,7 +245,7 @@ func TestCostTrafficBuildsNoRelation(t *testing.T) {
 	nodes := g.Nodes()
 	src, dst := nodes[0], nodes[len(nodes)-1] // opposite corners: the chain crosses every fragment
 	for _, engine := range []Engine{EngineDense, EngineDijkstra, EngineBitset} {
-		r, err := runPair(st, src, dst, engine, true)
+		r, err := runPair(st, src, dst, engine)
 		if err != nil || !r.Reachable {
 			t.Fatalf("%v query: %+v, %v", engine, r, err)
 		}

@@ -42,7 +42,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := store.RunPlanCtx(context.Background(), plan, dsa.EngineDijkstra, true)
+	res, err := store.RunPlanCtx(context.Background(), plan, dsa.EngineDijkstra)
 	if err != nil {
 		panic(err)
 	}
@@ -77,7 +77,7 @@ func ExampleStore_RunPlanCtx() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := store.RunPlanCtx(context.Background(), plan, dsa.EngineSemiNaive, false)
+	res, err := store.RunPlanCtx(context.Background(), plan, dsa.EngineSemiNaive)
 	if err != nil {
 		panic(err)
 	}

@@ -23,8 +23,8 @@ type LegResult struct {
 	// site's border table (BorderBlockCtx).
 	Block *ExitBlock
 	// Rel is the benchmark harness's seam until it reads spans: a
-	// (src, dst, cost) relation FinishPlan converts and selects once
-	// when Block is nil. No query path sets it.
+	// (src, dst, cost) relation FinishPlan builds the block of once
+	// (FactBlock) when Block is nil. No query path sets it.
 	Rel *relation.Relation
 	// Stats reports the local fixpoint work. FinishPlan charges the leg
 	// the facts its block selects as ResultTuples, whatever the
@@ -134,10 +134,12 @@ func (st *Store) PlanResult(plan *Plan) (res *Result, done bool) {
 // TuplesShipped, MaxOperand and the site's ResultTuples count. results
 // must be indexed like plan.Legs; Elapsed is left to the caller.
 //
-// A result without a Block has its Rel converted and selected, once.
-// Relations FilterLegFacts already selected still fold to exact costs,
-// but their zero-cost facts are then selected twice, as a fact and for
-// the entry, so those three counts may over-count by them.
+// A result without a Block has its Rel's facts built into one, once
+// (FactBlock): a fact that is not a leg fact, or not from an entry
+// node, is an error. Relations FilterLegFacts already selected still
+// fold to exact costs, but their zero-cost facts are then selected
+// twice, as a fact and for the entry, so those three counts may
+// over-count by them.
 func (st *Store) FinishPlan(plan *Plan, results []*LegResult, res *Result) error {
 	if len(results) != len(plan.Legs) {
 		return fmt.Errorf("dsa: finish: %d results for %d legs", len(results), len(plan.Legs))
@@ -151,11 +153,11 @@ func (st *Store) FinishPlan(plan *Plan, results []*LegResult, res *Result) error
 		case lr.Block != nil:
 			blocks[i] = *lr.Block
 		default:
-			table, err := legTableOf(lr.Rel)
+			b, err := relBlock(lr.Rel, lr.Leg)
 			if err != nil {
 				return fmt.Errorf("dsa: assemble: leg %d: site %d: %w", i, lr.Leg.SiteID, err)
 			}
-			blocks[i] = *SelectExits(table, lr.Leg)
+			blocks[i] = *b
 		}
 		widest = max(widest, len(blocks[i].exits))
 	}
@@ -285,17 +287,15 @@ func minPlus2(best, a []float64, ca float64, b []float64, cb float64) {
 type LegFunc func(ctx context.Context, leg Leg) (*LegResult, error)
 
 // RunLegs is the one executor of a prepared plan: phase 1 per-site
-// legs obtained through run, then FinishPlan. With parallel set each
-// involved site runs on its own goroutine, the goroutine-per-processor
-// realisation of the paper's "neither communication nor synchronization
-// is required during the first phase of the computation"; otherwise
-// sites run one after another in SitesInvolved order. Either way a site
-// runs its legs serially in plan order and observes ctx before each, so
-// a canceled query returns ErrCanceled instead of starting the
-// remaining legs. The first failing site (in SitesInvolved order)
-// supplies the error, and no Result is returned with one. Elapsed
-// spans the call.
-func (st *Store) RunLegs(ctx context.Context, plan *Plan, parallel bool, run LegFunc) (*Result, error) {
+// legs obtained through run, then FinishPlan. Each involved site runs
+// on its own goroutine, the goroutine-per-processor realisation of the
+// paper's "neither communication nor synchronization is required during
+// the first phase of the computation". A site runs its legs serially in
+// plan order and observes ctx before each, so a canceled query returns
+// ErrCanceled instead of starting the remaining legs. The first failing
+// site (in SitesInvolved order) supplies the error, and no Result is
+// returned with one. Elapsed spans the call.
+func (st *Store) RunLegs(ctx context.Context, plan *Plan, run LegFunc) (*Result, error) {
 	start := time.Now()
 	res, done := st.PlanResult(plan)
 	if done {
@@ -321,23 +321,15 @@ func (st *Store) RunLegs(ctx context.Context, plan *Plan, parallel bool, run Leg
 	}
 	sites := plan.SitesInvolved()
 	errs := make([]error, len(sites))
-	if parallel {
-		var wg sync.WaitGroup
-		for k, siteID := range sites {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs[k] = runSite(siteID)
-			}()
-		}
-		wg.Wait()
-	} else {
-		for k, siteID := range sites {
-			if errs[k] = runSite(siteID); errs[k] != nil {
-				break
-			}
-		}
+	var wg sync.WaitGroup
+	for k, siteID := range sites {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[k] = runSite(siteID)
+		}()
 	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -360,11 +352,11 @@ func (st *Store) RunLegs(ctx context.Context, plan *Plan, parallel bool, run Leg
 // (it is not for EngineBitset or a ProblemReachability store, whose
 // facts carry the presence marker 1) is the caller's rule — tcq.Plan
 // refuses such cost requests before they reach a store.
-func (st *Store) RunPlanCtx(ctx context.Context, plan *Plan, engine Engine, parallel bool) (*Result, error) {
+func (st *Store) RunPlanCtx(ctx context.Context, plan *Plan, engine Engine) (*Result, error) {
 	if !ValidEngine(engine) {
 		return nil, fmt.Errorf("dsa: %w %d", ErrUnknownEngine, engine)
 	}
-	return st.RunLegs(ctx, plan, parallel, func(ctx context.Context, leg Leg) (*LegResult, error) {
+	return st.RunLegs(ctx, plan, func(ctx context.Context, leg Leg) (*LegResult, error) {
 		return st.ExecuteLegCtx(ctx, leg, engine)
 	})
 }
@@ -390,15 +382,15 @@ func (st *Store) ExecuteLegCtx(ctx context.Context, leg Leg, engine Engine) (*Le
 
 // ExecuteLegTableCtx runs a leg engine from an entry set WITHOUT the
 // exit-set selection: every (src, dst, cost) fact derivable from the
-// entry nodes on the site's augmented fragment, as a leg table whose
-// rows are distinct entry nodes — for the CSR engines and Dijkstra each
-// one present on the site, in entry order. This is the
-// memoizable unit of leg execution — the expensive part of a leg
-// depends only on (site, entry set, engine), while the exit set is a
-// cheap selection (SelectExits gathers the exits' cells, and the
-// columns it discards are never read) — so a serving layer can cache
-// the table under that key and select every query's exits from it. For
-// EngineBitset a fact carries the presence marker 1 (the table is a
+// entry nodes on the site's augmented fragment, as a leg table in the
+// site's shape on every engine (tc.NewCostMatrix over the site's CSR):
+// one row per distinct entry node present on the site, in entry order,
+// one column per node of the CSR. This is the memoizable unit of leg
+// execution — the expensive part of a leg depends only on (site, entry
+// set, engine), while the exit set is a cheap selection (SelectExits
+// gathers the exits' cells, and the columns it discards are never
+// read) — so a serving layer can cache the table under that key and
+// select every query's exits from it. For EngineBitset a fact carries the presence marker 1 (the table is a
 // connectivity table). Whatever the engine, a cell holds a fact iff the
 // engine derives one: the dense kernel keeps a source's cycle back to
 // itself, and the Dijkstra arm, whose search starts at cost 0, has no
@@ -445,10 +437,10 @@ func (s *Site) legTable(ctx context.Context, entry []graph.NodeID, engine Engine
 		}
 		stats.DerivedTuples = stats.ResultTuples + len(rows)
 	case EngineSemiNaive:
-		// The kernel's relation, converted once.
+		// The kernel's relation, its facts written into the table.
 		var rel *relation.Relation
 		if rel, stats, err = tc.ShortestFromCtx(ctx, s.rel(), entry); err == nil {
-			table, err = legTableOf(rel)
+			table, err = s.factTable(rel, entry)
 		}
 	case EngineBitset, EngineDense:
 		// Both kernels run on the site's one CSR and write the table
@@ -469,6 +461,30 @@ func (s *Site) legTable(ctx context.Context, entry []graph.NodeID, engine Engine
 		return nil, tc.Stats{}, fmt.Errorf("dsa: site %d leg: %w", s.ID, err)
 	}
 	return table, stats, nil
+}
+
+// factTable writes the facts of a semi-naive leg relation from entry
+// into the site's table shape, indexing its rows once; a repeated
+// (src, dst) pair keeps its least cost.
+func (s *Site) factTable(rel *relation.Relation, entry []graph.NodeID) (*tc.CostMatrix, error) {
+	c := s.csr()
+	table, _ := tc.NewCostMatrix(c, entry)
+	rowOf := make(map[int64]int, len(table.Rows))
+	for r, a := range table.Rows {
+		rowOf[int64(a)] = r
+	}
+	width := len(table.Cols)
+	for _, t := range rel.Tuples() {
+		src, dst, cost, ok := legFact(t)
+		r, isRow := rowOf[src]
+		k, isCol := c.Row(graph.NodeID(dst))
+		if !ok || !isRow || !isCol {
+			return nil, fmt.Errorf("leg table: fact %v is not a fact of the leg on its site", t)
+		}
+		cell := &table.Cost[r*width+int(k)]
+		*cell = min(*cell, cost)
+	}
+	return table, nil
 }
 
 // ExecuteLegFullCtx is ExecuteLegTableCtx with the table as a

@@ -12,17 +12,18 @@ import (
 )
 
 // This file is the one place that knows how the assembly reads a leg
-// table: a tc.CostMatrix with the leg's distinct entry nodes present on
-// the site as rows, destinations as ascending columns and +Inf where
-// there is no fact — the bitset kernel's facts carry the presence
-// marker 1. The CSR kernels and the Dijkstra arm write the matrix in
-// place (ExecuteLegTableCtx); the semi-naive arm's relation and a
-// relation handed to FinishPlan are converted once (legTableOf). A
-// leg's exits are gathered out of its table into an ExitBlock, its
-// exit-only result, which is all the assembly fold reads: one pass
-// that copies the exit columns' cells row by row into a contiguous
-// block and counts the facts they select. A site gathers the same
-// blocks out of its border tables (border.go).
+// table: a tc.CostMatrix in its site's shape (tc.NewCostMatrix over the
+// site's CSR) — one row per distinct entry node present on the site, in
+// entry order, one column per node of the CSR, +Inf where there is no
+// fact — whose bitset facts carry the presence marker 1. Every engine
+// writes its table in that shape (ExecuteLegTableCtx). A leg's exits are
+// gathered out of its table into an ExitBlock, its exit-only result,
+// which is all the assembly fold reads: one pass that copies the exit
+// columns' cells row by row into a contiguous block and counts the facts
+// they select. A site gathers the same blocks out of its border tables
+// (border.go), and facts from anywhere else — a relation handed to
+// FinishPlan, a peer's shipped exits — become a block in one step
+// (FactBlock).
 // FilterLegFacts is the same selection over a (src, dst, cost)
 // relation, copied out into a relation of its own: the relational
 // reference the fold is tested against, kept exported for the
@@ -53,18 +54,17 @@ func checkLegFacts(rel *relation.Relation) error {
 	return nil
 }
 
-// legTableOf converts a (src, dst, cost) relation to a leg table once:
-// every row checked to be a leg fact, a repeated (src, dst) pair kept at
-// its least cost.
-func legTableOf(rel *relation.Relation) (*tc.CostMatrix, error) {
+// relBlock is FactBlock over a (src, dst, cost) relation, every row
+// checked to be a leg fact first.
+func relBlock(rel *relation.Relation, leg Leg) (*ExitBlock, error) {
 	if err := checkLegFacts(rel); err != nil {
 		return nil, err
 	}
 	rows := rel.Tuples()
-	return tc.FactMatrix(len(rows), func(i int) (graph.NodeID, graph.NodeID, float64) {
+	return FactBlock(leg, len(rows), func(i int) (graph.NodeID, graph.NodeID, float64) {
 		src, dst, cost, _ := legFact(rows[i])
 		return graph.NodeID(src), graph.NodeID(dst), cost
-	}), nil
+	})
 }
 
 // ExitBlock is a leg's exit-only result: its table's rows by its
@@ -76,8 +76,8 @@ func legTableOf(rel *relation.Relation) (*tc.CostMatrix, error) {
 // sets has one block however many queries cross its site. A block is
 // not written once built; any number of folds may read it.
 type ExitBlock struct {
-	// rows are the table's rows: shared with it, or with the leg's
-	// entry set, or the block's own when gathered from a border table.
+	// rows are the table's rows, the leg's distinct entry nodes in
+	// entry order: shared with the table or with the leg's entry set.
 	rows []graph.NodeID
 	// exits are the leg's distinct exits, ascending: the leg's own
 	// slice when it already is.
@@ -118,6 +118,59 @@ func SelectExits(table *tc.CostMatrix, leg Leg) *ExitBlock {
 	return b
 }
 
+// FactBlock builds leg's block straight from n facts read through
+// fact, as SelectExits would select them from a table that holds them:
+// the leg's distinct entry nodes as rows, in entry order, by its
+// distinct exits, each cell the least cost of its facts, and the
+// zero-cost flags of the exits that are also entry nodes. A fact to a
+// node that is not an exit is not selected; a fact from a node that is
+// not an entry node is an error. Facts in leg-table order — by exit,
+// the rows of one exit in order, as a table crosses the wire — find
+// their row and column where the previous fact's next row and column
+// are, so the searches are the exception.
+func FactBlock(leg Leg, n int, fact func(i int) (src, dst graph.NodeID, cost float64)) (*ExitBlock, error) {
+	rows, index := leg.Entry, make(map[graph.NodeID]int, len(leg.Entry))
+	for _, a := range leg.Entry {
+		if _, seen := index[a]; !seen {
+			index[a] = len(index)
+		}
+	}
+	if len(index) < len(rows) {
+		rows = make([]graph.NodeID, len(index))
+		for a, r := range index {
+			rows[r] = a
+		}
+	}
+	exits, inf := distinctExits(leg.Exit), math.Inf(1)
+	b := &ExitBlock{rows: rows, exits: exits, zero: make([]bool, len(exits)), cost: make([]float64, len(rows)*len(exits))}
+	for i := range b.cost {
+		b.cost[i] = inf
+	}
+	r, j := -1, 0
+	for i := range n {
+		src, dst, cost := fact(i)
+		if r++; r >= len(rows) || rows[r] != src {
+			var ok bool
+			if r, ok = index[src]; !ok {
+				return nil, fmt.Errorf("leg table: fact (%d, %d, %v) from %d, which is not an entry node of the leg", src, dst, cost, src)
+			}
+		}
+		if j >= len(exits) || exits[j] != dst {
+			var ok bool
+			if j, ok = slices.BinarySearch(exits, dst); !ok {
+				continue
+			}
+		}
+		cell := &b.cost[r*len(exits)+j]
+		if *cell == inf && cost != inf {
+			b.n++ // the cell's first fact
+		}
+		*cell = min(*cell, cost)
+	}
+	b.flagZero(leg.Entry)
+	return b, nil
+}
+
 // gather is the one pass that fills a block whose exits and zero flags
 // are allocated: it copies the cells of m's rows at indices rows (nil:
 // every row, in order) in the columns cols (-1: none, read as +Inf),
@@ -154,14 +207,12 @@ func (b *ExitBlock) gather(m *tc.CostMatrix, rows, cols []int32, entry []graph.N
 
 // bytes is what a memoized block holds of its own: its cells at 8 B,
 // its zero-cost flags at 1 B and its header. Its rows and exits are its
-// leg's disconnection sets (a semi-naive block's rows at most a subset
-// of one) and are not counted.
+// leg's disconnection sets and are not counted.
 func (b *ExitBlock) bytes() int { return 8*len(b.cost) + len(b.zero) + blockHeader }
 
 // Matrix views the block's cells as a leg table of its rows by its
 // exits, sharing them: what a site ships for a leg. The zero-cost
-// flags are not in it; SelectExits flags them again from the entry
-// set.
+// flags are not in it; FactBlock flags them again from the entry set.
 func (b *ExitBlock) Matrix() *tc.CostMatrix {
 	return &tc.CostMatrix{Rows: b.rows, Cols: b.exits, Cost: b.cost}
 }

@@ -36,11 +36,11 @@ func TestPipelineDeterminism(t *testing.T) {
 	for q := 0; q < 5; q++ {
 		src := nodes[(q*13)%len(nodes)]
 		dst := nodes[(q*29+7)%len(nodes)]
-		r1, err := runPair(st1, src, dst, EngineDijkstra, false)
+		r1, err := runPair(st1, src, dst, EngineDijkstra)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := runPair(st2, src, dst, EngineDijkstra, false)
+		r2, err := runPair(st2, src, dst, EngineDijkstra)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestStressManyFragments(t *testing.T) {
 	if got := st.Fragmentation().NumFragments(); got != 16 {
 		t.Fatalf("fragments = %d", got)
 	}
-	res, err := runPair(st, 0, n, EngineDijkstra, true)
+	res, err := runPair(st, 0, n, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestConcurrentQueriesAreSafe(t *testing.T) {
 	for i := range queries {
 		src := nodes[(i*7)%len(nodes)]
 		dst := nodes[(i*13+3)%len(nodes)]
-		res, err := runPair(st, src, dst, EngineDijkstra, false)
+		res, err := runPair(st, src, dst, EngineDijkstra)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestConcurrentQueriesAreSafe(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				qq := queries[(worker*8+i)%len(queries)]
-				res, err := runPair(st, qq.src, qq.dst, EngineDijkstra, true)
+				res, err := runPair(st, qq.src, qq.dst, EngineDijkstra)
 				if err != nil {
 					errs <- err
 					return

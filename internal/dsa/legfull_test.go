@@ -288,41 +288,6 @@ func gridLeg(tb testing.TB) (*relation.Relation, Leg) {
 	return table, leg
 }
 
-// TestLegTableOf: a relation becomes a leg table once — rows in the
-// order their sources first occur, a repeated (src, dst) pair at its
-// least cost, the facts otherwise the relation's — and a row that is
-// not a leg fact is refused wherever it stands.
-func TestLegTableOf(t *testing.T) {
-	row := func(src, dst int64, cost float64) relation.Tuple { return relation.Tuple{src, dst, cost} }
-	rel, err := relation.Adopt([]relation.Tuple{row(9, 2, 1), row(5, 1, 4), row(9, 2, 0.5), row(4, 1, 2)}, "src", "dst", "cost")
-	if err != nil {
-		t.Fatal(err)
-	}
-	table, err := legTableOf(rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(table.Rows, []graph.NodeID{9, 5, 4}) || !slices.Equal(table.Cols, []graph.NodeID{1, 2}) {
-		t.Fatalf("rows %v, columns %v; want [9 5 4], [1 2]", table.Rows, table.Cols)
-	}
-	if got, want := table.Relation().String(), "src, dst, cost (3 tuples)\n  (5, 1, 4)\n  (4, 1, 2)\n  (9, 2, 0.5)\n"; got != want {
-		t.Errorf("facts\n%s, want\n%s", got, want)
-	}
-	for name, bad := range map[string][]relation.Tuple{
-		"string dst": {row(9, 2, 1), {int64(0), "3", 1.0}},
-		"int cost":   {row(9, 2, 1), {int64(0), int64(3), int64(1)}},
-		"arity 2":    {{int64(0), int64(3)}},
-	} {
-		rel, err := relation.Adopt(bad, []string{"src", "dst", "cost"}[:len(bad[len(bad)-1])]...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if table, err := legTableOf(rel); err == nil {
-			t.Errorf("%s accepted: %+v", name, table)
-		}
-	}
-}
-
 // TestFilterLegFactsMalformedFact: a table row that is not (int64,
 // int64, float64) makes the selection fail — it is neither dropped
 // silently nor a panic. The sibling of TestFinishPlanMalformedFact.

@@ -190,7 +190,7 @@ func TestQueryPathIsTheWalk(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := st.RunPlanCtx(ctx, plan, EngineDijkstra, false)
+					want, err := st.RunPlanCtx(ctx, plan, EngineDijkstra)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -56,7 +56,7 @@ func TestQueryPipelinedDoesLessWorkOnWideDS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := runPair(st, src, dst, EngineDijkstra, false)
+	par, err := runPair(st, src, dst, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestReachabilityStoreConnected(t *testing.T) {
 	if rs.Problem() != ProblemReachability {
 		t.Fatalf("problem = %v", rs.Problem())
 	}
-	ok, err := reachable(rs, 0, 8, EngineDijkstra, false)
+	ok, err := reachable(rs, 0, 8, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +64,11 @@ func TestReachabilityPreprocessingIsBFS(t *testing.T) {
 	nodes := g.Nodes()
 	for _, src := range nodes[:3] {
 		for _, dst := range nodes[len(nodes)-3:] {
-			a, err := reachable(st, src, dst, EngineDijkstra, false)
+			a, err := reachable(st, src, dst, EngineDijkstra)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := reachable(rs, src, dst, EngineDijkstra, false)
+			b, err := reachable(rs, src, dst, EngineDijkstra)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,11 +102,11 @@ func TestReachabilityDirectedAsymmetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fwd, err := reachable(rs, 0, 2, EngineDijkstra, false)
+	fwd, err := reachable(rs, 0, 2, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := reachable(rs, 2, 0, EngineDijkstra, false)
+	back, err := reachable(rs, 2, 0, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,56 +68,73 @@ func TestRunLegs(t *testing.T) {
 	}
 	errBoom := errors.New("boom")
 
-	for _, parallel := range []bool{false, true} {
-		// A leg error on one site is the run's error; no Result escapes.
-		res, err := st.RunLegs(context.Background(), plan, parallel, func(ctx context.Context, leg Leg) (*LegResult, error) {
-			if leg.SiteID == busy {
-				return nil, errBoom
-			}
-			return execute(ctx, leg)
-		})
-		if !errors.Is(err, errBoom) || res != nil {
-			t.Errorf("parallel=%v: failing leg: res %v, err %v; want nil, boom", parallel, res, err)
+	// A leg error on one site is the run's error; no Result escapes.
+	res, err := st.RunLegs(context.Background(), plan, func(ctx context.Context, leg Leg) (*LegResult, error) {
+		if leg.SiteID == busy {
+			return nil, errBoom
 		}
-
-		// Cancellation after a site's first leg: ErrCanceled, and the
-		// site's remaining legs are never started.
-		ctx, cancel := context.WithCancel(context.Background())
-		var mu sync.Mutex
-		calls := make(map[int]int)
-		res, err = st.RunLegs(ctx, plan, parallel, func(ctx context.Context, leg Leg) (*LegResult, error) {
-			mu.Lock()
-			calls[leg.SiteID]++
-			mu.Unlock()
-			lr, err := execute(ctx, leg)
-			if leg.SiteID == busy {
-				cancel()
-			}
-			return lr, err
-		})
-		cancel()
-		if !errors.Is(err, ErrCanceled) || res != nil {
-			t.Errorf("parallel=%v: canceled run: res %v, err %v; want nil, ErrCanceled", parallel, res, err)
-		}
-		if calls[busy] != 1 {
-			t.Errorf("parallel=%v: site %d ran %d legs after cancellation, want 1", parallel, busy, calls[busy])
-		}
+		return execute(ctx, leg)
+	})
+	if !errors.Is(err, errBoom) || res != nil {
+		t.Errorf("failing leg: res %v, err %v; want nil, boom", res, err)
 	}
 
-	seq, err := st.RunLegs(context.Background(), plan, false, execute)
+	// Cancellation after a site's first leg: ErrCanceled, and the
+	// site's remaining legs are never started.
+	ctx, cancel := context.WithCancel(context.Background())
+	var mu sync.Mutex
+	calls := make(map[int]int)
+	res, err = st.RunLegs(ctx, plan, func(ctx context.Context, leg Leg) (*LegResult, error) {
+		mu.Lock()
+		calls[leg.SiteID]++
+		mu.Unlock()
+		lr, err := execute(ctx, leg)
+		if leg.SiteID == busy {
+			cancel()
+		}
+		return lr, err
+	})
+	cancel()
+	if !errors.Is(err, ErrCanceled) || res != nil {
+		t.Errorf("canceled run: res %v, err %v; want nil, ErrCanceled", res, err)
+	}
+	if calls[busy] != 1 {
+		t.Errorf("site %d ran %d legs after cancellation, want 1", busy, calls[busy])
+	}
+
+	par, err := st.RunLegs(context.Background(), plan, execute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := st.RunLegs(context.Background(), plan, true, execute)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := runSequential(t, st, plan, EngineDijkstra)
 	if !reflect.DeepEqual(withoutTimings(seq), withoutTimings(par)) {
 		t.Errorf("sequential %+v\nparallel   %+v", seq, par)
 	}
-	if !seq.Reachable || seq.Cost != 2 || seq.MessagesSent != len(plan.Legs) {
-		t.Errorf("ring 0→2 = %+v", seq)
+	if !par.Reachable || par.Cost != 2 || par.MessagesSent != len(plan.Legs) {
+		t.Errorf("ring 0→2 = %+v", par)
 	}
+}
+
+// runSequential is the reference run of a plan: its legs executed one
+// after another in plan order, then FinishPlan.
+func runSequential(t *testing.T, st *Store, plan *Plan, engine Engine) *Result {
+	t.Helper()
+	res, done := st.PlanResult(plan)
+	if done {
+		return res
+	}
+	results := make([]*LegResult, len(plan.Legs))
+	for i, leg := range plan.Legs {
+		lr, err := st.ExecuteLegCtx(context.Background(), leg, engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[i] = lr
+	}
+	if err := st.FinishPlan(plan, results, res); err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestFinishPlanMalformedFact: a leg fact that is not (int64, int64,

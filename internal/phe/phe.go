@@ -183,7 +183,7 @@ func (h *Hierarchy) runChains(ctx context.Context, source, target graph.NodeID, 
 	if err != nil {
 		return nil, err
 	}
-	return h.store.RunPlanCtx(ctx, plan, engine, true)
+	return h.store.RunPlanCtx(ctx, plan, engine)
 }
 
 // SplitByCluster builds the canonical hierarchical fragmentation of a

@@ -215,7 +215,7 @@ func TestConcurrentTransitQueries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := st.RunPlanCtx(context.Background(), plan, dsa.EngineDense, false)
+			res, err := st.RunPlanCtx(context.Background(), plan, dsa.EngineDense)
 			if err != nil {
 				t.Fatal(err)
 			}

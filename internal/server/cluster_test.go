@@ -209,7 +209,7 @@ func TestClusterForwardedLoopGuard(t *testing.T) {
 // tables were relations. The leg is entered through a disconnection
 // set and its site's border table is built, so every request reads it
 // and builds nothing. The same leg with its exits gets just their
-// facts, from which the coordinator selects the block the kernel's
+// facts, from which the coordinator builds the block the kernel's
 // table selects, cell for cell.
 func TestV1LegWireMatchesRelation(t *testing.T) {
 	tcl := newTestCluster(t, 6, 6, 4, 2, nil)
@@ -256,7 +256,7 @@ func TestV1LegWireMatchesRelation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, stats, err := got.Table()
+		_, stats, err := got.Facts()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +285,7 @@ func TestV1LegWireMatchesRelation(t *testing.T) {
 		if err := json.Unmarshal(post(req), &resp); err != nil {
 			t.Fatal(err)
 		}
-		shipped, _, err := resp.Table()
+		shipped, _, err := resp.Block(leg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +293,7 @@ func TestV1LegWireMatchesRelation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, want := dsa.SelectExits(shipped, leg).Matrix(), dsa.SelectExits(table, leg).Matrix()
+		got, want := shipped.Matrix(), dsa.SelectExits(table, leg).Matrix()
 		if len(resp.Src) != want.Len() || got.Len() != want.Len() || !slices.Equal(got.Cols, want.Cols) {
 			t.Fatalf("%v: %d facts shipped, block of %d facts by %v; want %d facts by %v", engine, len(resp.Src), got.Len(), got.Cols, want.Len(), want.Cols)
 		}

@@ -186,8 +186,8 @@ func (s *Server) Close() { s.unsubscribe() }
 // executeLegLocal call; in cluster deployments a leg of a remotely
 // owned site is shipped to its owner instead (scatter) — an I/O-bound
 // wait here while the owner's /v1/leg handler makes that call and
-// ships the facts of the leg's exits, from which its block is selected
-// again here — and when the owner is unreachable the degraded-mode
+// ships the facts of the leg's exits, which become its block here in
+// one step — and when the owner is unreachable the degraded-mode
 // fallback makes the executeLegLocal call here after all. Assembly
 // (gather) is oblivious to where a leg ran.
 func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target graph.NodeID, engine dsa.Engine) (*dsa.Result, tcq.RunStats, error) {
@@ -203,7 +203,7 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 	var hits, misses atomic.Int64
 	var fallbackMu sync.Mutex
 	var fallbackSites []int
-	res, err := st.RunLegs(ctx, plan, true, func(ctx context.Context, leg dsa.Leg) (*dsa.LegResult, error) {
+	res, err := st.RunLegs(ctx, plan, func(ctx context.Context, leg dsa.Leg) (*dsa.LegResult, error) {
 		var lr *dsa.LegResult
 		var hit bool
 		var err error
@@ -216,12 +216,11 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 			// as hits here so the hit rate reflects work actually saved
 			// cluster-wide.
 			t0 := time.Now()
-			var table *tc.CostMatrix
-			var stats tc.Stats
-			table, stats, hit, err = s.cluster.ExecuteLeg(ctx, leg.SiteID, leg.Entry, leg.Exit, engine.String(), snap.Epoch())
+			lr = &dsa.LegResult{Leg: leg}
+			lr.Block, lr.Stats, hit, err = s.cluster.ExecuteLeg(ctx, leg, engine.String(), snap.Epoch())
 			switch {
 			case err == nil:
-				lr = &dsa.LegResult{Leg: leg, Block: dsa.SelectExits(table, leg), Stats: stats, Took: time.Since(t0)}
+				lr.Took = time.Since(t0)
 			case cluster.FallbackEligible(err):
 				// Degraded mode: the owner is unreachable (down, timed
 				// out, or its breaker is open), but every node builds the

@@ -156,7 +156,7 @@ func (c *Cluster) Run(ctx context.Context, source, target graph.NodeID, engine d
 	}
 	rep := &Report{SiteBusy: make(map[int]time.Duration)}
 	var mu sync.Mutex // guards rep.Messages and rep.SiteBusy
-	res, err := c.store.RunLegs(ctx, plan, true, func(ctx context.Context, leg dsa.Leg) (*dsa.LegResult, error) {
+	res, err := c.store.RunLegs(ctx, plan, func(ctx context.Context, leg dsa.Leg) (*dsa.LegResult, error) {
 		lr, err := c.store.ExecuteLegCtx(ctx, leg, engine)
 		if err != nil {
 			return nil, err

@@ -74,7 +74,7 @@ func TestRunMatchesStoreAnswer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := st.RunPlanCtx(context.Background(), plan, dsa.EngineDijkstra, false)
+	want, err := st.RunPlanCtx(context.Background(), plan, dsa.EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}

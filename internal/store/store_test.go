@@ -49,7 +49,7 @@ func runPair(st *dsa.Store, src, tgt graph.NodeID, eng dsa.Engine) (*dsa.Result,
 	if err != nil {
 		return nil, err
 	}
-	return st.RunPlanCtx(context.Background(), plan, eng, false)
+	return st.RunPlanCtx(context.Background(), plan, eng)
 }
 
 // assertSameAnswers holds a decoded store to the one it was encoded

@@ -19,8 +19,9 @@ import (
 type CostMatrix struct {
 	// Rows are the sources, distinct.
 	Rows []graph.NodeID
-	// Cols are the destinations, distinct and ascending. A kernel's
-	// matrix shares its CSR's IDs, so it owns no column of its own.
+	// Cols are the destinations, distinct and ascending. A leg table
+	// shares its CSR's IDs (NewCostMatrix), so it owns no column of its
+	// own.
 	Cols []graph.NodeID
 	// Cost holds the cells row after row: Cost[r*len(Cols)+c].
 	Cost []float64
@@ -70,45 +71,6 @@ func infs(n int) []float64 {
 		out[i] = math.Inf(1)
 	}
 	return out
-}
-
-// FactMatrix builds the matrix of n facts read through fact: rows in
-// the order their sources first occur, the distinct destinations as
-// columns, and the least cost where a (src, dst) pair repeats. Facts in
-// leg-table order — a table that crossed the wire — mostly find their
-// row and column where the previous fact's were, so the map and the
-// binary search are the exception.
-func FactMatrix(n int, fact func(i int) (src, dst graph.NodeID, cost float64)) *CostMatrix {
-	m := &CostMatrix{Cols: make([]graph.NodeID, n)}
-	rowOf := make(map[graph.NodeID]int)
-	at := make([]int, n) // each fact's row
-	next := 0            // the row after the previous fact's
-	for i := range n {
-		src, dst, _ := fact(i)
-		r := next
-		if r >= len(m.Rows) || m.Rows[r] != src {
-			var seen bool
-			if r, seen = rowOf[src]; !seen {
-				r = len(m.Rows)
-				rowOf[src] = r
-				m.Rows = append(m.Rows, src)
-			}
-		}
-		at[i], m.Cols[i], next = r, dst, r+1
-	}
-	slices.Sort(m.Cols)
-	m.Cols = slices.Clip(slices.Compact(m.Cols))
-	m.Cost = infs(len(m.Rows) * len(m.Cols))
-	c := 0
-	for i := range n {
-		_, dst, cost := fact(i)
-		if m.Cols[c] != dst {
-			c, _ = m.Col(dst)
-		}
-		cell := &m.Cost[at[i]*len(m.Cols)+c]
-		*cell = min(*cell, cost)
-	}
-	return m
 }
 
 // Col returns the column of node id, by binary search.

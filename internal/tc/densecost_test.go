@@ -433,22 +433,20 @@ func TestDenseCostBornSorted(t *testing.T) {
 	})
 }
 
-// TestCostMatrixFacts: FactMatrix rebuilds a matrix from its facts in
-// any order — rows in the order their sources first occur, the distinct
-// destinations as columns, the least cost of a repeated pair — and the
-// rebuilt matrix holds the same facts; Col finds a node's column by
-// binary search and reports a node that has none.
+// TestCostMatrixFacts: a hand-built matrix lists its facts in
+// leg-table order — by destination, the sources of one destination in
+// row order — skipping +Inf cells, Len counts them, and Col finds a
+// node's column by binary search and reports a node that has none.
 func TestCostMatrixFacts(t *testing.T) {
 	type fact struct {
 		src, dst graph.NodeID
 		cost     float64
 	}
-	facts := []fact{{9, 4, 2}, {1, 2, 3.5}, {9, 2, 0.5}, {1, 8, 7}, {9, 4, 1}}
-	m := FactMatrix(len(facts), func(i int) (graph.NodeID, graph.NodeID, float64) {
-		return facts[i].src, facts[i].dst, facts[i].cost
-	})
-	if !slices.Equal(m.Rows, []graph.NodeID{9, 1}) || !slices.Equal(m.Cols, []graph.NodeID{2, 4, 8}) {
-		t.Fatalf("rows %v, columns %v; want [9 1], [2 4 8]", m.Rows, m.Cols)
+	inf := math.Inf(1)
+	m := &CostMatrix{
+		Rows: []graph.NodeID{9, 1},
+		Cols: []graph.NodeID{2, 4, 8},
+		Cost: []float64{0.5, 1, inf, 3.5, inf, 7},
 	}
 	var got []fact
 	m.Each(func(src, dst graph.NodeID, cost float64) { got = append(got, fact{src, dst, cost}) })
@@ -466,7 +464,7 @@ func TestCostMatrixFacts(t *testing.T) {
 			t.Errorf("Col(%d) found a column", id)
 		}
 	}
-	if empty := FactMatrix(0, nil); empty.Len() != 0 || len(empty.Cols) != 0 || empty.Relation().Len() != 0 {
+	if empty := (&CostMatrix{}); empty.Len() != 0 || empty.Relation().Len() != 0 {
 		t.Errorf("no facts: %+v", empty)
 	}
 }

@@ -291,6 +291,6 @@ func (storeRunner) RunPair(ctx context.Context, snap *Snapshot, source, target g
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	res, err := snap.st.RunPlanCtx(ctx, plan, engine, true)
+	res, err := snap.st.RunPlanCtx(ctx, plan, engine)
 	return res, RunStats{}, err
 }

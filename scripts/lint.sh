@@ -28,10 +28,13 @@
 #               property lives in internal/oracle, other tests call its
 #               checker on a one-view generation or compare with a
 #               literal (the allowlist gives one reason per line)
-#   legs        ExecuteLegTableCtx has one call site in internal/server
-#               outside tests (executeLegLocal): every leg a node runs —
-#               a query's, a fallback's, a peer's /v1/leg — takes the one
-#               leg path, and a second one cannot come back unseen
+#   legs        ExecuteLegTableCtx and SelectExits each have one call
+#               site in internal/server outside tests (executeLegLocal),
+#               and SelectExits none in internal/cluster: every leg a
+#               node runs — a query's, a fallback's, a peer's /v1/leg —
+#               takes the one leg path, a remote leg's facts become its
+#               block once (dsa.FactBlock) and are never selected twice,
+#               and a second path cannot come back unseen
 #   ci          no job of .github/workflows/ci.yml starts bin/tcserver
 #               or bin/tcload or calls curl: behavioural gates live in
 #               scripts/smoke.sh, where a developer can run them (the
@@ -114,6 +117,12 @@ calls=$(grep -rn '\.ExecuteLegTableCtx(' --include='*.go' internal/server | grep
 if [ "$(grep -c . <<<"$calls")" -ne 1 ]; then
     echo "${calls:-no call site}"
     echo "FAIL: run every leg on a node through executeLegLocal, the one ExecuteLegTableCtx call site in internal/server"
+    exit 1
+fi
+calls=$(grep -rn 'SelectExits(' --include='*.go' internal/server internal/cluster | grep -v '_test\.go:' || true)
+if [ "$(grep -c . <<<"$calls")" -ne 1 ] || ! grep -q '^internal/server/' <<<"$calls"; then
+    echo "${calls:-no call site}"
+    echo "FAIL: select a leg's exits once, in executeLegLocal: one SelectExits call site in internal/server, none in internal/cluster (a remote leg's facts become its block through dsa.FactBlock)"
     exit 1
 fi
 
