@@ -628,7 +628,7 @@ func BenchmarkLegTable(b *testing.B) {
 		var legs []namedLeg
 		var first dsa.Leg
 		if d.name == "road" {
-			largest := slices.MaxFunc(st.Sites(), func(x, y *dsa.Site) int { return x.Augmented().NumNodes() - y.Augmented().NumNodes() })
+			largest := slices.MaxFunc(st.Sites(), func(x, y *dsa.Site) int { return len(x.Nodes()) - len(y.Nodes()) })
 			for _, n := range fr.Fragment(largest.ID).Nodes() {
 				if len(fr.FragmentsOf(n)) == 1 {
 					legs = append(legs, namedLeg{"single-source", dsa.Leg{SiteID: largest.ID, Entry: []graph.NodeID{n}}})
@@ -957,12 +957,12 @@ var servingDeployments = []deployment{
 }
 
 // BenchmarkApply times the write path on the two serving-benchmark
-// deployments: one transaction that inserts a heavy edge inside one
-// fragment and deletes it again (a new epoch, one rebuilt site, no
+// deployments: transactions that alternately insert a heavy edge inside
+// one fragment and delete it again (a new epoch, one rebuilt site, no
 // changed answer), each applied to the store the previous one produced,
-// as a serving node does. The rebuilt site's CSR is left to its first
-// reader, so the loop is the write alone. Run with -benchmem: B/op is
-// what a write allocates.
+// as a serving node does, and the rebuilt site's dense kernel, so the
+// loop is the write plus the CSR the rebuilt site's first leg reads.
+// Run with -benchmem: B/op is what a write allocates.
 func BenchmarkApply(b *testing.B) {
 	for _, d := range servingDeployments {
 		b.Run(d.name, func(b *testing.B) {
@@ -977,16 +977,19 @@ func BenchmarkApply(b *testing.B) {
 			const frag = 1
 			nodes := fr.Fragment(frag).Nodes()
 			e := graph.Edge{From: nodes[0], To: nodes[len(nodes)/2], Weight: 1e9}
-			ops := []dsa.EdgeOp{{Kind: dsa.OpInsert, Frag: frag, Edge: e}, {Kind: dsa.OpDelete, Frag: frag, Edge: e}}
+			writes := [][]dsa.EdgeOp{{{Kind: dsa.OpInsert, Frag: frag, Edge: e}}, {{Kind: dsa.OpDelete, Frag: frag, Edge: e}}}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				next, stats, err := st.Apply(context.Background(), ops)
+				next, stats, err := st.Apply(context.Background(), writes[i%2])
 				if err != nil {
 					b.Fatal(err)
 				}
 				if len(stats.SitesRebuilt) != 1 {
 					b.Fatalf("SitesRebuilt = %v, want the one touched site", stats.SitesRebuilt)
+				}
+				if _, err := next.Site(frag).DenseKernel(); err != nil {
+					b.Fatal(err)
 				}
 				st = next
 			}
@@ -995,7 +998,7 @@ func BenchmarkApply(b *testing.B) {
 }
 
 // BenchmarkStoreFootprint reports what a deployed store keeps alive —
-// base graph, fragmentation, every site's search graph and primed dense
+// base graph, fragmentation, every site's CSR and primed dense
 // kernel — as the live heap it adds once the garbage of building it is
 // collected (retained-MB; the time per op is the build and is not the
 // point).

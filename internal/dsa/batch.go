@@ -17,8 +17,8 @@ import (
 // with the whole graph. It implements the paper's §2.1 advice — "as
 // long as updates are not too frequent, the pre-processing costs may
 // be amortized over many queries" — by making one batch pay one
-// preprocessing pass, and by re-preprocessing (augmented graph,
-// shortcut edges, site CSR) only the fragments whose edge sets or
+// preprocessing pass, and by rebuilding the site (its CSR: fragment
+// edges plus shortcut edges) only of the fragments whose edge sets or
 // complementary tables actually changed. Everything else is
 // structurally shared with the previous epoch, so a serving layer can
 // keep cached per-site results for the shared fragments alive across
@@ -135,8 +135,8 @@ type BatchStats struct {
 	// their edge set changed, or a complementary table they hold did.
 	SitesRebuilt []int
 	// SitesShared is the number of sites structurally shared with the
-	// previous epoch: their search graph and whatever was derived from
-	// it (site CSR, edge relation) carry over untouched.
+	// previous epoch: their CSR and whatever was derived from it (kernel
+	// wrapper, edge relation, border tables) carry over untouched.
 	SitesShared int
 	// LocalOnly reports that the update stayed within sites (no
 	// disconnection sets exist, so no complementary information could
@@ -162,9 +162,9 @@ type BatchStats struct {
 // records (graph.CloneShared; no node is hashed, the id → index map is
 // shared with the old epoch's graph), plus the touched fragments (a
 // private sorted copy of each one's edge set and node set,
-// fragment.Patch), plus the touched sites (the search graph of every
-// fragment whose edge set or complementary tables changed; its CSR is
-// built by the first reader that needs it). Nothing is proportional to
+// fragment.Patch), plus the touched sites (the CSR of every fragment
+// whose edge set or complementary tables changed, filled in one pass
+// from its edges and its tables' edges). Nothing is proportional to
 // E: untouched edge sets are never copied and the partition is not
 // re-validated, because each op edits the base graph and exactly one
 // edge set identically. On top of that come the global searches when
@@ -348,9 +348,9 @@ func compBounds(dss map[fragment.Pair][]graph.NodeID, comp map[fragment.Pair]*Co
 // siteCompUnchanged reports whether the complementary tables a
 // fragment would hold under comp are identical to the ones the old
 // site already holds — the sharing criterion for a fragment whose edge
-// set did not change. Identical tables imply an identical augmented
-// search graph, so every derived per-site structure (and any cached
-// leg result computed from it) stays valid.
+// set did not change. Identical tables imply an identical CSR, so
+// every derived per-site structure (and any cached leg result computed
+// from it) stays valid.
 func siteCompUnchanged(old *Site, fragID int, comp map[fragment.Pair]*CompInfo) bool {
 	involved := 0
 	for p, ci := range comp {

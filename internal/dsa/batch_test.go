@@ -312,9 +312,6 @@ func TestApplySharesUntouchedSites(t *testing.T) {
 	if mapPtr(newFr.DisconnectionSets()) != mapPtr(oldFr.DisconnectionSets()) {
 		t.Error("disconnection-set table was rebuilt by a membership-preserving batch")
 	}
-	if mapPtr(newFr.SharedNodes()) != mapPtr(oldFr.SharedNodes()) {
-		t.Error("shared-node set was rebuilt by a membership-preserving batch")
-	}
 	if newFr.FragmentationGraph() != oldFr.FragmentationGraph() {
 		t.Error("fragmentation graph was rebuilt by a membership-preserving batch")
 	}
@@ -527,9 +524,6 @@ func structuralDiff(got, want *fragment.Fragmentation) error {
 			return fmt.Errorf("DisconnectionSet(%d,%d): %v, want %v", p.J, p.I, got.DisconnectionSet(p.J, p.I), nodes)
 		}
 	}
-	if !reflect.DeepEqual(got.SharedNodes(), want.SharedNodes()) {
-		return fmt.Errorf("shared nodes: %v, want %v", got.SharedNodes(), want.SharedNodes())
-	}
 	gfg, wfg := got.FragmentationGraph(), want.FragmentationGraph()
 	if gfg.NumLinks() != wfg.NumLinks() || gfg.IsLooselyConnected() != wfg.IsLooselyConnected() {
 		return fmt.Errorf("fragmentation graph:\n%vwant\n%v", gfg, wfg)
@@ -544,7 +538,7 @@ func structuralDiff(got, want *fragment.Fragmentation) error {
 
 // storeDiff extends structuralDiff to the deployed store: besides the
 // fragmentation, every site must hold the same complementary tables and
-// the same augmented search graph as the from-scratch build.
+// the same CSR as the from-scratch build.
 func storeDiff(got, want *Store) error {
 	if err := structuralDiff(got.Fragmentation(), want.Fragmentation()); err != nil {
 		return err
@@ -569,8 +563,8 @@ func storeDiff(got, want *Store) error {
 				return fmt.Errorf("site %d complementary table %v differs", i, p)
 			}
 		}
-		if !reflect.DeepEqual(gs.Augmented().Edges(), ws.Augmented().Edges()) {
-			return fmt.Errorf("site %d augmented graph differs", i)
+		if !reflect.DeepEqual(gs.csr, ws.csr) {
+			return fmt.Errorf("site %d CSR differs", i)
 		}
 	}
 	return nil

@@ -134,7 +134,7 @@ func (s *Site) buildBorderTable(ctx context.Context, engine Engine) (*borderTabl
 // engine's d(s, b) equals its d(b, s), and a first leg's block is a
 // column of the border table.
 func (s *Site) isSymmetric() bool {
-	s.symOnce.Do(func() { s.symmetric = symmetricCSR(s.csr()) })
+	s.symOnce.Do(func() { s.symmetric = symmetricCSR(s.csr) })
 	return s.symmetric
 }
 
@@ -263,7 +263,7 @@ func (st *Store) BorderBlockCtx(ctx context.Context, leg Leg, engine Engine) (bl
 // nodes at positions at: the table's rows of them, which are the leg's
 // distinct entry nodes in order, by the leg's distinct exits.
 func (t *borderTable) rowBlock(site *Site, leg Leg, at []int32) *ExitBlock {
-	c := site.csr()
+	c := site.csr
 	exits := distinctExits(leg.Exit)
 	cols := make([]int32, len(exits))
 	for j, x := range exits {
@@ -284,7 +284,7 @@ func (t *borderTable) rowBlock(site *Site, leg Leg, at []int32) *ExitBlock {
 func (t *borderTable) columnBlock(site *Site, leg Leg, at []int32) *ExitBlock {
 	exits := leg.Exit
 	b := &ExitBlock{exits: exits, zero: make([]bool, len(exits))}
-	if k, ok := site.csr().Row(leg.Entry[0]); ok {
+	if k, ok := site.csr.Row(leg.Entry[0]); ok {
 		b.rows, b.cost = leg.Entry, make([]float64, len(exits))
 		width, inf := len(t.m.Cols), math.Inf(1)
 		for j, p := range at {

@@ -75,8 +75,8 @@ func TestDenseEngineAnswersCostQueries(t *testing.T) {
 func TestEnginesAgreeOnDuplicateEntry(t *testing.T) {
 	st := ringStore(t)
 	site := st.Site(0)
-	a := site.Augmented().Nodes()[0]
-	exits := site.Augmented().Nodes()
+	a := site.Nodes()[0]
+	exits := site.Nodes()
 	ctx := context.Background()
 	for _, engine := range Engines() {
 		var facts, shipped []int
@@ -264,7 +264,7 @@ func TestCostTrafficBuildsNoRelation(t *testing.T) {
 			t.Errorf("site %d built its edge relation under dense, Dijkstra and bitset traffic", s.ID)
 		}
 	}
-	if _, _, err := st.ExecuteLegFullCtx(ctx, 1, []graph.NodeID{st.Site(1).Augmented().Nodes()[0]}, EngineSemiNaive); err != nil {
+	if _, _, err := st.ExecuteLegFullCtx(ctx, 1, []graph.NodeID{st.Site(1).Nodes()[0]}, EngineSemiNaive); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range st.Sites() {

@@ -416,7 +416,7 @@ func (s *Site) legTable(ctx context.Context, entry []graph.NodeID, engine Engine
 	switch engine {
 	case EngineDijkstra:
 		// One search per row, its distances copied in.
-		c := s.csr()
+		c := s.csr
 		var rows []int32
 		table, rows = tc.NewCostMatrix(c, entry)
 		search := c.Searches(1)[0]
@@ -467,7 +467,7 @@ func (s *Site) legTable(ctx context.Context, entry []graph.NodeID, engine Engine
 // into the site's table shape, indexing its rows once; a repeated
 // (src, dst) pair keeps its least cost.
 func (s *Site) factTable(rel *relation.Relation, entry []graph.NodeID) (*tc.CostMatrix, error) {
-	c := s.csr()
+	c := s.csr
 	table, _ := tc.NewCostMatrix(c, entry)
 	rowOf := make(map[int64]int, len(table.Rows))
 	for r, a := range table.Rows {

@@ -22,7 +22,7 @@ func TestLegTableShape(t *testing.T) {
 	sinks := 0
 	for name, st := range borderStores(t) {
 		for _, site := range st.sites {
-			c := site.csr()
+			c := site.csr
 			reversed := slices.Clone(site.border)
 			slices.Reverse(reversed)
 			entries := [][]graph.NodeID{site.border, append(append(reversed, reversed[0]), -1)}

@@ -172,7 +172,7 @@ func TestPropertyFilterLegFactsMatchesNestedLoop(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, site := range st.Sites() {
-			nodes := site.Augmented().Nodes()
+			nodes := site.Nodes()
 			pick := func(n int) []graph.NodeID {
 				perm := rng.Perm(len(nodes))[:min(n, len(nodes))]
 				sort.Ints(perm)
@@ -226,7 +226,7 @@ func TestFilterLegFactsSharedTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	site := st.Sites()[1]
-	nodes := site.Augmented().Nodes()
+	nodes := site.Nodes()
 	entry := nodes[:3]
 	table, _, err := st.ExecuteLegFullCtx(context.Background(), site.ID, entry, EngineDense)
 	if err != nil {

@@ -110,7 +110,7 @@ func (st *Store) pipelineChain(ctx context.Context, source, target graph.NodeID,
 				return nil, err
 			}
 		} else {
-			tree.dist, tree.pred = site.csr().ShortestPathsMulti(vector)
+			tree.dist, tree.pred = site.csr.ShortestPathsMulti(vector)
 		}
 		trees = append(trees, tree)
 

@@ -53,9 +53,10 @@ type CompInfo struct {
 // Site is one processor of the deployment. It stores what the paper's
 // site stores — "the fragment and the complementary information" of its
 // disconnection sets (§2.1) — and the search structures derived from
-// those two: one graph, built with the site, and the CSR and relational
-// forms of it, each built when an engine first asks, and its border
-// tables (border.go), each built when a leg first asks.
+// those two: one graph, its CSR, built with the site; the kernel
+// wrapper and relational form of that CSR, each built when an engine
+// first asks; and its border tables (border.go), each built when a leg
+// first asks.
 type Site struct {
 	// ID is the fragment ID this site stores.
 	ID int
@@ -65,35 +66,28 @@ type Site struct {
 	// set involving this fragment, keyed by the normalised pair — the
 	// store's own tables, by pointer ("stored at both sites", §2.1).
 	Comp map[fragment.Pair]*CompInfo
-	// augmented is the site's one graph: G_i, the subgraph induced by
-	// the fragment's edges, plus every shortcut edge of Comp.
-	augmented *graph.Graph
-	// localRel is augmented as an edge relation. Only the semi-naive
-	// engine reads it, so it exists only on a site that engine has been
-	// asked to run on (relOnce): traffic through the Dijkstra engine or
-	// the CSR kernels (dense, bitset) never boxes an edge into a
-	// relational tuple.
-	relOnce  sync.Once
-	localRel *relation.Relation
-	// snapshot is augmented's CSR, the one every other engine reads: the
-	// Dijkstra engine, the pipelined walk and route reconstruction search
-	// it, and dense wraps it for the dense cost and bitset kernels (or
-	// denseErr says why it cannot). Both are built lazily once per
-	// deployment (updates rebuild the sites, so a snapshot can never go
-	// stale within a site's lifetime) — on a restored store too, since
-	// TCSF does not keep them, and after Apply, which leaves a rebuilt
-	// site's CSR to its first reader.
-	csrOnce   sync.Once
-	snapshot  *graph.CSR
+	// csr is the site's one graph: G_i plus every shortcut edge of Comp,
+	// its rows the fragment's nodes. The Dijkstra engine, the pipelined
+	// walk and route reconstruction search it; dense wraps it, on first
+	// use, for the dense cost and bitset kernels (or denseErr says why
+	// it cannot). Updates rebuild sites, so neither goes stale.
+	csr       *graph.CSR
 	denseOnce sync.Once
 	dense     *tc.DenseGraph
 	denseErr  error
+	// localRel is csr as an edge relation. Only the semi-naive engine
+	// reads it, so it exists only on a site that engine has been asked
+	// to run on (relOnce): traffic through the Dijkstra engine or the
+	// CSR kernels (dense, bitset) never boxes an edge into a relational
+	// tuple.
+	relOnce  sync.Once
+	localRel *relation.Relation
 	// dss are the site's disconnection sets, by neighbouring fragment
 	// ascending, and border their union, ascending: the rows of its
 	// border tables (border.go). Both are fixed when the site is built.
 	dss    [][]graph.NodeID
 	border []graph.NodeID
-	// symmetric reports that every edge of augmented has a reverse edge
+	// symmetric reports that every edge of csr has a reverse edge
 	// of the same least weight and none is negative, so d(s, b) =
 	// d(b, s); proved once from the CSR, when a first leg asks.
 	symOnce   sync.Once
@@ -103,43 +97,48 @@ type Site struct {
 	tables [len(engines)]tableSlot
 }
 
-// rel returns the augmented subgraph as an edge relation, building it
-// on first use. Safe for concurrent callers (sync.Once). Its one caller
-// is the EngineSemiNaive arm of ExecuteLegTableCtx.
+// rel returns the site's CSR as an edge relation in (From, To, Weight)
+// order, building it on first use. Safe for concurrent callers
+// (sync.Once). Its one caller is the EngineSemiNaive arm of
+// ExecuteLegTableCtx.
 func (s *Site) rel() *relation.Relation {
-	s.relOnce.Do(func() {
-		s.localRel = relation.FromGraph(s.augmented)
-	})
+	s.relOnce.Do(func() { s.localRel = relation.FromEdges(s.csr.Edges()) })
 	return s.localRel
-}
-
-// csr returns the site's CSR, building it on first use. Safe for
-// concurrent callers (sync.Once).
-func (s *Site) csr() *graph.CSR {
-	s.csrOnce.Do(func() { s.snapshot = s.augmented.CSR() })
-	return s.snapshot
 }
 
 // DenseKernel returns the site's CSR as the kernels read it — the one
 // index form of the fragment, which the dense cost engine and the
 // bitset connectivity engine run on as the Dijkstra engine does —
-// building it on first use. It fails on input the kernels cannot serve
+// wrapping it on first use. It fails on input the kernels cannot serve
 // — notably negative edge weights, which graph files may carry — and
 // the error, wrapping ErrNegativeWeight, is memoized and surfaced per
 // query, exactly like the semi-naive engine's refusal (a
 // worker-goroutine panic would kill the serving daemon).
 func (s *Site) DenseKernel() (*tc.DenseGraph, error) {
 	s.denseOnce.Do(func() {
-		if s.dense, s.denseErr = tc.NewDenseGraph(s.csr()); s.denseErr != nil {
+		if s.dense, s.denseErr = tc.NewDenseGraph(s.csr); s.denseErr != nil {
 			s.denseErr = fmt.Errorf("dsa: site %d dense snapshot: %w", s.ID, s.denseErr)
 		}
 	})
 	return s.dense, s.denseErr
 }
 
-// Augmented returns the search graph of the site: the fragment plus the
-// complementary shortcut edges.
-func (s *Site) Augmented() *graph.Graph { return s.augmented }
+// Nodes returns the site's nodes, ascending: the rows of its CSR and
+// the columns of every leg table on it. The slice is the site's own;
+// treat it as read-only.
+func (s *Site) Nodes() []graph.NodeID { return s.csr.IDs }
+
+// Augmented returns the site's CSR as a graph.Graph, built on each call,
+// its nodes without coordinates. It is kept only for the benchmark
+// harness's kernel probe; ROADMAP item "The harness reads stages; the
+// walker goes" deletes that caller, and this with it.
+func (s *Site) Augmented() *graph.Graph {
+	g := graph.New()
+	for _, e := range s.csr.Edges() {
+		g.AddEdge(e)
+	}
+	return g
+}
 
 // PreprocessStats reports the cost of building the complementary
 // information — "the disadvantage of the disconnection set approach is
@@ -202,8 +201,8 @@ func ParseProblem(name string) (Problem, error) {
 // processing.
 //
 // A Store is immutable after Build: queries only read it (the lazy
-// per-site structures — the CSR, its kernel wrapper, the edge relation
-// and the symmetry proof — are sync.Once-guarded, and a border table
+// per-site structures — the CSR's kernel wrapper, the edge relation and
+// the symmetry proof — are sync.Once-guarded, and a border table
 // is built once under its slot's lock), so any number of goroutines
 // may query one Store concurrently without locking. Updates go through
 // Apply, which returns a NEW store sharing every untouched site with its
@@ -320,12 +319,11 @@ func parallelFor(ctx context.Context, n int, fn func(w, i int)) error {
 // deploySites is the one way a store gets its sites (Build, Restore,
 // Apply). Per fragment of fr, in ID order, it shares prev's site when
 // the fragment is untouched and the complementary tables it holds are
-// unchanged under comp — the search graph and whatever was derived from
-// it carry over by pointer — and otherwise builds the site, whose CSR
-// the first reader that needs it builds, as after Build and Restore.
-// prev is nil (touched unused) when there is no predecessor.
+// unchanged under comp — the CSR and whatever was derived from it carry
+// over by pointer — and otherwise builds the site, CSR included. prev
+// is nil (touched unused) when there is no predecessor.
 func deploySites(ctx context.Context, fr *fragment.Fragmentation, comp map[fragment.Pair]*CompInfo, prev []*Site, touched func(fragID int) bool) ([]*Site, error) {
-	base, shared, frags := fr.Base(), fr.SharedNodes(), fr.Fragments()
+	frags := fr.Fragments()
 	sites := make([]*Site, len(frags))
 	dss := fr.DisconnectionSets()
 	err := parallelFor(ctx, len(frags), func(_, i int) {
@@ -334,7 +332,7 @@ func deploySites(ctx context.Context, fr *fragment.Fragmentation, comp map[fragm
 			sites[i] = prev[f.ID]
 			return
 		}
-		sites[i] = buildSite(f, base, shared, comp, dss)
+		sites[i] = buildSite(f, comp, dss)
 	})
 	return sites, err
 }
@@ -406,28 +404,13 @@ func computeComp(ctx context.Context, base *graph.Graph, dss map[fragment.Pair][
 }
 
 // buildSite constructs one deployed site: the complementary tables
-// involving the fragment, the augmented search graph (the fragment's
-// induced subgraph plus the complementary shortcuts) and the
-// fragment's disconnection sets. shared is the fragmentation's
-// disconnection-set node set (fr.SharedNodes) and dss its
-// disconnection sets (fr.DisconnectionSets), both computed once by the
-// caller and reused across all sites.
-func buildSite(f *fragment.Fragment, base *graph.Graph, shared map[graph.NodeID]bool, comp map[fragment.Pair]*CompInfo, dss map[fragment.Pair][]graph.NodeID) *Site {
-	site := &Site{
-		ID:        f.ID,
-		Frag:      f,
-		Comp:      make(map[fragment.Pair]*CompInfo),
-		augmented: localGraph(f, base, shared),
-	}
-	for p, ci := range comp {
-		if p.I != f.ID && p.J != f.ID {
-			continue
-		}
-		site.Comp[p] = ci
-		for _, e := range ci.Cost {
-			site.augmented.AddEdge(e)
-		}
-	}
+// involving the fragment, its disconnection sets and their union, and
+// its CSR over the fragment's nodes — the fragment's edges, then its
+// tables' shortcut edges in disconnection-set order, so no row's order
+// depends on map iteration. dss is fr.DisconnectionSets, computed once
+// by the caller and reused across all sites.
+func buildSite(f *fragment.Fragment, comp map[fragment.Pair]*CompInfo, dss map[fragment.Pair][]graph.NodeID) *Site {
+	site := &Site{ID: f.ID, Frag: f, Comp: make(map[fragment.Pair]*CompInfo)}
 	var pairs []fragment.Pair
 	for p := range dss {
 		if p.I == f.ID || p.J == f.ID {
@@ -435,50 +418,19 @@ func buildSite(f *fragment.Fragment, base *graph.Graph, shared map[graph.NodeID]
 		}
 	}
 	slices.SortFunc(pairs, func(a, b fragment.Pair) int { return (a.I + a.J) - (b.I + b.J) })
+	runs := [][]graph.Edge{f.Edges}
 	for _, p := range pairs {
 		site.dss = append(site.dss, dss[p])
 		site.border = append(site.border, dss[p]...)
+		if ci := comp[p]; ci != nil {
+			site.Comp[p] = ci
+			runs = append(runs, ci.Cost)
+		}
 	}
 	slices.Sort(site.border)
 	site.border = slices.Clip(slices.Compact(site.border))
+	site.csr = graph.NewCSR(f.Nodes(), runs...)
 	return site
-}
-
-// localGraph materialises the fragment's induced subgraph G_i without
-// pushing every edge through a per-edge map append. A node private to
-// the fragment has all of its base-graph edges inside the fragment
-// (fragments partition the edge set), so its adjacency lists are the
-// base graph's, shared wholesale; only the disconnection-set nodes,
-// whose base adjacency spans fragments, get filtered lists rebuilt
-// from the fragment's edges. Sharing is safe because adjacency lists
-// are immutable once installed (see graph.InstallNode); the length
-// clamps make buildSite's shortcut AddEdge reallocate instead of
-// spilling into a shared backing array.
-func localGraph(f *fragment.Fragment, base *graph.Graph, shared map[graph.NodeID]bool) *graph.Graph {
-	var bOut, bIn map[graph.NodeID][]graph.Edge
-	for _, e := range f.Edges {
-		if shared[e.From] {
-			if bOut == nil {
-				bOut = make(map[graph.NodeID][]graph.Edge)
-			}
-			bOut[e.From] = append(bOut[e.From], e)
-		}
-		if shared[e.To] {
-			if bIn == nil {
-				bIn = make(map[graph.NodeID][]graph.Edge)
-			}
-			bIn[e.To] = append(bIn[e.To], e)
-		}
-	}
-	local := graph.NewWithCapacity(f.NumNodes())
-	f.EachNode(func(id graph.NodeID) {
-		if shared[id] {
-			local.InstallNode(id, base.Coord(id), slices.Clip(bOut[id]), slices.Clip(bIn[id]))
-		} else {
-			local.InstallNode(id, base.Coord(id), slices.Clip(base.Out(id)), slices.Clip(base.In(id)))
-		}
-	})
-	return local
 }
 
 // Fragmentation returns the deployed fragmentation.

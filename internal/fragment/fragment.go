@@ -89,15 +89,6 @@ func (f *Fragment) Nodes() []graph.NodeID {
 // NumNodes returns |V_i|.
 func (f *Fragment) NumNodes() int { return len(f.nodes) }
 
-// EachNode calls fn for every node of the induced node set, in
-// arbitrary order — the allocation-free counterpart of Nodes for bulk
-// callers that do not need the sorted order.
-func (f *Fragment) EachNode(fn func(graph.NodeID)) {
-	for id := range f.nodes {
-		fn(id)
-	}
-}
-
 // Subgraph materialises G_i, copying coordinates from the base graph.
 func (f *Fragment) Subgraph(base *graph.Graph) *graph.Graph {
 	return base.Subgraph(f.Edges)
@@ -119,29 +110,22 @@ type Fragmentation struct {
 }
 
 // meeting is how the fragments of a fragmentation meet each other: the
-// disconnection sets, their union, and the fragmentation graph. All
-// three are functions of byNode alone, so a fragmentation derives them
-// once and a Patch that changes no node's fragment membership carries
-// the pointer over.
+// disconnection sets and the fragmentation graph. Both are functions of
+// byNode alone, so a fragmentation derives them once and a Patch that
+// changes no node's fragment membership carries the pointer over.
 type meeting struct {
-	ds     map[Pair][]graph.NodeID
-	shared map[graph.NodeID]bool
-	fg     *FragGraph
+	ds map[Pair][]graph.NodeID
+	fg *FragGraph
 }
 
-// newMeeting derives the disconnection sets, the shared-node set and
-// the fragmentation graph of n fragments from the membership table.
+// newMeeting derives the disconnection sets and the fragmentation graph
+// of n fragments from the membership table.
 func newMeeting(n int, byNode map[graph.NodeID][]int) *meeting {
 	m := &meeting{
-		ds:     make(map[Pair][]graph.NodeID),
-		shared: make(map[graph.NodeID]bool),
-		fg:     &FragGraph{n: n, adj: make(map[int][]int)},
+		ds: make(map[Pair][]graph.NodeID),
+		fg: &FragGraph{n: n, adj: make(map[int][]int)},
 	}
 	for id, fs := range byNode {
-		if len(fs) < 2 {
-			continue
-		}
-		m.shared[id] = true
 		for a := 0; a < len(fs); a++ {
 			for b := a + 1; b < len(fs); b++ {
 				p := Pair{I: fs[a], J: fs[b]}
@@ -259,15 +243,6 @@ func (fr *Fragmentation) Fragments() []*Fragment { return fr.frags }
 // (ascending); nil if the node appears in none (isolated in the base
 // graph).
 func (fr *Fragmentation) FragmentsOf(id graph.NodeID) []int { return fr.byNode[id] }
-
-// SharedNodes returns the set of nodes belonging to two or more
-// fragments — the union of every disconnection set. A node outside the
-// set has all of its base-graph edges inside its single fragment,
-// which is what lets the site builder share the base adjacency lists
-// for such nodes instead of re-deriving them. The set is the
-// fragmentation's own, shared with every caller and with the
-// fragmentations patched from this one: read-only.
-func (fr *Fragmentation) SharedNodes() map[graph.NodeID]bool { return fr.meet.shared }
 
 // Pair identifies an unordered fragment pair with I < J.
 type Pair struct{ I, J int }

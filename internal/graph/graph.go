@@ -165,16 +165,16 @@ func withoutEdge(es []Edge, e Edge) ([]Edge, bool) {
 
 // InstallNode adds node id with coordinates c and its complete
 // adjacency in one shot: out holds every edge leaving id, in every
-// edge entering it. This is the bulk path for loaders and site
-// builders that bucket an edge volume into contiguous per-node runs —
-// one record appended per node instead of two list appends per edge.
-// The caller guarantees id is not already a node, that both endpoints
-// of every edge are (or will be) installed, and that the global out/in
-// multisets agree. The slices are adopted, not copied;
-// they may share backing arrays with other graphs, which is safe
-// because nothing in this package mutates an installed adjacency list
-// in place (updates rebuild copy-on-write) — callers clamp shared
-// slices (s[:len:len]) so a later append reallocates.
+// edge entering it. This is the bulk path of the snapshot loader
+// (store.Decode, its one caller), which buckets an edge volume into
+// contiguous per-node runs — one record appended per node instead of
+// two list appends per edge. The caller guarantees id is not already
+// a node, that both endpoints of every edge are (or will be) installed,
+// and that the global out/in multisets agree. The slices are adopted,
+// not copied; they may share backing arrays, which is safe because
+// nothing in this package mutates an installed adjacency list in place
+// (updates rebuild copy-on-write) — callers clamp shared slices
+// (s[:len:len]) so a later append reallocates.
 func (g *Graph) InstallNode(id NodeID, c Coord, out, in []Edge) {
 	n := g.findOrAdd(id)
 	n.coord, n.out, n.in = c, out, in
@@ -234,11 +234,14 @@ func (g *Graph) Edges() []Edge {
 	for _, i := range g.order() {
 		own := len(es)
 		es = append(es, g.nodes[i].out...)
-		slices.SortFunc(es[own:], func(a, b Edge) int {
-			return cmp.Or(cmp.Compare(a.To, b.To), cmp.Compare(a.Weight, b.Weight))
-		})
+		slices.SortFunc(es[own:], byHead)
 	}
 	return es
+}
+
+// byHead orders one node's out-edges by (To, Weight).
+func byHead(a, b Edge) int {
+	return cmp.Or(cmp.Compare(a.To, b.To), cmp.Compare(a.Weight, b.Weight))
 }
 
 // Out returns the outgoing edges of id. The returned slice is owned by

@@ -59,6 +59,69 @@ func (g *Graph) csr(undirected bool) *CSR {
 	return c
 }
 
+// NewCSR builds the CSR of the graph whose nodes are ids — ascending
+// and distinct, adopted as the snapshot's IDs — and whose edges are
+// those of the runs, without building that graph: row k holds the
+// edges leaving ids[k] in the order the runs list them, as Graph.CSR
+// would after an AddEdge per edge in that order. An edge with an
+// endpoint outside ids is left out. Each endpoint is resolved once; a
+// tail that repeats the previous edge's is not searched again.
+func NewCSR(ids []NodeID, runs ...[]Edge) *CSR {
+	row := func(id NodeID) int32 {
+		if k, ok := slices.BinarySearch(ids, id); ok {
+			return int32(k)
+		}
+		return -1
+	}
+	m := 0
+	for _, r := range runs {
+		m += len(r)
+	}
+	// ends holds each edge's tail and head rows, -1 outside ids.
+	ends := make([]int32, 0, 2*m)
+	c := &CSR{IDs: ids, Off: make([]int32, len(ids)+1)}
+	from, u := NodeID(0), row(0)
+	for _, r := range runs {
+		for _, e := range r {
+			if e.From != from {
+				from, u = e.From, row(e.From)
+			}
+			v := row(e.To)
+			if ends = append(ends, u, v); u >= 0 && v >= 0 {
+				c.Off[u+1]++
+			}
+		}
+	}
+	for k := range ids {
+		c.Off[k+1] += c.Off[k]
+	}
+	c.To, c.W = make([]int32, c.Off[len(ids)]), make([]float64, c.Off[len(ids)])
+	next, i := slices.Clone(c.Off[:len(ids)]), 0
+	for _, r := range runs {
+		for _, e := range r {
+			if u, v := ends[i], ends[i+1]; u >= 0 && v >= 0 {
+				c.To[next[u]], c.W[next[u]] = v, e.Weight
+				next[u]++
+			}
+			i += 2
+		}
+	}
+	return c
+}
+
+// Edges returns a copy of the snapshot's edges, ordered by (From, To,
+// Weight) as Graph.Edges orders them.
+func (c *CSR) Edges() []Edge {
+	es := make([]Edge, 0, len(c.To))
+	for k, id := range c.IDs {
+		for j := c.Off[k]; j < c.Off[k+1]; j++ {
+			es = append(es, Edge{From: id, To: c.IDs[c.To[j]], Weight: c.W[j]})
+		}
+		slices.SortFunc(es[c.Off[k]:], byHead)
+	}
+	return es
+}
+
 // Row returns the row of id, and whether id is a node of the snapshot.
 func (c *CSR) Row(id NodeID) (int32, bool) {
 	k, ok := slices.BinarySearch(c.IDs, id)

@@ -267,7 +267,7 @@ func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg ds
 	took, err := s.onSite(ctx, leg.SiteID, func() error {
 		st := snap.Store()
 		if len(leg.Exit) == 0 {
-			leg.Exit = st.Site(leg.SiteID).Augmented().Nodes()
+			leg.Exit = st.Site(leg.SiteID).Nodes()
 		}
 		block, built, err := st.BorderBlockCtx(ctx, leg, engine)
 		if err != nil {

@@ -4,8 +4,8 @@
 // information (§2.1) — a loader that reconstructs the store from it
 // without re-running the preprocessing searches, and an append-only
 // apply journal with periodic TCSF checkpoints so a restarted node
-// recovers its exact epoch. A restored site builds its kernels on first
-// use, as a live one does.
+// recovers its exact epoch. A restored site builds its CSR with the
+// site and its kernels on first use, as a live one does.
 //
 // The package sits beside internal/dsa, below the tcq facade: it
 // imports the model layers (graph, fragment, relation-free) and dsa,
@@ -81,7 +81,7 @@ func (e *enc) nodeIDs(vs []graph.NodeID) {
 // Encode serializes a built store to the TCSF image. The snapshot
 // captures everything Build computed — fragmentation, complementary
 // tables, preprocessing report, epoch — and nothing a site derives from
-// them: its kernels are built again after a load, on first use.
+// them: a load rebuilds each site's CSR, and its kernels on first use.
 func Encode(st *dsa.Store) ([]byte, error) {
 	if st == nil {
 		return nil, fmt.Errorf("store: encode: nil store")

@@ -19,9 +19,13 @@
 #               by relation.Adopt
 #   graph       no container/heap and no sort.Slice in internal/graph
 #               (its searches run on a typed heap over index-addressed
-#               rows, its listings on slices.Sort), and no map-returning
+#               rows, its listings on slices.Sort), no map-returning
 #               base.ShortestPaths in the preprocessing (internal/dsa/
-#               store.go): computeComp reads rows from graph.Searches
+#               store.go): computeComp reads rows from graph.Searches,
+#               and no graph.Graph built in internal/dsa outside tests
+#               but in Site.Augmented (graph.New, NewWithCapacity,
+#               InstallNode, .AddEdge): a site keeps one graph, the CSR
+#               buildSite fills with graph.NewCSR
 #   oracle      no test outside internal/oracle computes its own ground
 #               truth (graph.Distance / ShortestPaths / Reachable) for
 #               answers of the system: the "answers like Dijkstra"
@@ -89,6 +93,13 @@ echo "== graph"
 if grep -n -e '"container/heap"' -e 'sort\.Slice(' $(ls internal/graph/*.go | grep -v '_test\.go$') ||
     grep -Hn 'base\.ShortestPaths(' internal/dsa/store.go; then
     echo "FAIL: search on graph.Searches rows (typed heap, slices.Sort), not container/heap, sort.Slice or per-search maps"
+    exit 1
+fi
+if awk '/^func / { fn = $0 } /^}/ { fn = "" } /^[ \t]*\/\// { next }
+    /graph\.New\(|NewWithCapacity\(|InstallNode\(|\.AddEdge\(/ && fn !~ /^func \(s \*Site\) Augmented\(\)/ {
+        print FILENAME ":" FNR ": " $0; bad = 1 }
+    END { exit !bad }' $(ls internal/dsa/*.go | grep -v '_test\.go$'); then
+    echo "FAIL: a site keeps one graph, its CSR (graph.NewCSR in buildSite): build no graph.Graph in internal/dsa outside Site.Augmented"
     exit 1
 fi
 
