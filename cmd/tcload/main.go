@@ -55,7 +55,7 @@ func main() {
 		duration   = flag.Duration("duration", 0, "keep replaying passes until this much wall-clock time elapsed (0 = exactly -repeat passes)")
 		expectUp   = flag.Bool("expect-reachable", false, "fail on any unreachable answer (oracle for connected graphs)")
 		minHitRate = flag.Float64("min-hit-rate", -1, "fail if the hit rate over the run (legs that saved work: leg-cache hits and reads of built site tables) is below this (-1 = no check)")
-		writeRate  = flag.Float64("write-rate", 0, "fraction of slots that fire /v1/update write transactions instead of queries (answer-invariant heavy-edge insert+delete)")
+		writeRate  = flag.Float64("write-rate", 0, "fraction of slots that fire /v1/update write transactions instead of queries (answer-invariant heavy-edge insert+delete in one batch: an epoch swap and, with tcserver -store, a journal append; no site is rebuilt)")
 		sloFile    = flag.String("slo-file", "", "JSON budget file (SLO.json): run fails if the measured p99s or error rate exceed it")
 		jsonOut    = flag.String("json", "", "write the machine-readable run report (latencies, SLO verdict, /metrics scrape) to this path ('-' = stdout)")
 		retryTrans = flag.Int("retry-transient", 0, "re-fire a read query up to N extra times after a transient 502/504 gateway blip (writes are never retried); retry counts land in the -json report")

@@ -87,6 +87,9 @@ func (st *Store) QueryPath(ctx context.Context, source, target graph.NodeID) (*R
 func (st *Store) expandShortcuts(local []graph.NodeID, dist map[graph.NodeID]float64) ([]graph.NodeID, error) {
 	const eps = 1e-9
 	base := st.fr.Base()
+	// The base-graph search, built on the first shortcut hop and reused
+	// by the rest: building it snapshots the whole base graph.
+	var search func(graph.NodeID, bool) ([]graph.NodeID, []float64, []int32)
 	out := []graph.NodeID{local[0]}
 	for i := 0; i+1 < len(local); i++ {
 		u, v := local[i], local[i+1]
@@ -104,7 +107,10 @@ func (st *Store) expandShortcuts(local []graph.NodeID, dist map[graph.NodeID]flo
 		}
 		// Shortcut: recover the global segment, backward along the search
 		// tree from v to its root u, which out already ends with.
-		nodes, gdist, gpred := base.Searches(1)[0](u, false)
+		if search == nil {
+			search = base.Searches(1)[0]
+		}
+		nodes, gdist, gpred := search(u, false)
 		k, ok := slices.BinarySearch(nodes, v)
 		if !ok || gdist[k] == graph.Inf {
 			return nil, fmt.Errorf("dsa: cannot expand shortcut %d→%d", u, v)

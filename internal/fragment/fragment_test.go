@@ -175,7 +175,7 @@ func TestPatch(t *testing.T) {
 
 	// Edits that cancel out leave fragment 0's edge set as it was, so
 	// Apply shares the fragment by pointer and the base keeps the
-	// endpoints' adjacency lists; a lone parallel edge is a change.
+	// tail's adjacency list; a lone parallel edge is a change.
 	same := func(a, b []graph.Edge) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
 	edge01, fresh02, heavy01 := graph.Edge{From: 0, To: 1, Weight: 1}, graph.Edge{From: 0, To: 2, Weight: 3}, graph.Edge{From: 0, To: 1, Weight: 5}
 	for _, c := range []struct {
@@ -195,8 +195,8 @@ func TestPatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		from, to := c.edge.From, c.edge.To
-		kept := same(next.Base().Out(from), fr.Base().Out(from)) && same(next.Base().In(to), fr.Base().In(to))
+		from := c.edge.From
+		kept := same(next.Base().Out(from), fr.Base().Out(from))
 		if got := next.Fragment(0) == fr.Fragment(0); got != c.shared || p.Touched(0) == c.shared || kept != c.shared {
 			t.Errorf("%s: fragment shared %v, Touched %v, adjacency kept %v; want shared %v", c.name, got, p.Touched(0), kept, c.shared)
 		}

@@ -313,42 +313,22 @@ func clusterNodes(i, perCluster int) []graph.NodeID {
 // node range so that EnsureConnected never adds inter-cluster edges.
 func connectClusterComponents(g *graph.Graph, cluster int, cc Config) {
 	ids := clusterNodes(cluster, cc.Nodes)
-	inCluster := make(map[graph.NodeID]bool, len(ids))
-	for _, id := range ids {
-		inCluster[id] = true
-	}
+	runs := make([][]graph.Edge, len(ids))
 	for {
-		// Components of the induced subgraph, computed via undirected BFS
-		// constrained to the cluster.
-		seen := make(map[graph.NodeID]bool)
-		var comps [][]graph.NodeID
-		for _, start := range ids {
-			if seen[start] {
-				continue
-			}
-			var comp []graph.NodeID
-			stack := []graph.NodeID{start}
-			seen[start] = true
-			for len(stack) > 0 {
-				u := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				comp = append(comp, u)
-				for _, n := range g.Neighbors(u) {
-					if inCluster[n] && !seen[n] {
-						seen[n] = true
-						stack = append(stack, n)
-					}
-				}
-			}
-			comps = append(comps, comp)
+		// Components of the induced subgraph, walked over its undirected
+		// snapshot, whose rows are the cluster's ids ascending.
+		for k, id := range ids {
+			runs[k] = g.Out(id)
 		}
+		comps := graph.NewCSR(ids, runs...).Undirected().Components()
 		if len(comps) <= 1 {
 			return
 		}
 		bestD := math.Inf(1)
 		var bu, bv graph.NodeID
-		for _, u := range comps[0] {
-			for _, v := range comps[1] {
+		for _, r := range comps[0] {
+			for _, q := range comps[1] {
+				u, v := ids[r], ids[q]
 				if d := g.EuclideanDistance(u, v); d < bestD {
 					bestD, bu, bv = d, u, v
 				}

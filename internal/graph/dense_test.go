@@ -18,16 +18,16 @@ import (
 	"repro/internal/graph"
 )
 
-// model is the reference graph: per node a position and the two
-// adjacency lists, in insertion order.
+// model is the reference graph: per node a position and the
+// out-edges, in insertion order.
 type model struct {
-	coord   map[graph.NodeID]graph.Coord
-	out, in map[graph.NodeID][]graph.Edge
-	edges   int
+	coord map[graph.NodeID]graph.Coord
+	out   map[graph.NodeID][]graph.Edge
+	edges int
 }
 
 func newModel() *model {
-	return &model{coord: map[graph.NodeID]graph.Coord{}, out: map[graph.NodeID][]graph.Edge{}, in: map[graph.NodeID][]graph.Edge{}}
+	return &model{coord: map[graph.NodeID]graph.Coord{}, out: map[graph.NodeID][]graph.Edge{}}
 }
 
 func (m *model) clone() *model {
@@ -36,7 +36,6 @@ func (m *model) clone() *model {
 	for id, p := range m.coord {
 		c.coord[id] = p
 		c.out[id] = slices.Clone(m.out[id])
-		c.in[id] = slices.Clone(m.in[id])
 	}
 	return c
 }
@@ -53,7 +52,6 @@ func (m *model) addEdge(e graph.Edge) {
 	m.touch(e.From)
 	m.touch(e.To)
 	m.out[e.From] = append(m.out[e.From], e)
-	m.in[e.To] = append(m.in[e.To], e)
 	m.edges++
 }
 
@@ -63,8 +61,6 @@ func (m *model) removeEdge(e graph.Edge) bool {
 		return false
 	}
 	m.out[e.From] = slices.Delete(slices.Clone(m.out[e.From]), i, i+1)
-	j := slices.Index(m.in[e.To], e)
-	m.in[e.To] = slices.Delete(slices.Clone(m.in[e.To]), j, j+1)
 	m.edges--
 	return true
 }
@@ -87,8 +83,8 @@ func (m *model) check(g *graph.Graph) error {
 		if !g.HasNode(id) || g.Coord(id) != m.coord[id] {
 			return fmt.Errorf("node %d: HasNode %v at %+v, want %+v", id, g.HasNode(id), g.Coord(id), m.coord[id])
 		}
-		if !slices.Equal(g.Out(id), m.out[id]) || !slices.Equal(g.In(id), m.in[id]) {
-			return fmt.Errorf("node %d: Out %v In %v, want %v and %v", id, g.Out(id), g.In(id), m.out[id], m.in[id])
+		if !slices.Equal(g.Out(id), m.out[id]) {
+			return fmt.Errorf("node %d: Out %v, want %v", id, g.Out(id), m.out[id])
 		}
 		edges = append(edges, m.out[id]...)
 	}
@@ -110,7 +106,7 @@ func (m *model) check(g *graph.Graph) error {
 	if got := g.Edges(); !slices.Equal(got, edges) {
 		return fmt.Errorf("Edges() = %v, want %v", got, edges)
 	}
-	if absent := graph.NodeID(-7); g.HasNode(absent) || g.Out(absent) != nil || g.In(absent) != nil || g.Coord(absent) != (graph.Coord{}) {
+	if absent := graph.NodeID(-7); g.HasNode(absent) || g.Out(absent) != nil || g.Coord(absent) != (graph.Coord{}) {
 		return fmt.Errorf("absent node %d is visible", absent)
 	}
 	return nil
@@ -159,7 +155,7 @@ func TestModelInterleavedEditsAndClones(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					loop = []graph.Edge{{From: id, To: id, Weight: 1}}
 				}
-				g.InstallNode(id, c, loop, loop)
+				g.InstallNode(id, c, loop)
 				m.addNode(id, c)
 				for _, e := range loop {
 					m.addEdge(e)

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"cmp"
 	"slices"
 	"strings"
 	"testing"
@@ -86,4 +87,104 @@ func FuzzNewCSR(f *testing.F) {
 			t.Fatalf("Edges() = %v, want %v", es, ws)
 		}
 	})
+}
+
+// FuzzUndirected holds the undirected snapshot and the status scores
+// read from it to references built from Edges() alone: over a node set
+// and an edge run drawn from the input — self-loops, parallel and
+// one-way edges included — each row of CSR().Undirected() must list
+// the distinct nodes joined to its node by an edge in either
+// direction, ascending, the node itself left out; and StatusScore and
+// TopByStatus over all nodes must equal refStatus, which scores by an
+// unbounded breadth-first search.
+func FuzzUndirected(f *testing.F) {
+	f.Add([]byte{1, 2, 3}, []byte{1, 2, 5, 2, 1, 5, 2, 3, 1, 3, 3, 0}, uint8(128), uint8(3))
+	f.Add([]byte{}, []byte{0, 1, 1, 1, 2, 1, 2, 3, 1, 3, 4, 1, 4, 5, 1}, uint8(200), uint8(2))
+	f.Add([]byte{9, 30}, []byte{0, 1, 1, 0, 1, 2, 0, 2, 1, 2, 0, 1, 5, 0, 1, 6, 6, 1}, uint8(77), uint8(1))
+	f.Fuzz(func(t *testing.T, nodeBytes, edgeBytes []byte, aByte, depthByte uint8) {
+		g := New()
+		for _, b := range nodeBytes {
+			g.AddNode(NodeID(b%32), Coord{})
+		}
+		for i := 0; i+2 < len(edgeBytes); i += 3 {
+			g.AddEdge(Edge{From: NodeID(edgeBytes[i] % 16), To: NodeID(edgeBytes[i+1] % 16), Weight: float64(edgeBytes[i+2])})
+		}
+		nbs := make(map[NodeID][]NodeID)
+		for _, e := range g.Edges() {
+			if e.From != e.To {
+				nbs[e.From] = append(nbs[e.From], e.To)
+				nbs[e.To] = append(nbs[e.To], e.From)
+			}
+		}
+		for id, ns := range nbs {
+			slices.Sort(ns)
+			nbs[id] = slices.Compact(ns)
+		}
+
+		u := g.CSR().Undirected()
+		if ids := g.Nodes(); !slices.Equal(u.IDs, ids) || len(u.Off) != len(ids)+1 {
+			t.Fatalf("snapshot rows %v (offsets %v), want one per node of %v", u.IDs, u.Off, ids)
+		}
+		for k, id := range u.IDs {
+			var row []NodeID
+			for j := u.Off[k]; j < u.Off[k+1]; j++ {
+				if u.W[j] != 1 {
+					t.Fatalf("row of %d: weight %v, want 1", id, u.W[j])
+				}
+				row = append(row, u.IDs[u.To[j]])
+			}
+			if !slices.Equal(row, nbs[id]) {
+				t.Fatalf("row of %d = %v, want %v", id, row, nbs[id])
+			}
+		}
+
+		a, depth := float64(aByte)/256, int(depthByte%5)
+		want := refStatus(g.Nodes(), nbs, a, depth)
+		for id, s := range want {
+			if got := g.StatusScore(id, a, depth); got != s {
+				t.Fatalf("StatusScore(%d, %v, %d) = %v, want %v", id, a, depth, got, s)
+			}
+		}
+		order := g.Nodes()
+		slices.SortStableFunc(order, func(x, y NodeID) int { return cmp.Compare(want[y], want[x]) })
+		if got := g.TopByStatus(len(order), a, depth); !slices.Equal(got, order) {
+			t.Fatalf("TopByStatus(all, %v, %d) = %v, want %v", a, depth, got, order)
+		}
+	})
+}
+
+// refStatus is the status score of every node as the center-based
+// algorithm first computed it: a breadth-first search over the whole
+// undirected graph, then every level from 1 to depth summed in turn.
+func refStatus(ids []NodeID, nbs map[NodeID][]NodeID, a float64, depth int) map[NodeID]float64 {
+	scores := make(map[NodeID]float64, len(ids))
+	for _, i := range ids {
+		score := float64(len(nbs[i]))
+		if depth <= 0 {
+			scores[i] = score
+			continue
+		}
+		levels := map[NodeID]int{i: 0}
+		for queue := []NodeID{i}; len(queue) > 0; queue = queue[1:] {
+			for _, n := range nbs[queue[0]] {
+				if _, ok := levels[n]; !ok {
+					levels[n] = levels[queue[0]] + 1
+					queue = append(queue, n)
+				}
+			}
+		}
+		ringSum := make([]float64, depth+1)
+		for j, d := range levels {
+			if d >= 1 && d <= depth {
+				ringSum[d] += float64(len(nbs[j]))
+			}
+		}
+		factor := 1.0
+		for d := 1; d <= depth; d++ {
+			factor *= a
+			score += factor * ringSum[d]
+		}
+		scores[i] = score
+	}
+	return scores
 }

@@ -64,11 +64,13 @@ type Graph struct {
 }
 
 // node is everything the graph keeps per node: its id, its position
-// and the edges leaving and entering it.
+// and the edges leaving it. Each edge is stored once, in its tail's
+// list; what needs edges by their head (the undirected readers) builds
+// a CSR snapshot and reads that.
 type node struct {
-	id      NodeID
-	coord   Coord
-	out, in []Edge
+	id    NodeID
+	coord Coord
+	out   []Edge
 }
 
 // New returns an empty graph.
@@ -125,59 +127,43 @@ func (g *Graph) Coord(id NodeID) Coord { return g.at(id).coord }
 func (g *Graph) AddEdge(e Edge) {
 	from := g.findOrAdd(e.From)
 	from.out = append(from.out, e)
-	// Look the head up only after the tail is stored: adding it can move
-	// the records, and a self-loop edits one record twice.
-	to := g.findOrAdd(e.To)
-	to.in = append(to.in, e)
+	g.findOrAdd(e.To) // only now: adding a node can move the records
 	g.edges++
 }
 
 // RemoveEdge deletes one occurrence of an exactly matching edge and
-// reports whether there was one. The two adjacency lists it shortens
-// are replaced by fresh copies, never edited in place, so on a
-// CloneShared clone the graph it was cloned from keeps every list it
-// had — with AddEdge (whose append reallocates a clamped list) this is
-// the copy-on-write edge edit the incremental write path is built on:
-// a clone plus k edits costs the clone plus the touched endpoints'
-// lists, and shares everything else.
+// reports whether there was one. The adjacency list it shortens is
+// replaced by a fresh copy, never edited in place, so on a CloneShared
+// clone the graph it was cloned from keeps every list it had — with
+// AddEdge (whose append reallocates a clamped list) this is the
+// copy-on-write edge edit the incremental write path is built on: a
+// clone plus k edits costs the clone plus the touched tails' lists,
+// and shares everything else.
 func (g *Graph) RemoveEdge(e Edge) bool {
 	from := g.at(e.From)
-	out, ok := withoutEdge(from.out, e)
-	if !ok {
+	i := slices.Index(from.out, e)
+	if i < 0 {
 		return false
 	}
-	from.out = out
-	to := g.at(e.To)
-	to.in, _ = withoutEdge(to.in, e)
+	from.out = slices.Concat(from.out[:i], from.out[i+1:])
 	g.edges--
 	return true
 }
 
-// withoutEdge returns a copy of es lacking the first occurrence of e,
-// and whether e occurred.
-func withoutEdge(es []Edge, e Edge) ([]Edge, bool) {
-	i := slices.Index(es, e)
-	if i < 0 {
-		return es, false
-	}
-	return slices.Concat(es[:i], es[i+1:]), true
-}
-
 // InstallNode adds node id with coordinates c and its complete
-// adjacency in one shot: out holds every edge leaving id, in every
-// edge entering it. This is the bulk path of the snapshot loader
-// (store.Decode, its one caller), which buckets an edge volume into
-// contiguous per-node runs — one record appended per node instead of
-// two list appends per edge. The caller guarantees id is not already
-// a node, that both endpoints of every edge are (or will be) installed,
-// and that the global out/in multisets agree. The slices are adopted,
-// not copied; they may share backing arrays, which is safe because
-// nothing in this package mutates an installed adjacency list in place
-// (updates rebuild copy-on-write) — callers clamp shared slices
-// (s[:len:len]) so a later append reallocates.
-func (g *Graph) InstallNode(id NodeID, c Coord, out, in []Edge) {
+// adjacency in one shot: out holds every edge leaving id. This is the
+// bulk path of the snapshot loader (store.Decode, its one caller),
+// which buckets an edge volume into contiguous per-node runs — one
+// record appended per node instead of a list append per edge. The
+// caller guarantees id is not already a node and that the head of
+// every edge is (or will be) installed. The slice is adopted, not
+// copied; it may share a backing array with other nodes' lists, which
+// is safe because nothing in this package mutates an installed
+// adjacency list in place (updates rebuild copy-on-write) — callers
+// clamp shared slices (s[:len:len]) so a later append reallocates.
+func (g *Graph) InstallNode(id NodeID, c Coord, out []Edge) {
 	n := g.findOrAdd(id)
-	n.coord, n.out, n.in = c, out, in
+	n.coord, n.out = c, out
 	g.edges += len(out)
 }
 
@@ -248,55 +234,12 @@ func byHead(a, b Edge) int {
 // the graph and must not be modified.
 func (g *Graph) Out(id NodeID) []Edge { return g.at(id).out }
 
-// In returns the incoming edges of id. The returned slice is owned by
-// the graph and must not be modified.
-func (g *Graph) In(id NodeID) []Edge { return g.at(id).in }
-
-// Grade returns the grade of a node in the paper's sense (§3.1): the
-// number of edges adjacent to it. For the symmetric graphs the paper
-// studies this equals the undirected degree; for general directed graphs
-// we count distinct neighbours reachable by either an in- or out-edge.
-func (g *Graph) Grade(id NodeID) int {
-	return len(g.undirectedNeighbors(id))
-}
-
-// undirectedNeighbors returns the set of nodes adjacent to id by an edge
-// in either direction, excluding id itself (self-loops contribute no
-// neighbour).
-func (g *Graph) undirectedNeighbors(id NodeID) map[NodeID]struct{} {
-	n := g.at(id)
-	nbs := make(map[NodeID]struct{})
-	for _, e := range n.out {
-		if e.To != id {
-			nbs[e.To] = struct{}{}
-		}
-	}
-	for _, e := range n.in {
-		if e.From != id {
-			nbs[e.From] = struct{}{}
-		}
-	}
-	return nbs
-}
-
-// Neighbors returns the distinct undirected neighbours of id in ascending
-// order.
-func (g *Graph) Neighbors(id NodeID) []NodeID {
-	set := g.undirectedNeighbors(id)
-	ids := make([]NodeID, 0, len(set))
-	for n := range set {
-		ids = append(ids, n)
-	}
-	slices.Sort(ids)
-	return ids
-}
-
 // CloneShared returns a graph equal to g whose adjacency lists share
 // g's backing arrays, each clamped to its length so a later AddEdge on
 // the clone reallocates instead of writing into the shared array. It is
 // the one way to copy a graph: the incremental write path clones the
 // base graph and replays a batch's edits on the clone, which then owns
-// the touched endpoints' lists and shares the rest; like every graph,
+// the touched tails' lists and shares the rest; like every graph,
 // the clone's installed lists must never be edited in place.
 //
 // The clone is one copy of the record slice and hashes no node: it
@@ -307,7 +250,7 @@ func (g *Graph) Neighbors(id NodeID) []NodeID {
 func (g *Graph) CloneShared() *Graph {
 	c := &Graph{nodes: make([]node, len(g.nodes)), index: g.index, edges: g.edges}
 	for i, n := range g.nodes {
-		n.out, n.in = slices.Clip(n.out), slices.Clip(n.in)
+		n.out = slices.Clip(n.out)
 		c.nodes[i] = n
 	}
 	if !g.indexShared.Load() {

@@ -98,20 +98,33 @@ func TestNodesSorted(t *testing.T) {
 	}
 }
 
+// neighbors returns the row of id in the undirected snapshot u, as ids.
+func neighbors(u *CSR, id NodeID) []NodeID {
+	k, _ := u.Row(id)
+	var ids []NodeID
+	for _, r := range u.To[u.Off[k]:u.Off[k+1]] {
+		ids = append(ids, u.IDs[r])
+	}
+	return ids
+}
+
 func TestGradeAndNeighbors(t *testing.T) {
 	g := New()
-	// Star: center 0 connected symmetrically to 1..4.
+	// Star: center 0 connected symmetrically to 1..4, and a one-way
+	// edge into the center.
 	for i := 1; i <= 4; i++ {
 		g.AddBoth(Edge{From: 0, To: NodeID(i), Weight: 1})
 	}
-	if got := g.Grade(0); got != 4 {
-		t.Errorf("Grade(center) = %d, want 4", got)
+	g.AddEdge(Edge{From: 5, To: 0, Weight: 1})
+	u := g.CSR().Undirected()
+	if got := neighbors(u, 0); !reflect.DeepEqual(got, []NodeID{1, 2, 3, 4, 5}) {
+		t.Errorf("neighbours of the center = %v, want [1 2 3 4 5]", got)
 	}
-	if got := g.Grade(1); got != 1 {
-		t.Errorf("Grade(leaf) = %d, want 1", got)
+	if got := neighbors(u, 1); !reflect.DeepEqual(got, []NodeID{0}) {
+		t.Errorf("neighbours of a leaf = %v, want [0]", got)
 	}
-	if got := g.Neighbors(0); !reflect.DeepEqual(got, []NodeID{1, 2, 3, 4}) {
-		t.Errorf("Neighbors(0) = %v", got)
+	if got := neighbors(u, 5); !reflect.DeepEqual(got, []NodeID{0}) {
+		t.Errorf("neighbours of the one-way tail = %v, want [0]", got)
 	}
 }
 
@@ -119,8 +132,9 @@ func TestGradeIgnoresSelfLoop(t *testing.T) {
 	g := New()
 	g.AddEdge(Edge{From: 1, To: 1})
 	g.AddBoth(Edge{From: 1, To: 2})
-	if got := g.Grade(1); got != 1 {
-		t.Errorf("Grade with self loop = %d, want 1", got)
+	g.AddEdge(Edge{From: 1, To: 2, Weight: 3})
+	if got := neighbors(g.CSR().Undirected(), 1); !reflect.DeepEqual(got, []NodeID{2}) {
+		t.Errorf("neighbours with a self-loop and a parallel edge = %v, want [2]", got)
 	}
 }
 
@@ -262,7 +276,6 @@ func TestSharedCloneEditsAreCopyOnWrite(t *testing.T) {
 	dup := Edge{From: 1, To: 2, Weight: 1}
 	g.AddEdge(dup) // a parallel edge; its list now has spare capacity
 	wantOut1 := append([]Edge(nil), g.Out(1)...)
-	wantIn2 := append([]Edge(nil), g.In(2)...)
 
 	c := g.CloneShared()
 	if !c.RemoveEdge(dup) {
@@ -275,35 +288,34 @@ func TestSharedCloneEditsAreCopyOnWrite(t *testing.T) {
 	if c.NumEdges() != g.NumEdges() {
 		t.Errorf("clone has %d edges after one removal and one insert, want %d", c.NumEdges(), g.NumEdges())
 	}
-	if !c.HasEdge(1, 2) || !c.HasEdge(1, 3) || len(c.Out(1)) != 2 || len(c.In(2)) != 1 {
-		t.Errorf("clone: Out(1) = %v, In(2) = %v; want one 1→2 left and the new 1→3", c.Out(1), c.In(2))
+	if !c.HasEdge(1, 2) || !c.HasEdge(1, 3) || len(c.Out(1)) != 2 {
+		t.Errorf("clone: Out(1) = %v; want one 1→2 left and the new 1→3", c.Out(1))
 	}
-	if !reflect.DeepEqual(g.Out(1), wantOut1) || !reflect.DeepEqual(g.In(2), wantIn2) || g.HasEdge(1, 3) {
-		t.Errorf("original changed: Out(1) = %v, In(2) = %v", g.Out(1), g.In(2))
+	if !reflect.DeepEqual(g.Out(1), wantOut1) || g.HasEdge(1, 3) {
+		t.Errorf("original changed: Out(1) = %v", g.Out(1))
 	}
 	if &c.Out(0)[0] != &g.Out(0)[0] {
 		t.Error("the list of an unedited node was copied, not shared")
 	}
 
 	g.AddNode(2, Coord{X: 2, Y: 2})
-	wantIn3 := append([]Edge(nil), g.In(3)...)
 	nodes, edges := g.NumNodes(), g.NumEdges()
 	c = g.CloneShared()
 	c.AddNode(2, Coord{X: -5, Y: 5})            // reposition
 	c.AddEdge(Edge{From: 3, To: 40, Weight: 2}) // brand-new endpoint
-	c.InstallNode(41, Coord{X: 1}, []Edge{{From: 41, To: 3, Weight: 1}}, nil)
-	if got := c.Coord(2); got != (Coord{X: -5, Y: 5}) || len(c.Out(2)) != 1 || len(c.In(2)) != 2 {
-		t.Errorf("clone: repositioned node 2 = %+v with Out %v, In %v; want the new position and its edges kept", got, c.Out(2), c.In(2))
+	c.InstallNode(41, Coord{X: 1}, []Edge{{From: 41, To: 3, Weight: 1}})
+	if got := c.Coord(2); got != (Coord{X: -5, Y: 5}) || len(c.Out(2)) != 1 {
+		t.Errorf("clone: repositioned node 2 = %+v with Out %v; want the new position and its edges kept", got, c.Out(2))
 	}
-	if !c.HasNode(40) || c.Coord(40) != (Coord{}) || len(c.In(40)) != 1 || !c.HasEdge(41, 3) {
-		t.Errorf("clone: In(40) = %v, Out(41) = %v; want the new endpoint at the zero coordinate and the installed node", c.In(40), c.Out(41))
+	if !c.HasNode(40) || c.Coord(40) != (Coord{}) || !c.HasEdge(3, 40) || !c.HasEdge(41, 3) {
+		t.Errorf("clone: Out(3) = %v, Out(41) = %v; want the new endpoint at the zero coordinate and the installed node", c.Out(3), c.Out(41))
 	}
 	if c.NumNodes() != nodes+2 || c.NumEdges() != edges+2 {
 		t.Errorf("clone = %v, want %d nodes and %d edges", c, nodes+2, edges+2)
 	}
-	if g.Coord(2) != (Coord{X: 2, Y: 2}) || len(g.Out(3)) != 0 || !reflect.DeepEqual(g.In(3), wantIn3) ||
+	if g.Coord(2) != (Coord{X: 2, Y: 2}) || len(g.Out(3)) != 0 ||
 		g.HasNode(40) || g.HasNode(41) || g.NumNodes() != nodes || g.NumEdges() != edges {
-		t.Errorf("original changed: %v, Coord(2) = %+v, Out(3) = %v, In(3) = %v", g, g.Coord(2), g.Out(3), g.In(3))
+		t.Errorf("original changed: %v, Coord(2) = %+v, Out(3) = %v", g, g.Coord(2), g.Out(3))
 	}
 }
 

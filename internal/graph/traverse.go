@@ -24,11 +24,7 @@ type CSR struct {
 
 // CSR snapshots g's out-edges: one id → index lookup per edge here,
 // none in what reads the snapshot.
-func (g *Graph) CSR() *CSR { return g.csr(false) }
-
-// csr is CSR, with each node's in-edges (reversed) in its row too when
-// undirected is set.
-func (g *Graph) csr(undirected bool) *CSR {
+func (g *Graph) CSR() *CSR {
 	ord := g.order()
 	c := &CSR{
 		IDs: make([]NodeID, len(ord)),
@@ -40,23 +36,45 @@ func (g *Graph) csr(undirected bool) *CSR {
 	for k, i := range ord {
 		row[i], c.IDs[k] = int32(k), g.nodes[i].id
 	}
-	add := func(id NodeID, w float64) {
-		if j, ok := g.index[id]; ok {
-			c.To, c.W = append(c.To, row[j]), append(c.W, w)
-		}
-	}
 	for k, i := range ord {
 		for _, e := range g.nodes[i].out {
-			add(e.To, e.Weight)
-		}
-		if undirected {
-			for _, e := range g.nodes[i].in {
-				add(e.From, e.Weight)
+			if j, ok := g.index[e.To]; ok {
+				c.To, c.W = append(c.To, row[j]), append(c.W, e.Weight)
 			}
 		}
 		c.Off[k+1] = int32(len(c.To))
 	}
 	return c
+}
+
+// Undirected returns the snapshot's underlying simple undirected graph,
+// the one index every undirected reader (status scores, undirected
+// levels, weakly connected components) walks: row k lists the distinct
+// rows joined to row k by an edge in either direction, ascending, k
+// itself left out, each at weight 1.
+func (c *CSR) Undirected() *CSR {
+	// Each edge u→v, u ≠ v, as the keys of u→v and v→u: sorted, they
+	// are the rows in order, each ascending, repeats side by side.
+	keys := make([]int64, 0, 2*len(c.To))
+	for u := range c.IDs {
+		for _, v := range c.To[c.Off[u]:c.Off[u+1]] {
+			if v != int32(u) {
+				keys = append(keys, int64(u)<<32|int64(v), int64(v)<<32|int64(u))
+			}
+		}
+	}
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	n := len(c.IDs)
+	und := &CSR{IDs: c.IDs, Off: make([]int32, n+1), To: make([]int32, len(keys)), W: make([]float64, len(keys))}
+	for j, key := range keys {
+		und.Off[key>>32+1]++
+		und.To[j], und.W[j] = int32(key), 1
+	}
+	for k := range n {
+		und.Off[k+1] += und.Off[k]
+	}
+	return und
 }
 
 // NewCSR builds the CSR of the graph whose nodes are ids — ascending
@@ -259,23 +277,22 @@ func (c *CSR) Searches(n int) []func(src NodeID, hops bool) (nodes []NodeID, dis
 // directed edges, its hop distance (level) from the nearest source.
 // Sources themselves are at level 0.
 func (g *Graph) BFSLevels(sources ...NodeID) map[NodeID]int {
-	return g.bfsLevels(false, sources)
+	return bfsLevels(g.CSR(), sources)
 }
 
 // UndirectedBFSLevels is BFSLevels over the underlying undirected graph
-// (edges traversable in both directions). The center-based algorithm's
-// status score and the generator's cluster checks use undirected
-// distances, matching the symmetric transportation networks of the paper.
+// (edges traversable in both directions), read from its Undirected
+// snapshot.
 func (g *Graph) UndirectedBFSLevels(sources ...NodeID) map[NodeID]int {
-	return g.bfsLevels(true, sources)
+	return bfsLevels(g.CSR().Undirected(), sources)
 }
 
-func (g *Graph) bfsLevels(undirected bool, sources []NodeID) map[NodeID]int {
+func bfsLevels(c *CSR, sources []NodeID) map[NodeID]int {
 	seeds := make(map[NodeID]float64, len(sources))
 	for _, id := range sources {
 		seeds[id] = 0
 	}
-	s := newSearcher(g.csr(undirected))
+	s := newSearcher(c)
 	s.search(true, seeds)
 	levels := make(map[NodeID]int, s.reached)
 	for k, d := range s.dist {
@@ -301,27 +318,44 @@ func (g *Graph) Reachable(sources ...NodeID) map[NodeID]struct{} {
 // as an ascending slice of node IDs; components are ordered by their
 // smallest member.
 func (g *Graph) ConnectedComponents() [][]NodeID {
-	seen := make(map[NodeID]struct{})
-	var comps [][]NodeID
-	for _, start := range g.Nodes() {
-		if _, ok := seen[start]; ok {
+	u := g.CSR().Undirected()
+	rows := u.Components()
+	comps := make([][]NodeID, len(rows))
+	for i, comp := range rows {
+		slices.Sort(comp)
+		comps[i] = make([]NodeID, len(comp))
+		for j, r := range comp {
+			comps[i][j] = u.IDs[r]
+		}
+	}
+	return comps
+}
+
+// Components splits the rows of an undirected snapshot (see
+// Undirected) into its connected components, ordered by their smallest
+// row. Each lists its rows in the order a depth-first walk from that
+// row visits them, a row's neighbours pushed in ascending order.
+func (c *CSR) Components() [][]int32 {
+	seen := make([]bool, len(c.IDs))
+	var comps [][]int32
+	for start := range c.IDs {
+		if seen[start] {
 			continue
 		}
-		var comp []NodeID
-		stack := []NodeID{start}
-		seen[start] = struct{}{}
+		var comp []int32
+		stack := []int32{int32(start)}
+		seen[start] = true
 		for len(stack) > 0 {
-			u := stack[len(stack)-1]
+			r := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			comp = append(comp, u)
-			for n := range g.undirectedNeighbors(u) {
-				if _, ok := seen[n]; !ok {
-					seen[n] = struct{}{}
-					stack = append(stack, n)
+			comp = append(comp, r)
+			for _, v := range c.To[c.Off[r]:c.Off[r+1]] {
+				if !seen[v] {
+					seen[v] = true
+					stack = append(stack, v)
 				}
 			}
 		}
-		slices.Sort(comp)
 		comps = append(comps, comp)
 	}
 	return comps

@@ -71,14 +71,14 @@ type LoadConfig struct {
 	// transactions instead of queries (0 = read-only). A write slot
 	// fires one POST /v1/update batch that inserts a heavy shortcut
 	// edge (weight 1e9 — far above any real path cost, so query
-	// answers are invariant) and deletes it again in the same
-	// transaction: a net no-op on the data that still forces a full
-	// epoch swap, fragment rebuild and cache invalidation. Mixing
-	// writes this way keeps the replay oracle exact while measuring
-	// read latency under sustained update pressure. The edge joins the
-	// slot's random node pair on fragment 0, which usually drags
-	// foreign nodes into the fragment and forces a full complementary
-	// recomputation — the write path's worst case.
+	// answers are invariant) between the slot's random node pair on
+	// fragment 0 and deletes it again in the same transaction. The
+	// edits cancel out, so the batch leaves the fragment untouched: a
+	// write costs an epoch swap, a leg-cache sweep and, on a server
+	// started with -store, a journal append; no site is rebuilt and no
+	// complementary table recomputed. Mixing writes this way keeps the
+	// replay oracle exact while measuring read latency beside a
+	// steady stream of writes.
 	WriteRate float64
 	// RetryTransient, when positive, re-fires a read query up to this
 	// many extra times after a transient gateway failure (HTTP 502 or

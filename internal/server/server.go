@@ -71,7 +71,6 @@ type Server struct {
 	queries    atomic.Uint64
 	connected  atomic.Uint64
 	pipelined  atomic.Uint64
-	updates    atomic.Uint64
 	errors     atomic.Uint64
 	siteLegs   []atomic.Uint64
 	siteBusyNS []atomic.Int64
@@ -121,7 +120,6 @@ func NewDataset(ds *tcq.Dataset, cfg Config) (*Server, error) {
 		snap := s.ds.Snapshot()
 		s.cache.sweep(snap.Store().Sites())
 		s.history.add(snap)
-		s.updates.Add(1)
 		s.metrics.observeApply(r)
 	})
 	return s, nil
@@ -427,7 +425,7 @@ func (s *Server) Stats() Stats {
 	st.Queries = s.queries.Load()
 	st.ConnectedQueries = s.connected.Load()
 	st.PipelinedQueries = s.pipelined.Load()
-	st.Updates = s.updates.Load()
+	st.Updates = s.metrics.epochSwaps.Value()
 	st.Errors = s.errors.Load()
 	st.Cache = s.cache.snapshot()
 	st.SiteTables = s.siteTables()

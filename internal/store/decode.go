@@ -172,9 +172,7 @@ func Decode(data []byte) (*dsa.Store, error) {
 	// same pass accumulates per-node degrees for the bucketed fill below.
 	edgeSets := make([][]graph.Edge, fragCount)
 	froms := make([][]byte, fragCount)
-	tos := make([][]byte, fragCount)
 	outDeg := make([]int32, nodeCount+1)
-	inDeg := make([]int32, nodeCount+1)
 	totalEdges := 0
 	for fi := range edgeSets {
 		n := d.count(16)
@@ -191,42 +189,31 @@ func Decode(data []byte) (*dsa.Store, error) {
 			}
 			es[k] = graph.Edge{From: ids[f], To: ids[t], Weight: f64At(w, k)}
 			outDeg[f+1]++
-			inDeg[t+1]++
 		}
-		edgeSets[fi], froms[fi], tos[fi] = es, from, to
+		edgeSets[fi], froms[fi] = es, from
 		totalEdges += n
 	}
 
 	// Bucket the edge volume into one contiguous adjacency run per node
 	// and build the base graph with one bulk install per node: a fixed
-	// handful of map writes each instead of two map-append operations
-	// per edge. The site builder shares these lists for
-	// fragment-private nodes, so the base adjacency must be complete
-	// before dsa.Restore runs.
+	// handful of map writes each instead of a map-append per edge.
 	for i := 0; i < nodeCount; i++ {
 		outDeg[i+1] += outDeg[i]
-		inDeg[i+1] += inDeg[i]
 	}
 	outBuf := make([]graph.Edge, totalEdges)
-	inBuf := make([]graph.Edge, totalEdges)
 	outCur := append([]int32(nil), outDeg[:nodeCount]...)
-	inCur := append([]int32(nil), inDeg[:nodeCount]...)
 	for fi, es := range edgeSets {
-		from, to := froms[fi], tos[fi]
+		from := froms[fi]
 		for k := range es {
-			f, t := i32At(from, k), i32At(to, k)
+			f := i32At(from, k)
 			outBuf[outCur[f]] = es[k]
 			outCur[f]++
-			inBuf[inCur[t]] = es[k]
-			inCur[t]++
 		}
 	}
 	base := graph.NewWithCapacity(nodeCount)
 	for i := 0; i < nodeCount; i++ {
 		ob, oe := outDeg[i], outDeg[i+1]
-		ib, ie := inDeg[i], inDeg[i+1]
-		base.InstallNode(ids[i], graph.Coord{X: f64At(xCol, i), Y: f64At(yCol, i)},
-			outBuf[ob:oe:oe], inBuf[ib:ie:ie])
+		base.InstallNode(ids[i], graph.Coord{X: f64At(xCol, i), Y: f64At(yCol, i)}, outBuf[ob:oe:oe])
 	}
 
 	// Complementary tables.
