@@ -376,7 +376,7 @@ func BenchmarkGridReachableFromBitset(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		nodes := fr.Base().Nodes()
+		nodes := fr.Nodes()
 		plan, err := st.NewPlan(nodes[0], nodes[len(nodes)-1]) // opposite corners
 		if err != nil || len(plan.Legs) < 3 {
 			b.Fatalf("plan %+v, err %v; want a chain with a middle leg", plan, err)
@@ -487,7 +487,7 @@ func BenchmarkFinishPlan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nodes := fr.Base().Nodes()
+	nodes := fr.Nodes()
 	src, dst := nodes[0], nodes[len(nodes)-1]
 	plan, err := st.NewPlan(src, dst)
 	if err != nil {
@@ -551,7 +551,7 @@ func BenchmarkLegWire(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nodes := fr.Base().Nodes()
+	nodes := fr.Nodes()
 	plan, err := st.NewPlan(nodes[0], nodes[len(nodes)-1])
 	if err != nil {
 		b.Fatal(err)
@@ -616,7 +616,7 @@ func BenchmarkLegTable(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		nodes := fr.Base().Nodes()
+		nodes := fr.Nodes()
 		plan, err := st.NewPlan(nodes[0], nodes[len(nodes)-1])
 		if err != nil {
 			b.Fatal(err)
@@ -770,7 +770,7 @@ func BenchmarkLegEngines(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		nodes := fr.Base().Nodes()
+		nodes := fr.Nodes()
 		rng := rand.New(rand.NewSource(1))
 		var pairs [][2]graph.NodeID
 		groups := map[string][]dsa.Leg{}

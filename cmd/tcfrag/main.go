@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/fragment"
@@ -110,14 +111,7 @@ func main() {
 		fatal(err)
 	}
 
-	c := fragment.Measure(fr)
-	fmt.Println(c)
-	for _, frag := range fr.Fragments() {
-		fmt.Printf("  fragment %d: %d edges, %d nodes\n", frag.ID, frag.Size(), frag.NumNodes())
-	}
-	for p, ds := range fr.DisconnectionSets() {
-		fmt.Printf("  DS%d%d: %d nodes\n", p.I, p.J, len(ds))
-	}
+	summary(os.Stdout, fr)
 
 	if *out != "" {
 		of, err := os.Create(*out)
@@ -128,6 +122,18 @@ func main() {
 		if err := fr.Write(of); err != nil {
 			fatal(err)
 		}
+	}
+}
+
+// summary prints fr's characteristics, one line per fragment, and one
+// per disconnection set in (I, J) order, named DS<I>-<J>.
+func summary(w io.Writer, fr *fragment.Fragmentation) {
+	fmt.Fprintln(w, fragment.Measure(fr))
+	for _, frag := range fr.Fragments() {
+		fmt.Fprintf(w, "  fragment %d: %d edges, %d nodes\n", frag.ID, frag.Size(), frag.NumNodes())
+	}
+	for _, p := range fragment.SortedPairs(fr.DisconnectionSets()) {
+		fmt.Fprintf(w, "  DS%d-%d: %d nodes\n", p.I, p.J, len(fr.DisconnectionSet(p.I, p.J)))
 	}
 }
 

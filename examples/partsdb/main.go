@@ -123,8 +123,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for p, ds := range fr.DisconnectionSets() {
-		fmt.Printf("suppliers %d and %d share: %s\n", p.I, p.J, names[ds[0]])
+	for _, p := range fragment.SortedPairs(fr.DisconnectionSets()) {
+		fmt.Printf("suppliers %d and %d share: %s\n", p.I, p.J, names[fr.DisconnectionSet(p.I, p.J)[0]])
 	}
 	client, err := tcq.Build(fr, tcq.BuildOptions{})
 	if err != nil {

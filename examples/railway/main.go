@@ -100,8 +100,8 @@ func main() {
 		log.Fatal(err)
 	}
 	countries := []string{"Holland", "Germany", "Italy"}
-	for p, ds := range fr.DisconnectionSets() {
-		fmt.Printf("DS(%s, %s) = %s\n", countries[p.I], countries[p.J], stationNames(ds))
+	for _, p := range fragment.SortedPairs(fr.DisconnectionSets()) {
+		fmt.Printf("DS(%s, %s) = %s\n", countries[p.I], countries[p.J], stationNames(fr.DisconnectionSet(p.I, p.J)))
 	}
 	if !fr.FragmentationGraph().IsLooselyConnected() {
 		log.Fatal("the country chain should be loosely connected")

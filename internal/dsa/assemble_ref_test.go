@@ -278,7 +278,7 @@ func TestPropertyFoldOverTablesMatchesReference(t *testing.T) {
 	ctx := context.Background()
 	for name, st := range stores {
 		memos := make(map[Engine]*blockMemo)
-		nodes := st.fr.Base().Nodes()
+		nodes := st.fr.Nodes()
 		var border []graph.NodeID
 		for _, n := range nodes {
 			if len(st.fr.FragmentsOf(n)) > 1 {
@@ -414,7 +414,7 @@ func FuzzFold(f *testing.F) {
 			t.Skip()
 		}
 		ctx := context.Background()
-		nodes := fr.Base().Nodes()
+		nodes := fr.Nodes()
 		rng := rand.New(rand.NewSource(seed))
 		memos := make(map[Engine]*blockMemo)
 		for k := 0; k < 1+int(nPairs%16); k++ {

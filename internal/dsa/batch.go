@@ -149,7 +149,7 @@ type BatchStats struct {
 // receiver is never modified: readers holding it keep a consistent
 // pre-batch view (copy-on-write snapshot semantics), and the two
 // stores structurally share everything the batch did not disturb —
-// sites, fragments, base adjacency lists, the membership table and the
+// sites, fragments, the node table, the membership table and the
 // disconnection-set table.
 //
 // Ops are validated in order against the progressively updated edge
@@ -158,16 +158,14 @@ type BatchStats struct {
 // every offending op with a typed per-op error, and nothing is
 // applied.
 //
-// Cost: what a batch pays is one slice copy of the base graph's V node
-// records (graph.CloneShared; no node is hashed, the id → index map is
-// shared with the old epoch's graph), plus the touched fragments (a
-// private sorted copy of each one's edge set and node set,
-// fragment.Patch), plus the touched sites (the CSR of every fragment
-// whose edge set or complementary tables changed, filled in one pass
-// from its edges and its tables' edges). Nothing is proportional to
-// E: untouched edge sets are never copied and the partition is not
-// re-validated, because each op edits the base graph and exactly one
-// edge set identically. On top of that come the global searches when
+// Cost: what a batch pays is the touched fragments (a private sorted
+// copy of each one's edge set and node set, fragment.Patch), plus the
+// touched sites (the CSR of every fragment whose edge set or
+// complementary tables changed, filled in one pass from its edges and
+// its tables' edges). Nothing is proportional to V or E: untouched
+// edge sets are never copied and the partition is not re-validated,
+// because each op edits exactly one edge set, the only place the
+// fragmentation keeps edges. On top of that come the global searches when
 // the complementary tables must be recomputed — an edge change anywhere
 // can move a global shortest path between disconnection-set nodes —
 // unless compUnaffected proves otherwise, and one derivation of the
@@ -179,7 +177,6 @@ func (st *Store) Apply(ctx context.Context, ops []EdgeOp) (*Store, BatchStats, e
 	if len(ops) == 0 {
 		return nil, stats, fmt.Errorf("dsa: %w", ErrEmptyBatch)
 	}
-	base := st.fr.Base()
 	n := st.fr.NumFragments()
 
 	// Phase 1: validate every op against the working edge sets,
@@ -197,7 +194,7 @@ func (st *Store) Apply(ctx context.Context, ops []EdgeOp) (*Store, BatchStats, e
 		}
 		switch op.Kind {
 		case OpInsert:
-			if !base.HasNode(op.Edge.From) || !base.HasNode(op.Edge.To) {
+			if !st.fr.HasNode(op.Edge.From) || !st.fr.HasNode(op.Edge.To) {
 				refuse(i, op, fmt.Errorf("dsa: %w: edge %v endpoints must be existing nodes", ErrUnknownNode, op.Edge))
 				continue
 			}
@@ -224,9 +221,8 @@ func (st *Store) Apply(ctx context.Context, ops []EdgeOp) (*Store, BatchStats, e
 		return nil, stats, &BatchError{Ops: opErrs}
 	}
 
-	// Phase 2: patch the fragmentation and its base graph (the node set
-	// is invariant — inserts require existing endpoints, deletes never
-	// drop nodes).
+	// Phase 2: patch the fragmentation (the node table is invariant —
+	// inserts require existing endpoints, deletes never drop nodes).
 	fr, err := patch.Apply()
 	if err != nil {
 		return nil, stats, err
@@ -253,7 +249,7 @@ func (st *Store) Apply(ctx context.Context, ops []EdgeOp) (*Store, BatchStats, e
 		next.comp = st.comp
 		next.compMaxCost, next.compAllPairs, next.prep.PairsStored = st.compMaxCost, st.compAllPairs, st.prep.PairsStored
 	} else {
-		next.comp, stats.DijkstraRuns, err = computeComp(ctx, fr.Base(), dss, st.problem)
+		next.comp, stats.DijkstraRuns, err = computeComp(ctx, fr.CSR(), dss, st.problem)
 		if err != nil {
 			return nil, stats, err
 		}

@@ -103,7 +103,7 @@ func TestPropertyBorderBlockMatchesLegTable(t *testing.T) {
 				t.Fatal(err)
 			}
 			builds := make(map[int]int)
-			nodes := st.fr.Base().Nodes()
+			nodes := st.fr.Nodes()
 			for _, src := range nodes {
 				for _, dst := range nodes {
 					plan, err := fresh.NewPlan(src, dst)

@@ -248,6 +248,17 @@ func TestPlanErrors(t *testing.T) {
 	// A node of the graph that no fragment holds is not unknown: it is
 	// unreachable, except from itself.
 	g.AddNode(50, graph.Coord{})
+	var sets [][]graph.Edge
+	for _, f := range st.Fragmentation().Fragments() {
+		sets = append(sets, f.Edges)
+	}
+	fr, err := fragment.New(g, sets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = Build(fr, Options{}); err != nil {
+		t.Fatal(err)
+	}
 	for _, q := range [][2]graph.NodeID{{50, 0}, {0, 50}, {50, 50}} {
 		p, err := st.NewPlan(q[0], q[1])
 		if err != nil || len(p.Chains) != 0 || len(p.Legs) != 0 {
@@ -598,7 +609,7 @@ func TestComputeCompAllocs(t *testing.T) {
 	for _, problem := range []Problem{ProblemShortestPath, ProblemReachability} {
 		searches := 0
 		allocs := testing.AllocsPerRun(3, func() {
-			if _, searches, err = computeComp(context.Background(), fr.Base(), dss, problem); err != nil {
+			if _, searches, err = computeComp(context.Background(), fr.CSR(), dss, problem); err != nil {
 				t.Fatal(err)
 			}
 		})

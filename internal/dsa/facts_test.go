@@ -115,7 +115,7 @@ func TestPropertyFactBlockMatchesSelectExits(t *testing.T) {
 	for name, st := range borderStores(t) {
 		rng = rand.New(rand.NewSource(7)) // the same shuffles whatever order the stores come in
 		seen := make(map[string]bool)
-		nodes := st.fr.Base().Nodes()
+		nodes := st.fr.Nodes()
 		for _, src := range nodes {
 			for _, dst := range nodes {
 				if src == dst {

@@ -1,6 +1,7 @@
 package dsa
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -77,28 +78,31 @@ func (st *Store) QueryPath(ctx context.Context, source, target graph.NodeID) (*R
 
 // expandShortcuts replaces hops of a site-local path that correspond to
 // complementary shortcut edges with the underlying global path
-// segment. A base edge u→v of exactly the hop's cost explains the hop
+// segment. A graph edge u→v of exactly the hop's cost explains the hop
 // whichever fragment owns it: if the search took a shortcut of that
-// cost, the edge is a global segment just as cheap. Any other hop must
-// have used a shortcut, and the global segment is recovered with a
-// base-graph search restricted by the known cost (the preprocessing
-// could store the segments instead; recomputing keeps CompInfo small
-// and the reconstruction exact either way).
+// cost, the edge is a global segment just as cheap. Such an edge sits
+// in a fragment of u's, found by binary search in its sorted edge set.
+// Any other hop must have used a shortcut, and the global segment is
+// recovered with a whole-graph search restricted by the known cost (the
+// preprocessing could store the segments instead; recomputing keeps
+// CompInfo small and the reconstruction exact either way).
 func (st *Store) expandShortcuts(local []graph.NodeID, dist map[graph.NodeID]float64) ([]graph.NodeID, error) {
 	const eps = 1e-9
-	base := st.fr.Base()
-	// The base-graph search, built on the first shortcut hop and reused
-	// by the rest: building it snapshots the whole base graph.
+	// The whole-graph search, built on the first shortcut hop and reused
+	// by the rest: building it snapshots the whole graph.
 	var search func(graph.NodeID, bool) ([]graph.NodeID, []float64, []int32)
 	out := []graph.NodeID{local[0]}
 	for i := 0; i+1 < len(local); i++ {
 		u, v := local[i], local[i+1]
 		hopCost := dist[v] - dist[u]
 		real := false
-		for _, e := range base.Out(u) {
-			if e.To == v && math.Abs(e.Weight-hopCost) <= eps*math.Max(1, e.Weight) {
-				real = true
-				break
+		for _, f := range st.fr.FragmentsOf(u) {
+			es := st.fr.Fragment(f).Edges
+			k, _ := slices.BinarySearchFunc(es, graph.Edge{From: u, To: v}, func(e, t graph.Edge) int {
+				return cmp.Or(cmp.Compare(e.From, t.From), cmp.Compare(e.To, t.To))
+			})
+			for ; !real && k < len(es) && es[k].From == u && es[k].To == v; k++ {
+				real = math.Abs(es[k].Weight-hopCost) <= eps*math.Max(1, es[k].Weight)
 			}
 		}
 		if real {
@@ -108,7 +112,7 @@ func (st *Store) expandShortcuts(local []graph.NodeID, dist map[graph.NodeID]flo
 		// Shortcut: recover the global segment, backward along the search
 		// tree from v to its root u, which out already ends with.
 		if search == nil {
-			search = base.Searches(1)[0]
+			search = st.fr.CSR().Searches(1)[0]
 		}
 		nodes, gdist, gpred := search(u, false)
 		k, ok := slices.BinarySearch(nodes, v)

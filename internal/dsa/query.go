@@ -68,10 +68,10 @@ type Plan struct {
 // NewPlan computes the plan for a shortest-path (or reachability)
 // query from source to target.
 func (st *Store) NewPlan(source, target graph.NodeID) (*Plan, error) {
-	if !st.fr.Base().HasNode(source) {
+	if !st.fr.HasNode(source) {
 		return nil, fmt.Errorf("dsa: %w: source node %d not in graph", ErrUnknownNode, source)
 	}
-	if !st.fr.Base().HasNode(target) {
+	if !st.fr.HasNode(target) {
 		return nil, fmt.Errorf("dsa: %w: target node %d not in graph", ErrUnknownNode, target)
 	}
 	// A node the updates left in no fragment has no fragment to chain
@@ -131,10 +131,10 @@ func (st *Store) NewPlan(source, target graph.NodeID) (*Plan, error) {
 // fragment containing source, end at one containing target, and have a
 // non-empty disconnection set between consecutive fragments.
 func (st *Store) PlanChains(source, target graph.NodeID, chains [][]int) (*Plan, error) {
-	if !st.fr.Base().HasNode(source) {
+	if !st.fr.HasNode(source) {
 		return nil, fmt.Errorf("dsa: %w: source node %d not in graph", ErrUnknownNode, source)
 	}
-	if !st.fr.Base().HasNode(target) {
+	if !st.fr.HasNode(target) {
 		return nil, fmt.Errorf("dsa: %w: target node %d not in graph", ErrUnknownNode, target)
 	}
 	if len(chains) == 0 {

@@ -258,7 +258,7 @@ func Build(fr *fragment.Fragmentation, opt Options) (*Store, error) {
 	dss := fr.DisconnectionSets()
 	st.prep.DisconnectionSets = len(dss)
 
-	comp, runs, err := computeComp(context.Background(), fr.Base(), dss, opt.Problem)
+	comp, runs, err := computeComp(context.Background(), fr.CSR(), dss, opt.Problem)
 	if err != nil {
 		return nil, err
 	}
@@ -346,13 +346,13 @@ func deploySites(ctx context.Context, fr *fragment.Fragmentation, comp map[fragm
 // The searches are independent, so they fan out over parallelFor's
 // goroutines — this is what keeps a batched update's preprocessing
 // window short (the write path re-runs computeComp on every batch).
-// They run on graph.Searches: one index-form snapshot of the base
-// graph's adjacency read by every worker, one set of graph-sized rows
-// per worker; a search reads its node's disconnection-set peers' costs
-// from its row and allocates only the table rows it keeps. ctx is
-// observed between searches, so a canceled batched update abandons its
-// preprocessing promptly.
-func computeComp(ctx context.Context, base *graph.Graph, dss map[fragment.Pair][]graph.NodeID, problem Problem) (map[fragment.Pair]*CompInfo, int, error) {
+// They run on the CSR's searches: one index-form snapshot of the whole
+// graph (Fragmentation.CSR) read by every worker, one set of
+// graph-sized rows per worker; a search reads its node's
+// disconnection-set peers' costs from its row and allocates only the
+// table rows it keeps. ctx is observed between searches, so a canceled
+// batched update abandons its preprocessing promptly.
+func computeComp(ctx context.Context, whole *graph.CSR, dss map[fragment.Pair][]graph.NodeID, problem Problem) (map[fragment.Pair]*CompInfo, int, error) {
 	// member lists, per disconnection-set node, its row in every table
 	// it belongs to; rows[p][k] is filled by the search from dss[p][k].
 	type slot struct {
@@ -371,7 +371,7 @@ func computeComp(ctx context.Context, base *graph.Graph, dss map[fragment.Pair][
 	for id := range member {
 		ids = append(ids, id)
 	}
-	searches := base.Searches(parallelWorkers(len(ids)))
+	searches := whole.Searches(parallelWorkers(len(ids)))
 	err := parallelFor(ctx, len(ids), func(w, i int) {
 		a := ids[i]
 		// Of a reachability search only presence is kept, as the marker 1.

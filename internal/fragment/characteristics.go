@@ -43,9 +43,10 @@ func Measure(fr *Fragmentation) Characteristics {
 	c.NumFragments = fr.NumFragments()
 	sizes := make([]float64, 0, c.NumFragments)
 	var diamSum float64
+	base := fr.Base()
 	for _, f := range fr.Fragments() {
 		sizes = append(sizes, float64(f.Size()))
-		d := f.Subgraph(fr.Base()).Diameter()
+		d := f.Subgraph(base).Diameter()
 		diamSum += float64(d)
 		if d > c.MaxDiameter {
 			c.MaxDiameter = d

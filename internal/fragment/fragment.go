@@ -14,6 +14,7 @@ package fragment
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -94,12 +95,17 @@ func (f *Fragment) Subgraph(base *graph.Graph) *graph.Graph {
 	return base.Subgraph(f.Edges)
 }
 
-// Fragmentation is a validated partition of a graph's edges. It is
-// immutable: an update produces a new Fragmentation (Patch) that shares
-// every part the update did not reach with the one it came from.
+// Fragmentation is a validated partition of a graph's edges. It keeps
+// the graph as its node table — every node, isolated ones included,
+// ascending by id, with its coordinates — and its fragments, which are
+// the only place the edges are stored. It is immutable: an update
+// produces a new Fragmentation (Patch) that shares every part the
+// update did not reach with the one it came from, the node table
+// always.
 type Fragmentation struct {
-	base  *graph.Graph
-	frags []*Fragment
+	ids    []graph.NodeID
+	coords []graph.Coord // coords[k] is the position of ids[k]
+	frags  []*Fragment
 	// byNode maps each node to the (sorted) IDs of the fragments whose
 	// induced node set contains it; nodes in ≥ 2 fragments are exactly
 	// the disconnection-set nodes.
@@ -144,10 +150,10 @@ func newMeeting(n int, byNode map[graph.NodeID][]int) *meeting {
 	return m
 }
 
-// assemble builds the Fragmentation over fragments whose edge sets are
-// known to partition g's edges.
-func assemble(g *graph.Graph, frags []*Fragment) *Fragmentation {
-	fr := &Fragmentation{base: g, frags: frags, byNode: make(map[graph.NodeID][]int)}
+// assemble builds the Fragmentation over a node table and fragments
+// whose edge sets are known to partition the graph's edges.
+func assemble(ids []graph.NodeID, coords []graph.Coord, frags []*Fragment) *Fragmentation {
+	fr := &Fragmentation{ids: ids, coords: coords, frags: frags, byNode: make(map[graph.NodeID][]int)}
 	for _, f := range frags {
 		for id := range f.nodes {
 			fr.byNode[id] = append(fr.byNode[id], f.ID)
@@ -199,21 +205,24 @@ func New(g *graph.Graph, edgeSets [][]graph.Edge) (*Fragmentation, error) {
 	if j := slices.Index(taken, false); j >= 0 {
 		return nil, fmt.Errorf("fragment: edge %v not assigned to any fragment", base[j])
 	}
-	return assemble(g, frags), nil
+	ids := g.Nodes()
+	coords := make([]graph.Coord, len(ids))
+	for k, id := range ids {
+		coords[k] = g.Coord(id)
+	}
+	return assemble(ids, coords, frags), nil
 }
 
-// Restore builds a Fragmentation from edge sets already known to
-// partition g's edges — the trusted constructor for the binary
-// snapshot loader, whose input carried a checksum and was written from
-// a validated Fragmentation. It skips New's O(E) multiset partition
-// check and newFragment's re-sort (snapshots store each fragment's
-// edges in their deterministic order), and adopts the edge slices
-// without copying. Empty inputs are still rejected; everything else is
-// trusted.
-func Restore(g *graph.Graph, edgeSets [][]graph.Edge) (*Fragmentation, error) {
-	if g == nil {
-		return nil, fmt.Errorf("fragment: nil base graph")
-	}
+// Restore builds a Fragmentation from a node table — ids ascending and
+// distinct, coords[k] the position of ids[k] — and edge sets already
+// known to partition the graph's edges over those nodes: the trusted
+// constructor for the binary snapshot loader, whose input carried a
+// checksum and was written from a validated Fragmentation. It skips
+// New's O(E) multiset partition check and newFragment's re-sort
+// (snapshots store each fragment's edges in their deterministic order),
+// and adopts the slices without copying. Empty inputs are still
+// rejected; everything else is trusted.
+func Restore(ids []graph.NodeID, coords []graph.Coord, edgeSets [][]graph.Edge) (*Fragmentation, error) {
 	if len(edgeSets) == 0 {
 		return nil, fmt.Errorf("fragment: no fragments")
 	}
@@ -224,11 +233,59 @@ func Restore(g *graph.Graph, edgeSets [][]graph.Edge) (*Fragmentation, error) {
 		}
 		frags = append(frags, adoptFragment(i, edges))
 	}
-	return assemble(g, frags), nil
+	return assemble(ids, coords, frags), nil
 }
 
-// Base returns the fragmented graph.
-func (fr *Fragmentation) Base() *graph.Graph { return fr.base }
+// Nodes returns every node of the fragmented graph, isolated ones
+// included, in ascending order. The slice is the fragmentation's own,
+// shared with the fragmentations patched from this one: read-only.
+func (fr *Fragmentation) Nodes() []graph.NodeID { return fr.ids }
+
+// NumNodes returns the number of nodes of the fragmented graph.
+func (fr *Fragmentation) NumNodes() int { return len(fr.ids) }
+
+// HasNode reports whether id is a node of the fragmented graph.
+func (fr *Fragmentation) HasNode(id graph.NodeID) bool {
+	_, ok := slices.BinarySearch(fr.ids, id)
+	return ok
+}
+
+// Coord returns the coordinates of node id; the zero coordinate if id
+// is not a node.
+func (fr *Fragmentation) Coord(id graph.NodeID) graph.Coord {
+	if k, ok := slices.BinarySearch(fr.ids, id); ok {
+		return fr.coords[k]
+	}
+	return graph.Coord{}
+}
+
+// CSR snapshots the whole fragmented graph: every node, and each
+// node's out-edges fragment by fragment.
+func (fr *Fragmentation) CSR() *graph.CSR {
+	runs := make([][]graph.Edge, len(fr.frags))
+	for i, f := range fr.frags {
+		runs[i] = f.Edges
+	}
+	return graph.NewCSR(fr.ids, runs...)
+}
+
+// Base builds the fragmented graph from the node table and the
+// fragments, fresh on each call: each node's out-edges are listed
+// fragment by fragment, in the order CSR lists them. It is for cold
+// readers — reference searches, simulations, examples — not for a
+// serving path.
+func (fr *Fragmentation) Base() *graph.Graph {
+	g := graph.NewWithCapacity(len(fr.ids))
+	for k, id := range fr.ids {
+		g.AddNode(id, fr.coords[k])
+	}
+	for _, f := range fr.frags {
+		for _, e := range f.Edges {
+			g.AddEdge(e)
+		}
+	}
+	return g
+}
 
 // NumFragments returns the number of fragments n.
 func (fr *Fragmentation) NumFragments() int { return len(fr.frags) }
@@ -253,6 +310,15 @@ func MakePair(a, b int) Pair {
 		a, b = b, a
 	}
 	return Pair{I: a, J: b}
+}
+
+// SortedPairs returns the keys of a pair-keyed table — the
+// disconnection sets, say — sorted by (I, J), the order to print or
+// write them in.
+func SortedPairs[V any](m map[Pair]V) []Pair {
+	return slices.SortedFunc(maps.Keys(m), func(a, b Pair) int {
+		return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
+	})
 }
 
 // DisconnectionSets returns every non-empty DS_ij = V_i ∩ V_j as a

@@ -11,10 +11,10 @@ import (
 // Patch is a sequence of edge edits in progress against a
 // Fragmentation: the write path's way to a new Fragmentation whose cost
 // is the fragments the edits touched, not the graph. Each edit lands in
-// exactly one fragment's edge set now and, replayed by Apply, in the
-// base graph — the same edit in both places, which is what keeps the
-// edge sets an exact partition of the base's edges without New's O(E)
-// re-validation. The Fragmentation being patched is never modified.
+// exactly one fragment's edge set, the one place a fragmentation keeps
+// its edges, so the edge sets stay a partition of the graph's edges
+// without New's O(E) re-validation. The Fragmentation being patched is
+// never modified.
 //
 // A Patch is single-use and not safe for concurrent use.
 type Patch struct {
@@ -59,7 +59,7 @@ func (p *Patch) private(frag int) []graph.Edge {
 
 // find returns where e sits, or would be inserted, in fragment frag's
 // edge set as edited so far, and whether it is there. Presence is exact
-// equality, the same test graph.RemoveEdge applies to the base.
+// equality.
 func (p *Patch) find(frag int, e graph.Edge) (int, bool) {
 	es := p.edges(frag)
 	i, _ := slices.BinarySearchFunc(es, e, edgeCmp)
@@ -86,7 +86,7 @@ func (p *Patch) Contains(frag int, e graph.Edge) bool {
 
 // Insert adds e to fragment frag, at its place in the deterministic
 // edge order. The caller vouches that both endpoints are nodes of the
-// base graph.
+// fragmentation.
 func (p *Patch) Insert(frag int, e graph.Edge) {
 	i, _ := p.find(frag, e)
 	p.work[frag] = slices.Insert(p.private(frag), i, e)
@@ -105,18 +105,15 @@ func (p *Patch) Delete(frag int, e graph.Edge) bool {
 	return true
 }
 
-// Apply returns the patched Fragmentation. Its base graph is a
-// CloneShared of the old one with the edits replayed copy-on-write, so
-// the two share every adjacency list but those of the edits' endpoints;
+// Apply returns the patched Fragmentation. It shares the node table;
 // untouched fragments are shared by pointer; the membership table is
 // shared unless an edit gave a node its first edge in a fragment or
 // took its last, and only then are the disconnection sets, the
 // shared-node set and the fragmentation graph derived again. A fragment
 // whose edits cancel out — its edge set ends as it began, say an edge
-// inserted and deleted again — counts as untouched: it is shared by
-// pointer and its edits are not replayed, so the base keeps its
-// adjacency lists too. A patch that left a fragment without edges is
-// refused, as New refuses an empty edge set.
+// inserted and deleted again — counts as untouched and is shared by
+// pointer. A patch that left a fragment without edges is refused, as
+// New refuses an empty edge set.
 func (p *Patch) Apply() (*Fragmentation, error) {
 	for frag, es := range p.work {
 		if len(es) == 0 {
@@ -127,16 +124,8 @@ func (p *Patch) Apply() (*Fragmentation, error) {
 		}
 	}
 	p.edits = slices.DeleteFunc(p.edits, func(ed edit) bool { return !p.Touched(ed.frag) })
-	base := p.fr.base.CloneShared()
-	for _, ed := range p.edits {
-		if !ed.del {
-			base.AddEdge(ed.edge)
-		} else if !base.RemoveEdge(ed.edge) {
-			return nil, fmt.Errorf("fragment: patch: edge %v of fragment %d is not in the base graph", ed.edge, ed.frag)
-		}
-	}
 
-	next := &Fragmentation{base: base, frags: slices.Clone(p.fr.frags), byNode: p.fr.byNode, meet: p.fr.meet}
+	next := &Fragmentation{ids: p.fr.ids, coords: p.fr.coords, frags: slices.Clone(p.fr.frags), byNode: p.fr.byNode, meet: p.fr.meet}
 	for frag, es := range p.work {
 		next.frags[frag] = &Fragment{ID: frag, Edges: slices.Clip(es), nodes: maps.Clone(p.fr.frags[frag].nodes)}
 	}

@@ -15,9 +15,7 @@ package graph
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
-	"sync/atomic"
 )
 
 // NodeID identifies a node of a graph. IDs are opaque to the algorithms;
@@ -50,17 +48,11 @@ func (e Edge) Reverse() Edge { return Edge{From: e.To, To: e.From, Weight: e.Wei
 // id → index map resolves; the only other numbering in the module is
 // the rows of a CSR snapshot, ascending by id.
 //
-// Graph is not safe for concurrent mutation; concurrent reads are safe,
-// and CloneShared counts as a read. The disconnection set approach
-// never mutates a graph after construction, so per-site goroutines
-// share fragment graphs freely.
+// Graph is not safe for concurrent mutation; concurrent reads are safe.
 type Graph struct {
 	nodes []node
-	// A graph and its CloneShared clones read one index map until one
-	// of them adds a node; indexShared tells that one to copy it first.
-	index       map[NodeID]int32
-	indexShared atomic.Bool
-	edges       int
+	index map[NodeID]int32
+	edges int
 }
 
 // node is everything the graph keeps per node: its id, its position
@@ -77,8 +69,9 @@ type node struct {
 func New() *Graph { return NewWithCapacity(0) }
 
 // NewWithCapacity returns an empty graph with the node table pre-sized
-// for the given node count, so bulk loaders (the binary snapshot
-// store) avoid the incremental growth of a node-at-a-time build.
+// for the given node count, so bulk builders (Subgraph, a
+// fragmentation's Base) avoid the incremental growth of a
+// node-at-a-time build.
 // The hint is only a hint; the graph grows past it normally.
 func NewWithCapacity(nodes int) *Graph {
 	return &Graph{nodes: make([]node, 0, max(nodes, 0)), index: make(map[NodeID]int32, max(nodes, 0))}
@@ -94,14 +87,10 @@ func (g *Graph) at(id NodeID) *node {
 }
 
 // findOrAdd returns the record of id for writing, appending it when the
-// node is new — after copying an index map that is still shared.
+// node is new.
 func (g *Graph) findOrAdd(id NodeID) *node {
 	if i, ok := g.index[id]; ok {
 		return &g.nodes[i]
-	}
-	if g.indexShared.Load() {
-		g.index = maps.Clone(g.index)
-		g.indexShared.Store(false)
 	}
 	g.index[id] = int32(len(g.nodes))
 	g.nodes = append(g.nodes, node{id: id})
@@ -129,42 +118,6 @@ func (g *Graph) AddEdge(e Edge) {
 	from.out = append(from.out, e)
 	g.findOrAdd(e.To) // only now: adding a node can move the records
 	g.edges++
-}
-
-// RemoveEdge deletes one occurrence of an exactly matching edge and
-// reports whether there was one. The adjacency list it shortens is
-// replaced by a fresh copy, never edited in place, so on a CloneShared
-// clone the graph it was cloned from keeps every list it had — with
-// AddEdge (whose append reallocates a clamped list) this is the
-// copy-on-write edge edit the incremental write path is built on: a
-// clone plus k edits costs the clone plus the touched tails' lists,
-// and shares everything else.
-func (g *Graph) RemoveEdge(e Edge) bool {
-	from := g.at(e.From)
-	i := slices.Index(from.out, e)
-	if i < 0 {
-		return false
-	}
-	from.out = slices.Concat(from.out[:i], from.out[i+1:])
-	g.edges--
-	return true
-}
-
-// InstallNode adds node id with coordinates c and its complete
-// adjacency in one shot: out holds every edge leaving id. This is the
-// bulk path of the snapshot loader (store.Decode, its one caller),
-// which buckets an edge volume into contiguous per-node runs — one
-// record appended per node instead of a list append per edge. The
-// caller guarantees id is not already a node and that the head of
-// every edge is (or will be) installed. The slice is adopted, not
-// copied; it may share a backing array with other nodes' lists, which
-// is safe because nothing in this package mutates an installed
-// adjacency list in place (updates rebuild copy-on-write) — callers
-// clamp shared slices (s[:len:len]) so a later append reallocates.
-func (g *Graph) InstallNode(id NodeID, c Coord, out []Edge) {
-	n := g.findOrAdd(id)
-	n.coord, n.out = c, out
-	g.edges += len(out)
 }
 
 // AddBoth inserts the edge and its reverse: transportation networks
@@ -233,32 +186,6 @@ func byHead(a, b Edge) int {
 // Out returns the outgoing edges of id. The returned slice is owned by
 // the graph and must not be modified.
 func (g *Graph) Out(id NodeID) []Edge { return g.at(id).out }
-
-// CloneShared returns a graph equal to g whose adjacency lists share
-// g's backing arrays, each clamped to its length so a later AddEdge on
-// the clone reallocates instead of writing into the shared array. It is
-// the one way to copy a graph: the incremental write path clones the
-// base graph and replays a batch's edits on the clone, which then owns
-// the touched tails' lists and shares the rest; like every graph,
-// the clone's installed lists must never be edited in place.
-//
-// The clone is one copy of the record slice and hashes no node: it
-// reads g's id → index map, which whichever of the two first adds a
-// node copies before writing (the write path's edge edits never do).
-// All it stores in g is the atomic "map is shared" mark, so a graph
-// being searched can be cloned.
-func (g *Graph) CloneShared() *Graph {
-	c := &Graph{nodes: make([]node, len(g.nodes)), index: g.index, edges: g.edges}
-	for i, n := range g.nodes {
-		n.out = slices.Clip(n.out)
-		c.nodes[i] = n
-	}
-	if !g.indexShared.Load() {
-		g.indexShared.Store(true)
-	}
-	c.indexShared.Store(true)
-	return c
-}
 
 // Subgraph returns the graph induced by the given edge set: it contains
 // exactly those edges plus their endpoints (with coordinates copied from

@@ -266,59 +266,6 @@ func TestEuclideanDistance(t *testing.T) {
 	}
 }
 
-// TestSharedCloneEditsAreCopyOnWrite: no edit of a CloneShared clone —
-// AddEdge (between known nodes or to a brand-new one), RemoveEdge,
-// AddNode repositioning an existing id, InstallNode — reaches the graph
-// it was cloned from, even where the original's lists have spare
-// capacity, and the lists of unedited nodes stay shared.
-func TestSharedCloneEditsAreCopyOnWrite(t *testing.T) {
-	g := line(4)
-	dup := Edge{From: 1, To: 2, Weight: 1}
-	g.AddEdge(dup) // a parallel edge; its list now has spare capacity
-	wantOut1 := append([]Edge(nil), g.Out(1)...)
-
-	c := g.CloneShared()
-	if !c.RemoveEdge(dup) {
-		t.Fatal("RemoveEdge did not find an existing edge")
-	}
-	c.AddEdge(Edge{From: 1, To: 3, Weight: 7})
-	if c.RemoveEdge(Edge{From: 1, To: 2, Weight: 9}) || c.RemoveEdge(Edge{From: 9, To: 2, Weight: 1}) {
-		t.Error("RemoveEdge reported an edge that is not there")
-	}
-	if c.NumEdges() != g.NumEdges() {
-		t.Errorf("clone has %d edges after one removal and one insert, want %d", c.NumEdges(), g.NumEdges())
-	}
-	if !c.HasEdge(1, 2) || !c.HasEdge(1, 3) || len(c.Out(1)) != 2 {
-		t.Errorf("clone: Out(1) = %v; want one 1→2 left and the new 1→3", c.Out(1))
-	}
-	if !reflect.DeepEqual(g.Out(1), wantOut1) || g.HasEdge(1, 3) {
-		t.Errorf("original changed: Out(1) = %v", g.Out(1))
-	}
-	if &c.Out(0)[0] != &g.Out(0)[0] {
-		t.Error("the list of an unedited node was copied, not shared")
-	}
-
-	g.AddNode(2, Coord{X: 2, Y: 2})
-	nodes, edges := g.NumNodes(), g.NumEdges()
-	c = g.CloneShared()
-	c.AddNode(2, Coord{X: -5, Y: 5})            // reposition
-	c.AddEdge(Edge{From: 3, To: 40, Weight: 2}) // brand-new endpoint
-	c.InstallNode(41, Coord{X: 1}, []Edge{{From: 41, To: 3, Weight: 1}})
-	if got := c.Coord(2); got != (Coord{X: -5, Y: 5}) || len(c.Out(2)) != 1 {
-		t.Errorf("clone: repositioned node 2 = %+v with Out %v; want the new position and its edges kept", got, c.Out(2))
-	}
-	if !c.HasNode(40) || c.Coord(40) != (Coord{}) || !c.HasEdge(3, 40) || !c.HasEdge(41, 3) {
-		t.Errorf("clone: Out(3) = %v, Out(41) = %v; want the new endpoint at the zero coordinate and the installed node", c.Out(3), c.Out(41))
-	}
-	if c.NumNodes() != nodes+2 || c.NumEdges() != edges+2 {
-		t.Errorf("clone = %v, want %d nodes and %d edges", c, nodes+2, edges+2)
-	}
-	if g.Coord(2) != (Coord{X: 2, Y: 2}) || len(g.Out(3)) != 0 ||
-		g.HasNode(40) || g.HasNode(41) || g.NumNodes() != nodes || g.NumEdges() != edges {
-		t.Errorf("original changed: %v, Coord(2) = %+v, Out(3) = %v", g, g.Coord(2), g.Out(3))
-	}
-}
-
 func TestSubgraph(t *testing.T) {
 	g := line(5)
 	g.AddNode(0, Coord{X: -1, Y: 7})

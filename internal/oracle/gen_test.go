@@ -113,7 +113,7 @@ func New(seed int64, shape uint16) (g *Generation, err error) {
 	if g.Initial, g.Sources, g.Targets, err = fragmenter(fi, base, rng); err != nil {
 		return g, err
 	}
-	nodes := g.Initial.Base().Nodes()
+	nodes := g.Initial.Nodes()
 	sets := make([][]graph.Edge, g.Initial.NumFragments())
 	for i, f := range g.Initial.Fragments() {
 		sets[i] = append(sets[i], f.Edges...)
@@ -139,7 +139,7 @@ func New(seed int64, shape uint16) (g *Generation, err error) {
 	}
 	truth := graph.New()
 	for _, id := range nodes {
-		truth.AddNode(id, g.Initial.Base().Coord(id))
+		truth.AddNode(id, g.Initial.Coord(id))
 	}
 	for _, set := range sets {
 		for _, e := range set {

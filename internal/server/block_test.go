@@ -67,7 +67,7 @@ func siteBlock(t *testing.T, srv *Server, leg dsa.Leg) *dsa.ExitBlock {
 // interior returns the nodes of frag that lie in no other fragment.
 func interior(st *dsa.Store, frag int) []graph.NodeID {
 	var out []graph.NodeID
-	for _, n := range st.Fragmentation().Base().Nodes() {
+	for _, n := range st.Fragmentation().Nodes() {
 		if fs := st.Fragmentation().FragmentsOf(n); len(fs) == 1 && fs[0] == frag {
 			out = append(out, n)
 		}
@@ -139,7 +139,7 @@ func TestServedTransitBlocks(t *testing.T) {
 		t.Errorf("second pair: site tables %+v, after the cold query %+v; want no build and no new block", warm, cold.SiteTables)
 	}
 	var border graph.NodeID = -1
-	for _, n := range st.Fragmentation().Base().Nodes() {
+	for _, n := range st.Fragmentation().Nodes() {
 		if len(st.Fragmentation().FragmentsOf(n)) > 1 {
 			border = n
 			break

@@ -215,7 +215,7 @@ func TestV1LegWireMatchesRelation(t *testing.T) {
 	tcl := newTestCluster(t, 6, 6, 4, 2, nil)
 	srv := tcl.servers[0]
 	st := srv.Dataset().Snapshot().Store()
-	nodes := st.Fragmentation().Base().Nodes()
+	nodes := st.Fragmentation().Nodes()
 	plan, err := st.NewPlan(nodes[0], nodes[len(nodes)-1])
 	if err != nil || len(plan.Legs) < 2 {
 		t.Fatalf("plan %+v, err %v; want a leg entered through a disconnection set", plan, err)

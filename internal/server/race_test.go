@@ -25,7 +25,7 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	if !st.LooselyConnected() {
 		t.Fatal("the grid's linear fragmentation must be loosely connected, so every answer is exact")
 	}
-	nodes := st.Fragmentation().Base().NumNodes()
+	nodes := st.Fragmentation().NumNodes()
 	const iters = 25
 	var wg sync.WaitGroup
 

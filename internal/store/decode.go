@@ -147,33 +147,29 @@ func Decode(data []byte) (*dsa.Store, error) {
 		return nil, d.err
 	}
 
-	// Node table. The encoder writes base.Nodes(), which is sorted and
-	// duplicate-free; enforcing the order here both hardens the format
-	// and guarantees the uniqueness the bulk node install below relies
-	// on. The base graph itself is built after the edge sections, once
-	// each node's complete adjacency run is known.
+	// Node table. The encoder writes the fragmentation's node table,
+	// which is sorted and duplicate-free; enforcing the order here both
+	// hardens the format and gives fragment.Restore the table it trusts.
 	idCol, xCol, yCol := d.column(nodeCount, 8), d.column(nodeCount, 8), d.column(nodeCount, 8)
 	if d.err != nil {
 		return nil, d.err
 	}
 	ids := make([]graph.NodeID, nodeCount)
+	coords := make([]graph.Coord, nodeCount)
 	for i := range ids {
 		ids[i] = graph.NodeID(i64At(idCol, i))
 		if i > 0 && ids[i] <= ids[i-1] {
 			d.fail("node table not strictly increasing at entry %d", i)
 			return nil, d.err
 		}
+		coords[i] = graph.Coord{X: f64At(xCol, i), Y: f64At(yCol, i)}
 	}
 
-	// Per-fragment edge columns, decoded into edge slices. Endpoints are
-	// node-table indices: the bounds check below is the complete
-	// endpoint validation — an in-range index is a declared node by
-	// construction, so the adjacency fill needs no node-map lookups. The
-	// same pass accumulates per-node degrees for the bucketed fill below.
+	// Per-fragment edge columns, decoded into each fragment's edge set.
+	// Endpoints are node-table indices: the bounds check below is the
+	// complete endpoint validation — an in-range index is a declared
+	// node by construction.
 	edgeSets := make([][]graph.Edge, fragCount)
-	froms := make([][]byte, fragCount)
-	outDeg := make([]int32, nodeCount+1)
-	totalEdges := 0
 	for fi := range edgeSets {
 		n := d.count(16)
 		from, to, w := d.column(n, 4), d.column(n, 4), d.column(n, 8)
@@ -188,32 +184,8 @@ func Decode(data []byte) (*dsa.Store, error) {
 				return nil, d.err
 			}
 			es[k] = graph.Edge{From: ids[f], To: ids[t], Weight: f64At(w, k)}
-			outDeg[f+1]++
 		}
-		edgeSets[fi], froms[fi] = es, from
-		totalEdges += n
-	}
-
-	// Bucket the edge volume into one contiguous adjacency run per node
-	// and build the base graph with one bulk install per node: a fixed
-	// handful of map writes each instead of a map-append per edge.
-	for i := 0; i < nodeCount; i++ {
-		outDeg[i+1] += outDeg[i]
-	}
-	outBuf := make([]graph.Edge, totalEdges)
-	outCur := append([]int32(nil), outDeg[:nodeCount]...)
-	for fi, es := range edgeSets {
-		from := froms[fi]
-		for k := range es {
-			f := i32At(from, k)
-			outBuf[outCur[f]] = es[k]
-			outCur[f]++
-		}
-	}
-	base := graph.NewWithCapacity(nodeCount)
-	for i := 0; i < nodeCount; i++ {
-		ob, oe := outDeg[i], outDeg[i+1]
-		base.InstallNode(ids[i], graph.Coord{X: f64At(xCol, i), Y: f64At(yCol, i)}, outBuf[ob:oe:oe])
+		edgeSets[fi] = es
 	}
 
 	// Complementary tables.
@@ -252,7 +224,7 @@ func Decode(data []byte) (*dsa.Store, error) {
 		return nil, d.err
 	}
 
-	fr, err := fragment.Restore(base, edgeSets)
+	fr, err := fragment.Restore(ids, coords, edgeSets)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}

@@ -191,8 +191,8 @@ func rebuilt(t *testing.T, st *dsa.Store) *dsa.Store {
 	t.Helper()
 	old := st.Fragmentation()
 	nb := graph.New()
-	for _, id := range old.Base().Nodes() {
-		nb.AddNode(id, old.Base().Coord(id))
+	for _, id := range old.Nodes() {
+		nb.AddNode(id, old.Coord(id))
 	}
 	sets := make([][]graph.Edge, old.NumFragments())
 	for i, f := range old.Fragments() {

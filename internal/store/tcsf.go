@@ -22,7 +22,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/dsa"
 	"repro/internal/fragment"
@@ -87,11 +86,10 @@ func Encode(st *dsa.Store) ([]byte, error) {
 		return nil, fmt.Errorf("store: encode: nil store")
 	}
 	fr := st.Fragmentation()
-	base := fr.Base()
-	nodes := base.Nodes()
+	nodes := fr.Nodes()
 	frags := fr.Fragments()
 
-	e := &enc{b: make([]byte, 0, encodeSizeHint(base))}
+	e := &enc{b: make([]byte, 0, encodeSizeHint(fr))}
 	e.raw([]byte(fileMagic))
 	e.u32(0) // crc32, backpatched below
 	e.u32(0) // flags, reserved
@@ -108,14 +106,14 @@ func Encode(st *dsa.Store) ([]byte, error) {
 	// Node table: ids, then both coordinate columns.
 	e.nodeIDs(nodes)
 	for _, id := range nodes {
-		e.f64(base.Coord(id).X)
+		e.f64(fr.Coord(id).X)
 	}
 	for _, id := range nodes {
-		e.f64(base.Coord(id).Y)
+		e.f64(fr.Coord(id).Y)
 	}
 
-	// Per-fragment edge columns. The fragments partition the base
-	// graph's edges, so this section doubles as the base edge list.
+	// Per-fragment edge columns: the fragments hold the graph's edges,
+	// each in exactly one of them.
 	// Endpoints are stored as node-table indices, not IDs: half the
 	// bytes, and the decoder validates an endpoint with a bounds check
 	// instead of a node-map lookup per edge — by construction an
@@ -150,16 +148,7 @@ func Encode(st *dsa.Store) ([]byte, error) {
 
 	// Complementary tables, in deterministic pair order.
 	comp := st.CompTables()
-	pairs := make([]fragment.Pair, 0, len(comp))
-	for p := range comp {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].I != pairs[j].I {
-			return pairs[i].I < pairs[j].I
-		}
-		return pairs[i].J < pairs[j].J
-	})
+	pairs := fragment.SortedPairs(comp)
 	e.u64(uint64(len(pairs)))
 	for _, p := range pairs {
 		ci := comp[p]
@@ -191,8 +180,12 @@ func Encode(st *dsa.Store) ([]byte, error) {
 // encodeSizeHint estimates the image size so the encoder allocates
 // once: header + 24 bytes per node, 16 per edge (two index columns and
 // the weight), plus slack for comp tables and section counts.
-func encodeSizeHint(base *graph.Graph) int {
-	return headerSize + 24*base.NumNodes() + 16*base.NumEdges() + 1<<16
+func encodeSizeHint(fr *fragment.Fragmentation) int {
+	edges := 0
+	for _, f := range fr.Fragments() {
+		edges += f.Size()
+	}
+	return headerSize + 24*fr.NumNodes() + 16*edges + 1<<16
 }
 
 // SaveFile encodes st and writes it atomically: a temp file in the

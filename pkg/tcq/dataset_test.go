@@ -221,11 +221,11 @@ func TestReadersNeverBlockOnWriters(t *testing.T) {
 	}
 }
 
-// TestApplyBesideQueryPath is for -race: route reconstruction searches
-// the pinned snapshot's base graph while every Apply clones that very
-// graph (graph.CloneShared) for the next generation. The clone may not
-// write anything a search reads, and every route stays a valid path of
-// the optimal cost.
+// TestApplyBesideQueryPath is for -race: route reconstruction reads
+// the pinned snapshot's fragments and node table while every Apply
+// patches that very fragmentation for the next generation. The patch
+// may not write anything a reconstruction reads, and every route stays
+// a valid path of the optimal cost.
 func TestApplyBesideQueryPath(t *testing.T) {
 	c, g := gridClient(t, 8, 8, 2, BuildOptions{})
 	ds := c.Dataset()

@@ -28,7 +28,7 @@ func CollectStats(st *dsa.Store) StoreStats {
 	return StoreStats{
 		Problem:          st.Problem(),
 		Sites:            len(st.Sites()),
-		TotalNodes:       st.Fragmentation().Base().NumNodes(),
+		TotalNodes:       st.Fragmentation().NumNodes(),
 		LooselyConnected: st.LooselyConnected(),
 		Epoch:            st.Epoch(),
 	}

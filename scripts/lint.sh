@@ -21,11 +21,16 @@
 #               (its searches run on a typed heap over index-addressed
 #               rows, its listings on slices.Sort), no map-returning
 #               base.ShortestPaths in the preprocessing (internal/dsa/
-#               store.go): computeComp reads rows from graph.Searches,
-#               and no graph.Graph built in internal/dsa outside tests
-#               but in Site.Augmented (graph.New, NewWithCapacity,
-#               InstallNode, .AddEdge): a site keeps one graph, the CSR
-#               buildSite fills with graph.NewCSR
+#               store.go): computeComp reads rows from CSR.Searches;
+#               no graph.Graph built in internal/dsa outside tests but
+#               in Site.Augmented (graph.New, NewWithCapacity,
+#               .AddEdge): a site keeps one graph, the CSR buildSite
+#               fills with graph.NewCSR; and no Fragmentation.Base()
+#               outside tests in internal/dsa, internal/server,
+#               internal/cluster, internal/store or pkg/tcq: Base()
+#               builds the whole graph on each call, the node table
+#               (Nodes, HasNode, NumNodes, Coord) and Fragmentation.CSR
+#               are what those read
 #   oracle      no test outside internal/oracle computes its own ground
 #               truth (graph.Distance / ShortestPaths / Reachable) for
 #               answers of the system: the "answers like Dijkstra"
@@ -96,10 +101,14 @@ if grep -n -e '"container/heap"' -e 'sort\.Slice(' $(ls internal/graph/*.go | gr
     exit 1
 fi
 if awk '/^func / { fn = $0 } /^}/ { fn = "" } /^[ \t]*\/\// { next }
-    /graph\.New\(|NewWithCapacity\(|InstallNode\(|\.AddEdge\(/ && fn !~ /^func \(s \*Site\) Augmented\(\)/ {
+    /graph\.New\(|NewWithCapacity\(|\.AddEdge\(/ && fn !~ /^func \(s \*Site\) Augmented\(\)/ {
         print FILENAME ":" FNR ": " $0; bad = 1 }
     END { exit !bad }' $(ls internal/dsa/*.go | grep -v '_test\.go$'); then
     echo "FAIL: a site keeps one graph, its CSR (graph.NewCSR in buildSite): build no graph.Graph in internal/dsa outside Site.Augmented"
+    exit 1
+fi
+if grep -rn '\.Base()' --include='*.go' internal/dsa internal/server internal/cluster internal/store pkg/tcq | grep -v '_test\.go:'; then
+    echo "FAIL: Fragmentation.Base() builds the whole graph on each call: read the node table (Nodes, HasNode, NumNodes, Coord) or Fragmentation.CSR"
     exit 1
 fi
 
