@@ -998,10 +998,9 @@ func BenchmarkApply(b *testing.B) {
 }
 
 // BenchmarkStoreFootprint reports what a deployed store keeps alive —
-// base graph, fragmentation, every site's CSR and primed dense
-// kernel — as the live heap it adds once the garbage of building it is
-// collected (retained-MB; the time per op is the build and is not the
-// point).
+// fragmentation, every site's CSR and primed dense kernel — as the live
+// heap it adds once the garbage of building it is collected
+// (retained-MB; the time per op is the build and is not the point).
 func BenchmarkStoreFootprint(b *testing.B) {
 	for _, d := range servingDeployments {
 		b.Run(d.name, func(b *testing.B) {

@@ -405,10 +405,11 @@ func computeComp(ctx context.Context, whole *graph.CSR, dss map[fragment.Pair][]
 
 // buildSite constructs one deployed site: the complementary tables
 // involving the fragment, its disconnection sets and their union, and
-// its CSR over the fragment's nodes — the fragment's edges, then its
-// tables' shortcut edges in disconnection-set order, so no row's order
-// depends on map iteration. dss is fr.DisconnectionSets, computed once
-// by the caller and reused across all sites.
+// its CSR, whose rows are the fragment's node list itself (shared, not
+// copied) — the fragment's edges, then its tables' shortcut edges in
+// disconnection-set order, so no row's order depends on map iteration.
+// dss is fr.DisconnectionSets, computed once by the caller and reused
+// across all sites.
 func buildSite(f *fragment.Fragment, comp map[fragment.Pair]*CompInfo, dss map[fragment.Pair][]graph.NodeID) *Site {
 	site := &Site{ID: f.ID, Frag: f, Comp: make(map[fragment.Pair]*CompInfo)}
 	var pairs []fragment.Pair

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -30,11 +29,9 @@ type Fragment struct {
 	// Weight) order. Fragments are immutable once built: an update
 	// replaces a touched fragment (Patch) and shares the rest.
 	Edges []graph.Edge
-	// nodes is the induced node set, each node mapped to the number of
-	// edge endpoints the fragment has at it (a self-loop counts twice).
-	// The count is what lets a Patch tell that an edit took a node's
-	// last edge here, or gave it its first, without rescanning Edges.
-	nodes map[graph.NodeID]int32
+	// nodes is the induced node set V_i, the endpoints of Edges,
+	// ascending and distinct.
+	nodes []graph.NodeID
 }
 
 // edgeCmp is the deterministic (From, To, Weight) edge order.
@@ -58,12 +55,18 @@ func newFragment(id int, edges []graph.Edge) *Fragment {
 // adoptFragment builds a fragment around edges already in deterministic
 // order, without copying them.
 func adoptFragment(id int, edges []graph.Edge) *Fragment {
-	f := &Fragment{ID: id, Edges: edges, nodes: make(map[graph.NodeID]int32)}
+	return &Fragment{ID: id, Edges: edges, nodes: endpoints(edges)}
+}
+
+// endpoints returns the distinct endpoints of edges, ascending.
+func endpoints(edges []graph.Edge) []graph.NodeID {
+	ids := make([]graph.NodeID, 0, 2*len(edges))
 	for _, e := range edges {
-		f.nodes[e.From]++
-		f.nodes[e.To]++
+		ids = append(ids, e.From, e.To)
 	}
-	return f
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	return append(make([]graph.NodeID, 0, len(ids)), ids...)
 }
 
 // Size returns the number of edges — the paper's fragment size measure
@@ -74,18 +77,14 @@ func (f *Fragment) Size() int { return len(f.Edges) }
 // HasNode reports whether id belongs to the fragment's induced node
 // set.
 func (f *Fragment) HasNode(id graph.NodeID) bool {
-	_, ok := f.nodes[id]
+	_, ok := graph.RowOf(f.nodes, id)
 	return ok
 }
 
-// Nodes returns the induced node set in ascending order.
-func (f *Fragment) Nodes() []graph.NodeID {
-	ids := make([]graph.NodeID, 0, len(f.nodes))
-	for id := range f.nodes {
-		ids = append(ids, id)
-	}
-	return graph.SortNodeIDs(ids)
-}
+// Nodes returns the induced node set in ascending order. The slice is
+// the fragment's own, shared with its site's CSR and with the
+// fragmentations patched from this one: read-only.
+func (f *Fragment) Nodes() []graph.NodeID { return f.nodes }
 
 // NumNodes returns |V_i|.
 func (f *Fragment) NumNodes() int { return len(f.nodes) }
@@ -106,32 +105,56 @@ type Fragmentation struct {
 	ids    []graph.NodeID
 	coords []graph.Coord // coords[k] is the position of ids[k]
 	frags  []*Fragment
-	// byNode maps each node to the (sorted) IDs of the fragments whose
-	// induced node set contains it; nodes in ≥ 2 fragments are exactly
-	// the disconnection-set nodes.
-	byNode map[graph.NodeID][]int
-	// meet is everything byNode implies about how the fragments meet,
-	// built once per membership (see newMeeting).
+	// meet is everything the fragments' node sets imply about how the
+	// fragments meet, built once per membership (see newMeeting).
 	meet *meeting
 }
 
 // meeting is how the fragments of a fragmentation meet each other: the
-// disconnection sets and the fragmentation graph. Both are functions of
-// byNode alone, so a fragmentation derives them once and a Patch that
-// changes no node's fragment membership carries the pointer over.
+// membership table, the disconnection sets and the fragmentation graph.
+// All three are functions of the fragments' node sets alone, so a
+// fragmentation derives them once and a Patch that changes no fragment's
+// node set carries the pointer over.
 type meeting struct {
-	ds map[Pair][]graph.NodeID
-	fg *FragGraph
+	// The fragments whose node set holds node ids[k] are
+	// of[off[k]:off[k+1]], ascending; nodes in ≥ 2 fragments are exactly
+	// the disconnection-set nodes.
+	off []int32
+	of  []int
+	ds  map[Pair][]graph.NodeID
+	fg  *FragGraph
 }
 
-// newMeeting derives the disconnection sets and the fragmentation graph
-// of n fragments from the membership table.
-func newMeeting(n int, byNode map[graph.NodeID][]int) *meeting {
+// newMeeting derives the membership table over the node table ids, the
+// disconnection sets and the fragmentation graph of frags. Fragments in
+// ID order fill each node's list ascending, and nodes in row order fill
+// each disconnection set ascending.
+func newMeeting(ids []graph.NodeID, frags []*Fragment) *meeting {
 	m := &meeting{
-		ds: make(map[Pair][]graph.NodeID),
-		fg: &FragGraph{n: n, adj: make(map[int][]int)},
+		off: make([]int32, len(ids)+1),
+		ds:  make(map[Pair][]graph.NodeID),
+		fg:  &FragGraph{n: len(frags), adj: make(map[int][]int)},
 	}
-	for id, fs := range byNode {
+	for _, f := range frags {
+		for _, id := range f.nodes {
+			k, _ := graph.RowOf(ids, id)
+			m.off[k+1]++
+		}
+	}
+	for k := range ids {
+		m.off[k+1] += m.off[k]
+	}
+	m.of = make([]int, m.off[len(ids)])
+	next := slices.Clone(m.off[:len(ids)])
+	for _, f := range frags {
+		for _, id := range f.nodes {
+			k, _ := graph.RowOf(ids, id)
+			m.of[next[k]] = f.ID
+			next[k]++
+		}
+	}
+	for k, id := range ids {
+		fs := m.of[m.off[k]:m.off[k+1]]
 		for a := 0; a < len(fs); a++ {
 			for b := a + 1; b < len(fs); b++ {
 				p := Pair{I: fs[a], J: fs[b]}
@@ -139,13 +162,10 @@ func newMeeting(n int, byNode map[graph.NodeID][]int) *meeting {
 			}
 		}
 	}
-	for p, nodes := range m.ds {
-		graph.SortNodeIDs(nodes)
+	// Pairs in (I, J) order list each fragment's neighbours ascending.
+	for _, p := range SortedPairs(m.ds) {
 		m.fg.adj[p.I] = append(m.fg.adj[p.I], p.J)
 		m.fg.adj[p.J] = append(m.fg.adj[p.J], p.I)
-	}
-	for i := range m.fg.adj {
-		sort.Ints(m.fg.adj[i])
 	}
 	return m
 }
@@ -153,14 +173,7 @@ func newMeeting(n int, byNode map[graph.NodeID][]int) *meeting {
 // assemble builds the Fragmentation over a node table and fragments
 // whose edge sets are known to partition the graph's edges.
 func assemble(ids []graph.NodeID, coords []graph.Coord, frags []*Fragment) *Fragmentation {
-	fr := &Fragmentation{ids: ids, coords: coords, frags: frags, byNode: make(map[graph.NodeID][]int)}
-	for _, f := range frags {
-		for id := range f.nodes {
-			fr.byNode[id] = append(fr.byNode[id], f.ID)
-		}
-	}
-	fr.meet = newMeeting(len(frags), fr.byNode)
-	return fr
+	return &Fragmentation{ids: ids, coords: coords, frags: frags, meet: newMeeting(ids, frags)}
 }
 
 // New validates that the edge sets form an exact partition of g's edges
@@ -220,8 +233,9 @@ func New(g *graph.Graph, edgeSets [][]graph.Edge) (*Fragmentation, error) {
 // checksum and was written from a validated Fragmentation. It skips
 // New's O(E) multiset partition check and newFragment's re-sort
 // (snapshots store each fragment's edges in their deterministic order),
-// and adopts the slices without copying. Empty inputs are still
-// rejected; everything else is trusted.
+// and adopts the slices without copying. Empty inputs and an edge set
+// out of (From, To, Weight) order — which the node sets and Patch's
+// searches rely on — are rejected; everything else is trusted.
 func Restore(ids []graph.NodeID, coords []graph.Coord, edgeSets [][]graph.Edge) (*Fragmentation, error) {
 	if len(edgeSets) == 0 {
 		return nil, fmt.Errorf("fragment: no fragments")
@@ -230,6 +244,9 @@ func Restore(ids []graph.NodeID, coords []graph.Coord, edgeSets [][]graph.Edge) 
 	for i, edges := range edgeSets {
 		if len(edges) == 0 {
 			return nil, fmt.Errorf("fragment: fragment %d is empty", i)
+		}
+		if !slices.IsSortedFunc(edges, edgeCmp) {
+			return nil, fmt.Errorf("fragment: fragment %d edges are not in (from, to, weight) order", i)
 		}
 		frags = append(frags, adoptFragment(i, edges))
 	}
@@ -246,14 +263,14 @@ func (fr *Fragmentation) NumNodes() int { return len(fr.ids) }
 
 // HasNode reports whether id is a node of the fragmented graph.
 func (fr *Fragmentation) HasNode(id graph.NodeID) bool {
-	_, ok := slices.BinarySearch(fr.ids, id)
+	_, ok := graph.RowOf(fr.ids, id)
 	return ok
 }
 
 // Coord returns the coordinates of node id; the zero coordinate if id
 // is not a node.
 func (fr *Fragmentation) Coord(id graph.NodeID) graph.Coord {
-	if k, ok := slices.BinarySearch(fr.ids, id); ok {
+	if k, ok := graph.RowOf(fr.ids, id); ok {
 		return fr.coords[k]
 	}
 	return graph.Coord{}
@@ -298,8 +315,18 @@ func (fr *Fragmentation) Fragments() []*Fragment { return fr.frags }
 
 // FragmentsOf returns the IDs of the fragments containing node id
 // (ascending); nil if the node appears in none (isolated in the base
-// graph).
-func (fr *Fragmentation) FragmentsOf(id graph.NodeID) []int { return fr.byNode[id] }
+// graph, or not a node). The slice is clipped and read-only.
+func (fr *Fragmentation) FragmentsOf(id graph.NodeID) []int {
+	k, ok := graph.RowOf(fr.ids, id)
+	if !ok {
+		return nil
+	}
+	lo, hi := fr.meet.off[k], fr.meet.off[k+1]
+	if lo == hi {
+		return nil
+	}
+	return fr.meet.of[lo:hi:hi]
+}
 
 // Pair identifies an unordered fragment pair with I < J.
 type Pair struct{ I, J int }
@@ -349,22 +376,4 @@ func (fr *Fragmentation) SameDisconnectionSets(o *Fragmentation) bool {
 		}
 	}
 	return true
-}
-
-// BorderNodes returns the nodes of fragment i shared with any other
-// fragment (the union of its disconnection sets), sorted.
-func (fr *Fragmentation) BorderNodes(i int) []graph.NodeID {
-	var ids []graph.NodeID
-	for id, fs := range fr.byNode {
-		if len(fs) < 2 {
-			continue
-		}
-		for _, f := range fs {
-			if f == i {
-				ids = append(ids, id)
-				break
-			}
-		}
-	}
-	return graph.SortNodeIDs(ids)
 }

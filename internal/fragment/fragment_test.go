@@ -102,7 +102,7 @@ func TestDisconnectionSets(t *testing.T) {
 	}
 }
 
-func TestFragmentsOfAndBorderNodes(t *testing.T) {
+func TestFragmentsOf(t *testing.T) {
 	g, sets := twoCluster()
 	fr, _ := New(g, sets)
 	if got := fr.FragmentsOf(2); !reflect.DeepEqual(got, []int{0, 1}) {
@@ -114,8 +114,16 @@ func TestFragmentsOfAndBorderNodes(t *testing.T) {
 	if got := fr.FragmentsOf(99); got != nil {
 		t.Errorf("FragmentsOf(unknown) = %v", got)
 	}
-	if got := fr.BorderNodes(0); !reflect.DeepEqual(got, []graph.NodeID{2}) {
-		t.Errorf("BorderNodes(0) = %v", got)
+	// Both readers hand out slices of shared tables, clipped: an append
+	// to one result copies instead of writing over its neighbour's.
+	_ = append(fr.FragmentsOf(1), 7)
+	if got := fr.FragmentsOf(2); !reflect.DeepEqual(got, []int{0, 1}) {
+		t.Errorf("FragmentsOf(2) after an append to FragmentsOf(1) = %v", got)
+	}
+	for _, f := range fr.Fragments() {
+		if ns := f.Nodes(); cap(ns) != len(ns) {
+			t.Errorf("fragment %d: Nodes() has cap %d > len %d", f.ID, cap(ns), len(ns))
+		}
 	}
 }
 

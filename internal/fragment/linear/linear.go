@@ -20,6 +20,8 @@ package linear
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/fragment"
@@ -197,7 +199,7 @@ func Fragment(g *graph.Graph, opt Options) (*Result, error) {
 			}
 			// Hold the wave: the next start_n are the fresh endpoints
 			// only (nodes whose incident edges have not been swept).
-			startN = sortedKeys(nextSet)
+			startN = slices.Sorted(maps.Keys(nextSet))
 			ek = append(ek, newE...)
 		}
 		if len(ek) > 0 {
@@ -223,15 +225,6 @@ func contains(ids []graph.NodeID, v graph.NodeID) (int, bool) {
 		}
 	}
 	return -1, false
-}
-
-// sortedKeys returns the keys of set in ascending order.
-func sortedKeys(set map[graph.NodeID]struct{}) []graph.NodeID {
-	ids := make([]graph.NodeID, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	return graph.SortNodeIDs(ids)
 }
 
 // restartNode picks the remaining-edge endpoint with the smallest

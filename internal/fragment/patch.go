@@ -1,8 +1,8 @@
 package fragment
 
 import (
+	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 
 	"repro/internal/graph"
@@ -21,15 +21,7 @@ type Patch struct {
 	fr *Fragmentation
 	// work holds a private, sorted copy of the edge set of every
 	// fragment edited so far.
-	work  map[int][]graph.Edge
-	edits []edit
-}
-
-// edit is one recorded insert or delete.
-type edit struct {
-	frag int
-	edge graph.Edge
-	del  bool
+	work map[int][]graph.Edge
 }
 
 // NewPatch starts an empty patch against fr.
@@ -90,7 +82,6 @@ func (p *Patch) Contains(frag int, e graph.Edge) bool {
 func (p *Patch) Insert(frag int, e graph.Edge) {
 	i, _ := p.find(frag, e)
 	p.work[frag] = slices.Insert(p.private(frag), i, e)
-	p.edits = append(p.edits, edit{frag: frag, edge: e})
 }
 
 // Delete removes one occurrence of e from fragment frag. It reports
@@ -101,87 +92,88 @@ func (p *Patch) Delete(frag int, e graph.Edge) bool {
 		return false
 	}
 	p.work[frag] = slices.Delete(p.private(frag), i, i+1)
-	p.edits = append(p.edits, edit{frag: frag, edge: e, del: true})
 	return true
 }
 
 // Apply returns the patched Fragmentation. It shares the node table;
-// untouched fragments are shared by pointer; the membership table is
-// shared unless an edit gave a node its first edge in a fragment or
-// took its last, and only then are the disconnection sets, the
-// shared-node set and the fragmentation graph derived again. A fragment
-// whose edits cancel out — its edge set ends as it began, say an edge
-// inserted and deleted again — counts as untouched and is shared by
-// pointer. A patch that left a fragment without edges is refused, as
+// untouched fragments are shared by pointer, and a touched one keeps
+// its node list unless an edit gave a node its first edge in the
+// fragment or took its last. Only then are the membership table, the
+// disconnection sets and the fragmentation graph derived again. A
+// fragment whose edits cancel out — its edge set ends as it began, say
+// an edge inserted and deleted again — counts as untouched and is shared
+// by pointer. A patch that left a fragment without edges is refused, as
 // New refuses an empty edge set.
 func (p *Patch) Apply() (*Fragmentation, error) {
+	next := &Fragmentation{ids: p.fr.ids, coords: p.fr.coords, frags: slices.Clone(p.fr.frags), meet: p.fr.meet}
+	moved := false
 	for frag, es := range p.work {
 		if len(es) == 0 {
 			return nil, fmt.Errorf("fragment: patch leaves fragment %d empty", frag)
 		}
-		if slices.Equal(es, p.fr.frags[frag].Edges) {
+		old := p.fr.frags[frag]
+		if slices.Equal(es, old.Edges) {
 			delete(p.work, frag)
+			continue
 		}
-	}
-	p.edits = slices.DeleteFunc(p.edits, func(ed edit) bool { return !p.Touched(ed.frag) })
-
-	next := &Fragmentation{ids: p.fr.ids, coords: p.fr.coords, frags: slices.Clone(p.fr.frags), byNode: p.fr.byNode, meet: p.fr.meet}
-	for frag, es := range p.work {
-		next.frags[frag] = &Fragment{ID: frag, Edges: slices.Clip(es), nodes: maps.Clone(p.fr.frags[frag].nodes)}
-	}
-	for _, ed := range p.edits {
-		d := int32(1)
-		if ed.del {
-			d = -1
-		}
-		nodes := next.frags[ed.frag].nodes
-		nodes[ed.edge.From] += d
-		nodes[ed.edge.To] += d
-	}
-
-	// Only the edits' endpoints can have entered or left a fragment's
-	// node set; compare where each ended up with where it started (an
-	// insert undone later in the same patch is no change).
-	moved := false
-	for _, ed := range p.edits {
-		nodes := next.frags[ed.frag].nodes
-		for _, id := range [2]graph.NodeID{ed.edge.From, ed.edge.To} {
-			n, present := nodes[id]
-			if present && n == 0 {
-				delete(nodes, id)
-			}
-			was := p.fr.frags[ed.frag].nodes[id] > 0
-			if was == (n > 0) {
-				continue
-			}
-			if !moved {
-				moved = true
-				next.byNode = maps.Clone(p.fr.byNode)
-			}
-			if fs := withMember(next.byNode[id], ed.frag, n > 0); len(fs) > 0 {
-				next.byNode[id] = fs
-			} else {
-				delete(next.byNode, id)
-			}
-		}
+		nodes, changed := patchNodes(old.nodes, old.Edges, es)
+		next.frags[frag] = &Fragment{ID: frag, Edges: slices.Clip(es), nodes: nodes}
+		moved = moved || changed
 	}
 	if moved {
-		next.meet = newMeeting(len(next.frags), next.byNode)
+		next.meet = newMeeting(next.ids, next.frags)
 	}
 	return next, nil
 }
 
-// withMember returns a fresh copy of the ascending fragment list fs
-// with frag present or absent as asked; fs itself, which an older
-// Fragmentation may share, is left alone.
-func withMember(fs []int, frag int, present bool) []int {
-	i, found := slices.BinarySearch(fs, frag)
-	switch {
-	case found == present:
-		return fs
-	case present:
-		return slices.Insert(slices.Clone(fs), i, frag)
-	default:
-		return slices.Delete(slices.Clone(fs), i, i+1)
+// patchNodes returns the node set of the edge set es, given nodes, the
+// node set of the edge set old it replaces, and whether the two differ;
+// both edge sets are in deterministic order. Only the endpoints of edges
+// in one set and not the other can have entered or left the node set:
+// each is checked against es in at most one pass, and nodes is returned
+// itself when none did.
+func patchNodes(nodes []graph.NodeID, old, es []graph.Edge) ([]graph.NodeID, bool) {
+	var ends []graph.NodeID
+	for i, j := 0, 0; i < len(old) || j < len(es); {
+		switch {
+		case j == len(es) || i < len(old) && edgeCmp(old[i], es[j]) < 0:
+			ends, i = append(ends, old[i].From, old[i].To), i+1
+		case i == len(old) || edgeCmp(old[i], es[j]) > 0:
+			ends, j = append(ends, es[j].From, es[j].To), j+1
+		default:
+			i, j = i+1, j+1
+		}
 	}
+	slices.Sort(ends)
+	ends = slices.Compact(ends)
+	// es is sorted by tail, so a tail is one search away; only the ends
+	// with no out-edge left need the pass over the heads.
+	kept, left := make([]bool, len(ends)), 0
+	for k, id := range ends {
+		_, kept[k] = slices.BinarySearchFunc(es, id, func(e graph.Edge, id graph.NodeID) int { return cmp.Compare(e.From, id) })
+		if !kept[k] {
+			left++
+		}
+	}
+	for i := 0; left > 0 && i < len(es); i++ {
+		if k, ok := slices.BinarySearch(ends, es[i].To); ok && !kept[k] {
+			kept[k], left = true, left-1
+		}
+	}
+	out, changed := nodes, false
+	for k, id := range ends {
+		i, had := slices.BinarySearch(out, id)
+		if had == kept[k] {
+			continue
+		}
+		if !changed {
+			out, changed = slices.Clone(nodes), true
+		}
+		if had {
+			out = slices.Delete(out, i, i+1)
+		} else {
+			out = slices.Insert(out, i, id)
+		}
+	}
+	return slices.Clip(out), changed
 }

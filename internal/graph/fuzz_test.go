@@ -43,11 +43,17 @@ func FuzzRead(f *testing.F) {
 // drawn from the input — endpoints partly outside the set, parallel
 // edges and self-loops included — it must equal the CSR of the graph
 // with those nodes and an AddEdge for each run edge whose endpoints
-// are both nodes, in run order.
+// are both nodes, in run order; and its Row must find exactly the
+// nodes.
 func FuzzNewCSR(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{1, 2, 5, 2, 3, 1, 9, 1, 1}, uint8(1))
 	f.Add([]byte{}, []byte{1, 2, 3}, uint8(0))
 	f.Add([]byte{0, 0, 7}, []byte{7, 7, 2, 0, 7, 1, 7, 0, 4, 0, 7, 1}, uint8(2))
+	// A dense id range that does not start at 0: RowOf's probe hits.
+	f.Add([]byte{5, 6, 7, 8, 9}, []byte{5, 9, 1, 6, 5, 2, 9, 4, 3, 8, 7, 1, 7, 8, 2}, uint8(4))
+	// A range with gaps: the probe falls through to the search, for
+	// nodes after a gap and for ids inside one.
+	f.Add([]byte{2, 3, 7, 11, 12, 20}, []byte{2, 20, 1, 3, 5, 1, 11, 7, 2, 12, 2, 3, 20, 12, 4, 7, 9, 1}, uint8(9))
 	f.Fuzz(func(t *testing.T, nodeBytes, edgeBytes []byte, cuts uint8) {
 		ids := make([]NodeID, 0, len(nodeBytes))
 		for _, b := range nodeBytes {
@@ -85,6 +91,12 @@ func FuzzNewCSR(f *testing.F) {
 		}
 		if es, ws := got.Edges(), ref.Edges(); !slices.Equal(es, ws) {
 			t.Fatalf("Edges() = %v, want %v", es, ws)
+		}
+		for id := NodeID(-1); id <= 32; id++ {
+			k, ok := got.Row(id)
+			if ok != ref.HasNode(id) || ok && got.IDs[k] != id {
+				t.Fatalf("Row(%d) = (%d, %v) over %v", id, k, ok, got.IDs)
+			}
 		}
 	})
 }

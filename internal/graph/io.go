@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 	"strings"
 )
@@ -98,11 +97,4 @@ func Read(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph: line %d: read: %v", lineNo+1, err)
 	}
 	return g, nil
-}
-
-// SortNodeIDs sorts a slice of node IDs in place and returns it, for
-// deterministic printing by callers.
-func SortNodeIDs(ids []NodeID) []NodeID {
-	slices.Sort(ids)
-	return ids
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -17,7 +18,7 @@ func sccIDs(g *Graph) [][]NodeID {
 		for _, k := range comp {
 			comps[i] = append(comps[i], c.IDs[k])
 		}
-		SortNodeIDs(comps[i])
+		slices.Sort(comps[i])
 	}
 	return comps
 }

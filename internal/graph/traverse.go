@@ -82,11 +82,11 @@ func (c *CSR) Undirected() *CSR {
 // those of the runs, without building that graph: row k holds the
 // edges leaving ids[k] in the order the runs list them, as Graph.CSR
 // would after an AddEdge per edge in that order. An edge with an
-// endpoint outside ids is left out. Each endpoint is resolved once; a
-// tail that repeats the previous edge's is not searched again.
+// endpoint outside ids is left out. Each endpoint is resolved once, by
+// RowOf; a tail that repeats the previous edge's is not resolved again.
 func NewCSR(ids []NodeID, runs ...[]Edge) *CSR {
 	row := func(id NodeID) int32 {
-		if k, ok := slices.BinarySearch(ids, id); ok {
+		if k, ok := RowOf(ids, id); ok {
 			return int32(k)
 		}
 		return -1
@@ -142,8 +142,24 @@ func (c *CSR) Edges() []Edge {
 
 // Row returns the row of id, and whether id is a node of the snapshot.
 func (c *CSR) Row(id NodeID) (int32, bool) {
-	k, ok := slices.BinarySearch(c.IDs, id)
+	k, ok := RowOf(c.IDs, id)
 	return int32(k), ok
+}
+
+// RowOf returns the index of id in ids, ascending and distinct, and
+// whether id is there; if not, the index it would be inserted at. Since
+// ids[k] ≥ ids[0]+k, id can sit no later than k = id−ids[0]: it probes
+// ids[k], which holds id whenever the ids up to it are dense, and
+// otherwise binary-searches up to k.
+func RowOf(ids []NodeID, id NodeID) (int, bool) {
+	if len(ids) == 0 || id < ids[0] {
+		return 0, false
+	}
+	k := int(min(uint(id)-uint(ids[0]), uint(len(ids)-1)))
+	if ids[k] == id {
+		return k, true
+	}
+	return slices.BinarySearch(ids[:k+1], id)
 }
 
 // searcher runs searches over one snapshot on rows it reuses: dist[k]

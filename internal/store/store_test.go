@@ -249,6 +249,26 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[8:12], crc32.ChecksumIEEE(b[16:]))
 			return b
 		}(),
+		// Fragment 0's first two edges swapped in all three columns under
+		// a fresh checksum: well-formed, but out of (from, to, weight)
+		// order, which the node sets and the write path's searches read.
+		"fragment edges out of order": func() []byte {
+			fr := st.Fragmentation()
+			if es := fr.Fragment(0).Edges; len(es) < 2 || es[0] == es[1] {
+				t.Fatal("fragment 0 needs two distinct leading edges")
+			}
+			b := bytes.Clone(valid)
+			at := headerSize + 24*fr.NumNodes() + 8 // fragment 0's from column
+			pad := (4*len(fr.Fragment(0).Edges) + 7) / 8 * 8
+			for _, col := range [][2]int{{at, 4}, {at + pad, 4}, {at + 2*pad, 8}} {
+				x, y := b[col[0]:col[0]+col[1]], b[col[0]+col[1]:col[0]+2*col[1]]
+				tmp := bytes.Clone(x)
+				copy(x, y)
+				copy(y, tmp)
+			}
+			binary.LittleEndian.PutUint32(b[8:12], crc32.ChecksumIEEE(b[16:]))
+			return b
+		}(),
 	}
 	for name, b := range cases {
 		if _, err := Decode(b); !errors.Is(err, ErrBadSnapshot) {

@@ -118,27 +118,23 @@ func Encode(st *dsa.Store) ([]byte, error) {
 	// bytes, and the decoder validates an endpoint with a bounds check
 	// instead of a node-map lookup per edge — by construction an
 	// in-range index IS a declared node.
-	idx := make(map[graph.NodeID]int32, len(nodes))
-	for i, id := range nodes {
-		idx[id] = int32(i)
-	}
 	for _, f := range frags {
 		e.u64(uint64(len(f.Edges)))
 		col := make([]int32, len(f.Edges))
 		for k, ed := range f.Edges {
-			v, ok := idx[ed.From]
+			v, ok := graph.RowOf(nodes, ed.From)
 			if !ok {
 				return nil, fmt.Errorf("store: encode: fragment %d edge endpoint %d is not a node", f.ID, ed.From)
 			}
-			col[k] = v
+			col[k] = int32(v)
 		}
 		e.i32s(col)
 		for k, ed := range f.Edges {
-			v, ok := idx[ed.To]
+			v, ok := graph.RowOf(nodes, ed.To)
 			if !ok {
 				return nil, fmt.Errorf("store: encode: fragment %d edge endpoint %d is not a node", f.ID, ed.To)
 			}
-			col[k] = v
+			col[k] = int32(v)
 		}
 		e.i32s(col)
 		for _, ed := range f.Edges {

@@ -30,7 +30,11 @@
 #               internal/cluster, internal/store or pkg/tcq: Base()
 #               builds the whole graph on each call, the node table
 #               (Nodes, HasNode, NumNodes, Coord) and Fragmentation.CSR
-#               are what those read
+#               are what those read; and no map[graph.NodeID] outside
+#               tests in internal/fragment itself (not its fragmenter
+#               subpackages): a fragment's node set is its sorted node
+#               list, and which fragments hold a node is the membership
+#               table over the node-table rows
 #   oracle      no test outside internal/oracle computes its own ground
 #               truth (graph.Distance / ShortestPaths / Reachable) for
 #               answers of the system: the "answers like Dijkstra"
@@ -109,6 +113,10 @@ if awk '/^func / { fn = $0 } /^}/ { fn = "" } /^[ \t]*\/\// { next }
 fi
 if grep -rn '\.Base()' --include='*.go' internal/dsa internal/server internal/cluster internal/store pkg/tcq | grep -v '_test\.go:'; then
     echo "FAIL: Fragmentation.Base() builds the whole graph on each call: read the node table (Nodes, HasNode, NumNodes, Coord) or Fragmentation.CSR"
+    exit 1
+fi
+if grep -Hn 'map\[graph\.NodeID\]' $(ls internal/fragment/*.go | grep -v '_test\.go$'); then
+    echo "FAIL: keep node sets as sorted node lists and membership as the table over node-table rows, not maps keyed by node id, in internal/fragment"
     exit 1
 fi
 
