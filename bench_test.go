@@ -979,6 +979,9 @@ func BenchmarkApply(b *testing.B) {
 			e := graph.Edge{From: nodes[0], To: nodes[len(nodes)/2], Weight: 1e9}
 			writes := [][]dsa.EdgeOp{{{Kind: dsa.OpInsert, Frag: frag, Edge: e}}, {{Kind: dsa.OpDelete, Frag: frag, Edge: e}}}
 			b.ReportAllocs()
+			// Collect the build's garbage now, not inside the few timed
+			// writes of a -benchtime=20x run.
+			runtime.GC()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				next, stats, err := st.Apply(context.Background(), writes[i%2])

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/fragment"
@@ -155,7 +156,10 @@ func TestPipelinedDenseCanceledBetweenLegs(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := &cancelAfter{context.Background(), math.MaxInt}
-	if _, err := kernel.CostVectorCtx(count, map[graph.NodeID]float64{0: 0}); err != nil {
+	seed := slices.Repeat([]float64{graph.Inf}, kernel.Nodes())
+	k, _ := probe.sites[0].csr.Row(0) // the walk's source
+	seed[k] = 0
+	if _, err := kernel.CostVectorCtx(count, seed); err != nil {
 		t.Fatal(err)
 	}
 	legChecks := math.MaxInt - count.n

@@ -59,15 +59,17 @@ func (st *Store) QueryPath(ctx context.Context, source, target graph.NodeID) (*R
 	segments := make([][]graph.NodeID, len(trees))
 	cur := target
 	for i := len(trees) - 1; i >= 0; i-- {
-		local := []graph.NodeID{cur}
-		for p, ok := trees[i].pred[cur]; ok; p, ok = trees[i].pred[p] {
+		t := trees[i]
+		k, _ := t.site.csr.Row(cur)
+		local := []int32{k}
+		for p := t.pred[k]; p >= 0; p = t.pred[p] {
 			local = append(local, p)
 		}
 		slices.Reverse(local)
-		if segments[i], err = st.expandShortcuts(local, trees[i].dist); err != nil {
+		if segments[i], err = st.expandShortcuts(t, local); err != nil {
 			return nil, nil, err
 		}
-		cur = local[0]
+		cur = t.site.csr.IDs[local[0]]
 	}
 	nodes := []graph.NodeID{source}
 	for _, seg := range segments {
@@ -86,15 +88,16 @@ func (st *Store) QueryPath(ctx context.Context, source, target graph.NodeID) (*R
 // recovered with a whole-graph search restricted by the known cost (the
 // preprocessing could store the segments instead; recomputing keeps
 // CompInfo small and the reconstruction exact either way).
-func (st *Store) expandShortcuts(local []graph.NodeID, dist map[graph.NodeID]float64) ([]graph.NodeID, error) {
+func (st *Store) expandShortcuts(leg legTree, local []int32) ([]graph.NodeID, error) {
 	const eps = 1e-9
 	// The whole-graph search, built on the first shortcut hop and reused
 	// by the rest: building it snapshots the whole graph.
 	var search func(graph.NodeID, bool) ([]graph.NodeID, []float64, []int32)
-	out := []graph.NodeID{local[0]}
+	ids := leg.site.csr.IDs
+	out := []graph.NodeID{ids[local[0]]}
 	for i := 0; i+1 < len(local); i++ {
-		u, v := local[i], local[i+1]
-		hopCost := dist[v] - dist[u]
+		u, v := ids[local[i]], ids[local[i+1]]
+		hopCost := leg.dist[local[i+1]] - leg.dist[local[i]]
 		real := false
 		for _, f := range st.fr.FragmentsOf(u) {
 			es := st.fr.Fragment(f).Edges

@@ -142,6 +142,41 @@ func TestQueryPathHopOwnedByNeighbour(t *testing.T) {
 	}
 }
 
+// TestQueryPathTiesAreDeterministic: the second leg's search is seeded
+// with both border nodes 1 and 2 at cost 1, and both reach 3 at cost 2.
+// The seeds are pushed in ascending row order, so the lowest-row seed
+// wins the tie and every call returns the same route through 1.
+func TestQueryPathTiesAreDeterministic(t *testing.T) {
+	g := graph.New()
+	sets := [][]graph.Edge{
+		{{From: 0, To: 1, Weight: 1}, {From: 0, To: 2, Weight: 1}},
+		{{From: 1, To: 3, Weight: 1}, {From: 2, To: 3, Weight: 1}, {From: 3, To: 4, Weight: 1}},
+	}
+	for _, s := range sets {
+		for _, e := range s {
+			g.AddEdge(e)
+		}
+	}
+	fr, err := fragment.New(g, sets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Build(fr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []graph.NodeID{0, 1, 3, 4}
+	for i := 0; i < 200; i++ {
+		_, route, err := st.QueryPath(context.Background(), 0, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if route == nil || !reflect.DeepEqual(route.Nodes, want) {
+			t.Fatalf("call %d: route = %+v, want %v", i, route, want)
+		}
+	}
+}
+
 func TestRouteValidateRejectsBadRoutes(t *testing.T) {
 	g := graph.New()
 	g.AddEdge(graph.Edge{From: 0, To: 1, Weight: 2})

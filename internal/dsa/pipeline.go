@@ -3,6 +3,7 @@ package dsa
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -24,8 +25,8 @@ import (
 //
 // Pipelined legs are seeded with the running cost vector, so only the
 // engines with a vector-seeded multi-source primitive qualify
-// (Engine.VectorSeeded): EngineDijkstra (graph.CSR.ShortestPathsMulti)
-// and EngineDense (the CSR kernel's CostVectorCtx). The relational and
+// (Engine.VectorSeeded): EngineDijkstra (graph.CSR.SeededSearch) and
+// EngineDense (the CSR kernel's CostVectorCtx). The relational and
 // bitset engines are refused. The chain walk observes ctx between legs
 // and the dense kernel between frontier rounds, so a canceled query
 // returns ErrCanceled promptly.
@@ -40,13 +41,15 @@ func (st *Store) QueryPipelinedEngineCtx(ctx context.Context, source, target gra
 	return res, err
 }
 
-// legTree is what one walked leg's search leaves behind: the cost of
-// every node it reached and, on the graph engine, its predecessor on
-// the way there. Seeds have no predecessor unless another seed reaches
-// them more cheaply. The dense kernel reports costs only.
+// legTree is what one walked leg's search leaves behind, as rows over
+// its site's CSR: the cost of every row, +Inf where the search did not
+// reach, and, on the graph engine, the row each was reached from, -1
+// for a seed no other seed undercuts. The dense kernel reports costs
+// only.
 type legTree struct {
-	dist map[graph.NodeID]float64
-	pred map[graph.NodeID]graph.NodeID
+	site *Site
+	dist []float64
+	pred []int32
 }
 
 // walkChains is the pipelined evaluator: it plans the query, walks each
@@ -68,14 +71,11 @@ func (st *Store) walkChains(ctx context.Context, source, target graph.NodeID, en
 	}
 	var best []legTree
 	for _, chain := range plan.Chains {
-		trees, err := st.pipelineChain(ctx, source, target, chain, engine, res)
+		trees, cost, err := st.pipelineChain(ctx, source, target, chain, engine, res)
 		if err != nil {
 			return nil, nil, err
 		}
-		if trees == nil {
-			continue
-		}
-		if cost := trees[len(trees)-1].dist[target]; cost < res.Cost {
+		if trees != nil && cost < res.Cost {
 			res.Cost = cost
 			res.BestChain = chain
 			res.Reachable = true
@@ -86,31 +86,36 @@ func (st *Store) walkChains(ctx context.Context, source, target graph.NodeID, en
 	return res, best, nil
 }
 
-// pipelineChain folds one chain with vector-seeded multi-source
-// searches, one per leg, and returns the legs' search trees; the last
-// one holds the cost at the target. A chain that does not reach the
-// target returns nil.
-func (st *Store) pipelineChain(ctx context.Context, source, target graph.NodeID, chain []int, engine Engine, res *Result) ([]legTree, error) {
+// pipelineChain folds one chain with row-seeded searches, one per leg,
+// and returns the legs' search trees and the cost at the target. A
+// chain that does not reach the target returns nil trees.
+func (st *Store) pipelineChain(ctx context.Context, source, target graph.NodeID, chain []int, engine Engine, res *Result) ([]legTree, float64, error) {
 	trees := make([]legTree, 0, len(chain))
-	vector := map[graph.NodeID]float64{source: 0}
+	// The running vector: the nodes the last leg reached among its
+	// exits, and their costs there.
+	ids, costs := []graph.NodeID{source}, []float64{0}
 	for i, fragID := range chain {
 		if ctx.Err() != nil {
-			return nil, canceledErr(ctx)
+			return nil, 0, canceledErr(ctx)
 		}
 		site := st.sites[fragID]
 		t0 := time.Now()
-		var tree legTree
+		tree := legTree{site: site, dist: slices.Repeat([]float64{graph.Inf}, len(site.csr.IDs))}
+		for j, x := range ids {
+			if k, ok := site.csr.Row(x); ok {
+				tree.dist[k] = costs[j]
+			}
+		}
 		if engine == EngineDense {
 			kernel, err := site.DenseKernel()
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
-			tree.dist, err = kernel.CostVectorCtx(ctx, vector)
-			if err != nil {
-				return nil, err
+			if tree.dist, err = kernel.CostVectorCtx(ctx, tree.dist); err != nil {
+				return nil, 0, err
 			}
 		} else {
-			tree.dist, tree.pred = site.csr.ShortestPathsMulti(vector)
+			tree.dist, tree.pred = site.csr.SeededSearch(tree.dist)
 		}
 		trees = append(trees, tree)
 
@@ -120,25 +125,28 @@ func (st *Store) pipelineChain(ctx context.Context, source, target graph.NodeID,
 		} else {
 			exits = []graph.NodeID{target}
 		}
-		next := make(map[graph.NodeID]float64, len(exits))
+		ids, costs = ids[:0], costs[:0]
 		for _, x := range exits {
-			if d, ok := tree.dist[x]; ok {
-				next[x] = d
+			if k, ok := site.csr.Row(x); ok && tree.dist[k] < graph.Inf {
+				ids, costs = append(ids, x), append(costs, tree.dist[k])
 			}
 		}
 		w := res.PerSite[fragID]
 		w.Legs++
-		w.Stats.DerivedTuples += len(tree.dist)
-		w.Stats.ResultTuples += len(next)
+		for _, c := range tree.dist {
+			if c < graph.Inf {
+				w.Stats.DerivedTuples++
+			}
+		}
+		w.Stats.ResultTuples += len(ids)
 		w.Elapsed += time.Since(t0)
 		res.PerSite[fragID] = w
 		res.MessagesSent++
-		res.TuplesShipped += len(next)
+		res.TuplesShipped += len(ids)
 
-		if len(next) == 0 {
-			return nil, nil
+		if len(ids) == 0 {
+			return nil, 0, nil
 		}
-		vector = next
 	}
-	return trees, nil
+	return trees, costs[0], nil // the last leg's one exit is the target
 }

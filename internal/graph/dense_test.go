@@ -276,8 +276,8 @@ func searchCorpus(t *testing.T) map[string]*graph.Graph {
 // checkTree verifies a predecessor map against its distance map: every
 // reached node but the roots hangs off a reached node by an edge that
 // accounts for its distance exactly, the roots sit at their seed cost,
-// and following predecessors ends at a root — so graph.PathTo's path from any
-// root costs exactly dist.
+// and following predecessors ends at a root — so the path they trace
+// back from any reached node to a root costs exactly dist.
 func checkTree(g *graph.Graph, roots, dist map[graph.NodeID]float64, pred map[graph.NodeID]graph.NodeID) error {
 	for v, d := range dist {
 		p, ok := pred[v]
@@ -340,12 +340,6 @@ func TestSearchesEqualMapReference(t *testing.T) {
 			if err := checkTree(g, map[graph.NodeID]float64{src: 0}, dist, pred); err != nil {
 				t.Fatalf("%s: ShortestPaths(%d): %v", name, src, err)
 			}
-			for to, d := range dist {
-				path := graph.PathTo(src, to, dist, pred)
-				if len(path) == 0 || path[0] != src || path[len(path)-1] != to {
-					t.Fatalf("%s: graph.PathTo(%d, %d) = %v (cost %v)", name, src, to, path, d)
-				}
-			}
 			if len(nodes) > 0 {
 				to := nodes[len(nodes)-1]
 				d, ok := want[to]
@@ -388,16 +382,32 @@ func TestSearchesEqualMapReference(t *testing.T) {
 			continue
 		}
 
-		// Seeded searches: duplicates cannot occur in a map, but absent
-		// nodes, negative costs and seeds another seed undercuts can.
+		// Seeded searches: absent nodes, negative costs and seeds another
+		// seed undercuts, over a row read back as the reference's maps.
 		seeds := map[graph.NodeID]float64{-3: 1, nodes[0]: 2, nodes[len(nodes)/2]: 0.5, nodes[len(nodes)-1]: -1}
 		want, _ := refShortestPathsMulti(g, seeds)
-		dist, pred := g.ShortestPathsMulti(seeds)
+		c := g.CSR()
+		row := slices.Repeat([]float64{graph.Inf}, len(c.IDs))
+		for id, cost := range seeds {
+			if k, ok := c.Row(id); ok {
+				row[k] = cost
+			}
+		}
+		drow, prow := c.SeededSearch(row)
+		dist, pred := map[graph.NodeID]float64{}, map[graph.NodeID]graph.NodeID{}
+		for k, d := range drow {
+			if d < graph.Inf {
+				dist[c.IDs[k]] = d
+			}
+			if p := prow[k]; p >= 0 {
+				pred[c.IDs[k]] = c.IDs[p]
+			}
+		}
 		if !reflect.DeepEqual(dist, want) {
-			t.Fatalf("%s: ShortestPathsMulti(%v) = %v, want %v", name, seeds, dist, want)
+			t.Fatalf("%s: SeededSearch(%v) = %v, want %v", name, seeds, dist, want)
 		}
 		if err := checkTree(g, seeds, dist, pred); err != nil {
-			t.Fatalf("%s: ShortestPathsMulti(%v): %v", name, seeds, err)
+			t.Fatalf("%s: SeededSearch(%v): %v", name, seeds, err)
 		}
 		multi := []graph.NodeID{nodes[0], -3, nodes[len(nodes)-1], nodes[0]}
 		if got, want := g.BFSLevels(multi...), refBFSLevels(g, multi...); !reflect.DeepEqual(got, want) {

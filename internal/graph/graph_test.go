@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -220,21 +221,17 @@ func TestShortestPathsTriangle(t *testing.T) {
 	if dist[3] != 2 {
 		t.Errorf("dist(1,3) = %v, want 2 (via 2)", dist[3])
 	}
-	path := PathTo(1, 3, dist, pred)
-	if !reflect.DeepEqual(path, []NodeID{1, 2, 3}) {
-		t.Errorf("path = %v, want [1 2 3]", path)
+	if want := map[NodeID]NodeID{2: 1, 3: 2}; !reflect.DeepEqual(pred, want) {
+		t.Errorf("pred = %v, want %v", pred, want)
 	}
 }
 
 func TestShortestPathsUnreachable(t *testing.T) {
 	g := line(3)
 	g.AddNode(42, Coord{})
-	dist, pred := g.ShortestPaths(0)
+	dist, _ := g.ShortestPaths(0)
 	if _, ok := dist[42]; ok {
 		t.Error("isolated node should be absent from dist")
-	}
-	if p := PathTo(0, 42, dist, pred); p != nil {
-		t.Errorf("PathTo unreachable = %v, want nil", p)
 	}
 	if d := g.Distance(0, 42); !math.IsInf(d, 1) {
 		t.Errorf("Distance unreachable = %v, want +Inf", d)
@@ -522,20 +519,51 @@ func TestPropertyRoundTripPreservesGraph(t *testing.T) {
 	}
 }
 
+// seedRow is seeds as a distance row over c: +Inf but at the seeds
+// that are nodes of c.
+func seedRow(c *CSR, seeds map[NodeID]float64) []float64 {
+	row := slices.Repeat([]float64{Inf}, len(c.IDs))
+	for id, cost := range seeds {
+		if k, ok := c.Row(id); ok {
+			row[k] = cost
+		}
+	}
+	return row
+}
+
 func TestShortestPathsMulti(t *testing.T) {
-	g := line(6)
+	c := line(6).CSR() // row k is node k
 	// Seeds 0 (cost 5) and 3 (cost 0): node 5 is cheaper via seed 3.
-	dist, _ := g.ShortestPathsMulti(map[NodeID]float64{0: 5, 3: 0})
-	if dist[5] != 2 {
-		t.Errorf("dist(5) = %v, want 2 (via seed 3)", dist[5])
+	dist, pred := c.SeededSearch(seedRow(c, map[NodeID]float64{0: 5, 3: 0}))
+	if dist[5] != 2 || pred[5] != 4 {
+		t.Errorf("dist(5) = %v from row %d, want 2 from 4 (via seed 3)", dist[5], pred[5])
 	}
 	if dist[1] != 6 {
 		t.Errorf("dist(1) = %v, want 6 (via seed 0)", dist[1])
 	}
-	// Unknown and negative seeds are ignored.
-	dist, _ = g.ShortestPathsMulti(map[NodeID]float64{99: 0, 2: -1})
-	if len(dist) != 0 {
-		t.Errorf("invalid seeds produced %v", dist)
+	if pred[0] != -1 || pred[3] != -1 {
+		t.Errorf("seeds have predecessors %d, %d", pred[0], pred[3])
+	}
+	// Unknown, negative and non-finite seeds are ignored.
+	row := seedRow(c, map[NodeID]float64{99: 0, 2: -1, 4: math.NaN(), 5: math.Inf(-1)})
+	dist, pred = c.SeededSearch(row)
+	for k := range dist {
+		if dist[k] != Inf || pred[k] != -1 {
+			t.Errorf("invalid seeds reached row %d at %v from %d", k, dist[k], pred[k])
+		}
+	}
+	if &dist[0] != &row[0] {
+		t.Error("SeededSearch did not search in place")
+	}
+	// Seeds 1 and 2 tie at 3: the lower row wins, on every call.
+	g := New()
+	g.AddEdge(Edge{From: 2, To: 3, Weight: 1})
+	g.AddEdge(Edge{From: 1, To: 3, Weight: 1})
+	c = g.CSR()
+	for range 50 {
+		if _, pred := c.SeededSearch(seedRow(c, map[NodeID]float64{2: 0, 1: 0})); c.IDs[pred[2]] != 1 {
+			t.Fatalf("node 3 reached from %d, want seed 1", c.IDs[pred[2]])
+		}
 	}
 }
 
@@ -548,20 +576,17 @@ func TestPropertyMultiSourceEqualsMinOfSingles(t *testing.T) {
 		for i := 0; i < 1+rng.Intn(3); i++ {
 			seeds[nodes[rng.Intn(len(nodes))]] = float64(rng.Intn(10))
 		}
-		multi, _ := g.ShortestPathsMulti(seeds)
-		for _, v := range nodes {
+		c := g.CSR()
+		multi, _ := c.SeededSearch(seedRow(c, seeds))
+		for k, v := range c.IDs {
 			want := math.Inf(1)
-			for s, c := range seeds {
+			for s, cost := range seeds {
 				dist, _ := g.ShortestPaths(s)
-				if d, ok := dist[v]; ok && c+d < want {
-					want = c + d
+				if d, ok := dist[v]; ok && cost+d < want {
+					want = cost + d
 				}
 			}
-			got, ok := multi[v]
-			if math.IsInf(want, 1) != !ok {
-				return false
-			}
-			if ok && math.Abs(got-want) > 1e-9 {
+			if got := multi[k]; got != want && math.Abs(got-want) > 1e-9 {
 				return false
 			}
 		}

@@ -166,12 +166,11 @@ func RowOf(ids []NodeID, id NodeID) (int, bool) {
 // is the cost (or level) of ids[k], Inf when the last search did not
 // reach it; pred[k] the row it was reached from, -1 for a seed.
 type searcher struct {
-	csr     *CSR
-	dist    []float64
-	pred    []int32
-	done    []bool
-	heap    []heapItem
-	reached int
+	csr  *CSR
+	dist []float64
+	pred []int32
+	done []bool
+	heap []heapItem
 }
 
 type heapItem struct {
@@ -179,24 +178,27 @@ type heapItem struct {
 	row  int32
 }
 
-func newSearcher(c *CSR) *searcher {
+// newSearcher returns a searcher over c whose dist row is dist.
+func newSearcher(c *CSR, dist []float64) *searcher {
 	n := len(c.IDs)
-	return &searcher{csr: c, dist: make([]float64, n), pred: make([]int32, n), done: make([]bool, n)}
+	return &searcher{csr: c, dist: dist, pred: make([]int32, n), done: make([]bool, n)}
 }
 
-// search forgets the previous search and runs one from the seeds: by
-// cost (Dijkstra), or by level over unit weights when hops is set.
-// Seeds that are not nodes or have a negative cost are ignored.
-func (s *searcher) search(hops bool, seeds map[NodeID]float64) {
-	for k := range s.dist {
-		s.dist[k], s.pred[k] = Inf, -1
-	}
+// search runs one search from the seed row that dist holds: every row
+// at a finite, non-negative cost is a seed at that cost, the rest —
+// +Inf, negative, NaN — become Inf. Seeds are pushed in ascending row
+// order, so ties between seeds resolve the same way on every call. It
+// searches by cost (Dijkstra), or by level over unit weights when hops
+// is set.
+func (s *searcher) search(hops bool) {
 	clear(s.done)
-	s.heap, s.reached = s.heap[:0], 0
-	for id, cost := range seeds {
-		if k, ok := s.csr.Row(id); ok && cost >= 0 && cost < Inf {
-			s.dist[k] = cost
-			s.push(heapItem{cost, k})
+	s.heap = s.heap[:0]
+	for k, cost := range s.dist {
+		s.pred[k] = -1
+		if cost >= 0 && cost < Inf {
+			s.push(heapItem{cost, int32(k)})
+		} else {
+			s.dist[k] = Inf
 		}
 	}
 	// Unit weights reach rows in level order: there the queue is the
@@ -214,7 +216,6 @@ func (s *searcher) search(hops bool, seeds map[NodeID]float64) {
 			continue
 		}
 		s.done[u] = true
-		s.reached++
 		for j := c.Off[u]; j < c.Off[u+1]; j++ {
 			v, nd := c.To[j], it.dist+1
 			if !hops {
@@ -280,9 +281,15 @@ func (g *Graph) Searches(n int) []func(src NodeID, hops bool) (nodes []NodeID, d
 func (c *CSR) Searches(n int) []func(src NodeID, hops bool) (nodes []NodeID, dist []float64, pred []int32) {
 	searches := make([]func(NodeID, bool) ([]NodeID, []float64, []int32), n)
 	for i := range searches {
-		s := newSearcher(c)
+		s := newSearcher(c, make([]float64, len(c.IDs)))
 		searches[i] = func(src NodeID, hops bool) ([]NodeID, []float64, []int32) {
-			s.search(hops, map[NodeID]float64{src: 0})
+			for k := range s.dist {
+				s.dist[k] = Inf
+			}
+			if k, ok := c.Row(src); ok {
+				s.dist[k] = 0
+			}
+			s.search(hops)
 			return c.IDs, s.dist, s.pred
 		}
 	}
@@ -304,16 +311,17 @@ func (g *Graph) UndirectedBFSLevels(sources ...NodeID) map[NodeID]int {
 }
 
 func bfsLevels(c *CSR, sources []NodeID) map[NodeID]int {
-	seeds := make(map[NodeID]float64, len(sources))
+	s := newSearcher(c, slices.Repeat([]float64{Inf}, len(c.IDs)))
 	for _, id := range sources {
-		seeds[id] = 0
+		if k, ok := c.Row(id); ok {
+			s.dist[k] = 0
+		}
 	}
-	s := newSearcher(c)
-	s.search(true, seeds)
-	levels := make(map[NodeID]int, s.reached)
+	s.search(true)
+	levels := make(map[NodeID]int)
 	for k, d := range s.dist {
 		if d < Inf {
-			levels[s.csr.IDs[k]] = int(d)
+			levels[c.IDs[k]] = int(d)
 		}
 	}
 	return levels
@@ -378,37 +386,39 @@ func (c *CSR) Components() [][]int32 {
 }
 
 // ShortestPaths runs Dijkstra from source over the directed edges and
-// returns the distance and predecessor maps. Nodes absent from the
-// distance map are unreachable. Negative weights are not supported (the
-// paper's path problems are cost networks with non-negative costs).
+// returns the distance and predecessor maps, read from one Searches
+// row. Nodes absent from the distance map are unreachable. Negative
+// weights are not supported (the paper's path problems are cost
+// networks with non-negative costs).
 func (g *Graph) ShortestPaths(source NodeID) (dist map[NodeID]float64, pred map[NodeID]NodeID) {
-	return g.ShortestPathsMulti(map[NodeID]float64{source: 0})
-}
-
-// ShortestPathsMulti is CSR().ShortestPathsMulti(seeds).
-func (g *Graph) ShortestPathsMulti(seeds map[NodeID]float64) (dist map[NodeID]float64, pred map[NodeID]NodeID) {
-	return g.CSR().ShortestPathsMulti(seeds)
-}
-
-// ShortestPathsMulti runs Dijkstra from a set of sources with given
-// initial costs: dist[v] = min over sources s of (seed[s] + d(s, v)).
-// Seeds that are not nodes or have a negative cost are ignored. It is
-// the primitive behind pipelined chain evaluation, where the running
-// cost vector of the previous fragments seeds the next fragment's
-// search.
-func (c *CSR) ShortestPathsMulti(seeds map[NodeID]float64) (dist map[NodeID]float64, pred map[NodeID]NodeID) {
-	s := newSearcher(c)
-	s.search(false, seeds)
-	dist, pred = make(map[NodeID]float64, s.reached), make(map[NodeID]NodeID, s.reached)
-	for k, d := range s.dist {
-		if d < Inf {
-			dist[c.IDs[k]] = d
-			if p := s.pred[k]; p >= 0 {
-				pred[c.IDs[k]] = c.IDs[p]
+	nodes, d, p := g.Searches(1)[0](source, false)
+	dist, pred = make(map[NodeID]float64), make(map[NodeID]NodeID)
+	for k, c := range d {
+		if c < Inf {
+			dist[nodes[k]] = c
+			if p[k] >= 0 {
+				pred[nodes[k]] = nodes[p[k]]
 			}
 		}
 	}
 	return dist, pred
+}
+
+// SeededSearch runs Dijkstra from every row of seed at its cost there:
+// dist[v] = min over seed rows s of seed[s] + d(s, v). seed is a
+// distance row over the snapshot, one cell per row; +Inf marks a row
+// that is not a seed, and negative or non-finite costs are ignored as
+// well. The search runs in place: dist is seed, now every row's cost,
+// +Inf where unreached; pred[k] is the row k was reached from, -1 for
+// unreached rows and for seeds no other seed undercuts. Seeds are
+// pushed in ascending row order, so a tie between seeds resolves the
+// same way on every call. It is the primitive behind pipelined chain
+// evaluation, where the exits the previous leg reached seed the next
+// site's search.
+func (c *CSR) SeededSearch(seed []float64) (dist []float64, pred []int32) {
+	s := newSearcher(c, seed)
+	s.search(false)
+	return s.dist, s.pred
 }
 
 // Distance returns the shortest-path cost from 'from' to 'to', or Inf if
@@ -419,31 +429,6 @@ func (g *Graph) Distance(from, to NodeID) float64 {
 		return dist[k]
 	}
 	return Inf
-}
-
-// PathTo reconstructs the node sequence of a shortest path from the
-// predecessor map returned by ShortestPaths. It returns nil if 'to' was
-// unreachable.
-func PathTo(source, to NodeID, dist map[NodeID]float64, pred map[NodeID]NodeID) []NodeID {
-	if _, ok := dist[to]; !ok {
-		return nil
-	}
-	var rev []NodeID
-	for cur := to; ; {
-		rev = append(rev, cur)
-		if cur == source {
-			break
-		}
-		p, ok := pred[cur]
-		if !ok {
-			return nil
-		}
-		cur = p
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
 }
 
 // Diameter returns the longest shortest path in hops over directed

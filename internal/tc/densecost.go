@@ -183,39 +183,29 @@ func (d *DenseGraph) CostFromCtx(ctx context.Context, sources []graph.NodeID) (*
 	return m, st, nil
 }
 
-// CostVectorCtx runs one propagation seeded with the given (node, cost)
-// vector, allowing zero-edge paths: the result contains every node
-// reachable from a seed, including the seeds themselves at (at most)
-// their seed cost. Seeds that are not nodes or have a negative cost are
-// ignored, as graph.CSR.ShortestPathsMulti ignores them. This is the
-// pipelined chain evaluation primitive, where the running cost vector
-// of the previous fragments seeds the next fragment's search. The
-// propagation observes ctx between frontier rounds, and a canceled run
-// returns ErrCanceled instead of a partial vector.
-func (d *DenseGraph) CostVectorCtx(ctx context.Context, seed map[graph.NodeID]float64) (map[graph.NodeID]float64, error) {
-	ids := d.csr.IDs
-	row := newCostRow(len(ids)).on(infs(len(ids)))
-	for s, c := range seed {
-		k, present := d.csr.Row(s)
-		if !present || c < 0 {
-			continue
-		}
-		if c < row.dist[k] {
-			if math.IsInf(row.dist[k], 1) {
-				row.frontier = append(row.frontier, k)
-			}
-			row.dist[k] = c
+// CostVectorCtx runs one propagation from a seed row, allowing
+// zero-edge paths. seed is a distance row over the kernel's CSR, one
+// cell per row (Nodes()); +Inf marks a row that is not a seed, and
+// negative or non-finite costs are ignored as well, as
+// graph.CSR.SeededSearch ignores them. It propagates in place and
+// returns seed as the distance row: every row reachable from a seed
+// holds its cost, each seed at most its seed cost, the rest +Inf. This
+// is the pipelined chain evaluation primitive, where the exits the
+// previous leg reached seed the next site's row. The propagation
+// observes ctx between frontier rounds, and a canceled run returns nil
+// and ErrCanceled, never the partial row it leaves in seed.
+func (d *DenseGraph) CostVectorCtx(ctx context.Context, seed []float64) ([]float64, error) {
+	row := newCostRow(len(seed)).on(seed)
+	for k, c := range seed {
+		if c >= 0 && c < math.Inf(1) {
+			row.frontier = append(row.frontier, int32(k))
+		} else {
+			seed[k] = math.Inf(1)
 		}
 	}
 	d.propagate(ctx, row)
 	if ctx.Err() != nil {
 		return nil, canceled(ctx)
 	}
-	out := make(map[graph.NodeID]float64, len(seed))
-	for k, c := range row.dist {
-		if !math.IsInf(c, 1) {
-			out[ids[k]] = c
-		}
-	}
-	return out, nil
+	return seed, nil
 }

@@ -209,13 +209,25 @@ func TestDenseCostValidation(t *testing.T) {
 	}
 }
 
-// TestDenseCostVectorMatchesShortestPathsMulti: the vector-seeded
+// seedRow is seed as a distance row over d's CSR: +Inf but at the
+// seeds that are nodes of it.
+func seedRow(d *DenseGraph, seed map[graph.NodeID]float64) []float64 {
+	row := infs(d.Nodes())
+	for id, c := range seed {
+		if k, ok := d.csr.Row(id); ok {
+			row[k] = c
+		}
+	}
+	return row
+}
+
+// TestDenseCostVectorMatchesShortestPathsMulti: the row-seeded
 // single-row propagation (the pipelined primitive) matches the
-// graph-backed multi-source Dijkstra, including seed nodes kept at
-// their seed cost, ignored negative and absent seeds, and a last trial
-// seeded with every node that has no out-edge (an isolated node among
-// them on the isolated-node graph) — from which, as sources, the cost
-// kernel derives no path.
+// graph's row-seeded Dijkstra, graph.CSR.SeededSearch, including seed
+// nodes kept at their seed cost, ignored negative and non-finite
+// seeds, and a last trial seeded with every node that has no out-edge
+// (an isolated node among them on the isolated-node graph) — from
+// which, as sources, the cost kernel derives no path.
 func TestDenseCostVectorMatchesShortestPathsMulti(t *testing.T) {
 	for name, g := range corpusGraphs(t) {
 		t.Run(name, func(t *testing.T) {
@@ -224,7 +236,7 @@ func TestDenseCostVectorMatchesShortestPathsMulti(t *testing.T) {
 				t.Fatal(err)
 			}
 			nodes := g.Nodes()
-			sinks := map[graph.NodeID]float64{graph.NodeID(3_000_000): 0} // absent: ignored
+			sinks := map[graph.NodeID]float64{}
 			for _, v := range nodes {
 				if len(g.Out(v)) == 0 {
 					sinks[v] = 1.5
@@ -235,8 +247,10 @@ func TestDenseCostVectorMatchesShortestPathsMulti(t *testing.T) {
 				seed := map[graph.NodeID]float64{
 					nodes[rng.Intn(len(nodes))]: float64(rng.Intn(5)),
 					nodes[rng.Intn(len(nodes))]: 0,
-					graph.NodeID(2_000_000):     -1, // ignored: negative
 				}
+				// Ignored: a negative and a non-finite cost.
+				seed[nodes[rng.Intn(len(nodes))]] = -1
+				seed[nodes[rng.Intn(len(nodes))]] = math.NaN()
 				if trial == 4 {
 					seed = sinks
 					rows, _, err := d.CostFromCtx(context.Background(), slices.Collect(maps.Keys(sinks)))
@@ -247,17 +261,14 @@ func TestDenseCostVectorMatchesShortestPathsMulti(t *testing.T) {
 						t.Errorf("sources without out-edges derived %v", rows.Relation())
 					}
 				}
-				want, _ := g.ShortestPathsMulti(seed)
-				got, err := d.CostVectorCtx(context.Background(), seed)
+				want, _ := g.CSR().SeededSearch(seedRow(d, seed))
+				got, err := d.CostVectorCtx(context.Background(), seedRow(d, seed))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(got) != len(want) {
-					t.Fatalf("trial %d: %d nodes, want %d", trial, len(got), len(want))
-				}
-				for v, c := range want {
-					if math.Abs(got[v]-c) > 1e-9 {
-						t.Errorf("trial %d: dist(%d) = %v, want %v", trial, v, got[v], c)
+				for k, c := range want {
+					if got[k] != c && math.Abs(got[k]-c) > 1e-9 {
+						t.Errorf("trial %d: dist(%d) = %v, want %v", trial, nodes[k], got[k], c)
 					}
 				}
 			}
@@ -527,7 +538,7 @@ func TestCostVectorCanceledMidPropagation(t *testing.T) {
 	d := gridFragment(t, 8, 8)
 	seed := map[graph.NodeID]float64{1000: 0, 990: 2}
 	count := &lateCancel{context.Background(), math.MaxInt}
-	want, err := d.CostVectorCtx(count, seed)
+	want, err := d.CostVectorCtx(count, seedRow(d, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,11 +547,11 @@ func TestCostVectorCanceledMidPropagation(t *testing.T) {
 		t.Fatalf("%d ctx checks: want a propagation of several rounds", checks)
 	}
 	for n := 0; n <= checks; n++ {
-		got, err := d.CostVectorCtx(&lateCancel{context.Background(), n}, seed)
+		got, err := d.CostVectorCtx(&lateCancel{context.Background(), n}, seedRow(d, seed))
 		canceled := errors.Is(err, ErrCanceled) && errors.Is(err, context.Canceled)
 		if wantCanceled := n < checks; canceled != wantCanceled || (got == nil) != wantCanceled {
 			t.Errorf("cancellation at check %d of %d: %d costs, err %v; want canceled = %v", n, checks, len(got), err, wantCanceled)
-		} else if !canceled && !maps.Equal(got, want) {
+		} else if !canceled && !slices.Equal(got, want) {
 			t.Errorf("cancellation after the last check: %v, want %v", got, want)
 		}
 	}

@@ -34,7 +34,15 @@
 #               tests in internal/fragment itself (not its fragmenter
 #               subpackages): a fragment's node set is its sorted node
 #               list, and which fragments hold a node is the membership
-#               table over the node-table rows
+#               table over the node-table rows; and searches are seeded
+#               and answered in rows: no CSR or searcher method in
+#               internal/graph takes or returns a map (the *Graph
+#               conveniences cold readers and test references call are
+#               exempt), and no map[graph.NodeID] outside tests in
+#               internal/dsa/pipeline.go, internal/dsa/path.go or
+#               internal/tc/densecost.go — the pipelined walk seeds each
+#               site's distance row from the exits the last leg reached,
+#               and routes backtrack over pred rows
 #   oracle      no test outside internal/oracle computes its own ground
 #               truth (graph.Distance / ShortestPaths / Reachable) for
 #               answers of the system: the "answers like Dijkstra"
@@ -117,6 +125,14 @@ if grep -rn '\.Base()' --include='*.go' internal/dsa internal/server internal/cl
 fi
 if grep -Hn 'map\[graph\.NodeID\]' $(ls internal/fragment/*.go | grep -v '_test\.go$'); then
     echo "FAIL: keep node sets as sorted node lists and membership as the table over node-table rows, not maps keyed by node id, in internal/fragment"
+    exit 1
+fi
+if awk '/^func \(([A-Za-z_][A-Za-z0-9_]* )?\*?(CSR|searcher)\)/ { sig = 1 }
+    sig && /map\[/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+    sig && /\{$/ { sig = 0 }
+    END { exit !bad }' $(ls internal/graph/*.go | grep -v '_test\.go$') ||
+    grep -Hn 'map\[graph\.NodeID\]' internal/dsa/pipeline.go internal/dsa/path.go internal/tc/densecost.go; then
+    echo "FAIL: seed searches with a distance row over the CSR and answer in dist/pred rows (CSR.SeededSearch, DenseGraph.CostVectorCtx), not maps keyed by node id"
     exit 1
 fi
 
