@@ -11,11 +11,9 @@
 package benches
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
 	"runtime"
@@ -704,10 +702,8 @@ func BenchmarkSiteTable(b *testing.B) {
 			b.Fatal(err)
 		}
 		var legs []dsa.Leg
-		pairs := slices.SortedFunc(maps.Keys(st.CompTables()), func(x, y fragment.Pair) int {
-			return cmp.Or(cmp.Compare(x.I, y.I), cmp.Compare(x.J, y.J))
-		})
-		for _, p := range pairs {
+		for _, ci := range st.CompTables() {
+			p := ci.Pair
 			for _, id := range []int{p.I, p.J} {
 				if !slices.ContainsFunc(legs, func(l dsa.Leg) bool { return l.SiteID == id }) {
 					ds := fr.DisconnectionSet(p.I, p.J)
@@ -979,8 +975,10 @@ func BenchmarkApply(b *testing.B) {
 			e := graph.Edge{From: nodes[0], To: nodes[len(nodes)/2], Weight: 1e9}
 			writes := [][]dsa.EdgeOp{{{Kind: dsa.OpInsert, Frag: frag, Edge: e}}, {{Kind: dsa.OpDelete, Frag: frag, Edge: e}}}
 			b.ReportAllocs()
-			// Collect the build's garbage now, not inside the few timed
-			// writes of a -benchtime=20x run.
+			// Collect the build's garbage now, not inside the timed
+			// writes. Compare at -benchtime=300x: the writes' own garbage
+			// starts a collection every 15-20 writes, so 20 span a varying
+			// share of GC cycles and 300 span many.
 			runtime.GC()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -132,8 +132,8 @@ func summary(w io.Writer, fr *fragment.Fragmentation) {
 	for _, frag := range fr.Fragments() {
 		fmt.Fprintf(w, "  fragment %d: %d edges, %d nodes\n", frag.ID, frag.Size(), frag.NumNodes())
 	}
-	for _, p := range fragment.SortedPairs(fr.DisconnectionSets()) {
-		fmt.Fprintf(w, "  DS%d-%d: %d nodes\n", p.I, p.J, len(fr.DisconnectionSet(p.I, p.J)))
+	for k, p := range fr.DisconnectionPairs() {
+		fmt.Fprintf(w, "  DS%d-%d: %d nodes\n", p.I, p.J, len(fr.DisconnectionSets()[k]))
 	}
 }
 

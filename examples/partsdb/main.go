@@ -123,8 +123,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, p := range fragment.SortedPairs(fr.DisconnectionSets()) {
-		fmt.Printf("suppliers %d and %d share: %s\n", p.I, p.J, names[fr.DisconnectionSet(p.I, p.J)[0]])
+	for k, p := range fr.DisconnectionPairs() {
+		fmt.Printf("suppliers %d and %d share: %s\n", p.I, p.J, names[fr.DisconnectionSets()[k][0]])
 	}
 	client, err := tcq.Build(fr, tcq.BuildOptions{})
 	if err != nil {

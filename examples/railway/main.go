@@ -100,8 +100,8 @@ func main() {
 		log.Fatal(err)
 	}
 	countries := []string{"Holland", "Germany", "Italy"}
-	for _, p := range fragment.SortedPairs(fr.DisconnectionSets()) {
-		fmt.Printf("DS(%s, %s) = %s\n", countries[p.I], countries[p.J], stationNames(fr.DisconnectionSet(p.I, p.J)))
+	for k, p := range fr.DisconnectionPairs() {
+		fmt.Printf("DS(%s, %s) = %s\n", countries[p.I], countries[p.J], stationNames(fr.DisconnectionSets()[k]))
 	}
 	if !fr.FragmentationGraph().IsLooselyConnected() {
 		log.Fatal("the country chain should be loosely connected")

@@ -235,29 +235,29 @@ func (st *Store) Apply(ctx context.Context, ops []EdgeOp) (*Store, BatchStats, e
 	// compUnaffected) skips the global searches entirely, making the
 	// update's cost scale with the touched fragments instead of the
 	// graph.
-	dss := fr.DisconnectionSets()
+	nsets := len(fr.DisconnectionSets())
 	next := &Store{
 		fr:        fr,
 		problem:   st.problem,
 		maxChains: st.maxChains,
 		epoch:     st.epoch + 1,
 	}
-	next.prep = PreprocessStats{DisconnectionSets: len(dss)}
+	next.prep = PreprocessStats{DisconnectionSets: nsets}
 	// Ops on a fragment whose edits cancelled out changed no edge.
 	changed := slices.DeleteFunc(slices.Clone(ops), func(op EdgeOp) bool { return !patch.Touched(op.Frag) })
 	if st.compUnaffected(changed, fr) {
 		next.comp = st.comp
 		next.compMaxCost, next.compAllPairs, next.prep.PairsStored = st.compMaxCost, st.compAllPairs, st.prep.PairsStored
 	} else {
-		next.comp, stats.DijkstraRuns, err = computeComp(ctx, fr.CSR(), dss, st.problem)
+		next.comp, stats.DijkstraRuns, err = computeComp(ctx, fr, st.problem)
 		if err != nil {
 			return nil, stats, err
 		}
-		next.compMaxCost, next.compAllPairs, next.prep.PairsStored = compBounds(dss, next.comp)
+		next.compMaxCost, next.compAllPairs, next.prep.PairsStored = compBounds(fr, next.comp)
 		next.prep.DijkstraRuns = stats.DijkstraRuns
-		stats.RecomputedSets = len(dss)
+		stats.RecomputedSets = nsets
 	}
-	stats.LocalOnly = len(dss) == 0
+	stats.LocalOnly = nsets == 0
 
 	// Phase 4: assemble the next store, sharing every site whose edge
 	// set AND complementary tables are unchanged (deploySites).
@@ -323,13 +323,14 @@ func (st *Store) compUnaffected(ops []EdgeOp, next *fragment.Fragmentation) bool
 }
 
 // compBounds returns what a store records about its complementary
-// tables: the largest cost any of them stores, whether every table has
-// a cost for every ordered pair of its disconnection set, and the
-// PairsStored total (each table is deployed at both member sites).
-func compBounds(dss map[fragment.Pair][]graph.NodeID, comp map[fragment.Pair]*CompInfo) (maxCost float64, allPairs bool, pairsStored int) {
+// tables — comp[k] that of fr's k-th disconnection set: the largest
+// cost any of them stores, whether every table has a cost for every
+// ordered pair of its disconnection set, and the PairsStored total
+// (each table is deployed at both member sites).
+func compBounds(fr *fragment.Fragmentation, comp []*CompInfo) (maxCost float64, allPairs bool, pairsStored int) {
 	allPairs = true
-	for p, ci := range comp {
-		n := len(dss[p])
+	for k, ci := range comp {
+		n := len(fr.DisconnectionSets()[k])
 		if len(ci.Cost) != n*(n-1) {
 			allPairs = false
 		}
@@ -346,20 +347,19 @@ func compBounds(dss map[fragment.Pair][]graph.NodeID, comp map[fragment.Pair]*Co
 // site already holds — the sharing criterion for a fragment whose edge
 // set did not change. Identical tables imply an identical CSR, so
 // every derived per-site structure (and any cached leg result computed
-// from it) stays valid.
-func siteCompUnchanged(old *Site, fragID int, comp map[fragment.Pair]*CompInfo) bool {
-	involved := 0
-	for p, ci := range comp {
-		if p.I != fragID && p.J != fragID {
+// from it) stays valid. Both lists are in pair order.
+func siteCompUnchanged(old *Site, fragID int, comp []*CompInfo) bool {
+	held := old.Comp
+	for _, ci := range comp {
+		if ci.Pair.I != fragID && ci.Pair.J != fragID {
 			continue
 		}
-		involved++
-		oci, ok := old.Comp[p]
-		if !ok || !compEqual(oci, ci) {
+		if len(held) == 0 || held[0].Pair != ci.Pair || !compEqual(held[0], ci) {
 			return false
 		}
+		held = held[1:]
 	}
-	return involved == len(old.Comp)
+	return len(held) == 0
 }
 
 // compEqual reports whether two complementary tables carry identical

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/fragment"
 	"repro/internal/fragment/center"
@@ -303,8 +304,8 @@ func TestApplySharesUntouchedSites(t *testing.T) {
 	}
 	// No node changed fragments, so the tables derived from membership
 	// carry over by pointer.
-	mapPtr := func(m any) uintptr { return reflect.ValueOf(m).Pointer() }
-	if mapPtr(newFr.DisconnectionSets()) != mapPtr(oldFr.DisconnectionSets()) {
+	if unsafe.SliceData(newFr.DisconnectionSets()) != unsafe.SliceData(oldFr.DisconnectionSets()) ||
+		unsafe.SliceData(newFr.DisconnectionPairs()) != unsafe.SliceData(oldFr.DisconnectionPairs()) {
 		t.Error("disconnection-set table was rebuilt by a membership-preserving batch")
 	}
 	if newFr.FragmentationGraph() != oldFr.FragmentationGraph() {
@@ -505,7 +506,11 @@ func structuralDiff(got, want *fragment.Fragmentation) error {
 	if !reflect.DeepEqual(got.DisconnectionSets(), want.DisconnectionSets()) {
 		return fmt.Errorf("disconnection sets: %v, want %v", got.DisconnectionSets(), want.DisconnectionSets())
 	}
-	for p, nodes := range want.DisconnectionSets() {
+	if !reflect.DeepEqual(got.DisconnectionPairs(), want.DisconnectionPairs()) {
+		return fmt.Errorf("disconnection pairs: %v, want %v", got.DisconnectionPairs(), want.DisconnectionPairs())
+	}
+	for k, nodes := range want.DisconnectionSets() {
+		p := want.DisconnectionPairs()[k]
 		if !reflect.DeepEqual(got.DisconnectionSet(p.J, p.I), nodes) {
 			return fmt.Errorf("DisconnectionSet(%d,%d): %v, want %v", p.J, p.I, got.DisconnectionSet(p.J, p.I), nodes)
 		}
@@ -544,9 +549,9 @@ func storeDiff(got, want *Store) error {
 		if len(gs.Comp) != len(ws.Comp) {
 			return fmt.Errorf("site %d holds %d complementary tables, want %d", i, len(gs.Comp), len(ws.Comp))
 		}
-		for p, wci := range ws.Comp {
-			if gci, ok := gs.Comp[p]; !ok || !compEqual(gci, wci) {
-				return fmt.Errorf("site %d complementary table %v differs", i, p)
+		for k, wci := range ws.Comp {
+			if gci := gs.Comp[k]; gci.Pair != wci.Pair || !compEqual(gci, wci) {
+				return fmt.Errorf("site %d complementary table %v differs", i, wci.Pair)
 			}
 		}
 		if !reflect.DeepEqual(gs.csr, ws.csr) {

@@ -121,8 +121,12 @@ func TestCompInfoShortcutEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := 0
-	for p, ci := range st.CompTables() {
-		ds := st.Fragmentation().DisconnectionSet(p.I, p.J)
+	for k, ci := range st.CompTables() {
+		p := st.Fragmentation().DisconnectionPairs()[k]
+		ds := st.Fragmentation().DisconnectionSets()[k]
+		if ci.Pair != p {
+			t.Fatalf("table %d is %v's, want %v's", k, ci.Pair, p)
+		}
 		for k, e := range ci.Cost {
 			if k > 0 {
 				if prev := ci.Cost[k-1]; prev.From > e.From || prev.From == e.From && prev.To >= e.To {
@@ -137,15 +141,64 @@ func TestCompInfoShortcutEdges(t *testing.T) {
 			}
 		}
 		rows += len(ci.Cost)
-		if st.Site(p.I).Comp[p] != ci || st.Site(p.J).Comp[p] != ci {
-			t.Errorf("sites %d and %d do not share the store's table %v", p.I, p.J, p)
+		for _, id := range []int{p.I, p.J} {
+			if !slices.Contains(st.Site(id).Comp, ci) {
+				t.Errorf("site %d does not share the store's table %v", id, p)
+			}
 		}
 	}
 	if rows < 4 {
 		t.Fatalf("fixture too small: %d complementary rows", rows)
 	}
+	// A site's k-th table is the one of its k-th disconnection set.
+	for _, site := range st.Sites() {
+		if len(site.Comp) != len(site.dss) {
+			t.Fatalf("site %d holds %d tables for %d disconnection sets", site.ID, len(site.Comp), len(site.dss))
+		}
+		for k, ci := range site.Comp {
+			p := ci.Pair
+			if p.I != site.ID && p.J != site.ID || !slices.Equal(site.dss[k], st.Fragmentation().DisconnectionSet(p.I, p.J)) {
+				t.Errorf("site %d table %d is %v's, not that of its disconnection set %v", site.ID, k, p, site.dss[k])
+			}
+		}
+	}
 	if got := st.Preprocessing().PairsStored; got != 2*rows {
 		t.Errorf("PairsStored = %d, want %d (each table deployed at two sites)", got, 2*rows)
+	}
+}
+
+// TestRestoreRefusesMisplacedTables: sites pair the k-th complementary
+// table with the k-th disconnection set, so Restore refuses a list that
+// is short, long or out of pair order instead of deploying a table at
+// the wrong sites.
+func TestRestoreRefusesMisplacedTables(t *testing.T) {
+	g, err := gen.Grid(gen.GridConfig{Width: 6, Height: 6, DiagonalProb: 0.2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lres, err := linear.Fragment(g, linear.Options{NumFragments: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Build(lres.Fragmentation, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp := st.CompTables()
+	if len(comp) < 2 {
+		t.Fatalf("fixture has %d complementary tables, want at least 2", len(comp))
+	}
+	if _, err := Restore(st.fr, comp, Options{}, 0, st.prep); err != nil {
+		t.Fatalf("the store's own tables refused: %v", err)
+	}
+	for name, bad := range map[string][]*CompInfo{
+		"missing table":     comp[1:],
+		"table twice":       append(slices.Clone(comp), comp[len(comp)-1]),
+		"out of pair order": append([]*CompInfo{comp[1], comp[0]}, comp[2:]...),
+	} {
+		if _, err := Restore(st.fr, bad, Options{}, 0, st.prep); err == nil {
+			t.Errorf("%s: Restore accepted the tables", name)
+		}
 	}
 }
 
@@ -609,7 +662,7 @@ func TestComputeCompAllocs(t *testing.T) {
 	for _, problem := range []Problem{ProblemShortestPath, ProblemReachability} {
 		searches := 0
 		allocs := testing.AllocsPerRun(3, func() {
-			if _, searches, err = computeComp(context.Background(), fr.CSR(), dss, problem); err != nil {
+			if _, searches, err = computeComp(context.Background(), fr, problem); err != nil {
 				t.Fatal(err)
 			}
 		})

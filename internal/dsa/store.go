@@ -15,6 +15,7 @@
 package dsa
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -63,9 +64,9 @@ type Site struct {
 	// Frag is the fragment.
 	Frag *fragment.Fragment
 	// Comp holds the complementary information of every disconnection
-	// set involving this fragment, keyed by the normalised pair — the
+	// set involving this fragment, Comp[k] the table of dss[k] — the
 	// store's own tables, by pointer ("stored at both sites", §2.1).
-	Comp map[fragment.Pair]*CompInfo
+	Comp []*CompInfo
 	// csr is the site's one graph: G_i plus every shortcut edge of Comp,
 	// its rows the fragment's nodes. The Dijkstra engine, the pipelined
 	// walk and route reconstruction search it; dense wraps it, on first
@@ -214,8 +215,9 @@ type Store struct {
 	prep    PreprocessStats
 	problem Problem
 	// comp holds the complementary table of every disconnection set,
-	// keyed by the normalised pair; each site's Comp points into it.
-	comp map[fragment.Pair]*CompInfo
+	// comp[k] that of fr.DisconnectionPairs()[k]; each site's Comp
+	// points into it.
+	comp []*CompInfo
 	// compMaxCost is the largest cost any complementary table stores and
 	// compAllPairs whether every table has a cost for every ordered pair
 	// of its disconnection set — what Apply's fast route (compUnaffected)
@@ -255,16 +257,15 @@ func Build(fr *fragment.Fragmentation, opt Options) (*Store, error) {
 		return nil, err
 	}
 	st := &Store{fr: fr, maxChains: opt.MaxChains, problem: opt.Problem}
-	dss := fr.DisconnectionSets()
-	st.prep.DisconnectionSets = len(dss)
+	st.prep.DisconnectionSets = len(fr.DisconnectionSets())
 
-	comp, runs, err := computeComp(context.Background(), fr.CSR(), dss, opt.Problem)
+	comp, runs, err := computeComp(context.Background(), fr, opt.Problem)
 	if err != nil {
 		return nil, err
 	}
 	st.prep.DijkstraRuns = runs
 	st.comp = comp
-	st.compMaxCost, st.compAllPairs, st.prep.PairsStored = compBounds(dss, comp)
+	st.compMaxCost, st.compAllPairs, st.prep.PairsStored = compBounds(fr, comp)
 	if st.sites, err = deploySites(context.Background(), fr, comp, nil, nil); err != nil {
 		return nil, err
 	}
@@ -322,26 +323,26 @@ func parallelFor(ctx context.Context, n int, fn func(w, i int)) error {
 // unchanged under comp — the CSR and whatever was derived from it carry
 // over by pointer — and otherwise builds the site, CSR included. prev
 // is nil (touched unused) when there is no predecessor.
-func deploySites(ctx context.Context, fr *fragment.Fragmentation, comp map[fragment.Pair]*CompInfo, prev []*Site, touched func(fragID int) bool) ([]*Site, error) {
+func deploySites(ctx context.Context, fr *fragment.Fragmentation, comp []*CompInfo, prev []*Site, touched func(fragID int) bool) ([]*Site, error) {
 	frags := fr.Fragments()
 	sites := make([]*Site, len(frags))
-	dss := fr.DisconnectionSets()
 	err := parallelFor(ctx, len(frags), func(_, i int) {
 		f := frags[i]
 		if prev != nil && !touched(f.ID) && siteCompUnchanged(prev[f.ID], f.ID, comp) {
 			sites[i] = prev[f.ID]
 			return
 		}
-		sites[i] = buildSite(f, comp, dss)
+		sites[i] = buildSite(f, comp, fr.DisconnectionSets())
 	})
 	return sites, err
 }
 
 // computeComp runs one global single-source search per distinct
 // disconnection-set node (a node can belong to several disconnection
-// sets; the run is shared) and builds the complementary tables. The
-// shortest-path problem needs Dijkstra; reachability gets away with BFS
-// — cheaper preprocessing for a weaker complementary table.
+// sets; the run is shared) and builds the complementary tables, one per
+// disconnection set in fr.DisconnectionPairs order. The shortest-path
+// problem needs Dijkstra; reachability gets away with BFS — cheaper
+// preprocessing for a weaker complementary table.
 //
 // The searches are independent, so they fan out over parallelFor's
 // goroutines — this is what keeps a batched update's preprocessing
@@ -352,32 +353,40 @@ func deploySites(ctx context.Context, fr *fragment.Fragmentation, comp map[fragm
 // disconnection-set peers' costs from its row and allocates only the
 // table rows it keeps. ctx is observed between searches, so a canceled
 // batched update abandons its preprocessing promptly.
-func computeComp(ctx context.Context, whole *graph.CSR, dss map[fragment.Pair][]graph.NodeID, problem Problem) (map[fragment.Pair]*CompInfo, int, error) {
-	// member lists, per disconnection-set node, its row in every table
-	// it belongs to; rows[p][k] is filled by the search from dss[p][k].
+func computeComp(ctx context.Context, fr *fragment.Fragmentation, problem Problem) ([]*CompInfo, int, error) {
+	// Every disconnection-set node's rows, one slot per table it belongs
+	// to, sorted by node: each run of one node is one search, and
+	// rows[s.set][s.row] is filled by the search from sets[s.set][s.row].
 	type slot struct {
-		pair fragment.Pair
-		row  int
+		id       graph.NodeID
+		set, row int
 	}
-	member := make(map[graph.NodeID][]slot)
-	rows := make(map[fragment.Pair][][]graph.Edge, len(dss))
-	for p, nodes := range dss {
-		rows[p] = make([][]graph.Edge, len(nodes))
-		for k, id := range nodes {
-			member[id] = append(member[id], slot{p, k})
+	sets := fr.DisconnectionSets()
+	var slots []slot
+	rows := make([][][]graph.Edge, len(sets))
+	for k, nodes := range sets {
+		rows[k] = make([][]graph.Edge, len(nodes))
+		for r, id := range nodes {
+			slots = append(slots, slot{id, k, r})
 		}
 	}
-	ids := make([]graph.NodeID, 0, len(member))
-	for id := range member {
-		ids = append(ids, id)
+	slices.SortFunc(slots, func(a, b slot) int { return cmp.Compare(a.id, b.id) })
+	var starts []int
+	for i := range slots {
+		if i == 0 || slots[i].id != slots[i-1].id {
+			starts = append(starts, i)
+		}
 	}
-	searches := whole.Searches(parallelWorkers(len(ids)))
-	err := parallelFor(ctx, len(ids), func(w, i int) {
-		a := ids[i]
+	runs := len(starts)
+	starts = append(starts, len(slots))
+	searches := fr.CSR().Searches(parallelWorkers(runs))
+	err := parallelFor(ctx, runs, func(w, i int) {
+		run := slots[starts[i]:starts[i+1]]
+		a := run[0].id
 		// Of a reachability search only presence is kept, as the marker 1.
 		nodes, dist, _ := searches[w](a, problem == ProblemReachability)
-		for _, m := range member[a] {
-			peers := dss[m.pair]
+		for _, s := range run {
+			peers := sets[s.set]
 			row := make([]graph.Edge, 0, len(peers)-1)
 			for _, b := range peers {
 				if k, ok := slices.BinarySearch(nodes, b); ok && a != b && dist[k] < graph.Inf {
@@ -388,7 +397,7 @@ func computeComp(ctx context.Context, whole *graph.CSR, dss map[fragment.Pair][]
 					row = append(row, graph.Edge{From: a, To: b, Weight: d})
 				}
 			}
-			rows[m.pair][m.row] = row
+			rows[s.set][s.row] = row
 		}
 	})
 	if err != nil {
@@ -396,35 +405,28 @@ func computeComp(ctx context.Context, whole *graph.CSR, dss map[fragment.Pair][]
 	}
 
 	// Disconnection sets are sorted, so row after row is (From, To) order.
-	comp := make(map[fragment.Pair]*CompInfo, len(dss))
-	for p := range dss {
-		comp[p] = &CompInfo{Pair: p, Cost: slices.Concat(rows[p]...)}
+	comp := make([]*CompInfo, len(sets))
+	for k, p := range fr.DisconnectionPairs() {
+		comp[k] = &CompInfo{Pair: p, Cost: slices.Concat(rows[k]...)}
 	}
-	return comp, len(ids), nil
+	return comp, runs, nil
 }
 
 // buildSite constructs one deployed site: the complementary tables
 // involving the fragment, its disconnection sets and their union, and
 // its CSR, whose rows are the fragment's node list itself (shared, not
 // copied) — the fragment's edges, then its tables' shortcut edges in
-// disconnection-set order, so no row's order depends on map iteration.
-// dss is fr.DisconnectionSets, computed once by the caller and reused
-// across all sites.
-func buildSite(f *fragment.Fragment, comp map[fragment.Pair]*CompInfo, dss map[fragment.Pair][]graph.NodeID) *Site {
-	site := &Site{ID: f.ID, Frag: f, Comp: make(map[fragment.Pair]*CompInfo)}
-	var pairs []fragment.Pair
-	for p := range dss {
-		if p.I == f.ID || p.J == f.ID {
-			pairs = append(pairs, p)
-		}
-	}
-	slices.SortFunc(pairs, func(a, b fragment.Pair) int { return (a.I + a.J) - (b.I + b.J) })
+// disconnection-set order. comp is the store's tables and dss the
+// fragmentation's disconnection sets, both in pair order, which lists a
+// fragment's pairs by neighbouring fragment ascending.
+func buildSite(f *fragment.Fragment, comp []*CompInfo, dss [][]graph.NodeID) *Site {
+	site := &Site{ID: f.ID, Frag: f}
 	runs := [][]graph.Edge{f.Edges}
-	for _, p := range pairs {
-		site.dss = append(site.dss, dss[p])
-		site.border = append(site.border, dss[p]...)
-		if ci := comp[p]; ci != nil {
-			site.Comp[p] = ci
+	for k, ci := range comp {
+		if ci.Pair.I == f.ID || ci.Pair.J == f.ID {
+			site.Comp = append(site.Comp, ci)
+			site.dss = append(site.dss, dss[k])
+			site.border = append(site.border, dss[k]...)
 			runs = append(runs, ci.Cost)
 		}
 	}

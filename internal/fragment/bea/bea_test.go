@@ -220,7 +220,8 @@ func TestFragmentFig5(t *testing.T) {
 	}
 	// The {4,6} pair has no connection to the rest: whatever the split,
 	// no disconnection set may contain node 4 or 6.
-	for p, ds := range fr.DisconnectionSets() {
+	for k, ds := range fr.DisconnectionSets() {
+		p := fr.DisconnectionPairs()[k]
 		for _, id := range ds {
 			if id == 4 || id == 6 {
 				t.Errorf("DS%v contains isolated-pair node %d", p, id)

@@ -9,8 +9,10 @@ import (
 // fragment G_i and an (undirected) edge E_ij for each non-empty
 // disconnection set DS_ij.
 type FragGraph struct {
-	n   int
-	adj map[int][]int
+	// adj[i] lists the fragments sharing a disconnection set with
+	// fragment i, ascending; links counts the disconnection sets.
+	adj   [][]int
+	links int
 }
 
 // FragmentationGraph returns G' of the fragmentation. A FragGraph is
@@ -18,17 +20,11 @@ type FragGraph struct {
 func (fr *Fragmentation) FragmentationGraph() *FragGraph { return fr.meet.fg }
 
 // NumFragments returns the number of fragmentation-graph nodes.
-func (fg *FragGraph) NumFragments() int { return fg.n }
+func (fg *FragGraph) NumFragments() int { return len(fg.adj) }
 
 // NumLinks returns the number of undirected fragmentation-graph edges
 // (non-empty disconnection sets).
-func (fg *FragGraph) NumLinks() int {
-	total := 0
-	for _, ns := range fg.adj {
-		total += len(ns)
-	}
-	return total / 2
-}
+func (fg *FragGraph) NumLinks() int { return fg.links }
 
 // Adjacent returns the fragments sharing a disconnection set with i.
 func (fg *FragGraph) Adjacent(i int) []int { return fg.adj[i] }
@@ -37,44 +33,16 @@ func (fg *FragGraph) Adjacent(i int) []int { return fg.adj[i] }
 // paper's "loosely connected" property: "if the fragmentation graph is
 // loosely connected, then it is easier to select fragments involved in
 // the computation … there is only one chain of fragments" (§2.1).
-func (fg *FragGraph) IsLooselyConnected() bool {
-	// A forest has (#nodes − #components) edges; equivalently, no cycle
-	// is found by DFS.
-	seen := make([]bool, fg.n)
-	for start := 0; start < fg.n; start++ {
-		if seen[start] {
-			continue
-		}
-		// Iterative DFS carrying the parent.
-		type frame struct{ node, parent int }
-		stack := []frame{{start, -1}}
-		seen[start] = true
-		for len(stack) > 0 {
-			f := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, n := range fg.adj[f.node] {
-				if n == f.parent {
-					continue
-				}
-				if seen[n] {
-					return false
-				}
-				seen[n] = true
-				stack = append(stack, frame{n, f.node})
-			}
-		}
-	}
-	return true
-}
+func (fg *FragGraph) IsLooselyConnected() bool { return fg.CycleCount() == 0 }
 
 // CycleCount returns the circuit rank |E| − |V| + #components of G':
 // zero exactly when the fragmentation is loosely connected, and
 // otherwise the number of independent cycles — the paper's "minimize
 // the number of cycles" goal measured directly.
 func (fg *FragGraph) CycleCount() int {
-	seen := make([]bool, fg.n)
+	seen := make([]bool, len(fg.adj))
 	comps := 0
-	for start := 0; start < fg.n; start++ {
+	for start := range fg.adj {
 		if seen[start] {
 			continue
 		}
@@ -92,7 +60,7 @@ func (fg *FragGraph) CycleCount() int {
 			}
 		}
 	}
-	return fg.NumLinks() - fg.n + comps
+	return fg.links - len(fg.adj) + comps
 }
 
 // Chains enumerates every simple path from fragment 'from' to fragment
@@ -105,14 +73,14 @@ func (fg *FragGraph) CycleCount() int {
 // fragmentation graphs can have exponentially many simple paths, which
 // is exactly the problem parallel hierarchical evaluation addresses.
 func (fg *FragGraph) Chains(from, to, maxChains int) ([][]int, error) {
-	if from < 0 || from >= fg.n || to < 0 || to >= fg.n {
-		return nil, fmt.Errorf("fragment: chain endpoints %d, %d out of range [0, %d)", from, to, fg.n)
+	if from < 0 || from >= len(fg.adj) || to < 0 || to >= len(fg.adj) {
+		return nil, fmt.Errorf("fragment: chain endpoints %d, %d out of range [0, %d)", from, to, len(fg.adj))
 	}
 	if from == to {
 		return [][]int{{from}}, nil
 	}
 	var chains [][]int
-	onPath := make([]bool, fg.n)
+	onPath := make([]bool, len(fg.adj))
 	var path []int
 	var dfs func(u int) bool // returns false when the bound is hit
 	dfs = func(u int) bool {
@@ -143,9 +111,9 @@ func (fg *FragGraph) Chains(from, to, maxChains int) ([][]int, error) {
 // String renders the fragmentation graph as adjacency lists.
 func (fg *FragGraph) String() string {
 	var sb strings.Builder
-	for i := 0; i < fg.n; i++ {
+	for i, ns := range fg.adj {
 		fmt.Fprintf(&sb, "G%d:", i)
-		for _, n := range fg.adj[i] {
+		for _, n := range ns {
 			fmt.Fprintf(&sb, " G%d", n)
 		}
 		sb.WriteByte('\n')

@@ -14,7 +14,6 @@ package fragment
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 
 	"repro/internal/graph"
@@ -121,20 +120,20 @@ type meeting struct {
 	// the disconnection-set nodes.
 	off []int32
 	of  []int
-	ds  map[Pair][]graph.NodeID
-	fg  *FragGraph
+	// pairs are the fragment pairs with a non-empty disconnection set,
+	// ascending by (I, J), and sets[k] is DS of pairs[k], ascending.
+	pairs []Pair
+	sets  [][]graph.NodeID
+	fg    *FragGraph
 }
 
 // newMeeting derives the membership table over the node table ids, the
 // disconnection sets and the fragmentation graph of frags. Fragments in
-// ID order fill each node's list ascending, and nodes in row order fill
-// each disconnection set ascending.
+// ID order fill each node's list ascending; every (pair, node) of a
+// disconnection set, sorted, gives the pairs in (I, J) order and each
+// set ascending.
 func newMeeting(ids []graph.NodeID, frags []*Fragment) *meeting {
-	m := &meeting{
-		off: make([]int32, len(ids)+1),
-		ds:  make(map[Pair][]graph.NodeID),
-		fg:  &FragGraph{n: len(frags), adj: make(map[int][]int)},
-	}
+	m := &meeting{off: make([]int32, len(ids)+1)}
 	for _, f := range frags {
 		for _, id := range f.nodes {
 			k, _ := graph.RowOf(ids, id)
@@ -153,17 +152,35 @@ func newMeeting(ids []graph.NodeID, frags []*Fragment) *meeting {
 			next[k]++
 		}
 	}
+	type member struct {
+		p  Pair
+		id graph.NodeID
+	}
+	var members []member
 	for k, id := range ids {
 		fs := m.of[m.off[k]:m.off[k+1]]
 		for a := 0; a < len(fs); a++ {
 			for b := a + 1; b < len(fs); b++ {
-				p := Pair{I: fs[a], J: fs[b]}
-				m.ds[p] = append(m.ds[p], id)
+				members = append(members, member{Pair{I: fs[a], J: fs[b]}, id})
 			}
 		}
 	}
+	slices.SortFunc(members, func(x, y member) int {
+		return cmp.Or(comparePairs(x.p, y.p), cmp.Compare(x.id, y.id))
+	})
+	nodes := make([]graph.NodeID, len(members))
+	lo := 0
+	for k, x := range members {
+		nodes[k] = x.id
+		if k+1 == len(members) || members[k+1].p != x.p {
+			m.pairs = append(m.pairs, x.p)
+			m.sets = append(m.sets, nodes[lo:k+1:k+1])
+			lo = k + 1
+		}
+	}
 	// Pairs in (I, J) order list each fragment's neighbours ascending.
-	for _, p := range SortedPairs(m.ds) {
+	m.fg = &FragGraph{adj: make([][]int, len(frags)), links: len(m.pairs)}
+	for _, p := range m.pairs {
 		m.fg.adj[p.I] = append(m.fg.adj[p.I], p.J)
 		m.fg.adj[p.J] = append(m.fg.adj[p.J], p.I)
 	}
@@ -339,41 +356,37 @@ func MakePair(a, b int) Pair {
 	return Pair{I: a, J: b}
 }
 
-// SortedPairs returns the keys of a pair-keyed table — the
-// disconnection sets, say — sorted by (I, J), the order to print or
-// write them in.
-func SortedPairs[V any](m map[Pair]V) []Pair {
-	return slices.SortedFunc(maps.Keys(m), func(a, b Pair) int {
-		return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
-	})
+// comparePairs orders pairs by (I, J).
+func comparePairs(a, b Pair) int {
+	return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
 }
 
-// DisconnectionSets returns every non-empty DS_ij = V_i ∩ V_j as a
-// sorted node list, keyed by the normalised pair. Complementary
-// information in the disconnection set approach is precomputed exactly
-// for these node sets. The table is the fragmentation's own, shared
-// with every caller and with the fragmentations patched from this one:
-// neither the map nor its node lists may be modified.
-func (fr *Fragmentation) DisconnectionSets() map[Pair][]graph.NodeID { return fr.meet.ds }
+// DisconnectionPairs returns the fragment pairs with a non-empty
+// disconnection set DS_ij = V_i ∩ V_j, ascending by (I, J): the order
+// the complementary information is computed, deployed and written in.
+// The slice is the fragmentation's own, shared with every caller and
+// with the fragmentations patched from this one: read-only.
+func (fr *Fragmentation) DisconnectionPairs() []Pair { return fr.meet.pairs }
+
+// DisconnectionSets returns the node list of every non-empty
+// disconnection set, sorted, in DisconnectionPairs order: the k-th is
+// DS of the k-th pair. Complementary information in the disconnection
+// set approach is precomputed exactly for these node sets. The slice
+// and its node lists are the fragmentation's own, shared like
+// DisconnectionPairs: read-only.
+func (fr *Fragmentation) DisconnectionSets() [][]graph.NodeID { return fr.meet.sets }
 
 // DisconnectionSet returns DS_ij (sorted, read-only), or nil if empty.
 func (fr *Fragmentation) DisconnectionSet(a, b int) []graph.NodeID {
-	return fr.meet.ds[MakePair(a, b)]
+	if k, ok := slices.BinarySearchFunc(fr.meet.pairs, MakePair(a, b), comparePairs); ok {
+		return fr.meet.sets[k]
+	}
+	return nil
 }
 
 // SameDisconnectionSets reports whether fr and o have the same
 // disconnection sets — the same pairs with the same node lists.
 func (fr *Fragmentation) SameDisconnectionSets(o *Fragmentation) bool {
-	if fr.meet == o.meet {
-		return true
-	}
-	if len(fr.meet.ds) != len(o.meet.ds) {
-		return false
-	}
-	for p, nodes := range fr.meet.ds {
-		if !slices.Equal(nodes, o.meet.ds[p]) {
-			return false
-		}
-	}
-	return true
+	return fr.meet == o.meet || slices.Equal(fr.meet.pairs, o.meet.pairs) &&
+		slices.EqualFunc(fr.meet.sets, o.meet.sets, slices.Equal)
 }

@@ -87,10 +87,10 @@ func TestDisconnectionSets(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := fr.DisconnectionSets()
-	if len(ds) != 1 {
-		t.Fatalf("ds = %v", ds)
+	if len(ds) != 1 || !reflect.DeepEqual(fr.DisconnectionPairs(), []Pair{{I: 0, J: 1}}) {
+		t.Fatalf("ds = %v under %v", ds, fr.DisconnectionPairs())
 	}
-	got := ds[Pair{I: 0, J: 1}]
+	got := ds[0]
 	if !reflect.DeepEqual(got, []graph.NodeID{2}) {
 		t.Errorf("DS01 = %v, want [2]", got)
 	}
@@ -520,8 +520,17 @@ func TestPropertyPartitionInvariants(t *testing.T) {
 		if total != g.NumEdges() {
 			return false
 		}
-		// DS_ij = V_i ∩ V_j by definition.
-		for p, ds := range fr.DisconnectionSets() {
+		// DS_ij = V_i ∩ V_j by definition, listed under pairs strictly
+		// ascending by (I, J).
+		pairs := fr.DisconnectionPairs()
+		if len(pairs) != len(fr.DisconnectionSets()) {
+			return false
+		}
+		for k, p := range pairs {
+			if p.I >= p.J || k > 0 && comparePairs(pairs[k-1], p) >= 0 {
+				return false
+			}
+			ds := fr.DisconnectionSets()[k]
 			fi, fj := fr.Fragment(p.I), fr.Fragment(p.J)
 			want := make(map[graph.NodeID]bool)
 			for _, id := range fi.Nodes() {

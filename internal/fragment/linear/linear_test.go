@@ -134,7 +134,7 @@ func TestChainStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p := range res.Fragmentation.DisconnectionSets() {
+	for _, p := range res.Fragmentation.DisconnectionPairs() {
 		if p.J != p.I+1 {
 			t.Errorf("non-consecutive disconnection set %v", p)
 		}
@@ -281,7 +281,7 @@ func TestPropertyNoFragmentSkipsLevels(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for p := range res.Fragmentation.DisconnectionSets() {
+		for _, p := range res.Fragmentation.DisconnectionPairs() {
 			if p.J != p.I+1 {
 				return false
 			}

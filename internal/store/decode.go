@@ -188,65 +188,62 @@ func Decode(data []byte) (*dsa.Store, error) {
 		edgeSets[fi] = es
 	}
 
-	// Complementary tables.
+	fr, err := fragment.Restore(ids, coords, edgeSets)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	}
+
+	// Complementary tables, one per disconnection set in pair order. A
+	// table's node list is not kept — the disconnection set is the
+	// fragmentation's — so the k-th table must sit under the k-th pair
+	// and list that pair's set, which refuses a missing, repeated or
+	// misplaced table; its rows must be pairs of that set, in (from, to)
+	// order.
+	pairs, sets := fr.DisconnectionPairs(), fr.DisconnectionSets()
 	pairCount := d.count(40)
-	comp := make(map[fragment.Pair]*dsa.CompInfo, pairCount)
-	compNodes := make(map[fragment.Pair][]graph.NodeID, pairCount)
-	for pi := 0; pi < pairCount; pi++ {
-		i := d.intFrom(d.u64(), "pair fragment")
-		j := d.intFrom(d.u64(), "pair fragment")
+	if d.err == nil && pairCount != len(pairs) {
+		d.fail("%d complementary tables for %d disconnection sets", pairCount, len(pairs))
+	}
+	comp := make([]*dsa.CompInfo, 0, len(pairs))
+	for k := 0; k < pairCount && d.err == nil; k++ {
+		p := fragment.Pair{I: d.intFrom(d.u64(), "pair fragment"), J: d.intFrom(d.u64(), "pair fragment")}
 		nodeCol := d.column(d.count(8), 8)
 		nCost := d.count(24)
 		ca, cb, cw := d.column(nCost, 8), d.column(nCost, 8), d.column(nCost, 8)
 		if d.err != nil {
-			return nil, d.err
+			break
 		}
-		nodes := make([]graph.NodeID, len(nodeCol)/8)
-		for k := range nodes {
-			nodes[k] = graph.NodeID(i64At(nodeCol, k))
+		ds := sets[k]
+		same := p == pairs[k] && len(nodeCol) == 8*len(ds)
+		for r := 0; same && r < len(ds); r++ {
+			same = graph.NodeID(i64At(nodeCol, r)) == ds[r]
 		}
-		ci := &dsa.CompInfo{Pair: fragment.Pair{I: i, J: j}, Cost: make([]graph.Edge, nCost)}
-		for k := range ci.Cost {
-			c := graph.Edge{From: graph.NodeID(i64At(ca, k)), To: graph.NodeID(i64At(cb, k)), Weight: f64At(cw, k)}
-			if k > 0 && (ci.Cost[k-1].From > c.From || ci.Cost[k-1].From == c.From && ci.Cost[k-1].To >= c.To) {
-				d.fail("complementary table %d-%d is not sorted by (from, to) at row %d", i, j, k)
-				return nil, d.err
+		if !same {
+			d.fail("complementary table %d (%d-%d) does not list disconnection set %d-%d", k, p.I, p.J, pairs[k].I, pairs[k].J)
+			break
+		}
+		ci := &dsa.CompInfo{Pair: p, Cost: make([]graph.Edge, nCost)}
+		for r := range ci.Cost {
+			c := graph.Edge{From: graph.NodeID(i64At(ca, r)), To: graph.NodeID(i64At(cb, r)), Weight: f64At(cw, r)}
+			if r > 0 && (ci.Cost[r-1].From > c.From || ci.Cost[r-1].From == c.From && ci.Cost[r-1].To >= c.To) {
+				d.fail("complementary table %d-%d is not sorted by (from, to) at row %d", p.I, p.J, r)
+				break
 			}
-			ci.Cost[k] = c
+			_, from := slices.BinarySearch(ds, c.From)
+			_, to := slices.BinarySearch(ds, c.To)
+			if !from || !to {
+				d.fail("complementary table %d-%d prices %d→%d, not a pair of its disconnection set", p.I, p.J, c.From, c.To)
+				break
+			}
+			ci.Cost[r] = c
 		}
-		comp[ci.Pair] = ci
-		compNodes[ci.Pair] = nodes
+		comp = append(comp, ci)
 	}
 	if d.err == nil && d.remaining() != 0 {
 		d.fail("%d trailing bytes after last section", d.remaining())
 	}
 	if d.err != nil {
 		return nil, d.err
-	}
-
-	fr, err := fragment.Restore(ids, coords, edgeSets)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	// A table's node list is not kept — the disconnection set is the
-	// fragmentation's — so it must BE that set, under its normalised
-	// pair, and every set must have its table.
-	dss := fr.DisconnectionSets()
-	if len(compNodes) != len(dss) {
-		return nil, fmt.Errorf("%w: %d complementary tables for %d disconnection sets", ErrBadSnapshot, len(compNodes), len(dss))
-	}
-	for p, stored := range compNodes {
-		ds, ok := dss[p]
-		if !ok || !slices.Equal(stored, ds) {
-			return nil, fmt.Errorf("%w: complementary table %d-%d does not list the fragmentation's disconnection set", ErrBadSnapshot, p.I, p.J)
-		}
-		for _, e := range comp[p].Cost {
-			_, from := slices.BinarySearch(ds, e.From)
-			_, to := slices.BinarySearch(ds, e.To)
-			if !from || !to {
-				return nil, fmt.Errorf("%w: complementary table %d-%d prices %d→%d, not a pair of its disconnection set", ErrBadSnapshot, p.I, p.J, e.From, e.To)
-			}
-		}
 	}
 
 	st, err := dsa.Restore(fr, comp, dsa.Options{MaxChains: maxChains, Problem: problem}, epoch, prep)

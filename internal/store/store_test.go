@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"maps"
 	"math"
 	"math/rand"
 	"os"
@@ -329,31 +328,33 @@ func TestRoundTripKeepsNegativeWeightRefusal(t *testing.T) {
 // TestDecodeChecksComplementaryTables: a well-formed, correctly
 // checksummed image whose complementary section disagrees with its own
 // fragmentation — a node list that is not the disconnection set, a
-// table for a pair that has none, a missing table, rows out of order or
-// between foreign nodes — is refused, not deployed.
+// table for a pair that has none, a missing or repeated table, tables
+// out of pair order, rows out of order or between foreign nodes — is
+// refused, not deployed.
 func TestDecodeChecksComplementaryTables(t *testing.T) {
 	st, _ := roadStore(t, dsa.Options{}, 31)
 	fr := st.Fragmentation()
-	var pair fragment.Pair
-	for p, ci := range st.CompTables() {
+	if len(st.CompTables()) < 2 {
+		t.Fatalf("fixture has %d complementary tables, want at least 2", len(st.CompTables()))
+	}
+	at := -1 // the last table with two rows or more
+	for k, ci := range st.CompTables() {
 		if len(ci.Cost) >= 2 {
-			pair = p
+			at = k
 		}
 	}
-	with := func(edit func(map[fragment.Pair]*dsa.CompInfo)) []byte {
-		comp := maps.Clone(st.CompTables())
-		edit(comp)
-		tampered, err := dsa.Restore(fr, comp, dsa.Options{}, st.Epoch(), st.Preprocessing())
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Encode(tampered)
+	if at < 0 {
+		t.Fatal("no complementary table has two rows")
+	}
+	pair := st.CompTables()[at].Pair
+	with := func(edit func([]*dsa.CompInfo) []*dsa.CompInfo) []byte {
+		b, err := encode(st, edit(slices.Clone(st.CompTables())))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
-	valid := with(func(map[fragment.Pair]*dsa.CompInfo) {})
+	valid := with(func(c []*dsa.CompInfo) []*dsa.CompInfo { return c })
 	if _, err := Decode(valid); err != nil {
 		t.Fatalf("untampered image refused: %v", err)
 	}
@@ -368,30 +369,37 @@ func TestDecodeChecksComplementaryTables(t *testing.T) {
 	for _, id := range nodes {
 		needle = binary.LittleEndian.AppendUint64(needle, uint64(id))
 	}
-	at := bytes.Index(valid, needle)
-	if at < 0 || bytes.Count(valid, needle) != 1 {
+	off := bytes.Index(valid, needle)
+	if off < 0 || bytes.Count(valid, needle) != 1 {
 		t.Fatal("node list of the table not found exactly once in the image")
 	}
 	bent := bytes.Clone(valid)
-	bent[at+len(needle)-8]++
+	bent[off+len(needle)-8]++
 	binary.LittleEndian.PutUint32(bent[8:12], crc32.ChecksumIEEE(bent[16:]))
 
 	cases := map[string][]byte{
 		"node list is not the disconnection set": bent,
-		"missing table":                          with(func(c map[fragment.Pair]*dsa.CompInfo) { delete(c, pair) }),
-		"table under a pair with no disconnection set": with(func(c map[fragment.Pair]*dsa.CompInfo) {
-			c[fragment.Pair{I: pair.J, J: pair.I}] = c[pair]
-			delete(c, pair)
+		"missing table":                          with(func(c []*dsa.CompInfo) []*dsa.CompInfo { return slices.Delete(c, at, at+1) }),
+		"table under a pair with no disconnection set": with(func(c []*dsa.CompInfo) []*dsa.CompInfo {
+			c[at] = &dsa.CompInfo{Pair: fragment.Pair{I: pair.J, J: pair.I}, Cost: c[at].Cost}
+			return c
 		}),
-		"row between nodes outside the set": with(func(c map[fragment.Pair]*dsa.CompInfo) {
-			rows := slices.Clone(c[pair].Cost)
+		"row between nodes outside the set": with(func(c []*dsa.CompInfo) []*dsa.CompInfo {
+			rows := slices.Clone(c[at].Cost)
 			rows[len(rows)-1].To = 1 << 40
-			c[pair] = &dsa.CompInfo{Pair: pair, Cost: rows}
+			c[at] = &dsa.CompInfo{Pair: pair, Cost: rows}
+			return c
 		}),
-		"rows out of order": with(func(c map[fragment.Pair]*dsa.CompInfo) {
-			rows := slices.Clone(c[pair].Cost)
+		"rows out of order": with(func(c []*dsa.CompInfo) []*dsa.CompInfo {
+			rows := slices.Clone(c[at].Cost)
 			rows[0], rows[1] = rows[1], rows[0]
-			c[pair] = &dsa.CompInfo{Pair: pair, Cost: rows}
+			c[at] = &dsa.CompInfo{Pair: pair, Cost: rows}
+			return c
+		}),
+		"table written twice": with(func(c []*dsa.CompInfo) []*dsa.CompInfo { return append(c, c[len(c)-1]) }),
+		"tables out of pair order": with(func(c []*dsa.CompInfo) []*dsa.CompInfo {
+			c[0], c[1] = c[1], c[0]
+			return c
 		}),
 	}
 	for name, b := range cases {

@@ -85,6 +85,12 @@ func Encode(st *dsa.Store) ([]byte, error) {
 	if st == nil {
 		return nil, fmt.Errorf("store: encode: nil store")
 	}
+	return encode(st, st.CompTables())
+}
+
+// encode writes st's image with comp, as it stands, for its
+// complementary tables.
+func encode(st *dsa.Store, comp []*dsa.CompInfo) ([]byte, error) {
 	fr := st.Fragmentation()
 	nodes := fr.Nodes()
 	frags := fr.Fragments()
@@ -142,12 +148,10 @@ func Encode(st *dsa.Store) ([]byte, error) {
 		}
 	}
 
-	// Complementary tables, in deterministic pair order.
-	comp := st.CompTables()
-	pairs := fragment.SortedPairs(comp)
-	e.u64(uint64(len(pairs)))
-	for _, p := range pairs {
-		ci := comp[p]
+	// Complementary tables, in pair order.
+	e.u64(uint64(len(comp)))
+	for _, ci := range comp {
+		p := ci.Pair
 		e.u64(uint64(p.I))
 		e.u64(uint64(p.J))
 		nodes := fr.DisconnectionSet(p.I, p.J)

@@ -43,6 +43,13 @@
 #               internal/tc/densecost.go — the pipelined walk seeds each
 #               site's distance row from the exits the last leg reached,
 #               and routes backtrack over pred rows
+#   pairs       no map[fragment.Pair] or map[Pair] outside tests in
+#               internal/dsa, internal/store or internal/fragment: the
+#               disconnection sets and their complementary tables are one
+#               list ascending by (I, J) from the fragmentation
+#               (DisconnectionPairs, DisconnectionSets) through the store
+#               (Store.CompTables, Site.Comp in Site.dss order) to the
+#               snapshot, which writes and reads them in that order
 #   oracle      no test outside internal/oracle computes its own ground
 #               truth (graph.Distance / ShortestPaths / Reachable) for
 #               answers of the system: the "answers like Dijkstra"
@@ -133,6 +140,12 @@ if awk '/^func \(([A-Za-z_][A-Za-z0-9_]* )?\*?(CSR|searcher)\)/ { sig = 1 }
     END { exit !bad }' $(ls internal/graph/*.go | grep -v '_test\.go$') ||
     grep -Hn 'map\[graph\.NodeID\]' internal/dsa/pipeline.go internal/dsa/path.go internal/tc/densecost.go; then
     echo "FAIL: seed searches with a distance row over the CSR and answer in dist/pred rows (CSR.SeededSearch, DenseGraph.CostVectorCtx), not maps keyed by node id"
+    exit 1
+fi
+
+echo "== pairs"
+if grep -rn -e 'map\[fragment\.Pair\]' -e 'map\[Pair\]' --include='*.go' internal/dsa internal/store internal/fragment | grep -v '_test\.go:'; then
+    echo "FAIL: keep disconnection sets and complementary tables in one list ascending by (I, J) (Fragmentation.DisconnectionPairs, Store.CompTables), not in maps keyed by fragment pair"
     exit 1
 fi
 
