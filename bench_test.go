@@ -834,12 +834,26 @@ func BenchmarkDijkstra(b *testing.B) {
 	}
 }
 
-// BenchmarkCenterFragment times the center-based algorithm.
+// BenchmarkCenterFragment times the center-based algorithm with 4
+// distributed centers on the 4x25 graph and on the paper deployment's
+// 4x150 graph: the latter is the go test twin of the ledger's
+// fragment.fragment_s on paper-point.
 func BenchmarkCenterFragment(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := center.Fragment(benchGraph, center.Options{NumFragments: 4, Distributed: true}); err != nil {
-			b.Fatal(err)
-		}
+	paper, err := paperGraph()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, g := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"4x25", benchGraph}, {"paper", paper}} {
+		b.Run(g.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := center.Fragment(g.g, center.Options{NumFragments: 4, Distributed: true}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -863,12 +877,27 @@ func BenchmarkBEAReorderAllStarts(b *testing.B) {
 	}
 }
 
-// BenchmarkLinearFragment times the linear sweep.
+// BenchmarkLinearFragment times the linear sweep into 4 fragments on
+// the 4x25 graph and into 8 on the grid deployment's 64x64 grid: the
+// latter is the go test twin of the ledger's fragment.fragment_s on
+// grid-point.
 func BenchmarkLinearFragment(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := linear.Fragment(benchGraph, linear.Options{NumFragments: 4}); err != nil {
-			b.Fatal(err)
-		}
+	grid, err := gridGraph()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		n    int
+	}{{"4x25", benchGraph, 4}, {"grid", grid, 8}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := linear.Fragment(c.g, linear.Options{NumFragments: c.n}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -922,12 +951,24 @@ type deployment struct {
 // nodes at degree 5.25, center fragmentation into 4 (sites of about 151
 // nodes, disconnection sets of about 3).
 var paperDeployment = deployment{"paper", func() (*fragment.Fragmentation, error) {
-	g, err := gen.Transportation(gen.TransportConfig{Clusters: 4, Cluster: gen.DefaultsWithDegree(150, 5.25, 1)})
+	g, err := paperGraph()
 	if err != nil {
 		return nil, err
 	}
 	return center.Fragment(g, center.Options{NumFragments: 4, Distributed: true})
 }}
+
+// paperGraph is the paper deployment's graph: 4 transportation clusters
+// of 150 nodes at degree 5.25.
+func paperGraph() (*graph.Graph, error) {
+	return gen.Transportation(gen.TransportConfig{Clusters: 4, Cluster: gen.DefaultsWithDegree(150, 5.25, 1)})
+}
+
+// gridGraph is the grid deployment's graph: 64x64 with diagonals at
+// probability 0.1.
+func gridGraph() (*graph.Graph, error) {
+	return gen.Grid(gen.GridConfig{Width: 64, Height: 64, DiagonalProb: 0.1, Seed: 1})
+}
 
 // servingDeployments are the two serving-benchmark deployments the
 // write-path and footprint benchmarks run on.
@@ -940,7 +981,7 @@ var servingDeployments = []deployment{
 		return fragment.New(g, sets)
 	}},
 	{"grid", func() (*fragment.Fragmentation, error) {
-		g, err := gen.Grid(gen.GridConfig{Width: 64, Height: 64, DiagonalProb: 0.1, Seed: 1})
+		g, err := gridGraph()
 		if err != nil {
 			return nil, err
 		}

@@ -21,6 +21,7 @@ package bea
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fragment"
 	"repro/internal/graph"
@@ -99,17 +100,14 @@ type Matrix struct {
 // ascending node order.
 func BuildMatrix(g *graph.Graph) *Matrix {
 	cols := g.Nodes()
-	idx := make(map[graph.NodeID]int, len(cols))
-	for i, id := range cols {
-		idx[id] = i
-	}
 	m := make([][]bool, len(cols))
 	for i := range m {
 		m[i] = make([]bool, len(cols))
 		m[i][i] = true
 	}
 	for _, e := range g.Edges() {
-		i, j := idx[e.From], idx[e.To]
+		i, _ := graph.RowOf(cols, e.From)
+		j, _ := graph.RowOf(cols, e.To)
 		m[i][j] = true
 		m[j][i] = true
 	}
@@ -130,13 +128,10 @@ func (mx *Matrix) InnerProduct(i, j int) int {
 
 // bondTable precomputes all pairwise inner products.
 func (mx *Matrix) bondTable() [][]int {
-	n := len(mx.Cols)
-	b := make([][]int, n)
-	for i := 0; i < n; i++ {
-		b[i] = make([]int, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
+	b := make([][]int, len(mx.Cols))
+	for i := range b {
+		b[i] = make([]int, len(mx.Cols))
+		for j := range i + 1 {
 			v := mx.InnerProduct(i, j)
 			b[i][j], b[j][i] = v, v
 		}
@@ -209,22 +204,15 @@ func greedyFrom(bond [][]int, n, s int) ([]int, int) {
 // inserting column c at gap g of the placed sequence: the new bonds to
 // its neighbours minus the bond the insertion breaks.
 func insertionGain(bond [][]int, placed []int, c, g int) int {
-	var left, right int = -1, -1
+	gain := 0
 	if g > 0 {
-		left = placed[g-1]
+		gain += bond[placed[g-1]][c]
 	}
 	if g < len(placed) {
-		right = placed[g]
+		gain += bond[c][placed[g]]
 	}
-	gain := 0
-	if left >= 0 {
-		gain += bond[left][c]
-	}
-	if right >= 0 {
-		gain += bond[c][right]
-	}
-	if left >= 0 && right >= 0 {
-		gain -= bond[left][right]
+	if g > 0 && g < len(placed) {
+		gain -= bond[placed[g-1]][placed[g]]
 	}
 	return gain
 }
@@ -235,34 +223,21 @@ func insertionGain(bond [][]int, placed []int, c, g int) int {
 // fragment and the rest of the graph (Fig. 5). The diagonal never
 // contributes.
 func (mx *Matrix) OutsideConnections(perm []int, a, b int) int {
-	count := 0
-	inBlock := make(map[int]bool, b-a)
-	for p := a; p < b; p++ {
-		inBlock[perm[p]] = true
-	}
-	for p := a; p < b; p++ {
-		c := perm[p]
-		for r := range mx.M {
-			if mx.M[r][c] && r != c && !inBlock[r] {
-				count++
-			}
-		}
-	}
-	return count
+	return mx.connections(perm, a, b, false)
 }
 
-// insideConnections counts the off-diagonal 1's within the block — the
-// "number of edges in the current block" of the finetuning rule.
-func (mx *Matrix) insideConnections(perm []int, a, b int) int {
+// connections counts the off-diagonal 1's of the block's columns whose
+// row lies inside the block (inside: the "number of edges in the
+// current block" of the finetuning rule) or outside it.
+func (mx *Matrix) connections(perm []int, a, b int, inside bool) int {
 	count := 0
-	inBlock := make(map[int]bool, b-a)
-	for p := a; p < b; p++ {
-		inBlock[perm[p]] = true
+	inBlock := make([]bool, len(mx.Cols))
+	for _, c := range perm[a:b] {
+		inBlock[c] = true
 	}
-	for p := a; p < b; p++ {
-		c := perm[p]
+	for _, c := range perm[a:b] {
 		for r := range mx.M {
-			if mx.M[r][c] && r != c && inBlock[r] {
+			if mx.M[r][c] && r != c && inBlock[r] == inside {
 				count++
 			}
 		}
@@ -286,7 +261,7 @@ func SplitPoints(mx *Matrix, perm []int, opt Options) []int {
 		switch opt.Mode {
 		case ThresholdMode:
 			if out <= opt.Threshold && i+1 < n &&
-				(opt.MinBlockEdges == 0 || mx.insideConnections(perm, start, i+1) >= opt.MinBlockEdges) {
+				(opt.MinBlockEdges == 0 || mx.connections(perm, start, i+1, true) >= opt.MinBlockEdges) {
 				bounds = append(bounds, i+1)
 				start = i + 1
 				prevOut = -1
@@ -295,7 +270,7 @@ func SplitPoints(mx *Matrix, perm []int, opt Options) []int {
 			}
 		case LocalMinimumMode:
 			if prevOut >= 0 && out > prevOut && i > start &&
-				(opt.MinBlockEdges == 0 || mx.insideConnections(perm, start, i) >= opt.MinBlockEdges) {
+				(opt.MinBlockEdges == 0 || mx.connections(perm, start, i, true) >= opt.MinBlockEdges) {
 				bounds = append(bounds, i)
 				start = i
 				prevOut = -1
@@ -328,34 +303,25 @@ func Fragment(g *graph.Graph, opt Options) (*fragment.Fragmentation, error) {
 	perm, _ := mx.Reorder(opt.Starts)
 	bounds := SplitPoints(mx, perm, opt)
 
-	// blockOf maps each node to its block index.
-	blockOf := make(map[graph.NodeID]int, len(perm))
+	// blockOf[c] is the block of column c, posOf[c] its permutation
+	// position: a cross edge goes to its earlier-placed endpoint.
+	blockOf := make([]int, len(perm))
+	posOf := make([]int, len(perm))
 	for b := 0; b+1 < len(bounds); b++ {
 		for p := bounds[b]; p < bounds[b+1]; p++ {
-			blockOf[mx.Cols[perm[p]]] = b
+			blockOf[perm[p]], posOf[perm[p]] = b, p
 		}
-	}
-	// posOf maps each node to its permutation position, to find the
-	// earlier-placed endpoint of a cross edge.
-	posOf := make(map[graph.NodeID]int, len(perm))
-	for p, c := range perm {
-		posOf[mx.Cols[c]] = p
 	}
 
 	sets := make([][]graph.Edge, len(bounds)-1)
 	for _, e := range g.Edges() {
-		b := blockOf[e.From]
-		if posOf[e.To] < posOf[e.From] {
-			b = blockOf[e.To]
+		u, _ := graph.RowOf(mx.Cols, e.From)
+		v, _ := graph.RowOf(mx.Cols, e.To)
+		if posOf[v] < posOf[u] {
+			u = v
 		}
-		sets[b] = append(sets[b], e)
+		sets[blockOf[u]] = append(sets[blockOf[u]], e)
 	}
 	// Drop empty blocks.
-	nonEmpty := sets[:0]
-	for _, s := range sets {
-		if len(s) > 0 {
-			nonEmpty = append(nonEmpty, s)
-		}
-	}
-	return fragment.New(g, nonEmpty)
+	return fragment.New(g, slices.DeleteFunc(sets, func(s []graph.Edge) bool { return len(s) == 0 }))
 }

@@ -21,6 +21,7 @@ package center
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/fragment"
 	"repro/internal/graph"
@@ -180,46 +181,38 @@ func spreadCenters(g *graph.Graph, candidates []graph.NodeID, n int) []graph.Nod
 // fragment is reseeded with an arbitrary remaining edge so the
 // algorithm always terminates with a complete partition.
 func Fragment(g *graph.Graph, opt Options) (*fragment.Fragmentation, error) {
-	opt, err := opt.withDefaults(g)
-	if err != nil {
-		return nil, err
-	}
-	centers, err := SelectCenters(g, opt)
+	centers, err := SelectCenters(g, opt) // validates opt
 	if err != nil {
 		return nil, err
 	}
 	n := opt.NumFragments
+	sw := fragment.NewSweep(g)
 
-	// Remaining edges, with a per-node incidence index for fast
-	// frontier expansion.
-	remaining := make(map[graph.Edge]struct{}, g.NumEdges())
-	incident := make(map[graph.NodeID][]graph.Edge)
-	for _, e := range g.Edges() {
-		remaining[e] = struct{}{}
-		incident[e.From] = append(incident[e.From], e)
-		if e.To != e.From {
-			incident[e.To] = append(incident[e.To], e)
-		}
-	}
-
-	frags := make([][]graph.Edge, n)
-	nodes := make([]map[graph.NodeID]struct{}, n)
-	for i := range nodes {
-		nodes[i] = make(map[graph.NodeID]struct{})
-	}
-	// frontier tracks the nodes of fragment k whose incident edges have
-	// not been swept since the node joined.
-	frontier := make([][]graph.NodeID, n)
-
-	claim := func(k int, e graph.Edge) {
-		delete(remaining, e)
-		frags[k] = append(frags[k], e)
-		for _, v := range [2]graph.NodeID{e.From, e.To} {
-			if _, ok := nodes[k][v]; !ok {
-				nodes[k][v] = struct{}{}
-				frontier[k] = append(frontier[k], v)
+	// frags[k] lists fragment k's edge positions in claim order,
+	// member[k] marks the rows of its node set, and frontier[k] holds
+	// the rows whose incident edges have not been swept since they
+	// joined.
+	frags := make([][]int32, n)
+	member := make([][]bool, n)
+	frontier := make([][]int32, n)
+	// joinEnds joins to fragment k the endpoints of its edges from
+	// frags[k][from] on, and returns how many edges that is.
+	joinEnds := func(k, from int) int {
+		for _, p := range frags[k][from:] {
+			for _, v := range sw.Ends(p) {
+				if !member[k][v] {
+					member[k][v] = true
+					frontier[k] = append(frontier[k], v)
+				}
 			}
 		}
+		return len(frags[k]) - from
+	}
+	// take gives fragment k the remaining edges at row v.
+	take := func(k int, v int32) int {
+		from := len(frags[k])
+		frags[k] = sw.Take(frags[k], v)
+		return joinEnds(k, from)
 	}
 
 	// Initialisation: V_i := {c_i}; E_i := edges adjacent to c_i.
@@ -227,60 +220,57 @@ func Fragment(g *graph.Graph, opt Options) (*fragment.Fragmentation, error) {
 	// fragment (the pseudo-code's E := E \ ∪E_i implies some tie
 	// resolution).
 	for i, c := range centers {
-		nodes[i][c] = struct{}{}
-		frontier[i] = append(frontier[i], c)
-		for _, e := range incident[c] {
-			if _, ok := remaining[e]; ok {
-				claim(i, e)
-			}
-		}
+		r := sw.Row(c)
+		member[i] = make([]bool, len(sw.IDs))
+		member[i][r], frontier[i] = true, []int32{r}
+		take(i, r)
 	}
 
 	// grow adds to fragment k every remaining edge adjacent to its node
 	// set (one "addition of edges — in fact, a relational join between
 	// intermediate result and the relation modeling the graph").
-	grow := func(k int) int {
-		added := 0
+	grow := func(k int) (added int) {
 		sweep := frontier[k]
 		frontier[k] = nil
 		for _, v := range sweep {
-			for _, e := range incident[v] {
-				if _, ok := remaining[e]; ok {
-					claim(k, e)
-					added++
-				}
-			}
+			added += take(k, v)
 		}
 		return added
+	}
+	// reseed gives the smallest fragment the least remaining edge,
+	// restarting growth in a disconnected region.
+	reseed := func() {
+		for p := range sw.Unclaimed() {
+			k := smallest(frags)
+			frags[k] = sw.Claim(frags[k], p)
+			joinEnds(k, len(frags[k])-1)
+			return
+		}
 	}
 
 	switch opt.Variant {
 	case RoundRobin:
-		for len(remaining) > 0 {
-			addedThisRound := 0
-			for k := 0; k < n && len(remaining) > 0; k++ {
-				addedThisRound += grow(k)
+		for sw.Left() > 0 {
+			added := 0
+			for k := range n {
+				added += grow(k)
 			}
-			if addedThisRound == 0 && len(remaining) > 0 {
-				reseed(frags, remaining, claim)
+			if added == 0 {
+				reseed()
 			}
 		}
 	case SmallestFirst:
-		for len(remaining) > 0 {
-			k := smallest(frags)
+		for sw.Left() > 0 {
+			// The smallest fragment grows; if it cannot, the first other
+			// that can; if none can, reseed.
+			k, j := smallest(frags), 0
 			if grow(k) == 0 {
-				// The smallest fragment cannot grow; try the others
-				// before reseeding.
-				grew := false
-				for j := 0; j < n && len(remaining) > 0; j++ {
-					if j != k && grow(j) > 0 {
-						grew = true
-						break
-					}
+				for j < n && (j == k || grow(j) == 0) {
+					j++
 				}
-				if !grew && len(remaining) > 0 {
-					reseed(frags, remaining, claim)
-				}
+			}
+			if j == n {
+				reseed()
 			}
 		}
 	default:
@@ -291,18 +281,12 @@ func Fragment(g *graph.Graph, opt Options) (*fragment.Fragmentation, error) {
 	// empty: all edges around its center were claimed by lower-numbered
 	// fragments during initialisation, and growth never started. The
 	// pseudo-code of Fig. 4 does not treat this; we restore the
-	// requested fragment count by moving one edge at a time from the
-	// largest fragment (a deviation from the paper — the alternative,
-	// dropping the fragment, would silently reduce the parallelism
-	// degree).
+	// requested fragment count by moving the last claimed edge of the
+	// largest fragment, one at a time (a deviation from the paper — the
+	// alternative, dropping the fragment, would silently reduce the
+	// parallelism degree).
 	for {
-		empty := -1
-		for i, fr := range frags {
-			if len(fr) == 0 {
-				empty = i
-				break
-			}
-		}
+		empty := slices.IndexFunc(frags, func(ps []int32) bool { return len(ps) == 0 })
 		if empty < 0 {
 			break
 		}
@@ -320,12 +304,12 @@ func Fragment(g *graph.Graph, opt Options) (*fragment.Fragmentation, error) {
 		frags[donor] = frags[donor][:last]
 	}
 
-	return fragment.New(g, frags)
+	return sw.Fragmentation(frags)
 }
 
 // smallest returns the index of the fragment with the fewest edges
 // (lowest index on ties).
-func smallest(frags [][]graph.Edge) int {
+func smallest(frags [][]int32) int {
 	best := 0
 	for i := 1; i < len(frags); i++ {
 		if len(frags[i]) < len(frags[best]) {
@@ -333,30 +317,4 @@ func smallest(frags [][]graph.Edge) int {
 		}
 	}
 	return best
-}
-
-// reseed assigns one arbitrary remaining edge (the smallest by edge
-// order, for determinism) to the smallest fragment, restarting growth
-// in a disconnected region.
-func reseed(frags [][]graph.Edge, remaining map[graph.Edge]struct{},
-	claim func(int, graph.Edge)) {
-	var pick graph.Edge
-	first := true
-	for e := range remaining {
-		if first || less(e, pick) {
-			pick, first = e, false
-		}
-	}
-	claim(smallest(frags), pick)
-}
-
-// less orders edges deterministically.
-func less(a, b graph.Edge) bool {
-	if a.From != b.From {
-		return a.From < b.From
-	}
-	if a.To != b.To {
-		return a.To < b.To
-	}
-	return a.Weight < b.Weight
 }

@@ -196,7 +196,8 @@ func assemble(ids []graph.NodeID, coords []graph.Coord, frags []*Fragment) *Frag
 // New validates that the edge sets form an exact partition of g's edges
 // — every edge in exactly one fragment — and builds the Fragmentation.
 // Empty edge sets are rejected: an empty fragment would be a processor
-// with no work and a hole in the fragmentation graph.
+// with no work and a hole in the fragmentation graph. So is an edge with
+// a NaN weight, which equals no edge, itself included.
 func New(g *graph.Graph, edgeSets [][]graph.Edge) (*Fragmentation, error) {
 	if g == nil {
 		return nil, fmt.Errorf("fragment: nil base graph")

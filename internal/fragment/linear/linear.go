@@ -20,7 +20,6 @@ package linear
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 
@@ -86,28 +85,24 @@ func (o Options) withDefaults(g *graph.Graph) (Options, error) {
 // start group of the algorithm.
 func StartNodes(g *graph.Graph, s int, axis Axis) []graph.NodeID {
 	ids := g.Nodes()
-	key := func(id graph.NodeID) (float64, float64) {
-		c := g.Coord(id)
-		if axis == YAxis {
-			return c.Y, c.X
-		}
-		return c.X, c.Y
+	sort.SliceStable(ids, func(i, j int) bool { return before(g, axis, ids[i], ids[j]) })
+	return ids[:min(s, len(ids))]
+}
+
+// before orders the nodes of g along the axis: by the coordinate on
+// it, then by the other coordinate, then by ID.
+func before(g *graph.Graph, axis Axis, a, b graph.NodeID) bool {
+	ca, cb := g.Coord(a), g.Coord(b)
+	if axis == YAxis {
+		ca.X, ca.Y, cb.X, cb.Y = ca.Y, ca.X, cb.Y, cb.X
 	}
-	sort.SliceStable(ids, func(i, j int) bool {
-		pi, si := key(ids[i])
-		pj, sj := key(ids[j])
-		if pi != pj {
-			return pi < pj
-		}
-		if si != sj {
-			return si < sj
-		}
-		return ids[i] < ids[j]
-	})
-	if s > len(ids) {
-		s = len(ids)
+	if ca.X != cb.X {
+		return ca.X < cb.X
 	}
-	return ids[:s]
+	if ca.Y != cb.Y {
+		return ca.Y < cb.Y
+	}
+	return a < b
 }
 
 // Result carries the fragmentation together with the boundary sets the
@@ -134,124 +129,80 @@ func Fragment(g *graph.Graph, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	threshold := g.NumEdges() / opt.NumFragments
-	if threshold < 1 {
-		threshold = 1
-	}
+	threshold := max(g.NumEdges()/opt.NumFragments, 1)
 
-	remaining := make(map[graph.Edge]struct{}, g.NumEdges())
-	incident := make(map[graph.NodeID][]graph.Edge)
-	for _, e := range g.Edges() {
-		remaining[e] = struct{}{}
-		incident[e.From] = append(incident[e.From], e)
-		if e.To != e.From {
-			incident[e.To] = append(incident[e.To], e)
-		}
+	sw := fragment.NewSweep(g)
+	startIDs := opt.StartNodes
+	if len(startIDs) == 0 {
+		startIDs = StartNodes(g, opt.StartCount, opt.Axis)
 	}
-
-	startN := opt.StartNodes
-	if len(startN) == 0 {
-		startN = StartNodes(g, opt.StartCount, opt.Axis)
+	// startN holds the rows of start_n; inV[r] holds k+1 once row r is
+	// in V_k, the node set of fragment k.
+	startN := make([]int32, len(startIDs))
+	for i, id := range startIDs {
+		startN[i] = sw.Row(id)
 	}
+	inV := make([]int, len(sw.IDs))
 
-	var sets [][]graph.Edge
+	var parts [][]int32
 	var boundaries [][]graph.NodeID
-	for len(remaining) > 0 {
-		var ek []graph.Edge
-		vk := make(map[graph.NodeID]struct{})
-		for len(ek) < threshold && len(remaining) > 0 {
+	for sw.Left() > 0 {
+		var ek []int32
+		stamp := len(parts) + 1
+		for len(ek) < threshold && sw.Left() > 0 {
 			// new_e := edges adjacent to the current start_n.
-			var newE []graph.Edge
-			for _, s := range startN {
-				for _, e := range incident[s] {
-					if _, ok := remaining[e]; ok {
-						delete(remaining, e)
-						newE = append(newE, e)
-					}
-				}
+			swept := len(ek)
+			for _, r := range startN {
+				ek = sw.Take(ek, r)
 			}
-			if len(newE) == 0 {
-				if len(remaining) == 0 {
-					break
-				}
+			if len(ek) == swept {
 				// Disconnected remainder: restart the sweep from the
 				// smallest remaining node on the axis.
-				startN = []graph.NodeID{restartNode(g, remaining, opt.Axis)}
+				startN = []int32{restartRow(sw, g, opt.Axis)}
 				continue
 			}
-			// start_n := endpoints of new_e not already in V_k.
-			nextSet := make(map[graph.NodeID]struct{})
-			for _, e := range newE {
-				for _, v := range [2]graph.NodeID{e.From, e.To} {
-					if _, in := vk[v]; !in {
-						if _, already := contains(startN, v); !already {
-							nextSet[v] = struct{}{}
-						}
+			// V_k grows by the swept start nodes and the endpoints of
+			// new_e; the next start_n are the endpoints new to V_k only
+			// (nodes whose incident edges have not been swept), rows
+			// ascending.
+			for _, r := range startN {
+				inV[r] = stamp
+			}
+			next := startN[:0]
+			for _, p := range ek[swept:] {
+				for _, v := range sw.Ends(p) {
+					if inV[v] != stamp {
+						inV[v] = stamp
+						next = append(next, v)
 					}
 				}
 			}
-			// V_k grows by the swept start nodes and the new endpoints.
-			for _, s := range startN {
-				vk[s] = struct{}{}
-			}
-			for v := range nextSet {
-				vk[v] = struct{}{}
-			}
-			// Hold the wave: the next start_n are the fresh endpoints
-			// only (nodes whose incident edges have not been swept).
-			startN = slices.Sorted(maps.Keys(nextSet))
-			ek = append(ek, newE...)
+			slices.Sort(next)
+			startN = next
 		}
-		if len(ek) > 0 {
-			sets = append(sets, ek)
-			boundaries = append(boundaries, append([]graph.NodeID(nil), startN...))
+		parts = append(parts, ek)
+		boundary := make([]graph.NodeID, len(startN))
+		for i, r := range startN {
+			boundary[i] = sw.IDs[r]
 		}
+		boundaries = append(boundaries, boundary)
 	}
-	if len(boundaries) > 0 {
-		boundaries[len(boundaries)-1] = nil // last fragment has no successor
-	}
-	fr, err := fragment.New(g, sets)
+	boundaries[len(boundaries)-1] = nil // last fragment has no successor
+	fr, err := sw.Fragmentation(parts)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{Fragmentation: fr, Boundaries: boundaries}, nil
 }
 
-// contains reports whether ids contains v.
-func contains(ids []graph.NodeID, v graph.NodeID) (int, bool) {
-	for i, id := range ids {
-		if id == v {
-			return i, true
-		}
-	}
-	return -1, false
-}
-
-// restartNode picks the remaining-edge endpoint with the smallest
-// coordinate on the sweep axis (continuing the left-to-right scan).
-func restartNode(g *graph.Graph, remaining map[graph.Edge]struct{}, axis Axis) graph.NodeID {
-	var best graph.NodeID
-	bestSet := false
-	better := func(a, b graph.NodeID) bool {
-		ca, cb := g.Coord(a), g.Coord(b)
-		pa, pb := ca.X, cb.X
-		sa, sb := ca.Y, cb.Y
-		if axis == YAxis {
-			pa, pb = ca.Y, cb.Y
-			sa, sb = ca.X, cb.X
-		}
-		if pa != pb {
-			return pa < pb
-		}
-		if sa != sb {
-			return sa < sb
-		}
-		return a < b
-	}
-	for e := range remaining {
-		for _, v := range [2]graph.NodeID{e.From, e.To} {
-			if !bestSet || better(v, best) {
-				best, bestSet = v, true
+// restartRow picks the endpoint of a remaining edge that comes first
+// along the sweep axis (continuing the left-to-right scan).
+func restartRow(sw *fragment.Sweep, g *graph.Graph, axis Axis) int32 {
+	best := int32(-1)
+	for p := range sw.Unclaimed() {
+		for _, v := range sw.Ends(p) {
+			if best < 0 || before(g, axis, sw.IDs[v], sw.IDs[best]) {
+				best = v
 			}
 		}
 	}

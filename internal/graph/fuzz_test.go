@@ -3,13 +3,15 @@ package graph
 import (
 	"bytes"
 	"cmp"
+	"math"
 	"slices"
 	"strings"
 	"testing"
 )
 
 // FuzzRead feeds arbitrary text to the graph parser: it must never
-// panic, and any graph it accepts must survive a write/read round trip.
+// panic, any graph it accepts must hold no NaN weight and must survive
+// a write/read round trip.
 // (Seed corpus only under plain `go test`; run `go test -fuzz=FuzzRead
 // ./internal/graph` to explore.)
 func FuzzRead(f *testing.F) {
@@ -20,10 +22,16 @@ func FuzzRead(f *testing.F) {
 	f.Add("node -5 1e300 -1e300\n")
 	f.Add("bogus\n")
 	f.Add("edge a b c\n")
+	f.Add("edge 1 2 NaN\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := Read(strings.NewReader(input))
 		if err != nil {
 			return // rejected input is fine; panics are not
+		}
+		for _, e := range g.Edges() {
+			if math.IsNaN(e.Weight) {
+				t.Fatalf("accepted a NaN weight: %v", e)
+			}
 		}
 		var buf bytes.Buffer
 		if err := g.Write(&buf); err != nil {

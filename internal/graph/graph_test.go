@@ -359,6 +359,7 @@ func TestReadErrors(t *testing.T) {
 		{"bad coordinate", "node 1 a 0\n"},
 		{"edge missing args", "edge 1\n"},
 		{"bad edge weight", "edge 1 2 w\n"},
+		{"NaN edge weight", "edge 1 2 NaN\n"},
 		{"bad edge endpoint", "edge a 2\n"},
 	}
 	for _, c := range cases {
@@ -389,13 +390,17 @@ func (r *errAfterReader) Read(p []byte) (int, error) {
 // TestReadErrorsReportLine: every parse failure names the offending
 // line, so a bad row in a million-line file is findable.
 func TestReadErrorsReportLine(t *testing.T) {
-	in := "node 1 0 0\nnode 2 1 0\nedge 1 x\n"
-	_, err := Read(strings.NewReader(in))
-	if err == nil {
-		t.Fatal("Read succeeded, want error")
-	}
-	if !strings.Contains(err.Error(), "line 3") {
-		t.Errorf("error %q does not name line 3", err)
+	for _, in := range []string{
+		"node 1 0 0\nnode 2 1 0\nedge 1 x\n",
+		"node 1 0 0\nedge 1 2 1\nedge 2 1 nan\n",
+	} {
+		_, err := Read(strings.NewReader(in))
+		if err == nil {
+			t.Fatalf("Read(%q) succeeded, want error", in)
+		}
+		if !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("error %q does not name line 3", err)
+		}
 	}
 }
 

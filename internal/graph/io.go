@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -15,7 +16,8 @@ import (
 //	node <id> <x> <y>
 //	edge <from> <to> <weight>
 //
-// Lines may omit the weight (default 1). The cmd/ tools exchange graphs
+// Lines may omit the weight (default 1); a NaN weight, which equals no
+// weight, itself included, is refused. The cmd/ tools exchange graphs
 // in this format.
 
 // Write serialises g to w in the text format. Nodes are written first so
@@ -84,6 +86,9 @@ func Read(r io.Reader) (*Graph, error) {
 				w, err = strconv.ParseFloat(fields[3], 64)
 				if err != nil {
 					return nil, fmt.Errorf("graph: line %d: bad weight %q: %v", lineNo, fields[3], err)
+				}
+				if math.IsNaN(w) {
+					return nil, fmt.Errorf("graph: line %d: bad weight %q: not a number", lineNo, fields[3])
 				}
 			}
 			g.AddEdge(Edge{From: NodeID(from), To: NodeID(to), Weight: w})

@@ -30,12 +30,16 @@
 #               internal/cluster, internal/store or pkg/tcq: Base()
 #               builds the whole graph on each call, the node table
 #               (Nodes, HasNode, NumNodes, Coord) and Fragmentation.CSR
-#               are what those read; and no map[graph.NodeID] outside
-#               tests in internal/fragment itself (not its fragmenter
-#               subpackages): a fragment's node set is its sorted node
-#               list, and which fragments hold a node is the membership
-#               table over the node-table rows; and searches are seeded
-#               and answered in rows: no CSR or searcher method in
+#               are what those read; and no map[graph.NodeID] or
+#               map[graph.Edge] outside tests in internal/fragment or
+#               its center, linear and bea fragmenters: a fragment's
+#               node set is its sorted node list, which fragments hold a
+#               node is the membership table over the node-table rows,
+#               and a fragmenter claims an edge by its position in a
+#               fragment.Sweep and marks a node by its row (kconn is
+#               exempt: it is the k-connectivity approach §3 rejects,
+#               and its cost is what §3 reports); and searches are
+#               seeded and answered in rows: no CSR or searcher method in
 #               internal/graph takes or returns a map (the *Graph
 #               conveniences cold readers and test references call are
 #               exempt), and no map[graph.NodeID] outside tests in
@@ -130,8 +134,8 @@ if grep -rn '\.Base()' --include='*.go' internal/dsa internal/server internal/cl
     echo "FAIL: Fragmentation.Base() builds the whole graph on each call: read the node table (Nodes, HasNode, NumNodes, Coord) or Fragmentation.CSR"
     exit 1
 fi
-if grep -Hn 'map\[graph\.NodeID\]' $(ls internal/fragment/*.go | grep -v '_test\.go$'); then
-    echo "FAIL: keep node sets as sorted node lists and membership as the table over node-table rows, not maps keyed by node id, in internal/fragment"
+if grep -Hn -e 'map\[graph\.NodeID\]' -e 'map\[graph\.Edge\]' $(ls internal/fragment/*.go internal/fragment/{center,linear,bea}/*.go | grep -v '_test\.go$'); then
+    echo "FAIL: keep node sets as sorted node lists, membership as the table over node-table rows, and claimed edges as fragment.Sweep positions, not maps keyed by node id or edge, in internal/fragment and its center, linear and bea fragmenters"
     exit 1
 fi
 if awk '/^func \(([A-Za-z_][A-Za-z0-9_]* )?\*?(CSR|searcher)\)/ { sig = 1 }
