@@ -31,8 +31,10 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/relation"
+	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/tc"
+	"repro/pkg/tcq"
 )
 
 // printOnce guards the one-time table printouts across -benchtime
@@ -1084,7 +1086,8 @@ func benchRunPair(src, dst graph.NodeID) (*dsa.Result, error) {
 	return benchStore.RunPlanCtx(context.Background(), plan, dsa.EngineDijkstra)
 }
 
-// BenchmarkDSAQueryParallel times the goroutine-per-site executor on
+// BenchmarkDSAQueryParallel times the library executor, every leg a
+// kernel and every site involved on a goroutine of its own, on
 // disconnection-set queries.
 func BenchmarkDSAQueryParallel(b *testing.B) {
 	nodes := benchGraph.Nodes()
@@ -1093,6 +1096,58 @@ func BenchmarkDSAQueryParallel(b *testing.B) {
 		src := nodes[i%len(nodes)]
 		dst := nodes[(i*37+13)%len(nodes)]
 		if _, err := benchRunPair(src, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunPair times Server.RunPair on warm cross-fragment pairs of
+// the paper deployment (paperDeployment, dense engine, as the ledger's
+// paper-point workload serves them): 64 pairs between nodes interior to
+// two different fragments, each run once before the timer starts, so
+// that every leg reads a built border table or hits the leg cache and
+// phase 1 runs on the calling goroutine. The go test twin of the
+// ledger's paper-point p50_ms; run with -benchmem.
+func BenchmarkRunPair(b *testing.B) {
+	fr, err := paperDeployment.build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := dsa.Build(fr, dsa.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds, err := tcq.OpenDataset(st)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := server.NewDataset(ds, server.Config{CacheCapacity: 4096})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	interior := make([][]graph.NodeID, fr.NumFragments())
+	for _, n := range fr.Nodes() {
+		if fs := fr.FragmentsOf(n); len(fs) == 1 {
+			interior[fs[0]] = append(interior[fs[0]], n)
+		}
+	}
+	ctx, snap := context.Background(), ds.Snapshot()
+	rng := rand.New(rand.NewSource(1))
+	pairs := make([][2]graph.NodeID, 64)
+	for i := range pairs {
+		fs := i % len(interior)
+		ft := (fs + 1 + i/len(interior)%(len(interior)-1)) % len(interior)
+		pairs[i] = [2]graph.NodeID{interior[fs][rng.Intn(len(interior[fs]))], interior[ft][rng.Intn(len(interior[ft]))]}
+		if _, _, err := srv.RunPair(ctx, snap, pairs[i][0], pairs[i][1], dsa.EngineDense, tcq.ModeCost); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		if _, _, err := srv.RunPair(ctx, snap, p[0], p[1], dsa.EngineDense, tcq.ModeCost); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -160,28 +160,36 @@ func symmetricCSR(c *graph.CSR) bool {
 	return true
 }
 
-// borderPositions returns the positions in border of nodes, which must
-// be strictly ascending (a disconnection set, or a single node), and
-// whether every one of them is a border node.
-func borderPositions(border, nodes []graph.NodeID) ([]int32, bool) {
-	var at []int32
+// onBorder reports whether nodes, strictly ascending (a disconnection
+// set, or a single node), are all border nodes.
+func onBorder(border, nodes []graph.NodeID) bool {
 	p := 0
 	for i, x := range nodes {
 		if i > 0 && nodes[i-1] >= x {
-			return nil, false
+			return false
 		}
 		for p < len(border) && border[p] < x {
 			p++
 		}
 		if p == len(border) || border[p] != x {
-			return nil, false
+			return false
 		}
-		if at == nil {
-			at = make([]int32, 0, len(nodes))
+	}
+	return true
+}
+
+// borderPositions returns the positions in border of nodes, which
+// onBorder holds of.
+func borderPositions(border, nodes []graph.NodeID) []int32 {
+	at := make([]int32, 0, len(nodes))
+	p := 0
+	for _, x := range nodes {
+		for border[p] < x {
+			p++
 		}
 		at = append(at, int32(p))
 	}
-	return at, true
+	return at
 }
 
 // dsIndex returns the index of nodes among the site's disconnection
@@ -193,6 +201,51 @@ func (s *Site) dsIndex(nodes []graph.NodeID) int {
 		}
 	}
 	return -1
+}
+
+// tableShape is how a site's border table answers a leg.
+type tableShape int
+
+const (
+	// shapeNone: the table cannot answer the leg.
+	shapeNone tableShape = iota
+	// shapeTransit: entered and left through two of the site's
+	// disconnection sets, a block the table memoizes.
+	shapeTransit
+	// shapeRows: every entry node is a border node, whose rows the leg
+	// gathers.
+	shapeRows
+	// shapeColumn: one source on a symmetric site and every exit a
+	// border node, whose column the leg gathers.
+	shapeColumn
+)
+
+// shape is the test BorderBlockCtx and BorderReady share: how the
+// site's border table answers leg, entry and exit sets read as given.
+func (s *Site) shape(leg Leg) tableShape {
+	switch {
+	case s.dsIndex(leg.Entry) >= 0 && s.dsIndex(leg.Exit) >= 0:
+		return shapeTransit
+	case onBorder(s.border, leg.Entry):
+		return shapeRows
+	case len(leg.Entry) == 1 && s.isSymmetric() && onBorder(s.border, leg.Exit):
+		return shapeColumn
+	}
+	return shapeNone
+}
+
+// BorderReady reports that BorderBlockCtx would answer leg from a
+// border table its site has already built for engine: the leg has a
+// shape the table answers, and no kernel runs for it. It builds
+// nothing; a table built, or a site replaced, after the call can make
+// its answer stale, which costs a caller that schedules by it only the
+// choice, never the leg's block.
+func (st *Store) BorderReady(leg Leg, engine Engine) bool {
+	if !ValidEngine(engine) || leg.SiteID < 0 || leg.SiteID >= len(st.sites) {
+		return false
+	}
+	site := st.sites[leg.SiteID]
+	return site.tables[engine].table.Load() != nil && site.shape(leg) != shapeNone
 }
 
 // BorderBlockCtx is a leg answered from its site's border table for
@@ -223,36 +276,24 @@ func (st *Store) BorderBlockCtx(ctx context.Context, leg Leg, engine Engine) (bl
 		return nil, false, fmt.Errorf("dsa: %w: leg site %d out of range", ErrUnknownSite, leg.SiteID)
 	}
 	site := st.sites[leg.SiteID]
-	i, j := site.dsIndex(leg.Entry), site.dsIndex(leg.Exit)
-	transit := i >= 0 && j >= 0
-	var at []int32
-	column := false
-	if !transit {
-		var rows bool
-		if at, rows = borderPositions(site.border, leg.Entry); !rows {
-			if len(leg.Entry) != 1 || !site.isSymmetric() {
-				return nil, false, nil
-			}
-			if at, column = borderPositions(site.border, leg.Exit); !column {
-				return nil, false, nil
-			}
-		}
+	shape := site.shape(leg)
+	if shape == shapeNone {
+		return nil, false, nil
 	}
 	t, built, err := site.tableFor(ctx, engine)
 	switch {
 	case err != nil:
 		return nil, false, err
-	case column:
-		return t.columnBlock(site, leg, at), built, nil
-	case !transit:
-		return t.rowBlock(site, leg, at), built, nil
+	case shape == shapeColumn:
+		return t.columnBlock(site, leg, borderPositions(site.border, leg.Exit)), built, nil
+	case shape == shapeRows:
+		return t.rowBlock(site, leg, borderPositions(site.border, leg.Entry)), built, nil
 	}
-	slot := &t.transit[i*len(site.dss)+j]
+	slot := &t.transit[site.dsIndex(leg.Entry)*len(site.dss)+site.dsIndex(leg.Exit)]
 	if b := slot.Load(); b != nil {
 		return b, built, nil
 	}
-	at, _ = borderPositions(site.border, leg.Entry)
-	b := t.rowBlock(site, leg, at)
+	b := t.rowBlock(site, leg, borderPositions(site.border, leg.Entry))
 	if !slot.CompareAndSwap(nil, b) {
 		b = slot.Load()
 	}

@@ -121,8 +121,8 @@ func TestPropertyBorderBlockMatchesLegTable(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", what, err)
 						}
-						_, rows := borderPositions(site.border, leg.Entry)
-						_, column := borderPositions(site.border, leg.Exit)
+						rows := onBorder(site.border, leg.Entry)
+						column := onBorder(site.border, leg.Exit)
 						if got == nil {
 							if rows || (column && len(leg.Entry) == 1 && site.isSymmetric()) || site.tables[engine].table.Load() != before {
 								t.Fatalf("%s: refused a leg entered through border nodes or a column read, or built a table for a refused leg", what)

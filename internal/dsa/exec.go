@@ -286,16 +286,28 @@ func minPlus2(best, a []float64, ca float64, b []float64, cb float64) {
 // between the library, the serving layer and the simulator.
 type LegFunc func(ctx context.Context, leg Leg) (*LegResult, error)
 
+// LegProbe reports, before any leg of a plan runs, that the LegFunc
+// will obtain leg without a kernel — a table read or a cache hit — so
+// RunLegs may run its site on the calling goroutine.
+type LegProbe func(leg Leg) bool
+
 // RunLegs is the one executor of a prepared plan: phase 1 per-site
-// legs obtained through run, then FinishPlan. Each involved site runs
-// on its own goroutine, the goroutine-per-processor realisation of the
-// paper's "neither communication nor synchronization is required during
-// the first phase of the computation". A site runs its legs serially in
-// plan order and observes ctx before each, so a canceled query returns
-// ErrCanceled instead of starting the remaining legs. The first failing
-// site (in SitesInvolved order) supplies the error, and no Result is
-// returned with one. Elapsed spans the call.
-func (st *Store) RunLegs(ctx context.Context, plan *Plan, run LegFunc) (*Result, error) {
+// legs obtained through run, then FinishPlan. A site runs its legs
+// serially in plan order and observes ctx before each, so a canceled
+// query returns ErrCanceled instead of starting the remaining legs.
+//
+// Phase 1 is parallel because each site computes its closure with
+// "neither communication nor synchronization" (§2.1), so a kernel site
+// — one with a leg cheap does not report — gets a goroutine of its
+// own. The other sites, and a lone kernel site, run on the calling
+// goroutine once those goroutines have started, in SitesInvolved
+// order: a table read or a cache hit costs less than a goroutine. A
+// nil cheap reports no leg; a wrong report costs only the choice, since
+// run still obtains every leg.
+//
+// The first failing site (in SitesInvolved order) supplies the error,
+// and no Result is returned with one. Elapsed spans the call.
+func (st *Store) RunLegs(ctx context.Context, plan *Plan, run LegFunc, cheap LegProbe) (*Result, error) {
 	start := time.Now()
 	res, done := st.PlanResult(plan)
 	if done {
@@ -320,14 +332,34 @@ func (st *Store) RunLegs(ctx context.Context, plan *Plan, run LegFunc) (*Result,
 		return nil
 	}
 	sites := plan.SitesInvolved()
+	// fan[k] marks sites[k] as a kernel site, which gets a goroutine.
+	fan := make([]bool, len(sites))
+	kernels := 0
+	for _, leg := range plan.Legs {
+		k, _ := slices.BinarySearch(sites, leg.SiteID)
+		if !fan[k] && (cheap == nil || !cheap(leg)) {
+			fan[k] = true
+			kernels++
+		}
+	}
+	if kernels == 1 {
+		clear(fan)
+	}
 	errs := make([]error, len(sites))
 	var wg sync.WaitGroup
 	for k, siteID := range sites {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		if fan[k] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[k] = runSite(siteID)
+			}()
+		}
+	}
+	for k, siteID := range sites {
+		if !fan[k] {
 			errs[k] = runSite(siteID)
-		}()
+		}
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -358,7 +390,7 @@ func (st *Store) RunPlanCtx(ctx context.Context, plan *Plan, engine Engine) (*Re
 	}
 	return st.RunLegs(ctx, plan, func(ctx context.Context, leg Leg) (*LegResult, error) {
 		return st.ExecuteLegCtx(ctx, leg, engine)
-	})
+	}, nil)
 }
 
 // ExecuteLegCtx executes one leg on its site with the chosen engine,

@@ -80,8 +80,8 @@ func blockOf(leg Leg, facts []legFactOf) (*ExitBlock, error) {
 // legShape names how the border tables answer leg: a transit block, a
 // row or column gather, or not at all (the kernel's).
 func legShape(site *Site, leg Leg) string {
-	_, rows := borderPositions(site.border, leg.Entry)
-	_, column := borderPositions(site.border, leg.Exit)
+	rows := onBorder(site.border, leg.Entry)
+	column := onBorder(site.border, leg.Exit)
 	switch {
 	case site.dsIndex(leg.Entry) >= 0 && site.dsIndex(leg.Exit) >= 0:
 		return "transit"

@@ -3,9 +3,13 @@ package dsa
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/fragment"
 	"repro/internal/graph"
@@ -74,7 +78,7 @@ func TestRunLegs(t *testing.T) {
 			return nil, errBoom
 		}
 		return execute(ctx, leg)
-	})
+	}, nil)
 	if !errors.Is(err, errBoom) || res != nil {
 		t.Errorf("failing leg: res %v, err %v; want nil, boom", res, err)
 	}
@@ -93,7 +97,7 @@ func TestRunLegs(t *testing.T) {
 			cancel()
 		}
 		return lr, err
-	})
+	}, nil)
 	cancel()
 	if !errors.Is(err, ErrCanceled) || res != nil {
 		t.Errorf("canceled run: res %v, err %v; want nil, ErrCanceled", res, err)
@@ -102,7 +106,7 @@ func TestRunLegs(t *testing.T) {
 		t.Errorf("site %d ran %d legs after cancellation, want 1", busy, calls[busy])
 	}
 
-	par, err := st.RunLegs(context.Background(), plan, execute)
+	par, err := st.RunLegs(context.Background(), plan, execute, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +116,123 @@ func TestRunLegs(t *testing.T) {
 	}
 	if !par.Reachable || par.Cost != 2 || par.MessagesSent != len(plan.Legs) {
 		t.Errorf("ring 0→2 = %+v", par)
+	}
+}
+
+// TestRunLegsInline: a site whose legs the probe reports cheap runs on
+// the calling goroutine, and so do all of them: the legs run in
+// SitesInvolved order, each site's in plan order, one at a time. The
+// order is recorded in an unguarded slice, so -race fails if two legs
+// ever run at once.
+func TestRunLegsInline(t *testing.T) {
+	st := ringStore(t)
+	plan, err := st.NewPlan(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Leg
+	for _, id := range plan.SitesInvolved() {
+		for _, leg := range plan.Legs {
+			if leg.SiteID == id {
+				want = append(want, leg)
+			}
+		}
+	}
+	var ran []Leg
+	res, err := st.RunLegs(context.Background(), plan, func(ctx context.Context, leg Leg) (*LegResult, error) {
+		ran = append(ran, leg)
+		return st.ExecuteLegCtx(ctx, leg, EngineDijkstra)
+	}, func(Leg) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ran, want) {
+		t.Errorf("legs ran as %v, want %v", ran, want)
+	}
+	if seq := runSequential(t, st, plan, EngineDijkstra); !reflect.DeepEqual(withoutTimings(seq), withoutTimings(res)) {
+		t.Errorf("sequential %+v\ninline     %+v", seq, res)
+	}
+}
+
+// TestRunLegsKernelSitesOverlap: two sites with a leg the probe does
+// not report cheap run at once, while every other site runs inline.
+// Each first leg of the two waits at a two-party barrier, which only
+// opens if both run concurrently.
+func TestRunLegsKernelSitesOverlap(t *testing.T) {
+	st := ringStore(t)
+	plan, err := st.NewPlan(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := plan.SitesInvolved()
+	if len(sites) < 3 {
+		t.Fatalf("fixture: %d sites, want at least 3", len(sites))
+	}
+	a, b := sites[0], sites[1]
+	var parties sync.WaitGroup
+	parties.Add(2)
+	met := make(chan struct{})
+	go func() { parties.Wait(); close(met) }()
+	var waited [2]atomic.Bool
+	res, err := st.RunLegs(context.Background(), plan, func(ctx context.Context, leg Leg) (*LegResult, error) {
+		if p := slices.Index([]int{a, b}, leg.SiteID); p >= 0 && !waited[p].Swap(true) {
+			parties.Done()
+			select {
+			case <-met:
+			case <-time.After(5 * time.Second):
+				return nil, fmt.Errorf("site %d waited 5 s for site %d's leg", leg.SiteID, a+b-leg.SiteID)
+			}
+		}
+		return st.ExecuteLegCtx(ctx, leg, EngineDijkstra)
+	}, func(leg Leg) bool { return leg.SiteID != a && leg.SiteID != b })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Reachable || res.Cost != 2 {
+		t.Errorf("ring 0→2 = %+v", res)
+	}
+}
+
+// TestRunLegsMixedSiteSerial: a site with one cheap leg and one that
+// needs a kernel runs on a goroutine of its own, its legs one after
+// another in plan order — recorded in an unguarded slice, so -race
+// fails if two of them ever run at once.
+func TestRunLegsMixedSiteSerial(t *testing.T) {
+	st := ringStore(t)
+	plan, err := st.NewPlan(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := plan.SitesInvolved()
+	busy, other := sites[0], sites[1]
+	var want []Leg
+	for _, leg := range plan.Legs {
+		if leg.SiteID == busy {
+			want = append(want, leg)
+		}
+	}
+	if len(want) < 2 {
+		t.Fatalf("fixture: site %d has %d legs, want at least 2", busy, len(want))
+	}
+	var ran []Leg
+	res, err := st.RunLegs(context.Background(), plan, func(ctx context.Context, leg Leg) (*LegResult, error) {
+		if leg.SiteID == busy {
+			ran = append(ran, leg)
+		}
+		return st.ExecuteLegCtx(ctx, leg, EngineDijkstra)
+	}, func(leg Leg) bool {
+		// busy's first leg is cheap, its others are not; so is other,
+		// so there are two kernel sites and both fan out.
+		return leg.SiteID == busy && reflect.DeepEqual(leg, want[0]) || leg.SiteID != busy && leg.SiteID != other
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ran, want) {
+		t.Errorf("site %d ran %v, want %v", busy, ran, want)
+	}
+	if seq := runSequential(t, st, plan, EngineDijkstra); !reflect.DeepEqual(withoutTimings(seq), withoutTimings(res)) {
+		t.Errorf("sequential %+v\nmixed      %+v", seq, res)
 	}
 }
 

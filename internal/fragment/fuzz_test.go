@@ -16,6 +16,7 @@ func FuzzRead(f *testing.F) {
 	f.Add("# comment\nfragment 0 0 1 1\nfragment 0 1 2 1\n")
 	f.Add("fragment 0 9 9 9\n")
 	f.Add("fragment -1 0 1 1\n")
+	f.Add("fragment 4611686018427387903 1 2 1\n")
 	f.Add("garbage\n")
 	base := graph.New()
 	base.AddEdge(graph.Edge{From: 0, To: 1, Weight: 1})

@@ -37,7 +37,6 @@ func Read(g *graph.Graph, r io.Reader) (*Fragmentation, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	sets := make(map[int][]graph.Edge)
-	maxIdx := -1
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -66,17 +65,16 @@ func Read(g *graph.Graph, r io.Reader) (*Fragmentation, error) {
 			return nil, fmt.Errorf("fragment: line %d: bad weight %q", lineNo, fields[4])
 		}
 		sets[idx] = append(sets[idx], graph.Edge{From: graph.NodeID(from), To: graph.NodeID(to), Weight: wgt})
-		if idx > maxIdx {
-			maxIdx = idx
-		}
 	}
 	if err := sc.Err(); err != nil {
 		// Truncated streams and over-long lines surface here; the line
 		// counter points at where the scan stopped.
 		return nil, fmt.Errorf("fragment: line %d: read: %v", lineNo+1, err)
 	}
-	ordered := make([][]graph.Edge, 0, maxIdx+1)
-	for i := 0; i <= maxIdx; i++ {
+	// n distinct indices are 0..n-1 unless one below n has no edges: the
+	// lowest such is the error, so no index sizes anything.
+	ordered := make([][]graph.Edge, 0, len(sets))
+	for i := range len(sets) {
 		if len(sets[i]) == 0 {
 			return nil, fmt.Errorf("fragment: fragment %d has no edges", i)
 		}

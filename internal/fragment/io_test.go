@@ -49,6 +49,7 @@ func TestFragmentationReadErrors(t *testing.T) {
 		{"bad to", "fragment 0 1 x 1\n"},
 		{"bad weight", "fragment 0 1 2 w\n"},
 		{"hole in indices", "fragment 0 0 1 1\nfragment 2 1 2 1\n"},
+		{"huge index", "fragment 4611686018427387903 1 2 1\n"},
 		{"foreign edge", "fragment 0 7 8 1\n"},
 	}
 	for _, c := range cases {

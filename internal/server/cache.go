@@ -118,6 +118,18 @@ func (c *legCache) get(key legKey) (*tc.CostMatrix, tc.Stats, bool) {
 	return ent.table, ent.stats, true
 }
 
+// has reports whether key is cached, without promoting the entry or
+// counting a lookup: a probe before the leg, not a use of the table.
+func (c *legCache) has(key legKey) bool {
+	if c == nil || c.cap == 0 {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.byKey[key]
+	return ok
+}
+
 // put memoizes a leg computation, evicting the least recently used
 // entry when the bound is exceeded. Concurrent queries can race to fill
 // the same key; the same key means the same table, so the last put

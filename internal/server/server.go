@@ -6,7 +6,10 @@
 // rest of the one-source legs — from a source off the border on an
 // asymmetric site or to a target off it too — and an HTTP/JSON API.
 // Many concurrent queries interleave their per-site legs exactly the
-// way the paper's sites would interleave independent subqueries.
+// way the paper's sites would interleave independent subqueries. A
+// query's sites whose legs read a built table or hit the cache run on
+// the query's own goroutine; only sites that run a kernel, and peers'
+// legs, fan out (dsa.Store.RunLegs, Server.cheapLeg).
 //
 // Concurrency model: reads are lock-free — every query pins the
 // immutable store generation current when it starts (one atomic
@@ -179,8 +182,9 @@ func (s *Server) Close() { s.unsubscribe() }
 // non-pipelined query, running entirely on the snapshot the request
 // pinned — concurrent batch applies swap the dataset underneath without
 // disturbing it. It is dsa.RunLegs with the serving layer's way of
-// obtaining a leg, and starts no goroutine of its own: on the goroutine
-// RunLegs already runs for the leg's site, a locally owned leg is one
+// obtaining a leg, and starts no goroutine of its own: on whichever
+// goroutine RunLegs runs the leg's site — the caller's when cheapLeg
+// holds of all its legs, its own otherwise — a locally owned leg is one
 // executeLegLocal call; in cluster deployments a leg of a remotely
 // owned site is shipped to its owner instead (scatter) — an I/O-bound
 // wait here while the owner's /v1/leg handler makes that call and
@@ -243,12 +247,26 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 			misses.Add(1)
 		}
 		return lr, nil
-	})
+	}, func(leg dsa.Leg) bool { return s.cheapLeg(st, leg, engine) })
 	if err != nil {
 		return nil, tcq.RunStats{}, err
 	}
 	res.Elapsed = time.Since(start)
 	return res, tcq.RunStats{CacheHits: int(hits.Load()), CacheMisses: int(misses.Load()), FallbackSites: fallbackSites}, nil
+}
+
+// cheapLeg is runCtx's dsa.LegProbe: a locally owned leg that
+// executeLegLocal will answer without a kernel — from a border table
+// its site has built, or from the leg cache's table for its one
+// source. A peer's leg is never cheap, so a query's RPCs overlap. A
+// table or entry can go between the probe and the leg (a full cache
+// evicts); the leg then runs its kernel where the probe put it.
+func (s *Server) cheapLeg(st *dsa.Store, leg dsa.Leg, engine dsa.Engine) bool {
+	if s.cluster != nil && !s.cluster.IsLocal(leg.SiteID) {
+		return false
+	}
+	return st.BorderReady(leg, engine) ||
+		len(leg.Entry) == 1 && s.cache.has(legKey{site: st.Site(leg.SiteID), engine: engine, source: leg.Entry[0]})
 }
 
 // executeLegLocal runs a leg on this node on its site (onSite), whoever

@@ -145,7 +145,8 @@ func (c *Cluster) legWork(lr *dsa.LegResult) time.Duration {
 }
 
 // Run executes one shortest-path query on the simulated cluster: the
-// store's own executor with one goroutine per site process, each leg
+// store's own executor with every leg a kernel's, so one goroutine per
+// site process (a query on one site runs on the caller's), each leg
 // bracketed by its coordinator→site task message and site→coordinator
 // result shipment. No message ever joins two sites — phase 1 is
 // communication-free by construction.
@@ -168,7 +169,7 @@ func (c *Cluster) Run(ctx context.Context, source, target graph.NodeID, engine d
 		rep.SiteBusy[leg.SiteID] += c.legWork(lr)
 		mu.Unlock()
 		return lr, nil
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}

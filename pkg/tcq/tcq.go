@@ -278,7 +278,7 @@ func (c *Client) QueryPath(ctx context.Context, source, target int) (Answer, *Ro
 
 // storeRunner is the default executor: direct execution on the pinned
 // snapshot's store with one goroutine per involved site (the paper's
-// one-processor-per-fragment).
+// one-processor-per-fragment; a lone site runs on the caller's).
 type storeRunner struct{}
 
 // RunPair implements Runner.
