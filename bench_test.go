@@ -497,7 +497,7 @@ func BenchmarkFinishPlan(b *testing.B) {
 	stats := make([]tc.Stats, len(plan.Legs))
 	memoized := make([]*dsa.LegResult, len(plan.Legs))
 	for i, leg := range plan.Legs {
-		if tables[i], stats[i], err = st.ExecuteLegTableCtx(context.Background(), leg.SiteID, leg.Entry, dsa.EngineDense); err != nil {
+		if tables[i], stats[i], err = st.ExecuteLegTableCtx(context.Background(), leg, dsa.EngineDense); err != nil {
 			b.Fatal(err)
 		}
 		if !slices.Equal(leg.Entry, []graph.NodeID{src}) && !slices.Equal(leg.Exit, []graph.NodeID{dst}) {
@@ -559,7 +559,7 @@ func BenchmarkLegWire(b *testing.B) {
 	whole := make([]*tc.CostMatrix, len(plan.Legs))
 	exits := make([]*tc.CostMatrix, len(plan.Legs))
 	for i, leg := range plan.Legs {
-		if whole[i], _, err = st.ExecuteLegTableCtx(context.Background(), leg.SiteID, leg.Entry, dsa.EngineDense); err != nil {
+		if whole[i], _, err = st.ExecuteLegTableCtx(context.Background(), dsa.Leg{SiteID: leg.SiteID, Entry: leg.Entry}, dsa.EngineDense); err != nil {
 			b.Fatal(err)
 		}
 		exits[i] = dsa.SelectExits(whole[i], leg).Matrix()
@@ -596,15 +596,23 @@ func BenchmarkLegWire(b *testing.B) {
 }
 
 // BenchmarkLegTable times one leg's table on the dense engine, as the
-// serving executor makes it on a cache miss: on road's largest site
-// from one interior source (the first leg of a road-point query), and
-// the second leg of each deployment's first-to-last-node plan, the first
-// entered through a whole disconnection set (road's 5 gateways, grid's
-// 42 border nodes). The site's kernel is built up front, as the first
-// leg on the site builds it. The road/single-source/table row is the
-// same first leg as the server answers it now: its exit block gathered
-// from the site's built border table (dsa.Store.BorderBlockCtx), a
-// column of it, since the site is symmetric.
+// serving executor makes it on a cache miss. road/single-source is the
+// whole row of one interior source on road's largest site, a leg with
+// no exits (a peer's whole-site /v1/leg asks for one). A road-point
+// query's first leg from that source does not run it:
+// road/single-source/table is that leg as the server answers it, its
+// exit block gathered from the site's built border table
+// (dsa.Store.BorderBlockCtx), a column of it, since the site is
+// symmetric. The legs a road-point query does run a kernel for are its
+// same-fragment pairs between interior nodes: road/same-fragment/row
+// and road/same-fragment/stop cycle over 200 of them on the largest
+// site, row timing the source's whole row, stop the stop search
+// ExecuteLegTableCtx runs for the leg's one exit, the target
+// (tc.DenseGraph.CostToCtx). ds-leg is the second leg of each
+// deployment's first-to-last-node plan, the first entered through a
+// whole disconnection set (road's 5 gateways, grid's 42 border nodes),
+// complete rows. The site's kernel is built up front, as the first leg
+// on the site builds it.
 // Run with -benchmem: B/op and allocs/op are what a miss allocates.
 func BenchmarkLegTable(b *testing.B) {
 	for _, d := range servingDeployments {
@@ -627,8 +635,25 @@ func BenchmarkLegTable(b *testing.B) {
 		}
 		var legs []namedLeg
 		var first dsa.Leg
+		var same []dsa.Leg
 		if d.name == "road" {
 			largest := slices.MaxFunc(st.Sites(), func(x, y *dsa.Site) int { return len(x.Nodes()) - len(y.Nodes()) })
+			var interior []graph.NodeID
+			for _, n := range fr.Fragment(largest.ID).Nodes() {
+				if len(fr.FragmentsOf(n)) == 1 {
+					interior = append(interior, n)
+				}
+			}
+			rng := rand.New(rand.NewSource(1))
+			for len(same) < 200 {
+				p, err := st.NewPlan(interior[rng.Intn(len(interior))], interior[rng.Intn(len(interior))])
+				if err != nil || !p.SameFragment || len(p.Legs) != 1 {
+					b.Fatalf("plan %+v, %v; want one same-fragment leg", p, err)
+				}
+				if leg := p.Legs[0]; !slices.Equal(leg.Entry, leg.Exit) {
+					same = append(same, leg)
+				}
+			}
 			for _, n := range fr.Fragment(largest.ID).Nodes() {
 				if len(fr.FragmentsOf(n)) == 1 {
 					legs = append(legs, namedLeg{"single-source", dsa.Leg{SiteID: largest.ID, Entry: []graph.NodeID{n}}})
@@ -658,7 +683,7 @@ func BenchmarkLegTable(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := st.ExecuteLegTableCtx(context.Background(), leg.SiteID, leg.Entry, dsa.EngineDense); err != nil {
+					if _, _, err := st.ExecuteLegTableCtx(context.Background(), leg, dsa.EngineDense); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -667,6 +692,20 @@ func BenchmarkLegTable(b *testing.B) {
 		}
 		if d.name != "road" {
 			continue
+		}
+		for _, kernel := range []string{"row", "stop"} {
+			b.Run("road/same-fragment/"+kernel, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					leg := same[i%len(same)]
+					if kernel == "row" {
+						leg.Exit = nil
+					}
+					if _, _, err := st.ExecuteLegTableCtx(context.Background(), leg, dsa.EngineDense); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 		b.Run("road/single-source/table", func(b *testing.B) {
 			if block, _, err := st.BorderBlockCtx(context.Background(), first, dsa.EngineDense); err != nil || block == nil {
@@ -803,7 +842,7 @@ func BenchmarkLegEngines(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
 						leg := legs[i%len(legs)]
-						if _, _, err := st.ExecuteLegTableCtx(ctx, leg.SiteID, leg.Entry, engine); err != nil {
+						if _, _, err := st.ExecuteLegTableCtx(ctx, leg, engine); err != nil {
 							b.Fatal(err)
 						}
 					}

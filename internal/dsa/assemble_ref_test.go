@@ -315,7 +315,7 @@ func TestPropertyFoldOverTablesMatchesReference(t *testing.T) {
 				results := make([]*LegResult, len(plan.Legs))
 				fulls := make([]*relation.Relation, len(plan.Legs))
 				for i, leg := range plan.Legs {
-					table, stats, err := st.ExecuteLegTableCtx(ctx, leg.SiteID, leg.Entry, engine)
+					table, stats, err := st.ExecuteLegTableCtx(ctx, Leg{SiteID: leg.SiteID, Entry: leg.Entry}, engine)
 					if err == nil {
 						fulls[i], _, err = st.ExecuteLegFullCtx(ctx, leg.SiteID, leg.Entry, engine)
 					}

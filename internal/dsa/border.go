@@ -119,7 +119,7 @@ func (s *Site) tableFor(ctx context.Context, engine Engine) (t *borderTable, bui
 // buildBorderTable runs the engine from every border node. Each border
 // node is a node of the site, so the table has a row for each.
 func (s *Site) buildBorderTable(ctx context.Context, engine Engine) (*borderTable, error) {
-	m, _, err := s.legTable(ctx, s.border, engine)
+	m, _, err := s.legTable(ctx, Leg{SiteID: s.ID, Entry: s.border}, engine)
 	if err != nil {
 		return nil, err
 	}

@@ -133,7 +133,7 @@ func TestPropertyBorderBlockMatchesLegTable(t *testing.T) {
 						if built {
 							builds[leg.SiteID]++
 						}
-						table, _, err := fresh.ExecuteLegTableCtx(ctx, leg.SiteID, leg.Entry, engine)
+						table, _, err := fresh.ExecuteLegTableCtx(ctx, leg, engine)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -186,7 +186,7 @@ func TestSemiNaiveBorderRowWithoutFacts(t *testing.T) {
 	if !slices.Equal(table.m.Rows, []graph.NodeID{0}) || table.m.Len() != 0 {
 		t.Fatalf("semi-naive border table rows %v with %d facts, want the row of 0 reading +Inf", table.m.Rows, table.m.Len())
 	}
-	own, _, err := st.ExecuteLegTableCtx(context.Background(), 0, leg.Entry, EngineSemiNaive)
+	own, _, err := st.ExecuteLegTableCtx(context.Background(), leg, EngineSemiNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestBorderTableCanceledBuild(t *testing.T) {
 	if err != nil || !built || b == nil {
 		t.Fatalf("next reader: block %v, built %v, err %v; want the build", b, built, err)
 	}
-	table, _, err := st.ExecuteLegTableCtx(context.Background(), leg.SiteID, leg.Entry, EngineDense)
+	table, _, err := st.ExecuteLegTableCtx(context.Background(), leg, EngineDense)
 	if err != nil {
 		t.Fatal(err)
 	}

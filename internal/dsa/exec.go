@@ -395,15 +395,15 @@ func (st *Store) RunPlanCtx(ctx context.Context, plan *Plan, engine Engine) (*Re
 
 // ExecuteLegCtx executes one leg on its site with the chosen engine,
 // with cancellation threaded into the engine kernels (between Dijkstra
-// sources, fixpoint rounds and propagation levels). It is the unit of
-// work a (real or simulated) processor performs; package sim schedules
-// these across simulated sites. Block is the leg's exits selected
-// from ExecuteLegTableCtx's table, once, for the assembly to fold;
-// Stats.ResultTuples counts the facts the block selects — what the
-// site ships to the coordinator.
+// sources, fixpoint rounds, propagation levels and search buckets). It
+// is the unit of work a (real or simulated) processor performs; package
+// sim schedules these across simulated sites. Block is the leg's exits
+// selected from ExecuteLegTableCtx's table, once, for the assembly to
+// fold; Stats.ResultTuples counts the facts the block selects — what
+// the site ships to the coordinator.
 func (st *Store) ExecuteLegCtx(ctx context.Context, leg Leg, engine Engine) (*LegResult, error) {
 	t0 := time.Now()
-	table, stats, err := st.ExecuteLegTableCtx(ctx, leg.SiteID, leg.Entry, engine)
+	table, stats, err := st.ExecuteLegTableCtx(ctx, leg, engine)
 	if err != nil {
 		return nil, err
 	}
@@ -412,36 +412,47 @@ func (st *Store) ExecuteLegCtx(ctx context.Context, leg Leg, engine Engine) (*Le
 	return &LegResult{Leg: leg, Block: block, Stats: stats, Took: time.Since(t0)}, nil
 }
 
-// ExecuteLegTableCtx runs a leg engine from an entry set WITHOUT the
-// exit-set selection: every (src, dst, cost) fact derivable from the
-// entry nodes on the site's augmented fragment, as a leg table in the
-// site's shape on every engine (tc.NewCostMatrix over the site's CSR):
-// one row per distinct entry node present on the site, in entry order,
-// one column per node of the CSR. This is the memoizable unit of leg
-// execution — the expensive part of a leg depends only on (site, entry
-// set, engine), while the exit set is a cheap selection (SelectExits
-// gathers the exits' cells, and the columns it discards are never
-// read) — so a serving layer can cache the table under that key and
-// select every query's exits from it. For EngineBitset a fact carries the presence marker 1 (the table is a
-// connectivity table). Whatever the engine, a cell holds a fact iff the
-// engine derives one: the dense kernel keeps a source's cycle back to
-// itself, and the Dijkstra arm, whose search starts at cost 0, has no
-// (a, a) fact.
+// ExecuteLegTableCtx runs a leg engine from the leg's entry set
+// WITHOUT the exit-set selection: the (src, dst, cost) facts derivable
+// from the entry nodes on the site's augmented fragment, as a leg table
+// in the site's shape on every engine (tc.NewCostMatrix over the site's
+// CSR): one row per distinct entry node present on the site, in entry
+// order, one column per node of the CSR. This is the memoizable unit of
+// leg execution — the expensive part of a leg depends only on (site,
+// entry set, engine), while the exit set is a cheap selection
+// (SelectExits gathers the exits' cells, and the columns it discards
+// are never read) — so a serving layer can cache the table under that
+// key and select every query's exits from it. For EngineBitset a fact
+// carries the presence marker 1 (the table is a connectivity table).
+// Whatever the engine, a final cell holds a fact iff the engine derives
+// one: the dense kernel keeps a source's cycle back to itself, and the
+// Dijkstra arm, whose search starts at cost 0, has no (a, a) fact.
+//
+// The exits pick the dense engine's kernel. A one-source leg with exits
+// — a same-fragment query's, or a first leg off the border tables —
+// runs the stop search (tc.DenseGraph.CostToCtx): its row is final
+// (tc.CostMatrix.Final) up to the bucket that settles the last exit,
+// the rest of it tentative, and a cache that keeps it must ask Final
+// before it serves another leg's exits from it. Every other dense leg
+// — several entry nodes, or no exits, which asks for the whole table —
+// gets complete rows from the level-synchronous kernel, as every other
+// engine's table is complete: on whole rows that kernel is the faster.
 //
 // Cancellation is threaded into the engine kernels: the per-entry
 // Dijkstra loop checks ctx between sources, and the relational, bitset
-// and dense kernels observe it between fixpoint rounds / propagation
-// levels. A canceled leg returns ErrCanceled.
-func (st *Store) ExecuteLegTableCtx(ctx context.Context, siteID int, entry []graph.NodeID, engine Engine) (*tc.CostMatrix, tc.Stats, error) {
-	if siteID < 0 || siteID >= len(st.sites) {
-		return nil, tc.Stats{}, fmt.Errorf("dsa: %w: leg site %d out of range", ErrUnknownSite, siteID)
+// and dense kernels observe it between fixpoint rounds, propagation
+// levels and search buckets. A canceled leg returns ErrCanceled.
+func (st *Store) ExecuteLegTableCtx(ctx context.Context, leg Leg, engine Engine) (*tc.CostMatrix, tc.Stats, error) {
+	if leg.SiteID < 0 || leg.SiteID >= len(st.sites) {
+		return nil, tc.Stats{}, fmt.Errorf("dsa: %w: leg site %d out of range", ErrUnknownSite, leg.SiteID)
 	}
-	return st.sites[siteID].legTable(ctx, entry, engine)
+	return st.sites[leg.SiteID].legTable(ctx, leg, engine)
 }
 
 // legTable is ExecuteLegTableCtx on the site: the engine dispatch every
 // leg table and border table is computed by.
-func (s *Site) legTable(ctx context.Context, entry []graph.NodeID, engine Engine) (*tc.CostMatrix, tc.Stats, error) {
+func (s *Site) legTable(ctx context.Context, leg Leg, engine Engine) (*tc.CostMatrix, tc.Stats, error) {
+	entry := leg.Entry
 	var table *tc.CostMatrix
 	var stats tc.Stats
 	var err error
@@ -475,17 +486,20 @@ func (s *Site) legTable(ctx context.Context, entry []graph.NodeID, engine Engine
 			table, err = s.factTable(rel, entry)
 		}
 	case EngineBitset, EngineDense:
-		// Both kernels run on the site's one CSR and write the table
+		// The kernels run on the site's one CSR and write the table
 		// themselves.
 		kernel, kerr := s.DenseKernel()
 		if kerr != nil {
 			return nil, tc.Stats{}, kerr
 		}
-		run := kernel.CostFromCtx
-		if engine == EngineBitset {
-			run = kernel.ReachFromCtx
+		switch {
+		case engine == EngineBitset:
+			table, stats, err = kernel.ReachFromCtx(ctx, entry)
+		case len(entry) == 1 && len(leg.Exit) > 0:
+			table, stats, err = kernel.CostToCtx(ctx, entry[0], leg.Exit)
+		default:
+			table, stats, err = kernel.CostFromCtx(ctx, entry)
 		}
-		table, stats, err = run(ctx, entry)
 	default:
 		return nil, tc.Stats{}, fmt.Errorf("dsa: %w %d", ErrUnknownEngine, engine)
 	}
@@ -519,12 +533,13 @@ func (s *Site) factTable(rel *relation.Relation, entry []graph.NodeID) (*tc.Cost
 	return table, nil
 }
 
-// ExecuteLegFullCtx is ExecuteLegTableCtx with the table as a
-// (src, dst, cost) relation in leg-table order — by destination, the
-// sources of one destination in entry order — for the benchmark
-// harness, whose walker times it as the leg's layer.
+// ExecuteLegFullCtx is ExecuteLegTableCtx for the leg from entry with
+// no exits, whose rows are complete, as a (src, dst, cost) relation in
+// leg-table order — by destination, the sources of one destination in
+// entry order — for the benchmark harness, whose walker times it as the
+// leg's layer.
 func (st *Store) ExecuteLegFullCtx(ctx context.Context, siteID int, entry []graph.NodeID, engine Engine) (*relation.Relation, tc.Stats, error) {
-	table, stats, err := st.ExecuteLegTableCtx(ctx, siteID, entry, engine)
+	table, stats, err := st.ExecuteLegTableCtx(ctx, Leg{SiteID: siteID, Entry: entry}, engine)
 	if err != nil {
 		return nil, tc.Stats{}, err
 	}

@@ -40,7 +40,7 @@ func TestLegTableShape(t *testing.T) {
 					}
 				}
 				for _, engine := range Engines() {
-					table, _, err := st.ExecuteLegTableCtx(ctx, site.ID, entry, engine)
+					table, _, err := st.ExecuteLegTableCtx(ctx, Leg{SiteID: site.ID, Entry: entry}, engine)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -134,7 +134,7 @@ func TestPropertyFactBlockMatchesSelectExits(t *testing.T) {
 					shapes[legShape(st.sites[leg.SiteID], leg)]++
 					for _, engine := range Engines() {
 						what := fmt.Sprintf("%s/%v: site %d leg %v → %v", name, engine, leg.SiteID, leg.Entry, leg.Exit)
-						table, _, err := st.ExecuteLegTableCtx(ctx, leg.SiteID, leg.Entry, engine)
+						table, _, err := st.ExecuteLegTableCtx(ctx, leg, engine)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -76,9 +76,9 @@ func TestExecuteLegFullMatchesExecuteLeg(t *testing.T) {
 					if err != nil {
 						t.Fatalf("ExecuteLeg(%v, %v): %v", leg, engine, err)
 					}
-					table, _, err := st.ExecuteLegTableCtx(context.Background(), leg.SiteID, leg.Entry, engine)
+					table, _, err := st.ExecuteLegTableCtx(context.Background(), leg, engine)
 					if err != nil {
-						t.Fatalf("ExecuteLegTable(%d, %v, %v): %v", leg.SiteID, leg.Entry, engine, err)
+						t.Fatalf("ExecuteLegTable(%+v, %v): %v", leg, engine, err)
 					}
 					checkBlock(t, fmt.Sprintf("seed %d engine %v leg %+v", seed, engine, leg), direct.Block, SelectExits(table, leg), false)
 					full, _, err := st.ExecuteLegFullCtx(context.Background(), leg.SiteID, leg.Entry, engine)

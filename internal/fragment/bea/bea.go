@@ -169,35 +169,81 @@ func (mx *Matrix) Reorder(starts int) ([]int, int) {
 }
 
 // greedyFrom runs one greedy placement starting with column s and
-// returns the permutation and its measure.
+// returns the permutation and its measure. Each step inserts the
+// (column, gap) pair of greatest gain, the first in column-then-gap
+// order among equals. A column's best gap is kept across steps:
+// inserting column x at gap g only replaces gap g by the two gaps
+// beside x and shifts the later ones, so a column whose best gap was
+// not g compares its best with the two new gaps, and only a column
+// whose best gap was g rescans its gaps.
 func greedyFrom(bond [][]int, n, s int) ([]int, int) {
 	placed := make([]int, 1, n)
 	placed[0] = s
 	used := make([]bool, n)
 	used[s] = true
+	best := make([]struct{ gain, gap int }, n)
+	for c := range n {
+		if !used[c] {
+			best[c].gain, best[c].gap = bestGap(bond, placed, c)
+		}
+	}
 	measure := 0
 	for len(placed) < n {
-		bestGain, bestCol, bestGap := -1<<62, -1, -1
-		for c := 0; c < n; c++ {
+		x := -1
+		for c := range n {
+			if !used[c] && (x < 0 || best[c].gain > best[x].gain) {
+				x = c
+			}
+		}
+		g := best[x].gap
+		measure += best[x].gain
+		placed = append(placed, 0)
+		copy(placed[g+1:], placed[g:])
+		placed[g] = x
+		used[x] = true
+		for c := range n {
 			if used[c] {
 				continue
 			}
-			// Gap g means inserting before placed[g]; g = len(placed)
-			// appends at the right end.
-			for g := 0; g <= len(placed); g++ {
-				gain := insertionGain(bond, placed, c, g)
-				if gain > bestGain {
-					bestGain, bestCol, bestGap = gain, c, g
+			b := &best[c]
+			if b.gap == g {
+				b.gain, b.gap = bestGap(bond, placed, c)
+				continue
+			}
+			// The first best of the new gaps g, g+1 and the old best,
+			// in gap order: before them, or after them and one gap on.
+			first, second := insertionGain(bond, placed, c, g), insertionGain(bond, placed, c, g+1)
+			switch {
+			case b.gap < g:
+				if first > b.gain {
+					b.gain, b.gap = first, g
 				}
+				if second > b.gain {
+					b.gain, b.gap = second, g+1
+				}
+			case first >= second && first >= b.gain:
+				b.gain, b.gap = first, g
+			case second >= b.gain:
+				b.gain, b.gap = second, g+1
+			default:
+				b.gap++
 			}
 		}
-		placed = append(placed, 0)
-		copy(placed[bestGap+1:], placed[bestGap:])
-		placed[bestGap] = bestCol
-		used[bestCol] = true
-		measure += bestGain
 	}
 	return placed, measure
+}
+
+// bestGap returns the greatest gain of inserting column c into the
+// placed sequence and its first gap. Gap g means inserting before
+// placed[g]; g = len(placed) appends at the right end.
+func bestGap(bond [][]int, placed []int, c int) (int, int) {
+	gain, gap := insertionGain(bond, placed, c, 0), 0
+	for g := 1; g <= len(placed); g++ {
+		if v := insertionGain(bond, placed, c, g); v > gain {
+			gain, gap = v, g
+		}
+	}
+	return gain, gap
 }
 
 // insertionGain is the change of the adjacency-bond measure when

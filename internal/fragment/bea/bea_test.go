@@ -2,6 +2,7 @@ package bea
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -314,5 +315,74 @@ func TestPropertyReorderPreservesMatrix(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
+	}
+}
+
+// rescanFrom is greedyFrom as the paper states it: every step scores
+// every (column, gap) pair afresh and inserts the first best in
+// column-then-gap order.
+func rescanFrom(bond [][]int, n, s int) ([]int, int) {
+	placed := []int{s}
+	used := make([]bool, n)
+	used[s] = true
+	measure := 0
+	for len(placed) < n {
+		bestGain, bestCol, bestGap := -1<<62, -1, -1
+		for c := range n {
+			if used[c] {
+				continue
+			}
+			for g := 0; g <= len(placed); g++ {
+				if gain := insertionGain(bond, placed, c, g); gain > bestGain {
+					bestGain, bestCol, bestGap = gain, c, g
+				}
+			}
+		}
+		placed = append(placed[:bestGap], append([]int{bestCol}, placed[bestGap:]...)...)
+		used[bestCol] = true
+		measure += bestGain
+	}
+	return placed, measure
+}
+
+// TestGreedyFromMatchesRescan: keeping each column's best gap across
+// steps places the very columns at the very gaps a full rescan does,
+// ties included — generated graphs, whose small integer bonds tie
+// often, a disconnected one with isolated nodes among them, from every
+// start.
+func TestGreedyFromMatchesRescan(t *testing.T) {
+	var graphs []*graph.Graph
+	for seed := range int64(12) {
+		g, err := gen.General(gen.Defaults(5+int(seed)*4, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	g, err := gen.Transportation(gen.TransportConfig{Clusters: 3, Cluster: gen.DefaultsWithDegree(20, 3, 5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs = append(graphs, g)
+	sparse := fig5Graph()
+	for i := 7; i <= 12; i++ {
+		sparse.AddNode(graph.NodeID(i), graph.Coord{})
+	}
+	graphs = append(graphs, sparse)
+	rng := rand.New(rand.NewSource(5))
+	for i, g := range graphs {
+		mx := BuildMatrix(g)
+		bond := mx.bondTable()
+		n := len(mx.Cols)
+		for s := range n {
+			if n > 24 && rng.Intn(4) > 0 {
+				continue
+			}
+			got, gotM := greedyFrom(bond, n, s)
+			want, wantM := rescanFrom(bond, n, s)
+			if gotM != wantM || !slices.Equal(got, want) {
+				t.Fatalf("graph %d (%d nodes), start %d: %v (measure %d), rescan %v (measure %d)", i, n, s, got, gotM, want, wantM)
+			}
+		}
 	}
 }

@@ -27,9 +27,14 @@ import (
 // entry is one source row. The exit set is deliberately absent — the
 // assembly folds a leg's exit block, which dsa.SelectExits gathers from
 // the table for any exit set — so queries from one source to different
-// targets share entries. The mode is likewise absent because a leg's
-// table depends only on the engine, letting cost and connectivity
-// traffic share entries.
+// targets share entries. The exits decide whether an entry answers a
+// leg, though: on the dense engine the row comes from the stop search,
+// final only up to the bucket that settled the exits of the leg that
+// computed it, so an entry is a hit only for a leg whose exits it
+// settles (tc.CostMatrix.Final). A miss runs the search for its own
+// exits, past the old bound, and puts back a more settled row. The
+// mode is likewise absent because a leg's table depends only on the
+// engine, letting cost and connectivity traffic share entries.
 type legKey struct {
 	site   *dsa.Site
 	engine dsa.Engine
@@ -100,15 +105,17 @@ func newLegCache(capacity int) *legCache {
 	}
 }
 
-// get returns the memoized table for key if present.
-func (c *legCache) get(key legKey) (*tc.CostMatrix, tc.Stats, bool) {
+// get returns the memoized table for key if it is there and its cells
+// of exits are final (tc.CostMatrix.Final): a hit. A table that does
+// not settle them is a miss, like no table.
+func (c *legCache) get(key legKey, exits []graph.NodeID) (*tc.CostMatrix, tc.Stats, bool) {
 	if c == nil || c.cap == 0 {
 		return nil, tc.Stats{}, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
-	if !ok {
+	if !ok || !el.Value.(*cacheEntry).table.Final(exits) {
 		c.stats.Misses++
 		return nil, tc.Stats{}, false
 	}
@@ -118,22 +125,26 @@ func (c *legCache) get(key legKey) (*tc.CostMatrix, tc.Stats, bool) {
 	return ent.table, ent.stats, true
 }
 
-// has reports whether key is cached, without promoting the entry or
+// has reports whether get would hit, without promoting the entry or
 // counting a lookup: a probe before the leg, not a use of the table.
-func (c *legCache) has(key legKey) bool {
+func (c *legCache) has(key legKey, exits []graph.NodeID) bool {
 	if c == nil || c.cap == 0 {
 		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.byKey[key]
-	return ok
+	el, ok := c.byKey[key]
+	return ok && el.Value.(*cacheEntry).table.Final(exits)
 }
 
 // put memoizes a leg computation, evicting the least recently used
-// entry when the bound is exceeded. Concurrent queries can race to fill
-// the same key; the same key means the same table, so the last put
-// simply replaces the entry.
+// entry when the bound is exceeded. A put for a key already cached
+// follows a miss: the entry did not settle the leg's exits, and the
+// stop search that did drained further, so the new table replaces it.
+// Concurrent queries can race to fill the same key, though, and the
+// entry keeps the more settled of the two tables: the new one unless
+// it settles less (tc.CostMatrix.SettledAsFar). One key's final cells
+// are the same whoever computed them.
 func (c *legCache) put(key legKey, table *tc.CostMatrix, stats tc.Stats) {
 	if c == nil || c.cap == 0 {
 		return
@@ -141,13 +152,15 @@ func (c *legCache) put(key legKey, table *tc.CostMatrix, stats tc.Stats) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ent := &cacheEntry{key: key, table: table, stats: stats}
-	c.stats.Bytes += ent.bytes()
 	if el, ok := c.byKey[key]; ok {
-		c.stats.Bytes -= el.Value.(*cacheEntry).bytes()
-		el.Value = ent
 		c.ll.MoveToFront(el)
+		if old := el.Value.(*cacheEntry); table.SettledAsFar(old.table) {
+			c.stats.Bytes += ent.bytes() - old.bytes()
+			el.Value = ent
+		}
 		return
 	}
+	c.stats.Bytes += ent.bytes()
 	c.byKey[key] = c.ll.PushFront(ent)
 	for c.ll.Len() > c.cap {
 		c.remove(c.ll.Back())

@@ -289,7 +289,7 @@ func TestV1LegWireMatchesRelation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		table, _, err := st.ExecuteLegTableCtx(ctx, leg.SiteID, leg.Entry, engine)
+		table, _, err := st.ExecuteLegTableCtx(ctx, leg, engine)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,10 @@
 // (dsa.Store.BorderBlockCtx), a bounded LRU leg-result cache for the
 // rest of the one-source legs — from a source off the border on an
 // asymmetric site or to a target off it too — and an HTTP/JSON API.
+// A cached row is the dense engine's stop search's, final up to the
+// bound that settled its leg's exits, and answers another leg from the
+// same source only if it settles that leg's exits too; a leg it does
+// not settle misses and puts back a row stopped further out.
 // Many concurrent queries interleave their per-site legs exactly the
 // way the paper's sites would interleave independent subqueries. A
 // query's sites whose legs read a built table or hit the cache run on
@@ -258,15 +262,16 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 // cheapLeg is runCtx's dsa.LegProbe: a locally owned leg that
 // executeLegLocal will answer without a kernel — from a border table
 // its site has built, or from the leg cache's table for its one
-// source. A peer's leg is never cheap, so a query's RPCs overlap. A
-// table or entry can go between the probe and the leg (a full cache
-// evicts); the leg then runs its kernel where the probe put it.
+// source, if that settles its exits. A peer's leg is never cheap, so a
+// query's RPCs overlap. A table or entry can go between the probe and
+// the leg (a full cache evicts); the leg then runs its kernel where the
+// probe put it.
 func (s *Server) cheapLeg(st *dsa.Store, leg dsa.Leg, engine dsa.Engine) bool {
 	if s.cluster != nil && !s.cluster.IsLocal(leg.SiteID) {
 		return false
 	}
 	return st.BorderReady(leg, engine) ||
-		len(leg.Entry) == 1 && s.cache.has(legKey{site: st.Site(leg.SiteID), engine: engine, source: leg.Entry[0]})
+		len(leg.Entry) == 1 && s.cache.has(legKey{site: st.Site(leg.SiteID), engine: engine, source: leg.Entry[0]}, leg.Exit)
 }
 
 // executeLegLocal runs a leg on this node on its site (onSite), whoever
@@ -275,13 +280,17 @@ func (s *Server) cheapLeg(st *dsa.Store, leg dsa.Leg, engine dsa.Engine) bool {
 // The snapshot site's border table answers the leg when it can
 // (dsa.Store.BorderBlockCtx): a hit, unless this read built the table.
 // Any other leg's exits are selected, after the site's gate is
-// released, from the kernel's table: the leg cache's for one source.
+// released, from the kernel's table: for one source, the leg cache's
+// if it settles the exits, else the one the kernel computes for them,
+// which replaces it. A leg without exits runs as one, so its kernel
+// computes whole rows.
 func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg dsa.Leg, engine dsa.Engine) (*dsa.LegResult, bool, error) {
 	var lr dsa.LegResult
 	var table *tc.CostMatrix
 	var hit bool
 	took, err := s.onSite(ctx, leg.SiteID, func() error {
 		st := snap.Store()
+		run := leg // a leg without exits runs as one: complete rows
 		if len(leg.Exit) == 0 {
 			leg.Exit = st.Site(leg.SiteID).Nodes()
 		}
@@ -300,11 +309,11 @@ func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg ds
 		key, one := legKey{site: st.Site(leg.SiteID), engine: engine}, len(leg.Entry) == 1
 		if one {
 			key.source = leg.Entry[0]
-			if table, lr.Stats, hit = s.cache.get(key); hit {
+			if table, lr.Stats, hit = s.cache.get(key, leg.Exit); hit {
 				return nil
 			}
 		}
-		if table, lr.Stats, err = st.ExecuteLegTableCtx(ctx, leg.SiteID, leg.Entry, engine); err != nil {
+		if table, lr.Stats, err = st.ExecuteLegTableCtx(ctx, run, engine); err != nil {
 			return err
 		}
 		if one {

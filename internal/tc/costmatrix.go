@@ -15,7 +15,9 @@ import (
 // cost): the least path cost for the cost kernels, the presence marker
 // 1 for the bitset kernel, and +Inf where there is no fact. A matrix is
 // not written once built, so a cache can hand one to any number of
-// readers.
+// readers. A stopped search's row (DenseGraph.CostToCtx) holds facts
+// only where it is Final; past that its cells are upper bounds, which
+// Len, Each and Relation would count as facts.
 type CostMatrix struct {
 	// Rows are the sources, distinct.
 	Rows []graph.NodeID
@@ -25,10 +27,17 @@ type CostMatrix struct {
 	Cols []graph.NodeID
 	// Cost holds the cells row after row: Cost[r*len(Cols)+c].
 	Cost []float64
+	// inv and drained bound what a stopped search left final
+	// (DenseGraph.CostToCtx): a finite cell c with
+	// bucket(c, inv) <= drained. inv = 0 marks a complete matrix, every
+	// cell final, +Inf ones included — what every other kernel writes.
+	inv     float64
+	drained int64
 }
 
-// matrixHeader is the size of a CostMatrix value: three slice headers.
-const matrixHeader = 72
+// matrixHeader is the size of a CostMatrix value: three slice headers
+// and its bound.
+const matrixHeader = 88
 
 // sourceIndices resolves an entry set to CSR rows, in the order given:
 // sources that are not nodes of the snapshot contribute nothing and
@@ -64,11 +73,15 @@ func NewCostMatrix(c *graph.CSR, sources []graph.NodeID) (*CostMatrix, []int32) 
 	return m, rows
 }
 
-// infs returns n cells of +Inf.
+// infs returns n cells of +Inf, copied in doubling runs: a leg row is
+// filled by memmove rather than one store per cell.
 func infs(n int) []float64 {
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Inf(1)
+	if n > 0 {
+		out[0] = math.Inf(1)
+	}
+	for k := 1; k < n; k *= 2 {
+		copy(out[k:], out[:k])
 	}
 	return out
 }
@@ -76,6 +89,36 @@ func infs(n int) []float64 {
 // Col returns the column of node id, by binary search.
 func (m *CostMatrix) Col(id graph.NodeID) (int, bool) {
 	return slices.BinarySearch(m.Cols, id)
+}
+
+// Final reports whether the cells of nodes are final in every row: the
+// least costs, or +Inf for no path, that no further search can change.
+// Every cell of a complete matrix is; a stopped search's are those of
+// the buckets it drained. A node with no column has no cell to settle.
+func (m *CostMatrix) Final(nodes []graph.NodeID) bool {
+	if m.inv == 0 {
+		return true
+	}
+	n := len(m.Cols)
+	for _, id := range nodes {
+		c, ok := m.Col(id)
+		if !ok {
+			continue
+		}
+		for r := range m.Rows {
+			if cost := m.Cost[r*n+c]; math.IsInf(cost, 1) || bucket(cost, m.inv) > m.drained {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// SettledAsFar reports whether every cell final in o is final in m, for
+// two matrices of one kernel and source: m is complete, or both stopped
+// and m drained at least o's buckets.
+func (m *CostMatrix) SettledAsFar(o *CostMatrix) bool {
+	return m.inv == 0 || m.inv == o.inv && m.drained >= o.drained
 }
 
 // Len returns the number of facts: the cells that are not +Inf.

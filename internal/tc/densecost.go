@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -27,6 +28,11 @@ import (
 // fanned out over the GOMAXPROCS worker pool of bitset.go, the dense
 // analogue of "neither communication nor synchronization is required"
 // between per-source searches.
+//
+// A leg from one source to a few exits needs only the exits' cells, so
+// it runs a label-setting search instead (CostToCtx): bucketed by cost,
+// it stops once the exits are final and leaves the rest of the row
+// tentative, recording how far the row is final.
 
 // DenseGraph is a graph's CSR with non-negative costs, as the kernels
 // read it: the cost kernel (CostFromCtx, CostVectorCtx) and the bitset
@@ -36,17 +42,47 @@ import (
 // approach's sites keep one per augmented fragment.
 type DenseGraph struct {
 	csr *graph.CSR
+	// inv is 1/Δ of the stop search's buckets (CostToCtx) and ring
+	// the number of slots they take turns in, enough for the heaviest
+	// finite edge: both fixed by the weights, so every row of one kernel
+	// buckets alike.
+	inv  float64
+	ring int
+	// rows holds row scratch (*costRow) between calls, so a kernel
+	// reuses its own and a replaced one takes its scratch with it.
+	rows sync.Pool
 }
+
+// ringCap bounds the stop search's buckets: where the heaviest edge
+// spans more of them, Δ grows to a ringCap-th of it, and edges lighter
+// than Δ are relaxed again within their bucket.
+const ringCap = 1024
 
 // NewDenseGraph wraps a graph's CSR for the kernels. Negative weights,
 // which graph files may carry, are refused with ErrNegativeWeight.
 func NewDenseGraph(c *graph.CSR) (*DenseGraph, error) {
+	least, most := math.Inf(1), 0.0
 	for _, w := range c.W {
 		if w < 0 {
 			return nil, fmt.Errorf("tc: %w: cost %v not supported", ErrNegativeWeight, w)
 		}
+		if w > 0 && w < math.Inf(1) {
+			least, most = min(least, w), max(most, w)
+		}
 	}
-	return &DenseGraph{csr: c}, nil
+	// Δ is the least positive weight, so a positive edge leaves its
+	// bucket. With none, every path costs 0, and with weights so small
+	// that 1/Δ overflows, every cost is below 1: Δ = 1 and bucket 0
+	// holds them all.
+	inv := 1.0
+	if most > 0 && !math.IsInf(ringCap/most, 1) {
+		inv = min(1/least, ringCap/most)
+	}
+	ring := 1 // a power of two, the span of the heaviest edge and then some
+	for ring < int(most*inv)+3 {
+		ring *= 2
+	}
+	return &DenseGraph{csr: c, inv: inv, ring: ring}, nil
 }
 
 // Nodes returns the number of nodes in the snapshot.
@@ -56,18 +92,45 @@ func (d *DenseGraph) Nodes() int { return len(d.csr.IDs) }
 // takes the minimum naturally).
 func (d *DenseGraph) Edges() int { return len(d.csr.To) }
 
-// costRow is the scratch state of one propagation: the distance row it
-// writes and the frontier bookkeeping, which a worker reuses from one
-// source to the next.
+// costRow is the scratch state of one row: the distance row it writes
+// and the bookkeeping of the kernel that writes it — the frontiers of
+// the level-synchronous propagation, the bucket ring and stop rows of
+// the stop search. A worker reuses it from one source to the next, and
+// the kernel's pool from one call to the next.
 type costRow struct {
 	dist     []float64
 	inNext   []bool
 	frontier []int32
 	next     []int32
+	// buckets is the stop search's ring: bucket b's nodes are in slot
+	// b mod len(buckets). Queued nodes span fewer buckets than the ring
+	// has slots, so a slot holds one bucket's nodes.
+	buckets [][]int32
+	stop    []int32
 }
 
-func newCostRow(n int) *costRow {
-	return &costRow{inNext: make([]bool, n), frontier: make([]int32, 0, n), next: make([]int32, 0, n)}
+// row takes a row scratch from the kernel's pool, with the frontiers
+// of the level-synchronous propagation or, for the stop search, the
+// bucket ring; done gives it back.
+func (d *DenseGraph) row(stop bool) *costRow {
+	r, _ := d.rows.Get().(*costRow)
+	if r == nil {
+		r = new(costRow)
+	}
+	if n := d.Nodes(); !stop && r.inNext == nil {
+		r.inNext, r.frontier, r.next = make([]bool, n), make([]int32, 0, n), make([]int32, 0, n)
+	}
+	if stop && r.buckets == nil {
+		r.buckets = make([][]int32, d.ring)
+	}
+	return r
+}
+
+// done returns r to the kernel's pool, letting go of its distance row
+// and of the frontier a canceled propagation leaves.
+func (d *DenseGraph) done(r *costRow) {
+	r.dist, r.frontier = nil, r.frontier[:0]
+	d.rows.Put(r)
 }
 
 // on points the row at a distance slice of its own, every cell +Inf.
@@ -142,12 +205,13 @@ func (d *DenseGraph) propagate(ctx context.Context, r *costRow) (reached, rounds
 // distinct present source in the order given, the CSR's IDs as columns.
 // Sources that are not nodes of the snapshot contribute nothing;
 // duplicates count once. Nothing is boxed: the call allocates the
-// matrix and its scratch. Stats are in the kernel's units: Iterations
-// is the maximum frontier-round count over all source rows (the
-// critical-path analogue of fixpoint rounds), DerivedTuples the total
-// number of successful relaxations, ResultTuples the facts. Worker rows
-// observe ctx between sources and between frontier rounds, and a
-// canceled run returns ErrCanceled instead of a partial matrix.
+// matrix, and its scratch comes from the kernel's pool. Stats are in
+// the kernel's units: Iterations is the maximum frontier-round count
+// over all source rows (the critical-path analogue of fixpoint
+// rounds), DerivedTuples the total number of successful relaxations,
+// ResultTuples the facts. Worker rows observe ctx between sources and
+// between frontier rounds, and a canceled run returns ErrCanceled
+// instead of a partial matrix.
 func (d *DenseGraph) CostFromCtx(ctx context.Context, sources []graph.NodeID) (*CostMatrix, Stats, error) {
 	var st Stats
 	m, srcIdx := NewCostMatrix(d.csr, sources)
@@ -155,10 +219,11 @@ func (d *DenseGraph) CostFromCtx(ctx context.Context, sources []graph.NodeID) (*
 	rounds := make([]int, len(srcIdx))
 	var facts, relaxed atomic.Int64
 	// One distance row per source; rows are independent, so chunks of
-	// sources fan out over the worker pool, each chunk reusing one
-	// frontier scratch.
+	// sources fan out over the worker pool, each chunk reusing one row
+	// scratch.
 	bitsetPool(len(srcIdx), func(lo, hi int) {
-		row := newCostRow(n)
+		row := d.row(false)
+		defer d.done(row)
 		reachedSum, relaxedSum := 0, 0
 		for si := lo; si < hi; si++ {
 			if ctx.Err() != nil {
@@ -183,6 +248,128 @@ func (d *DenseGraph) CostFromCtx(ctx context.Context, sources []graph.NodeID) (*
 	return m, st, nil
 }
 
+// CostToCtx computes the cost row of one source, over paths of at
+// least one edge as CostFromCtx's, with a bucketed label-setting search
+// — Δ-stepping (Meyer & Sanders, J. Algorithms 2003) over the CSR, Δ
+// the least positive weight or, if more, a ringCap-th of the heaviest
+// finite one (NewDenseGraph) — that stops once every node of stop is
+// final: a leg needs its exits' cells only (§2.1), and on a large site
+// they are settled long before the whole row is. Bucket b holds the
+// nodes whose tentative cost c has ⌊c/Δ⌋ = b; the search drains the
+// buckets in order, relaxing a node's out-edges when it leaves its
+// bucket, and a node improved into the bucket being drained (a zero or
+// light edge) goes back into it. Once bucket b is drained, every cell
+// of bucket b or lower is final, and bit-equal to CostFromCtx's cell:
+// both compute the least fixpoint of the same rounded sums, since
+// fl(a+w) ≥ a and rounding is monotone. The search stops after the
+// bucket that makes the last stop node final, or when it runs out of
+// buckets with the row complete, so a stop node the source does not
+// reach costs a whole row. Stop nodes that are not in the snapshot are
+// ignored; with none left, the search stops after its first bucket.
+//
+// The result has one row (none if source is not in the snapshot), and
+// records how far it is final (CostMatrix.Final). Cells past that
+// bound are upper bounds, +Inf where not yet reached. Stats: Iterations
+// is the number of buckets drained, empty ones included, DerivedTuples
+// the nodes queued in them, ResultTuples the cells reached. The search
+// observes ctx between buckets, and a canceled search returns
+// ErrCanceled.
+func (d *DenseGraph) CostToCtx(ctx context.Context, source graph.NodeID, stop []graph.NodeID) (*CostMatrix, Stats, error) {
+	m, rows := NewCostMatrix(d.csr, []graph.NodeID{source})
+	if len(rows) == 0 {
+		return m, Stats{}, nil
+	}
+	r := d.row(true).on(m.Cost)
+	defer d.done(r)
+	r.stop = r.stop[:0]
+	for _, id := range stop {
+		if k, ok := d.csr.Row(id); ok {
+			r.stop = append(r.stop, k)
+		}
+	}
+	drained, complete, st := d.settle(ctx, r, rows[0])
+	if !complete {
+		m.inv, m.drained = d.inv, drained
+		for i := range r.buckets {
+			r.buckets[i] = r.buckets[i][:0]
+		}
+	}
+	if ctx.Err() != nil {
+		return nil, Stats{}, canceled(ctx)
+	}
+	return m, st, nil
+}
+
+// bucket is the stop search's bucket of a cost c ≥ 0 at 1/Δ = inv:
+// ⌊c/Δ⌋, the one expression the search and CostMatrix.Final compare.
+func bucket(c, inv float64) int64 { return int64(c * inv) }
+
+// settle runs the stop search of CostToCtx from src on r, whose stop
+// rows are set, and returns the last bucket it drained, whether the
+// row is complete, and its stats. A complete row leaves r.buckets
+// empty; a search that stopped early or was canceled leaves them for
+// the caller to clear.
+func (d *DenseGraph) settle(ctx context.Context, r *costRow, src int32) (int64, bool, Stats) {
+	reached, pushed, popped := 0, 0, 0
+	off, to, w, dist, inv := d.csr.Off, d.csr.To, d.csr.W, r.dist, d.inv
+	buckets, mask := r.buckets, int64(len(r.buckets)-1)
+	inf := math.Inf(1)
+	// The source's out-edges are relaxed as a node's at cost -0, whose
+	// sums are the weights themselves, bit for bit.
+	u, du := src, math.Copysign(0, -1)
+	next := 0 // the first stop row not yet known final
+	head := 0 // the next node of the bucket being drained
+	for cur := int64(0); ; {
+		// Relax u's out-edges. An improved node is queued in its new
+		// bucket unless it waits there already: a node waits in the
+		// bucket of its cell, or in the one being drained, to which a
+		// zero or light edge can bring it back.
+		heads := to[off[u]:off[u+1]]
+		costs := w[off[u]:off[u+1]]
+		costs = costs[:len(heads)]
+		for k, v := range heads {
+			nd := du + costs[k]
+			old := dist[v]
+			if !(nd < old) {
+				continue
+			}
+			dist[v] = nd
+			b := bucket(nd, inv)
+			if old == inf {
+				reached++
+			} else if b != cur && bucket(old, inv) == b {
+				continue
+			}
+			buckets[b&mask] = append(buckets[b&mask], v)
+			pushed++
+		}
+		// Take the next node of the lowest bucket, in the order queued.
+		// Past a drained bucket, stop once the stop rows are final, or
+		// with the row complete once no node is queued.
+		for {
+			q := buckets[cur&mask]
+			if head < len(q) {
+				// A node that moved to a lower bucket since it was
+				// queued here was relaxed from there, at the cost it
+				// still has: relaxing it again changes nothing, and is
+				// rarer than a test for it is dear.
+				u, du = q[head], dist[q[head]]
+				head++
+				popped++
+				break
+			}
+			buckets[cur&mask], head = q[:0], 0
+			for next < len(r.stop) && dist[r.stop[next]] < inf && bucket(dist[r.stop[next]], inv) <= cur {
+				next++
+			}
+			if pushed == popped || next == len(r.stop) || ctx.Err() != nil {
+				return cur, pushed == popped, Stats{Iterations: int(cur) + 1, DerivedTuples: pushed, ResultTuples: reached}
+			}
+			cur++
+		}
+	}
+}
+
 // CostVectorCtx runs one propagation from a seed row, allowing
 // zero-edge paths. seed is a distance row over the kernel's CSR, one
 // cell per row (Nodes()); +Inf marks a row that is not a seed, and
@@ -195,7 +382,8 @@ func (d *DenseGraph) CostFromCtx(ctx context.Context, sources []graph.NodeID) (*
 // observes ctx between frontier rounds, and a canceled run returns nil
 // and ErrCanceled, never the partial row it leaves in seed.
 func (d *DenseGraph) CostVectorCtx(ctx context.Context, seed []float64) ([]float64, error) {
-	row := newCostRow(len(seed)).on(seed)
+	row := d.row(false).on(seed)
+	defer d.done(row)
 	for k, c := range seed {
 		if c >= 0 && c < math.Inf(1) {
 			row.frontier = append(row.frontier, int32(k))

@@ -351,7 +351,9 @@ func TestPropertyDenseRandomCostRelations(t *testing.T) {
 // FuzzDenseCost cross-checks the dense cost kernel against the
 // relational min-cost fixpoint on arbitrary small weighted edge lists:
 // consecutive byte triples are (src, dst, cost) edges over a 16-node
-// universe with costs in [0, 7].
+// universe with costs in [0, 7]. The stop search from the first source
+// to the nodes the third and fourth bytes name is held to the kernel's
+// row (assertStopRow).
 func FuzzDenseCost(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 1, 2, 2})
 	f.Add([]byte{1, 1, 0, 1, 2, 3, 2, 1, 0})
@@ -381,6 +383,13 @@ func FuzzDenseCost(f *testing.F) {
 			t.Fatal(err)
 		}
 		assertSameCosts(t, "dense vs seminaive", got.Relation(), want)
+		if len(srcs) > 0 {
+			var stop []graph.NodeID
+			for _, b := range data[min(len(data), 2):min(len(data), 4)] {
+				stop = append(stop, graph.NodeID(b%16))
+			}
+			assertStopRow(t, d, srcs[0], stop)
+		}
 
 		wantC, _, err := ShortestClosure(r)
 		if err != nil {
@@ -481,8 +490,9 @@ func TestCostMatrixFacts(t *testing.T) {
 }
 
 // TestDenseCostConcurrentFirstUse is for -race: a site's first legs —
-// cost and connectivity — can arrive together, and the kernels share
-// the snapshot's CSR and write only their own matrices.
+// cost and connectivity, whole rows and stop searches — can arrive
+// together, and the kernels share the snapshot's CSR and the pool of
+// row scratch, and write only their own matrices.
 func TestDenseCostConcurrentFirstUse(t *testing.T) {
 	d := gridFragment(t, 8, 8)
 	sources := []graph.NodeID{1000, 950}
@@ -491,32 +501,51 @@ func TestDenseCostConcurrentFirstUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < 12; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			run := d.CostFromCtx
-			if g%2 == 1 {
-				run = d.ReachFromCtx
-			}
-			got, _, err := run(context.Background(), sources)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if g%2 == 1 {
+			switch g % 3 {
+			case 0:
+				got, _, err := d.CostFromCtx(context.Background(), sources)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				assertSameCosts(t, "concurrent first use", got.Relation(), want.Relation())
+			case 1:
+				got, _, err := d.ReachFromCtx(context.Background(), sources)
+				if err != nil {
+					t.Error(err)
+					return
+				}
 				assertSamePairs(t, "concurrent first use", got.Relation(), want.Relation())
-				return
+			default:
+				stop := []graph.NodeID{960 - graph.NodeID(g)}
+				got, _, err := d.CostToCtx(context.Background(), sources[0], stop)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				c, _ := got.Col(stop[0])
+				if !got.Final(stop) || got.Cost[c] != want.Cost[c] {
+					t.Errorf("concurrent stop search to %v: %v (final %v), want %v", stop, got.Cost[c], got.Final(stop), want.Cost[c])
+				}
 			}
-			assertSameCosts(t, "concurrent first use", got.Relation(), want.Relation())
 		}()
 	}
 	wg.Wait()
 }
 
-// TestDenseCostAllocs: nothing is allocated per fact — a call
-// allocates its matrix and a fixed number of scratch slices.
+// TestDenseCostAllocs: nothing is allocated per fact or per call's
+// scratch — a call allocates its matrix and a fixed number of small
+// values, and its row scratch comes from the kernel's pool: the stop
+// search and the level-synchronous rows alike. Counted without -race,
+// whose pool drops scratch at random.
 func TestDenseCostAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("a -race build drops pooled scratch at random")
+	}
 	d := gridFragment(t, 16, 32)
 	sources := []graph.NodeID{1000, 900, 800, 700, 600}
 	rows := len(sources) * d.Nodes()
@@ -524,8 +553,27 @@ func TestDenseCostAllocs(t *testing.T) {
 		if got, _, err := d.CostFromCtx(context.Background(), sources); err != nil || got.Len() != rows {
 			t.Fatalf("%v rows, err %v; want %d", got.Len(), err, rows)
 		}
-	}); allocs > 24 {
-		t.Errorf("CostFromCtx: %.0f allocations for %d facts, want at most 24", allocs, rows)
+	}); allocs > 8 {
+		t.Errorf("CostFromCtx: %.0f allocations for %d facts, want at most 8", allocs, rows)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if got, _, err := d.CostToCtx(context.Background(), 1000, []graph.NodeID{900}); err != nil || !got.Final([]graph.NodeID{900}) {
+			t.Fatalf("stop row %v, err %v; want 900 final", got, err)
+		}
+	}); allocs > 4 {
+		t.Errorf("CostToCtx: %.0f allocations, want at most 4", allocs)
+	}
+	seed := make([]float64, d.Nodes())
+	if allocs := testing.AllocsPerRun(10, func() {
+		for i := range seed {
+			seed[i] = math.Inf(1)
+		}
+		seed[0] = 0
+		if _, err := d.CostVectorCtx(context.Background(), seed); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 0 {
+		t.Errorf("CostVectorCtx: %.0f allocations, want none", allocs)
 	}
 }
 
@@ -553,6 +601,168 @@ func TestCostVectorCanceledMidPropagation(t *testing.T) {
 			t.Errorf("cancellation at check %d of %d: %d costs, err %v; want canceled = %v", n, checks, len(got), err, wantCanceled)
 		} else if !canceled && !slices.Equal(got, want) {
 			t.Errorf("cancellation after the last check: %v, want %v", got, want)
+		}
+	}
+}
+
+// assertStopRow runs the stop search from src to stop and holds it to
+// CostFromCtx's row: every stop node present is final, every final
+// cell is bit-equal to the row's, every other cell bounds the row's
+// from above, and a row with an unreachable stop node is complete.
+func assertStopRow(t *testing.T, d *DenseGraph, src graph.NodeID, stop []graph.NodeID) {
+	t.Helper()
+	ctx := context.Background()
+	want, _, err := d.CostFromCtx(ctx, []graph.NodeID{src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, st, err := d.CostToCtx(ctx, src, stop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Rows, want.Rows) {
+		t.Fatalf("from %d: rows %v, want %v", src, got.Rows, want.Rows)
+	}
+	if !got.Final(stop) {
+		t.Fatalf("from %d to %v: a stop node is not final", src, stop)
+	}
+	reached := 0
+	for c, id := range got.Cols {
+		if len(got.Rows) == 0 {
+			break
+		}
+		g, w := got.Cost[c], want.Cost[c]
+		if g < math.Inf(1) {
+			reached++
+		}
+		if got.Final([]graph.NodeID{id}) {
+			if math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("from %d to %v: final cell of %d is %v, CostFromCtx's %v", src, stop, id, g, w)
+			}
+		} else if g < w {
+			t.Fatalf("from %d to %v: tentative cell of %d is %v, below CostFromCtx's %v", src, stop, id, g, w)
+		}
+	}
+	if reached != st.ResultTuples {
+		t.Fatalf("from %d to %v: %d cells reached, stats say %d", src, stop, reached, st.ResultTuples)
+	}
+	for _, id := range stop {
+		if c, ok := got.Col(id); ok && len(got.Rows) > 0 && math.IsInf(want.Cost[c], 1) && !got.Final(got.Cols) {
+			t.Fatalf("from %d to %v: %d is unreachable, yet the row is not complete", src, stop, id)
+		}
+	}
+}
+
+// TestPropertyStopSearchMatchesCostFrom: on random graphs with zero
+// weights and zero-weight cycles, self-loops, parallel edges, +Inf
+// weights and positive weights spanning 1e-9 to 1e9 — so Δ is capped
+// and light edges share their bucket — or subnormal ones, whose 1/Δ
+// overflows, every final cell of a stop row
+// is CostFromCtx's cell bit for bit, whatever the stop set: empty,
+// one node, several, absent nodes and the source itself among them.
+func TestPropertyStopSearchMatchesCostFrom(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	weights := []func() float64{
+		func() float64 { return 0 },
+		func() float64 { return math.Inf(1) },
+		func() float64 { return float64(1 + rng.Intn(9)) },
+		func() float64 { return math.Pow(10, -9+18*rng.Float64()) },
+		func() float64 { return rng.Float64() },
+		func() float64 { return math.SmallestNonzeroFloat64 * float64(1+rng.Intn(4)) },
+	}
+	for trial := range 300 {
+		n, m := 2+rng.Intn(40), rng.Intn(160)
+		kinds := rng.Perm(len(weights))[:1+rng.Intn(len(weights))]
+		var edges []graph.Edge
+		for range m {
+			edges = append(edges, graph.Edge{From: graph.NodeID(rng.Intn(n)), To: graph.NodeID(rng.Intn(n)), Weight: weights[kinds[rng.Intn(len(kinds))]]()})
+		}
+		if trial%5 == 0 { // a zero-weight cycle
+			for k := range 3 {
+				edges = append(edges, graph.Edge{From: graph.NodeID(k), To: graph.NodeID((k + 1) % 3), Weight: 0})
+			}
+		}
+		if len(edges) == 0 {
+			continue
+		}
+		d := denseFrom(t, edges)
+		for range 4 {
+			src := graph.NodeID(rng.Intn(n))
+			var stop []graph.NodeID
+			for range rng.Intn(4) {
+				stop = append(stop, graph.NodeID(rng.Intn(n+3))) // n+1, n+2: absent
+			}
+			if rng.Intn(8) == 0 {
+				stop = append(stop, src)
+			}
+			assertStopRow(t, d, src, stop)
+		}
+	}
+}
+
+// TestStopSearchStopsEarly: on a long path the search from one end to
+// a node near it drains few buckets and leaves the far end tentative;
+// a stop set with an unreachable node gives a complete row, as does
+// one whose node is the last the search settles; a source absent from
+// the snapshot gives no row, complete.
+func TestStopSearchStopsEarly(t *testing.T) {
+	var edges []graph.Edge
+	for k := range 99 {
+		edges = append(edges, graph.Edge{From: graph.NodeID(k), To: graph.NodeID(k + 1), Weight: 1})
+	}
+	edges = append(edges, graph.Edge{From: 200, To: 201, Weight: 1}) // unreachable from 0
+	d := denseFrom(t, edges)
+	ctx := context.Background()
+	near, st, err := d.CostToCtx(ctx, 0, []graph.NodeID{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !near.Final([]graph.NodeID{1, 2, 3}) || near.Final([]graph.NodeID{99}) || near.Final(near.Cols) || st.Iterations > 4 {
+		t.Errorf("0 -> 3: final 1..3 %v, final 99 %v, %d buckets; want 1..3 final after at most 4 buckets (0 to 3) and 99 not",
+			near.Final([]graph.NodeID{1, 2, 3}), near.Final([]graph.NodeID{99}), st.Iterations)
+	}
+	for _, stop := range [][]graph.NodeID{{3, 201}, {99}} {
+		row, _, err := d.CostToCtx(ctx, 0, stop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !row.Final(row.Cols) {
+			t.Errorf("0 -> %v: row not complete", stop)
+		}
+	}
+	if row, _, err := d.CostToCtx(ctx, 500, []graph.NodeID{3}); err != nil || len(row.Rows) != 0 || !row.Final(row.Cols) {
+		t.Errorf("absent source: %+v, %v; want no row, complete", row, err)
+	}
+	assertStopRow(t, d, 0, []graph.NodeID{3})
+}
+
+// TestStopSearchCanceledBetweenBuckets: the stop search observes ctx
+// before each bucket, so a cancellation that lands at any check
+// surfaces as ErrCanceled with no row, and the pooled scratch it left
+// mid-search does not leak into the next search.
+func TestStopSearchCanceledBetweenBuckets(t *testing.T) {
+	d := gridFragment(t, 8, 8)
+	stop := []graph.NodeID{937}
+	want, _, err := d.CostToCtx(context.Background(), 1000, stop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := &lateCancel{context.Background(), math.MaxInt}
+	if _, _, err := d.CostToCtx(count, 1000, stop); err != nil {
+		t.Fatal(err)
+	}
+	checks := math.MaxInt - count.n
+	if checks < 3 {
+		t.Fatalf("%d ctx checks: want a search of several buckets", checks)
+	}
+	for n := 0; n < checks; n++ {
+		got, _, err := d.CostToCtx(&lateCancel{context.Background(), n}, 1000, stop)
+		if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) || got != nil {
+			t.Errorf("cancellation at check %d of %d: %v, err %v; want ErrCanceled", n, checks, got, err)
+		}
+		again, _, err := d.CostToCtx(context.Background(), 1000, stop)
+		if err != nil || !slices.Equal(again.Cost, want.Cost) {
+			t.Fatalf("after a cancellation at check %d: %v, err %v; want %v", n, again, err, want)
 		}
 	}
 }
