@@ -428,15 +428,18 @@ func (st *Store) ExecuteLegCtx(ctx context.Context, leg Leg, engine Engine) (*Le
 // one: the dense kernel keeps a source's cycle back to itself, and the
 // Dijkstra arm, whose search starts at cost 0, has no (a, a) fact.
 //
-// The exits pick the dense engine's kernel. A one-source leg with exits
-// — a same-fragment query's, or a first leg off the border tables —
-// runs the stop search (tc.DenseGraph.CostToCtx): its row is final
-// (tc.CostMatrix.Final) up to the bucket that settles the last exit,
-// the rest of it tentative, and a cache that keeps it must ask Final
-// before it serves another leg's exits from it. Every other dense leg
-// — several entry nodes, or no exits, which asks for the whole table —
-// gets complete rows from the level-synchronous kernel, as every other
-// engine's table is complete: on whole rows that kernel is the faster.
+// The exits pick the dense engine's kernel. A one-source leg to an
+// exit off the site's border — a same-fragment query's leg to its
+// target — runs the stop search (tc.DenseGraph.CostToCtx): its row is
+// final (tc.CostMatrix.Final) up to the bucket that settles the last
+// exit, the rest of it tentative, and a cache that keeps it must ask
+// Final before it serves another leg's exits from it. Every other dense
+// leg gets complete rows from the level-synchronous kernel, as every
+// other engine's table is complete: several entry nodes, no exits,
+// which asks for the whole table, or exits all on the border — a first
+// leg, whose source's row then also answers its first legs to the
+// site's other disconnection sets. On whole rows that kernel is the
+// faster.
 //
 // Cancellation is threaded into the engine kernels: the per-entry
 // Dijkstra loop checks ctx between sources, and the relational, bitset
@@ -495,7 +498,7 @@ func (s *Site) legTable(ctx context.Context, leg Leg, engine Engine) (*tc.CostMa
 		switch {
 		case engine == EngineBitset:
 			table, stats, err = kernel.ReachFromCtx(ctx, entry)
-		case len(entry) == 1 && len(leg.Exit) > 0:
+		case len(entry) == 1 && len(leg.Exit) > 0 && !onBorder(s.border, leg.Exit):
 			table, stats, err = kernel.CostToCtx(ctx, entry[0], leg.Exit)
 		default:
 			table, stats, err = kernel.CostFromCtx(ctx, entry)

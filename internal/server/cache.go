@@ -28,11 +28,12 @@ import (
 // assembly folds a leg's exit block, which dsa.SelectExits gathers from
 // the table for any exit set — so queries from one source to different
 // targets share entries. The exits decide whether an entry answers a
-// leg, though: on the dense engine the row comes from the stop search,
-// final only up to the bucket that settled the exits of the leg that
-// computed it, so an entry is a hit only for a leg whose exits it
-// settles (tc.CostMatrix.Final). A miss runs the search for its own
-// exits, past the old bound, and puts back a more settled row. The
+// leg, though: on the dense engine a same-fragment leg's row comes from
+// the stop search, final only up to the bucket that settled the target
+// of the leg that computed it, so an entry is a hit only for a leg
+// whose exits it settles (tc.CostMatrix.Final). A miss runs the kernel
+// for its own exits, past the old bound, and puts back a more settled
+// row. The
 // mode is likewise absent because a leg's table depends only on the
 // engine, letting cost and connectivity traffic share entries.
 type legKey struct {
@@ -140,7 +141,7 @@ func (c *legCache) has(key legKey, exits []graph.NodeID) bool {
 // put memoizes a leg computation, evicting the least recently used
 // entry when the bound is exceeded. A put for a key already cached
 // follows a miss: the entry did not settle the leg's exits, and the
-// stop search that did drained further, so the new table replaces it.
+// kernel run that did settled further, so the new table replaces it.
 // Concurrent queries can race to fill the same key, though, and the
 // entry keeps the more settled of the two tables: the new one unless
 // it settles less (tc.CostMatrix.SettledAsFar). One key's final cells

@@ -117,6 +117,87 @@ func TestLegCachePartialRowCoverage(t *testing.T) {
 	}
 }
 
+// TestLegCacheFirstLegRowIsWhole: on the paper deployment a first leg
+// from a source off the border — exits one disconnection set, all
+// border nodes — caches its source's whole row, not a row stopped at
+// that set, so the same source's first legs to the site's other
+// disconnection sets are cached too and the next query from it to
+// another fragment misses nothing. The source is one whose row stopped
+// at any of its first legs' exits would not be whole.
+func TestLegCacheFirstLegRowIsWhole(t *testing.T) {
+	const engine = dsa.EngineDense
+	srv, st := newPaperServer(t, Config{CacheCapacity: 64})
+	kernel, err := st.Site(0).DenseKernel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// firstLegs returns src's distinct first legs to one node off the
+	// border of each other fragment, and those nodes, if a search
+	// stopped at each leg's exits leaves the row partial.
+	firstLegs := func(src graph.NodeID) ([]dsa.Leg, []graph.NodeID, bool) {
+		var firsts []dsa.Leg
+		var targets []graph.NodeID
+		for f := 1; f < st.Fragmentation().NumFragments(); f++ {
+			dst := interior(st, f)[0]
+			plan, err := st.NewPlan(src, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, leg := range plan.Legs {
+				if len(leg.Entry) != 1 || leg.Entry[0] != src || slices.ContainsFunc(firsts, func(o dsa.Leg) bool { return slices.Equal(o.Exit, leg.Exit) }) {
+					continue
+				}
+				stopped, _, err := kernel.CostToCtx(context.Background(), src, leg.Exit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stopped.Final(stopped.Cols) {
+					return nil, nil, false
+				}
+				firsts = append(firsts, leg)
+			}
+			targets = append(targets, dst)
+		}
+		return firsts, targets, len(firsts) >= 2
+	}
+	var src graph.NodeID
+	var firsts []dsa.Leg
+	var targets []graph.NodeID
+	found := false
+	for _, src = range interior(st, 0) {
+		if firsts, targets, found = firstLegs(src); found {
+			break
+		}
+	}
+	if !found {
+		t.Fatal("no source off the border of fragment 0 with two first legs that each stop short of the whole row")
+	}
+	if _, _, err := runPair(srv, src, targets[0], engine, tcq.ModeCost); err != nil {
+		t.Fatal(err)
+	}
+	if cs := srv.cache.snapshot(); cs.Misses != 1 || cs.Entries != 1 {
+		t.Fatalf("cold %d→%d: leg cache %+v; want one miss, one entry", src, targets[0], cs)
+	}
+	key := legKey{site: st.Site(firsts[0].SiteID), engine: engine, source: src}
+	table, _, ok := srv.cache.get(key, nil)
+	if !ok || !table.Final(table.Cols) {
+		t.Fatalf("%d's cached row: hit %v; want the whole row", src, ok)
+	}
+	for _, leg := range firsts {
+		if !srv.cheapLeg(st, leg, engine) {
+			t.Errorf("first leg %+v is not cheap on the cached row", leg)
+		}
+	}
+	for _, dst := range targets[1:] {
+		if _, _, err := runPair(srv, src, dst, engine, tcq.ModeCost); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cs := srv.cache.snapshot(); cs.Misses != 1 || cs.Entries != 1 {
+		t.Errorf("%d's queries to fragments 1–%d: leg cache %+v; want the cold miss alone", src, len(targets), cs)
+	}
+}
+
 // TestLegCachePutKeepsMoreSettled is for -race: puts for one key race
 // with rows of one source stopped at different exits and its complete
 // row; the entry ends as the complete row whatever their order, and a

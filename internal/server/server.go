@@ -5,10 +5,11 @@
 // (dsa.Store.BorderBlockCtx), a bounded LRU leg-result cache for the
 // rest of the one-source legs — from a source off the border on an
 // asymmetric site or to a target off it too — and an HTTP/JSON API.
-// A cached row is the dense engine's stop search's, final up to the
-// bound that settled its leg's exits, and answers another leg from the
-// same source only if it settles that leg's exits too; a leg it does
-// not settle misses and puts back a row stopped further out.
+// A same-fragment leg's cached row is the dense engine's stop
+// search's, final up to the bound that settled its target, and answers
+// another leg from the same source only if it settles that leg's exits
+// too; a leg it does not settle misses and puts back a row settled
+// further out (a first leg's whole row).
 // Many concurrent queries interleave their per-site legs exactly the
 // way the paper's sites would interleave independent subqueries. A
 // query's sites whose legs read a built table or hit the cache run on

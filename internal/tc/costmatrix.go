@@ -73,15 +73,11 @@ func NewCostMatrix(c *graph.CSR, sources []graph.NodeID) (*CostMatrix, []int32) 
 	return m, rows
 }
 
-// infs returns n cells of +Inf, copied in doubling runs: a leg row is
-// filled by memmove rather than one store per cell.
+// infs returns n cells of +Inf.
 func infs(n int) []float64 {
 	out := make([]float64, n)
-	if n > 0 {
-		out[0] = math.Inf(1)
-	}
-	for k := 1; k < n; k *= 2 {
-		copy(out[k:], out[:k])
+	for i := range out {
+		out[i] = math.Inf(1)
 	}
 	return out
 }

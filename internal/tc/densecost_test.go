@@ -540,21 +540,27 @@ func TestDenseCostConcurrentFirstUse(t *testing.T) {
 // TestDenseCostAllocs: nothing is allocated per fact or per call's
 // scratch — a call allocates its matrix and a fixed number of small
 // values, and its row scratch comes from the kernel's pool: the stop
-// search and the level-synchronous rows alike. Counted without -race,
-// whose pool drops scratch at random.
+// search and the level-synchronous rows alike. A -race build drops
+// pooled scratch at random, so there a call may allocate its scratch
+// afresh: it holds CostFromCtx to the bound of a call with no pool,
+// and the pooled counts are checked without -race.
 func TestDenseCostAllocs(t *testing.T) {
-	if raceDetector {
-		t.Skip("a -race build drops pooled scratch at random")
-	}
 	d := gridFragment(t, 16, 32)
 	sources := []graph.NodeID{1000, 900, 800, 700, 600}
 	rows := len(sources) * d.Nodes()
+	fromBound := 8.0
+	if raceDetector {
+		fromBound = 24
+	}
 	if allocs := testing.AllocsPerRun(10, func() {
 		if got, _, err := d.CostFromCtx(context.Background(), sources); err != nil || got.Len() != rows {
 			t.Fatalf("%v rows, err %v; want %d", got.Len(), err, rows)
 		}
-	}); allocs > 8 {
-		t.Errorf("CostFromCtx: %.0f allocations for %d facts, want at most 8", allocs, rows)
+	}); allocs > fromBound {
+		t.Errorf("CostFromCtx: %.0f allocations for %d facts, want at most %.0f", allocs, rows, fromBound)
+	}
+	if raceDetector {
+		return
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
 		if got, _, err := d.CostToCtx(context.Background(), 1000, []graph.NodeID{900}); err != nil || !got.Final([]graph.NodeID{900}) {
