@@ -2,8 +2,10 @@
 // module tree and fails loudly when a hard-won contract regresses:
 // layering behind pkg/tcq, injected clocks in internal/cluster,
 // drained-and-closed HTTP response bodies, the typed peer-error
-// taxonomy, and the tc_ metric catalog. See internal/analysis for the
-// analyzers and the //tcvet:ignore suppression syntax.
+// taxonomy, the tc_ metric catalog, the calls each layer has moved off,
+// the maps the row-form tables keep out, and the one leg path's call
+// sites. See internal/analysis for the analyzers and the //tcvet:ignore
+// suppression syntax.
 //
 // Exit status: 0 clean, 1 findings, 2 the tree could not be loaded or
 // type-checked.

@@ -1,11 +1,18 @@
 // Package analysis is the repo's project-invariant analyzer suite:
-// the machinery behind cmd/tcvet. Every hard-won correctness contract
-// of the distributed transitive-closure design — strict layering
-// behind pkg/tcq, injected clocks in the breaker/retry state
-// machines, drained-and-closed HTTP response bodies, the typed
-// peer-error taxonomy, the tc_-prefixed metric catalog — is encoded
-// here as a mechanical check instead of a claim in CHANGES.md that
-// only reviewer memory enforces.
+// the machinery behind cmd/tcvet, which go test also runs over the
+// tree (TestRepoIsTCVetClean). Every hard-won correctness contract of
+// the distributed transitive-closure design — strict layering behind
+// pkg/tcq, injected clocks in the breaker/retry state machines,
+// drained-and-closed HTTP response bodies, the typed peer-error
+// taxonomy, the tc_-prefixed metric catalog, the functions each layer
+// has moved off (bannedcall), the row-form tables that hold no map
+// keyed by node, edge or fragment pair (keyedmap), and the one leg
+// path's call sites (callbudget) — is encoded here as a mechanical
+// check instead of a claim in CHANGES.md that only reviewer memory
+// enforces. The last three are tables of rules: each rule holds a
+// scope (packages, subtrees or single files) and the object or type it
+// resolves through go/types, so an import alias, a method value or a
+// map type declared elsewhere counts like the plain text.
 //
 // The driver is deliberately zero-dependency (stdlib go/ast,
 // go/parser, go/types only; no golang.org/x/tools import), in the
@@ -113,6 +120,9 @@ func Suite(opts Options) []*Analyzer {
 		DrainCloser(),
 		TypedErr(),
 		MetricName(opts.MetricCatalog),
+		BannedCall(),
+		KeyedMap(),
+		CallBudget(),
 	}
 }
 

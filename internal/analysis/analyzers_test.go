@@ -2,62 +2,74 @@ package analysis
 
 import "testing"
 
-// The per-analyzer golden-fixture tests. Untyped fixtures borrow the
-// real import path their analyzer is scoped to; typed fixtures live
-// under unique repro/fixture/... paths so the shared loader can cache
-// the stdlib across them.
+// The per-analyzer golden-fixture tests. A fixture is analyzed under
+// the real import path its analyzer is scoped to, or under a
+// repro/fixture/... path when the analyzer is not scoped by path. A
+// clean case loads a fixture under a path its rules do not cover: it
+// must report nothing, whatever its want comments say.
 
-func TestImportBoundaryFixtures(t *testing.T) {
-	cases := []struct{ fixture, asPath string }{
-		{"importboundary_badcmd", "repro/cmd/badtool"},
-		{"importboundary_badcluster", "repro/internal/cluster"},
-		{"importboundary_badbench", "repro/internal/bench"},
-		{"importboundary_badmetrics", "repro/internal/metrics"},
-		{"importboundary_badrelation", "repro/internal/server"},
-		{"importboundary_good", "repro/cmd/goodtool"},
+type fixtureCase struct {
+	fixture, asPath string
+	clean           bool
+}
+
+// runFixtures runs one subtest per case, named by its fixture, and by
+// fixture@path where a fixture is loaded under more than one path.
+func runFixtures(t *testing.T, a *Analyzer, cases []fixtureCase) {
+	t.Helper()
+	uses := map[string]int{}
+	for _, c := range cases {
+		uses[c.fixture]++
 	}
 	for _, c := range cases {
-		t.Run(c.fixture, func(t *testing.T) {
-			checkFixture(t, ImportBoundary(), loadFixture(t, c.fixture, c.asPath, false))
+		name := c.fixture
+		if uses[name] > 1 {
+			name += "@" + c.asPath
+		}
+		t.Run(name, func(t *testing.T) {
+			pkg := loadFixture(t, c.fixture, c.asPath, a.NeedTypes)
+			if !c.clean {
+				checkFixture(t, a, pkg)
+				return
+			}
+			for _, d := range runAnalyzer(a, pkg) {
+				t.Errorf("out-of-scope fixture reported %s", d)
+			}
 		})
 	}
+}
+
+func TestImportBoundaryFixtures(t *testing.T) {
+	runFixtures(t, ImportBoundary(), []fixtureCase{
+		{"importboundary_badcmd", "repro/cmd/badtool", false},
+		{"importboundary_badcluster", "repro/internal/cluster", false},
+		{"importboundary_badbench", "repro/internal/bench", false},
+		{"importboundary_badmetrics", "repro/internal/metrics", false},
+		{"importboundary_badrelation", "repro/internal/server", false},
+		{"importboundary_good", "repro/cmd/goodtool", false},
+	})
 }
 
 func TestInjectedClockFixtures(t *testing.T) {
-	cases := []struct{ fixture, asPath string }{
-		{"injectedclock_bad", "repro/internal/cluster"},
-		{"injectedclock_good", "repro/internal/cluster"},
-		{"injectedclock_unscoped", "repro/internal/server"},
-	}
-	for _, c := range cases {
-		t.Run(c.fixture, func(t *testing.T) {
-			checkFixture(t, InjectedClock(), loadFixture(t, c.fixture, c.asPath, false))
-		})
-	}
+	runFixtures(t, InjectedClock(), []fixtureCase{
+		{"injectedclock_bad", "repro/internal/cluster", false},
+		{"injectedclock_good", "repro/internal/cluster", false},
+		{"injectedclock_unscoped", "repro/internal/server", false},
+	})
 }
 
 func TestDrainCloserFixtures(t *testing.T) {
-	cases := []struct{ fixture, asPath string }{
-		{"draincloser_bad", "repro/fixture/draincloserbad"},
-		{"draincloser_good", "repro/fixture/drainclosergood"},
-	}
-	for _, c := range cases {
-		t.Run(c.fixture, func(t *testing.T) {
-			checkFixture(t, DrainCloser(), loadFixture(t, c.fixture, c.asPath, true))
-		})
-	}
+	runFixtures(t, DrainCloser(), []fixtureCase{
+		{"draincloser_bad", "repro/fixture/draincloserbad", false},
+		{"draincloser_good", "repro/fixture/drainclosergood", false},
+	})
 }
 
 func TestTypedErrFixtures(t *testing.T) {
-	cases := []struct{ fixture, asPath string }{
-		{"typederr_bad", "repro/internal/cluster"},
-		{"typederr_unscoped", "repro/internal/graph"},
-	}
-	for _, c := range cases {
-		t.Run(c.fixture, func(t *testing.T) {
-			checkFixture(t, TypedErr(), loadFixture(t, c.fixture, c.asPath, false))
-		})
-	}
+	runFixtures(t, TypedErr(), []fixtureCase{
+		{"typederr_bad", "repro/internal/cluster", false},
+		{"typederr_unscoped", "repro/internal/graph", false},
+	})
 }
 
 func TestMetricNameFixtures(t *testing.T) {
@@ -75,13 +87,47 @@ func TestMetricNameFixtures(t *testing.T) {
 		"tc_fixture_rpc_seconds":    true,
 		"tc_fixture_evals_total":    true,
 	}
-	cases := []struct{ fixture, asPath string }{
-		{"metricname_bad", "repro/fixture/metricnamebad"},
-		{"metricname_good", "repro/fixture/metricnamegood"},
-	}
-	for _, c := range cases {
-		t.Run(c.fixture, func(t *testing.T) {
-			checkFixture(t, MetricName(catalog), loadFixture(t, c.fixture, c.asPath, true))
-		})
-	}
+	runFixtures(t, MetricName(catalog), []fixtureCase{
+		{"metricname_bad", "repro/fixture/metricnamebad", false},
+		{"metricname_good", "repro/fixture/metricnamegood", false},
+	})
+}
+
+func TestBannedCallFixtures(t *testing.T) {
+	runFixtures(t, BannedCall(), []fixtureCase{
+		{"bannedcall_ctx", "repro/internal/server", false},
+		{"bannedcall_ctx", "repro/benchmarks", true},
+		{"bannedcall_dsa", "repro/internal/dsa", false},
+		{"bannedcall_dsa", "repro/internal/phe", true},
+		{"bannedcall_tc", "repro/internal/tc", false},
+		{"bannedcall_graph", "repro/internal/graph", false},
+		{"bannedcall_graph", "repro/internal/gen", true},
+		{"bannedcall_tcq", "repro/pkg/tcq", false},
+		{"bannedcall_tcq", "repro/cmd/tcfrag", true},
+	})
+}
+
+func TestKeyedMapFixtures(t *testing.T) {
+	runFixtures(t, KeyedMap(), []fixtureCase{
+		{"keyedmap_fragmenter", "repro/internal/fragment/center", false},
+		{"keyedmap_fragmenter", "repro/internal/fragment/linear", false},
+		{"keyedmap_fragmenter", "repro/internal/fragment/bea", false},
+		{"keyedmap_fragmenter", "repro/internal/fragment/kconn", true},
+		{"keyedmap_fragment", "repro/internal/fragment", false},
+		{"keyedmap_dsa", "repro/internal/dsa", false},
+		{"keyedmap_tc", "repro/internal/tc", false},
+		{"keyedmap_graph", "repro/internal/graph", false},
+		{"keyedmap_graph", "repro/internal/phe", true},
+	})
+}
+
+func TestCallBudgetFixtures(t *testing.T) {
+	runFixtures(t, CallBudget(), []fixtureCase{
+		{"callbudget_good", "repro/internal/server", false},
+		{"callbudget_double", "repro/internal/server", false},
+		{"callbudget_none", "repro/internal/server", false},
+		{"callbudget_cluster", "repro/internal/cluster", false},
+		{"callbudget_cluster", "repro/internal/cluster/peer", false},
+		{"callbudget_cluster", "repro/internal/store", true},
+	})
 }

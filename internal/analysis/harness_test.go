@@ -12,9 +12,9 @@ import (
 
 // The golden-fixture harness. Each fixture package under
 // testdata/src/<name> is parsed under an ASSUMED import path — that is
-// how path-scoped analyzers (injectedclock, typederr, importboundary)
-// are made to see the package they police without the fixture living
-// inside it. Expectations are written in the fixture source as
+// how path-scoped analyzers (injectedclock, typederr, importboundary,
+// bannedcall, keyedmap, callbudget) are made to see the package they
+// police without the fixture living inside it. Expectations are written in the fixture source as
 //
 //	some.Violation() // want "substring" ["substring" ...]
 //
@@ -24,11 +24,12 @@ import (
 
 var wantQuoted = regexp.MustCompile(`"(?:[^"\\]|\\.)*"`)
 
-// sharedLoader caches one loader across the typed fixtures so the
-// stdlib is source-type-checked once per test binary, not once per
-// fixture. Typed fixtures must therefore use unique assumed paths;
-// untyped fixtures (which reuse real paths like repro/internal/cluster
-// to hit analyzer scoping) each get a throwaway loader instead.
+// sharedLoader is the one loader of every fixture, so the stdlib and
+// the module packages fixtures import are type-checked once per test
+// binary. A fixture is parsed under its assumed path without entering
+// the loader's index (LoadDirAs), so fixtures may share a path, and a
+// fixture loaded as repro/internal/dsa does not shadow the real dsa
+// another fixture imports.
 var (
 	sharedLoaderOnce sync.Once
 	sharedLoaderVal  *Loader
@@ -37,16 +38,10 @@ var (
 
 func loadFixture(t *testing.T, name, asPath string, typed bool) *Package {
 	t.Helper()
-	var l *Loader
-	var err error
-	if typed {
-		sharedLoaderOnce.Do(func() {
-			sharedLoaderVal, sharedLoaderErr = NewLoader(".")
-		})
-		l, err = sharedLoaderVal, sharedLoaderErr
-	} else {
-		l, err = NewLoader(".")
-	}
+	sharedLoaderOnce.Do(func() {
+		sharedLoaderVal, sharedLoaderErr = NewLoader(".")
+	})
+	l, err := sharedLoaderVal, sharedLoaderErr
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}

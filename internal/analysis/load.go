@@ -154,21 +154,33 @@ func (l *Loader) importPathFor(dir string) (string, error) {
 }
 
 // parseDir parses the non-test Go files of one directory into a
-// Package, or returns nil if the directory holds none.
+// Package registered under the directory's import path, or returns nil
+// if the directory holds none.
 func (l *Loader) parseDir(dir string) (*Package, error) {
 	path, err := l.importPathFor(dir)
 	if err != nil {
 		return nil, err
 	}
-	return l.parseDirAs(dir, path)
+	if pkg, ok := l.pkgs[path]; ok {
+		return pkg, l.loadErrs[path]
+	}
+	pkg, err := l.parseFiles(dir, path)
+	l.pkgs[path] = pkg
+	if err != nil {
+		l.loadErrs[path] = err
+	}
+	return pkg, err
 }
 
 // LoadDirAs parses a directory's files under an assumed import path —
 // how the golden-fixture tests present testdata packages to analyzers
 // whose rules are scoped by package path (a fixture living in
-// testdata/src/... analyzes as if it were repro/internal/cluster).
+// testdata/src/... analyzes as if it were repro/internal/cluster). The
+// package stays out of the loader's index: the real package of that
+// path still answers imports, and one fixture directory can be loaded
+// under several paths.
 func (l *Loader) LoadDirAs(dir, asPath string) (*Package, error) {
-	pkg, err := l.parseDirAs(dir, asPath)
+	pkg, err := l.parseFiles(dir, asPath)
 	if err != nil {
 		return nil, err
 	}
@@ -178,11 +190,9 @@ func (l *Loader) LoadDirAs(dir, asPath string) (*Package, error) {
 	return pkg, nil
 }
 
-// parseDirAs parses dir's files registering them under path.
-func (l *Loader) parseDirAs(dir, path string) (*Package, error) {
-	if pkg, ok := l.pkgs[path]; ok {
-		return pkg, l.loadErrs[path]
-	}
+// parseFiles parses dir's non-test files into a Package of import path
+// path, or returns nil if the directory holds none.
+func (l *Loader) parseFiles(dir, path string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -203,7 +213,6 @@ func (l *Loader) parseDirAs(dir, path string) (*Package, error) {
 		names = append(names, n)
 	}
 	if len(names) == 0 {
-		l.pkgs[path] = nil
 		return nil, nil
 	}
 	sort.Strings(names)
@@ -211,29 +220,26 @@ func (l *Loader) parseDirAs(dir, path string) (*Package, error) {
 	for _, n := range names {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, n), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			l.pkgs[path] = nil
-			l.loadErrs[path] = err
 			return nil, err
 		}
 		pkg.Files = append(pkg.Files, f)
 	}
-	l.pkgs[path] = pkg
 	return pkg, nil
 }
 
 // Check type-checks pkg (and, transitively, every package it
 // imports), populating pkg.Types and pkg.Info. Errors are returned
-// once per package and leave pkg.Types nil.
+// once per package and leave pkg.Types nil. A package from LoadDirAs
+// is checked on its own: nothing imports it.
 func (l *Loader) Check(pkg *Package) error {
 	if pkg.Types != nil {
 		return nil
 	}
-	tp, err := l.check(pkg.Path)
-	if err != nil {
-		return err
+	if l.pkgs[pkg.Path] != pkg {
+		return l.typeCheck(pkg)
 	}
-	pkg.Types = tp
-	return nil
+	_, err := l.check(pkg.Path)
+	return err
 }
 
 // check resolves one import path to a type-checked package.
@@ -261,6 +267,17 @@ func (l *Loader) check(path string) (*types.Package, error) {
 	l.checking[path] = true
 	defer delete(l.checking, path)
 
+	err := l.typeCheck(pkg)
+	l.checked[path] = pkg.Types
+	if err != nil {
+		l.loadErrs["check:"+path] = err
+	}
+	return pkg.Types, err
+}
+
+// typeCheck type-checks pkg's files under pkg.Path, resolving module
+// imports through check and the rest through the stdlib importer.
+func (l *Loader) typeCheck(pkg *Package) error {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -277,17 +294,13 @@ func (l *Loader) check(path string) (*types.Package, error) {
 		}),
 		Error: func(err error) { typeErrs = append(typeErrs, err) },
 	}
-	tp, _ := conf.Check(path, l.fset, pkg.Files, info)
+	tp, _ := conf.Check(pkg.Path, l.fset, pkg.Files, info)
 	if len(typeErrs) > 0 {
-		err := fmt.Errorf("analysis: type-checking %s: %v", path, typeErrs[0])
-		l.checked[path] = nil
-		l.loadErrs["check:"+path] = err
-		return nil, err
+		return fmt.Errorf("analysis: type-checking %s: %v", pkg.Path, typeErrs[0])
 	}
 	pkg.Types = tp
 	pkg.Info = info
-	l.checked[path] = tp
-	return tp, nil
+	return nil
 }
 
 // importerFunc adapts a function to types.Importer.

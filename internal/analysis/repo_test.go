@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -36,5 +38,28 @@ func TestRepoIsTCVetClean(t *testing.T) {
 	}
 	for _, d := range RunSuite(Suite(Options{MetricCatalog: catalog}), pkgs) {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestSuiteDocumented holds the README's "Static analysis" section to
+// the suite: every analyzer Suite returns is named there, back-ticked.
+func TestSuiteDocumented(t *testing.T) {
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	data, err := os.ReadFile(filepath.Join(l.Root, "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(data), "\n## Static analysis")
+	if !ok {
+		t.Fatal(`README.md has no "## Static analysis" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	for _, a := range Suite(Options{}) {
+		if !strings.Contains(section, "`"+a.Name+"`") {
+			t.Errorf("README's Static analysis section does not name analyzer `%s`", a.Name)
+		}
 	}
 }

@@ -1,0 +1,17 @@
+// Fixture: the one leg path, analyzed as repro/internal/server: one
+// reference each, no finding.
+package server
+
+import (
+	"context"
+
+	"repro/internal/dsa"
+)
+
+func executeLegLocal(ctx context.Context, st *dsa.Store, leg dsa.Leg) (*dsa.ExitBlock, error) {
+	table, _, err := st.ExecuteLegTableCtx(ctx, leg, dsa.EngineDense)
+	if err != nil {
+		return nil, err
+	}
+	return dsa.SelectExits(table, leg), nil
+}

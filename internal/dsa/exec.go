@@ -438,8 +438,10 @@ func (st *Store) ExecuteLegCtx(ctx context.Context, leg Leg, engine Engine) (*Le
 // other engine's table is complete: several entry nodes, no exits,
 // which asks for the whole table, or exits all on the border — a first
 // leg, whose source's row then also answers its first legs to the
-// site's other disconnection sets. On whole rows that kernel is the
-// faster.
+// site's other disconnection sets. On a whole one-source row that
+// kernel is the faster on paper and grid sites but not on road's,
+// where the stop search run to the last node took 0.88-0.91x its time
+// (README, "Choosing a local engine").
 //
 // Cancellation is threaded into the engine kernels: the per-entry
 // Dijkstra loop checks ctx between sources, and the relational, bitset
