@@ -1,11 +1,11 @@
 // Command tcvet runs the project-invariant analyzer suite over the
 // module tree and fails loudly when a hard-won contract regresses:
-// layering behind pkg/tcq, injected clocks in internal/cluster,
-// drained-and-closed HTTP response bodies, the typed peer-error
-// taxonomy, the tc_ metric catalog, the calls each layer has moved off,
-// the maps the row-form tables keep out, and the one leg path's call
-// sites. See internal/analysis for the analyzers and the //tcvet:ignore
-// suppression syntax.
+// layering behind pkg/tcq, drained-and-closed HTTP response bodies,
+// the typed peer-error taxonomy, the tc_ metric catalog, the maps the
+// row-form tables keep out, and the references each layer may make
+// (the calls it has moved off, injected clocks in internal/cluster,
+// the one leg path's call sites). See internal/analysis for the
+// analyzers and the //tcvet:ignore suppression syntax.
 //
 // Exit status: 0 clean, 1 findings, 2 the tree could not be loaded or
 // type-checked.
@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -23,32 +24,32 @@ import (
 func main() {
 	root := flag.String("root", ".", "module root (or any directory under it)")
 	flag.Parse()
-	os.Exit(run(*root))
+	os.Exit(run(*root, os.Stdout, os.Stderr))
 }
 
-func run(root string) int {
+func run(root string, stdout, stderr io.Writer) int {
 	loader, err := analysis.NewLoader(root)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcvet:", err)
+		fmt.Fprintln(stderr, "tcvet:", err)
 		return 2
 	}
 	pkgs, err := loader.LoadAll()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcvet:", err)
+		fmt.Fprintln(stderr, "tcvet:", err)
 		return 2
 	}
 	catalog, err := analysis.MetricCatalogFromReadme(filepath.Join(loader.Root, "README.md"))
 	if err != nil {
 		// No README means no catalog to drift from; the naming rules
 		// still apply.
-		fmt.Fprintln(os.Stderr, "tcvet: metric catalog unavailable, skipping documentation cross-check:", err)
+		fmt.Fprintln(stderr, "tcvet: metric catalog unavailable, skipping documentation cross-check:", err)
 		catalog = nil
 	}
 
 	loadFailures := 0
 	for _, pkg := range pkgs {
 		if err := loader.Check(pkg); err != nil {
-			fmt.Fprintln(os.Stderr, "tcvet:", err)
+			fmt.Fprintln(stderr, "tcvet:", err)
 			loadFailures++
 		}
 	}
@@ -60,17 +61,17 @@ func run(root string) int {
 		if rel, err := filepath.Rel(loader.Root, d.Pos.Filename); err == nil {
 			d.Pos.Filename = rel
 		}
-		fmt.Println(d)
+		fmt.Fprintln(stdout, d)
 	}
 
 	switch {
 	case loadFailures > 0:
-		fmt.Fprintf(os.Stderr, "tcvet: %d package(s) failed to load\n", loadFailures)
+		fmt.Fprintf(stderr, "tcvet: %d package(s) failed to load\n", loadFailures)
 		return 2
 	case len(diags) > 0:
-		fmt.Fprintf(os.Stderr, "tcvet: %d finding(s)\n", len(diags))
+		fmt.Fprintf(stderr, "tcvet: %d finding(s)\n", len(diags))
 		return 1
 	}
-	fmt.Printf("tcvet: ok (%d packages, %d analyzers)\n", len(pkgs), len(analysis.Suite(analysis.Options{})))
+	fmt.Fprintf(stdout, "tcvet: ok (%d packages, %d analyzers)\n", len(pkgs), len(analysis.Suite(analysis.Options{})))
 	return 0
 }

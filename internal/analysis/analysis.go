@@ -1,18 +1,18 @@
 // Package analysis is the repo's project-invariant analyzer suite:
 // the machinery behind cmd/tcvet, which go test also runs over the
-// tree (TestRepoIsTCVetClean). Every hard-won correctness contract of
-// the distributed transitive-closure design — strict layering behind
-// pkg/tcq, injected clocks in the breaker/retry state machines,
-// drained-and-closed HTTP response bodies, the typed peer-error
-// taxonomy, the tc_-prefixed metric catalog, the functions each layer
-// has moved off (bannedcall), the row-form tables that hold no map
-// keyed by node, edge or fragment pair (keyedmap), and the one leg
-// path's call sites (callbudget) — is encoded here as a mechanical
-// check instead of a claim in CHANGES.md that only reviewer memory
-// enforces. The last three are tables of rules: each rule holds a
-// scope (packages, subtrees or single files) and the object or type it
-// resolves through go/types, so an import alias, a method value or a
-// map type declared elsewhere counts like the plain text.
+// tree (TestRepoIsTCVetClean). Each hard-won contract of the
+// distributed transitive-closure design is a mechanical check here
+// instead of a claim in CHANGES.md: drained-and-closed HTTP response
+// bodies (draincloser), the typed peer-error taxonomy (typederr), the
+// tc_-prefixed metric catalog (metricname), row-form tables with no map
+// keyed by node, edge or fragment pair (keyedmap), and the references
+// each layer may make: its imports (importboundary), and the functions
+// it has moved off, the wall clock in the breaker and retry state
+// machines and the one leg path's call sites (bannedcall). The last
+// three are rule tables resolved through go/types, so an import alias,
+// a method value or a map type declared elsewhere counts like the
+// plain text; the two reference tables share one rule type and one
+// runner.
 //
 // The driver is deliberately zero-dependency (stdlib go/ast,
 // go/parser, go/types only; no golang.org/x/tools import), in the
@@ -116,13 +116,11 @@ type Options struct {
 func Suite(opts Options) []*Analyzer {
 	return []*Analyzer{
 		ImportBoundary(),
-		InjectedClock(),
 		DrainCloser(),
 		TypedErr(),
 		MetricName(opts.MetricCatalog),
 		BannedCall(),
 		KeyedMap(),
-		CallBudget(),
 	}
 }
 
@@ -166,7 +164,11 @@ func RunSuite(analyzers []*Analyzer, pkgs []*Package) []Diagnostic {
 				}
 			}
 		}
-		out = append(out, sups.unused()...)
+		// A package that failed to type-check skipped the typed
+		// analyzers, so their directives would all read as unused.
+		if pkg.Types != nil {
+			out = append(out, sups.unused()...)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

@@ -50,14 +50,6 @@ func TestImportBoundaryFixtures(t *testing.T) {
 	})
 }
 
-func TestInjectedClockFixtures(t *testing.T) {
-	runFixtures(t, InjectedClock(), []fixtureCase{
-		{"injectedclock_bad", "repro/internal/cluster", false},
-		{"injectedclock_good", "repro/internal/cluster", false},
-		{"injectedclock_unscoped", "repro/internal/server", false},
-	})
-}
-
 func TestDrainCloserFixtures(t *testing.T) {
 	runFixtures(t, DrainCloser(), []fixtureCase{
 		{"draincloser_bad", "repro/fixture/draincloserbad", false},
@@ -107,6 +99,27 @@ func TestBannedCallFixtures(t *testing.T) {
 	})
 }
 
+// TestInjectedClockFixtures runs bannedcall's wall-clock entry.
+func TestInjectedClockFixtures(t *testing.T) {
+	runFixtures(t, BannedCall(), []fixtureCase{
+		{"injectedclock_bad", "repro/internal/cluster", false},
+		{"injectedclock_good", "repro/internal/cluster", false},
+		{"injectedclock_unscoped", "repro/internal/server", false},
+	})
+}
+
+// TestCallBudgetFixtures runs bannedcall's leg-path budget entries.
+func TestCallBudgetFixtures(t *testing.T) {
+	runFixtures(t, BannedCall(), []fixtureCase{
+		{"callbudget_good", "repro/internal/server", false},
+		{"callbudget_double", "repro/internal/server", false},
+		{"callbudget_none", "repro/internal/server", false},
+		{"callbudget_cluster", "repro/internal/cluster", false},
+		{"callbudget_cluster", "repro/internal/cluster/peer", false},
+		{"callbudget_cluster", "repro/internal/store", true},
+	})
+}
+
 func TestKeyedMapFixtures(t *testing.T) {
 	runFixtures(t, KeyedMap(), []fixtureCase{
 		{"keyedmap_fragmenter", "repro/internal/fragment/center", false},
@@ -118,16 +131,5 @@ func TestKeyedMapFixtures(t *testing.T) {
 		{"keyedmap_tc", "repro/internal/tc", false},
 		{"keyedmap_graph", "repro/internal/graph", false},
 		{"keyedmap_graph", "repro/internal/phe", true},
-	})
-}
-
-func TestCallBudgetFixtures(t *testing.T) {
-	runFixtures(t, CallBudget(), []fixtureCase{
-		{"callbudget_good", "repro/internal/server", false},
-		{"callbudget_double", "repro/internal/server", false},
-		{"callbudget_none", "repro/internal/server", false},
-		{"callbudget_cluster", "repro/internal/cluster", false},
-		{"callbudget_cluster", "repro/internal/cluster/peer", false},
-		{"callbudget_cluster", "repro/internal/store", true},
 	})
 }

@@ -12,9 +12,10 @@ import (
 
 // The golden-fixture harness. Each fixture package under
 // testdata/src/<name> is parsed under an ASSUMED import path — that is
-// how path-scoped analyzers (injectedclock, typederr, importboundary,
-// bannedcall, keyedmap, callbudget) are made to see the package they
-// police without the fixture living inside it. Expectations are written in the fixture source as
+// how path-scoped analyzers (typederr, importboundary, bannedcall,
+// keyedmap) are made to see the package they police without the
+// fixture living inside it. Expectations are written in the fixture
+// source as
 //
 //	some.Violation() // want "substring" ["substring" ...]
 //
@@ -24,9 +25,9 @@ import (
 
 var wantQuoted = regexp.MustCompile(`"(?:[^"\\]|\\.)*"`)
 
-// sharedLoader is the one loader of every fixture, so the stdlib and
-// the module packages fixtures import are type-checked once per test
-// binary. A fixture is parsed under its assumed path without entering
+// sharedLoader is the one loader of every fixture and of the tests
+// over the tree, so the stdlib and the module packages are
+// type-checked once per test binary. A fixture is parsed under its assumed path without entering
 // the loader's index (LoadDirAs), so fixtures may share a path, and a
 // fixture loaded as repro/internal/dsa does not shadow the real dsa
 // another fixture imports.
@@ -36,15 +37,20 @@ var (
 	sharedLoaderErr  error
 )
 
-func loadFixture(t *testing.T, name, asPath string, typed bool) *Package {
+func sharedLoader(t *testing.T) *Loader {
 	t.Helper()
 	sharedLoaderOnce.Do(func() {
 		sharedLoaderVal, sharedLoaderErr = NewLoader(".")
 	})
-	l, err := sharedLoaderVal, sharedLoaderErr
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
+	if sharedLoaderErr != nil {
+		t.Fatalf("NewLoader: %v", sharedLoaderErr)
 	}
+	return sharedLoaderVal
+}
+
+func loadFixture(t *testing.T, name, asPath string, typed bool) *Package {
+	t.Helper()
+	l := sharedLoader(t)
 	pkg, err := l.LoadDirAs(filepath.Join("testdata", "src", name), asPath)
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", name, err)

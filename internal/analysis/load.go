@@ -286,13 +286,8 @@ func (l *Loader) typeCheck(pkg *Package) error {
 	}
 	var typeErrs []error
 	conf := types.Config{
-		Importer: importerFunc(func(imp string) (*types.Package, error) {
-			if imp == l.Module || strings.HasPrefix(imp, l.Module+"/") {
-				return l.check(imp)
-			}
-			return l.std.Import(imp)
-		}),
-		Error: func(err error) { typeErrs = append(typeErrs, err) },
+		Importer: importerFunc(l.importPkg),
+		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
 	tp, _ := conf.Check(pkg.Path, l.fset, pkg.Files, info)
 	if len(typeErrs) > 0 {
@@ -301,6 +296,15 @@ func (l *Loader) typeCheck(pkg *Package) error {
 	pkg.Types = tp
 	pkg.Info = info
 	return nil
+}
+
+// importPkg resolves an import path to its type-checked package:
+// module packages through check, the rest through the stdlib importer.
+func (l *Loader) importPkg(path string) (*types.Package, error) {
+	if path == l.Module || strings.HasPrefix(path, l.Module+"/") {
+		return l.check(path)
+	}
+	return l.std.Import(path)
 }
 
 // importerFunc adapts a function to types.Importer.

@@ -12,7 +12,8 @@ import (
 // of p.
 type scope []string
 
-// has reports whether the file filename of package pkgPath is in s.
+// has reports whether the file filename of package pkgPath is in s;
+// an import path is matched with no filename.
 func (s scope) has(pkgPath, filename string) bool {
 	file := pkgPath + "/" + filepath.Base(filename)
 	for _, pat := range s {

@@ -9,5 +9,5 @@ import (
 )
 
 func remoteBlock(table *tc.CostMatrix, leg dsa.Leg) *dsa.ExitBlock {
-	return dsa.SelectExits(table, leg) // want "references to dsa.SelectExits in repro/internal/cluster"
+	return dsa.SelectExits(table, leg) // want "dsa.SelectExits in repro/internal/cluster"
 }

@@ -10,11 +10,11 @@ import (
 )
 
 func executeLegLocal(ctx context.Context, st *dsa.Store, leg dsa.Leg) (*dsa.ExitBlock, error) {
-	table, _, err := st.ExecuteLegTableCtx(ctx, leg, dsa.EngineDense) // want "references to (*dsa.Store).ExecuteLegTableCtx in repro/internal/server: 3, want 1"
+	table, _, err := st.ExecuteLegTableCtx(ctx, leg, dsa.EngineDense) // want "(*dsa.Store).ExecuteLegTableCtx in repro/internal/server: 3, want 1"
 	if err != nil {
 		return nil, err
 	}
-	return dsa.SelectExits(table, leg), nil // want "references to dsa.SelectExits in repro/internal/server: 2, want 1"
+	return dsa.SelectExits(table, leg), nil // want "dsa.SelectExits in repro/internal/server: 2, want 1"
 }
 
 func fallback(ctx context.Context, st *dsa.Store, leg dsa.Leg) (*dsa.ExitBlock, error) {

@@ -5,8 +5,8 @@
 package bench
 
 import (
-	_ "repro/internal/cluster" // want "must not import repro/internal/cluster"
+	_ "repro/internal/cluster" // want "import of repro/internal/cluster in"
 	_ "repro/internal/dsa"
-	_ "repro/internal/loadgen" // want "must not import repro/internal/loadgen"
-	_ "repro/internal/server"  // want "must not import repro/internal/server"
+	_ "repro/internal/loadgen" // want "import of repro/internal/loadgen in"
+	_ "repro/internal/server"  // want "import of repro/internal/server in"
 )

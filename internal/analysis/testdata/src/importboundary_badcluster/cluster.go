@@ -4,5 +4,5 @@
 package cluster
 
 import (
-	_ "repro/internal/server" // want "must not import repro/internal/server"
+	_ "repro/internal/server" // want "import of repro/internal/server in"
 )

@@ -3,5 +3,5 @@
 package main
 
 import (
-	_ "repro/internal/dsa" // want "must not import repro/internal/dsa"
+	_ "repro/internal/dsa" // want "import of repro/internal/dsa in"
 )

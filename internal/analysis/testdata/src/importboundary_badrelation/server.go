@@ -3,5 +3,5 @@
 package server
 
 import (
-	_ "repro/internal/relation" // want "must not import repro/internal/relation"
+	_ "repro/internal/relation" // want "import of repro/internal/relation in"
 )

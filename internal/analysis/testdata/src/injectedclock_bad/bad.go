@@ -10,7 +10,7 @@ import (
 )
 
 func stamps() time.Time {
-	time.Sleep(time.Millisecond)   // want "bare time.Sleep"
-	<-time.After(time.Millisecond) // want "bare time.After"
-	return wall.Now()              // want "bare wall.Now"
+	time.Sleep(time.Millisecond)   // want "time.Sleep in repro/internal/cluster"
+	<-time.After(time.Millisecond) // want "time.After in repro/internal/cluster"
+	return wall.Now()              // want "time.Now in repro/internal/cluster"
 }

@@ -1,8 +1,21 @@
 // Fixture: bare time.Now outside the scoped package. Analyzed as
 // repro/internal/server, where the clock-injection contract does not
-// apply; no diagnostics expected.
+// apply; the stamp sits in the one leg path, so the server's budgets
+// are met too, and no diagnostics are expected.
 package server
 
-import "time"
+import (
+	"context"
+	"time"
 
-func stamp() time.Time { return time.Now() }
+	"repro/internal/dsa"
+)
+
+func executeLegLocal(ctx context.Context, st *dsa.Store, leg dsa.Leg) (*dsa.ExitBlock, time.Duration, error) {
+	start := time.Now()
+	table, _, err := st.ExecuteLegTableCtx(ctx, leg, dsa.EngineDense)
+	if err != nil {
+		return nil, 0, err
+	}
+	return dsa.SelectExits(table, leg), time.Since(start), nil
+}

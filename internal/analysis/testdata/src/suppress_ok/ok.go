@@ -11,11 +11,11 @@ import (
 //tcvet:ignore-file typederr fixture: client-side file, errors never cross the wire
 
 func stamp() time.Time {
-	return time.Now() //tcvet:ignore injectedclock fixture: latency stamp, measurement not control flow
+	return time.Now() //tcvet:ignore bannedcall fixture: latency stamp, measurement not control flow
 }
 
 func above() error {
-	//tcvet:ignore injectedclock fixture: directive on the line above
+	//tcvet:ignore bannedcall fixture: directive on the line above
 	t := time.Now()
 	return fmt.Errorf("at %v", t)
 }

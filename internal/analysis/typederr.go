@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"strconv"
 	"strings"
 )
 
@@ -111,4 +112,36 @@ func constString(e ast.Expr) (string, bool) {
 		return constString(e.X)
 	}
 	return "", false
+}
+
+// importName returns the local name an import is bound to in a file:
+// the explicit alias, or the path's last element.
+func importName(imp *ast.ImportSpec) string {
+	if imp.Name != nil {
+		return imp.Name.Name
+	}
+	path, err := strconv.Unquote(imp.Path.Value)
+	if err != nil {
+		return ""
+	}
+	if i := strings.LastIndex(path, "/"); i >= 0 {
+		return path[i+1:]
+	}
+	return path
+}
+
+// fileImports maps each local import name of f to its import path —
+// the syntactic resolution typederr uses to recognise qualified
+// references like errors.New.
+func fileImports(f *ast.File) map[string]string {
+	out := map[string]string{}
+	for _, imp := range f.Imports {
+		if name := importName(imp); name != "" && name != "_" && name != "." {
+			path, err := strconv.Unquote(imp.Path.Value)
+			if err == nil {
+				out[name] = path
+			}
+		}
+	}
+	return out
 }

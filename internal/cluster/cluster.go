@@ -126,7 +126,7 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg.Timeout = 5 * time.Second
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = time.Now //tcvet:ignore injectedclock the default wiring that SELECTS the wall clock when none is injected
+		cfg.Clock = time.Now //tcvet:ignore bannedcall the default wiring that SELECTS the wall clock when none is injected
 	}
 	nodes := append([]Node(nil), cfg.Peers...)
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })

@@ -189,7 +189,7 @@ func (c *Coordinator) ExecuteLeg(ctx context.Context, leg dsa.Leg, engine string
 			break // retrying against an open breaker is pointless
 		}
 		rpcCtx, cancel := context.WithTimeout(ctx, c.timeout)
-		start := time.Now() //tcvet:ignore injectedclock latency stamp around the RPC — measurement, not control flow
+		start := time.Now() //tcvet:ignore bannedcall latency stamp around the RPC — measurement, not control flow
 		resp, err := t.ExecuteLeg(rpcCtx, req)
 		cancel()
 		c.observeRPC(owner.ID, "leg", time.Since(start), err)
@@ -251,7 +251,7 @@ func (c *Coordinator) FanOutUpdate(ctx context.Context, ops []UpdateOp, wantEpoc
 			t := c.transports[peer.ID]
 			rpcCtx, cancel := context.WithTimeout(ctx, c.timeout)
 			defer cancel()
-			start := time.Now() //tcvet:ignore injectedclock latency stamp around the RPC — measurement, not control flow
+			start := time.Now() //tcvet:ignore bannedcall latency stamp around the RPC — measurement, not control flow
 			ack, err := t.ForwardUpdate(rpcCtx, &UpdateRequest{Ops: ops})
 			if err == nil && ack.Epoch != wantEpoch {
 				err = fmt.Errorf("cluster: %w: peer %s acked update at epoch %d, want %d",

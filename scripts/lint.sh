@@ -7,10 +7,11 @@
 #   staticcheck honnef.co analyses (skipped locally when the binary is
 #               absent; REQUIRED in CI, where the workflow installs it)
 #   tcvet       the project-invariant analyzer suite (cmd/tcvet, also
-#               run by go test ./internal/analysis): layering, injected
-#               clocks, drained response bodies, typed wire errors, the
-#               metric catalog, banned calls, keyed maps and the one leg
-#               path's call-site budget (README: "Static analysis")
+#               run by go test ./internal/analysis): layering, drained
+#               response bodies, typed wire errors, the metric catalog,
+#               keyed maps, and banned references (calls each layer has
+#               moved off, injected clocks, the one leg path's call-site
+#               budget) (README: "Static analysis")
 #   oracle      no test outside internal/oracle computes its own ground
 #               truth (graph.Distance / ShortestPaths / Reachable) for
 #               answers of the system: the "answers like Dijkstra"
