@@ -1035,46 +1035,61 @@ var servingDeployments = []deployment{
 }
 
 // BenchmarkApply times the write path on the two serving-benchmark
-// deployments: transactions that alternately insert a heavy edge inside
-// one fragment and delete it again (a new epoch, one rebuilt site, no
-// changed answer), each applied to the store the previous one produced,
-// as a serving node does, and the rebuilt site's dense kernel, so the
-// loop is the write plus the CSR the rebuilt site's first leg reads.
+// deployments: transactions that alternately insert an edge inside one
+// fragment and delete it again, each applied to the store the previous
+// one produced, as a serving node does, and the rebuilt site's dense
+// kernel, so the loop is the write plus the CSR the rebuilt site's
+// first leg reads. A heavy edge (weight 1e9) changes no answer:
+// compUnaffected proves it harmless, one site is rebuilt and no global
+// search runs. A light one (weight 1) shortens paths: the write re-runs
+// the global searches and rebuilds every site whose tables changed.
 // Run with -benchmem: B/op is what a write allocates.
 func BenchmarkApply(b *testing.B) {
+	// How many sites a light write rebuilds on each deployment.
+	lightRebuilt := map[string]int{"road": 2, "grid": 6}
 	for _, d := range servingDeployments {
 		b.Run(d.name, func(b *testing.B) {
 			fr, err := d.build()
 			if err != nil {
 				b.Fatal(err)
 			}
-			st, err := dsa.Build(fr, dsa.Options{})
+			built, err := dsa.Build(fr, dsa.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
 			const frag = 1
 			nodes := fr.Fragment(frag).Nodes()
-			e := graph.Edge{From: nodes[0], To: nodes[len(nodes)/2], Weight: 1e9}
-			writes := [][]dsa.EdgeOp{{{Kind: dsa.OpInsert, Frag: frag, Edge: e}}, {{Kind: dsa.OpDelete, Frag: frag, Edge: e}}}
-			b.ReportAllocs()
-			// Collect the build's garbage now, not inside the timed
-			// writes. Compare at -benchtime=300x: the writes' own garbage
-			// starts a collection every 15-20 writes, so 20 span a varying
-			// share of GC cycles and 300 span many.
-			runtime.GC()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				next, stats, err := st.Apply(context.Background(), writes[i%2])
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(stats.SitesRebuilt) != 1 {
-					b.Fatalf("SitesRebuilt = %v, want the one touched site", stats.SitesRebuilt)
-				}
-				if _, err := next.Site(frag).DenseKernel(); err != nil {
-					b.Fatal(err)
-				}
-				st = next
+			for _, c := range []struct {
+				name    string
+				weight  float64
+				rebuilt int
+			}{{"heavy", 1e9, 1}, {"light", 1, lightRebuilt[d.name]}} {
+				b.Run(c.name, func(b *testing.B) {
+					st := built
+					e := graph.Edge{From: nodes[0], To: nodes[len(nodes)/2], Weight: c.weight}
+					writes := [][]dsa.EdgeOp{{{Kind: dsa.OpInsert, Frag: frag, Edge: e}}, {{Kind: dsa.OpDelete, Frag: frag, Edge: e}}}
+					b.ReportAllocs()
+					// Collect the build's garbage now, not inside the
+					// timed writes. Compare at -benchtime=300x (heavy) or
+					// 60x (light): the writes' own garbage starts a
+					// collection every few writes, so 20 span a varying
+					// share of GC cycles.
+					runtime.GC()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						next, stats, err := st.Apply(context.Background(), writes[i%2])
+						if err != nil {
+							b.Fatal(err)
+						}
+						if len(stats.SitesRebuilt) != c.rebuilt {
+							b.Fatalf("SitesRebuilt = %v, want %d", stats.SitesRebuilt, c.rebuilt)
+						}
+						if _, err := next.Site(frag).DenseKernel(); err != nil {
+							b.Fatal(err)
+						}
+						st = next
+					}
+				})
 			}
 		})
 	}

@@ -59,7 +59,7 @@ var bannedCalls = []*bannedCall{
 	{
 		funcs: []string{"(*repro/internal/graph.Graph).ShortestPaths"},
 		scope: scope{"repro/internal/dsa/store.go"},
-		msg:   "computeComp reads rows from CSR.Searches, not per-search maps",
+		msg:   "computeComp reads rows from CSR.Searches, each stopped once its node's disconnection-set peers settle, not whole-graph per-search maps",
 	},
 	{
 		funcs:   []string{"repro/internal/graph.New", "repro/internal/graph.NewWithCapacity", "(*repro/internal/graph.Graph).AddEdge"},

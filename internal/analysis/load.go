@@ -10,7 +10,9 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -48,7 +50,7 @@ type Loader struct {
 	pkgs     map[string]*Package // by import path; nil value = load failed
 	loadErrs map[string]error
 	checked  map[string]*types.Package
-	checking map[string]bool
+	checking []string // the import paths being checked, importer first
 }
 
 // NewLoader locates the module root at or above dir and prepares a
@@ -82,7 +84,6 @@ func NewLoader(dir string) (*Loader, error) {
 		pkgs:     map[string]*Package{},
 		loadErrs: map[string]error{},
 		checked:  map[string]*types.Package{},
-		checking: map[string]bool{},
 	}, nil
 }
 
@@ -229,8 +230,10 @@ func (l *Loader) parseFiles(dir, path string) (*Package, error) {
 
 // Check type-checks pkg (and, transitively, every package it
 // imports), populating pkg.Types and pkg.Info. Errors are returned
-// once per package and leave pkg.Types nil. A package from LoadDirAs
-// is checked on its own: nothing imports it.
+// once per package and leave pkg.Types nil: a package's own failure
+// in full, and a package whose module import failed — which is not
+// type-checked at all — as one short line naming that import. A
+// package from LoadDirAs is checked on its own: nothing imports it.
 func (l *Loader) Check(pkg *Package) error {
 	if pkg.Types != nil {
 		return nil
@@ -247,8 +250,8 @@ func (l *Loader) check(path string) (*types.Package, error) {
 	if tp, ok := l.checked[path]; ok {
 		return tp, l.loadErrs["check:"+path]
 	}
-	if l.checking[path] {
-		return nil, fmt.Errorf("analysis: import cycle through %s", path)
+	if i := slices.Index(l.checking, path); i >= 0 {
+		return nil, fmt.Errorf("import cycle %s", strings.Join(append(l.checking[i:], path), " → "))
 	}
 	pkg := l.pkgs[path]
 	if pkg == nil {
@@ -261,13 +264,12 @@ func (l *Loader) check(path string) (*types.Package, error) {
 			return nil, err
 		}
 		if pkg == nil {
-			return nil, fmt.Errorf("analysis: no Go files for %s", path)
+			return nil, fmt.Errorf("no Go files for %s", path)
 		}
 	}
-	l.checking[path] = true
-	defer delete(l.checking, path)
-
+	l.checking = append(l.checking, path)
 	err := l.typeCheck(pkg)
+	l.checking = l.checking[:len(l.checking)-1]
 	l.checked[path] = pkg.Types
 	if err != nil {
 		l.loadErrs["check:"+path] = err
@@ -276,8 +278,25 @@ func (l *Loader) check(path string) (*types.Package, error) {
 }
 
 // typeCheck type-checks pkg's files under pkg.Path, resolving module
-// imports through check and the rest through the stdlib importer.
+// imports through check and the rest through the stdlib importer. The
+// module imports are checked first: if one failed to type-check, pkg
+// is not, and the error names that import alone — its own error is
+// reported once, by its own package.
 func (l *Loader) typeCheck(pkg *Package) error {
+	for _, f := range pkg.Files {
+		for _, spec := range f.Imports {
+			path, _ := strconv.Unquote(spec.Path.Value)
+			if path != l.Module && !strings.HasPrefix(path, l.Module+"/") {
+				continue
+			}
+			if _, err := l.check(path); err != nil {
+				if l.loadErrs["check:"+path] != nil {
+					return fmt.Errorf("analysis: %s not type-checked: its import %s failed", pkg.Path, path)
+				}
+				return fmt.Errorf("analysis: type-checking %s: %v", pkg.Path, err)
+			}
+		}
+	}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},

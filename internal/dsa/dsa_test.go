@@ -638,6 +638,106 @@ func TestPropertySameFragmentSingleSite(t *testing.T) {
 	}
 }
 
+// TestComputeCompEqualsWholeSearch: the complementary tables, whose
+// searches stop once a node's disconnection-set peers settle, equal
+// those read from whole-graph searches bit for bit, for both problems.
+// The fragmentations are the Apply property test's and random edge
+// splits of random graphs with zero and +Inf weights, parallel edges,
+// self-loops, peers a node does not reach and nodes in several
+// disconnection sets (whose searches stop at the union of their sets).
+func TestComputeCompEqualsWholeSearch(t *testing.T) {
+	var frs []*fragment.Fragmentation
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, topo := range applyTopologies {
+			fr, err := topo.build(seed)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", topo.name, seed, err)
+			}
+			frs = append(frs, fr)
+		}
+	}
+	weights := []float64{0, 0.5, 1, 3, graph.Inf}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := graph.New()
+		n, k := 4+rng.Intn(30), 2+rng.Intn(3)
+		for i := range n {
+			g.AddNode(graph.NodeID(i), graph.Coord{})
+		}
+		sets := make([][]graph.Edge, k)
+		for i := range k + rng.Intn(3*n) {
+			e := graph.Edge{From: graph.NodeID(rng.Intn(n)), To: graph.NodeID(rng.Intn(n)), Weight: weights[rng.Intn(len(weights))]}
+			for range 1 + rng.Intn(2) { // a parallel copy, sometimes in another fragment
+				f := (i + rng.Intn(2)) % k
+				g.AddEdge(e)
+				sets[f] = append(sets[f], e)
+			}
+		}
+		fr, err := fragment.New(g, sets)
+		if err != nil {
+			continue // a fragment left empty
+		}
+		frs = append(frs, fr)
+	}
+	shared := 0
+	for i, fr := range frs {
+		seen := map[graph.NodeID]bool{}
+		for _, set := range fr.DisconnectionSets() {
+			for _, id := range set {
+				if seen[id] {
+					shared++
+				}
+				seen[id] = true
+			}
+		}
+		for _, problem := range []Problem{ProblemShortestPath, ProblemReachability} {
+			comp, _, err := computeComp(context.Background(), fr, problem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := wholeSearchComp(fr, problem)
+			for k, ci := range comp {
+				got, want := ci.Cost, want[k]
+				for j := range max(len(got), len(want)) {
+					if j == len(got) || j == len(want) || got[j].From != want[j].From || got[j].To != want[j].To ||
+						math.Float64bits(got[j].Weight) != math.Float64bits(want[j].Weight) {
+						t.Fatalf("fragmentation %d, %v, table %v: %d rows, whole searches give %d; first difference at row %d",
+							i, problem, ci.Pair, len(got), len(want), j)
+					}
+				}
+			}
+		}
+	}
+	if len(frs) < 30 || shared == 0 {
+		t.Errorf("%d fragmentations, %d nodes in a second disconnection set: want 30 and some", len(frs), shared)
+	}
+}
+
+// wholeSearchComp is computeComp's reference: one whole-graph search
+// per disconnection-set node and table, none stopped or shared.
+func wholeSearchComp(fr *fragment.Fragmentation, problem Problem) [][]graph.Edge {
+	search := fr.CSR().Searches(1)[0]
+	hops := problem == ProblemReachability
+	var tables [][]graph.Edge
+	for _, set := range fr.DisconnectionSets() {
+		var table []graph.Edge
+		for _, a := range set {
+			nodes, dist, _ := search(a, hops, nil)
+			for _, b := range set {
+				if k, _ := slices.BinarySearch(nodes, b); b != a && dist[k] < graph.Inf {
+					w := dist[k]
+					if hops {
+						w = 1
+					}
+					table = append(table, graph.Edge{From: a, To: b, Weight: w})
+				}
+			}
+		}
+		tables = append(tables, table)
+	}
+	return tables
+}
+
 // TestComputeCompAllocs: the preprocessing allocates per global search
 // the table rows the search keeps and a small constant — nothing that
 // grows with the graph (the parent filled three graph-sized maps per

@@ -473,7 +473,7 @@ func (s *Site) legTable(ctx context.Context, leg Leg, engine Engine) (*tc.CostMa
 			if ctx.Err() != nil {
 				return nil, tc.Stats{}, canceledErr(ctx)
 			}
-			_, dist, _ := search(a, false)
+			_, dist, _ := search(a, false, nil)
 			row := table.Cost[r*width : (r+1)*width]
 			copy(row, dist)
 			row[rows[r]] = graph.Inf // the search's start, at cost 0

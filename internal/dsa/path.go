@@ -92,7 +92,7 @@ func (st *Store) expandShortcuts(leg legTree, local []int32) ([]graph.NodeID, er
 	const eps = 1e-9
 	// The whole-graph search, built on the first shortcut hop and reused
 	// by the rest: building it snapshots the whole graph.
-	var search func(graph.NodeID, bool) ([]graph.NodeID, []float64, []int32)
+	var search graph.Search
 	ids := leg.site.csr.IDs
 	out := []graph.NodeID{ids[local[0]]}
 	for i := 0; i+1 < len(local); i++ {
@@ -113,11 +113,13 @@ func (st *Store) expandShortcuts(leg legTree, local []int32) ([]graph.NodeID, er
 			continue
 		}
 		// Shortcut: recover the global segment, backward along the search
-		// tree from v to its root u, which out already ends with.
+		// tree from v to its root u, which out already ends with. The
+		// search stops once v is settled: every node on v's tree path was
+		// settled before it, so the segment is the whole search's.
 		if search == nil {
 			search = st.fr.CSR().Searches(1)[0]
 		}
-		nodes, gdist, gpred := search(u, false)
+		nodes, gdist, gpred := search(u, false, []graph.NodeID{v})
 		k, ok := slices.BinarySearch(nodes, v)
 		if !ok || gdist[k] == graph.Inf {
 			return nil, fmt.Errorf("dsa: cannot expand shortcut %d→%d", u, v)

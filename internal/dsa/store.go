@@ -338,22 +338,23 @@ func deploySites(ctx context.Context, fr *fragment.Fragmentation, comp []*CompIn
 	return sites, err
 }
 
-// computeComp runs one global single-source search per distinct
-// disconnection-set node (a node can belong to several disconnection
-// sets; the run is shared) and builds the complementary tables, one per
-// disconnection set in fr.DisconnectionPairs order. The shortest-path
-// problem needs Dijkstra; reachability gets away with BFS — cheaper
-// preprocessing for a weaker complementary table.
+// computeComp builds the complementary tables, one per disconnection
+// set in fr.DisconnectionPairs order, from one global single-source
+// search per distinct disconnection-set node a (a node of several
+// disconnection sets shares one search). The search stops once every
+// peer of a — every node of a set a belongs to — is settled, and a's
+// table rows read their costs. The shortest-path problem needs Dijkstra;
+// reachability gets away with BFS and keeps presence as the marker 1 —
+// cheaper preprocessing for a weaker table.
 //
 // The searches are independent, so they fan out over parallelFor's
-// goroutines — this is what keeps a batched update's preprocessing
-// window short (the write path re-runs computeComp on every batch).
-// They run on the CSR's searches: one index-form snapshot of the whole
-// graph (Fragmentation.CSR) read by every worker, one set of
-// graph-sized rows per worker; a search reads its node's
-// disconnection-set peers' costs from its row and allocates only the
-// table rows it keeps. ctx is observed between searches, so a canceled
-// batched update abandons its preprocessing promptly.
+// goroutines, which keeps a batched update's preprocessing window
+// short (the write path re-runs computeComp on every batch that
+// compUnaffected cannot prove harmless). Every worker reads one
+// index-form snapshot of the whole graph (Fragmentation.CSR) through
+// its own CSR.Searches function and stop buffer; a search allocates
+// only the table rows it keeps. ctx is observed between searches, so
+// a canceled batched update abandons its preprocessing promptly.
 func computeComp(ctx context.Context, fr *fragment.Fragmentation, problem Problem) ([]*CompInfo, int, error) {
 	// Every disconnection-set node's rows, one slot per table it belongs
 	// to, sorted by node: each run of one node is one search, and
@@ -380,12 +381,18 @@ func computeComp(ctx context.Context, fr *fragment.Fragmentation, problem Proble
 	}
 	runs := len(starts)
 	starts = append(starts, len(slots))
-	searches := fr.CSR().Searches(parallelWorkers(runs))
+	workers := parallelWorkers(runs)
+	searches := fr.CSR().Searches(workers)
+	stops := make([][]graph.NodeID, workers)
 	err := parallelFor(ctx, runs, func(w, i int) {
 		run := slots[starts[i]:starts[i+1]]
 		a := run[0].id
-		// Of a reachability search only presence is kept, as the marker 1.
-		nodes, dist, _ := searches[w](a, problem == ProblemReachability)
+		stop := stops[w][:0]
+		for _, s := range run {
+			stop = append(stop, sets[s.set]...)
+		}
+		stops[w] = stop
+		nodes, dist, _ := searches[w](a, problem == ProblemReachability, stop)
 		for _, s := range run {
 			peers := sets[s.set]
 			row := make([]graph.Edge, 0, len(peers)-1)

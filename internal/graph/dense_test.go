@@ -360,7 +360,7 @@ func TestSearchesEqualMapReference(t *testing.T) {
 			}
 
 			for _, hops := range []bool{false, true} {
-				ids, row, prow := search[0](src, hops)
+				ids, row, prow := search[0](src, hops, nil)
 				if !slices.Equal(ids, nodes) {
 					t.Fatalf("%s: search rows are over %v, want Nodes() %v", name, ids, nodes)
 				}

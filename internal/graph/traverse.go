@@ -164,12 +164,16 @@ func RowOf(ids []NodeID, id NodeID) (int, bool) {
 
 // searcher runs searches over one snapshot on rows it reuses: dist[k]
 // is the cost (or level) of ids[k], Inf when the last search did not
-// reach it; pred[k] the row it was reached from, -1 for a seed.
+// reach it; pred[k] the row it was reached from, -1 for a seed. stop
+// marks the rows the current search may stop at (nil until a search
+// is given any) and left counts the marked rows not yet popped final.
 type searcher struct {
 	csr  *CSR
 	dist []float64
 	pred []int32
 	done []bool
+	stop []bool
+	left int
 	heap []heapItem
 }
 
@@ -189,7 +193,11 @@ func newSearcher(c *CSR, dist []float64) *searcher {
 // +Inf, negative, NaN — become Inf. Seeds are pushed in ascending row
 // order, so ties between seeds resolve the same way on every call. It
 // searches by cost (Dijkstra), or by level over unit weights when hops
-// is set.
+// is set. With left stop rows marked, it returns as soon as the last
+// of them is popped final, before relaxing its edges: what it has done
+// by then is the first operations of the whole search, so every row
+// popped so far holds the whole search's dist and pred, bit for bit
+// (by cost, when no weight is negative: Dijkstra's own assumption).
 func (s *searcher) search(hops bool) {
 	clear(s.done)
 	s.heap = s.heap[:0]
@@ -216,6 +224,11 @@ func (s *searcher) search(hops bool) {
 			continue
 		}
 		s.done[u] = true
+		if s.left > 0 && s.stop[u] {
+			if s.left--; s.left == 0 {
+				return
+			}
+		}
 		for j := c.Off[u]; j < c.Off[u+1]; j++ {
 			v, nd := c.To[j], it.dist+1
 			if !hops {
@@ -263,9 +276,12 @@ func (s *searcher) pop() heapItem {
 	return top
 }
 
+// A Search is one single-source search function of Searches.
+type Search func(src NodeID, hops bool, stop []NodeID) (nodes []NodeID, dist []float64, pred []int32)
+
 // Searches returns n single-source search functions over g as it is
 // now: CSR().Searches(n).
-func (g *Graph) Searches(n int) []func(src NodeID, hops bool) (nodes []NodeID, dist []float64, pred []int32) {
+func (g *Graph) Searches(n int) []Search {
 	return g.CSR().Searches(n)
 }
 
@@ -278,22 +294,52 @@ func (g *Graph) Searches(n int) []func(src NodeID, hops bool) (nodes []NodeID, d
 // was reached from, -1 for src and unreached nodes. The rows are
 // read-only and good until that function's next call: no search
 // allocates, where ShortestPaths builds two maps.
-func (c *CSR) Searches(n int) []func(src NodeID, hops bool) (nodes []NodeID, dist []float64, pred []int32) {
-	searches := make([]func(NodeID, bool) ([]NodeID, []float64, []int32), n)
+//
+// A nil (or empty) stop asks for the whole row. Otherwise the search
+// returns once every node of stop that is in the snapshot has been
+// popped final (repeats and nodes outside the snapshot are ignored;
+// with none inside, the whole row is searched). The cells of those
+// nodes, and of every node popped before them, are bit-equal to the
+// whole search's; the other cells are tentative — a cost that may
+// still fall, or Inf for a node the search had not reached yet.
+func (c *CSR) Searches(n int) []Search {
+	searches := make([]Search, n)
 	for i := range searches {
 		s := newSearcher(c, make([]float64, len(c.IDs)))
-		searches[i] = func(src NodeID, hops bool) ([]NodeID, []float64, []int32) {
+		searches[i] = func(src NodeID, hops bool, stop []NodeID) ([]NodeID, []float64, []int32) {
 			for k := range s.dist {
 				s.dist[k] = Inf
 			}
 			if k, ok := c.Row(src); ok {
 				s.dist[k] = 0
 			}
+			s.mark(stop, true)
 			s.search(hops)
+			s.mark(stop, false)
 			return c.IDs, s.dist, s.pred
 		}
 	}
 	return searches
+}
+
+// mark sets (on) or clears the stop marks of the rows of stop's nodes
+// in the snapshot, counting each distinct row set in left; clearing
+// zeroes left. The stop row is allocated by the first search given one.
+func (s *searcher) mark(stop []NodeID, on bool) {
+	if len(stop) > 0 && s.stop == nil {
+		s.stop = make([]bool, len(s.csr.IDs))
+	}
+	for _, id := range stop {
+		if k, ok := s.csr.Row(id); ok && s.stop[k] != on {
+			s.stop[k] = on
+			if on {
+				s.left++
+			}
+		}
+	}
+	if !on {
+		s.left = 0
+	}
 }
 
 // BFSLevels returns, for every node reachable from the sources by
@@ -391,7 +437,7 @@ func (c *CSR) Components() [][]int32 {
 // weights are not supported (the paper's path problems are cost
 // networks with non-negative costs).
 func (g *Graph) ShortestPaths(source NodeID) (dist map[NodeID]float64, pred map[NodeID]NodeID) {
-	nodes, d, p := g.Searches(1)[0](source, false)
+	nodes, d, p := g.Searches(1)[0](source, false, nil)
 	dist, pred = make(map[NodeID]float64), make(map[NodeID]NodeID)
 	for k, c := range d {
 		if c < Inf {
@@ -422,9 +468,9 @@ func (c *CSR) SeededSearch(seed []float64) (dist []float64, pred []int32) {
 }
 
 // Distance returns the shortest-path cost from 'from' to 'to', or Inf if
-// unreachable.
+// unreachable. Its search stops once 'to' is settled.
 func (g *Graph) Distance(from, to NodeID) float64 {
-	nodes, dist, _ := g.Searches(1)[0](from, false)
+	nodes, dist, _ := g.Searches(1)[0](from, false, []NodeID{to})
 	if k, ok := slices.BinarySearch(nodes, to); ok {
 		return dist[k]
 	}
@@ -442,7 +488,7 @@ func (g *Graph) Diameter() int {
 	maxHops := 0
 	search := g.Searches(1)
 	for _, src := range g.Nodes() {
-		_, levels, _ := search[0](src, true)
+		_, levels, _ := search[0](src, true, nil)
 		for _, lvl := range levels {
 			if lvl < Inf && int(lvl) > maxHops {
 				maxHops = int(lvl)

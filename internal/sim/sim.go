@@ -223,7 +223,7 @@ func (c *Cluster) CentralizedElapsed(ctx context.Context, source graph.NodeID, e
 	switch engine {
 	case dsa.EngineDijkstra:
 		reached := 0
-		_, levels, _ := base.Searches(1)[0](source, true)
+		_, levels, _ := base.Searches(1)[0](source, true, nil)
 		for _, l := range levels {
 			if l < graph.Inf {
 				reached++

@@ -53,7 +53,12 @@ else
 fi
 
 echo "== tcvet"
-go run ./cmd/tcvet
+# A built binary keeps tcvet's exit status (2: the tree failed to load or
+# type-check); go run would turn every failure into 1.
+tcvet_dir=$(mktemp -d)
+trap 'rm -rf "$tcvet_dir"' EXIT
+go build -o "$tcvet_dir/tcvet" ./cmd/tcvet
+"$tcvet_dir/tcvet"
 
 echo "== oracle"
 own_truth=(
