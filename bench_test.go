@@ -604,11 +604,15 @@ func BenchmarkLegWire(b *testing.B) {
 // exit block gathered from the site's built border table
 // (dsa.Store.BorderBlockCtx), a column of it, since the site is
 // symmetric. The legs a road-point query does run a kernel for are its
-// same-fragment pairs between interior nodes: road/same-fragment/row
-// and road/same-fragment/stop cycle over 200 of them on the largest
-// site, row timing the source's whole row, stop the stop search
+// same-fragment pairs between interior nodes: road/same-fragment/row,
+// .../stop and .../goal cycle over 200 of them on the largest site, row
+// timing the source's whole row, stop the stop search
 // ExecuteLegTableCtx runs for the leg's one exit, the target
-// (tc.DenseGraph.CostToCtx). ds-leg is the second leg of each
+// (tc.DenseGraph.CostToCtx), which a source's repeated miss runs, and
+// goal the goal-directed search over the site's border table that
+// answers a source's first miss (dsa.Store.GoalBlockCtx, the table
+// built up front); queued/op is the nodes the search queued. ds-leg is
+// the second leg of each
 // deployment's first-to-last-node plan, the first entered through a
 // whole disconnection set (road's 5 gateways, grid's 42 border nodes),
 // complete rows. The site's kernel is built up front, as the first leg
@@ -693,24 +697,40 @@ func BenchmarkLegTable(b *testing.B) {
 		if d.name != "road" {
 			continue
 		}
-		for _, kernel := range []string{"row", "stop"} {
+		if block, _, err := st.BorderBlockCtx(context.Background(), first, dsa.EngineDense); err != nil || block == nil {
+			b.Fatalf("first leg %+v: block %v, err %v; want a column of a symmetric site's table", first, block, err)
+		}
+		for _, kernel := range []string{"row", "stop", "goal"} {
 			b.Run("road/same-fragment/"+kernel, func(b *testing.B) {
 				b.ReportAllocs()
+				queued := 0
 				for i := 0; i < b.N; i++ {
 					leg := same[i%len(same)]
-					if kernel == "row" {
+					var stats tc.Stats
+					var err error
+					switch kernel {
+					case "row":
 						leg.Exit = nil
+						_, stats, err = st.ExecuteLegTableCtx(context.Background(), leg, dsa.EngineDense)
+					case "stop":
+						_, stats, err = st.ExecuteLegTableCtx(context.Background(), leg, dsa.EngineDense)
+					default:
+						var block *dsa.ExitBlock
+						if block, stats, err = st.GoalBlockCtx(context.Background(), leg, dsa.EngineDense); block == nil && err == nil {
+							b.Fatalf("leg %+v: no goal-directed answer", leg)
+						}
 					}
-					if _, _, err := st.ExecuteLegTableCtx(context.Background(), leg, dsa.EngineDense); err != nil {
+					if err != nil {
 						b.Fatal(err)
 					}
+					queued += stats.DerivedTuples
+				}
+				if kernel != "row" {
+					b.ReportMetric(float64(queued)/float64(b.N), "queued/op")
 				}
 			})
 		}
 		b.Run("road/single-source/table", func(b *testing.B) {
-			if block, _, err := st.BorderBlockCtx(context.Background(), first, dsa.EngineDense); err != nil || block == nil {
-				b.Fatalf("first leg %+v: block %v, err %v; want a column of a symmetric site's table", first, block, err)
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

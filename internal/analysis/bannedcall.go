@@ -92,15 +92,21 @@ var bannedCalls = []*bannedCall{
 		msg:    "select a leg's exits once, in executeLegLocal",
 	},
 	{
-		funcs:  []string{"(*repro/internal/dsa.Store).ExecuteLegTableCtx", "repro/internal/dsa.SelectExits"},
-		scope:  scope{"repro/internal/server/..."},
-		exempt: scope{"repro/internal/server"},
-		msg:    "executeLegLocal in internal/server runs a node's legs and selects their exits; the packages below it do neither",
+		funcs:  []string{"(*repro/internal/dsa.Store).GoalBlockCtx"},
+		scope:  scope{"repro/internal/server"},
+		budget: 1,
+		msg:    "answer a same-fragment leg's first miss goal-directed once, in executeLegLocal, beside the leg cache",
 	},
 	{
-		funcs: []string{"repro/internal/dsa.SelectExits"},
+		funcs:  []string{"(*repro/internal/dsa.Store).ExecuteLegTableCtx", "repro/internal/dsa.SelectExits", "(*repro/internal/dsa.Store).GoalBlockCtx"},
+		scope:  scope{"repro/internal/server/..."},
+		exempt: scope{"repro/internal/server"},
+		msg:    "executeLegLocal in internal/server runs a node's legs, goal-directed ones too, and selects their exits; the packages below it do none of that",
+	},
+	{
+		funcs: []string{"repro/internal/dsa.SelectExits", "(*repro/internal/dsa.Store).GoalBlockCtx"},
 		scope: scope{"repro/internal/cluster/..."},
-		msg:   "a remote leg's facts become its block through dsa.FactBlock; executeLegLocal selects exits",
+		msg:   "a remote leg's facts become its block through dsa.FactBlock; executeLegLocal selects exits and answers legs goal-directed",
 	},
 }
 
@@ -108,7 +114,7 @@ var bannedCalls = []*bannedCall{
 func BannedCall() *Analyzer {
 	return &Analyzer{
 		Name:      "bannedcall",
-		Doc:       "no reference its layer may not make: context.TODO, MustInsert on the query path, container/heap and sort.Slice in internal/graph, graph building in internal/dsa, Fragmentation.Base in the serving layers, the wall clock in internal/cluster; and the one leg path: ExecuteLegTableCtx and SelectExits exactly once each in internal/server, never below it or in internal/cluster",
+		Doc:       "no reference its layer may not make: context.TODO, MustInsert on the query path, container/heap and sort.Slice in internal/graph, graph building in internal/dsa, Fragmentation.Base in the serving layers, the wall clock in internal/cluster; and the one leg path: ExecuteLegTableCtx, SelectExits and GoalBlockCtx exactly once each in internal/server, never below it, and SelectExits and GoalBlockCtx never in internal/cluster",
 		NeedTypes: true,
 		Run:       runBannedCall(bannedCalls),
 	}

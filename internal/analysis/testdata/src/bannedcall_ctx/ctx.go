@@ -2,7 +2,7 @@
 // through an import alias (which the text `context.TODO()` misses).
 // Analyzed as repro/internal/server (reports, and misses the one leg
 // path there) and repro/benchmarks (exempt: none).
-package ctx // want "ExecuteLegTableCtx in repro/internal/server: none, want 1" "dsa.SelectExits in repro/internal/server: none, want 1"
+package ctx // want "ExecuteLegTableCtx in repro/internal/server: none, want 1" "dsa.SelectExits in repro/internal/server: none, want 1" "GoalBlockCtx in repro/internal/server: none, want 1"
 
 import (
 	"context"

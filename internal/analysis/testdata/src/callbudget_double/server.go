@@ -10,6 +10,9 @@ import (
 )
 
 func executeLegLocal(ctx context.Context, st *dsa.Store, leg dsa.Leg) (*dsa.ExitBlock, error) {
+	if block, _, err := st.GoalBlockCtx(ctx, leg, dsa.EngineDense); err != nil || block != nil { // want "(*dsa.Store).GoalBlockCtx in repro/internal/server: 2, want 1"
+		return block, err
+	}
 	table, _, err := st.ExecuteLegTableCtx(ctx, leg, dsa.EngineDense) // want "(*dsa.Store).ExecuteLegTableCtx in repro/internal/server: 3, want 1"
 	if err != nil {
 		return nil, err
@@ -18,6 +21,9 @@ func executeLegLocal(ctx context.Context, st *dsa.Store, leg dsa.Leg) (*dsa.Exit
 }
 
 func fallback(ctx context.Context, st *dsa.Store, leg dsa.Leg) (*dsa.ExitBlock, error) {
+	if block, _, err := st.GoalBlockCtx(ctx, leg, dsa.EngineDense); err != nil || block != nil { // want "GoalBlockCtx in repro/internal/server: 2"
+		return block, err
+	}
 	table, _, err := st.ExecuteLegTableCtx(ctx, leg, dsa.EngineDijkstra) // want "ExecuteLegTableCtx in repro/internal/server: 3"
 	if err != nil {
 		return nil, err

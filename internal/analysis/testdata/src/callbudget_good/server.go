@@ -9,6 +9,9 @@ import (
 )
 
 func executeLegLocal(ctx context.Context, st *dsa.Store, leg dsa.Leg) (*dsa.ExitBlock, error) {
+	if block, _, err := st.GoalBlockCtx(ctx, leg, dsa.EngineDense); err != nil || block != nil {
+		return block, err
+	}
 	table, _, err := st.ExecuteLegTableCtx(ctx, leg, dsa.EngineDense)
 	if err != nil {
 		return nil, err

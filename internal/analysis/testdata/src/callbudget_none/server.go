@@ -1,6 +1,6 @@
 // Fixture: the leg path gone from the server (its SelectExits moved to
 // the cluster, say), analyzed as repro/internal/server.
-package server // want "ExecuteLegTableCtx in repro/internal/server: none, want 1" "dsa.SelectExits in repro/internal/server: none, want 1"
+package server // want "ExecuteLegTableCtx in repro/internal/server: none, want 1" "dsa.SelectExits in repro/internal/server: none, want 1" "GoalBlockCtx in repro/internal/server: none, want 1"
 
 import "repro/internal/dsa"
 

@@ -13,6 +13,9 @@ import (
 
 func executeLegLocal(ctx context.Context, st *dsa.Store, leg dsa.Leg) (*dsa.ExitBlock, time.Duration, error) {
 	start := time.Now()
+	if block, _, err := st.GoalBlockCtx(ctx, leg, dsa.EngineDense); err != nil || block != nil {
+		return block, time.Since(start), err
+	}
 	table, _, err := st.ExecuteLegTableCtx(ctx, leg, dsa.EngineDense)
 	if err != nil {
 		return nil, 0, err

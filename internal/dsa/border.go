@@ -300,6 +300,42 @@ func (st *Store) BorderBlockCtx(ctx context.Context, leg Leg, engine Engine) (bl
 	return b, built, nil
 }
 
+// GoalBlockCtx is a same-fragment leg — one source, its target the one
+// exit, off the border — answered by a goal-directed search toward the
+// target over the site's dense border table, whose rows are the
+// search's landmarks (tc.DenseGraph.CostBetweenCtx): the search stops
+// near the target instead of settling every node cheaper than it, and
+// no row is allocated. The block is SelectExits(ExecuteLegTableCtx(…),
+// leg), its one cell bit-equal. It answers only a dense-engine leg of
+// that shape on a symmetric site whose dense border table is already
+// built, and builds nothing: any other leg returns a nil block and no
+// error, for the caller to run as before. Stats are the search's. A
+// canceled search returns ErrCanceled.
+func (st *Store) GoalBlockCtx(ctx context.Context, leg Leg, engine Engine) (*ExitBlock, tc.Stats, error) {
+	if engine != EngineDense || leg.SiteID < 0 || leg.SiteID >= len(st.sites) || len(leg.Entry) != 1 || len(leg.Exit) != 1 {
+		return nil, tc.Stats{}, nil
+	}
+	site := st.sites[leg.SiteID]
+	t := site.tables[EngineDense].table.Load()
+	if _, ok := site.csr.Row(leg.Entry[0]); !ok || t == nil || onBorder(site.border, leg.Exit) || !site.isSymmetric() {
+		return nil, tc.Stats{}, nil
+	}
+	kernel, err := site.DenseKernel()
+	if err != nil {
+		return nil, tc.Stats{}, err
+	}
+	cost, stats, err := kernel.CostBetweenCtx(ctx, leg.Entry[0], leg.Exit[0], t.m)
+	if err != nil {
+		return nil, tc.Stats{}, fmt.Errorf("dsa: site %d leg: %w", site.ID, err)
+	}
+	b := &ExitBlock{rows: leg.Entry, exits: leg.Exit, zero: make([]bool, 1), cost: []float64{cost}}
+	if cost != math.Inf(1) {
+		b.n = 1
+	}
+	b.flagZero(leg.Entry)
+	return b, stats, nil
+}
+
 // rowBlock gathers the block of a leg whose entry nodes are the border
 // nodes at positions at: the table's rows of them, which are the leg's
 // distinct entry nodes in order, by the leg's distinct exits.

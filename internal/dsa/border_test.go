@@ -165,6 +165,64 @@ func TestPropertyBorderBlockMatchesLegTable(t *testing.T) {
 	}
 }
 
+// TestPropertyGoalBlockMatchesLegTable: every same-fragment leg of
+// every plan of the border stores — one source, its target off the
+// border — answered goal-directed is the block SelectExits selects
+// from the leg's own table, its cell bit for bit, once its site's
+// dense border table is built; before that, on another engine, on an
+// asymmetric site and for any other leg, GoalBlockCtx answers nothing
+// and builds nothing.
+func TestPropertyGoalBlockMatchesLegTable(t *testing.T) {
+	ctx := context.Background()
+	answered := 0
+	for name, st := range borderStores(t) {
+		fresh, err := Restore(st.fr, st.comp, Options{}, 0, st.prep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := st.fr.Nodes()
+		for _, src := range nodes {
+			for _, dst := range nodes {
+				plan, err := fresh.NewPlan(src, dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, leg := range plan.Legs {
+					site := fresh.sites[leg.SiteID]
+					what := fmt.Sprintf("%s: site %d leg %v → %v", name, leg.SiteID, leg.Entry, leg.Exit)
+					for _, engine := range Engines() {
+						built := site.tables[engine].table.Load() != nil
+						got, _, err := fresh.GoalBlockCtx(ctx, leg, engine)
+						if err != nil {
+							t.Fatalf("%s/%v: %v", what, engine, err)
+						}
+						want := engine == EngineDense && built && len(leg.Entry) == 1 && len(leg.Exit) == 1 &&
+							!onBorder(site.border, leg.Exit) && site.isSymmetric()
+						if (got != nil) != want || (site.tables[engine].table.Load() != nil) != built {
+							t.Fatalf("%s/%v: block %v with the table built %v; want a block %v, and no build", what, engine, got, built, want)
+						}
+						if got != nil {
+							table, _, err := fresh.ExecuteLegTableCtx(ctx, leg, engine)
+							if err != nil {
+								t.Fatal(err)
+							}
+							checkBlock(t, what, got, SelectExits(table, leg), false)
+							answered++
+						}
+						if _, _, err := fresh.BorderBlockCtx(ctx, leg, engine); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+		}
+	}
+	if answered == 0 {
+		t.Fatal("no leg was answered goal-directed")
+	}
+	t.Logf("%d legs answered goal-directed", answered)
+}
+
 // TestSemiNaiveBorderRowWithoutFacts: a semi-naive border table has
 // every leg table's shape, a row for each border node. On the
 // three-way store, site 0 (1→2, 2→0, 2→7) has border node 0 with no

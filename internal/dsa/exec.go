@@ -441,7 +441,12 @@ func (st *Store) ExecuteLegCtx(ctx context.Context, leg Leg, engine Engine) (*Le
 // site's other disconnection sets. On a whole one-source row that
 // kernel is the faster on paper and grid sites but not on road's,
 // where the stop search run to the last node took 0.88-0.91x its time
-// (README, "Choosing a local engine").
+// (README, "Choosing a local engine"). A serving layer that caches by
+// source gives a same-fragment leg three outcomes: a hit on a row that
+// settles the target; a miss on a source it has never seen, answered
+// with no table by GoalBlockCtx, a goal-directed search over the
+// site's built border table; and a miss on a source it has seen, which
+// runs this stop search and caches the row.
 //
 // Cancellation is threaded into the engine kernels: the per-entry
 // Dijkstra loop checks ctx between sources, and the relational, bitset

@@ -167,14 +167,17 @@ func RowOf(ids []NodeID, id NodeID) (int, bool) {
 // reach it; pred[k] the row it was reached from, -1 for a seed. stop
 // marks the rows the current search may stop at (nil until a search
 // is given any) and left counts the marked rows not yet popped final.
+// touched lists the rows the last search reached, the only ones whose
+// dist, pred and done it wrote.
 type searcher struct {
-	csr  *CSR
-	dist []float64
-	pred []int32
-	done []bool
-	stop []bool
-	left int
-	heap []heapItem
+	csr     *CSR
+	dist    []float64
+	pred    []int32
+	done    []bool
+	stop    []bool
+	left    int
+	heap    []heapItem
+	touched []int32
 }
 
 type heapItem struct {
@@ -188,19 +191,12 @@ func newSearcher(c *CSR, dist []float64) *searcher {
 	return &searcher{csr: c, dist: dist, pred: make([]int32, n), done: make([]bool, n)}
 }
 
-// search runs one search from the seed row that dist holds: every row
-// at a finite, non-negative cost is a seed at that cost, the rest —
-// +Inf, negative, NaN — become Inf. Seeds are pushed in ascending row
-// order, so ties between seeds resolve the same way on every call. It
-// searches by cost (Dijkstra), or by level over unit weights when hops
-// is set. With left stop rows marked, it returns as soon as the last
-// of them is popped final, before relaxing its edges: what it has done
-// by then is the first operations of the whole search, so every row
-// popped so far holds the whole search's dist and pred, bit for bit
-// (by cost, when no weight is negative: Dijkstra's own assumption).
+// search runs one search, on a new searcher, from the seed row that
+// dist holds: every row at a finite, non-negative cost is a seed at
+// that cost, the rest — +Inf, negative, NaN — become Inf. Seeds are
+// pushed in ascending row order, so ties between seeds resolve the
+// same way on every call.
 func (s *searcher) search(hops bool) {
-	clear(s.done)
-	s.heap = s.heap[:0]
 	for k, cost := range s.dist {
 		s.pred[k] = -1
 		if cost >= 0 && cost < Inf {
@@ -209,6 +205,17 @@ func (s *searcher) search(hops bool) {
 			s.dist[k] = Inf
 		}
 	}
+	s.run(hops)
+}
+
+// run drains the queue the seeds are on: by cost (Dijkstra), or by
+// level over unit weights when hops is set, adding each row it reaches
+// to touched. With left stop rows marked, it returns as soon as the
+// last of them is popped final, before relaxing its edges: what it has
+// done by then is the first operations of the whole search, so every
+// row popped so far holds the whole search's dist and pred, bit for
+// bit (by cost, when no weight is negative: Dijkstra's own assumption).
+func (s *searcher) run(hops bool) {
 	// Unit weights reach rows in level order: there the queue is the
 	// slice read front to back; otherwise a heap, which pop shrinks.
 	c := s.csr
@@ -235,6 +242,9 @@ func (s *searcher) search(hops bool) {
 				nd = it.dist + c.W[j]
 			}
 			if nd < s.dist[v] {
+				if s.dist[v] == Inf {
+					s.touched = append(s.touched, v)
+				}
 				s.dist[v], s.pred[v] = nd, u
 				if hops {
 					s.heap = append(s.heap, heapItem{nd, v})
@@ -302,19 +312,28 @@ func (g *Graph) Searches(n int) []Search {
 // nodes, and of every node popped before them, are bit-equal to the
 // whole search's; the other cells are tentative — a cost that may
 // still fall, or Inf for a node the search had not reached yet.
+//
+// A search resets only the cells the previous one reached, so one that
+// stops early costs what it searched, not the snapshot's size.
 func (c *CSR) Searches(n int) []Search {
 	searches := make([]Search, n)
 	for i := range searches {
-		s := newSearcher(c, make([]float64, len(c.IDs)))
+		s := newSearcher(c, slices.Repeat([]float64{Inf}, len(c.IDs)))
+		for k := range s.pred {
+			s.pred[k] = -1
+		}
 		searches[i] = func(src NodeID, hops bool, stop []NodeID) ([]NodeID, []float64, []int32) {
-			for k := range s.dist {
-				s.dist[k] = Inf
+			for _, k := range s.touched {
+				s.dist[k], s.pred[k], s.done[k] = Inf, -1, false
 			}
+			s.touched, s.heap = s.touched[:0], s.heap[:0]
 			if k, ok := c.Row(src); ok {
 				s.dist[k] = 0
+				s.touched = append(s.touched, k)
+				s.heap = append(s.heap, heapItem{0, k})
 			}
 			s.mark(stop, true)
-			s.search(hops)
+			s.run(hops)
 			s.mark(stop, false)
 			return c.IDs, s.dist, s.pred
 		}

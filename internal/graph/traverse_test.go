@@ -77,6 +77,33 @@ func TestStoppedSearchEqualsWholeSearch(t *testing.T) {
 				}
 			}
 		}
+		// Back to back on one function, which resets only what the
+		// last search reached: stop sets alternate with nil and hops
+		// with cost, each search held to a new function's whole row.
+		chain := c.Searches(1)[0]
+		for step := range 16 {
+			src, hops := graph.NodeID(2*rng.Intn(n)), step/2%2 == 1
+			var stop []graph.NodeID
+			if step%2 == 0 {
+				stop = []graph.NodeID{graph.NodeID(2 * rng.Intn(n)), graph.NodeID(rng.Intn(2*n+4) - 2)}
+			}
+			name := fmt.Sprintf("seed %d: step %d: search(%d, %v, %v)", seed, step, src, hops, stop)
+			_, wantDist, wantPred := c.Searches(1)[0](src, hops, nil)
+			_, dist, pred := chain(src, hops, stop)
+			if stop == nil && (!slices.Equal(dist, wantDist) || !slices.Equal(pred, wantPred)) {
+				t.Fatalf("%s: %v %v, want %v %v", name, dist, pred, wantDist, wantPred)
+			}
+			for k := range dist {
+				if dist[k] < wantDist[k] || (dist[k] == graph.Inf) != (pred[k] == -1 && c.IDs[k] != src) {
+					t.Fatalf("%s: row %d at (%v, %d), the whole search has (%v, %d)", name, k, dist[k], pred[k], wantDist[k], wantPred[k])
+				}
+			}
+			for _, id := range stop {
+				if k, ok := c.Row(id); ok && (dist[k] != wantDist[k] || pred[k] != wantPred[k]) {
+					t.Fatalf("%s: node %d at (%v, %d), the whole search has (%v, %d)", name, id, dist[k], pred[k], wantDist[k], wantPred[k])
+				}
+			}
+		}
 	}
 }
 

@@ -15,13 +15,15 @@ import (
 )
 
 // recount is CacheStats.Bytes counted afresh from the entries the
-// cache holds.
+// cache holds, a table-less one at entryOverhead alone.
 func recount(c *legCache) (bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for el := c.ll.Front(); el != nil; el = el.Next() {
-		ent := el.Value.(*cacheEntry)
-		bytes += int64(ent.table.Bytes() + entryOverhead)
+		if ent := el.Value.(*cacheEntry); ent.table != nil {
+			bytes += int64(ent.table.Bytes())
+		}
+		bytes += entryOverhead
 	}
 	return bytes
 }

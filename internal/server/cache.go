@@ -31,11 +31,16 @@ import (
 // leg, though: on the dense engine a same-fragment leg's row comes from
 // the stop search, final only up to the bucket that settled the target
 // of the leg that computed it, so an entry is a hit only for a leg
-// whose exits it settles (tc.CostMatrix.Final). A miss runs the kernel
-// for its own exits, past the old bound, and puts back a more settled
-// row. The
-// mode is likewise absent because a leg's table depends only on the
-// engine, letting cost and connectivity traffic share entries.
+// whose exits it settles (tc.CostMatrix.Final). A same-fragment leg
+// has three outcomes. A hit is served from the entry. A miss on a key
+// the cache has never seen, where the site can answer it goal-directed
+// (dsa.Store.GoalBlockCtx), computes no row and leaves a table-less
+// entry that only marks the key as seen. A miss on a key the cache
+// holds — a table-less entry, or a row that does not settle the exits —
+// runs the stop search for its own exits, past any old bound, and puts
+// back its row: a source asked twice is likely asked again. The mode is
+// likewise absent because a leg's table depends only on the engine,
+// letting cost and connectivity traffic share entries.
 type legKey struct {
 	site   *dsa.Site
 	engine dsa.Engine
@@ -68,7 +73,8 @@ type CacheStats struct {
 
 // cacheEntry is one memoized leg: the leg table of ExecuteLegTableCtx
 // and its stats, handed to every leg from the same source on the site,
-// as is.
+// as is; or, with no table, the mark of a key whose first miss was
+// answered goal-directed (legCache.mark), which answers no leg.
 type cacheEntry struct {
 	key   legKey
 	table *tc.CostMatrix
@@ -79,9 +85,19 @@ type cacheEntry struct {
 // itself, its list element and its map slot.
 const entryOverhead = 160
 
-// bytes is the entry's share of CacheStats.Bytes.
+// bytes is the entry's share of CacheStats.Bytes: its table's, if it
+// has one, and the overhead.
 func (e *cacheEntry) bytes() int64 {
+	if e.table == nil {
+		return entryOverhead
+	}
 	return int64(e.table.Bytes() + entryOverhead)
+}
+
+// serves reports whether the entry answers a leg to exits: it has a
+// table whose cells of exits are final (tc.CostMatrix.Final).
+func (e *cacheEntry) serves(exits []graph.NodeID) bool {
+	return e.table != nil && e.table.Final(exits)
 }
 
 // legCache is a bounded LRU over leg computations. It is safe for
@@ -108,7 +124,7 @@ func newLegCache(capacity int) *legCache {
 
 // get returns the memoized table for key if it is there and its cells
 // of exits are final (tc.CostMatrix.Final): a hit. A table that does
-// not settle them is a miss, like no table.
+// not settle them is a miss, like no table or a table-less entry.
 func (c *legCache) get(key legKey, exits []graph.NodeID) (*tc.CostMatrix, tc.Stats, bool) {
 	if c == nil || c.cap == 0 {
 		return nil, tc.Stats{}, false
@@ -116,7 +132,7 @@ func (c *legCache) get(key legKey, exits []graph.NodeID) (*tc.CostMatrix, tc.Sta
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
-	if !ok || !el.Value.(*cacheEntry).table.Final(exits) {
+	if !ok || !el.Value.(*cacheEntry).serves(exits) {
 		c.stats.Misses++
 		return nil, tc.Stats{}, false
 	}
@@ -124,6 +140,18 @@ func (c *legCache) get(key legKey, exits []graph.NodeID) (*tc.CostMatrix, tc.Sta
 	c.stats.Hits++
 	ent := el.Value.(*cacheEntry)
 	return ent.table, ent.stats, true
+}
+
+// holds reports whether key has an entry, with a table or not, without
+// promoting it or counting a lookup.
+func (c *legCache) holds(key legKey) bool {
+	if c == nil || c.cap == 0 {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.byKey[key]
+	return ok
 }
 
 // has reports whether get would hit, without promoting the entry or
@@ -135,34 +163,47 @@ func (c *legCache) has(key legKey, exits []graph.NodeID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
-	return ok && el.Value.(*cacheEntry).table.Final(exits)
+	return ok && el.Value.(*cacheEntry).serves(exits)
 }
 
 // put memoizes a leg computation, evicting the least recently used
 // entry when the bound is exceeded. A put for a key already cached
-// follows a miss: the entry did not settle the leg's exits, and the
-// kernel run that did settled further, so the new table replaces it.
-// Concurrent queries can race to fill the same key, though, and the
-// entry keeps the more settled of the two tables: the new one unless
-// it settles less (tc.CostMatrix.SettledAsFar). One key's final cells
-// are the same whoever computed them.
+// follows a miss: the entry had no table or did not settle the leg's
+// exits, and the kernel run that did settled further, so the new table
+// replaces it. Concurrent queries can race to fill the same key,
+// though, and the entry keeps the more settled of the two tables: the
+// new one unless it settles less (tc.CostMatrix.SettledAsFar). One
+// key's final cells are the same whoever computed them.
 func (c *legCache) put(key legKey, table *tc.CostMatrix, stats tc.Stats) {
+	c.insert(&cacheEntry{key: key, table: table, stats: stats})
+}
+
+// mark leaves a table-less entry for key, unless it has an entry: the
+// key's first miss was answered without a row, and its next miss will
+// cache one. It counts no lookup.
+func (c *legCache) mark(key legKey) {
+	c.insert(&cacheEntry{key: key})
+}
+
+// insert is put and mark: ent takes a new key's slot, and replaces an
+// existing entry only with a table, over an entry that has none or
+// settles no further.
+func (c *legCache) insert(ent *cacheEntry) {
 	if c == nil || c.cap == 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ent := &cacheEntry{key: key, table: table, stats: stats}
-	if el, ok := c.byKey[key]; ok {
+	if el, ok := c.byKey[ent.key]; ok {
 		c.ll.MoveToFront(el)
-		if old := el.Value.(*cacheEntry); table.SettledAsFar(old.table) {
+		if old := el.Value.(*cacheEntry); ent.table != nil && (old.table == nil || ent.table.SettledAsFar(old.table)) {
 			c.stats.Bytes += ent.bytes() - old.bytes()
 			el.Value = ent
 		}
 		return
 	}
 	c.stats.Bytes += ent.bytes()
-	c.byKey[key] = c.ll.PushFront(ent)
+	c.byKey[ent.key] = c.ll.PushFront(ent)
 	for c.ll.Len() > c.cap {
 		c.remove(c.ll.Back())
 		c.stats.Evictions++

@@ -200,9 +200,10 @@ func TestLegCacheFirstLegRowIsWhole(t *testing.T) {
 
 // TestLegCachePutKeepsMoreSettled is for -race: puts for one key race
 // with rows of one source stopped at different exits and its complete
-// row; the entry ends as the complete row whatever their order, and a
-// later put of a less settled row leaves a more settled one in place,
-// while an equally settled one replaces it.
+// row, and with marks of the key as seen; the entry ends as the
+// complete row whatever their order, and a later put of a less settled
+// row leaves a more settled one in place, while an equally settled one
+// replaces it.
 func TestLegCachePutKeepsMoreSettled(t *testing.T) {
 	srv, st := newPaperServer(t, Config{CacheCapacity: 64})
 	src := interior(st, 0)[0]
@@ -229,10 +230,14 @@ func TestLegCachePutKeepsMoreSettled(t *testing.T) {
 		order := rand.New(rand.NewSource(int64(round))).Perm(len(rows))
 		var wg sync.WaitGroup
 		for _, i := range order {
-			wg.Add(1)
+			wg.Add(2)
 			go func() {
 				defer wg.Done()
 				c.put(key, rows[i], tc.Stats{})
+			}()
+			go func() {
+				defer wg.Done()
+				c.mark(key)
 			}()
 		}
 		wg.Wait()
@@ -296,5 +301,117 @@ func TestLegCacheSourcePoolEndsAtHits(t *testing.T) {
 	}
 	if st := srv.cache.snapshot(); st.Entries != len(sources) {
 		t.Errorf("%d entries, want one per source (%d)", st.Entries, len(sources))
+	}
+}
+
+// entryTable returns the table of key's entry and whether it has one.
+func entryTable(c *legCache, key legKey) (*tc.CostMatrix, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.byKey[key]
+	if !ok {
+		return nil, false
+	}
+	return el.Value.(*cacheEntry).table, true
+}
+
+// TestLegCacheSecondMissRule: on a grid, whose sites are symmetric,
+// once a site's dense border table is built a same-fragment leg has
+// three outcomes. A source's first miss is answered goal-directed and
+// leaves a table-less entry, charged entryOverhead, that answers no
+// leg; its second miss runs the stop search and caches the row; its
+// third is a hit. Every answer is the source's whole row's cell.
+func TestLegCacheSecondMissRule(t *testing.T) {
+	const engine = dsa.EngineDense
+	srv, st := newGridServer(t, 16, 16, 2, Config{CacheCapacity: 64})
+	src := interior(st, 0)[0]
+	cross, err := st.NewPlan(src, interior(st, 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := runPair(srv, src, interior(st, 1)[0], engine, tcq.ModeCost); err != nil {
+		t.Fatal(err)
+	}
+	if !st.BorderReady(sourceLeg(t, cross, src), engine) {
+		t.Fatal("a cross-fragment query left site 0 without its dense border table")
+	}
+	targets, row := sameFragmentTargets(t, st, 0, src)
+	dst := targets[len(targets)/2]
+	plan, err := st.NewPlan(src, dst)
+	if err != nil || !plan.SameFragment {
+		t.Fatalf("%d→%d: plan %+v, %v; want a same-fragment plan", src, dst, plan, err)
+	}
+	leg := sourceLeg(t, plan, src)
+	key := legKey{site: st.Site(leg.SiteID), engine: engine, source: src}
+	c := srv.cache
+	before := c.snapshot()
+
+	if rs := askSame(t, srv, row, src, dst); rs.CacheMisses != 1 || rs.CacheHits != 0 {
+		t.Fatalf("first %d→%d: %+v, want one miss", src, dst, rs)
+	}
+	if table, ok := entryTable(c, key); !ok || table != nil {
+		t.Fatalf("after the first miss: entry %v with table %v; want a table-less entry", ok, table)
+	}
+	if cs := c.snapshot(); cs.Entries != before.Entries+1 || cs.Bytes != before.Bytes+entryOverhead {
+		t.Errorf("after the first miss: %d entries, %d bytes; want %d and %d", cs.Entries, cs.Bytes, before.Entries+1, before.Bytes+entryOverhead)
+	}
+	if srv.cheapLeg(st, leg, engine) || c.has(key, leg.Exit) || c.has(key, nil) {
+		t.Error("a table-less entry counts as cheap or cached")
+	}
+
+	if rs := askSame(t, srv, row, src, dst); rs.CacheMisses != 1 || rs.CacheHits != 0 {
+		t.Fatalf("second %d→%d: %+v, want one miss", src, dst, rs)
+	}
+	table, _ := entryTable(c, key)
+	if table == nil || !table.Final(leg.Exit) || table.Final(table.Cols) {
+		t.Fatalf("after the second miss: table %v; want the stop search's row, final at %d and partial", table, dst)
+	}
+	if cs := c.snapshot(); cs.Bytes != before.Bytes+entryBytes(key, table) {
+		t.Errorf("after the second miss: %d bytes, want %d", cs.Bytes, before.Bytes+entryBytes(key, table))
+	}
+	checkExact(t, c, "after the second miss")
+
+	if rs := askSame(t, srv, row, src, dst); rs.CacheHits != 1 || rs.CacheMisses != 0 {
+		t.Errorf("third %d→%d: %+v, want one hit", src, dst, rs)
+	}
+}
+
+// TestLegCacheMarkedEntry: a table-less entry never satisfies get or
+// has, whatever the exits, and counts no lookup when made; put replaces
+// it, and marking a key with a table keeps the table. CacheStats.Bytes
+// charges it entryOverhead, and a sweep drops it with its rebuilt site.
+func TestLegCacheMarkedEntry(t *testing.T) {
+	gen0 := generation(2)
+	c := newLegCache(4)
+	k, other := key(gen0[0], 1), key(gen0[1], 1)
+	c.mark(k)
+	if cs := c.snapshot(); cs.Entries != 1 || cs.Bytes != entryOverhead || cs.Hits+cs.Misses != 0 {
+		t.Errorf("after mark: %+v; want one entry of %d bytes, no lookup", cs, entryOverhead)
+	}
+	for _, exits := range [][]graph.NodeID{nil, {1}, {2, 5}} {
+		if c.has(k, exits) {
+			t.Errorf("has(%v) on a table-less entry", exits)
+		}
+		if got, _, ok := c.get(k, exits); ok || got != nil {
+			t.Errorf("get(%v) on a table-less entry: %v, %v", exits, got, ok)
+		}
+	}
+	if !c.holds(k) || c.holds(other) {
+		t.Error("holds does not tell the marked key from an unseen one")
+	}
+	table := legTable(3)
+	c.put(k, table, tc.Stats{})
+	if got, _, ok := c.get(k, nil); !ok || got != table {
+		t.Errorf("put did not replace the table-less entry: %v, %v", got, ok)
+	}
+	c.mark(k)
+	if got, _, ok := c.get(k, nil); !ok || got != table {
+		t.Errorf("mark replaced a table: %v, %v", got, ok)
+	}
+	c.mark(other)
+	checkExact(t, c, "after two marks and a put")
+	c.sweep(successor(gen0, 1))
+	if cs := c.snapshot(); c.holds(other) || cs.Invalidated != 1 || cs.Entries != 1 || cs.Bytes != entryBytes(k, table) {
+		t.Errorf("after the sweep: %+v, marked entry held %v; want the rebuilt site's entry dropped", cs, c.holds(other))
 	}
 }

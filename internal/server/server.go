@@ -284,7 +284,12 @@ func (s *Server) cheapLeg(st *dsa.Store, leg dsa.Leg, engine dsa.Engine) bool {
 // released, from the kernel's table: for one source, the leg cache's
 // if it settles the exits, else the one the kernel computes for them,
 // which replaces it. A leg without exits runs as one, so its kernel
-// computes whole rows.
+// computes whole rows. A same-fragment leg — one source to its target,
+// off the border — that misses on a key the cache has never seen is
+// answered goal-directed instead when its site can
+// (dsa.Store.GoalBlockCtx): no table, and a table-less entry marks the
+// key, so the key's next miss runs the stop search and caches its row
+// (legKey has the three outcomes).
 func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg dsa.Leg, engine dsa.Engine) (*dsa.LegResult, bool, error) {
 	var lr dsa.LegResult
 	var table *tc.CostMatrix
@@ -312,6 +317,14 @@ func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg ds
 			key.source = leg.Entry[0]
 			if table, lr.Stats, hit = s.cache.get(key, leg.Exit); hit {
 				return nil
+			}
+			if !s.cache.holds(key) {
+				if lr.Block, lr.Stats, err = st.GoalBlockCtx(ctx, leg, engine); err != nil || lr.Block != nil {
+					if lr.Block != nil {
+						s.cache.mark(key)
+					}
+					return err
+				}
 			}
 		}
 		if table, lr.Stats, err = st.ExecuteLegTableCtx(ctx, run, engine); err != nil {

@@ -32,7 +32,10 @@ import (
 // A leg from one source to a few exits needs only the exits' cells, so
 // it runs a label-setting search instead (CostToCtx): bucketed by cost,
 // it stops once the exits are final and leaves the rest of the row
-// tentative, recording how far the row is final.
+// tentative, recording how far the row is final. Given landmark rows,
+// the same search runs goal-directed toward one target
+// (CostBetweenCtx), its buckets keyed by cost plus a lower bound on
+// the cost still to go, and returns that target's cell alone.
 
 // DenseGraph is a graph's CSR with non-negative costs, as the kernels
 // read it: the cost kernel (CostFromCtx, CostVectorCtx) and the bitset
@@ -43,9 +46,10 @@ import (
 type DenseGraph struct {
 	csr *graph.CSR
 	// inv is 1/Δ of the stop search's buckets (CostToCtx) and ring
-	// the number of slots they take turns in, enough for the heaviest
-	// finite edge: both fixed by the weights, so every row of one kernel
-	// buckets alike.
+	// the number of slots they take turns in, enough for twice the
+	// heaviest finite edge — a goal-directed search's reduced cost
+	// (CostBetweenCtx) — and then some: both fixed by the weights, so
+	// every row of one kernel buckets alike.
 	inv  float64
 	ring int
 	// rows holds row scratch (*costRow) between calls, so a kernel
@@ -78,8 +82,8 @@ func NewDenseGraph(c *graph.CSR) (*DenseGraph, error) {
 	if most > 0 && !math.IsInf(ringCap/most, 1) {
 		inv = min(1/least, ringCap/most)
 	}
-	ring := 1 // a power of two, the span of the heaviest edge and then some
-	for ring < int(most*inv)+3 {
+	ring := 1 // a power of two, the span of twice the heaviest edge and then some
+	for ring < int(2*most*inv)+3 {
 		ring *= 2
 	}
 	return &DenseGraph{csr: c, inv: inv, ring: ring}, nil
@@ -107,6 +111,8 @@ type costRow struct {
 	// has slots, so a slot holds one bucket's nodes.
 	buckets [][]int32
 	stop    []int32
+	// goal is the goal-directed search's own state (CostBetweenCtx).
+	goal potential
 }
 
 // row takes a row scratch from the kernel's pool, with the frontiers
@@ -287,12 +293,10 @@ func (d *DenseGraph) CostToCtx(ctx context.Context, source graph.NodeID, stop []
 			r.stop = append(r.stop, k)
 		}
 	}
-	drained, complete, st := d.settle(ctx, r, rows[0])
+	drained, complete, st := d.settle(ctx, r, rows[0], nil, 0)
 	if !complete {
 		m.inv, m.drained = d.inv, drained
-		for i := range r.buckets {
-			r.buckets[i] = r.buckets[i][:0]
-		}
+		r.clearBuckets()
 	}
 	if ctx.Err() != nil {
 		return nil, Stats{}, canceled(ctx)
@@ -304,13 +308,28 @@ func (d *DenseGraph) CostToCtx(ctx context.Context, source graph.NodeID, stop []
 // ⌊c/Δ⌋, the one expression the search and CostMatrix.Final compare.
 func bucket(c, inv float64) int64 { return int64(c * inv) }
 
+// clearBuckets empties the ring a stopped or canceled search left.
+func (r *costRow) clearBuckets() {
+	for i := range r.buckets {
+		r.buckets[i] = r.buckets[i][:0]
+	}
+}
+
 // settle runs the stop search of CostToCtx from src on r, whose stop
-// rows are set, and returns the last bucket it drained, whether the
-// row is complete, and its stats. A complete row leaves r.buckets
-// empty; a search that stopped early or was canceled leaves them for
-// the caller to clear.
-func (d *DenseGraph) settle(ctx context.Context, r *costRow, src int32) (int64, bool, Stats) {
-	reached, pushed, popped := 0, 0, 0
+// rows are set, draining buckets from cur on, and returns the last
+// bucket it drained, whether the row is complete, and its stats. With
+// a potential pot, the goal-directed search of CostBetweenCtx, a node
+// is bucketed by its key (potential.key) instead of its cost, and one
+// whose potential is +Inf, which cannot reach the target, is never
+// queued. A key can fall below the bucket being drained, since the
+// bound carries a slack; such a node is queued in that bucket. So a
+// node waits in the bucket of its key or in the one being drained, as
+// in the stop search, whose costs never fall below it. A complete row
+// leaves r.buckets empty; a search that stopped early or was canceled
+// leaves them for the caller to clear.
+func (d *DenseGraph) settle(ctx context.Context, r *costRow, src int32, pot *potential, cur int64) (int64, bool, Stats) {
+	reached, pushed, popped, first := 0, 0, 0, cur
+	wrapped := false
 	off, to, w, dist, inv := d.csr.Off, d.csr.To, d.csr.W, r.dist, d.inv
 	buckets, mask := r.buckets, int64(len(r.buckets)-1)
 	inf := math.Inf(1)
@@ -319,7 +338,7 @@ func (d *DenseGraph) settle(ctx context.Context, r *costRow, src int32) (int64, 
 	u, du := src, math.Copysign(0, -1)
 	next := 0 // the first stop row not yet known final
 	head := 0 // the next node of the bucket being drained
-	for cur := int64(0); ; {
+	for {
 		// Relax u's out-edges. An improved node is queued in its new
 		// bucket unless it waits there already: a node waits in the
 		// bucket of its cell, or in the one being drained, to which a
@@ -334,11 +353,34 @@ func (d *DenseGraph) settle(ctx context.Context, r *costRow, src int32) (int64, 
 				continue
 			}
 			dist[v] = nd
-			b := bucket(nd, inv)
+			key := nd
 			if old == inf {
 				reached++
-			} else if b != cur && bucket(old, inv) == b {
-				continue
+				if pot != nil {
+					pot.reach(v)
+				}
+			}
+			if pot != nil {
+				if key = pot.key(v, nd); key == inf {
+					continue
+				}
+			}
+			b := bucket(key, inv)
+			if old != inf && b > cur && !wrapped {
+				was := old
+				if pot != nil {
+					was = pot.key(v, old)
+				}
+				if bucket(was, inv) == b {
+					continue
+				}
+			}
+			// A key past the ring — which the ring's size rules out but
+			// for a rounding slack far above Δ — is queued in its last
+			// slot, so it is popped early, and from then on no node is
+			// taken to wait where its key points.
+			if b = max(b, cur); b-cur > mask {
+				b, wrapped = cur+mask, true
 			}
 			buckets[b&mask] = append(buckets[b&mask], v)
 			pushed++
@@ -363,11 +405,179 @@ func (d *DenseGraph) settle(ctx context.Context, r *costRow, src int32) (int64, 
 				next++
 			}
 			if pushed == popped || next == len(r.stop) || ctx.Err() != nil {
-				return cur, pushed == popped, Stats{Iterations: int(cur) + 1, DerivedTuples: pushed, ResultTuples: reached}
+				return cur, pushed == popped, Stats{Iterations: int(cur-first) + 1, DerivedTuples: pushed, ResultTuples: reached}
 			}
 			cur++
 		}
 	}
+}
+
+// goalLandmarks is how many landmark rows a goal-directed search reads
+// (CostBetweenCtx): the ones that bound its source's cost to its
+// target the most.
+const goalLandmarks = 4
+
+// potential is the goal-directed search's bound on the cost still to
+// go, the landmark bound of ALT (Goldberg & Harrelson, SODA 2005): on a
+// symmetric graph every landmark b gives d(v, t) ≥ |d(b, t) − d(b, v)|
+// by the triangle inequality. A landmark's own cell holds the cost of
+// a cycle back to it, not 0, since the rows hold paths of at least one
+// edge; that cycle costs at most twice its distance to any node it
+// reaches, so the bound holds there too. π(v), the largest such bound
+// over the chosen landmark rows less a slack for rounding, is computed
+// the first time the search reaches v. The rows it writes — the
+// distance row the search runs on and π — are the search's scratch,
+// pooled with the row: dist is +Inf between searches, and touched
+// lists the cells a search reached, which is all it resets.
+type potential struct {
+	dist, pi []float64
+	touched  []int32
+	// rows are the chosen landmark rows over the CSR and at each one's
+	// cell of the target.
+	rows [goalLandmarks][]float64
+	at   [goalLandmarks]float64
+	k    int
+	// slack and scale make π and the key lower bounds whatever the
+	// rounding (CostBetweenCtx).
+	slack, scale float64
+}
+
+// aim points p at target t from source s over the landmark matrix m,
+// choosing its rows with the largest |d(b, t) − d(b, s)|; a row that
+// reaches neither is never chosen. A nil matrix, or one that is not
+// complete or not over c, leaves no landmark: π is 0.
+func (p *potential) aim(m *CostMatrix, c *graph.CSR, s, t int32) {
+	// The slack covers the rounding of the landmark rows, each cell a
+	// sum of fewer than n rounded terms, and of π's own arithmetic;
+	// scale that of a key's sum and of the rest of the path, which
+	// takes fewer than n more rounded sums (CostBetweenCtx).
+	const eps = 0x1p-53
+	n := len(c.IDs)
+	p.slack, p.scale, p.k = float64(2*n+8)*eps, 1-float64(n+4)*eps, 0
+	if m == nil || m.inv != 0 || len(m.Cols) != n || n == 0 || &m.Cols[0] != &c.IDs[0] {
+		return
+	}
+	var score [goalLandmarks]float64
+	for i := range m.Rows {
+		row := m.Cost[i*n : (i+1)*n]
+		sc := math.Abs(row[t] - row[s])
+		if math.IsNaN(sc) {
+			continue
+		}
+		j := p.k
+		if j < goalLandmarks {
+			p.k++
+		} else if sc <= score[j-1] {
+			continue
+		} else {
+			j--
+		}
+		for ; j > 0 && score[j-1] < sc; j-- {
+			score[j], p.rows[j], p.at[j] = score[j-1], p.rows[j-1], p.at[j-1]
+		}
+		score[j], p.rows[j], p.at[j] = sc, row, row[t]
+	}
+}
+
+// reach computes π(v), the first time the search reaches v.
+func (p *potential) reach(v int32) {
+	p.touched = append(p.touched, v)
+	pi, inf := 0.0, math.Inf(1)
+	for i := range p.k {
+		at, dv := p.at[i], p.rows[i][v]
+		switch {
+		case at == inf && dv == inf:
+			continue // the landmark reaches neither: no bound
+		case at == inf || dv == inf:
+			// One of v and t is in the landmark's component and the
+			// other is not, so v does not reach t.
+			p.pi[v] = inf
+			return
+		}
+		pi = max(pi, math.Abs(at-dv)-p.slack*(at+dv))
+	}
+	p.pi[v] = pi
+}
+
+// key is the bucket key of a reached node v at cost c: a lower bound
+// on the cost of any path to the target through v at that cost, +Inf
+// if v does not reach it.
+func (p *potential) key(v int32, c float64) float64 {
+	return (c+p.pi[v])*p.scale - math.SmallestNonzeroFloat64
+}
+
+// CostBetweenCtx returns the cost from source to target over paths of
+// at least one edge — the target's cell of CostFromCtx's row, bit for
+// bit — by CostToCtx's bucketed search run goal-directed: its buckets
+// are keyed by a node's cost plus π, a lower bound on the cost from it
+// to the target read off the landmark rows (potential), so the search
+// settles the nodes toward the target first and stops, as CostToCtx
+// does, once the target's bucket is drained, long before the nodes
+// cheaper than the target are all settled. landmarks is a complete
+// leg table over this kernel's CSR, such as a site's border table (its
+// rows the landmarks, at most goalLandmarks of them chosen per query);
+// the bound holds only on a symmetric graph, where every edge's
+// reverse has its least weight, so the caller passes landmarks only
+// for one. A nil table, or one that is not complete or over another
+// CSR, gives a search with no bound, which stops as CostToCtx's does.
+// A source or target that is not a node of the snapshot costs +Inf.
+//
+// The answer is exact whatever the rounding. A key is a lower bound on
+// the rounded cost of any path to the target through its node at its
+// cost: along a simple path of k < n edges rounded sums lose at most a
+// factor (1−ε)^k of the exact sum, the landmark cells — themselves
+// such sums — are off their exact distances by at most a factor
+// 1 ± 1.01nε, and π's slack of (2n+8)ε times the two cells it reads,
+// with a key's scale of 1 − (n+4)ε and its last subtraction of the
+// least subnormal, cover both and the arithmetic of π and of the key
+// (n the snapshot's nodes, ε = 2⁻⁵³). A node whose key falls below the
+// bucket being drained — the slack makes π only nearly consistent — is
+// queued in that bucket, so every node whose cost can still fall waits
+// in a bucket no higher than its key's. Once the target's bucket is
+// drained, every waiting node's key lies above the target's cost, so
+// no path through it is cheaper, and the target's cost is the least
+// fixpoint CostFromCtx computes.
+//
+// The distance and π rows come from the kernel's pool and are reset
+// cell by cell, so the search allocates nothing after its first use.
+// Stats: Iterations is the number of buckets drained, from the
+// source's, DerivedTuples the nodes queued, ResultTuples the nodes
+// reached. The search observes ctx between buckets, and a canceled
+// search returns ErrCanceled.
+func (d *DenseGraph) CostBetweenCtx(ctx context.Context, source, target graph.NodeID, landmarks *CostMatrix) (float64, Stats, error) {
+	inf := math.Inf(1)
+	s, okS := d.csr.Row(source)
+	t, okT := d.csr.Row(target)
+	if !okS || !okT {
+		return inf, Stats{}, nil
+	}
+	r := d.row(true)
+	defer d.done(r)
+	p := &r.goal
+	if p.dist == nil {
+		p.dist, p.pi = infs(d.Nodes()), make([]float64, d.Nodes())
+	}
+	p.aim(landmarks, d.csr, s, t)
+	r.dist, r.stop = p.dist, append(r.stop[:0], t)
+	// The source is relaxed at cost 0, its key's bucket the first.
+	p.reach(s)
+	cost, st, complete := inf, Stats{}, true
+	if key := p.key(s, 0); key < inf {
+		_, complete, st = d.settle(ctx, r, s, p, bucket(key, d.inv))
+		cost = p.dist[t]
+	}
+	for _, v := range p.touched {
+		p.dist[v] = inf
+	}
+	st.ResultTuples, p.touched = len(p.touched)-1, p.touched[:0]
+	p.rows = [goalLandmarks][]float64{} // the pool holds no table
+	if !complete {
+		r.clearBuckets()
+	}
+	if ctx.Err() != nil {
+		return inf, Stats{}, canceled(ctx)
+	}
+	return cost, st, nil
 }
 
 // CostVectorCtx runs one propagation from a seed row, allowing

@@ -353,7 +353,9 @@ func TestPropertyDenseRandomCostRelations(t *testing.T) {
 // consecutive byte triples are (src, dst, cost) edges over a 16-node
 // universe with costs in [0, 7]. The stop search from the first source
 // to the nodes the third and fourth bytes name is held to the kernel's
-// row (assertStopRow).
+// row (assertStopRow), and so is the goal-directed search between
+// them on the graph made symmetric, with the sources and the stop nodes
+// as landmarks (assertGoalCost).
 func FuzzDenseCost(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 1, 2, 2})
 	f.Add([]byte{1, 1, 0, 1, 2, 3, 2, 1, 0})
@@ -389,6 +391,14 @@ func FuzzDenseCost(f *testing.F) {
 				stop = append(stop, graph.NodeID(b%16))
 			}
 			assertStopRow(t, d, srcs[0], stop)
+			sym := denseFrom(t, symmetricEdges(edges))
+			landmarks, _, err := sym.CostFromCtx(context.Background(), append(slices.Clone(srcs), stop...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, dst := range stop {
+				assertGoalCost(t, sym, srcs[0], dst, landmarks)
+			}
 		}
 
 		wantC, _, err := ShortestClosure(r)
@@ -490,9 +500,10 @@ func TestCostMatrixFacts(t *testing.T) {
 }
 
 // TestDenseCostConcurrentFirstUse is for -race: a site's first legs —
-// cost and connectivity, whole rows and stop searches — can arrive
-// together, and the kernels share the snapshot's CSR and the pool of
-// row scratch, and write only their own matrices.
+// cost and connectivity, whole rows, stop searches and goal-directed
+// searches — can arrive together, and the kernels share the snapshot's
+// CSR and the pool of row scratch, and write only their own matrices
+// and the scratch they take from the pool.
 func TestDenseCostConcurrentFirstUse(t *testing.T) {
 	d := gridFragment(t, 8, 8)
 	sources := []graph.NodeID{1000, 950}
@@ -500,12 +511,16 @@ func TestDenseCostConcurrentFirstUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	landmarks, _, err := d.CostFromCtx(context.Background(), []graph.NodeID{1000, 937, 990})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
-	for g := 0; g < 12; g++ {
+	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			switch g % 3 {
+			switch g % 4 {
 			case 0:
 				got, _, err := d.CostFromCtx(context.Background(), sources)
 				if err != nil {
@@ -520,6 +535,12 @@ func TestDenseCostConcurrentFirstUse(t *testing.T) {
 					return
 				}
 				assertSamePairs(t, "concurrent first use", got.Relation(), want.Relation())
+			case 3:
+				dst := 960 - graph.NodeID(g)
+				got, _, err := d.CostBetweenCtx(context.Background(), sources[0], dst, landmarks)
+				if c, _ := want.Col(dst); err != nil || got != want.Cost[c] {
+					t.Errorf("concurrent goal search to %d: %v, err %v; want %v", dst, got, err, want.Cost[c])
+				}
 			default:
 				stop := []graph.NodeID{960 - graph.NodeID(g)}
 				got, _, err := d.CostToCtx(context.Background(), sources[0], stop)
@@ -568,6 +589,17 @@ func TestDenseCostAllocs(t *testing.T) {
 		}
 	}); allocs > 4 {
 		t.Errorf("CostToCtx: %.0f allocations, want at most 4", allocs)
+	}
+	landmarks, _, err := d.CostFromCtx(context.Background(), sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if got, _, err := d.CostBetweenCtx(context.Background(), 1000, 900, landmarks); err != nil || math.IsInf(got, 1) {
+			t.Fatalf("goal search: %v, err %v; want a cost", got, err)
+		}
+	}); allocs > 0 {
+		t.Errorf("CostBetweenCtx: %.0f allocations, want none", allocs)
 	}
 	seed := make([]float64, d.Nodes())
 	if allocs := testing.AllocsPerRun(10, func() {
@@ -769,6 +801,203 @@ func TestStopSearchCanceledBetweenBuckets(t *testing.T) {
 		again, _, err := d.CostToCtx(context.Background(), 1000, stop)
 		if err != nil || !slices.Equal(again.Cost, want.Cost) {
 			t.Fatalf("after a cancellation at check %d: %v, err %v; want %v", n, again, err, want)
+		}
+	}
+}
+
+// symmetricEdges returns edges with the reverse of each at its weight,
+// a graph CostBetweenCtx's bound holds on.
+func symmetricEdges(edges []graph.Edge) []graph.Edge {
+	out := slices.Clone(edges)
+	for _, e := range edges {
+		out = append(out, graph.Edge{From: e.To, To: e.From, Weight: e.Weight})
+	}
+	return out
+}
+
+// assertGoalCost runs the goal-directed search from src to dst over
+// landmarks and holds it to CostFromCtx's cell bit for bit.
+func assertGoalCost(t *testing.T, d *DenseGraph, src, dst graph.NodeID, landmarks *CostMatrix) {
+	t.Helper()
+	want := math.Inf(1)
+	row, _, err := d.CostFromCtx(context.Background(), []graph.NodeID{src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, ok := row.Col(dst); ok && len(row.Rows) > 0 {
+		want = row.Cost[c]
+	}
+	got, _, err := d.CostBetweenCtx(context.Background(), src, dst, landmarks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		var rows []graph.NodeID
+		if landmarks != nil {
+			rows = landmarks.Rows
+		}
+		t.Fatalf("%d→%d over landmarks %v: %v, CostFromCtx's cell %v", src, dst, rows, got, want)
+	}
+}
+
+// TestPropertyGoalSearchMatchesCostFrom: on the graphs of
+// TestPropertyStopSearchMatchesCostFrom made symmetric — zero weights
+// and zero-weight cycles, self-loops, parallel edges, +Inf weights,
+// positive weights spanning 1e-9 to 1e9 and subnormal ones — the
+// goal-directed search's cost is CostFromCtx's cell bit for bit over
+// any landmark set: none, one, more than it reads, landmarks that do
+// not reach the target, the source and the target themselves; also
+// from and to nodes outside the snapshot. A cancellation at any of its
+// ctx checks returns ErrCanceled, and the next search on the pooled
+// scratch is exact.
+func TestPropertyGoalSearchMatchesCostFrom(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(53))
+	weights := []func() float64{
+		func() float64 { return 0 },
+		func() float64 { return math.Inf(1) },
+		func() float64 { return float64(1 + rng.Intn(9)) },
+		func() float64 { return math.Pow(10, -9+18*rng.Float64()) },
+		func() float64 { return rng.Float64() },
+		func() float64 { return math.SmallestNonzeroFloat64 * float64(1+rng.Intn(4)) },
+	}
+	canceled := 0
+	for trial := range 300 {
+		n, m := 2+rng.Intn(40), rng.Intn(120)
+		kinds := rng.Perm(len(weights))[:1+rng.Intn(len(weights))]
+		var edges []graph.Edge
+		for range m {
+			edges = append(edges, graph.Edge{From: graph.NodeID(rng.Intn(n)), To: graph.NodeID(rng.Intn(n)), Weight: weights[kinds[rng.Intn(len(kinds))]]()})
+		}
+		if trial%5 == 0 { // a zero-weight cycle
+			for k := range 3 {
+				edges = append(edges, graph.Edge{From: graph.NodeID(k), To: graph.NodeID((k + 1) % 3), Weight: 0})
+			}
+		}
+		if len(edges) == 0 {
+			continue
+		}
+		d := denseFrom(t, symmetricEdges(edges))
+		for range 6 {
+			src, dst := graph.NodeID(rng.Intn(n+2)), graph.NodeID(rng.Intn(n+2)) // n, n+1: absent
+			var marks []graph.NodeID
+			for range rng.Intn(2 * goalLandmarks) {
+				marks = append(marks, graph.NodeID(rng.Intn(n)))
+			}
+			switch rng.Intn(4) {
+			case 0:
+				marks = append(marks, src)
+			case 1:
+				marks = append(marks, dst)
+			}
+			landmarks, _, err := d.CostFromCtx(ctx, marks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertGoalCost(t, d, src, dst, landmarks)
+			if rng.Intn(4) == 0 {
+				assertGoalCost(t, d, src, dst, nil)
+			}
+			if rng.Intn(8) != 0 {
+				continue
+			}
+			count := &lateCancel{ctx, math.MaxInt}
+			if _, _, err := d.CostBetweenCtx(count, src, dst, landmarks); err != nil {
+				t.Fatal(err)
+			}
+			for k := range math.MaxInt - count.n {
+				got, _, err := d.CostBetweenCtx(&lateCancel{ctx, k}, src, dst, landmarks)
+				if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) || !math.IsInf(got, 1) {
+					t.Fatalf("%d→%d: cancellation at check %d: %v, err %v; want ErrCanceled", src, dst, k, got, err)
+				}
+				canceled++
+				assertGoalCost(t, d, src, dst, landmarks)
+			}
+		}
+	}
+	if canceled == 0 {
+		t.Fatal("no search was canceled")
+	}
+}
+
+// TestGoalSearchStopsEarly: on a lattice, a goal-directed search from
+// one corner to a node near the middle queues fewer nodes than the
+// stop search to it, which settles every node cheaper than the target,
+// and with landmarks at the lattice's corners it is exact.
+func TestGoalSearchStopsEarly(t *testing.T) {
+	d := gridFragment(t, 16, 16)
+	ctx := context.Background()
+	id := func(r, c int) graph.NodeID { return graph.NodeID(1000 - (r*16 + c)) }
+	landmarks, _, err := d.CostFromCtx(ctx, []graph.NodeID{id(0, 0), id(0, 15), id(15, 0), id(15, 15), id(8, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, dst := id(4, 4), id(8, 10)
+	_, stop, err := d.CostToCtx(ctx, src, []graph.NodeID{dst})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, goal, err := d.CostBetweenCtx(ctx, src, dst, landmarks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d→%d: goal search queued %d nodes, stop search %d", src, dst, goal.DerivedTuples, stop.DerivedTuples)
+	if 2*goal.DerivedTuples > stop.DerivedTuples {
+		t.Errorf("%d→%d: the goal search queued %d nodes, the stop search %d; want at most half", src, dst, goal.DerivedTuples, stop.DerivedTuples)
+	}
+	assertGoalCost(t, d, src, dst, landmarks)
+}
+
+// TestGoalSearchSlackCoversRounding holds the goal-directed search to
+// the premise its slack is derived from: landmark cells anywhere within
+// n·ε of their exact distances (n the nodes, ε = 2⁻⁵³), as rounded sums
+// of fewer than n terms are. A landmark 20 edges of weight 1024 away
+// from a source s makes those cells large, so a bound read off them
+// carries an error far above the spacing of the costs near s. From s
+// the target t costs D = 3 + g through v (weights 1.5 and 1.5 + g) and
+// D + 2⁻⁴⁰ by its own edge; with Δ = 1 (a weight-1 edge to a dead end)
+// a D close to the bucket boundary 3 separates the two paths by a
+// bucket boundary whenever π(v) or π(s) is off by more than the slack.
+// For g sweeping ±2⁻³⁰ around the boundary and the landmark's cells of
+// s, v and t each moved down, kept or moved up by the premise's bound,
+// the search must still find D bit for bit.
+func TestGoalSearchSlackCoversRounding(t *testing.T) {
+	ctx := context.Background()
+	const b, s, v, tt, w = 0, 20, 21, 22, 23
+	for i := -1024; i <= 1024; i++ {
+		g := float64(i) * 0x1p-40
+		var edges []graph.Edge
+		for k := graph.NodeID(b); k < s; k++ {
+			edges = append(edges, graph.Edge{From: k, To: k + 1, Weight: 1024})
+		}
+		edges = append(edges,
+			graph.Edge{From: s, To: v, Weight: 1.5}, graph.Edge{From: v, To: tt, Weight: 1.5 + g},
+			graph.Edge{From: s, To: tt, Weight: 3 + g + 0x1p-40}, graph.Edge{From: s, To: w, Weight: 1})
+		d := denseFrom(t, symmetricEdges(edges))
+		want, _, err := d.CostFromCtx(ctx, []graph.NodeID{s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, _ := want.Col(tt); want.Cost[c] != 3+g {
+			t.Fatalf("g = %v: s→t costs %v, want %v", g, want.Cost[c], 3+g)
+		}
+		exact, _, err := d.CostFromCtx(ctx, []graph.NodeID{b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := 0.99 * float64(d.Nodes()) * 0x1p-53
+		for pattern := range 27 {
+			landmarks := &CostMatrix{Rows: exact.Rows, Cols: exact.Cols, Cost: slices.Clone(exact.Cost)}
+			shift := pattern
+			for _, id := range []graph.NodeID{s, v, tt} {
+				c, _ := landmarks.Col(id)
+				landmarks.Cost[c] *= 1 + float64(shift%3-1)*bound
+				shift /= 3
+			}
+			got, _, err := d.CostBetweenCtx(ctx, s, tt, landmarks)
+			if c, _ := want.Col(tt); err != nil || math.Float64bits(got) != math.Float64bits(want.Cost[c]) {
+				t.Fatalf("g = %v, landmark cells moved by pattern %d: %v, err %v; want %v", g, pattern, got, err, want.Cost[c])
+			}
 		}
 	}
 }
