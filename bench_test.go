@@ -605,18 +605,16 @@ func BenchmarkLegWire(b *testing.B) {
 // (dsa.Store.BorderBlockCtx), a column of it, since the site is
 // symmetric. The legs a road-point query does run a kernel for are its
 // same-fragment pairs between interior nodes: road/same-fragment/row,
-// .../stop and .../goal cycle over 200 of them on the largest site, row
-// timing the source's whole row, stop the stop search
-// ExecuteLegTableCtx runs for the leg's one exit, the target
-// (tc.DenseGraph.CostToCtx), which a source's repeated miss runs, and
-// goal the goal-directed search over the site's border table that
-// answers a source's first miss (dsa.Store.GoalBlockCtx, the table
-// built up front); queued/op is the nodes the search queued. ds-leg is
-// the second leg of each
-// deployment's first-to-last-node plan, the first entered through a
-// whole disconnection set (road's 5 gateways, grid's 42 border nodes),
-// complete rows. The site's kernel is built up front, as the first leg
-// on the site builds it.
+// .../cell and .../goal cycle over 200 of them on the largest site, row
+// timing the source's whole row (ExecuteLegTableCtx), which a source's
+// second miss caches, and cell and goal the one search to the target
+// that answers a source's first miss (dsa.Store.GoalBlockCtx): cell
+// before the site's border table is built, with no landmarks, and goal
+// after, over the table; queued/op is the nodes the search queued.
+// ds-leg is the second leg of each deployment's first-to-last-node
+// plan, the first entered through a whole disconnection set (road's 5
+// gateways, grid's 42 border nodes), complete rows. The site's kernel
+// is built up front, as the first leg on the site builds it.
 // Run with -benchmem: B/op and allocs/op are what a miss allocates.
 func BenchmarkLegTable(b *testing.B) {
 	for _, d := range servingDeployments {
@@ -697,10 +695,10 @@ func BenchmarkLegTable(b *testing.B) {
 		if d.name != "road" {
 			continue
 		}
-		if block, _, err := st.BorderBlockCtx(context.Background(), first, dsa.EngineDense); err != nil || block == nil {
-			b.Fatalf("first leg %+v: block %v, err %v; want a column of a symmetric site's table", first, block, err)
-		}
-		for _, kernel := range []string{"row", "stop", "goal"} {
+		for _, kernel := range []string{"row", "cell", "goal"} {
+			if built := st.BorderReady(first, dsa.EngineDense); built != (kernel == "goal") {
+				b.Fatalf("%s: the site's border table built %v", kernel, built)
+			}
 			b.Run("road/same-fragment/"+kernel, func(b *testing.B) {
 				b.ReportAllocs()
 				queued := 0
@@ -708,16 +706,12 @@ func BenchmarkLegTable(b *testing.B) {
 					leg := same[i%len(same)]
 					var stats tc.Stats
 					var err error
-					switch kernel {
-					case "row":
-						leg.Exit = nil
+					if kernel == "row" {
 						_, stats, err = st.ExecuteLegTableCtx(context.Background(), leg, dsa.EngineDense)
-					case "stop":
-						_, stats, err = st.ExecuteLegTableCtx(context.Background(), leg, dsa.EngineDense)
-					default:
+					} else {
 						var block *dsa.ExitBlock
 						if block, stats, err = st.GoalBlockCtx(context.Background(), leg, dsa.EngineDense); block == nil && err == nil {
-							b.Fatalf("leg %+v: no goal-directed answer", leg)
+							b.Fatalf("leg %+v: no answer from one search", leg)
 						}
 					}
 					if err != nil {
@@ -729,6 +723,11 @@ func BenchmarkLegTable(b *testing.B) {
 					b.ReportMetric(float64(queued)/float64(b.N), "queued/op")
 				}
 			})
+			if kernel == "cell" {
+				if block, _, err := st.BorderBlockCtx(context.Background(), first, dsa.EngineDense); err != nil || block == nil {
+					b.Fatalf("first leg %+v: block %v, err %v; want a column of a symmetric site's table", first, block, err)
+				}
+			}
 		}
 		b.Run("road/single-source/table", func(b *testing.B) {
 			b.ReportAllocs()

@@ -95,18 +95,18 @@ var bannedCalls = []*bannedCall{
 		funcs:  []string{"(*repro/internal/dsa.Store).GoalBlockCtx"},
 		scope:  scope{"repro/internal/server"},
 		budget: 1,
-		msg:    "answer a same-fragment leg's first miss goal-directed once, in executeLegLocal, beside the leg cache",
+		msg:    "answer a same-fragment leg's first miss by one search once, in executeLegLocal, beside the leg cache",
 	},
 	{
 		funcs:  []string{"(*repro/internal/dsa.Store).ExecuteLegTableCtx", "repro/internal/dsa.SelectExits", "(*repro/internal/dsa.Store).GoalBlockCtx"},
 		scope:  scope{"repro/internal/server/..."},
 		exempt: scope{"repro/internal/server"},
-		msg:    "executeLegLocal in internal/server runs a node's legs, goal-directed ones too, and selects their exits; the packages below it do none of that",
+		msg:    "executeLegLocal in internal/server runs a node's legs, same-fragment ones too, and selects their exits; the packages below it do none of that",
 	},
 	{
 		funcs: []string{"repro/internal/dsa.SelectExits", "(*repro/internal/dsa.Store).GoalBlockCtx"},
 		scope: scope{"repro/internal/cluster/..."},
-		msg:   "a remote leg's facts become its block through dsa.FactBlock; executeLegLocal selects exits and answers legs goal-directed",
+		msg:   "a remote leg's facts become its block through dsa.FactBlock; executeLegLocal selects exits and answers same-fragment legs by one search",
 	},
 }
 

@@ -119,7 +119,7 @@ func (s *Site) tableFor(ctx context.Context, engine Engine) (t *borderTable, bui
 // buildBorderTable runs the engine from every border node. Each border
 // node is a node of the site, so the table has a row for each.
 func (s *Site) buildBorderTable(ctx context.Context, engine Engine) (*borderTable, error) {
-	m, _, err := s.legTable(ctx, Leg{SiteID: s.ID, Entry: s.border}, engine)
+	m, _, err := s.legTable(ctx, s.border, engine)
 	if err != nil {
 		return nil, err
 	}
@@ -300,31 +300,35 @@ func (st *Store) BorderBlockCtx(ctx context.Context, leg Leg, engine Engine) (bl
 	return b, built, nil
 }
 
-// GoalBlockCtx is a same-fragment leg — one source, its target the one
-// exit, off the border — answered by a goal-directed search toward the
-// target over the site's dense border table, whose rows are the
-// search's landmarks (tc.DenseGraph.CostBetweenCtx): the search stops
-// near the target instead of settling every node cheaper than it, and
-// no row is allocated. The block is SelectExits(ExecuteLegTableCtx(…),
-// leg), its one cell bit-equal. It answers only a dense-engine leg of
-// that shape on a symmetric site whose dense border table is already
-// built, and builds nothing: any other leg returns a nil block and no
-// error, for the caller to run as before. Stats are the search's. A
+// GoalBlockCtx is a same-fragment leg — one source on the site, its
+// target the one exit, off the border — answered by one search toward
+// the target (tc.DenseGraph.CostBetweenCtx), which stops once the
+// target is final and allocates no row. On a symmetric site whose
+// dense border table is built, the table's rows are the search's
+// landmarks and it settles the nodes toward the target first; on any
+// other site it runs with none and settles the nodes cheaper than the
+// target. The block is SelectExits(ExecuteLegTableCtx(…), leg), its one
+// cell bit-equal. It answers only a dense-engine leg of that shape,
+// and builds nothing: any other leg returns a nil block and no error,
+// for the caller to run ExecuteLegTableCtx. Stats are the search's. A
 // canceled search returns ErrCanceled.
 func (st *Store) GoalBlockCtx(ctx context.Context, leg Leg, engine Engine) (*ExitBlock, tc.Stats, error) {
 	if engine != EngineDense || leg.SiteID < 0 || leg.SiteID >= len(st.sites) || len(leg.Entry) != 1 || len(leg.Exit) != 1 {
 		return nil, tc.Stats{}, nil
 	}
 	site := st.sites[leg.SiteID]
-	t := site.tables[EngineDense].table.Load()
-	if _, ok := site.csr.Row(leg.Entry[0]); !ok || t == nil || onBorder(site.border, leg.Exit) || !site.isSymmetric() {
+	if _, ok := site.csr.Row(leg.Entry[0]); !ok || onBorder(site.border, leg.Exit) {
 		return nil, tc.Stats{}, nil
 	}
 	kernel, err := site.DenseKernel()
 	if err != nil {
 		return nil, tc.Stats{}, err
 	}
-	cost, stats, err := kernel.CostBetweenCtx(ctx, leg.Entry[0], leg.Exit[0], t.m)
+	var landmarks *tc.CostMatrix
+	if t := site.tables[EngineDense].table.Load(); t != nil && site.isSymmetric() {
+		landmarks = t.m
+	}
+	cost, stats, err := kernel.CostBetweenCtx(ctx, leg.Entry[0], leg.Exit[0], landmarks)
 	if err != nil {
 		return nil, tc.Stats{}, fmt.Errorf("dsa: site %d leg: %w", site.ID, err)
 	}

@@ -165,16 +165,17 @@ func TestPropertyBorderBlockMatchesLegTable(t *testing.T) {
 	}
 }
 
-// TestPropertyGoalBlockMatchesLegTable: every same-fragment leg of
-// every plan of the border stores — one source, its target off the
-// border — answered goal-directed is the block SelectExits selects
-// from the leg's own table, its cell bit for bit, once its site's
-// dense border table is built; before that, on another engine, on an
-// asymmetric site and for any other leg, GoalBlockCtx answers nothing
-// and builds nothing.
+// TestPropertyGoalBlockMatchesLegTable: every dense-engine leg of
+// every plan of the border stores with one entry on its site and one
+// exit off the border — a same-fragment leg — is answered by
+// GoalBlockCtx with the block SelectExits selects from the leg's own
+// table, its cell bit for bit, whether its site's dense border table is
+// built or not and whether the site is symmetric or not; on another
+// engine and for any other leg GoalBlockCtx answers nothing. It builds
+// nothing either way.
 func TestPropertyGoalBlockMatchesLegTable(t *testing.T) {
 	ctx := context.Background()
-	answered := 0
+	answered, landmarked, asymmetric := 0, 0, 0
 	for name, st := range borderStores(t) {
 		fresh, err := Restore(st.fr, st.comp, Options{}, 0, st.prep)
 		if err != nil {
@@ -196,8 +197,9 @@ func TestPropertyGoalBlockMatchesLegTable(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s/%v: %v", what, engine, err)
 						}
-						want := engine == EngineDense && built && len(leg.Entry) == 1 && len(leg.Exit) == 1 &&
-							!onBorder(site.border, leg.Exit) && site.isSymmetric()
+						_, onSite := site.csr.Row(leg.Entry[0])
+						want := engine == EngineDense && len(leg.Entry) == 1 && onSite && len(leg.Exit) == 1 &&
+							!onBorder(site.border, leg.Exit)
 						if (got != nil) != want || (site.tables[engine].table.Load() != nil) != built {
 							t.Fatalf("%s/%v: block %v with the table built %v; want a block %v, and no build", what, engine, got, built, want)
 						}
@@ -208,6 +210,12 @@ func TestPropertyGoalBlockMatchesLegTable(t *testing.T) {
 							}
 							checkBlock(t, what, got, SelectExits(table, leg), false)
 							answered++
+							if site.tables[EngineDense].table.Load() != nil && site.isSymmetric() {
+								landmarked++
+							}
+							if !site.isSymmetric() {
+								asymmetric++
+							}
 						}
 						if _, _, err := fresh.BorderBlockCtx(ctx, leg, engine); err != nil {
 							t.Fatal(err)
@@ -217,10 +225,10 @@ func TestPropertyGoalBlockMatchesLegTable(t *testing.T) {
 			}
 		}
 	}
-	if answered == 0 {
-		t.Fatal("no leg was answered goal-directed")
+	if landmarked == 0 || asymmetric == 0 || answered == landmarked {
+		t.Fatalf("%d legs answered, %d over landmarks, %d on asymmetric sites: want each kind", answered, landmarked, asymmetric)
 	}
-	t.Logf("%d legs answered goal-directed", answered)
+	t.Logf("%d legs answered, %d over landmarks, %d on asymmetric sites", answered, landmarked, asymmetric)
 }
 
 // TestSemiNaiveBorderRowWithoutFacts: a semi-naive border table has

@@ -397,17 +397,23 @@ func (st *Store) RunPlanCtx(ctx context.Context, plan *Plan, engine Engine) (*Re
 // with cancellation threaded into the engine kernels (between Dijkstra
 // sources, fixpoint rounds, propagation levels and search buckets). It
 // is the unit of work a (real or simulated) processor performs; package
-// sim schedules these across simulated sites. Block is the leg's exits
-// selected from ExecuteLegTableCtx's table, once, for the assembly to
-// fold; Stats.ResultTuples counts the facts the block selects — what
-// the site ships to the coordinator.
+// sim schedules these across simulated sites. Block is the leg's exit
+// block, for the assembly to fold: a same-fragment leg's one cell from
+// GoalBlockCtx's search, any other leg's exits selected from
+// ExecuteLegTableCtx's table, once. Stats.ResultTuples counts the facts
+// the block holds — what the site ships to the coordinator.
 func (st *Store) ExecuteLegCtx(ctx context.Context, leg Leg, engine Engine) (*LegResult, error) {
 	t0 := time.Now()
-	table, stats, err := st.ExecuteLegTableCtx(ctx, leg, engine)
+	block, stats, err := st.GoalBlockCtx(ctx, leg, engine)
+	if block == nil && err == nil {
+		var table *tc.CostMatrix
+		if table, stats, err = st.ExecuteLegTableCtx(ctx, leg, engine); err == nil {
+			block = SelectExits(table, leg)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	block := SelectExits(table, leg)
 	stats.ResultTuples = block.n
 	return &LegResult{Leg: leg, Block: block, Stats: stats, Took: time.Since(t0)}, nil
 }
@@ -424,45 +430,32 @@ func (st *Store) ExecuteLegCtx(ctx context.Context, leg Leg, engine Engine) (*Le
 // are never read) — so a serving layer can cache the table under that
 // key and select every query's exits from it. For EngineBitset a fact
 // carries the presence marker 1 (the table is a connectivity table).
-// Whatever the engine, a final cell holds a fact iff the engine derives
-// one: the dense kernel keeps a source's cycle back to itself, and the
+// Whatever the engine, a cell holds a fact iff the engine derives one:
+// the dense kernel keeps a source's cycle back to itself, and the
 // Dijkstra arm, whose search starts at cost 0, has no (a, a) fact.
 //
-// The exits pick the dense engine's kernel. A one-source leg to an
-// exit off the site's border — a same-fragment query's leg to its
-// target — runs the stop search (tc.DenseGraph.CostToCtx): its row is
-// final (tc.CostMatrix.Final) up to the bucket that settles the last
-// exit, the rest of it tentative, and a cache that keeps it must ask
-// Final before it serves another leg's exits from it. Every other dense
-// leg gets complete rows from the level-synchronous kernel, as every
-// other engine's table is complete: several entry nodes, no exits,
-// which asks for the whole table, or exits all on the border — a first
-// leg, whose source's row then also answers its first legs to the
-// site's other disconnection sets. On a whole one-source row that
-// kernel is the faster on paper and grid sites but not on road's,
-// where the stop search run to the last node took 0.88-0.91x its time
-// (README, "Choosing a local engine"). A serving layer that caches by
-// source gives a same-fragment leg three outcomes: a hit on a row that
-// settles the target; a miss on a source it has never seen, answered
-// with no table by GoalBlockCtx, a goal-directed search over the
-// site's built border table; and a miss on a source it has seen, which
-// runs this stop search and caches the row.
+// Every table is complete, whatever the exits: the dense engine's rows
+// come from the level-synchronous kernel (tc.DenseGraph.CostFromCtx),
+// so a first leg's row also answers its source's first legs to the
+// site's other disconnection sets. A same-fragment leg needs its
+// target's cell alone, which GoalBlockCtx's search answers with no
+// row; a serving layer that caches by source runs this only on the
+// source's second miss, and its row then serves every later target.
 //
 // Cancellation is threaded into the engine kernels: the per-entry
 // Dijkstra loop checks ctx between sources, and the relational, bitset
-// and dense kernels observe it between fixpoint rounds, propagation
-// levels and search buckets. A canceled leg returns ErrCanceled.
+// and dense kernels observe it between fixpoint rounds and propagation
+// levels. A canceled leg returns ErrCanceled.
 func (st *Store) ExecuteLegTableCtx(ctx context.Context, leg Leg, engine Engine) (*tc.CostMatrix, tc.Stats, error) {
 	if leg.SiteID < 0 || leg.SiteID >= len(st.sites) {
 		return nil, tc.Stats{}, fmt.Errorf("dsa: %w: leg site %d out of range", ErrUnknownSite, leg.SiteID)
 	}
-	return st.sites[leg.SiteID].legTable(ctx, leg, engine)
+	return st.sites[leg.SiteID].legTable(ctx, leg.Entry, engine)
 }
 
 // legTable is ExecuteLegTableCtx on the site: the engine dispatch every
 // leg table and border table is computed by.
-func (s *Site) legTable(ctx context.Context, leg Leg, engine Engine) (*tc.CostMatrix, tc.Stats, error) {
-	entry := leg.Entry
+func (s *Site) legTable(ctx context.Context, entry []graph.NodeID, engine Engine) (*tc.CostMatrix, tc.Stats, error) {
 	var table *tc.CostMatrix
 	var stats tc.Stats
 	var err error
@@ -502,12 +495,9 @@ func (s *Site) legTable(ctx context.Context, leg Leg, engine Engine) (*tc.CostMa
 		if kerr != nil {
 			return nil, tc.Stats{}, kerr
 		}
-		switch {
-		case engine == EngineBitset:
+		if engine == EngineBitset {
 			table, stats, err = kernel.ReachFromCtx(ctx, entry)
-		case len(entry) == 1 && len(leg.Exit) > 0 && !onBorder(s.border, leg.Exit):
-			table, stats, err = kernel.CostToCtx(ctx, entry[0], leg.Exit)
-		default:
+		} else {
 			table, stats, err = kernel.CostFromCtx(ctx, entry)
 		}
 	default:

@@ -131,8 +131,9 @@ func (s *Site) Nodes() []graph.NodeID { return s.csr.IDs }
 
 // Augmented returns the site's CSR as a graph.Graph, built on each call,
 // its nodes without coordinates. It is kept only for the benchmark
-// harness's kernel probe; ROADMAP item "The harness reads stages; the
-// walker goes" deletes that caller, and this with it.
+// harness's kernel probe; ROADMAP item "The executor keeps a stage
+// record; the ledger reads it, and the walker goes" deletes that
+// caller, and this with it.
 func (s *Site) Augmented() *graph.Graph {
 	//tcvet:ignore bannedcall the benchmark harness's kernel probe takes a graph.Graph; the site keeps only its CSR
 	g := graph.New()

@@ -34,12 +34,13 @@ func topology(i int, seed int64) (*graph.Graph, error) {
 }
 
 // fragmenter cuts g. The last two shapes bring their own graph — the two
-// forms of ROADMAP item 1 — and the nodes whose pairs show them: a
-// same-fragment pair whose route leaves the fragment through one
-// disconnection set and returns through another, and a pair whose route
-// crosses the middle fragment of a figure-eight fragmentation graph
-// twice. One pair of each also has a dear direct route (answered
-// inexactly), the others none (answered unreachable).
+// forms of ROADMAP item "Exact on cyclic fragmentations" — and the
+// nodes whose pairs show them: a same-fragment pair whose route leaves
+// the fragment through one disconnection set and returns through
+// another, and a pair whose route crosses the middle fragment of a
+// figure-eight fragmentation graph twice. One pair of each also has a
+// dear direct route (answered inexactly), the others none (answered
+// unreachable).
 func fragmenter(i int, g *graph.Graph, rng *rand.Rand) (fr *fragment.Fragmentation, sources, targets []int, err error) {
 	switch Fragmenters[i] {
 	case "linear":

@@ -24,8 +24,8 @@
 //     accounting; everything but the Elapsed fields;
 //  5. Truncated is the only sanctioned false negative. On cyclic
 //     generations the unsanctioned ones are counted (Tally.Inexact,
-//     Tally.Missed), not failed: ROADMAP item 1 turns that count into
-//     an error.
+//     Tally.Missed), not failed: ROADMAP item "Exact on cyclic
+//     fragmentations" turns that count into an error.
 //
 // Views that also offer QueryPath have their routes validated on the
 // generation's graph and judged by rules 1, 2 and 5.

@@ -255,8 +255,8 @@ func corpus() (out []scenario) {
 // every way the repository can, held to Dijkstra and to each other.
 // Every second generation is also served, every eighth also clustered.
 // It fails on any rule violation and on any lost coverage; what rule 5
-// counts on cyclic generations it logs and ratchets (ROADMAP item 1
-// makes that line an error).
+// counts on cyclic generations it logs and ratchets (ROADMAP item
+// "Exact on cyclic fragmentations" makes that line an error).
 func TestOracle(t *testing.T) {
 	ctx := context.Background()
 	var tally Tally
@@ -327,9 +327,9 @@ func TestOracle(t *testing.T) {
 	}
 	// Rule 5's ratchet: the corpus is fixed, so what it counts on cyclic
 	// generations is a constant of the code under test. It may only go
-	// down; ROADMAP item 1 sets both bounds to zero and drops the loop
-	// below, which until then keeps both of that item's shapes showing
-	// both of its forms.
+	// down; ROADMAP item "Exact on cyclic fragmentations" sets both
+	// bounds to zero and drops the loop below, which until then keeps
+	// both of that item's shapes showing both of its forms.
 	const knownInexact, knownMissed = 190, 1200
 	if inexact > knownInexact || missed > knownMissed {
 		t.Errorf("cyclic generations got worse: %d inexact and %d missed answers, at most %d and %d known", inexact, missed, knownInexact, knownMissed)

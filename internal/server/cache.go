@@ -24,23 +24,19 @@ import (
 // Only the one-source legs a site's border tables cannot answer get
 // here (see executeLegLocal): legs from a source off the border on an
 // asymmetric site or to a target off it too, whoever asks, so every
-// entry is one source row. The exit set is deliberately absent — the
-// assembly folds a leg's exit block, which dsa.SelectExits gathers from
-// the table for any exit set — so queries from one source to different
-// targets share entries. The exits decide whether an entry answers a
-// leg, though: on the dense engine a same-fragment leg's row comes from
-// the stop search, final only up to the bucket that settled the target
-// of the leg that computed it, so an entry is a hit only for a leg
-// whose exits it settles (tc.CostMatrix.Final). A same-fragment leg
-// has three outcomes. A hit is served from the entry. A miss on a key
-// the cache has never seen, where the site can answer it goal-directed
-// (dsa.Store.GoalBlockCtx), computes no row and leaves a table-less
-// entry that only marks the key as seen. A miss on a key the cache
-// holds — a table-less entry, or a row that does not settle the exits —
-// runs the stop search for its own exits, past any old bound, and puts
-// back its row: a source asked twice is likely asked again. The mode is
-// likewise absent because a leg's table depends only on the engine,
-// letting cost and connectivity traffic share entries.
+// entry is one source's whole row. The exit set is deliberately absent
+// — the assembly folds a leg's exit block, which dsa.SelectExits
+// gathers from the table for any exit set — so queries from one source
+// to different targets share entries. A same-fragment leg on the dense
+// engine has two outcomes besides a hit. A miss on a key the cache has
+// never seen is answered by one search to the target
+// (dsa.Store.GoalBlockCtx), which computes no row, and leaves a
+// table-less entry that only marks the key as seen. A miss on a key the
+// cache holds computes the source's row and puts it back: a source
+// asked twice is likely asked again, and its row serves every later
+// target. The mode is likewise absent because a leg's table depends
+// only on the engine, letting cost and connectivity traffic share
+// entries.
 type legKey struct {
 	site   *dsa.Site
 	engine dsa.Engine
@@ -71,10 +67,11 @@ type CacheStats struct {
 	Sweeps uint64 `json:"sweeps"`
 }
 
-// cacheEntry is one memoized leg: the leg table of ExecuteLegTableCtx
-// and its stats, handed to every leg from the same source on the site,
-// as is; or, with no table, the mark of a key whose first miss was
-// answered goal-directed (legCache.mark), which answers no leg.
+// cacheEntry is one memoized leg: the leg table of ExecuteLegTableCtx,
+// its source's whole row, and its stats, handed to every leg from the
+// same source on the site, as is; or, with no table, the mark of a key
+// whose first miss was answered by one search to its target
+// (legCache.mark), which answers no leg.
 type cacheEntry struct {
 	key   legKey
 	table *tc.CostMatrix
@@ -92,12 +89,6 @@ func (e *cacheEntry) bytes() int64 {
 		return entryOverhead
 	}
 	return int64(e.table.Bytes() + entryOverhead)
-}
-
-// serves reports whether the entry answers a leg to exits: it has a
-// table whose cells of exits are final (tc.CostMatrix.Final).
-func (e *cacheEntry) serves(exits []graph.NodeID) bool {
-	return e.table != nil && e.table.Final(exits)
 }
 
 // legCache is a bounded LRU over leg computations. It is safe for
@@ -122,17 +113,16 @@ func newLegCache(capacity int) *legCache {
 	}
 }
 
-// get returns the memoized table for key if it is there and its cells
-// of exits are final (tc.CostMatrix.Final): a hit. A table that does
-// not settle them is a miss, like no table or a table-less entry.
-func (c *legCache) get(key legKey, exits []graph.NodeID) (*tc.CostMatrix, tc.Stats, bool) {
+// get returns the memoized table for key if its entry has one: a hit.
+// No entry, or a table-less one, is a miss.
+func (c *legCache) get(key legKey) (*tc.CostMatrix, tc.Stats, bool) {
 	if c == nil || c.cap == 0 {
 		return nil, tc.Stats{}, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
-	if !ok || !el.Value.(*cacheEntry).serves(exits) {
+	if !ok || el.Value.(*cacheEntry).table == nil {
 		c.stats.Misses++
 		return nil, tc.Stats{}, false
 	}
@@ -156,24 +146,21 @@ func (c *legCache) holds(key legKey) bool {
 
 // has reports whether get would hit, without promoting the entry or
 // counting a lookup: a probe before the leg, not a use of the table.
-func (c *legCache) has(key legKey, exits []graph.NodeID) bool {
+func (c *legCache) has(key legKey) bool {
 	if c == nil || c.cap == 0 {
 		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
-	return ok && el.Value.(*cacheEntry).serves(exits)
+	return ok && el.Value.(*cacheEntry).table != nil
 }
 
 // put memoizes a leg computation, evicting the least recently used
 // entry when the bound is exceeded. A put for a key already cached
-// follows a miss: the entry had no table or did not settle the leg's
-// exits, and the kernel run that did settled further, so the new table
-// replaces it. Concurrent queries can race to fill the same key,
-// though, and the entry keeps the more settled of the two tables: the
-// new one unless it settles less (tc.CostMatrix.SettledAsFar). One
-// key's final cells are the same whoever computed them.
+// follows a miss on a table-less entry, or races another query's put
+// for the same key; it replaces the entry either way, since one key's
+// table is the same whoever computed it.
 func (c *legCache) put(key legKey, table *tc.CostMatrix, stats tc.Stats) {
 	c.insert(&cacheEntry{key: key, table: table, stats: stats})
 }
@@ -186,8 +173,7 @@ func (c *legCache) mark(key legKey) {
 }
 
 // insert is put and mark: ent takes a new key's slot, and replaces an
-// existing entry only with a table, over an entry that has none or
-// settles no further.
+// existing entry only with a table.
 func (c *legCache) insert(ent *cacheEntry) {
 	if c == nil || c.cap == 0 {
 		return
@@ -196,8 +182,8 @@ func (c *legCache) insert(ent *cacheEntry) {
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[ent.key]; ok {
 		c.ll.MoveToFront(el)
-		if old := el.Value.(*cacheEntry); ent.table != nil && (old.table == nil || ent.table.SettledAsFar(old.table)) {
-			c.stats.Bytes += ent.bytes() - old.bytes()
+		if ent.table != nil {
+			c.stats.Bytes += ent.bytes() - el.Value.(*cacheEntry).bytes()
 			el.Value = ent
 		}
 		return

@@ -69,7 +69,7 @@ func TestLegCacheLRUEviction(t *testing.T) {
 		}
 	}
 	// Touch 1 so 2 is the least recently used.
-	if _, _, ok := c.get(key(s, 1), nil); !ok {
+	if _, _, ok := c.get(key(s, 1)); !ok {
 		t.Fatal("1 missing")
 	}
 	c.put(key(s, 3), legTable(3), tc.Stats{})
@@ -77,13 +77,13 @@ func TestLegCacheLRUEviction(t *testing.T) {
 	if got := c.snapshot().Bytes; got != want {
 		t.Errorf("after the eviction: %d bytes, want %d", got, want)
 	}
-	if _, _, ok := c.get(key(s, 2), nil); ok {
+	if _, _, ok := c.get(key(s, 2)); ok {
 		t.Error("2 should have been evicted (LRU)")
 	}
-	if _, _, ok := c.get(key(s, 1), nil); !ok {
+	if _, _, ok := c.get(key(s, 1)); !ok {
 		t.Error("1 should have survived")
 	}
-	if _, _, ok := c.get(key(s, 3), nil); !ok {
+	if _, _, ok := c.get(key(s, 3)); !ok {
 		t.Error("3 should be present")
 	}
 	st := c.snapshot()
@@ -103,12 +103,12 @@ func TestLegCacheRebuiltSiteMisses(t *testing.T) {
 	gen1 := successor(gen0, 2)
 	c := newLegCache(4)
 	c.put(key(gen0[2], 7), legTable(1), tc.Stats{})
-	if _, _, ok := c.get(key(gen1[2], 7), nil); ok {
+	if _, _, ok := c.get(key(gen1[2], 7)); ok {
 		t.Fatal("the rebuilt site of ID 2 hit its predecessor's table")
 	}
 	fresh := legTable(2)
 	c.put(key(gen1[2], 7), fresh, tc.Stats{})
-	if got, _, ok := c.get(key(gen1[2], 7), nil); !ok || got != fresh {
+	if got, _, ok := c.get(key(gen1[2], 7)); !ok || got != fresh {
 		t.Errorf("rebuilt site's own table: hit %v, table %v", ok, got)
 	}
 	if st := c.snapshot(); st.Entries != 2 || st.Misses != 1 || st.Hits != 1 {
@@ -128,13 +128,13 @@ func TestLegCacheGetKeepsNewerEpoch(t *testing.T) {
 	shared, rebuilt := legTable(0), legTable(1)
 	c.put(key(gen1[0], 5), shared, tc.Stats{})
 	c.put(key(gen1[1], 5), rebuilt, tc.Stats{})
-	if got, _, ok := c.get(key(gen0[0], 5), nil); !ok || got != shared {
+	if got, _, ok := c.get(key(gen0[0], 5)); !ok || got != shared {
 		t.Errorf("old reader on the shared site: hit %v, table %v; want the current table", ok, got)
 	}
-	if _, _, ok := c.get(key(gen0[1], 5), nil); ok {
+	if _, _, ok := c.get(key(gen0[1], 5)); ok {
 		t.Fatal("old reader on the rebuilt site was served the new site's table")
 	}
-	if got, _, ok := c.get(key(gen1[1], 5), nil); !ok || got != rebuilt {
+	if got, _, ok := c.get(key(gen1[1], 5)); !ok || got != rebuilt {
 		t.Errorf("current reader after an old reader's miss: hit %v, table %v; want the current table", ok, got)
 	}
 	if st := c.snapshot(); st.Entries != 2 || st.Misses != 1 || st.Hits != 2 {
@@ -152,13 +152,13 @@ func TestLegCachePutKeepsNewestEpoch(t *testing.T) {
 	current := legTable(5)
 	c.put(key(gen1[0], 3), current, tc.Stats{})
 	c.put(key(gen0[0], 3), legTable(4), tc.Stats{})
-	if got, _, ok := c.get(key(gen1[0], 3), nil); !ok || got != current {
+	if got, _, ok := c.get(key(gen1[0], 3)); !ok || got != current {
 		t.Errorf("current reader after a lagging put: hit %v, table %v; want the current table", ok, got)
 	}
 	// The same key means the same table: a second put replaces it.
 	again := legTable(5)
 	c.put(key(gen1[0], 3), again, tc.Stats{})
-	if got, _, ok := c.get(key(gen1[0], 3), nil); !ok || got != again {
+	if got, _, ok := c.get(key(gen1[0], 3)); !ok || got != again {
 		t.Error("a put for an existing key did not replace the entry")
 	}
 	if st := c.snapshot(); st.Entries != 2 || st.Bytes != entryBytes(key(gen1[0], 3), again)+entryBytes(key(gen0[0], 3), legTable(4)) {
@@ -183,11 +183,11 @@ func TestLegCacheInvalidateSweep(t *testing.T) {
 	if got, want := c.snapshot().Bytes, before-entryBytes(key(gen0[0], 1), legTable(0)); got != want {
 		t.Errorf("after the sweep: %d bytes, want %d", got, want)
 	}
-	if _, _, ok := c.get(key(gen0[0], 1), nil); ok {
+	if _, _, ok := c.get(key(gen0[0], 1)); ok {
 		t.Error("rebuilt-site entry survived the sweep")
 	}
 	for _, s := range gen1[1:] {
-		if _, _, ok := c.get(key(s, 1), nil); !ok {
+		if _, _, ok := c.get(key(s, 1)); !ok {
 			t.Errorf("shared site %d lost its entry", s.ID)
 		}
 	}
@@ -216,10 +216,10 @@ func TestLegCacheInvalidateDropsLaggingPuts(t *testing.T) {
 	// transition, but the lagging entry names generation 0's site 3.
 	gen2 := successor(gen1, 4)
 	c.sweep(gen2)
-	if _, _, ok := c.get(key(gen0[3], 1), nil); ok {
+	if _, _, ok := c.get(key(gen0[3], 1)); ok {
 		t.Fatal("a lagging put on a replaced site survived the sweep")
 	}
-	if _, _, ok := c.get(key(gen2[5], 1), nil); !ok {
+	if _, _, ok := c.get(key(gen2[5], 1)); !ok {
 		t.Fatal("an entry on a current site must survive the sweep")
 	}
 	if st := c.snapshot(); st.Invalidated != 1 || st.Retained != 1 {
@@ -231,7 +231,7 @@ func TestLegCacheDisabled(t *testing.T) {
 	s := generation(1)[0]
 	c := newLegCache(0)
 	c.put(key(s, 1), legTable(1), tc.Stats{})
-	if _, _, ok := c.get(key(s, 1), nil); ok {
+	if _, _, ok := c.get(key(s, 1)); ok {
 		t.Error("capacity-0 cache stored an entry")
 	}
 	st := c.snapshot()
@@ -300,7 +300,7 @@ func TestLegCacheSnapshotRace(t *testing.T) {
 				}
 				gen := gens[i%len(gens)]
 				k := key(gen[(w+i)%len(gen)], graph.NodeID((w*7+i)%4))
-				if _, _, ok := c.get(k, nil); !ok {
+				if _, _, ok := c.get(k); !ok {
 					c.put(k, legTable(i), tc.Stats{})
 				}
 				if i%50 == 0 {

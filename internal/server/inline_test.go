@@ -142,7 +142,7 @@ func TestCheapLegEvictedBeforeRun(t *testing.T) {
 		t.Fatalf("the probe never found %d's row in the cache", src)
 	}
 	site := st.Site(sourceLeg(t, plan, src).SiteID)
-	if !srv.cache.has(legKey{site: site, engine: engine, source: src}, nil) || srv.cache.has(legKey{site: site, engine: engine, source: other}, nil) {
+	if !srv.cache.has(legKey{site: site, engine: engine, source: src}) || srv.cache.has(legKey{site: site, engine: engine, source: other}) {
 		t.Errorf("the cache does not hold %d's row alone: the leg found %d's row evicted and did not recompute it", src, src)
 	}
 	want, err := st.RunPlanCtx(context.Background(), plan, engine)

@@ -262,17 +262,16 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 
 // cheapLeg is runCtx's dsa.LegProbe: a locally owned leg that
 // executeLegLocal will answer without a kernel — from a border table
-// its site has built, or from the leg cache's table for its one
-// source, if that settles its exits. A peer's leg is never cheap, so a
-// query's RPCs overlap. A table or entry can go between the probe and
-// the leg (a full cache evicts); the leg then runs its kernel where the
-// probe put it.
+// its site has built, or from the leg cache's row for its one source.
+// A peer's leg is never cheap, so a query's RPCs overlap. A table or
+// entry can go between the probe and the leg (a full cache evicts); the
+// leg then runs its kernel where the probe put it.
 func (s *Server) cheapLeg(st *dsa.Store, leg dsa.Leg, engine dsa.Engine) bool {
 	if s.cluster != nil && !s.cluster.IsLocal(leg.SiteID) {
 		return false
 	}
 	return st.BorderReady(leg, engine) ||
-		len(leg.Entry) == 1 && s.cache.has(legKey{site: st.Site(leg.SiteID), engine: engine, source: leg.Entry[0]}, leg.Exit)
+		len(leg.Entry) == 1 && s.cache.has(legKey{site: st.Site(leg.SiteID), engine: engine, source: leg.Entry[0]})
 }
 
 // executeLegLocal runs a leg on this node on its site (onSite), whoever
@@ -282,21 +281,18 @@ func (s *Server) cheapLeg(st *dsa.Store, leg dsa.Leg, engine dsa.Engine) bool {
 // (dsa.Store.BorderBlockCtx): a hit, unless this read built the table.
 // Any other leg's exits are selected, after the site's gate is
 // released, from the kernel's table: for one source, the leg cache's
-// if it settles the exits, else the one the kernel computes for them,
-// which replaces it. A leg without exits runs as one, so its kernel
-// computes whole rows. A same-fragment leg — one source to its target,
-// off the border — that misses on a key the cache has never seen is
-// answered goal-directed instead when its site can
-// (dsa.Store.GoalBlockCtx): no table, and a table-less entry marks the
-// key, so the key's next miss runs the stop search and caches its row
-// (legKey has the three outcomes).
+// row if it holds one, else the one the kernel computes, which is put
+// there. A same-fragment leg — one source to its target, off the
+// border — that misses on a key the cache has never seen is answered
+// by one search to the target instead (dsa.Store.GoalBlockCtx): no
+// table, and a table-less entry marks the key, so the key's next miss
+// computes and caches its row (legKey has the outcomes).
 func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg dsa.Leg, engine dsa.Engine) (*dsa.LegResult, bool, error) {
 	var lr dsa.LegResult
 	var table *tc.CostMatrix
 	var hit bool
 	took, err := s.onSite(ctx, leg.SiteID, func() error {
 		st := snap.Store()
-		run := leg // a leg without exits runs as one: complete rows
 		if len(leg.Exit) == 0 {
 			leg.Exit = st.Site(leg.SiteID).Nodes()
 		}
@@ -315,7 +311,7 @@ func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg ds
 		key, one := legKey{site: st.Site(leg.SiteID), engine: engine}, len(leg.Entry) == 1
 		if one {
 			key.source = leg.Entry[0]
-			if table, lr.Stats, hit = s.cache.get(key, leg.Exit); hit {
+			if table, lr.Stats, hit = s.cache.get(key); hit {
 				return nil
 			}
 			if !s.cache.holds(key) {
@@ -327,7 +323,7 @@ func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg ds
 				}
 			}
 		}
-		if table, lr.Stats, err = st.ExecuteLegTableCtx(ctx, run, engine); err != nil {
+		if table, lr.Stats, err = st.ExecuteLegTableCtx(ctx, leg, engine); err != nil {
 			return err
 		}
 		if one {

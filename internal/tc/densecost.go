@@ -29,27 +29,25 @@ import (
 // analogue of "neither communication nor synchronization is required"
 // between per-source searches.
 //
-// A leg from one source to a few exits needs only the exits' cells, so
-// it runs a label-setting search instead (CostToCtx): bucketed by cost,
-// it stops once the exits are final and leaves the rest of the row
-// tentative, recording how far the row is final. Given landmark rows,
-// the same search runs goal-directed toward one target
-// (CostBetweenCtx), its buckets keyed by cost plus a lower bound on
-// the cost still to go, and returns that target's cell alone.
+// A leg from one source to one target needs that target's cell alone,
+// so it runs a label-setting search instead (CostBetweenCtx): bucketed
+// by cost, and given landmark rows by cost plus a lower bound on the
+// cost still to go, it stops once the target is final and writes no
+// row.
 
 // DenseGraph is a graph's CSR with non-negative costs, as the kernels
-// read it: the cost kernel (CostFromCtx, CostVectorCtx) and the bitset
-// reachability kernel (ReachFromCtx, bitset.go) run on the same arrays,
-// whose rows ascend by node id — the columns of every CostMatrix the
-// kernels return. Build once, query many times — the disconnection set
-// approach's sites keep one per augmented fragment.
+// read it: the cost kernel (CostFromCtx, CostBetweenCtx, CostVectorCtx)
+// and the bitset reachability kernel (ReachFromCtx, bitset.go) run on
+// the same arrays, whose rows ascend by node id — the columns of every
+// CostMatrix the kernels return. Build once, query many times — the
+// disconnection set approach's sites keep one per augmented fragment.
 type DenseGraph struct {
 	csr *graph.CSR
-	// inv is 1/Δ of the stop search's buckets (CostToCtx) and ring
-	// the number of slots they take turns in, enough for twice the
-	// heaviest finite edge — a goal-directed search's reduced cost
-	// (CostBetweenCtx) — and then some: both fixed by the weights, so
-	// every row of one kernel buckets alike.
+	// inv is 1/Δ of the bucketed search's buckets (CostBetweenCtx)
+	// and ring the number of slots they take turns in, enough for twice
+	// the heaviest finite edge — a goal-directed search's reduced cost
+	// — and then some: both fixed by the weights, so every search of
+	// one kernel buckets alike.
 	inv  float64
 	ring int
 	// rows holds row scratch (*costRow) between calls, so a kernel
@@ -57,7 +55,7 @@ type DenseGraph struct {
 	rows sync.Pool
 }
 
-// ringCap bounds the stop search's buckets: where the heaviest edge
+// ringCap bounds the bucketed search's buckets: where the heaviest edge
 // spans more of them, Δ grows to a ringCap-th of it, and edges lighter
 // than Δ are relaxed again within their bucket.
 const ringCap = 1024
@@ -98,35 +96,34 @@ func (d *DenseGraph) Edges() int { return len(d.csr.To) }
 
 // costRow is the scratch state of one row: the distance row it writes
 // and the bookkeeping of the kernel that writes it — the frontiers of
-// the level-synchronous propagation, the bucket ring and stop rows of
-// the stop search. A worker reuses it from one source to the next, and
-// the kernel's pool from one call to the next.
+// the level-synchronous propagation, or the bucket ring and potential
+// of the bucketed search. A worker reuses it from one source to the
+// next, and the kernel's pool from one call to the next.
 type costRow struct {
 	dist     []float64
 	inNext   []bool
 	frontier []int32
 	next     []int32
-	// buckets is the stop search's ring: bucket b's nodes are in slot
-	// b mod len(buckets). Queued nodes span fewer buckets than the ring
-	// has slots, so a slot holds one bucket's nodes.
+	// buckets is the bucketed search's ring: bucket b's nodes are in
+	// slot b mod len(buckets). Queued nodes span fewer buckets than the
+	// ring has slots, so a slot holds one bucket's nodes.
 	buckets [][]int32
-	stop    []int32
-	// goal is the goal-directed search's own state (CostBetweenCtx).
+	// goal is the bucketed search's own state (CostBetweenCtx).
 	goal potential
 }
 
 // row takes a row scratch from the kernel's pool, with the frontiers
-// of the level-synchronous propagation or, for the stop search, the
-// bucket ring; done gives it back.
-func (d *DenseGraph) row(stop bool) *costRow {
+// of the level-synchronous propagation or, for the bucketed search,
+// the bucket ring; done gives it back.
+func (d *DenseGraph) row(bucketed bool) *costRow {
 	r, _ := d.rows.Get().(*costRow)
 	if r == nil {
 		r = new(costRow)
 	}
-	if n := d.Nodes(); !stop && r.inNext == nil {
+	if n := d.Nodes(); !bucketed && r.inNext == nil {
 		r.inNext, r.frontier, r.next = make([]bool, n), make([]int32, 0, n), make([]int32, 0, n)
 	}
-	if stop && r.buckets == nil {
+	if bucketed && r.buckets == nil {
 		r.buckets = make([][]int32, d.ring)
 	}
 	return r
@@ -254,59 +251,9 @@ func (d *DenseGraph) CostFromCtx(ctx context.Context, sources []graph.NodeID) (*
 	return m, st, nil
 }
 
-// CostToCtx computes the cost row of one source, over paths of at
-// least one edge as CostFromCtx's, with a bucketed label-setting search
-// — Δ-stepping (Meyer & Sanders, J. Algorithms 2003) over the CSR, Δ
-// the least positive weight or, if more, a ringCap-th of the heaviest
-// finite one (NewDenseGraph) — that stops once every node of stop is
-// final: a leg needs its exits' cells only (§2.1), and on a large site
-// they are settled long before the whole row is. Bucket b holds the
-// nodes whose tentative cost c has ⌊c/Δ⌋ = b; the search drains the
-// buckets in order, relaxing a node's out-edges when it leaves its
-// bucket, and a node improved into the bucket being drained (a zero or
-// light edge) goes back into it. Once bucket b is drained, every cell
-// of bucket b or lower is final, and bit-equal to CostFromCtx's cell:
-// both compute the least fixpoint of the same rounded sums, since
-// fl(a+w) ≥ a and rounding is monotone. The search stops after the
-// bucket that makes the last stop node final, or when it runs out of
-// buckets with the row complete, so a stop node the source does not
-// reach costs a whole row. Stop nodes that are not in the snapshot are
-// ignored; with none left, the search stops after its first bucket.
-//
-// The result has one row (none if source is not in the snapshot), and
-// records how far it is final (CostMatrix.Final). Cells past that
-// bound are upper bounds, +Inf where not yet reached. Stats: Iterations
-// is the number of buckets drained, empty ones included, DerivedTuples
-// the nodes queued in them, ResultTuples the cells reached. The search
-// observes ctx between buckets, and a canceled search returns
-// ErrCanceled.
-func (d *DenseGraph) CostToCtx(ctx context.Context, source graph.NodeID, stop []graph.NodeID) (*CostMatrix, Stats, error) {
-	m, rows := NewCostMatrix(d.csr, []graph.NodeID{source})
-	if len(rows) == 0 {
-		return m, Stats{}, nil
-	}
-	r := d.row(true).on(m.Cost)
-	defer d.done(r)
-	r.stop = r.stop[:0]
-	for _, id := range stop {
-		if k, ok := d.csr.Row(id); ok {
-			r.stop = append(r.stop, k)
-		}
-	}
-	drained, complete, st := d.settle(ctx, r, rows[0], nil, 0)
-	if !complete {
-		m.inv, m.drained = d.inv, drained
-		r.clearBuckets()
-	}
-	if ctx.Err() != nil {
-		return nil, Stats{}, canceled(ctx)
-	}
-	return m, st, nil
-}
-
-// bucket is the stop search's bucket of a cost c ≥ 0 at 1/Δ = inv:
-// ⌊c/Δ⌋, the one expression the search and CostMatrix.Final compare.
-func bucket(c, inv float64) int64 { return int64(c * inv) }
+// bucket is the bucketed search's bucket of a key k ≥ 0 at 1/Δ = inv:
+// ⌊k/Δ⌋.
+func bucket(k, inv float64) int64 { return int64(k * inv) }
 
 // clearBuckets empties the ring a stopped or canceled search left.
 func (r *costRow) clearBuckets() {
@@ -315,20 +262,23 @@ func (r *costRow) clearBuckets() {
 	}
 }
 
-// settle runs the stop search of CostToCtx from src on r, whose stop
-// rows are set, draining buckets from cur on, and returns the last
-// bucket it drained, whether the row is complete, and its stats. With
-// a potential pot, the goal-directed search of CostBetweenCtx, a node
-// is bucketed by its key (potential.key) instead of its cost, and one
-// whose potential is +Inf, which cannot reach the target, is never
-// queued. A key can fall below the bucket being drained, since the
-// bound carries a slack; such a node is queued in that bucket. So a
-// node waits in the bucket of its key or in the one being drained, as
-// in the stop search, whose costs never fall below it. A complete row
-// leaves r.buckets empty; a search that stopped early or was canceled
-// leaves them for the caller to clear.
-func (d *DenseGraph) settle(ctx context.Context, r *costRow, src int32, pot *potential, cur int64) (int64, bool, Stats) {
-	reached, pushed, popped, first := 0, 0, 0, cur
+// settle runs the bucketed search of CostBetweenCtx from src toward t
+// on r, draining buckets from cur on, and returns whether the row is
+// complete, and its stats. Δ-stepping (Meyer & Sanders, J. Algorithms
+// 2003) over the CSR, Δ the least positive weight or, if more, a
+// ringCap-th of the heaviest finite one (NewDenseGraph), its buckets
+// keyed by p: bucket b holds the nodes whose key k (potential.key) has
+// ⌊k/Δ⌋ = b, and a node whose key is +Inf, which cannot reach t, is
+// never queued. The search drains the buckets in order, relaxing a
+// node's out-edges when it leaves its bucket. A key can fall below the
+// bucket being drained — a zero or light edge, or the slack of the
+// bound — and such a node is queued in that bucket, so a node waits in
+// the bucket of its key or in the one being drained. The search stops
+// after the bucket that makes t final, or when it runs out of buckets
+// with the row complete, which leaves r.buckets empty; a search that
+// stopped early or was canceled leaves them for the caller to clear.
+func (d *DenseGraph) settle(ctx context.Context, r *costRow, src, t int32, p *potential, cur int64) (bool, Stats) {
+	pushed, popped, first := 0, 0, cur
 	wrapped := false
 	off, to, w, dist, inv := d.csr.Off, d.csr.To, d.csr.W, r.dist, d.inv
 	buckets, mask := r.buckets, int64(len(r.buckets)-1)
@@ -336,12 +286,11 @@ func (d *DenseGraph) settle(ctx context.Context, r *costRow, src int32, pot *pot
 	// The source's out-edges are relaxed as a node's at cost -0, whose
 	// sums are the weights themselves, bit for bit.
 	u, du := src, math.Copysign(0, -1)
-	next := 0 // the first stop row not yet known final
 	head := 0 // the next node of the bucket being drained
 	for {
 		// Relax u's out-edges. An improved node is queued in its new
 		// bucket unless it waits there already: a node waits in the
-		// bucket of its cell, or in the one being drained, to which a
+		// bucket of its key, or in the one being drained, to which a
 		// zero or light edge can bring it back.
 		heads := to[off[u]:off[u+1]]
 		costs := w[off[u]:off[u+1]]
@@ -353,27 +302,16 @@ func (d *DenseGraph) settle(ctx context.Context, r *costRow, src int32, pot *pot
 				continue
 			}
 			dist[v] = nd
-			key := nd
 			if old == inf {
-				reached++
-				if pot != nil {
-					pot.reach(v)
-				}
+				p.reach(v)
 			}
-			if pot != nil {
-				if key = pot.key(v, nd); key == inf {
-					continue
-				}
+			key := p.key(v, nd)
+			if key == inf {
+				continue
 			}
 			b := bucket(key, inv)
-			if old != inf && b > cur && !wrapped {
-				was := old
-				if pot != nil {
-					was = pot.key(v, old)
-				}
-				if bucket(was, inv) == b {
-					continue
-				}
+			if old != inf && b > cur && !wrapped && bucket(p.key(v, old), inv) == b {
+				continue
 			}
 			// A key past the ring — which the ring's size rules out but
 			// for a rounding slack far above Δ — is queued in its last
@@ -386,8 +324,8 @@ func (d *DenseGraph) settle(ctx context.Context, r *costRow, src int32, pot *pot
 			pushed++
 		}
 		// Take the next node of the lowest bucket, in the order queued.
-		// Past a drained bucket, stop once the stop rows are final, or
-		// with the row complete once no node is queued.
+		// Past a drained bucket, stop once t is final, or with the row
+		// complete once no node is queued.
 		for {
 			q := buckets[cur&mask]
 			if head < len(q) {
@@ -401,11 +339,8 @@ func (d *DenseGraph) settle(ctx context.Context, r *costRow, src int32, pot *pot
 				break
 			}
 			buckets[cur&mask], head = q[:0], 0
-			for next < len(r.stop) && dist[r.stop[next]] < inf && bucket(dist[r.stop[next]], inv) <= cur {
-				next++
-			}
-			if pushed == popped || next == len(r.stop) || ctx.Err() != nil {
-				return cur, pushed == popped, Stats{Iterations: int(cur-first) + 1, DerivedTuples: pushed, ResultTuples: reached}
+			if pushed == popped || dist[t] < inf && bucket(dist[t], inv) <= cur || ctx.Err() != nil {
+				return pushed == popped, Stats{Iterations: int(cur-first) + 1, DerivedTuples: pushed}
 			}
 			cur++
 		}
@@ -444,8 +379,8 @@ type potential struct {
 
 // aim points p at target t from source s over the landmark matrix m,
 // choosing its rows with the largest |d(b, t) − d(b, s)|; a row that
-// reaches neither is never chosen. A nil matrix, or one that is not
-// complete or not over c, leaves no landmark: π is 0.
+// reaches neither is never chosen. A nil matrix, or one not over c,
+// leaves no landmark: π is 0.
 func (p *potential) aim(m *CostMatrix, c *graph.CSR, s, t int32) {
 	// The slack covers the rounding of the landmark rows, each cell a
 	// sum of fewer than n rounded terms, and of π's own arithmetic;
@@ -454,7 +389,7 @@ func (p *potential) aim(m *CostMatrix, c *graph.CSR, s, t int32) {
 	const eps = 0x1p-53
 	n := len(c.IDs)
 	p.slack, p.scale, p.k = float64(2*n+8)*eps, 1-float64(n+4)*eps, 0
-	if m == nil || m.inv != 0 || len(m.Cols) != n || n == 0 || &m.Cols[0] != &c.IDs[0] {
+	if m == nil || len(m.Cols) != n || n == 0 || &m.Cols[0] != &c.IDs[0] {
 		return
 	}
 	var score [goalLandmarks]float64
@@ -508,19 +443,21 @@ func (p *potential) key(v int32, c float64) float64 {
 
 // CostBetweenCtx returns the cost from source to target over paths of
 // at least one edge — the target's cell of CostFromCtx's row, bit for
-// bit — by CostToCtx's bucketed search run goal-directed: its buckets
-// are keyed by a node's cost plus π, a lower bound on the cost from it
-// to the target read off the landmark rows (potential), so the search
-// settles the nodes toward the target first and stops, as CostToCtx
-// does, once the target's bucket is drained, long before the nodes
-// cheaper than the target are all settled. landmarks is a complete
-// leg table over this kernel's CSR, such as a site's border table (its
-// rows the landmarks, at most goalLandmarks of them chosen per query);
-// the bound holds only on a symmetric graph, where every edge's
-// reverse has its least weight, so the caller passes landmarks only
-// for one. A nil table, or one that is not complete or over another
-// CSR, gives a search with no bound, which stops as CostToCtx's does.
-// A source or target that is not a node of the snapshot costs +Inf.
+// bit — by a bucketed label-setting search (settle) that stops once
+// the target's bucket is drained: a leg needs its exit's cell only
+// (§2.1), and on a large site it is settled long before the whole row
+// is. With no landmarks its buckets are keyed by cost, and it settles
+// the nodes cheaper than the target. Given landmarks it runs
+// goal-directed: its buckets are keyed by a node's cost plus π, a
+// lower bound on the cost from it to the target read off the landmark
+// rows (potential), so it settles the nodes toward the target first.
+// landmarks is a leg table over this kernel's CSR, such as a site's
+// border table (its rows the landmarks, at most goalLandmarks of them
+// chosen per query); the bound holds only on a symmetric graph, where
+// every edge's reverse has its least weight, so the caller passes
+// landmarks only for one. A nil table, or one over another CSR, gives
+// the search with no bound, exact on any graph. A source or target
+// that is not a node of the snapshot costs +Inf.
 //
 // The answer is exact whatever the rounding. A key is a lower bound on
 // the rounded cost of any path to the target through its node at its
@@ -558,12 +495,12 @@ func (d *DenseGraph) CostBetweenCtx(ctx context.Context, source, target graph.No
 		p.dist, p.pi = infs(d.Nodes()), make([]float64, d.Nodes())
 	}
 	p.aim(landmarks, d.csr, s, t)
-	r.dist, r.stop = p.dist, append(r.stop[:0], t)
+	r.dist = p.dist
 	// The source is relaxed at cost 0, its key's bucket the first.
 	p.reach(s)
 	cost, st, complete := inf, Stats{}, true
 	if key := p.key(s, 0); key < inf {
-		_, complete, st = d.settle(ctx, r, s, p, bucket(key, d.inv))
+		complete, st = d.settle(ctx, r, s, t, p, bucket(key, d.inv))
 		cost = p.dist[t]
 	}
 	for _, v := range p.touched {

@@ -351,11 +351,11 @@ func TestPropertyDenseRandomCostRelations(t *testing.T) {
 // FuzzDenseCost cross-checks the dense cost kernel against the
 // relational min-cost fixpoint on arbitrary small weighted edge lists:
 // consecutive byte triples are (src, dst, cost) edges over a 16-node
-// universe with costs in [0, 7]. The stop search from the first source
-// to the nodes the third and fourth bytes name is held to the kernel's
-// row (assertStopRow), and so is the goal-directed search between
-// them on the graph made symmetric, with the sources and the stop nodes
-// as landmarks (assertGoalCost).
+// universe with costs in [0, 7]. The search with no landmarks from the
+// first source to each node the third and fourth bytes name is held to
+// the kernel's cell (assertGoalCost), and so is the goal-directed
+// search between them on the graph made symmetric, with the sources
+// and those nodes as landmarks.
 func FuzzDenseCost(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 1, 2, 2})
 	f.Add([]byte{1, 1, 0, 1, 2, 3, 2, 1, 0})
@@ -390,7 +390,9 @@ func FuzzDenseCost(f *testing.F) {
 			for _, b := range data[min(len(data), 2):min(len(data), 4)] {
 				stop = append(stop, graph.NodeID(b%16))
 			}
-			assertStopRow(t, d, srcs[0], stop)
+			for _, dst := range stop {
+				assertGoalCost(t, d, srcs[0], dst, nil)
+			}
 			sym := denseFrom(t, symmetricEdges(edges))
 			landmarks, _, err := sym.CostFromCtx(context.Background(), append(slices.Clone(srcs), stop...))
 			if err != nil {
@@ -500,10 +502,10 @@ func TestCostMatrixFacts(t *testing.T) {
 }
 
 // TestDenseCostConcurrentFirstUse is for -race: a site's first legs —
-// cost and connectivity, whole rows, stop searches and goal-directed
-// searches — can arrive together, and the kernels share the snapshot's
-// CSR and the pool of row scratch, and write only their own matrices
-// and the scratch they take from the pool.
+// cost and connectivity, whole rows, searches with no landmarks and
+// goal-directed searches — can arrive together, and the kernels share
+// the snapshot's CSR and the pool of row scratch, and write only their
+// own matrices and the scratch they take from the pool.
 func TestDenseCostConcurrentFirstUse(t *testing.T) {
 	d := gridFragment(t, 8, 8)
 	sources := []graph.NodeID{1000, 950}
@@ -542,15 +544,10 @@ func TestDenseCostConcurrentFirstUse(t *testing.T) {
 					t.Errorf("concurrent goal search to %d: %v, err %v; want %v", dst, got, err, want.Cost[c])
 				}
 			default:
-				stop := []graph.NodeID{960 - graph.NodeID(g)}
-				got, _, err := d.CostToCtx(context.Background(), sources[0], stop)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				c, _ := got.Col(stop[0])
-				if !got.Final(stop) || got.Cost[c] != want.Cost[c] {
-					t.Errorf("concurrent stop search to %v: %v (final %v), want %v", stop, got.Cost[c], got.Final(stop), want.Cost[c])
+				dst := 960 - graph.NodeID(g)
+				got, _, err := d.CostBetweenCtx(context.Background(), sources[0], dst, nil)
+				if c, _ := want.Col(dst); err != nil || got != want.Cost[c] {
+					t.Errorf("concurrent search to %d with no landmarks: %v, err %v; want %v", dst, got, err, want.Cost[c])
 				}
 			}
 		}()
@@ -560,8 +557,9 @@ func TestDenseCostConcurrentFirstUse(t *testing.T) {
 
 // TestDenseCostAllocs: nothing is allocated per fact or per call's
 // scratch — a call allocates its matrix and a fixed number of small
-// values, and its row scratch comes from the kernel's pool: the stop
-// search and the level-synchronous rows alike. A -race build drops
+// values, and its row scratch comes from the kernel's pool: the
+// bucketed search, which allocates nothing at all, and the
+// level-synchronous rows alike. A -race build drops
 // pooled scratch at random, so there a call may allocate its scratch
 // afresh: it holds CostFromCtx to the bound of a call with no pool,
 // and the pooled counts are checked without -race.
@@ -583,23 +581,18 @@ func TestDenseCostAllocs(t *testing.T) {
 	if raceDetector {
 		return
 	}
-	if allocs := testing.AllocsPerRun(10, func() {
-		if got, _, err := d.CostToCtx(context.Background(), 1000, []graph.NodeID{900}); err != nil || !got.Final([]graph.NodeID{900}) {
-			t.Fatalf("stop row %v, err %v; want 900 final", got, err)
-		}
-	}); allocs > 4 {
-		t.Errorf("CostToCtx: %.0f allocations, want at most 4", allocs)
-	}
 	landmarks, _, err := d.CostFromCtx(context.Background(), sources)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(10, func() {
-		if got, _, err := d.CostBetweenCtx(context.Background(), 1000, 900, landmarks); err != nil || math.IsInf(got, 1) {
-			t.Fatalf("goal search: %v, err %v; want a cost", got, err)
+	for _, marks := range []*CostMatrix{nil, landmarks} {
+		if allocs := testing.AllocsPerRun(10, func() {
+			if got, _, err := d.CostBetweenCtx(context.Background(), 1000, 900, marks); err != nil || math.IsInf(got, 1) {
+				t.Fatalf("search over landmarks %v: %v, err %v; want a cost", marks != nil, got, err)
+			}
+		}); allocs > 0 {
+			t.Errorf("CostBetweenCtx over landmarks %v: %.0f allocations, want none", marks != nil, allocs)
 		}
-	}); allocs > 0 {
-		t.Errorf("CostBetweenCtx: %.0f allocations, want none", allocs)
 	}
 	seed := make([]float64, d.Nodes())
 	if allocs := testing.AllocsPerRun(10, func() {
@@ -643,61 +636,14 @@ func TestCostVectorCanceledMidPropagation(t *testing.T) {
 	}
 }
 
-// assertStopRow runs the stop search from src to stop and holds it to
-// CostFromCtx's row: every stop node present is final, every final
-// cell is bit-equal to the row's, every other cell bounds the row's
-// from above, and a row with an unreachable stop node is complete.
-func assertStopRow(t *testing.T, d *DenseGraph, src graph.NodeID, stop []graph.NodeID) {
-	t.Helper()
-	ctx := context.Background()
-	want, _, err := d.CostFromCtx(ctx, []graph.NodeID{src})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, st, err := d.CostToCtx(ctx, src, stop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(got.Rows, want.Rows) {
-		t.Fatalf("from %d: rows %v, want %v", src, got.Rows, want.Rows)
-	}
-	if !got.Final(stop) {
-		t.Fatalf("from %d to %v: a stop node is not final", src, stop)
-	}
-	reached := 0
-	for c, id := range got.Cols {
-		if len(got.Rows) == 0 {
-			break
-		}
-		g, w := got.Cost[c], want.Cost[c]
-		if g < math.Inf(1) {
-			reached++
-		}
-		if got.Final([]graph.NodeID{id}) {
-			if math.Float64bits(g) != math.Float64bits(w) {
-				t.Fatalf("from %d to %v: final cell of %d is %v, CostFromCtx's %v", src, stop, id, g, w)
-			}
-		} else if g < w {
-			t.Fatalf("from %d to %v: tentative cell of %d is %v, below CostFromCtx's %v", src, stop, id, g, w)
-		}
-	}
-	if reached != st.ResultTuples {
-		t.Fatalf("from %d to %v: %d cells reached, stats say %d", src, stop, reached, st.ResultTuples)
-	}
-	for _, id := range stop {
-		if c, ok := got.Col(id); ok && len(got.Rows) > 0 && math.IsInf(want.Cost[c], 1) && !got.Final(got.Cols) {
-			t.Fatalf("from %d to %v: %d is unreachable, yet the row is not complete", src, stop, id)
-		}
-	}
-}
-
-// TestPropertyStopSearchMatchesCostFrom: on random graphs with zero
-// weights and zero-weight cycles, self-loops, parallel edges, +Inf
-// weights and positive weights spanning 1e-9 to 1e9 — so Δ is capped
-// and light edges share their bucket — or subnormal ones, whose 1/Δ
-// overflows, every final cell of a stop row
-// is CostFromCtx's cell bit for bit, whatever the stop set: empty,
-// one node, several, absent nodes and the source itself among them.
+// TestPropertyStopSearchMatchesCostFrom: with no landmarks the
+// bucketed search runs on any graph, directed ones included. On random
+// graphs with zero weights and zero-weight cycles, self-loops, parallel
+// edges, +Inf weights and positive weights spanning 1e-9 to 1e9 — so Δ
+// is capped and light edges share their bucket — or subnormal ones,
+// whose 1/Δ overflows, its cost is CostFromCtx's cell bit for bit,
+// whatever the target: reached or not, absent from the snapshot, or
+// the source itself; so is its cost from an absent source.
 func TestPropertyStopSearchMatchesCostFrom(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	weights := []func() float64{
@@ -725,24 +671,22 @@ func TestPropertyStopSearchMatchesCostFrom(t *testing.T) {
 		}
 		d := denseFrom(t, edges)
 		for range 4 {
-			src := graph.NodeID(rng.Intn(n))
-			var stop []graph.NodeID
-			for range rng.Intn(4) {
-				stop = append(stop, graph.NodeID(rng.Intn(n+3))) // n+1, n+2: absent
+			src := graph.NodeID(rng.Intn(n + 1)) // n: absent
+			for range 1 + rng.Intn(3) {
+				assertGoalCost(t, d, src, graph.NodeID(rng.Intn(n+3)), nil) // n+1, n+2: absent
 			}
 			if rng.Intn(8) == 0 {
-				stop = append(stop, src)
+				assertGoalCost(t, d, src, src, nil)
 			}
-			assertStopRow(t, d, src, stop)
 		}
 	}
 }
 
-// TestStopSearchStopsEarly: on a long path the search from one end to
-// a node near it drains few buckets and leaves the far end tentative;
-// a stop set with an unreachable node gives a complete row, as does
-// one whose node is the last the search settles; a source absent from
-// the snapshot gives no row, complete.
+// TestStopSearchStopsEarly: on a long path the search with no
+// landmarks from one end to a node near it drains few buckets and
+// queues few nodes, while one to an unreachable node or to the far end
+// queues every node the source reaches, once; a source absent from the
+// snapshot costs +Inf and searches nothing.
 func TestStopSearchStopsEarly(t *testing.T) {
 	var edges []graph.Edge
 	for k := range 99 {
@@ -751,42 +695,33 @@ func TestStopSearchStopsEarly(t *testing.T) {
 	edges = append(edges, graph.Edge{From: 200, To: 201, Weight: 1}) // unreachable from 0
 	d := denseFrom(t, edges)
 	ctx := context.Background()
-	near, st, err := d.CostToCtx(ctx, 0, []graph.NodeID{3})
-	if err != nil {
-		t.Fatal(err)
+	near, st, err := d.CostBetweenCtx(ctx, 0, 3, nil)
+	if err != nil || near != 3 || st.Iterations > 5 || st.DerivedTuples > 5 {
+		t.Errorf("0 -> 3: %v after %d buckets, %d queued, err %v; want 3 after at most 5 buckets and 5 nodes", near, st.Iterations, st.DerivedTuples, err)
 	}
-	if !near.Final([]graph.NodeID{1, 2, 3}) || near.Final([]graph.NodeID{99}) || near.Final(near.Cols) || st.Iterations > 4 {
-		t.Errorf("0 -> 3: final 1..3 %v, final 99 %v, %d buckets; want 1..3 final after at most 4 buckets (0 to 3) and 99 not",
-			near.Final([]graph.NodeID{1, 2, 3}), near.Final([]graph.NodeID{99}), st.Iterations)
-	}
-	for _, stop := range [][]graph.NodeID{{3, 201}, {99}} {
-		row, _, err := d.CostToCtx(ctx, 0, stop)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !row.Final(row.Cols) {
-			t.Errorf("0 -> %v: row not complete", stop)
+	for _, dst := range []graph.NodeID{201, 99} {
+		if _, st, err := d.CostBetweenCtx(ctx, 0, dst, nil); err != nil || st.DerivedTuples != 99 || st.ResultTuples != 99 {
+			t.Errorf("0 -> %d: %d queued, %d reached, err %v; want all 99 nodes from 0, once", dst, st.DerivedTuples, st.ResultTuples, err)
 		}
 	}
-	if row, _, err := d.CostToCtx(ctx, 500, []graph.NodeID{3}); err != nil || len(row.Rows) != 0 || !row.Final(row.Cols) {
-		t.Errorf("absent source: %+v, %v; want no row, complete", row, err)
+	if got, st, err := d.CostBetweenCtx(ctx, 500, 3, nil); err != nil || !math.IsInf(got, 1) || st != (Stats{}) {
+		t.Errorf("absent source: %v, %+v, %v; want +Inf and no search", got, st, err)
 	}
-	assertStopRow(t, d, 0, []graph.NodeID{3})
+	assertGoalCost(t, d, 0, 3, nil)
 }
 
-// TestStopSearchCanceledBetweenBuckets: the stop search observes ctx
-// before each bucket, so a cancellation that lands at any check
-// surfaces as ErrCanceled with no row, and the pooled scratch it left
-// mid-search does not leak into the next search.
+// TestStopSearchCanceledBetweenBuckets: the search with no landmarks
+// observes ctx before each bucket, so a cancellation that lands at any
+// check surfaces as ErrCanceled with no cost, and the pooled scratch it
+// left mid-search does not leak into the next search.
 func TestStopSearchCanceledBetweenBuckets(t *testing.T) {
 	d := gridFragment(t, 8, 8)
-	stop := []graph.NodeID{937}
-	want, _, err := d.CostToCtx(context.Background(), 1000, stop)
+	want, _, err := d.CostBetweenCtx(context.Background(), 1000, 937, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	count := &lateCancel{context.Background(), math.MaxInt}
-	if _, _, err := d.CostToCtx(count, 1000, stop); err != nil {
+	if _, _, err := d.CostBetweenCtx(count, 1000, 937, nil); err != nil {
 		t.Fatal(err)
 	}
 	checks := math.MaxInt - count.n
@@ -794,15 +729,15 @@ func TestStopSearchCanceledBetweenBuckets(t *testing.T) {
 		t.Fatalf("%d ctx checks: want a search of several buckets", checks)
 	}
 	for n := 0; n < checks; n++ {
-		got, _, err := d.CostToCtx(&lateCancel{context.Background(), n}, 1000, stop)
-		if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) || got != nil {
+		got, _, err := d.CostBetweenCtx(&lateCancel{context.Background(), n}, 1000, 937, nil)
+		if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) || !math.IsInf(got, 1) {
 			t.Errorf("cancellation at check %d of %d: %v, err %v; want ErrCanceled", n, checks, got, err)
 		}
-		again, _, err := d.CostToCtx(context.Background(), 1000, stop)
-		if err != nil || !slices.Equal(again.Cost, want.Cost) {
+		if again, _, err := d.CostBetweenCtx(context.Background(), 1000, 937, nil); err != nil || again != want {
 			t.Fatalf("after a cancellation at check %d: %v, err %v; want %v", n, again, err, want)
 		}
 	}
+	assertGoalCost(t, d, 1000, 937, nil)
 }
 
 // symmetricEdges returns edges with the reverse of each at its weight,
@@ -922,8 +857,8 @@ func TestPropertyGoalSearchMatchesCostFrom(t *testing.T) {
 
 // TestGoalSearchStopsEarly: on a lattice, a goal-directed search from
 // one corner to a node near the middle queues fewer nodes than the
-// stop search to it, which settles every node cheaper than the target,
-// and with landmarks at the lattice's corners it is exact.
+// search with no landmarks, which settles every node cheaper than the
+// target, and with landmarks at the lattice's corners it is exact.
 func TestGoalSearchStopsEarly(t *testing.T) {
 	d := gridFragment(t, 16, 16)
 	ctx := context.Background()
@@ -933,7 +868,7 @@ func TestGoalSearchStopsEarly(t *testing.T) {
 		t.Fatal(err)
 	}
 	src, dst := id(4, 4), id(8, 10)
-	_, stop, err := d.CostToCtx(ctx, src, []graph.NodeID{dst})
+	_, stop, err := d.CostBetweenCtx(ctx, src, dst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -941,9 +876,9 @@ func TestGoalSearchStopsEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d→%d: goal search queued %d nodes, stop search %d", src, dst, goal.DerivedTuples, stop.DerivedTuples)
+	t.Logf("%d→%d: goal search queued %d nodes, with no landmarks %d", src, dst, goal.DerivedTuples, stop.DerivedTuples)
 	if 2*goal.DerivedTuples > stop.DerivedTuples {
-		t.Errorf("%d→%d: the goal search queued %d nodes, the stop search %d; want at most half", src, dst, goal.DerivedTuples, stop.DerivedTuples)
+		t.Errorf("%d→%d: the goal search queued %d nodes, with no landmarks %d; want at most half", src, dst, goal.DerivedTuples, stop.DerivedTuples)
 	}
 	assertGoalCost(t, d, src, dst, landmarks)
 }
