@@ -696,7 +696,7 @@ func BenchmarkLegTable(b *testing.B) {
 			continue
 		}
 		for _, kernel := range []string{"row", "cell", "goal"} {
-			if built := st.BorderReady(first, dsa.EngineDense); built != (kernel == "goal") {
+			if built := st.Site(first.SiteID).TableBytes() > 0; built != (kernel == "goal") {
 				b.Fatalf("%s: the site's border table built %v", kernel, built)
 			}
 			b.Run("road/same-fragment/"+kernel, func(b *testing.B) {
@@ -1174,56 +1174,106 @@ func BenchmarkDSAQueryParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkRunPair times Server.RunPair on warm cross-fragment pairs of
-// the paper deployment (paperDeployment, dense engine, as the ledger's
-// paper-point workload serves them): 64 pairs between nodes interior to
-// two different fragments, each run once before the timer starts, so
-// that every leg reads a built border table or hits the leg cache and
-// phase 1 runs on the calling goroutine. The go test twin of the
-// ledger's paper-point p50_ms; run with -benchmem.
+// BenchmarkRunPair times Server.RunPair on cross-fragment pairs of the
+// paper deployment (paperDeployment, dense engine, as the ledger's
+// paper-point workload serves them), between nodes interior to two
+// different fragments; run with -benchmem.
+//   - warm: 64 pairs, each run once before the timer starts, so that
+//     every leg reads a built border table or hits the leg cache. The
+//     go test twin of the ledger's paper-point p50_ms.
+//   - cold: one pair on a fresh store and server each iteration (built
+//     off the timer), whose legs build border tables on two sites or
+//     more, one after another on the calling goroutine: the first
+//     answer of a set-up, as the ledger's setup_s ends. Run it at
+//     -benchtime=100x; each build takes tens of ms.
 func BenchmarkRunPair(b *testing.B) {
 	fr, err := paperDeployment.build()
 	if err != nil {
 		b.Fatal(err)
 	}
-	st, err := dsa.Build(fr, dsa.Options{})
-	if err != nil {
-		b.Fatal(err)
+	deploy := func(capacity int) (*dsa.Store, *server.Server, *tcq.Snapshot) {
+		st, err := dsa.Build(fr, dsa.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ds, err := tcq.OpenDataset(st)
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv, err := server.NewDataset(ds, server.Config{CacheCapacity: capacity})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return st, srv, ds.Snapshot()
 	}
-	ds, err := tcq.OpenDataset(st)
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv, err := server.NewDataset(ds, server.Config{CacheCapacity: 4096})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
 	interior := make([][]graph.NodeID, fr.NumFragments())
 	for _, n := range fr.Nodes() {
 		if fs := fr.FragmentsOf(n); len(fs) == 1 {
 			interior[fs[0]] = append(interior[fs[0]], n)
 		}
 	}
-	ctx, snap := context.Background(), ds.Snapshot()
-	rng := rand.New(rand.NewSource(1))
-	pairs := make([][2]graph.NodeID, 64)
-	for i := range pairs {
-		fs := i % len(interior)
-		ft := (fs + 1 + i/len(interior)%(len(interior)-1)) % len(interior)
-		pairs[i] = [2]graph.NodeID{interior[fs][rng.Intn(len(interior[fs]))], interior[ft][rng.Intn(len(interior[ft]))]}
-		if _, _, err := srv.RunPair(ctx, snap, pairs[i][0], pairs[i][1], dsa.EngineDense, tcq.ModeCost); err != nil {
-			b.Fatal(err)
+	ctx := context.Background()
+	b.Run("warm", func(b *testing.B) {
+		_, srv, snap := deploy(4096)
+		defer srv.Close()
+		rng := rand.New(rand.NewSource(1))
+		pairs := make([][2]graph.NodeID, 64)
+		for i := range pairs {
+			fs := i % len(interior)
+			ft := (fs + 1 + i/len(interior)%(len(interior)-1)) % len(interior)
+			pairs[i] = [2]graph.NodeID{interior[fs][rng.Intn(len(interior[fs]))], interior[ft][rng.Intn(len(interior[ft]))]}
+			if _, _, err := srv.RunPair(ctx, snap, pairs[i][0], pairs[i][1], dsa.EngineDense, tcq.ModeCost); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i%len(pairs)]
-		if _, _, err := srv.RunPair(ctx, snap, p[0], p[1], dsa.EngineDense, tcq.ModeCost); err != nil {
-			b.Fatal(err)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p := pairs[i%len(pairs)]
+			if _, _, err := srv.RunPair(ctx, snap, p[0], p[1], dsa.EngineDense, tcq.ModeCost); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("cold", func(b *testing.B) {
+		// The pair: the first from fragment 0 whose cold run builds
+		// border tables on two sites or more.
+		var src, dst graph.NodeID
+		built := 0
+		for _, to := range interior[1:] {
+			src, dst = interior[0][0], to[0]
+			st, srv, snap := deploy(64)
+			if _, _, err := srv.RunPair(ctx, snap, src, dst, dsa.EngineDense, tcq.ModeCost); err != nil {
+				b.Fatal(err)
+			}
+			srv.Close()
+			built = 0
+			for _, site := range st.Sites() {
+				if site.TableBytes() > 0 {
+					built++
+				}
+			}
+			if built >= 2 {
+				break
+			}
+		}
+		if built < 2 {
+			b.Fatalf("no pair from fragment 0 builds border tables on two sites")
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			_, srv, snap := deploy(64)
+			b.StartTimer()
+			if _, _, err := srv.RunPair(ctx, snap, src, dst, dsa.EngineDense, tcq.ModeCost); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			srv.Close()
+			b.StartTimer()
+		}
+	})
 }
 
 // BenchmarkSimulatedQuery times the full message-passing simulation.

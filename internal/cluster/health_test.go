@@ -191,8 +191,8 @@ func TestFallbackEligible(t *testing.T) {
 }
 
 func TestRetryBackoff(t *testing.T) {
-	cfg := RetryConfig{BaseBackoff: 25 * time.Millisecond, MaxBackoff: 100 * time.Millisecond}.withDefaults()
-	want := []time.Duration{25 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond, 100 * time.Millisecond}
+	cfg := RetryConfig{BaseBackoff: 25 * time.Millisecond}.withDefaults()
+	want := []time.Duration{25 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond, maxBackoff, maxBackoff}
 	for i, w := range want {
 		if got := cfg.backoff(i + 1); got != w {
 			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w)

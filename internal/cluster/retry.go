@@ -19,11 +19,12 @@ type RetryConfig struct {
 	// (default 3, i.e. up to two retries). 1 disables retries.
 	Attempts int
 	// BaseBackoff is the pre-jitter backoff before the first retry
-	// (default 25ms); it doubles per retry.
+	// (default 25ms); it doubles per retry, up to maxBackoff.
 	BaseBackoff time.Duration
-	// MaxBackoff caps the pre-jitter backoff (default 250ms).
-	MaxBackoff time.Duration
 }
+
+// maxBackoff caps the pre-jitter backoff.
+const maxBackoff = 250 * time.Millisecond
 
 func (c RetryConfig) withDefaults() RetryConfig {
 	if c.Attempts <= 0 {
@@ -32,26 +33,17 @@ func (c RetryConfig) withDefaults() RetryConfig {
 	if c.BaseBackoff <= 0 {
 		c.BaseBackoff = 25 * time.Millisecond
 	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 250 * time.Millisecond
-	}
 	return c
 }
 
 // backoff returns the pre-jitter delay before the retry-th retry
-// (1-based): BaseBackoff doubled per step, capped at MaxBackoff.
+// (1-based): BaseBackoff doubled per step, capped at maxBackoff.
 func (c RetryConfig) backoff(retry int) time.Duration {
 	d := c.BaseBackoff
-	for i := 1; i < retry; i++ {
+	for i := 1; i < retry && d < maxBackoff; i++ {
 		d *= 2
-		if d >= c.MaxBackoff {
-			return c.MaxBackoff
-		}
 	}
-	if d > c.MaxBackoff {
-		return c.MaxBackoff
-	}
-	return d
+	return min(d, maxBackoff)
 }
 
 // retryable reports whether a leg RPC error is worth another attempt.

@@ -203,51 +203,6 @@ func (s *Site) dsIndex(nodes []graph.NodeID) int {
 	return -1
 }
 
-// tableShape is how a site's border table answers a leg.
-type tableShape int
-
-const (
-	// shapeNone: the table cannot answer the leg.
-	shapeNone tableShape = iota
-	// shapeTransit: entered and left through two of the site's
-	// disconnection sets, a block the table memoizes.
-	shapeTransit
-	// shapeRows: every entry node is a border node, whose rows the leg
-	// gathers.
-	shapeRows
-	// shapeColumn: one source on a symmetric site and every exit a
-	// border node, whose column the leg gathers.
-	shapeColumn
-)
-
-// shape is the test BorderBlockCtx and BorderReady share: how the
-// site's border table answers leg, entry and exit sets read as given.
-func (s *Site) shape(leg Leg) tableShape {
-	switch {
-	case s.dsIndex(leg.Entry) >= 0 && s.dsIndex(leg.Exit) >= 0:
-		return shapeTransit
-	case onBorder(s.border, leg.Entry):
-		return shapeRows
-	case len(leg.Entry) == 1 && s.isSymmetric() && onBorder(s.border, leg.Exit):
-		return shapeColumn
-	}
-	return shapeNone
-}
-
-// BorderReady reports that BorderBlockCtx would answer leg from a
-// border table its site has already built for engine: the leg has a
-// shape the table answers, and no kernel runs for it. It builds
-// nothing; a table built, or a site replaced, after the call can make
-// its answer stale, which costs a caller that schedules by it only the
-// choice, never the leg's block.
-func (st *Store) BorderReady(leg Leg, engine Engine) bool {
-	if !ValidEngine(engine) || leg.SiteID < 0 || leg.SiteID >= len(st.sites) {
-		return false
-	}
-	site := st.sites[leg.SiteID]
-	return site.tables[engine].table.Load() != nil && site.shape(leg) != shapeNone
-}
-
 // BorderBlockCtx is a leg answered from its site's border table for
 // engine: its exit block, gathered from the table's cells instead of
 // computed by a kernel. A leg whose entry nodes are all border nodes —
@@ -276,20 +231,25 @@ func (st *Store) BorderBlockCtx(ctx context.Context, leg Leg, engine Engine) (bl
 		return nil, false, fmt.Errorf("dsa: %w: leg site %d out of range", ErrUnknownSite, leg.SiteID)
 	}
 	site := st.sites[leg.SiteID]
-	shape := site.shape(leg)
-	if shape == shapeNone {
+	i, j := site.dsIndex(leg.Entry), site.dsIndex(leg.Exit)
+	column := false
+	switch {
+	case i >= 0 && j >= 0, onBorder(site.border, leg.Entry):
+	case len(leg.Entry) == 1 && site.isSymmetric() && onBorder(site.border, leg.Exit):
+		column = true
+	default:
 		return nil, false, nil
 	}
 	t, built, err := site.tableFor(ctx, engine)
 	switch {
 	case err != nil:
 		return nil, false, err
-	case shape == shapeColumn:
+	case column:
 		return t.columnBlock(site, leg, borderPositions(site.border, leg.Exit)), built, nil
-	case shape == shapeRows:
+	case i < 0 || j < 0:
 		return t.rowBlock(site, leg, borderPositions(site.border, leg.Entry)), built, nil
 	}
-	slot := &t.transit[site.dsIndex(leg.Entry)*len(site.dss)+site.dsIndex(leg.Exit)]
+	slot := &t.transit[i*len(site.dss)+j]
 	if b := slot.Load(); b != nil {
 		return b, built, nil
 	}

@@ -286,28 +286,22 @@ func minPlus2(best, a []float64, ca float64, b []float64, cb float64) {
 // between the library, the serving layer and the simulator.
 type LegFunc func(ctx context.Context, leg Leg) (*LegResult, error)
 
-// LegProbe reports, before any leg of a plan runs, that the LegFunc
-// will obtain leg without a kernel — a table read or a cache hit — so
-// RunLegs may run its site on the calling goroutine.
-type LegProbe func(leg Leg) bool
-
 // RunLegs is the one executor of a prepared plan: phase 1 per-site
 // legs obtained through run, then FinishPlan. A site runs its legs
 // serially in plan order and observes ctx before each, so a canceled
 // query returns ErrCanceled instead of starting the remaining legs.
 //
-// Phase 1 is parallel because each site computes its closure with
-// "neither communication nor synchronization" (§2.1), so a kernel site
-// — one with a leg cheap does not report — gets a goroutine of its
-// own. The other sites, and a lone kernel site, run on the calling
-// goroutine once those goroutines have started, in SitesInvolved
-// order: a table read or a cache hit costs less than a goroutine. A
-// nil cheap reports no leg; a wrong report costs only the choice, since
-// run still obtains every leg.
+// Phase 1 needs "neither communication nor synchronization" (§2.1), so
+// which goroutine runs a site is only a scheduling choice, and inline
+// makes it. When inline does not hold of two or more sites, each of
+// them gets a goroutine of its own, started first. The sites it holds
+// of then run on the calling goroutine, in SitesInvolved order, and
+// after them a lone site it does not hold of. A nil inline holds of no
+// site: the paper's one processor per fragment.
 //
 // The first failing site (in SitesInvolved order) supplies the error,
 // and no Result is returned with one. Elapsed spans the call.
-func (st *Store) RunLegs(ctx context.Context, plan *Plan, run LegFunc, cheap LegProbe) (*Result, error) {
+func (st *Store) RunLegs(ctx context.Context, plan *Plan, run LegFunc, inline func(siteID int) bool) (*Result, error) {
 	start := time.Now()
 	res, done := st.PlanResult(plan)
 	if done {
@@ -332,23 +326,19 @@ func (st *Store) RunLegs(ctx context.Context, plan *Plan, run LegFunc, cheap Leg
 		return nil
 	}
 	sites := plan.SitesInvolved()
-	// fan[k] marks sites[k] as a kernel site, which gets a goroutine.
+	// fan[k] marks sites[k] as a site inline does not hold of.
 	fan := make([]bool, len(sites))
-	kernels := 0
-	for _, leg := range plan.Legs {
-		k, _ := slices.BinarySearch(sites, leg.SiteID)
-		if !fan[k] && (cheap == nil || !cheap(leg)) {
+	fanned := 0
+	for k, siteID := range sites {
+		if inline == nil || !inline(siteID) {
 			fan[k] = true
-			kernels++
+			fanned++
 		}
-	}
-	if kernels == 1 {
-		clear(fan)
 	}
 	errs := make([]error, len(sites))
 	var wg sync.WaitGroup
 	for k, siteID := range sites {
-		if fan[k] {
+		if fan[k] && fanned > 1 {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -360,6 +350,10 @@ func (st *Store) RunLegs(ctx context.Context, plan *Plan, run LegFunc, cheap Leg
 		if !fan[k] {
 			errs[k] = runSite(siteID)
 		}
+	}
+	if fanned == 1 {
+		k := slices.Index(fan, true)
+		errs[k] = runSite(sites[k])
 	}
 	wg.Wait()
 	for _, err := range errs {

@@ -119,9 +119,9 @@ func TestRunLegs(t *testing.T) {
 	}
 }
 
-// TestRunLegsInline: a site whose legs the probe reports cheap runs on
-// the calling goroutine, and so do all of them: the legs run in
-// SitesInvolved order, each site's in plan order, one at a time. The
+// TestRunLegsInline: the sites the predicate holds of run on the
+// calling goroutine in SitesInvolved order, each site's legs in plan
+// order, and a lone site it does not hold of runs after them. The
 // order is recorded in an unguarded slice, so -race fails if two legs
 // ever run at once.
 func TestRunLegsInline(t *testing.T) {
@@ -130,34 +130,46 @@ func TestRunLegsInline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []Leg
-	for _, id := range plan.SitesInvolved() {
-		for _, leg := range plan.Legs {
-			if leg.SiteID == id {
-				want = append(want, leg)
+	sites := plan.SitesInvolved()
+	for _, c := range []struct {
+		name   string
+		inline func(siteID int) bool
+		order  []int // the sites in the order they must run
+	}{
+		{"all inline", func(int) bool { return true }, sites},
+		{"first site lone", func(id int) bool { return id != sites[0] }, append(slices.Clone(sites[1:]), sites[0])},
+	} {
+		var want []Leg
+		for _, id := range c.order {
+			for _, leg := range plan.Legs {
+				if leg.SiteID == id {
+					want = append(want, leg)
+				}
 			}
 		}
-	}
-	var ran []Leg
-	res, err := st.RunLegs(context.Background(), plan, func(ctx context.Context, leg Leg) (*LegResult, error) {
-		ran = append(ran, leg)
-		return st.ExecuteLegCtx(ctx, leg, EngineDijkstra)
-	}, func(Leg) bool { return true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ran, want) {
-		t.Errorf("legs ran as %v, want %v", ran, want)
-	}
-	if seq := runSequential(t, st, plan, EngineDijkstra); !reflect.DeepEqual(withoutTimings(seq), withoutTimings(res)) {
-		t.Errorf("sequential %+v\ninline     %+v", seq, res)
+		var ran []Leg
+		res, err := st.RunLegs(context.Background(), plan, func(ctx context.Context, leg Leg) (*LegResult, error) {
+			ran = append(ran, leg)
+			return st.ExecuteLegCtx(ctx, leg, EngineDijkstra)
+		}, c.inline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ran, want) {
+			t.Errorf("%s: legs ran as %v, want %v", c.name, ran, want)
+		}
+		if seq := runSequential(t, st, plan, EngineDijkstra); !reflect.DeepEqual(withoutTimings(seq), withoutTimings(res)) {
+			t.Errorf("%s: sequential %+v\ninline     %+v", c.name, seq, res)
+		}
 	}
 }
 
-// TestRunLegsKernelSitesOverlap: two sites with a leg the probe does
-// not report cheap run at once, while every other site runs inline.
-// Each first leg of the two waits at a two-party barrier, which only
-// opens if both run concurrently.
+// TestRunLegsKernelSitesOverlap: two sites the predicate does not hold
+// of run at once, whether it holds of every other site or, nil, of
+// none. Each first leg of the two waits at a two-party barrier, which
+// only opens if both run concurrently. The first site's legs, recorded
+// in an unguarded slice, still run one after another in plan order:
+// -race fails if two of them ever run at once.
 func TestRunLegsKernelSitesOverlap(t *testing.T) {
 	st := ringStore(t)
 	plan, err := st.NewPlan(0, 2)
@@ -169,70 +181,42 @@ func TestRunLegsKernelSitesOverlap(t *testing.T) {
 		t.Fatalf("fixture: %d sites, want at least 3", len(sites))
 	}
 	a, b := sites[0], sites[1]
-	var parties sync.WaitGroup
-	parties.Add(2)
-	met := make(chan struct{})
-	go func() { parties.Wait(); close(met) }()
-	var waited [2]atomic.Bool
-	res, err := st.RunLegs(context.Background(), plan, func(ctx context.Context, leg Leg) (*LegResult, error) {
-		if p := slices.Index([]int{a, b}, leg.SiteID); p >= 0 && !waited[p].Swap(true) {
-			parties.Done()
-			select {
-			case <-met:
-			case <-time.After(5 * time.Second):
-				return nil, fmt.Errorf("site %d waited 5 s for site %d's leg", leg.SiteID, a+b-leg.SiteID)
-			}
-		}
-		return st.ExecuteLegCtx(ctx, leg, EngineDijkstra)
-	}, func(leg Leg) bool { return leg.SiteID != a && leg.SiteID != b })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Reachable || res.Cost != 2 {
-		t.Errorf("ring 0→2 = %+v", res)
-	}
-}
-
-// TestRunLegsMixedSiteSerial: a site with one cheap leg and one that
-// needs a kernel runs on a goroutine of its own, its legs one after
-// another in plan order — recorded in an unguarded slice, so -race
-// fails if two of them ever run at once.
-func TestRunLegsMixedSiteSerial(t *testing.T) {
-	st := ringStore(t)
-	plan, err := st.NewPlan(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sites := plan.SitesInvolved()
-	busy, other := sites[0], sites[1]
-	var want []Leg
+	var wantA []Leg
 	for _, leg := range plan.Legs {
-		if leg.SiteID == busy {
-			want = append(want, leg)
+		if leg.SiteID == a {
+			wantA = append(wantA, leg)
 		}
 	}
-	if len(want) < 2 {
-		t.Fatalf("fixture: site %d has %d legs, want at least 2", busy, len(want))
-	}
-	var ran []Leg
-	res, err := st.RunLegs(context.Background(), plan, func(ctx context.Context, leg Leg) (*LegResult, error) {
-		if leg.SiteID == busy {
-			ran = append(ran, leg)
+	for _, inline := range []func(int) bool{nil, func(id int) bool { return id != a && id != b }} {
+		var parties sync.WaitGroup
+		parties.Add(2)
+		met := make(chan struct{})
+		go func() { parties.Wait(); close(met) }()
+		var waited [2]atomic.Bool
+		var ranA []Leg
+		res, err := st.RunLegs(context.Background(), plan, func(ctx context.Context, leg Leg) (*LegResult, error) {
+			if leg.SiteID == a {
+				ranA = append(ranA, leg)
+			}
+			if p := slices.Index([]int{a, b}, leg.SiteID); p >= 0 && !waited[p].Swap(true) {
+				parties.Done()
+				select {
+				case <-met:
+				case <-time.After(5 * time.Second):
+					return nil, fmt.Errorf("site %d waited 5 s for site %d's leg", leg.SiteID, a+b-leg.SiteID)
+				}
+			}
+			return st.ExecuteLegCtx(ctx, leg, EngineDijkstra)
+		}, inline)
+		if err != nil {
+			t.Fatalf("inline %v: %v", inline != nil, err)
 		}
-		return st.ExecuteLegCtx(ctx, leg, EngineDijkstra)
-	}, func(leg Leg) bool {
-		// busy's first leg is cheap, its others are not; so is other,
-		// so there are two kernel sites and both fan out.
-		return leg.SiteID == busy && reflect.DeepEqual(leg, want[0]) || leg.SiteID != busy && leg.SiteID != other
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ran, want) {
-		t.Errorf("site %d ran %v, want %v", busy, ran, want)
-	}
-	if seq := runSequential(t, st, plan, EngineDijkstra); !reflect.DeepEqual(withoutTimings(seq), withoutTimings(res)) {
-		t.Errorf("sequential %+v\nmixed      %+v", seq, res)
+		if !reflect.DeepEqual(ranA, wantA) {
+			t.Errorf("inline %v: site %d ran %v, want %v", inline != nil, a, ranA, wantA)
+		}
+		if !res.Reachable || res.Cost != 2 {
+			t.Errorf("ring 0→2 = %+v", res)
+		}
 	}
 }
 

@@ -148,12 +148,3 @@ func Choose(g *graph.Graph, numFragments int, w Weights, seed int64) ([]Candidat
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].Score < cands[j].Score })
 	return cands, nil
 }
-
-// Best is Choose returning only the winner.
-func Best(g *graph.Graph, numFragments int, w Weights, seed int64) (Candidate, error) {
-	cands, err := Choose(g, numFragments, w, seed)
-	if err != nil {
-		return Candidate{}, err
-	}
-	return cands[0], nil
-}

@@ -76,24 +76,22 @@ func TestWeightsSteerTheChoice(t *testing.T) {
 	// pure-cycles weighting one with zero cycles (linear qualifies by
 	// construction).
 	g := testGraph(t, 7)
-	dsBest, err := Best(g, 4, Weights{DS: 1}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
 	all, err := Choose(g, 4, Weights{DS: 1}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dsBest := all[0]
 	for _, c := range all {
 		if c.C.DS < dsBest.C.DS {
 			t.Errorf("DS weighting picked %s (DS %.1f) over %s (DS %.1f)",
 				dsBest.Name, dsBest.C.DS, c.Name, c.C.DS)
 		}
 	}
-	cycBest, err := Best(g, 4, Weights{Cycles: 1}, 7)
+	byCycles, err := Choose(g, 4, Weights{Cycles: 1}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cycBest := byCycles[0]
 	if cycBest.C.Cycles != 0 {
 		t.Errorf("cycles weighting picked %s with %d cycles", cycBest.Name, cycBest.C.Cycles)
 	}

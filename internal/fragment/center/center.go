@@ -39,17 +39,18 @@ const (
 	SmallestFirst
 )
 
+// The status score's attenuation factor a < 1 and its horizon, the
+// paper's values.
+const (
+	statusA     = 0.5
+	statusDepth = 3
+)
+
 // Options configures the algorithm.
 type Options struct {
 	// NumFragments is the number of centers and hence fragments ("may
 	// depend on factors such as the number of processors available").
 	NumFragments int
-	// A is the attenuation factor a < 1 of the status score. Zero
-	// selects 0.5.
-	A float64
-	// Depth is the status-score horizon (the paper truncates at 3).
-	// Zero selects 3.
-	Depth int
 	// CandidatePool is the size of the high-status candidate group
 	// centers are drawn from. Zero selects 12·NumFragments (capped at
 	// the node count): large enough that every region of the graph
@@ -82,18 +83,6 @@ func (o Options) withDefaults(g *graph.Graph) (Options, error) {
 	if g.NumEdges() < o.NumFragments {
 		return o, fmt.Errorf("center: graph has %d edges, cannot fill %d fragments", g.NumEdges(), o.NumFragments)
 	}
-	if o.A == 0 {
-		o.A = 0.5
-	}
-	if o.A < 0 || o.A >= 1 {
-		return o, fmt.Errorf("center: attenuation a must be in (0, 1), got %g", o.A)
-	}
-	if o.Depth == 0 {
-		o.Depth = 3
-	}
-	if o.Depth < 0 {
-		return o, fmt.Errorf("center: Depth must be non-negative, got %d", o.Depth)
-	}
 	if o.CandidatePool == 0 {
 		o.CandidatePool = 12 * o.NumFragments
 		if o.CandidatePool > g.NumNodes() {
@@ -125,7 +114,7 @@ func SelectCenters(g *graph.Graph, opt Options) ([]graph.NodeID, error) {
 	if len(opt.Centers) > 0 {
 		return append([]graph.NodeID(nil), opt.Centers...), nil
 	}
-	candidates := g.TopByStatus(opt.CandidatePool, opt.A, opt.Depth)
+	candidates := g.TopByStatus(opt.CandidatePool, statusA, statusDepth)
 	if opt.Distributed {
 		return spreadCenters(g, candidates, opt.NumFragments), nil
 	}

@@ -39,9 +39,6 @@ func TestOptionsValidation(t *testing.T) {
 		{NumFragments: 0},
 		{NumFragments: -1},
 		{NumFragments: 100},                             // more fragments than nodes
-		{NumFragments: 2, A: 1.5},                       // a must be < 1
-		{NumFragments: 2, A: -0.5},                      // a must be > 0
-		{NumFragments: 2, Depth: -1},                    //
 		{NumFragments: 2, CandidatePool: 1},             // pool < fragments
 		{NumFragments: 2, Centers: []graph.NodeID{1}},   // wrong center count
 		{NumFragments: 1, Centers: []graph.NodeID{999}}, // unknown center

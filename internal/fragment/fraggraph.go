@@ -22,13 +22,6 @@ func (fr *Fragmentation) FragmentationGraph() *FragGraph { return fr.meet.fg }
 // NumFragments returns the number of fragmentation-graph nodes.
 func (fg *FragGraph) NumFragments() int { return len(fg.adj) }
 
-// NumLinks returns the number of undirected fragmentation-graph edges
-// (non-empty disconnection sets).
-func (fg *FragGraph) NumLinks() int { return fg.links }
-
-// Adjacent returns the fragments sharing a disconnection set with i.
-func (fg *FragGraph) Adjacent(i int) []int { return fg.adj[i] }
-
 // IsLooselyConnected reports whether G' is acyclic (a forest) — the
 // paper's "loosely connected" property: "if the fragmentation graph is
 // loosely connected, then it is easier to select fragments involved in

@@ -219,10 +219,11 @@ type TransportConfig struct {
 	// Links lists the inter-cluster connections. Nil selects
 	// DefaultLinks(Clusters).
 	Links []ClusterLink
-	// Gap is the empty margin between cluster squares, as a fraction of
-	// the cluster extent. Zero selects 0.5.
-	Gap float64
 }
+
+// clusterGap is the empty margin between cluster squares, as a
+// fraction of the cluster extent.
+const clusterGap = 0.5
 
 // DefaultLinks returns the Fig. 3-style linkage for f clusters: a cycle
 // of the grid neighbours with alternating 2 and 3 connecting edges
@@ -259,12 +260,6 @@ func Transportation(cfg TransportConfig) (*graph.Graph, error) {
 	if err := cc.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Gap == 0 {
-		cfg.Gap = 0.5
-	}
-	if cfg.Gap < 0 {
-		return nil, fmt.Errorf("gen: Gap must be non-negative, got %g", cfg.Gap)
-	}
 	links := cfg.Links
 	if links == nil {
 		links = DefaultLinks(cfg.Clusters)
@@ -280,7 +275,7 @@ func Transportation(cfg TransportConfig) (*graph.Graph, error) {
 
 	g := graph.New()
 	side := int(math.Ceil(math.Sqrt(float64(cfg.Clusters))))
-	pitch := cc.Extent * (1 + cfg.Gap)
+	pitch := cc.Extent * (1 + clusterGap)
 	for i := 0; i < cfg.Clusters; i++ {
 		ox := float64(i%side) * pitch
 		oy := float64(i/side) * pitch

@@ -173,7 +173,6 @@ func TestTransportationValidation(t *testing.T) {
 		{Clusters: 2, Cluster: base, Links: []ClusterLink{{A: 0, B: 5, Edges: 1}}},
 		{Clusters: 2, Cluster: base, Links: []ClusterLink{{A: 0, B: 0, Edges: 1}}},
 		{Clusters: 2, Cluster: base, Links: []ClusterLink{{A: 0, B: 1, Edges: 0}}},
-		{Clusters: 2, Cluster: base, Gap: -1},
 	}
 	for i, c := range cases {
 		if _, err := Transportation(c); err == nil {

@@ -172,17 +172,6 @@ func TestBFSLevelsUnknownSource(t *testing.T) {
 	}
 }
 
-func TestUndirectedBFSLevels(t *testing.T) {
-	g := line(5) // directed 0->...->4
-	levels := g.UndirectedBFSLevels(4)
-	if len(levels) != 5 {
-		t.Fatalf("undirected BFS reached %d nodes, want 5", len(levels))
-	}
-	if levels[0] != 4 {
-		t.Errorf("undirected level(0) = %d, want 4", levels[0])
-	}
-}
-
 func TestReachable(t *testing.T) {
 	g := line(4)
 	g.AddNode(100, Coord{})

@@ -365,17 +365,7 @@ func (s *searcher) mark(stop []NodeID, on bool) {
 // directed edges, its hop distance (level) from the nearest source.
 // Sources themselves are at level 0.
 func (g *Graph) BFSLevels(sources ...NodeID) map[NodeID]int {
-	return bfsLevels(g.CSR(), sources)
-}
-
-// UndirectedBFSLevels is BFSLevels over the underlying undirected graph
-// (edges traversable in both directions), read from its Undirected
-// snapshot.
-func (g *Graph) UndirectedBFSLevels(sources ...NodeID) map[NodeID]int {
-	return bfsLevels(g.CSR().Undirected(), sources)
-}
-
-func bfsLevels(c *CSR, sources []NodeID) map[NodeID]int {
+	c := g.CSR()
 	s := newSearcher(c, slices.Repeat([]float64{Inf}, len(c.IDs)))
 	for _, id := range sources {
 		if k, ok := c.Row(id); ok {

@@ -42,12 +42,6 @@ func (r *Relation) SelectEq(attr string, v Value) (*Relation, error) {
 	}), nil
 }
 
-// valueEqual compares two values, treating int64/float64 as distinct
-// types (the engine does no implicit coercion).
-func valueEqual(a, b Value) bool {
-	return bytes.Equal(appendValue(nil, a), appendValue(nil, b))
-}
-
 // Project returns the projection of r onto the named attributes, in the
 // given order, keeping bag semantics (duplicates preserved).
 func (r *Relation) Project(attrs ...string) (*Relation, error) {

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -425,4 +426,10 @@ func TestPropertyJoinMatchesNestedLoop(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// valueEqual compares two values, treating int64/float64 as distinct
+// types (the engine does no implicit coercion).
+func valueEqual(a, b Value) bool {
+	return bytes.Equal(appendValue(nil, a), appendValue(nil, b))
 }

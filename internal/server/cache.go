@@ -22,21 +22,15 @@ import (
 // while an entry names it.
 //
 // Only the one-source legs a site's border tables cannot answer get
-// here (see executeLegLocal): legs from a source off the border on an
-// asymmetric site or to a target off it too, whoever asks, so every
-// entry is one source's whole row. The exit set is deliberately absent
-// — the assembly folds a leg's exit block, which dsa.SelectExits
-// gathers from the table for any exit set — so queries from one source
-// to different targets share entries. A same-fragment leg on the dense
-// engine has two outcomes besides a hit. A miss on a key the cache has
-// never seen is answered by one search to the target
-// (dsa.Store.GoalBlockCtx), which computes no row, and leaves a
-// table-less entry that only marks the key as seen. A miss on a key the
-// cache holds computes the source's row and puts it back: a source
-// asked twice is likely asked again, and its row serves every later
-// target. The mode is likewise absent because a leg's table depends
-// only on the engine, letting cost and connectivity traffic share
-// entries.
+// here (see executeLegLocal, which holds the rules): legs from a source
+// off the border on an asymmetric site or to a target off it too,
+// whoever asks. The exit set is deliberately absent — the assembly
+// folds a leg's exit block, which dsa.SelectExits gathers from the
+// table for any exit set — so queries from one source to different
+// targets share entries, and a key's entry is one source's whole row
+// or, after a same-fragment leg's first miss, a mark without one. The
+// mode is likewise absent because a leg's table depends only on the
+// engine, letting cost and connectivity traffic share entries.
 type legKey struct {
 	site   *dsa.Site
 	engine dsa.Engine
@@ -67,11 +61,11 @@ type CacheStats struct {
 	Sweeps uint64 `json:"sweeps"`
 }
 
-// cacheEntry is one memoized leg: the leg table of ExecuteLegTableCtx,
-// its source's whole row, and its stats, handed to every leg from the
-// same source on the site, as is; or, with no table, the mark of a key
-// whose first miss was answered by one search to its target
-// (legCache.mark), which answers no leg.
+// cacheEntry is one cache key's entry: the source's whole row (the
+// leg table of ExecuteLegTableCtx) and its stats, handed to every leg
+// from the same source on the site, as is; or, with no table, the mark
+// legCache.mark leaves, which answers no leg and tells get's caller
+// that the key was seen.
 type cacheEntry struct {
 	key   legKey
 	table *tc.CostMatrix
@@ -113,47 +107,24 @@ func newLegCache(capacity int) *legCache {
 	}
 }
 
-// get returns the memoized table for key if its entry has one: a hit.
-// No entry, or a table-less one, is a miss.
-func (c *legCache) get(key legKey) (*tc.CostMatrix, tc.Stats, bool) {
+// get returns the memoized table for key, nil if its entry has none
+// or there is no entry, and whether key has an entry at all. A table
+// is a hit, promoted; no table is a miss.
+func (c *legCache) get(key legKey) (table *tc.CostMatrix, stats tc.Stats, held bool) {
 	if c == nil || c.cap == 0 {
 		return nil, tc.Stats{}, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok || el.Value.(*cacheEntry).table == nil {
+	el, held := c.byKey[key]
+	if !held || el.Value.(*cacheEntry).table == nil {
 		c.stats.Misses++
-		return nil, tc.Stats{}, false
+		return nil, tc.Stats{}, held
 	}
 	c.ll.MoveToFront(el)
 	c.stats.Hits++
 	ent := el.Value.(*cacheEntry)
 	return ent.table, ent.stats, true
-}
-
-// holds reports whether key has an entry, with a table or not, without
-// promoting it or counting a lookup.
-func (c *legCache) holds(key legKey) bool {
-	if c == nil || c.cap == 0 {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.byKey[key]
-	return ok
-}
-
-// has reports whether get would hit, without promoting the entry or
-// counting a lookup: a probe before the leg, not a use of the table.
-func (c *legCache) has(key legKey) bool {
-	if c == nil || c.cap == 0 {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	return ok && el.Value.(*cacheEntry).table != nil
 }
 
 // put memoizes a leg computation, evicting the least recently used

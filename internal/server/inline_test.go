@@ -2,9 +2,16 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/dsa"
 	"repro/internal/fragment/center"
 	"repro/internal/gen"
@@ -56,42 +63,65 @@ func crossPair(t *testing.T, st *dsa.Store, skip graph.NodeID) (graph.NodeID, gr
 	return 0, 0, nil
 }
 
-// cheapLegs counts the plan's legs cheapLeg reports cheap.
-func cheapLegs(srv *Server, st *dsa.Store, plan *dsa.Plan, engine dsa.Engine) int {
-	n := 0
-	for _, leg := range plan.Legs {
-		if srv.cheapLeg(st, leg, engine) {
-			n++
-		}
-	}
-	return n
+// goroutineCtx records the goroutine of every Err call. RunLegs calls
+// Err before each leg, on the goroutine that runs the leg's site.
+type goroutineCtx struct {
+	context.Context
+	mu  sync.Mutex
+	ids map[string]int
 }
 
-// TestCheapLegProbe: on a cold paper deployment no leg of a
-// cross-fragment pair is cheap; once the pair has run, every leg of it
-// is — the transit and last legs read built border tables, the first
-// leg's source row is in the leg cache — and probing promotes or
-// counts nothing. Another source's first leg is still not cheap.
-func TestCheapLegProbe(t *testing.T) {
+func (c *goroutineCtx) Err() error {
+	c.mu.Lock()
+	c.ids[goroutineID()]++
+	c.mu.Unlock()
+	return c.Context.Err()
+}
+
+// goroutineID is the calling goroutine's number, from the first line
+// of its stack ("goroutine 7 [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// TestLocalSitesRunInline: a cold paper cross-fragment pair, whose legs
+// build border tables or a cached row on two sites or more, runs every
+// leg on the caller's goroutine, since a single node owns every site,
+// and answers bit for bit what the library's run of the plan on
+// Dijkstra legs (no table, no cache) answers.
+func TestLocalSitesRunInline(t *testing.T) {
 	const engine = dsa.EngineDijkstra
 	srv, st := newPaperServer(t, Config{CacheCapacity: 64})
 	src, dst, plan := crossPair(t, st, -1)
-	if n := cheapLegs(srv, st, plan, engine); n != 0 {
-		t.Errorf("cold %d→%d: %d of %d legs cheap, want none", src, dst, n, len(plan.Legs))
+	for _, site := range st.Sites() {
+		if site.TableBytes() != 0 {
+			t.Fatalf("site %d has a border table before the first query", site.ID)
+		}
 	}
-	if _, _, err := runPair(srv, src, dst, engine, tcq.ModeCost); err != nil {
+	ctx := &goroutineCtx{Context: context.Background(), ids: map[string]int{}}
+	res, _, err := srv.RunPair(ctx, srv.Dataset().Snapshot(), src, dst, engine, tcq.ModeCost)
+	if err != nil {
 		t.Fatal(err)
 	}
-	before := srv.cache.snapshot()
-	if n := cheapLegs(srv, st, plan, engine); n != len(plan.Legs) {
-		t.Errorf("warm %d→%d: %d of %d legs cheap, want all", src, dst, n, len(plan.Legs))
+	if caller := goroutineID(); len(ctx.ids) != 1 || ctx.ids[caller] < len(plan.Legs) {
+		t.Errorf("%d→%d: legs observed ctx on goroutines %v, want only the caller's (%s)", src, dst, ctx.ids, caller)
 	}
-	if after := srv.cache.snapshot(); after != before {
-		t.Errorf("probing moved the cache counters: %+v → %+v", before, after)
+	kernels := 0
+	for _, id := range plan.SitesInvolved() {
+		if table, _ := entryTable(srv.cache, legKey{site: st.Site(id), engine: engine, source: src}); table != nil || st.Site(id).TableBytes() > 0 {
+			kernels++
+		}
 	}
-	other, _, plan2 := crossPair(t, st, src)
-	if srv.cheapLeg(st, sourceLeg(t, plan2, other), engine) {
-		t.Errorf("%d→%d: the first leg of a source never asked is cheap", other, dst)
+	if kernels < 2 {
+		t.Fatalf("%d→%d: the cold query ran kernels on %d sites, want two or more", src, dst, kernels)
+	}
+	want, err := st.RunPlanCtx(context.Background(), plan, engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Reachable || math.Float64bits(res.Cost) != math.Float64bits(want.Cost) {
+		t.Errorf("%d→%d: %v (reachable %v), the library's Dijkstra legs %v", src, dst, res.Cost, res.Reachable, want.Cost)
 	}
 }
 
@@ -107,49 +137,70 @@ func sourceLeg(t *testing.T, plan *dsa.Plan, src graph.NodeID) dsa.Leg {
 	return dsa.Leg{}
 }
 
-// TestCheapLegEvictedBeforeRun: with a one-entry leg cache, the probe
-// finds the first leg's source row, and another query evicts it before
-// the leg runs. The leg, inline on the caller's goroutine, runs its
-// kernel instead, and the answer is still, bit for bit, the library's
-// run of the plan on Dijkstra legs (no table, no cache).
-func TestCheapLegEvictedBeforeRun(t *testing.T) {
-	const engine = dsa.EngineDijkstra
-	srv, st := newPaperServer(t, Config{CacheCapacity: 1})
-	src, dst, plan := crossPair(t, st, -1)
-	other, _, _ := crossPair(t, st, src)
-	if _, _, err := runPair(srv, src, dst, engine, tcq.ModeCost); err != nil {
-		t.Fatal(err)
-	}
-	snap := srv.Dataset().Snapshot()
-	evicted := false
-	res, err := st.RunLegs(context.Background(), plan, func(ctx context.Context, leg dsa.Leg) (*dsa.LegResult, error) {
-		lr, _, err := srv.executeLegLocal(ctx, snap, leg, engine)
-		return lr, err
-	}, func(leg dsa.Leg) bool {
-		cheap := srv.cheapLeg(st, leg, engine)
-		if cheap && !evicted && len(leg.Entry) == 1 && leg.Entry[0] == src {
-			if _, _, err := runPair(srv, other, dst, engine, tcq.ModeCost); err != nil {
-				t.Fatal(err)
-			}
-			evicted = true
+// heldTransport holds each leg it ships until release reports that
+// a local leg has run, and fails the leg if that takes 5 s: a peer's
+// leg run inline ahead of the local ones would wait for them forever.
+type heldTransport struct {
+	cluster.Transport
+	release func() bool
+}
+
+func (h *heldTransport) ExecuteLeg(ctx context.Context, req *cluster.LegRequest) (*cluster.LegResponse, error) {
+	for deadline := time.Now().Add(5 * time.Second); !h.release(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return nil, fmt.Errorf("site %d's leg waited 5 s for a local leg", req.Site)
 		}
-		return cheap
+	}
+	return h.Transport.ExecuteLeg(ctx, req)
+}
+
+// TestPeerLegsNeverAheadOfLocal: on a two-member cluster, a query on
+// two sites, the first a peer's and the second this member's, runs the
+// local leg without waiting for the peer's, which the transport holds
+// until a local leg has run: the lone peer's site runs last.
+func TestPeerLegsNeverAheadOfLocal(t *testing.T) {
+	var a *Server
+	var owned []int
+	tcl := newTestCluster(t, 24, 4, 8, 2, func(i int, cfg *cluster.Config) {
+		if i == 0 {
+			cfg.Retry.Attempts = 1
+			cfg.NewTransport = func(n cluster.Node) cluster.Transport {
+				return &heldTransport{Transport: cluster.NewHTTPTransport(n, 10*time.Second), release: func() bool {
+					return slices.ContainsFunc(owned, func(site int) bool { return a.siteLegs[site].Load() > 0 })
+				}}
+			}
+		}
 	})
+	a = tcl.servers[0]
+	st := a.Dataset().Snapshot().Store()
+	remote := -1
+	for site := range st.Fragmentation().NumFragments() {
+		if a.cluster.IsLocal(site) {
+			owned = append(owned, site)
+		} else if remote < 0 && a.cluster.IsLocal(site+1) {
+			remote = site
+		}
+	}
+	if remote < 0 {
+		t.Fatalf("ring dealt node a sites %v: none right after a peer's", owned)
+	}
+	src, dst := interior(st, remote)[0], interior(st, remote+1)[0]
+	plan, err := st.NewPlan(src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !evicted {
-		t.Fatalf("the probe never found %d's row in the cache", src)
+	if sites := plan.SitesInvolved(); !slices.Equal(sites, []int{remote, remote + 1}) {
+		t.Fatalf("%d→%d runs on sites %v, want %d and %d", src, dst, sites, remote, remote+1)
 	}
-	site := st.Site(sourceLeg(t, plan, src).SiteID)
-	if !srv.cache.has(legKey{site: site, engine: engine, source: src}) || srv.cache.has(legKey{site: site, engine: engine, source: other}) {
-		t.Errorf("the cache does not hold %d's row alone: the leg found %d's row evicted and did not recompute it", src, src)
+	res, _, err := runPair(a, src, dst, dsa.EngineDijkstra, tcq.ModeCost)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want, err := st.RunPlanCtx(context.Background(), plan, engine)
+	want, err := st.RunPlanCtx(context.Background(), plan, dsa.EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Reachable || math.Float64bits(res.Cost) != math.Float64bits(want.Cost) {
-		t.Errorf("%d→%d after the eviction: %v (reachable %v), the library's Dijkstra legs %v", src, dst, res.Cost, res.Reachable, want.Cost)
+		t.Errorf("%d→%d: %v (reachable %v), the library's %v", src, dst, res.Cost, res.Reachable, want.Cost)
 	}
 }

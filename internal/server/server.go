@@ -5,16 +5,14 @@
 // (dsa.Store.BorderBlockCtx), a bounded LRU leg-result cache for the
 // rest of the one-source legs — from a source off the border on an
 // asymmetric site or to a target off it too — and an HTTP/JSON API.
-// A same-fragment leg's cached row is the dense engine's stop
-// search's, final up to the bound that settled its target, and answers
-// another leg from the same source only if it settles that leg's exits
-// too; a leg it does not settle misses and puts back a row settled
-// further out (a first leg's whole row).
+// A same-fragment leg is answered by one search to its target on a
+// source's first miss, which leaves a table-less mark in the cache;
+// the source's second miss caches its whole row, which answers every
+// later leg from it.
 // Many concurrent queries interleave their per-site legs exactly the
 // way the paper's sites would interleave independent subqueries. A
-// query's sites whose legs read a built table or hit the cache run on
-// the query's own goroutine; only sites that run a kernel, and peers'
-// legs, fan out (dsa.Store.RunLegs, Server.cheapLeg).
+// query runs the legs of the sites this node owns on its own
+// goroutine; only peers' legs fan out (dsa.Store.RunLegs).
 //
 // Concurrency model: reads are lock-free — every query pins the
 // immutable store generation current when it starts (one atomic
@@ -187,16 +185,17 @@ func (s *Server) Close() { s.unsubscribe() }
 // non-pipelined query, running entirely on the snapshot the request
 // pinned — concurrent batch applies swap the dataset underneath without
 // disturbing it. It is dsa.RunLegs with the serving layer's way of
-// obtaining a leg, and starts no goroutine of its own: on whichever
-// goroutine RunLegs runs the leg's site — the caller's when cheapLeg
-// holds of all its legs, its own otherwise — a locally owned leg is one
-// executeLegLocal call; in cluster deployments a leg of a remotely
-// owned site is shipped to its owner instead (scatter) — an I/O-bound
+// obtaining a leg, and starts no goroutine of its own. The sites this
+// node owns run on the caller's goroutine, each leg one
+// executeLegLocal call. In cluster deployments RunLegs gives each
+// remotely owned site a goroutine, so a query's peers work at once (a
+// lone one runs last on the caller), and their legs are shipped to
+// their owners instead (scatter) — an I/O-bound
 // wait here while the owner's /v1/leg handler makes that call and
 // ships the facts of the leg's exits, which become its block here in
-// one step — and when the owner is unreachable the degraded-mode
-// fallback makes the executeLegLocal call here after all. Assembly
-// (gather) is oblivious to where a leg ran.
+// one step. When the owner is unreachable the degraded-mode fallback
+// makes the executeLegLocal call here after all. Assembly (gather) is
+// oblivious to where a leg ran.
 func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target graph.NodeID, engine dsa.Engine) (*dsa.Result, tcq.RunStats, error) {
 	if !dsa.ValidEngine(engine) {
 		return nil, tcq.RunStats{}, fmt.Errorf("server: %w %d", dsa.ErrUnknownEngine, int(engine))
@@ -214,7 +213,7 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 		var lr *dsa.LegResult
 		var hit bool
 		var err error
-		if s.cluster == nil || s.cluster.IsLocal(leg.SiteID) {
+		if s.owns(leg.SiteID) {
 			if lr, hit, err = s.executeLegLocal(ctx, snap, leg, engine); err == nil && s.cluster != nil {
 				s.cluster.LocalLeg()
 			}
@@ -252,7 +251,7 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 			misses.Add(1)
 		}
 		return lr, nil
-	}, func(leg dsa.Leg) bool { return s.cheapLeg(st, leg, engine) })
+	}, s.owns)
 	if err != nil {
 		return nil, tcq.RunStats{}, err
 	}
@@ -260,33 +259,26 @@ func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target 
 	return res, tcq.RunStats{CacheHits: int(hits.Load()), CacheMisses: int(misses.Load()), FallbackSites: fallbackSites}, nil
 }
 
-// cheapLeg is runCtx's dsa.LegProbe: a locally owned leg that
-// executeLegLocal will answer without a kernel — from a border table
-// its site has built, or from the leg cache's row for its one source.
-// A peer's leg is never cheap, so a query's RPCs overlap. A table or
-// entry can go between the probe and the leg (a full cache evicts); the
-// leg then runs its kernel where the probe put it.
-func (s *Server) cheapLeg(st *dsa.Store, leg dsa.Leg, engine dsa.Engine) bool {
-	if s.cluster != nil && !s.cluster.IsLocal(leg.SiteID) {
-		return false
-	}
-	return st.BorderReady(leg, engine) ||
-		len(leg.Entry) == 1 && s.cache.has(legKey{site: st.Site(leg.SiteID), engine: engine, source: leg.Entry[0]})
-}
+// owns reports that this node runs siteID's legs, as it runs every
+// site's without a cluster.
+func (s *Server) owns(siteID int) bool { return s.cluster == nil || s.cluster.IsLocal(siteID) }
 
 // executeLegLocal runs a leg on this node on its site (onSite), whoever
 // asks: a locally owned leg, a degraded-mode fallback or a peer's
 // /v1/leg, whose leg without exits takes every node of its site as one.
-// The snapshot site's border table answers the leg when it can
-// (dsa.Store.BorderBlockCtx): a hit, unless this read built the table.
-// Any other leg's exits are selected, after the site's gate is
-// released, from the kernel's table: for one source, the leg cache's
-// row if it holds one, else the one the kernel computes, which is put
-// there. A same-fragment leg — one source to its target, off the
-// border — that misses on a key the cache has never seen is answered
-// by one search to the target instead (dsa.Store.GoalBlockCtx): no
-// table, and a table-less entry marks the key, so the key's next miss
-// computes and caches its row (legKey has the outcomes).
+// It is the one place the serving layer's leg policy is written, and
+// it tries, in order:
+//   - the snapshot site's border table, when it can answer the leg
+//     (dsa.Store.BorderBlockCtx): a hit, unless this read built it;
+//   - for one source, the leg cache's row (legCache.get): a hit;
+//   - for a same-fragment leg — one source to its target, off the
+//     border — whose key the cache does not hold, one search to the
+//     target (dsa.Store.GoalBlockCtx): no table, and a table-less
+//     entry marks the key, so the key's next miss takes the last step;
+//   - the kernel's table (dsa.Store.ExecuteLegTableCtx), put in the
+//     cache for one source.
+//
+// A table's exits are selected after the site's gate is released.
 func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg dsa.Leg, engine dsa.Engine) (*dsa.LegResult, bool, error) {
 	var lr dsa.LegResult
 	var table *tc.CostMatrix
@@ -311,10 +303,12 @@ func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg ds
 		key, one := legKey{site: st.Site(leg.SiteID), engine: engine}, len(leg.Entry) == 1
 		if one {
 			key.source = leg.Entry[0]
-			if table, lr.Stats, hit = s.cache.get(key); hit {
+			var held bool
+			if table, lr.Stats, held = s.cache.get(key); table != nil {
+				hit = true
 				return nil
 			}
-			if !s.cache.holds(key) {
+			if !held {
 				if lr.Block, lr.Stats, err = st.GoalBlockCtx(ctx, leg, engine); err != nil || lr.Block != nil {
 					if lr.Block != nil {
 						s.cache.mark(key)

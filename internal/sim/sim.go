@@ -94,9 +94,6 @@ func New(store *dsa.Store, cost CostModel) (*Cluster, error) {
 	return &Cluster{store: store, cost: cost}, nil
 }
 
-// Store returns the underlying disconnection-set store.
-func (c *Cluster) Store() *dsa.Store { return c.store }
-
 // Report is the outcome of one simulated query.
 type Report struct {
 	// Cost, Reachable and BestChain are the query answer. Cost is +Inf

@@ -90,10 +90,6 @@ func NewDenseGraph(c *graph.CSR) (*DenseGraph, error) {
 // Nodes returns the number of nodes in the snapshot.
 func (d *DenseGraph) Nodes() int { return len(d.csr.IDs) }
 
-// Edges returns the number of edges (parallel edges kept — relaxation
-// takes the minimum naturally).
-func (d *DenseGraph) Edges() int { return len(d.csr.To) }
-
 // costRow is the scratch state of one row: the distance row it writes
 // and the bookkeeping of the kernel that writes it — the frontiers of
 // the level-synchronous propagation, or the bucket ring and potential

@@ -169,45 +169,3 @@ func shortestFixpoint(ctx context.Context, seed, edges *relation.Relation, st *S
 	st.ResultTuples = known.Len()
 	return known, *st, nil
 }
-
-// indexCosts builds a (src, dst) → cost map from a cost relation.
-func indexCosts(r *relation.Relation) map[string]float64 {
-	m := make(map[string]float64, r.Len())
-	var buf []byte
-	for _, t := range r.Tuples() {
-		buf = relation.Tuple{t[0], t[1]}.AppendKey(buf[:0])
-		m[string(buf)] = t[2].(float64)
-	}
-	return m
-}
-
-// FloydWarshallCosts computes all-pairs shortest path costs over a
-// graph with the classic O(n³) dynamic program. It is a test oracle:
-// the dense reference the relational fixpoints are validated against.
-func FloydWarshallCosts(g *graph.Graph) map[graph.NodeID]map[graph.NodeID]float64 {
-	nodes := g.Nodes()
-	dist := make(map[graph.NodeID]map[graph.NodeID]float64, len(nodes))
-	for _, u := range nodes {
-		dist[u] = make(map[graph.NodeID]float64)
-		dist[u][u] = 0
-	}
-	for _, e := range g.Edges() {
-		if d, ok := dist[e.From][e.To]; !ok || e.Weight < d {
-			dist[e.From][e.To] = e.Weight
-		}
-	}
-	for _, k := range nodes {
-		for _, i := range nodes {
-			dik, ok := dist[i][k]
-			if !ok {
-				continue
-			}
-			for j, dkj := range dist[k] {
-				if d, ok := dist[i][j]; !ok || dik+dkj < d {
-					dist[i][j] = dik + dkj
-				}
-			}
-		}
-	}
-	return dist
-}

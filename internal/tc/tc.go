@@ -41,20 +41,6 @@ func (s *Stats) Add(other Stats) {
 	s.ResultTuples += other.ResultTuples
 }
 
-// Max keeps, per field, the maximum of s and other — the critical-path
-// view of parallel work (the slowest site determines the elapsed time).
-func (s *Stats) Max(other Stats) {
-	if other.Iterations > s.Iterations {
-		s.Iterations = other.Iterations
-	}
-	if other.DerivedTuples > s.DerivedTuples {
-		s.DerivedTuples = other.DerivedTuples
-	}
-	if other.ResultTuples > s.ResultTuples {
-		s.ResultTuples = other.ResultTuples
-	}
-}
-
 // pairSchema is the schema of reachability closures.
 var pairSchema = relation.Schema{"src", "dst"}
 

@@ -314,18 +314,13 @@ func TestFloydWarshallSmall(t *testing.T) {
 	}
 }
 
-func TestStatsAddMax(t *testing.T) {
+func TestStatsAdd(t *testing.T) {
 	a := Stats{Iterations: 2, DerivedTuples: 10, ResultTuples: 5}
 	b := Stats{Iterations: 3, DerivedTuples: 4, ResultTuples: 9}
 	sum := a
 	sum.Add(b)
 	if sum.Iterations != 5 || sum.DerivedTuples != 14 || sum.ResultTuples != 14 {
 		t.Errorf("Add = %+v", sum)
-	}
-	m := a
-	m.Max(b)
-	if m.Iterations != 3 || m.DerivedTuples != 10 || m.ResultTuples != 9 {
-		t.Errorf("Max = %+v", m)
 	}
 }
 
@@ -567,4 +562,46 @@ func TestClosurePreservesOriginalRelation(t *testing.T) {
 	if r.Len() != before {
 		t.Errorf("input relation mutated: %d tuples, had %d", r.Len(), before)
 	}
+}
+
+// indexCosts builds a (src, dst) → cost map from a cost relation.
+func indexCosts(r *relation.Relation) map[string]float64 {
+	m := make(map[string]float64, r.Len())
+	var buf []byte
+	for _, t := range r.Tuples() {
+		buf = relation.Tuple{t[0], t[1]}.AppendKey(buf[:0])
+		m[string(buf)] = t[2].(float64)
+	}
+	return m
+}
+
+// FloydWarshallCosts computes all-pairs shortest path costs over a
+// graph with the classic O(n³) dynamic program: the dense reference
+// the relational fixpoints are validated against.
+func FloydWarshallCosts(g *graph.Graph) map[graph.NodeID]map[graph.NodeID]float64 {
+	nodes := g.Nodes()
+	dist := make(map[graph.NodeID]map[graph.NodeID]float64, len(nodes))
+	for _, u := range nodes {
+		dist[u] = make(map[graph.NodeID]float64)
+		dist[u][u] = 0
+	}
+	for _, e := range g.Edges() {
+		if d, ok := dist[e.From][e.To]; !ok || e.Weight < d {
+			dist[e.From][e.To] = e.Weight
+		}
+	}
+	for _, k := range nodes {
+		for _, i := range nodes {
+			dik, ok := dist[i][k]
+			if !ok {
+				continue
+			}
+			for j, dkj := range dist[k] {
+				if d, ok := dist[i][j]; !ok || dik+dkj < d {
+					dist[i][j] = dik + dkj
+				}
+			}
+		}
+	}
+	return dist
 }
