@@ -296,21 +296,31 @@ func (v *HistogramVec) With(labelValues ...string) *Histogram {
 }
 
 // getOrCreate resolves one labeled child, creating it under the write
-// lock on first use. The fast path is a read-locked map hit.
+// lock on first use. The fast path is a read-locked map hit that
+// allocates nothing: the key — the label values joined by "\x00" — is
+// built in a stack buffer, and indexing a map with string(key) copies
+// nothing.
 func (f *family) getOrCreate(labelValues []string) *child {
 	if len(labelValues) != len(f.labels) {
 		panic(fmt.Sprintf("metrics: %q wants %d label values, got %d", f.name, len(f.labels), len(labelValues)))
 	}
-	key := strings.Join(labelValues, "\x00")
+	var buf [128]byte
+	key := buf[:0]
+	for i, v := range labelValues {
+		if i > 0 {
+			key = append(key, 0)
+		}
+		key = append(key, v...)
+	}
 	f.mu.RLock()
-	c, ok := f.children[key]
+	c, ok := f.children[string(key)]
 	f.mu.RUnlock()
 	if ok {
 		return c
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if c, ok = f.children[key]; ok {
+	if c, ok = f.children[string(key)]; ok {
 		return c
 	}
 	c = &child{labelValues: append([]string(nil), labelValues...)}
@@ -325,7 +335,7 @@ func (f *family) getOrCreate(labelValues []string) *child {
 			counts: make([]atomic.Uint64, len(f.buckets)+1),
 		}
 	}
-	f.children[key] = c
+	f.children[string(key)] = c
 	return c
 }
 

@@ -242,3 +242,22 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 	}()
 	r.Counter("dup", "")
 }
+
+// TestWithExistingSeriesAllocatesNothing: looking up a series that
+// exists allocates nothing, so a per-query observation costs no
+// garbage; the first lookup creates the series under the joined key.
+func TestWithExistingSeriesAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	h := r.HistogramVec("lat", "", []float64{1}, "engine", "mode")
+	first := h.With("dense", "cost")
+	if allocs := testing.AllocsPerRun(100, func() {
+		if h.With("dense", "cost") != first {
+			t.Fatal("With returned another series for the same label values")
+		}
+	}); allocs != 0 {
+		t.Errorf("With on an existing series: %v allocations, want 0", allocs)
+	}
+	if _, ok := h.f.children["dense\x00cost"]; !ok || len(h.f.children) != 1 {
+		t.Errorf("children keyed %v, want the one key \"dense\\x00cost\"", h.f.children)
+	}
+}

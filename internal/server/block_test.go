@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dsa"
@@ -256,5 +257,101 @@ func TestConcurrentTransitQueries(t *testing.T) {
 	wg.Wait()
 	if got := srv.Stats().SiteTables.Builds; got == 0 || got > uint64(len(sites)) {
 		t.Errorf("%d table builds for %d sites, want 1..%d: one per site", got, len(sites), len(sites))
+	}
+}
+
+// TestConcurrentSameKeyMisses: legs of concurrent queries on one site
+// do not wait for each other, so misses on one cache key may all
+// search. Eight queries released at once ask one same-fragment pair on
+// a grid (its first misses search to the target, a later one caches
+// the row) and one cross-fragment pair on the paper deployment, whose
+// first leg caches its source's whole row on an asymmetric site. Every
+// answer is bit for bit the library's, the cache ends with one entry
+// per key, and the sites are charged exactly the legs the results
+// report (run under -race).
+func TestConcurrentSameKeyMisses(t *testing.T) {
+	const engine, workers = dsa.EngineDense, 8
+	grid, gridStore := newGridServer(t, 16, 16, 2, Config{CacheCapacity: 64})
+	paper, paperStore := newPaperServer(t, Config{CacheCapacity: 64})
+	gridSrc := interior(gridStore, 0)[0]
+	targets, _ := sameFragmentTargets(t, gridStore, 0, gridSrc)
+	paperSrc, paperDst, _ := crossPair(t, paperStore, -1)
+	asks := []struct {
+		name     string
+		srv      *Server
+		st       *dsa.Store
+		src, dst graph.NodeID
+		want     float64
+		keys     map[legKey]bool
+	}{
+		{name: "grid same-fragment", srv: grid, st: gridStore, src: gridSrc, dst: targets[len(targets)/2]},
+		{name: "paper cross-fragment", srv: paper, st: paperStore, src: paperSrc, dst: paperDst},
+	}
+	for i := range asks {
+		a := &asks[i]
+		lib, err := tcq.Open(a.st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.want, err = lib.Cost(context.Background(), int(a.src), int(a.dst)); err != nil {
+			t.Fatal(err)
+		}
+		plan, err := a.st.NewPlan(a.src, a.dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.keys = make(map[legKey]bool)
+		for _, leg := range plan.Legs {
+			if len(leg.Entry) == 1 && leg.Entry[0] == a.src {
+				a.keys[legKey{site: a.st.Site(leg.SiteID), engine: engine, source: a.src}] = true
+			}
+		}
+		if len(a.keys) == 0 {
+			t.Fatalf("%s: %d→%d has no leg from its source alone", a.name, a.src, a.dst)
+		}
+	}
+	legs := make([]atomic.Int64, len(asks))
+	var done sync.WaitGroup
+	start := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			<-start
+			for i := range asks {
+				a := &asks[(w+i)%len(asks)]
+				res, _, err := a.srv.RunPair(context.Background(), a.srv.Dataset().Snapshot(), a.src, a.dst, engine, tcq.ModeCost)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !res.Reachable || math.Float64bits(res.Cost) != math.Float64bits(a.want) {
+					t.Errorf("%s %d→%d: cost %v (reachable %v), library %v", a.name, a.src, a.dst, res.Cost, res.Reachable, a.want)
+				}
+				for _, work := range res.PerSite {
+					legs[(w+i)%len(asks)].Add(int64(work.Legs))
+				}
+			}
+		}()
+	}
+	close(start)
+	done.Wait()
+	for i, a := range asks {
+		if cs := a.srv.cache.snapshot(); cs.Entries != len(a.keys) {
+			t.Errorf("%s: %d cache entries, want one per key (%d)", a.name, cs.Entries, len(a.keys))
+		}
+		for key := range a.keys {
+			if _, ok := entryTable(a.srv.cache, key); !ok {
+				t.Errorf("%s: no entry for site %d, source %d", a.name, key.site.ID, key.source)
+			}
+		}
+		checkExact(t, a.srv.cache, a.name)
+		var charged int64
+		for _, work := range a.srv.Stats().Site {
+			charged += int64(work.Legs)
+		}
+		if got := legs[i].Load(); charged != got {
+			t.Errorf("%s: sites charged %d legs, the results report %d", a.name, charged, got)
+		}
 	}
 }

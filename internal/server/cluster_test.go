@@ -368,9 +368,9 @@ func TestV1LegEndpoint(t *testing.T) {
 // TestLegAccountingOneRule: however a leg comes to run on this node —
 // a query's leg on a site it owns, the degraded-mode fallback for a
 // site whose owner a FaultTransport script keeps down, a peer's /v1/leg
-// — the site is charged one leg and the time its gate was held, and
-// nothing else is; tc_legs_local_total counts owned and peer-served
-// legs, tc_cluster_leg_fallback_total the fallbacks.
+// — the site is charged one leg and the leg's wall time, and nothing
+// else is; tc_legs_local_total counts owned and peer-served legs,
+// tc_cluster_leg_fallback_total the fallbacks.
 func TestLegAccountingOneRule(t *testing.T) {
 	tcl := newTestCluster(t, 24, 4, 8, 2, func(i int, cfg *cluster.Config) {
 		cfg.Retry.Attempts = 1

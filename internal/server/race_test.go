@@ -13,7 +13,7 @@ import (
 )
 
 // TestConcurrentQueriesAndUpdates is the race-detector stress test for
-// the serving layer: gated cost queries, connectivity queries on every
+// the serving layer: cost queries, connectivity queries on every
 // engine, pipelined queries and edge inserts/deletes all interleave on
 // one server. Every worker pins a snapshot per query and holds the
 // answer to the base graph of that snapshot's epoch, so the site-keyed
@@ -60,7 +60,7 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 		}
 	}
 
-	// Two gated cost-query workers (dijkstra and seminaive).
+	// Two cost-query workers (dijkstra and seminaive).
 	for w, engine := range []dsa.Engine{dsa.EngineDijkstra, dsa.EngineSemiNaive} {
 		wg.Add(1)
 		go costWorker("query", int64(w), func(int) dsa.Engine { return engine }, tcq.ModeCost)

@@ -1,18 +1,19 @@
 // Package server is the long-lived query-serving layer over a tcq
-// dataset: one gate per site (the paper's one processor per fragment:
-// a site runs one leg at a time, whoever asks), the sites' border
-// tables, from which every leg they can answer gathers its cells
-// (dsa.Store.BorderBlockCtx), a bounded LRU leg-result cache for the
-// rest of the one-source legs — from a source off the border on an
-// asymmetric site or to a target off it too — and an HTTP/JSON API.
+// dataset: the sites' border tables, from which every leg they can
+// answer gathers its cells (dsa.Store.BorderBlockCtx), a bounded LRU
+// leg-result cache for the rest of the one-source legs — from a source
+// off the border on an asymmetric site or to a target off it too — and
+// an HTTP/JSON API.
 // A same-fragment leg is answered by one search to its target on a
 // source's first miss, which leaves a table-less mark in the cache;
 // the source's second miss caches its whole row, which answers every
 // later leg from it.
-// Many concurrent queries interleave their per-site legs exactly the
-// way the paper's sites would interleave independent subqueries. A
-// query runs the legs of the sites this node owns on its own
-// goroutine; only peers' legs fan out (dsa.Store.RunLegs).
+// A query runs the legs of the sites this node owns on its own
+// goroutine; only peers' legs fan out (dsa.Store.RunLegs). Legs of
+// concurrent queries run on one site at the same time, and two misses
+// on one cache key may both search: they compute the same table, and
+// the cache keeps one entry. The paper's one processor per fragment is
+// reproduced by the simulator (internal/sim), not modelled here.
 //
 // Concurrency model: reads are lock-free — every query pins the
 // immutable store generation current when it starts (one atomic
@@ -56,17 +57,11 @@ type Config struct {
 	Cluster *cluster.Coordinator
 }
 
-// Server is a live deployment: a dataset, its site gates and the
-// leg-result cache.
+// Server is a live deployment: a dataset, the leg-result cache and
+// per-site leg accounting.
 type Server struct {
-	ds    *tcq.Dataset
-	cache *legCache
-	// gates holds one capacity-1 semaphore per site: the goroutine that
-	// runs a leg on this node holds its site's gate for the duration, so
-	// a site is busy with one leg at a time while distinct sites run in
-	// parallel. A channel rather than a mutex because waiting for a turn
-	// must end when the query's context does.
-	gates       []chan struct{}
+	ds          *tcq.Dataset
+	cache       *legCache
 	facade      *tcq.Client
 	unsubscribe func()
 	start       time.Time
@@ -95,15 +90,11 @@ func NewDataset(ds *tcq.Dataset, cfg Config) (*Server, error) {
 	s := &Server{
 		ds:         ds,
 		cache:      newLegCache(cfg.CacheCapacity),
-		gates:      make([]chan struct{}, n),
 		start:      time.Now(),
 		siteLegs:   make([]atomic.Uint64, n),
 		siteBusyNS: make([]atomic.Int64, n),
 		cluster:    cfg.Cluster,
 		history:    newSnapHistory(epochHistoryDepth),
-	}
-	for i := range s.gates {
-		s.gates[i] = make(chan struct{}, 1)
 	}
 	s.history.add(ds.Snapshot())
 	s.metrics = newServerMetrics(s)
@@ -112,7 +103,7 @@ func NewDataset(ds *tcq.Dataset, cfg Config) (*Server, error) {
 	}
 	// The server is the facade's runner: every tcq query — the /v1 API,
 	// or a library caller holding Facade() — executes through the
-	// gated, leg-cached path below.
+	// leg-cached path below.
 	facade, err := ds.Open(tcq.WithRunner(s))
 	if err != nil {
 		return nil, err
@@ -132,7 +123,7 @@ func NewDataset(ds *tcq.Dataset, cfg Config) (*Server, error) {
 }
 
 // Facade returns the server-backed tcq client: the public facade whose
-// queries run through the server's site gates and leg cache.
+// queries run through the server's site tables and leg cache.
 func (s *Server) Facade() *tcq.Client { return s.facade }
 
 // Dataset returns the deployment's write handle (Apply, Snapshot).
@@ -143,7 +134,7 @@ func (s *Server) Dataset() *tcq.Dataset { return s.ds }
 // the request pinned. The engine is already concrete and compatible
 // with the mode (tcq.Plan resolved auto and refused cost queries on
 // reachability stores or the bitset engine), so the pair maps directly
-// onto the gated executor — or the store's pipelined walk for
+// onto the leg-cached executor — or the store's pipelined walk for
 // ModePipelined, which is vector-seeded and therefore uncacheable.
 func (s *Server) RunPair(ctx context.Context, snap *tcq.Snapshot, source, target graph.NodeID, engine dsa.Engine, mode tcq.Mode) (*dsa.Result, tcq.RunStats, error) {
 	start := time.Now()
@@ -278,7 +269,7 @@ func (s *Server) owns(siteID int) bool { return s.cluster == nil || s.cluster.Is
 //   - the kernel's table (dsa.Store.ExecuteLegTableCtx), put in the
 //     cache for one source.
 //
-// A table's exits are selected after the site's gate is released.
+// A table's exits are selected after the leg is charged to its site.
 func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg dsa.Leg, engine dsa.Engine) (*dsa.LegResult, bool, error) {
 	var lr dsa.LegResult
 	var table *tc.CostMatrix
@@ -335,24 +326,16 @@ func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, leg ds
 	return &lr, hit, nil
 }
 
-// onSite is how executeLegLocal runs a leg on its site: it waits for
-// the site's gate — giving up with ErrCanceled when ctx ends first, so
-// a canceled query stops queueing for its turn — and, holding it, runs
-// fn and charges the site one leg and the time the gate was held,
-// which it returns. The site index may come off the wire, so it is
-// checked before it indexes anything.
+// onSite is how executeLegLocal runs a leg on its site: it checks the
+// site index, which may come off the wire, and the query's context — a
+// canceled query's leg fails with ErrCanceled instead of running — then
+// runs fn and charges the site one leg and fn's wall time, which it
+// returns. Legs of concurrent queries on one site do not wait for each
+// other.
 func (s *Server) onSite(ctx context.Context, siteID int, fn func() error) (time.Duration, error) {
-	if siteID < 0 || siteID >= len(s.gates) {
+	if siteID < 0 || siteID >= len(s.siteLegs) {
 		return 0, fmt.Errorf("server: %w: leg site %d out of range", dsa.ErrUnknownSite, siteID)
 	}
-	gate := s.gates[siteID]
-	select {
-	case gate <- struct{}{}:
-		defer func() { <-gate }()
-	case <-ctx.Done():
-	}
-	// Also covers a gate won by a query that was canceled while it
-	// waited: its leg becomes a no-op instead of occupying the site.
 	if ctx.Err() != nil {
 		return 0, fmt.Errorf("server: %w (%w)", dsa.ErrCanceled, context.Cause(ctx))
 	}
@@ -384,8 +367,9 @@ type SiteStats struct {
 	// Legs is the number of legs this node executed on the site, for
 	// its own queries (fallbacks included) and for peers.
 	Legs uint64 `json:"legs"`
-	// BusyNS is the cumulative wall-clock nanoseconds those legs held
-	// the site's gate.
+	// BusyNS is the summed wall time of the legs this node ran on the
+	// site, in nanoseconds; legs of concurrent queries may overlap, so
+	// it can grow faster than the clock.
 	BusyNS int64 `json:"busy_ns"`
 }
 
